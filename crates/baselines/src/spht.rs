@@ -51,7 +51,10 @@ pub struct Spht {
     area: LogArea,
     free_blocks: Vec<usize>,
     in_tx: bool,
-    tx_start: Cursor,
+    /// The open transaction's record header; `None` until its first write
+    /// reserves it, so a write-free transaction never seals a zero-length
+    /// record (the chain terminator) over the chain's tail.
+    tx_start: Option<Cursor>,
     payload: Vec<u8>,
     index: HashMap<usize, (usize, usize)>, // addr -> (payload value offset, len)
     dirty: Vec<(usize, usize)>,
@@ -82,14 +85,13 @@ impl Spht {
         pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
         pool.device_mut().flush_everything();
         pool.device_mut().set_timing(prev);
-        let tx_start = area.tail();
         Self {
             pool,
             cfg,
             area,
             free_blocks,
             in_tx: false,
-            tx_start,
+            tx_start: None,
             payload: Vec::new(),
             index: HashMap::new(),
             dirty: Vec::new(),
@@ -163,7 +165,6 @@ impl Spht {
         self.pool.device_mut().background_line_write(slot);
         let old = std::mem::replace(&mut self.area, area);
         self.free_blocks.extend(old.into_blocks());
-        self.tx_start = self.area.tail();
         self.stats.records_reclaimed += line_count as u64;
         self.stats.log_live_bytes = self.area.footprint() as u64;
         self.stats.background_ns += self.pool.device().now_ns() - t0;
@@ -178,19 +179,25 @@ impl TxAccess for Spht {
         self.index.clear();
         self.dirty.clear();
         self.tx_overlay.clear();
-        self.tx_start = self.area.tail();
         self.in_tx = true;
-        let mut dirty = Vec::new();
-        self.area.append(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            &[0u8; REC_HDR],
-            &mut dirty,
-        );
-        self.dirty.extend(dirty);
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
+        let tx_start = match self.tx_start {
+            Some(cursor) => cursor,
+            None => {
+                // First write: reserve the record header.
+                let cursor = self.area.tail();
+                self.area.append(
+                    &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
+                    &[0u8; REC_HDR],
+                    &mut self.dirty,
+                );
+                self.tx_start = Some(cursor);
+                cursor
+            }
+        };
         // Update the DRAM snapshot (no PM data write on the critical
         // path; the replayer applies it later). Charge the store cost the
         // in-place runtimes pay at the device.
@@ -215,8 +222,7 @@ impl TxAccess for Spht {
                 let mut dirty = Vec::new();
                 // Recompute the PM position: entries are appended in payload
                 // order right after the record header at tx_start.
-                let mut cursor = self.tx_start;
-                cursor = advance(cursor, REC_HDR + off, self.cfg.block_bytes, &self.pool);
+                let cursor = advance(tx_start, REC_HDR + off, self.cfg.block_bytes, &self.pool);
                 self.area.write_at(
                     &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
                     cursor,
@@ -266,6 +272,13 @@ impl TxAccess for Spht {
 
     fn commit(&mut self) {
         assert!(self.in_tx, "commit outside transaction");
+        let Some(tx_start) = self.tx_start.take() else {
+            // Write-free: no record, nothing to link, flush or fence.
+            self.in_tx = false;
+            self.stats.tx_committed += 1;
+            self.stats.write_free_commits += 1;
+            return;
+        };
         let ts = self.ts_counter;
         self.ts_counter += 1;
         self.pool.device_mut().advance(self.cfg.link_overhead_ns);
@@ -273,7 +286,7 @@ impl TxAccess for Spht {
         let mut dirty = Vec::new();
         let wrote = self.area.write_at(
             &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            self.tx_start,
+            tx_start,
             &header,
             &mut dirty,
         );

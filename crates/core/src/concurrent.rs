@@ -341,8 +341,10 @@ impl From<SharedPmemPool> for PoolSource {
 #[derive(Debug)]
 struct AreaState {
     area: LogArea,
-    /// A transaction is open on this chain (its newest record has a zeroed
-    /// header). The daemon must skip the chain while set.
+    /// A record is open on this chain (its newest record has a zeroed
+    /// header): set when a transaction's first write reserves the header,
+    /// cleared when it seals. The daemon must skip the chain while set; a
+    /// transaction that has only read never sets it.
     open: bool,
 }
 
@@ -351,8 +353,8 @@ struct AreaState {
 pub struct SharedStats {
     /// Transactions committed (all threads).
     pub commits: u64,
-    /// Transactions aborted (all threads) — compensating restore records
-    /// sealed by [`TxHandle::abort`].
+    /// Transactions aborted (all threads). Each one that had written
+    /// sealed a compensating restore record ([`TxHandle::abort`]).
     pub aborts: u64,
     /// Reclamation cycles the daemon (or explicit calls) completed.
     pub reclaim_cycles: u64,
@@ -595,7 +597,7 @@ impl SpecSpmtShared {
             tid,
             tel_tid,
             in_tx: false,
-            tx_start: Cursor { block: 0, pos: 0 },
+            tx_start: None,
             ws: WriteSet::new(),
             dirty: Vec::new(),
             data_lines: Vec::new(),
@@ -1228,7 +1230,9 @@ pub struct TxHandle {
     /// never the daemon shard.
     tel_tid: usize,
     in_tx: bool,
-    tx_start: Cursor,
+    /// Where the open transaction's record header sits in the chain;
+    /// `None` until the first write reserves it (see [`Self::reserve`]).
+    tx_start: Option<Cursor>,
     /// Reusable write set: open-addressing index + payload arena +
     /// streaming record checksum (see [`crate::writeset`]).
     ws: WriteSet,
@@ -1285,12 +1289,13 @@ impl TxHandle {
         }
     }
 
-    /// Starts a transaction on this thread's chain.
+    /// Starts a transaction. Volatile only: the log is not touched until
+    /// the first [`write`](Self::write) reserves the record header, so a
+    /// transaction that never writes costs the device nothing.
     ///
     /// # Panics
     ///
-    /// Panics on nested `begin` (including a second handle driving the same
-    /// slot).
+    /// Panics on nested `begin`.
     pub fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction on thread {}", self.tid);
         self.ws.begin();
@@ -1298,11 +1303,26 @@ impl TxHandle {
         self.data_lines.clear();
         self.undo_addrs.clear();
         self.undo_data.clear();
+        self.in_tx = true;
+        self.shared.tel.registry.add(self.tel_tid, Metric::Begins, 1);
+        self.shared.tel.tracer.record(self.tel_tid, EventKind::Begin, 0, 0);
+    }
+
+    /// Reserves the open transaction's record header at the chain tail —
+    /// the first write's job. From here until the seal the chain is
+    /// `open`: the daemon skips it, and the flight recorder (whose
+    /// `tx_begin` is emitted here) counts the transaction as in flight,
+    /// i.e. as one that can have bytes in PM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a second handle is driving the same slot.
+    fn reserve(&mut self) {
         let mut st = self.area.lock().expect("area lock");
         assert!(!st.open, "thread slot {} already has an open transaction", self.tid);
         st.open = true;
-        self.tx_start = st.area.tail();
-        // Reserve the header: zero length marks the record open/uncommitted.
+        self.tx_start = Some(st.area.tail());
+        // Zero length marks the record open/uncommitted.
         {
             let mut free = self.shared.free_blocks.lock().expect("free lock");
             let mut store =
@@ -1310,9 +1330,6 @@ impl TxHandle {
             st.area.append(&mut store, &[0u8; REC_HDR], &mut self.dirty);
         }
         drop(st);
-        self.in_tx = true;
-        self.shared.tel.registry.add(self.tel_tid, Metric::Begins, 1);
-        self.shared.tel.tracer.record(self.tel_tid, EventKind::Begin, 0, 0);
         if let Some(bb) = &self.shared.bbox {
             bb.record_now(&self.dev, self.tel_tid, BbKind::TxBegin, 0, 0, 0);
         }
@@ -1327,6 +1344,11 @@ impl TxHandle {
     /// Panics outside a transaction.
     pub fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
+        if self.tx_start.is_none() {
+            // The header store goes ahead of the data store and the entry
+            // stores: one device-op order for every writing transaction.
+            self.reserve();
+        }
         let _ws_span = self.shared.tel.registry.span(self.tel_tid, Phase::Writeset);
         self.shared.tel.tracer.record(
             self.tel_tid,
@@ -1414,15 +1436,10 @@ impl TxHandle {
     /// fast — it still stages into the batch (amortized fence) but slams
     /// the window shut ([`GroupCommitter::commit_urgent`]).
     fn seal(&mut self, commit: bool, urgent: bool) -> u64 {
-        assert!(self.in_tx, "commit outside transaction");
-        if self.ws.payload().is_empty() {
-            // A zero-length record header is the chain terminator, so an
-            // empty (read-only or write-free) transaction must not seal a
-            // zero-length record — it would orphan every younger record
-            // behind it. Pad with one zero-length entry: the payload becomes
-            // one entry header, and recovery replays it as a no-op.
-            self.write(0, &[]);
-        }
+        // Reserved means at least one entry header in the payload, so the
+        // sealed length is never zero (a zero-length header is the chain
+        // terminator and would orphan every younger record behind it).
+        let tx_start = self.tx_start.take().expect("seal of a transaction that reserved no record");
         let tid = self.tel_tid;
         // Everything at this level borrows local clones of the Arcs (not
         // `self`) so the flush/fence tails below can take `&mut self`
@@ -1443,7 +1460,7 @@ impl TxHandle {
             let mut free = self.shared.free_blocks.lock().expect("free lock");
             let mut store =
                 SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-            let wrote = st.area.write_at(&mut store, self.tx_start, &header, &mut self.dirty);
+            let wrote = st.area.write_at(&mut store, tx_start, &header, &mut self.dirty);
             assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
             st.area.write_terminator(&mut store, &mut self.dirty);
         }
@@ -1642,6 +1659,11 @@ impl TxHandle {
     /// Commits the open transaction with the single SpecSPMT flush+fence;
     /// returns the [`CommitReceipt`] carrying the global commit timestamp.
     ///
+    /// A transaction that never wrote reserved no record and has nothing
+    /// to make durable: its commit takes no lock, draws no timestamp and
+    /// issues no store, flush or fence (see [`CommitReceipt`] for what its
+    /// receipt carries).
+    ///
     /// # Panics
     ///
     /// Panics outside a transaction.
@@ -1666,7 +1688,20 @@ impl TxHandle {
     }
 
     fn commit_with(&mut self, urgent: bool) -> CommitReceipt {
-        let ts = self.seal(true, urgent);
+        assert!(self.in_tx, "commit outside transaction");
+        let ts = if self.tx_start.is_some() {
+            self.seal(true, urgent)
+        } else {
+            // Write-free: nothing to make durable. Under strict 2PL every
+            // value this transaction read was released only after its
+            // writer's fence returned, so it is already durable; the
+            // receipt carries the frontier the transaction observed.
+            self.in_tx = false;
+            let ts = self.shared.ts.load(Ordering::SeqCst);
+            self.shared.tel.registry.add(self.tel_tid, Metric::WriteFreeCommits, 1);
+            self.shared.tel.tracer.record(self.tel_tid, EventKind::Commit, ts, 0);
+            ts
+        };
         self.shared.commits.fetch_add(1, Ordering::Relaxed);
         self.shared.tel.registry.add(self.tel_tid, Metric::Commits, 1);
         CommitReceipt::new(ts)
@@ -1674,7 +1709,9 @@ impl TxHandle {
 
     /// Aborts the open transaction.
     ///
-    /// SpecPMT writes in place before commit, so aborting must *restore*:
+    /// A transaction that never wrote has nothing to restore: its abort
+    /// is free and leaves no record. Otherwise, SpecPMT writes in place
+    /// before commit, so aborting must *restore*:
     /// the volatile pre-images captured by [`TxHandle::write`] are replayed
     /// in reverse through the normal logging write path, and the record is
     /// then sealed exactly like a commit. The youngest-committed-record-wins
@@ -1687,6 +1724,13 @@ impl TxHandle {
     /// Panics outside a transaction.
     pub fn abort(&mut self) {
         assert!(self.in_tx, "abort outside transaction");
+        self.shared.aborts.fetch_add(1, Ordering::Relaxed);
+        self.shared.tel.registry.add(self.tel_tid, Metric::Aborts, 1);
+        if self.tx_start.is_none() {
+            // Nothing was written, so there is nothing to restore or seal.
+            self.in_tx = false;
+            return;
+        }
         // Take the arenas so the replay can borrow the pre-image bytes
         // while `write` mutates the handle; they are handed back below so
         // their capacity survives (the replay's own pre-image captures go
@@ -1699,8 +1743,6 @@ impl TxHandle {
         self.undo_addrs = addrs;
         self.undo_data = data;
         let _ = self.seal(false, false);
-        self.shared.aborts.fetch_add(1, Ordering::Relaxed);
-        self.shared.tel.registry.add(self.tel_tid, Metric::Aborts, 1);
         if let Some(bb) = &self.shared.bbox {
             bb.record_now(&self.dev, self.tel_tid, BbKind::TxAbort, 0, 0, 0);
         }
@@ -1796,6 +1838,10 @@ impl specpmt_txn::TxThread for TxHandle {
 
     fn commit(&mut self) -> u64 {
         TxHandle::commit(self).ts()
+    }
+
+    fn abort(&mut self) {
+        TxHandle::abort(self);
     }
 }
 

@@ -9,13 +9,16 @@
 //!   reclamation threshold, and inline reclamation, so a short random
 //!   stream walks the full commit sequence (`seq/commit/*`), repeated
 //!   compaction cycles (`seq/reclaim/*`), and the layout head-pointer
-//!   writes (`layout/*`).
+//!   writes (`layout/*`). The stream draws write-free transactions between
+//!   the writers.
 //! * [`run_mt_smoke`] — [`SpecSpmtShared`] on four real threads with a
 //!   post-run compaction cycle and a checkpoint write, covering
 //!   `mt/commit/*` (group commit off) or `mt/group/*` (group commit on)
 //!   plus `mt/reclaim/*` and `ckpt/*`. Run it once per group-commit
 //!   setting and [`EnumReport::merge`] the reports to cover both commit
-//!   paths.
+//!   paths. Every writer is preceded by a write-free transaction (committed
+//!   or aborted), and one transaction stays open, still write-free, across
+//!   the compaction cycle and the checkpoint before it writes and commits.
 //!
 //! Both runners execute the workload **fresh** (new device, pool, and
 //! runtime per call), recover from the captured image, and verify atomic
@@ -155,9 +158,15 @@ fn mt_value(t: usize, k: usize) -> u64 {
 /// (base and base+64), so a torn pair after recovery is an atomicity
 /// violation and the pair value must be at least the thread's last
 /// definitely-committed transaction (crash-epoch bracketing classifies
-/// definite commits). After the threads join, one [`SpecSpmtShared::
-/// reclaim_cycle`] compacts the churned chains, deterministically walking
-/// the `mt/reclaim/*` splice protocol.
+/// definite commits). Before each of them the thread runs a write-free
+/// transaction — a read that commits, or a bare `begin; abort` — which
+/// must leave the chain untouched. After the threads join, thread 0 opens
+/// one more transaction and reads; with it open, one [`SpecSpmtShared::
+/// reclaim_cycle`] compacts the churned chains (thread 0's included: a
+/// transaction that has not written pins nothing), deterministically
+/// walking the `mt/reclaim/*` splice protocol, and a checkpoint is
+/// written. Only then does the transaction write its pair — reserving its
+/// record in the compacted chain — and commit.
 ///
 /// With `group_commit` the commits funnel through the batched-fence group
 /// path (`mt/group/*` sites); without it each commit seals solo
@@ -194,7 +203,7 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
     }
 
     dev.arm(plan);
-    let definite: Vec<usize> = std::thread::scope(|scope| {
+    let (mut definite, mut handles): (Vec<usize>, Vec<TxHandle>) = std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for (t, (mut h, &base)) in handles.into_iter().zip(&bases).enumerate() {
             let dev = dev.clone();
@@ -204,6 +213,13 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
                     let (e0, f0) = dev.observe();
                     if f0 {
                         break; // image frozen: later commits cannot be in it
+                    }
+                    h.begin();
+                    if k % 2 == 0 {
+                        h.read(base, &mut [0u8; 8]);
+                        h.commit();
+                    } else {
+                        h.abort();
                     }
                     let v = mt_value(t, k).to_le_bytes();
                     h.begin();
@@ -217,12 +233,18 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
                         break; // boundary commit: all-or-nothing from here
                     }
                 }
-                last_definite
+                (last_definite, h)
             }));
         }
-        workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
+        workers.into_iter().map(|w| w.join().expect("worker panicked")).unzip()
     });
 
+    // Thread 0's last transaction is open, and still write-free, across
+    // the compaction and the checkpoint below.
+    let (e0, f0) = dev.observe();
+    let straggler = &mut handles[0];
+    straggler.begin();
+    straggler.read(bases[0], &mut [0u8; 8]);
     // Each chain now holds MT_TXS-fold churn on two words: one compaction
     // cycle rewrites every chain through the two-fence splice.
     shared.reclaim_cycle();
@@ -230,6 +252,13 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
     // the captured image then exercises checkpoint-bounded replay (or its
     // torn-checkpoint fallback, when the crash lands mid-protocol).
     shared.write_checkpoint();
+    let v = mt_value(0, MT_TXS + 1).to_le_bytes();
+    straggler.write(bases[0], &v);
+    straggler.write(bases[0] + 64, &v);
+    straggler.commit();
+    if definite[0] == MT_TXS && !f0 && e0 % 2 == 0 && dev.observe().0 == e0 {
+        definite[0] = MT_TXS + 1;
+    }
 
     let summary =
         RunSummary { fired: dev.fired(), fired_at: dev.fired_at(), site_hits: dev.site_hits() };
@@ -258,7 +287,8 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
                  (recovered {a:#x} < {floor:#x})"
             ));
         }
-        if a != 0 && a > mt_value(t, MT_TXS) {
+        let last = if t == 0 { MT_TXS + 1 } else { MT_TXS };
+        if a != 0 && a > mt_value(t, last) {
             return Err(format!("thread {t}: recovered value {a:#x} was never written"));
         }
     }

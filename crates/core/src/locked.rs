@@ -10,6 +10,15 @@
 //! phase) and releasing everything when the commit or abort record seals
 //! (shrinking phase — strict, so nothing is exposed before durability).
 //!
+//! Strictness is also why a transaction that wrote nothing commits for
+//! free (see [`TxHandle::commit`](crate::TxHandle::commit)): a stripe is
+//! released only after its writer's fence has returned, so every value a
+//! transaction can read through this handle is already durable, and one
+//! with an empty write set has no durability work of its own. Its read
+//! stripes are still held until `commit` returns. The same goes for a
+//! doomed transaction whose writes were all dropped: its abort has nothing
+//! to restore and costs nothing.
+//!
 //! Deadlock is impossible by construction: lock acquisition is a **bounded
 //! try-lock** — a handle never blocks while holding stripes. When an
 //! acquisition gives up, the transaction is *doomed*: subsequent writes
@@ -79,6 +88,10 @@ pub struct LockedTxHandle {
     inner: TxHandle,
     locks: Arc<SharedLockTable>,
     guard: Option<LockGuard>,
+    /// The stripe buffer between transactions: each `begin` lends it to
+    /// the new guard and each commit/abort takes it back, so acquiring
+    /// locks allocates nothing in steady state.
+    held: Vec<usize>,
     doomed: bool,
     /// Set when any acquisition of the current transaction hit the
     /// contended path: at commit the handle seals urgently
@@ -100,7 +113,16 @@ impl LockedTxHandle {
     /// every address transactions touch).
     pub fn new(inner: TxHandle, locks: Arc<SharedLockTable>) -> Self {
         let rng = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(inner.tid() as u64 + 1);
-        Self { inner, locks, guard: None, doomed: false, contended: false, rng, retries: 0 }
+        Self {
+            inner,
+            locks,
+            guard: None,
+            held: Vec::new(),
+            doomed: false,
+            contended: false,
+            rng,
+            retries: 0,
+        }
     }
 
     /// The wrapped handle.
@@ -141,6 +163,13 @@ impl LockedTxHandle {
         n: usize,
     ) -> Vec<LockedTxHandle> {
         (0..n).map(|tid| LockedTxHandle::new(shared.tx_handle(tid), locks.clone())).collect()
+    }
+
+    /// Shrinking phase: frees every stripe at once and keeps the buffer.
+    fn release_locks(&mut self) {
+        if let Some(guard) = self.guard.take() {
+            self.held = guard.release();
+        }
     }
 
     fn next_jitter(&mut self) -> u32 {
@@ -228,7 +257,7 @@ impl LockedTxHandle {
         let receipt = if self.contended { self.inner.commit_urgent() } else { self.inner.commit() };
         // Strict 2PL: locks release only after the commit record is
         // durable, so no other thread ever reads speculative state.
-        self.guard = None;
+        self.release_locks();
         self.retries = 0;
         receipt
     }
@@ -237,7 +266,8 @@ impl LockedTxHandle {
 impl TxAccess for LockedTxHandle {
     fn begin(&mut self) {
         self.inner.begin();
-        self.guard = Some(self.locks.guard(self.inner.tid()));
+        let held = std::mem::take(&mut self.held);
+        self.guard = Some(self.locks.guard_reusing(self.inner.tid(), held));
         self.doomed = false;
         self.contended = false;
     }
@@ -276,7 +306,7 @@ impl TxAccess for LockedTxHandle {
             // stripes it already holds — so the restore always proceeds.
             self.inner.abort();
         }
-        self.guard = None;
+        self.release_locks();
         self.doomed = false;
         if was_doomed {
             // A doomed abort is followed by a driver retry (`run_tx`).

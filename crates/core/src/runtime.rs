@@ -74,7 +74,11 @@ impl SpecConfig {
 struct ThreadState {
     area: LogArea,
     in_tx: bool,
-    tx_start: Cursor,
+    /// Where the open transaction's record header sits in the chain.
+    /// `None` until the transaction's first write reserves it: a
+    /// transaction that never writes never touches the log, and only a
+    /// reserved record pins the chain against reclamation.
+    tx_start: Option<Cursor>,
     /// Reusable write set (paper §4: only the last update of a datum in a
     /// transaction needs a log record): open-addressing index + payload
     /// arena + streaming record checksum, all cleared — never freed —
@@ -144,11 +148,10 @@ impl SpecSpmt {
                 &mut dirty,
             );
             layout.set_head(&mut pool, tid, area.head() as u64);
-            let tx_start = area.tail();
             threads.push(ThreadState {
                 area,
                 in_tx: false,
-                tx_start,
+                tx_start: None,
                 ws: WriteSet::new(),
                 dirty: Vec::new(),
                 data_lines: Vec::new(),
@@ -227,8 +230,9 @@ impl SpecSpmt {
     }
 
     /// Explicitly runs a log-reclamation cycle (the paper's explicit API).
-    /// No-op while any thread has an open transaction or when reclamation
-    /// is disabled.
+    /// No-op while any thread has an open *record* (a transaction that has
+    /// written; one that has only read pins nothing) or when reclamation is
+    /// disabled.
     ///
     /// Cycles are incremental (see [`crate::reclaim`]): chains whose
     /// `(head, generation)` watermark has not moved are not re-parsed, the
@@ -240,7 +244,7 @@ impl SpecSpmt {
         if self.cfg.reclaim_mode == ReclaimMode::Disabled {
             return;
         }
-        if self.threads.iter().any(|t| t.in_tx) {
+        if self.threads.iter().any(|t| t.tx_start.is_some()) {
             return;
         }
         let t0 = self.pool.device().now_ns();
@@ -343,8 +347,6 @@ impl SpecSpmt {
             self.reclaim.commit_rewrite(tid, (area.head(), area.generation()), kept);
             let old = std::mem::replace(&mut self.threads[tid].area, area);
             self.free_blocks.extend(old.into_blocks());
-            let tail = self.threads[tid].area.tail();
-            self.threads[tid].tx_start = tail;
         }
         if spliced {
             self.pool.device().crash_point("seq/reclaim/splice");
@@ -415,8 +417,6 @@ impl SpecSpmt {
             layout.set_head(&mut self.pool, tid, area.head() as u64);
             let old = std::mem::replace(&mut self.threads[tid].area, area);
             self.free_blocks.extend(old.into_blocks());
-            let tail = self.threads[tid].area.tail();
-            self.threads[tid].tx_start = tail;
         }
         // The log was truncated: cached parses and the freshness index no
         // longer describe any live chain.
@@ -430,17 +430,15 @@ impl TxAccess for SpecSpmt {
         let tid = self.cur;
         assert!(!self.threads[tid].in_tx, "nested transaction on thread {tid}");
         self.stats.tx_begun += 1;
-        let Self { pool, free_blocks, threads, tel, stats, .. } = self;
-        tel.registry.add(tid, Metric::Begins, 1);
-        tel.tracer.record(tid, EventKind::Begin, stats.tx_begun, 0);
-        let t = &mut threads[tid];
+        self.tel.registry.add(tid, Metric::Begins, 1);
+        self.tel.tracer.record(tid, EventKind::Begin, self.stats.tx_begun, 0);
+        // Volatile only: the log is not touched until the first write
+        // reserves the record header.
+        let t = &mut self.threads[tid];
         t.ws.begin();
         t.dirty.clear();
         t.data_lines.clear();
-        t.tx_start = t.area.tail();
         t.in_tx = true;
-        // Reserve the header: zero length marks the record open/uncommitted.
-        t.area.append(&mut PoolStore::new(pool, free_blocks), &[0u8; REC_HDR], &mut t.dirty);
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
@@ -448,6 +446,13 @@ impl TxAccess for SpecSpmt {
         assert!(self.threads[tid].in_tx, "write outside transaction");
         let Self { pool, free_blocks, threads, stats, cfg, tel, .. } = self;
         let t = &mut threads[tid];
+        if t.tx_start.is_none() {
+            // First write: reserve the record header (zero length marks the
+            // record open/uncommitted), ahead of the data store and the
+            // entry stores.
+            t.tx_start = Some(t.area.tail());
+            t.area.append(&mut PoolStore::new(pool, free_blocks), &[0u8; REC_HDR], &mut t.dirty);
+        }
         // Write-set build phase: everything staged between begin and seal
         // (in-place store + log staging + dedup bookkeeping).
         let _ws_span = tel.registry.span(tid, Phase::Writeset);
@@ -494,6 +499,18 @@ impl TxAccess for SpecSpmt {
     fn commit(&mut self) {
         let tid = self.cur;
         assert!(self.threads[tid].in_tx, "commit outside transaction");
+        let Some(tx_start) = self.threads[tid].tx_start.take() else {
+            // Write-free: no record was reserved, so there is nothing to
+            // seal, flush or fence — and no zero-length header to strand
+            // the chain's younger records behind.
+            self.threads[tid].in_tx = false;
+            self.stats.tx_committed += 1;
+            self.stats.write_free_commits += 1;
+            self.tel.registry.add(tid, Metric::Commits, 1);
+            self.tel.registry.add(tid, Metric::WriteFreeCommits, 1);
+            self.tel.tracer.record(tid, EventKind::Commit, self.ts_counter, 0);
+            return;
+        };
         let ts = self.ts_counter;
         self.ts_counter += 1;
 
@@ -512,7 +529,7 @@ impl TxAccess for SpecSpmt {
 
         let append_span = tel.registry.span(tid, Phase::Append);
         let mut store = PoolStore::new(pool, free_blocks);
-        let wrote = t.area.write_at(&mut store, t.tx_start, &header, &mut t.dirty);
+        let wrote = t.area.write_at(&mut store, tx_start, &header, &mut t.dirty);
         assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
         t.area.write_terminator(&mut store, &mut t.dirty);
         append_span.stop();

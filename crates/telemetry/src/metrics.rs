@@ -295,10 +295,14 @@ pub enum Metric {
     /// crash-enumeration harness's per-run visit count; zero in normal
     /// operation because disarmed sites never reach telemetry).
     CrashPoints = 13,
+    /// Commits of transactions that never wrote: no record was reserved,
+    /// so nothing was appended, flushed or fenced (`commits == log_appends
+    /// + write_free_commits` on an abort-free stream).
+    WriteFreeCommits = 14,
 }
 
 /// Number of [`Metric`] variants.
-pub const METRIC_COUNT: usize = 14;
+pub const METRIC_COUNT: usize = 15;
 
 /// JSON names for each [`Metric`], index-aligned with the enum.
 pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
@@ -316,6 +320,7 @@ pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
     "group_commits",
     "group_batches",
     "crash_points",
+    "write_free_commits",
 ];
 
 /// Counter and phase deltas over one sampling interval, returned by

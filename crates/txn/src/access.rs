@@ -35,6 +35,13 @@ use specpmt_pmem::TimingMode;
 /// harnesses that need to reason about commit order, without inviting
 /// arithmetic on a bare `u64`. Receipts from the same shared runtime are
 /// totally ordered; comparing receipts across runtimes is meaningless.
+///
+/// A transaction that wrote nothing appends no record, so its receipt
+/// names none: it carries the value of the global timestamp counter at
+/// commit — the frontier the transaction observed, greater than the
+/// timestamp of every record committed before it. The counter is not
+/// advanced, so the next writing commit receives that same timestamp;
+/// receipts are therefore unique among writing commits only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CommitReceipt(u64);
 

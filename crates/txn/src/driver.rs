@@ -33,7 +33,10 @@ pub struct TxOp {
 pub struct StreamSpec {
     /// Number of transactions.
     pub txs: usize,
-    /// Maximum writes per transaction (at least 1 each).
+    /// Maximum writes per transaction. The minimum is 0: roughly one
+    /// transaction in `max_writes_per_tx + 1` is write-free (an empty
+    /// `Vec<TxOp>`) and lands between writers, whose records it must
+    /// leave reachable.
     pub max_writes_per_tx: usize,
     /// Maximum bytes per write (at least 1).
     pub max_write_len: usize,
@@ -55,7 +58,7 @@ pub fn generate_stream(spec: &StreamSpec) -> Vec<Vec<TxOp>> {
     let mut rng = SplitMix64::new(spec.seed);
     (0..spec.txs)
         .map(|_| {
-            let writes = rng.range_usize(1, spec.max_writes_per_tx.max(1));
+            let writes = rng.range_usize(0, spec.max_writes_per_tx);
             (0..writes)
                 .map(|_| {
                     let len = rng.range_usize(1, spec.max_write_len.max(1));
@@ -276,8 +279,9 @@ mod tests {
         let b = generate_stream(&spec);
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
+        assert!(a.iter().any(Vec::is_empty), "the stream draws write-free transactions");
+        assert!(a.iter().any(|tx| !tx.is_empty()));
         for tx in &a {
-            assert!(!tx.is_empty());
             assert!(tx.len() <= spec.max_writes_per_tx);
             for op in tx {
                 assert!(!op.data.is_empty());

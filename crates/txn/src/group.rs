@@ -7,7 +7,10 @@
 //! current epoch's batch, one of them is elected **combiner** and issues
 //! a single coalesced drain for the whole batch, and everyone staged in
 //! that epoch receives its commit receipt only after the batch fence
-//! retires — durability semantics unchanged, fences amortized.
+//! retires — durability semantics unchanged, fences amortized. Only
+//! transactions with lines to persist ever get here: the runtime commits
+//! a write-free transaction without staging, so it neither joins a batch
+//! nor wakes a combiner.
 //!
 //! The protocol is flat combining over a [`Mutex`] + [`Condvar`]:
 //!

@@ -145,7 +145,16 @@ impl SharedLockTable {
     /// which stripes are acquired. Strict 2PL falls out of its lifetime —
     /// hold it until after commit or abort.
     pub fn guard(self: &Arc<Self>, tid: usize) -> LockGuard {
-        LockGuard { table: Arc::clone(self), tid, held: Vec::new() }
+        self.guard_reusing(tid, Vec::new())
+    }
+
+    /// [`Self::guard`] that tracks its stripes in `held` (cleared first).
+    /// A caller opening one guard per transaction passes in the buffer the
+    /// previous guard's [`LockGuard::release`] handed back, so steady-state
+    /// acquisition allocates nothing.
+    pub fn guard_reusing(self: &Arc<Self>, tid: usize, mut held: Vec<usize>) -> LockGuard {
+        held.clear();
+        LockGuard { table: Arc::clone(self), tid, held }
     }
 
     fn stripe_range(&self, addr: usize, len: usize) -> std::ops::RangeInclusive<usize> {
@@ -167,9 +176,10 @@ impl SharedLockTable {
 
 /// RAII ownership of lock-table stripes for one transaction.
 ///
-/// Acquired stripes are released exactly when the guard drops; there is
-/// no manual release call, which is what makes the locking *strict*
-/// two-phase by construction.
+/// Acquired stripes are released exactly when the guard's life ends — on
+/// drop, or on [`release`](Self::release), which consumes it. There is no
+/// way to release part of a guard, which is what makes the locking
+/// *strict* two-phase by construction.
 #[derive(Debug)]
 pub struct LockGuard {
     table: Arc<SharedLockTable>,
@@ -184,7 +194,9 @@ impl LockGuard {
     /// kept — the growing phase never shrinks).
     pub fn try_extend(&mut self, addr: usize, len: usize) -> bool {
         let range = self.table.stripe_range(addr, len);
-        let mut newly: Vec<usize> = Vec::new();
+        // Stripes claimed by this call sit past `before`; a conflict rolls
+        // back by truncating to it.
+        let before = self.held.len();
         for s in range {
             if self.held.contains(&s) {
                 continue; // reentrant within this transaction
@@ -193,18 +205,31 @@ impl LockGuard {
                 .compare_exchange(FREE, self.tid + 1, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok();
             if claimed {
-                newly.push(s);
+                self.held.push(s);
             } else {
-                for &n in &newly {
-                    self.table.owners[n].store(FREE, Ordering::Release);
-                }
+                self.free_from(before);
                 self.table.conflicts.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
         }
-        self.held.extend(newly);
         self.table.acquires.fetch_add(1, Ordering::Relaxed);
         true
+    }
+
+    /// Frees the stripes in `held[from..]` and forgets them.
+    fn free_from(&mut self, from: usize) {
+        for &s in &self.held[from..] {
+            self.table.owners[s].store(FREE, Ordering::Release);
+        }
+        self.held.truncate(from);
+    }
+
+    /// Releases every stripe, exactly as dropping the guard does, and
+    /// hands back the emptied stripe buffer for
+    /// [`SharedLockTable::guard_reusing`].
+    pub fn release(mut self) -> Vec<usize> {
+        self.free_from(0);
+        std::mem::take(&mut self.held)
     }
 
     /// Whether this guard holds the stripe containing `addr`.
@@ -225,9 +250,7 @@ impl LockGuard {
 
 impl Drop for LockGuard {
     fn drop(&mut self) {
-        for &s in &self.held {
-            self.table.owners[s].store(FREE, Ordering::Release);
-        }
+        self.free_from(0);
     }
 }
 
@@ -335,6 +358,20 @@ mod tests {
         assert_eq!(t.held_stripes(), 0, "guard drop must free all stripes");
         let mut g1 = t.guard(1);
         assert!(g1.try_extend(0, 512));
+    }
+
+    #[test]
+    fn released_buffer_is_reused_without_carrying_stripes() {
+        let t = SharedLockTable::new(1024, 64);
+        let mut g = t.guard(0);
+        assert!(g.try_extend(0, 256));
+        let held = g.release();
+        assert_eq!(t.held_stripes(), 0, "release frees like drop");
+        assert!(held.is_empty() && held.capacity() >= 4);
+        let mut g = t.guard_reusing(0, held);
+        assert_eq!(g.held(), 0);
+        assert!(g.try_extend(512, 8));
+        assert_eq!(t.held_by(0), 1);
     }
 
     #[test]

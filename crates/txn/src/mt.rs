@@ -36,6 +36,8 @@ pub trait TxThread: Send {
     fn write(&mut self, addr: usize, data: &[u8]);
     /// Commits; returns the global commit timestamp.
     fn commit(&mut self) -> u64;
+    /// Aborts the open transaction, restoring what it wrote.
+    fn abort(&mut self);
 }
 
 /// Per-thread execution outcome: the definitely-committed transactions, and
@@ -126,6 +128,12 @@ pub fn check_mt_crash_atomicity<H: TxThread>(
                     if f0 {
                         // Image already frozen: nothing later can be in it.
                         break;
+                    }
+                    if tx.is_empty() {
+                        // A write-free transaction reserves no record, so
+                        // its abort is as free as its commit: drive both.
+                        h.begin();
+                        h.abort();
                     }
                     h.begin();
                     for op in tx {
@@ -218,6 +226,9 @@ mod tests {
             let mut ts = self.ts.lock().unwrap();
             *ts += 1;
             *ts
+        }
+        fn abort(&mut self) {
+            unreachable!("the self-test streams always write");
         }
     }
 

@@ -9,6 +9,10 @@ pub struct TxStats {
     pub tx_begun: u64,
     /// Transactions committed.
     pub tx_committed: u64,
+    /// Of those, commits of transactions that never wrote (no log record,
+    /// no flush, no fence) — counted by the runtimes that reserve the
+    /// record at the first write (SpecSPMT, SPHT).
+    pub write_free_commits: u64,
     /// Durable update operations (one per `write` call).
     pub updates: u64,
     /// Durable data bytes written by transactions.

@@ -136,6 +136,21 @@ fn specpmt_dp_mt_sweep_all_policies() {
     }
 }
 
+/// The same write-free-laced streams through the group-commit path: a
+/// write-free commit stages nothing, so it must neither join a batch nor
+/// wait for one.
+#[test]
+fn specpmt_group_commit_mt_sweep() {
+    sweep_policies(
+        || ConcurrentConfig::builder().threads(4).group_commit(true).build(),
+        &[11, 53, 173, 509, 5001],
+        &[CrashPolicy::AllLost, CrashPolicy::Random(0x6c)],
+        17,
+        None,
+        "cargo test --test concurrency specpmt_group_commit_mt_sweep",
+    );
+}
+
 #[test]
 fn specpmt_mt_sweep_with_reclaim_daemon_racing() {
     // A tiny threshold keeps the daemon compacting continuously while the
@@ -225,6 +240,22 @@ fn run_racing_writers(threads: usize, crash_after: u64, seed: u64) -> bool {
                     }
                     let slot = (splitmix(&mut rng) as usize) % SLOTS;
                     let tag = ((t as u64 + 1) << 32) | (i + 1);
+                    // Between writers, a write-free transaction on a
+                    // contended slot: it takes (and may be doomed on) the
+                    // stripe, reserves no record, and commits or aborts
+                    // for free — under a reader a pair is never torn.
+                    let peek = base + (splitmix(&mut rng) as usize % SLOTS) * SLOT_BYTES;
+                    if i % 2 == 0 {
+                        let (w0, w1) = run_tx(h, |tx| (tx.read_u64(peek), tx.read_u64(peek + 8)));
+                        assert!(
+                            w1 == w0 ^ PAIR_MASK || (w0, w1) == (0, 0),
+                            "reader saw a torn pair"
+                        );
+                    } else {
+                        h.begin();
+                        let _ = h.read_u64(peek);
+                        h.abort();
+                    }
                     run_tx(h, |tx| {
                         let a = base + slot * SLOT_BYTES;
                         tx.write_u64(a, tag);

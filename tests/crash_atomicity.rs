@@ -6,10 +6,15 @@
 //! transaction is all-or-nothing.
 
 use specpmt::baselines::{PmdkConfig, PmdkUndo, Spht, SphtConfig};
-use specpmt::core::{HashLogConfig, HashLogSpmt, ReclaimMode, SpecConfig, SpecSpmt};
-use specpmt::pmem::{CrashPlan, CrashPolicy, PmemPool};
+use specpmt::core::{
+    ConcurrentConfig, HashLogConfig, HashLogSpmt, LockedTxHandle, ReclaimMode, SpecConfig,
+    SpecSpmt, SpecSpmtShared,
+};
+use specpmt::pmem::{
+    CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
+};
 use specpmt::txn::driver::{check_crash_atomicity, StreamSpec};
-use specpmt::txn::{Recover, TxRuntime};
+use specpmt::txn::{Recover, SharedLockTable, TxAccess, TxRuntime};
 
 fn spec(pool: PmemPool) -> SpecSpmt {
     SpecSpmt::new(
@@ -136,4 +141,55 @@ fn specspmt_crash_mid_reclamation_recovers() {
         )
         .unwrap_or_else(|e| panic!("mid-reclamation crash (fuel {fuel}): {e}"));
     }
+}
+
+/// A transaction that wrote nothing must leave the log alone: sealing
+/// its empty record would write a zero-length header — the chain
+/// terminator — and make every record the chain commits afterwards
+/// unreachable at recovery.
+fn younger_record_survives_write_free_txs<A: TxAccess>(
+    a: &mut A,
+    aborts: bool,
+    capture: impl Fn(&A) -> CrashImage,
+) {
+    let addr = a.setup_alloc(64, 64);
+    a.begin();
+    a.write_u64(addr, 1);
+    a.commit();
+    a.begin();
+    assert_eq!(a.read_u64(addr), 1);
+    a.commit();
+    if aborts {
+        a.begin();
+        a.abort();
+    }
+    a.begin();
+    a.write_u64(addr, 2);
+    a.commit();
+    let mut img = capture(a);
+    SpecSpmt::recover(&mut img);
+    assert_eq!(img.read_u64(addr), 2, "record committed after a write-free transaction was lost");
+}
+
+#[test]
+fn write_free_tx_does_not_orphan_younger_records() {
+    let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
+    let mut seq = SpecSpmt::new(pool, SpecConfig::default());
+    younger_record_survives_write_free_txs(&mut seq, false, |rt| {
+        rt.pool().device().capture(CrashPolicy::AllLost)
+    });
+
+    let shared = SpecSpmtShared::open_or_format(1usize << 20, ConcurrentConfig::default());
+    let mut bare = shared.tx_handle(0);
+    younger_record_survives_write_free_txs(&mut bare, true, |h| {
+        h.device().capture(CrashPolicy::AllLost)
+    });
+
+    let shared = SpecSpmtShared::open_or_format(1usize << 20, ConcurrentConfig::default());
+    let locks = SharedLockTable::new(1 << 20, 64);
+    let mut locked = LockedTxHandle::new(shared.tx_handle(0), locks.clone());
+    younger_record_survives_write_free_txs(&mut locked, true, |h| {
+        h.inner().device().capture(CrashPolicy::AllLost)
+    });
+    assert_eq!(locks.held_stripes(), 0);
 }

@@ -4,7 +4,7 @@
 
 use specpmt::core::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared};
 use specpmt::pmem::{PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool};
-use specpmt::telemetry::{EventKind, Metric, Phase};
+use specpmt::telemetry::{EventKind, Metric, Phase, Telemetry};
 use specpmt::txn::{TxAccess, TxRuntime};
 
 fn seq_runtime() -> (SpecSpmt, usize) {
@@ -126,4 +126,117 @@ fn disabled_telemetry_reads_empty_and_reset_roundtrips() {
     rt.telemetry().reset();
     assert_eq!(rt.telemetry().registry.counter(Metric::Commits), 0);
     assert!(rt.telemetry().tracer.snapshot().events.is_empty());
+}
+
+/// Every third transaction of the mixed streams below only reads.
+fn mixed_stream<A: TxAccess>(a: &mut A, base: usize, n: u64) -> u64 {
+    let mut write_free = 0;
+    for i in 0..n {
+        a.begin();
+        if i % 3 == 1 {
+            let _ = a.read_u64(base);
+            write_free += 1;
+        } else {
+            a.write_u64(base + (i as usize % 64) * 8, i);
+        }
+        a.commit();
+    }
+    write_free
+}
+
+/// The books of a 60-transaction [`mixed_stream`] that issued `sfences`
+/// device fences: only the writers appended, fenced, and fed the
+/// commit-cost phases.
+fn assert_write_free_books(tel: &Telemetry, sfences: u64, write_free: u64) {
+    let reg = &tel.registry;
+    assert_eq!(reg.counter(Metric::Commits), 60);
+    assert_eq!(reg.counter(Metric::WriteFreeCommits), write_free);
+    assert_eq!(reg.counter(Metric::LogAppends), 60 - write_free);
+    assert_eq!(sfences, 60 - write_free, "only writing commits fence");
+    assert_eq!(reg.counter(Metric::Fences), sfences);
+    let snap = tel.tracer.snapshot();
+    assert_eq!(snap.count(EventKind::Fence) as u64, sfences);
+    assert_eq!(snap.count(EventKind::Commit), 60);
+    assert_eq!(reg.phase(Phase::Commit).count(), 60 - write_free, "no zero-cost samples");
+    assert_eq!(reg.phase(Phase::CommitSim).count(), 60 - write_free);
+}
+
+/// A write-free commit appends no record, fences nothing, and feeds no
+/// sample into the commit-cost phases — on both engines, the counters
+/// still add up exactly: `commits == log_appends + write_free_commits`
+/// and every device `sfence` is one traced fence.
+#[test]
+fn write_free_commits_are_counted_and_cost_nothing() {
+    let (mut rt, base) = seq_runtime();
+    rt.telemetry().set_enabled(true);
+    rt.telemetry().set_tracing(true);
+    let sfences_before = rt.pool().device().stats().sfence_count;
+    let write_free = mixed_stream(&mut rt, base, 60);
+    let sfences = rt.pool().device().stats().sfence_count - sfences_before;
+    assert_write_free_books(rt.telemetry(), sfences, write_free);
+    let stats = rt.tx_stats();
+    assert_eq!((stats.tx_committed, stats.write_free_commits), (60, write_free));
+
+    let shared = SpecSpmtShared::open_or_format(1usize << 20, ConcurrentConfig::default());
+    shared.telemetry().set_enabled(true);
+    shared.telemetry().set_tracing(true);
+    let base = shared.pool().alloc_direct(4096, 64).unwrap();
+    let mut h = shared.tx_handle(0);
+    let sfences_before = shared.device().stats().sfence_count;
+    let write_free = mixed_stream(&mut h, base, 60);
+    let sfences = shared.device().stats().sfence_count - sfences_before;
+    assert_write_free_books(shared.telemetry(), sfences, write_free);
+    assert_eq!(shared.stats().commits, 60);
+
+    // The receipt of a write-free commit names no record: it carries the
+    // timestamp frontier without consuming it.
+    h.begin();
+    h.write_u64(base, 1);
+    let w1 = h.commit();
+    h.begin();
+    let r = h.commit();
+    h.begin();
+    h.write_u64(base, 2);
+    let w2 = h.commit();
+    assert_eq!(r.ts(), w1.ts() + 1);
+    assert_eq!(w2.ts(), r.ts(), "the next writer draws the timestamp the reader only observed");
+}
+
+/// The recorder's `tx_begin` is emitted when a record is reserved, so the
+/// forensic in-flight set names only transactions that can have bytes in
+/// PM: an open reader is not one, an open writer is, and a kv `get`
+/// bracket stays visible as an op without a transaction.
+#[test]
+fn forensics_in_flight_set_skips_write_free_transactions() {
+    use specpmt::core::forensics;
+    use specpmt::pmem::{CrashControl, CrashPolicy};
+    use specpmt::telemetry::BbKind;
+
+    let cfg = ConcurrentConfig::builder().threads(2).flight_recorder(true).build();
+    let shared = SpecSpmtShared::open_or_format(1usize << 20, cfg);
+    let base = shared.pool().alloc_direct(64, 64).unwrap();
+    let mut reader = shared.tx_handle(0);
+    let mut writer = shared.tx_handle(1);
+    let open_txs = |shared: &SpecSpmtShared| -> Vec<u16> {
+        // AllSurvive keeps every staged recorder slot, flushed or not.
+        let fx = forensics(&shared.device().capture(CrashPolicy::AllSurvive));
+        assert!(fx.recorder_present);
+        fx.in_flight.iter().filter(|f| f.begin_ts != 0).map(|f| f.tid).collect()
+    };
+
+    reader.record_event(BbKind::KvOp, 7, 0, 0);
+    reader.begin();
+    let _ = reader.read_u64(base);
+    writer.begin();
+    writer.write_u64(base + 8, 1);
+    assert_eq!(open_txs(&shared), vec![1], "only the writer is in flight");
+    let fx = forensics(&shared.device().capture(CrashPolicy::AllSurvive));
+    let get = fx.in_flight.iter().find(|f| f.tid == 0).expect("the get bracket is open");
+    assert_eq!((get.begin_ts, get.kv_op), (0, Some("get")));
+
+    reader.commit();
+    reader.record_event(BbKind::KvOpDone, 7, 0, 0);
+    assert_eq!(open_txs(&shared), vec![1]);
+    writer.commit();
+    assert_eq!(open_txs(&shared), Vec::<u16>::new());
 }

@@ -16,9 +16,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use specpmt::core::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared};
+use specpmt::core::{
+    ConcurrentConfig, LockedTxHandle, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared,
+};
 use specpmt::pmem::{PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool};
-use specpmt::txn::TxAccess;
+use specpmt::txn::{run_tx, SharedLockTable, TxAccess};
 
 struct CountingAlloc;
 
@@ -107,4 +109,30 @@ fn shared_commit_is_zero_alloc_with_telemetry_off() {
         "telemetry-off steady-state commits must not allocate beyond amortized \
          log-block growth (got {allocs} over 256 txs)"
     );
+}
+
+/// A read-only transaction under 2PL — the kv `get` shape — reserves no
+/// record and borrows the handle's stripe buffer, so once warm it performs
+/// exactly zero allocations (not even amortized: nothing grows).
+#[test]
+fn locked_get_is_zero_alloc_in_steady_state() {
+    let _guard = serial();
+    let shared = SpecSpmtShared::open_or_format(4usize << 20, ConcurrentConfig::default());
+    let base = shared.pool().alloc_direct(64 * 1024, 64).unwrap();
+    let locks = SharedLockTable::new(4 << 20, 64);
+    let mut h = LockedTxHandle::new(shared.tx_handle(0), locks);
+    let mut get = |round: usize| {
+        run_tx(&mut h, |tx| {
+            // A probe sequence touching four stripes.
+            (0..4).map(|i| tx.read_u64(base + ((round * 131 + i * 509) % 1000) * 64)).sum::<u64>()
+        })
+    };
+    for round in 0..64 {
+        get(round);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for round in 64..320 {
+        get(round);
+    }
+    assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 0, "a warm locked get must not allocate");
 }
