@@ -116,7 +116,7 @@ fn bench_shared(samples: usize, iters: u64) -> CommitNumbers {
     let dev = SharedPmemDevice::new(PmemConfig::new(64 << 20));
     let pool = SharedPmemPool::create(dev);
     let base = pool.alloc_direct(REGION, 64).unwrap();
-    let shared = SpecSpmtShared::new(pool, ConcurrentConfig::default());
+    let shared = SpecSpmtShared::open_or_format(pool, ConcurrentConfig::default());
     let mut h = shared.tx_handle(0);
     let mut round = 0u64;
     let report = bench("commit_path/shared", samples, iters, || {
@@ -159,7 +159,7 @@ fn sim_commit_ns_shared() -> f64 {
     let dev = SharedPmemDevice::new(PmemConfig::new(64 << 20));
     let pool = SharedPmemPool::create(dev);
     let base = pool.alloc_direct(REGION, 64).unwrap();
-    let shared = SpecSpmtShared::new(pool, ConcurrentConfig::default());
+    let shared = SpecSpmtShared::open_or_format(pool, ConcurrentConfig::default());
     shared.telemetry().set_enabled(true);
     let mut h = shared.tx_handle(0);
     for round in 0..SIM_TXS {
@@ -179,7 +179,7 @@ fn bench_reclaim(cycles: usize, churn_txs: u64) -> ReclaimNumbers {
     let dev = SharedPmemDevice::new(PmemConfig::new(64 << 20));
     let pool = SharedPmemPool::create(dev);
     let base = pool.alloc_direct(REGION, 64).unwrap();
-    let shared = SpecSpmtShared::new(pool, ConcurrentConfig::default());
+    let shared = SpecSpmtShared::open_or_format(pool, ConcurrentConfig::default());
     let mut h = shared.tx_handle(0);
     let mut round = 0u64;
 

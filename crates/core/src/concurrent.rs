@@ -21,7 +21,12 @@
 //!
 //! The on-PM layout (root slots, block chains, record encoding) is
 //! identical to the sequential runtime, so [`crate::recovery::recover_image`]
-//! recovers images from either.
+//! recovers images from either — and so is the code that writes it: a
+//! [`TxHandle`] runs the same record protocol (`engine::TxLog`) and the
+//! same reclamation steps ([`crate::reclaim`]) as [`crate::SpecSpmt`], over
+//! a [`SharedStore`] instead of a pool. This module holds only what
+//! concurrency adds: the atomic timestamp, the per-chain locks, group
+//! commit, the flight recorder, aborts, and the daemons.
 //!
 //! # Freshness across threads
 //!
@@ -35,8 +40,9 @@
 //! # Lock ordering
 //!
 //! Per-thread area mutexes are leaf-ish: at most **one** area lock is held
-//! at a time, and the free-block lock is only acquired while holding an
-//! area lock (never the reverse). Device-internal locks nest below both.
+//! at a time. The free-block lock is taken only for the moment a log block
+//! changes hands, possibly under an area lock (never the reverse).
+//! Device-internal locks nest below both.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,20 +51,19 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use specpmt_pmem::{
-    coalesce_lines, line_of, sites, BlackBoxSink, CrashImage, DeviceHandle, SharedPmemDevice,
-    SharedPmemPool, TimingMode, BUMP_OFF, CACHE_LINE,
+    line_of, sites, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice,
+    SharedPmemPool, TimingMode, BUMP_OFF,
 };
 use specpmt_telemetry::{BbKind, EventKind, Metric, Phase, Registry, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
 
+use crate::engine::{record_drain, record_fence, Probe, TxLog};
 use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
 use crate::record::{
-    encode_checkpoint, encode_header_parts, encode_record, entry_header, parse_chain,
-    CheckpointRecord, Cursor, LogArea, LogEntry, SharedStore, REC_HDR,
+    encode_checkpoint, parse_chain, CheckpointRecord, LogArea, LogEntry, SharedStore,
 };
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
-use crate::writeset::WriteSet;
 
 /// Configuration for [`SpecSpmtShared`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,28 +164,6 @@ impl ConcurrentConfig {
     #[must_use]
     pub fn dp(mut self) -> Self {
         self.data_persistence = true;
-        self
-    }
-
-    /// Sets the thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Enables or disables the group-commit path.
-    #[must_use]
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
-        self
-    }
-
-    /// Sets the group-commit batch window (see
-    /// [`ConcurrentConfig::group_linger_ns`]).
-    #[must_use]
-    pub fn with_group_linger_ns(mut self, ns: u64) -> Self {
-        self.group_linger_ns = ns;
         self
     }
 }
@@ -364,8 +347,8 @@ pub struct SharedStats {
     pub log_live_bytes: u64,
 }
 
-/// Shared state of the concurrent SpecSPMT runtime. Wrap it in an [`Arc`]
-/// (see [`SpecSpmtShared::new`]) and hand each thread a [`TxHandle`].
+/// Shared state of the concurrent SpecSPMT runtime, built by
+/// [`SpecSpmtShared::open_or_format`]; hand each thread a [`TxHandle`].
 #[derive(Debug)]
 pub struct SpecSpmtShared {
     pool: SharedPmemPool,
@@ -416,14 +399,35 @@ pub struct SpecSpmtShared {
 }
 
 impl SpecSpmtShared {
-    /// Formats `pool` for `cfg.threads` log chains and returns the shared
-    /// runtime. Setup runs with device timing disabled.
+    /// One-stop construction: provisions (or adopts) the backing pool from
+    /// any [`PoolSource`] — a byte size, a [`specpmt_pmem::PmemConfig`], a
+    /// device, or an existing pool — formats it for `cfg.threads` log
+    /// chains (setup runs with device timing disabled), and returns the
+    /// runtime. This is the single construction path:
+    ///
+    /// ```
+    /// use specpmt_core::concurrent::{ConcurrentConfig, SpecSpmtShared};
+    ///
+    /// let shared = SpecSpmtShared::open_or_format(
+    ///     16 << 20,
+    ///     ConcurrentConfig::builder().threads(2).build(),
+    /// );
+    /// let mut h = shared.tx_handle(0);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if `cfg.threads` is out of range or the block size is too
     /// small for a record header.
-    pub fn new(pool: SharedPmemPool, cfg: ConcurrentConfig) -> Arc<Self> {
+    pub fn open_or_format(source: impl Into<PoolSource>, cfg: ConcurrentConfig) -> Arc<Self> {
+        let pool = match source.into() {
+            PoolSource::Bytes(bytes) => {
+                SharedPmemPool::create(SharedPmemDevice::new(specpmt_pmem::PmemConfig::new(bytes)))
+            }
+            PoolSource::Config(pcfg) => SharedPmemPool::create(SharedPmemDevice::new(pcfg)),
+            PoolSource::Device(dev) => SharedPmemPool::create(dev),
+            PoolSource::Pool(pool) => pool,
+        };
         assert!(
             (1..=PoolLayout::MAX_THREADS).contains(&cfg.threads),
             "thread count {} out of range (1..={})",
@@ -435,12 +439,12 @@ impl SpecSpmtShared {
         dev.set_timing(TimingMode::Off);
         let layout = PoolLayout::format_shared(&pool, cfg.threads, cfg.block_bytes);
         let handle = pool.handle();
-        let mut free = Vec::new();
+        let free_blocks = Mutex::new(Vec::new());
         let mut areas = Vec::with_capacity(cfg.threads);
         for tid in 0..cfg.threads {
             let mut dirty = Vec::new();
             let area = LogArea::create(
-                &mut SharedStore { handle: &handle, pool: &pool, free: &mut free },
+                &mut SharedStore { handle: &handle, pool: &pool, free: &free_blocks },
                 cfg.block_bytes,
                 &mut dirty,
             );
@@ -479,7 +483,7 @@ impl SpecSpmtShared {
             detached: Mutex::new(Vec::new()),
             ckpt_area: Mutex::new(None),
             checkpoints: AtomicU64::new(0),
-            free_blocks: Mutex::new(free),
+            free_blocks,
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),
             reclaim_cycles: AtomicU64::new(0),
@@ -491,37 +495,6 @@ impl SpecSpmtShared {
             gc,
             bbox,
         })
-    }
-
-    /// One-stop construction: provisions (or adopts) the backing pool from
-    /// any [`PoolSource`] — a byte size, a [`specpmt_pmem::PmemConfig`], a
-    /// device, or an existing pool — formats it for `cfg`, and returns the
-    /// runtime. This is the single construction path callers should use;
-    /// it replaces the former device/pool/new boilerplate:
-    ///
-    /// ```
-    /// use specpmt_core::concurrent::{ConcurrentConfig, SpecSpmtShared};
-    ///
-    /// let shared = SpecSpmtShared::open_or_format(
-    ///     16 << 20,
-    ///     ConcurrentConfig::builder().threads(2).build(),
-    /// );
-    /// let mut h = shared.tx_handle(0);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`SpecSpmtShared::new`].
-    pub fn open_or_format(source: impl Into<PoolSource>, cfg: ConcurrentConfig) -> Arc<Self> {
-        let pool = match source.into() {
-            PoolSource::Bytes(bytes) => {
-                SharedPmemPool::create(SharedPmemDevice::new(specpmt_pmem::PmemConfig::new(bytes)))
-            }
-            PoolSource::Config(pcfg) => SharedPmemPool::create(SharedPmemDevice::new(pcfg)),
-            PoolSource::Device(dev) => SharedPmemPool::create(dev),
-            PoolSource::Pool(pool) => pool,
-        };
-        Self::new(pool, cfg)
     }
 
     /// The active configuration.
@@ -597,11 +570,9 @@ impl SpecSpmtShared {
             tid,
             tel_tid,
             in_tx: false,
-            tx_start: None,
-            ws: WriteSet::new(),
-            dirty: Vec::new(),
-            data_lines: Vec::new(),
+            log: TxLog::new(self.cfg.data_persistence),
             plan: Vec::new(),
+            data_plan: Vec::new(),
             undo_addrs: Vec::new(),
             undo_data: Vec::new(),
         }
@@ -626,8 +597,9 @@ impl SpecSpmtShared {
     /// lifted to runtime attach/detach. A detached slot (see
     /// [`TxHandle::detach`]) is reused first; otherwise a fresh chain is
     /// created and, if the registration table is full, the persisted
-    /// layout descriptor grows (atomic root-slot swap; old readers keep
-    /// working through the legacy fallback).
+    /// layout descriptor grows (atomic root-slot swap: a crash sees the old
+    /// descriptor or the new one, and both describe every committed
+    /// chain).
     ///
     /// # Panics
     ///
@@ -648,11 +620,7 @@ impl SpecSpmtShared {
             }
             let handle = self.pool.handle();
             let mut dirty = Vec::new();
-            let area = {
-                let mut free = self.free_blocks.lock().expect("free lock");
-                let mut store = SharedStore { handle: &handle, pool: &self.pool, free: &mut free };
-                LogArea::create(&mut store, self.cfg.block_bytes, &mut dirty)
-            };
+            let area = LogArea::create(&mut self.store(&handle), self.cfg.block_bytes, &mut dirty);
             handle.clwb_ranges(&dirty);
             handle.sfence();
             layout.set_head_shared(&self.pool, tid, area.head() as u64);
@@ -673,6 +641,25 @@ impl SpecSpmtShared {
     /// holds the registration lock across per-chain work.
     fn snapshot_areas(&self) -> Vec<Arc<Mutex<AreaState>>> {
         self.areas.read().expect("areas lock").clone()
+    }
+
+    /// The log store `handle`'s thread writes chains through.
+    fn store<'a>(&'a self, handle: &'a DeviceHandle) -> SharedStore<'a> {
+        SharedStore { handle, pool: &self.pool, free: &self.free_blocks }
+    }
+
+    /// The per-commit crash sites, on telemetry shard `tid` (the inventory
+    /// has no label between computing the header and storing it under the
+    /// area lock).
+    fn probe(&self, tid: usize) -> Probe<'_> {
+        Probe {
+            seal: None,
+            append: "mt/commit/append",
+            flush: "mt/commit/flush",
+            fence: "mt/commit/fence",
+            tel: &self.tel,
+            tid,
+        }
     }
 
     /// Counter snapshot.
@@ -706,85 +693,51 @@ impl SpecSpmtShared {
     /// fresh entries and splices the new chain in with two fences.
     pub fn reclaim_cycle(&self) {
         let handle = self.pool.handle();
-        let t0 = self.device().now_ns();
-        // Host wall-clock for telemetry; cycles are rare, so the
-        // unconditional `Instant::now()` is well within budget. The daemon
-        // records into its dedicated shard (`tid == cfg.threads`).
-        let host_t0 = std::time::Instant::now();
+        let mut store = self.store(&handle);
+        // The daemon records into its dedicated telemetry shard.
         let rtid = self.cfg.threads;
+        let block_bytes = self.cfg.block_bytes;
         let areas = self.snapshot_areas();
         let mut rs = self.reclaim.lock().expect("reclaim lock");
-        let bytes_before = rs.stats.bytes_reclaimed;
-        rs.ensure_chains(areas.len());
-        rs.stats.cycles += 1;
+        rs.begin_cycle(areas.len(), self.device().now_ns());
 
         // Phase 1: scan. Chains whose watermark moved are parsed under
-        // their lock (consistent snapshot of that chain) and folded into
-        // the persistent index; the index may be stale by the time a chain
-        // is compacted, which errs toward keeping entries.
+        // their lock (consistent snapshot of that chain); the index may be
+        // stale by the time a chain is compacted, which errs toward
+        // keeping entries.
         let mut any_changed = false;
         for (tid, slot) in areas.iter().enumerate() {
             let st = slot.lock().expect("area lock");
-            let mark = (st.area.head(), st.area.generation());
-            if rs.is_current(tid, mark) {
+            if rs.scan_chain(&handle, tid, &st.area, block_bytes) {
+                any_changed = true;
+            } else {
                 rs.stats.chains_skipped += 1;
-                continue;
             }
-            any_changed = true;
-            let records = parse_chain(&handle, st.area.head(), self.cfg.block_bytes);
-            drop(st);
-            rs.install_parse(tid, mark, records);
-            rs.stats.chains_scanned += 1;
         }
         if !any_changed {
-            // The index is exactly what the previous cycle left behind:
-            // every chain it left fully fresh is still fully fresh, and
-            // skipping a compaction is always the safe side.
             rs.stats.noop_cycles += 1;
-            rs.stats.last_cycle_ns = self.device().now_ns() - t0;
             self.reclaim_cycles.fetch_add(1, Ordering::Relaxed);
-            let ns = u64::try_from(host_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.tel.registry.add(rtid, Metric::ReclaimCycles, 1);
-            self.tel.registry.record(rtid, Phase::ReclaimCycle, ns);
-            self.tel.tracer.record(rtid, EventKind::ReclaimCycle, 0, ns);
+            rs.end_cycle(self.device().now_ns(), &self.tel, rtid);
             return;
         }
 
-        // Phase 2: compact each chain from its cached parse.
-        let mut dropped_total = 0u64;
+        // Phase 2: compact each chain from its cached parse, one chain at
+        // a time under its lock.
+        let mut dirty = Vec::new();
         for (tid, slot) in areas.iter().enumerate() {
             let mut st = slot.lock().expect("area lock");
             if st.open {
                 continue; // an open record pins the chain
             }
-            let mark = (st.area.head(), st.area.generation());
-            if !rs.is_current(tid, mark) {
-                // The chain advanced between scan and compact: refresh
-                // under the lock — records committed since the scan must
-                // be preserved (the stale index treats them as fresh).
-                let records = parse_chain(&handle, st.area.head(), self.cfg.block_bytes);
-                rs.install_parse(tid, mark, records);
-                rs.stats.chains_scanned += 1;
-            }
-            let (kept, dropped, bytes) = rs.compact_chain(tid);
-            if dropped == 0 {
-                rs.stats.rewrites_skipped += 1;
+            // The chain may have advanced between scan and compact: refresh
+            // under the lock — records committed since the scan must be
+            // preserved (the stale index treats them as fresh).
+            rs.scan_chain(&handle, tid, &st.area, block_bytes);
+            dirty.clear();
+            let Some((area, kept, dropped)) =
+                rs.rewrite_chain(&mut store, tid, block_bytes, &mut dirty)
+            else {
                 continue;
-            }
-            dropped_total += dropped;
-            rs.stats.records_dropped += dropped;
-            rs.stats.records_kept += kept.iter().map(|r| r.entries.len() as u64).sum::<u64>();
-            rs.stats.bytes_reclaimed += bytes;
-            let mut dirty = Vec::new();
-            let mut new_area = {
-                let mut free = self.free_blocks.lock().expect("free lock");
-                let mut store = SharedStore { handle: &handle, pool: &self.pool, free: &mut free };
-                let mut area = LogArea::create(&mut store, self.cfg.block_bytes, &mut dirty);
-                for rec in &kept {
-                    area.append(&mut store, &encode_record(rec), &mut dirty);
-                }
-                area.write_terminator(&mut store, &mut dirty);
-                area
             };
             // Flight recorder: the daemon ring's pending slots ride this
             // cycle's first fence.
@@ -803,47 +756,31 @@ impl SpecSpmtShared {
             if bbox_carried > 0 {
                 handle.crash_point(sites::BBOX_PERSIST);
             }
-            self.tel.registry.add(rtid, Metric::Fences, 1);
-            if fr.flushes > 0 {
-                self.tel.registry.add(rtid, Metric::WpqDrains, 1);
-                if fr.stall_ns > 0 {
-                    self.tel.registry.record(rtid, Phase::WpqDrain, fr.stall_ns);
-                    self.tel.tracer.record(rtid, EventKind::WpqDrain, fr.stall_ns, fr.flushes);
-                }
-            }
+            record_fence(&self.tel, rtid, fr);
             // Fence 2: atomically swap the 8-byte head pointer (persisted
             // inside `set_head_shared`; also the daemon's).
             self.layout.read().expect("layout lock").set_head_shared(
                 &self.pool,
                 tid,
-                new_area.head() as u64,
+                area.head() as u64,
             );
             self.tel.registry.add(rtid, Metric::Fences, 1);
-            rs.stats.chains_rewritten += 1;
-            rs.commit_rewrite(tid, (new_area.head(), new_area.generation()), kept);
-            std::mem::swap(&mut st.area, &mut new_area);
+            rs.spliced(tid, &area, kept);
+            let old = std::mem::replace(&mut st.area, area);
             drop(st);
             // Old blocks are recycled only after the swap fence, so a crash
             // image either references the old chain (intact) or the new.
-            let freed = {
-                let blocks = new_area.into_blocks();
-                let n = blocks.len() as u64;
-                self.free_blocks.lock().expect("free lock").extend(blocks);
-                n
-            };
+            let blocks = old.into_blocks();
+            let freed = blocks.len() as u64;
+            self.free_blocks.lock().expect("free lock").extend(blocks);
             handle.crash_point("mt/reclaim/splice");
             if let Some(bb) = &self.bbox {
                 bb.record_now(&handle, rtid, BbKind::ReclaimSplice, dropped, freed, 0);
             }
+            self.records_reclaimed.fetch_add(dropped, Ordering::Relaxed);
         }
-        rs.stats.last_cycle_ns = self.device().now_ns() - t0;
-        let bytes = rs.stats.bytes_reclaimed.saturating_sub(bytes_before);
-        self.records_reclaimed.fetch_add(dropped_total, Ordering::Relaxed);
         self.reclaim_cycles.fetch_add(1, Ordering::Relaxed);
-        let ns = u64::try_from(host_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.tel.registry.add(rtid, Metric::ReclaimCycles, 1);
-        self.tel.registry.record(rtid, Phase::ReclaimCycle, ns);
-        self.tel.tracer.record(rtid, EventKind::ReclaimCycle, bytes, ns);
+        rs.end_cycle(self.device().now_ns(), &self.tel, rtid);
     }
 
     /// Orderly shutdown: make all durable data reachable without the log.
@@ -1018,13 +955,9 @@ impl SpecSpmtShared {
         // any labeled site leaves either the old checkpoint (intact) or
         // the new one reachable — never a half-spliced head.
         let mut dirty = Vec::new();
-        let new_area = {
-            let mut free = self.free_blocks.lock().expect("free lock");
-            let mut store = SharedStore { handle: &handle, pool: &self.pool, free: &mut free };
-            let mut area = LogArea::create(&mut store, self.cfg.block_bytes, &mut dirty);
-            area.append(&mut store, &encoded, &mut dirty);
-            area
-        };
+        let mut store = self.store(&handle);
+        let mut new_area = LogArea::create(&mut store, self.cfg.block_bytes, &mut dirty);
+        new_area.append(&mut store, &encoded, &mut dirty);
         // Flight recorder: the daemon ring's pending slots ride the
         // checkpoint's persist fence.
         let bbox_carried = match &self.bbox {
@@ -1137,14 +1070,8 @@ fn record_batch_drained(tel: &Telemetry, tid: usize, report: &specpmt_txn::Group
     let reg = &tel.registry;
     reg.add(tid, Metric::GroupBatches, 1);
     reg.record(tid, Phase::GroupBatch, txs);
-    tel.tracer.record(tid, EventKind::Fence, report.stall_ns, report.flushes);
-    if report.flushes > 0 {
-        reg.add(tid, Metric::WpqDrains, 1);
-        if report.stall_ns > 0 {
-            reg.record(tid, Phase::WpqDrain, report.stall_ns);
-            tel.tracer.record(tid, EventKind::WpqDrain, report.stall_ns, report.flushes);
-        }
-    }
+    let drained = FenceReport { stall_ns: report.stall_ns, flushes: report.flushes };
+    record_drain(tel, tid, drained);
 }
 
 /// Handle to the background reclamation thread. Dropping it stops and
@@ -1230,22 +1157,13 @@ pub struct TxHandle {
     /// never the daemon shard.
     tel_tid: usize,
     in_tx: bool,
-    /// Where the open transaction's record header sits in the chain;
-    /// `None` until the first write reserves it (see [`Self::reserve`]).
-    tx_start: Option<Cursor>,
-    /// Reusable write set: open-addressing index + payload arena +
-    /// streaming record checksum (see [`crate::writeset`]).
-    ws: WriteSet,
-    /// Dirty `(addr, len)` log ranges of the open transaction; coalesced
-    /// into one vectored flush at commit.
-    dirty: Vec<(usize, usize)>,
-    /// SpecSPMT-DP only: cache-line *indices* of data stores, sorted and
-    /// deduplicated at commit for the second (data) flush+fence.
-    data_lines: Vec<usize>,
+    /// The open transaction's record, write set and flush plan.
+    log: TxLog,
     /// Group-commit only: reusable scratch for this commit's coalesced
-    /// log-line plan (the sorted, deduplicated line set staged into the
-    /// epoch batch). Cleared, never freed.
+    /// log-line and DP data-line plans (the sorted, deduplicated line sets
+    /// staged into the epoch batch). Overwritten, never freed.
     plan: Vec<usize>,
+    data_plan: Vec<usize>,
     /// Volatile pre-images of every in-place write of the open
     /// transaction, in write order — the [`TxHandle::abort`] path replays
     /// them in reverse through the normal logging write, turning the
@@ -1298,9 +1216,7 @@ impl TxHandle {
     /// Panics on nested `begin`.
     pub fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction on thread {}", self.tid);
-        self.ws.begin();
-        self.dirty.clear();
-        self.data_lines.clear();
+        self.log.begin();
         self.undo_addrs.clear();
         self.undo_data.clear();
         self.in_tx = true;
@@ -1308,54 +1224,36 @@ impl TxHandle {
         self.shared.tel.tracer.record(self.tel_tid, EventKind::Begin, 0, 0);
     }
 
-    /// Reserves the open transaction's record header at the chain tail —
-    /// the first write's job. From here until the seal the chain is
-    /// `open`: the daemon skips it, and the flight recorder (whose
-    /// `tx_begin` is emitted here) counts the transaction as in flight,
-    /// i.e. as one that can have bytes in PM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a second handle is driving the same slot.
-    fn reserve(&mut self) {
-        let mut st = self.area.lock().expect("area lock");
-        assert!(!st.open, "thread slot {} already has an open transaction", self.tid);
-        st.open = true;
-        self.tx_start = Some(st.area.tail());
-        // Zero length marks the record open/uncommitted.
-        {
-            let mut free = self.shared.free_blocks.lock().expect("free lock");
-            let mut store =
-                SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-            st.area.append(&mut store, &[0u8; REC_HDR], &mut self.dirty);
-        }
-        drop(st);
-        if let Some(bb) = &self.shared.bbox {
-            bb.record_now(&self.dev, self.tel_tid, BbKind::TxBegin, 0, 0, 0);
-        }
-    }
-
     /// Durably writes `data` at pool offset `addr` within the open
     /// transaction: in-place data update (never flushed by SpecSPMT) plus a
     /// speculative log entry of the new value.
     ///
+    /// The transaction's first write reserves its record header at the
+    /// chain tail. From there until the seal the chain is `open`: the
+    /// daemon skips it, and the flight recorder (whose `tx_begin` is
+    /// emitted at the reservation) counts the transaction as in flight,
+    /// i.e. as one that can have bytes in PM.
+    ///
     /// # Panics
     ///
-    /// Panics outside a transaction.
+    /// Panics outside a transaction, or if a second handle is driving the
+    /// same slot.
     pub fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
-        if self.tx_start.is_none() {
-            // The header store goes ahead of the data store and the entry
-            // stores: one device-op order for every writing transaction.
-            self.reserve();
+        let shared = &*self.shared;
+        let tid = self.tel_tid;
+        let mut st = self.area.lock().expect("area lock");
+        let mut store = shared.store(&self.dev);
+        if !self.log.reserved() {
+            assert!(!st.open, "thread slot {} already has an open transaction", self.tid);
+            st.open = true;
+            self.log.reserve(&mut store, &mut st.area);
+            if let Some(bb) = &shared.bbox {
+                bb.record_now(&self.dev, tid, BbKind::TxBegin, 0, 0, 0);
+            }
         }
-        let _ws_span = self.shared.tel.registry.span(self.tel_tid, Phase::Writeset);
-        self.shared.tel.tracer.record(
-            self.tel_tid,
-            EventKind::Stage,
-            addr as u64,
-            data.len() as u64,
-        );
+        let _ws_span = shared.tel.registry.span(tid, Phase::Writeset);
+        shared.tel.tracer.record(tid, EventKind::Stage, addr as u64, data.len() as u64);
         if !data.is_empty() {
             // Volatile pre-image for the abort path, captured into the
             // reusable undo arena. `peek_into` is untimed and unsampled,
@@ -1366,37 +1264,9 @@ impl TxHandle {
             self.dev.peek_into(addr, &mut self.undo_data[off..]);
             self.undo_addrs.push((addr, off, data.len()));
         }
-        self.dev.write(addr, data);
-        if self.shared.cfg.data_persistence && !data.is_empty() {
-            let first = addr / CACHE_LINE;
-            let last = (addr + data.len() - 1) / CACHE_LINE;
-            // Line *indices*; sorted and deduplicated once, at commit.
-            self.data_lines.extend(first..=last);
+        if self.log.stage(&mut store, &mut st.area, addr, data) {
+            shared.tel.registry.add(tid, Metric::LogEntries, 1);
         }
-        let mut st = self.area.lock().expect("area lock");
-        if let Some(slot) = self.ws.lookup(addr) {
-            if slot.len == data.len() {
-                // Write-set indexing: overwrite the previous entry in place.
-                self.ws.patch(slot, data);
-                let mut free = self.shared.free_blocks.lock().expect("free lock");
-                let mut store =
-                    SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-                st.area.write_at(&mut store, slot.value_cursor, data, &mut self.dirty);
-                return;
-            }
-        }
-        let value_cursor = {
-            let mut free = self.shared.free_blocks.lock().expect("free lock");
-            let mut store =
-                SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-            st.area.append(&mut store, &entry_header(addr, data.len()), &mut self.dirty);
-            let cursor = st.area.tail();
-            st.area.append(&mut store, data, &mut self.dirty);
-            cursor
-        };
-        drop(st);
-        self.ws.stage(addr, data, value_cursor);
-        self.shared.tel.registry.add(self.tel_tid, Metric::LogEntries, 1);
     }
 
     /// Reads `buf.len()` bytes at `addr` (direct in-place access — SpecPMT
@@ -1436,10 +1306,6 @@ impl TxHandle {
     /// fast — it still stages into the batch (amortized fence) but slams
     /// the window shut ([`GroupCommitter::commit_urgent`]).
     fn seal(&mut self, commit: bool, urgent: bool) -> u64 {
-        // Reserved means at least one entry header in the payload, so the
-        // sealed length is never zero (a zero-length header is the chain
-        // terminator and would orphan every younger record behind it).
-        let tx_start = self.tx_start.take().expect("seal of a transaction that reserved no record");
         let tid = self.tel_tid;
         // Everything at this level borrows local clones of the Arcs (not
         // `self`) so the flush/fence tails below can take `&mut self`
@@ -1448,29 +1314,11 @@ impl TxHandle {
         let area = Arc::clone(&self.area);
         let commit_span = shared.tel.registry.span(tid, Phase::Commit);
         let sim0 = self.dev.local_now_ns();
-        let seal_span = shared.tel.registry.span(tid, Phase::Seal);
         let ts = shared.ts.fetch_add(1, Ordering::SeqCst);
-        // Seal: the record checksum was streamed while entries were
-        // staged; only the fixed `(len, ts)` suffix is folded in here.
-        let header = encode_header_parts(ts, self.ws.payload().len(), self.ws.checksum(ts));
-        seal_span.stop();
-        let append_span = shared.tel.registry.span(tid, Phase::Append);
+        // The area lock is held through the fence so the daemon never
+        // splices a chain whose newest record is mid-persist.
         let mut st = area.lock().expect("area lock");
-        {
-            let mut free = self.shared.free_blocks.lock().expect("free lock");
-            let mut store =
-                SharedStore { handle: &self.dev, pool: &self.shared.pool, free: &mut free };
-            let wrote = st.area.write_at(&mut store, tx_start, &header, &mut self.dirty);
-            assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
-            st.area.write_terminator(&mut store, &mut self.dirty);
-        }
-        append_span.stop();
-        // One record appended per sealed transaction — same counter
-        // semantics as the sequential runtime (per-entry staging is
-        // counted separately as `log_entries` in `write`).
-        self.shared.tel.registry.add(tid, Metric::LogAppends, 1);
-        self.shared.tel.tracer.record(tid, EventKind::Seal, ts, self.ws.payload().len() as u64);
-        self.dev.crash_point("mt/commit/append");
+        self.log.seal(&mut shared.store(&self.dev), &mut st.area, ts, shared.probe(tid));
 
         if commit && shared.cfg.bbox_eager_receipts {
             if let Some(bb) = &shared.bbox {
@@ -1485,7 +1333,7 @@ impl TxHandle {
             }
         }
 
-        if self.shared.cfg.group_commit && commit {
+        if shared.cfg.group_commit && commit {
             self.seal_group(tid, urgent);
         } else {
             self.seal_solo(tid);
@@ -1520,7 +1368,7 @@ impl TxHandle {
         }
 
         // Lock release: hand the chain back to the daemon.
-        let lock_span = self.shared.tel.registry.span(tid, Phase::LockRelease);
+        let lock_span = shared.tel.registry.span(tid, Phase::LockRelease);
         st.open = false;
         drop(st);
         lock_span.stop();
@@ -1528,7 +1376,7 @@ impl TxHandle {
         self.undo_addrs.clear();
         self.undo_data.clear();
         let commit_ns = commit_span.stop();
-        self.shared.tel.tracer.record(tid, EventKind::Commit, ts, commit_ns);
+        shared.tel.tracer.record(tid, EventKind::Commit, ts, commit_ns);
         ts
     }
 
@@ -1537,85 +1385,25 @@ impl TxHandle {
     /// own record (plus a second pair for DP data lines). Called with the
     /// area lock held.
     fn seal_solo(&mut self, tid: usize) {
+        let shared = &*self.shared;
+        let dev = &self.dev;
         // Flight recorder: fold this ring's pending event slots into the
-        // commit flush below — they ride the fence this commit already
-        // pays, never one of their own.
-        let bbox_carried = match &self.shared.bbox {
-            Some(bb) => bb.take_dirty(tid, &mut self.dirty),
+        // commit flush — they ride the fence this commit already pays,
+        // never one of their own.
+        let bbox_carried = match &shared.bbox {
+            Some(bb) => bb.take_dirty(tid, self.log.dirty_mut()),
             None => 0,
         };
-        // The single commit fence: one vectored flush covering the whole
-        // record (coalesced, ascending lines) and nothing else. The area
-        // lock is held through the fence so the daemon never splices a
-        // chain whose newest record is mid-persist. The dirty list is
-        // cleared, not freed.
-        let flush_span = self.shared.tel.registry.span(tid, Phase::Flush);
-        self.dev.clwb_ranges(&self.dirty);
-        flush_span.stop();
-        self.shared.tel.registry.add(tid, Metric::ClwbPlans, 1);
-        self.shared.tel.tracer.record(tid, EventKind::ClwbPlan, self.dirty.len() as u64, 0);
-        self.dirty.clear();
-        self.dev.crash_point("mt/commit/flush");
-        let fence_span = self.shared.tel.registry.span(tid, Phase::Fence);
-        let fr = self.dev.sfence();
-        fence_span.stop();
-        self.dev.crash_point("mt/commit/fence");
-        if let Some(bb) = &self.shared.bbox {
-            if bbox_carried > 0 {
-                self.dev.crash_point(sites::BBOX_PERSIST);
-            }
-            if fr.stall_ns > bb.stall_threshold_ns() {
-                bb.record_now(&self.dev, tid, BbKind::FenceStall, fr.stall_ns, fr.flushes, 0);
-            }
-        }
-        self.shared.tel.registry.add(tid, Metric::Fences, 1);
-        self.shared.tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-        if fr.flushes > 0 {
-            self.shared.tel.registry.add(tid, Metric::WpqDrains, 1);
-            if fr.stall_ns > 0 {
-                self.shared.tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-                self.shared.tel.tracer.record(tid, EventKind::WpqDrain, fr.stall_ns, fr.flushes);
-            }
-        }
-
-        if self.shared.cfg.data_persistence {
-            // SpecSPMT-DP: also persist the data lines (second fence).
-            self.data_lines.sort_unstable();
-            self.data_lines.dedup();
-            let flush_span = self.shared.tel.registry.span(tid, Phase::Flush);
-            self.dev.clwb_lines(&self.data_lines);
-            flush_span.stop();
-            self.shared.tel.registry.add(tid, Metric::ClwbPlans, 1);
-            self.shared.tel.tracer.record(
-                tid,
-                EventKind::ClwbPlan,
-                self.data_lines.len() as u64,
-                0,
-            );
-            self.data_lines.clear();
-            // DP's second drain reuses the commit flush/fence labels (same
-            // ordering invariant, same protocol step — see the sequential
-            // runtime's note).
-            self.dev.crash_point("mt/commit/flush");
-            let fence_span = self.shared.tel.registry.span(tid, Phase::Fence);
-            let fr = self.dev.sfence();
-            fence_span.stop();
-            self.dev.crash_point("mt/commit/fence");
-            self.shared.tel.registry.add(tid, Metric::Fences, 1);
-            self.shared.tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-            if fr.flushes > 0 {
-                self.shared.tel.registry.add(tid, Metric::WpqDrains, 1);
-                if fr.stall_ns > 0 {
-                    self.shared.tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-                    self.shared.tel.tracer.record(
-                        tid,
-                        EventKind::WpqDrain,
-                        fr.stall_ns,
-                        fr.flushes,
-                    );
+        self.log.drain_solo(&mut shared.store(dev), shared.probe(tid), |fr| {
+            if let Some(bb) = &shared.bbox {
+                if bbox_carried > 0 {
+                    dev.crash_point(sites::BBOX_PERSIST);
+                }
+                if fr.stall_ns > bb.stall_threshold_ns() {
+                    bb.record_now(dev, tid, BbKind::FenceStall, fr.stall_ns, fr.flushes, 0);
                 }
             }
-        }
+        });
     }
 
     /// Group-commit tail of [`Self::seal`]: coalesce this record's lines,
@@ -1629,13 +1417,11 @@ impl TxHandle {
     /// skips open chains, so waiting under the lock is safe (the combiner
     /// takes no area locks).
     fn seal_group(&mut self, tid: usize, urgent: bool) {
-        coalesce_lines(&self.dirty, &mut self.plan);
-        self.dirty.clear();
-        self.data_lines.sort_unstable();
-        self.data_lines.dedup();
-        self.shared.tel.registry.add(tid, Metric::ClwbPlans, 1);
-        self.shared.tel.tracer.record(tid, EventKind::ClwbPlan, self.plan.len() as u64, 0);
-        let reg = &self.shared.tel.registry;
+        let shared = &*self.shared;
+        self.log.group_plan(&mut self.plan, &mut self.data_plan);
+        let reg = &shared.tel.registry;
+        reg.add(tid, Metric::ClwbPlans, 1);
+        shared.tel.tracer.record(tid, EventKind::ClwbPlan, self.plan.len() as u64, 0);
         let dev = &self.dev;
         dev.crash_point("mt/group/stage");
         let wait_span = reg.span(tid, Phase::BatchWait);
@@ -1645,15 +1431,13 @@ impl TxHandle {
         // closure never runs here — the daemon drains from its own handle.
         let drain = |batch: &GroupBatch| drain_group_batch(dev, reg, tid, batch);
         let report = if urgent {
-            self.shared.gc.commit_urgent(&self.plan, &self.data_lines, drain)
+            shared.gc.commit_urgent(&self.plan, &self.data_plan, drain)
         } else {
-            self.shared.gc.commit(&self.plan, &self.data_lines, drain)
+            shared.gc.commit(&self.plan, &self.data_plan, drain)
         };
         wait_span.stop();
-        self.plan.clear();
-        self.data_lines.clear();
         reg.add(tid, Metric::GroupCommits, 1);
-        record_batch_drained(&self.shared.tel, tid, &report);
+        record_batch_drained(&shared.tel, tid, &report);
     }
 
     /// Commits the open transaction with the single SpecSPMT flush+fence;
@@ -1689,7 +1473,7 @@ impl TxHandle {
 
     fn commit_with(&mut self, urgent: bool) -> CommitReceipt {
         assert!(self.in_tx, "commit outside transaction");
-        let ts = if self.tx_start.is_some() {
+        let ts = if self.log.reserved() {
             self.seal(true, urgent)
         } else {
             // Write-free: nothing to make durable. Under strict 2PL every
@@ -1726,7 +1510,7 @@ impl TxHandle {
         assert!(self.in_tx, "abort outside transaction");
         self.shared.aborts.fetch_add(1, Ordering::Relaxed);
         self.shared.tel.registry.add(self.tel_tid, Metric::Aborts, 1);
-        if self.tx_start.is_none() {
+        if !self.log.reserved() {
             // Nothing was written, so there is nothing to restore or seal.
             self.in_tx = false;
             return;
@@ -1909,7 +1693,7 @@ mod tests {
 
     #[test]
     fn parallel_threads_commit_disjoint_regions() {
-        let s = shared(ConcurrentConfig::default().with_threads(4));
+        let s = shared(ConcurrentConfig::builder().threads(4).build());
         let base = alloc_region(&s, 4 * 64);
         std::thread::scope(|scope| {
             for tid in 0..4 {
@@ -1936,7 +1720,7 @@ mod tests {
     fn cross_thread_freshness_respected_by_reclaim() {
         // Thread 1's younger commit to the same address must stale thread
         // 0's record — and never the other way around.
-        let s = shared(ConcurrentConfig::default().with_threads(2));
+        let s = shared(ConcurrentConfig::builder().threads(2).build());
         let a = alloc_region(&s, 64);
         let mut h0 = s.tx_handle(0);
         let mut h1 = s.tx_handle(1);
@@ -1955,7 +1739,7 @@ mod tests {
 
     #[test]
     fn reclaim_skips_chain_with_open_tx() {
-        let s = shared(ConcurrentConfig::default().with_threads(2));
+        let s = shared(ConcurrentConfig::builder().threads(2).build());
         let a = alloc_region(&s, 64);
         let mut h0 = s.tx_handle(0);
         let mut h1 = s.tx_handle(1);
@@ -2043,7 +1827,7 @@ mod tests {
         // Past the legacy 8-root-slot cap: every chain head lives in the
         // dynamic descriptor's head table.
         let threads = 17usize;
-        let s = shared(ConcurrentConfig::default().with_threads(threads));
+        let s = shared(ConcurrentConfig::builder().threads(threads).build());
         assert!(s.layout().is_dynamic());
         let base = alloc_region(&s, threads * 64);
         std::thread::scope(|scope| {
@@ -2069,7 +1853,7 @@ mod tests {
 
     #[test]
     fn reclaim_splices_heads_in_the_descriptor_table() {
-        let s = shared(ConcurrentConfig::default().with_threads(12));
+        let s = shared(ConcurrentConfig::builder().threads(12).build());
         let a = alloc_region(&s, 64);
         let mut h = s.tx_handle(11);
         for v in 0..500u64 {
@@ -2086,7 +1870,7 @@ mod tests {
 
     #[test]
     fn group_commit_value_survives_all_lost_crash() {
-        let s = shared(ConcurrentConfig::default().with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().group_commit(true).build());
         let a = alloc_region(&s, 64);
         let mut h = s.tx_handle(0);
         h.begin();
@@ -2101,7 +1885,7 @@ mod tests {
     /// same as the per-commit path.
     #[test]
     fn group_commit_solo_is_one_fence_batch_of_one() {
-        let s = shared(ConcurrentConfig::default().with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().group_commit(true).build());
         s.telemetry().set_enabled(true);
         let a = alloc_region(&s, 256);
         let mut h = s.tx_handle(0);
@@ -2123,7 +1907,8 @@ mod tests {
     /// and the data survives a crash without recovery, like the solo path.
     #[test]
     fn group_commit_dp_persists_data() {
-        let s = shared(ConcurrentConfig::default().dp().with_group_commit(true));
+        let s =
+            shared(ConcurrentConfig::builder().data_persistence(true).group_commit(true).build());
         let a = alloc_region(&s, 64);
         let mut h = s.tx_handle(0);
         let before = s.device().stats().sfence_count;
@@ -2142,7 +1927,7 @@ mod tests {
     #[test]
     fn group_commit_parallel_threads_commit_and_batch() {
         let threads = 8usize;
-        let s = shared(ConcurrentConfig::default().with_threads(threads).with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().threads(threads).group_commit(true).build());
         s.telemetry().set_enabled(true);
         let base = alloc_region(&s, threads * 64);
         std::thread::scope(|scope| {
@@ -2227,7 +2012,7 @@ mod tests {
     #[test]
     fn group_combiner_daemon_owns_fences_and_commits_are_durable() {
         let threads = 4usize;
-        let s = shared(ConcurrentConfig::default().with_threads(threads).with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().threads(threads).group_commit(true).build());
         s.telemetry().set_enabled(true);
         let base = alloc_region(&s, threads * 64);
         let mut combiner = s.spawn_group_combiner(Duration::from_micros(100));
@@ -2272,7 +2057,7 @@ mod tests {
     /// or loses durability.
     #[test]
     fn group_combiner_daemon_handoff_back_to_flat_combining() {
-        let s = shared(ConcurrentConfig::default().with_threads(2).with_group_commit(true));
+        let s = shared(ConcurrentConfig::builder().threads(2).group_commit(true).build());
         let base = alloc_region(&s, 2 * 64);
         let mut combiner = s.spawn_group_combiner(Duration::from_micros(100));
         let mut h = s.tx_handle(0);
@@ -2323,7 +2108,7 @@ mod tests {
             "cargo test -p specpmt-core group_crash_sweep",
             |plan| {
                 let mut cfg =
-                    ConcurrentConfig::default().with_threads(threads).with_group_commit(true);
+                    ConcurrentConfig::builder().threads(threads).group_commit(true).build();
                 if dp {
                     cfg = cfg.dp();
                 }

@@ -19,6 +19,10 @@
 //!   transactional allocation, and the `SpecSPMT-DP` variant
 //!   ([`SpecConfig::data_persistence`]) that additionally persists data at
 //!   commit, used by the paper to isolate where the speedup comes from.
+//!   Its record protocol (reserve, stage, seal, one flush + one fence) is
+//!   one private engine over [`record::LogStore`], which
+//!   [`concurrent::TxHandle`] — a real OS thread of [`SpecSpmtShared`] —
+//!   instantiates too.
 //! * [`recovery`] — post-crash repair: discard uncommitted records
 //!   (checksum mismatch), then replay every valid record across all
 //!   threads in commit-timestamp order (undoing interrupted transactions
@@ -63,6 +67,7 @@
 mod checksum;
 pub mod concurrent;
 pub mod crashsmoke;
+mod engine;
 pub mod hashlog;
 pub mod inspect;
 pub mod layout;

@@ -374,9 +374,9 @@ mod tests {
 
     fn fixture(threads: usize) -> (Arc<SpecSpmtShared>, Arc<SharedLockTable>) {
         let dev = SharedPmemDevice::new(PmemConfig::new(1 << 22));
-        let shared = SpecSpmtShared::new(
+        let shared = SpecSpmtShared::open_or_format(
             SharedPmemPool::create(dev),
-            ConcurrentConfig::default().with_threads(threads),
+            ConcurrentConfig::builder().threads(threads).build(),
         );
         let locks = SharedLockTable::new(1 << 22, 64);
         (shared, locks)

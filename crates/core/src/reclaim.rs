@@ -37,9 +37,13 @@
 
 use std::collections::HashMap;
 
-use specpmt_telemetry::{JsonWriter, StatExport};
+use std::time::Instant;
 
-use crate::record::{LogEntry, LogRecord, REC_HDR};
+use specpmt_telemetry::{EventKind, JsonWriter, Metric, Phase, StatExport, Telemetry};
+
+use crate::record::{
+    encode_record, parse_chain, ByteSource, LogArea, LogEntry, LogRecord, LogStore, REC_HDR,
+};
 
 /// Volatile index mapping each logged byte address to the youngest commit
 /// timestamp that wrote it.
@@ -199,6 +203,101 @@ pub struct ReclaimState {
     chains: Vec<ChainCache>,
     /// Cycle counters, surfaced through the runtimes' observability APIs.
     pub stats: ReclaimStats,
+    /// The open cycle's start: simulated clock, host clock, and
+    /// [`ReclaimStats::bytes_reclaimed`] then.
+    cycle_start: Option<(u64, Instant, u64)>,
+}
+
+/// The steps of a reclamation cycle both runtimes share. A cycle scans
+/// every chain ([`ReclaimState::scan_chain`]), rewrites the ones whose
+/// compaction drops something ([`ReclaimState::rewrite_chain`]) and, once
+/// the caller has persisted a rewrite and swapped the chain's head pointer
+/// to it — which is where a background reclamator and a fencing daemon
+/// differ — records the splice ([`ReclaimState::spliced`]).
+impl ReclaimState {
+    /// Opens a cycle over `chains` chains at simulated time `sim_now`.
+    pub(crate) fn begin_cycle(&mut self, chains: usize, sim_now: u64) {
+        self.ensure_chains(chains);
+        self.stats.cycles += 1;
+        // Host wall-clock for the telemetry histogram; cycles are rare, so
+        // an unconditional `Instant::now()` is well within budget.
+        self.cycle_start = Some((sim_now, Instant::now(), self.stats.bytes_reclaimed));
+    }
+
+    /// Re-parses chain `tid` from `src` if its `(head, generation)`
+    /// watermark moved since its cached parse, folding the records into
+    /// the persistent freshness index (the index is volatile and rebuilt
+    /// from the log after a crash; it needs no crash consistency of its
+    /// own). Returns whether it did; when no chain of a cycle did, the
+    /// index is exactly what the previous cycle left, every chain it left
+    /// fully fresh still is, and the cycle can end as a no-op.
+    pub(crate) fn scan_chain<B: ByteSource>(
+        &mut self,
+        src: &B,
+        tid: usize,
+        area: &LogArea,
+        block_bytes: usize,
+    ) -> bool {
+        let mark = (area.head(), area.generation());
+        if self.is_current(tid, mark) {
+            return false;
+        }
+        let records = parse_chain(src, area.head(), block_bytes);
+        self.install_parse(tid, mark, records);
+        self.stats.chains_scanned += 1;
+        true
+    }
+
+    /// Compacts chain `tid`'s cached parse against the index (freshness
+    /// uses committed records of *all* threads). If that drops at least
+    /// one entry, writes the kept records plus a terminator into a fresh
+    /// chain from `store`, pushes the ranges to persist onto `dirty`, and
+    /// returns the new area, its records and the number of entries
+    /// dropped. `None` means the chain is fully fresh: no new blocks, no
+    /// splice.
+    pub(crate) fn rewrite_chain<S: LogStore>(
+        &mut self,
+        store: &mut S,
+        tid: usize,
+        block_bytes: usize,
+        dirty: &mut Vec<(usize, usize)>,
+    ) -> Option<(LogArea, Vec<LogRecord>, u64)> {
+        let (kept, dropped, bytes) = self.compact_chain(tid);
+        if dropped == 0 {
+            self.stats.rewrites_skipped += 1;
+            return None;
+        }
+        self.stats.records_dropped += dropped;
+        self.stats.records_kept += kept.iter().map(|r| r.entries.len() as u64).sum::<u64>();
+        self.stats.bytes_reclaimed += bytes;
+        let mut area = LogArea::create(store, block_bytes, dirty);
+        for rec in &kept {
+            area.append(store, &encode_record(rec), dirty);
+        }
+        area.write_terminator(store, dirty);
+        Some((area, kept, dropped))
+    }
+
+    /// Chain `tid`'s head pointer now names the rewritten `area`: caches
+    /// its records at the new watermark so the next cycle can skip
+    /// re-parsing it.
+    pub(crate) fn spliced(&mut self, tid: usize, area: &LogArea, kept: Vec<LogRecord>) {
+        self.stats.chains_rewritten += 1;
+        self.commit_rewrite(tid, (area.head(), area.generation()), kept);
+    }
+
+    /// Closes the open cycle at simulated time `sim_now` on `tid`'s
+    /// telemetry shard; returns the cycle's simulated duration.
+    pub(crate) fn end_cycle(&mut self, sim_now: u64, tel: &Telemetry, tid: usize) -> u64 {
+        let (sim0, host0, bytes0) = self.cycle_start.take().expect("end of a cycle never begun");
+        self.stats.last_cycle_ns = sim_now - sim0;
+        let host_ns = u64::try_from(host0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let bytes = self.stats.bytes_reclaimed.saturating_sub(bytes0);
+        tel.registry.add(tid, Metric::ReclaimCycles, 1);
+        tel.registry.record(tid, Phase::ReclaimCycle, host_ns);
+        tel.tracer.record(tid, EventKind::ReclaimCycle, bytes, host_ns);
+        self.stats.last_cycle_ns
+    }
 }
 
 impl ReclaimState {
@@ -218,15 +317,6 @@ impl ReclaimState {
             c.mark = None;
             c.records.clear();
         }
-    }
-
-    /// Forces chain `tid` to be re-parsed on the next cycle (used for
-    /// chains that were skipped mid-cycle, e.g. because a transaction was
-    /// open on them).
-    pub fn invalidate_chain(&mut self, tid: usize) {
-        self.ensure_chains(tid + 1);
-        self.chains[tid].mark = None;
-        self.chains[tid].records.clear();
     }
 
     /// Whether chain `tid`'s cached parse is still valid for watermark
@@ -366,8 +456,6 @@ mod tests {
         assert_eq!(bytes, (REC_HDR + ENTRY_HDR + 4) as u64);
         st.commit_rewrite(0, (256, 0), kept);
         assert!(st.is_current(0, (256, 0)));
-        st.invalidate_chain(0);
-        assert!(!st.is_current(0, (256, 0)));
         st.reset();
         assert_eq!(st.index().tracked_bytes(), 0);
     }

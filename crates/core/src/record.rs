@@ -15,7 +15,12 @@
 //! chain: the checksum doubles as the commit flag, so a transaction whose
 //! commit was interrupted leaves a torn record that parsing rejects.
 
-use specpmt_pmem::{CrashImage, DeviceHandle, PmemDevice, PmemPool, SharedPmemPool};
+use std::sync::Mutex;
+
+use specpmt_pmem::{
+    CrashControl, CrashImage, DeviceHandle, FenceReport, PmemDevice, PmemError, PmemPool,
+    SharedPmemPool,
+};
 
 use crate::checksum::Fnv1a;
 
@@ -393,10 +398,13 @@ pub fn parse_checkpoint<S: ByteSource>(
     Some(CheckpointRecord { watermark, entries: parse_entries(&payload) })
 }
 
-/// The mutable storage a [`LogArea`] writes through — abstracts over the
+/// The device a log chain lives on, as the record protocol sees it: the
+/// stores, flushes, fences and crash sites of one issuing thread, plus the
+/// pool's log-block allocator. It abstracts over the
 /// single-threaded [`PmemPool`] and a per-thread [`DeviceHandle`] of a
-/// [`SharedPmemPool`], so the log-chain code is written once and shared by
-/// the sequential and the concurrent runtimes.
+/// [`SharedPmemPool`], so [`LogArea`], the commit engine and the
+/// reclamation steps are written once and shared by the sequential and
+/// the concurrent runtimes.
 pub trait LogStore {
     /// Stores `data` at `addr` in the volatile image.
     fn store(&mut self, addr: usize, data: &[u8]);
@@ -409,11 +417,35 @@ pub trait LogStore {
     ///
     /// Implementations panic if the pool heap is exhausted.
     fn take_block(&mut self, block_bytes: usize) -> usize;
+    /// Issues one vectored flush covering the dirty `(addr, len)` ranges.
+    fn clwb_ranges(&mut self, ranges: &[(usize, usize)]);
+    /// Fences this thread's outstanding flushes.
+    fn sfence(&mut self) -> FenceReport;
+    /// Executes a labeled crash site.
+    fn crash_point(&self, site: &'static str);
 }
 
 /// Batch size for log-block allocation (amortizes the bump-pointer persist
 /// over many blocks).
 const BLOCK_BATCH: usize = 16;
+
+/// Allocates one log block: reuses `free`, or takes a batch from the pool
+/// through `alloc_direct(bytes, align)` and keeps the rest on `free`.
+fn take_block(
+    free: &mut Vec<usize>,
+    block_bytes: usize,
+    alloc_direct: impl FnOnce(usize, usize) -> Result<usize, PmemError>,
+) -> usize {
+    if let Some(b) = free.pop() {
+        return b;
+    }
+    let base = alloc_direct(block_bytes * BLOCK_BATCH, 64)
+        .expect("pool exhausted while allocating log blocks");
+    for i in (1..BLOCK_BATCH).rev() {
+        free.push(base + i * block_bytes);
+    }
+    base
+}
 
 /// [`LogStore`] over the single-threaded pool plus its volatile free list.
 #[derive(Debug)]
@@ -441,23 +473,35 @@ impl LogStore for PoolStore<'_> {
     }
 
     fn take_block(&mut self, block_bytes: usize) -> usize {
-        take_block(self.pool, self.free, block_bytes)
+        take_block(self.free, block_bytes, |bytes, align| self.pool.alloc_direct(bytes, align))
+    }
+
+    fn clwb_ranges(&mut self, ranges: &[(usize, usize)]) {
+        self.pool.device_mut().clwb_ranges(ranges);
+    }
+
+    fn sfence(&mut self) -> FenceReport {
+        self.pool.device_mut().sfence()
+    }
+
+    fn crash_point(&self, site: &'static str) {
+        self.pool.device().crash_point(site);
     }
 }
 
 /// [`LogStore`] over one thread's [`DeviceHandle`] of a shared pool.
 ///
-/// The caller supplies the free list (typically a guard over the shared
-/// runtime's free-block mutex — the handle itself never takes locks beyond
-/// the device's internal sharding).
+/// The free list is the shared runtime's, behind its mutex: it is locked
+/// only for the moment a block is actually taken, so appends that stay
+/// inside a block touch no lock beyond the device's internal sharding.
 #[derive(Debug)]
 pub struct SharedStore<'a> {
     /// The issuing thread's device handle.
     pub handle: &'a DeviceHandle,
     /// The shared pool blocks are allocated from.
     pub pool: &'a SharedPmemPool,
-    /// Free-block list (shared across threads; caller holds its lock).
-    pub free: &'a mut Vec<usize>,
+    /// Free-block list, shared across threads.
+    pub free: &'a Mutex<Vec<usize>>,
 }
 
 impl LogStore for SharedStore<'_> {
@@ -470,17 +514,20 @@ impl LogStore for SharedStore<'_> {
     }
 
     fn take_block(&mut self, block_bytes: usize) -> usize {
-        if let Some(b) = self.free.pop() {
-            return b;
-        }
-        let base = self
-            .pool
-            .alloc_direct(block_bytes * BLOCK_BATCH, 64)
-            .expect("pool exhausted while allocating log blocks");
-        for i in (1..BLOCK_BATCH).rev() {
-            self.free.push(base + i * block_bytes);
-        }
-        base
+        let mut free = self.free.lock().expect("free lock");
+        take_block(&mut free, block_bytes, |bytes, align| self.pool.alloc_direct(bytes, align))
+    }
+
+    fn clwb_ranges(&mut self, ranges: &[(usize, usize)]) {
+        self.handle.clwb_ranges(ranges);
+    }
+
+    fn sfence(&mut self) -> FenceReport {
+        self.handle.sfence()
+    }
+
+    fn crash_point(&self, site: &'static str) {
+        self.handle.crash_point(site);
     }
 }
 
@@ -500,25 +547,6 @@ pub struct LogArea {
     /// (and, when nothing was dropped last time, rewriting) chains whose
     /// watermark has not moved.
     generation: u64,
-}
-
-/// Allocates one log block, reusing `free` or batch-allocating from the
-/// pool (the batch amortizes the bump-pointer persist over many blocks).
-///
-/// # Panics
-///
-/// Panics if the pool heap is exhausted.
-pub fn take_block(pool: &mut PmemPool, free: &mut Vec<usize>, block_bytes: usize) -> usize {
-    if let Some(b) = free.pop() {
-        return b;
-    }
-    let base = pool
-        .alloc_direct(block_bytes * BLOCK_BATCH, 64)
-        .expect("pool exhausted while allocating log blocks");
-    for i in (1..BLOCK_BATCH).rev() {
-        free.push(base + i * block_bytes);
-    }
-    base
 }
 
 impl LogArea {
@@ -801,10 +829,10 @@ mod tests {
     fn take_block_batches_and_reuses() {
         let mut pool = pool();
         let mut free = Vec::new();
-        let b1 = take_block(&mut pool, &mut free, BB);
+        let b1 = PoolStore::new(&mut pool, &mut free).take_block(BB);
         assert!(!free.is_empty());
         free.push(b1);
-        let b2 = take_block(&mut pool, &mut free, BB);
+        let b2 = PoolStore::new(&mut pool, &mut free).take_block(BB);
         assert_eq!(b1, b2);
     }
 

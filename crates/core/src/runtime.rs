@@ -1,17 +1,26 @@
 //! The [`SpecSpmt`] transaction runtime.
 
-use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE};
+use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode, BUMP_OFF};
 use specpmt_telemetry::{EventKind, Metric, Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
+use crate::engine::{Probe, TxLog};
 use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
-use crate::record::{
-    encode_header_parts, encode_record, entry_header, Cursor, LogArea, PoolStore, ENTRY_HDR,
-    REC_HDR,
-};
+use crate::record::{LogArea, PoolStore, ENTRY_HDR, REC_HDR};
 use crate::recovery;
-use crate::writeset::WriteSet;
+
+/// The sequential runtime's commit crash sites, on `tid`'s telemetry shard.
+fn probe(tel: &Telemetry, tid: usize) -> Probe<'_> {
+    Probe {
+        seal: Some("seq/commit/seal"),
+        append: "seq/commit/append",
+        flush: "seq/commit/flush",
+        fence: "seq/commit/fence",
+        tel,
+        tid,
+    }
+}
 
 /// How log reclamation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,22 +83,8 @@ impl SpecConfig {
 struct ThreadState {
     area: LogArea,
     in_tx: bool,
-    /// Where the open transaction's record header sits in the chain.
-    /// `None` until the transaction's first write reserves it: a
-    /// transaction that never writes never touches the log, and only a
-    /// reserved record pins the chain against reclamation.
-    tx_start: Option<Cursor>,
-    /// Reusable write set (paper §4: only the last update of a datum in a
-    /// transaction needs a log record): open-addressing index + payload
-    /// arena + streaming record checksum, all cleared — never freed —
-    /// between transactions, so steady-state commits allocate nothing.
-    ws: WriteSet,
-    /// Dirty `(addr, len)` log ranges of the open transaction; coalesced
-    /// into one vectored flush at commit. Cleared, capacity kept.
-    dirty: Vec<(usize, usize)>,
-    /// SpecSPMT-DP only: cache-line *indices* of data stores, sorted and
-    /// deduplicated at commit for the second (data) flush+fence.
-    data_lines: Vec<usize>,
+    /// The open transaction's record, write set and flush plan.
+    log: TxLog,
 }
 
 /// Software SpecPMT: the speculative-logging transaction runtime.
@@ -148,14 +143,8 @@ impl SpecSpmt {
                 &mut dirty,
             );
             layout.set_head(&mut pool, tid, area.head() as u64);
-            threads.push(ThreadState {
-                area,
-                in_tx: false,
-                tx_start: None,
-                ws: WriteSet::new(),
-                dirty: Vec::new(),
-                data_lines: Vec::new(),
-            });
+            let log = TxLog::new(cfg.data_persistence);
+            threads.push(ThreadState { area, in_tx: false, log });
         }
         pool.device_mut().flush_everything();
         pool.device_mut().set_timing(prev);
@@ -244,73 +233,35 @@ impl SpecSpmt {
         if self.cfg.reclaim_mode == ReclaimMode::Disabled {
             return;
         }
-        if self.threads.iter().any(|t| t.tx_start.is_some()) {
+        if self.threads.iter().any(|t| t.log.reserved()) {
             return;
         }
-        let t0 = self.pool.device().now_ns();
-        // Host wall-clock for the telemetry histogram; cycles are rare, so
-        // an unconditional `Instant::now()` here is well within budget.
-        let host_t0 = std::time::Instant::now();
-        let bytes_before = self.reclaim.stats.bytes_reclaimed;
         let block_bytes = self.cfg.block_bytes;
-        self.reclaim.ensure_chains(self.threads.len());
-        self.reclaim.stats.cycles += 1;
+        self.reclaim.begin_cycle(self.threads.len(), self.pool.device().now_ns());
 
-        // Phase 1: scan — re-parse only the chains whose watermark moved,
-        // folding their records into the persistent freshness index (the
-        // index is volatile and rebuilt from the log after a crash; it
-        // needs no crash consistency of its own).
+        // Phase 1: scan — re-parse only the chains whose watermark moved.
         let mut any_changed = false;
         for (tid, t) in self.threads.iter().enumerate() {
-            let mark = (t.area.head(), t.area.generation());
-            if self.reclaim.is_current(tid, mark) {
+            if self.reclaim.scan_chain(self.pool.device(), tid, &t.area, block_bytes) {
+                any_changed = true;
+            } else {
                 self.reclaim.stats.chains_skipped += 1;
-                continue;
             }
-            any_changed = true;
-            let records =
-                crate::record::parse_chain(self.pool.device(), t.area.head(), block_bytes);
-            self.reclaim.install_parse(tid, mark, records);
-            self.reclaim.stats.chains_scanned += 1;
         }
         if !any_changed {
-            // The index is exactly what the previous cycle left: every
-            // chain it left fully fresh is still fully fresh.
             self.reclaim.stats.noop_cycles += 1;
-            self.reclaim.stats.last_cycle_ns = self.pool.device().now_ns() - t0;
-            let ns = u64::try_from(host_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.tel.registry.add(self.cur, Metric::ReclaimCycles, 1);
-            self.tel.registry.record(self.cur, Phase::ReclaimCycle, ns);
-            self.tel.tracer.record(self.cur, EventKind::ReclaimCycle, 0, ns);
+            self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, self.cur);
             return;
         }
 
         // Phase 2: compact — rewrite only the chains whose compaction
-        // drops at least one entry (from the cached parses; freshness uses
-        // committed records of *all* threads via the shared index).
+        // drops at least one entry.
         let mut all_dirty = Vec::new();
-        let mut rewrites: Vec<(usize, LogArea, Vec<crate::record::LogRecord>)> = Vec::new();
-        let mut dropped_total = 0u64;
+        let mut rewrites = Vec::new();
+        let mut store = PoolStore::new(&mut self.pool, &mut self.free_blocks);
         for tid in 0..self.threads.len() {
-            let (kept, dropped, bytes) = self.reclaim.compact_chain(tid);
-            if dropped == 0 {
-                self.reclaim.stats.rewrites_skipped += 1;
-                continue;
-            }
-            dropped_total += dropped;
-            self.reclaim.stats.records_dropped += dropped;
-            self.reclaim.stats.records_kept +=
-                kept.iter().map(|r| r.entries.len() as u64).sum::<u64>();
-            self.reclaim.stats.bytes_reclaimed += bytes;
-            let mut dirty = Vec::new();
-            let mut store = PoolStore::new(&mut self.pool, &mut self.free_blocks);
-            let mut area = LogArea::create(&mut store, block_bytes, &mut dirty);
-            for rec in &kept {
-                area.append(&mut store, &encode_record(rec), &mut dirty);
-            }
-            area.write_terminator(&mut store, &mut dirty);
-            all_dirty.extend(dirty);
-            rewrites.push((tid, area, kept));
+            let rewrite = self.reclaim.rewrite_chain(&mut store, tid, block_bytes, &mut all_dirty);
+            rewrites.extend(rewrite.map(|rw| (tid, rw)));
         }
 
         // Persist the new chains before any head pointer moves (fence 1),
@@ -334,17 +285,16 @@ impl SpecSpmt {
             self.pool.device().crash_point("seq/reclaim/fence");
         }
         let layout = self.layout;
-        for (tid, area, kept) in rewrites {
+        for (tid, (area, kept, dropped)) in rewrites {
             let addr = layout.head_addr(tid);
             if background {
-                let head = area.head() as u64;
-                self.pool.device_mut().write_u64(addr, head);
+                self.pool.device_mut().write_u64(addr, area.head() as u64);
                 self.pool.device_mut().background_line_write(addr);
             } else {
                 layout.set_head(&mut self.pool, tid, area.head() as u64);
             }
-            self.reclaim.stats.chains_rewritten += 1;
-            self.reclaim.commit_rewrite(tid, (area.head(), area.generation()), kept);
+            self.reclaim.spliced(tid, &area, kept);
+            self.stats.records_reclaimed += dropped;
             let old = std::mem::replace(&mut self.threads[tid].area, area);
             self.free_blocks.extend(old.into_blocks());
         }
@@ -352,17 +302,11 @@ impl SpecSpmt {
             self.pool.device().crash_point("seq/reclaim/splice");
         }
 
-        self.stats.records_reclaimed += dropped_total;
         self.refresh_log_stats();
-        self.reclaim.stats.last_cycle_ns = self.pool.device().now_ns() - t0;
-        if self.cfg.reclaim_mode == ReclaimMode::Background {
-            self.stats.background_ns += self.pool.device().now_ns() - t0;
+        let cycle_ns = self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, self.cur);
+        if background {
+            self.stats.background_ns += cycle_ns;
         }
-        let ns = u64::try_from(host_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let bytes = self.reclaim.stats.bytes_reclaimed.saturating_sub(bytes_before);
-        self.tel.registry.add(self.cur, Metric::ReclaimCycles, 1);
-        self.tel.registry.record(self.cur, Phase::ReclaimCycle, ns);
-        self.tel.tracer.record(self.cur, EventKind::ReclaimCycle, bytes, ns);
     }
 
     /// Adopts *external data* (Section 4.3.2): durable bytes produced by
@@ -435,60 +379,29 @@ impl TxAccess for SpecSpmt {
         // Volatile only: the log is not touched until the first write
         // reserves the record header.
         let t = &mut self.threads[tid];
-        t.ws.begin();
-        t.dirty.clear();
-        t.data_lines.clear();
+        t.log.begin();
         t.in_tx = true;
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
         let tid = self.cur;
         assert!(self.threads[tid].in_tx, "write outside transaction");
-        let Self { pool, free_blocks, threads, stats, cfg, tel, .. } = self;
+        let Self { pool, free_blocks, threads, stats, tel, .. } = self;
         let t = &mut threads[tid];
-        if t.tx_start.is_none() {
-            // First write: reserve the record header (zero length marks the
-            // record open/uncommitted), ahead of the data store and the
-            // entry stores.
-            t.tx_start = Some(t.area.tail());
-            t.area.append(&mut PoolStore::new(pool, free_blocks), &[0u8; REC_HDR], &mut t.dirty);
+        let mut store = PoolStore::new(pool, free_blocks);
+        if !t.log.reserved() {
+            t.log.reserve(&mut store, &mut t.area);
         }
         // Write-set build phase: everything staged between begin and seal
         // (in-place store + log staging + dedup bookkeeping).
         let _ws_span = tel.registry.span(tid, Phase::Writeset);
         tel.tracer.record(tid, EventKind::Stage, addr as u64, data.len() as u64);
-        // In-place data update — never flushed by SpecSPMT.
-        pool.device_mut().write(addr, data);
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
-        if cfg.data_persistence && !data.is_empty() {
-            let first = addr / CACHE_LINE;
-            let last = (addr + data.len() - 1) / CACHE_LINE;
-            // Line *indices*; sorted and deduplicated once, at commit.
-            t.data_lines.extend(first..=last);
+        if t.log.stage(&mut store, &mut t.area, addr, data) {
+            stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
+            tel.registry.add(tid, Metric::LogEntries, 1);
         }
-        // splog: record the *new* value. No flush, no fence.
-        if let Some(slot) = t.ws.lookup(addr) {
-            if slot.len == data.len() {
-                // Write-set indexing: overwrite the previous entry for this
-                // datum instead of appending a stale one.
-                t.ws.patch(slot, data);
-                t.area.write_at(
-                    &mut PoolStore::new(pool, free_blocks),
-                    slot.value_cursor,
-                    data,
-                    &mut t.dirty,
-                );
-                return;
-            }
-        }
-        let mut store = PoolStore::new(pool, free_blocks);
-        t.area.append(&mut store, &entry_header(addr, data.len()), &mut t.dirty);
-        let value_cursor = t.area.tail();
-        t.area.append(&mut store, data, &mut t.dirty);
-        t.ws.stage(addr, data, value_cursor);
-        stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
-        tel.registry.add(tid, Metric::LogEntries, 1);
     }
 
     fn read(&mut self, addr: usize, buf: &mut [u8]) {
@@ -499,7 +412,7 @@ impl TxAccess for SpecSpmt {
     fn commit(&mut self) {
         let tid = self.cur;
         assert!(self.threads[tid].in_tx, "commit outside transaction");
-        let Some(tx_start) = self.threads[tid].tx_start.take() else {
+        if !self.threads[tid].log.reserved() {
             // Write-free: no record was reserved, so there is nothing to
             // seal, flush or fence — and no zero-length header to strand
             // the chain's younger records behind.
@@ -510,79 +423,19 @@ impl TxAccess for SpecSpmt {
             self.tel.registry.add(tid, Metric::WriteFreeCommits, 1);
             self.tel.tracer.record(tid, EventKind::Commit, self.ts_counter, 0);
             return;
-        };
+        }
         let ts = self.ts_counter;
         self.ts_counter += 1;
 
-        let Self { pool, free_blocks, threads, stats, cfg, tel, .. } = self;
+        let Self { pool, free_blocks, threads, stats, tel, .. } = self;
         let t = &mut threads[tid];
         let commit_span = tel.registry.span(tid, Phase::Commit);
-        let sim0 = pool.device().now_ns();
-
-        // Seal: the record checksum was streamed while entries were
-        // staged; only the fixed `(len, ts)` suffix is folded in here.
-        let seal_span = tel.registry.span(tid, Phase::Seal);
-        let header = encode_header_parts(ts, t.ws.payload().len(), t.ws.checksum(ts));
-        seal_span.stop();
-        tel.tracer.record(tid, EventKind::Seal, ts, t.ws.payload().len() as u64);
-        pool.device().crash_point("seq/commit/seal");
-
-        let append_span = tel.registry.span(tid, Phase::Append);
         let mut store = PoolStore::new(pool, free_blocks);
-        let wrote = t.area.write_at(&mut store, tx_start, &header, &mut t.dirty);
-        assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
-        t.area.write_terminator(&mut store, &mut t.dirty);
-        append_span.stop();
-        tel.registry.add(tid, Metric::LogAppends, 1);
+        let sim0 = store.pool.device().now_ns();
+        let p = probe(tel, tid);
+        t.log.seal(&mut store, &mut t.area, ts, p);
         stats.log_bytes += REC_HDR as u64;
-        pool.device().crash_point("seq/commit/append");
-
-        // The single commit fence: one vectored flush covering the whole
-        // record (coalesced, ascending lines — sequential and cheap) and
-        // nothing else. The dirty list is cleared, not freed.
-        let flush_span = tel.registry.span(tid, Phase::Flush);
-        pool.device_mut().clwb_ranges(&t.dirty);
-        flush_span.stop();
-        tel.registry.add(tid, Metric::ClwbPlans, 1);
-        tel.tracer.record(tid, EventKind::ClwbPlan, t.dirty.len() as u64, 0);
-        t.dirty.clear();
-        pool.device().crash_point("seq/commit/flush");
-        let fence_span = tel.registry.span(tid, Phase::Fence);
-        let fr = pool.device_mut().sfence();
-        fence_span.stop();
-        pool.device().crash_point("seq/commit/fence");
-        tel.registry.add(tid, Metric::Fences, 1);
-        tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-        if fr.flushes > 0 {
-            tel.registry.add(tid, Metric::WpqDrains, 1);
-            if fr.stall_ns > 0 {
-                tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-                tel.tracer.record(tid, EventKind::WpqDrain, fr.stall_ns, fr.flushes);
-            }
-        }
-
-        if cfg.data_persistence {
-            // SpecSPMT-DP: also persist the data lines (second fence).
-            t.data_lines.sort_unstable();
-            t.data_lines.dedup();
-            let flush_span = tel.registry.span(tid, Phase::Flush);
-            pool.device_mut().clwb_lines(&t.data_lines);
-            flush_span.stop();
-            tel.registry.add(tid, Metric::ClwbPlans, 1);
-            tel.tracer.record(tid, EventKind::ClwbPlan, t.data_lines.len() as u64, 0);
-            t.data_lines.clear();
-            // DP's second drain reuses the commit flush/fence labels: it
-            // stresses the same ordering invariant at the same protocol
-            // step, and a per-variant label would be unreachable from the
-            // default-config smoke workloads.
-            pool.device().crash_point("seq/commit/flush");
-            let fence_span = tel.registry.span(tid, Phase::Fence);
-            let fr = pool.device_mut().sfence();
-            fence_span.stop();
-            pool.device().crash_point("seq/commit/fence");
-            tel.registry.add(tid, Metric::Fences, 1);
-            tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
-        }
+        t.log.drain_solo(&mut store, p, |_| {});
 
         t.in_tx = false;
         stats.tx_committed += 1;
@@ -590,17 +443,13 @@ impl TxAccess for SpecSpmt {
         // Simulated device nanoseconds charged for the seal — the
         // scheduler-immune counterpart of the host-time `commit` span,
         // comparable across runtimes.
-        tel.registry.record(tid, Phase::CommitSim, pool.device().now_ns().saturating_sub(sim0));
+        let sim_ns = store.pool.device().now_ns().saturating_sub(sim0);
+        tel.registry.record(tid, Phase::CommitSim, sim_ns);
         let commit_ns = commit_span.stop();
         tel.tracer.record(tid, EventKind::Commit, ts, commit_ns);
         self.refresh_log_stats();
-
         // Implicit reclamation trigger (paper §4.2).
-        if self.cfg.reclaim_mode != ReclaimMode::Disabled
-            && self.log_footprint() > self.cfg.reclaim_threshold_bytes
-        {
-            self.reclaim_now();
-        }
+        self.maintain();
     }
 
     fn alloc(&mut self, size: usize, align: usize) -> usize {

@@ -1,13 +1,10 @@
 //! The simulated persistent-memory device.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 
 use crate::crash::{CrashControl, CrashCtl, CrashImage, CrashPlan, CrashPolicy, CrashTrigger};
-use crate::geometry::{
-    channel_of_xpline, line_of, line_start, lines_touching, xpline_of_line, CACHE_LINE,
-    PERSIST_WORD,
-};
+use crate::geometry::{line_of, line_start, lines_touching, CACHE_LINE, PERSIST_WORD};
+use crate::wpq::{PendingFlush, WpqModel};
 use crate::{PmemConfig, PmemError, PmemStats};
 
 /// Whether device operations advance the simulated clock and counters.
@@ -39,20 +36,6 @@ pub struct FenceReport {
     pub flushes: u64,
 }
 
-/// A line flush that has been issued but not yet fenced.
-#[derive(Debug, Clone, Copy)]
-struct PendingFlush {
-    line: usize,
-    /// Simulated time at which the line is accepted into the WPQ — the
-    /// instant it enters the persistence domain under ADR.
-    accepted_at: u64,
-    /// Contents of the line at `clwb` time. A later store to the line does
-    /// not change what this flush persists. Inline array (not `Vec`): the
-    /// commit path issues one of these per dirty line, and heap traffic
-    /// here would dominate the software cost being measured.
-    snapshot: [u8; CACHE_LINE],
-}
-
 /// Simulated byte-addressable persistent memory device.
 ///
 /// The device keeps two images: the **volatile** image every load/store sees,
@@ -74,15 +57,7 @@ pub struct PmemDevice {
     volatile: Vec<u8>,
     persisted: Vec<u8>,
     pending: Vec<PendingFlush>,
-    /// Per-channel drain-completion times of in-flight WPQ entries (each
-    /// memory controller has its own WPQ of `wpq_entries` slots; each
-    /// queue is monotonic non-decreasing).
-    wpq_drains: Vec<VecDeque<u64>>,
-    /// Per-channel media occupancy; 4 KiB chunks of the address space
-    /// stripe round-robin across channels (see
-    /// [`crate::geometry::channel_of_xpline`]).
-    media_busy_until: Vec<u64>,
-    last_media_xpline: Vec<Option<usize>>,
+    wpq: WpqModel,
     clock_ns: u64,
     timing: TimingMode,
     stats: PmemStats,
@@ -110,15 +85,13 @@ impl PmemDevice {
     /// Creates a zero-filled device with the given configuration.
     pub fn new(cfg: PmemConfig) -> Self {
         let size = cfg.size;
-        let channels = cfg.media_channels.max(1);
+        let wpq = WpqModel::new(&cfg);
         Self {
             cfg,
             volatile: vec![0; size],
             persisted: vec![0; size],
             pending: Vec::new(),
-            wpq_drains: vec![VecDeque::new(); channels],
-            media_busy_until: vec![0; channels],
-            last_media_xpline: vec![None; channels],
+            wpq,
             clock_ns: 0,
             timing: TimingMode::On,
             stats: PmemStats::default(),
@@ -288,35 +261,19 @@ impl PmemDevice {
         }
         self.clock_ns += self.cfg.clwb_issue_ns;
         self.stats.clwb_count += 1;
+        let accepted_at = self.wpq_accept(line);
+        self.pending.push(PendingFlush { owner: 0, line, accepted_at, snapshot });
+    }
 
-        // WPQ slot availability: drop entries already drained to media.
-        let now = self.clock_ns;
-        let xp = xpline_of_line(line);
-        let ch = channel_of_xpline(xp, self.media_busy_until.len());
-        while self.wpq_drains[ch].front().is_some_and(|&t| t <= now) {
-            self.wpq_drains[ch].pop_front();
-        }
-        let slot_free_at = if self.wpq_drains[ch].len() >= self.cfg.wpq_entries {
-            // Queue full: must wait for the oldest entry to drain.
-            self.wpq_drains[ch].pop_front().unwrap_or(now)
-        } else {
-            now
-        };
-        let accepted_at = slot_free_at.max(now) + self.cfg.wpq_accept_ns;
-
-        // Media service: sequential XPLine hits are cheaper.
-        let sequential = self.last_media_xpline[ch] == Some(xp);
-        let service = if sequential { self.cfg.line_write_seq_ns } else { self.cfg.line_write_ns };
-        let drain_at = self.media_busy_until[ch].max(accepted_at) + service;
-        self.media_busy_until[ch] = drain_at;
-        self.last_media_xpline[ch] = Some(xp);
-        self.wpq_drains[ch].push_back(drain_at);
-
+    /// WPQ + media accounting for one line write-back issued now; returns
+    /// the time the line is accepted into the persistence domain.
+    fn wpq_accept(&mut self, line: usize) -> u64 {
+        let (accepted_at, sequential) = self.wpq.accept(&self.cfg, line, self.clock_ns);
         self.stats.lines_persisted += 1;
         if sequential {
             self.stats.seq_line_hits += 1;
         }
-        self.pending.push(PendingFlush { line, accepted_at, snapshot });
+        accepted_at
     }
 
     /// Persists the line containing `addr` from a **background core**
@@ -329,37 +286,11 @@ impl PmemDevice {
         let line = line_of(addr);
         assert!(line_start(line) < self.volatile.len(), "background write out of bounds");
         let start = line_start(line);
-        if self.timing == TimingMode::Off {
-            let mut snapshot = [0u8; CACHE_LINE];
-            snapshot.copy_from_slice(&self.volatile[start..start + CACHE_LINE]);
-            self.persisted[start..start + CACHE_LINE].copy_from_slice(&snapshot);
-            return;
+        if self.timing == TimingMode::On {
+            let _ = self.wpq_accept(line);
         }
-        let now = self.clock_ns;
-        let xp = xpline_of_line(line);
-        let ch = channel_of_xpline(xp, self.media_busy_until.len());
-        while self.wpq_drains[ch].front().is_some_and(|&t| t <= now) {
-            self.wpq_drains[ch].pop_front();
-        }
-        let slot_free_at = if self.wpq_drains[ch].len() >= self.cfg.wpq_entries {
-            self.wpq_drains[ch].pop_front().unwrap_or(now)
-        } else {
-            now
-        };
-        let accepted_at = slot_free_at.max(now) + self.cfg.wpq_accept_ns;
-        let sequential = self.last_media_xpline[ch] == Some(xp);
-        let service = if sequential { self.cfg.line_write_seq_ns } else { self.cfg.line_write_ns };
-        let drain_at = self.media_busy_until[ch].max(accepted_at) + service;
-        self.media_busy_until[ch] = drain_at;
-        self.last_media_xpline[ch] = Some(xp);
-        self.wpq_drains[ch].push_back(drain_at);
-        self.stats.lines_persisted += 1;
-        if sequential {
-            self.stats.seq_line_hits += 1;
-        }
-        let mut snapshot = [0u8; CACHE_LINE];
-        snapshot.copy_from_slice(&self.volatile[start..start + CACHE_LINE]);
-        self.persisted[start..start + CACHE_LINE].copy_from_slice(&snapshot);
+        self.persisted[start..start + CACHE_LINE]
+            .copy_from_slice(&self.volatile[start..start + CACHE_LINE]);
     }
 
     /// [`Self::background_line_write`] over every line of a range.

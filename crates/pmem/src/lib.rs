@@ -43,6 +43,7 @@ mod error;
 mod geometry;
 mod rng;
 mod stats;
+mod wpq;
 
 pub mod alloc;
 pub mod blackbox;

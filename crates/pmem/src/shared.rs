@@ -34,16 +34,13 @@
 //! order; the pending mutex is never held while acquiring a shard lock
 //! (entries are removed under the lock and applied after release).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::alloc::{Reservation, SizeClassAllocator};
 use crate::crash::{CrashControl, CrashCtl, CrashImage, CrashPlan, CrashPolicy, CrashTrigger};
-use crate::geometry::{
-    channel_of_xpline, line_of, line_start, lines_touching, xpline_of_line, CACHE_LINE,
-    PERSIST_WORD,
-};
+use crate::geometry::{line_of, line_start, lines_touching, CACHE_LINE, PERSIST_WORD};
+use crate::wpq::{PendingFlush, WpqModel};
 use specpmt_telemetry::{Histogram, HistogramSnapshot};
 
 use crate::{
@@ -60,36 +57,6 @@ pub const SHARD_BYTES: usize = 4096;
 struct Shard {
     volatile: Vec<u8>,
     persisted: Vec<u8>,
-}
-
-/// A line flush issued by some handle but not yet fenced.
-///
-/// The snapshot is a fixed cache-line array (not a `Vec`): flushes are the
-/// hottest allocation site of the commit path, and an inline array keeps
-/// the whole pending set allocation-free once the pending vector has
-/// reached its steady-state capacity.
-#[derive(Debug, Clone, Copy)]
-struct PendingFlush {
-    owner: u64,
-    line: usize,
-    accepted_at: u64,
-    snapshot: [u8; CACHE_LINE],
-}
-
-#[derive(Debug, Default)]
-struct WpqModel {
-    /// Per-channel in-flight drain times (each memory controller has its
-    /// own WPQ of `wpq_entries` slots).
-    drains: Vec<VecDeque<u64>>,
-    /// Per-channel media occupancy; 4 KiB chunks of the address space
-    /// stripe round-robin across channels (see
-    /// [`crate::geometry::channel_of_xpline`]).
-    media_busy_until: Vec<u64>,
-    last_media_xpline: Vec<Option<usize>>,
-    /// Per-channel (per-DIMM) queue-depth high-water marks: the deepest
-    /// each WPQ has ever been right after accepting a flush. Telemetry
-    /// only — never consulted by the timing model.
-    depth_high_water: Vec<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -163,18 +130,13 @@ impl SharedPmemDevice {
                 Mutex::new(Shard { volatile: vec![0; len], persisted: vec![0; len] })
             })
             .collect();
-        let channels = cfg.media_channels.max(1);
+        let wpq = Mutex::new(WpqModel::new(&cfg));
         Self {
             inner: Arc::new(DevInner {
                 cfg,
                 size,
                 shards,
-                wpq: Mutex::new(WpqModel {
-                    drains: vec![VecDeque::new(); channels],
-                    media_busy_until: vec![0; channels],
-                    last_media_xpline: vec![None; channels],
-                    depth_high_water: vec![0; channels],
-                }),
+                wpq,
                 pending: Mutex::new(Vec::new()),
                 clock_ns: AtomicU64::new(0),
                 timing_on: AtomicBool::new(true),
@@ -293,8 +255,8 @@ impl SharedPmemDevice {
         self.inner.pending.lock().expect("pending lock").clear();
         for shard in &self.inner.shards {
             let mut s = shard.lock().expect("shard lock");
-            let vol = s.volatile.clone();
-            s.persisted.copy_from_slice(&vol);
+            let Shard { volatile, persisted } = &mut *s;
+            persisted.copy_from_slice(volatile);
         }
     }
 
@@ -415,38 +377,11 @@ impl SharedPmemDevice {
     }
 
     /// WPQ + media accounting for one line write-back; returns the time the
-    /// flush is accepted into the persistence domain.
-    fn wpq_accept(&self, line: usize, now: u64) -> u64 {
-        let mut w = self.inner.wpq.lock().expect("wpq lock");
-        self.wpq_accept_locked(&mut w, line, now)
-    }
-
-    /// [`Self::wpq_accept`] body with the WPQ lock already held — the
-    /// batched flush path accepts a whole commit's lines under one lock
-    /// acquisition.
-    fn wpq_accept_locked(&self, w: &mut WpqModel, line: usize, now: u64) -> u64 {
-        let cfg = &self.inner.cfg;
-        let xp = xpline_of_line(line);
-        let ch = channel_of_xpline(xp, w.media_busy_until.len());
-        while w.drains[ch].front().is_some_and(|&t| t <= now) {
-            w.drains[ch].pop_front();
-        }
-        let slot_free_at = if w.drains[ch].len() >= cfg.wpq_entries {
-            w.drains[ch].pop_front().unwrap_or(now)
-        } else {
-            now
-        };
-        let accepted_at = slot_free_at.max(now) + cfg.wpq_accept_ns;
-        let sequential = w.last_media_xpline[ch] == Some(xp);
-        let service = if sequential { cfg.line_write_seq_ns } else { cfg.line_write_ns };
-        let drain_at = w.media_busy_until[ch].max(accepted_at) + service;
-        w.media_busy_until[ch] = drain_at;
-        w.last_media_xpline[ch] = Some(xp);
-        w.drains[ch].push_back(drain_at);
-        let depth = w.drains[ch].len() as u64;
-        if depth > w.depth_high_water[ch] {
-            w.depth_high_water[ch] = depth;
-        }
+    /// flush is accepted into the persistence domain. The caller holds the
+    /// WPQ lock — the batched flush path accepts a whole commit's lines
+    /// under one acquisition.
+    fn wpq_accept(&self, w: &mut WpqModel, line: usize, now: u64) -> u64 {
+        let (accepted_at, sequential) = w.accept(&self.inner.cfg, line, now);
         let stats = &self.inner.stats;
         stats.lines_persisted.fetch_add(1, Ordering::Relaxed);
         if sequential {
@@ -693,24 +628,7 @@ impl DeviceHandle {
     /// persistent only once accepted by the WPQ; [`Self::sfence`] waits for
     /// that.
     pub fn clwb(&self, addr: usize) {
-        let line = line_of(addr);
-        assert!(line_start(line) < self.dev.size(), "clwb out of bounds");
-        self.dev.tick_fuel();
-        let mut snapshot = [0u8; CACHE_LINE];
-        self.peek_into(line_start(line), &mut snapshot);
-        if !self.dev.timing_is_on() {
-            self.apply_persisted(line, &snapshot);
-            return;
-        }
-        self.local_charge(self.dev.inner.cfg.clwb_issue_ns);
-        self.dev.inner.stats.clwb_count.fetch_add(1, Ordering::Relaxed);
-        let accepted_at = self.dev.wpq_accept(line, self.local_now_ns());
-        self.dev.inner.pending.lock().expect("pending lock").push(PendingFlush {
-            owner: self.id,
-            line,
-            accepted_at,
-            snapshot,
-        });
+        self.clwb_lines(&[line_of(addr)]);
     }
 
     /// Vectored `clwb`: issues a write-back for every cache-line *index*
@@ -738,18 +656,34 @@ impl DeviceHandle {
         if lines.is_empty() {
             return;
         }
+        let mut scratch = self.scratch.lock().expect("scratch lock");
+        if !self.issue_batch(lines, &mut scratch) {
+            return;
+        }
+        self.local_charge(lines.len() as u64 * self.dev.inner.cfg.clwb_issue_ns);
+        self.dev.inner.stats.clwb_count.fetch_add(lines.len() as u64, Ordering::Relaxed);
+        self.dev.inner.pending.lock().expect("pending lock").extend(scratch.drain(..));
+    }
+
+    /// Front half of a vectored flush, shared by [`Self::clwb_lines`] and
+    /// [`Self::drain_lines`]: validates the batch, burns one unit of crash
+    /// fuel per line (up front, while no lock is held — fuel capture
+    /// acquires every shard lock), snapshots every line into `scratch`,
+    /// and accepts the batch into the WPQ under one lock acquisition, each
+    /// line at the simulated instant its serial `clwb` would have issued.
+    /// The caller charges the issue time and decides where the snapshots
+    /// go. With timing off the lines persist at once, `scratch` is left
+    /// empty and `false` is returned.
+    fn issue_batch(&self, lines: &[usize], scratch: &mut Vec<PendingFlush>) -> bool {
         assert!(
             lines.windows(2).all(|w| w[0] < w[1]),
-            "clwb_lines requires a sorted, deduplicated batch"
+            "vectored flush requires a sorted, deduplicated batch"
         );
         let last = *lines.last().expect("non-empty batch");
-        assert!(line_start(last) < self.dev.size(), "clwb out of bounds");
-        // One persistence op of crash fuel per line, burned before any
-        // shard lock below (fuel capture acquires every shard lock).
+        assert!(line_start(last) < self.dev.size(), "vectored flush out of bounds");
         for _ in lines {
             self.dev.tick_fuel();
         }
-        let mut scratch = self.scratch.lock().expect("scratch lock");
         scratch.clear();
         // Snapshot shard group by shard group: lines are sorted, so lines
         // of the same shard are adjacent and the guard is taken once.
@@ -775,22 +709,16 @@ impl DeviceHandle {
                 self.apply_persisted(p.line, &p.snapshot);
             }
             scratch.clear();
-            return;
+            return false;
         }
         let issue_ns = self.dev.inner.cfg.clwb_issue_ns;
         let t0 = self.local_now_ns();
-        {
-            // WPQ lock once for the whole batch; each line is accepted at
-            // the simulated instant its serial `clwb` would have issued.
-            let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
-            for (k, p) in scratch.iter_mut().enumerate() {
-                let now = t0 + (k as u64 + 1) * issue_ns;
-                p.accepted_at = self.dev.wpq_accept_locked(&mut w, p.line, now);
-            }
+        let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
+        for (k, p) in scratch.iter_mut().enumerate() {
+            let now = t0 + (k as u64 + 1) * issue_ns;
+            p.accepted_at = self.dev.wpq_accept(&mut w, p.line, now);
         }
-        self.local_charge(lines.len() as u64 * issue_ns);
-        self.dev.inner.stats.clwb_count.fetch_add(lines.len() as u64, Ordering::Relaxed);
-        self.dev.inner.pending.lock().expect("pending lock").extend(scratch.drain(..));
+        true
     }
 
     fn apply_persisted(&self, line: usize, snapshot: &[u8]) {
@@ -857,57 +785,15 @@ impl DeviceHandle {
         if lines.is_empty() {
             return FenceReport::default();
         }
-        assert!(
-            lines.windows(2).all(|w| w[0] < w[1]),
-            "drain_lines requires a sorted, deduplicated batch"
-        );
-        let last = *lines.last().expect("non-empty batch");
-        assert!(line_start(last) < self.dev.size(), "drain out of bounds");
-        // One persistence op of crash fuel per line plus one for the
-        // fence, burned before any shard lock (fuel capture acquires every
-        // shard lock) — the same budget as clwb_lines + sfence.
-        for _ in lines {
-            self.dev.tick_fuel();
-        }
+        // One more unit of crash fuel for the fence — the same budget as
+        // clwb_lines + sfence.
         self.dev.tick_fuel();
         let mut scratch = self.scratch.lock().expect("scratch lock");
-        scratch.clear();
-        // Snapshot shard group by shard group (lines are sorted, so lines
-        // of the same shard are adjacent and the guard is taken once).
-        let mut i = 0;
-        while i < lines.len() {
-            let shard_idx = line_start(lines[i]) / SHARD_BYTES;
-            let guard = self.dev.shard(shard_idx);
-            while i < lines.len() && line_start(lines[i]) / SHARD_BYTES == shard_idx {
-                let off = line_start(lines[i]) % SHARD_BYTES;
-                let mut snapshot = [0u8; CACHE_LINE];
-                snapshot.copy_from_slice(&guard.volatile[off..off + CACHE_LINE]);
-                scratch.push(PendingFlush {
-                    owner: self.id,
-                    line: lines[i],
-                    accepted_at: 0,
-                    snapshot,
-                });
-                i += 1;
-            }
-        }
-        if !self.dev.timing_is_on() {
-            for p in scratch.iter() {
-                self.apply_persisted(p.line, &p.snapshot);
-            }
-            scratch.clear();
+        if !self.issue_batch(lines, &mut scratch) {
             return FenceReport::default();
         }
         let cfg = &self.dev.inner.cfg;
         let issue_ns = cfg.clwb_issue_ns;
-        let t0 = self.local_now_ns();
-        {
-            let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
-            for (k, p) in scratch.iter_mut().enumerate() {
-                let now = t0 + (k as u64 + 1) * issue_ns;
-                p.accepted_at = self.dev.wpq_accept_locked(&mut w, p.line, now);
-            }
-        }
         let n = lines.len() as u64;
         let stats = &self.dev.inner.stats;
         stats.clwb_count.fetch_add(n, Ordering::Relaxed);
@@ -936,11 +822,17 @@ impl DeviceHandle {
     /// feed the device-wide WPQ-drain histogram
     /// ([`SharedPmemDevice::wpq_drain_histogram`]).
     pub fn sfence(&self) -> FenceReport {
-        if !self.dev.timing_is_on() {
-            return FenceReport::default();
+        // Timing is a device-wide switch that setup helpers on *other*
+        // handles flip (pool allocation, thread registration), so it can
+        // go off between this handle's `clwb` and its fence. The fence
+        // must still complete those flushes — free of charge and
+        // uncounted, like every timing-off operation — or a crash image
+        // taken afterwards drops a record the caller was told is durable.
+        let timed = self.dev.timing_is_on();
+        if timed {
+            self.dev.tick_fuel();
+            self.dev.inner.stats.sfence_count.fetch_add(1, Ordering::Relaxed);
         }
-        self.dev.tick_fuel();
-        self.dev.inner.stats.sfence_count.fetch_add(1, Ordering::Relaxed);
         // Move own entries into the reusable scratch under the pending
         // lock; apply after releasing it so a shard lock is never acquired
         // while holding the pending lock. The scratch keeps its capacity,
@@ -958,24 +850,27 @@ impl DeviceHandle {
                 }
             });
         }
-        let target = mine.iter().map(|p| p.accepted_at).max().unwrap_or(0);
-        let now = self.local_now_ns();
-        let stall_ns = target.saturating_sub(now);
-        if target > now {
-            self.dev.inner.stats.fence_stall_ns.fetch_add(target - now, Ordering::Relaxed);
-            self.clock.fetch_max(target, Ordering::Relaxed);
-            self.dev.inner.clock_ns.fetch_max(target, Ordering::Relaxed);
-        }
-        self.local_charge(self.dev.inner.cfg.sfence_base_ns);
-        let flushes = mine.len() as u64;
-        if flushes > 0 {
-            self.dev.inner.wpq_drain_ns.record(stall_ns);
+        let mut report = FenceReport::default();
+        if timed {
+            let target = mine.iter().map(|p| p.accepted_at).max().unwrap_or(0);
+            let now = self.local_now_ns();
+            report =
+                FenceReport { stall_ns: target.saturating_sub(now), flushes: mine.len() as u64 };
+            if target > now {
+                self.dev.inner.stats.fence_stall_ns.fetch_add(target - now, Ordering::Relaxed);
+                self.clock.fetch_max(target, Ordering::Relaxed);
+                self.dev.inner.clock_ns.fetch_max(target, Ordering::Relaxed);
+            }
+            self.local_charge(self.dev.inner.cfg.sfence_base_ns);
+            if report.flushes > 0 {
+                self.dev.inner.wpq_drain_ns.record(report.stall_ns);
+            }
         }
         for p in mine.iter() {
             self.apply_persisted(p.line, &p.snapshot);
         }
         mine.clear();
-        FenceReport { stall_ns, flushes }
+        report
     }
 
     /// Non-temporal store: write + flush in one step (still needs a fence).
@@ -1002,7 +897,8 @@ impl DeviceHandle {
         let mut snapshot = [0u8; CACHE_LINE];
         self.peek_into(line_start(line), &mut snapshot);
         if self.dev.timing_is_on() {
-            let _ = self.dev.wpq_accept(line, self.local_now_ns());
+            let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
+            let _ = self.dev.wpq_accept(&mut w, line, self.local_now_ns());
         }
         self.apply_persisted(line, &snapshot);
     }
@@ -1640,5 +1536,23 @@ mod tests {
         d.set_timing(TimingMode::On);
         h.crash_point(SITE);
         assert!(d.fired());
+    }
+
+    /// Setup helpers flip timing device-wide; a committer caught between
+    /// its `clwb` and its `sfence` must still get its flushes completed.
+    #[test]
+    fn timing_off_fence_still_drains_the_handles_pending_flushes() {
+        let dev = SharedPmemDevice::new(PmemConfig::new(4096));
+        let a = dev.handle();
+        a.write_u64(128, 0xACED);
+        a.clwb(128);
+        dev.set_timing(TimingMode::Off);
+        let fences = dev.stats().sfence_count;
+        let clock = a.local_now_ns();
+        a.sfence();
+        dev.set_timing(TimingMode::On);
+        assert_eq!(dev.capture(CrashPolicy::AllLost).read_u64(128), 0xACED);
+        assert_eq!(dev.stats().sfence_count, fences, "timing-off fences are not counted");
+        assert_eq!(a.local_now_ns(), clock, "timing-off fences are free");
     }
 }

@@ -13,9 +13,9 @@ const POOL_BYTES: usize = 1 << 23;
 
 fn fleet(n: usize) -> (Arc<SpecSpmtShared>, Vec<LockedTxHandle>) {
     let dev = SharedPmemDevice::new(PmemConfig::new(POOL_BYTES));
-    let shared = SpecSpmtShared::new(
+    let shared = SpecSpmtShared::open_or_format(
         SharedPmemPool::create(dev),
-        ConcurrentConfig::default().with_threads(n.max(1)),
+        ConcurrentConfig::builder().threads(n.max(1)).build(),
     );
     let locks = SharedLockTable::new(POOL_BYTES, 64);
     let handles = LockedTxHandle::fleet(&shared, &locks, n);

@@ -38,6 +38,32 @@ if grep -rn 'ConcurrentConfig {' crates src examples tests benches 2>/dev/null \
     exit 1
 fi
 
+# Re-fork guard: the SpecPMT record protocol and the WPQ timing model are
+# each written once. Outside #[cfg(test)], the header seal and the fence
+# telemetry block live in one file of crates/core/src (record.rs only
+# defines the encoder), and the WPQ service-time arithmetic is read in one
+# file of crates/pmem/src (config.rs only defines the field). A second hit
+# means a runtime grew its own copy of the engine again.
+nontest_files_with() { # <fixed string> <dir> <file that only defines it>
+    for f in "$2"/*.rs; do
+        [ "$(basename "$f")" = "$3" ] && continue
+        if awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f" | grep -qF -- "$1"; then
+            echo "$f"
+        fi
+    done
+}
+for probe in 'encode_header_parts(|crates/core/src|record.rs' \
+    'Metric::WpqDrains|crates/core/src|-' \
+    'cfg.line_write_seq_ns|crates/pmem/src|config.rs'; do
+    IFS='|' read -r pat dir defs <<<"$probe"
+    hits=$(nontest_files_with "$pat" "$dir" "$defs")
+    if [ "$(printf '%s\n' "$hits" | grep -c .)" -ne 1 ]; then
+        echo "re-fork guard: '$pat' must appear in exactly one file of $dir, found:" >&2
+        printf '%s\n' "${hits:-(none)}" >&2
+        exit 1
+    fi
+done
+
 # Crash-point enumeration smoke: the FIRST-style harness enumerates every
 # labeled crash site the smoke workloads reach (sequential + 4-thread
 # shared, group commit off and on), crashes at each deterministically, and

@@ -37,7 +37,7 @@ fn run_scenario(
     let threads = cfg.threads;
     let dev = SharedPmemDevice::new(PmemConfig::new(1 << 22));
     let pool = SharedPmemPool::create(dev.clone());
-    let shared = SpecSpmtShared::new(pool, cfg);
+    let shared = SpecSpmtShared::open_or_format(pool, cfg);
 
     let bases: Vec<usize> = (0..threads)
         .map(|_| shared.pool().alloc_direct(REGION_LEN, 64).expect("pool holds all regions"))
@@ -112,7 +112,7 @@ fn sweep_policies(
 fn specpmt_mt_sweep_all_policies() {
     for threads in [2usize, 4] {
         sweep_policies(
-            || ConcurrentConfig::default().with_threads(threads),
+            || ConcurrentConfig::builder().threads(threads).build(),
             &[3, 17, 41, 97, 211, 4001],
             &[CrashPolicy::AllLost, CrashPolicy::AllSurvive, CrashPolicy::Random(0x5eed)],
             7,
@@ -126,7 +126,7 @@ fn specpmt_mt_sweep_all_policies() {
 fn specpmt_dp_mt_sweep_all_policies() {
     for threads in [2usize, 4] {
         sweep_policies(
-            || ConcurrentConfig::default().dp().with_threads(threads),
+            || ConcurrentConfig::builder().data_persistence(true).threads(threads).build(),
             &[5, 23, 61, 131, 3001],
             &[CrashPolicy::AllLost, CrashPolicy::AllSurvive, CrashPolicy::Random(0xd9)],
             13,
@@ -213,7 +213,8 @@ fn splitmix(state: &mut u64) -> u64 {
 fn run_racing_writers(threads: usize, crash_after: u64, seed: u64) -> bool {
     let dev = SharedPmemDevice::new(PmemConfig::new(1 << 22));
     let pool = SharedPmemPool::create(dev.clone());
-    let shared = SpecSpmtShared::new(pool, ConcurrentConfig::default().with_threads(threads));
+    let shared =
+        SpecSpmtShared::open_or_format(pool, ConcurrentConfig::builder().threads(threads).build());
     let base = shared.pool().alloc_direct(SLOTS * SLOT_BYTES, 64).expect("region fits");
     // 64-byte stripes over 16-byte slots: four slots share each stripe, so
     // even threads aiming at different slots collide on lock stripes.
@@ -332,7 +333,10 @@ fn nested_begin_message_is_identical_across_runtimes() {
     });
     let handle = panic_message(|| {
         let dev = SharedPmemDevice::new(PmemConfig::new(1 << 20));
-        let shared = SpecSpmtShared::new(SharedPmemPool::create(dev), ConcurrentConfig::default());
+        let shared = SpecSpmtShared::open_or_format(
+            SharedPmemPool::create(dev),
+            ConcurrentConfig::default(),
+        );
         let mut h = shared.tx_handle(0);
         h.begin();
         h.begin();
@@ -346,7 +350,7 @@ fn full_streams_commit_when_crash_never_fires() {
     // Fuel far beyond the stream length: every transaction must commit and
     // survive an adversarial post-shutdown AllLost image.
     let out = run_scenario(
-        ConcurrentConfig::default().with_threads(4),
+        ConcurrentConfig::builder().threads(4).build(),
         CrashPlan::after_ops(u64::MAX / 2).with_policy(CrashPolicy::AllLost),
         99,
         None,
@@ -365,7 +369,8 @@ fn full_streams_commit_when_crash_never_fires() {
 fn reclaim_watermarks_skip_idle_chains() {
     let dev = SharedPmemDevice::new(PmemConfig::new(1 << 22));
     let pool = SharedPmemPool::create(dev);
-    let shared = SpecSpmtShared::new(pool, ConcurrentConfig::default().with_threads(2));
+    let shared =
+        SpecSpmtShared::open_or_format(pool, ConcurrentConfig::builder().threads(2).build());
     let a = shared.pool().alloc_direct(32, 8).unwrap();
     let mut churn = shared.tx_handle(0);
     let mut quiet = shared.tx_handle(1);

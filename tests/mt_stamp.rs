@@ -17,9 +17,9 @@ fn every_workload_completes_at_one_two_four_eight_threads() {
     for app in StampApp::all() {
         for threads in [1usize, 2, 4, 8] {
             let dev = SharedPmemDevice::new(PmemConfig::new(POOL_BYTES));
-            let shared = SpecSpmtShared::new(
+            let shared = SpecSpmtShared::open_or_format(
                 SharedPmemPool::create(dev),
-                ConcurrentConfig::default().with_threads(threads),
+                ConcurrentConfig::builder().threads(threads).build(),
             );
             let locks = SharedLockTable::new(POOL_BYTES, 64);
             let mut handles = LockedTxHandle::fleet(&shared, &locks, threads);
@@ -43,9 +43,9 @@ fn sixteen_thread_fleet_runs_past_the_legacy_cap() {
     const THREADS: usize = 16;
     for app in [StampApp::Intruder, StampApp::Ssca2, StampApp::KmeansLow] {
         let dev = SharedPmemDevice::new(PmemConfig::new(POOL_BYTES));
-        let shared = SpecSpmtShared::new(
+        let shared = SpecSpmtShared::open_or_format(
             SharedPmemPool::create(dev),
-            ConcurrentConfig::default().with_threads(THREADS),
+            ConcurrentConfig::builder().threads(THREADS).build(),
         );
         let locks = SharedLockTable::new(POOL_BYTES, 64);
         let mut handles = LockedTxHandle::fleet(&shared, &locks, THREADS);

@@ -220,11 +220,11 @@ fn concurrent_crash_atomicity_random() {
 
         let dev = SharedPmemDevice::new(PmemConfig::new(1 << 21));
         let pool = SharedPmemPool::create(dev.clone());
-        let mut cfg = ConcurrentConfig::default().with_threads(threads);
+        let mut cfg = ConcurrentConfig::builder().threads(threads).build();
         if dp {
             cfg = cfg.dp();
         }
-        let shared = SpecSpmtShared::new(pool, cfg);
+        let shared = SpecSpmtShared::open_or_format(pool, cfg);
         let region_len = 192;
         let bases: Vec<usize> =
             (0..threads).map(|_| shared.pool().alloc_direct(region_len, 64).unwrap()).collect();

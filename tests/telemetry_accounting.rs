@@ -82,7 +82,7 @@ fn commit_subphase_sums_fit_inside_envelope() {
 fn shared_commit_subphase_sums_fit_inside_envelope() {
     let dev = SharedPmemDevice::new(PmemConfig::new(1 << 20));
     let pool = SharedPmemPool::create(dev);
-    let shared = SpecSpmtShared::new(pool, ConcurrentConfig::default());
+    let shared = SpecSpmtShared::open_or_format(pool, ConcurrentConfig::default());
     shared.telemetry().set_enabled(true);
     shared.telemetry().set_tracing(true);
     let base = shared.pool().alloc_direct(4096, 64).unwrap();

@@ -99,7 +99,7 @@ fn shared_commit_is_zero_alloc_with_telemetry_off() {
     let _guard = serial();
     let dev = SharedPmemDevice::new(PmemConfig::new(4 << 20));
     let pool = SharedPmemPool::create(dev);
-    let shared = SpecSpmtShared::new(pool, ConcurrentConfig::default());
+    let shared = SpecSpmtShared::open_or_format(pool, ConcurrentConfig::default());
     let base = shared.pool().alloc_direct(64 * 1024, 64).unwrap();
     let mut h = shared.tx_handle(0);
     assert!(!shared.telemetry().registry.enabled(), "telemetry must default off");
