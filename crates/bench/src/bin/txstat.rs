@@ -2,8 +2,9 @@
 //! shared SpecSPMT runtimes — the profiling companion to the ROADMAP
 //! question "why is the shared-runtime commit ~4x the sequential one?".
 //!
-//! For each runtime and thread count (1, 8, 16) the binary runs a fixed
-//! write workload — the `commit_path` bench's transaction shape: eight
+//! For the sequential runtime (one chain, one row) and for the shared
+//! runtime at each thread count (1, 8, 16) the binary runs a fixed write
+//! workload — the `commit_path` bench's transaction shape: eight
 //! scattered 16-byte updates in a 64 KiB region — with the metrics
 //! registry **enabled** and prints one JSON line carrying the merged
 //! counters, the per-phase latency summaries (count / mean / p50 / p90 /
@@ -74,12 +75,12 @@ fn series_fragment(series: &Series) -> String {
     s[1..s.len() - 1].to_string()
 }
 
-/// Runs the sequential runtime (`threads` round-robin slots on one OS
-/// thread) with telemetry enabled and prints its per-phase line.
-fn seq_point(threads: usize, txs: u64) {
+/// Runs the sequential runtime with telemetry enabled and prints its
+/// per-phase line.
+fn seq_point(txs: u64) {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
     let base = pool.alloc_direct(REGION, 64).unwrap();
-    let cfg = SpecConfig { threads, reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
+    let cfg = SpecConfig { reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
     let mut rt = SpecSpmt::new(pool, cfg);
     rt.telemetry().set_enabled(true);
     // Live export: one interval snapshot every eighth of the run
@@ -89,7 +90,6 @@ fn seq_point(threads: usize, txs: u64) {
     let sample_every = (txs / 8).max(1);
     let t0 = Instant::now();
     for round in 0..txs {
-        rt.set_thread((round % threads as u64) as usize);
         rt.begin();
         tx_body(&mut rt, base, round);
         rt.commit();
@@ -106,7 +106,7 @@ fn seq_point(threads: usize, txs: u64) {
     tel.registry.emit(&mut w);
     w.end_object();
     println!(
-        "{{\"bench\":\"txstat\",\"runtime\":\"seq\",\"threads\":{threads},\
+        "{{\"bench\":\"txstat\",\"runtime\":\"seq\",\"threads\":1,\
          \"commits\":{},\"commit_ns_avg\":{:.1},\"commit_sim_ns_avg\":{:.1},\
          \"commit_sim_amortized_ns_avg\":{:.1},{},\
          \"telemetry\":{}}}",
@@ -325,8 +325,8 @@ fn main() {
         return;
     }
 
+    seq_point(txs);
     for &threads in &[1usize, 8, 16] {
-        seq_point(threads, txs * threads as u64);
         shared_point(&point(threads, false));
         shared_point(&point(threads, true));
     }

@@ -1738,6 +1738,24 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_handles_recover_in_commit_order() {
+        // Two chains stepped from one thread: the global timestamp, not
+        // the chain index, decides which commit is youngest.
+        let s = shared(ConcurrentConfig::builder().threads(2).build());
+        let a = alloc_region(&s, 64);
+        let mut handles = [s.tx_handle(0), s.tx_handle(1)];
+        for (tid, v) in [(0, 10), (1, 20), (0, 30)] {
+            let h = &mut handles[tid];
+            h.begin();
+            h.write_u64(a, v);
+            h.commit();
+        }
+        let mut img = s.device().capture(CrashPolicy::AllLost);
+        SpecSpmtShared::recover(&mut img);
+        assert_eq!(img.read_u64(a), 30, "youngest commit wins across chains");
+    }
+
+    #[test]
     fn reclaim_skips_chain_with_open_tx() {
         let s = shared(ConcurrentConfig::builder().threads(2).build());
         let a = alloc_region(&s, 64);
@@ -2156,6 +2174,12 @@ mod tests {
         let mut h = s.tx_handle(0);
         h.begin();
         h.begin();
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range (1..=4096)")]
+    fn thread_count_past_layout_max_panics_with_actual_max() {
+        let _ = shared(ConcurrentConfig::builder().threads(PoolLayout::MAX_THREADS + 1).build());
     }
 
     #[test]

@@ -267,25 +267,34 @@ pub fn inspect_image(image: &CrashImage) -> InspectReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SpecConfig, SpecSpmt};
+    use crate::{ConcurrentConfig, SpecConfig, SpecSpmt, SpecSpmtShared};
     use specpmt_pmem::CrashControl;
     use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice, PmemPool};
     use specpmt_txn::{TxAccess, TxRuntime};
 
-    #[test]
-    fn inspect_reports_committed_records() {
-        let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
-        let mut rt = SpecSpmt::new(pool, SpecConfig { threads: 2, ..SpecConfig::default() });
-        let a = rt.pool_mut().alloc_direct(64, 64).unwrap();
-        for tid in 0..2 {
-            rt.set_thread(tid);
-            for v in 0..5u64 {
-                rt.begin();
-                rt.write_u64(a, v);
-                rt.commit();
+    /// An image of `chains` log chains, chain `t` holding `per_chain`
+    /// committed overwrites of word `t * stride` — written by one
+    /// `TxHandle` per chain, stepped chain after chain from this thread.
+    fn chains_image(chains: usize, per_chain: u64, stride: usize) -> CrashImage {
+        let shared = SpecSpmtShared::open_or_format(
+            1usize << 22,
+            ConcurrentConfig::builder().threads(chains).build(),
+        );
+        let a = shared.pool().alloc_direct(64 + chains * stride, 64).unwrap();
+        for tid in 0..chains {
+            let mut h = shared.tx_handle(tid);
+            for v in 0..per_chain {
+                h.begin();
+                h.write_u64(a + tid * stride, v);
+                h.commit();
             }
         }
-        let img = rt.pool().device().capture(CrashPolicy::AllSurvive);
+        shared.device().capture(CrashPolicy::AllSurvive)
+    }
+
+    #[test]
+    fn inspect_reports_committed_records() {
+        let img = chains_image(2, 5, 0);
         let report = inspect_image(&img);
         assert!(report.valid_pool);
         assert!(report.dynamic_layout);
@@ -309,16 +318,7 @@ mod tests {
 
     #[test]
     fn inspect_sees_all_chains_past_legacy_cap() {
-        let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));
-        let mut rt = SpecSpmt::new(pool, SpecConfig { threads: 17, ..SpecConfig::default() });
-        let a = rt.pool_mut().alloc_direct(17 * 8, 64).unwrap();
-        for tid in 0..17 {
-            rt.set_thread(tid);
-            rt.begin();
-            rt.write_u64(a + tid * 8, tid as u64);
-            rt.commit();
-        }
-        let img = rt.pool().device().capture(CrashPolicy::AllSurvive);
+        let img = chains_image(17, 1, 8);
         let report = inspect_image(&img);
         assert_eq!(report.threads, 17);
         assert_eq!(report.chains.len(), 17);
@@ -328,18 +328,7 @@ mod tests {
 
     #[test]
     fn inspect_json_mirrors_display_totals() {
-        let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
-        let mut rt = SpecSpmt::new(pool, SpecConfig { threads: 2, ..SpecConfig::default() });
-        let a = rt.pool_mut().alloc_direct(64, 64).unwrap();
-        for tid in 0..2 {
-            rt.set_thread(tid);
-            for v in 0..5u64 {
-                rt.begin();
-                rt.write_u64(a, v);
-                rt.commit();
-            }
-        }
-        let img = rt.pool().device().capture(CrashPolicy::AllSurvive);
+        let img = chains_image(2, 5, 0);
         let report = inspect_image(&img);
         let j = report.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");

@@ -14,15 +14,19 @@
 //!   The checksum doubles as the commit flag (a torn record fails
 //!   validation and is treated as uncommitted), eliminating the dedicated
 //!   commit-status write and fence.
-//! * [`SpecSpmt`] — the runtime: per-thread append-only log areas,
-//!   write-set indexing that dedups repeated updates inside a transaction,
-//!   transactional allocation, and the `SpecSPMT-DP` variant
+//! * [`SpecSpmt`] — the runtime as one handle over one append-only log
+//!   area: write-set indexing that dedups repeated updates inside a
+//!   transaction, transactional allocation, and the `SpecSPMT-DP` variant
 //!   ([`SpecConfig::data_persistence`]) that additionally persists data at
 //!   commit, used by the paper to isolate where the speedup comes from.
 //!   Its record protocol (reserve, stage, seal, one flush + one fence) is
-//!   one private engine over [`record::LogStore`], which
-//!   [`concurrent::TxHandle`] — a real OS thread of [`SpecSpmtShared`] —
-//!   instantiates too.
+//!   one private engine over [`record::LogStore`].
+//! * [`SpecSpmtShared`] + [`concurrent::TxHandle`] — the paper's
+//!   multi-threaded design: every thread owns a log area of one shared
+//!   pool and instantiates the same engine. N chains are always N
+//!   handles, whether real OS threads drive them or one thread steps them
+//!   in a loop (which is how deterministic multi-chain histories are
+//!   built).
 //! * [`recovery`] — post-crash repair: discard uncommitted records
 //!   (checksum mismatch), then replay every valid record across all
 //!   threads in commit-timestamp order (undoing interrupted transactions

@@ -71,8 +71,10 @@ impl FreshnessIndex {
     /// one, so freshness decisions never rely on vanished data.
     pub fn insert_record(&mut self, rec: &LogRecord) {
         for e in &rec.entries {
+            // Wrapping: `inspect` indexes crash images, whose entries can
+            // carry any address.
             for i in 0..e.value.len() {
-                let slot = self.newest.entry(e.addr + i).or_insert(0);
+                let slot = self.newest.entry(e.addr.wrapping_add(i)).or_insert(0);
                 if rec.ts > *slot {
                     *slot = rec.ts;
                 }
@@ -88,7 +90,8 @@ impl FreshnessIndex {
     /// Whether `entry` at commit time `ts` is fresh: at least one of its
     /// bytes has no younger committed record.
     pub fn is_fresh(&self, ts: u64, entry: &LogEntry) -> bool {
-        (0..entry.value.len()).any(|i| self.newest.get(&(entry.addr + i)).is_none_or(|&n| n <= ts))
+        (0..entry.value.len())
+            .any(|i| self.newest.get(&entry.addr.wrapping_add(i)).is_none_or(|&n| n <= ts))
     }
 
     /// Filters a record down to its fresh entries, preserving order.

@@ -38,6 +38,13 @@ pub const ENTRY_HDR: usize = 12;
 /// corruption during parsing.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 24;
 
+/// Whether `[addr, addr + len)` lies inside a `size`-byte source. A
+/// checksum-valid entry can still carry any 64-bit address, so the sum
+/// must not be allowed to wrap.
+pub(crate) fn in_bounds(addr: usize, len: usize, size: usize) -> bool {
+    addr.checked_add(len).is_some_and(|end| end <= size)
+}
+
 /// Something log bytes can be read from: a live device or a crash image.
 pub trait ByteSource {
     /// Reads `buf.len()` bytes at `addr`; returns `false` (leaving `buf`
@@ -50,7 +57,7 @@ pub trait ByteSource {
 impl ByteSource for CrashImage {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
         let bytes = self.as_bytes();
-        if addr + buf.len() > bytes.len() {
+        if !in_bounds(addr, buf.len(), bytes.len()) {
             return false;
         }
         buf.copy_from_slice(&bytes[addr..addr + buf.len()]);
@@ -64,7 +71,7 @@ impl ByteSource for CrashImage {
 
 impl ByteSource for PmemDevice {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
-        if addr + buf.len() > self.size() {
+        if !in_bounds(addr, buf.len(), self.size()) {
             return false;
         }
         // `peek` returns a borrowed slice of the device image: a single
@@ -80,7 +87,7 @@ impl ByteSource for PmemDevice {
 
 impl ByteSource for DeviceHandle {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
-        if addr + buf.len() > self.size() {
+        if !in_bounds(addr, buf.len(), self.size()) {
             return false;
         }
         // `peek_into` copies straight from the (sharded) device image into

@@ -53,7 +53,9 @@ use specpmt_telemetry::blackbox::{
 use specpmt_telemetry::{JsonWriter, StatExport};
 
 use crate::layout::PoolLayout;
-use crate::record::{parse_chain, parse_checkpoint, CheckpointRecord, LogRecord, REC_HDR};
+use crate::record::{
+    in_bounds, parse_chain, parse_checkpoint, CheckpointRecord, LogRecord, REC_HDR,
+};
 
 /// Parses every thread's committed records from a crash image.
 ///
@@ -96,7 +98,7 @@ pub fn recover_image(image: &mut CrashImage) {
     let records = committed_records(image);
     for rec in &records {
         for e in &rec.entries {
-            if e.addr + e.value.len() <= image.len() {
+            if in_bounds(e.addr, e.value.len(), image.len()) {
                 image.write_bytes(e.addr, &e.value);
             }
         }
@@ -387,7 +389,7 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
         let e = match item {
             ReplayItem::Ckpt(e) | ReplayItem::Entry(e) => e,
         };
-        if e.value.is_empty() || e.addr + e.value.len() > image.len() {
+        if e.value.is_empty() || !in_bounds(e.addr, e.value.len(), image.len()) {
             continue;
         }
         // Claim-and-write per byte; runs of unclaimed bytes are written in

@@ -10,15 +10,18 @@ use crate::reclaim::{ReclaimState, ReclaimStats};
 use crate::record::{LogArea, PoolStore, ENTRY_HDR, REC_HDR};
 use crate::recovery;
 
-/// The sequential runtime's commit crash sites, on `tid`'s telemetry shard.
-fn probe(tel: &Telemetry, tid: usize) -> Probe<'_> {
+/// The runtime's one chain slot and telemetry shard.
+const TID: usize = 0;
+
+/// The sequential runtime's commit crash sites.
+fn probe(tel: &Telemetry) -> Probe<'_> {
     Probe {
         seal: Some("seq/commit/seal"),
         append: "seq/commit/append",
         flush: "seq/commit/flush",
         fence: "seq/commit/fence",
         tel,
-        tid,
+        tid: TID,
     }
 }
 
@@ -50,12 +53,9 @@ pub struct SpecConfig {
     pub data_persistence: bool,
     /// Reclamation mode.
     pub reclaim_mode: ReclaimMode,
-    /// Log footprint (bytes, across all threads) that triggers reclamation
-    /// at commit / `maintain` time.
+    /// Log footprint in bytes that triggers reclamation at commit /
+    /// `maintain` time.
     pub reclaim_threshold_bytes: usize,
-    /// Number of logical threads (1..=[`PoolLayout::MAX_THREADS`]), each
-    /// with its own log chain. Use [`SpecSpmt::set_thread`] to switch.
-    pub threads: usize,
 }
 
 impl Default for SpecConfig {
@@ -65,7 +65,6 @@ impl Default for SpecConfig {
             data_persistence: false,
             reclaim_mode: ReclaimMode::Background,
             reclaim_threshold_bytes: 1 << 20,
-            threads: 1,
         }
     }
 }
@@ -79,15 +78,10 @@ impl SpecConfig {
     }
 }
 
-#[derive(Debug)]
-struct ThreadState {
-    area: LogArea,
-    in_tx: bool,
-    /// The open transaction's record, write set and flush plan.
-    log: TxLog,
-}
-
-/// Software SpecPMT: the speculative-logging transaction runtime.
+/// Software SpecPMT: the speculative-logging transaction runtime, as one
+/// handle over one log chain. Pools shared by several threads — real or
+/// stepped round-robin from one — are [`crate::SpecSpmtShared`] with one
+/// [`crate::TxHandle`] per chain.
 ///
 /// See the crate-level docs for the design; see [`SpecConfig`] for the
 /// variants (`SpecSPMT` vs `SpecSPMT-DP`, background vs inline
@@ -97,8 +91,10 @@ pub struct SpecSpmt {
     pool: PmemPool,
     cfg: SpecConfig,
     layout: PoolLayout,
-    threads: Vec<ThreadState>,
-    cur: usize,
+    area: LogArea,
+    in_tx: bool,
+    /// The open transaction's record, write set and flush plan.
+    log: TxLog,
     ts_counter: u64,
     free_blocks: Vec<usize>,
     stats: TxStats,
@@ -111,9 +107,9 @@ pub struct SpecSpmt {
 }
 
 impl SpecSpmt {
-    /// Creates the runtime over `pool`, formatting fresh (empty) log chains
-    /// for each configured thread. Construction runs with device timing
-    /// disabled (it is setup, not measured execution).
+    /// Creates the runtime over `pool`, formatting a fresh (empty) log
+    /// chain. Construction runs with device timing disabled (it is setup,
+    /// not measured execution).
     ///
     /// Calling this on a pool that held earlier SpecPMT state resets the
     /// log; use it only on fresh pools or after [`SpecSpmt::recover`] has
@@ -121,53 +117,40 @@ impl SpecSpmt {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.threads` is 0 or exceeds
-    /// [`PoolLayout::MAX_THREADS`], or if the block size is out of range.
+    /// Panics if the block size is out of range.
     pub fn new(mut pool: PmemPool, cfg: SpecConfig) -> Self {
-        assert!(
-            (1..=PoolLayout::MAX_THREADS).contains(&cfg.threads),
-            "thread count {} out of range (1..={})",
-            cfg.threads,
-            PoolLayout::MAX_THREADS
-        );
         let prev = pool.device().timing();
         pool.device_mut().set_timing(TimingMode::Off);
-        let layout = PoolLayout::format(&mut pool, cfg.threads, cfg.block_bytes);
+        let layout = PoolLayout::format(&mut pool, 1, cfg.block_bytes);
         let mut free_blocks = Vec::new();
-        let mut threads = Vec::with_capacity(cfg.threads);
-        for tid in 0..cfg.threads {
-            let mut dirty = Vec::new();
-            let area = LogArea::create(
-                &mut PoolStore::new(&mut pool, &mut free_blocks),
-                cfg.block_bytes,
-                &mut dirty,
-            );
-            layout.set_head(&mut pool, tid, area.head() as u64);
-            let log = TxLog::new(cfg.data_persistence);
-            threads.push(ThreadState { area, in_tx: false, log });
-        }
+        let area = LogArea::create(
+            &mut PoolStore::new(&mut pool, &mut free_blocks),
+            cfg.block_bytes,
+            &mut Vec::new(),
+        );
+        layout.set_head(&mut pool, TID, area.head() as u64);
         pool.device_mut().flush_everything();
         pool.device_mut().set_timing(prev);
-        let tel = Telemetry::new(cfg.threads);
+        let log = TxLog::new(cfg.data_persistence);
         Self {
             pool,
             cfg,
             layout,
-            threads,
-            cur: 0,
+            area,
+            in_tx: false,
+            log,
             ts_counter: 1,
             free_blocks,
             stats: TxStats::default(),
             reclaim: ReclaimState::default(),
-            tel,
+            tel: Telemetry::new(1),
         }
     }
 
-    /// The runtime's telemetry bundle: per-thread counters, commit-phase
-    /// latency histograms, and the lifecycle event tracer. Disabled by
-    /// default (enable with [`Telemetry::set_enabled`] /
-    /// [`Telemetry::set_tracing`] or the `SPECPMT_TELEMETRY` /
-    /// `SPECPMT_TRACE` environment toggles).
+    /// The runtime's telemetry bundle: counters, commit-phase latency
+    /// histograms, and the lifecycle event tracer. Disabled by default
+    /// (enable with [`Telemetry::set_enabled`] / [`Telemetry::set_tracing`]
+    /// or the `SPECPMT_TELEMETRY` / `SPECPMT_TRACE` environment toggles).
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -178,39 +161,9 @@ impl SpecSpmt {
         self.reclaim.stats
     }
 
-    /// The persisted pool layout this runtime formatted.
-    pub fn layout(&self) -> PoolLayout {
-        self.layout
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SpecConfig {
-        &self.cfg
-    }
-
-    /// Selects the logical thread subsequent operations act on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` is out of range.
-    pub fn set_thread(&mut self, tid: usize) {
-        assert!(tid < self.threads.len(), "thread {tid} out of range");
-        self.cur = tid;
-    }
-
-    /// The currently selected logical thread.
-    pub fn current_thread(&self) -> usize {
-        self.cur
-    }
-
-    /// Number of logical threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Total PM bytes currently occupied by log chains.
+    /// Total PM bytes currently occupied by the log chain.
     pub fn log_footprint(&self) -> usize {
-        self.threads.iter().map(|t| t.area.footprint()).sum()
+        self.area.footprint()
     }
 
     fn refresh_log_stats(&mut self) {
@@ -219,91 +172,74 @@ impl SpecSpmt {
     }
 
     /// Explicitly runs a log-reclamation cycle (the paper's explicit API).
-    /// No-op while any thread has an open *record* (a transaction that has
-    /// written; one that has only read pins nothing) or when reclamation is
+    /// No-op while the open transaction holds a *record* (it has written;
+    /// one that has only read pins nothing) or when reclamation is
     /// disabled.
     ///
-    /// Cycles are incremental (see [`crate::reclaim`]): chains whose
-    /// `(head, generation)` watermark has not moved are not re-parsed, the
+    /// Cycles are incremental (see [`crate::reclaim`]): a chain whose
+    /// `(head, generation)` watermark has not moved is not re-parsed, the
     /// freshness index persists across cycles and is only fed newly parsed
-    /// records, and a chain whose compaction drops nothing is not
-    /// rewritten. A cycle in which no chain changed does no PM work at
-    /// all.
+    /// records, and a compaction that drops nothing does not rewrite. A
+    /// cycle in which the chain did not change does no PM work at all.
     pub fn reclaim_now(&mut self) {
-        if self.cfg.reclaim_mode == ReclaimMode::Disabled {
-            return;
-        }
-        if self.threads.iter().any(|t| t.log.reserved()) {
+        if self.cfg.reclaim_mode == ReclaimMode::Disabled || self.log.reserved() {
             return;
         }
         let block_bytes = self.cfg.block_bytes;
-        self.reclaim.begin_cycle(self.threads.len(), self.pool.device().now_ns());
+        self.reclaim.begin_cycle(1, self.pool.device().now_ns());
 
-        // Phase 1: scan — re-parse only the chains whose watermark moved.
-        let mut any_changed = false;
-        for (tid, t) in self.threads.iter().enumerate() {
-            if self.reclaim.scan_chain(self.pool.device(), tid, &t.area, block_bytes) {
-                any_changed = true;
-            } else {
-                self.reclaim.stats.chains_skipped += 1;
-            }
-        }
-        if !any_changed {
+        // Scan: re-parse the chain only if its watermark moved.
+        if !self.reclaim.scan_chain(self.pool.device(), TID, &self.area, block_bytes) {
+            self.reclaim.stats.chains_skipped += 1;
             self.reclaim.stats.noop_cycles += 1;
-            self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, self.cur);
+            self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, TID);
             return;
         }
 
-        // Phase 2: compact — rewrite only the chains whose compaction
-        // drops at least one entry.
-        let mut all_dirty = Vec::new();
-        let mut rewrites = Vec::new();
-        let mut store = PoolStore::new(&mut self.pool, &mut self.free_blocks);
-        for tid in 0..self.threads.len() {
-            let rewrite = self.reclaim.rewrite_chain(&mut store, tid, block_bytes, &mut all_dirty);
-            rewrites.extend(rewrite.map(|rw| (tid, rw)));
-        }
+        // Compact: rewrite only if that drops at least one entry.
+        let mut dirty = Vec::new();
+        let rewrite = self.reclaim.rewrite_chain(
+            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
+            TID,
+            block_bytes,
+            &mut dirty,
+        );
 
-        // Persist the new chains before any head pointer moves (fence 1),
-        // then atomically swap the 8-byte head pointers (fence 2). A crash
-        // between swaps leaves a mix of old and new chains — both parse to
-        // the same committed state. In background mode the reclamator core
-        // issues these as background writes: they contend for the WPQ but
-        // do not stall the application thread.
+        // Persist the new chain before the head pointer moves (fence 1),
+        // then atomically swap the 8-byte head pointer (fence 2): a crash
+        // sees the old chain or the new one, and both parse to the same
+        // committed state. In background mode the reclamator core issues
+        // these as background writes: they contend for the WPQ but do not
+        // stall the application thread.
         let background = self.cfg.reclaim_mode == ReclaimMode::Background;
-        let spliced = !rewrites.is_empty();
-        if spliced {
+        if let Some((area, kept, dropped)) = rewrite {
             self.pool.device().crash_point("seq/reclaim/pre_fence");
             if background {
-                for &(addr, len) in &all_dirty {
+                for &(addr, len) in &dirty {
                     self.pool.device_mut().background_range_write(addr, len);
                 }
             } else {
-                self.pool.device_mut().clwb_ranges(&all_dirty);
+                self.pool.device_mut().clwb_ranges(&dirty);
                 self.pool.device_mut().sfence();
             }
             self.pool.device().crash_point("seq/reclaim/fence");
-        }
-        let layout = self.layout;
-        for (tid, (area, kept, dropped)) in rewrites {
-            let addr = layout.head_addr(tid);
+            let layout = self.layout;
             if background {
+                let addr = layout.head_addr(TID);
                 self.pool.device_mut().write_u64(addr, area.head() as u64);
                 self.pool.device_mut().background_line_write(addr);
             } else {
-                layout.set_head(&mut self.pool, tid, area.head() as u64);
+                layout.set_head(&mut self.pool, TID, area.head() as u64);
             }
-            self.reclaim.spliced(tid, &area, kept);
+            self.reclaim.spliced(TID, &area, kept);
             self.stats.records_reclaimed += dropped;
-            let old = std::mem::replace(&mut self.threads[tid].area, area);
+            let old = std::mem::replace(&mut self.area, area);
             self.free_blocks.extend(old.into_blocks());
-        }
-        if spliced {
             self.pool.device().crash_point("seq/reclaim/splice");
         }
 
         self.refresh_log_stats();
-        let cycle_ns = self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, self.cur);
+        let cycle_ns = self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, TID);
         if background {
             self.stats.background_ns += cycle_ns;
         }
@@ -318,7 +254,7 @@ impl SpecSpmt {
     ///
     /// # Panics
     ///
-    /// Panics if a transaction is open on the current thread.
+    /// Panics if a transaction is open.
     pub fn snapshot_external(&mut self, addr: usize, len: usize) {
         assert!(!self.in_tx(), "snapshot_external inside a transaction");
         let mut remaining = len;
@@ -338,32 +274,30 @@ impl SpecSpmt {
 
     /// Switches out of speculative logging (Section 4.3.1): flushes all
     /// dirty durable data so the log is no longer needed for recovery, then
-    /// truncates the log chains. After this another crash-consistency
+    /// truncates the log chain. After this another crash-consistency
     /// mechanism may own the pool.
     ///
     /// # Panics
     ///
     /// Panics if a transaction is open.
     pub fn switch_out(&mut self) {
-        assert!(!self.threads.iter().any(|t| t.in_tx), "switch_out inside a transaction");
+        assert!(!self.in_tx, "switch_out inside a transaction");
         // The paper's whole-cache flush (`wbnoinvd`) equivalent.
         self.pool.device_mut().flush_everything();
-        for tid in 0..self.threads.len() {
-            let mut dirty = Vec::new();
-            let area = LogArea::create(
-                &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-                self.cfg.block_bytes,
-                &mut dirty,
-            );
-            self.pool.device_mut().clwb_ranges(&dirty);
-            self.pool.device_mut().sfence();
-            let layout = self.layout;
-            layout.set_head(&mut self.pool, tid, area.head() as u64);
-            let old = std::mem::replace(&mut self.threads[tid].area, area);
-            self.free_blocks.extend(old.into_blocks());
-        }
-        // The log was truncated: cached parses and the freshness index no
-        // longer describe any live chain.
+        let mut dirty = Vec::new();
+        let area = LogArea::create(
+            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
+            self.cfg.block_bytes,
+            &mut dirty,
+        );
+        self.pool.device_mut().clwb_ranges(&dirty);
+        self.pool.device_mut().sfence();
+        let layout = self.layout;
+        layout.set_head(&mut self.pool, TID, area.head() as u64);
+        let old = std::mem::replace(&mut self.area, area);
+        self.free_blocks.extend(old.into_blocks());
+        // The log was truncated: the cached parse and the freshness index
+        // no longer describe the live chain.
         self.reclaim.reset();
         self.refresh_log_stats();
     }
@@ -371,36 +305,32 @@ impl SpecSpmt {
 
 impl TxAccess for SpecSpmt {
     fn begin(&mut self) {
-        let tid = self.cur;
-        assert!(!self.threads[tid].in_tx, "nested transaction on thread {tid}");
+        assert!(!self.in_tx, "nested transaction on thread 0");
         self.stats.tx_begun += 1;
-        self.tel.registry.add(tid, Metric::Begins, 1);
-        self.tel.tracer.record(tid, EventKind::Begin, self.stats.tx_begun, 0);
+        self.tel.registry.add(TID, Metric::Begins, 1);
+        self.tel.tracer.record(TID, EventKind::Begin, self.stats.tx_begun, 0);
         // Volatile only: the log is not touched until the first write
         // reserves the record header.
-        let t = &mut self.threads[tid];
-        t.log.begin();
-        t.in_tx = true;
+        self.log.begin();
+        self.in_tx = true;
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
-        let tid = self.cur;
-        assert!(self.threads[tid].in_tx, "write outside transaction");
-        let Self { pool, free_blocks, threads, stats, tel, .. } = self;
-        let t = &mut threads[tid];
+        assert!(self.in_tx, "write outside transaction");
+        let Self { pool, free_blocks, area, log, stats, tel, .. } = self;
         let mut store = PoolStore::new(pool, free_blocks);
-        if !t.log.reserved() {
-            t.log.reserve(&mut store, &mut t.area);
+        if !log.reserved() {
+            log.reserve(&mut store, area);
         }
         // Write-set build phase: everything staged between begin and seal
         // (in-place store + log staging + dedup bookkeeping).
-        let _ws_span = tel.registry.span(tid, Phase::Writeset);
-        tel.tracer.record(tid, EventKind::Stage, addr as u64, data.len() as u64);
+        let _ws_span = tel.registry.span(TID, Phase::Writeset);
+        tel.tracer.record(TID, EventKind::Stage, addr as u64, data.len() as u64);
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
-        if t.log.stage(&mut store, &mut t.area, addr, data) {
+        if log.stage(&mut store, area, addr, data) {
             stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
-            tel.registry.add(tid, Metric::LogEntries, 1);
+            tel.registry.add(TID, Metric::LogEntries, 1);
         }
     }
 
@@ -410,50 +340,48 @@ impl TxAccess for SpecSpmt {
     }
 
     fn commit(&mut self) {
-        let tid = self.cur;
-        assert!(self.threads[tid].in_tx, "commit outside transaction");
-        if !self.threads[tid].log.reserved() {
+        assert!(self.in_tx, "commit outside transaction");
+        if !self.log.reserved() {
             // Write-free: no record was reserved, so there is nothing to
             // seal, flush or fence — and no zero-length header to strand
             // the chain's younger records behind.
-            self.threads[tid].in_tx = false;
+            self.in_tx = false;
             self.stats.tx_committed += 1;
             self.stats.write_free_commits += 1;
-            self.tel.registry.add(tid, Metric::Commits, 1);
-            self.tel.registry.add(tid, Metric::WriteFreeCommits, 1);
-            self.tel.tracer.record(tid, EventKind::Commit, self.ts_counter, 0);
+            self.tel.registry.add(TID, Metric::Commits, 1);
+            self.tel.registry.add(TID, Metric::WriteFreeCommits, 1);
+            self.tel.tracer.record(TID, EventKind::Commit, self.ts_counter, 0);
             return;
         }
         let ts = self.ts_counter;
         self.ts_counter += 1;
 
-        let Self { pool, free_blocks, threads, stats, tel, .. } = self;
-        let t = &mut threads[tid];
-        let commit_span = tel.registry.span(tid, Phase::Commit);
+        let Self { pool, free_blocks, area, in_tx, log, stats, tel, .. } = self;
+        let commit_span = tel.registry.span(TID, Phase::Commit);
         let mut store = PoolStore::new(pool, free_blocks);
         let sim0 = store.pool.device().now_ns();
-        let p = probe(tel, tid);
-        t.log.seal(&mut store, &mut t.area, ts, p);
+        let p = probe(tel);
+        log.seal(&mut store, area, ts, p);
         stats.log_bytes += REC_HDR as u64;
-        t.log.drain_solo(&mut store, p, |_| {});
+        log.drain_solo(&mut store, p, |_| {});
 
-        t.in_tx = false;
+        *in_tx = false;
         stats.tx_committed += 1;
-        tel.registry.add(tid, Metric::Commits, 1);
+        tel.registry.add(TID, Metric::Commits, 1);
         // Simulated device nanoseconds charged for the seal — the
         // scheduler-immune counterpart of the host-time `commit` span,
         // comparable across runtimes.
         let sim_ns = store.pool.device().now_ns().saturating_sub(sim0);
-        tel.registry.record(tid, Phase::CommitSim, sim_ns);
+        tel.registry.record(TID, Phase::CommitSim, sim_ns);
         let commit_ns = commit_span.stop();
-        tel.tracer.record(tid, EventKind::Commit, ts, commit_ns);
+        tel.tracer.record(TID, EventKind::Commit, ts, commit_ns);
         self.refresh_log_stats();
         // Implicit reclamation trigger (paper §4.2).
         self.maintain();
     }
 
     fn alloc(&mut self, size: usize, align: usize) -> usize {
-        assert!(self.threads[self.cur].in_tx, "alloc outside transaction");
+        assert!(self.in_tx, "alloc outside transaction");
         let r = self.pool.reserve(size, align).expect("pool heap exhausted");
         if let Some(bump) = r.new_bump {
             // The bump update rides the speculative log like any other
@@ -469,7 +397,7 @@ impl TxAccess for SpecSpmt {
     }
 
     fn in_tx(&self) -> bool {
-        self.threads[self.cur].in_tx
+        self.in_tx
     }
 
     fn maintain(&mut self) {
@@ -508,16 +436,6 @@ impl TxRuntime for SpecSpmt {
 impl Recover for SpecSpmt {
     fn recover(image: &mut CrashImage) {
         recovery::recover_image(image);
-    }
-}
-
-impl specpmt_txn::MultiThreaded for SpecSpmt {
-    fn select_thread(&mut self, tid: usize) {
-        self.set_thread(tid);
-    }
-
-    fn threads(&self) -> usize {
-        self.thread_count()
     }
 }
 
@@ -700,71 +618,21 @@ mod tests {
     }
 
     #[test]
-    fn multi_thread_logs_recover_in_commit_order() {
-        let mut rt = runtime(SpecConfig { threads: 2, ..SpecConfig::default() });
-        let a = alloc_region(&mut rt, 64);
-        rt.set_thread(0);
-        rt.begin();
-        rt.write_u64(a, 10);
-        rt.commit();
-        rt.set_thread(1);
-        rt.begin();
-        rt.write_u64(a, 20);
-        rt.commit();
-        rt.set_thread(0);
-        rt.begin();
-        rt.write_u64(a, 30);
-        rt.commit();
-        let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
-        SpecSpmt::recover(&mut img);
-        assert_eq!(img.read_u64(a), 30, "youngest commit wins across threads");
-    }
-
-    #[test]
-    fn seventeen_threads_log_and_recover_past_legacy_cap() {
-        // The legacy layout capped the runtime at 8 root-slot chains; the
-        // dynamic descriptor must carry 17 without aliasing any head.
-        let mut rt = runtime(SpecConfig { threads: 17, ..SpecConfig::default() });
-        assert!(rt.layout().is_dynamic());
-        let a = alloc_region(&mut rt, 17 * 64);
-        for tid in 0..17 {
-            rt.set_thread(tid);
-            rt.begin();
-            rt.write_u64(a + tid * 64, 1000 + tid as u64);
-            rt.commit();
-        }
-        let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
-        SpecSpmt::recover(&mut img);
-        for tid in 0..17 {
-            assert_eq!(img.read_u64(a + tid * 64), 1000 + tid as u64, "thread {tid}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range (1..=4096)")]
-    fn thread_count_past_layout_max_panics_with_actual_max() {
-        let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));
-        let _ = SpecSpmt::new(
-            pool,
-            SpecConfig { threads: PoolLayout::MAX_THREADS + 1, ..SpecConfig::default() },
-        );
-    }
-
-    #[test]
-    fn reclaim_is_noop_while_any_tx_open() {
-        let mut rt = runtime(SpecConfig { threads: 2, ..SpecConfig::default() });
+    fn reclaim_is_noop_while_record_open() {
+        let mut rt =
+            runtime(SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() });
         let a = alloc_region(&mut rt, 64);
         for v in 0..500u64 {
             rt.begin();
             rt.write_u64(a, v);
             rt.commit();
         }
-        rt.set_thread(1);
         rt.begin();
         rt.write_u64(a, 999);
         let before = rt.log_footprint();
         rt.reclaim_now();
         assert_eq!(rt.log_footprint(), before);
+        assert_eq!(rt.reclaim_stats().cycles, 0);
         rt.commit();
     }
 

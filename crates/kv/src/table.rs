@@ -66,12 +66,6 @@ impl ShardTable {
         Self { base, capacity }
     }
 
-    /// Reattaches to a table created earlier (e.g. after recovery).
-    pub fn from_parts(base: usize, capacity: usize) -> Self {
-        assert!(capacity.is_power_of_two(), "capacity must be a power of two");
-        Self { base, capacity }
-    }
-
     /// Base address of slot 0.
     pub fn base(&self) -> usize {
         self.base

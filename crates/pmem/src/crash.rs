@@ -1,18 +1,24 @@
 //! Crash images, crash nondeterminism policies, and the unified
 //! fault-injection plan/control API.
 //!
-//! Historically each device flavour grew its own ad-hoc injection surface
-//! (fuel-count arm/fire/capture shims, since removed). This
-//! module unifies them: a [`CrashPlan`] says *when* to crash (fuel-based
+//! A [`CrashPlan`] says *when* to crash (fuel-based
 //! [`CrashTrigger::AfterOps`], labeled [`CrashTrigger::AtSite`], or the
 //! count-only [`CrashTrigger::Observe`]) and *what survives* (a
-//! [`CrashPolicy`]); the [`CrashControl`] trait lets one harness drive both
-//! [`crate::PmemDevice`] and [`crate::SharedPmemDevice`] through the same
-//! calls, including the FIRST-style labeled crash points
+//! [`CrashPolicy`]). Both device flavours embed one [`CrashGate`] — the
+//! plan state machine plus the two armed flags that keep an unarmed device
+//! at one flag load per operation — and the [`CrashControl`] trait drives
+//! [`crate::PmemDevice`] and [`crate::SharedPmemDevice`] through it with
+//! the same calls, including the FIRST-style labeled crash points
 //! ([`CrashControl::crash_point`]) the deterministic enumerator targets.
+//! What a crash leaves behind is decided once, in [`materialize`].
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+use crate::geometry::{line_start, CACHE_LINE, PERSIST_WORD};
 use crate::rng::SplitMix64;
 use crate::sites;
+use crate::wpq::PendingFlush;
 
 /// Controls which *unfenced* data survives a simulated crash.
 ///
@@ -33,20 +39,58 @@ pub enum CrashPolicy {
 }
 
 impl CrashPolicy {
-    pub(crate) fn rng(&self) -> Option<SplitMix64> {
+    fn rng(&self) -> Option<SplitMix64> {
         match self {
             CrashPolicy::Random(seed) => Some(SplitMix64::new(*seed)),
             _ => None,
         }
     }
 
-    pub(crate) fn survives(&self, rng: &mut Option<SplitMix64>) -> bool {
+    fn survives(&self, rng: &mut Option<SplitMix64>) -> bool {
         match self {
             CrashPolicy::AllLost => false,
             CrashPolicy::AllSurvive => true,
             CrashPolicy::Random(_) => rng.as_mut().expect("rng present").next_bool(),
         }
     }
+}
+
+/// The memory image a crash at time `now` leaves under `policy`, given the
+/// `persisted` bytes (consumed: they become the image), the `volatile`
+/// bytes every load sees and the `pending` flushes:
+///
+/// * flushed-and-fenced data (`persisted`) is always present;
+/// * flushes accepted by the WPQ by `now` (even without a fence) are
+///   present — ADR drains the WPQ on power failure;
+/// * in-flight flushes and plain dirty words survive per `policy` (cache
+///   evictions can persist any subset, at 8-byte granularity).
+///
+/// One RNG stream is drawn in a fixed order — pending flushes first, then
+/// dirty words by ascending address — so a `Random(seed)` image is a
+/// function of the device state alone, whichever device flavour holds it.
+pub(crate) fn materialize(
+    persisted: Vec<u8>,
+    volatile: &[u8],
+    pending: &[PendingFlush],
+    now: u64,
+    policy: CrashPolicy,
+) -> CrashImage {
+    let mut image = persisted;
+    let mut rng = policy.rng();
+    for p in pending {
+        if p.accepted_at <= now || policy.survives(&mut rng) {
+            let start = line_start(p.line);
+            image[start..start + CACHE_LINE].copy_from_slice(&p.snapshot);
+        }
+    }
+    // Dirty words may have been evicted from the cache at any time.
+    for a in (0..volatile.len() / PERSIST_WORD).map(|w| w * PERSIST_WORD) {
+        let vol = &volatile[a..a + PERSIST_WORD];
+        if vol != &image[a..a + PERSIST_WORD] && policy.survives(&mut rng) {
+            image[a..a + PERSIST_WORD].copy_from_slice(vol);
+        }
+    }
+    CrashImage::new(image)
 }
 
 /// The contents of persistent memory after a simulated crash.
@@ -241,102 +285,106 @@ impl CrashPlan {
 
 /// The unified fault-injection control surface, implemented by both
 /// [`crate::PmemDevice`] and [`crate::SharedPmemDevice`] so one harness
-/// drives either flavour.
+/// drives either flavour. A device supplies its [`CrashGate`], whether it
+/// is currently charging operations, and how to photograph itself; every
+/// other method is written once here.
 ///
-/// All methods take `&self`: the single-threaded device keeps its crash
-/// state behind interior mutability so `&PmemDevice` and
-/// `&SharedPmemDevice` expose the same surface.
+/// All methods take `&self`: the gate is internally synchronized, so
+/// `&PmemDevice` and `&SharedPmemDevice` expose the same surface.
 ///
 /// After an armed plan fires, execution **continues** (the capture is a
 /// side effect, like a debugger snapshot); drivers poll
 /// [`CrashControl::fired`] and retrieve the image with
 /// [`CrashControl::take_image`].
 pub trait CrashControl {
-    /// Arms `plan`, clearing any previous plan, fired image, and site-hit
-    /// counts.
-    fn arm(&self, plan: CrashPlan);
+    /// The device's crash gate.
+    fn gate(&self) -> &CrashGate;
 
-    /// Disarms any armed plan (fired image and hit counts are kept).
-    fn disarm(&self);
-
-    /// Whether an armed plan has fired.
-    fn fired(&self) -> bool;
-
-    /// The `(site, hit)` a labeled plan fired at, if one did.
-    fn fired_at(&self) -> Option<(&'static str, u64)>;
-
-    /// Takes the captured crash image, if an armed plan fired.
-    fn take_image(&self) -> Option<CrashImage>;
+    /// Whether operations are currently charged and counted (see
+    /// [`crate::TimingMode`]). Armed plans never fire during timing-off
+    /// setup.
+    fn timing_on(&self) -> bool;
 
     /// Captures a crash image at the current instant under `policy`,
     /// independent of any armed plan (the orderly "crash now" primitive).
     fn capture(&self, policy: CrashPolicy) -> CrashImage;
 
+    /// Arms `plan`, clearing any previous plan, fired image, and site-hit
+    /// counts.
+    fn arm(&self, plan: CrashPlan) {
+        self.gate().arm(plan);
+    }
+
+    /// Disarms any armed plan (fired image and hit counts are kept).
+    fn disarm(&self) {
+        self.gate().disarm();
+    }
+
+    /// Whether an armed plan has fired.
+    fn fired(&self) -> bool {
+        self.gate().ctl().fired.is_some()
+    }
+
+    /// The `(site, hit)` a labeled plan fired at, if one did.
+    fn fired_at(&self) -> Option<(&'static str, u64)> {
+        self.gate().ctl().fired_at
+    }
+
+    /// Takes the captured crash image, if an armed plan fired.
+    fn take_image(&self) -> Option<CrashImage> {
+        self.gate().ctl().fired.take()
+    }
+
     /// Atomically observes `(epoch, fired)`. The epoch increments twice
-    /// per capture (odd ⇒ capture in progress); bracketing a commit with
-    /// two `observe` calls classifies it as definitely-committed (no
-    /// capture overlapped) or boundary (all-or-nothing). See
-    /// [`crate::SharedPmemDevice`]'s module docs for the full protocol.
-    fn observe(&self) -> (u64, bool);
+    /// per capture (odd ⇒ capture in progress). The commit-bracketing
+    /// protocol: observe `(e0, f0)` before starting a transaction and
+    /// `(e1, _)` after its commit fence. If `f0` is false, `e0` is even
+    /// and `e1 == e0`, no capture started anywhere inside the bracket —
+    /// the transaction is *definitely* contained in any image captured
+    /// later. Otherwise a capture overlapped it and it is a boundary
+    /// case: recovery surfaces it entirely or not at all.
+    fn observe(&self) -> (u64, bool) {
+        let c = self.gate().ctl();
+        (c.epoch, c.fired.is_some())
+    }
 
     /// Per-site hit counts recorded since the last [`CrashControl::arm`]
     /// (sites are counted whenever a plan is armed with a labeled or
     /// observe trigger).
-    fn site_hits(&self) -> Vec<(&'static str, u64)>;
+    fn site_hits(&self) -> Vec<(&'static str, u64)> {
+        self.gate().ctl().hits.clone()
+    }
 
     /// Executes the labeled crash site `site`: with no labeled/observe
     /// plan armed this is a single flag check; with one armed it counts
     /// the hit and captures an image when the armed `(site, nth_hit)`
-    /// target matches. Runtimes call this at every ordering-sensitive
-    /// point of their persistence protocols (see [`crate::sites`]).
-    fn crash_point(&self, site: &'static str);
-}
-
-/// Per-site hit table: tiny linear-scan map keyed by `&'static str` site
-/// names (the inventory has ~20 entries; hashing would cost more than the
-/// scan).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SiteHitTable(Vec<(&'static str, u64)>);
-
-impl SiteHitTable {
-    /// Increments `site`'s count and returns the new (1-based) value.
-    pub(crate) fn bump(&mut self, site: &'static str) -> u64 {
-        for (name, n) in self.0.iter_mut() {
-            if *name == site {
-                *n += 1;
-                return *n;
-            }
-        }
-        self.0.push((site, 1));
-        1
-    }
-
-    pub(crate) fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.0.clone()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.0.clear();
+    /// target matches. Hit counting and target matching happen under the
+    /// gate's lock, which makes `site:hit` targeting deterministic under
+    /// any thread interleaving. Runtimes call this at every
+    /// ordering-sensitive point of their persistence protocols (see
+    /// [`crate::sites`]).
+    fn crash_point(&self, site: &'static str) {
+        self.gate().crash_point(site, self.timing_on(), |policy| self.capture(policy));
     }
 }
 
-/// Shared crash-injection state machine: both device flavours embed one
-/// (the single-threaded device behind a `RefCell`, the shared device
-/// behind its crash mutex) so fuel accounting, site matching, and the
-/// epoch protocol cannot drift apart between them.
+/// The crash-injection state machine behind a [`CrashGate`]: fuel
+/// accounting, site matching, and the epoch protocol.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CrashCtl {
-    pub(crate) plan: Option<CrashPlan>,
-    pub(crate) fired: Option<CrashImage>,
-    pub(crate) fired_at: Option<(&'static str, u64)>,
-    pub(crate) hits: SiteHitTable,
+struct CrashCtl {
+    plan: Option<CrashPlan>,
+    fired: Option<CrashImage>,
+    fired_at: Option<(&'static str, u64)>,
+    /// Per-site hit counts: a linear-scan map (the inventory has ~20
+    /// entries; hashing would cost more than the scan).
+    hits: Vec<(&'static str, u64)>,
     /// Two increments per capture: odd ⇒ capture in progress.
-    pub(crate) epoch: u64,
+    epoch: u64,
 }
 
 impl CrashCtl {
     /// Arms a new plan, resetting fired state and hit counts.
-    pub(crate) fn arm(&mut self, plan: CrashPlan) {
+    fn arm(&mut self, plan: CrashPlan) {
         self.plan = Some(plan);
         self.fired = None;
         self.fired_at = None;
@@ -344,9 +392,9 @@ impl CrashCtl {
     }
 
     /// One persistence op happened. Returns the capture policy when fuel
-    /// ran out; the caller must clear its fuel-armed flag, build the image
-    /// (outside any crash lock), and [`CrashCtl::store`] it.
-    pub(crate) fn fuel_tick(&mut self) -> Option<CrashPolicy> {
+    /// ran out; the gate then clears its fuel-armed flag, has the image
+    /// built outside the lock, and [`CrashCtl::store`]s it.
+    fn fuel_tick(&mut self) -> Option<CrashPolicy> {
         let plan = self.plan.as_mut()?;
         let CrashTrigger::AfterOps(fuel) = plan.trigger else {
             return None;
@@ -363,33 +411,145 @@ impl CrashCtl {
     }
 
     /// One execution of labeled site `site` happened. Counts the hit and
-    /// returns the capture policy and matched hit when the armed target
-    /// fires; same caller contract as [`CrashCtl::fuel_tick`].
-    pub(crate) fn site_tick(&mut self, site: &'static str) -> Option<(CrashPolicy, u64)> {
-        let plan = self.plan.as_ref()?;
-        match plan.trigger {
-            CrashTrigger::AtSite { .. } | CrashTrigger::Observe => {}
-            CrashTrigger::AfterOps(_) => return None,
-        }
-        let hit = self.hits.bump(site);
-        let CrashTrigger::AtSite { site: target, nth_hit } = plan.trigger else {
+    /// returns the capture policy when the armed target fires; same
+    /// contract as [`CrashCtl::fuel_tick`].
+    fn site_tick(&mut self, site: &'static str) -> Option<CrashPolicy> {
+        let plan = self.plan?;
+        if matches!(plan.trigger, CrashTrigger::AfterOps(_)) {
             return None;
-        };
-        if target == site && nth_hit == hit {
-            let policy = plan.policy;
-            self.plan = None;
-            self.fired_at = Some((site, hit));
-            self.epoch += 1;
-            Some((policy, hit))
-        } else {
-            None
         }
+        let hit = match self.hits.iter_mut().find(|(name, _)| *name == site) {
+            Some((_, n)) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                self.hits.push((site, 1));
+                1
+            }
+        };
+        if plan.trigger != (CrashTrigger::AtSite { site, nth_hit: hit }) {
+            return None;
+        }
+        self.plan = None;
+        self.fired_at = Some((site, hit));
+        self.epoch += 1;
+        Some(plan.policy)
     }
 
     /// Completes a capture begun by `fuel_tick` / `site_tick`.
-    pub(crate) fn store(&mut self, image: CrashImage) {
+    fn store(&mut self, image: CrashImage) {
         self.fired = Some(image);
         self.epoch += 1;
+    }
+}
+
+/// One device's fault-injection gate: the [`CrashPlan`] state machine
+/// behind a mutex, plus two flags mirroring "a fuel plan is armed" and "a
+/// labeled/observe plan is armed". An unarmed device — every benchmark and
+/// production-shaped run — pays one relaxed flag load per persistence
+/// operation or labeled site and never touches the lock; fuel sweeps and
+/// labeled runs have a flag each, so neither pays for the other. Relaxed
+/// is enough for the flags because they publish nothing: a thread that
+/// sees one set takes the lock, and the lock orders the plan it reads.
+///
+/// The epoch increments **twice** per capture: once before the image is
+/// built (odd ⇒ capture in progress) and once after it is stored (even ⇒
+/// idle); see [`CrashControl::observe`].
+#[derive(Debug, Default)]
+pub struct CrashGate {
+    fuel_armed: AtomicBool,
+    site_armed: AtomicBool,
+    ctl: Mutex<CrashCtl>,
+}
+
+impl Clone for CrashGate {
+    fn clone(&self) -> Self {
+        Self {
+            fuel_armed: AtomicBool::new(self.fuel_armed.load(Ordering::Relaxed)),
+            site_armed: AtomicBool::new(self.site_armed.load(Ordering::Relaxed)),
+            ctl: Mutex::new(self.ctl().clone()),
+        }
+    }
+}
+
+impl CrashGate {
+    fn ctl(&self) -> MutexGuard<'_, CrashCtl> {
+        self.ctl.lock().expect("crash lock")
+    }
+
+    fn arm(&self, plan: CrashPlan) {
+        let mut c = self.ctl();
+        c.arm(plan);
+        // Both flags are published while the lock is held, so a concurrent
+        // exhaustion tick that interleaves with a re-arm can never clear
+        // them afterwards (all stores are serialized by the lock).
+        let fuel = matches!(plan.trigger(), CrashTrigger::AfterOps(_));
+        self.fuel_armed.store(fuel, Ordering::Relaxed);
+        self.site_armed.store(!fuel, Ordering::Relaxed);
+    }
+
+    fn disarm(&self) {
+        let mut c = self.ctl();
+        c.plan = None;
+        self.fuel_armed.store(false, Ordering::Relaxed);
+        self.site_armed.store(false, Ordering::Relaxed);
+    }
+
+    /// One persistence-affecting operation is about to happen: burns a
+    /// unit of crash fuel and, when it runs out, photographs the device
+    /// with `capture`. Call while holding **no** device lock. Threads that
+    /// race an `arm` may skip a tick or two before observing the flag —
+    /// harnesses arm before spawning workers (spawn synchronizes), so the
+    /// fuel count they request is exact.
+    #[inline]
+    pub(crate) fn tick_fuel(
+        &self,
+        timing_on: bool,
+        capture: impl FnOnce(CrashPolicy) -> CrashImage,
+    ) {
+        if timing_on && self.fuel_armed.load(Ordering::Relaxed) {
+            self.fire(&self.fuel_armed, CrashCtl::fuel_tick, capture);
+        }
+    }
+
+    /// Driver behind [`CrashControl::crash_point`].
+    #[inline]
+    pub(crate) fn crash_point(
+        &self,
+        site: &'static str,
+        timing_on: bool,
+        capture: impl FnOnce(CrashPolicy) -> CrashImage,
+    ) {
+        if timing_on && self.site_armed.load(Ordering::Relaxed) {
+            self.fire(&self.site_armed, |c| c.site_tick(site), capture);
+        }
+    }
+
+    /// Ticks the state machine under the lock; if the plan fires, disarms
+    /// `armed` still under the lock (so exactly one thread captures even
+    /// under races), builds the image outside it — the epoch is odd during
+    /// that window, so commit brackets that overlap the build classify as
+    /// boundary — and stores it.
+    #[cold]
+    fn fire(
+        &self,
+        armed: &AtomicBool,
+        tick: impl FnOnce(&mut CrashCtl) -> Option<CrashPolicy>,
+        capture: impl FnOnce(CrashPolicy) -> CrashImage,
+    ) {
+        let fired = {
+            let mut c = self.ctl();
+            let fired = tick(&mut c);
+            if fired.is_some() {
+                armed.store(false, Ordering::Relaxed);
+            }
+            fired
+        };
+        if let Some(policy) = fired {
+            let image = capture(policy);
+            self.ctl().store(image);
+        }
     }
 }
 
@@ -492,10 +652,9 @@ mod tests {
         c.arm(CrashPlan::at_site(site, 2));
         assert!(c.site_tick(site).is_none()); // hit 1
         assert!(c.site_tick(other).is_none()); // unrelated site counted too
-        let (_, hit) = c.site_tick(site).expect("fires at hit 2");
-        assert_eq!(hit, 2);
+        assert_eq!(c.site_tick(site), Some(CrashPolicy::AllLost), "fires at hit 2");
         assert_eq!(c.fired_at, Some((site, 2)));
-        assert_eq!(c.hits.snapshot(), vec![(site, 2), (other, 1)]);
+        assert_eq!(c.hits, vec![(site, 2), (other, 1)]);
         c.store(CrashImage::new(vec![0; 8]));
         assert!(c.site_tick(site).is_none(), "plan consumed");
     }
@@ -509,7 +668,7 @@ mod tests {
             assert!(c.site_tick(site).is_none());
         }
         assert!(c.fuel_tick().is_none());
-        assert_eq!(c.hits.snapshot(), vec![(site, 5)]);
+        assert_eq!(c.hits, vec![(site, 5)]);
         assert_eq!(c.epoch, 0);
     }
 }

@@ -1,8 +1,6 @@
 //! The simulated persistent-memory device.
 
-use std::cell::{Cell, RefCell};
-
-use crate::crash::{CrashControl, CrashCtl, CrashImage, CrashPlan, CrashPolicy, CrashTrigger};
+use crate::crash::{materialize, CrashControl, CrashGate, CrashImage, CrashPolicy};
 use crate::geometry::{line_of, line_start, lines_touching, CACHE_LINE, PERSIST_WORD};
 use crate::wpq::{PendingFlush, WpqModel};
 use crate::{PmemConfig, PmemError, PmemStats};
@@ -61,20 +59,10 @@ pub struct PmemDevice {
     clock_ns: u64,
     timing: TimingMode,
     stats: PmemStats,
-    /// Fuel-triggered plan armed: lets [`Self::tick_fuel`] skip the crash
-    /// state entirely on unarmed devices (one flag read per persistence
-    /// op). `Cell`/`RefCell` rather than plain fields so the unified
-    /// [`CrashControl`] surface works through `&self` on both device
-    /// flavours; this device is single-threaded, so interior mutability
-    /// costs a flag check, not a lock.
-    fuel_armed: Cell<bool>,
-    /// Labeled/observe plan armed: [`CrashControl::crash_point`] is a
-    /// single flag read when this is clear — the disarmed cost of a
-    /// labeled site.
-    site_armed: Cell<bool>,
-    /// Fault-injection state machine (plan, fired image, site-hit counts,
-    /// capture epoch) shared with [`crate::SharedPmemDevice`].
-    crash: RefCell<CrashCtl>,
+    /// Fault injection (plan, fired image, site-hit counts, capture
+    /// epoch): one flag read per persistence op or labeled site while
+    /// nothing is armed.
+    gate: CrashGate,
     /// Reusable flush-plan scratch for [`Self::clwb_ranges`]: cleared, not
     /// freed, between commits so steady-state flush planning is
     /// allocation-free.
@@ -95,9 +83,7 @@ impl PmemDevice {
             clock_ns: 0,
             timing: TimingMode::On,
             stats: PmemStats::default(),
-            fuel_armed: Cell::new(false),
-            site_armed: Cell::new(false),
-            crash: RefCell::new(CrashCtl::default()),
+            gate: CrashGate::default(),
             line_scratch: Vec::new(),
         }
     }
@@ -148,16 +134,9 @@ impl PmemDevice {
         }
     }
 
-    fn tick_fuel(&mut self) {
-        if self.timing == TimingMode::Off || !self.fuel_armed.get() {
-            return;
-        }
-        let fire = self.crash.borrow_mut().fuel_tick();
-        if let Some(policy) = fire {
-            self.fuel_armed.set(false);
-            let image = self.build_image(policy);
-            self.crash.borrow_mut().store(image);
-        }
+    /// One persistence-affecting operation is about to happen.
+    fn tick_fuel(&self) {
+        self.gate.tick_fuel(self.timing == TimingMode::On, |policy| self.capture(policy));
     }
 
     fn check(&self, addr: usize, len: usize) -> Result<(), PmemError> {
@@ -347,25 +326,31 @@ impl PmemDevice {
     /// so instrumented callers can attribute fence cost; uninstrumented
     /// callers simply ignore the report.
     pub fn sfence(&mut self) -> FenceReport {
-        if self.timing == TimingMode::Off {
-            debug_assert!(self.pending.is_empty());
-            return FenceReport::default();
+        // Timing can go off between a `clwb` and its fence (setup helpers
+        // flip it). The fence must still complete those flushes — free of
+        // charge and uncounted, like every timing-off operation — or a
+        // crash image taken afterwards drops a line the caller was told is
+        // durable.
+        let mut report = FenceReport::default();
+        if self.timing == TimingMode::On {
+            self.tick_fuel();
+            self.stats.sfence_count += 1;
+            let target = self.pending.iter().map(|p| p.accepted_at).max().unwrap_or(0);
+            report = FenceReport {
+                stall_ns: target.saturating_sub(self.clock_ns),
+                flushes: self.pending.len() as u64,
+            };
+            if target > self.clock_ns {
+                self.stats.fence_stall_ns += target - self.clock_ns;
+                self.clock_ns = target;
+            }
+            self.clock_ns += self.cfg.sfence_base_ns;
         }
-        self.tick_fuel();
-        self.stats.sfence_count += 1;
-        let target = self.pending.iter().map(|p| p.accepted_at).max().unwrap_or(0);
-        let stall_ns = target.saturating_sub(self.clock_ns);
-        if target > self.clock_ns {
-            self.stats.fence_stall_ns += target - self.clock_ns;
-            self.clock_ns = target;
-        }
-        self.clock_ns += self.cfg.sfence_base_ns;
-        let flushes = self.pending.len() as u64;
         for p in self.pending.drain(..) {
             let start = line_start(p.line);
             self.persisted[start..start + CACHE_LINE].copy_from_slice(&p.snapshot);
         }
-        FenceReport { stall_ns, flushes }
+        report
     }
 
     /// Non-temporal store: writes `data` and flushes the touched lines in one
@@ -384,41 +369,9 @@ impl PmemDevice {
         self.sfence();
     }
 
-    /// Produces the memory image a crash at the current instant could leave,
-    /// governed by `policy`:
-    ///
-    /// * flushed-and-fenced data is always present;
-    /// * flushes accepted by the WPQ (even without a fence) are present —
-    ///   ADR drains the WPQ on power failure;
-    /// * in-flight flushes and plain dirty words survive per `policy`
-    ///   (cache evictions can persist any subset, at 8-byte granularity).
-    fn build_image(&self, policy: CrashPolicy) -> CrashImage {
-        let mut image = self.persisted.clone();
-        let mut rng = policy.rng();
-        // Flushes already accepted into the persistence domain.
-        for p in &self.pending {
-            let survives =
-                if p.accepted_at <= self.clock_ns { true } else { policy.survives(&mut rng) };
-            if survives {
-                let start = line_start(p.line);
-                image[start..start + CACHE_LINE].copy_from_slice(&p.snapshot);
-            }
-        }
-        // Dirty words may have been evicted from the cache at any time.
-        let words = self.volatile.len() / PERSIST_WORD;
-        for w in 0..words {
-            let a = w * PERSIST_WORD;
-            let vol = &self.volatile[a..a + PERSIST_WORD];
-            if vol != &image[a..a + PERSIST_WORD] && policy.survives(&mut rng) {
-                image[a..a + PERSIST_WORD].copy_from_slice(vol);
-            }
-        }
-        CrashImage::new(image)
-    }
-
     /// Shorthand for [`CrashControl::capture`]`(CrashPolicy::Random(seed))`.
     pub fn crash(&self, seed: u64) -> CrashImage {
-        self.build_image(CrashPolicy::Random(seed))
+        self.capture(CrashPolicy::Random(seed))
     }
 
     /// Drains every outstanding flush and persists **all** dirty data, as an
@@ -439,67 +392,25 @@ impl PmemDevice {
 }
 
 impl CrashControl for PmemDevice {
-    fn arm(&self, plan: CrashPlan) {
-        self.crash.borrow_mut().arm(plan);
-        match plan.trigger() {
-            CrashTrigger::AfterOps(_) => {
-                self.fuel_armed.set(true);
-                self.site_armed.set(false);
-            }
-            CrashTrigger::AtSite { .. } | CrashTrigger::Observe => {
-                self.fuel_armed.set(false);
-                self.site_armed.set(true);
-            }
-        }
+    fn gate(&self) -> &CrashGate {
+        &self.gate
     }
 
-    fn disarm(&self) {
-        self.crash.borrow_mut().plan = None;
-        self.fuel_armed.set(false);
-        self.site_armed.set(false);
+    fn timing_on(&self) -> bool {
+        self.timing == TimingMode::On
     }
 
-    fn fired(&self) -> bool {
-        self.crash.borrow().fired.is_some()
-    }
-
-    fn fired_at(&self) -> Option<(&'static str, u64)> {
-        self.crash.borrow().fired_at
-    }
-
-    fn take_image(&self) -> Option<CrashImage> {
-        self.crash.borrow_mut().fired.take()
-    }
-
+    /// The memory image a crash at the current instant could leave (see
+    /// [`CrashPolicy`] for what survives).
     fn capture(&self, policy: CrashPolicy) -> CrashImage {
-        self.build_image(policy)
-    }
-
-    fn observe(&self) -> (u64, bool) {
-        let c = self.crash.borrow();
-        (c.epoch, c.fired.is_some())
-    }
-
-    fn site_hits(&self) -> Vec<(&'static str, u64)> {
-        self.crash.borrow().hits.snapshot()
-    }
-
-    fn crash_point(&self, site: &'static str) {
-        if self.timing == TimingMode::Off || !self.site_armed.get() {
-            return;
-        }
-        let fire = self.crash.borrow_mut().site_tick(site);
-        if let Some((policy, _)) = fire {
-            self.site_armed.set(false);
-            let image = self.build_image(policy);
-            self.crash.borrow_mut().store(image);
-        }
+        materialize(self.persisted.clone(), &self.volatile, &self.pending, self.clock_ns, policy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CrashPlan;
 
     fn dev() -> PmemDevice {
         PmemDevice::new(PmemConfig::new(4096))
@@ -635,6 +546,20 @@ mod tests {
         assert_eq!(d.stats().clwb_count, 0);
         let img = d.capture(CrashPolicy::AllLost);
         assert_eq!(img.read_u64(0), 5);
+    }
+
+    #[test]
+    fn timing_off_fence_still_drains_pending_flushes() {
+        let mut d = dev();
+        d.write_u64(0, 5);
+        d.clwb(0); // timed: the line is pending until a fence
+        d.set_timing(TimingMode::Off);
+        let before = (d.now_ns(), d.stats().sfence_count);
+        assert_eq!(d.sfence(), FenceReport::default());
+        assert_eq!((d.now_ns(), d.stats().sfence_count), before, "uncharged and uncounted");
+        d.write_u64(0, 6); // not flushed: must not reach the image
+        let img = d.capture(CrashPolicy::AllLost);
+        assert_eq!(img.read_u64(0), 5, "the fenced flush is durable");
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl PmemPool {
         &mut self.dev
     }
 
-    /// Consumes the pool, returning the device.
-    pub fn into_device(self) -> PmemDevice {
-        self.dev
-    }
-
     /// Reserves heap space without making the bump durable; the caller's
     /// runtime must write [`BUMP_OFF`] with `new_bump` transactionally when
     /// the reservation grew the heap.

@@ -29,8 +29,8 @@
 //! definitely in the image, one that overlapped a capture is a boundary
 //! case (all-or-nothing).
 //!
-//! Lock ordering (deadlock freedom): the crash mutex is only taken while
-//! holding no other lock; shard mutexes are always taken in ascending index
+//! Lock ordering (deadlock freedom): the crash gate's mutex is only taken
+//! while holding no other lock; shard mutexes are always taken in ascending index
 //! order; the pending mutex is never held while acquiring a shard lock
 //! (entries are removed under the lock and applied after release).
 
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::alloc::{Reservation, SizeClassAllocator};
-use crate::crash::{CrashControl, CrashCtl, CrashImage, CrashPlan, CrashPolicy, CrashTrigger};
+use crate::crash::{materialize, CrashControl, CrashGate, CrashImage, CrashPolicy};
 use crate::geometry::{line_of, line_start, lines_touching, CACHE_LINE, PERSIST_WORD};
 use crate::wpq::{PendingFlush, WpqModel};
 use specpmt_telemetry::{Histogram, HistogramSnapshot};
@@ -80,23 +80,10 @@ struct DevInner {
     pending: Mutex<Vec<PendingFlush>>,
     clock_ns: AtomicU64,
     timing_on: AtomicBool,
-    /// Unified fault-injection state machine (plan, fired image, site-hit
-    /// counts, capture epoch — see [`CrashCtl`]). The epoch increments
-    /// **twice** per capture: once before the image is built (odd ⇒
-    /// capture in progress) and once after it is stored (even ⇒ idle).
-    /// Readers bracket a commit with two [`CrashControl::observe`] calls:
-    /// `e0 == e1 && e0` even and not fired at `e0` ⇒ no capture overlapped
-    /// the commit ⇒ the commit is in any later-fired image.
-    crash: Mutex<CrashCtl>,
-    /// Mirrors "a fuel-triggered plan is armed" so the per-operation fuel
-    /// tick can skip the crash mutex entirely on unarmed devices
-    /// (benchmarks and production-shaped runs): one relaxed load instead
-    /// of a global lock acquisition per persistence op.
-    crash_armed: AtomicBool,
-    /// Mirrors "a labeled/observe plan is armed": the disarmed cost of a
-    /// [`CrashControl::crash_point`] call is this single load, keeping
-    /// labeled sites free on the measured commit path.
-    site_armed: AtomicBool,
+    /// Fault injection (plan, fired image, site-hit counts, capture
+    /// epoch): one flag load per persistence op or labeled site while
+    /// nothing is armed, never the gate's lock.
+    gate: CrashGate,
     next_handle: AtomicU64,
     stats: AtomicStats,
     /// WPQ-drain waits observed at fences that completed at least one
@@ -140,9 +127,7 @@ impl SharedPmemDevice {
                 pending: Mutex::new(Vec::new()),
                 clock_ns: AtomicU64::new(0),
                 timing_on: AtomicBool::new(true),
-                crash: Mutex::new(CrashCtl::default()),
-                crash_armed: AtomicBool::new(false),
-                site_armed: AtomicBool::new(false),
+                gate: CrashGate::default(),
                 next_handle: AtomicU64::new(0),
                 stats: AtomicStats::default(),
                 wpq_drain_ns: Histogram::new(),
@@ -240,12 +225,12 @@ impl SharedPmemDevice {
     /// capture is in progress). See the module docs for the bracketing
     /// protocol.
     pub fn crash_epoch(&self) -> u64 {
-        self.inner.crash.lock().expect("crash lock").epoch
+        self.observe().0
     }
 
     /// Shorthand for [`CrashControl::capture`]`(CrashPolicy::Random(seed))`.
     pub fn crash(&self, seed: u64) -> CrashImage {
-        self.build_image(CrashPolicy::Random(seed))
+        self.capture(CrashPolicy::Random(seed))
     }
 
     /// Copies every shard's volatile image into its persisted image — the
@@ -297,83 +282,10 @@ impl SharedPmemDevice {
         }
     }
 
-    /// One persistence-affecting operation happened: burn crash fuel and
-    /// capture the image when it runs out. Called while holding **no**
-    /// locks.
+    /// One persistence-affecting operation is about to happen. Called
+    /// while holding **no** locks (a capture takes every shard lock).
     fn tick_fuel(&self) {
-        if !self.timing_is_on() {
-            return;
-        }
-        // Unarmed fast path: benchmarks and production-shaped runs never
-        // arm a crash, so skip the global crash mutex entirely. Threads
-        // that race an `arm` may skip a tick or two before observing
-        // the flag — harnesses arm before spawning workers (spawn
-        // synchronizes), so the fuel count they request is exact.
-        if !self.inner.crash_armed.load(Ordering::Acquire) {
-            return;
-        }
-        let fire = {
-            let mut c = self.inner.crash.lock().expect("crash lock");
-            let fire = c.fuel_tick();
-            if fire.is_some() {
-                // Disarm before capturing so exactly one thread (this
-                // one) performs the capture even under races. The flag
-                // is cleared under the lock (see `arm`).
-                self.inner.crash_armed.store(false, Ordering::Release);
-            }
-            fire
-        };
-        if let Some(policy) = fire {
-            // Built outside the crash lock (shard locks are acquired fresh
-            // below; no thread waits on the crash lock while holding a
-            // shard lock). The epoch is odd during this window, so commit
-            // brackets that overlap the build classify as boundary.
-            let image = self.build_image(policy);
-            self.inner.crash.lock().expect("crash lock").store(image);
-        }
-    }
-
-    fn build_image(&self, policy: CrashPolicy) -> CrashImage {
-        // A real crash is one instant: hold the pending set and *every*
-        // shard lock together while copying, so no concurrent store or
-        // fence can land between shard copies. Without this, a commit
-        // fence racing the capture could reach a high-address shard
-        // (copied late) while its log record lives in a low-address shard
-        // (copied early) — an image no power failure can produce, which
-        // would break any cross-address ordering invariant (e.g. the
-        // flight recorder's receipt-after-fence rule). No other path
-        // holds two of these locks at once, so the ascending sweep cannot
-        // deadlock.
-        let pending = self.inner.pending.lock().expect("pending lock");
-        let shards: Vec<_> =
-            self.inner.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
-        let mut volatile = Vec::with_capacity(self.inner.size);
-        let mut image = Vec::with_capacity(self.inner.size);
-        for s in &shards {
-            volatile.extend_from_slice(&s.volatile);
-            image.extend_from_slice(&s.persisted);
-        }
-        let now = self.now_ns();
-        let mut rng = policy.rng();
-        for p in pending.iter() {
-            let survives = if p.accepted_at <= now { true } else { policy.survives(&mut rng) };
-            if survives {
-                let start = line_start(p.line);
-                image[start..start + CACHE_LINE].copy_from_slice(&p.snapshot);
-            }
-        }
-        drop(shards);
-        drop(pending);
-        let words = self.inner.size / PERSIST_WORD;
-        for w in 0..words {
-            let a = w * PERSIST_WORD;
-            if volatile[a..a + PERSIST_WORD] != image[a..a + PERSIST_WORD]
-                && policy.survives(&mut rng)
-            {
-                image[a..a + PERSIST_WORD].copy_from_slice(&volatile[a..a + PERSIST_WORD]);
-            }
-        }
-        CrashImage::new(image)
+        self.inner.gate.tick_fuel(self.timing_is_on(), |policy| self.capture(policy));
     }
 
     /// WPQ + media accounting for one line write-back; returns the time the
@@ -392,92 +304,36 @@ impl SharedPmemDevice {
 }
 
 impl CrashControl for SharedPmemDevice {
-    fn arm(&self, plan: CrashPlan) {
-        let mut c = self.inner.crash.lock().expect("crash lock");
-        c.arm(plan);
-        // Both flags are published while the crash lock is held so they
-        // can never be cleared by a concurrent exhaustion tick that
-        // interleaves with a re-arm (all stores are serialized by the
-        // lock).
-        let (fuel, site) = match plan.trigger() {
-            CrashTrigger::AfterOps(_) => (true, false),
-            CrashTrigger::AtSite { .. } | CrashTrigger::Observe => (false, true),
-        };
-        self.inner.crash_armed.store(fuel, Ordering::Release);
-        self.inner.site_armed.store(site, Ordering::Release);
+    fn gate(&self) -> &CrashGate {
+        &self.inner.gate
     }
 
-    fn disarm(&self) {
-        let mut c = self.inner.crash.lock().expect("crash lock");
-        c.plan = None;
-        self.inner.crash_armed.store(false, Ordering::Release);
-        self.inner.site_armed.store(false, Ordering::Release);
+    fn timing_on(&self) -> bool {
+        self.timing_is_on()
     }
 
-    fn fired(&self) -> bool {
-        self.inner.crash.lock().expect("crash lock").fired.is_some()
-    }
-
-    fn fired_at(&self) -> Option<(&'static str, u64)> {
-        self.inner.crash.lock().expect("crash lock").fired_at
-    }
-
-    fn take_image(&self) -> Option<CrashImage> {
-        self.inner.crash.lock().expect("crash lock").fired.take()
-    }
-
-    /// Produces the memory image a crash at this instant could leave (same
-    /// policy semantics as the single-threaded device). The snapshot is
-    /// point-in-time: every shard is locked for the duration of the copy,
-    /// so a concurrent fence lands entirely before or entirely after the
-    /// capture — never split across shards.
+    /// The memory image a crash at this instant could leave (same policy
+    /// semantics as the single-threaded device). A real crash is one
+    /// instant: the pending set and *every* shard lock are held together
+    /// while the image is built, so no concurrent store or fence can land
+    /// between shard copies. Without this, a commit fence racing the
+    /// capture could reach a high-address shard (copied late) while its
+    /// log record lives in a low-address shard (copied early) — an image
+    /// no power failure can produce, which would break any cross-address
+    /// ordering invariant (e.g. the flight recorder's receipt-after-fence
+    /// rule). No other path holds two of these locks at once, so the
+    /// ascending sweep cannot deadlock.
     fn capture(&self, policy: CrashPolicy) -> CrashImage {
-        self.build_image(policy)
-    }
-
-    /// Atomically observes `(epoch, fired)`.
-    ///
-    /// The commit-bracketing protocol: observe `(e0, f0)` before starting a
-    /// transaction and `(e1, _)` after its commit fence. If `f0` is false,
-    /// `e0` is even, and `e1 == e0`, no image capture started anywhere
-    /// inside the bracket — the transaction is *definitely* contained in
-    /// any image captured later. Otherwise a capture overlapped the
-    /// transaction and it is a boundary case: recovery surfaces it entirely
-    /// or not at all.
-    fn observe(&self) -> (u64, bool) {
-        let c = self.inner.crash.lock().expect("crash lock");
-        (c.epoch, c.fired.is_some())
-    }
-
-    fn site_hits(&self) -> Vec<(&'static str, u64)> {
-        self.inner.crash.lock().expect("crash lock").hits.snapshot()
-    }
-
-    /// Executes a labeled crash site. Disarmed (no labeled/observe plan)
-    /// cost is one relaxed-ordering flag load — the same fast-path pattern
-    /// as the fuel tick, on a separate flag so fuel sweeps and labeled
-    /// runs never pay for each other. Hit counting and target matching
-    /// happen under the crash mutex, which makes `site:hit` targeting
-    /// deterministic under any thread interleaving.
-    fn crash_point(&self, site: &'static str) {
-        if !self.inner.site_armed.load(Ordering::Acquire) || !self.timing_is_on() {
-            return;
+        let pending = self.inner.pending.lock().expect("pending lock");
+        let shards: Vec<_> =
+            self.inner.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
+        let mut volatile = Vec::with_capacity(self.inner.size);
+        let mut persisted = Vec::with_capacity(self.inner.size);
+        for s in &shards {
+            volatile.extend_from_slice(&s.volatile);
+            persisted.extend_from_slice(&s.persisted);
         }
-        let fire = {
-            let mut c = self.inner.crash.lock().expect("crash lock");
-            let fire = c.site_tick(site);
-            if fire.is_some() {
-                // Disarm under the lock: exactly one thread captures.
-                self.inner.site_armed.store(false, Ordering::Release);
-            }
-            fire
-        };
-        if let Some((policy, _)) = fire {
-            // Image built outside the crash lock; epoch is odd during the
-            // build, so overlapping commit brackets classify as boundary.
-            let image = self.build_image(policy);
-            self.inner.crash.lock().expect("crash lock").store(image);
-        }
+        materialize(persisted, &volatile, &pending, self.now_ns(), policy)
     }
 }
 
@@ -1027,6 +883,7 @@ impl SharedPmemPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CrashPlan;
     use std::thread;
 
     fn dev() -> SharedPmemDevice {

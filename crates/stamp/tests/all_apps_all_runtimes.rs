@@ -57,8 +57,3 @@ fn nolog_runs_all_apps() {
 fn hashlog_runs_all_apps() {
     check(HashLogSpmt::new(pool(), HashLogConfig { capacity: 1 << 16 }));
 }
-
-#[test]
-fn specspmt_multithread_config_runs_all_apps() {
-    check(SpecSpmt::new(pool(), SpecConfig { threads: 4, ..SpecConfig::default() }));
-}

@@ -105,13 +105,6 @@ impl JsonWriter {
         self
     }
 
-    /// `"key":-123`
-    pub fn field_i64(&mut self, key: &str, v: i64) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
     /// `"key":1.50` (fixed two decimals — finite inputs only; non-finite
     /// values are clamped to `0.00` to keep the output valid JSON).
     pub fn field_f64(&mut self, key: &str, v: f64) -> &mut Self {

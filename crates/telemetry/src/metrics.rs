@@ -460,11 +460,6 @@ impl Registry {
         self.shards.iter().map(|s| s.counters[m as usize].load(Ordering::Relaxed)).sum()
     }
 
-    /// Number of per-thread shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// One shard's value of one counter (no merging) — used to attribute
     /// activity to a specific thread, e.g. the reclamation daemon's
     /// dedicated shard vs the transaction threads.

@@ -29,14 +29,12 @@ pub mod mt;
 pub mod oracle;
 mod report;
 mod runtime;
-pub mod sched;
 
 pub use access::{run_tx, CommitReceipt, TxAccess};
 pub use crashenum::{enumerate, run_fuel_sweep, CaseResult, EnumConfig, EnumReport, RunSummary};
 pub use group::{GroupBatch, GroupCommitter, GroupReport, MAX_LINGER_ROUNDS};
-pub use lock::{run_interleaved_2pl, LockGuard, LockTableStats, LockedRun, SharedLockTable};
+pub use lock::{LockGuard, LockTableStats, SharedLockTable};
 pub use mt::{check_mt_crash_atomicity, MtScenario, TxThread};
 pub use oracle::CommitOracle;
 pub use report::{geomean, RunReport, TxStats};
 pub use runtime::{Recover, TxRuntime};
-pub use sched::{run_interleaved, MultiThreaded, ScheduleOutcome};

@@ -10,22 +10,14 @@
 //! (shrinking phase — all at once, so strictness is structural, not a
 //! caller convention).
 //!
-//! [`run_interleaved_2pl`] composes the table with the deterministic
-//! logical-thread scheduler — a transaction whose stripes are held by
-//! another logical thread is deferred to a later round instead of
-//! interleaving unsafely. Real-thread composition lives in
-//! `specpmt-core`'s `LockedTxHandle`, which dooms the transaction after a
-//! bounded try-lock instead of deferring (threads cannot be descheduled
-//! mid-transaction from outside).
+//! The composition with a runtime lives in `specpmt-core`'s
+//! `LockedTxHandle`, which dooms the transaction after a bounded try-lock
+//! (threads cannot be descheduled mid-transaction from outside).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use specpmt_telemetry::{Histogram, HistogramSnapshot, JsonWriter, StatExport};
-
-use crate::driver::TxOp;
-use crate::sched::{MultiThreaded, ScheduleOutcome};
-use crate::CommitOracle;
 
 /// A stripe owner cell: 0 = free, `tid + 1` = held.
 const FREE: usize = 0;
@@ -237,7 +229,7 @@ impl LockGuard {
         self.held.contains(&(addr / self.table.stripe_bytes))
     }
 
-    /// The owning logical/OS thread id.
+    /// The owning thread id.
     pub fn tid(&self) -> usize {
         self.tid
     }
@@ -252,73 +244,6 @@ impl Drop for LockGuard {
     fn drop(&mut self) {
         self.free_from(0);
     }
-}
-
-/// Configuration for [`run_interleaved_2pl`]: the deterministic strict-2PL
-/// schedule of per-logical-thread transaction streams.
-#[derive(Debug)]
-pub struct LockedRun<'a> {
-    /// Pool offset the stream addresses are relative to.
-    pub base: usize,
-    /// One transaction stream per logical thread.
-    pub streams: &'a [Vec<Vec<TxOp>>],
-    /// The shared lock table providing isolation.
-    pub locks: Arc<SharedLockTable>,
-}
-
-/// Runs per-thread transaction streams round-robin under strict 2PL: a
-/// transaction executes only once all its stripes are acquired (its guard
-/// drops after commit); conflicting transactions are deferred to later
-/// rounds (and, because guards drop at commit and threads progress one
-/// transaction per round, every transaction eventually runs).
-///
-/// Returns the schedule outcome once every stream is drained.
-///
-/// # Panics
-///
-/// Panics if `cfg.streams.len()` exceeds the runtime's thread count.
-pub fn run_interleaved_2pl<R: MultiThreaded>(rt: &mut R, cfg: &LockedRun) -> ScheduleOutcome {
-    assert!(cfg.streams.len() <= rt.threads());
-    let mut oracle = CommitOracle::new();
-    let mut committed = vec![0u64; cfg.streams.len()];
-    let mut next = vec![0usize; cfg.streams.len()];
-    loop {
-        let mut progressed = false;
-        let mut all_done = true;
-        for (tid, stream) in cfg.streams.iter().enumerate() {
-            let Some(tx) = stream.get(next[tid]) else {
-                continue;
-            };
-            all_done = false;
-            // Acquire every stripe up front (conservative 2PL — avoids
-            // deadlock under the deterministic scheduler). The guard
-            // releases everything when it drops, acquired or not.
-            let mut guard = cfg.locks.guard(tid);
-            let acquired = tx.iter().all(|op| guard.try_extend(cfg.base + op.addr, op.data.len()));
-            if !acquired {
-                continue; // guard drops here: deferred to a later round
-            }
-            rt.select_thread(tid);
-            rt.begin();
-            oracle.begin();
-            for op in tx {
-                rt.write(cfg.base + op.addr, &op.data);
-                oracle.write(cfg.base + op.addr, &op.data);
-            }
-            rt.commit();
-            oracle.commit();
-            drop(guard); // strict 2PL: release only after commit
-            committed[tid] += 1;
-            next[tid] += 1;
-            progressed = true;
-            rt.maintain();
-        }
-        if all_done {
-            break;
-        }
-        assert!(progressed, "livelock: no transaction could acquire its locks");
-    }
-    ScheduleOutcome { committed_per_thread: committed, oracle }
 }
 
 #[cfg(test)]

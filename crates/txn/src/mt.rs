@@ -1,8 +1,9 @@
 //! Crash-atomicity harness for **real** OS-thread concurrency.
 //!
-//! [`crate::sched`] interleaves logical threads deterministically on one
-//! core. This module drives N actual `std::thread`s against one
-//! [`SharedPmemDevice`] and still verifies atomic durability, using the
+//! Stepping a runtime's per-thread handles round-robin from one thread
+//! gives a replayable schedule. This module drives N actual
+//! `std::thread`s against one [`SharedPmemDevice`] and still verifies
+//! atomic durability, using the
 //! device's *crash-epoch bracketing* protocol
 //! ([`CrashControl::observe`]):
 //!

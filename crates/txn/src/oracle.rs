@@ -83,11 +83,6 @@ impl CommitOracle {
         Some(u64::from_le_bytes(b))
     }
 
-    /// Number of distinct committed bytes tracked.
-    pub fn committed_len(&self) -> usize {
-        self.committed.len()
-    }
-
     /// Iterates over `(addr, expected_value)` for every byte written by a
     /// committed transaction, in no particular order.
     pub fn committed_bytes(&self) -> impl Iterator<Item = (usize, u8)> + '_ {

@@ -7,34 +7,35 @@
 //! [`specpmt::telemetry::StatExport`] JSON surface) instead of the
 //! human-readable rendering.
 
-use specpmt::core::{inspect_image, SpecConfig, SpecSpmt};
-use specpmt::pmem::{CrashPolicy, PmemConfig, PmemDevice, PmemPool};
+use specpmt::core::{inspect_image, ConcurrentConfig, SpecSpmtShared};
+use specpmt::pmem::CrashPolicy;
 use specpmt::telemetry::StatExport;
-use specpmt::txn::{Recover, TxAccess, TxRuntime};
+use specpmt::txn::TxAccess;
 use specpmt_pmem::CrashControl;
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
-    let mut rt = SpecSpmt::new(pool, SpecConfig { threads: 3, ..SpecConfig::default() });
+    // Three log chains, one `TxHandle` each, stepped round-robin from this
+    // thread — a deterministic stand-in for three application threads.
+    let shared =
+        SpecSpmtShared::open_or_format(1 << 20, ConcurrentConfig::builder().threads(3).build());
+    let mut handles: Vec<_> = (0..3).map(|tid| shared.tx_handle(tid)).collect();
 
-    rt.begin();
-    let a = rt.alloc(256, 64);
-    rt.commit();
+    handles[0].begin();
+    let a = handles[0].alloc(256, 64);
+    handles[0].commit();
     for round in 0..30u64 {
-        for tid in 0..3 {
-            rt.set_thread(tid);
-            rt.begin();
-            rt.write_u64(a + tid * 8, round * 3 + tid as u64);
-            rt.commit();
+        for (tid, h) in handles.iter_mut().enumerate() {
+            h.begin();
+            h.write_u64(a + tid * 8, round * 3 + tid as u64);
+            h.commit();
         }
     }
     // Crash mid-transaction on thread 1.
-    rt.set_thread(1);
-    rt.begin();
-    rt.write_u64(a + 8, 0xFFFF);
+    handles[1].begin();
+    handles[1].write_u64(a + 8, 0xFFFF);
 
-    let mut image = rt.pool().device().capture(CrashPolicy::Random(7));
+    let mut image = shared.device().capture(CrashPolicy::Random(7));
     if json {
         // Machine-readable: one JSON object per line (crashed, recovered).
         println!("{}", inspect_image(&image).to_json());
@@ -43,7 +44,7 @@ fn main() {
         println!("{}", inspect_image(&image));
     }
 
-    SpecSpmt::recover(&mut image);
+    SpecSpmtShared::recover(&mut image);
     if json {
         println!("{}", inspect_image(&image).to_json());
     } else {

@@ -32,7 +32,7 @@
 # cost flat while full replay grows.
 #
 # BENCH_txstat.json is JSON-lines: one per-phase breakdown object per
-# runtime/thread-count point (seq at 1/8/16 threads; shared at each count
+# runtime/thread-count point (seq once, one chain; shared at 1/8/16 threads
 # with the per-commit path and the group-commit path side by side, the
 # group lines carrying fences_per_commit, batch occupancy, and the
 # amortized simulated commit cost), the 16-thread media-channel / WPQ

@@ -38,12 +38,23 @@ if grep -rn 'ConcurrentConfig {' crates src examples tests benches 2>/dev/null \
     exit 1
 fi
 
-# Re-fork guard: the SpecPMT record protocol and the WPQ timing model are
-# each written once. Outside #[cfg(test)], the header seal and the fence
-# telemetry block live in one file of crates/core/src (record.rs only
-# defines the encoder), and the WPQ service-time arithmetic is read in one
-# file of crates/pmem/src (config.rs only defines the field). A second hit
-# means a runtime grew its own copy of the engine again.
+# One multithreading model: N chains are N TxHandles of one SpecSpmtShared.
+# The logical-thread mode of SpecSpmt and the scheduler only it needed are
+# gone and must stay gone.
+if grep -rnE 'MultiThreaded|select_thread|set_thread\(|LockedRun|run_interleaved' \
+    crates src tests examples --include='*.rs'; then
+    echo "the logical-thread scheduler is back (drive TxHandles in a loop instead)" >&2
+    exit 1
+fi
+
+# Re-fork guard: the SpecPMT record protocol, the WPQ timing model and the
+# crash gate are each written once. Outside #[cfg(test)], the header seal
+# and the fence telemetry block live in one file of crates/core/src
+# (record.rs only defines the encoder), the WPQ service-time arithmetic is
+# read in one file of crates/pmem/src (config.rs only defines the field),
+# and the crash-plan ticks and the what-survives policy walk are called in
+# one file of crates/pmem/src (crash.rs, which also defines them). A second
+# hit means a runtime or a device grew its own copy again.
 nontest_files_with() { # <fixed string> <dir> <file that only defines it>
     for f in "$2"/*.rs; do
         [ "$(basename "$f")" = "$3" ] && continue
@@ -54,7 +65,10 @@ nontest_files_with() { # <fixed string> <dir> <file that only defines it>
 }
 for probe in 'encode_header_parts(|crates/core/src|record.rs' \
     'Metric::WpqDrains|crates/core/src|-' \
-    'cfg.line_write_seq_ns|crates/pmem/src|config.rs'; do
+    'cfg.line_write_seq_ns|crates/pmem/src|config.rs' \
+    'fuel_tick(|crates/pmem/src|-' \
+    'site_tick(|crates/pmem/src|-' \
+    'policy.survives(|crates/pmem/src|-'; do
     IFS='|' read -r pat dir defs <<<"$probe"
     hits=$(nontest_files_with "$pat" "$dir" "$defs")
     if [ "$(printf '%s\n' "$hits" | grep -c .)" -ne 1 ]; then
@@ -350,11 +364,11 @@ print(f"txstat: telemetry-off {off:.1f} ns <= 1.75x commit_path {ref:.1f} ns, OK
 # Group-commit acceptance: at 16 threads with group commit on, the
 # amortized simulated commit cost (committer staging + the combiner
 # daemon's drain stalls, per commit) must be within 1.5x the sequential
-# runtime's, with under one fence per commit.
-seq16 = [l for l in lines if l.get("runtime") == "seq" and l.get("threads") == 16][-1]
+# runtime's (its one row: one chain, one thread), with under one fence per
+# commit.
 g16 = [l for l in lines if l.get("runtime") == "shared" and l.get("threads") == 16
        and l.get("group_commit") and l.get("mode") == "point"][-1]
-amort, seq_sim = g16["commit_sim_amortized_ns_avg"], seq16["commit_sim_ns_avg"]
+amort, seq_sim = g16["commit_sim_amortized_ns_avg"], tx_sim["commit_sim_ns_avg"]
 assert amort <= 1.5 * seq_sim, (
     f"16-thread group-commit amortized sim cost {amort:.1f} ns exceeds "
     f"1.5x sequential {seq_sim:.1f} ns")

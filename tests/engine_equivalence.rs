@@ -67,7 +67,6 @@ fn run_sequential(block_bytes: usize, dp: bool, stream: &[Vec<TxOp>]) -> Observe
             data_persistence: dp,
             reclaim_mode: ReclaimMode::Inline,
             reclaim_threshold_bytes: usize::MAX,
-            threads: 1,
         },
     );
     rt.pool_mut().device_mut().set_timing(TimingMode::Off);

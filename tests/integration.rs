@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: multi-threaded logs, mode switching,
 //! workload durability end-to-end, and hardware-model recovery.
 
-use specpmt::core::{ReclaimMode, SpecConfig, SpecSpmt};
+use specpmt::core::{ConcurrentConfig, SpecConfig, SpecSpmt, SpecSpmtShared};
 use specpmt::hwtx::{hw_pool, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{CrashPolicy, PmemConfig, PmemDevice, PmemPool};
 use specpmt::stamp::{run_app, Scale, StampApp};
@@ -12,31 +12,32 @@ fn pool() -> PmemPool {
     PmemPool::create(PmemDevice::new(PmemConfig::new(16 << 20)))
 }
 
-/// Interleaved transactions from several logical threads, each with its own
-/// log chain; recovery must order commits globally by timestamp.
+/// Interleaved transactions from several chains — one `TxHandle` each,
+/// stepped round-robin from this thread; recovery must order commits
+/// globally by timestamp.
 #[test]
 fn multithread_interleaving_recovers_in_commit_order() {
-    let mut rt = SpecSpmt::new(pool(), SpecConfig { threads: 4, ..SpecConfig::default() });
-    let a = rt.pool_mut().alloc_direct(256, 64).unwrap();
+    let shared =
+        SpecSpmtShared::open_or_format(16 << 20, ConcurrentConfig::builder().threads(4).build());
+    let a = shared.pool().alloc_direct(256, 64).unwrap();
+    let mut handles: Vec<_> = (0..4).map(|tid| shared.tx_handle(tid)).collect();
 
     // Round-robin: each thread overwrites the same words in turn, plus a
     // private word of its own.
     let rounds = 50u64;
     for round in 0..rounds {
-        for tid in 0..4usize {
-            rt.set_thread(tid);
-            rt.begin();
-            rt.write_u64(a, round * 4 + tid as u64);
-            rt.write_u64(a + 8 + tid * 8, round);
-            rt.commit();
+        for (tid, h) in handles.iter_mut().enumerate() {
+            h.begin();
+            h.write_u64(a, round * 4 + tid as u64);
+            h.write_u64(a + 8 + tid * 8, round);
+            h.commit();
         }
     }
     // Leave one thread's transaction open (must be revoked).
-    rt.set_thread(2);
-    rt.begin();
-    rt.write_u64(a, 0xDEAD);
-    let mut img = rt.pool().device().capture(CrashPolicy::AllSurvive);
-    SpecSpmt::recover(&mut img);
+    handles[2].begin();
+    handles[2].write_u64(a, 0xDEAD);
+    let mut img = shared.device().capture(CrashPolicy::AllSurvive);
+    SpecSpmtShared::recover(&mut img);
     assert_eq!(img.read_u64(a), (rounds - 1) * 4 + 3, "youngest commit wins");
     for tid in 0..4usize {
         assert_eq!(img.read_u64(a + 8 + tid * 8), rounds - 1);
@@ -48,32 +49,29 @@ fn multithread_interleaving_recovers_in_commit_order() {
 /// Fig. 11 hazard).
 #[test]
 fn multithread_reclamation_preserves_revocability() {
-    let mut rt = SpecSpmt::new(
-        pool(),
-        SpecConfig {
-            threads: 2,
-            reclaim_mode: ReclaimMode::Inline,
-            reclaim_threshold_bytes: 4 * 1024,
-            block_bytes: 512,
-            ..SpecConfig::default()
-        },
+    let shared = SpecSpmtShared::open_or_format(
+        16 << 20,
+        ConcurrentConfig::builder().threads(2).block_bytes(512).build(),
     );
-    let a = rt.pool_mut().alloc_direct(64, 64).unwrap();
+    let a = shared.pool().alloc_direct(64, 64).unwrap();
+    let mut h0 = shared.tx_handle(0);
+    let mut h1 = shared.tx_handle(1);
 
-    // Thread 0 commits w1, w2 to the datum; heavy traffic forces
-    // reclamations throughout.
+    // Thread 0 commits w1, w2, … to the datum, reclaiming throughout.
     for v in 0..300u64 {
-        rt.set_thread(0);
-        rt.begin();
-        rt.write_u64(a, v);
-        rt.commit();
+        h0.begin();
+        h0.write_u64(a, v);
+        h0.commit();
+        if v % 25 == 24 {
+            shared.reclaim_cycle();
+        }
     }
+    assert!(shared.stats().records_reclaimed > 0);
     // Thread 1 starts w3 but crashes before commit (Fig. 11's w3).
-    rt.set_thread(1);
-    rt.begin();
-    rt.write_u64(a, 0xBAD);
-    let mut img = rt.pool().device().capture(CrashPolicy::AllSurvive);
-    SpecSpmt::recover(&mut img);
+    h1.begin();
+    h1.write_u64(a, 0xBAD);
+    let mut img = shared.device().capture(CrashPolicy::AllSurvive);
+    SpecSpmtShared::recover(&mut img);
     assert_eq!(img.read_u64(a), 299, "w3 must be revoked to the last committed value");
 }
 
@@ -160,17 +158,14 @@ fn runtimes_are_send() {
     assert_send::<specpmt::core::HashLogSpmt>();
 }
 
-/// The deterministic scheduler + strict 2PL (§4.3.3) over SpecSPMT: an
-/// interleaved multi-thread run whose recovery matches the schedule's
-/// commit oracle exactly.
+/// A multi-chain history is replayable without a scheduler: three
+/// `TxHandle`s of one `SpecSpmtShared` stepped round-robin from this
+/// thread. Recovery of the `AllLost` image matches the schedule's commit
+/// oracle exactly, and a second run reproduces the image byte for byte.
 #[test]
-fn scheduled_2pl_run_recovers_to_oracle_state() {
+fn round_robin_handles_recover_to_oracle_state_deterministically() {
     use specpmt::txn::driver::{generate_stream, StreamSpec};
-    use specpmt::txn::{run_interleaved_2pl, LockedRun, SharedLockTable};
-
-    let mut rt = SpecSpmt::new(pool(), SpecConfig { threads: 3, ..SpecConfig::default() });
-    let base = rt.pool_mut().alloc_direct(512, 64).unwrap();
-    rt.snapshot_external(base, 512);
+    use specpmt::txn::CommitOracle;
 
     let streams: Vec<_> = (0..3u64)
         .map(|seed| {
@@ -183,15 +178,35 @@ fn scheduled_2pl_run_recovers_to_oracle_state() {
             })
         })
         .collect();
-    let locks = SharedLockTable::new(16 << 20, 64);
-    let outcome =
-        run_interleaved_2pl(&mut rt, &LockedRun { base, streams: &streams, locks: locks.clone() });
-    assert_eq!(outcome.committed_per_thread, vec![15, 15, 15]);
-    assert_eq!(locks.held_stripes(), 0, "strict 2PL released everything");
+    let run = || {
+        let shared = SpecSpmtShared::open_or_format(
+            16 << 20,
+            ConcurrentConfig::builder().threads(3).group_commit(false).build(),
+        );
+        let mut handles: Vec<_> = (0..3).map(|tid| shared.tx_handle(tid)).collect();
+        let base = handles[0].setup_alloc(512, 64);
+        let mut oracle = CommitOracle::new();
+        for round in 0..15 {
+            for (h, stream) in handles.iter_mut().zip(&streams) {
+                h.begin();
+                oracle.begin();
+                for op in &stream[round] {
+                    h.write(base + op.addr, &op.data);
+                    oracle.write(base + op.addr, &op.data);
+                }
+                h.commit();
+                oracle.commit();
+            }
+        }
+        assert_eq!(shared.stats().commits, 45);
+        (shared.device().capture(CrashPolicy::AllLost), oracle)
+    };
 
-    let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
-    SpecSpmt::recover(&mut img);
-    outcome.oracle.verify(&img).expect("recovered state matches the schedule's oracle");
+    let (mut img, oracle) = run();
+    let (again, _) = run();
+    assert!(img.as_bytes() == again.as_bytes(), "the same schedule must leave the same image");
+    SpecSpmtShared::recover(&mut img);
+    oracle.verify(&img).expect("recovered state matches the schedule's oracle");
 }
 
 /// Sequential-runtime counterpart of the concurrent watermark test: an

@@ -1,7 +1,8 @@
 //! Recovery boundary contracts through the facade: the documented
 //! equal-timestamp tie-break, legacy (non-descriptor) pools through the
-//! new parallel engine, torn-checkpoint fallback to full replay, and
-//! chains created by dynamic thread registration.
+//! new parallel engine, torn-checkpoint fallback to full replay, chains
+//! created by dynamic thread registration, and a checksum-valid entry
+//! whose address range wraps.
 
 use specpmt::core::layout::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
 use specpmt::core::record::{encode_record, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR};
@@ -104,6 +105,41 @@ fn equal_timestamp_tie_break_is_chain_index_then_position() {
         );
         assert_eq!(rep.records_replayed, serial_rep.records_replayed);
     }
+}
+
+/// A committed record is only checksum-valid, not address-valid: an entry
+/// at `usize::MAX - 3` makes `addr + len` wrap. Both recovery paths (and
+/// `inspect`) must skip it without panicking, apply its well-formed
+/// neighbours, and still agree byte for byte.
+#[test]
+fn entry_with_wrapping_address_is_skipped_not_replayed() {
+    let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
+    let good_addr = pool.alloc_direct(8, 8).expect("alloc");
+    let entry = |addr, v: u64| LogEntry { addr, value: v.to_le_bytes().to_vec() };
+    let records = [
+        LogRecord { ts: 1, entries: vec![entry(usize::MAX - 3, 0xBAD), entry(good_addr, 0x600D)] },
+        LogRecord { ts: 2, entries: vec![entry(usize::MAX - 3, 0xBAD)] },
+    ];
+    let (mut free, mut dirty) = (Vec::new(), Vec::new());
+    let mut store = PoolStore::new(&mut pool, &mut free);
+    let mut area = LogArea::create(&mut store, 256, &mut dirty);
+    for rec in &records {
+        area.append(&mut store, &encode_record(rec), &mut dirty);
+    }
+    area.write_terminator(&mut store, &mut dirty);
+    pool.set_root_direct(BLOCK_BYTES_SLOT, 256);
+    pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
+    let img = pool.device().capture(CrashPolicy::AllSurvive);
+
+    let mut serial = img.clone();
+    specpmt::core::recovery::recover_image(&mut serial);
+    assert_eq!(serial.read_u64(good_addr), 0x600D, "the well-formed entry replays");
+    for opts in [RecoveryOptions::default(), RecoveryOptions::parallel(4)] {
+        let (rep, recovered) = recover_clone(&img, &opts);
+        assert_eq!(rep.records_parsed, 2);
+        assert_eq!(recovered, serial, "{opts:?} diverged from the reference path");
+    }
+    assert_eq!(specpmt::core::inspect_image(&img).total_records(), 2);
 }
 
 /// A legacy (non-descriptor) pool parses through the new engine: the
