@@ -1,7 +1,8 @@
-//! Log reclamation support: the byte-granular freshness index.
+//! Log reclamation support: the byte-exact, word-keyed freshness index and
+//! the incremental cycle state both runtimes share.
 //!
 //! The paper's background reclamator uses a volatile hash table, keyed by
-//! datum address, to decide whether a log record is *stale* (every byte it
+//! datum address, to decide whether a log entry is *stale* (every byte it
 //! covers is also covered by a younger committed record) and can be
 //! dropped. The table is volatile on purpose: it is rebuilt from the log if
 //! a crash interrupts reclamation, so it needs no crash consistency of its
@@ -16,16 +17,31 @@
 //!
 //! A naive cycle re-parses every chain from PM and rebuilds the index from
 //! scratch — O(total log) even when nothing happened since the last cycle.
-//! [`ReclaimState`] makes cycles incremental:
+//! [`ReclaimState`] makes a cycle's parse and index work proportional to
+//! the *records appended since the last cycle*:
 //!
 //! * each chain carries a **change watermark** `(head, generation)`
 //!   ([`crate::record::LogArea::generation`]); a chain whose watermark has
-//!   not moved since the last cycle is not re-parsed — its cached parse is
-//!   reused;
+//!   not moved since the last cycle is not read at all;
+//! * a chain whose generation moved but whose `head` did not is read from
+//!   the **suffix cursor** — where the previous parse stopped — and only
+//!   those records are parsed, cached and folded into the index. This is
+//!   sound because a chain is **append-only between splices**: a commit
+//!   reserves its header at the tail and later patches that header and its
+//!   own entries, an abort seals a compensating record the same way, and
+//!   group commit only defers the fence — all of them write at or after
+//!   the first unsealed record, which is exactly where a parse stops. Only
+//!   a splice installs a different chain, and a splice goes through
+//!   `ReclaimState::spliced`, which re-bases the cursor on the new
+//!   chain's tail (a `head` the cache does not know forces a full parse);
+//! * the per-chain cache is one flat buffer of *encoded* records, so
+//!   compaction is an in-place retain and a record that keeps all its
+//!   entries goes back to PM byte for byte — header, checksum and all —
+//!   without being decoded, cloned, re-encoded or re-hashed;
 //! * the [`FreshnessIndex`] **persists across cycles** and is only *fed*
 //!   the newly parsed records. This is sound because the index fold is
-//!   monotone ([`FreshnessIndex::insert_record`]): entries for records that
-//!   a rewrite has since dropped may linger, but a dropped record is by
+//!   monotone ([`FreshnessIndex::insert`]): entries for records that a
+//!   rewrite has since dropped may linger, but a dropped entry is by
 //!   definition covered by a younger retained one, so no freshness verdict
 //!   ever depends on vanished data;
 //! * when **no** chain changed, the whole cycle is a no-op: the index is
@@ -34,22 +50,90 @@
 //!   compaction only delays garbage collection, never corrupts recovery);
 //! * a chain whose compaction drops nothing is **not rewritten** (no new
 //!   blocks, no splice fences).
+//!
+//! What a cycle still pays per *live* entry is one index probe (staleness
+//! is global, so an old entry must be re-checked against younger records of
+//! every chain) and, when anything was dropped, the copy of the kept
+//! records into the new chain.
 
 use std::collections::HashMap;
-
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 use specpmt_telemetry::{EventKind, JsonWriter, Metric, Phase, StatExport, Telemetry};
 
 use crate::record::{
-    encode_record, parse_chain, ByteSource, LogArea, LogEntry, LogRecord, LogStore, REC_HDR,
+    decode_entry, decode_header, encode_header, encoded_records, ByteSource, Cursor, LogArea,
+    LogEntry, LogRecord, LogStore, RecordReader, ENTRY_HDR, REC_HDR,
 };
 
+/// Bytes per index word.
+const WORD: usize = 8;
+
+/// Multiply-shift hash of a word number. The product's high half is its
+/// well-mixed half, so it is folded onto the low bits the table buckets by
+/// (strided keys would otherwise share their low zero bits). Collisions
+/// cost time, never verdicts: `inspect` feeds the index addresses from
+/// arbitrary crash images, and a crafted image can only slow its own
+/// inspection.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("word numbers hash through write_usize");
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        let h = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The freshness state of one aligned 8-byte word: per byte, the youngest
+/// commit timestamp that wrote it, and whether any did (`ts == 0` is a
+/// legal timestamp, so absence needs its own bit).
+#[derive(Debug, Clone, Copy, Default)]
+struct Word {
+    ts: [u64; WORD],
+    present: u8,
+}
+
+/// Splits `[addr, addr + len)` — wrapping, since `inspect` indexes crash
+/// images whose entries can carry any address — into per-word pieces
+/// `(word number, first byte in word, bytes)`.
+fn word_pieces(addr: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (mut at, mut left) = (addr, len);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let first = at % WORD;
+        let n = (WORD - first).min(left);
+        let piece = (at / WORD, first, n);
+        at = at.wrapping_add(n);
+        left -= n;
+        Some(piece)
+    })
+}
+
+/// Bit mask of bytes `first..first + n` of a word.
+fn byte_mask(first: usize, n: usize) -> u8 {
+    (((1u16 << n) - 1) << first) as u8
+}
+
 /// Volatile index mapping each logged byte address to the youngest commit
-/// timestamp that wrote it.
+/// timestamp that wrote it. Verdicts are byte-exact; storage is one hash
+/// entry per aligned 8-byte word, so an aligned 8-byte datum is one probe.
 #[derive(Debug, Clone, Default)]
 pub struct FreshnessIndex {
-    newest: HashMap<usize, u64>,
+    words: HashMap<usize, Word, BuildHasherDefault<WordHasher>>,
+    /// Distinct bytes tracked (set `present` bits across all words).
+    bytes: usize,
 }
 
 impl FreshnessIndex {
@@ -62,44 +146,61 @@ impl FreshnessIndex {
         idx
     }
 
-    /// Folds one committed record into the index. The fold is monotone
-    /// (each byte keeps its *youngest* covering timestamp), so inserting a
-    /// record twice — or re-inserting records that survive a compaction —
-    /// is idempotent. This is what makes incremental maintenance safe: the
-    /// index may retain entries for records that were since dropped, but a
-    /// dropped record is by definition covered by a younger *retained*
-    /// one, so freshness decisions never rely on vanished data.
+    /// Folds one entry — `len` bytes at `addr`, committed at `ts` — into
+    /// the index. The fold is monotone (each byte keeps its *youngest*
+    /// covering timestamp), so inserting an entry twice is idempotent.
+    /// This is what makes incremental maintenance safe: the index may
+    /// retain entries for records that were since dropped, but a dropped
+    /// entry is by definition covered by a younger *retained* one, so
+    /// freshness decisions never rely on vanished data.
+    pub fn insert(&mut self, ts: u64, addr: usize, len: usize) {
+        for (word, first, n) in word_pieces(addr, len) {
+            let w = self.words.entry(word).or_default();
+            let mask = byte_mask(first, n);
+            self.bytes += (mask & !w.present).count_ones() as usize;
+            w.present |= mask;
+            for slot in &mut w.ts[first..first + n] {
+                *slot = (*slot).max(ts);
+            }
+        }
+    }
+
+    /// Folds every entry of one committed record into the index.
     pub fn insert_record(&mut self, rec: &LogRecord) {
         for e in &rec.entries {
-            // Wrapping: `inspect` indexes crash images, whose entries can
-            // carry any address.
-            for i in 0..e.value.len() {
-                let slot = self.newest.entry(e.addr.wrapping_add(i)).or_insert(0);
-                if rec.ts > *slot {
-                    *slot = rec.ts;
-                }
-            }
+            self.insert(rec.ts, e.addr, e.value.len());
         }
     }
 
     /// Youngest commit timestamp covering `addr`, if any.
     pub fn newest_ts(&self, addr: usize) -> Option<u64> {
-        self.newest.get(&addr).copied()
+        let w = self.words.get(&(addr / WORD))?;
+        (w.present & byte_mask(addr % WORD, 1) != 0).then_some(w.ts[addr % WORD])
     }
 
-    /// Whether `entry` at commit time `ts` is fresh: at least one of its
-    /// bytes has no younger committed record.
-    pub fn is_fresh(&self, ts: u64, entry: &LogEntry) -> bool {
-        (0..entry.value.len())
-            .any(|i| self.newest.get(&entry.addr.wrapping_add(i)).is_none_or(|&n| n <= ts))
+    /// Whether the entry of `len` bytes at `addr`, committed at `ts`, is
+    /// fresh: at least one of its bytes has no younger committed record.
+    /// (An empty entry has no such byte and is never fresh.)
+    pub fn is_fresh(&self, ts: u64, addr: usize, len: usize) -> bool {
+        word_pieces(addr, len).any(|(word, first, n)| match self.words.get(&word) {
+            None => true,
+            Some(w) => {
+                let mask = byte_mask(first, n);
+                w.present & mask != mask || w.ts[first..first + n].iter().any(|&t| t <= ts)
+            }
+        })
     }
 
     /// Filters a record down to its fresh entries, preserving order.
     /// Returns `None` when nothing survives (the whole record is stale).
     /// The second component counts dropped entries.
     pub fn compact_record(&self, rec: &LogRecord) -> (Option<LogRecord>, u64) {
-        let kept: Vec<LogEntry> =
-            rec.entries.iter().filter(|e| self.is_fresh(rec.ts, e)).cloned().collect();
+        let kept: Vec<LogEntry> = rec
+            .entries
+            .iter()
+            .filter(|e| self.is_fresh(rec.ts, e.addr, e.value.len()))
+            .cloned()
+            .collect();
         let dropped = (rec.entries.len() - kept.len()) as u64;
         if kept.is_empty() {
             (None, dropped)
@@ -110,13 +211,65 @@ impl FreshnessIndex {
 
     /// Number of distinct bytes tracked.
     pub fn tracked_bytes(&self) -> usize {
-        self.newest.len()
+        self.bytes
+    }
+
+    /// Compacts a buffer of back-to-back encoded records in place: stale
+    /// entries are cut out, a record left with none is cut out whole, a
+    /// record that lost some gets a fresh header, and a record that lost
+    /// none is moved down untouched — header, checksum and all. Returns
+    /// `(entries kept, entries dropped)`; with nothing dropped the buffer
+    /// is unchanged.
+    fn compact_encoded(&self, buf: &mut Vec<u8>) -> (u64, u64) {
+        let (mut kept, mut dropped) = (0u64, 0u64);
+        // Read and write positions; everything below `w` is compacted.
+        let (mut r, mut w) = (0usize, 0usize);
+        while r < buf.len() {
+            // The header is copied out first: kept entries land at
+            // `w + REC_HDR`, which may already overlap its old place.
+            let hdr: [u8; REC_HDR] = buf[r..r + REC_HDR].try_into().expect("REC_HDR bytes");
+            let (len, ts, _) = decode_header(&hdr);
+            let end = r + REC_HDR + len;
+            let (mut pr, mut pw) = (r + REC_HDR, w + REC_HDR);
+            let mut lost = false;
+            while let Some((addr, vlen)) = decode_entry(&buf[pr..end]) {
+                let entry = ENTRY_HDR + vlen;
+                if self.is_fresh(ts, addr, vlen) {
+                    buf.copy_within(pr..pr + entry, pw);
+                    pw += entry;
+                    kept += 1;
+                } else {
+                    lost = true;
+                    dropped += 1;
+                }
+                pr += entry;
+            }
+            if !lost {
+                // Verbatim, including any bytes past the last whole entry.
+                buf.copy_within(pr..end, pw);
+                pw += end - pr;
+                buf[w..w + REC_HDR].copy_from_slice(&hdr);
+                w = pw;
+            } else if pw > w + REC_HDR {
+                let hdr = encode_header(ts, &buf[w + REC_HDR..pw]);
+                buf[w..w + REC_HDR].copy_from_slice(&hdr);
+                w = pw;
+            }
+            r = end;
+        }
+        buf.truncate(w);
+        (kept, dropped)
     }
 }
 
 /// Observability counters for the incremental reclamator. All counters
 /// are cumulative over the runtime's lifetime except
 /// [`ReclaimStats::last_cycle_ns`].
+///
+/// `records_kept` and `records_dropped` count log **entries** (one per
+/// datum a transaction wrote), not records (one per transaction): a record
+/// can lose some entries and keep others. The field names are part of the
+/// exported JSON schema and stay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReclaimStats {
     /// Reclamation cycles run (including no-op cycles).
@@ -124,19 +277,22 @@ pub struct ReclaimStats {
     /// Cycles where no chain's watermark had moved: the whole cycle was a
     /// scan-free, rewrite-free no-op.
     pub noop_cycles: u64,
-    /// Chains parsed from PM (watermark moved since the last cycle).
+    /// Chains read from PM (watermark moved since the last cycle) — from
+    /// the suffix cursor, or from `head` after a splice the cache missed.
     pub chains_scanned: u64,
     /// Chain scans skipped because the `(head, generation)` watermark was
-    /// unchanged — the cached parse was reused.
+    /// unchanged — the cached records were reused.
     pub chains_skipped: u64,
     /// Chains rewritten (compaction dropped at least one entry).
     pub chains_rewritten: u64,
     /// Chain rewrites skipped because compaction dropped nothing — no new
     /// blocks were written and no splice fences were issued.
     pub rewrites_skipped: u64,
-    /// Entries kept across all compaction passes.
+    /// **Entries** carried over into a rewritten chain, summed over the
+    /// compaction passes that rewrote (a pass that drops nothing rewrites
+    /// nothing and counts nothing here).
     pub records_kept: u64,
-    /// Entries dropped as stale across all compaction passes.
+    /// **Entries** dropped as stale across all compaction passes.
     pub records_dropped: u64,
     /// Log bytes (record headers + payload) reclaimed by compaction.
     pub bytes_reclaimed: u64,
@@ -185,21 +341,25 @@ impl StatExport for ReclaimStats {
     }
 }
 
-/// Per-chain scan cache: the watermark the cache was taken at plus the
-/// committed records parsed then. Volatile, like the index — rebuilt after
-/// a crash.
+/// Per-chain scan cache: the committed records of the chain as of the
+/// watermark, and where the next scan picks up. Volatile, like the index —
+/// rebuilt after a crash.
 #[derive(Debug, Default)]
 struct ChainCache {
-    /// `(head, generation)` of the chain when `records` was captured;
-    /// `None` forces a re-parse.
-    mark: Option<(usize, u64)>,
-    records: Vec<LogRecord>,
+    /// The chain's `(head, generation)` when it was last scanned, and
+    /// where that scan stopped: the position just past the last committed
+    /// record, from which the next scan reads the suffix. `None` forces a
+    /// parse from `head`.
+    scanned: Option<((usize, u64), Cursor)>,
+    /// The chain's committed records, encoded back to back exactly as the
+    /// chain stores them.
+    encoded: Vec<u8>,
 }
 
 /// Volatile state carried across reclamation cycles: the persistent
-/// freshness index, per-chain scan caches with change watermarks, and the
-/// observability counters. See the module docs for why reusing all of this
-/// across cycles is sound.
+/// freshness index, per-chain record caches with change watermarks and
+/// suffix cursors, and the observability counters. See the module docs for
+/// why reusing all of this across cycles is sound.
 #[derive(Debug, Default)]
 pub struct ReclaimState {
     index: FreshnessIndex,
@@ -212,28 +372,32 @@ pub struct ReclaimState {
 }
 
 /// The steps of a reclamation cycle both runtimes share. A cycle scans
-/// every chain ([`ReclaimState::scan_chain`]), rewrites the ones whose
-/// compaction drops something ([`ReclaimState::rewrite_chain`]) and, once
+/// every chain (`ReclaimState::scan_chain`), rewrites the ones whose
+/// compaction drops something (`ReclaimState::rewrite_chain`) and, once
 /// the caller has persisted a rewrite and swapped the chain's head pointer
 /// to it — which is where a background reclamator and a fencing daemon
-/// differ — records the splice ([`ReclaimState::spliced`]).
+/// differ — records the splice (`ReclaimState::spliced`).
 impl ReclaimState {
     /// Opens a cycle over `chains` chains at simulated time `sim_now`.
     pub(crate) fn begin_cycle(&mut self, chains: usize, sim_now: u64) {
-        self.ensure_chains(chains);
+        if self.chains.len() < chains {
+            self.chains.resize_with(chains, ChainCache::default);
+        }
         self.stats.cycles += 1;
         // Host wall-clock for the telemetry histogram; cycles are rare, so
         // an unconditional `Instant::now()` is well within budget.
         self.cycle_start = Some((sim_now, Instant::now(), self.stats.bytes_reclaimed));
     }
 
-    /// Re-parses chain `tid` from `src` if its `(head, generation)`
-    /// watermark moved since its cached parse, folding the records into
-    /// the persistent freshness index (the index is volatile and rebuilt
-    /// from the log after a crash; it needs no crash consistency of its
-    /// own). Returns whether it did; when no chain of a cycle did, the
-    /// index is exactly what the previous cycle left, every chain it left
-    /// fully fresh still is, and the cycle can end as a no-op.
+    /// Reads what chain `tid` gained since its `(head, generation)`
+    /// watermark was cached — the suffix behind the cursor, or the whole
+    /// chain when `head` is not the cached one — appending the records to
+    /// the cache and folding them into the persistent freshness index (the
+    /// index is volatile and rebuilt from the log after a crash; it needs
+    /// no crash consistency of its own). Returns whether the watermark had
+    /// moved; when no chain's had in a cycle, the index is exactly what the
+    /// previous cycle left, every chain it left fully fresh still is, and
+    /// the cycle can end as a no-op.
     pub(crate) fn scan_chain<B: ByteSource>(
         &mut self,
         src: &B,
@@ -242,51 +406,68 @@ impl ReclaimState {
         block_bytes: usize,
     ) -> bool {
         let mark = (area.head(), area.generation());
-        if self.is_current(tid, mark) {
-            return false;
+        let chain = &mut self.chains[tid];
+        let mut reader = match chain.scanned {
+            Some((cached, _)) if cached == mark => return false,
+            Some(((head, _), cursor)) if head == mark.0 => {
+                RecordReader::resume(src, cursor, block_bytes)
+            }
+            _ => {
+                chain.encoded.clear();
+                RecordReader::new(src, mark.0, block_bytes)
+            }
+        };
+        while let Some(rec) = reader.next() {
+            for e in rec.entries() {
+                self.index.insert(rec.ts, e.addr, e.value.len());
+            }
+            chain.encoded.extend_from_slice(rec.bytes());
         }
-        let records = parse_chain(src, area.head(), block_bytes);
-        self.install_parse(tid, mark, records);
+        chain.scanned = Some((mark, reader.cursor()));
         self.stats.chains_scanned += 1;
         true
     }
 
-    /// Compacts chain `tid`'s cached parse against the index (freshness
+    /// Compacts chain `tid`'s cached records against the index (freshness
     /// uses committed records of *all* threads). If that drops at least
     /// one entry, writes the kept records plus a terminator into a fresh
     /// chain from `store`, pushes the ranges to persist onto `dirty`, and
-    /// returns the new area, its records and the number of entries
-    /// dropped. `None` means the chain is fully fresh: no new blocks, no
-    /// splice.
+    /// returns the new area and the number of entries dropped. `None`
+    /// means the chain is fully fresh: no new blocks, no splice.
     pub(crate) fn rewrite_chain<S: LogStore>(
         &mut self,
         store: &mut S,
         tid: usize,
         block_bytes: usize,
         dirty: &mut Vec<(usize, usize)>,
-    ) -> Option<(LogArea, Vec<LogRecord>, u64)> {
-        let (kept, dropped, bytes) = self.compact_chain(tid);
+    ) -> Option<(LogArea, u64)> {
+        let chain = &mut self.chains[tid];
+        let before = chain.encoded.len();
+        let (kept, dropped) = self.index.compact_encoded(&mut chain.encoded);
         if dropped == 0 {
             self.stats.rewrites_skipped += 1;
             return None;
         }
+        // The cache now describes the new chain; until `spliced` says the
+        // head pointer names it, a scan must not trust the cache.
+        chain.scanned = None;
         self.stats.records_dropped += dropped;
-        self.stats.records_kept += kept.iter().map(|r| r.entries.len() as u64).sum::<u64>();
-        self.stats.bytes_reclaimed += bytes;
+        self.stats.records_kept += kept;
+        self.stats.bytes_reclaimed += (before - chain.encoded.len()) as u64;
         let mut area = LogArea::create(store, block_bytes, dirty);
-        for rec in &kept {
-            area.append(store, &encode_record(rec), dirty);
+        for rec in encoded_records(&chain.encoded) {
+            area.append(store, rec.bytes(), dirty);
         }
         area.write_terminator(store, dirty);
-        Some((area, kept, dropped))
+        Some((area, dropped))
     }
 
-    /// Chain `tid`'s head pointer now names the rewritten `area`: caches
-    /// its records at the new watermark so the next cycle can skip
-    /// re-parsing it.
-    pub(crate) fn spliced(&mut self, tid: usize, area: &LogArea, kept: Vec<LogRecord>) {
+    /// Chain `tid`'s head pointer now names the rewritten `area`, whose
+    /// records are what [`Self::rewrite_chain`] left in the cache: the
+    /// next scan reads only what is appended behind its tail.
+    pub(crate) fn spliced(&mut self, tid: usize, area: &LogArea) {
         self.stats.chains_rewritten += 1;
-        self.commit_rewrite(tid, (area.head(), area.generation()), kept);
+        self.chains[tid].scanned = Some(((area.head(), area.generation()), area.tail()));
     }
 
     /// Closes the open cycle at simulated time `sim_now` on `tid`'s
@@ -301,74 +482,13 @@ impl ReclaimState {
         tel.tracer.record(tid, EventKind::ReclaimCycle, bytes, host_ns);
         self.stats.last_cycle_ns
     }
-}
 
-impl ReclaimState {
-    /// Grows the per-chain cache vector to cover `n` chains.
-    pub fn ensure_chains(&mut self, n: usize) {
-        if self.chains.len() < n {
-            self.chains.resize_with(n, ChainCache::default);
-        }
-    }
-
-    /// Drops all cached state (indexes and watermarks), e.g. after
+    /// Drops all cached state (index, caches and watermarks), e.g. after
     /// [`switch-out`](crate::runtime::SpecSpmt::switch_out) truncates the
     /// log. Counters are preserved.
     pub fn reset(&mut self) {
         self.index = FreshnessIndex::default();
-        for c in &mut self.chains {
-            c.mark = None;
-            c.records.clear();
-        }
-    }
-
-    /// Whether chain `tid`'s cached parse is still valid for watermark
-    /// `mark`.
-    pub fn is_current(&self, tid: usize, mark: (usize, u64)) -> bool {
-        self.chains.get(tid).is_some_and(|c| c.mark == Some(mark))
-    }
-
-    /// Installs a fresh parse of chain `tid` taken at watermark `mark`,
-    /// folding the records into the persistent freshness index.
-    pub fn install_parse(&mut self, tid: usize, mark: (usize, u64), records: Vec<LogRecord>) {
-        self.ensure_chains(tid + 1);
-        for r in &records {
-            self.index.insert_record(r);
-        }
-        let c = &mut self.chains[tid];
-        c.records = records;
-        c.mark = Some(mark);
-    }
-
-    /// Compacts chain `tid`'s cached records against the current index.
-    /// Returns `(kept records, dropped entry count, log bytes reclaimed)`;
-    /// a zero drop count means the chain needs no rewrite.
-    pub fn compact_chain(&self, tid: usize) -> (Vec<LogRecord>, u64, u64) {
-        let mut kept_all = Vec::new();
-        let mut dropped = 0u64;
-        let mut bytes = 0u64;
-        for rec in &self.chains[tid].records {
-            let before = (REC_HDR + rec.payload_len()) as u64;
-            let (kept, d) = self.index.compact_record(rec);
-            dropped += d;
-            match kept {
-                Some(k) => {
-                    bytes += before - (REC_HDR + k.payload_len()) as u64;
-                    kept_all.push(k);
-                }
-                None => bytes += before,
-            }
-        }
-        (kept_all, dropped, bytes)
-    }
-
-    /// Records that chain `tid` was rewritten to exactly `kept` at the new
-    /// watermark `mark`, so the next cycle can skip re-parsing it.
-    pub fn commit_rewrite(&mut self, tid: usize, mark: (usize, u64), kept: Vec<LogRecord>) {
-        self.ensure_chains(tid + 1);
-        let c = &mut self.chains[tid];
-        c.records = kept;
-        c.mark = Some(mark);
+        self.chains.clear();
     }
 
     /// The persistent freshness index.
@@ -378,8 +498,38 @@ impl ReclaimState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::record::{encode_record, parse_chain, PoolStore, RecordRef, BLOCK_HDR};
+    use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool, SplitMix64};
+
+    impl ReclaimState {
+        /// Chain `tid`'s cached records, decoded.
+        pub(crate) fn cached_chain(&self, tid: usize) -> Vec<LogRecord> {
+            encoded_records(&self.chains[tid].encoded).map(RecordRef::to_record).collect()
+        }
+
+        /// Chain `tid`'s cached records as the cache holds them.
+        pub(crate) fn cached_bytes(&self, tid: usize) -> &[u8] {
+            &self.chains[tid].encoded
+        }
+    }
+
+    /// What a cycle must leave of `chains` (every chain's committed
+    /// records), decided the slow way: an index built from scratch over
+    /// exactly these records, each record cloned down to its fresh entries.
+    pub(crate) fn reference_compaction(chains: &[Vec<LogRecord>]) -> Vec<Vec<LogRecord>> {
+        let index = FreshnessIndex::build(chains.iter().flatten());
+        chains
+            .iter()
+            .map(|recs| recs.iter().filter_map(|r| index.compact_record(r).0).collect())
+            .collect()
+    }
+
+    /// `records` as a chain stores them.
+    pub(crate) fn encode_all(records: &[LogRecord]) -> Vec<u8> {
+        records.iter().flat_map(encode_record).collect()
+    }
 
     fn rec(ts: u64, addr: usize, value: &[u8]) -> LogRecord {
         LogRecord { ts, entries: vec![LogEntry { addr, value: value.to_vec() }] }
@@ -436,39 +586,139 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_state_watermarks_cache_and_compact() {
-        use crate::record::ENTRY_HDR;
-        let mut st = ReclaimState::default();
-        st.ensure_chains(2);
-        assert!(!st.is_current(0, (64, 0)));
-        let r1 = rec(1, 0, &[1; 4]);
-        st.install_parse(0, (64, 3), vec![r1.clone()]);
-        assert!(st.is_current(0, (64, 3)));
-        assert!(!st.is_current(0, (64, 4)), "generation bump must invalidate");
-        assert!(!st.is_current(0, (65, 3)), "head move must invalidate");
-        // Nothing younger anywhere: chain 0 is fully fresh, no rewrite.
-        let (kept, dropped, bytes) = st.compact_chain(0);
-        assert_eq!(kept, vec![r1.clone()]);
-        assert_eq!((dropped, bytes), (0, 0));
-        // A younger record arriving on *another* chain stales the cached
-        // record of chain 0 through the persistent index.
-        st.install_parse(1, (128, 1), vec![rec(2, 0, &[2; 4])]);
-        let (kept, dropped, bytes) = st.compact_chain(0);
-        assert!(kept.is_empty());
-        assert_eq!(dropped, 1);
-        assert_eq!(bytes, (REC_HDR + ENTRY_HDR + 4) as u64);
-        st.commit_rewrite(0, (256, 0), kept);
-        assert!(st.is_current(0, (256, 0)));
-        st.reset();
-        assert_eq!(st.index().tracked_bytes(), 0);
-    }
-
-    #[test]
     fn newest_ts_lookup() {
         let r = rec(7, 100, &[1]);
         let idx = FreshnessIndex::build([&r]);
         assert_eq!(idx.newest_ts(100), Some(7));
         assert_eq!(idx.newest_ts(101), None);
         assert_eq!(idx.tracked_bytes(), 1);
+    }
+
+    #[test]
+    fn timestamp_zero_is_tracked_not_absent() {
+        let r = rec(0, 16, &[1; 8]);
+        let idx = FreshnessIndex::build([&r]);
+        assert_eq!(idx.newest_ts(16), Some(0));
+        assert_eq!(idx.newest_ts(24), None);
+        assert!(idx.is_fresh(0, 16, 8), "nothing younger than itself");
+        assert!(idx.is_fresh(0, 20, 8), "bytes 24..28 are untracked");
+        assert!(!idx.is_fresh(0, 16, 0), "an empty entry owns no byte");
+    }
+
+    /// In-place compaction of encoded records agrees with the owned
+    /// `compact_record`, byte for byte, whether a record survives whole
+    /// (moved verbatim), in part (re-headed) or not at all.
+    #[test]
+    fn compact_encoded_matches_compact_record() {
+        for seed in 0u64..64 {
+            let mut rng = SplitMix64::new(seed ^ 0xE1C0DE);
+            let records: Vec<LogRecord> = (0..rng.range_usize(1, 24))
+                .map(|i| LogRecord {
+                    ts: 1 + i as u64,
+                    entries: (0..rng.range_usize(1, 4))
+                        .map(|_| {
+                            let len = rng.range_usize(0, 20);
+                            let addr = rng.range_usize(0, 96);
+                            LogEntry { addr, value: (0..len).map(|_| rng.next_u8()).collect() }
+                        })
+                        .collect(),
+                })
+                .collect();
+            let idx = FreshnessIndex::build(&records);
+            let want: Vec<LogRecord> =
+                records.iter().filter_map(|r| idx.compact_record(r).0).collect();
+            let want_dropped: u64 = records.iter().map(|r| idx.compact_record(r).1).sum();
+            let mut buf = encode_all(&records);
+            let (kept, dropped) = idx.compact_encoded(&mut buf);
+            assert_eq!(dropped, want_dropped, "seed={seed}");
+            assert_eq!(kept, want.iter().map(|r| r.entries.len() as u64).sum::<u64>());
+            assert_eq!(buf, encode_all(&want), "seed={seed}");
+        }
+    }
+
+    /// `ReclaimState` over one hand-built chain: an unchanged watermark is
+    /// not read, a moved one reads only the suffix, a rewrite leaves the
+    /// cache describing the new chain, and `reset` forgets everything.
+    #[test]
+    fn scan_reads_only_the_suffix_and_rewrite_rebases_the_cursor() {
+        const BB: usize = 128;
+        let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20).untimed()));
+        let mut free = Vec::new();
+        let mut dirty = Vec::new();
+        let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
+        fn append(area: &mut LogArea, pool: &mut PmemPool, free: &mut Vec<usize>, r: &LogRecord) {
+            let mut store = PoolStore::new(pool, free);
+            area.append(&mut store, &encode_record(r), &mut Vec::new());
+            area.write_terminator(&mut store, &mut Vec::new());
+        }
+        let mut st = ReclaimState::default();
+        st.begin_cycle(1, 0);
+
+        // Three records, the third spilling over a block boundary.
+        let first = [rec(1, 0, &[1; 8]), rec(2, 8, &[2; 8]), rec(3, 64, &[3; 90])];
+        for r in &first {
+            append(&mut area, &mut pool, &mut free, r);
+        }
+        assert!(st.scan_chain(pool.device(), 0, &area, BB));
+        assert_eq!(st.cached_chain(0), first);
+        assert!(!st.scan_chain(pool.device(), 0, &area, BB), "unchanged watermark");
+
+        // Corrupt an already-scanned record in PM: a suffix scan never
+        // re-reads the prefix, so the cache must keep the original.
+        let hdr_of_first = area.head() + BLOCK_HDR;
+        let saved = pool.device().peek(hdr_of_first, 4).to_vec();
+        pool.device_mut().write(hdr_of_first, &[0; 4]);
+        let later = [rec(4, 0, &[4; 8]), rec(5, 200, &[5; 3])];
+        for r in &later {
+            append(&mut area, &mut pool, &mut free, r);
+        }
+        assert!(st.scan_chain(pool.device(), 0, &area, BB));
+        pool.device_mut().write(hdr_of_first, &saved);
+        let all: Vec<LogRecord> = first.iter().chain(&later).cloned().collect();
+        assert_eq!(st.cached_chain(0), all);
+        assert_eq!(st.cached_chain(0), parse_chain(pool.device(), area.head(), BB));
+
+        // ts 4 stales ts 1: the rewrite drops one entry and one record.
+        let want = reference_compaction(std::slice::from_ref(&all)).remove(0);
+        assert_eq!(want.len(), 4);
+        let (new_area, dropped) = st
+            .rewrite_chain(&mut PoolStore::new(&mut pool, &mut free), 0, BB, &mut dirty)
+            .expect("one stale entry");
+        assert_eq!(dropped, 1);
+        assert_eq!(st.stats.records_kept, 4);
+        assert_eq!(st.stats.bytes_reclaimed, (REC_HDR + ENTRY_HDR + 8) as u64);
+        st.spliced(0, &new_area);
+        area = new_area;
+        assert_eq!(parse_chain(pool.device(), area.head(), BB), want);
+        assert_eq!(st.cached_bytes(0), encode_all(&want));
+        assert!(!st.scan_chain(pool.device(), 0, &area, BB), "spliced chain is current");
+
+        // The cursor was re-based on the new chain's tail.
+        let newest = rec(6, 8, &[6; 8]);
+        append(&mut area, &mut pool, &mut free, &newest);
+        assert!(st.scan_chain(pool.device(), 0, &area, BB));
+        assert_eq!(st.cached_chain(0), parse_chain(pool.device(), area.head(), BB));
+        assert_eq!(st.cached_chain(0).last(), Some(&newest));
+
+        // ts 6 stales ts 2; after that rewrite the chain is fully fresh:
+        // nothing dropped, nothing rewritten, the cache still current.
+        let (new_area, dropped) = st
+            .rewrite_chain(&mut PoolStore::new(&mut pool, &mut free), 0, BB, &mut dirty)
+            .expect("one stale entry");
+        assert_eq!(dropped, 1);
+        st.spliced(0, &new_area);
+        area = new_area;
+        assert!(st
+            .rewrite_chain(&mut PoolStore::new(&mut pool, &mut free), 0, BB, &mut dirty)
+            .is_none());
+        assert_eq!(st.stats.rewrites_skipped, 1);
+        assert!(!st.scan_chain(pool.device(), 0, &area, BB));
+        assert_eq!(st.cached_chain(0), parse_chain(pool.device(), area.head(), BB));
+
+        st.reset();
+        assert_eq!(st.index().tracked_bytes(), 0);
+        st.begin_cycle(1, 0);
+        assert!(st.scan_chain(pool.device(), 0, &area, BB), "reset forgets the watermark");
+        assert_eq!(st.cached_chain(0), parse_chain(pool.device(), area.head(), BB));
     }
 }

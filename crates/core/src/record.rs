@@ -204,26 +204,65 @@ pub fn encode_record(rec: &LogRecord) -> Vec<u8> {
     out
 }
 
-fn parse_entries(payload: &[u8]) -> Vec<LogEntry> {
-    let mut entries = Vec::new();
-    let mut off = 0;
-    while off + ENTRY_HDR <= payload.len() {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&payload[off..off + 8]);
-        let addr = u64::from_le_bytes(a) as usize;
-        let mut l = [0u8; 4];
-        l.copy_from_slice(&payload[off + 8..off + 12]);
-        let len = u32::from_le_bytes(l) as usize;
-        if off + ENTRY_HDR + len > payload.len() {
-            break;
-        }
-        entries.push(LogEntry {
-            addr,
-            value: payload[off + ENTRY_HDR..off + ENTRY_HDR + len].to_vec(),
-        });
-        off += ENTRY_HDR + len;
+/// Decodes a record header into `(payload length, timestamp, checksum)`.
+pub(crate) fn decode_header(hdr: &[u8; REC_HDR]) -> (usize, u64, u64) {
+    (
+        u32::from_le_bytes(hdr[0..4].try_into().expect("4 bytes")) as usize,
+        u64::from_le_bytes(hdr[4..12].try_into().expect("8 bytes")),
+        u64::from_le_bytes(hdr[12..20].try_into().expect("8 bytes")),
+    )
+}
+
+/// Decodes the entry `bytes` starts with into `(addr, value length)`; its
+/// value follows the [`ENTRY_HDR`]-byte header. `None` where `bytes` does
+/// not hold a whole entry — the end of a payload.
+///
+/// Returns positions rather than borrows, so compaction can decode an
+/// entry and then move it within the buffer it was decoded from.
+pub(crate) fn decode_entry(bytes: &[u8]) -> Option<(usize, usize)> {
+    let hdr = bytes.get(..ENTRY_HDR)?;
+    let addr = u64::from_le_bytes(hdr[..8].try_into().expect("8 bytes")) as usize;
+    let len = u32::from_le_bytes(hdr[8..].try_into().expect("4 bytes")) as usize;
+    (len <= bytes.len() - ENTRY_HDR).then_some((addr, len))
+}
+
+/// One entry of a record payload, borrowed from the bytes it was decoded
+/// from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntryRef<'a> {
+    /// Pool offset the value belongs at.
+    pub addr: usize,
+    /// The (new, speculative) value.
+    pub value: &'a [u8],
+}
+
+/// Borrowing iterator over the entries of a record payload.
+#[derive(Debug)]
+pub(crate) struct Entries<'a> {
+    /// The payload bytes not yet decoded.
+    rest: &'a [u8],
+}
+
+impl<'a> Entries<'a> {
+    pub(crate) fn new(payload: &'a [u8]) -> Self {
+        Self { rest: payload }
     }
-    entries
+
+    /// Materialises the remaining entries.
+    fn into_owned(self) -> Vec<LogEntry> {
+        self.map(|e| LogEntry { addr: e.addr, value: e.value.to_vec() }).collect()
+    }
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = EntryRef<'a>;
+
+    fn next(&mut self) -> Option<EntryRef<'a>> {
+        let (addr, len) = decode_entry(self.rest)?;
+        let (value, rest) = self.rest[ENTRY_HDR..].split_at(len);
+        self.rest = rest;
+        Some(EntryRef { addr, value })
+    }
 }
 
 /// Streaming reader over a block chain.
@@ -236,14 +275,17 @@ struct StreamReader<'a, S: ByteSource> {
 }
 
 impl<'a, S: ByteSource> StreamReader<'a, S> {
-    fn new(src: &'a S, head: usize, block_bytes: usize) -> Self {
-        let max_blocks = src.source_len() / block_bytes + 2;
-        Self {
-            src,
-            cur: Cursor { block: head, pos: BLOCK_HDR },
-            block_bytes,
-            hops_left: max_blocks,
+    /// A reader positioned at `cur`, or `None` when `cur` does not name a
+    /// block of `src` (empty head, garbage pointer, degenerate block size).
+    fn at(src: &'a S, cur: Cursor, block_bytes: usize) -> Option<Self> {
+        if cur.block == 0
+            || block_bytes <= BLOCK_HDR
+            || !in_bounds(cur.block, block_bytes, src.source_len())
+        {
+            return None;
         }
+        let max_blocks = src.source_len() / block_bytes + 2;
+        Some(Self { src, cur, block_bytes, hops_left: max_blocks })
     }
 
     fn read(&mut self, buf: &mut [u8]) -> bool {
@@ -256,7 +298,7 @@ impl<'a, S: ByteSource> StreamReader<'a, S> {
                     return false;
                 }
                 let next = u64::from_le_bytes(p) as usize;
-                if next == 0 || next + self.block_bytes > self.src.source_len() {
+                if next == 0 || !in_bounds(next, self.block_bytes, self.src.source_len()) {
                     return false;
                 }
                 if self.hops_left == 0 {
@@ -274,44 +316,144 @@ impl<'a, S: ByteSource> StreamReader<'a, S> {
         }
         true
     }
+
+    /// Reads a payload into `buf` and checks it against the checksum its
+    /// header carried — the one place a stored checksum is verified, for
+    /// transaction records and checkpoints alike.
+    fn read_payload(&mut self, buf: &mut [u8], ts: u64, cksum: u64) -> bool {
+        self.read(buf) && record_checksum(ts, buf) == cksum
+    }
 }
 
-/// Parses all committed records of the chain starting at `head`.
-///
-/// Parsing stops at the first `len == 0` header (open/terminated log), an
-/// unreadable position, or a checksum mismatch (torn commit) — per the
-/// paper, no fresh records can follow a corrupt one.
-pub fn parse_chain<S: ByteSource>(src: &S, head: usize, block_bytes: usize) -> Vec<LogRecord> {
-    let mut out = Vec::new();
-    if head == 0 || head + block_bytes > src.source_len() || block_bytes <= BLOCK_HDR {
-        return out;
+/// A committed record as it is stored in the chain — header, then payload
+/// — borrowed from the reader's buffer or from a cache of encoded records.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordRef<'a> {
+    /// Commit timestamp.
+    pub ts: u64,
+    bytes: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// The encoded record: appending these bytes to a chain re-creates the
+    /// record, checksum included.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
     }
-    let mut reader = StreamReader::new(src, head, block_bytes);
-    // One payload buffer reused across records: parsing a long chain does
-    // not allocate per record (reclamation parses every chain every cycle).
-    let mut payload = Vec::new();
-    loop {
+
+    /// The record's payload: its entries, encoded back to back.
+    pub(crate) fn payload(&self) -> &'a [u8] {
+        &self.bytes[REC_HDR..]
+    }
+
+    /// The record's entries, in append order.
+    pub(crate) fn entries(&self) -> Entries<'a> {
+        Entries::new(self.payload())
+    }
+
+    /// The owned form.
+    pub(crate) fn to_record(self) -> LogRecord {
+        LogRecord { ts: self.ts, entries: self.entries().into_owned() }
+    }
+}
+
+/// Splits a buffer of back-to-back encoded records (as [`RecordRef::bytes`]
+/// produced them) into its records. The buffer is volatile and trusted:
+/// checksums were verified when the records were read from the chain.
+pub(crate) fn encoded_records(mut bytes: &[u8]) -> impl Iterator<Item = RecordRef<'_>> {
+    std::iter::from_fn(move || {
+        let hdr: &[u8; REC_HDR] = bytes.get(..REC_HDR)?.try_into().expect("REC_HDR bytes");
+        let (len, ts, _) = decode_header(hdr);
+        let (rec, rest) = bytes.split_at(REC_HDR + len);
+        bytes = rest;
+        Some(RecordRef { ts, bytes: rec })
+    })
+}
+
+/// The one parser of transaction records: streams the committed records of
+/// a chain through a single reused buffer (no allocation per record).
+///
+/// Reading stops for good at the first `len == 0` header (open or
+/// terminated log), an unreadable position, or a checksum mismatch (torn
+/// commit) — per the paper, no fresh records can follow a corrupt one.
+/// [`RecordReader::cursor`] then names where that record starts. A live
+/// chain only ever grows there (see [`crate::reclaim`]), so a later reader
+/// [resumed](RecordReader::resume) at the cursor sees exactly the records
+/// appended since.
+pub(crate) struct RecordReader<'a, S: ByteSource> {
+    /// `None` once reading has stopped.
+    stream: Option<StreamReader<'a, S>>,
+    /// The current record, header then payload.
+    buf: Vec<u8>,
+    /// Start of the first record not yet returned.
+    next: Cursor,
+}
+
+impl<'a, S: ByteSource> RecordReader<'a, S> {
+    /// Reads the chain starting at block `head` from its first record.
+    pub(crate) fn new(src: &'a S, head: usize, block_bytes: usize) -> Self {
+        Self::resume(src, Cursor { block: head, pos: BLOCK_HDR }, block_bytes)
+    }
+
+    /// Reads on from `at`, the [`cursor`](Self::cursor) an earlier reader
+    /// of the same chain stopped at.
+    pub(crate) fn resume(src: &'a S, at: Cursor, block_bytes: usize) -> Self {
+        Self { stream: StreamReader::at(src, at, block_bytes), buf: Vec::new(), next: at }
+    }
+
+    /// Start of the first record not yet returned: once [`Self::next`] has
+    /// returned `None`, where the chain's committed records end.
+    pub(crate) fn cursor(&self) -> Cursor {
+        self.next
+    }
+
+    /// The next committed record, valid until the next call.
+    pub(crate) fn next(&mut self) -> Option<RecordRef<'_>> {
+        // Taken, and put back only when a whole record was read.
+        let mut stream = self.stream.take()?;
         let mut hdr = [0u8; REC_HDR];
-        if !reader.read(&mut hdr) {
-            break;
+        if !stream.read(&mut hdr) {
+            return None;
         }
-        let len = u32::from_le_bytes(hdr[0..4].try_into().expect("4 bytes")) as usize;
+        let (len, ts, cksum) = decode_header(&hdr);
         if len == 0 || len > MAX_RECORD_PAYLOAD {
-            break;
+            return None;
         }
-        let ts = u64::from_le_bytes(hdr[4..12].try_into().expect("8 bytes"));
-        let cksum = u64::from_le_bytes(hdr[12..20].try_into().expect("8 bytes"));
-        payload.clear();
-        payload.resize(len, 0);
-        if !reader.read(&mut payload) {
-            break;
+        self.buf.clear();
+        self.buf.resize(REC_HDR + len, 0);
+        self.buf[..REC_HDR].copy_from_slice(&hdr);
+        if !stream.read_payload(&mut self.buf[REC_HDR..], ts, cksum) {
+            return None;
         }
-        if record_checksum(ts, &payload) != cksum {
-            break;
-        }
-        out.push(LogRecord { ts, entries: parse_entries(&payload) });
+        self.next = stream.cur;
+        self.stream = Some(stream);
+        Some(RecordRef { ts, bytes: &self.buf })
+    }
+}
+
+/// Reads all committed records of the chain starting at `head` into one
+/// buffer, encoded back to back as the chain stores them — what
+/// [`encoded_records`] splits again. One allocation per chain, however many
+/// records and entries it holds.
+pub(crate) fn read_chain_encoded<S: ByteSource>(
+    src: &S,
+    head: usize,
+    block_bytes: usize,
+) -> Vec<u8> {
+    let mut reader = RecordReader::new(src, head, block_bytes);
+    let mut out = Vec::new();
+    while let Some(rec) = reader.next() {
+        out.extend_from_slice(rec.bytes());
     }
     out
+}
+
+/// Parses all committed records of the chain starting at `head` into their
+/// owned form. Parsing stops at the first `len == 0` header (open or
+/// terminated log), unreadable position or checksum mismatch (torn commit).
+pub fn parse_chain<S: ByteSource>(src: &S, head: usize, block_bytes: usize) -> Vec<LogRecord> {
+    let mut reader = RecordReader::new(src, head, block_bytes);
+    std::iter::from_fn(|| reader.next().map(RecordRef::to_record)).collect()
 }
 
 /// Magic opening a checkpoint record ("SPCKPT00").
@@ -368,20 +510,18 @@ pub fn encode_checkpoint(ckpt: &CheckpointRecord) -> Vec<u8> {
     out
 }
 
-/// Parses the checkpoint record stored in the block chain at `head`.
+/// Reads the checkpoint record stored in the block chain at `head` as
+/// `(watermark, payload)`; [`Entries`] decodes the payload's runs.
 ///
 /// Returns `None` for an empty head, a bad magic, an implausible length,
 /// an unreadable chain, or a checksum mismatch — the torn-checkpoint
 /// cases, where recovery must fall back to a full log replay.
-pub fn parse_checkpoint<S: ByteSource>(
+pub(crate) fn read_checkpoint<S: ByteSource>(
     src: &S,
     head: usize,
     block_bytes: usize,
-) -> Option<CheckpointRecord> {
-    if head == 0 || head + block_bytes > src.source_len() || block_bytes <= BLOCK_HDR {
-        return None;
-    }
-    let mut reader = StreamReader::new(src, head, block_bytes);
+) -> Option<(u64, Vec<u8>)> {
+    let mut reader = StreamReader::at(src, Cursor { block: head, pos: BLOCK_HDR }, block_bytes)?;
     let mut hdr = [0u8; CKPT_HDR];
     if !reader.read(&mut hdr) {
         return None;
@@ -396,13 +536,19 @@ pub fn parse_checkpoint<S: ByteSource>(
     }
     let cksum = u64::from_le_bytes(hdr[20..28].try_into().expect("8 bytes"));
     let mut payload = vec![0u8; len];
-    if !reader.read(&mut payload) {
-        return None;
-    }
-    if record_checksum(watermark, &payload) != cksum {
-        return None;
-    }
-    Some(CheckpointRecord { watermark, entries: parse_entries(&payload) })
+    reader.read_payload(&mut payload, watermark, cksum).then_some((watermark, payload))
+}
+
+/// Parses the checkpoint record stored in the block chain at `head` into
+/// its owned form; `None` in the torn-checkpoint cases, where recovery
+/// falls back to a full log replay.
+pub fn parse_checkpoint<S: ByteSource>(
+    src: &S,
+    head: usize,
+    block_bytes: usize,
+) -> Option<CheckpointRecord> {
+    let (watermark, payload) = read_checkpoint(src, head, block_bytes)?;
+    Some(CheckpointRecord { watermark, entries: Entries::new(&payload).into_owned() })
 }
 
 /// The device a log chain lives on, as the record protocol sees it: the
@@ -826,7 +972,9 @@ mod tests {
         let n = area.write_at(&mut PoolStore::new(&mut pool, &mut free), start, &patch, &mut dirty);
         assert_eq!(n, 200);
         // Verify via a reader.
-        let mut r = StreamReader::new(pool.device(), area.head(), BB);
+        let mut r =
+            StreamReader::at(pool.device(), Cursor { block: area.head(), pos: BLOCK_HDR }, BB)
+                .expect("valid head");
         let mut buf = vec![0u8; 200];
         assert!(r.read(&mut buf));
         assert_eq!(buf, patch);
@@ -903,6 +1051,6 @@ mod tests {
         };
         let enc = encode_record(&r);
         let payload = &enc[REC_HDR..];
-        assert_eq!(parse_entries(payload), r.entries);
+        assert_eq!(Entries::new(payload).into_owned(), r.entries);
     }
 }

@@ -13,6 +13,14 @@
 //! Unreclaimed stale records may replay too; they are overwritten by
 //! fresher records later in the order, which is harmless.
 //!
+//! Both paths read a chain through the one streaming parser
+//! ([`crate::record`]'s `RecordReader`) into a single buffer of records
+//! encoded back to back, and replay borrowed entries out of it: a recovery
+//! allocates per chain, never per record or entry, so neither its time nor
+//! what it leaves behind in the allocator grows with the record count.
+//! Only [`committed_records`] — the API for tools and tests — materialises
+//! owned [`LogRecord`]s.
+//!
 //! # The fast path
 //!
 //! [`recover_image_opts`] produces a **bit-identical** image to the
@@ -23,8 +31,8 @@
 //!   own OS thread ([`RecoveryOptions::parse_threads`]); chains are
 //!   assigned round-robin by index, which keeps the partition (and the
 //!   reported parse makespan) deterministic.
-//! * **Timestamp merge with a deterministic tie-break** — per-chain record
-//!   lists are already timestamp-sorted (a chain's timestamps are issued
+//! * **Timestamp merge with a deterministic tie-break** — a chain's
+//!   records are already timestamp-sorted (a chain's timestamps are issued
 //!   in append order from the global counter), so a k-way merge on the
 //!   key `(ts, chain index)` reproduces the reference order exactly: the
 //!   reference concatenates chains in ascending `tid` order and stable-
@@ -35,7 +43,7 @@
 //!   record that touches it and every superseded (stale) store is skipped
 //!   instead of copied. Same final image, bytes written once.
 //!
-//! A [`CheckpointRecord`] (written by
+//! A [`CheckpointRecord`](crate::record::CheckpointRecord) (written by
 //! `SpecSpmtShared::write_checkpoint`, head persisted in the layout
 //! descriptor) bounds how much log must replay at all: it snapshots the
 //! last-writer-wins state of every record with `ts <= watermark`, so
@@ -54,7 +62,8 @@ use specpmt_telemetry::{JsonWriter, StatExport};
 
 use crate::layout::PoolLayout;
 use crate::record::{
-    in_bounds, parse_chain, parse_checkpoint, CheckpointRecord, LogRecord, REC_HDR,
+    encoded_records, in_bounds, parse_chain, read_chain_encoded, read_checkpoint, Entries,
+    EntryRef, LogRecord, RecordRef,
 };
 
 /// Parses every thread's committed records from a crash image.
@@ -94,12 +103,23 @@ pub fn committed_records(image: &CrashImage) -> Vec<LogRecord> {
 /// Repairs `image` in place by replaying all committed records in
 /// timestamp order — the serial reference path. [`recover_image_opts`]
 /// must (and is tested to) produce a bit-identical image.
+///
+/// Same order as [`committed_records`] (chains in `tid` order, stable sort
+/// by timestamp), over the records as the chains store them: nothing is
+/// allocated per record or entry.
 pub fn recover_image(image: &mut CrashImage) {
-    let records = committed_records(image);
+    let Some(layout) = PoolLayout::read(image) else {
+        return;
+    };
+    let chains: Vec<Vec<u8>> = (0..layout.threads())
+        .map(|tid| read_chain_encoded(image, layout.head(image, tid), layout.block_bytes()))
+        .collect();
+    let mut records: Vec<RecordRef> = chains.iter().flat_map(|c| encoded_records(c)).collect();
+    records.sort_by_key(|r| r.ts);
     for rec in &records {
-        for e in &rec.entries {
+        for e in rec.entries() {
             if in_bounds(e.addr, e.value.len(), image.len()) {
-                image.write_bytes(e.addr, &e.value);
+                image.write_bytes(e.addr, e.value);
             }
         }
     }
@@ -211,13 +231,10 @@ impl RecoveryReport {
 
 /// Per-chain parse results, in chain-index order.
 struct ParsedChains {
-    records: Vec<Vec<LogRecord>>,
-    bytes_per_chain: Vec<u64>,
+    /// Each chain's committed records, encoded back to back as the chain
+    /// stores them (see [`encoded_records`]); empty for an empty chain.
+    encoded: Vec<Vec<u8>>,
     makespan: u64,
-}
-
-fn chain_bytes(records: &[LogRecord]) -> u64 {
-    records.iter().map(|r| (REC_HDR + r.payload_len()) as u64).sum()
 }
 
 /// Parses every chain, `threads`-wide with a deterministic round-robin
@@ -226,17 +243,13 @@ fn parse_chains(image: &CrashImage, layout: &PoolLayout, threads: usize) -> Pars
     let heads: Vec<usize> = (0..layout.threads()).map(|tid| layout.head(image, tid)).collect();
     let block_bytes = layout.block_bytes();
     let workers = threads.clamp(1, heads.len().max(1));
-    let mut records: Vec<Vec<LogRecord>> = Vec::with_capacity(heads.len());
+    let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(heads.len());
     if workers <= 1 {
         for &head in &heads {
-            records.push(if head == 0 {
-                Vec::new()
-            } else {
-                parse_chain(image, head, block_bytes)
-            });
+            encoded.push(read_chain_encoded(image, head, block_bytes));
         }
     } else {
-        let mut slots: Vec<Vec<LogRecord>> = (0..heads.len()).map(|_| Vec::new()).collect();
+        encoded.resize_with(heads.len(), Vec::new);
         std::thread::scope(|scope| {
             let mut joins = Vec::with_capacity(workers);
             for w in 0..workers {
@@ -246,7 +259,7 @@ fn parse_chains(image: &CrashImage, layout: &PoolLayout, threads: usize) -> Pars
                     let mut idx = w;
                     while idx < heads.len() {
                         if heads[idx] != 0 {
-                            out.push((idx, parse_chain(image, heads[idx], block_bytes)));
+                            out.push((idx, read_chain_encoded(image, heads[idx], block_bytes)));
                         }
                         idx += workers;
                     }
@@ -255,75 +268,43 @@ fn parse_chains(image: &CrashImage, layout: &PoolLayout, threads: usize) -> Pars
             }
             for j in joins {
                 for (idx, recs) in j.join().expect("chain parse worker panicked") {
-                    slots[idx] = recs;
+                    encoded[idx] = recs;
                 }
             }
         });
-        records = slots;
     }
-    let bytes_per_chain: Vec<u64> = records.iter().map(|r| chain_bytes(r)).collect();
     // The deterministic makespan of the round-robin partition: the busiest
     // worker's byte total (what the parse phase's wall clock tracks).
     let mut per_worker = vec![0u64; workers];
-    for (idx, b) in bytes_per_chain.iter().enumerate() {
-        per_worker[idx % workers] += b;
+    for (idx, chain) in encoded.iter().enumerate() {
+        per_worker[idx % workers] += chain.len() as u64;
     }
     let makespan = per_worker.into_iter().max().unwrap_or(0);
-    ParsedChains { records, bytes_per_chain, makespan }
+    ParsedChains { encoded, makespan }
 }
 
 /// K-way merge of per-chain record lists on the key `(ts, chain index)` —
 /// bit-identical to [`committed_records`]' concatenate-then-stable-sort
 /// order (see the tie-break contract there).
-fn merge_chains(chains: Vec<Vec<LogRecord>>) -> Vec<LogRecord> {
+fn merge_chains(chains: &[Vec<u8>]) -> impl Iterator<Item = RecordRef<'_>> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let total: usize = chains.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<LogRecord>> =
-        chains.into_iter().map(Vec::into_iter).collect();
-    let mut heap = BinaryHeap::with_capacity(iters.len());
-    for (idx, it) in iters.iter_mut().enumerate() {
-        if let Some(rec) = it.next() {
-            heap.push(Reverse((rec.ts, idx, RecordBox(rec))));
+    let mut iters: Vec<_> = chains.iter().map(|c| encoded_records(c)).collect();
+    // The head record of every chain that has one, keyed `(ts, chain)`.
+    let mut heads: Vec<Option<RecordRef>> = iters.iter_mut().map(Iterator::next).collect();
+    let mut heap: BinaryHeap<_> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, rec)| rec.map(|r| Reverse((r.ts, idx))))
+        .collect();
+    std::iter::from_fn(move || {
+        let Reverse((_, idx)) = heap.pop()?;
+        let rec = std::mem::replace(&mut heads[idx], iters[idx].next());
+        if let Some(next) = heads[idx] {
+            heap.push(Reverse((next.ts, idx)));
         }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((_, idx, boxed))) = heap.pop() {
-        out.push(boxed.0);
-        if let Some(rec) = iters[idx].next() {
-            heap.push(Reverse((rec.ts, idx, RecordBox(rec))));
-        }
-    }
-    out
-}
-
-/// Heap payload wrapper: ordering is fully decided by the `(ts, chain)`
-/// prefix of the tuple, so the record itself never needs comparing.
-struct RecordBox(LogRecord);
-
-impl PartialEq for RecordBox {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl Eq for RecordBox {}
-impl PartialOrd for RecordBox {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RecordBox {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// One store the replay phase must apply, in forward replay order.
-enum ReplayItem<'a> {
-    /// A checkpoint run (replays first; anything else supersedes it).
-    Ckpt(&'a crate::record::LogEntry),
-    /// A record entry.
-    Entry(&'a crate::record::LogEntry),
+        rec
+    })
 }
 
 /// Repairs `image` in place — same result as [`recover_image`], computed
@@ -338,45 +319,40 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
     report.chains = layout.threads();
 
     // Checkpoint first: a torn/unparsable record degrades to full replay.
-    let ckpt: Option<CheckpointRecord> = if opts.use_checkpoint {
+    let ckpt: Option<(u64, Vec<u8>)> = if opts.use_checkpoint {
         let head = layout.ckpt_head(image);
-        parse_checkpoint(image, head, layout.block_bytes())
+        read_checkpoint(image, head, layout.block_bytes())
     } else {
         None
     };
 
     let parsed = parse_chains(image, &layout, opts.parse_threads);
     report.parse_threads = opts.parse_threads.clamp(1, layout.threads().max(1));
-    report.chains_nonempty = parsed.records.iter().filter(|r| !r.is_empty()).count();
-    report.records_parsed = parsed.records.iter().map(Vec::len).sum();
-    report.bytes_parsed = parsed.bytes_per_chain.iter().sum();
+    report.chains_nonempty = parsed.encoded.iter().filter(|c| !c.is_empty()).count();
+    report.bytes_parsed = parsed.encoded.iter().map(|c| c.len() as u64).sum();
     report.parse_makespan_bytes = parsed.makespan;
 
-    let merged = merge_chains(parsed.records);
-
-    // Forward replay order: checkpoint runs, then every record above the
-    // watermark. Records at or below it are exactly what the checkpoint
-    // folded in, so they are skipped wholesale.
-    let watermark = match &ckpt {
-        Some(c) => {
-            report.checkpoint_used = true;
-            report.checkpoint_watermark = c.watermark;
-            report.checkpoint_entries = c.entries.len();
-            c.watermark
-        }
-        None => 0,
-    };
-    let mut forward: Vec<ReplayItem> = Vec::new();
-    if let Some(c) = &ckpt {
-        forward.extend(c.entries.iter().map(ReplayItem::Ckpt));
+    // Forward replay order: checkpoint runs (anything else supersedes
+    // them), then every record above the watermark. Records at or below
+    // it are exactly what the checkpoint folded in, so they are skipped
+    // wholesale.
+    let mut forward: Vec<EntryRef> = Vec::new();
+    let mut watermark = 0;
+    if let Some((mark, payload)) = &ckpt {
+        report.checkpoint_used = true;
+        report.checkpoint_watermark = *mark;
+        watermark = *mark;
+        forward.extend(Entries::new(payload));
+        report.checkpoint_entries = forward.len();
     }
-    for rec in &merged {
+    for rec in merge_chains(&parsed.encoded) {
+        report.records_parsed += 1;
         if report.checkpoint_used && rec.ts <= watermark {
             report.records_skipped_checkpoint += 1;
             continue;
         }
         report.records_replayed += 1;
-        forward.extend(rec.entries.iter().map(ReplayItem::Entry));
+        forward.extend(rec.entries());
     }
 
     // Last-writer-wins: walk the forward order in reverse, claim bytes in
@@ -385,10 +361,7 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
     // The reference path drops any entry that does not fit the image, so
     // the same bounds check is applied *before* claiming.
     let mut claimed = vec![0u64; image.len().div_ceil(64)];
-    for item in forward.iter().rev() {
-        let e = match item {
-            ReplayItem::Ckpt(e) | ReplayItem::Entry(e) => e,
-        };
+    for e in forward.iter().rev() {
         if e.value.is_empty() || !in_bounds(e.addr, e.value.len(), image.len()) {
             continue;
         }
@@ -706,8 +679,8 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
     // lawfully lag it (they persist lazily) but never lead it.
     rep.max_committed_record_ts = committed_records(image).last().map_or(0, |r| r.ts);
     rep.checkpoint_watermark =
-        parse_checkpoint(image, layout.ckpt_head(image), layout.block_bytes())
-            .map_or(0, |c| c.watermark);
+        read_checkpoint(image, layout.ckpt_head(image), layout.block_bytes())
+            .map_or(0, |(watermark, _)| watermark);
     let frontier = rep.max_committed_record_ts.max(rep.checkpoint_watermark);
 
     let mut open_tx: BTreeMap<u16, u64> = BTreeMap::new();
@@ -787,6 +760,59 @@ mod tests {
         let mut img2 = before.clone();
         recover_image_opts(&mut img2, &RecoveryOptions::default());
         assert_eq!(img2, before);
+    }
+
+    /// Both paths replay the chains as stored; the owned parse of
+    /// [`committed_records`], replayed entry by entry, is what they must
+    /// reproduce — image and byte counts alike.
+    #[test]
+    fn both_paths_agree_with_a_replay_of_the_owned_records() {
+        use crate::record::REC_HDR;
+        use crate::{ConcurrentConfig, SpecSpmtShared};
+        use specpmt_pmem::{CrashPolicy, PmemConfig, SharedPmemDevice};
+        let dev = SharedPmemDevice::new(PmemConfig::new(1 << 20));
+        let cfg = ConcurrentConfig::builder().threads(3).reclaim_threshold_bytes(usize::MAX);
+        let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg.build());
+        let base = shared.pool().alloc_direct(512, 64).expect("alloc");
+        let mut handles: Vec<_> = (0..3).map(|t| shared.tx_handle(t)).collect();
+        for round in 0..40usize {
+            if round == 25 {
+                shared.write_checkpoint().expect("every chain has committed");
+            }
+            for (t, h) in handles.iter_mut().enumerate() {
+                h.begin();
+                // Overlapping, unaligned stores shared by all chains.
+                let v = [(round * 3 + t) as u8; 24];
+                h.write(base + (round % 7) * 13 + t * 5, &v[..8 + (round + t) % 17]);
+                h.write(base + 256 + (round % 5) * 8, &v[..8]);
+                h.commit();
+            }
+        }
+        let img = dev.capture(CrashPolicy::AllLost);
+        let records = committed_records(&img);
+        let mut want = img.clone();
+        for e in records.iter().flat_map(|r| &r.entries) {
+            want.write_bytes(e.addr, &e.value);
+        }
+        assert!(want != img, "recovery has something to repair");
+
+        let mut serial = img.clone();
+        recover_image(&mut serial);
+        assert!(serial == want, "serial path");
+        let log_bytes: usize = records.iter().map(|r| REC_HDR + r.payload_len()).sum();
+        for opts in [
+            RecoveryOptions::default(),
+            RecoveryOptions::parallel(2),
+            RecoveryOptions::default().without_checkpoint(),
+        ] {
+            let mut got = img.clone();
+            let report = recover_image_opts(&mut got, &opts);
+            assert!(got == want, "{opts:?}");
+            assert_eq!(report.records_parsed, records.len());
+            assert_eq!(report.bytes_parsed, log_bytes as u64);
+            assert_eq!(report.checkpoint_used, opts.use_checkpoint);
+            assert_eq!(report.records_replayed + report.records_skipped_checkpoint, records.len());
+        }
     }
 
     #[test]

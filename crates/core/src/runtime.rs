@@ -98,8 +98,8 @@ pub struct SpecSpmt {
     ts_counter: u64,
     free_blocks: Vec<usize>,
     stats: TxStats,
-    /// Incremental-reclamation state: persistent freshness index,
-    /// per-chain watermarked scan caches, cycle counters.
+    /// Incremental-reclamation state: persistent freshness index, the
+    /// chain's watermarked record cache and suffix cursor, cycle counters.
     reclaim: ReclaimState,
     /// Metrics registry + event tracer (off by default; see
     /// [`SpecSpmt::telemetry`]).
@@ -177,10 +177,11 @@ impl SpecSpmt {
     /// disabled.
     ///
     /// Cycles are incremental (see [`crate::reclaim`]): a chain whose
-    /// `(head, generation)` watermark has not moved is not re-parsed, the
-    /// freshness index persists across cycles and is only fed newly parsed
-    /// records, and a compaction that drops nothing does not rewrite. A
-    /// cycle in which the chain did not change does no PM work at all.
+    /// `(head, generation)` watermark has not moved is not read, one that
+    /// grew is read only from where the last scan stopped, the freshness
+    /// index persists across cycles and is only fed those new records, and
+    /// a compaction that drops nothing does not rewrite. A cycle in which
+    /// the chain did not change does no PM work at all.
     pub fn reclaim_now(&mut self) {
         if self.cfg.reclaim_mode == ReclaimMode::Disabled || self.log.reserved() {
             return;
@@ -188,7 +189,7 @@ impl SpecSpmt {
         let block_bytes = self.cfg.block_bytes;
         self.reclaim.begin_cycle(1, self.pool.device().now_ns());
 
-        // Scan: re-parse the chain only if its watermark moved.
+        // Scan: read what the chain gained, if its watermark moved.
         if !self.reclaim.scan_chain(self.pool.device(), TID, &self.area, block_bytes) {
             self.reclaim.stats.chains_skipped += 1;
             self.reclaim.stats.noop_cycles += 1;
@@ -212,7 +213,7 @@ impl SpecSpmt {
         // these as background writes: they contend for the WPQ but do not
         // stall the application thread.
         let background = self.cfg.reclaim_mode == ReclaimMode::Background;
-        if let Some((area, kept, dropped)) = rewrite {
+        if let Some((area, dropped)) = rewrite {
             self.pool.device().crash_point("seq/reclaim/pre_fence");
             if background {
                 for &(addr, len) in &dirty {
@@ -231,7 +232,7 @@ impl SpecSpmt {
             } else {
                 layout.set_head(&mut self.pool, TID, area.head() as u64);
             }
-            self.reclaim.spliced(TID, &area, kept);
+            self.reclaim.spliced(TID, &area);
             self.stats.records_reclaimed += dropped;
             let old = std::mem::replace(&mut self.area, area);
             self.free_blocks.extend(old.into_blocks());
@@ -615,6 +616,60 @@ mod tests {
             rt.commit();
         }
         assert_eq!(rt.tx_stats().background_ns, 0);
+    }
+
+    /// `reclaim_now` over a seeded history (writing, write-free and
+    /// snapshot transactions), inline and background: after every cycle
+    /// the suffix-scanned cache equals a full re-parse, and a rewritten
+    /// chain holds exactly `encode_record` of the reference compaction.
+    #[test]
+    fn reclaim_now_matches_full_reparse_over_a_seeded_history() {
+        use crate::reclaim::tests::{encode_all, reference_compaction};
+        use crate::record::parse_chain;
+        for mode in [ReclaimMode::Inline, ReclaimMode::Background] {
+            let mut rt = runtime(SpecConfig {
+                block_bytes: 256,
+                reclaim_mode: mode,
+                reclaim_threshold_bytes: usize::MAX,
+                ..SpecConfig::default()
+            });
+            let a = alloc_region(&mut rt, 160);
+            let mut rng = specpmt_pmem::SplitMix64::new(0x5EED ^ mode as u64);
+            let mut rewrites = 0;
+            for step in 0..800 {
+                if rng.below(10) > 0 {
+                    rt.begin();
+                    // One 16-byte slot per write: entries of different
+                    // transactions overlap partially, never within one.
+                    let first = rng.range_usize(0, 9);
+                    for k in 0..rng.range_usize(0, 3) {
+                        let len = rng.range_usize(0, 12);
+                        let at = a + (first + k) % 10 * 16 + rng.range_usize(0, 16 - len);
+                        let data: Vec<u8> = (0..len).map(|_| rng.next_u8()).collect();
+                        rt.write(at, &data);
+                    }
+                    rt.commit();
+                    continue;
+                }
+                let before = parse_chain(rt.pool.device(), rt.area.head(), 256);
+                let want = reference_compaction(std::slice::from_ref(&before)).remove(0);
+                let head = rt.area.head();
+                rt.reclaim_now();
+                let after = parse_chain(rt.pool.device(), rt.area.head(), 256);
+                assert_eq!(after, want, "{mode:?} step={step}");
+                assert_eq!(rt.area.head() != head, want != before, "{mode:?} step={step}");
+                assert_eq!(rt.reclaim.cached_chain(TID), after, "{mode:?} step={step}");
+                if want != before {
+                    assert_eq!(rt.reclaim.cached_bytes(TID), encode_all(&want));
+                    rewrites += 1;
+                }
+            }
+            assert!(rewrites > 20, "history too tame: {rewrites} rewrites");
+            let live = rt.pool.device().peek(a, 160).to_vec();
+            let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
+            SpecSpmt::recover(&mut img);
+            assert_eq!(img.as_bytes()[a..a + 160], live[..], "{mode:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub struct TxStats {
     pub log_live_bytes: u64,
     /// High-water mark of the log footprint in bytes.
     pub log_peak_bytes: u64,
-    /// Log records reclaimed as stale.
+    /// Log *entries* (one per datum a transaction wrote — not whole
+    /// records) reclaimed as stale; the name is part of the exported schema.
     pub records_reclaimed: u64,
     /// Simulated nanoseconds consumed by background maintenance (log
     /// reclamation / redo replay) that runs on a dedicated core in the

@@ -55,10 +55,11 @@ fi
 # and the crash-plan ticks and the what-survives policy walk are called in
 # one file of crates/pmem/src (crash.rs, which also defines them). A second
 # hit means a runtime or a device grew its own copy again.
+nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
 nontest_files_with() { # <fixed string> <dir> <file that only defines it>
     for f in "$2"/*.rs; do
         [ "$(basename "$f")" = "$3" ] && continue
-        if awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f" | grep -qF -- "$1"; then
+        if nontest "$f" | grep -qF -- "$1"; then
             echo "$f"
         fi
     done
@@ -77,6 +78,42 @@ for probe in 'encode_header_parts(|crates/core/src|record.rs' \
         exit 1
     fi
 done
+
+# Re-fork guard, record parsing and the freshness index: every reader of a
+# log chain goes through record.rs's one streaming reader. Outside
+# #[cfg(test)], a stored checksum is compared in one line of one function
+# (`StreamReader::read_payload`), an entry's `u32` length is decoded in one
+# function (`decode_entry`; the other two `u32` reads of record.rs are the
+# record and checkpoint headers' lengths, and layout.rs parses pool
+# descriptors, not log bytes) — a second parse loop anywhere in
+# crates/core/src would have to add one of either. And the per-byte
+# `HashMap<usize, u64>` index survives only as the oracle in
+# tests/properties.rs.
+verifies=0
+for f in crates/core/src/*.rs; do
+    n=$(nontest "$f" | grep -cE 'record_checksum\(.*\) *[!=]= |[!=]= *record_checksum\(' || true)
+    verifies=$((verifies + n))
+    [ "$n" -eq 0 ] || [ "$(basename "$f")" = record.rs ] ||
+        { echo "re-fork guard: $f verifies a record checksum itself" >&2; exit 1; }
+    want=0
+    case "$(basename "$f")" in record.rs) want=3 ;; layout.rs) continue ;; esac
+    got=$(nontest "$f" | grep -c 'u32::from_le_bytes' || true)
+    [ "$got" -eq "$want" ] ||
+        { echo "re-fork guard: $f decodes $got u32 length fields, expected $want" \
+            "(entries are decoded by record::decode_entry only)" >&2; exit 1; }
+done
+[ "$verifies" -eq 1 ] ||
+    { echo "re-fork guard: $verifies checksum comparisons in crates/core/src, expected 1" >&2; exit 1; }
+if grep -nF 'HashMap<usize, u64>' crates/core/src/reclaim.rs; then
+    echo "re-fork guard: the per-byte freshness map is back in reclaim.rs" >&2
+    exit 1
+fi
+
+# The judged benchmark is a package of its own (own workspace and lock
+# file), so nothing above builds it: smoke-run every workload and check the
+# emitted names against BENCHMARK.json, so a specpmt-core API change that
+# breaks its build fails here and not at judging time.
+run benchmark/check.sh
 
 # Crash-point enumeration smoke: the FIRST-style harness enumerates every
 # labeled crash site the smoke workloads reach (sequential + 4-thread

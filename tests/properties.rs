@@ -88,6 +88,148 @@ fn compaction_preserves_replay_semantics() {
     }
 }
 
+/// The reference model of [`FreshnessIndex`]: one map entry per logged
+/// byte, youngest timestamp wins — the representation the index itself
+/// used before it went word-granular. Slow and obviously right.
+#[derive(Default)]
+struct ByteOracle {
+    newest: std::collections::HashMap<usize, u64>,
+}
+
+impl ByteOracle {
+    fn insert_record(&mut self, rec: &LogRecord) {
+        for e in &rec.entries {
+            for i in 0..e.value.len() {
+                let slot = self.newest.entry(e.addr.wrapping_add(i)).or_insert(0);
+                *slot = (*slot).max(rec.ts);
+            }
+        }
+    }
+
+    fn is_fresh(&self, ts: u64, e: &LogEntry) -> bool {
+        (0..e.value.len())
+            .any(|i| self.newest.get(&e.addr.wrapping_add(i)).is_none_or(|&n| n <= ts))
+    }
+
+    fn compact_record(&self, rec: &LogRecord) -> (Option<LogRecord>, u64) {
+        let kept: Vec<LogEntry> =
+            rec.entries.iter().filter(|e| self.is_fresh(rec.ts, e)).cloned().collect();
+        let dropped = (rec.entries.len() - kept.len()) as u64;
+        ((!kept.is_empty()).then_some(LogRecord { ts: rec.ts, entries: kept }), dropped)
+    }
+}
+
+/// A fixed-seed corpus that hits every shape the word-keyed index treats
+/// specially: aligned words, unaligned and word-straddling ranges, heavy
+/// overlap, empty entries, timestamp 0, and addresses that wrap past
+/// `usize::MAX` (the index is fed crash images, whose entries can carry
+/// any address).
+fn index_corpus(seed: u64) -> Vec<LogRecord> {
+    let mut rng = SplitMix64::new(seed);
+    let mut records: Vec<LogRecord> = (0..rng.range_usize(8, 40))
+        .map(|i| {
+            let entries = (0..rng.range_usize(1, 4))
+                .map(|_| {
+                    let (addr, len) = match rng.below(7) {
+                        0 => (8 * rng.range_usize(0, 15), 8), // one aligned word
+                        1 => (rng.range_usize(0, 120), rng.range_usize(1, 7)), // inside or straddling
+                        2 => (rng.range_usize(0, 100), rng.range_usize(9, 27)), // several words
+                        3 => (rng.range_usize(0, 127), 0),                     // empty
+                        4 => (usize::MAX - 3, 8),                              // wraps to 0..4
+                        5 => (usize::MAX - rng.range_usize(0, 20), rng.range_usize(1, 30)),
+                        _ => (64 + rng.range_usize(0, 3), rng.range_usize(1, 4)), // hot spot
+                    };
+                    LogEntry { addr, value: (0..len).map(|_| rng.next_u8()).collect() }
+                })
+                .collect();
+            LogRecord { ts: i as u64, entries } // the first record commits at ts 0
+        })
+        .collect();
+    // Any insertion order must fold to the same index.
+    for i in (1..records.len()).rev() {
+        records.swap(i, rng.range_usize(0, i));
+    }
+    records
+}
+
+/// The word-keyed [`FreshnessIndex`] agrees with the per-byte oracle
+/// verdict for verdict — after every single insertion, not just at the
+/// end, since reclamation feeds it incrementally.
+#[test]
+fn freshness_index_matches_per_byte_oracle() {
+    for seed in 0u64..48 {
+        let records = index_corpus(seed ^ 0x0DDBA11);
+        let mut index = FreshnessIndex::default();
+        let mut oracle = ByteOracle::default();
+        for (n, rec) in records.iter().enumerate() {
+            index.insert_record(rec);
+            oracle.insert_record(rec);
+            if n % 2 == 1 {
+                index.insert_record(rec); // the fold is idempotent
+            }
+            assert_eq!(index.tracked_bytes(), oracle.newest.len(), "seed={seed} n={n}");
+            for r in &records {
+                for e in &r.entries {
+                    assert_eq!(
+                        index.is_fresh(r.ts, e.addr, e.value.len()),
+                        oracle.is_fresh(r.ts, e),
+                        "is_fresh(ts={}, addr={:#x}, len={}) seed={seed} n={n}",
+                        r.ts,
+                        e.addr,
+                        e.value.len()
+                    );
+                    // Every byte of the entry and its two neighbours.
+                    for i in 0..e.value.len() + 2 {
+                        let addr = e.addr.wrapping_sub(1).wrapping_add(i);
+                        assert_eq!(
+                            index.newest_ts(addr),
+                            oracle.newest.get(&addr).copied(),
+                            "newest_ts({addr:#x}) seed={seed} n={n}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    index.compact_record(r),
+                    oracle.compact_record(r),
+                    "compact_record(ts={}) seed={seed} n={n}",
+                    r.ts
+                );
+            }
+        }
+    }
+}
+
+/// `inspect_image` runs the same index over whatever a crash image holds:
+/// on a chain whose checksum-valid records carry garbage addresses it
+/// must still return a report — and count exactly the entries the oracle
+/// calls stale.
+#[test]
+fn inspect_reports_on_garbage_address_image() {
+    use specpmt::core::layout::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
+    for seed in 0u64..8 {
+        let mut records = index_corpus(seed ^ 0x6A4BA6E);
+        records.retain(|r| r.entries.iter().any(|e| !e.value.is_empty()));
+        let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20).untimed()));
+        let (mut free, mut dirty) = (Vec::new(), Vec::new());
+        let mut store = PoolStore::new(&mut pool, &mut free);
+        let mut area = LogArea::create(&mut store, 256, &mut dirty);
+        for rec in &records {
+            area.append(&mut store, &encode_record(rec), &mut dirty);
+        }
+        area.write_terminator(&mut store, &mut dirty);
+        pool.set_root_direct(BLOCK_BYTES_SLOT, 256);
+        pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
+        let img = pool.device().capture(CrashPolicy::AllSurvive);
+
+        let mut oracle = ByteOracle::default();
+        records.iter().for_each(|r| oracle.insert_record(r));
+        let stale: u64 = records.iter().map(|r| oracle.compact_record(r).1).sum();
+        let report = specpmt::core::inspect_image(&img);
+        assert_eq!(report.total_records(), records.len(), "seed={seed}");
+        assert_eq!(report.total_stale_entries() as u64, stale, "seed={seed}");
+    }
+}
+
 /// The crash-atomicity property, randomized: any stream, any crash point,
 /// any crash nondeterminism.
 #[test]
