@@ -46,7 +46,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -54,7 +54,7 @@ use specpmt_pmem::{
     line_of, sites, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice,
     SharedPmemPool, TimingMode, BUMP_OFF,
 };
-use specpmt_telemetry::{BbKind, EventKind, Metric, Phase, Registry, Telemetry};
+use specpmt_telemetry::{BbKind, EventKind, Metric, OwnedCounter, Phase, Registry, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
 
 use crate::engine::{record_drain, record_fence, Probe, TxLog};
@@ -331,6 +331,31 @@ struct AreaState {
     open: bool,
 }
 
+/// One registered thread slot: its chain, and the transaction counts of
+/// whoever drives it. A slot is driven by one [`TxHandle`] at a time, which
+/// is therefore the counters' only writer; [`SpecSpmtShared::stats`] sums
+/// them over the slots.
+#[derive(Debug)]
+struct Slot {
+    state: Mutex<AreaState>,
+    commits: OwnedCounter,
+    aborts: OwnedCounter,
+}
+
+impl Slot {
+    fn new(area: LogArea) -> Arc<Self> {
+        Arc::new(Self {
+            state: Mutex::new(AreaState { area, open: false }),
+            commits: OwnedCounter::default(),
+            aborts: OwnedCounter::default(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, AreaState> {
+        self.state.lock().expect("area lock")
+    }
+}
+
 /// Counters for the concurrent runtime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedStats {
@@ -363,7 +388,7 @@ pub struct SpecSpmtShared {
     /// One slot per registered chain. The outer lock is write-held only
     /// while a registration appends a slot; the hot paths clone their
     /// slot's `Arc` once at handle creation and never touch the vector.
-    areas: RwLock<Vec<Arc<Mutex<AreaState>>>>,
+    areas: RwLock<Vec<Arc<Slot>>>,
     /// Thread slots returned by [`TxHandle::detach`], reusable by the
     /// next [`Self::register_thread`] (their chains stay valid).
     detached: Mutex<Vec<usize>>,
@@ -372,8 +397,6 @@ pub struct SpecSpmtShared {
     ckpt_area: Mutex<Option<LogArea>>,
     checkpoints: AtomicU64,
     free_blocks: Mutex<Vec<usize>>,
-    commits: AtomicU64,
-    aborts: AtomicU64,
     reclaim_cycles: AtomicU64,
     records_reclaimed: AtomicU64,
     stop: AtomicBool,
@@ -450,7 +473,7 @@ impl SpecSpmtShared {
                 &mut dirty,
             );
             layout.set_head_shared(&pool, tid, area.head() as u64);
-            areas.push(Arc::new(Mutex::new(AreaState { area, open: false })));
+            areas.push(Slot::new(area));
         }
         // Flight recorder: allocate and format the black-box region (one
         // ring per thread + one daemon ring), root it in the descriptor's
@@ -485,8 +508,6 @@ impl SpecSpmtShared {
             ckpt_area: Mutex::new(None),
             checkpoints: AtomicU64::new(0),
             free_blocks,
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
             reclaim_cycles: AtomicU64::new(0),
             records_reclaimed: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -625,7 +646,7 @@ impl SpecSpmtShared {
             handle.clwb_ranges(&dirty);
             handle.sfence();
             layout.set_head_shared(&self.pool, tid, area.head() as u64);
-            areas.push(Arc::new(Mutex::new(AreaState { area, open: false })));
+            areas.push(Slot::new(area));
             tid
         };
         dev.set_timing(prev);
@@ -635,12 +656,12 @@ impl SpecSpmtShared {
     /// Current aggregate log footprint in bytes.
     pub fn log_footprint(&self) -> usize {
         let areas = self.snapshot_areas();
-        areas.iter().map(|a| a.lock().expect("area lock").area.footprint()).sum()
+        areas.iter().map(|a| a.lock().area.footprint()).sum()
     }
 
     /// Clones the slot list (cheap: `Arc` per slot) so iteration never
     /// holds the registration lock across per-chain work.
-    fn snapshot_areas(&self) -> Vec<Arc<Mutex<AreaState>>> {
+    fn snapshot_areas(&self) -> Vec<Arc<Slot>> {
         self.areas.read().expect("areas lock").clone()
     }
 
@@ -665,9 +686,10 @@ impl SpecSpmtShared {
 
     /// Counter snapshot.
     pub fn stats(&self) -> SharedStats {
+        let areas = self.snapshot_areas();
         SharedStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
+            commits: areas.iter().map(|s| s.commits.get()).sum(),
+            aborts: areas.iter().map(|s| s.aborts.get()).sum(),
             reclaim_cycles: self.reclaim_cycles.load(Ordering::Relaxed),
             records_reclaimed: self.records_reclaimed.load(Ordering::Relaxed),
             log_live_bytes: self.log_footprint() as u64,
@@ -709,7 +731,7 @@ impl SpecSpmtShared {
         // keeping entries.
         let mut any_changed = false;
         for (tid, slot) in areas.iter().enumerate() {
-            let st = slot.lock().expect("area lock");
+            let st = slot.lock();
             if rs.scan_chain(&handle, tid, &st.area, block_bytes) {
                 any_changed = true;
             } else {
@@ -727,7 +749,7 @@ impl SpecSpmtShared {
         // under its lock.
         let mut dirty = Vec::new();
         for (tid, slot) in areas.iter().enumerate() {
-            let mut st = slot.lock().expect("area lock");
+            let mut st = slot.lock();
             if st.open {
                 continue; // an open record pins the chain
             }
@@ -903,7 +925,7 @@ impl SpecSpmtShared {
         let mut records: Vec<(u64, usize, std::ops::Range<usize>)> = Vec::new();
         let mut watermark = u64::MAX;
         for (idx, slot) in areas.iter().enumerate() {
-            let st = slot.lock().expect("area lock");
+            let st = slot.lock();
             let mut reader = RecordReader::new(&handle, st.area.head(), self.cfg.block_bytes);
             let mut last_ts = None;
             while let Some(rec) = reader.next() {
@@ -1154,7 +1176,7 @@ pub struct TxHandle {
     /// This slot's chain state, cloned out of the registration table at
     /// handle creation — the hot paths never touch the table again, so
     /// dynamic registration on other threads cannot stall a commit.
-    area: Arc<Mutex<AreaState>>,
+    area: Arc<Slot>,
     tid: usize,
     /// Telemetry shard this handle records into: `tid` for configured
     /// slots, folded (`tid % threads`) for dynamically registered ones —
@@ -1246,7 +1268,7 @@ impl TxHandle {
         assert!(self.in_tx, "write outside transaction");
         let shared = &*self.shared;
         let tid = self.tel_tid;
-        let mut st = self.area.lock().expect("area lock");
+        let mut st = self.area.lock();
         let mut store = shared.store(&self.dev);
         if !self.log.reserved() {
             assert!(!st.open, "thread slot {} already has an open transaction", self.tid);
@@ -1311,18 +1333,18 @@ impl TxHandle {
     /// the window shut ([`GroupCommitter::commit_urgent`]).
     fn seal(&mut self, commit: bool, urgent: bool) -> u64 {
         let tid = self.tel_tid;
-        // Everything at this level borrows local clones of the Arcs (not
-        // `self`) so the flush/fence tails below can take `&mut self`
-        // while the spans and the area lock stay live.
-        let shared = Arc::clone(&self.shared);
-        let area = Arc::clone(&self.area);
+        // Borrow the fields apart, so the flush/fence tails can take the
+        // log and the plans mutably while the spans and the area lock —
+        // which borrow the runtime and the slot — stay live.
+        let Self { shared, dev, area, log, plan, data_plan, .. } = self;
+        let (shared, dev): (&SpecSpmtShared, &DeviceHandle) = (shared, dev);
         let commit_span = shared.tel.registry.span(tid, Phase::Commit);
-        let sim0 = self.dev.local_now_ns();
+        let sim0 = dev.local_now_ns();
         let ts = shared.ts.fetch_add(1, Ordering::SeqCst);
         // The area lock is held through the fence so the daemon never
         // splices a chain whose newest record is mid-persist.
-        let mut st = area.lock().expect("area lock");
-        self.log.seal(&mut shared.store(&self.dev), &mut st.area, ts, shared.probe(tid));
+        let mut st = area.lock();
+        log.seal(&mut shared.store(dev), &mut st.area, ts, shared.probe(tid));
 
         if commit && shared.cfg.bbox_eager_receipts {
             if let Some(bb) = &shared.bbox {
@@ -1332,15 +1354,15 @@ impl TxHandle {
                 // a persisted TxCommit whose record never became durable —
                 // exactly the violation `forensics` must catch.
                 let site = sites::index_of("mt/group/pre_fence").unwrap_or(0) as u64;
-                let (addr, len) = bb.record_now(&self.dev, tid, BbKind::TxCommit, ts, site, 1);
-                self.dev.persist_range(addr, len);
+                let (addr, len) = bb.record_now(dev, tid, BbKind::TxCommit, ts, site, 1);
+                dev.persist_range(addr, len);
             }
         }
 
         if shared.cfg.group_commit && commit {
-            self.seal_group(tid, urgent);
+            Self::seal_group(shared, dev, log, plan, data_plan, tid, urgent);
         } else {
-            self.seal_solo(tid);
+            Self::seal_solo(shared, dev, log, tid);
         }
         // Simulated device nanoseconds this thread's timeline was charged
         // for the seal (stores + flush issue + fence stall). Group-commit
@@ -1352,7 +1374,7 @@ impl TxHandle {
             shared.tel.registry.record(
                 tid,
                 Phase::CommitSim,
-                self.dev.local_now_ns().saturating_sub(sim0),
+                dev.local_now_ns().saturating_sub(sim0),
             );
         }
         if commit && !shared.cfg.bbox_eager_receipts {
@@ -1367,7 +1389,7 @@ impl TxHandle {
                 } else {
                     (sites::index_of("mt/commit/fence"), 0)
                 };
-                bb.record_now(&self.dev, tid, BbKind::TxCommit, ts, site.unwrap_or(0) as u64, aux);
+                bb.record_now(dev, tid, BbKind::TxCommit, ts, site.unwrap_or(0) as u64, aux);
             }
         }
 
@@ -1388,17 +1410,15 @@ impl TxHandle {
     /// baseline: this thread pays a full vectored flush and fence for its
     /// own record (plus a second pair for DP data lines). Called with the
     /// area lock held.
-    fn seal_solo(&mut self, tid: usize) {
-        let shared = &*self.shared;
-        let dev = &self.dev;
+    fn seal_solo(shared: &SpecSpmtShared, dev: &DeviceHandle, log: &mut TxLog, tid: usize) {
         // Flight recorder: fold this ring's pending event slots into the
         // commit flush — they ride the fence this commit already pays,
         // never one of their own.
         let bbox_carried = match &shared.bbox {
-            Some(bb) => bb.take_dirty(tid, self.log.dirty_mut()),
+            Some(bb) => bb.take_dirty(tid, log.dirty_mut()),
             None => 0,
         };
-        self.log.drain_solo(&mut shared.store(dev), shared.probe(tid), |fr| {
+        log.drain_solo(&mut shared.store(dev), shared.probe(tid), |fr| {
             if let Some(bb) = &shared.bbox {
                 if bbox_carried > 0 {
                     dev.crash_point(sites::BBOX_PERSIST);
@@ -1420,13 +1440,19 @@ impl TxHandle {
     /// record's region locked until the receipt anyway, and the daemon
     /// skips open chains, so waiting under the lock is safe (the combiner
     /// takes no area locks).
-    fn seal_group(&mut self, tid: usize, urgent: bool) {
-        let shared = &*self.shared;
-        self.log.group_plan(&mut self.plan, &mut self.data_plan);
+    fn seal_group(
+        shared: &SpecSpmtShared,
+        dev: &DeviceHandle,
+        log: &mut TxLog,
+        plan: &mut Vec<usize>,
+        data_plan: &mut Vec<usize>,
+        tid: usize,
+        urgent: bool,
+    ) {
+        log.group_plan(plan, data_plan);
         let reg = &shared.tel.registry;
         reg.add(tid, Metric::ClwbPlans, 1);
-        shared.tel.tracer.record(tid, EventKind::ClwbPlan, self.plan.len() as u64, 0);
-        let dev = &self.dev;
+        shared.tel.tracer.record(tid, EventKind::ClwbPlan, plan.len() as u64, 0);
         dev.crash_point("mt/group/stage");
         let wait_span = reg.span(tid, Phase::BatchWait);
         // If this thread combines, the drain issues one fused flush+fence
@@ -1435,9 +1461,9 @@ impl TxHandle {
         // closure never runs here — the daemon drains from its own handle.
         let drain = |batch: &GroupBatch| drain_group_batch(dev, reg, tid, batch);
         let report = if urgent {
-            shared.gc.commit_urgent(&self.plan, &self.data_plan, drain)
+            shared.gc.commit_urgent(plan, data_plan, drain)
         } else {
-            shared.gc.commit(&self.plan, &self.data_plan, drain)
+            shared.gc.commit(plan, data_plan, drain)
         };
         wait_span.stop();
         reg.add(tid, Metric::GroupCommits, 1);
@@ -1490,7 +1516,7 @@ impl TxHandle {
             self.shared.tel.tracer.record(self.tel_tid, EventKind::Commit, ts, 0);
             ts
         };
-        self.shared.commits.fetch_add(1, Ordering::Relaxed);
+        self.area.commits.add(1);
         self.shared.tel.registry.add(self.tel_tid, Metric::Commits, 1);
         CommitReceipt::new(ts)
     }
@@ -1512,7 +1538,7 @@ impl TxHandle {
     /// Panics outside a transaction.
     pub fn abort(&mut self) {
         assert!(self.in_tx, "abort outside transaction");
-        self.shared.aborts.fetch_add(1, Ordering::Relaxed);
+        self.area.aborts.add(1);
         self.shared.tel.registry.add(self.tel_tid, Metric::Aborts, 1);
         if !self.log.reserved() {
             // Nothing was written, so there is nothing to restore or seal.
@@ -2178,7 +2204,7 @@ mod tests {
         s.snapshot_areas()
             .iter()
             .map(|slot| {
-                let st = slot.lock().unwrap();
+                let st = slot.lock();
                 let head = st.area.head();
                 (head, st.open, crate::record::parse_chain(&handle, head, s.cfg.block_bytes))
             })

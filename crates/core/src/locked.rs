@@ -87,11 +87,11 @@ const CONTENDED_SLAM_AFTER: u32 = 64;
 pub struct LockedTxHandle {
     inner: TxHandle,
     locks: Arc<SharedLockTable>,
-    guard: Option<LockGuard>,
-    /// The stripe buffer between transactions: each `begin` lends it to
-    /// the new guard and each commit/abort takes it back, so acquiring
-    /// locks allocates nothing in steady state.
-    held: Vec<usize>,
+    /// This handle's stripes: empty between transactions, grown by every
+    /// access of the open one, released all at once when it seals. One
+    /// guard serves every transaction, so acquiring locks allocates
+    /// nothing in steady state.
+    guard: LockGuard,
     doomed: bool,
     /// Set when any acquisition of the current transaction hit the
     /// contended path: at commit the handle seals urgently
@@ -114,10 +114,9 @@ impl LockedTxHandle {
     pub fn new(inner: TxHandle, locks: Arc<SharedLockTable>) -> Self {
         let rng = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(inner.tid() as u64 + 1);
         Self {
+            guard: locks.guard(inner.tid()),
             inner,
             locks,
-            guard: None,
-            held: Vec::new(),
             doomed: false,
             contended: false,
             rng,
@@ -165,13 +164,6 @@ impl LockedTxHandle {
         (0..n).map(|tid| LockedTxHandle::new(shared.tx_handle(tid), locks.clone())).collect()
     }
 
-    /// Shrinking phase: frees every stripe at once and keeps the buffer.
-    fn release_locks(&mut self) {
-        if let Some(guard) = self.guard.take() {
-            self.held = guard.release();
-        }
-    }
-
     fn next_jitter(&mut self) -> u32 {
         // SplitMix64 step.
         self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -187,20 +179,19 @@ impl LockedTxHandle {
         if self.doomed {
             return false;
         }
+        // Stripes are only ever released by commit or abort.
+        assert!(self.inner.in_tx(), "lock acquisition outside transaction");
         let tid = self.inner.tid();
         // Fast path: the first try-lock succeeds with no clock read, so
         // the uncontended acquisition costs nothing beyond the CAS.
-        {
-            let guard = self.guard.as_mut().expect("lock guard outside transaction");
-            if guard.try_extend(addr, len) {
-                self.inner.shared().telemetry().tracer.record(
-                    tid,
-                    EventKind::LockAcquire,
-                    addr as u64,
-                    0,
-                );
-                return true;
-            }
+        if self.guard.try_extend(addr, len) {
+            self.inner.shared().telemetry().tracer.record(
+                tid,
+                EventKind::LockAcquire,
+                addr as u64,
+                0,
+            );
+            return true;
         }
         // Contended path: time the bounded spin so the wait lands in both
         // the table-wide wait histogram and the per-thread `lock_wait`
@@ -215,8 +206,7 @@ impl LockedTxHandle {
                     std::hint::spin_loop();
                 }
             }
-            let guard = self.guard.as_mut().expect("lock guard outside transaction");
-            if guard.try_extend(addr, len) {
+            if self.guard.try_extend(addr, len) {
                 if attempt > CONTENDED_SLAM_AFTER {
                     // A long wait means real starvation pressure on this
                     // stripe — commit urgently so it is released after one
@@ -257,7 +247,7 @@ impl LockedTxHandle {
         let receipt = if self.contended { self.inner.commit_urgent() } else { self.inner.commit() };
         // Strict 2PL: locks release only after the commit record is
         // durable, so no other thread ever reads speculative state.
-        self.release_locks();
+        self.guard.release();
         self.retries = 0;
         receipt
     }
@@ -266,8 +256,6 @@ impl LockedTxHandle {
 impl TxAccess for LockedTxHandle {
     fn begin(&mut self) {
         self.inner.begin();
-        let held = std::mem::take(&mut self.held);
-        self.guard = Some(self.locks.guard_reusing(self.inner.tid(), held));
         self.doomed = false;
         self.contended = false;
     }
@@ -306,7 +294,7 @@ impl TxAccess for LockedTxHandle {
             // stripes it already holds — so the restore always proceeds.
             self.inner.abort();
         }
-        self.release_locks();
+        self.guard.release();
         self.doomed = false;
         if was_doomed {
             // A doomed abort is followed by a driver retry (`run_tx`).

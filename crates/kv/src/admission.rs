@@ -88,17 +88,23 @@ pub struct AdmissionStats {
 }
 
 /// The admission gate. One instance per service; thread-safe.
+///
+/// An admitted op pays for one shared counter, the sequence number — it
+/// *is* the deterministic op order every decision hashes or windows on.
+/// Everything else is touched only when it applies: the quota window when
+/// a quota is configured, a rejection counter when an op is refused; the
+/// accepted count is what is left of the sequence.
 #[derive(Debug)]
 pub struct Admission {
     cfg: AdmissionConfig,
-    /// Global op sequence (also the quota-window clock).
+    /// Global op sequence (also the quota-window clock): ops offered so
+    /// far.
     seq: AtomicU64,
     /// Per-tenant ops admitted in the current window.
     in_window: Vec<AtomicU64>,
     /// Window index the per-tenant counters belong to.
     window_id: AtomicU64,
     shed_permille: AtomicU32,
-    accepted: AtomicU64,
     rejected_quota: AtomicU64,
     rejected_slo: AtomicU64,
     rejected_quota_by_tenant: Vec<AtomicU64>,
@@ -115,7 +121,6 @@ impl Admission {
             in_window: (0..tenants).map(|_| AtomicU64::new(0)).collect(),
             window_id: AtomicU64::new(0),
             shed_permille: AtomicU32::new(0),
-            accepted: AtomicU64::new(0),
             rejected_quota: AtomicU64::new(0),
             rejected_slo: AtomicU64::new(0),
             rejected_quota_by_tenant: (0..tenants).map(|_| AtomicU64::new(0)).collect(),
@@ -136,23 +141,11 @@ impl Admission {
     /// [`KvError::Overloaded`] under active shedding,
     /// [`KvError::QuotaExceeded`] when the tenant's window quota is spent.
     pub fn try_admit(&self, tenant: u32) -> Result<u64, KvError> {
+        assert!((tenant as usize) < self.in_window.len(), "tenant {tenant} out of range");
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let window = seq / self.cfg.window_ops;
-        // Window rollover: first op of a new window resets every tenant
-        // counter. The CAS makes exactly one thread do it; stragglers of
-        // the old window may briefly double-charge, which only errs on
-        // the strict side.
-        if self.window_id.load(Ordering::Acquire) != window
-            && self
-                .window_id
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
-                    (w < window).then_some(window)
-                })
-                .is_ok()
-        {
-            for t in &self.in_window {
-                t.store(0, Ordering::Release);
-            }
+        let quota_on = self.cfg.quota_per_window != u64::MAX;
+        if quota_on {
+            self.roll_window(seq / self.cfg.window_ops);
         }
 
         // SLO shedding: a fixed avalanche of the sequence number gives a
@@ -167,14 +160,34 @@ impl Admission {
             }
         }
 
-        let spent = self.in_window[tenant as usize].fetch_add(1, Ordering::Relaxed);
-        if spent >= self.cfg.quota_per_window {
-            self.rejected_quota.fetch_add(1, Ordering::Relaxed);
-            self.rejected_quota_by_tenant[tenant as usize].fetch_add(1, Ordering::Relaxed);
-            return Err(KvError::QuotaExceeded);
+        if quota_on {
+            let spent = self.in_window[tenant as usize].fetch_add(1, Ordering::Relaxed);
+            if spent >= self.cfg.quota_per_window {
+                self.rejected_quota.fetch_add(1, Ordering::Relaxed);
+                self.rejected_quota_by_tenant[tenant as usize].fetch_add(1, Ordering::Relaxed);
+                return Err(KvError::QuotaExceeded);
+            }
         }
-        self.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(seq)
+    }
+
+    /// Window rollover: the first op of a new window resets every tenant
+    /// counter. The CAS makes exactly one thread do it; stragglers of the
+    /// old window may briefly double-charge, which only errs on the strict
+    /// side.
+    fn roll_window(&self, window: u64) {
+        if self.window_id.load(Ordering::Acquire) != window
+            && self
+                .window_id
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
+                    (w < window).then_some(window)
+                })
+                .is_ok()
+        {
+            for t in &self.in_window {
+                t.store(0, Ordering::Release);
+            }
+        }
     }
 
     /// Governor feedback: raise shedding while `worst_tail_p99_ns` blows
@@ -201,12 +214,18 @@ impl Admission {
         self.rejected_quota_by_tenant[tenant as usize].load(Ordering::Relaxed)
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot. Every offered op drew a sequence number and was
+    /// then either rejected (and counted) or admitted, so the accepted
+    /// count is the remainder; an op between its draw and its rejection
+    /// reads as accepted for that instant.
     pub fn stats(&self) -> AdmissionStats {
+        let rejected_quota = self.rejected_quota.load(Ordering::Relaxed);
+        let rejected_slo = self.rejected_slo.load(Ordering::Relaxed);
+        let offered = self.seq.load(Ordering::Relaxed);
         AdmissionStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_quota: self.rejected_quota.load(Ordering::Relaxed),
-            rejected_slo: self.rejected_slo.load(Ordering::Relaxed),
+            accepted: offered.saturating_sub(rejected_quota + rejected_slo),
+            rejected_quota,
+            rejected_slo,
             shed_permille: self.shed_permille.load(Ordering::Relaxed),
         }
     }
@@ -235,7 +254,10 @@ mod tests {
         assert_eq!(adm.rejected_quota_of(1), 0);
         // Next window: the budget is fresh.
         assert!(adm.try_admit(0).is_ok());
-        assert_eq!(adm.stats().rejected_quota, 7);
+        let st = adm.stats();
+        assert_eq!(st.rejected_quota, 7);
+        assert_eq!(st.accepted, 4, "accepted is what the rejections leave of the 11 offered");
+        assert_eq!(st.accepted + st.rejected_quota + st.rejected_slo, 11);
     }
 
     #[test]
@@ -259,7 +281,8 @@ mod tests {
         }
         // 70% shed level: allow generous slack around the hash coin.
         assert!((500..900).contains(&shed), "shed {shed} of 1000 at 700‰");
-        assert!(adm.stats().rejected_slo > 0);
+        let st = adm.stats();
+        assert_eq!((st.rejected_slo, st.accepted), (shed, 1000 - shed));
         adm.observe_tail(10);
         adm.observe_tail(10);
         adm.observe_tail(10);

@@ -11,13 +11,13 @@
 //!
 //! The front door is [`KvWorker::execute`]: admission
 //! ([`crate::admission`]) first, then the transactional operation, with
-//! per-op-class simulated and host-wall-clock latency recorded into
-//! lock-free histograms ([`KvStats`]). A lightweight governor samples the
+//! per-op-class simulated and host-wall-clock latency recorded into the
+//! worker's own histograms ([`KvStats`] merges the workers' on read). A
+//! lightweight governor samples the
 //! worst per-shard WPQ-drain / lock-wait p99 every `governor_every`
 //! admitted ops and feeds it back into the shed level.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use specpmt_core::{
@@ -25,7 +25,7 @@ use specpmt_core::{
     RecoveryReport, SpecSpmtShared,
 };
 use specpmt_pmem::{CrashImage, PmemConfig};
-use specpmt_telemetry::{BbKind, Histogram, HistogramSnapshot};
+use specpmt_telemetry::{BbKind, HistogramSnapshot, OwnedCounter, OwnedHistogram};
 use specpmt_txn::{run_tx, SharedLockTable, TxAccess};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats, KvError};
@@ -225,29 +225,57 @@ impl Drop for KvShard {
     }
 }
 
-/// Per-op-class latency histograms and completion counters. Lock-free;
-/// shared by every worker.
+/// Per-op-class latency histograms and completion counters of the whole
+/// service. Each [`KvWorker`] records into a cell of its own — workers
+/// share no statistics line — and every accessor here merges the cells of
+/// all workers there have been (a cell outlives its worker).
 #[derive(Debug, Default)]
 pub struct KvStats {
-    host: [Histogram; 5],
-    sim: [Histogram; 5],
-    completed: [AtomicU64; 5],
+    workers: Mutex<Vec<Arc<WorkerStats>>>,
+}
+
+/// What one worker recorded, indexed by [`OpClass::index`]; the worker is
+/// the only writer.
+#[derive(Debug, Default)]
+struct WorkerStats {
+    host: [OwnedHistogram; 5],
+    sim: [OwnedHistogram; 5],
+    completed: [OwnedCounter; 5],
 }
 
 impl KvStats {
+    fn workers(&self) -> std::sync::MutexGuard<'_, Vec<Arc<WorkerStats>>> {
+        self.workers.lock().expect("kv stats lock")
+    }
+
+    /// A fresh cell for a new worker.
+    fn register(&self) -> Arc<WorkerStats> {
+        let cell = Arc::new(WorkerStats::default());
+        self.workers().push(Arc::clone(&cell));
+        cell
+    }
+
+    fn merged(&self, pick: impl Fn(&WorkerStats) -> &OwnedHistogram) -> HistogramSnapshot {
+        let mut total = HistogramSnapshot::default();
+        for w in self.workers().iter() {
+            total.merge(&pick(w).snapshot());
+        }
+        total
+    }
+
     /// Host wall-clock latency snapshot of one op class.
     pub fn host(&self, class: OpClass) -> HistogramSnapshot {
-        self.host[class.index()].snapshot()
+        self.merged(|w| &w.host[class.index()])
     }
 
     /// Simulated-time latency snapshot of one op class.
     pub fn sim(&self, class: OpClass) -> HistogramSnapshot {
-        self.sim[class.index()].snapshot()
+        self.merged(|w| &w.sim[class.index()])
     }
 
     /// Completed (admitted and executed) ops of one class.
     pub fn completed(&self, class: OpClass) -> u64 {
-        self.completed[class.index()].load(Ordering::Relaxed)
+        self.workers().iter().map(|w| w.completed[class.index()].get()).sum()
     }
 
     /// Completed ops across all classes.
@@ -367,7 +395,7 @@ impl KvService {
             .iter()
             .map(|s| LockedTxHandle::new(s.runtime.tx_handle(wid), Arc::clone(&s.locks)))
             .collect();
-        KvWorker { service: self, handles }
+        KvWorker { service: self, handles, stats: self.stats.register() }
     }
 
     /// Stops every shard's daemons and flushes outstanding background
@@ -395,6 +423,8 @@ impl KvService {
 pub struct KvWorker<'s> {
     service: &'s KvService,
     handles: Vec<LockedTxHandle>,
+    /// This worker's cell of [`KvStats`].
+    stats: Arc<WorkerStats>,
 }
 
 impl KvWorker<'_> {
@@ -576,11 +606,10 @@ impl KvWorker<'_> {
             shard as u64,
             class.index() as u8,
         );
-        let stats = &self.service.stats;
-        stats.sim[class.index()].record(sim_ns);
-        stats.host[class.index()].record(host_ns);
+        self.stats.sim[class.index()].record(sim_ns);
+        self.stats.host[class.index()].record(host_ns);
         if ok {
-            stats.completed[class.index()].fetch_add(1, Ordering::Relaxed);
+            self.stats.completed[class.index()].add(1);
         }
     }
 
@@ -589,6 +618,12 @@ impl KvWorker<'_> {
     /// the service-wide governor channel.
     fn record_rejection(&self, tenant: u32, err: KvError) {
         let h = self.handles[0].inner();
+        if h.shared().blackbox().is_none() {
+            // Recorder off: nothing to log — and the shard tails below are
+            // merges over every handle's histogram, not to be computed for
+            // an event nobody records (under shedding most ops end here).
+            return;
+        }
         match err {
             KvError::Overloaded => {
                 let worst = self.service.shards.iter().map(KvShard::tail_p99_ns).max().unwrap_or(0);
@@ -703,8 +738,9 @@ mod tests {
         });
         let svc = KvService::open(cfg);
         let mut w = svc.worker(0);
-        let mut rejected = 0;
+        let (mut offered, mut rejected) = (0, 0);
         for key in 0..8 {
+            offered += 1;
             if w.put(0, key, key).is_err() {
                 rejected += 1;
             }
@@ -713,12 +749,72 @@ mod tests {
         // Rejections are recorded on shard 0's ring; a put on shard 0
         // persists them (the marker rides that commit's fence).
         let key0 = (0..64).find(|&k| svc.router().shard_of(0, k) == 0).unwrap();
-        while w.put(0, key0, 1).is_err() {}
+        offered += 1;
+        while w.put(0, key0, 1).is_err() {
+            offered += 1;
+            rejected += 1;
+        }
+        let adm = svc.admission_stats();
+        assert_eq!(adm.rejected_quota, rejected);
+        assert_eq!(adm.accepted + adm.rejected_quota + adm.rejected_slo, offered);
+        assert_eq!(svc.stats().completed_total(), adm.accepted, "every admitted put ran");
         let img = svc.shard(0).runtime().device().capture(CrashPolicy::AllLost);
         let fx = forensics(&img);
         let quota_events = fx.events.iter().filter(|e| e.kind == BbKind::GovQuota).count();
         assert!(quota_events > 0, "GovQuota events survive on shard 0's ring:\n{fx}");
         svc.shutdown();
+    }
+
+    #[test]
+    fn stats_merge_over_workers_and_outlive_them() {
+        let svc = KvService::open(small().with_workers(2));
+        let (mut w0, mut w1) = (svc.worker(0), svc.worker(1));
+        for key in 0..10 {
+            w0.put(0, key, key).unwrap();
+        }
+        for key in 0..4 {
+            assert_eq!(w1.get(0, key).unwrap(), Some(key));
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.completed(OpClass::Put), stats.completed(OpClass::Get)), (10, 4));
+        assert_eq!(stats.completed_total(), 14);
+        let put_sim = stats.sim(OpClass::Put);
+        assert_eq!((put_sim.count(), stats.host(OpClass::Get).count()), (10, 4));
+        assert!(put_sim.sum > 0, "a put pays for a flush and a fence");
+        drop(w0);
+        assert_eq!(stats.sim(OpClass::Put), put_sim, "a dropped worker's cell still counts");
+        // A new worker on the freed slot adds to the totals, not over them.
+        svc.worker(0).put(0, 99, 1).unwrap();
+        assert_eq!(stats.completed(OpClass::Put), 11);
+        assert_eq!(stats.sim(OpClass::Put).count(), 11);
+        drop(w1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn shard_tail_sees_fence_stalls_recorded_through_a_workers_handle() {
+        let svc = KvService::open(small());
+        let tails = |svc: &KvService| (svc.shard(0).tail_p99_ns(), svc.shard(1).tail_p99_ns());
+        assert_eq!(tails(&svc), (0, 0));
+        let mut w = svc.worker(0);
+        for key in 0..64 {
+            w.put(0, key, key).unwrap();
+        }
+        // Every put's commit fence waited out its record's WPQ acceptance
+        // on the worker's own device handle; the shard's p99 reads it.
+        let live = tails(&svc);
+        assert!(live.0 > 0 && live.1 > 0, "{live:?}");
+        drop(w);
+        assert_eq!(tails(&svc), live, "and keeps it once the handle is gone");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn workers_and_their_handles_move_across_threads() {
+        fn sendable<T: Send>() {}
+        sendable::<KvWorker<'static>>();
+        sendable::<LockedTxHandle>();
+        sendable::<specpmt_core::TxHandle>();
     }
 
     #[test]

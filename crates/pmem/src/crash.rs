@@ -65,13 +65,14 @@ impl CrashPolicy {
 /// * in-flight flushes and plain dirty words survive per `policy` (cache
 ///   evictions can persist any subset, at 8-byte granularity).
 ///
-/// One RNG stream is drawn in a fixed order — pending flushes first, then
-/// dirty words by ascending address — so a `Random(seed)` image is a
-/// function of the device state alone, whichever device flavour holds it.
-pub(crate) fn materialize(
+/// One RNG stream is drawn in a fixed order — pending flushes in the order
+/// the device hands them over, then dirty words by ascending address — so
+/// a `Random(seed)` image is a function of the device state alone,
+/// whichever device flavour holds it.
+pub(crate) fn materialize<'a>(
     persisted: Vec<u8>,
     volatile: &[u8],
-    pending: &[PendingFlush],
+    pending: impl IntoIterator<Item = &'a PendingFlush>,
     now: u64,
     policy: CrashPolicy,
 ) -> CrashImage {

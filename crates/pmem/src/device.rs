@@ -241,7 +241,7 @@ impl PmemDevice {
         self.clock_ns += self.cfg.clwb_issue_ns;
         self.stats.clwb_count += 1;
         let accepted_at = self.wpq_accept(line);
-        self.pending.push(PendingFlush { owner: 0, line, accepted_at, snapshot });
+        self.pending.push(PendingFlush { line, accepted_at, snapshot });
     }
 
     /// WPQ + media accounting for one line write-back issued now; returns

@@ -5,18 +5,25 @@
 //! global commit timestamp, and a *background* reclamation thread on a
 //! dedicated core) needs many real OS threads issuing stores, flushes, and
 //! fences against **one** device. [`SharedPmemDevice`] provides that with
-//! `std::sync` primitives only:
+//! `std::sync` primitives only, and so that threads meet only where the
+//! modelled hardware makes them meet:
 //!
 //! * the byte images (volatile + persisted) are **sharded** into fixed-size
 //!   stripes, each behind its own `Mutex` — threads touching different
 //!   stripes (e.g. appending to their own log-block chains) proceed in
 //!   parallel;
-//! * the simulated clock and all event counters are atomics;
-//! * the WPQ/media timing model and the pending-flush set are small
-//!   mutex-protected critical sections;
-//! * fences are **per thread**: each [`DeviceHandle`] owns the flushes it
-//!   issued, and its `sfence` waits only for those (as on real hardware,
-//!   where `sfence` orders the issuing core's stores).
+//! * the WPQ/media timing model is one small mutex-protected critical
+//!   section, taken once per flush batch (the memory controller *is*
+//!   shared);
+//! * everything else a core does is **per handle**: each [`DeviceHandle`]
+//!   owns a cell holding its simulated timeline, its event counters, its
+//!   WPQ-drain histogram and the flushes it has issued but not fenced. The
+//!   handle is the cell's only writer ([`specpmt_telemetry::owned`]), so an
+//!   operation updates them with plain loads and stores; the device-wide
+//!   clock, counters and histogram are computed by whoever asks, over the
+//!   registered cells plus what dropped handles left behind;
+//! * fences are **per thread**: a handle's `sfence` waits only for its own
+//!   flushes, like `sfence` on the issuing core.
 //!
 //! Crash semantics match the single-threaded device: fenced (and
 //! WPQ-accepted) flushes always survive, everything else survives per
@@ -30,18 +37,23 @@
 //! case (all-or-nothing).
 //!
 //! Lock ordering (deadlock freedom): the crash gate's mutex is only taken
-//! while holding no other lock; shard mutexes are always taken in ascending index
-//! order; the pending mutex is never held while acquiring a shard lock
-//! (entries are removed under the lock and applied after release).
+//! while holding no other lock; below it the order is **handle registry →
+//! a handle's flush list (handle creation order) → image shards (ascending
+//! index)**, with the WPQ mutex a leaf. A capture takes all of them in that
+//! order; a handle operation takes its own flush list and then one shard
+//! at a time. Crash fuel and [`SharedPmemDevice::now_ns`] are therefore
+//! only ever used while holding none of these locks.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::alloc::{Reservation, SizeClassAllocator};
 use crate::crash::{materialize, CrashControl, CrashGate, CrashImage, CrashPolicy};
 use crate::geometry::{line_of, line_start, lines_touching, CACHE_LINE, PERSIST_WORD};
+use crate::stats::OwnedStats;
 use crate::wpq::{PendingFlush, WpqModel};
-use specpmt_telemetry::{Histogram, HistogramSnapshot};
+use specpmt_telemetry::{HistogramSnapshot, OwnedCounter, OwnedHistogram};
 
 use crate::{
     FenceReport, PmemConfig, PmemError, PmemStats, TimingMode, BUMP_OFF, POOL_HEADER_SIZE,
@@ -59,16 +71,23 @@ struct Shard {
     persisted: Vec<u8>,
 }
 
+/// What one [`DeviceHandle`] writes and the rest of the device may read.
+/// The handle is the only writer of the counters; the flush list is behind
+/// a mutex only the handle and a crash capture ever take.
 #[derive(Debug, Default)]
-struct AtomicStats {
-    clwb_count: AtomicU64,
-    sfence_count: AtomicU64,
-    fence_stall_ns: AtomicU64,
-    lines_persisted: AtomicU64,
-    seq_line_hits: AtomicU64,
-    bytes_stored: AtomicU64,
-    bytes_loaded: AtomicU64,
-    nt_stores: AtomicU64,
+struct HandleCell {
+    /// The handle's core-local timeline (simulated ns).
+    clock: OwnedCounter,
+    stats: OwnedStats,
+    /// WPQ-drain waits of this handle's fences that completed a flush.
+    wpq_drain_ns: OwnedHistogram,
+    /// Flushes issued and not yet fenced, in issue order.
+    unfenced: Mutex<Vec<PendingFlush>>,
+}
+
+/// The max over the cells' timelines: the device-global time.
+fn latest(cells: &[Arc<HandleCell>]) -> u64 {
+    cells.iter().map(|c| c.clock.get()).max().unwrap_or(0)
 }
 
 #[derive(Debug)]
@@ -77,18 +96,18 @@ struct DevInner {
     size: usize,
     shards: Vec<Mutex<Shard>>,
     wpq: Mutex<WpqModel>,
-    pending: Mutex<Vec<PendingFlush>>,
-    clock_ns: AtomicU64,
+    /// The handle registry: every cell in creation order. The first is the
+    /// **retired** cell no handle owns: a dropped handle folds its
+    /// timeline, counters, histogram and still-unfenced flushes into it
+    /// (nobody will fence those, but the ones the WPQ accepted are in the
+    /// persistence domain and must still show in a crash image), so every
+    /// device-wide view is one fold over the cells.
+    cells: Mutex<Vec<Arc<HandleCell>>>,
     timing_on: AtomicBool,
     /// Fault injection (plan, fired image, site-hit counts, capture
     /// epoch): one flag load per persistence op or labeled site while
     /// nothing is armed, never the gate's lock.
     gate: CrashGate,
-    next_handle: AtomicU64,
-    stats: AtomicStats,
-    /// WPQ-drain waits observed at fences that completed at least one
-    /// flush (telemetry; lock-free log2 buckets).
-    wpq_drain_ns: Histogram,
     /// The attached flight-recorder sink, if the owning runtime enabled
     /// one ([`SharedPmemDevice::attach_blackbox`]). Hanging it off the
     /// device lets every layer that can reach the pool (kv governor,
@@ -124,13 +143,9 @@ impl SharedPmemDevice {
                 size,
                 shards,
                 wpq,
-                pending: Mutex::new(Vec::new()),
-                clock_ns: AtomicU64::new(0),
+                cells: Mutex::new(vec![Arc::default()]),
                 timing_on: AtomicBool::new(true),
                 gate: CrashGate::default(),
-                next_handle: AtomicU64::new(0),
-                stats: AtomicStats::default(),
-                wpq_drain_ns: Histogram::new(),
                 bbox: Mutex::new(None),
             }),
         }
@@ -146,15 +161,15 @@ impl SharedPmemDevice {
         &self.inner.cfg
     }
 
-    /// Creates a per-thread operation handle.
+    /// Creates a per-thread operation handle and registers its cell. Its
+    /// timeline starts at the current device time.
     pub fn handle(&self) -> DeviceHandle {
-        DeviceHandle {
-            dev: self.clone(),
-            id: self.inner.next_handle.fetch_add(1, Ordering::Relaxed),
-            clock: AtomicU64::new(self.now_ns()),
-            scratch: Mutex::new(Vec::new()),
-            lines: Mutex::new(Vec::new()),
-        }
+        let cell = Arc::new(HandleCell::default());
+        let mut cells = self.cells();
+        cell.clock.raise(latest(&cells));
+        cells.push(Arc::clone(&cell));
+        drop(cells);
+        DeviceHandle { dev: self.clone(), cell, plan: RefCell::new(Vec::new()) }
     }
 
     /// Attaches (or replaces) the flight-recorder sink for this device.
@@ -170,33 +185,32 @@ impl SharedPmemDevice {
         self.inner.bbox.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Current simulated time in nanoseconds (global across threads).
+    /// Current simulated time in nanoseconds, global across threads: the
+    /// max over every handle's timeline.
     pub fn now_ns(&self) -> u64 {
-        self.inner.clock_ns.load(Ordering::Relaxed)
+        latest(&self.cells())
     }
 
-    /// Snapshot of the accumulated event counters.
+    /// Snapshot of the accumulated event counters, summed over handles.
     pub fn stats(&self) -> PmemStats {
-        let s = &self.inner.stats;
-        PmemStats {
-            clwb_count: s.clwb_count.load(Ordering::Relaxed),
-            sfence_count: s.sfence_count.load(Ordering::Relaxed),
-            fence_stall_ns: s.fence_stall_ns.load(Ordering::Relaxed),
-            lines_persisted: s.lines_persisted.load(Ordering::Relaxed),
-            seq_line_hits: s.seq_line_hits.load(Ordering::Relaxed),
-            bytes_stored: s.bytes_stored.load(Ordering::Relaxed),
-            bytes_loaded: s.bytes_loaded.load(Ordering::Relaxed),
-            nt_stores: s.nt_stores.load(Ordering::Relaxed),
+        let mut total = PmemStats::default();
+        for cell in self.cells().iter() {
+            cell.stats.add_into(&mut total);
         }
+        total
     }
 
     /// Snapshot of the WPQ-drain wait histogram: the nanoseconds each
     /// fence that completed at least one flush spent waiting for WPQ
-    /// acceptance. Together with [`Self::wpq_depth_high_water`] this is
-    /// the per-commit WPQ traffic picture the ROADMAP profiling question
-    /// asks for.
+    /// acceptance, merged over handles. Together with
+    /// [`Self::wpq_depth_high_water`] this is the per-commit WPQ traffic
+    /// picture the ROADMAP profiling question asks for.
     pub fn wpq_drain_histogram(&self) -> HistogramSnapshot {
-        self.inner.wpq_drain_ns.snapshot()
+        let mut total = HistogramSnapshot::default();
+        for cell in self.cells().iter() {
+            total.merge(&cell.wpq_drain_ns.snapshot());
+        }
+        total
     }
 
     /// Per-channel (per-DIMM) WPQ queue-depth high-water marks: the
@@ -234,10 +248,12 @@ impl SharedPmemDevice {
     }
 
     /// Copies every shard's volatile image into its persisted image — the
-    /// orderly-shutdown (`wbnoinvd`) equivalent. Pending flushes are
+    /// orderly-shutdown (`wbnoinvd`) equivalent. Unfenced flushes are
     /// dropped (their contents are covered by the copy).
     pub fn flush_everything(&self) {
-        self.inner.pending.lock().expect("pending lock").clear();
+        for cell in self.cells().iter() {
+            cell.unfenced.lock().expect("flush lock").clear();
+        }
         for shard in &self.inner.shards {
             let mut s = shard.lock().expect("shard lock");
             let Shard { volatile, persisted } = &mut *s;
@@ -246,6 +262,10 @@ impl SharedPmemDevice {
     }
 
     // --- internals ------------------------------------------------------
+
+    fn cells(&self) -> MutexGuard<'_, Vec<Arc<HandleCell>>> {
+        self.inner.cells.lock().expect("handle registry lock")
+    }
 
     fn timing_is_on(&self) -> bool {
         self.inner.timing_on.load(Ordering::SeqCst)
@@ -282,24 +302,57 @@ impl SharedPmemDevice {
         }
     }
 
-    /// One persistence-affecting operation is about to happen. Called
-    /// while holding **no** locks (a capture takes every shard lock).
-    fn tick_fuel(&self) {
-        self.inner.gate.tick_fuel(self.timing_is_on(), |policy| self.capture(policy));
+    /// Calls `f(shard_guard, offset_in_shard, item)` for each item of a
+    /// batch, where `line_of(item)` is its cache line: the shard guard is
+    /// taken once per run of adjacent lines in the same shard, not once per
+    /// line (a sorted batch takes each shard it touches once).
+    fn for_line_runs<T>(
+        &self,
+        items: &[T],
+        line_of: impl Fn(&T) -> usize,
+        mut f: impl FnMut(&mut Shard, usize, &T),
+    ) {
+        let mut items = items.iter().map(|item| (line_start(line_of(item)), item)).peekable();
+        while let Some(&(first, _)) = items.peek() {
+            let shard_idx = first / SHARD_BYTES;
+            let mut guard = self.shard(shard_idx);
+            while let Some((start, item)) = items.next_if(|(s, _)| s / SHARD_BYTES == shard_idx) {
+                f(&mut guard, start % SHARD_BYTES, item);
+            }
+        }
     }
 
-    /// WPQ + media accounting for one line write-back; returns the time the
-    /// flush is accepted into the persistence domain. The caller holds the
-    /// WPQ lock — the batched flush path accepts a whole commit's lines
-    /// under one acquisition.
-    fn wpq_accept(&self, w: &mut WpqModel, line: usize, now: u64) -> u64 {
-        let (accepted_at, sequential) = w.accept(&self.inner.cfg, line, now);
-        let stats = &self.inner.stats;
-        stats.lines_persisted.fetch_add(1, Ordering::Relaxed);
-        if sequential {
-            stats.seq_line_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        accepted_at
+    /// Copies `buf.len()` bytes at `addr` out of the volatile image: the
+    /// untimed read under every peek, which needs no handle.
+    fn peek_into(&self, addr: usize, buf: &mut [u8]) {
+        self.check(addr, buf.len()).expect("peek out of bounds");
+        self.for_stripes(addr, buf.len(), |shard, off, range| {
+            let n = range.len();
+            buf[range].copy_from_slice(&shard.volatile[off..off + n]);
+        });
+    }
+
+    fn peek_u64(&self, addr: usize) -> u64 {
+        let mut b = [0u8; 8];
+        self.peek_into(addr, &mut b);
+        u64::from_le_bytes(b)
+    }
+
+    /// Copies fenced (or timing-off) line snapshots into the persisted
+    /// image.
+    fn apply_persisted(&self, flushes: &[PendingFlush]) {
+        self.for_line_runs(
+            flushes,
+            |p| p.line,
+            |shard, off, p| shard.persisted[off..off + CACHE_LINE].copy_from_slice(&p.snapshot),
+        );
+    }
+
+    /// One persistence-affecting operation is about to happen. Called
+    /// while holding **no** locks (a capture takes the registry, every
+    /// flush list and every shard lock).
+    fn tick_fuel(&self) {
+        self.inner.gate.tick_fuel(self.timing_is_on(), |policy| self.capture(policy));
     }
 }
 
@@ -314,17 +367,25 @@ impl CrashControl for SharedPmemDevice {
 
     /// The memory image a crash at this instant could leave (same policy
     /// semantics as the single-threaded device). A real crash is one
-    /// instant: the pending set and *every* shard lock are held together
-    /// while the image is built, so no concurrent store or fence can land
-    /// between shard copies. Without this, a commit fence racing the
-    /// capture could reach a high-address shard (copied late) while its
-    /// log record lives in a low-address shard (copied early) — an image
-    /// no power failure can produce, which would break any cross-address
-    /// ordering invariant (e.g. the flight recorder's receipt-after-fence
-    /// rule). No other path holds two of these locks at once, so the
-    /// ascending sweep cannot deadlock.
+    /// instant: the registry, every handle's flush list and *every* shard
+    /// lock are held together while the image is built, so no concurrent
+    /// store, flush or fence can land between shard copies. Without this,
+    /// a commit fence racing the capture could reach a high-address shard
+    /// (copied late) while its log record lives in a low-address shard
+    /// (copied early) — an image no power failure can produce, which would
+    /// break any cross-address ordering invariant (e.g. the flight
+    /// recorder's receipt-after-fence rule). The module docs give the lock
+    /// order that keeps this sweep deadlock-free.
+    ///
+    /// [`materialize`] applies the unfenced flushes, and draws its
+    /// `Random(seed)` stream over them, in registry order: dropped handles'
+    /// leftovers, then live handles in creation order, each handle's in
+    /// issue order — with one handle, plain issue order, as on
+    /// [`crate::PmemDevice`].
     fn capture(&self, policy: CrashPolicy) -> CrashImage {
-        let pending = self.inner.pending.lock().expect("pending lock");
+        let cells = self.cells();
+        let unfenced: Vec<_> =
+            cells.iter().map(|c| c.unfenced.lock().expect("flush lock")).collect();
         let shards: Vec<_> =
             self.inner.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
         let mut volatile = Vec::with_capacity(self.inner.size);
@@ -333,7 +394,8 @@ impl CrashControl for SharedPmemDevice {
             volatile.extend_from_slice(&s.volatile);
             persisted.extend_from_slice(&s.persisted);
         }
-        materialize(persisted, &volatile, &pending, self.now_ns(), policy)
+        let pending = unfenced.iter().flat_map(|list| list.iter());
+        materialize(persisted, &volatile, pending, latest(&cells), policy)
     }
 }
 
@@ -343,27 +405,51 @@ impl CrashControl for SharedPmemDevice {
 /// the handle: `sfence` orders only this handle's outstanding flushes, like
 /// `sfence` on the issuing core. The handle also owns its **core clock** —
 /// a private simulated timeline advanced by this handle's loads, stores,
-/// flush issues, and fence stalls. Distinct handles model distinct cores:
-/// their fence stalls overlap rather than serialize, while the shared WPQ
-/// and media model still couple them through bandwidth. The device-global
-/// clock ([`SharedPmemDevice::now_ns`]) tracks the maximum over all
-/// timelines.
+/// flush issues, and fence stalls — and its own event counters. Distinct
+/// handles model distinct cores: their fence stalls overlap rather than
+/// serialize, while the shared WPQ and media model still couple them
+/// through bandwidth. The device-global clock
+/// ([`SharedPmemDevice::now_ns`]) is the maximum over all timelines.
+///
+/// A handle is one core: it may move to another thread (`Send`) but is not
+/// `Sync`, which is what lets its bookkeeping be single-writer
+/// ([`specpmt_telemetry::owned`]) instead of lock-prefixed:
+///
+/// ```compile_fail
+/// fn shareable<T: Sync>() {}
+/// shareable::<specpmt_pmem::DeviceHandle>();
+/// ```
+///
+/// Dropping a handle folds its counters and timeline into the device's
+/// retired totals: the device-wide views do not move.
 #[derive(Debug)]
 pub struct DeviceHandle {
     dev: SharedPmemDevice,
-    id: u64,
-    clock: AtomicU64,
-    /// Reusable flush scratch for [`Self::clwb_lines`] and
-    /// [`Self::sfence`]: cleared (capacity kept) between uses, so
-    /// steady-state commits allocate nothing. A handle belongs to one
-    /// thread, so the mutex is uncontended — it exists only to keep the
-    /// handle `Sync` without interior-mutability `unsafe`.
-    scratch: Mutex<Vec<PendingFlush>>,
-    /// Reusable flush-plan scratch for [`Self::clwb_ranges`]: holds the
-    /// coalesced cache-line indices between uses (cleared, capacity
-    /// kept), so planning a commit's flushes is allocation-free in
-    /// steady state. Same single-owner-mutex pattern as `scratch`.
-    lines: Mutex<Vec<usize>>,
+    cell: Arc<HandleCell>,
+    /// Reusable flush-plan scratch for [`Self::clwb_ranges`] (cleared,
+    /// capacity kept: planning a commit's flushes allocates nothing in
+    /// steady state). A `RefCell` and not in the cell: only the owning
+    /// thread plans, and crash fuel is burned between planning a batch and
+    /// issuing it, when no lock may be held. It also makes the handle
+    /// `!Sync`.
+    plan: RefCell<Vec<usize>>,
+}
+
+impl Drop for DeviceHandle {
+    /// Folds the cell into the retired one and unregisters it. The registry
+    /// lock makes the dropping thread the retired cell's one writer.
+    /// Poisoned locks are entered anyway: every update below leaves the
+    /// registry valid, and a drop must not panic.
+    fn drop(&mut self) {
+        let mut cells = self.dev.inner.cells.lock().unwrap_or_else(|e| e.into_inner());
+        cells.retain(|c| !Arc::ptr_eq(c, &self.cell));
+        let (retired, mine) = (&cells[0], &self.cell);
+        retired.clock.raise(mine.clock.get());
+        retired.stats.absorb(&mine.stats);
+        retired.wpq_drain_ns.absorb(&mine.wpq_drain_ns.snapshot());
+        let mut orphans = retired.unfenced.lock().unwrap_or_else(|e| e.into_inner());
+        orphans.append(&mut mine.unfenced.lock().unwrap_or_else(|e| e.into_inner()));
+    }
 }
 
 impl DeviceHandle {
@@ -374,15 +460,22 @@ impl DeviceHandle {
 
     /// This handle's core-local simulated time in nanoseconds.
     pub fn local_now_ns(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
+        self.cell.clock.get()
     }
 
-    /// Advances the core-local clock by `ns` and folds it into the
-    /// device-global clock (which tracks the max over all timelines).
+    /// Advances the core-local clock by `ns`; returns the new local time.
     fn local_charge(&self, ns: u64) -> u64 {
-        let t = self.clock.fetch_add(ns, Ordering::Relaxed) + ns;
-        self.dev.inner.clock_ns.fetch_max(t, Ordering::Relaxed);
-        t
+        self.cell.clock.add(ns)
+    }
+
+    /// Moves the core-local clock up to the device-global time: where a
+    /// freshly created handle would start.
+    fn catch_up(&self) {
+        self.cell.clock.raise(self.dev.now_ns());
+    }
+
+    fn unfenced(&self) -> MutexGuard<'_, Vec<PendingFlush>> {
+        self.cell.unfenced.lock().expect("flush lock")
     }
 
     /// Device capacity in bytes.
@@ -414,7 +507,7 @@ impl DeviceHandle {
         if self.dev.timing_is_on() {
             let words = data.len().div_ceil(PERSIST_WORD) as u64;
             self.local_charge(words * self.dev.inner.cfg.store_word_ns);
-            self.dev.inner.stats.bytes_stored.fetch_add(data.len() as u64, Ordering::Relaxed);
+            self.cell.stats.bytes_stored.add(data.len() as u64);
         }
         Ok(())
     }
@@ -433,7 +526,7 @@ impl DeviceHandle {
         if self.dev.timing_is_on() {
             let words = buf.len().div_ceil(PERSIST_WORD) as u64;
             self.local_charge(words * self.dev.inner.cfg.load_word_ns);
-            self.dev.inner.stats.bytes_loaded.fetch_add(buf.len() as u64, Ordering::Relaxed);
+            self.cell.stats.bytes_loaded.add(buf.len() as u64);
         }
     }
 
@@ -466,18 +559,12 @@ impl DeviceHandle {
     ///
     /// Panics if the range is out of bounds.
     pub fn peek_into(&self, addr: usize, buf: &mut [u8]) {
-        self.dev.check(addr, buf.len()).expect("peek out of bounds");
-        self.dev.for_stripes(addr, buf.len(), |shard, off, range| {
-            let n = range.len();
-            buf[range].copy_from_slice(&shard.volatile[off..off + n]);
-        });
+        self.dev.peek_into(addr, buf);
     }
 
     /// Reads a `u64` from the volatile image without charging any cost.
     pub fn peek_u64(&self, addr: usize) -> u64 {
-        let mut b = [0u8; 8];
-        self.peek_into(addr, &mut b);
-        u64::from_le_bytes(b)
+        self.dev.peek_u64(addr)
     }
 
     /// Issues a `clwb` for the cache line containing `addr`. The line is
@@ -492,17 +579,18 @@ impl DeviceHandle {
     /// sorted ascending and deduplicated — commit planners produce exactly
     /// that). Semantically identical to calling [`Self::clwb`] once per
     /// line between the same pair of fences, but the whole batch acquires
-    /// each overlapped image shard once, the WPQ lock once, and the
-    /// pending lock once — instead of once *per line* — which is where the
-    /// per-commit shard-mutex traffic of the range-at-a-time path went.
+    /// each overlapped image shard once, the WPQ lock once, and this
+    /// handle's flush list once — instead of once *per line* — which is
+    /// where the per-commit shard-mutex traffic of the range-at-a-time path
+    /// went.
     ///
     /// Crash semantics are unchanged: every line still burns one unit of
     /// crash fuel (fuel is burned for the whole batch up front, while no
     /// lock is held, so an armed capture can fire between any two lines of
     /// the batch — the same nondeterminism interleaved flushes have), each
-    /// line snapshot joins the pending set individually, and nothing
-    /// crosses a fence (the batch is issued entirely between two fences of
-    /// this handle).
+    /// line snapshot joins the handle's unfenced flushes individually, and
+    /// nothing crosses a fence (the batch is issued entirely between two
+    /// fences of this handle).
     ///
     /// # Panics
     ///
@@ -512,77 +600,90 @@ impl DeviceHandle {
         if lines.is_empty() {
             return;
         }
-        let mut scratch = self.scratch.lock().expect("scratch lock");
-        if !self.issue_batch(lines, &mut scratch) {
-            return;
+        self.burn_batch_fuel(lines, 0);
+        let mut unfenced = self.unfenced();
+        if self.issue_batch(lines, &mut unfenced) {
+            self.local_charge(lines.len() as u64 * self.dev.inner.cfg.clwb_issue_ns);
+            self.cell.stats.clwb_count.add(lines.len() as u64);
         }
-        self.local_charge(lines.len() as u64 * self.dev.inner.cfg.clwb_issue_ns);
-        self.dev.inner.stats.clwb_count.fetch_add(lines.len() as u64, Ordering::Relaxed);
-        self.dev.inner.pending.lock().expect("pending lock").extend(scratch.drain(..));
     }
 
-    /// Front half of a vectored flush, shared by [`Self::clwb_lines`] and
-    /// [`Self::drain_lines`]: validates the batch, burns one unit of crash
-    /// fuel per line (up front, while no lock is held — fuel capture
-    /// acquires every shard lock), snapshots every line into `scratch`,
-    /// and accepts the batch into the WPQ under one lock acquisition, each
-    /// line at the simulated instant its serial `clwb` would have issued.
-    /// The caller charges the issue time and decides where the snapshots
-    /// go. With timing off the lines persist at once, `scratch` is left
-    /// empty and `false` is returned.
-    fn issue_batch(&self, lines: &[usize], scratch: &mut Vec<PendingFlush>) -> bool {
+    /// Validates a vectored flush and burns its crash fuel — one unit per
+    /// line plus `extra` — up front, while no lock is held (a fuel capture
+    /// takes this handle's flush list and every shard lock).
+    fn burn_batch_fuel(&self, lines: &[usize], extra: usize) {
         assert!(
             lines.windows(2).all(|w| w[0] < w[1]),
             "vectored flush requires a sorted, deduplicated batch"
         );
         let last = *lines.last().expect("non-empty batch");
         assert!(line_start(last) < self.dev.size(), "vectored flush out of bounds");
-        for _ in lines {
+        for _ in 0..lines.len() + extra {
             self.dev.tick_fuel();
         }
-        scratch.clear();
-        // Snapshot shard group by shard group: lines are sorted, so lines
-        // of the same shard are adjacent and the guard is taken once.
-        let mut i = 0;
-        while i < lines.len() {
-            let shard_idx = line_start(lines[i]) / SHARD_BYTES;
-            let guard = self.dev.shard(shard_idx);
-            while i < lines.len() && line_start(lines[i]) / SHARD_BYTES == shard_idx {
-                let off = line_start(lines[i]) % SHARD_BYTES;
+    }
+
+    /// Back half of a vectored flush, shared by [`Self::clwb_lines`] and
+    /// [`Self::drain_lines`]: appends a snapshot of every line to
+    /// `unfenced` (this handle's locked flush list) and accepts the batch
+    /// into the WPQ under one lock acquisition, each line at the simulated
+    /// instant its serial `clwb` would have issued. The caller charges the
+    /// issue time. With timing off the lines persist at once, `unfenced`
+    /// is left as it was and `false` is returned.
+    fn issue_batch(&self, lines: &[usize], unfenced: &mut Vec<PendingFlush>) -> bool {
+        let first = unfenced.len();
+        unfenced.reserve(lines.len());
+        self.dev.for_line_runs(
+            lines,
+            |&line| line,
+            |shard, off, &line| {
                 let mut snapshot = [0u8; CACHE_LINE];
-                snapshot.copy_from_slice(&guard.volatile[off..off + CACHE_LINE]);
-                scratch.push(PendingFlush {
-                    owner: self.id,
-                    line: lines[i],
-                    accepted_at: 0,
-                    snapshot,
-                });
-                i += 1;
-            }
-        }
+                snapshot.copy_from_slice(&shard.volatile[off..off + CACHE_LINE]);
+                unfenced.push(PendingFlush { line, accepted_at: 0, snapshot });
+            },
+        );
         if !self.dev.timing_is_on() {
-            for p in scratch.iter() {
-                self.apply_persisted(p.line, &p.snapshot);
-            }
-            scratch.clear();
+            self.dev.apply_persisted(&unfenced[first..]);
+            unfenced.truncate(first);
             return false;
         }
         let issue_ns = self.dev.inner.cfg.clwb_issue_ns;
         let t0 = self.local_now_ns();
         let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
-        for (k, p) in scratch.iter_mut().enumerate() {
-            let now = t0 + (k as u64 + 1) * issue_ns;
-            p.accepted_at = self.dev.wpq_accept(&mut w, p.line, now);
+        for (k, p) in unfenced[first..].iter_mut().enumerate() {
+            p.accepted_at = self.wpq_accept(&mut w, p.line, t0 + (k as u64 + 1) * issue_ns);
         }
         true
     }
 
-    fn apply_persisted(&self, line: usize, snapshot: &[u8]) {
-        let start = line_start(line);
-        self.dev.for_stripes(start, CACHE_LINE, |shard, off, range| {
-            let n = range.len();
-            shard.persisted[off..off + n].copy_from_slice(&snapshot[range]);
-        });
+    /// WPQ + media accounting for one line write-back; returns the time the
+    /// flush is accepted into the persistence domain. The caller holds the
+    /// WPQ lock — the batched flush path accepts a whole commit's lines
+    /// under one acquisition.
+    fn wpq_accept(&self, w: &mut WpqModel, line: usize, now: u64) -> u64 {
+        let (accepted_at, sequential) = w.accept(&self.dev.inner.cfg, line, now);
+        self.cell.stats.lines_persisted.add(1);
+        if sequential {
+            self.cell.stats.seq_line_hits.add(1);
+        }
+        accepted_at
+    }
+
+    /// The timed half of a fence over `flushes`: stalls this handle's
+    /// timeline until the last of them is accepted, charges the fence
+    /// itself, and counts it.
+    fn stall_for(&self, flushes: &[PendingFlush]) -> FenceReport {
+        let target = flushes.iter().map(|p| p.accepted_at).max().unwrap_or(0);
+        let stall_ns = target.saturating_sub(self.local_now_ns());
+        let stats = &self.cell.stats;
+        stats.sfence_count.add(1);
+        stats.fence_stall_ns.add(stall_ns);
+        self.local_charge(stall_ns + self.dev.inner.cfg.sfence_base_ns);
+        let report = FenceReport { stall_ns, flushes: flushes.len() as u64 };
+        if report.flushes > 0 {
+            self.cell.wpq_drain_ns.record(stall_ns);
+        }
+        report
     }
 
     /// Issues `clwb` for every cache line touched by `[addr, addr + len)`.
@@ -601,29 +702,28 @@ impl DeviceHandle {
     /// only the lock-acquisition count changes. Zero-length ranges are
     /// skipped; steady state allocates nothing.
     pub fn clwb_ranges(&self, ranges: &[(usize, usize)]) {
-        let mut lines = self.lines.lock().expect("lines lock");
-        crate::geometry::coalesce_lines(ranges, &mut lines);
-        self.clwb_lines(&lines);
+        let mut plan = self.plan.borrow_mut();
+        crate::geometry::coalesce_lines(ranges, &mut plan);
+        self.clwb_lines(&plan);
     }
 
     /// Fused batched drain: [`Self::clwb_lines`] plus [`Self::sfence`] for
-    /// one sorted, deduplicated line batch, in a single call that never
-    /// touches the device-global pending set. This is the group-commit
-    /// combiner's primitive: one WPQ lock round accepts the whole batch,
-    /// the fence stall is computed directly from the batch's acceptance
-    /// times, and the persisted image is updated immediately — no
-    /// `pending` push + retain scan whose cost grows with every
-    /// concurrently unfenced flush in the system.
+    /// one sorted, deduplicated line batch, in a single call. This is the
+    /// group-commit combiner's primitive: one round of this handle's flush
+    /// lock and one of the WPQ lock accept the whole batch, the fence stall
+    /// is computed directly from the batch's acceptance times, and the
+    /// persisted image is updated immediately.
     ///
     /// Simulated time and crash fuel match the unfused pair exactly: one
     /// persistence op per line plus one for the fence, `clwb_issue_ns` per
     /// line plus `sfence_base_ns` on this handle's clock, and the same
     /// per-line WPQ acceptance instants. The only semantic difference is
-    /// crash nondeterminism *inside* the call: lines are never in the
-    /// pending set, so a capture that fires mid-batch sees them as
-    /// volatile-vs-persisted diffs (surviving per policy) rather than as
-    /// accepted in-flight flushes — both are valid pre-fence outcomes, and
-    /// the post-fence durability guarantee is identical.
+    /// crash nondeterminism *inside* the call: the flush list is locked
+    /// from issue to fence, so no capture ever sees the batch as accepted
+    /// in-flight flushes — one that fires mid-call (on fuel, before the
+    /// first snapshot) sees volatile-vs-persisted diffs, surviving per
+    /// policy. Both are valid pre-fence outcomes, and the post-fence
+    /// durability guarantee is identical.
     ///
     /// The fence covers exactly the batch passed in: the handle must have
     /// no unfenced [`Self::clwb`]-family flushes outstanding when calling
@@ -634,41 +734,27 @@ impl DeviceHandle {
     /// Panics if a line is out of bounds or the slice is not sorted and
     /// deduplicated.
     pub fn drain_lines(&self, lines: &[usize]) -> FenceReport {
-        debug_assert!(
-            self.dev.inner.pending.lock().expect("pending lock").iter().all(|p| p.owner != self.id),
-            "drain_lines with unfenced flushes outstanding on this handle"
-        );
         if lines.is_empty() {
             return FenceReport::default();
         }
         // One more unit of crash fuel for the fence — the same budget as
         // clwb_lines + sfence.
-        self.dev.tick_fuel();
-        let mut scratch = self.scratch.lock().expect("scratch lock");
-        if !self.issue_batch(lines, &mut scratch) {
+        self.burn_batch_fuel(lines, 1);
+        let mut batch = self.unfenced();
+        debug_assert!(
+            batch.is_empty(),
+            "drain_lines with unfenced flushes outstanding on this handle"
+        );
+        if !self.issue_batch(lines, &mut batch) {
             return FenceReport::default();
         }
-        let cfg = &self.dev.inner.cfg;
-        let issue_ns = cfg.clwb_issue_ns;
         let n = lines.len() as u64;
-        let stats = &self.dev.inner.stats;
-        stats.clwb_count.fetch_add(n, Ordering::Relaxed);
-        stats.sfence_count.fetch_add(1, Ordering::Relaxed);
-        let now = self.local_charge(n * issue_ns);
-        let target = scratch.iter().map(|p| p.accepted_at).max().unwrap_or(0);
-        let stall_ns = target.saturating_sub(now);
-        if target > now {
-            stats.fence_stall_ns.fetch_add(target - now, Ordering::Relaxed);
-            self.clock.fetch_max(target, Ordering::Relaxed);
-            self.dev.inner.clock_ns.fetch_max(target, Ordering::Relaxed);
-        }
-        self.local_charge(cfg.sfence_base_ns);
-        self.dev.inner.wpq_drain_ns.record(stall_ns);
-        for p in scratch.iter() {
-            self.apply_persisted(p.line, &p.snapshot);
-        }
-        scratch.clear();
-        FenceReport { stall_ns, flushes: n }
+        self.cell.stats.clwb_count.add(n);
+        self.local_charge(n * self.dev.inner.cfg.clwb_issue_ns);
+        let report = self.stall_for(&batch);
+        self.dev.apply_persisted(&batch);
+        batch.clear();
+        report
     }
 
     /// Store fence: stalls until every flush **this handle** issued is
@@ -687,44 +773,10 @@ impl DeviceHandle {
         let timed = self.dev.timing_is_on();
         if timed {
             self.dev.tick_fuel();
-            self.dev.inner.stats.sfence_count.fetch_add(1, Ordering::Relaxed);
         }
-        // Move own entries into the reusable scratch under the pending
-        // lock; apply after releasing it so a shard lock is never acquired
-        // while holding the pending lock. The scratch keeps its capacity,
-        // so steady-state fences allocate nothing.
-        let mut mine = self.scratch.lock().expect("scratch lock");
-        mine.clear();
-        {
-            let mut pending = self.dev.inner.pending.lock().expect("pending lock");
-            pending.retain(|p| {
-                if p.owner == self.id {
-                    mine.push(*p);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let mut report = FenceReport::default();
-        if timed {
-            let target = mine.iter().map(|p| p.accepted_at).max().unwrap_or(0);
-            let now = self.local_now_ns();
-            report =
-                FenceReport { stall_ns: target.saturating_sub(now), flushes: mine.len() as u64 };
-            if target > now {
-                self.dev.inner.stats.fence_stall_ns.fetch_add(target - now, Ordering::Relaxed);
-                self.clock.fetch_max(target, Ordering::Relaxed);
-                self.dev.inner.clock_ns.fetch_max(target, Ordering::Relaxed);
-            }
-            self.local_charge(self.dev.inner.cfg.sfence_base_ns);
-            if report.flushes > 0 {
-                self.dev.inner.wpq_drain_ns.record(report.stall_ns);
-            }
-        }
-        for p in mine.iter() {
-            self.apply_persisted(p.line, &p.snapshot);
-        }
+        let mut mine = self.unfenced();
+        let report = if timed { self.stall_for(&mine) } else { FenceReport::default() };
+        self.dev.apply_persisted(&mine);
         mine.clear();
         report
     }
@@ -733,7 +785,7 @@ impl DeviceHandle {
     pub fn nt_store(&self, addr: usize, data: &[u8]) {
         self.write(addr, data);
         if self.dev.timing_is_on() {
-            self.dev.inner.stats.nt_stores.fetch_add(1, Ordering::Relaxed);
+            self.cell.stats.nt_stores.add(1);
         }
         self.clwb_range(addr, data.len());
     }
@@ -754,9 +806,9 @@ impl DeviceHandle {
         self.peek_into(line_start(line), &mut snapshot);
         if self.dev.timing_is_on() {
             let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
-            let _ = self.dev.wpq_accept(&mut w, line, self.local_now_ns());
+            let _ = self.wpq_accept(&mut w, line, self.local_now_ns());
         }
-        self.apply_persisted(line, &snapshot);
+        self.dev.apply_persisted(&[PendingFlush { line, accepted_at: 0, snapshot }]);
     }
 
     /// [`Self::background_line_write`] over every line of a range.
@@ -788,7 +840,28 @@ impl DeviceHandle {
 #[derive(Debug)]
 pub struct SharedPmemPool {
     dev: SharedPmemDevice,
-    alloc: Mutex<SizeClassAllocator>,
+    inner: Mutex<PoolInner>,
+}
+
+/// The allocator and the handle the pool persists its own metadata (bump
+/// pointer, root slots) through. Sharing the allocator's lock keeps
+/// concurrent allocations persisting monotonically increasing bump values
+/// and the handle single-writer.
+#[derive(Debug)]
+struct PoolInner {
+    alloc: SizeClassAllocator,
+    handle: DeviceHandle,
+}
+
+impl PoolInner {
+    /// Writes and immediately persists one metadata word, on a timeline
+    /// that starts at the current device time (as if a core picked the
+    /// job up now).
+    fn persist_u64(&self, addr: usize, value: u64) {
+        self.handle.catch_up();
+        self.handle.write_u64(addr, value);
+        self.handle.persist_range(addr, 8);
+    }
 }
 
 impl SharedPmemPool {
@@ -801,16 +874,20 @@ impl SharedPmemPool {
         assert!(dev.size() >= POOL_HEADER_SIZE, "device too small for a pool");
         let prev = dev.timing();
         dev.set_timing(TimingMode::Off);
-        let h = dev.handle();
-        h.write_u64(0, POOL_MAGIC);
-        h.write_u64(BUMP_OFF, POOL_HEADER_SIZE as u64);
+        let handle = dev.handle();
+        handle.write_u64(0, POOL_MAGIC);
+        handle.write_u64(BUMP_OFF, POOL_HEADER_SIZE as u64);
         for i in 0..ROOT_SLOTS {
-            h.write_u64(crate::root_off(i), 0);
+            handle.write_u64(crate::root_off(i), 0);
         }
-        h.persist_range(0, POOL_HEADER_SIZE);
+        handle.persist_range(0, POOL_HEADER_SIZE);
         dev.set_timing(prev);
-        let end = dev.size();
-        Self { dev, alloc: Mutex::new(SizeClassAllocator::new(POOL_HEADER_SIZE, end)) }
+        let alloc = SizeClassAllocator::new(POOL_HEADER_SIZE, dev.size());
+        Self { dev, inner: Mutex::new(PoolInner { alloc, handle }) }
+    }
+
+    fn inner(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().expect("pool lock")
     }
 
     /// The underlying shared device.
@@ -830,7 +907,7 @@ impl SharedPmemPool {
     ///
     /// Returns [`PmemError::OutOfMemory`] when the heap is exhausted.
     pub fn reserve(&self, size: usize, align: usize) -> Result<Reservation, PmemError> {
-        self.alloc.lock().expect("alloc lock").reserve(size, align)
+        self.inner().alloc.reserve(size, align)
     }
 
     /// Allocates and immediately persists the bump pointer (setup and
@@ -840,38 +917,32 @@ impl SharedPmemPool {
     ///
     /// Returns [`PmemError::OutOfMemory`] when the heap is exhausted.
     pub fn alloc_direct(&self, size: usize, align: usize) -> Result<usize, PmemError> {
-        // Hold the allocator lock across the bump persist so concurrent
-        // allocations persist monotonically increasing bump values.
-        let mut alloc = self.alloc.lock().expect("alloc lock");
-        let r = alloc.reserve(size, align)?;
+        let mut inner = self.inner();
+        let r = inner.alloc.reserve(size, align)?;
         if let Some(bump) = r.new_bump {
-            let h = self.dev.handle();
-            h.write_u64(BUMP_OFF, bump);
-            h.persist_range(BUMP_OFF, 8);
+            inner.persist_u64(BUMP_OFF, bump);
         }
         Ok(r.off)
     }
 
     /// Returns a block to the volatile free list.
     pub fn free(&self, off: usize, size: usize, align: usize) {
-        self.alloc.lock().expect("alloc lock").release(off, size, align);
+        self.inner().alloc.release(off, size, align);
     }
 
     /// Reads root slot `i`.
     pub fn root(&self, i: usize) -> u64 {
-        self.dev.handle().peek_u64(crate::root_off(i))
+        self.dev.peek_u64(crate::root_off(i))
     }
 
     /// Writes and immediately persists root slot `i`.
     pub fn set_root_direct(&self, i: usize, value: u64) {
-        let h = self.dev.handle();
-        h.write_u64(crate::root_off(i), value);
-        h.persist_range(crate::root_off(i), 8);
+        self.inner().persist_u64(crate::root_off(i), value);
     }
 
     /// Bytes consumed by the bump region.
     pub fn heap_used(&self) -> usize {
-        self.alloc.lock().expect("alloc lock").used_until() - POOL_HEADER_SIZE
+        self.inner().alloc.used_until() - POOL_HEADER_SIZE
     }
 
     /// Total heap capacity.
@@ -956,6 +1027,147 @@ mod tests {
         // A later handle starts at the current global time.
         let c = d.handle();
         assert_eq!(c.local_now_ns(), 1000);
+    }
+
+    /// A device whose WPQ accepts nothing before a capture looks: every
+    /// unfenced flush is still in flight, so a `Random` capture draws one
+    /// coin per flush and the order of the draws shows in the image.
+    fn slow_wpq() -> SharedPmemDevice {
+        SharedPmemDevice::new(PmemConfig { wpq_accept_ns: 1 << 30, ..PmemConfig::new(64 * 1024) })
+    }
+
+    /// Line `i` holds `i + 1`, flushed but not fenced, from `flush_order`.
+    fn one_handle_flushing(flush_order: [usize; 4], seed: u64) -> CrashImage {
+        let d = slow_wpq();
+        let h = d.handle();
+        for i in 0..4 {
+            h.write_u64(i * CACHE_LINE, i as u64 + 1);
+        }
+        for i in flush_order {
+            h.clwb(i * CACHE_LINE);
+        }
+        d.crash(seed)
+    }
+
+    #[test]
+    fn random_capture_draws_over_handles_in_creation_then_issue_order() {
+        // Two handles flush alternately, the younger one first.
+        let interleaved = |seed| {
+            let d = slow_wpq();
+            let (a, b) = (d.handle(), d.handle());
+            for (i, h) in [&b, &a, &b, &a].into_iter().enumerate() {
+                h.write_u64(i * CACHE_LINE, i as u64 + 1);
+                h.clwb(i * CACHE_LINE);
+            }
+            d.crash(seed)
+        };
+        let mut differs_from_issue_order = false;
+        for seed in 0..16 {
+            let img = interleaved(seed);
+            assert_eq!(img, interleaved(seed), "a seeded capture repeats");
+            // `a` was created first and flushed lines 1 and 3; then `b`'s 0 and 2.
+            assert_eq!(img, one_handle_flushing([1, 3, 0, 2], seed), "seed {seed}");
+            differs_from_issue_order |= img != one_handle_flushing([0, 1, 2, 3], seed);
+        }
+        assert!(differs_from_issue_order, "the order must be observable for the test to mean much");
+    }
+
+    #[test]
+    fn all_lost_keeps_accepted_unfenced_lines_of_every_handle() {
+        let d = dev();
+        let (a, b) = (d.handle(), d.handle());
+        a.write_u64(0, 1);
+        a.clwb(0);
+        b.write_u64(CACHE_LINE, 2);
+        b.clwb(CACHE_LINE);
+        // Time passes on one core: the WPQ has long accepted both lines.
+        a.advance(10_000);
+        b.write_u64(2 * CACHE_LINE, 3);
+        b.clwb(2 * CACHE_LINE); // issued on b's (earlier) timeline: accepted by now too
+        a.write_u64(3 * CACHE_LINE, 4);
+        a.clwb(3 * CACHE_LINE); // issued at the device's latest instant: still in flight
+        let img = d.capture(CrashPolicy::AllLost);
+        let got: Vec<u64> = (0..4).map(|i| img.read_u64(i * CACHE_LINE)).collect();
+        assert_eq!(got, [1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn dropping_a_handle_moves_nothing_and_its_accepted_flush_survives() {
+        let d = dev();
+        let h = d.handle();
+        h.write_u64(CACHE_LINE, 8);
+        h.clwb(CACHE_LINE);
+        h.sfence();
+        h.write_u64(0, 7);
+        h.clwb(0);
+        h.advance(10_000); // the unfenced flush of line 0 is accepted by now
+        let before = (d.stats(), d.now_ns(), d.wpq_drain_histogram());
+        assert_eq!((before.0.sfence_count, before.2.count()), (1, 1));
+        drop(h);
+        assert_eq!((d.stats(), d.now_ns(), d.wpq_drain_histogram()), before);
+        let img = d.capture(CrashPolicy::AllLost);
+        assert_eq!((img.read_u64(0), img.read_u64(CACHE_LINE)), (7, 8));
+        assert_eq!(d.handle().local_now_ns(), before.1, "later handles start past retired ones");
+        d.flush_everything();
+        d.handle().write_u64(0, 9);
+        assert_eq!(d.capture(CrashPolicy::AllLost).read_u64(0), 7, "orphans go with the rest");
+    }
+
+    #[test]
+    fn eight_threads_sum_to_exact_stats_and_the_max_timeline() {
+        const OPS: usize = 10_000;
+        let d = SharedPmemDevice::new(PmemConfig::new(8 * SHARD_BYTES));
+        let handles: Vec<DeviceHandle> = thread::scope(|s| {
+            let workers: Vec<_> = (0..8usize)
+                .map(|t| {
+                    let h = d.handle();
+                    s.spawn(move || {
+                        for i in 0..OPS {
+                            let addr = t * SHARD_BYTES + (i / 4 % 8) * CACHE_LINE;
+                            match i % 4 {
+                                0 => h.write_u64(addr, i as u64),
+                                1 => assert_eq!(h.read_u64(addr), i as u64 - 1),
+                                2 => h.clwb(addr),
+                                _ => assert_eq!(h.sfence().flushes, 1),
+                            }
+                        }
+                        h
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker")).collect()
+        });
+        let each = (8 * OPS / 4) as u64;
+        let want = PmemStats {
+            clwb_count: each,
+            sfence_count: each,
+            lines_persisted: each,
+            bytes_stored: 8 * each,
+            bytes_loaded: 8 * each,
+            // Timing-dependent, but still sums: compared against themselves.
+            fence_stall_ns: d.stats().fence_stall_ns,
+            seq_line_hits: d.stats().seq_line_hits,
+            nt_stores: 0,
+        };
+        assert_eq!(d.stats(), want);
+        assert_eq!(d.wpq_drain_histogram().count(), each);
+        assert_eq!(d.wpq_drain_histogram().sum, want.fence_stall_ns);
+        let latest = handles.iter().map(DeviceHandle::local_now_ns).max().unwrap();
+        assert_eq!(d.now_ns(), latest);
+        // Retiring half of them changes neither view.
+        let mut handles = handles;
+        handles.truncate(4);
+        assert_eq!((d.stats(), d.now_ns()), (want, latest));
+    }
+
+    #[test]
+    fn handles_and_pools_cross_threads_by_move() {
+        fn sendable<T: Send>() {}
+        fn shareable<T: Sync>() {}
+        sendable::<DeviceHandle>(); // `!Sync` is the `compile_fail` doctest on the type
+        sendable::<SharedPmemPool>();
+        shareable::<SharedPmemPool>();
+        shareable::<SharedPmemDevice>();
     }
 
     #[test]

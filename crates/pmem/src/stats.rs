@@ -1,6 +1,6 @@
 //! Counters exposed by the device.
 
-use specpmt_telemetry::{JsonWriter, StatExport};
+use specpmt_telemetry::{JsonWriter, OwnedCounter, StatExport};
 
 /// Event counters accumulated by a [`crate::PmemDevice`].
 ///
@@ -52,6 +52,46 @@ impl PmemStats {
             bytes_loaded: self.bytes_loaded.saturating_sub(earlier.bytes_loaded),
             nt_stores: self.nt_stores.saturating_sub(earlier.nt_stores),
         }
+    }
+}
+
+/// One [`crate::DeviceHandle`]'s share of [`PmemStats`]: the same
+/// counters, written by that handle alone and summed over handles by
+/// whoever reads the device's totals.
+#[derive(Debug, Default)]
+pub(crate) struct OwnedStats {
+    pub(crate) clwb_count: OwnedCounter,
+    pub(crate) sfence_count: OwnedCounter,
+    pub(crate) fence_stall_ns: OwnedCounter,
+    pub(crate) lines_persisted: OwnedCounter,
+    pub(crate) seq_line_hits: OwnedCounter,
+    pub(crate) bytes_stored: OwnedCounter,
+    pub(crate) bytes_loaded: OwnedCounter,
+    pub(crate) nt_stores: OwnedCounter,
+}
+
+impl OwnedStats {
+    /// Adds a retiring handle's counters to this cell's.
+    pub(crate) fn absorb(&self, other: &OwnedStats) {
+        self.clwb_count.add(other.clwb_count.get());
+        self.sfence_count.add(other.sfence_count.get());
+        self.fence_stall_ns.add(other.fence_stall_ns.get());
+        self.lines_persisted.add(other.lines_persisted.get());
+        self.seq_line_hits.add(other.seq_line_hits.get());
+        self.bytes_stored.add(other.bytes_stored.get());
+        self.bytes_loaded.add(other.bytes_loaded.get());
+        self.nt_stores.add(other.nt_stores.get());
+    }
+
+    pub(crate) fn add_into(&self, total: &mut PmemStats) {
+        total.clwb_count += self.clwb_count.get();
+        total.sfence_count += self.sfence_count.get();
+        total.fence_stall_ns += self.fence_stall_ns.get();
+        total.lines_persisted += self.lines_persisted.get();
+        total.seq_line_hits += self.seq_line_hits.get();
+        total.bytes_stored += self.bytes_stored.get();
+        total.bytes_loaded += self.bytes_loaded.get();
+        total.nt_stores += self.nt_stores.get();
     }
 }
 

@@ -9,9 +9,6 @@ use crate::PmemConfig;
 /// A line flush that has been issued but not yet fenced.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingFlush {
-    /// The issuing [`crate::DeviceHandle`] (0 on the single-threaded
-    /// device): a fence completes only its own handle's flushes.
-    pub(crate) owner: u64,
     pub(crate) line: usize,
     /// Simulated time at which the line is accepted into the WPQ — the
     /// instant it enters the persistence domain under ADR.

@@ -18,6 +18,11 @@
 //!   `ReclaimStats`, and `LockTableStats` implement so every stat block
 //!   shares one JSON schema across live runs, benches, and `inspect`.
 //!
+//! Beside the shared [`Histogram`], [`owned`] holds the single-writer
+//! [`OwnedCounter`] / [`OwnedHistogram`]: what a per-owner statistic (a
+//! device handle's timeline, a kv worker's latencies) is made of, so that
+//! sharing is paid for by the reader and not on every update.
+//!
 //! A fourth piece rides along because this crate is the workspace's leaf:
 //! [`knobs`] — the typed [`Knobs`] struct that parses every `SPECPMT_*`
 //! environment variable once at startup (re-exported by `specpmt-core` as
@@ -33,6 +38,7 @@ pub mod export;
 pub mod json;
 pub mod knobs;
 pub mod metrics;
+pub mod owned;
 pub mod trace;
 
 pub use blackbox::{BbEvent, BbKind};
@@ -43,6 +49,7 @@ pub use metrics::{
     bucket_floor, bucket_of, DeltaSnapshot, Histogram, HistogramSnapshot, Metric, Phase, Registry,
     Span, BUCKETS, METRIC_COUNT, METRIC_NAMES, PHASE_COUNT, PHASE_NAMES,
 };
+pub use owned::{OwnedCounter, OwnedHistogram};
 pub use trace::{
     EventKind, TraceEvent, TraceSnapshot, Tracer, DEFAULT_CAPACITY, EVENT_KIND_COUNT,
     EVENT_KIND_NAMES,

@@ -27,7 +27,10 @@ const FREE: usize = 0;
 /// another thread).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockTableStats {
-    /// Successful `try_extend` calls (all requested stripes acquired).
+    /// Successful `try_extend` calls (all requested stripes acquired). A
+    /// guard counts its own and folds them in when it releases, so the
+    /// figure is exact whenever no transaction is in flight and lags an
+    /// open one by at most its acquisitions so far.
     pub acquires: u64,
     /// Failed `try_extend` calls (a requested stripe was held by another
     /// thread; newly acquired stripes were rolled back).
@@ -133,20 +136,14 @@ impl SharedLockTable {
         self.wait_ns.snapshot()
     }
 
-    /// Opens an empty guard for `tid`: the per-transaction handle through
-    /// which stripes are acquired. Strict 2PL falls out of its lifetime —
-    /// hold it until after commit or abort.
+    /// Opens an empty guard for `tid`: the handle through which a
+    /// transaction acquires stripes. Strict 2PL falls out of its use —
+    /// [`LockGuard::release`] (or drop) it only after commit or abort. A
+    /// thread running one transaction after another keeps one guard and
+    /// releases it between them, so steady-state acquisition allocates
+    /// nothing and never touches the table's reference count.
     pub fn guard(self: &Arc<Self>, tid: usize) -> LockGuard {
-        self.guard_reusing(tid, Vec::new())
-    }
-
-    /// [`Self::guard`] that tracks its stripes in `held` (cleared first).
-    /// A caller opening one guard per transaction passes in the buffer the
-    /// previous guard's [`LockGuard::release`] handed back, so steady-state
-    /// acquisition allocates nothing.
-    pub fn guard_reusing(self: &Arc<Self>, tid: usize, mut held: Vec<usize>) -> LockGuard {
-        held.clear();
-        LockGuard { table: Arc::clone(self), tid, held }
+        LockGuard { table: Arc::clone(self), tid, held: Vec::new(), acquires: 0 }
     }
 
     fn stripe_range(&self, addr: usize, len: usize) -> std::ops::RangeInclusive<usize> {
@@ -166,17 +163,22 @@ impl SharedLockTable {
     }
 }
 
-/// RAII ownership of lock-table stripes for one transaction.
+/// RAII ownership of lock-table stripes for one transaction at a time.
 ///
-/// Acquired stripes are released exactly when the guard's life ends — on
-/// drop, or on [`release`](Self::release), which consumes it. There is no
-/// way to release part of a guard, which is what makes the locking
-/// *strict* two-phase by construction.
+/// Acquired stripes are released all at once — on
+/// [`release`](Self::release), which leaves the guard empty and ready for
+/// the next transaction, or on drop. There is no way to release part of a
+/// guard, which is what makes the locking *strict* two-phase by
+/// construction.
 #[derive(Debug)]
 pub struct LockGuard {
     table: Arc<SharedLockTable>,
     tid: usize,
     held: Vec<usize>,
+    /// Successful `try_extend` calls since the last release: the guard is
+    /// their only writer, so they are counted here and reach the table's
+    /// shared counter in one add per transaction instead of one per access.
+    acquires: u64,
 }
 
 impl LockGuard {
@@ -204,7 +206,7 @@ impl LockGuard {
                 return false;
             }
         }
-        self.table.acquires.fetch_add(1, Ordering::Relaxed);
+        self.acquires += 1;
         true
     }
 
@@ -216,12 +218,15 @@ impl LockGuard {
         self.held.truncate(from);
     }
 
-    /// Releases every stripe, exactly as dropping the guard does, and
-    /// hands back the emptied stripe buffer for
-    /// [`SharedLockTable::guard_reusing`].
-    pub fn release(mut self) -> Vec<usize> {
+    /// Shrinking phase: releases every stripe, exactly as dropping the
+    /// guard does, and folds this transaction's acquisition count into the
+    /// table. The guard stays usable (its stripe buffer keeps its
+    /// capacity).
+    pub fn release(&mut self) {
         self.free_from(0);
-        std::mem::take(&mut self.held)
+        if self.acquires > 0 {
+            self.table.acquires.fetch_add(std::mem::take(&mut self.acquires), Ordering::Relaxed);
+        }
     }
 
     /// Whether this guard holds the stripe containing `addr`.
@@ -242,7 +247,7 @@ impl LockGuard {
 
 impl Drop for LockGuard {
     fn drop(&mut self) {
-        self.free_from(0);
+        self.release();
     }
 }
 
@@ -286,15 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn released_buffer_is_reused_without_carrying_stripes() {
+    fn released_guard_is_reused_without_carrying_stripes() {
         let t = SharedLockTable::new(1024, 64);
         let mut g = t.guard(0);
         assert!(g.try_extend(0, 256));
-        let held = g.release();
+        g.release();
         assert_eq!(t.held_stripes(), 0, "release frees like drop");
-        assert!(held.is_empty() && held.capacity() >= 4);
-        let mut g = t.guard_reusing(0, held);
         assert_eq!(g.held(), 0);
+        assert!(!g.covers(0));
         assert!(g.try_extend(512, 8));
         assert_eq!(t.held_by(0), 1);
     }
@@ -359,11 +363,34 @@ mod tests {
         assert!(g0.try_extend(0, 64));
         let mut g1 = t.guard(1);
         assert!(!g1.try_extend(0, 8));
+        assert_eq!(t.stats().conflicts, 1, "conflicts are counted as they happen");
         assert!(g1.try_extend(512, 8));
+        drop((g0, g1));
         let st = t.stats();
         assert_eq!(st.acquires, 2);
         assert_eq!(st.conflicts, 1);
         assert!((st.conflict_rate() - 1.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn acquires_fold_in_once_per_transaction_and_are_exact_after_release() {
+        let t = SharedLockTable::new(1024, 64);
+        let mut g = t.guard(0);
+        for tx in 1..=3u64 {
+            for i in 0..4 {
+                assert!(g.try_extend(i * 64, 8));
+            }
+            assert!(g.try_extend(0, 8), "a reentrant extend is an acquire too");
+            assert_eq!(
+                t.stats().acquires,
+                (tx - 1) * 5,
+                "nothing reaches the table mid-transaction"
+            );
+            g.release();
+            assert_eq!(t.stats().acquires, tx * 5, "exact once the transaction released");
+        }
+        g.release();
+        assert_eq!(t.stats().acquires, 15, "an empty release folds nothing");
     }
 
     #[test]

@@ -109,6 +109,30 @@ if grep -nF 'HashMap<usize, u64>' crates/core/src/reclaim.rs; then
     exit 1
 fi
 
+# Re-fork guard, sharing cost: per-owner state is written through the one
+# single-writer primitive (specpmt_telemetry::owned) and the global
+# atomics and lists it replaced stay gone. The primitive is defined in one
+# file; the shared device has no device-global clock, pending list or
+# flush owner tag, and no atomic read-modify-write at all outside its
+# tests (a handle's bookkeeping is loads and stores on its own cell); a kv
+# worker records latencies into its own cell and nowhere else.
+owned_defs=$(grep -rlE 'struct Owned(Counter|Histogram)' crates --include='*.rs')
+[ "$owned_defs" = crates/telemetry/src/owned.rs ] ||
+    { echo "re-fork guard: the single-writer cell is defined in: $owned_defs" >&2; exit 1; }
+if grep -rnE 'clock_ns\.fetch_max|pending: Mutex<Vec<PendingFlush>>|owner:' crates/pmem/src; then
+    echo "re-fork guard: the shared device grew a global clock, pending list or owner tag" >&2
+    exit 1
+fi
+if nontest crates/pmem/src/shared.rs | grep -nE 'fetch_(add|max|sub)\('; then
+    echo "re-fork guard: an atomic read-modify-write on the shared device's op path" >&2
+    exit 1
+fi
+if nontest crates/kv/src/service.rs | grep -E 'stats\.(host|sim|completed)\[' |
+    grep -v 'self\.stats\.'; then
+    echo "re-fork guard: kv latencies recorded outside the worker's own cell" >&2
+    exit 1
+fi
+
 # The judged benchmark is a package of its own (own workspace and lock
 # file), so nothing above builds it: smoke-run every workload and check the
 # emitted names against BENCHMARK.json, so a specpmt-core API change that
