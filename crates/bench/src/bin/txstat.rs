@@ -4,8 +4,9 @@
 //!
 //! For the sequential runtime (one chain, one row) and for the shared
 //! runtime at each thread count (1, 8, 16) the binary runs a fixed write
-//! workload — the `commit_path` bench's transaction shape: eight
-//! scattered 16-byte updates in a 64 KiB region — with the metrics
+//! workload — the commit-cost goldens' transaction shape
+//! (`tests/telemetry_accounting.rs`): eight scattered 16-byte updates in
+//! a 64 KiB region — with the metrics
 //! registry **enabled** and prints one JSON line carrying the merged
 //! counters, the per-phase latency summaries (count / mean / p50 / p90 /
 //! p99 / max), the device's per-channel queue-depth high-water, and (for
@@ -23,15 +24,16 @@
 //! device's drain bandwidth shrinks.
 //!
 //! A final summary line reports the telemetry-**off** sequential commit
-//! cost (`commit_ns_seq`, directly comparable to the `commit_path` bench
-//! and its checked-in baseline in `results/commit_path_baseline.json`),
-//! the telemetry-on cost, and the on/off overhead ratio.
-//! `scripts/bench.sh` captures the output into `BENCH_txstat.json`;
-//! `scripts/verify.sh` checks the schema, cross-checks the deterministic
-//! `commit_sim` numbers against the `commit_path` bench, asserts the
-//! group-commit acceptance budget (16-thread amortized sim cost within
-//! 1.5x sequential, < 1 fence per commit), and runs `txstat --group-only`
-//! (shared, 8 threads, group commit forced on) as the group-commit smoke.
+//! cost (`commit_ns_seq`), the telemetry-on cost, and the on/off overhead
+//! ratio.
+//!
+//! `--check` additionally holds the run to its acceptance assertions and
+//! exits non-zero when one fails (see [`check`]): the group-commit budget
+//! (16-thread amortized sim cost within 1.5x sequential, < 1 fence per
+//! commit), the live series reconciling exactly with each point's commit
+//! count, and the trace-ring accounting. `scripts/verify.sh` runs
+//! `txstat --check` at full scale, and `txstat --group-only` (shared, 8
+//! threads, group commit forced on) as the group-commit smoke.
 
 use std::time::Instant;
 
@@ -53,7 +55,7 @@ const REGION: usize = 64 * 1024;
 const HOT_EVERY: u64 = 4;
 
 /// One representative transaction: 8 scattered 16-byte updates (the
-/// `commit_path` bench's shape, so `commit_ns_seq` stays comparable).
+/// commit-cost goldens' shape).
 fn tx_body<A: TxAccess>(a: &mut A, base: usize, round: u64) {
     let mut val = [0u8; WRITE_BYTES];
     for w in 0..WRITES_PER_TX {
@@ -75,9 +77,24 @@ fn series_fragment(series: &Series) -> String {
     s[1..s.len() - 1].to_string()
 }
 
+/// What [`check`] reads back from one emitted point.
+struct Point {
+    threads: usize,
+    /// The `"mode":"point"` 16-thread group-commit line: the one the
+    /// group-commit budget is stated against.
+    group16: bool,
+    commits: u64,
+    sim_amortized_ns: f64,
+    fences_per_commit: f64,
+    series: Series,
+    /// Trace-ring `(per-thread capacity, events kept)`; the sequential
+    /// point runs untraced.
+    trace: Option<(usize, usize)>,
+}
+
 /// Runs the sequential runtime with telemetry enabled and prints its
 /// per-phase line.
-fn seq_point(txs: u64) {
+fn seq_point(txs: u64) -> Point {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
     let base = pool.alloc_direct(REGION, 64).unwrap();
     let cfg = SpecConfig { reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
@@ -119,6 +136,15 @@ fn seq_point(txs: u64) {
         series_fragment(&series),
         w.finish()
     );
+    Point {
+        threads: 1,
+        group16: false,
+        commits: tel.registry.counter(Metric::Commits),
+        sim_amortized_ns: sim.mean(),
+        fences_per_commit: 1.0,
+        series,
+        trace: None,
+    }
 }
 
 /// Group-commit batch window. Zero: with the dedicated combiner daemon
@@ -154,7 +180,7 @@ impl SharedOpts {
 /// Runs the shared runtime on real OS threads under strict 2PL (disjoint
 /// per-thread regions plus one shared hot counter) with telemetry enabled
 /// and prints its per-phase line.
-fn shared_point(opts: &SharedOpts) {
+fn shared_point(opts: &SharedOpts) -> Point {
     let threads = opts.threads;
     let shared = SpecSpmtShared::open_or_format(
         PmemConfig::new(POOL_BYTES)
@@ -185,7 +211,7 @@ fn shared_point(opts: &SharedOpts) {
     let txs_per_thread = opts.txs_per_thread;
     // Live export: a sampler thread pushes registry delta snapshots at a
     // fixed cadence while the workers run, plus one final point covering
-    // the tail interval — the `series` block of `BENCH_txstat.json`.
+    // the tail interval.
     let registry = &shared.telemetry().registry;
     let done = AtomicBool::new(false);
     let series = std::thread::scope(|s| {
@@ -277,12 +303,84 @@ fn shared_point(opts: &SharedOpts) {
         series_fragment(&series),
         telemetry_block(&shared, &locks)
     );
+    let tracer = &tel.tracer;
+    Point {
+        threads,
+        group16: opts.group_commit && threads == 16 && opts.mode == "point",
+        commits,
+        sim_amortized_ns: sim_amortized,
+        fences_per_commit,
+        series,
+        trace: Some((tracer.capacity(), tracer.snapshot().events.len())),
+    }
+}
+
+/// The acceptance assertions of a full run, one message per failure.
+///
+/// * **Group commit pays off.** At 16 threads with the combiner daemon,
+///   the amortized simulated commit cost (committer staging plus the
+///   daemon's drain stalls, per commit) is within 1.5x the sequential
+///   runtime's, at under one fence per commit.
+/// * **The live series is lossless.** Every point sampled at least one
+///   interval, timestamps are monotone, and the summed commit deltas
+///   equal the cumulative commit count the same line reports — the
+///   sampler neither drops nor double-counts an interval.
+/// * **Trace accounting.** `capacity` is the per-thread ring size and
+///   `events` the merged total over every ring (tx threads plus the
+///   combiner daemon's), so `events <= capacity x (threads + 1)`;
+///   whatever the rings evicted beyond that is what `dropped` counts.
+fn check(seq: &Point, shared: &[Point]) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut require = |ok: bool, msg: String| {
+        if !ok {
+            failures.push(msg);
+        }
+    };
+    let g16 = shared.iter().find(|p| p.group16).expect("the 16-thread group-commit point ran");
+    require(
+        g16.sim_amortized_ns <= 1.5 * seq.sim_amortized_ns,
+        format!(
+            "16-thread group-commit amortized sim cost {:.1} ns exceeds 1.5x sequential {:.1} ns",
+            g16.sim_amortized_ns, seq.sim_amortized_ns
+        ),
+    );
+    require(
+        g16.fences_per_commit < 1.0,
+        format!(
+            "group commit at 16 threads still fences per commit ({:.3})",
+            g16.fences_per_commit
+        ),
+    );
+    for p in std::iter::once(seq).chain(shared) {
+        let at: Vec<u64> = p.series.points().iter().map(|pt| pt.at_ns).collect();
+        require(
+            !at.is_empty() && at.windows(2).all(|w| w[0] <= w[1]),
+            format!("{}-thread series: {} points, timestamps {at:?}", p.threads, at.len()),
+        );
+        let delta_sum = p.series.total(Metric::Commits);
+        require(
+            delta_sum == p.commits,
+            format!(
+                "{}-thread series commit deltas sum to {delta_sum}, the line reports {}",
+                p.threads, p.commits
+            ),
+        );
+        if let Some((capacity, events)) = p.trace {
+            require(
+                capacity >= 1 && events <= capacity * (p.threads + 1),
+                format!(
+                    "{}-thread trace keeps {events} events in {} rings of {capacity}",
+                    p.threads,
+                    p.threads + 1
+                ),
+            );
+        }
+    }
+    failures
 }
 
 /// Host nanoseconds per committed sequential transaction with the given
-/// telemetry state — the commit-throughput guard for the < 3% budget.
-/// Same runtime configuration and transaction shape as `commit_path`'s
-/// `commit_ns_seq`.
+/// telemetry state.
 fn seq_commit_ns(telemetry_on: bool, warmup: u64, measured: u64) -> f64 {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
     let base = pool.alloc_direct(REGION, 64).unwrap();
@@ -325,10 +423,11 @@ fn main() {
         return;
     }
 
-    seq_point(txs);
+    let seq = seq_point(txs);
+    let mut shared = Vec::new();
     for &threads in &[1usize, 8, 16] {
-        shared_point(&point(threads, false));
-        shared_point(&point(threads, true));
+        shared.push(shared_point(&point(threads, false)));
+        shared.push(shared_point(&point(threads, true)));
     }
 
     // Media-provisioning sweep: the 16-thread group-commit point across
@@ -337,24 +436,24 @@ fn main() {
     let sweep_txs = (txs / 4).max(64);
     let channels = media_channels_arg().unwrap_or_else(|| vec![1, 4, 12]);
     for &ch in &channels {
-        shared_point(&SharedOpts {
+        shared.push(shared_point(&SharedOpts {
             threads: 16,
             txs_per_thread: sweep_txs,
             group_commit: true,
             media_channels: ch,
             wpq_entries: 8,
             mode: "sweep",
-        });
+        }));
     }
     for &wpq in &[4usize, 16] {
-        shared_point(&SharedOpts {
+        shared.push(shared_point(&SharedOpts {
             threads: 16,
             txs_per_thread: sweep_txs,
             group_commit: true,
             media_channels: 12,
             wpq_entries: wpq,
             mode: "sweep",
-        });
+        }));
     }
 
     // Telemetry-off vs -on sequential commit cost. Median of three
@@ -379,4 +478,15 @@ fn main() {
          \"commit_ns_seq_telemetry\":{on_ns:.1},\
          \"telemetry_overhead_pct\":{overhead_pct:.2}}}"
     );
+
+    if std::env::args().any(|a| a == "--check") {
+        let failures = check(&seq, &shared);
+        for f in &failures {
+            eprintln!("txstat --check: FAIL {f}");
+        }
+        if !failures.is_empty() {
+            std::process::exit(1);
+        }
+        eprintln!("txstat --check: OK ({} points)", shared.len() + 1);
+    }
 }

@@ -95,12 +95,6 @@ pub struct ConcurrentConfig {
     /// that are about to commit. The default honours
     /// `SPECPMT_GROUP_LINGER_NS`.
     pub group_linger_ns: u64,
-    /// Emit a checkpoint record ([`SpecSpmtShared::write_checkpoint`])
-    /// from the reclamation daemon every N completed reclamation cycles,
-    /// bounding post-crash replay to data since the last checkpoint. `0`
-    /// (the default) disables automatic checkpoints; explicit
-    /// `write_checkpoint` calls work either way.
-    pub checkpoint_interval_cycles: u64,
     /// Enable the persistent flight recorder: a PM-resident black box of
     /// per-thread event rings ([`specpmt_pmem::BlackBoxSink`]) whose
     /// cache lines piggyback on flushes the commit/reclaim/checkpoint
@@ -112,9 +106,6 @@ pub struct ConcurrentConfig {
     /// Events per flight-recorder ring (one ring per thread plus one for
     /// the daemons). The default honours `SPECPMT_BBOX_CAP`.
     pub bbox_capacity: usize,
-    /// Fence-stall threshold (simulated ns) above which the recorder logs
-    /// a `fence_stall` event. The default honours `SPECPMT_BBOX_STALL_NS`.
-    pub bbox_stall_ns: u64,
     /// **Selftest only** — deliberately stage commit receipts *before*
     /// the commit fence (re-injecting the PR-7 receipt-before-fence bug)
     /// so `crashenum --selftest-forensics` can prove the forensic report
@@ -132,21 +123,17 @@ impl Default for ConcurrentConfig {
             reclaim_threshold_bytes: 1 << 20,
             group_commit: specpmt_telemetry::Knobs::get().group_commit,
             group_linger_ns: specpmt_telemetry::Knobs::get().group_linger_ns,
-            checkpoint_interval_cycles: 0,
             flight_recorder: specpmt_telemetry::Knobs::get().flight_recorder,
             bbox_capacity: specpmt_telemetry::Knobs::get()
                 .bbox_cap
                 .unwrap_or(specpmt_telemetry::blackbox::DEFAULT_RING_CAPACITY),
-            bbox_stall_ns: specpmt_telemetry::Knobs::get()
-                .bbox_stall_ns
-                .unwrap_or(DEFAULT_BBOX_STALL_NS),
             bbox_eager_receipts: false,
         }
     }
 }
 
-/// Default fence-stall threshold (simulated ns) for flight-recorder
-/// `fence_stall` events when `SPECPMT_BBOX_STALL_NS` is unset.
+/// Fence-stall threshold (simulated ns) above which the flight recorder
+/// logs a `fence_stall` event.
 pub const DEFAULT_BBOX_STALL_NS: u64 = 10_000;
 
 impl ConcurrentConfig {
@@ -231,14 +218,6 @@ impl ConcurrentConfigBuilder {
         self
     }
 
-    /// Reclamation cycles between automatic checkpoints (see
-    /// [`ConcurrentConfig::checkpoint_interval_cycles`]; 0 disables).
-    #[must_use]
-    pub fn checkpoint_interval_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.checkpoint_interval_cycles = cycles;
-        self
-    }
-
     /// Enables or disables the persistent flight recorder (see
     /// [`ConcurrentConfig::flight_recorder`]).
     #[must_use]
@@ -252,14 +231,6 @@ impl ConcurrentConfigBuilder {
     #[must_use]
     pub fn bbox_capacity(mut self, events: usize) -> Self {
         self.cfg.bbox_capacity = events;
-        self
-    }
-
-    /// Fence-stall threshold for recorder `fence_stall` events (see
-    /// [`ConcurrentConfig::bbox_stall_ns`]).
-    #[must_use]
-    pub fn bbox_stall_ns(mut self, ns: u64) -> Self {
-        self.cfg.bbox_stall_ns = ns;
         self
     }
 
@@ -486,8 +457,13 @@ impl SpecSpmtShared {
             let bytes = specpmt_telemetry::blackbox::region_bytes(rings, capacity);
             let base =
                 pool.alloc_direct(bytes, 64).expect("pool too small for flight-recorder rings");
-            let sink =
-                Arc::new(BlackBoxSink::format(&handle, base, rings, capacity, cfg.bbox_stall_ns));
+            let sink = Arc::new(BlackBoxSink::format(
+                &handle,
+                base,
+                rings,
+                capacity,
+                DEFAULT_BBOX_STALL_NS,
+            ));
             layout.set_bbox_head_shared(&pool, base as u64);
             dev.attach_blackbox(Arc::clone(&sink));
             sink
@@ -607,9 +583,7 @@ impl SpecSpmtShared {
         self.areas.read().expect("areas lock").len()
     }
 
-    /// Checkpoints written so far (see
-    /// [`ConcurrentConfig::checkpoint_interval_cycles`] and
-    /// [`Self::write_checkpoint`]).
+    /// Checkpoints written so far (see [`Self::write_checkpoint`]).
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints.load(Ordering::Relaxed)
     }
@@ -826,12 +800,6 @@ impl SpecSpmtShared {
                 while !shared.stop.load(Ordering::SeqCst) {
                     if shared.log_footprint() > shared.cfg.reclaim_threshold_bytes {
                         shared.reclaim_cycle();
-                        let every = shared.cfg.checkpoint_interval_cycles;
-                        if every > 0
-                            && shared.reclaim_cycles.load(Ordering::Relaxed).is_multiple_of(every)
-                        {
-                            shared.write_checkpoint();
-                        }
                     } else {
                         std::thread::sleep(poll);
                     }

@@ -15,10 +15,15 @@
 //! in-flight op class (`cas`) — the black box survives the same crash
 //! the data does.
 //!
+//! A second case crashes nothing mid-op: it sheds most of a burst under
+//! an undersized per-tenant quota and requires every *accepted* put to
+//! survive a capture of its shard — admission control may refuse work,
+//! never lose work it took.
+//!
 //! `scripts/verify.sh` runs this test as its kv crash smoke.
 
 use specpmt_core::forensics;
-use specpmt_kv::{CasOutcome, KvConfig, KvService};
+use specpmt_kv::{AdmissionConfig, CasOutcome, KvConfig, KvError, KvService};
 use specpmt_pmem::{CrashControl, CrashPlan, CrashPolicy};
 
 fn crash_config() -> KvConfig {
@@ -132,5 +137,44 @@ fn stale_cas_after_recovery_is_rejected() {
     assert_eq!(w.cas(0, 1, Some(0), 1).unwrap(), CasOutcome::Applied);
     // A client retrying the same request after a reconnect:
     assert_eq!(w.cas(0, 1, Some(0), 1).unwrap(), CasOutcome::Mismatch(Some(1)));
+    svc.shutdown();
+}
+
+/// Admission control sheds, and shedding loses nothing it admitted: under
+/// an undersized per-tenant window quota most of an offered burst is
+/// rejected, and every *accepted* put — with the acknowledged value — is
+/// in an `AllLost` capture of its shard after recovery.
+#[test]
+fn undersized_quota_sheds_and_accepted_puts_survive_crash() {
+    const OFFERED: u64 = 2048;
+    let quota = AdmissionConfig { window_ops: 256, quota_per_window: 32, ..Default::default() };
+    let svc =
+        KvService::open(crash_config().with_capacity_per_shard(1 << 10).with_admission(quota));
+    let mut w = svc.worker(0);
+    let mut accepted = Vec::new();
+    for i in 0..OFFERED {
+        let (tenant, key, value) = ((i % 2) as u32, i, i.wrapping_mul(3) | 1);
+        match w.put(tenant, key, value) {
+            Ok(()) => accepted.push((tenant, key, value)),
+            Err(e) => assert_eq!(e, KvError::QuotaExceeded),
+        }
+    }
+    let stats = svc.admission_stats();
+    assert!(stats.rejected_quota > 0, "an undersized quota must shed");
+    assert_eq!(stats.accepted as usize, accepted.len());
+    assert_eq!(stats.accepted + stats.rejected_quota, OFFERED);
+
+    let images: Vec<_> = (0..svc.config().shards)
+        .map(|s| {
+            let mut img = svc.shard(s).runtime().device().capture(CrashPolicy::AllLost);
+            svc.shard(s).recover_image(&mut img);
+            img
+        })
+        .collect();
+    for &(tenant, key, value) in &accepted {
+        let shard = svc.router().shard_of(tenant, key);
+        let got = svc.shard(shard).table().get_in_image(&images[shard], tenant, key);
+        assert_eq!(got, Some(value), "accepted put (t{tenant}, k{key}) lost or mangled");
+    }
     svc.shutdown();
 }

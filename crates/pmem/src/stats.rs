@@ -24,8 +24,6 @@ pub struct PmemStats {
     pub bytes_stored: u64,
     /// Bytes loaded by the CPU.
     pub bytes_loaded: u64,
-    /// Non-temporal store operations.
-    pub nt_stores: u64,
 }
 
 impl PmemStats {
@@ -50,7 +48,6 @@ impl PmemStats {
             seq_line_hits: self.seq_line_hits.saturating_sub(earlier.seq_line_hits),
             bytes_stored: self.bytes_stored.saturating_sub(earlier.bytes_stored),
             bytes_loaded: self.bytes_loaded.saturating_sub(earlier.bytes_loaded),
-            nt_stores: self.nt_stores.saturating_sub(earlier.nt_stores),
         }
     }
 }
@@ -67,7 +64,6 @@ pub(crate) struct OwnedStats {
     pub(crate) seq_line_hits: OwnedCounter,
     pub(crate) bytes_stored: OwnedCounter,
     pub(crate) bytes_loaded: OwnedCounter,
-    pub(crate) nt_stores: OwnedCounter,
 }
 
 impl OwnedStats {
@@ -80,7 +76,6 @@ impl OwnedStats {
         self.seq_line_hits.add(other.seq_line_hits.get());
         self.bytes_stored.add(other.bytes_stored.get());
         self.bytes_loaded.add(other.bytes_loaded.get());
-        self.nt_stores.add(other.nt_stores.get());
     }
 
     pub(crate) fn add_into(&self, total: &mut PmemStats) {
@@ -91,7 +86,6 @@ impl OwnedStats {
         total.seq_line_hits += self.seq_line_hits.get();
         total.bytes_stored += self.bytes_stored.get();
         total.bytes_loaded += self.bytes_loaded.get();
-        total.nt_stores += self.nt_stores.get();
     }
 }
 
@@ -108,7 +102,6 @@ impl StatExport for PmemStats {
         w.field_u64("seq_line_hits", self.seq_line_hits);
         w.field_u64("bytes_stored", self.bytes_stored);
         w.field_u64("bytes_loaded", self.bytes_loaded);
-        w.field_u64("nt_stores", self.nt_stores);
         w.field_u64("pm_write_bytes", self.pm_write_bytes());
     }
 }
@@ -181,7 +174,6 @@ mod tests {
             "seq_line_hits",
             "bytes_stored",
             "bytes_loaded",
-            "nt_stores",
             "pm_write_bytes",
         ] {
             assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");

@@ -19,12 +19,10 @@
 //! | `SPECPMT_TRACE_CAP` | [`crate::DEFAULT_CAPACITY`] | integer `1..=16777216` | Per-thread trace-ring capacity (events). Size it to the window you need to look back over: each event is 32 bytes in DRAM, and a full ring overwrites oldest-first while counting drops — so pick `cap ≥ expected events per thread between snapshots` to keep `dropped` at 0. |
 //! | `SPECPMT_GROUP_COMMIT` | off | boolean as above | Default the shared runtime to epoch/group commit. |
 //! | `SPECPMT_GROUP_LINGER_NS` | `0` | non-negative integer | Combiner linger budget per batch, simulated ns. |
-//! | `SPECPMT_COMMIT_BASELINE` | `results/commit_path_baseline.json` | path | Baseline file the commit-path bench compares against. |
 //! | `SPECPMT_BENCH_SMOKE` | off | set (any value) | Run benches at bounded smoke scale. |
 //! | `SPECPMT_CRASH_TARGET` | unset | `site:hit` | Deterministic crash target for the enumeration harness (1-based hit count; site names in `specpmt_pmem::sites`). |
 //! | `SPECPMT_FLIGHT_RECORDER` | off | boolean as above | Default the shared runtime's PM-resident flight recorder on. |
 //! | `SPECPMT_BBOX_CAP` | [`crate::blackbox::DEFAULT_RING_CAPACITY`] | integer `16..=1048576` | Flight-recorder events per ring (per thread). |
-//! | `SPECPMT_BBOX_STALL_NS` | `10000` | non-negative integer | Fence-stall threshold (simulated ns) above which the recorder logs a `fence_stall` event. |
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -97,9 +95,6 @@ pub struct Knobs {
     pub group_commit: bool,
     /// `SPECPMT_GROUP_LINGER_NS`: combiner linger budget (simulated ns).
     pub group_linger_ns: u64,
-    /// `SPECPMT_COMMIT_BASELINE`: override path of the commit-path
-    /// baseline JSON; `None` means the checked-in default.
-    pub commit_baseline: Option<String>,
     /// `SPECPMT_BENCH_SMOKE`: set (to anything) runs benches at smoke
     /// scale.
     pub bench_smoke: bool,
@@ -114,9 +109,6 @@ pub struct Knobs {
     /// `SPECPMT_BBOX_CAP`: flight-recorder events per ring; `None` means
     /// [`crate::blackbox::DEFAULT_RING_CAPACITY`].
     pub bbox_cap: Option<usize>,
-    /// `SPECPMT_BBOX_STALL_NS`: fence-stall event threshold (simulated
-    /// ns); `None` means the runtime default (10 µs).
-    pub bbox_stall_ns: Option<u64>,
 }
 
 impl Knobs {
@@ -145,7 +137,6 @@ impl Knobs {
             "a non-negative integer (simulated ns)",
         )?
         .unwrap_or(0);
-        let commit_baseline = get("SPECPMT_COMMIT_BASELINE").filter(|s| !s.trim().is_empty());
         let bench_smoke = get("SPECPMT_BENCH_SMOKE").is_some();
         let crash_target = match get("SPECPMT_CRASH_TARGET") {
             None => None,
@@ -167,25 +158,16 @@ impl Knobs {
             "an integer events-per-ring capacity in 16..=1048576",
         )?
         .map(|v| v as usize);
-        let bbox_stall_ns = parse_ranged(
-            "SPECPMT_BBOX_STALL_NS",
-            get("SPECPMT_BBOX_STALL_NS").as_deref(),
-            0,
-            u64::MAX,
-            "a non-negative integer (simulated ns)",
-        )?;
         Ok(Self {
             telemetry,
             trace,
             trace_cap,
             group_commit,
             group_linger_ns,
-            commit_baseline,
             bench_smoke,
             crash_target,
             flight_recorder,
             bbox_cap,
-            bbox_stall_ns,
         })
     }
 
@@ -247,10 +229,8 @@ mod tests {
         assert!(!k.flight_recorder);
         assert_eq!(k.trace_cap, None);
         assert_eq!(k.group_linger_ns, 0);
-        assert_eq!(k.commit_baseline, None);
         assert_eq!(k.crash_target, None);
         assert_eq!(k.bbox_cap, None);
-        assert_eq!(k.bbox_stall_ns, None);
     }
 
     #[test]
@@ -261,22 +241,18 @@ mod tests {
             ("SPECPMT_TRACE_CAP", " 128 "),
             ("SPECPMT_GROUP_COMMIT", "TRUE"),
             ("SPECPMT_GROUP_LINGER_NS", "250"),
-            ("SPECPMT_COMMIT_BASELINE", "results/alt.json"),
             ("SPECPMT_BENCH_SMOKE", "whatever"),
             ("SPECPMT_CRASH_TARGET", "mt/commit/fence:3"),
             ("SPECPMT_FLIGHT_RECORDER", "yes"),
             ("SPECPMT_BBOX_CAP", "64"),
-            ("SPECPMT_BBOX_STALL_NS", "5000"),
         ])
         .expect("all values are well-formed");
         assert!(k.telemetry && !k.trace && k.group_commit && k.bench_smoke);
         assert_eq!(k.trace_cap, Some(128));
         assert_eq!(k.group_linger_ns, 250);
-        assert_eq!(k.commit_baseline.as_deref(), Some("results/alt.json"));
         assert_eq!(k.crash_target, Some(("mt/commit/fence".to_string(), 3)));
         assert!(k.flight_recorder);
         assert_eq!(k.bbox_cap, Some(64));
-        assert_eq!(k.bbox_stall_ns, Some(5000));
     }
 
     /// Every documented variable with a constrained value space must
@@ -301,7 +277,6 @@ mod tests {
             ("SPECPMT_BBOX_CAP", "huge"),
             ("SPECPMT_BBOX_CAP", "8"),
             ("SPECPMT_BBOX_CAP", "99999999"),
-            ("SPECPMT_BBOX_STALL_NS", "10ms"),
         ];
         for (var, value) in cases {
             let err =

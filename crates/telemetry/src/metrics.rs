@@ -5,8 +5,8 @@
 //!
 //! * **Telemetry-off must be ~free.** The registry carries one
 //!   `AtomicBool`; a [`Span`] opened while disabled holds `None` and its
-//!   drop is a no-op — no clock read, no atomics. The `commit_path` bench
-//!   budget is < 3% overhead with telemetry off.
+//!   drop is a no-op — no clock read, no atomics (`benchmark/` reports
+//!   what turning it on costs as `telemetry.on_overhead_pct`).
 //! * **No allocation on the hot path.** All storage (shards, buckets) is
 //!   allocated when the registry is built; recording is `fetch_add` /
 //!   `fetch_max` only.

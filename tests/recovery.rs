@@ -1,8 +1,9 @@
 //! Recovery boundary contracts through the facade: the documented
 //! equal-timestamp tie-break, legacy (non-descriptor) pools through the
 //! new parallel engine, torn-checkpoint fallback to full replay, chains
-//! created by dynamic thread registration, and a checksum-valid entry
-//! whose address range wraps.
+//! created by dynamic thread registration, a checksum-valid entry whose
+//! address range wraps — and the exact simulated time-to-recover of one
+//! deterministic 32-chain image (the cost model's goldens).
 
 use specpmt::core::layout::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
 use specpmt::core::record::{encode_record, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR};
@@ -285,4 +286,91 @@ fn dynamically_registered_chains_recover_after_crash() {
         assert_eq!(par_img.read_u64(slot), 0xD11D_0000 + t as u64);
     }
     assert_eq!(par_img.read_u64(slots[5]), 0xD11D_0005_0000, "reused slot carries the last commit");
+}
+
+/// Builds the time-to-recover image: 32 log chains of `rounds` committed
+/// two-write transactions each, a checkpoint written four rounds before
+/// the end (so checkpointed recovery replays only that tail), plus `extra`
+/// further records on chain 0. One OS thread drives every handle
+/// round-robin, so timestamps and block placement — and with them every
+/// term of [`specpmt::core::RecoveryReport::sim_ns`] — are the same on
+/// any host.
+fn chain_image(rounds: usize, extra: usize) -> CrashImage {
+    const CHAINS: usize = 32;
+    const TAIL_ROUNDS: usize = 4;
+    let dev = SharedPmemDevice::new(PmemConfig::new(8 << 20));
+    let cfg =
+        ConcurrentConfig::builder().threads(CHAINS).reclaim_threshold_bytes(usize::MAX).build();
+    let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
+    let bases: Vec<usize> =
+        (0..CHAINS).map(|_| shared.pool().alloc_direct(4096, 64).expect("alloc")).collect();
+    let mut handles: Vec<_> = (0..CHAINS).map(|t| shared.tx_handle(t)).collect();
+    let mut commit = |t: usize, r: usize| {
+        let v = (((t as u64) << 32) | r as u64).to_le_bytes();
+        let h = &mut handles[t];
+        h.begin();
+        // Two rotating slots per chain so replay has stale bytes to skip
+        // and the checkpoint holds real runs.
+        h.write(bases[t] + (r % 16) * 64, &v);
+        h.write(bases[t] + 2048 + (r % 8) * 64, &v);
+        h.commit();
+    };
+    for r in 0..rounds {
+        if r + TAIL_ROUNDS == rounds {
+            shared.write_checkpoint().expect("all chains committed");
+        }
+        (0..CHAINS).for_each(|t| commit(t, r));
+    }
+    (rounds..rounds + extra).for_each(|r| commit(0, r));
+    shared.close();
+    dev.capture(CrashPolicy::AllLost)
+}
+
+/// The simulated time-to-recover of the 32-chain × 64-round image, exact:
+/// the parse term shrinks with the parse-thread count (chains parse
+/// independently; the busiest worker's byte share is the makespan) and
+/// the checkpoint moves the merge term from every record to the tail.
+/// One extra record on one chain must move every number.
+#[test]
+fn recovery_sim_cost_matches_goldens() {
+    const GOLDEN: [(usize, u64, u64); 3] =
+        [(1, 518_096, 310_306), (8, 303_056, 95_266), (32, 280_016, 72_226)];
+    let img = chain_image(64, 0);
+    let dearer = chain_image(64, 1);
+    let (serial_rep, reference) = recover_clone(&img, &RecoveryOptions::default());
+    assert_eq!(serial_rep.sim_ns(), GOLDEN[0].2, "the default entry is serial and checkpointed");
+    for (threads, full_ns, ckpt_ns) in GOLDEN {
+        let ckpt = RecoveryOptions::parallel(threads);
+        for (opts, golden) in [(ckpt.without_checkpoint(), full_ns), (ckpt, ckpt_ns)] {
+            let (rep, recovered) = recover_clone(&img, &opts);
+            assert_eq!(rep.sim_ns(), golden, "{opts:?}");
+            assert_eq!(rep.checkpoint_used, opts.use_checkpoint);
+            assert_eq!(recovered, reference, "{opts:?} diverged from the serial reference");
+            assert_ne!(
+                recover_clone(&dearer, &opts).0.sim_ns(),
+                golden,
+                "{opts:?}, one more record"
+            );
+        }
+    }
+}
+
+/// The time-to-recover bound: at a fixed checkpoint lag the checkpointed
+/// replay cost is the same number whatever the log size, while full
+/// replay grows with the log.
+#[test]
+fn checkpointed_replay_cost_is_flat_in_log_size() {
+    const CKPT_REPLAY_NS: u64 = 43_656;
+    let opts = RecoveryOptions::parallel(32);
+    for rounds in [16, 64, 256] {
+        let img = chain_image(rounds, 0);
+        let (full_rep, full_img) = recover_clone(&img, &opts.without_checkpoint());
+        let (ckpt_rep, ckpt_img) = recover_clone(&img, &opts);
+        assert_eq!(full_img, ckpt_img, "{rounds} rounds");
+        assert_eq!(ckpt_rep.replay_sim_ns(), CKPT_REPLAY_NS, "{rounds} rounds");
+        assert!(full_rep.replay_sim_ns() > CKPT_REPLAY_NS, "{rounds} rounds");
+        assert!(ckpt_rep.sim_ns() < full_rep.sim_ns(), "{rounds} rounds");
+    }
+    let (dearer, _) = recover_clone(&chain_image(16, 1), &opts);
+    assert_ne!(dearer.replay_sim_ns(), CKPT_REPLAY_NS, "one more tail record");
 }

@@ -4,8 +4,8 @@
 //! instrumentation site: no clock reads, no heap. This binary installs a
 //! counting global allocator and asserts that a warmed-up transaction on
 //! either runtime performs (amortized) **zero** heap allocations per
-//! commit with telemetry disabled — the same property the `commit_path`
-//! bench reports, enforced as a test. The only tolerated allocations are
+//! commit with telemetry disabled (`benchmark/`'s `alloc.calls_per_op`
+//! reports the same count on the judged workloads). The only tolerated allocations are
 //! the log's own block-list growth (reclamation is off, so the chain keeps
 //! extending): at most a couple of `Vec` doublings across hundreds of
 //! transactions, never a per-commit cost. (One test per concern, same binary, so the counting
