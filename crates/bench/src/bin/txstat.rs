@@ -30,10 +30,10 @@
 //! `--check` additionally holds the run to its acceptance assertions and
 //! exits non-zero when one fails (see [`check`]): the group-commit budget
 //! (16-thread amortized sim cost within 1.5x sequential, < 1 fence per
-//! commit), the live series reconciling exactly with each point's commit
-//! count, and the trace-ring accounting. `scripts/verify.sh` runs
-//! `txstat --check` at full scale, and `txstat --group-only` (shared, 8
-//! threads, group commit forced on) as the group-commit smoke.
+//! commit) and the live series reconciling exactly with each point's
+//! commit count. `scripts/verify.sh` runs `txstat --check` at full scale,
+//! and `txstat --group-only` (shared, 8 threads, group commit forced on)
+//! as the group-commit smoke.
 
 use std::time::Instant;
 
@@ -87,9 +87,6 @@ struct Point {
     sim_amortized_ns: f64,
     fences_per_commit: f64,
     series: Series,
-    /// Trace-ring `(per-thread capacity, events kept)`; the sequential
-    /// point runs untraced.
-    trace: Option<(usize, usize)>,
 }
 
 /// Runs the sequential runtime with telemetry enabled and prints its
@@ -143,7 +140,6 @@ fn seq_point(txs: u64) -> Point {
         sim_amortized_ns: sim.mean(),
         fences_per_commit: 1.0,
         series,
-        trace: None,
     }
 }
 
@@ -196,10 +192,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
         (0..threads).map(|_| shared.pool().alloc_direct(REGION, 64).unwrap()).collect();
     let hot = shared.pool().alloc_direct(64, 64).unwrap();
     shared.telemetry().set_enabled(true);
-    // Tracing on as well: the `trace` block reports the exact ring
-    // capacity and drop count, the observable the `SPECPMT_TRACE_CAP`
-    // sizing rule is stated against.
-    shared.telemetry().set_tracing(true);
     let locks = SharedLockTable::new(POOL_BYTES, 64);
     let mut handles = LockedTxHandle::fleet(&shared, &locks, threads);
     // Group mode runs with the dedicated combiner daemon: batch drains
@@ -303,7 +295,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
         series_fragment(&series),
         telemetry_block(&shared, &locks)
     );
-    let tracer = &tel.tracer;
     Point {
         threads,
         group16: opts.group_commit && threads == 16 && opts.mode == "point",
@@ -311,7 +302,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
         sim_amortized_ns: sim_amortized,
         fences_per_commit,
         series,
-        trace: Some((tracer.capacity(), tracer.snapshot().events.len())),
     }
 }
 
@@ -325,10 +315,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
 ///   interval, timestamps are monotone, and the summed commit deltas
 ///   equal the cumulative commit count the same line reports — the
 ///   sampler neither drops nor double-counts an interval.
-/// * **Trace accounting.** `capacity` is the per-thread ring size and
-///   `events` the merged total over every ring (tx threads plus the
-///   combiner daemon's), so `events <= capacity x (threads + 1)`;
-///   whatever the rings evicted beyond that is what `dropped` counts.
 fn check(seq: &Point, shared: &[Point]) -> Vec<String> {
     let mut failures = Vec::new();
     let mut require = |ok: bool, msg: String| {
@@ -365,16 +351,6 @@ fn check(seq: &Point, shared: &[Point]) -> Vec<String> {
                 p.threads, p.commits
             ),
         );
-        if let Some((capacity, events)) = p.trace {
-            require(
-                capacity >= 1 && events <= capacity * (p.threads + 1),
-                format!(
-                    "{}-thread trace keeps {events} events in {} rings of {capacity}",
-                    p.threads,
-                    p.threads + 1
-                ),
-            );
-        }
     }
     failures
 }

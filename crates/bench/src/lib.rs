@@ -348,17 +348,6 @@ pub fn telemetry_block(shared: &SpecSpmtShared, locks: &SharedLockTable) -> Stri
     w.begin_object_field("lock_wait");
     locks.wait_histogram().emit(&mut w);
     w.end_object();
-    // Trace-ring accounting: exact drop count plus the ring capacity it
-    // was dropped against, so a non-zero `dropped` points straight at
-    // the `SPECPMT_TRACE_CAP` sizing rule (see the knobs table:
-    // capacity >= expected events per thread between snapshots).
-    let tracer = &shared.telemetry().tracer;
-    let tsnap = tracer.snapshot();
-    w.begin_object_field("trace");
-    w.field_u64("capacity", tracer.capacity() as u64);
-    w.field_u64("events", tsnap.events.len() as u64);
-    w.field_u64("dropped", tsnap.dropped);
-    w.end_object();
     w.end_object();
     w.finish()
 }

@@ -54,7 +54,7 @@ use specpmt_pmem::{
     line_of, sites, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice,
     SharedPmemPool, TimingMode, BUMP_OFF,
 };
-use specpmt_telemetry::{BbKind, EventKind, Metric, OwnedCounter, Phase, Registry, Telemetry};
+use specpmt_telemetry::{BbKind, Metric, OwnedCounter, Phase, Registry, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
 
 use crate::engine::{record_drain, record_fence, Probe, TxLog};
@@ -379,9 +379,9 @@ pub struct SpecSpmtShared {
     /// cycle runs at a time; the mutex serializes explicit calls with the
     /// daemon.
     reclaim: Mutex<ReclaimState>,
-    /// Counters, commit-phase histograms, and the lifecycle event tracer.
-    /// Sized with one extra shard for the reclamation daemon (`tid ==
-    /// cfg.threads`). Off by default; see [`Telemetry`].
+    /// Counters and commit-phase histograms. Sized with one extra shard
+    /// for the reclamation daemon (`tid == cfg.threads`). Off by default;
+    /// see [`Telemetry`].
     tel: Telemetry,
     /// Epoch/group-commit combiner (used only when `cfg.group_commit`).
     gc: GroupCommitter,
@@ -390,7 +390,7 @@ pub struct SpecSpmtShared {
     /// plus one for the daemons, rooted in the layout descriptor's
     /// black-box slot and flushed only by piggybacking on fences the
     /// commit/reclaim/checkpoint paths already issue.
-    bbox: Option<Arc<BlackBoxSink>>,
+    bbox: Option<BlackBoxSink>,
 }
 
 impl SpecSpmtShared {
@@ -447,25 +447,17 @@ impl SpecSpmtShared {
             areas.push(Slot::new(area));
         }
         // Flight recorder: allocate and format the black-box region (one
-        // ring per thread + one daemon ring), root it in the descriptor's
-        // v3 slot, and attach the sink to the device so every layer that
-        // can reach the pool records through one sink. Still inside the
-        // timing-off setup window — the format fence is free.
+        // ring per thread + one daemon ring) and root it in the
+        // descriptor's v3 slot. Still inside the timing-off setup window —
+        // the format fence is free.
         let bbox = cfg.flight_recorder.then(|| {
             let rings = cfg.threads + 1;
             let capacity = cfg.bbox_capacity.max(1);
             let bytes = specpmt_telemetry::blackbox::region_bytes(rings, capacity);
             let base =
                 pool.alloc_direct(bytes, 64).expect("pool too small for flight-recorder rings");
-            let sink = Arc::new(BlackBoxSink::format(
-                &handle,
-                base,
-                rings,
-                capacity,
-                DEFAULT_BBOX_STALL_NS,
-            ));
+            let sink = BlackBoxSink::format(&handle, base, rings, capacity, DEFAULT_BBOX_STALL_NS);
             layout.set_bbox_head_shared(&pool, base as u64);
-            dev.attach_blackbox(Arc::clone(&sink));
             sink
         });
         dev.flush_everything();
@@ -516,11 +508,10 @@ impl SpecSpmtShared {
         self.pool.device()
     }
 
-    /// The runtime's telemetry bundle: per-thread counters, commit-phase
-    /// latency histograms, and the lifecycle event tracer. Disabled by
-    /// default; enable with [`Telemetry::set_enabled`] /
-    /// [`Telemetry::set_tracing`] or the `SPECPMT_TELEMETRY` /
-    /// `SPECPMT_TRACE` environment variables.
+    /// The runtime's telemetry bundle: per-thread counters and
+    /// commit-phase latency histograms. Disabled by default; enable with
+    /// [`Telemetry::set_enabled`] or the `SPECPMT_TELEMETRY` environment
+    /// variable.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -528,7 +519,7 @@ impl SpecSpmtShared {
     /// The flight-recorder sink, when [`ConcurrentConfig::flight_recorder`]
     /// is set (`None` otherwise — the recorder-off hot path pays exactly
     /// this `Option` check).
-    pub fn blackbox(&self) -> Option<&Arc<BlackBoxSink>> {
+    pub fn blackbox(&self) -> Option<&BlackBoxSink> {
         self.bbox.as_ref()
     }
 
@@ -832,11 +823,11 @@ impl SpecSpmtShared {
             .spawn(move || {
                 let tid = shared.cfg.threads;
                 let dev = shared.pool.handle();
-                let reg = &shared.tel.registry;
+                let (reg, bbox) = (&shared.tel.registry, shared.bbox.as_ref());
                 while !shared.stop_group.load(Ordering::SeqCst) {
-                    let report = shared
-                        .gc
-                        .drain_next(idle_poll, |batch| drain_group_batch(&dev, reg, tid, batch));
+                    let report = shared.gc.drain_next(idle_poll, |batch| {
+                        drain_group_batch(&dev, reg, bbox, tid, batch)
+                    });
                     if let Some(r) = report {
                         record_batch_drained(&shared.tel, tid, &r);
                     }
@@ -1001,16 +992,16 @@ impl SpecSpmtShared {
 fn drain_group_batch(
     dev: &DeviceHandle,
     reg: &Registry,
+    bbox: Option<&BlackBoxSink>,
     tid: usize,
     batch: &specpmt_txn::GroupBatch,
 ) -> (u64, u64) {
     // Flight recorder: the batch fence covers every stager, so carry
     // every ring's pending event slots with it (folded into the same
     // fused drain — no fence of their own).
-    let bbox = dev.device().blackbox();
     let mut bbox_carried = 0;
     let mut lines_with_bbox = Vec::new();
-    let log_lines = match &bbox {
+    let log_lines = match bbox {
         Some(bb) => {
             let mut ranges = Vec::new();
             bbox_carried = bb.take_dirty_all(&mut ranges);
@@ -1043,7 +1034,7 @@ fn drain_group_batch(
         flushes += fr.flushes;
     }
     dev.crash_point("mt/group/batch_fence");
-    if let Some(bb) = &bbox {
+    if let Some(bb) = bbox {
         if bbox_carried > 0 {
             dev.crash_point(sites::BBOX_PERSIST);
         }
@@ -1215,7 +1206,6 @@ impl TxHandle {
         self.undo_data.clear();
         self.in_tx = true;
         self.shared.tel.registry.add(self.tel_tid, Metric::Begins, 1);
-        self.shared.tel.tracer.record(self.tel_tid, EventKind::Begin, 0, 0);
     }
 
     /// Durably writes `data` at pool offset `addr` within the open
@@ -1247,7 +1237,6 @@ impl TxHandle {
             }
         }
         let _ws_span = shared.tel.registry.span(tid, Phase::Writeset);
-        shared.tel.tracer.record(tid, EventKind::Stage, addr as u64, data.len() as u64);
         if !data.is_empty() {
             // Volatile pre-image for the abort path, captured into the
             // reusable undo arena. `peek_into` is untimed and unsampled,
@@ -1369,8 +1358,7 @@ impl TxHandle {
         self.in_tx = false;
         self.undo_addrs.clear();
         self.undo_data.clear();
-        let commit_ns = commit_span.stop();
-        shared.tel.tracer.record(tid, EventKind::Commit, ts, commit_ns);
+        commit_span.stop();
         ts
     }
 
@@ -1420,14 +1408,14 @@ impl TxHandle {
         log.group_plan(plan, data_plan);
         let reg = &shared.tel.registry;
         reg.add(tid, Metric::ClwbPlans, 1);
-        shared.tel.tracer.record(tid, EventKind::ClwbPlan, plan.len() as u64, 0);
         dev.crash_point("mt/group/stage");
         let wait_span = reg.span(tid, Phase::BatchWait);
         // If this thread combines, the drain issues one fused flush+fence
         // per non-empty line set from *its* handle (fences cover only the
         // issuing handle's flushes). With a combiner daemon attached, the
         // closure never runs here — the daemon drains from its own handle.
-        let drain = |batch: &GroupBatch| drain_group_batch(dev, reg, tid, batch);
+        let drain =
+            |batch: &GroupBatch| drain_group_batch(dev, reg, shared.bbox.as_ref(), tid, batch);
         let report = if urgent {
             shared.gc.commit_urgent(plan, data_plan, drain)
         } else {
@@ -1481,7 +1469,6 @@ impl TxHandle {
             self.in_tx = false;
             let ts = self.shared.ts.load(Ordering::SeqCst);
             self.shared.tel.registry.add(self.tel_tid, Metric::WriteFreeCommits, 1);
-            self.shared.tel.tracer.record(self.tel_tid, EventKind::Commit, ts, 0);
             ts
         };
         self.area.commits.add(1);

@@ -9,7 +9,7 @@
 //! recorder, statistics — stays with them and comes in as values.
 
 use specpmt_pmem::{coalesce_lines, FenceReport};
-use specpmt_telemetry::{EventKind, Metric, Phase, Telemetry};
+use specpmt_telemetry::{Metric, Phase, Telemetry};
 
 use crate::record::{encode_header_parts, entry_header, Cursor, LogArea, LogStore, REC_HDR};
 use crate::writeset::WriteSet;
@@ -32,15 +32,13 @@ pub(crate) struct Probe<'a> {
     pub tid: usize,
 }
 
-/// One fence's outcome on `tid`'s books: a `fence` trace event, and the
-/// WPQ-drain counter and stall phase when it completed any flush.
+/// One fence's outcome on `tid`'s books: the WPQ-drain counter and stall
+/// phase when it completed any flush.
 pub(crate) fn record_drain(tel: &Telemetry, tid: usize, fr: FenceReport) {
-    tel.tracer.record(tid, EventKind::Fence, fr.stall_ns, fr.flushes);
     if fr.flushes > 0 {
         tel.registry.add(tid, Metric::WpqDrains, 1);
         if fr.stall_ns > 0 {
             tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-            tel.tracer.record(tid, EventKind::WpqDrain, fr.stall_ns, fr.flushes);
         }
     }
 }
@@ -158,7 +156,6 @@ impl TxLog {
         let seal_span = p.tel.registry.span(p.tid, Phase::Seal);
         let header = encode_header_parts(ts, payload_len, self.ws.checksum(ts));
         seal_span.stop();
-        p.tel.tracer.record(p.tid, EventKind::Seal, ts, payload_len as u64);
         if let Some(site) = p.seal {
             store.crash_point(site);
         }
@@ -190,7 +187,7 @@ impl TxLog {
         let flush_span = p.tel.registry.span(p.tid, Phase::Flush);
         store.clwb_ranges(&self.dirty);
         flush_span.stop();
-        let fr = Self::fence(store, p, self.dirty.len());
+        let fr = Self::fence(store, p);
         self.dirty.clear();
         log_fenced(fr);
         record_fence(p.tel, p.tid, fr);
@@ -202,17 +199,16 @@ impl TxLog {
             // stresses the same ordering invariant at the same protocol
             // step, and a per-variant label would be unreachable from the
             // default-config smoke workloads.
-            let fr = Self::fence(store, p, self.data.len());
+            let fr = Self::fence(store, p);
             self.data.clear();
             record_fence(p.tel, p.tid, fr);
         }
     }
 
-    /// Books a flush plan of `planned` ranges that was just issued, then
-    /// fences it between the flush and fence crash sites.
-    fn fence<S: LogStore>(store: &mut S, p: Probe<'_>, planned: usize) -> FenceReport {
+    /// Books the flush plan that was just issued, then fences it between
+    /// the flush and fence crash sites.
+    fn fence<S: LogStore>(store: &mut S, p: Probe<'_>) -> FenceReport {
         p.tel.registry.add(p.tid, Metric::ClwbPlans, 1);
-        p.tel.tracer.record(p.tid, EventKind::ClwbPlan, planned as u64, 0);
         store.crash_point(p.flush);
         let fence_span = p.tel.registry.span(p.tid, Phase::Fence);
         let fr = store.sfence();

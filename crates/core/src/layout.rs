@@ -36,13 +36,15 @@
 //! # Dynamic registration
 //!
 //! The descriptor is a *registration table*: `capacity` is how many
-//! chain-head slots exist, not how many threads are live. Threads (and
-//! `specpmt-kv` shard pools) attach at runtime by claiming the next free
-//! slot; when the table fills, [`PoolLayout::grow_shared`] allocates a
-//! larger descriptor, copies the head table and checkpoint head, persists
-//! it, and atomically re-points [`LAYOUT_SLOT`] — a crash sees either the
-//! old or the new descriptor, both of which describe every committed
-//! chain.
+//! chain-head slots exist, not how many threads are live. A thread can
+//! attach at runtime (`SpecSpmtShared::register_thread`) by claiming the
+//! next free slot — nothing in the workspace does outside tests: every
+//! runtime, `specpmt-kv`'s shards included, is formatted with its final
+//! thread count. When the table fills, [`PoolLayout::grow_shared`]
+//! allocates a larger descriptor, copies the head table and checkpoint
+//! head, persists it, and atomically re-points [`LAYOUT_SLOT`] — a crash
+//! sees either the old or the new descriptor, both of which describe every
+//! committed chain.
 //!
 //! # Legacy pools
 //!

@@ -30,7 +30,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use specpmt_telemetry::{EventKind, Metric, Phase};
+use specpmt_telemetry::{Metric, Phase};
 use specpmt_txn::{CommitReceipt, LockGuard, SharedLockTable, TxAccess};
 
 use crate::concurrent::TxHandle;
@@ -101,10 +101,6 @@ pub struct LockedTxHandle {
     contended: bool,
     /// SplitMix64 state for backoff jitter.
     rng: u64,
-    /// Doomed-and-aborted attempts of the current logical transaction
-    /// (reset when a commit succeeds); operand of the `abort_retry` trace
-    /// event.
-    retries: u64,
 }
 
 impl LockedTxHandle {
@@ -113,15 +109,7 @@ impl LockedTxHandle {
     /// every address transactions touch).
     pub fn new(inner: TxHandle, locks: Arc<SharedLockTable>) -> Self {
         let rng = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(inner.tid() as u64 + 1);
-        Self {
-            guard: locks.guard(inner.tid()),
-            inner,
-            locks,
-            doomed: false,
-            contended: false,
-            rng,
-            retries: 0,
-        }
+        Self { guard: locks.guard(inner.tid()), inner, locks, doomed: false, contended: false, rng }
     }
 
     /// The wrapped handle.
@@ -185,12 +173,6 @@ impl LockedTxHandle {
         // Fast path: the first try-lock succeeds with no clock read, so
         // the uncontended acquisition costs nothing beyond the CAS.
         if self.guard.try_extend(addr, len) {
-            self.inner.shared().telemetry().tracer.record(
-                tid,
-                EventKind::LockAcquire,
-                addr as u64,
-                0,
-            );
             return true;
         }
         // Contended path: time the bounded spin so the wait lands in both
@@ -217,7 +199,6 @@ impl LockedTxHandle {
                 self.locks.record_wait_ns(wait_ns);
                 let tel = self.inner.shared().telemetry();
                 tel.registry.record(tid, Phase::LockWait, wait_ns);
-                tel.tracer.record(tid, EventKind::LockAcquire, addr as u64, wait_ns);
                 return true;
             }
         }
@@ -226,7 +207,6 @@ impl LockedTxHandle {
         let tel = self.inner.shared().telemetry();
         tel.registry.record(tid, Phase::LockWait, wait_ns);
         tel.registry.add(tid, Metric::Dooms, 1);
-        tel.tracer.record(tid, EventKind::Doom, tid as u64, 0);
         self.doomed = true;
         false
     }
@@ -248,7 +228,6 @@ impl LockedTxHandle {
         // Strict 2PL: locks release only after the commit record is
         // durable, so no other thread ever reads speculative state.
         self.guard.release();
-        self.retries = 0;
         receipt
     }
 }
@@ -298,10 +277,8 @@ impl TxAccess for LockedTxHandle {
         self.doomed = false;
         if was_doomed {
             // A doomed abort is followed by a driver retry (`run_tx`).
-            self.retries += 1;
             let tel = self.inner.shared().telemetry();
             tel.registry.add(self.inner.tid(), Metric::Retries, 1);
-            tel.tracer.record(self.inner.tid(), EventKind::AbortRetry, self.retries, 0);
         }
     }
 

@@ -60,7 +60,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-use specpmt_telemetry::{EventKind, JsonWriter, Metric, Phase, StatExport, Telemetry};
+use specpmt_telemetry::{JsonWriter, Metric, Phase, StatExport, Telemetry};
 
 use crate::record::{
     decode_entry, decode_header, encode_header, encoded_records, ByteSource, Cursor, LogArea,
@@ -366,9 +366,8 @@ pub struct ReclaimState {
     chains: Vec<ChainCache>,
     /// Cycle counters, surfaced through the runtimes' observability APIs.
     pub stats: ReclaimStats,
-    /// The open cycle's start: simulated clock, host clock, and
-    /// [`ReclaimStats::bytes_reclaimed`] then.
-    cycle_start: Option<(u64, Instant, u64)>,
+    /// The open cycle's start on the simulated and the host clock.
+    cycle_start: Option<(u64, Instant)>,
 }
 
 /// The steps of a reclamation cycle both runtimes share. A cycle scans
@@ -386,7 +385,7 @@ impl ReclaimState {
         self.stats.cycles += 1;
         // Host wall-clock for the telemetry histogram; cycles are rare, so
         // an unconditional `Instant::now()` is well within budget.
-        self.cycle_start = Some((sim_now, Instant::now(), self.stats.bytes_reclaimed));
+        self.cycle_start = Some((sim_now, Instant::now()));
     }
 
     /// Reads what chain `tid` gained since its `(head, generation)`
@@ -473,13 +472,11 @@ impl ReclaimState {
     /// Closes the open cycle at simulated time `sim_now` on `tid`'s
     /// telemetry shard; returns the cycle's simulated duration.
     pub(crate) fn end_cycle(&mut self, sim_now: u64, tel: &Telemetry, tid: usize) -> u64 {
-        let (sim0, host0, bytes0) = self.cycle_start.take().expect("end of a cycle never begun");
+        let (sim0, host0) = self.cycle_start.take().expect("end of a cycle never begun");
         self.stats.last_cycle_ns = sim_now - sim0;
         let host_ns = u64::try_from(host0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let bytes = self.stats.bytes_reclaimed.saturating_sub(bytes0);
         tel.registry.add(tid, Metric::ReclaimCycles, 1);
         tel.registry.record(tid, Phase::ReclaimCycle, host_ns);
-        tel.tracer.record(tid, EventKind::ReclaimCycle, bytes, host_ns);
         self.stats.last_cycle_ns
     }
 

@@ -1,7 +1,7 @@
 //! The [`SpecSpmt`] transaction runtime.
 
 use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode, BUMP_OFF};
-use specpmt_telemetry::{EventKind, Metric, Phase, Telemetry};
+use specpmt_telemetry::{Metric, Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use crate::engine::{Probe, TxLog};
@@ -101,8 +101,7 @@ pub struct SpecSpmt {
     /// Incremental-reclamation state: persistent freshness index, the
     /// chain's watermarked record cache and suffix cursor, cycle counters.
     reclaim: ReclaimState,
-    /// Metrics registry + event tracer (off by default; see
-    /// [`SpecSpmt::telemetry`]).
+    /// Metrics registry (off by default; see [`SpecSpmt::telemetry`]).
     tel: Telemetry,
 }
 
@@ -147,10 +146,10 @@ impl SpecSpmt {
         }
     }
 
-    /// The runtime's telemetry bundle: counters, commit-phase latency
-    /// histograms, and the lifecycle event tracer. Disabled by default
-    /// (enable with [`Telemetry::set_enabled`] / [`Telemetry::set_tracing`]
-    /// or the `SPECPMT_TELEMETRY` / `SPECPMT_TRACE` environment toggles).
+    /// The runtime's telemetry bundle: counters and commit-phase latency
+    /// histograms. Disabled by default (enable with
+    /// [`Telemetry::set_enabled`] or the `SPECPMT_TELEMETRY` environment
+    /// toggle).
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -309,7 +308,6 @@ impl TxAccess for SpecSpmt {
         assert!(!self.in_tx, "nested transaction on thread 0");
         self.stats.tx_begun += 1;
         self.tel.registry.add(TID, Metric::Begins, 1);
-        self.tel.tracer.record(TID, EventKind::Begin, self.stats.tx_begun, 0);
         // Volatile only: the log is not touched until the first write
         // reserves the record header.
         self.log.begin();
@@ -326,7 +324,6 @@ impl TxAccess for SpecSpmt {
         // Write-set build phase: everything staged between begin and seal
         // (in-place store + log staging + dedup bookkeeping).
         let _ws_span = tel.registry.span(TID, Phase::Writeset);
-        tel.tracer.record(TID, EventKind::Stage, addr as u64, data.len() as u64);
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
         if log.stage(&mut store, area, addr, data) {
@@ -351,7 +348,6 @@ impl TxAccess for SpecSpmt {
             self.stats.write_free_commits += 1;
             self.tel.registry.add(TID, Metric::Commits, 1);
             self.tel.registry.add(TID, Metric::WriteFreeCommits, 1);
-            self.tel.tracer.record(TID, EventKind::Commit, self.ts_counter, 0);
             return;
         }
         let ts = self.ts_counter;
@@ -374,8 +370,7 @@ impl TxAccess for SpecSpmt {
         // comparable across runtimes.
         let sim_ns = store.pool.device().now_ns().saturating_sub(sim0);
         tel.registry.record(TID, Phase::CommitSim, sim_ns);
-        let commit_ns = commit_span.stop();
-        tel.tracer.record(TID, EventKind::Commit, ts, commit_ns);
+        commit_span.stop();
         self.refresh_log_stats();
         // Implicit reclamation trigger (paper §4.2).
         self.maintain();

@@ -26,7 +26,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use specpmt_telemetry::blackbox::{BbEvent, BbKind, SlotState, EVT_BYTES, REGION_HDR};
+use specpmt_telemetry::blackbox::{BbEvent, BbKind, EVT_BYTES, REGION_HDR};
 
 use crate::shared::DeviceHandle;
 
@@ -72,51 +72,10 @@ impl BlackBoxSink {
         let hdr = specpmt_telemetry::blackbox::encode_region_header(rings, capacity);
         h.write(base, &hdr);
         h.persist_range(base, REGION_HDR);
-        Self::with_state(base, rings, capacity, stall_ns, vec![0; rings])
-    }
-
-    /// Re-attaches to an existing region at `base` (reopen path): parses
-    /// the header and resumes each ring's sequence counter after the
-    /// newest surviving event, so post-restart events extend — never
-    /// collide with — the pre-crash tail. Returns `None` when the header
-    /// does not validate.
-    pub fn open(h: &DeviceHandle, base: usize, stall_ns: u64) -> Option<Self> {
-        let mut hdr = [0u8; REGION_HDR];
-        h.peek_into(base, &mut hdr);
-        let (rings, capacity) = specpmt_telemetry::blackbox::decode_region_header(&hdr)?;
-        let mut seqs = Vec::with_capacity(rings);
-        let mut slot = [0u8; EVT_BYTES];
-        for ring in 0..rings {
-            let ring_base = base + REGION_HDR + ring * capacity * EVT_BYTES;
-            let mut next = 0u32;
-            for i in 0..capacity {
-                h.peek_into(ring_base + i * EVT_BYTES, &mut slot);
-                if let SlotState::Ok(ev) = specpmt_telemetry::blackbox::decode_slot(&slot) {
-                    next = next.max(ev.seq.wrapping_add(1));
-                }
-            }
-            seqs.push(next);
-        }
-        Some(Self::with_state(base, rings, capacity, stall_ns, seqs))
-    }
-
-    fn with_state(
-        base: usize,
-        rings: usize,
-        capacity: usize,
-        stall_ns: u64,
-        seqs: Vec<u32>,
-    ) -> Self {
-        Self {
-            base,
-            rings,
-            capacity,
-            stall_ns,
-            state: seqs
-                .into_iter()
-                .map(|s| RingState { seq: AtomicU32::new(s), dirty: Mutex::new(Vec::new()) })
-                .collect(),
-        }
+        let state = (0..rings)
+            .map(|_| RingState { seq: AtomicU32::new(0), dirty: Mutex::new(Vec::new()) })
+            .collect();
+        Self { base, rings, capacity, stall_ns, state }
     }
 
     /// Pool offset of the region (what the layout descriptor roots).
@@ -252,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn rings_wrap_and_reopen_resumes_sequence() {
+    fn rings_wrap_keeping_the_newest_events() {
         let (dev, sink) = sink_on_dev();
         let h = dev.handle();
         for i in 0..11u64 {
@@ -270,16 +229,6 @@ mod tests {
         assert_eq!(ring.events.len(), 8);
         assert_eq!(ring.events.first().map(|e| e.seq), Some(3));
         assert_eq!(ring.events.last().map(|e| e.seq), Some(10));
-        // Reopen resumes after the newest surviving event.
-        let reopened = BlackBoxSink::open(&h, sink.base(), 0).expect("region reopens");
-        assert_eq!(reopened.capacity(), 8);
-        let (addr, _) = reopened.record(&h, 1, BbKind::TxBegin, 99, 0, 0, 0);
-        let mut slot = [0u8; EVT_BYTES];
-        h.peek_into(addr, &mut slot);
-        match specpmt_telemetry::blackbox::decode_slot(&slot) {
-            SlotState::Ok(ev) => assert_eq!(ev.seq, 11, "sequence resumes, never collides"),
-            other => panic!("expected a valid slot, got {other:?}"),
-        }
     }
 
     #[test]
@@ -291,12 +240,5 @@ mod tests {
         let mut ranges = Vec::new();
         assert_eq!(sink.take_dirty(57, &mut ranges), 2, "tid 57 clamps onto ring 2");
         assert_eq!(region_bytes(3, 8), sink.region_bytes());
-    }
-
-    #[test]
-    fn open_rejects_garbage() {
-        let dev = SharedPmemDevice::new(PmemConfig::new(64 * 1024));
-        let h = dev.handle();
-        assert!(BlackBoxSink::open(&h, 4096, 0).is_none(), "zeroed region has no header");
     }
 }

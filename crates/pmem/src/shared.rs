@@ -108,11 +108,6 @@ struct DevInner {
     /// epoch): one flag load per persistence op or labeled site while
     /// nothing is armed, never the gate's lock.
     gate: CrashGate,
-    /// The attached flight-recorder sink, if the owning runtime enabled
-    /// one ([`SharedPmemDevice::attach_blackbox`]). Hanging it off the
-    /// device lets every layer that can reach the pool (kv governor,
-    /// reclamation daemon) record events without new plumbing.
-    bbox: Mutex<Option<Arc<crate::blackbox::BlackBoxSink>>>,
 }
 
 /// Thread-safe simulated persistent-memory device (see module docs).
@@ -149,7 +144,6 @@ impl SharedPmemDevice {
                 cells: Mutex::new(vec![Arc::default()]),
                 timing_on: AtomicBool::new(true),
                 gate: CrashGate::default(),
-                bbox: Mutex::new(None),
             }),
         }
     }
@@ -173,19 +167,6 @@ impl SharedPmemDevice {
         cells.push(Arc::clone(&cell));
         drop(cells);
         DeviceHandle { dev: self.clone(), cell, plan: RefCell::new(Vec::new()) }
-    }
-
-    /// Attaches (or replaces) the flight-recorder sink for this device.
-    /// Called once by the runtime that formatted/reopened the black-box
-    /// region; other layers reach it through [`SharedPmemDevice::blackbox`].
-    pub fn attach_blackbox(&self, sink: Arc<crate::blackbox::BlackBoxSink>) {
-        *self.inner.bbox.lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
-    }
-
-    /// The attached flight-recorder sink, if any. `None` means the
-    /// recorder is off — callers skip their `record` calls entirely.
-    pub fn blackbox(&self) -> Option<Arc<crate::blackbox::BlackBoxSink>> {
-        self.inner.bbox.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Current simulated time in nanoseconds, global across threads: the

@@ -8,15 +8,13 @@
 //!
 //! Malformed or out-of-range values are **named errors**
 //! ([`KnobError`]), never silent defaults: a typo'd
-//! `SPECPMT_TRACE_CAP=40K` fails fast with the variable name, the
+//! `SPECPMT_BBOX_CAP=40K` fails fast with the variable name, the
 //! offending value, and what was expected, instead of quietly running
 //! with the default capacity.
 //!
 //! | Variable | Default | Accepted values | Meaning |
 //! |---|---|---|---|
 //! | `SPECPMT_TELEMETRY` | off | `1/true/yes/on` (or `0/false/no/off`) | Start metric registries enabled. |
-//! | `SPECPMT_TRACE` | off | boolean as above | Start lifecycle tracers enabled. |
-//! | `SPECPMT_TRACE_CAP` | [`crate::DEFAULT_CAPACITY`] | integer `1..=16777216` | Per-thread trace-ring capacity (events). Size it to the window you need to look back over: each event is 32 bytes in DRAM, and a full ring overwrites oldest-first while counting drops — so pick `cap ≥ expected events per thread between snapshots` to keep `dropped` at 0. |
 //! | `SPECPMT_GROUP_COMMIT` | off | boolean as above | Default the shared runtime to epoch/group commit. |
 //! | `SPECPMT_GROUP_LINGER_NS` | `0` | non-negative integer | Combiner linger budget per batch, simulated ns. |
 //! | `SPECPMT_BENCH_SMOKE` | off | set (any value) | Run benches at bounded smoke scale. |
@@ -86,11 +84,6 @@ fn parse_ranged(
 pub struct Knobs {
     /// `SPECPMT_TELEMETRY`: start metric registries enabled.
     pub telemetry: bool,
-    /// `SPECPMT_TRACE`: start lifecycle tracers enabled.
-    pub trace: bool,
-    /// `SPECPMT_TRACE_CAP`: per-thread trace-ring capacity; `None` means
-    /// the built-in [`crate::DEFAULT_CAPACITY`].
-    pub trace_cap: Option<usize>,
     /// `SPECPMT_GROUP_COMMIT`: default the shared runtime to group commit.
     pub group_commit: bool,
     /// `SPECPMT_GROUP_LINGER_NS`: combiner linger budget (simulated ns).
@@ -118,15 +111,6 @@ impl Knobs {
     pub fn from_lookup(look: &dyn Fn(&str) -> Option<String>) -> Result<Self, KnobError> {
         let get = |name: &str| look(name);
         let telemetry = parse_flag("SPECPMT_TELEMETRY", get("SPECPMT_TELEMETRY").as_deref())?;
-        let trace = parse_flag("SPECPMT_TRACE", get("SPECPMT_TRACE").as_deref())?;
-        let trace_cap = parse_ranged(
-            "SPECPMT_TRACE_CAP",
-            get("SPECPMT_TRACE_CAP").as_deref(),
-            1,
-            1 << 24,
-            "an integer ring capacity in 1..=16777216",
-        )?
-        .map(|v| v as usize);
         let group_commit =
             parse_flag("SPECPMT_GROUP_COMMIT", get("SPECPMT_GROUP_COMMIT").as_deref())?;
         let group_linger_ns = parse_ranged(
@@ -160,8 +144,6 @@ impl Knobs {
         .map(|v| v as usize);
         Ok(Self {
             telemetry,
-            trace,
-            trace_cap,
             group_commit,
             group_linger_ns,
             bench_smoke,
@@ -225,9 +207,8 @@ mod tests {
     #[test]
     fn defaults_are_all_off() {
         let k = from_map(&[]).expect("empty environment parses");
-        assert!(!k.telemetry && !k.trace && !k.group_commit && !k.bench_smoke);
+        assert!(!k.telemetry && !k.group_commit && !k.bench_smoke);
         assert!(!k.flight_recorder);
-        assert_eq!(k.trace_cap, None);
         assert_eq!(k.group_linger_ns, 0);
         assert_eq!(k.crash_target, None);
         assert_eq!(k.bbox_cap, None);
@@ -237,18 +218,15 @@ mod tests {
     fn well_formed_values_parse() {
         let k = from_map(&[
             ("SPECPMT_TELEMETRY", "on"),
-            ("SPECPMT_TRACE", "0"),
-            ("SPECPMT_TRACE_CAP", " 128 "),
             ("SPECPMT_GROUP_COMMIT", "TRUE"),
             ("SPECPMT_GROUP_LINGER_NS", "250"),
             ("SPECPMT_BENCH_SMOKE", "whatever"),
             ("SPECPMT_CRASH_TARGET", "mt/commit/fence:3"),
             ("SPECPMT_FLIGHT_RECORDER", "yes"),
-            ("SPECPMT_BBOX_CAP", "64"),
+            ("SPECPMT_BBOX_CAP", " 64 "),
         ])
         .expect("all values are well-formed");
-        assert!(k.telemetry && !k.trace && k.group_commit && k.bench_smoke);
-        assert_eq!(k.trace_cap, Some(128));
+        assert!(k.telemetry && k.group_commit && k.bench_smoke);
         assert_eq!(k.group_linger_ns, 250);
         assert_eq!(k.crash_target, Some(("mt/commit/fence".to_string(), 3)));
         assert!(k.flight_recorder);
@@ -262,10 +240,6 @@ mod tests {
     fn malformed_values_name_the_variable() {
         let cases: &[(&str, &str)] = &[
             ("SPECPMT_TELEMETRY", "maybe"),
-            ("SPECPMT_TRACE", "2"),
-            ("SPECPMT_TRACE_CAP", "40K"),
-            ("SPECPMT_TRACE_CAP", "0"),
-            ("SPECPMT_TRACE_CAP", "-5"),
             ("SPECPMT_GROUP_COMMIT", "enable"),
             ("SPECPMT_GROUP_LINGER_NS", "fast"),
             ("SPECPMT_GROUP_LINGER_NS", "-1"),
@@ -274,7 +248,8 @@ mod tests {
             ("SPECPMT_CRASH_TARGET", ":3"),
             ("SPECPMT_CRASH_TARGET", "a/b:x"),
             ("SPECPMT_FLIGHT_RECORDER", "si"),
-            ("SPECPMT_BBOX_CAP", "huge"),
+            ("SPECPMT_BBOX_CAP", "40K"),
+            ("SPECPMT_BBOX_CAP", "-5"),
             ("SPECPMT_BBOX_CAP", "8"),
             ("SPECPMT_BBOX_CAP", "99999999"),
         ];
@@ -291,12 +266,11 @@ mod tests {
 
     #[test]
     fn out_of_range_values_are_rejected_not_clamped() {
-        // TRACE_CAP above its documented ceiling.
-        let err = from_map(&[("SPECPMT_TRACE_CAP", "16777217")]).unwrap_err();
-        assert_eq!(err.var, "SPECPMT_TRACE_CAP");
-        // BBOX_CAP below its documented floor.
-        let err = from_map(&[("SPECPMT_BBOX_CAP", "15")]).unwrap_err();
-        assert_eq!(err.var, "SPECPMT_BBOX_CAP");
+        // BBOX_CAP just outside its documented range, on either side.
+        for raw in ["15", "1048577"] {
+            let err = from_map(&[("SPECPMT_BBOX_CAP", raw)]).unwrap_err();
+            assert_eq!(err.var, "SPECPMT_BBOX_CAP");
+        }
     }
 
     #[test]

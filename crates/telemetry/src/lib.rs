@@ -1,7 +1,7 @@
-//! `specpmt-telemetry`: a unified, zero-dependency tracing + metrics
-//! layer for the SpecPMT transaction, pmem, and reclamation stacks.
+//! `specpmt-telemetry`: a unified, zero-dependency metrics layer for the
+//! SpecPMT transaction, pmem, and reclamation stacks.
 //!
-//! Three pieces (DESIGN.md §4.7):
+//! Three pieces (DESIGN.md §4.7, §4.11):
 //!
 //! * [`metrics`] — a per-thread [`Registry`] of named counters
 //!   ([`Metric`]) and log2-bucketed latency histograms ([`Phase`],
@@ -9,10 +9,10 @@
 //!   `Instant`-based [`Span`] guards. Disabled by default: an inert span
 //!   reads no clock and touches no atomics, keeping the telemetry-off
 //!   commit path within its < 3% overhead budget.
-//! * [`trace`] — a bounded per-thread ring-buffer [`Tracer`] recording
-//!   the transaction lifecycle (begin / stage / seal / lock-acquire /
-//!   clwb-plan / fence / commit / abort-retry / doom) plus reclamation
-//!   and WPQ-drain events. Off by default; `SPECPMT_TRACE=1` enables it.
+//! * [`blackbox`] — the event format of the PM-resident flight recorder
+//!   ([`BbKind`], [`BbEvent`], slot checksums, ring decode and merge): the
+//!   workspace's one event stream. The write side is
+//!   `specpmt_pmem::BlackBoxSink`, the reader `specpmt_core::forensics`.
 //! * [`json`] — a hand-rolled [`JsonWriter`] (the workspace is
 //!   zero-dependency) and the [`StatExport`] trait that `PmemStats`,
 //!   `ReclaimStats`, and `LockTableStats` implement so every stat block
@@ -39,7 +39,6 @@ pub mod json;
 pub mod knobs;
 pub mod metrics;
 pub mod owned;
-pub mod trace;
 
 pub use blackbox::{BbEvent, BbKind};
 pub use export::{Series, SeriesPoint};
@@ -50,66 +49,30 @@ pub use metrics::{
     Span, BUCKETS, METRIC_COUNT, METRIC_NAMES, PHASE_COUNT, PHASE_NAMES,
 };
 pub use owned::{OwnedCounter, OwnedHistogram};
-pub use trace::{
-    EventKind, TraceEvent, TraceSnapshot, Tracer, DEFAULT_CAPACITY, EVENT_KIND_COUNT,
-    EVENT_KIND_NAMES,
-};
 
-/// One runtime's telemetry bundle: the metrics [`Registry`] and the event
-/// [`Tracer`], sized to the same thread count. Both start in their
-/// env-controlled default state (`SPECPMT_TELEMETRY` / `SPECPMT_TRACE`),
-/// which is *off* unless set — an inert bundle costs one relaxed atomic
-/// load per instrumentation site.
+/// One runtime's telemetry bundle: the metrics [`Registry`], one shard per
+/// thread. It starts in its env-controlled default state
+/// (`SPECPMT_TELEMETRY`), which is *off* unless set — an inert bundle costs
+/// one relaxed atomic load per instrumentation site.
 #[derive(Debug)]
 pub struct Telemetry {
     /// Counters + phase-latency histograms.
     pub registry: Registry,
-    /// Bounded per-thread lifecycle event rings.
-    pub tracer: Tracer,
 }
 
 impl Telemetry {
-    /// Builds a bundle with one registry shard and one trace ring per
-    /// thread.
+    /// Builds a bundle with one registry shard per thread.
     pub fn new(threads: usize) -> Self {
-        Self { registry: Registry::new(threads), tracer: Tracer::new(threads) }
+        Self { registry: Registry::new(threads) }
     }
 
     /// Enables or disables metrics recording (counters + histograms).
-    /// Tracing is controlled separately via [`Telemetry::set_tracing`].
     pub fn set_enabled(&self, on: bool) {
         self.registry.set_enabled(on);
     }
 
-    /// Enables or disables event tracing.
-    pub fn set_tracing(&self, on: bool) {
-        self.tracer.set_enabled(on);
-    }
-
-    /// Zeroes the registry and empties the trace rings.
+    /// Zeroes the registry.
     pub fn reset(&self) {
         self.registry.reset();
-        self.tracer.clear();
-    }
-
-    /// Emits the merged metrics block plus a compact trace summary
-    /// (`trace_events`, `trace_dropped`) into the caller's open object.
-    /// Full event dumps go through
-    /// [`Tracer::snapshot`]/[`TraceSnapshot::emit`].
-    pub fn emit(&self, w: &mut JsonWriter) {
-        self.registry.emit(w);
-        let snap = self.tracer.snapshot();
-        w.field_u64("trace_events", snap.events.len() as u64);
-        w.field_u64("trace_dropped", snap.dropped);
-    }
-}
-
-impl StatExport for Telemetry {
-    fn export_name(&self) -> &'static str {
-        "telemetry"
-    }
-
-    fn emit(&self, w: &mut JsonWriter) {
-        Telemetry::emit(self, w);
     }
 }

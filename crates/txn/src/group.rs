@@ -387,18 +387,21 @@ mod tests {
 
     /// Deterministic batching: thread A's drain closure holds the
     /// combining window open until B, C, and D have all *staged* into
-    /// epoch 1 (observed via [`GroupCommitter::staged_now`]). Exactly one
+    /// epoch 2 (observed via [`GroupCommitter::staged_now`]). Exactly one
     /// of them then combines a batch of three; the union of their lines
-    /// goes through a single drain.
+    /// goes through a single drain. B, C and D are spawned only once A is
+    /// draining: one that staged ahead of A would elect itself alone.
     #[test]
     fn concurrent_commits_share_one_drain() {
         let gc = Arc::new(GroupCommitter::new());
         let drains = Arc::new(AtomicU64::new(0));
+        let (a_draining, a_is_draining) = std::sync::mpsc::channel();
         let a = {
             let (gc, drains) = (gc.clone(), drains.clone());
             thread::spawn(move || {
                 let gc2 = gc.clone();
                 gc.commit(&[0], &[], |b| {
+                    a_draining.send(()).expect("test thread waits for the first drain");
                     // Hold the combining window open until every late
                     // committer has staged into the next epoch.
                     while gc2.staged_now() < 3 {
@@ -410,6 +413,7 @@ mod tests {
                 })
             })
         };
+        a_is_draining.recv().expect("first committer reaches its drain");
         let late: Vec<_> = [vec![10, 12], vec![12, 14], vec![16]]
             .into_iter()
             .map(|lines| {

@@ -14,9 +14,9 @@ run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Deprecation gate: in-tree code never calls a #[deprecated] shim (the
-# legacy crash-injection surface keeps shims for one release, but every
-# caller in the workspace has migrated to the CrashControl/CrashPlan API).
+# Deprecation gate: the workspace keeps no #[deprecated] shim of its own (an
+# API is replaced in the PR that retires it, callers included), so this
+# only ever fires on a std item the toolchain has deprecated.
 run env RUSTFLAGS="-D deprecated" cargo check --offline --workspace --all-targets
 
 # Config hygiene: every SPECPMT_* environment variable is parsed exactly
@@ -240,8 +240,8 @@ run cargo test -q --offline -p specpmt-kv --test crash
 # from benchmark/'s per-layer metrics and nowhere else. What is left to run
 # here is the profiler's own acceptance check at full scale: 16-thread group
 # commit within 1.5x the sequential amortized sim cost at < 1 fence per
-# commit, every live series reconciling exactly with its line's commit
-# count, and the trace-ring accounting (crates/bench/src/bin/txstat.rs).
+# commit, and every live series reconciling exactly with its line's commit
+# count (crates/bench/src/bin/txstat.rs).
 echo "==> txstat --check"
 cargo run --release --offline -q -p specpmt-bench --bin txstat -- --check >/dev/null
 
@@ -263,5 +263,24 @@ if git grep -nE 'SPECPMT_(COMMIT_BASELINE|GATE_)' -- . ':!CHANGES.md' ':!ISSUE.m
     echo "a knob of the retired capture-and-gate pipeline is back" >&2
     exit 1
 fi
+
+# One event stream: the volatile lifecycle ring, its event vocabulary and
+# its two environment knobs are deleted — the runtime's events are the
+# flight recorder's, reached through SpecSpmtShared's own sink and no
+# second copy on the device — and the inspection example exists once. The
+# history files (CHANGES / ROADMAP / EXPERIMENTS / ISSUE) are not searched;
+# the patterns are written so that they do not match their own line.
+if grep -rnE 'Trace[r]|Trace[E]vent|Event[K]ind|set_[t]racing|SPECPMT_[T]RACE' \
+    crates src tests examples scripts README.md DESIGN.md .claude; then
+    echo "the volatile event ring is back (record through the flight recorder)" >&2
+    exit 1
+fi
+if grep -rnE 'attach_[b]lackbox|BlackBoxSink::[o]pen' crates; then
+    echo "the flight recorder grew a second route or a reopen path again" >&2
+    exit 1
+fi
+inspectors=$(find . -name log_inspect.rs -not -path '*/target/*')
+[ "$(wc -l <<<"$inspectors")" -le 1 ] ||
+    { echo "more than one log_inspect example:" $inspectors >&2; exit 1; }
 
 echo "verify: OK"

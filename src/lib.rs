@@ -15,7 +15,7 @@
 //! * [`kv`] — the sharded multi-tenant KV service scenario (zipfian load,
 //!   per-tenant admission control, SLO backpressure).
 //! * [`telemetry`] — zero-dependency counters, latency histograms, the
-//!   transaction event tracer, and the shared JSON export layer.
+//!   flight recorder's event format, and the shared JSON export layer.
 //!
 //! See the repository README for a tour and `examples/` for runnable
 //! entry points, starting with `examples/quickstart.rs`.

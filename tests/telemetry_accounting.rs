@@ -1,12 +1,13 @@
-//! Cross-layer telemetry accounting invariants: the tracer, the metrics
-//! registry, and the device's own persistence counters must agree with
-//! each other — otherwise the observability layer would be decorative.
+//! Cross-layer telemetry accounting invariants: the metrics registry, the
+//! flight recorder's events, and the device's own persistence counters
+//! must agree with each other — otherwise the observability layer would be
+//! decorative.
 //! The registry's `commit_sim` phase is also where the exact
 //! simulated-commit-cost goldens are read.
 
 use specpmt::core::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared};
 use specpmt::pmem::{PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool};
-use specpmt::telemetry::{EventKind, Metric, Phase, Telemetry};
+use specpmt::telemetry::{Metric, Phase, Telemetry};
 use specpmt::txn::{TxAccess, TxRuntime};
 
 fn seq_runtime() -> (SpecSpmt, usize) {
@@ -25,30 +26,24 @@ fn commit_n(rt: &mut SpecSpmt, base: usize, n: u64) {
     }
 }
 
-/// Every simulated `sfence` the device executes while tracing is live must
-/// appear as exactly one `fence` trace event, and the `fences` counter
-/// must agree — the tracer is not allowed to drop or invent fences.
+/// Every simulated `sfence` the device executes must be counted exactly
+/// once by the `fences` counter, and the lifecycle counters must agree
+/// with the transactions run — the registry is not allowed to drop or
+/// invent fences.
 #[test]
-fn traced_fence_events_match_device_sfence_count() {
+fn fence_counter_matches_device_sfence_count() {
     let (mut rt, base) = seq_runtime();
     rt.telemetry().set_enabled(true);
-    rt.telemetry().set_tracing(true);
     let sfences_before = rt.pool().device().stats().sfence_count;
 
     commit_n(&mut rt, base, 37);
 
     let sfence_delta = rt.pool().device().stats().sfence_count - sfences_before;
     assert_eq!(sfence_delta, 37, "one fence per commit (non-DP, reclamation disabled)");
-    let snap = rt.telemetry().tracer.snapshot();
-    assert_eq!(
-        snap.count(EventKind::Fence) as u64,
-        sfence_delta,
-        "every device sfence must be traced exactly once"
-    );
-    assert_eq!(rt.telemetry().registry.counter(Metric::Fences), sfence_delta);
-    assert_eq!(snap.count(EventKind::Commit), 37);
-    assert_eq!(snap.count(EventKind::Begin), 37);
-    assert_eq!(snap.dropped, 0, "default ring capacity must hold this run");
+    let reg = &rt.telemetry().registry;
+    assert_eq!(reg.counter(Metric::Fences), sfence_delta, "every device sfence counted once");
+    assert_eq!(reg.counter(Metric::Commits), 37);
+    assert_eq!(reg.counter(Metric::Begins), 37);
 }
 
 /// The instrumented sub-phases of a commit (seal, append, flush, fence,
@@ -86,7 +81,6 @@ fn shared_commit_subphase_sums_fit_inside_envelope() {
     let pool = SharedPmemPool::create(dev);
     let shared = SpecSpmtShared::open_or_format(pool, ConcurrentConfig::default());
     shared.telemetry().set_enabled(true);
-    shared.telemetry().set_tracing(true);
     let base = shared.pool().alloc_direct(4096, 64).unwrap();
     let mut h = shared.tx_handle(0);
     for i in 0..100u64 {
@@ -104,10 +98,6 @@ fn shared_commit_subphase_sums_fit_inside_envelope() {
     assert!(sub_sum <= envelope.sum, "sub-phases must nest within the envelope");
     // The shared runtime really exercises the lock-release phase.
     assert_eq!(reg.phase(Phase::LockRelease).count(), 100);
-    // And the tracer agrees with the registry on lifecycle counts.
-    let snap = shared.telemetry().tracer.snapshot();
-    assert_eq!(snap.count(EventKind::Commit) as u64, reg.counter(Metric::Commits));
-    assert_eq!(snap.count(EventKind::Fence) as u64, reg.counter(Metric::Fences));
 }
 
 /// Telemetry begins disabled and its surfaces all read as empty; enabling
@@ -119,15 +109,12 @@ fn disabled_telemetry_reads_empty_and_reset_roundtrips() {
     commit_n(&mut rt, base, 10);
     assert_eq!(rt.telemetry().registry.counter(Metric::Commits), 0);
     assert_eq!(rt.telemetry().registry.phase(Phase::Commit).count(), 0);
-    assert!(rt.telemetry().tracer.snapshot().events.is_empty());
     // Enable, record, reset: back to empty.
     rt.telemetry().set_enabled(true);
-    rt.telemetry().set_tracing(true);
     commit_n(&mut rt, base, 5);
     assert_eq!(rt.telemetry().registry.counter(Metric::Commits), 5);
     rt.telemetry().reset();
     assert_eq!(rt.telemetry().registry.counter(Metric::Commits), 0);
-    assert!(rt.telemetry().tracer.snapshot().events.is_empty());
 }
 
 /// Every third transaction of the mixed streams below only reads.
@@ -156,9 +143,6 @@ fn assert_write_free_books(tel: &Telemetry, sfences: u64, write_free: u64) {
     assert_eq!(reg.counter(Metric::LogAppends), 60 - write_free);
     assert_eq!(sfences, 60 - write_free, "only writing commits fence");
     assert_eq!(reg.counter(Metric::Fences), sfences);
-    let snap = tel.tracer.snapshot();
-    assert_eq!(snap.count(EventKind::Fence) as u64, sfences);
-    assert_eq!(snap.count(EventKind::Commit), 60);
     assert_eq!(reg.phase(Phase::Commit).count(), 60 - write_free, "no zero-cost samples");
     assert_eq!(reg.phase(Phase::CommitSim).count(), 60 - write_free);
 }
@@ -166,12 +150,11 @@ fn assert_write_free_books(tel: &Telemetry, sfences: u64, write_free: u64) {
 /// A write-free commit appends no record, fences nothing, and feeds no
 /// sample into the commit-cost phases — on both engines, the counters
 /// still add up exactly: `commits == log_appends + write_free_commits`
-/// and every device `sfence` is one traced fence.
+/// and every device `sfence` is one counted fence.
 #[test]
 fn write_free_commits_are_counted_and_cost_nothing() {
     let (mut rt, base) = seq_runtime();
     rt.telemetry().set_enabled(true);
-    rt.telemetry().set_tracing(true);
     let sfences_before = rt.pool().device().stats().sfence_count;
     let write_free = mixed_stream(&mut rt, base, 60);
     let sfences = rt.pool().device().stats().sfence_count - sfences_before;
@@ -181,7 +164,6 @@ fn write_free_commits_are_counted_and_cost_nothing() {
 
     let shared = SpecSpmtShared::open_or_format(1usize << 20, ConcurrentConfig::default());
     shared.telemetry().set_enabled(true);
-    shared.telemetry().set_tracing(true);
     let base = shared.pool().alloc_direct(4096, 64).unwrap();
     let mut h = shared.tx_handle(0);
     let sfences_before = shared.device().stats().sfence_count;
@@ -241,6 +223,39 @@ fn forensics_in_flight_set_skips_write_free_transactions() {
     assert_eq!(open_txs(&shared), vec![1]);
     writer.commit();
     assert_eq!(open_txs(&shared), Vec::<u16>::new());
+}
+
+/// The flight recorder is the runtime's one event stream, so its counts
+/// must reconcile with the registry's: over a 60-transaction
+/// [`mixed_stream`] one `tx_begin` per appended record, one `tx_commit`
+/// receipt per writing commit and none for the write-free third, in
+/// commit-timestamp order, with nothing torn.
+#[test]
+fn recorder_events_reconcile_with_registry_counters() {
+    use specpmt::core::forensics;
+    use specpmt::pmem::{CrashControl, CrashPolicy};
+    use specpmt::telemetry::BbKind;
+
+    let cfg = ConcurrentConfig::builder().flight_recorder(true).build();
+    let shared = SpecSpmtShared::open_or_format(1usize << 20, cfg);
+    shared.telemetry().set_enabled(true);
+    let base = shared.pool().alloc_direct(4096, 64).unwrap();
+    let mut h = shared.tx_handle(0);
+    let write_free = mixed_stream(&mut h, base, 60);
+
+    // AllSurvive keeps every staged recorder slot, flushed or not.
+    let fx = forensics(&shared.device().capture(CrashPolicy::AllSurvive));
+    assert!(fx.recorder_present && fx.is_clean());
+    assert_eq!(fx.events_torn, 0);
+    let reg = &shared.telemetry().registry;
+    let of_kind = |kind| fx.events.iter().filter(move |e| e.kind == kind);
+    assert_eq!(of_kind(BbKind::TxBegin).count() as u64, reg.counter(Metric::LogAppends));
+    let writing = reg.counter(Metric::Commits) - reg.counter(Metric::WriteFreeCommits);
+    assert_eq!(writing, 60 - write_free);
+    let receipts: Vec<u64> = of_kind(BbKind::TxCommit).map(|e| e.a).collect();
+    assert_eq!(receipts.len() as u64, writing);
+    assert!(receipts.windows(2).all(|w| w[0] < w[1]), "receipts out of order: {receipts:?}");
+    assert!(fx.in_flight.is_empty(), "every transaction committed");
 }
 
 /// Transactions per commit-cost golden pass.
