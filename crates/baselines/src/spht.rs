@@ -378,7 +378,7 @@ fn advance(mut cursor: Cursor, mut n: usize, block_bytes: usize, pool: &PmemPool
 impl Recover for Spht {
     fn recover(image: &mut CrashImage) {
         // Same chain format and root slots as software SpecPMT.
-        recovery::recover_image(image);
+        recovery::recover_image_opts(image, &recovery::RecoveryOptions::default());
     }
 }
 

@@ -20,13 +20,14 @@
 //!   (persist the new chain, fence; swap the 8-byte head pointer, fence).
 //!
 //! The on-PM layout (root slots, block chains, record encoding) is
-//! identical to the sequential runtime, so [`crate::recovery::recover_image`]
-//! recovers images from either — and so is the code that writes it: a
-//! [`TxHandle`] runs the same record protocol (`engine::TxLog`) and the
-//! same reclamation steps ([`crate::reclaim`]) as [`crate::SpecSpmt`], over
-//! a [`SharedStore`] instead of a pool. This module holds only what
-//! concurrency adds: the atomic timestamp, the per-chain locks, group
-//! commit, the flight recorder, aborts, and the daemons.
+//! identical to the sequential runtime, so one recovery engine
+//! ([`crate::recovery::recover_image_opts`]) repairs images from either —
+//! and so is the code that writes it: a [`TxHandle`] runs the same record
+//! protocol (`engine::TxLog`) and the same reclamation steps
+//! ([`crate::reclaim`]) as [`crate::SpecSpmt`], over a [`SharedStore`]
+//! instead of a pool. This module holds only what concurrency adds: the
+//! atomic timestamp, the per-chain locks, group commit, the flight
+//! recorder, aborts, and the daemons.
 //!
 //! # Freshness across threads
 //!
@@ -44,9 +45,8 @@
 //! changes hands, possibly under an area lock (never the reverse).
 //! Device-internal locks nest below both.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -61,7 +61,7 @@ use crate::engine::{record_drain, record_fence, Probe, TxLog};
 use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
 use crate::record::{
-    encode_checkpoint, CheckpointRecord, Entries, LogArea, LogEntry, RecordReader, SharedStore,
+    encode_checkpoint, entry_header, Entries, EntryRef, LogArea, RecordReader, SharedStore,
 };
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 
@@ -302,8 +302,8 @@ struct AreaState {
     open: bool,
 }
 
-/// One registered thread slot: its chain, and the transaction counts of
-/// whoever drives it. A slot is driven by one [`TxHandle`] at a time, which
+/// One thread slot: its chain, and the transaction counts of whoever
+/// drives it. A slot is driven by one [`TxHandle`] at a time, which
 /// is therefore the counters' only writer; [`SpecSpmtShared::stats`] sums
 /// them over the slots.
 #[derive(Debug)]
@@ -350,19 +350,13 @@ pub struct SharedStats {
 pub struct SpecSpmtShared {
     pool: SharedPmemPool,
     cfg: ConcurrentConfig,
-    /// The persisted layout. Behind a lock because the registration table
-    /// can grow at runtime ([`Self::register_thread`] past capacity swaps
-    /// in a larger descriptor). Reads are cheap copies.
-    layout: RwLock<PoolLayout>,
+    /// The persisted layout, fixed at format time.
+    layout: PoolLayout,
     /// Next commit timestamp (models `rdtscp`: globally ordered).
     ts: AtomicU64,
-    /// One slot per registered chain. The outer lock is write-held only
-    /// while a registration appends a slot; the hot paths clone their
-    /// slot's `Arc` once at handle creation and never touch the vector.
-    areas: RwLock<Vec<Arc<Slot>>>,
-    /// Thread slots returned by [`TxHandle::detach`], reusable by the
-    /// next [`Self::register_thread`] (their chains stay valid).
-    detached: Mutex<Vec<usize>>,
+    /// One slot per configured thread, fixed at format time; a handle
+    /// clones its slot's `Arc` once at creation.
+    areas: Vec<Arc<Slot>>,
     /// The live checkpoint chain (None before the first checkpoint);
     /// doubles as the checkpoint-writer serialization lock.
     ckpt_area: Mutex<Option<LogArea>>,
@@ -469,10 +463,9 @@ impl SpecSpmtShared {
         Arc::new(Self {
             pool,
             cfg,
-            layout: RwLock::new(layout),
+            layout,
             ts: AtomicU64::new(1),
-            areas: RwLock::new(areas),
-            detached: Mutex::new(Vec::new()),
+            areas,
             ckpt_area: Mutex::new(None),
             checkpoints: AtomicU64::new(0),
             free_blocks,
@@ -492,10 +485,9 @@ impl SpecSpmtShared {
         &self.cfg
     }
 
-    /// The persisted pool layout this runtime formatted (a copy — the
-    /// live descriptor can grow when threads register past capacity).
+    /// The persisted pool layout this runtime formatted.
     pub fn layout(&self) -> PoolLayout {
-        *self.layout.read().expect("layout lock")
+        self.layout
     }
 
     /// The shared pool.
@@ -537,27 +529,11 @@ impl SpecSpmtShared {
             "thread {tid} out of range (configured for {})",
             self.cfg.threads
         );
-        self.handle_for(tid)
-    }
-
-    /// Builds a handle for an already-registered slot (static or dynamic).
-    fn handle_for(self: &Arc<Self>, tid: usize) -> TxHandle {
-        let area = {
-            let areas = self.areas.read().expect("areas lock");
-            Arc::clone(&areas[tid])
-        };
-        // Telemetry is sharded per *configured* thread plus the daemon
-        // shard (`cfg.threads`). Dynamically-registered slots fold onto a
-        // configured shard so they never collide with the daemon's — the
-        // combiner-ownership invariants (committers own zero fences under
-        // a daemon) must keep holding with registered threads attached.
-        let tel_tid = if tid < self.cfg.threads { tid } else { tid % self.cfg.threads };
         TxHandle {
             shared: Arc::clone(self),
             dev: self.pool.handle(),
-            area,
+            area: Arc::clone(&self.areas[tid]),
             tid,
-            tel_tid,
             in_tx: false,
             log: TxLog::new(self.cfg.data_persistence),
             plan: Vec::new(),
@@ -567,67 +543,14 @@ impl SpecSpmtShared {
         }
     }
 
-    /// Number of thread slots currently registered (static slots from the
-    /// configuration plus dynamically attached ones, including detached
-    /// slots awaiting reuse).
-    pub fn registered_threads(&self) -> usize {
-        self.areas.read().expect("areas lock").len()
-    }
-
     /// Checkpoints written so far (see [`Self::write_checkpoint`]).
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints.load(Ordering::Relaxed)
     }
 
-    /// Dynamically registers a new thread with the runtime and returns its
-    /// transaction handle — the paper's fixed `threads`-at-format model
-    /// lifted to runtime attach/detach. A detached slot (see
-    /// [`TxHandle::detach`]) is reused first; otherwise a fresh chain is
-    /// created and, if the registration table is full, the persisted
-    /// layout descriptor grows (atomic root-slot swap: a crash sees the old
-    /// descriptor or the new one, and both describe every committed
-    /// chain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registration table is at [`PoolLayout::MAX_THREADS`].
-    pub fn register_thread(self: &Arc<Self>) -> TxHandle {
-        if let Some(tid) = self.detached.lock().expect("detached lock").pop() {
-            return self.handle_for(tid);
-        }
-        let dev = self.device();
-        let prev = dev.timing();
-        dev.set_timing(TimingMode::Off);
-        let tid = {
-            let mut areas = self.areas.write().expect("areas lock");
-            let tid = areas.len();
-            let mut layout = self.layout.write().expect("layout lock");
-            if tid >= layout.threads() {
-                *layout = layout.grow_shared(&self.pool, tid + 1);
-            }
-            let handle = self.pool.handle();
-            let mut dirty = Vec::new();
-            let area = LogArea::create(&mut self.store(&handle), self.cfg.block_bytes, &mut dirty);
-            handle.clwb_ranges(&dirty);
-            handle.sfence();
-            layout.set_head_shared(&self.pool, tid, area.head() as u64);
-            areas.push(Slot::new(area));
-            tid
-        };
-        dev.set_timing(prev);
-        self.handle_for(tid)
-    }
-
     /// Current aggregate log footprint in bytes.
     pub fn log_footprint(&self) -> usize {
-        let areas = self.snapshot_areas();
-        areas.iter().map(|a| a.lock().area.footprint()).sum()
-    }
-
-    /// Clones the slot list (cheap: `Arc` per slot) so iteration never
-    /// holds the registration lock across per-chain work.
-    fn snapshot_areas(&self) -> Vec<Arc<Slot>> {
-        self.areas.read().expect("areas lock").clone()
+        self.areas.iter().map(|a| a.lock().area.footprint()).sum()
     }
 
     /// The log store `handle`'s thread writes chains through.
@@ -651,10 +574,9 @@ impl SpecSpmtShared {
 
     /// Counter snapshot.
     pub fn stats(&self) -> SharedStats {
-        let areas = self.snapshot_areas();
         SharedStats {
-            commits: areas.iter().map(|s| s.commits.get()).sum(),
-            aborts: areas.iter().map(|s| s.aborts.get()).sum(),
+            commits: self.areas.iter().map(|s| s.commits.get()).sum(),
+            aborts: self.areas.iter().map(|s| s.aborts.get()).sum(),
             reclaim_cycles: self.reclaim_cycles.load(Ordering::Relaxed),
             records_reclaimed: self.records_reclaimed.load(Ordering::Relaxed),
             log_live_bytes: self.log_footprint() as u64,
@@ -686,16 +608,15 @@ impl SpecSpmtShared {
         // The daemon records into its dedicated telemetry shard.
         let rtid = self.cfg.threads;
         let block_bytes = self.cfg.block_bytes;
-        let areas = self.snapshot_areas();
         let mut rs = self.reclaim.lock().expect("reclaim lock");
-        rs.begin_cycle(areas.len(), self.device().now_ns());
+        rs.begin_cycle(self.areas.len(), self.device().now_ns());
 
         // Phase 1: scan. Chains whose watermark moved are read under their
         // lock (consistent snapshot of that chain); the index may be
         // stale by the time a chain is compacted, which errs toward
         // keeping entries.
         let mut any_changed = false;
-        for (tid, slot) in areas.iter().enumerate() {
+        for (tid, slot) in self.areas.iter().enumerate() {
             let st = slot.lock();
             if rs.scan_chain(&handle, tid, &st.area, block_bytes) {
                 any_changed = true;
@@ -713,7 +634,7 @@ impl SpecSpmtShared {
         // Phase 2: compact each chain's cached records, one chain at a time
         // under its lock.
         let mut dirty = Vec::new();
-        for (tid, slot) in areas.iter().enumerate() {
+        for (tid, slot) in self.areas.iter().enumerate() {
             let mut st = slot.lock();
             if st.open {
                 continue; // an open record pins the chain
@@ -747,11 +668,7 @@ impl SpecSpmtShared {
             record_fence(&self.tel, rtid, fr);
             // Fence 2: atomically swap the 8-byte head pointer (persisted
             // inside `set_head_shared`; also the daemon's).
-            self.layout.read().expect("layout lock").set_head_shared(
-                &self.pool,
-                tid,
-                area.head() as u64,
-            );
+            self.layout.set_head_shared(&self.pool, tid, area.head() as u64);
             self.tel.registry.add(rtid, Metric::Fences, 1);
             rs.spliced(tid, &area);
             let old = std::mem::replace(&mut st.area, area);
@@ -837,14 +754,15 @@ impl SpecSpmtShared {
         GroupCombinerDaemon { shared: Arc::clone(self), handle: Some(handle) }
     }
 
-    /// Post-crash recovery (identical image format to [`crate::SpecSpmt`]).
+    /// Post-crash recovery (identical image format to [`crate::SpecSpmt`]):
+    /// [`Self::recover_opts`] under the default options, report dropped.
     pub fn recover(image: &mut CrashImage) {
-        recovery::recover_image(image);
+        recovery::recover_image_opts(image, &RecoveryOptions::default());
     }
 
-    /// Post-crash recovery with explicit [`RecoveryOptions`] (parallel
-    /// chain parsing, checkpoint-bounded replay). Bit-identical to
-    /// [`Self::recover`] for every crash image; returns the cost report.
+    /// Post-crash recovery with explicit [`RecoveryOptions`] (full replay
+    /// instead of the checkpoint-bounded one, a wider modelled parse);
+    /// returns the cost report. The image is the same under every option.
     pub fn recover_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> RecoveryReport {
         recovery::recover_image_opts(image, opts)
     }
@@ -863,9 +781,7 @@ impl SpecSpmtShared {
     /// timestamp greater than that chain's last committed one, hence
     /// greater than the minimum. A chain that is open but has *no*
     /// committed record yet provides no such bound, so the checkpoint is
-    /// skipped (returns `None`) in that case. Chains registered after the
-    /// snapshot draw timestamps above the counter's snapshot value, which
-    /// is above the watermark.
+    /// skipped (returns `None`) in that case.
     ///
     /// Returns the watermark, or `None` when no checkpoint could be
     /// written (no committed records, or an open chain without a bound).
@@ -875,7 +791,6 @@ impl SpecSpmtShared {
         // checkpoint at a time, and the old chain stays reachable until
         // the new head is persisted.
         let mut ckpt_guard = self.ckpt_area.lock().expect("ckpt lock");
-        let areas = self.snapshot_areas();
 
         // Scan: every chain's committed records under that chain's lock,
         // streamed into one flat buffer of payloads — `(ts, chain index,
@@ -883,7 +798,7 @@ impl SpecSpmtShared {
         let mut payloads: Vec<u8> = Vec::new();
         let mut records: Vec<(u64, usize, std::ops::Range<usize>)> = Vec::new();
         let mut watermark = u64::MAX;
-        for (idx, slot) in areas.iter().enumerate() {
+        for (idx, slot) in self.areas.iter().enumerate() {
             let st = slot.lock();
             let mut reader = RecordReader::new(&handle, st.area.head(), self.cfg.block_bytes);
             let mut last_ts = None;
@@ -907,33 +822,36 @@ impl SpecSpmtShared {
             return None; // no committed records anywhere
         }
 
-        // Fold records up to the watermark, last writer wins, into one
-        // byte map; equal timestamps resolve by ascending chain index —
-        // the same tie-break `committed_records` documents (the sort is
-        // stable, so a chain's own order is kept).
+        // Records up to the watermark in replay order; equal timestamps
+        // resolve by ascending chain index — the same tie-break
+        // `committed_records` documents (the sort is stable, so a chain's
+        // own order is kept).
         records.retain(|&(ts, _, _)| ts <= watermark);
         if records.is_empty() {
             return None;
         }
         records.sort_by_key(|&(ts, idx, _)| (ts, idx));
-        let mut bytes: BTreeMap<usize, u8> = BTreeMap::new();
-        for (_, _, payload) in &records {
-            for e in Entries::new(&payloads[payload.clone()]) {
-                for (i, &b) in e.value.iter().enumerate() {
-                    bytes.insert(e.addr + i, b);
-                }
-            }
+        let forward: Vec<EntryRef> =
+            records.iter().flat_map(|(_, _, p)| Entries::new(&payloads[p.clone()])).collect();
+        // Last writer wins through recovery's own fold, so the snapshot is
+        // by construction what replaying those records would store. The
+        // surviving pieces sorted by address and joined where they touch
+        // are the disjoint, maximal runs the checkpoint holds, encoded
+        // straight into its payload.
+        let mut pieces: Vec<(usize, &[u8])> = Vec::new();
+        recovery::fold_last_writer_wins(&forward, handle.size(), |addr, bytes| {
+            pieces.push((addr, bytes));
+        });
+        pieces.sort_unstable_by_key(|&(addr, _)| addr);
+        let mut payload = Vec::new();
+        let mut runs = 0u64;
+        for run in pieces.chunk_by(|a, b| a.0 + a.1.len() == b.0) {
+            let len = run.iter().map(|(_, bytes)| bytes.len()).sum();
+            payload.extend_from_slice(&entry_header(run[0].0, len));
+            run.iter().for_each(|(_, bytes)| payload.extend_from_slice(bytes));
+            runs += 1;
         }
-        // Coalesce the byte map into disjoint, address-sorted runs.
-        let mut entries: Vec<LogEntry> = Vec::new();
-        for (addr, b) in bytes {
-            match entries.last_mut() {
-                Some(e) if e.addr + e.value.len() == addr => e.value.push(b),
-                _ => entries.push(LogEntry { addr, value: vec![b] }),
-            }
-        }
-        let ckpt = CheckpointRecord { watermark, entries };
-        let encoded = encode_checkpoint(&ckpt);
+        let encoded = encode_checkpoint(watermark, &payload);
 
         // Persist protocol: build the new chain, flush+fence it, then
         // atomically swap the descriptor's checkpoint head. A crash at
@@ -959,21 +877,11 @@ impl SpecSpmtShared {
             handle.crash_point(sites::BBOX_PERSIST);
         }
         handle.crash_point("ckpt/persist");
-        self.layout
-            .read()
-            .expect("layout lock")
-            .set_ckpt_head_shared(&self.pool, new_area.head() as u64);
+        self.layout.set_ckpt_head_shared(&self.pool, new_area.head() as u64);
         self.tel.registry.add(self.cfg.threads, Metric::Fences, 1);
         handle.crash_point("ckpt/splice");
         if let Some(bb) = &self.bbox {
-            bb.record_now(
-                &handle,
-                self.cfg.threads,
-                BbKind::CkptSplice,
-                ckpt.watermark,
-                ckpt.entries.len() as u64,
-                0,
-            );
+            bb.record_now(&handle, self.cfg.threads, BbKind::CkptSplice, watermark, runs, 0);
         }
         let old = ckpt_guard.replace(new_area);
         drop(ckpt_guard);
@@ -1132,15 +1040,12 @@ impl Drop for GroupCombinerDaemon {
 pub struct TxHandle {
     shared: Arc<SpecSpmtShared>,
     dev: DeviceHandle,
-    /// This slot's chain state, cloned out of the registration table at
-    /// handle creation — the hot paths never touch the table again, so
-    /// dynamic registration on other threads cannot stall a commit.
+    /// This slot's chain state, cloned out of the runtime's slot list at
+    /// handle creation.
     area: Arc<Slot>,
+    /// The thread slot, which is also the telemetry shard and the
+    /// flight-recorder ring this handle records into.
     tid: usize,
-    /// Telemetry shard this handle records into: `tid` for configured
-    /// slots, folded (`tid % threads`) for dynamically registered ones —
-    /// never the daemon shard.
-    tel_tid: usize,
     in_tx: bool,
     /// The open transaction's record, write set and flush plan.
     log: TxLog,
@@ -1188,7 +1093,7 @@ impl TxHandle {
     /// call adds no ordering traffic of its own.
     pub fn record_event(&self, kind: BbKind, a: u64, b: u64, aux: u8) {
         if let Some(bb) = &self.shared.bbox {
-            bb.record_now(&self.dev, self.tel_tid, kind, a, b, aux);
+            bb.record_now(&self.dev, self.tid, kind, a, b, aux);
         }
     }
 
@@ -1205,7 +1110,7 @@ impl TxHandle {
         self.undo_addrs.clear();
         self.undo_data.clear();
         self.in_tx = true;
-        self.shared.tel.registry.add(self.tel_tid, Metric::Begins, 1);
+        self.shared.tel.registry.add(self.tid, Metric::Begins, 1);
     }
 
     /// Durably writes `data` at pool offset `addr` within the open
@@ -1225,7 +1130,7 @@ impl TxHandle {
     pub fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
         let shared = &*self.shared;
-        let tid = self.tel_tid;
+        let tid = self.tid;
         let mut st = self.area.lock();
         let mut store = shared.store(&self.dev);
         if !self.log.reserved() {
@@ -1289,7 +1194,7 @@ impl TxHandle {
     /// fast — it still stages into the batch (amortized fence) but slams
     /// the window shut ([`GroupCommitter::commit_urgent`]).
     fn seal(&mut self, commit: bool, urgent: bool) -> u64 {
-        let tid = self.tel_tid;
+        let tid = self.tid;
         // Borrow the fields apart, so the flush/fence tails can take the
         // log and the plans mutably while the spans and the area lock —
         // which borrow the runtime and the slot — stay live.
@@ -1468,11 +1373,11 @@ impl TxHandle {
             // receipt carries the frontier the transaction observed.
             self.in_tx = false;
             let ts = self.shared.ts.load(Ordering::SeqCst);
-            self.shared.tel.registry.add(self.tel_tid, Metric::WriteFreeCommits, 1);
+            self.shared.tel.registry.add(self.tid, Metric::WriteFreeCommits, 1);
             ts
         };
         self.area.commits.add(1);
-        self.shared.tel.registry.add(self.tel_tid, Metric::Commits, 1);
+        self.shared.tel.registry.add(self.tid, Metric::Commits, 1);
         CommitReceipt::new(ts)
     }
 
@@ -1494,7 +1399,7 @@ impl TxHandle {
     pub fn abort(&mut self) {
         assert!(self.in_tx, "abort outside transaction");
         self.area.aborts.add(1);
-        self.shared.tel.registry.add(self.tel_tid, Metric::Aborts, 1);
+        self.shared.tel.registry.add(self.tid, Metric::Aborts, 1);
         if !self.log.reserved() {
             // Nothing was written, so there is nothing to restore or seal.
             self.in_tx = false;
@@ -1513,21 +1418,8 @@ impl TxHandle {
         self.undo_data = data;
         let _ = self.seal(false, false);
         if let Some(bb) = &self.shared.bbox {
-            bb.record_now(&self.dev, self.tel_tid, BbKind::TxAbort, 0, 0, 0);
+            bb.record_now(&self.dev, self.tid, BbKind::TxAbort, 0, 0, 0);
         }
-    }
-
-    /// Detaches this handle's thread slot from the runtime, returning the
-    /// slot to the registration free list — the next
-    /// [`SpecSpmtShared::register_thread`] reuses it (and its chain, which
-    /// stays valid and recoverable throughout).
-    ///
-    /// # Panics
-    ///
-    /// Panics with an open transaction.
-    pub fn detach(self) {
-        assert!(!self.in_tx, "detach with open transaction on thread {}", self.tid);
-        self.shared.detached.lock().expect("detached lock").push(self.tid);
     }
 }
 
@@ -1615,7 +1507,7 @@ impl specpmt_txn::TxThread for TxHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use specpmt_pmem::{CrashControl, CrashPolicy, SplitMix64};
     use specpmt_txn::TxAccess as _;
@@ -2156,7 +2048,7 @@ mod tests {
     /// the slow way: a full `parse_chain` from each head.
     fn parse_all(s: &SpecSpmtShared) -> Vec<(usize, bool, Vec<crate::record::LogRecord>)> {
         let handle = s.pool().handle();
-        s.snapshot_areas()
+        s.areas
             .iter()
             .map(|slot| {
                 let st = slot.lock();
@@ -2307,6 +2199,80 @@ mod tests {
         let cached = s.reclaim.lock().unwrap().cached_chain(1);
         assert_eq!(cached.len(), 1, "only the sealed record is fresh");
         assert_eq!(cached[0].entries[0].value, 4u64.to_le_bytes());
+    }
+
+    /// Three chains stepped round-robin through 40 rounds of overlapping,
+    /// unaligned stores shared by all chains, with a checkpoint written
+    /// before round `ckpt_round`. Returns the runtime and the checkpoint's
+    /// watermark.
+    pub(crate) fn overlapping_three_chain_history(ckpt_round: usize) -> (Arc<SpecSpmtShared>, u64) {
+        let cfg = ConcurrentConfig::builder().threads(3).reclaim_threshold_bytes(usize::MAX);
+        let s = SpecSpmtShared::open_or_format(1usize << 20, cfg.build());
+        let base = s.pool().alloc_direct(512, 64).expect("alloc");
+        let mut handles: Vec<_> = (0..3).map(|t| s.tx_handle(t)).collect();
+        let mut watermark = 0;
+        for round in 0..40usize {
+            if round == ckpt_round {
+                watermark = s.write_checkpoint().expect("every chain has committed");
+            }
+            for (t, h) in handles.iter_mut().enumerate() {
+                h.begin();
+                let v = [(round * 3 + t) as u8; 24];
+                h.write(base + (round % 7) * 13 + t * 5, &v[..8 + (round + t) % 17]);
+                h.write(base + 256 + (round % 5) * 8, &v[..8]);
+                h.commit();
+            }
+        }
+        (s, watermark)
+    }
+
+    /// The checkpoint's bytes, pinned against a reference rather than
+    /// round-tripped: the per-byte map `write_checkpoint` used to fold
+    /// through, kept here as the specification of its payload — every
+    /// record at or below the watermark in `(ts, chain)` order, last
+    /// writer wins per byte, coalesced into disjoint, address-sorted,
+    /// maximal runs.
+    #[test]
+    fn checkpoint_payload_equals_the_per_byte_reference_fold() {
+        use std::collections::BTreeMap;
+        for ckpt_round in [3, 25] {
+            let (s, watermark) = overlapping_three_chain_history(ckpt_round);
+            let handle = s.pool().handle();
+            let (mark, payload) = crate::record::read_checkpoint(
+                &handle,
+                s.layout().ckpt_head(&handle),
+                s.cfg.block_bytes,
+            )
+            .expect("the checkpoint reads back");
+            assert_eq!(mark, watermark);
+
+            let mut records: Vec<_> = parse_all(&s)
+                .into_iter()
+                .enumerate()
+                .flat_map(|(idx, (_, _, recs))| recs.into_iter().map(move |r| (r.ts, idx, r)))
+                .filter(|&(ts, _, _)| ts <= watermark)
+                .collect();
+            // The watermark is chain 0's last commit: the other two chains'
+            // records of that round lie above it.
+            assert_eq!(records.len(), 3 * ckpt_round - 2);
+            records.sort_by_key(|&(ts, idx, _)| (ts, idx));
+            let mut bytes: BTreeMap<usize, u8> = BTreeMap::new();
+            for e in records.iter().flat_map(|(_, _, r)| &r.entries) {
+                bytes.extend(e.value.iter().enumerate().map(|(i, &b)| (e.addr + i, b)));
+            }
+            let mut runs: Vec<(usize, Vec<u8>)> = Vec::new();
+            for (addr, b) in bytes {
+                match runs.last_mut() {
+                    Some((start, value)) if *start + value.len() == addr => value.push(b),
+                    _ => runs.push((addr, vec![b])),
+                }
+            }
+            let mut want = Vec::new();
+            runs.iter()
+                .for_each(|(addr, value)| crate::record::push_entry(&mut want, *addr, value));
+            assert_eq!(payload, want, "checkpoint before round {ckpt_round}");
+            assert!(runs.len() > 1, "the workload leaves gaps between runs");
+        }
     }
 
     /// The device operations of reclamation and checkpointing, pinned:

@@ -23,10 +23,11 @@
 //! Both runners execute the workload **fresh** (new device, pool, and
 //! runtime per call), recover from the captured image, and verify atomic
 //! durability, which is exactly the contract [`enumerate`] expects. They
-//! also recover every image twice — once with the serial reference
-//! replay, once with parallel parsing plus checkpoint-bounded replay —
-//! and assert the two images are bit-identical, so each enumerated crash
-//! case doubles as an equivalence check for the optimized recovery path.
+//! also recover every image twice — once with the reference replay
+//! ([`crate::recovery::recover_image`]), once with the engine every
+//! runtime's `recover` runs — and assert the two images are
+//! bit-identical, so each enumerated crash case doubles as a check of
+//! production recovery against its executable specification.
 //!
 //! [`EnumReport::merge`]: specpmt_txn::EnumReport::merge
 //! [`enumerate`]: specpmt_txn::enumerate
@@ -37,15 +38,17 @@ use specpmt_pmem::{
 use specpmt_txn::driver::{
     fresh_pool_with_region, generate_stream, run_crash_scenario, verify_recovered, StreamSpec,
 };
-use specpmt_txn::{Recover, RunSummary, TxAccess, TxRuntime};
+use specpmt_txn::{RunSummary, TxAccess, TxRuntime};
 
 use crate::recovery::RecoveryOptions;
 use crate::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared, TxHandle};
 
-/// Recovers `image` through the serial reference path, then recovers a
-/// pristine clone through parallel parsing + checkpoint-bounded replay
-/// and asserts bit-identity — the acceptance contract that the optimized
-/// recovery is equivalent on *every* enumerated crash case.
+/// Recovers `image` through the reference replay — named explicitly:
+/// `SpecSpmt::recover` is the engine, and would compare it with itself —
+/// then recovers a pristine clone through the engine (merge,
+/// checkpoint-bounded, last writer wins) and asserts bit-identity: the
+/// acceptance contract that production recovery matches the reference on
+/// *every* enumerated crash case.
 ///
 /// Every image also runs through [`crate::recovery::forensics`]: the
 /// decode must never fail (torn ring slots degrade to counts), the
@@ -54,12 +57,9 @@ use crate::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared,
 /// enumerated crash case double as a black-box soundness check.
 fn recover_and_check_equivalence(image: &mut CrashImage) -> crate::recovery::RecoveryReport {
     let mut optimized = image.clone();
-    SpecSpmt::recover(image);
-    let report = crate::recovery::recover_image_opts(&mut optimized, &RecoveryOptions::parallel(4));
-    assert_eq!(
-        *image, optimized,
-        "parallel/checkpointed recovery diverged from the serial reference"
-    );
+    crate::recovery::recover_image(image);
+    let report = crate::recovery::recover_image_opts(&mut optimized, &RecoveryOptions::default());
+    assert_eq!(*image, optimized, "the recovery engine diverged from the reference replay");
     let fx = crate::recovery::forensics(image);
     assert!(
         fx.is_clean(),

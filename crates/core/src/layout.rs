@@ -6,9 +6,9 @@
 //! pool root slot per thread, capping the runtime at 8 threads (the pool
 //! has 16 root slots and half are spoken for). [`PoolLayout`] removes the
 //! cap: at format time the runtime allocates a **layout descriptor** on
-//! the heap — a registration table of chain-head slots plus the block
-//! size — checksums the static part, and points root slot [`LAYOUT_SLOT`]
-//! at it. Everything that parses a pool after a crash
+//! the heap — a table of chain-head slots, one per thread the runtime was
+//! formatted with, plus the block size — checksums the static part, and
+//! points root slot [`LAYOUT_SLOT`] at it. Everything that parses a pool after a crash
 //! ([`crate::recovery`], [`crate::inspect`]) reads the descriptor instead
 //! of assuming the old fixed slots.
 //!
@@ -32,19 +32,6 @@
 //! so they are deliberately *not* covered by the checksum; a head pointer
 //! self-validates by chain (or checkpoint-record) parsing, exactly like
 //! the old root slots did.
-//!
-//! # Dynamic registration
-//!
-//! The descriptor is a *registration table*: `capacity` is how many
-//! chain-head slots exist, not how many threads are live. A thread can
-//! attach at runtime (`SpecSpmtShared::register_thread`) by claiming the
-//! next free slot — nothing in the workspace does outside tests: every
-//! runtime, `specpmt-kv`'s shards included, is formatted with its final
-//! thread count. When the table fills, [`PoolLayout::grow_shared`]
-//! allocates a larger descriptor, copies the head table and checkpoint
-//! head, persists it, and atomically re-points [`LAYOUT_SLOT`] — a crash
-//! sees either the old or the new descriptor, both of which describe every
-//! committed chain.
 //!
 //! # Legacy pools
 //!
@@ -106,9 +93,8 @@ const BLOCK_BYTES_RANGE: std::ops::RangeInclusive<usize> = 64..=(1 << 20);
 /// chain head lives, where the checkpoint chain head lives, and how large
 /// log blocks are.
 ///
-/// Copyable by design — the runtimes keep one (behind a lock when the
-/// registration table can grow) and pass it around freely while mutating
-/// the pool it describes.
+/// Copyable by design — the runtimes keep one, fixed at format time, and
+/// pass it around freely while mutating the pool it describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolLayout {
     threads: usize,
@@ -123,9 +109,8 @@ fn read_u64_at<S: ByteSource>(src: &S, addr: usize) -> Option<u64> {
 }
 
 impl PoolLayout {
-    /// Maximum chain slots a pool's registration table can grow to: the
-    /// table grows on demand up to this bound (8 · 4096 = 32 KiB of head
-    /// table, still tiny next to a single log block chain).
+    /// Maximum chain slots a pool can be formatted with (8 · 4096 = 32 KiB
+    /// of head table, still tiny next to a single log block chain).
     pub const MAX_THREADS: usize = 4096;
 
     fn descriptor_bytes(threads: usize, block_bytes: usize) -> Vec<u8> {
@@ -192,58 +177,6 @@ impl PoolLayout {
         Self { threads, block_bytes, desc_base }
     }
 
-    /// Grows the registration table to at least `min_capacity` slots:
-    /// allocates a fresh (larger) descriptor, copies the live head table
-    /// and checkpoint head into it, persists it fully, then atomically
-    /// re-points [`LAYOUT_SLOT`] at it. Returns the new layout.
-    ///
-    /// The old descriptor is left in place (the pool heap is a bump
-    /// allocator); a crash between the copy and the root swap sees the
-    /// old descriptor, which still describes every committed chain —
-    /// slots beyond its capacity are by construction empty at that point.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a legacy layout, if `min_capacity` exceeds
-    /// [`Self::MAX_THREADS`], or if the heap cannot hold the new
-    /// descriptor.
-    pub fn grow_shared(&self, pool: &SharedPmemPool, min_capacity: usize) -> Self {
-        assert!(self.desc_base != 0, "legacy pools cannot grow a registration table");
-        assert!(
-            min_capacity <= Self::MAX_THREADS,
-            "thread count {min_capacity} out of range (1..={})",
-            Self::MAX_THREADS
-        );
-        if min_capacity <= self.threads {
-            return *self;
-        }
-        // Double-at-least growth keeps the number of root swaps
-        // logarithmic in the final thread count.
-        let capacity = min_capacity.max(self.threads * 2).min(Self::MAX_THREADS);
-        Self::check_format_args(capacity, self.block_bytes);
-        let mut bytes = Self::descriptor_bytes(capacity, self.block_bytes);
-        let h = pool.handle();
-        // Carry the mutable tail over: checkpoint head, black-box base,
-        // and the live head table.
-        bytes[CKPT_HEAD_OFF..CKPT_HEAD_OFF + 8]
-            .copy_from_slice(&(self.ckpt_head(&h) as u64).to_le_bytes());
-        bytes[BBOX_HEAD_OFF..BBOX_HEAD_OFF + 8]
-            .copy_from_slice(&(self.bbox_head(&h) as u64).to_le_bytes());
-        for tid in 0..self.threads {
-            let head = self.head(&h, tid) as u64;
-            let off = DESC_HDR + 8 * tid;
-            bytes[off..off + 8].copy_from_slice(&head.to_le_bytes());
-        }
-        let desc_base =
-            pool.alloc_direct(bytes.len(), 64).expect("pool too small for grown descriptor");
-        h.write(desc_base, &bytes);
-        h.persist_range(desc_base, bytes.len());
-        // The atomic generation switch: an aligned 8-byte root store,
-        // persisted inside `set_root_direct`.
-        pool.set_root_direct(LAYOUT_SLOT, desc_base as u64);
-        Self { threads: capacity, block_bytes: self.block_bytes, desc_base }
-    }
-
     /// Parses the layout from any byte source (crash image, live device or
     /// device handle).
     ///
@@ -292,9 +225,9 @@ impl PoolLayout {
         Some(Self { threads, block_bytes, desc_base })
     }
 
-    /// Number of chain-head slots in the registration table (the number of
-    /// per-thread log chains recovery must consider; unclaimed slots hold
-    /// a zero head and parse as empty chains).
+    /// Number of chain-head slots (the number of per-thread log chains
+    /// recovery must consider; on a legacy pool unused slots hold a zero
+    /// head and parse as empty chains).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -460,18 +393,17 @@ mod tests {
     }
 
     #[test]
-    fn bbox_head_round_trips_and_survives_growth() {
+    fn bbox_head_round_trips_and_survives_crash() {
         let dev = specpmt_pmem::SharedPmemDevice::new(PmemConfig::new(1 << 20));
         let p = SharedPmemPool::create(dev);
         let l = PoolLayout::format_shared(&p, 2, 512);
         assert_eq!(l.bbox_head(&p.handle()), 0, "fresh pools start with no recorder region");
         l.set_bbox_head_shared(&p, 0x7777);
         assert_eq!(l.bbox_head(&p.handle()), 0x7777);
-        let grown = l.grow_shared(&p, 5);
         let img = p.device().capture(CrashPolicy::AllLost);
         let back = PoolLayout::read(&img).unwrap();
-        assert_eq!(back, grown);
-        assert_eq!(back.bbox_head(&img), 0x7777, "growth carries the black-box base");
+        assert_eq!(back, l);
+        assert_eq!(back.bbox_head(&img), 0x7777, "the black-box base is persisted when set");
     }
 
     #[test]
@@ -556,33 +488,20 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_head_round_trips_and_survives_growth() {
+    fn ckpt_head_round_trips_and_survives_crash() {
         let dev = specpmt_pmem::SharedPmemDevice::new(PmemConfig::new(1 << 20));
         let p = SharedPmemPool::create(dev);
         let l = PoolLayout::format_shared(&p, 2, 512);
         l.set_head_shared(&p, 1, 0x3333);
         l.set_ckpt_head_shared(&p, 0x4444);
         assert_eq!(l.ckpt_head(&p.handle()), 0x4444);
-        let grown = l.grow_shared(&p, 9);
-        assert!(grown.threads() >= 9);
-        assert_eq!(grown.block_bytes(), l.block_bytes());
-        assert_ne!(grown.desc_base(), l.desc_base());
-        // Mutable tail carried over, and a crash image parses the *new*
-        // descriptor from the swapped root.
+        // The mutable tail is persisted by its setters: a crash image
+        // reads both words back through the descriptor.
         let img = p.device().capture(CrashPolicy::AllLost);
         let back = PoolLayout::read(&img).unwrap();
-        assert_eq!(back, grown);
+        assert_eq!(back, l);
         assert_eq!(back.head(&img, 1), 0x3333);
         assert_eq!(back.ckpt_head(&img), 0x4444);
-        assert_eq!(back.head(&img, 8), 0, "new slots start empty");
-    }
-
-    #[test]
-    fn growth_is_idempotent_below_capacity() {
-        let dev = specpmt_pmem::SharedPmemDevice::new(PmemConfig::new(1 << 20));
-        let p = SharedPmemPool::create(dev);
-        let l = PoolLayout::format_shared(&p, 8, 512);
-        let same = l.grow_shared(&p, 4);
-        assert_eq!(same, l, "no growth needed, no new descriptor");
+        assert_eq!(back.head(&img, 0), 0, "unset heads read as empty");
     }
 }

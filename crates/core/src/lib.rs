@@ -97,7 +97,6 @@ pub use layout::{
 };
 pub use locked::LockedTxHandle;
 pub use reclaim::{FreshnessIndex, ReclaimState, ReclaimStats};
-pub use record::{encode_checkpoint, parse_checkpoint, CheckpointRecord};
 pub use recovery::{
     forensics, recover_image_opts, ForensicInFlight, ForensicReport, ForensicViolation,
     RecoveryOptions, RecoveryReport,

@@ -467,46 +467,20 @@ pub const CKPT_HDR: usize = 28;
 /// data, which can legitimately dwarf any single transaction record).
 pub const MAX_CKPT_PAYLOAD: usize = 1 << 28;
 
-/// A parsed, checksum-valid checkpoint record (see
-/// [`crate::recovery`]): the last-writer-wins resolution of every
-/// committed entry with commit timestamp `<= watermark`, stored as
-/// disjoint, address-sorted runs.
-///
-/// Replaying the checkpoint's entries and then every committed record
-/// with `ts > watermark` recovers the same image as replaying the full
-/// log — which is what bounds replay cost by data since the checkpoint
-/// instead of total log size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointRecord {
-    /// Every committed record with `ts <= watermark` is folded into this
-    /// checkpoint; records above it must still be replayed.
-    pub watermark: u64,
-    /// Snapshot runs: disjoint address ranges, sorted ascending by `addr`.
-    pub entries: Vec<LogEntry>,
-}
-
-impl CheckpointRecord {
-    /// Total payload bytes the entries encode to.
-    pub fn payload_len(&self) -> usize {
-        self.entries.iter().map(|e| ENTRY_HDR + e.value.len()).sum()
-    }
-}
-
-/// Encodes a full checkpoint record (header + entry payload). The
-/// checksum covers `payload || len || watermark` via [`record_checksum`]
-/// (the watermark rides in the timestamp seat), so a torn checkpoint is
+/// Encodes a checkpoint record around `payload` — its snapshot runs
+/// (disjoint, address-sorted, the last-writer-wins state of every record
+/// with commit timestamp `<= watermark`), already encoded back to back as
+/// entries: `magic | watermark | len | checksum | payload`. The checksum
+/// covers `payload || len || watermark` via [`record_checksum`] (the
+/// watermark rides in the timestamp seat), so a torn checkpoint is
 /// rejected exactly like a torn transaction record.
-pub fn encode_checkpoint(ckpt: &CheckpointRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(ckpt.payload_len());
-    for e in &ckpt.entries {
-        push_entry(&mut payload, e.addr, &e.value);
-    }
+pub(crate) fn encode_checkpoint(watermark: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(CKPT_HDR + payload.len());
     out.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&ckpt.watermark.to_le_bytes());
+    out.extend_from_slice(&watermark.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record_checksum(ckpt.watermark, &payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&record_checksum(watermark, payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
@@ -537,18 +511,6 @@ pub(crate) fn read_checkpoint<S: ByteSource>(
     let cksum = u64::from_le_bytes(hdr[20..28].try_into().expect("8 bytes"));
     let mut payload = vec![0u8; len];
     reader.read_payload(&mut payload, watermark, cksum).then_some((watermark, payload))
-}
-
-/// Parses the checkpoint record stored in the block chain at `head` into
-/// its owned form; `None` in the torn-checkpoint cases, where recovery
-/// falls back to a full log replay.
-pub fn parse_checkpoint<S: ByteSource>(
-    src: &S,
-    head: usize,
-    block_bytes: usize,
-) -> Option<CheckpointRecord> {
-    let (watermark, payload) = read_checkpoint(src, head, block_bytes)?;
-    Some(CheckpointRecord { watermark, entries: Entries::new(&payload).into_owned() })
 }
 
 /// The device a log chain lives on, as the record protocol sees it: the
@@ -991,26 +953,35 @@ mod tests {
         assert_eq!(b1, b2);
     }
 
+    /// A checkpoint payload holding `runs`, encoded as entries.
+    fn ckpt_payload(runs: &[LogEntry]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for e in runs {
+            push_entry(&mut payload, e.addr, &e.value);
+        }
+        payload
+    }
+
     #[test]
     fn checkpoint_roundtrips_across_blocks() {
         let mut pool = pool();
         let mut free = Vec::new();
         let mut dirty = Vec::new();
         let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
-        let ckpt = CheckpointRecord {
-            watermark: 42,
-            entries: vec![
-                LogEntry { addr: 0x100, value: vec![7u8; 3 * BB] },
-                LogEntry { addr: 0x500, value: vec![9u8; 5] },
-            ],
-        };
+        let runs = vec![
+            LogEntry { addr: 0x100, value: vec![7u8; 3 * BB] },
+            LogEntry { addr: 0x500, value: vec![9u8; 5] },
+        ];
         area.append(
             &mut PoolStore::new(&mut pool, &mut free),
-            &encode_checkpoint(&ckpt),
+            &encode_checkpoint(42, &ckpt_payload(&runs)),
             &mut dirty,
         );
-        let back = parse_checkpoint(pool.device(), area.head(), BB).expect("checkpoint parses");
-        assert_eq!(back, ckpt);
+        let (watermark, payload) =
+            read_checkpoint(pool.device(), area.head(), BB).expect("checkpoint parses");
+        assert_eq!(watermark, 42);
+        assert_eq!(payload, ckpt_payload(&runs));
+        assert_eq!(Entries::new(&payload).into_owned(), runs);
     }
 
     #[test]
@@ -1019,25 +990,23 @@ mod tests {
         let mut free = Vec::new();
         let mut dirty = Vec::new();
         let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
-        let ckpt = CheckpointRecord {
-            watermark: 7,
-            entries: vec![LogEntry { addr: 0x40, value: vec![1, 2, 3, 4] }],
-        };
+        let runs = [LogEntry { addr: 0x40, value: vec![1, 2, 3, 4] }];
         area.append(
             &mut PoolStore::new(&mut pool, &mut free),
-            &encode_checkpoint(&ckpt),
+            &encode_checkpoint(7, &ckpt_payload(&runs)),
             &mut dirty,
         );
+        assert!(read_checkpoint(pool.device(), area.head(), BB).is_some(), "intact as written");
         // Corrupt one payload byte: the checksum must reject the record.
         let addr = area.head() + BLOCK_HDR + CKPT_HDR + ENTRY_HDR + 1;
         pool.device_mut().write(addr, &[0xFF]);
-        assert!(parse_checkpoint(pool.device(), area.head(), BB).is_none());
+        assert!(read_checkpoint(pool.device(), area.head(), BB).is_none());
         // A wrong magic (e.g. a transaction record in the slot) is rejected.
         let mut area2 = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
         append_record(&mut area2, &mut pool, &mut free, &rec(1, 0x40, &[1; 4]));
-        assert!(parse_checkpoint(pool.device(), area2.head(), BB).is_none());
+        assert!(read_checkpoint(pool.device(), area2.head(), BB).is_none());
         // Empty head.
-        assert!(parse_checkpoint(pool.device(), 0, BB).is_none());
+        assert!(read_checkpoint(pool.device(), 0, BB).is_none());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Post-crash recovery for software SpecPMT.
 //!
-//! The reference path is intentionally simple (Section 3.1): walk every
-//! thread's log chain from its persistent head pointer, keep only
-//! checksum-valid (= committed) records, then replay all entries across
-//! threads in commit timestamp order. Replaying effectively:
+//! What recovery must do is simple (Section 3.1): walk every thread's log
+//! chain from its persistent head pointer, keep only checksum-valid
+//! (= committed) records, then replay all entries across threads in commit
+//! timestamp order. Replaying effectively:
 //!
 //! * **redoes** committed transactions whose in-place data writes never
 //!   reached PM (the speculative log holds the committed values), and
@@ -13,24 +13,23 @@
 //! Unreclaimed stale records may replay too; they are overwritten by
 //! fresher records later in the order, which is harmless.
 //!
-//! Both paths read a chain through the one streaming parser
-//! ([`crate::record`]'s `RecordReader`) into a single buffer of records
-//! encoded back to back, and replay borrowed entries out of it: a recovery
-//! allocates per chain, never per record or entry, so neither its time nor
-//! what it leaves behind in the allocator grows with the record count.
-//! Only [`committed_records`] — the API for tools and tests — materialises
-//! owned [`LogRecord`]s.
+//! [`recover_image`] is that paragraph as code and is **the reference**:
+//! tests, `crashsmoke` (on every enumerated crash image) and `benchmark/`
+//! compare against it, and nothing in production calls it. Every
+//! runtime's `recover` runs the engine, [`recover_image_opts`].
 //!
-//! # The fast path
+//! Both read a chain through the one streaming parser ([`crate::record`]'s
+//! `RecordReader`) into a single buffer of records encoded back to back,
+//! one chain after another on the calling thread, and replay borrowed
+//! entries out of it: a recovery allocates per chain, never per record or
+//! entry. Only [`committed_records`] — the API for tools and tests —
+//! materialises owned [`LogRecord`]s.
+//!
+//! # The engine
 //!
 //! [`recover_image_opts`] produces a **bit-identical** image to the
-//! reference replay, faster, via three independent levers:
+//! reference, with less work, via three levers:
 //!
-//! * **Parallel chain parsing** — the record checksum doubles as the
-//!   commit flag and is validated per chain, so each chain parses on its
-//!   own OS thread ([`RecoveryOptions::parse_threads`]); chains are
-//!   assigned round-robin by index, which keeps the partition (and the
-//!   reported parse makespan) deterministic.
 //! * **Timestamp merge with a deterministic tie-break** — a chain's
 //!   records are already timestamp-sorted (a chain's timestamps are issued
 //!   in append order from the global counter), so a k-way merge on the
@@ -39,17 +38,22 @@
 //!   sorts by `ts`, which leaves equal timestamps in ascending chain
 //!   order. See [`committed_records`] for the tie-break contract.
 //! * **Last-writer-wins replay** — the merged sequence is applied in
-//!   *reverse* with a byte-claim bitmap: a byte is written by the last
-//!   record that touches it and every superseded (stale) store is skipped
-//!   instead of copied. Same final image, bytes written once.
+//!   *reverse* with a byte-claim bitmap (`fold_last_writer_wins`): a byte
+//!   is written by the last record that touches it and every superseded
+//!   (stale) store is skipped instead of copied. Same final image, bytes
+//!   written once.
+//! * **A checkpoint** (written by `SpecSpmtShared::write_checkpoint`
+//!   through the same fold, head persisted in the layout descriptor)
+//!   bounds how much log must replay at all: it snapshots the
+//!   last-writer-wins state of every record with `ts <= watermark`, so
+//!   recovery replays the checkpoint's runs plus only the records above
+//!   the watermark. A torn or unparsable checkpoint silently degrades to
+//!   the full replay — the checkpoint is purely redundant state.
 //!
-//! A [`CheckpointRecord`](crate::record::CheckpointRecord) (written by
-//! `SpecSpmtShared::write_checkpoint`, head persisted in the layout
-//! descriptor) bounds how much log must replay at all: it snapshots the
-//! last-writer-wins state of every record with `ts <= watermark`, so
-//! recovery replays the checkpoint's runs plus only the records above the
-//! watermark. A torn or unparsable checkpoint silently degrades to the
-//! full replay — the checkpoint is purely redundant state.
+//! Chains verify independently, so [`RecoveryReport::sim_ns`] models a
+//! parse [`RecoveryOptions::parse_threads`] wide. The host parse is
+//! serial: a threaded one was measured at three image sizes and never
+//! reached the 1.5× that would have kept it (EXPERIMENTS.md).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -63,7 +67,7 @@ use specpmt_telemetry::{JsonWriter, StatExport};
 use crate::layout::PoolLayout;
 use crate::record::{
     encoded_records, in_bounds, parse_chain, read_chain_encoded, read_checkpoint, Entries,
-    EntryRef, LogRecord, RecordRef,
+    EntryRef, LogRecord, RecordReader, RecordRef,
 };
 
 /// Parses every thread's committed records from a crash image.
@@ -79,7 +83,7 @@ use crate::record::{
 /// whose timestamps come from a global atomic counter — but possible
 /// across independently-written pools or hand-built images) are ordered
 /// by **ascending chain index, then chain position**: chains are scanned
-/// in `tid` order and the sort is stable. The parallel merge in
+/// in `tid` order and the sort is stable. The k-way merge in
 /// [`recover_image_opts`] reproduces this order bit-identically by
 /// merging on the key `(ts, chain index)` — within one chain equal
 /// timestamps keep append order. Recovery's final image depends on this
@@ -101,8 +105,11 @@ pub fn committed_records(image: &CrashImage) -> Vec<LogRecord> {
 }
 
 /// Repairs `image` in place by replaying all committed records in
-/// timestamp order — the serial reference path. [`recover_image_opts`]
-/// must (and is tested to) produce a bit-identical image.
+/// timestamp order — **the reference**, not a production path: the
+/// executable statement of what recovery means, which
+/// [`recover_image_opts`] must (and, on every enumerated crash image, is
+/// tested to) reproduce bit for bit. Called by tests, by
+/// `crashsmoke::recover_and_check_equivalence` and by `benchmark/` only.
 ///
 /// Same order as [`committed_records`] (chains in `tid` order, stable sort
 /// by timestamp), over the records as the chains store them: nothing is
@@ -128,8 +135,13 @@ pub fn recover_image(image: &mut CrashImage) {
 /// Tuning for [`recover_image_opts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
-    /// OS threads parsing log chains (clamped to `1..=chains`). 1 parses
-    /// inline on the calling thread.
+    /// Width of the *modelled* parse phase (clamped to `1..=chains`): the
+    /// busiest of that many round-robin workers is what
+    /// [`RecoveryReport::sim_ns`] charges
+    /// ([`RecoveryReport::parse_makespan_bytes`]). A parameter of the cost
+    /// model and nothing else — the host reads the chains one after
+    /// another on the calling thread whatever it says, and the image and
+    /// every other report field do not depend on it.
     pub parse_threads: usize,
     /// Honour a persisted checkpoint record (skip records at or below its
     /// watermark). Off forces the full replay even when a checkpoint
@@ -144,7 +156,8 @@ impl Default for RecoveryOptions {
 }
 
 impl RecoveryOptions {
-    /// Options with `parse_threads` workers and the checkpoint honoured.
+    /// Options with a `parse_threads`-wide modelled parse and the
+    /// checkpoint honoured.
     #[must_use]
     pub fn parallel(parse_threads: usize) -> Self {
         Self { parse_threads, use_checkpoint: true }
@@ -158,15 +171,17 @@ impl RecoveryOptions {
     }
 }
 
-/// What a [`recover_image_opts`] run did — the recovery bench's raw
-/// material and the source of the deterministic `recovery_sim_ns_*` keys.
+/// What a [`recover_image_opts`] run did — the raw material of
+/// `benchmark/`'s `recovery` workload and the source of the deterministic
+/// time-to-recover goldens in `tests/recovery.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Chain slots the layout exposed (registration-table capacity).
+    /// Chain slots the layout exposed (the thread count the pool was
+    /// formatted with; 8 on a legacy pool).
     pub chains: usize,
     /// Chains that actually held committed records.
     pub chains_nonempty: usize,
-    /// Parse workers used (after clamping).
+    /// Modelled parse width (after clamping).
     pub parse_threads: usize,
     /// Committed records parsed across all chains.
     pub records_parsed: usize,
@@ -192,15 +207,16 @@ pub struct RecoveryReport {
     pub checkpoint_entries: usize,
 }
 
-/// Deterministic cost model for the simulated `recovery_sim_ns_*` keys:
-/// fixed restart overhead, parse cost on the critical path (the slowest
-/// worker), a per-record merge-and-apply step for every record that
-/// enters the replay, a much cheaper timestamp-compare visit for records
-/// a checkpoint lets replay skip, and per-byte store cost. The constants
-/// are calibrated to the same order of magnitude as the simulated device
-/// (≈1 ns/byte streaming reads, ≈100 ns of heap work per record) — their
-/// exact values matter less than their determinism: the perf gate
-/// compares them at the tight 5% tier across hosts.
+/// Deterministic cost model for the simulated time-to-recover: fixed
+/// restart overhead, parse cost on the critical path (the slowest
+/// modelled worker), a per-record merge-and-apply step for every record
+/// that enters the replay, a much cheaper timestamp-compare visit for
+/// records a checkpoint lets replay skip, and per-byte store cost. The
+/// constants are calibrated to the same order of magnitude as the
+/// simulated device (≈1 ns/byte streaming reads, ≈100 ns of heap work per
+/// record) — their exact values matter less than their determinism:
+/// `tests/recovery.rs` pins the results as exact goldens and
+/// `benchmark/` reports them as the bit-identical `sim_ns_per_op`.
 const SIM_FIXED_NS: u64 = 2_000;
 const SIM_PARSE_NS_PER_BYTE: u64 = 2;
 const SIM_MERGE_NS_PER_RECORD: u64 = 120;
@@ -209,7 +225,7 @@ const SIM_REPLAY_NS_PER_BYTE: u64 = 4;
 
 impl RecoveryReport {
     /// Simulated time-to-recover in nanoseconds under the model above.
-    /// Parse parallelism shows up through [`Self::parse_makespan_bytes`];
+    /// The modelled parse width shows up through [`Self::parse_makespan_bytes`];
     /// the checkpoint bound shows up through the merge term moving from
     /// every parsed record to only [`Self::records_replayed`] (skipped
     /// records pay just the watermark compare).
@@ -229,58 +245,15 @@ impl RecoveryReport {
     }
 }
 
-/// Per-chain parse results, in chain-index order.
-struct ParsedChains {
-    /// Each chain's committed records, encoded back to back as the chain
-    /// stores them (see [`encoded_records`]); empty for an empty chain.
-    encoded: Vec<Vec<u8>>,
-    makespan: u64,
-}
-
-/// Parses every chain, `threads`-wide with a deterministic round-robin
-/// partition (worker `w` owns chains `w, w + threads, ...`).
-fn parse_chains(image: &CrashImage, layout: &PoolLayout, threads: usize) -> ParsedChains {
-    let heads: Vec<usize> = (0..layout.threads()).map(|tid| layout.head(image, tid)).collect();
-    let block_bytes = layout.block_bytes();
-    let workers = threads.clamp(1, heads.len().max(1));
-    let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(heads.len());
-    if workers <= 1 {
-        for &head in &heads {
-            encoded.push(read_chain_encoded(image, head, block_bytes));
-        }
-    } else {
-        encoded.resize_with(heads.len(), Vec::new);
-        std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let heads = &heads;
-                joins.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut idx = w;
-                    while idx < heads.len() {
-                        if heads[idx] != 0 {
-                            out.push((idx, read_chain_encoded(image, heads[idx], block_bytes)));
-                        }
-                        idx += workers;
-                    }
-                    out
-                }));
-            }
-            for j in joins {
-                for (idx, recs) in j.join().expect("chain parse worker panicked") {
-                    encoded[idx] = recs;
-                }
-            }
-        });
-    }
-    // The deterministic makespan of the round-robin partition: the busiest
-    // worker's byte total (what the parse phase's wall clock tracks).
+/// What parsing `chains` costs `workers` wide: the byte total of the
+/// busiest worker under the deterministic round-robin partition (worker
+/// `w` owns chains `w, w + workers, ...`).
+fn parse_makespan(chains: &[Vec<u8>], workers: usize) -> u64 {
     let mut per_worker = vec![0u64; workers];
-    for (idx, chain) in encoded.iter().enumerate() {
+    for (idx, chain) in chains.iter().enumerate() {
         per_worker[idx % workers] += chain.len() as u64;
     }
-    let makespan = per_worker.into_iter().max().unwrap_or(0);
-    ParsedChains { encoded, makespan }
+    per_worker.into_iter().max().unwrap_or(0)
 }
 
 /// K-way merge of per-chain record lists on the key `(ts, chain index)` —
@@ -307,9 +280,10 @@ fn merge_chains(chains: &[Vec<u8>]) -> impl Iterator<Item = RecordRef<'_>> {
     })
 }
 
-/// Repairs `image` in place — same result as [`recover_image`], computed
-/// with parallel chain parsing, a checkpoint-bounded record set, and
-/// last-writer-wins byte resolution. Returns the work report.
+/// Repairs `image` in place — the one production replay: same result as
+/// [`recover_image`], computed with a `(ts, chain)` merge, a
+/// checkpoint-bounded record set, and last-writer-wins byte resolution.
+/// Returns the work report.
 pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> RecoveryReport {
     let mut report =
         RecoveryReport { parse_threads: opts.parse_threads.max(1), ..RecoveryReport::default() };
@@ -319,35 +293,36 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
     report.chains = layout.threads();
 
     // Checkpoint first: a torn/unparsable record degrades to full replay.
-    let ckpt: Option<(u64, Vec<u8>)> = if opts.use_checkpoint {
-        let head = layout.ckpt_head(image);
-        read_checkpoint(image, head, layout.block_bytes())
+    let ckpt = if opts.use_checkpoint {
+        read_checkpoint(image, layout.ckpt_head(image), layout.block_bytes())
     } else {
         None
     };
 
-    let parsed = parse_chains(image, &layout, opts.parse_threads);
+    // Each chain's committed records, encoded back to back, read one chain
+    // after another on this thread; the width only prices the parse.
+    let chains: Vec<Vec<u8>> = (0..layout.threads())
+        .map(|tid| read_chain_encoded(image, layout.head(image, tid), layout.block_bytes()))
+        .collect();
     report.parse_threads = opts.parse_threads.clamp(1, layout.threads().max(1));
-    report.chains_nonempty = parsed.encoded.iter().filter(|c| !c.is_empty()).count();
-    report.bytes_parsed = parsed.encoded.iter().map(|c| c.len() as u64).sum();
-    report.parse_makespan_bytes = parsed.makespan;
+    report.chains_nonempty = chains.iter().filter(|c| !c.is_empty()).count();
+    report.bytes_parsed = chains.iter().map(|c| c.len() as u64).sum();
+    report.parse_makespan_bytes = parse_makespan(&chains, report.parse_threads);
 
     // Forward replay order: checkpoint runs (anything else supersedes
     // them), then every record above the watermark. Records at or below
     // it are exactly what the checkpoint folded in, so they are skipped
     // wholesale.
     let mut forward: Vec<EntryRef> = Vec::new();
-    let mut watermark = 0;
     if let Some((mark, payload)) = &ckpt {
         report.checkpoint_used = true;
         report.checkpoint_watermark = *mark;
-        watermark = *mark;
         forward.extend(Entries::new(payload));
         report.checkpoint_entries = forward.len();
     }
-    for rec in merge_chains(&parsed.encoded) {
+    for rec in merge_chains(&chains) {
         report.records_parsed += 1;
-        if report.checkpoint_used && rec.ts <= watermark {
+        if report.checkpoint_used && rec.ts <= report.checkpoint_watermark {
             report.records_skipped_checkpoint += 1;
             continue;
         }
@@ -355,42 +330,55 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
         forward.extend(rec.entries());
     }
 
-    // Last-writer-wins: walk the forward order in reverse, claim bytes in
-    // a bitmap, store only bytes nobody later (in forward order) wrote.
-    // This reproduces "last store wins" without writing any byte twice.
-    // The reference path drops any entry that does not fit the image, so
-    // the same bounds check is applied *before* claiming.
-    let mut claimed = vec![0u64; image.len().div_ceil(64)];
+    (report.bytes_replayed, report.bytes_skipped_stale) =
+        fold_last_writer_wins(&forward, image.len(), |addr, bytes| image.write_bytes(addr, bytes));
+    report
+}
+
+/// The one last-writer-wins resolution, shared by replay and by
+/// `SpecSpmtShared::write_checkpoint`: walks `forward` (entries in replay
+/// order, oldest first) in reverse, claims bytes of the `size`-byte pool
+/// in a bitmap, and hands `emit` every run of bytes no later entry wrote —
+/// each byte at most once, runs disjoint, in no address order. The
+/// reference replay drops any entry that does not fit the image, so the
+/// same bounds check is applied *before* claiming.
+///
+/// Returns `(bytes emitted, entry bytes skipped as stale)`.
+pub(crate) fn fold_last_writer_wins<'a>(
+    forward: &[EntryRef<'a>],
+    size: usize,
+    mut emit: impl FnMut(usize, &'a [u8]),
+) -> (u64, u64) {
+    let (mut emitted, mut stale) = (0u64, 0u64);
+    let mut emit = |addr: usize, bytes: &'a [u8]| {
+        emitted += bytes.len() as u64;
+        emit(addr, bytes);
+    };
+    let mut claimed = vec![0u64; size.div_ceil(64)];
     for e in forward.iter().rev() {
-        if e.value.is_empty() || !in_bounds(e.addr, e.value.len(), image.len()) {
+        if e.value.is_empty() || !in_bounds(e.addr, e.value.len(), size) {
             continue;
         }
-        // Claim-and-write per byte; runs of unclaimed bytes are written in
-        // one store to keep the common (no-overlap) case cheap.
+        // Claim per byte; runs of unclaimed bytes are emitted in one piece
+        // to keep the common (no-overlap) case cheap.
         let mut run_start: Option<usize> = None;
         for i in 0..e.value.len() {
-            let addr = e.addr + i;
-            let (word, bit) = (addr / 64, addr % 64);
-            let fresh = claimed[word] & (1 << bit) == 0;
-            if fresh {
+            let (word, bit) = ((e.addr + i) / 64, (e.addr + i) % 64);
+            if claimed[word] & (1 << bit) == 0 {
                 claimed[word] |= 1 << bit;
-                if run_start.is_none() {
-                    run_start = Some(i);
-                }
-            } else if let Some(s) = run_start.take() {
-                image.write_bytes(e.addr + s, &e.value[s..i]);
-                report.bytes_replayed += (i - s) as u64;
+                run_start.get_or_insert(i);
+                continue;
             }
-            if !fresh {
-                report.bytes_skipped_stale += 1;
+            stale += 1;
+            if let Some(s) = run_start.take() {
+                emit(e.addr + s, &e.value[s..i]);
             }
         }
-        if let Some(s) = run_start.take() {
-            image.write_bytes(e.addr + s, &e.value[s..]);
-            report.bytes_replayed += (e.value.len() - s) as u64;
+        if let Some(s) = run_start {
+            emit(e.addr + s, &e.value[s..]);
         }
     }
-    report
+    (emitted, stale)
 }
 
 /// A persisted commit *receipt* whose commit timestamp exceeds every
@@ -677,7 +665,11 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
 
     // The durability frontier, from the image's own log: receipts may
     // lawfully lag it (they persist lazily) but never lead it.
-    rep.max_committed_record_ts = committed_records(image).last().map_or(0, |r| r.ts);
+    let chain_max_ts = |tid| {
+        let mut reader = RecordReader::new(image, layout.head(image, tid), layout.block_bytes());
+        std::iter::from_fn(|| reader.next().map(|rec| rec.ts)).max()
+    };
+    rep.max_committed_record_ts = (0..layout.threads()).filter_map(chain_max_ts).max().unwrap_or(0);
     rep.checkpoint_watermark =
         read_checkpoint(image, layout.ckpt_head(image), layout.block_bytes())
             .map_or(0, |(watermark, _)| watermark);
@@ -762,33 +754,14 @@ mod tests {
         assert_eq!(img2, before);
     }
 
-    /// Both paths replay the chains as stored; the owned parse of
-    /// [`committed_records`], replayed entry by entry, is what they must
-    /// reproduce — image and byte counts alike.
+    /// The reference and the engine replay the chains as stored; the owned
+    /// parse of [`committed_records`], replayed entry by entry, is what
+    /// they must reproduce — image and byte counts alike.
     #[test]
     fn both_paths_agree_with_a_replay_of_the_owned_records() {
         use crate::record::REC_HDR;
-        use crate::{ConcurrentConfig, SpecSpmtShared};
-        use specpmt_pmem::{CrashPolicy, PmemConfig, SharedPmemDevice};
-        let dev = SharedPmemDevice::new(PmemConfig::new(1 << 20));
-        let cfg = ConcurrentConfig::builder().threads(3).reclaim_threshold_bytes(usize::MAX);
-        let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg.build());
-        let base = shared.pool().alloc_direct(512, 64).expect("alloc");
-        let mut handles: Vec<_> = (0..3).map(|t| shared.tx_handle(t)).collect();
-        for round in 0..40usize {
-            if round == 25 {
-                shared.write_checkpoint().expect("every chain has committed");
-            }
-            for (t, h) in handles.iter_mut().enumerate() {
-                h.begin();
-                // Overlapping, unaligned stores shared by all chains.
-                let v = [(round * 3 + t) as u8; 24];
-                h.write(base + (round % 7) * 13 + t * 5, &v[..8 + (round + t) % 17]);
-                h.write(base + 256 + (round % 5) * 8, &v[..8]);
-                h.commit();
-            }
-        }
-        let img = dev.capture(CrashPolicy::AllLost);
+        let (shared, _) = crate::concurrent::tests::overlapping_three_chain_history(25);
+        let img = shared.device().capture(specpmt_pmem::CrashPolicy::AllLost);
         let records = committed_records(&img);
         let mut want = img.clone();
         for e in records.iter().flat_map(|r| &r.entries) {
@@ -796,9 +769,9 @@ mod tests {
         }
         assert!(want != img, "recovery has something to repair");
 
-        let mut serial = img.clone();
-        recover_image(&mut serial);
-        assert!(serial == want, "serial path");
+        let mut reference = img.clone();
+        recover_image(&mut reference);
+        assert!(reference == want, "the reference");
         let log_bytes: usize = records.iter().map(|r| REC_HDR + r.payload_len()).sum();
         for opts in [
             RecoveryOptions::default(),

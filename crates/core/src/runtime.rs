@@ -431,7 +431,7 @@ impl TxRuntime for SpecSpmt {
 
 impl Recover for SpecSpmt {
     fn recover(image: &mut CrashImage) {
-        recovery::recover_image(image);
+        recovery::recover_image_opts(image, &recovery::RecoveryOptions::default());
     }
 }
 

@@ -282,7 +282,7 @@ impl Recover for Hoop {
     fn recover(image: &mut CrashImage) {
         // Same chain layout as the speculative log: committed redo records
         // replay in timestamp order over possibly-stale home locations.
-        recovery::recover_image(image);
+        recovery::recover_image_opts(image, &recovery::RecoveryOptions::default());
     }
 }
 

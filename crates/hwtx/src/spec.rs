@@ -546,7 +546,7 @@ impl Recover for HwSpecPmt {
     fn recover(image: &mut CrashImage) {
         // Committed speculative records (all epoch chains) in timestamp
         // order, then roll back the interrupted transaction's cold writes.
-        recovery::recover_image(image);
+        recovery::recover_image_opts(image, &recovery::RecoveryOptions::default());
         UndoLog::recover(image);
     }
 }

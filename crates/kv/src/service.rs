@@ -193,11 +193,10 @@ impl KvShard {
     }
 
     /// Recovers a captured crash image of this shard through the
-    /// parallel, checkpoint-bounded engine (parse threads capped at 4 —
-    /// a shard rarely carries more chains than its worker quota), and
-    /// returns the report so callers can assert on replay shape.
+    /// checkpoint-bounded engine, and returns the report so callers can
+    /// assert on replay shape.
     pub fn recover_image(&self, img: &mut CrashImage) -> RecoveryReport {
-        SpecSpmtShared::recover_opts(img, &RecoveryOptions::parallel(4))
+        SpecSpmtShared::recover_opts(img, &RecoveryOptions::default())
     }
 
     /// Worst observable tail of this shard right now: the max of the

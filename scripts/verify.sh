@@ -283,4 +283,36 @@ inspectors=$(find . -name log_inspect.rs -not -path '*/target/*')
 [ "$(wc -l <<<"$inspectors")" -le 1 ] ||
     { echo "more than one log_inspect example:" $inspectors >&2; exit 1; }
 
+# The paths that lost stay deleted: chains are registered once, at format
+# time; recovery parses on the calling thread (`parse_threads` is the cost
+# model's width); the checkpoint has no owned form and is folded by
+# recovery's own last-writer-wins walk, not through a per-byte map; and
+# the forward stable-sort replay is the reference that tests, crashsmoke
+# and benchmark/ compare the engine with — nothing in production calls it
+# (`kv::Shard::recover_image` is a method, not this function). History
+# files are not searched; the patterns do not match their own line.
+if grep -rnE 'register_[t]hread|grow_[s]hared|registered_[t]hreads|fn [d]etach' \
+    crates src tests examples README.md DESIGN.md; then
+    echo "dynamic thread registration is back (format the runtime with its thread count)" >&2
+    exit 1
+fi
+if grep -nE 'thread::(s[c]ope|s[p]awn)' crates/core/src/recovery.rs; then
+    echo "recovery spawns a thread again (the measured parse never paid for one)" >&2
+    exit 1
+fi
+if grep -rnE 'Checkpoint[R]ecord|parse_[c]heckpoint' crates src tests examples; then
+    echo "the owned checkpoint form is back (read_checkpoint + Entries decode it)" >&2
+    exit 1
+fi
+if nontest crates/core/src/concurrent.rs | grep -nE 'BTree[M]ap|Rw[L]ock'; then
+    echo "concurrent.rs folds through a map or locks its slot list again" >&2
+    exit 1
+fi
+for f in $(find crates -path '*/src/*' -name '*.rs' ! -path 'crates/core/src/crashsmoke.rs'); do
+    hits=$(nontest "$f" | grep -nE 'recovery::recover_[i]mage\(' || true)
+    [ -z "$hits" ] ||
+        { echo "$f calls the reference replay from production code:" >&2
+          echo "$hits (call recover_image_opts)" >&2; exit 1; }
+done
+
 echo "verify: OK"

@@ -1,18 +1,27 @@
 //! Recovery boundary contracts through the facade: the documented
 //! equal-timestamp tie-break, legacy (non-descriptor) pools through the
-//! new parallel engine, torn-checkpoint fallback to full replay, chains
-//! created by dynamic thread registration, a checksum-valid entry whose
-//! address range wraps — and the exact simulated time-to-recover of one
-//! deterministic 32-chain image (the cost model's goldens).
+//! engine, torn-checkpoint fallback to full replay, a checksum-valid entry
+//! whose address range wraps — and the exact simulated time-to-recover of
+//! one deterministic 32-chain image (the cost model's goldens). Wherever
+//! an image is compared, the other side is the reference replay,
+//! `recovery::recover_image`, never the engine under another option.
 
 use specpmt::core::layout::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
 use specpmt::core::record::{encode_record, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR};
+use specpmt::core::recovery::recover_image;
 use specpmt::core::{
     recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecSpmtShared,
 };
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SharedPmemDevice,
 };
+
+/// A clone of `img` repaired by the reference replay.
+fn reference_of(img: &CrashImage) -> CrashImage {
+    let mut clone = img.clone();
+    recover_image(&mut clone);
+    clone
+}
 
 /// Recovers a clone of `img` under `opts` and returns (report, image).
 fn recover_clone(
@@ -84,28 +93,24 @@ fn legacy_equal_ts_image() -> (CrashImage, usize, usize) {
 
 /// Equal commit timestamps resolve by ascending chain index, then chain
 /// position — the contract `committed_records` documents — and the
-/// parallel merge reproduces the serial order bit-identically.
+/// engine's `(ts, chain)` merge reproduces the reference's stable sort
+/// bit-identically.
 #[test]
 fn equal_timestamp_tie_break_is_chain_index_then_position() {
     let (img, shared_addr, pos_addr) = legacy_equal_ts_image();
 
-    let (serial_rep, serial_img) = recover_clone(&img, &RecoveryOptions::default());
-    assert_eq!(serial_rep.chains_nonempty, 2);
-    assert_eq!(serial_rep.records_parsed, 3);
-    assert!(!serial_rep.checkpoint_used, "legacy pools have no checkpoint");
     // Chain 1 beats chain 0 at equal ts; within chain 0 the later record
     // beats the earlier one.
-    assert_eq!(serial_img.read_u64(shared_addr), 0xAA01);
-    assert_eq!(serial_img.read_u64(pos_addr), 0xBB01);
+    let reference = reference_of(&img);
+    assert_eq!(reference.read_u64(shared_addr), 0xAA01);
+    assert_eq!(reference.read_u64(pos_addr), 0xBB01);
 
-    for parse_threads in [2, 8] {
-        let (rep, par_img) = recover_clone(&img, &RecoveryOptions::parallel(parse_threads));
-        assert_eq!(
-            par_img, serial_img,
-            "parallel merge at {parse_threads} threads diverged from the serial tie-break order"
-        );
-        assert_eq!(rep.records_replayed, serial_rep.records_replayed);
-    }
+    let (rep, merged) = recover_clone(&img, &RecoveryOptions::default());
+    assert_eq!(rep.chains_nonempty, 2);
+    assert_eq!(rep.records_parsed, 3);
+    assert_eq!(rep.records_replayed, 3);
+    assert!(!rep.checkpoint_used, "legacy pools have no checkpoint");
+    assert_eq!(merged, reference, "the merge diverged from the reference tie-break order");
 }
 
 /// A committed record is only checksum-valid, not address-valid: an entry
@@ -132,20 +137,17 @@ fn entry_with_wrapping_address_is_skipped_not_replayed() {
     pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
     let img = pool.device().capture(CrashPolicy::AllSurvive);
 
-    let mut serial = img.clone();
-    specpmt::core::recovery::recover_image(&mut serial);
-    assert_eq!(serial.read_u64(good_addr), 0x600D, "the well-formed entry replays");
-    for opts in [RecoveryOptions::default(), RecoveryOptions::parallel(4)] {
-        let (rep, recovered) = recover_clone(&img, &opts);
-        assert_eq!(rep.records_parsed, 2);
-        assert_eq!(recovered, serial, "{opts:?} diverged from the reference path");
-    }
+    let reference = reference_of(&img);
+    assert_eq!(reference.read_u64(good_addr), 0x600D, "the well-formed entry replays");
+    let (rep, recovered) = recover_clone(&img, &RecoveryOptions::default());
+    assert_eq!(rep.records_parsed, 2);
+    assert_eq!(recovered, reference, "the engine diverged from the reference path");
     assert_eq!(specpmt::core::inspect_image(&img).total_records(), 2);
 }
 
-/// A legacy (non-descriptor) pool parses through the new engine: the
-/// fixed root-slot heads are honored and the report shows the legacy
-/// chain-slot geometry.
+/// A legacy (non-descriptor) pool parses through the engine: the fixed
+/// root-slot heads are honored and the report shows the legacy chain-slot
+/// geometry, whatever the modelled parse width.
 #[test]
 fn legacy_pool_recovers_through_the_parallel_engine() {
     let (img, shared_addr, _) = legacy_equal_ts_image();
@@ -188,8 +190,8 @@ fn checkpointed_image(threads: usize) -> (CrashImage, Vec<usize>) {
 }
 
 /// A torn checkpoint (corrupted checksum) must not be trusted: recovery
-/// falls back to full log replay, bit-identically between the serial and
-/// parallel paths, and still lands every committed value.
+/// falls back to full log replay, bit-identically to the reference, and
+/// still lands every committed value.
 #[test]
 fn torn_checkpoint_falls_back_to_full_replay() {
     let (img, slots) = checkpointed_image(32);
@@ -208,19 +210,17 @@ fn torn_checkpoint_falls_back_to_full_replay() {
     let sum_addr = head + BLOCK_HDR + 20;
     torn.write_u64(sum_addr, torn.read_u64(sum_addr) ^ 0xFFFF_FFFF);
 
-    let (serial_rep, serial_img) = recover_clone(&torn, &RecoveryOptions::default());
-    let (par_rep, par_img) = recover_clone(&torn, &RecoveryOptions::parallel(4));
-    assert!(!serial_rep.checkpoint_used, "torn checkpoint must be rejected");
-    assert!(!par_rep.checkpoint_used);
-    assert_eq!(par_rep.records_skipped_checkpoint, 0);
+    let (torn_rep, torn_img) = recover_clone(&torn, &RecoveryOptions::default());
+    assert!(!torn_rep.checkpoint_used, "torn checkpoint must be rejected");
+    assert_eq!(torn_rep.records_skipped_checkpoint, 0);
     assert!(
-        par_rep.records_replayed >= pristine_rep.records_replayed,
+        torn_rep.records_replayed >= pristine_rep.records_replayed,
         "fallback replays at least the checkpointed path's tail"
     );
-    assert_eq!(par_img, serial_img, "fallback paths diverged");
+    assert_eq!(torn_img, reference_of(&torn), "the fallback diverged from the reference");
     for (t, &slot) in slots.iter().enumerate() {
-        assert_eq!(par_img.read_u64(slot), pristine_img.read_u64(slot), "slot of thread {t}");
-        assert_eq!(par_img.read_u64(slot) & 0xFFFF_FFFF, 0xC0DE_0000 + t as u64);
+        assert_eq!(torn_img.read_u64(slot), pristine_img.read_u64(slot), "slot of thread {t}");
+        assert_eq!(torn_img.read_u64(slot) & 0xFFFF_FFFF, 0xC0DE_0000 + t as u64);
     }
 }
 
@@ -236,56 +236,7 @@ fn checkpoint_and_full_replay_agree_on_a_live_checkpoint() {
     assert!(ckpt_rep.checkpoint_used);
     assert!(ckpt_rep.records_replayed < full_rep.records_replayed);
     assert_eq!(full_img, ckpt_img);
-}
-
-/// Chains created by dynamic registration — including chains that forced
-/// descriptor growth past the formatted capacity, and a slot reused after
-/// detach — recover like statically configured ones.
-#[test]
-fn dynamically_registered_chains_recover_after_crash() {
-    let dev = SharedPmemDevice::new(PmemConfig::new(32 << 20));
-    let cfg = ConcurrentConfig::builder().threads(2).build();
-    let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
-
-    // Six dynamic threads against a 2-slot table: registration must grow
-    // the descriptor.
-    let mut slots = Vec::new();
-    let mut handles = Vec::new();
-    for t in 0..6u64 {
-        let slot = shared.pool().alloc_direct(8, 8).expect("alloc");
-        let mut h = shared.register_thread();
-        h.begin();
-        h.write(slot, &(0xD11D_0000 + t).to_le_bytes());
-        h.commit();
-        slots.push(slot);
-        handles.push(h);
-    }
-    // Two statically configured slots plus the six dynamic ones.
-    assert_eq!(shared.registered_threads(), 8);
-
-    // Detach one thread and re-register: the slot (and its chain) is
-    // reused, and the new owner's commit supersedes the old value.
-    handles.pop().expect("six handles").detach();
-    let mut reused = shared.register_thread();
-    assert_eq!(shared.registered_threads(), 8, "detached slot is reused, not re-grown");
-    reused.begin();
-    reused.write(slots[5], &0xD11D_0005_0000u64.to_le_bytes());
-    reused.commit();
-
-    shared.close();
-    let img = dev.capture(CrashPolicy::AllLost);
-    let layout = PoolLayout::read(&img).expect("grown pool parses");
-    assert!(layout.threads() >= 6, "descriptor grew to hold the dynamic chains");
-
-    let (serial_rep, serial_img) = recover_clone(&img, &RecoveryOptions::default());
-    let (par_rep, par_img) = recover_clone(&img, &RecoveryOptions::parallel(4));
-    assert_eq!(par_img, serial_img, "parallel recovery of dynamic chains diverged");
-    assert!(serial_rep.chains_nonempty >= 6);
-    assert_eq!(par_rep.records_replayed, serial_rep.records_replayed);
-    for (t, &slot) in slots.iter().take(5).enumerate() {
-        assert_eq!(par_img.read_u64(slot), 0xD11D_0000 + t as u64);
-    }
-    assert_eq!(par_img.read_u64(slots[5]), 0xD11D_0005_0000, "reused slot carries the last commit");
+    assert_eq!(ckpt_img, reference_of(&img), "both diverged from the reference");
 }
 
 /// Builds the time-to-recover image: 32 log chains of `rounds` committed
@@ -327,25 +278,39 @@ fn chain_image(rounds: usize, extra: usize) -> CrashImage {
 }
 
 /// The simulated time-to-recover of the 32-chain × 64-round image, exact:
-/// the parse term shrinks with the parse-thread count (chains parse
+/// the parse term shrinks with the modelled parse width (chains parse
 /// independently; the busiest worker's byte share is the makespan) and
 /// the checkpoint moves the merge term from every record to the tail.
-/// One extra record on one chain must move every number.
+/// One extra record on one chain must move every number. The width is a
+/// parameter of that model and of nothing else: the image, and every
+/// report field but the two that carry the width, are the same at any.
 #[test]
 fn recovery_sim_cost_matches_goldens() {
     const GOLDEN: [(usize, u64, u64); 3] =
         [(1, 518_096, 310_306), (8, 303_056, 95_266), (32, 280_016, 72_226)];
     let img = chain_image(64, 0);
     let dearer = chain_image(64, 1);
-    let (serial_rep, reference) = recover_clone(&img, &RecoveryOptions::default());
+    let reference = reference_of(&img);
+    let (serial_rep, _) = recover_clone(&img, &RecoveryOptions::default());
     assert_eq!(serial_rep.sim_ns(), GOLDEN[0].2, "the default entry is serial and checkpointed");
+    for width in [1, 2, 8, 32] {
+        let (rep, recovered) = recover_clone(&img, &RecoveryOptions::parallel(width));
+        assert_eq!(recovered, reference, "width {width} diverged from the reference");
+        assert_eq!(rep.parse_threads, width);
+        let widthless = specpmt::core::RecoveryReport {
+            parse_threads: serial_rep.parse_threads,
+            parse_makespan_bytes: serial_rep.parse_makespan_bytes,
+            ..rep
+        };
+        assert_eq!(widthless, serial_rep, "width {width} moved more than the modelled parse");
+    }
     for (threads, full_ns, ckpt_ns) in GOLDEN {
         let ckpt = RecoveryOptions::parallel(threads);
         for (opts, golden) in [(ckpt.without_checkpoint(), full_ns), (ckpt, ckpt_ns)] {
             let (rep, recovered) = recover_clone(&img, &opts);
             assert_eq!(rep.sim_ns(), golden, "{opts:?}");
             assert_eq!(rep.checkpoint_used, opts.use_checkpoint);
-            assert_eq!(recovered, reference, "{opts:?} diverged from the serial reference");
+            assert_eq!(recovered, reference, "{opts:?} diverged from the reference");
             assert_ne!(
                 recover_clone(&dearer, &opts).0.sim_ns(),
                 golden,
@@ -367,6 +332,7 @@ fn checkpointed_replay_cost_is_flat_in_log_size() {
         let (full_rep, full_img) = recover_clone(&img, &opts.without_checkpoint());
         let (ckpt_rep, ckpt_img) = recover_clone(&img, &opts);
         assert_eq!(full_img, ckpt_img, "{rounds} rounds");
+        assert_eq!(ckpt_img, reference_of(&img), "{rounds} rounds, against the reference");
         assert_eq!(ckpt_rep.replay_sim_ns(), CKPT_REPLAY_NS, "{rounds} rounds");
         assert!(full_rep.replay_sim_ns() > CKPT_REPLAY_NS, "{rounds} rounds");
         assert!(ckpt_rep.sim_ns() < full_rep.sim_ns(), "{rounds} rounds");
