@@ -37,6 +37,9 @@ pub struct SetAssocCache {
     ways: usize,
     lines: Vec<Option<LineState>>,
     tick: u64,
+    /// Slots whose LogBit [`Self::set_flags`] set since the last
+    /// [`Self::clear_logbits`] — what a commit has to clear.
+    logged_slots: Vec<usize>,
 }
 
 impl SetAssocCache {
@@ -47,7 +50,7 @@ impl SetAssocCache {
     /// Panics if `sets` or `ways` is zero.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "degenerate cache geometry");
-        Self { sets, ways, lines: vec![None; sets * ways], tick: 0 }
+        Self { sets, ways, lines: vec![None; sets * ways], tick: 0, logged_slots: Vec::new() }
     }
 
     fn set_of(&self, line_addr: usize) -> usize {
@@ -119,7 +122,10 @@ impl SetAssocCache {
             if let Some(l) = self.lines[i].as_mut() {
                 if l.addr == line_addr {
                     l.pbit |= pbit;
-                    l.logbit |= logbit;
+                    if logbit && !l.logbit {
+                        l.logbit = true;
+                        self.logged_slots.push(i);
+                    }
                     return;
                 }
             }
@@ -140,17 +146,15 @@ impl SetAssocCache {
     }
 
     /// Clears the LogBit of every resident line (transaction commit); PBits
-    /// are retained, as Section 5.1 specifies.
+    /// are retained, as Section 5.1 specifies. Walks only the slots
+    /// [`Self::set_flags`] set the bit in: a line filled into one of them
+    /// since (its predecessor was evicted) arrived with the bit clear.
     pub fn clear_logbits(&mut self) {
-        for l in self.lines.iter_mut().flatten() {
-            l.logbit = false;
+        for i in self.logged_slots.drain(..) {
+            if let Some(l) = self.lines[i].as_mut() {
+                l.logbit = false;
+            }
         }
-    }
-
-    /// Iterates over resident dirty lines with the LogBit set (the commit
-    /// scan).
-    pub fn dirty_logged_lines(&self) -> impl Iterator<Item = usize> + '_ {
-        self.lines.iter().flatten().filter(|l| l.dirty && l.logbit).map(|l| l.addr)
     }
 
     /// Marks a resident line clean (it was written back by policy code).
@@ -164,33 +168,6 @@ impl SetAssocCache {
                 }
             }
         }
-    }
-
-    /// Drains every resident dirty line (returning them) and marks the
-    /// cache clean — used for orderly shutdown / mode switches.
-    pub fn drain_dirty(&mut self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for l in self.lines.iter_mut().flatten() {
-            if l.dirty {
-                out.push(l.addr);
-                l.dirty = false;
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Resident dirty lines within a page.
-    pub fn dirty_lines_in_page(&self, page_start: usize, page_bytes: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .lines
-            .iter()
-            .flatten()
-            .filter(|l| l.dirty && l.addr >= page_start && l.addr < page_start + page_bytes)
-            .map(|l| l.addr)
-            .collect();
-        out.sort_unstable();
-        out
     }
 }
 
@@ -240,32 +217,22 @@ mod tests {
     }
 
     #[test]
-    fn commit_scan_finds_dirty_logged() {
-        let mut c = SetAssocCache::new(4, 2);
+    fn clear_logbits_reaches_every_set_bit_and_spares_successors() {
+        let mut c = SetAssocCache::new(2, 1);
         c.access(0, true);
         c.set_flags(0, false, true);
-        c.access(64, false); // clean
-        c.set_flags(64, false, true);
-        let lines: Vec<_> = c.dirty_logged_lines().collect();
-        assert_eq!(lines, vec![0]);
-    }
-
-    #[test]
-    fn drain_dirty_empties_and_sorts() {
-        let mut c = SetAssocCache::new(4, 2);
-        c.access(256, true);
-        c.access(0, true);
-        c.access(64, false);
-        assert_eq!(c.drain_dirty(), vec![0, 256]);
-        assert_eq!(c.drain_dirty(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn dirty_lines_in_page_filters() {
-        let mut c = SetAssocCache::new(64, 8);
-        c.access(4096, true);
-        c.access(4160, true);
-        c.access(8192, true);
-        assert_eq!(c.dirty_lines_in_page(4096, 4096), vec![4096, 4160]);
+        c.set_flags(0, false, true); // already set: remembered once
+        c.access(64, true);
+        c.set_flags(64, true, true);
+        // 128 evicts 0 from set 0 and arrives with the bit clear.
+        c.access(128, true);
+        assert_eq!(c.flags(128), Some((true, false, false)));
+        c.clear_logbits();
+        assert_eq!(c.flags(128), Some((true, false, false)));
+        assert_eq!(c.flags(64), Some((true, true, false)));
+        // Nothing is remembered across commits.
+        c.set_flags(128, false, true);
+        c.clear_logbits();
+        assert_eq!(c.flags(128), Some((true, false, false)));
     }
 }

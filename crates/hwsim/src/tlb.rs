@@ -157,33 +157,19 @@ impl TwoLevelTlb {
 
     /// The `clearepoch EID` instruction: flash-clears the EpochBit and
     /// counter of every entry (both levels) whose epoch matches `eid`.
-    /// Returns the pages cleared.
-    pub fn clear_epoch(&mut self, eid: u8) -> Vec<usize> {
-        let mut cleared = Vec::new();
+    /// Returns how many pages were cleared.
+    pub fn clear_epoch(&mut self, eid: u8) -> usize {
+        let mut cleared = 0;
         for level in [&mut self.l1, &mut self.l2] {
             for e in level.entries.iter_mut().flatten() {
                 if e.epoch_bit && e.cnt_or_eid == eid {
                     e.epoch_bit = false;
                     e.cnt_or_eid = 0;
-                    cleared.push(e.page);
+                    cleared += 1;
                 }
             }
         }
         cleared
-    }
-
-    /// All pages currently marked hot in a given epoch.
-    pub fn hot_pages(&self, eid: u8) -> Vec<usize> {
-        let mut out = Vec::new();
-        for level in [&self.l1, &self.l2] {
-            for e in level.entries.iter().flatten() {
-                if e.epoch_bit && e.cnt_or_eid == eid {
-                    out.push(e.page);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 }
 
@@ -233,8 +219,7 @@ mod tests {
         t.lookup(2);
         t.set_hot(1, 3);
         t.set_hot(2, 4);
-        let cleared = t.clear_epoch(3);
-        assert_eq!(cleared, vec![1]);
+        assert_eq!(t.clear_epoch(3), 1);
         assert!(!t.entry(1).unwrap().epoch_bit);
         assert!(t.entry(2).unwrap().epoch_bit);
     }
@@ -267,16 +252,5 @@ mod tests {
         t.lookup(16); // evicts LRU (0) to L2
         let (r, _) = t.lookup(0);
         assert_eq!(r, TlbLookup::HitL2);
-    }
-
-    #[test]
-    fn hot_pages_lists_epoch_members() {
-        let mut t = tlb();
-        t.lookup(1);
-        t.lookup(9);
-        t.set_hot(1, 2);
-        t.set_hot(9, 2);
-        assert_eq!(t.hot_pages(2), vec![1, 9]);
-        assert!(t.hot_pages(3).is_empty());
     }
 }

@@ -1,8 +1,7 @@
 //! Shared plumbing for the hardware transaction models.
 
-use std::collections::BTreeSet;
-
-use specpmt_core::fnv1a64;
+use specpmt_core::record::{encode_header, push_entry, LogArea, PoolStore, REC_HDR};
+use specpmt_core::Fnv1a;
 use specpmt_pmem::{
     root_off, CrashImage, PmemConfig, PmemDevice, PmemPool, TimingMode, CACHE_LINE, POOL_MAGIC,
 };
@@ -39,33 +38,128 @@ pub fn hw_pool(size: usize) -> PmemPool {
     PmemPool::create(PmemDevice::new(hw_pmem_config(size)))
 }
 
-/// Flushes a sorted set of cache lines (ascending order keeps the XPLine
+/// A set of line-aligned addresses, kept sorted and deduplicated in one
+/// `Vec` that its owner clears and refills transaction after transaction.
+/// Transactions mostly touch lines in ascending order, which is a `push`;
+/// anything else is a binary search and a shift. Ascending iteration is
+/// what the flush order (and its XPLine discount) depends on.
+#[derive(Debug, Default)]
+pub struct LineSet(Vec<usize>);
+
+impl LineSet {
+    /// Adds `line`; `false` if it was already present.
+    pub fn insert(&mut self, line: usize) -> bool {
+        if self.0.last().is_none_or(|&last| last < line) {
+            self.0.push(line);
+            return true;
+        }
+        match self.0.binary_search(&line) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, line);
+                true
+            }
+        }
+    }
+
+    /// Adds every line `[addr, addr + len)` touches (none if `len == 0`).
+    pub fn insert_range(&mut self, addr: usize, len: usize) {
+        if len > 0 {
+            lines_touching(addr, len).for_each(|l| {
+                self.insert(l);
+            });
+        }
+    }
+
+    /// The lines, ascending.
+    pub fn as_slice(&self) -> &[usize] {
+        &self.0
+    }
+
+    /// Whether no line is held.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Empties the set, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Iterates the line-aligned addresses of the lines `[addr, addr + len)`
+/// touches (`len > 0`).
+pub(crate) fn lines_touching(addr: usize, len: usize) -> impl Iterator<Item = usize> + Clone {
+    (addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE).map(|l| l * CACHE_LINE)
+}
+
+/// Flushes a set of cache lines (ascending order keeps the XPLine
 /// write-combining discount for contiguous runs). The caller fences.
-pub fn flush_line_set(dev: &mut PmemDevice, lines: &BTreeSet<usize>) {
-    for &l in lines {
+pub fn flush_line_set(dev: &mut PmemDevice, lines: &LineSet) {
+    for &l in lines.as_slice() {
         dev.clwb(l);
     }
 }
 
 /// Collects the cache lines of `[addr, addr+len)` ranges into `lines`.
-pub fn lines_of_ranges(ranges: &[(usize, usize)], lines: &mut BTreeSet<usize>) {
+pub fn lines_of_ranges(ranges: &[(usize, usize)], lines: &mut LineSet) {
     for &(addr, len) in ranges {
-        if len == 0 {
-            continue;
-        }
-        for l in addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE {
-            lines.insert(l * CACHE_LINE);
-        }
+        lines.insert_range(addr, len);
+    }
+}
+
+/// One speculative or redo record under construction: encoded in place by
+/// the record protocol's own entry and header encoders, in a buffer (and a
+/// dirty-range list) reused from record to record.
+#[derive(Debug, Default)]
+pub(crate) struct RecordBuf {
+    /// `[REC_HDR placeholder | entries…]`, sealed by [`Self::append`].
+    bytes: Vec<u8>,
+    dirty: Vec<(usize, usize)>,
+}
+
+impl RecordBuf {
+    /// Starts an empty record.
+    pub(crate) fn begin(&mut self) {
+        self.bytes.clear();
+        self.bytes.resize(REC_HDR, 0);
+    }
+
+    /// Adds the entry `addr -> value`.
+    pub(crate) fn push(&mut self, addr: usize, value: &[u8]) {
+        push_entry(&mut self.bytes, addr, value);
+    }
+
+    /// Seals the record with `ts` and appends it, then the stream
+    /// terminator, to `area` — one store per block the record touches.
+    /// Returns the encoded size; [`Self::dirty`] holds what must persist.
+    pub(crate) fn append(
+        &mut self,
+        ts: u64,
+        area: &mut LogArea,
+        store: &mut PoolStore<'_>,
+    ) -> usize {
+        let header = encode_header(ts, &self.bytes[REC_HDR..]);
+        self.bytes[..REC_HDR].copy_from_slice(&header);
+        self.dirty.clear();
+        area.append(store, &self.bytes, &mut self.dirty);
+        area.write_terminator(store, &mut self.dirty);
+        self.bytes.len()
+    }
+
+    /// The ranges the last [`Self::append`] dirtied.
+    pub(crate) fn dirty(&self) -> &[(usize, usize)] {
+        &self.dirty
     }
 }
 
 fn entry_checksum(len: u32, addr: u64, old: &[u8]) -> u64 {
-    let mut b = Vec::with_capacity(16 + old.len());
-    b.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
-    b.extend_from_slice(&len.to_le_bytes());
-    b.extend_from_slice(&addr.to_le_bytes());
-    b.extend_from_slice(old);
-    fnv1a64(&b)
+    let mut h = Fnv1a::new();
+    h.update(&ENTRY_MAGIC.to_le_bytes());
+    h.update(&len.to_le_bytes());
+    h.update(&addr.to_le_bytes());
+    h.update(old);
+    h.finish()
 }
 
 /// Hardware-managed undo log region: line-granular pre-image records
@@ -112,34 +206,28 @@ impl UndoLog {
     /// # Panics
     ///
     /// Panics if the region overflows (raise the capacity).
-    pub fn append_line(
-        &mut self,
-        dev: &mut PmemDevice,
-        line_addr: usize,
-        _flush_set: &mut BTreeSet<usize>,
-    ) {
-        let sz = ENTRY_HDR + CACHE_LINE;
-        assert!(self.pos + sz + 4 <= self.cap, "hardware undo log exhausted");
-        let old = dev.peek(line_addr, CACHE_LINE).to_vec();
-        let mut entry = Vec::with_capacity(sz);
-        entry.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
-        entry.extend_from_slice(&(CACHE_LINE as u32).to_le_bytes());
-        entry.extend_from_slice(&(line_addr as u64).to_le_bytes());
-        entry.extend_from_slice(
-            &entry_checksum(CACHE_LINE as u32, line_addr as u64, &old).to_le_bytes(),
-        );
-        entry.extend_from_slice(&old);
+    pub fn append_line(&mut self, dev: &mut PmemDevice, line_addr: usize) {
+        const SZ: usize = ENTRY_HDR + CACHE_LINE;
+        assert!(self.pos + SZ + 4 <= self.cap, "hardware undo log exhausted");
+        let mut entry = [0u8; SZ];
+        entry[0..4].copy_from_slice(&ENTRY_MAGIC.to_le_bytes());
+        entry[4..8].copy_from_slice(&(CACHE_LINE as u32).to_le_bytes());
+        entry[8..16].copy_from_slice(&(line_addr as u64).to_le_bytes());
+        entry[ENTRY_HDR..].copy_from_slice(dev.peek(line_addr, CACHE_LINE));
+        let cksum = entry_checksum(CACHE_LINE as u32, line_addr as u64, &entry[ENTRY_HDR..]);
+        entry[16..ENTRY_HDR].copy_from_slice(&cksum.to_le_bytes());
         let at = self.base + self.pos;
         dev.write(at, &entry);
-        dev.write(at + sz, &[0u8; 4]); // scan terminator
-                                       // Hardware logging: the record goes straight to the WPQ.
-        dev.background_range_write(at, sz + 4);
-        self.pos += sz;
+        dev.write(at + SZ, &[0u8; 4]); // scan terminator
+
+        // Hardware logging: the record goes straight to the WPQ.
+        dev.background_range_write(at, SZ + 4);
+        self.pos += SZ;
     }
 
     /// Truncates the log (transaction committed): invalidates the first
     /// entry. The caller includes the line in its commit flush.
-    pub fn truncate(&mut self, dev: &mut PmemDevice, flush_set: &mut BTreeSet<usize>) {
+    pub fn truncate(&mut self, dev: &mut PmemDevice, flush_set: &mut LineSet) {
         dev.write(self.base, &[0u8; 4]);
         flush_set.insert(self.base / CACHE_LINE * CACHE_LINE);
         self.pos = 0;
@@ -199,10 +287,7 @@ mod tests {
         pool.device_mut().write_u64(a, 7);
         pool.device_mut().persist_range(a, 8);
         let mut undo = UndoLog::new(&mut pool, 1 << 16);
-        let mut flush = BTreeSet::new();
-        undo.append_line(pool.device_mut(), a, &mut flush);
-        flush_line_set(pool.device_mut(), &flush);
-        pool.device_mut().sfence();
+        undo.append_line(pool.device_mut(), a);
         // Now clobber the data and crash with everything surviving.
         pool.device_mut().write_u64(a, 999);
         let mut img = pool.device().capture(CrashPolicy::AllSurvive);
@@ -215,8 +300,8 @@ mod tests {
         let mut pool = hw_pool(1 << 20);
         let a = pool.alloc_direct(64, 64).unwrap();
         let mut undo = UndoLog::new(&mut pool, 1 << 16);
-        let mut flush = BTreeSet::new();
-        undo.append_line(pool.device_mut(), a, &mut flush);
+        let mut flush = LineSet::default();
+        undo.append_line(pool.device_mut(), a);
         pool.device_mut().write_u64(a, 5);
         undo.truncate(pool.device_mut(), &mut flush);
         flush_line_set(pool.device_mut(), &flush);
@@ -229,9 +314,9 @@ mod tests {
 
     #[test]
     fn lines_of_ranges_dedups() {
-        let mut set = BTreeSet::new();
-        lines_of_ranges(&[(0, 8), (8, 8), (64, 4), (0, 0)], &mut set);
-        assert_eq!(set.into_iter().collect::<Vec<_>>(), vec![0, 64]);
+        let mut set = LineSet::default();
+        lines_of_ranges(&[(64, 4), (0, 8), (8, 8), (0, 0), (60, 8)], &mut set);
+        assert_eq!(set.as_slice(), [0, 64]);
     }
 
     #[test]

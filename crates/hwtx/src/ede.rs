@@ -1,12 +1,10 @@
 //! EDE: Execution Dependence Extension (the hardware baseline).
 
-use std::collections::BTreeSet;
-
 use specpmt_hwsim::{HwConfig, HwCore};
 use specpmt_pmem::{CrashImage, PmemPool, BUMP_OFF, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-use crate::common::UndoLog;
+use crate::common::{flush_line_set, lines_touching, LineSet, UndoLog};
 
 /// Configuration for [`Ede`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,9 +33,9 @@ pub struct Ede {
     core: HwCore,
     undo: UndoLog,
     in_tx: bool,
-    logged_lines: BTreeSet<usize>,
-    data_lines: BTreeSet<usize>,
-    flush_set: BTreeSet<usize>,
+    /// Lines this transaction stored to: each is undo-logged on first
+    /// touch and flushed (with the truncation) at commit.
+    lines: LineSet,
     stats: TxStats,
 }
 
@@ -50,9 +48,7 @@ impl Ede {
             core: HwCore::new(cfg.hw),
             undo,
             in_tx: false,
-            logged_lines: BTreeSet::new(),
-            data_lines: BTreeSet::new(),
-            flush_set: BTreeSet::new(),
+            lines: LineSet::default(),
             stats: TxStats::default(),
         }
     }
@@ -67,24 +63,20 @@ impl TxAccess for Ede {
     fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction");
         self.in_tx = true;
-        self.logged_lines.clear();
-        self.data_lines.clear();
-        self.flush_set.clear();
+        self.lines.clear();
         self.stats.tx_begun += 1;
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
         if !data.is_empty() {
-            for l in addr / CACHE_LINE..=(addr + data.len() - 1) / CACHE_LINE {
-                let line = l * CACHE_LINE;
-                if self.logged_lines.insert(line) {
+            for line in lines_touching(addr, data.len()) {
+                if self.lines.insert(line) {
                     // Hardware undo record (old value) — created before the
                     // store, no fence.
-                    self.undo.append_line(self.pool.device_mut(), line, &mut self.flush_set);
+                    self.undo.append_line(self.pool.device_mut(), line);
                     self.stats.log_bytes += (24 + CACHE_LINE) as u64;
                 }
-                self.data_lines.insert(line);
             }
         }
         self.pool.device_mut().write(addr, data);
@@ -103,15 +95,13 @@ impl TxAccess for Ede {
         assert!(self.in_tx, "commit outside transaction");
         // Persist undo records + data + truncation; ordering within the
         // commit is the hardware's dependency tracking (one fence here).
-        let mut flush = std::mem::take(&mut self.flush_set);
-        for &l in &self.data_lines {
-            flush.insert(l);
+        for &l in self.lines.as_slice() {
             self.core.l1_mut().mark_clean(l);
         }
         if self.undo.used() > 0 {
-            self.undo.truncate(self.pool.device_mut(), &mut flush);
+            self.undo.truncate(self.pool.device_mut(), &mut self.lines);
         }
-        crate::common::flush_line_set(self.pool.device_mut(), &flush);
+        flush_line_set(self.pool.device_mut(), &self.lines);
         self.pool.device_mut().sfence();
         self.in_tx = false;
         self.stats.tx_committed += 1;

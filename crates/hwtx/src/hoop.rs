@@ -1,12 +1,12 @@
 //! HOOP: hardware-assisted out-of-place updates.
 
-use std::collections::BTreeSet;
-
-use specpmt_core::record::{encode_record, LogArea, LogEntry, LogRecord, PoolStore};
+use specpmt_core::record::{LogArea, PoolStore};
 use specpmt_core::{recovery, BLOCK_BYTES_SLOT, LEGACY_CHAIN_SLOTS, LOG_HEAD_SLOT_BASE};
 use specpmt_hwsim::{HwConfig, HwCore};
 use specpmt_pmem::{CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
+
+use crate::common::{flush_line_set, lines_of_ranges, LineSet, RecordBuf};
 
 /// Configuration for [`Hoop`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,11 +50,16 @@ pub struct Hoop {
     area: LogArea,
     free_blocks: Vec<usize>,
     in_tx: bool,
-    tx_writes: Vec<(usize, Vec<u8>)>,
-    tx_miss_lines: BTreeSet<usize>,
-    tx_bytes: usize,
+    /// The transaction's write intents as `(addr, offset, len)` into
+    /// `tx_data`, in program order (offsets only grow).
+    tx_writes: Vec<(usize, usize, usize)>,
+    tx_data: Vec<u8>,
+    tx_miss_lines: LineSet,
     /// Home-location lines awaiting GC (coalesced across transactions).
-    gc_pending: BTreeSet<usize>,
+    gc_pending: LineSet,
+    /// The redo record being encoded, and the lines it dirtied.
+    rec: RecordBuf,
+    rec_lines: LineSet,
     gc_accum_bytes: usize,
     /// Write sets that overflowed the on-chip buffer.
     pub spills: u64,
@@ -89,9 +94,11 @@ impl Hoop {
             free_blocks,
             in_tx: false,
             tx_writes: Vec::new(),
-            tx_miss_lines: BTreeSet::new(),
-            tx_bytes: 0,
-            gc_pending: BTreeSet::new(),
+            tx_data: Vec::new(),
+            tx_miss_lines: LineSet::default(),
+            gc_pending: LineSet::default(),
+            rec: RecordBuf::default(),
+            rec_lines: LineSet::default(),
             gc_accum_bytes: 0,
             spills: 0,
             ts_counter: 1,
@@ -117,11 +124,11 @@ impl Hoop {
             return;
         }
         let t0 = self.pool.device().now_ns();
-        let pending = std::mem::take(&mut self.gc_pending);
-        let applied = pending.len() as u64;
-        for line in pending {
+        let applied = self.gc_pending.as_slice().len() as u64;
+        for &line in self.gc_pending.as_slice() {
             self.pool.device_mut().background_line_write(line);
         }
+        self.gc_pending.clear();
         // Truncate the applied log.
         let mut dirty = Vec::new();
         let area = LogArea::create(
@@ -150,8 +157,8 @@ impl TxAccess for Hoop {
         assert!(!self.in_tx, "nested transaction");
         self.in_tx = true;
         self.tx_writes.clear();
+        self.tx_data.clear();
         self.tx_miss_lines.clear();
-        self.tx_bytes = 0;
         self.stats.tx_begun += 1;
     }
 
@@ -162,16 +169,12 @@ impl TxAccess for Hoop {
         // redirected value so reads observe it.)
         self.pool.device_mut().write(addr, data);
         self.core.store(self.pool.device_mut(), addr, data.len());
-        self.tx_writes.push((addr, data.to_vec()));
-        self.tx_bytes += data.len();
-        if self.tx_bytes > self.cfg.onchip_buffer_bytes {
+        self.tx_writes.push((addr, self.tx_data.len(), data.len()));
+        self.tx_data.extend_from_slice(data);
+        if self.tx_data.len() > self.cfg.onchip_buffer_bytes {
             self.spills += 1;
         }
-        if !data.is_empty() {
-            for l in addr / CACHE_LINE..=(addr + data.len() - 1) / CACHE_LINE {
-                self.gc_pending.insert(l * CACHE_LINE);
-            }
-        }
+        self.gc_pending.insert_range(addr, data.len());
         self.stats.updates += 1;
         self.stats.data_bytes += data.len() as u64;
     }
@@ -181,9 +184,7 @@ impl TxAccess for Hoop {
         if self.in_tx && !all_hit && !buf.is_empty() {
             // HOOP logs in-transaction cache misses for its indirection
             // bookkeeping — the "excessive logs" on big-footprint apps.
-            for l in addr / CACHE_LINE..=(addr + buf.len() - 1) / CACHE_LINE {
-                self.tx_miss_lines.insert(l * CACHE_LINE);
-            }
+            self.tx_miss_lines.insert_range(addr, buf.len());
         }
         self.pool.device_mut().read(addr, buf);
     }
@@ -193,38 +194,27 @@ impl TxAccess for Hoop {
         let ts = self.ts_counter;
         self.ts_counter += 1;
         // Pack the record: miss lines first (indirection state), then the
-        // coalesced write intents (later entries win on replay).
-        let mut entries = Vec::new();
-        for &l in &self.tx_miss_lines {
-            entries
-                .push(LogEntry { addr: l, value: self.pool.device().peek(l, CACHE_LINE).to_vec() });
+        // coalesced write intents, ascending by address; of several writes
+        // to one address the last wins (its offset sorts last).
+        self.rec.begin();
+        for &l in self.tx_miss_lines.as_slice() {
+            self.rec.push(l, self.pool.device().peek(l, CACHE_LINE));
         }
-        let mut coalesced: std::collections::BTreeMap<usize, Vec<u8>> = Default::default();
-        for (addr, data) in self.tx_writes.drain(..) {
-            coalesced.insert(addr, data); // last write per address wins
+        self.tx_writes.sort_unstable();
+        for (i, &(addr, off, len)) in self.tx_writes.iter().enumerate() {
+            if self.tx_writes.get(i + 1).is_none_or(|next| next.0 != addr) {
+                self.rec.push(addr, &self.tx_data[off..off + len]);
+            }
         }
-        for (addr, data) in coalesced {
-            entries.push(LogEntry { addr, value: data });
-        }
-        let rec = LogRecord { ts, entries };
-        let bytes = encode_record(&rec);
-        let mut dirty = Vec::new();
-        self.area.append(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            &bytes,
-            &mut dirty,
-        );
-        self.area.write_terminator(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            &mut dirty,
-        );
+        let mut store = PoolStore::new(&mut self.pool, &mut self.free_blocks);
+        let bytes = self.rec.append(ts, &mut self.area, &mut store);
         // One fence: persist the packed redo records.
-        let mut lines = BTreeSet::new();
-        crate::common::lines_of_ranges(&dirty, &mut lines);
-        crate::common::flush_line_set(self.pool.device_mut(), &lines);
+        self.rec_lines.clear();
+        lines_of_ranges(self.rec.dirty(), &mut self.rec_lines);
+        flush_line_set(self.pool.device_mut(), &self.rec_lines);
         self.pool.device_mut().sfence();
-        self.stats.log_bytes += bytes.len() as u64;
-        self.gc_accum_bytes += bytes.len();
+        self.stats.log_bytes += bytes as u64;
+        self.gc_accum_bytes += bytes;
         self.in_tx = false;
         self.stats.tx_committed += 1;
         self.stats.log_live_bytes = self.area.footprint() as u64;

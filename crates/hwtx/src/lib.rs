@@ -40,7 +40,7 @@ mod hoop;
 mod nolog;
 mod spec;
 
-pub use common::{hw_pmem_config, hw_pool, UndoLog};
+pub use common::{hw_pmem_config, hw_pool, LineSet, UndoLog};
 pub use ede::{Ede, EdeConfig};
 pub use hoop::{Hoop, HoopConfig};
 pub use nolog::HwNoLog;

@@ -1,10 +1,10 @@
 //! The hardware no-log ideal bound.
 
-use std::collections::BTreeSet;
-
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool, BUMP_OFF, CACHE_LINE};
+use specpmt_pmem::{CrashImage, PmemPool, BUMP_OFF};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
+
+use crate::common::{lines_touching, LineSet};
 
 /// Transactions without logging on the simulated hardware: data is flushed
 /// with one fence at commit (Section 7.1.3's `no-log`). **Not crash
@@ -14,7 +14,7 @@ pub struct HwNoLog {
     pool: PmemPool,
     core: HwCore,
     in_tx: bool,
-    data_lines: BTreeSet<usize>,
+    data_lines: LineSet,
     stats: TxStats,
 }
 
@@ -25,7 +25,7 @@ impl HwNoLog {
             pool,
             core: HwCore::new(hw),
             in_tx: false,
-            data_lines: BTreeSet::new(),
+            data_lines: LineSet::default(),
             stats: TxStats::default(),
         }
     }
@@ -49,8 +49,8 @@ impl TxAccess for HwNoLog {
         self.pool.device_mut().write(addr, data);
         self.core.store(self.pool.device_mut(), addr, data.len());
         if !data.is_empty() {
-            for l in addr / CACHE_LINE..=(addr + data.len() - 1) / CACHE_LINE {
-                self.data_lines.insert(l * CACHE_LINE);
+            for l in lines_touching(addr, data.len()) {
+                self.data_lines.insert(l);
             }
         }
         self.stats.updates += 1;
@@ -64,8 +64,7 @@ impl TxAccess for HwNoLog {
 
     fn commit(&mut self) {
         assert!(self.in_tx, "commit outside transaction");
-        let lines = std::mem::take(&mut self.data_lines);
-        for &l in &lines {
+        for &l in self.data_lines.as_slice() {
             self.pool.device_mut().clwb(l);
             self.core.l1_mut().mark_clean(l);
         }

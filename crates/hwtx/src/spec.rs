@@ -1,16 +1,14 @@
 //! Hardware SpecPMT: hybrid logging + epoch-based log reclamation.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use specpmt_core::record::{
-    encode_record, parse_chain, LogArea, LogEntry, LogRecord, PoolStore, ENTRY_HDR, REC_HDR,
-};
+use specpmt_core::record::{parse_chain, LogArea, PoolStore, ENTRY_HDR, REC_HDR};
 use specpmt_core::{recovery, BLOCK_BYTES_SLOT, LEGACY_CHAIN_SLOTS, LOG_HEAD_SLOT_BASE};
 use specpmt_hwsim::{HwConfig, HwCore};
 use specpmt_pmem::{CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-use crate::common::UndoLog;
+use crate::common::{flush_line_set, lines_of_ranges, lines_touching, LineSet, RecordBuf, UndoLog};
 
 /// Configuration for [`HwSpecPmt`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,10 +89,12 @@ pub struct HwSpecPmt {
     free_blocks: Vec<usize>,
     ts_counter: u64,
     in_tx: bool,
-    hot_dirty_lines: BTreeSet<usize>,
-    cold_data_lines: BTreeSet<usize>,
-    logged_cold_lines: BTreeSet<usize>,
-    flush_set: BTreeSet<usize>,
+    hot_dirty_lines: LineSet,
+    cold_data_lines: LineSet,
+    logged_cold_lines: LineSet,
+    flush_set: LineSet,
+    /// The epoch, page or eviction record being encoded.
+    rec: RecordBuf,
     /// Footprint sampling for the Fig. 15 memory-consumption axis.
     footprint_samples: u64,
     footprint_sum: u64,
@@ -151,10 +151,11 @@ impl HwSpecPmt {
             free_blocks: Vec::new(),
             ts_counter: 1,
             in_tx: false,
-            hot_dirty_lines: BTreeSet::new(),
-            cold_data_lines: BTreeSet::new(),
-            logged_cold_lines: BTreeSet::new(),
-            flush_set: BTreeSet::new(),
+            hot_dirty_lines: LineSet::default(),
+            cold_data_lines: LineSet::default(),
+            logged_cold_lines: LineSet::default(),
+            flush_set: LineSet::default(),
+            rec: RecordBuf::default(),
             footprint_samples: 0,
             footprint_sum: 0,
             spec_enabled: true,
@@ -264,11 +265,9 @@ impl HwSpecPmt {
             self.cfg.block_bytes,
             &mut dirty,
         );
-        crate::common::flush_line_set(self.pool.device_mut(), &{
-            let mut s = BTreeSet::new();
-            crate::common::lines_of_ranges(&dirty, &mut s);
-            s
-        });
+        let mut lines = LineSet::default();
+        lines_of_ranges(&dirty, &mut lines);
+        flush_line_set(self.pool.device_mut(), &lines);
         self.pool.device_mut().sfence();
         self.pool.set_root_direct(LOG_HEAD_SLOT_BASE + slot, area.head() as u64);
         self.epochs.push_back(Epoch { eid, slot, area, record_bytes: 0, pages: 0 });
@@ -284,17 +283,11 @@ impl HwSpecPmt {
         // Step 1: persist all speculatively-logged data of the epoch by
         // scanning its records and flushing the named lines.
         let records = parse_chain(self.pool.device(), epoch.area.head(), self.cfg.block_bytes);
-        let mut lines = BTreeSet::new();
-        for rec in &records {
-            for e in &rec.entries {
-                if !e.value.is_empty() {
-                    for l in e.addr / CACHE_LINE..=(e.addr + e.value.len() - 1) / CACHE_LINE {
-                        lines.insert(l * CACHE_LINE);
-                    }
-                }
-            }
+        let mut lines = LineSet::default();
+        for e in records.iter().flat_map(|rec| &rec.entries) {
+            lines.insert_range(e.addr, e.value.len());
         }
-        for &l in &lines {
+        for &l in lines.as_slice() {
             self.pool.device_mut().clwb(l);
             self.core.l1_mut().mark_clean(l);
         }
@@ -309,59 +302,52 @@ impl HwSpecPmt {
         self.stats.log_live_bytes = self.log_footprint() as u64;
     }
 
-    /// Appends an already-committed record to the active epoch and returns
-    /// its encoded size. `background` selects bulk-engine persistence (page
+    /// Seals the record staged in `self.rec` with `ts` and appends it to
+    /// the active epoch. `background` selects bulk-engine persistence (page
     /// copies, eviction logging — durable immediately, WPQ bandwidth only)
     /// over commit-fence persistence (the commit record's lines join the
     /// flush set and the single commit fence waits for their acceptance).
-    fn append_record(&mut self, rec: &LogRecord, background: bool) -> usize {
-        let bytes = encode_record(rec);
-        let mut dirty = Vec::new();
+    fn append_record(&mut self, ts: u64, background: bool) {
         let epoch = self.epochs.back_mut().expect("active epoch");
-        epoch.area.append(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            &bytes,
-            &mut dirty,
-        );
-        epoch.area.write_terminator(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            &mut dirty,
-        );
-        epoch.record_bytes += bytes.len();
+        let mut store = PoolStore::new(&mut self.pool, &mut self.free_blocks);
+        let bytes = self.rec.append(ts, &mut epoch.area, &mut store);
+        epoch.record_bytes += bytes;
         if background {
-            for (addr, len) in dirty {
+            for &(addr, len) in self.rec.dirty() {
                 self.pool.device_mut().background_range_write(addr, len);
             }
         } else {
-            crate::common::lines_of_ranges(&dirty, &mut self.flush_set);
+            lines_of_ranges(self.rec.dirty(), &mut self.flush_set);
         }
-        self.stats.log_bytes += bytes.len() as u64;
-        bytes.len()
+        self.stats.log_bytes += bytes as u64;
+    }
+
+    /// Speculatively logs `[addr, addr + len)` as a record of its own
+    /// through the bulk engine, straight from the device image.
+    fn spec_log_range(&mut self, addr: usize, len: usize) {
+        let ts = self.next_ts();
+        self.rec.begin();
+        self.rec.push(addr, self.pool.device().peek(addr, len));
+        self.append_record(ts, true);
     }
 
     /// Speculatively logs a whole page (cold → hot transition) using the
     /// bulk-copy engine; the record persists immediately (NT writes), so
     /// later evictions of the page's lines are always covered.
     fn bulk_log_page(&mut self, page: usize) {
-        let page_start = page * self.cfg.hw.page_bytes;
-        let content = self.pool.device().peek(page_start, self.cfg.hw.page_bytes).to_vec();
         self.core.charge_bulk_copy(self.pool.device_mut());
-        let ts = self.next_ts();
-        let rec = LogRecord { ts, entries: vec![LogEntry { addr: page_start, value: content }] };
-        self.append_record(&rec, true);
-        let eid = self.epochs.back().expect("active epoch").eid;
-        self.core.make_page_hot(page, eid);
+        self.spec_log_range(page * self.cfg.hw.page_bytes, self.cfg.hw.page_bytes);
         let epoch = self.epochs.back_mut().expect("active epoch");
+        self.core.make_page_hot(page, epoch.eid);
         epoch.pages += 1;
     }
 
-    /// Speculatively logs one line (mid-transaction eviction of a LogBit
-    /// line — Section 5.2: log before the overflow).
-    fn spec_log_line(&mut self, line_addr: usize) {
-        let content = self.pool.device().peek(line_addr, CACHE_LINE).to_vec();
-        let ts = self.next_ts();
-        let rec = LogRecord { ts, entries: vec![LogEntry { addr: line_addr, value: content }] };
-        self.append_record(&rec, true);
+    /// Undo-logs `line` unless this transaction already has.
+    fn undo_log_line(&mut self, line: usize) {
+        if self.logged_cold_lines.insert(line) {
+            self.undo.append_line(self.pool.device_mut(), line);
+            self.stats.log_bytes += (24 + CACHE_LINE) as u64;
+        }
     }
 }
 
@@ -384,9 +370,7 @@ impl TxAccess for HwSpecPmt {
         let page = addr / self.cfg.hw.page_bytes;
         let access = self.core.store(self.pool.device_mut(), addr, data.len());
         let tlb = access.tlb.expect("stores carry TLB metadata");
-        let lines: Vec<usize> = (addr / CACHE_LINE..=(addr + data.len() - 1) / CACHE_LINE)
-            .map(|l| l * CACHE_LINE)
-            .collect();
+        let lines = lines_touching(addr, data.len());
 
         let hot = if tlb.epoch_bit {
             true
@@ -397,12 +381,7 @@ impl TxAccess for HwSpecPmt {
             if counter >= self.cfg.hw.hot_threshold {
                 // Undo-log first (the transition still undo-logs the data
                 // being stored), then promote the page.
-                for &l in &lines {
-                    if self.logged_cold_lines.insert(l) {
-                        self.undo.append_line(self.pool.device_mut(), l, &mut self.flush_set);
-                        self.stats.log_bytes += (24 + CACHE_LINE) as u64;
-                    }
-                }
+                lines.clone().for_each(|l| self.undo_log_line(l));
                 self.bulk_log_page(page);
                 true
             } else {
@@ -410,17 +389,12 @@ impl TxAccess for HwSpecPmt {
             }
         };
 
-        if hot {
-            for &l in &lines {
+        for l in lines {
+            if hot {
                 self.core.l1_mut().set_flags(l, true, true);
                 self.hot_dirty_lines.insert(l);
-            }
-        } else {
-            for &l in &lines {
-                if self.logged_cold_lines.insert(l) {
-                    self.undo.append_line(self.pool.device_mut(), l, &mut self.flush_set);
-                    self.stats.log_bytes += (24 + CACHE_LINE) as u64;
-                }
+            } else {
+                self.undo_log_line(l);
                 self.cold_data_lines.insert(l);
             }
         }
@@ -433,7 +407,7 @@ impl TxAccess for HwSpecPmt {
         // log it before it overflows (Section 5.2).
         if let Some(ev) = access.evicted {
             if ev.dirty && ev.logbit {
-                self.spec_log_line(ev.addr);
+                self.spec_log_range(ev.addr, CACHE_LINE);
             }
         }
     }
@@ -449,48 +423,42 @@ impl TxAccess for HwSpecPmt {
         // record from the speculatively-logged (hot) ones.
         self.core.charge_commit_scan(self.pool.device_mut());
         let ts = self.next_ts();
-        let hot_lines = std::mem::take(&mut self.hot_dirty_lines);
-        if !hot_lines.is_empty() {
-            let entries: Vec<LogEntry> = hot_lines
-                .iter()
-                .map(|&l| LogEntry {
-                    addr: l,
-                    value: self.pool.device().peek(l, CACHE_LINE).to_vec(),
-                })
-                .collect();
-            let rec = LogRecord { ts, entries };
-            self.append_record(&rec, false);
+        if !self.hot_dirty_lines.is_empty() {
+            self.rec.begin();
+            for &l in self.hot_dirty_lines.as_slice() {
+                self.rec.push(l, self.pool.device().peek(l, CACHE_LINE));
+            }
+            self.append_record(ts, false);
         }
         // One fence persists: the commit record, the undo records, the
         // cold data lines, and the undo truncation. Hot data lines are
         // *not* persisted (they overflow naturally via PBit evictions).
-        let mut flush = std::mem::take(&mut self.flush_set);
-        let cold = std::mem::take(&mut self.cold_data_lines);
-        for l in cold {
-            flush.insert(l);
+        for &l in self.cold_data_lines.as_slice() {
+            self.flush_set.insert(l);
             self.core.l1_mut().mark_clean(l);
         }
         if self.cfg.data_persistence {
             // SpecHPMT-DP: the hot data lines persist by the same commit
             // fence (ordering inside the commit is the hardware's job).
-            for &l in &hot_lines {
-                flush.insert(l);
+            for &l in self.hot_dirty_lines.as_slice() {
+                self.flush_set.insert(l);
                 self.core.l1_mut().mark_clean(l);
             }
         }
         if self.undo.used() > 0 {
-            self.undo.truncate(self.pool.device_mut(), &mut flush);
+            self.undo.truncate(self.pool.device_mut(), &mut self.flush_set);
         }
-        crate::common::flush_line_set(self.pool.device_mut(), &flush);
+        flush_line_set(self.pool.device_mut(), &self.flush_set);
         self.pool.device_mut().sfence();
 
         self.core.l1_mut().clear_logbits();
         self.in_tx = false;
         self.stats.tx_committed += 1;
-        self.stats.log_live_bytes = self.log_footprint() as u64;
-        self.stats.log_peak_bytes = self.stats.log_peak_bytes.max(self.stats.log_live_bytes);
+        let footprint = self.log_footprint() as u64;
+        self.stats.log_live_bytes = footprint;
+        self.stats.log_peak_bytes = self.stats.log_peak_bytes.max(footprint);
         self.footprint_samples += 1;
-        self.footprint_sum += self.log_footprint() as u64;
+        self.footprint_sum += footprint;
 
         // Epoch rotation check (paper: after each commit).
         let epoch = self.epochs.back().expect("active epoch");
@@ -622,13 +590,12 @@ mod tests {
         let mut rt = runtime(HwSpecConfig::default());
         let a = region(&mut rt, 4096);
         make_hot(&mut rt, a);
-        let flushed_before = rt.pool().device().stats().clwb_count;
         rt.begin();
         rt.write_u64(a, 0xABCD);
         rt.commit();
-        let _ = flushed_before;
         // The datum itself stayed in cache; recovery replays the record.
         let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
+        assert_ne!(img.read_u64(a), 0xABCD, "a hot line must not be flushed at commit");
         HwSpecPmt::recover(&mut img);
         assert_eq!(img.read_u64(a), 0xABCD);
     }

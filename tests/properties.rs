@@ -436,3 +436,34 @@ fn fnv_word_at_a_time_matches_byte_reference() {
         }
     }
 }
+
+/// The hardware runtimes' `LineSet` is an ordered set: against a
+/// `BTreeSet` fed the same random lines — ascending runs (the `push` fast
+/// path), repeats and out-of-order arrivals mixed — every `insert` gives
+/// the same verdict and the contents read back in the same ascending order,
+/// across `clear`s that keep the buffer.
+#[test]
+fn line_set_matches_btreeset_reference() {
+    use specpmt::hwtx::LineSet;
+    use std::collections::BTreeSet;
+
+    let mut set = LineSet::default();
+    for seed in 0u64..64 {
+        let mut rng = SplitMix64::new(seed ^ 0x11E5);
+        let mut reference = BTreeSet::new();
+        set.clear();
+        assert!(set.is_empty());
+        let span = rng.range_usize(4, 4096);
+        let mut next = 0;
+        for _ in 0..rng.range_usize(1, 600) {
+            let line = 64 * if rng.next_bool() { rng.range_usize(0, span) } else { next };
+            next = line / 64 + 1;
+            assert_eq!(set.insert(line), reference.insert(line), "verdict on {line} (seed={seed})");
+        }
+        assert!(
+            set.as_slice().iter().eq(reference.iter()),
+            "contents diverge from the reference (seed={seed})"
+        );
+        assert!(!set.is_empty());
+    }
+}

@@ -3,8 +3,9 @@
 //! The inert telemetry bundle is one relaxed atomic load per
 //! instrumentation site: no clock reads, no heap. This binary installs a
 //! counting global allocator and asserts that a warmed-up transaction on
-//! either runtime performs (amortized) **zero** heap allocations per
-//! commit with telemetry disabled (`benchmark/`'s `alloc.calls_per_op`
+//! either software runtime — and on the hardware models, which have no
+//! telemetry to turn off — performs (amortized) **zero** heap allocations
+//! per commit with telemetry disabled (`benchmark/`'s `alloc.calls_per_op`
 //! reports the same count on the judged workloads). The only tolerated allocations are
 //! the log's own block-list growth (reclamation is off, so the chain keeps
 //! extending): at most a couple of `Vec` doublings across hundreds of
@@ -19,8 +20,9 @@ use std::sync::Mutex;
 use specpmt::core::{
     ConcurrentConfig, LockedTxHandle, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared,
 };
+use specpmt::hwtx::{hw_pool, Ede, EdeConfig, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool};
-use specpmt::txn::{run_tx, SharedLockTable, TxAccess};
+use specpmt::txn::{run_tx, SharedLockTable, TxAccess, TxRuntime};
 
 struct CountingAlloc;
 
@@ -135,4 +137,58 @@ fn locked_get_is_zero_alloc_in_steady_state() {
         get(round);
     }
     assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 0, "a warm locked get must not allocate");
+}
+
+/// The hardware runtimes keep the same contract: line sets, the record
+/// under construction and its dirty ranges are buffers the runtime reuses,
+/// and undo entries are built on the stack. Each transaction shape of
+/// `HwSpecPmt` is measured after its own warm-up — cold pages (undo
+/// logging only, nothing grows), a page promoted by the transaction that
+/// sends its counter to the threshold (a 4 KiB page record, so the chain
+/// gains a block per transaction) and a hot page (one commit record per
+/// transaction) — and so is `Ede`, whose log is a fixed region.
+#[test]
+fn hardware_commits_are_zero_alloc_once_warm() {
+    let _guard = serial();
+    const PAGE: usize = 4096;
+    // `stores` word stores on `page`, a line apart, in one transaction.
+    fn page_tx<A: TxAccess>(a: &mut A, page_base: usize, stores: usize, round: usize) {
+        a.begin();
+        for s in 0..stores {
+            a.write_u64(page_base + ((round + s) % 64) * 64, round as u64);
+        }
+        a.commit();
+    }
+    fn allocs_over(rounds: std::ops::Range<usize>, mut round: impl FnMut(usize)) -> u64 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        rounds.for_each(&mut round);
+        ALLOCS.load(Ordering::Relaxed) - before
+    }
+
+    let mut rt = HwSpecPmt::new(hw_pool(32 << 20), HwSpecConfig::default());
+    let base = rt.pool_mut().alloc_direct(1024 * PAGE, PAGE).unwrap();
+
+    // Two stores per page never reach the hot threshold of seven.
+    let mut cold = |r: usize| page_tx(&mut rt, base + r * PAGE, 2, r);
+    allocs_over(0..64, &mut cold);
+    assert_eq!(allocs_over(64..320, &mut cold), 0, "cold-page transactions");
+
+    // Eight stores to a fresh page: the seventh promotes it mid-transaction.
+    let mut promoting = |r: usize| page_tx(&mut rt, base + r * PAGE, 8, r);
+    allocs_over(400..432, &mut promoting);
+    let allocs = allocs_over(432..462, &mut promoting);
+    assert!(allocs <= 2, "promoting transactions allocated {allocs} times over 30 txs");
+
+    let mut hot = |r: usize| page_tx(&mut rt, base + 1000 * PAGE, 8, r);
+    allocs_over(0..64, &mut hot);
+    let allocs = allocs_over(64..320, &mut hot);
+    assert!(allocs <= 2, "hot-page transactions allocated {allocs} times over 256 txs");
+    assert_eq!(rt.hw_stats().pages_made_hot, 63, "62 promoting transactions and the hot page");
+    assert_eq!(rt.hw_stats().epochs_cleared, 0, "no epoch reclaim inside the measured windows");
+
+    let mut ede = Ede::new(hw_pool(4 << 20), EdeConfig::default());
+    let base = ede.pool_mut().alloc_direct(64 * PAGE, PAGE).unwrap();
+    let mut undo = |r: usize| page_tx(&mut ede, base + (r % 64) * PAGE, 8, r);
+    allocs_over(0..64, &mut undo);
+    assert_eq!(allocs_over(64..320, &mut undo), 0, "EDE transactions");
 }
