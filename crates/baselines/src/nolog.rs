@@ -1,6 +1,6 @@
 //! The no-crash-consistency bounds.
 
-use specpmt_pmem::{CrashImage, PmemPool, BUMP_OFF, CACHE_LINE};
+use specpmt_pmem::{CrashImage, PmemPool, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use std::collections::BTreeSet;
@@ -75,24 +75,11 @@ impl TxAccess for NoLog {
         self.stats.tx_committed += 1;
     }
 
-    fn alloc(&mut self, size: usize, align: usize) -> usize {
-        assert!(self.in_tx, "alloc outside transaction");
-        let r = self.pool.reserve(size, align).expect("pool heap exhausted");
-        if let Some(bump) = r.new_bump {
-            self.write_u64(BUMP_OFF, bump);
-        }
-        r.off
-    }
-
-    fn free(&mut self, addr: usize, size: usize, align: usize) {
-        self.pool.free(addr, size, align);
-    }
-
     fn in_tx(&self) -> bool {
         self.in_tx
     }
 
-    specpmt_txn::impl_pool_tx_timing!();
+    specpmt_txn::impl_pool_tx_access!();
 }
 
 impl TxRuntime for NoLog {

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use specpmt_core::fnv1a64;
-use specpmt_pmem::{root_off, CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE, POOL_MAGIC};
+use specpmt_pmem::{root_off, CrashImage, PmemPool, TimingMode, CACHE_LINE, POOL_MAGIC};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 /// Root slot holding the undo-log region base.
@@ -221,24 +221,11 @@ impl TxAccess for PmdkUndo {
         self.stats.tx_committed += 1;
     }
 
-    fn alloc(&mut self, size: usize, align: usize) -> usize {
-        assert!(self.in_tx, "alloc outside transaction");
-        let r = self.pool.reserve(size, align).expect("pool heap exhausted");
-        if let Some(bump) = r.new_bump {
-            self.write_u64(BUMP_OFF, bump);
-        }
-        r.off
-    }
-
-    fn free(&mut self, addr: usize, size: usize, align: usize) {
-        self.pool.free(addr, size, align);
-    }
-
     fn in_tx(&self) -> bool {
         self.in_tx
     }
 
-    specpmt_txn::impl_pool_tx_timing!();
+    specpmt_txn::impl_pool_tx_access!();
 }
 
 impl TxRuntime for PmdkUndo {

@@ -5,9 +5,8 @@ use std::collections::{BTreeSet, HashMap};
 use specpmt_core::record::{
     encode_header, push_entry, Cursor, LogArea, PoolStore, ENTRY_HDR, REC_HDR,
 };
-use specpmt_core::recovery;
-use specpmt_core::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
-use specpmt_pmem::{CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE};
+use specpmt_core::{recovery, PoolLayout};
+use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 /// Configuration for [`Spht`].
@@ -48,6 +47,7 @@ impl Default for SphtConfig {
 pub struct Spht {
     pool: PmemPool,
     cfg: SphtConfig,
+    layout: PoolLayout,
     area: LogArea,
     free_blocks: Vec<usize>,
     in_tx: bool,
@@ -74,7 +74,7 @@ impl Spht {
     pub fn new(mut pool: PmemPool, cfg: SphtConfig) -> Self {
         let prev = pool.device().timing();
         pool.device_mut().set_timing(TimingMode::Off);
-        pool.set_root_direct(BLOCK_BYTES_SLOT, cfg.block_bytes as u64);
+        let layout = PoolLayout::format(&mut pool, 1, cfg.block_bytes);
         let mut free_blocks = Vec::new();
         let mut dirty = Vec::new();
         let area = LogArea::create(
@@ -82,12 +82,13 @@ impl Spht {
             cfg.block_bytes,
             &mut dirty,
         );
-        pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
+        layout.set_head(&mut pool, 0, area.head() as u64);
         pool.device_mut().flush_everything();
         pool.device_mut().set_timing(prev);
         Self {
             pool,
             cfg,
+            layout,
             area,
             free_blocks,
             in_tx: false,
@@ -159,10 +160,7 @@ impl Spht {
         for (addr, len) in dirty {
             self.pool.device_mut().background_range_write(addr, len);
         }
-        let head = area.head() as u64;
-        let slot = specpmt_pmem::root_off(LOG_HEAD_SLOT_BASE);
-        self.pool.device_mut().write_u64(slot, head);
-        self.pool.device_mut().background_line_write(slot);
+        self.layout.set_head_background(&mut self.pool, 0, area.head() as u64);
         let old = std::mem::replace(&mut self.area, area);
         self.free_blocks.extend(old.into_blocks());
         self.stats.records_reclaimed += line_count as u64;
@@ -310,19 +308,6 @@ impl TxAccess for Spht {
         }
     }
 
-    fn alloc(&mut self, size: usize, align: usize) -> usize {
-        assert!(self.in_tx, "alloc outside transaction");
-        let r = self.pool.reserve(size, align).expect("pool heap exhausted");
-        if let Some(bump) = r.new_bump {
-            self.write_u64(BUMP_OFF, bump);
-        }
-        r.off
-    }
-
-    fn free(&mut self, addr: usize, size: usize, align: usize) {
-        self.pool.free(addr, size, align);
-    }
-
     fn in_tx(&self) -> bool {
         self.in_tx
     }
@@ -333,7 +318,7 @@ impl TxAccess for Spht {
         }
     }
 
-    specpmt_txn::impl_pool_tx_timing!();
+    specpmt_txn::impl_pool_tx_access!();
 }
 
 impl TxRuntime for Spht {
@@ -377,7 +362,7 @@ fn advance(mut cursor: Cursor, mut n: usize, block_bytes: usize, pool: &PmemPool
 
 impl Recover for Spht {
     fn recover(image: &mut CrashImage) {
-        // Same chain format and root slots as software SpecPMT.
+        // Same chain format and pool layout as software SpecPMT.
         recovery::recover_image_opts(image, &recovery::RecoveryOptions::default());
     }
 }

@@ -255,20 +255,14 @@ pub struct MtRunConfig {
     pub telemetry: bool,
     /// Route commits through the epoch/group-commit path
     /// ([`ConcurrentConfig::group_commit`]) instead of a per-commit
-    /// flush + fence. Defaults to the `SPECPMT_GROUP_COMMIT` env toggle
-    /// (normally off) so the per-commit path stays the comparison
-    /// baseline.
+    /// flush + fence. Off by default so the per-commit path stays the
+    /// comparison baseline.
     pub group_commit: bool,
 }
 
 impl Default for MtRunConfig {
     fn default() -> Self {
-        Self {
-            media_channels: 12,
-            stripe_bytes: 64,
-            telemetry: false,
-            group_commit: specpmt_telemetry::Knobs::get().group_commit,
-        }
+        Self { media_channels: 12, stripe_bytes: 64, telemetry: false, group_commit: false }
     }
 }
 

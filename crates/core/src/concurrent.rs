@@ -83,8 +83,7 @@ pub struct ConcurrentConfig {
     /// ([`specpmt_txn::GroupCommitter`]): committers stage their sealed
     /// lines into the open epoch's batch and one combiner issues a single
     /// coalesced flush+fence for the whole batch. Off by default (the
-    /// per-commit path is the comparison baseline); the default honours
-    /// the `SPECPMT_GROUP_COMMIT` environment variable.
+    /// per-commit path is the comparison baseline).
     pub group_commit: bool,
     /// Group-commit batch window in host nanoseconds: a combiner holds
     /// its epoch open in linger-long rounds while commits keep staging
@@ -92,19 +91,17 @@ pub struct ConcurrentConfig {
     /// drain — batches then form only from natural commit overlap. On a
     /// CPU-oversubscribed host the window is what makes fence batching
     /// real: the combiner's timed wait yields the core to the threads
-    /// that are about to commit. The default honours
-    /// `SPECPMT_GROUP_LINGER_NS`.
+    /// that are about to commit.
     pub group_linger_ns: u64,
     /// Enable the persistent flight recorder: a PM-resident black box of
     /// per-thread event rings ([`specpmt_pmem::BlackBoxSink`]) whose
     /// cache lines piggyback on flushes the commit/reclaim/checkpoint
     /// paths already issue — zero extra fences on the commit path. Off by
-    /// default (the default honours `SPECPMT_FLIGHT_RECORDER`); decode a
-    /// crash image's surviving rings with
+    /// default; decode a crash image's surviving rings with
     /// [`crate::recovery::forensics`].
     pub flight_recorder: bool,
     /// Events per flight-recorder ring (one ring per thread plus one for
-    /// the daemons). The default honours `SPECPMT_BBOX_CAP`.
+    /// the daemons).
     pub bbox_capacity: usize,
     /// **Selftest only** — deliberately stage commit receipts *before*
     /// the commit fence (re-injecting the PR-7 receipt-before-fence bug)
@@ -121,12 +118,10 @@ impl Default for ConcurrentConfig {
             data_persistence: false,
             threads: 1,
             reclaim_threshold_bytes: 1 << 20,
-            group_commit: specpmt_telemetry::Knobs::get().group_commit,
-            group_linger_ns: specpmt_telemetry::Knobs::get().group_linger_ns,
-            flight_recorder: specpmt_telemetry::Knobs::get().flight_recorder,
-            bbox_capacity: specpmt_telemetry::Knobs::get()
-                .bbox_cap
-                .unwrap_or(specpmt_telemetry::blackbox::DEFAULT_RING_CAPACITY),
+            group_commit: false,
+            group_linger_ns: 0,
+            flight_recorder: false,
+            bbox_capacity: specpmt_telemetry::blackbox::DEFAULT_RING_CAPACITY,
             bbox_eager_receipts: false,
         }
     }
@@ -137,8 +132,7 @@ impl Default for ConcurrentConfig {
 pub const DEFAULT_BBOX_STALL_NS: u64 = 10_000;
 
 impl ConcurrentConfig {
-    /// Starts a builder seeded with the defaults (which honour the
-    /// `SPECPMT_*` knobs via [`specpmt_telemetry::Knobs`]). The builder is
+    /// Starts a builder seeded with the defaults. The builder is
     /// the one construction path for non-default configurations — prefer
     /// it over field-struct literals, which `scripts/verify.sh` rejects
     /// outside this module.
@@ -1719,11 +1713,11 @@ pub(crate) mod tests {
 
     #[test]
     fn seventeen_parallel_threads_commit_and_recover() {
-        // Past the legacy 8-root-slot cap: every chain head lives in the
-        // dynamic descriptor's head table.
+        // Past the 8 chains root slots alone could hold: every chain head
+        // lives in the descriptor's head table.
         let threads = 17usize;
         let s = shared(ConcurrentConfig::builder().threads(threads).build());
-        assert!(s.layout().is_dynamic());
+        assert_eq!(s.layout().threads(), threads);
         let base = alloc_region(&s, threads * 64);
         std::thread::scope(|scope| {
             for tid in 0..threads {

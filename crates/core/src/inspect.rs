@@ -9,18 +9,17 @@
 
 use std::fmt;
 
-use specpmt_pmem::{root_off, CrashImage, POOL_MAGIC};
+use specpmt_pmem::{CrashImage, POOL_MAGIC};
 use specpmt_telemetry::{JsonWriter, StatExport};
 
-use crate::layout::{PoolLayout, BLOCK_BYTES_SLOT};
+use crate::layout::PoolLayout;
 use crate::reclaim::FreshnessIndex;
 use crate::record::{parse_chain, REC_HDR};
 
 /// Summary of one thread's (or epoch's) log chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainSummary {
-    /// Thread (chain) index the head was read from — a root-slot-relative
-    /// index on legacy pools, a head-table index on dynamic layouts.
+    /// Chain index: the layout's head-table slot the head was read from.
     pub tid: usize,
     /// Head block offset.
     pub head: usize,
@@ -48,14 +47,10 @@ pub struct InspectReport {
     pub valid_pool: bool,
     /// Persistent bump pointer (heap high-water).
     pub heap_bump: u64,
-    /// Log block size from the layout (or raw metadata slot if no layout
-    /// parsed; 0 if absent).
+    /// Log block size from the layout (0 when no layout parsed).
     pub block_bytes: usize,
-    /// Thread count the pool was formatted for (0 when no layout parsed).
+    /// Chain slots the pool was formatted with (0 when no layout parsed).
     pub threads: usize,
-    /// `true` when the pool carries a dynamic layout descriptor (vs the
-    /// legacy fixed root slots).
-    pub dynamic_layout: bool,
     /// Per-chain summaries (only threads with non-zero heads).
     pub chains: Vec<ChainSummary>,
 }
@@ -107,7 +102,6 @@ impl StatExport for InspectReport {
         w.field_u64("heap_bump", self.heap_bump);
         w.field_u64("block_bytes", self.block_bytes as u64);
         w.field_u64("threads", self.threads as u64);
-        w.field_bool("dynamic_layout", self.dynamic_layout);
         w.begin_array_field("chains");
         for c in &self.chains {
             w.begin_object();
@@ -140,12 +134,7 @@ impl fmt::Display for InspectReport {
         writeln!(f, "pool:        {}", if self.valid_pool { "valid" } else { "INVALID MAGIC" })?;
         writeln!(f, "heap bump:   {:#x}", self.heap_bump)?;
         writeln!(f, "block size:  {} bytes", self.block_bytes)?;
-        writeln!(
-            f,
-            "layout:      {} ({} threads)",
-            if self.dynamic_layout { "dynamic descriptor" } else { "legacy root slots" },
-            self.threads
-        )?;
+        writeln!(f, "layout:      {} chain slots", self.threads)?;
         writeln!(f, "chains:      {}", self.chains.len())?;
         for c in &self.chains {
             write!(
@@ -180,32 +169,19 @@ impl fmt::Display for InspectReport {
 
 /// Inspects a crash image (or a live pool's image) without modifying it.
 ///
-/// The pool's [`PoolLayout`] (dynamic descriptor or legacy fixed root
-/// slots) determines where chain heads are read from. A valid pool whose
-/// layout does not parse (e.g. no runtime metadata yet) reports the raw
-/// [`BLOCK_BYTES_SLOT`] contents and no chains.
+/// The pool's [`PoolLayout`] says where chain heads are read from. A valid
+/// pool whose layout does not parse (no runtime has formatted it, or the
+/// descriptor is corrupt) reports no geometry and no chains.
 pub fn inspect_image(image: &CrashImage) -> InspectReport {
     let valid_pool =
         image.len() >= specpmt_pmem::POOL_HEADER_SIZE && image.read_u64(0) == POOL_MAGIC;
-    if !valid_pool {
-        return InspectReport {
-            valid_pool,
-            heap_bump: 0,
-            block_bytes: 0,
-            threads: 0,
-            dynamic_layout: false,
-            chains: Vec::new(),
-        };
-    }
-    let heap_bump = image.read_u64(specpmt_pmem::BUMP_OFF);
+    let heap_bump = if valid_pool { image.read_u64(specpmt_pmem::BUMP_OFF) } else { 0 };
     let Some(layout) = PoolLayout::read(image) else {
-        let block_bytes = image.read_u64(root_off(BLOCK_BYTES_SLOT)) as usize;
         return InspectReport {
             valid_pool,
             heap_bump,
-            block_bytes,
+            block_bytes: 0,
             threads: 0,
-            dynamic_layout: false,
             chains: Vec::new(),
         };
     };
@@ -259,7 +235,6 @@ pub fn inspect_image(image: &CrashImage) -> InspectReport {
         heap_bump,
         block_bytes: layout.block_bytes(),
         threads: layout.threads(),
-        dynamic_layout: layout.is_dynamic(),
         chains,
     }
 }
@@ -297,7 +272,6 @@ mod tests {
         let img = chains_image(2, 5, 0);
         let report = inspect_image(&img);
         assert!(report.valid_pool);
-        assert!(report.dynamic_layout);
         assert_eq!(report.threads, 2);
         assert_eq!(report.chains.len(), 2);
         assert_eq!(report.total_records(), 10);
@@ -312,7 +286,7 @@ mod tests {
         assert!(report.total_reclaimable_bytes() > 0);
         let rendered = report.to_string();
         assert!(rendered.contains("10") || rendered.contains("records"));
-        assert!(rendered.contains("dynamic descriptor"));
+        assert!(rendered.contains("2 chain slots"));
         assert!(rendered.contains("reclaimable"));
     }
 
@@ -333,7 +307,7 @@ mod tests {
         let j = report.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
         assert!(j.contains("\"valid_pool\":true"), "{j}");
-        assert!(j.contains("\"dynamic_layout\":true"), "{j}");
+        assert!(j.contains("\"threads\":2"), "{j}");
         assert!(j.contains("\"total_records\":10"), "{j}");
         assert!(j.contains("\"total_stale_entries\":9"), "{j}");
         assert!(j.contains("\"chains\":["), "{j}");

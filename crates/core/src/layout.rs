@@ -8,9 +8,11 @@
 //! cap: at format time the runtime allocates a **layout descriptor** on
 //! the heap — a table of chain-head slots, one per thread the runtime was
 //! formatted with, plus the block size — checksums the static part, and
-//! points root slot [`LAYOUT_SLOT`] at it. Everything that parses a pool after a crash
-//! ([`crate::recovery`], [`crate::inspect`]) reads the descriptor instead
-//! of assuming the old fixed slots.
+//! points root slot [`LAYOUT_SLOT`] at it. Every runtime that roots a log
+//! chain formats one (the software runtimes one slot per thread, the
+//! hardware SpecPMT model one per live epoch, HOOP and SPHT a single
+//! slot), and everything that parses a pool after a crash
+//! ([`crate::recovery`], [`crate::inspect`]) finds the chains through it.
 //!
 //! ```text
 //! root slot 3 (LAYOUT_SLOT) ──► descriptor (heap, 64-byte aligned)
@@ -30,39 +32,21 @@
 //! reclamation and checkpointing splice new chains in by atomically
 //! rewriting one aligned 8-byte pointer — the paper's two-fence protocol),
 //! so they are deliberately *not* covered by the checksum; a head pointer
-//! self-validates by chain (or checkpoint-record) parsing, exactly like
-//! the old root slots did.
+//! self-validates by chain (or checkpoint-record) parsing.
 //!
-//! # Legacy pools
-//!
-//! A pool whose [`LAYOUT_SLOT`] root is zero is a *legacy* pool: the
-//! hardware models and baselines (`specpmt-hwtx`, `specpmt-baselines`)
-//! still format [`LEGACY_CHAIN_SLOTS`] fixed chains rooted at
-//! [`LOG_HEAD_SLOT_BASE`] with the block size in [`BLOCK_BYTES_SLOT`].
-//! [`PoolLayout::read`] transparently degrades to those slots (no
-//! checkpoint, no black box), so one recovery/inspection path serves both
-//! layouts. Those are the only two: pools never outlive a process, so a
-//! descriptor of any version but [`LAYOUT_VERSION`] is rejected as
-//! corrupt rather than parsed.
+//! This is the only layout. A pool whose [`LAYOUT_SLOT`] root is zero has
+//! none — [`PoolLayout::read`] returns `None` and recovery is a no-op, as
+//! for a garbage descriptor — and, pools never outliving a process, a
+//! descriptor of any version but [`LAYOUT_VERSION`] is rejected as corrupt
+//! rather than parsed.
 
 use specpmt_pmem::{root_off, PmemPool, SharedPmemPool, POOL_HEADER_SIZE, POOL_MAGIC};
 
 use crate::checksum::fnv1a64;
 use crate::record::ByteSource;
 
-/// Root slot pointing at the layout descriptor (0 = legacy pool).
+/// Root slot pointing at the layout descriptor (0 = no layout).
 pub const LAYOUT_SLOT: usize = 3;
-
-/// Root slot holding the log block size (mirrored by [`PoolLayout`] for
-/// legacy tooling; authoritative only on legacy pools).
-pub const BLOCK_BYTES_SLOT: usize = 7;
-
-/// First root slot of the fixed per-thread chain heads on *legacy* pools.
-pub const LOG_HEAD_SLOT_BASE: usize = 8;
-
-/// Number of fixed chain-head root slots on legacy pools (the old
-/// `MAX_THREADS` cap).
-pub const LEGACY_CHAIN_SLOTS: usize = 8;
 
 /// Magic identifying a layout descriptor ("SPLAYOUT").
 pub const LAYOUT_MAGIC: u64 = 0x5350_4c41_594f_5554;
@@ -99,7 +83,7 @@ const BLOCK_BYTES_RANGE: std::ops::RangeInclusive<usize> = 64..=(1 << 20);
 pub struct PoolLayout {
     threads: usize,
     block_bytes: usize,
-    /// Heap offset of the descriptor; 0 marks a legacy fixed-slot layout.
+    /// Heap offset of the descriptor.
     desc_base: usize,
 }
 
@@ -140,7 +124,6 @@ impl PoolLayout {
 
     /// Formats a layout descriptor on `pool`'s heap (head table and
     /// checkpoint head zeroed) and roots it at [`LAYOUT_SLOT`].
-    /// [`BLOCK_BYTES_SLOT`] is mirrored for legacy tooling.
     ///
     /// # Panics
     ///
@@ -154,7 +137,6 @@ impl PoolLayout {
         pool.device_mut().write(desc_base, &bytes);
         pool.device_mut().persist_range(desc_base, bytes.len());
         pool.set_root_direct(LAYOUT_SLOT, desc_base as u64);
-        pool.set_root_direct(BLOCK_BYTES_SLOT, block_bytes as u64);
         Self { threads, block_bytes, desc_base }
     }
 
@@ -173,28 +155,19 @@ impl PoolLayout {
         h.write(desc_base, &bytes);
         h.persist_range(desc_base, bytes.len());
         pool.set_root_direct(LAYOUT_SLOT, desc_base as u64);
-        pool.set_root_direct(BLOCK_BYTES_SLOT, block_bytes as u64);
         Self { threads, block_bytes, desc_base }
     }
 
     /// Parses the layout from any byte source (crash image, live device or
     /// device handle).
     ///
-    /// Returns `None` when the source is not a SpecPMT pool, the descriptor
-    /// is corrupt, or (on a legacy pool) the block size is implausible.
+    /// Returns `None` when the source is not a SpecPMT pool, has no
+    /// descriptor ([`LAYOUT_SLOT`] is zero), or the descriptor is corrupt.
     pub fn read<S: ByteSource>(src: &S) -> Option<Self> {
         if src.source_len() < POOL_HEADER_SIZE || read_u64_at(src, 0)? != POOL_MAGIC {
             return None;
         }
         let desc_base = read_u64_at(src, root_off(LAYOUT_SLOT))? as usize;
-        if desc_base == 0 {
-            // Legacy fixed-slot pool (hardware models, baselines).
-            let block_bytes = read_u64_at(src, root_off(BLOCK_BYTES_SLOT))? as usize;
-            if !BLOCK_BYTES_RANGE.contains(&block_bytes) {
-                return None;
-            }
-            return Some(Self { threads: LEGACY_CHAIN_SLOTS, block_bytes, desc_base: 0 });
-        }
         if desc_base < POOL_HEADER_SIZE
             || desc_base.checked_add(DESC_STATIC).is_none_or(|end| end > src.source_len())
         {
@@ -225,9 +198,9 @@ impl PoolLayout {
         Some(Self { threads, block_bytes, desc_base })
     }
 
-    /// Number of chain-head slots (the number of per-thread log chains
-    /// recovery must consider; on a legacy pool unused slots hold a zero
-    /// head and parse as empty chains).
+    /// Number of chain-head slots (the number of log chains recovery must
+    /// consider; an unused slot holds a zero head and parses as an empty
+    /// chain).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -237,22 +210,7 @@ impl PoolLayout {
         self.block_bytes
     }
 
-    /// `true` when the layout lives in a heap descriptor (vs the legacy
-    /// fixed root slots).
-    pub fn is_dynamic(&self) -> bool {
-        self.desc_base != 0
-    }
-
-    /// Descriptor version: [`LAYOUT_VERSION`], or 0 on a legacy pool.
-    pub fn version(&self) -> u32 {
-        if self.desc_base == 0 {
-            0
-        } else {
-            LAYOUT_VERSION
-        }
-    }
-
-    /// Heap offset of the descriptor (0 on legacy pools).
+    /// Heap offset of the descriptor.
     pub fn desc_base(&self) -> usize {
         self.desc_base
     }
@@ -265,11 +223,7 @@ impl PoolLayout {
     /// Panics if `tid` is out of range for this layout.
     pub fn head_addr(&self, tid: usize) -> usize {
         assert!(tid < self.threads, "thread {tid} out of range (layout has {})", self.threads);
-        if self.desc_base == 0 {
-            root_off(LOG_HEAD_SLOT_BASE + tid)
-        } else {
-            self.desc_base + DESC_HDR + 8 * tid
-        }
+        self.desc_base + DESC_HDR + 8 * tid
     }
 
     /// Reads thread `tid`'s chain head from `src` (0 = empty chain).
@@ -287,6 +241,15 @@ impl PoolLayout {
         pool.device().crash_point("layout/head_persist");
     }
 
+    /// Writes thread `tid`'s chain head from a background engine (a
+    /// reclamator, replayer or GC core): the line goes straight to the
+    /// WPQ, contending for its bandwidth without fencing the foreground.
+    pub fn set_head_background(&self, pool: &mut PmemPool, tid: usize, head: u64) {
+        let addr = self.head_addr(tid);
+        pool.device_mut().write_u64(addr, head);
+        pool.device_mut().background_line_write(addr);
+    }
+
     /// [`PoolLayout::set_head`] for the shared (concurrent) pool.
     pub fn set_head_shared(&self, pool: &SharedPmemPool, tid: usize, head: u64) {
         let addr = self.head_addr(tid);
@@ -297,60 +260,42 @@ impl PoolLayout {
         h.crash_point("layout/head_persist");
     }
 
-    /// Pool offset of the checkpoint chain head (`None` on a legacy pool,
-    /// which has no descriptor to hold one).
-    pub fn ckpt_head_addr(&self) -> Option<usize> {
-        (self.desc_base != 0).then(|| self.desc_base + CKPT_HEAD_OFF)
+    /// Pool offset of the checkpoint chain head.
+    pub fn ckpt_head_addr(&self) -> usize {
+        self.desc_base + CKPT_HEAD_OFF
     }
 
-    /// Reads the checkpoint chain head (0 = no checkpoint; legacy pools
-    /// always read 0).
+    /// Reads the checkpoint chain head (0 = no checkpoint).
     pub fn ckpt_head<S: ByteSource>(&self, src: &S) -> usize {
-        match self.ckpt_head_addr() {
-            Some(addr) => read_u64_at(src, addr).unwrap_or(0) as usize,
-            None => 0,
-        }
+        read_u64_at(src, self.ckpt_head_addr()).unwrap_or(0) as usize
     }
 
     /// Writes and immediately persists the checkpoint chain head — the
     /// atomic splice of the checkpoint protocol (crash sites around it are
     /// placed by the caller, `SpecSpmtShared::write_checkpoint`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a legacy layout (no checkpoint slot).
     pub fn set_ckpt_head_shared(&self, pool: &SharedPmemPool, head: u64) {
-        let addr = self.ckpt_head_addr().expect("legacy layout has no checkpoint slot");
+        let addr = self.ckpt_head_addr();
         let h = pool.handle();
         h.write_u64(addr, head);
         h.persist_range(addr, 8);
     }
 
-    /// Pool offset of the black-box (flight recorder) region base (`None`
-    /// on a legacy pool).
-    pub fn bbox_head_addr(&self) -> Option<usize> {
-        (self.desc_base != 0).then(|| self.desc_base + BBOX_HEAD_OFF)
+    /// Pool offset of the black-box (flight recorder) region base.
+    pub fn bbox_head_addr(&self) -> usize {
+        self.desc_base + BBOX_HEAD_OFF
     }
 
-    /// Reads the black-box region base (0 = recorder never enabled;
-    /// legacy pools always read 0).
+    /// Reads the black-box region base (0 = recorder never enabled).
     pub fn bbox_head<S: ByteSource>(&self, src: &S) -> usize {
-        match self.bbox_head_addr() {
-            Some(addr) => read_u64_at(src, addr).unwrap_or(0) as usize,
-            None => 0,
-        }
+        read_u64_at(src, self.bbox_head_addr()).unwrap_or(0) as usize
     }
 
     /// Writes and immediately persists the black-box region base. Done
     /// once at runtime construction (setup, not the commit path), so the
     /// extra fence here is free; the region it points at self-validates
     /// via its own checksummed header.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a legacy layout (no black-box slot).
     pub fn set_bbox_head_shared(&self, pool: &SharedPmemPool, base: u64) {
-        let addr = self.bbox_head_addr().expect("legacy layout has no black-box slot");
+        let addr = self.bbox_head_addr();
         let h = pool.handle();
         h.write_u64(addr, base);
         h.persist_range(addr, 8);
@@ -371,8 +316,6 @@ mod tests {
         for threads in [1usize, 2, 8, 17, 32, 100] {
             let mut p = pool();
             let l = PoolLayout::format(&mut p, threads, 4096);
-            assert!(l.is_dynamic());
-            assert_eq!(l.version(), LAYOUT_VERSION);
             assert_eq!(l.threads(), threads);
             assert_eq!(l.block_bytes(), 4096);
             let img = p.device().capture(CrashPolicy::AllLost);
@@ -386,9 +329,11 @@ mod tests {
         let mut p = pool();
         let l = PoolLayout::format(&mut p, 17, 256);
         l.set_head(&mut p, 16, 0xABCD);
+        l.set_head_background(&mut p, 3, 0x1234);
         let img = p.device().capture(CrashPolicy::AllLost);
         let back = PoolLayout::read(&img).unwrap();
         assert_eq!(back.head(&img, 16), 0xABCD);
+        assert_eq!(back.head(&img, 3), 0x1234, "a background head write is durable unfenced");
         assert_eq!(back.head(&img, 0), 0, "unset heads read as empty");
     }
 
@@ -407,27 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pool_degrades_to_fixed_slots() {
-        // A pool formatted the old way: block size + fixed root slots, no
-        // descriptor (LAYOUT_SLOT stays 0). hwtx/baselines still do this.
-        let mut p = pool();
-        p.set_root_direct(BLOCK_BYTES_SLOT, 4096);
-        p.set_root_direct(LOG_HEAD_SLOT_BASE + 5, 0x1000);
-        let img = p.device().capture(CrashPolicy::AllLost);
-        let l = PoolLayout::read(&img).expect("legacy layout parses");
-        assert!(!l.is_dynamic());
-        assert_eq!(l.threads(), LEGACY_CHAIN_SLOTS);
-        assert_eq!(l.block_bytes(), 4096);
-        assert_eq!(l.head_addr(5), root_off(LOG_HEAD_SLOT_BASE + 5));
-        assert_eq!(l.head(&img, 5), 0x1000);
-        assert_eq!(l.ckpt_head(&img), 0, "legacy pools never have a checkpoint");
-    }
-
-    #[test]
     fn garbage_and_corruption_are_rejected() {
         // Not a pool at all.
         assert!(PoolLayout::read(&CrashImage::new(vec![0xAB; 4096])).is_none());
-        // A pool with no runtime metadata (legacy block size 0).
+        // A pool no runtime has formatted (LAYOUT_SLOT is 0).
         let img = pool().device().capture(CrashPolicy::AllSurvive);
         assert!(PoolLayout::read(&img).is_none());
         // A torn descriptor: flip one header byte, checksum must catch it.

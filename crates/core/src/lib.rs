@@ -92,9 +92,7 @@ pub use concurrent::{
 pub use crashsmoke::{run_mt_smoke, run_seq_smoke, run_seq_smoke_with_image};
 pub use hashlog::{HashLogConfig, HashLogSpmt};
 pub use inspect::{inspect_image, ChainSummary, InspectReport};
-pub use layout::{
-    PoolLayout, BLOCK_BYTES_SLOT, LAYOUT_SLOT, LEGACY_CHAIN_SLOTS, LOG_HEAD_SLOT_BASE,
-};
+pub use layout::{PoolLayout, LAYOUT_SLOT};
 pub use locked::LockedTxHandle;
 pub use reclaim::{FreshnessIndex, ReclaimState, ReclaimStats};
 pub use recovery::{

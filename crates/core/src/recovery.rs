@@ -72,8 +72,8 @@ use crate::record::{
 
 /// Parses every thread's committed records from a crash image.
 ///
-/// The pool's [`PoolLayout`] (dynamic descriptor or legacy fixed root
-/// slots) determines how many chains exist and where their heads live.
+/// The pool's [`PoolLayout`] determines how many chains exist and where
+/// their heads live.
 /// Returns records sorted by commit timestamp (ascending). An image
 /// without SpecPMT metadata yields no records.
 ///
@@ -176,8 +176,8 @@ impl RecoveryOptions {
 /// time-to-recover goldens in `tests/recovery.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Chain slots the layout exposed (the thread count the pool was
-    /// formatted with; 8 on a legacy pool).
+    /// Chain slots the layout exposed (the count the pool was formatted
+    /// with).
     pub chains: usize,
     /// Chains that actually held committed records.
     pub chains_nonempty: usize,

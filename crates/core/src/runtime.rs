@@ -1,6 +1,6 @@
 //! The [`SpecSpmt`] transaction runtime.
 
-use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode, BUMP_OFF};
+use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode};
 use specpmt_telemetry::{Metric, Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
@@ -223,13 +223,11 @@ impl SpecSpmt {
                 self.pool.device_mut().sfence();
             }
             self.pool.device().crash_point("seq/reclaim/fence");
-            let layout = self.layout;
+            let (layout, head) = (self.layout, area.head() as u64);
             if background {
-                let addr = layout.head_addr(TID);
-                self.pool.device_mut().write_u64(addr, area.head() as u64);
-                self.pool.device_mut().background_line_write(addr);
+                layout.set_head_background(&mut self.pool, TID, head);
             } else {
-                layout.set_head(&mut self.pool, TID, area.head() as u64);
+                layout.set_head(&mut self.pool, TID, head);
             }
             self.reclaim.spliced(TID, &area);
             self.stats.records_reclaimed += dropped;
@@ -376,22 +374,6 @@ impl TxAccess for SpecSpmt {
         self.maintain();
     }
 
-    fn alloc(&mut self, size: usize, align: usize) -> usize {
-        assert!(self.in_tx, "alloc outside transaction");
-        let r = self.pool.reserve(size, align).expect("pool heap exhausted");
-        if let Some(bump) = r.new_bump {
-            // The bump update rides the speculative log like any other
-            // durable write, making the allocation crash-atomic with the
-            // transaction.
-            self.write_u64(BUMP_OFF, bump);
-        }
-        r.off
-    }
-
-    fn free(&mut self, addr: usize, size: usize, align: usize) {
-        self.pool.free(addr, size, align);
-    }
-
     fn in_tx(&self) -> bool {
         self.in_tx
     }
@@ -404,7 +386,7 @@ impl TxAccess for SpecSpmt {
         }
     }
 
-    specpmt_txn::impl_pool_tx_timing!();
+    specpmt_txn::impl_pool_tx_access!();
 }
 
 impl TxRuntime for SpecSpmt {
@@ -438,7 +420,7 @@ impl Recover for SpecSpmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice};
+    use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice, BUMP_OFF};
 
     fn runtime(cfg: SpecConfig) -> SpecSpmt {
         let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));

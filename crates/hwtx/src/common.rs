@@ -241,7 +241,8 @@ impl UndoLog {
         }
         let base = image.read_u64(root_off(HW_UNDO_BASE_SLOT)) as usize;
         let size = image.read_u64(root_off(HW_UNDO_SIZE_SLOT)) as usize;
-        if base == 0 || size == 0 || base + size > image.len() {
+        // Both words come from the image: the sum must not wrap.
+        if base == 0 || size == 0 || base.checked_add(size).is_none_or(|end| end > image.len()) {
             return;
         }
         let mut entries = Vec::new();
@@ -266,8 +267,9 @@ impl UndoLog {
             entries.push((addr, old));
             pos += ENTRY_HDR + len;
         }
+        // An entry is only checksum-valid, not address-valid.
         for (addr, old) in entries.into_iter().rev() {
-            if addr + old.len() <= image.len() {
+            if addr.checked_add(old.len()).is_some_and(|end| end <= image.len()) {
                 image.write_bytes(addr, &old);
             }
         }
@@ -310,6 +312,50 @@ mod tests {
         UndoLog::recover(&mut img);
         assert_eq!(img.read_u64(a), 5);
         assert_eq!(undo.used(), 0);
+    }
+
+    /// Recovery reads the region bounds and every entry address from the
+    /// image, so neither may be trusted: wrapping values are skipped, not
+    /// summed, through both hardware recoveries that end in the undo log.
+    #[test]
+    fn wrapping_region_bounds_and_entry_addresses_are_skipped() {
+        use crate::{Ede, HwSpecConfig, HwSpecPmt};
+        use specpmt_txn::{Recover, TxAccess, TxRuntime};
+
+        // One committed cold write, then an open transaction on the same
+        // line: the undo region holds one live entry.
+        let mut rt = HwSpecPmt::new(hw_pool(4 << 20), HwSpecConfig::default());
+        let a = rt.setup_alloc(64, 64);
+        rt.begin();
+        rt.write_u64(a, 7);
+        rt.commit();
+        rt.begin();
+        rt.write_u64(a, 8);
+        let valid = rt.pool().device().capture(CrashPolicy::AllSurvive);
+        let undo_base = valid.read_u64(root_off(HW_UNDO_BASE_SLOT)) as usize;
+
+        let mut wild_bounds = valid.clone();
+        wild_bounds.write_u64(root_off(HW_UNDO_BASE_SLOT), u64::MAX);
+        wild_bounds.write_u64(root_off(HW_UNDO_SIZE_SLOT), u64::MAX);
+
+        let mut wild_entry = valid.clone();
+        let addr = (usize::MAX - 3) as u64;
+        let old = [0u8; CACHE_LINE];
+        wild_entry.write_u64(undo_base + 8, addr);
+        wild_entry.write_u64(undo_base + 16, entry_checksum(CACHE_LINE as u32, addr, &old));
+        wild_entry.write_bytes(undo_base + ENTRY_HDR, &old);
+
+        for image in [wild_bounds, wild_entry] {
+            for recover in [HwSpecPmt::recover, Ede::recover] {
+                let mut img = image.clone();
+                recover(&mut img);
+                assert_eq!(img.read_u64(a), 8, "nothing could be rolled back");
+            }
+        }
+        // The untouched image does roll back, so the entry was live.
+        let mut img = valid;
+        Ede::recover(&mut img);
+        assert_eq!(img.read_u64(a), 7);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! HOOP: hardware-assisted out-of-place updates.
 
 use specpmt_core::record::{LogArea, PoolStore};
-use specpmt_core::{recovery, BLOCK_BYTES_SLOT, LEGACY_CHAIN_SLOTS, LOG_HEAD_SLOT_BASE};
+use specpmt_core::{recovery, PoolLayout};
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE};
+use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use crate::common::{flush_line_set, lines_of_ranges, LineSet, RecordBuf};
@@ -47,6 +47,7 @@ pub struct Hoop {
     pool: PmemPool,
     core: HwCore,
     cfg: HoopConfig,
+    layout: PoolLayout,
     area: LogArea,
     free_blocks: Vec<usize>,
     in_tx: bool,
@@ -72,10 +73,7 @@ impl Hoop {
     pub fn new(mut pool: PmemPool, cfg: HoopConfig) -> Self {
         let prev = pool.device().timing();
         pool.device_mut().set_timing(TimingMode::Off);
-        pool.set_root_direct(BLOCK_BYTES_SLOT, cfg.block_bytes as u64);
-        for slot in 0..LEGACY_CHAIN_SLOTS {
-            pool.set_root_direct(LOG_HEAD_SLOT_BASE + slot, 0);
-        }
+        let layout = PoolLayout::format(&mut pool, 1, cfg.block_bytes);
         let mut free_blocks = Vec::new();
         let mut dirty = Vec::new();
         let area = LogArea::create(
@@ -83,13 +81,14 @@ impl Hoop {
             cfg.block_bytes,
             &mut dirty,
         );
-        pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
+        layout.set_head(&mut pool, 0, area.head() as u64);
         pool.device_mut().flush_everything();
         pool.device_mut().set_timing(prev);
         Self {
             pool,
             core: HwCore::new(cfg.hw.clone()),
             cfg,
+            layout,
             area,
             free_blocks,
             in_tx: false,
@@ -139,10 +138,7 @@ impl Hoop {
         for (addr, len) in dirty {
             self.pool.device_mut().background_range_write(addr, len);
         }
-        let head = area.head() as u64;
-        let slot = specpmt_pmem::root_off(LOG_HEAD_SLOT_BASE);
-        self.pool.device_mut().write_u64(slot, head);
-        self.pool.device_mut().background_line_write(slot);
+        self.layout.set_head_background(&mut self.pool, 0, area.head() as u64);
         let old = std::mem::replace(&mut self.area, area);
         self.free_blocks.extend(old.into_blocks());
         self.gc_accum_bytes = 0;
@@ -224,19 +220,6 @@ impl TxAccess for Hoop {
         }
     }
 
-    fn alloc(&mut self, size: usize, align: usize) -> usize {
-        assert!(self.in_tx, "alloc outside transaction");
-        let r = self.pool.reserve(size, align).expect("pool heap exhausted");
-        if let Some(bump) = r.new_bump {
-            self.write_u64(BUMP_OFF, bump);
-        }
-        r.off
-    }
-
-    fn free(&mut self, addr: usize, size: usize, align: usize) {
-        self.pool.free(addr, size, align);
-    }
-
     fn in_tx(&self) -> bool {
         self.in_tx
     }
@@ -247,7 +230,7 @@ impl TxAccess for Hoop {
         }
     }
 
-    specpmt_txn::impl_pool_tx_timing!();
+    specpmt_txn::impl_pool_tx_access!();
 }
 
 impl TxRuntime for Hoop {

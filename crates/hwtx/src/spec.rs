@@ -3,9 +3,9 @@
 use std::collections::VecDeque;
 
 use specpmt_core::record::{parse_chain, LogArea, PoolStore, ENTRY_HDR, REC_HDR};
-use specpmt_core::{recovery, BLOCK_BYTES_SLOT, LEGACY_CHAIN_SLOTS, LOG_HEAD_SLOT_BASE};
+use specpmt_core::{recovery, PoolLayout};
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool, TimingMode, BUMP_OFF, CACHE_LINE};
+use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use crate::common::{flush_line_set, lines_of_ranges, lines_touching, LineSet, RecordBuf, UndoLog};
@@ -28,14 +28,6 @@ pub struct HwSpecConfig {
     pub block_bytes: usize,
     /// Undo-log region capacity.
     pub undo_bytes: usize,
-    /// Section 5.1.2's adaptive control: sample the performance of
-    /// speculative vs undo-only logging in alternating windows and lock in
-    /// whichever is faster (re-probing periodically). Covers workloads
-    /// where page-granularity speculative logging backfires (e.g. sparse
-    /// writes over many pages with tiny epochs).
-    pub adaptive: bool,
-    /// Commits per adaptive sampling window.
-    pub adaptive_window: u64,
 }
 
 impl Default for HwSpecConfig {
@@ -48,8 +40,6 @@ impl Default for HwSpecConfig {
             max_live_epochs: 3,
             block_bytes: 4096,
             undo_bytes: 1 << 20,
-            adaptive: false,
-            adaptive_window: 64,
         }
     }
 }
@@ -82,6 +72,7 @@ pub struct HwSpecPmt {
     pool: PmemPool,
     core: HwCore,
     cfg: HwSpecConfig,
+    layout: PoolLayout,
     epochs: VecDeque<Epoch>,
     next_eid: u8,
     free_slots: Vec<usize>,
@@ -100,30 +91,13 @@ pub struct HwSpecPmt {
     footprint_sum: u64,
     /// Control-status register bit: speculative logging enabled.
     spec_enabled: bool,
-    adaptive: AdaptiveState,
     stats: TxStats,
 }
 
-/// Section 5.1.2 sampling controller.
-#[derive(Debug)]
-struct AdaptiveState {
-    /// Commits seen in the current window.
-    commits: u64,
-    /// Device time at window start.
-    window_start_ns: u64,
-    /// Measured ns/commit with speculative logging on, if sampled.
-    spec_ns: Option<f64>,
-    /// Measured ns/commit with undo-only logging, if sampled.
-    undo_ns: Option<f64>,
-    /// Commits until the next re-probe once locked.
-    locked_for: u64,
-}
-
-impl AdaptiveState {
-    fn new() -> Self {
-        Self { commits: 0, window_start_ns: 0, spec_ns: None, undo_ns: None, locked_for: 0 }
-    }
-}
+/// Chain slots the pool is formatted with: one per 3-bit EID value. At
+/// most `max_live_epochs` (≤ 6) are in use, so a new epoch always finds a
+/// free one.
+const EPOCH_SLOTS: usize = 8;
 
 impl HwSpecPmt {
     /// Creates the runtime with one open epoch.
@@ -134,19 +108,20 @@ impl HwSpecPmt {
         );
         let prev = pool.device().timing();
         pool.device_mut().set_timing(TimingMode::Off);
-        pool.set_root_direct(BLOCK_BYTES_SLOT, cfg.block_bytes as u64);
-        for slot in 0..LEGACY_CHAIN_SLOTS {
-            pool.set_root_direct(LOG_HEAD_SLOT_BASE + slot, 0);
-        }
+        // The undo region first, so that it starts the heap on an XPLine
+        // boundary: its first line is flushed by every truncation, and
+        // behind the descriptor it costs +2.9 % on `tests/hw_golden.rs`.
         let undo = UndoLog::new(&mut pool, cfg.undo_bytes);
+        let layout = PoolLayout::format(&mut pool, EPOCH_SLOTS, cfg.block_bytes);
         pool.device_mut().set_timing(prev);
         let mut rt = Self {
             pool,
             core: HwCore::new(cfg.hw.clone()),
             cfg,
+            layout,
             epochs: VecDeque::new(),
             next_eid: 1,
-            free_slots: (0..LEGACY_CHAIN_SLOTS).rev().collect(),
+            free_slots: (0..EPOCH_SLOTS).rev().collect(),
             undo,
             free_blocks: Vec::new(),
             ts_counter: 1,
@@ -159,7 +134,6 @@ impl HwSpecPmt {
             footprint_samples: 0,
             footprint_sum: 0,
             spec_enabled: true,
-            adaptive: AdaptiveState::new(),
             stats: TxStats::default(),
         };
         rt.start_epoch();
@@ -181,49 +155,6 @@ impl HwSpecPmt {
     /// Whether speculative logging is currently enabled.
     pub fn speculative_logging(&self) -> bool {
         self.spec_enabled
-    }
-
-    /// Advances the Section 5.1.2 sampling controller at commit time.
-    fn adaptive_tick(&mut self) {
-        if !self.cfg.adaptive {
-            return;
-        }
-        let now = self.pool.device().now_ns();
-        if self.adaptive.commits == 0 {
-            self.adaptive.window_start_ns = now;
-        }
-        self.adaptive.commits += 1;
-        if self.adaptive.locked_for > 0 {
-            self.adaptive.locked_for -= 1;
-            if self.adaptive.locked_for == 0 {
-                // Re-probe from scratch.
-                self.adaptive.spec_ns = None;
-                self.adaptive.undo_ns = None;
-                self.adaptive.commits = 0;
-                self.spec_enabled = true;
-            }
-            return;
-        }
-        if self.adaptive.commits < self.cfg.adaptive_window {
-            return;
-        }
-        let per_commit =
-            (now - self.adaptive.window_start_ns) as f64 / self.adaptive.commits as f64;
-        if self.spec_enabled {
-            self.adaptive.spec_ns = Some(per_commit);
-        } else {
-            self.adaptive.undo_ns = Some(per_commit);
-        }
-        self.adaptive.commits = 0;
-        match (self.adaptive.spec_ns, self.adaptive.undo_ns) {
-            (Some(s), Some(u)) => {
-                // Lock in the faster scheme for a long stretch.
-                self.spec_enabled = s <= u;
-                self.adaptive.locked_for = 32 * self.cfg.adaptive_window;
-            }
-            (Some(_), None) => self.spec_enabled = false, // sample the other arm
-            _ => self.spec_enabled = true,
-        }
     }
 
     /// Current log footprint (epoch chains + undo region use).
@@ -269,7 +200,7 @@ impl HwSpecPmt {
         lines_of_ranges(&dirty, &mut lines);
         flush_line_set(self.pool.device_mut(), &lines);
         self.pool.device_mut().sfence();
-        self.pool.set_root_direct(LOG_HEAD_SLOT_BASE + slot, area.head() as u64);
+        self.layout.set_head(&mut self.pool, slot, area.head() as u64);
         self.epochs.push_back(Epoch { eid, slot, area, record_bytes: 0, pages: 0 });
     }
 
@@ -295,7 +226,7 @@ impl HwSpecPmt {
         // Step 2: clearepoch — the epoch's pages become cold.
         self.core.clear_epoch(self.pool.device_mut(), epoch.eid);
         // Step 3: reclaim the log space (head pointer cleared atomically).
-        self.pool.set_root_direct(LOG_HEAD_SLOT_BASE + epoch.slot, 0);
+        self.layout.set_head(&mut self.pool, epoch.slot, 0);
         self.free_slots.push(epoch.slot);
         self.stats.records_reclaimed += records.len() as u64;
         self.free_blocks.extend(epoch.area.into_blocks());
@@ -465,27 +396,13 @@ impl TxAccess for HwSpecPmt {
         if epoch.record_bytes > self.cfg.epoch_max_bytes || epoch.pages > self.cfg.epoch_max_pages {
             self.start_epoch();
         }
-        self.adaptive_tick();
-    }
-
-    fn alloc(&mut self, size: usize, align: usize) -> usize {
-        assert!(self.in_tx, "alloc outside transaction");
-        let r = self.pool.reserve(size, align).expect("pool heap exhausted");
-        if let Some(bump) = r.new_bump {
-            self.write_u64(BUMP_OFF, bump);
-        }
-        r.off
-    }
-
-    fn free(&mut self, addr: usize, size: usize, align: usize) {
-        self.pool.free(addr, size, align);
     }
 
     fn in_tx(&self) -> bool {
         self.in_tx
     }
 
-    specpmt_txn::impl_pool_tx_timing!();
+    specpmt_txn::impl_pool_tx_access!();
 }
 
 impl TxRuntime for HwSpecPmt {
@@ -707,24 +624,6 @@ mod tests {
         let mut img = rt.pool().device().capture(CrashPolicy::AllSurvive);
         HwSpecPmt::recover(&mut img);
         assert_eq!(img.read_u64(a), 15);
-    }
-
-    #[test]
-    fn adaptive_mode_samples_both_schemes_and_stays_correct() {
-        let mut rt =
-            runtime(HwSpecConfig { adaptive: true, adaptive_window: 8, ..HwSpecConfig::default() });
-        let a = region(&mut rt, 4 * 4096);
-        let mut last = 0;
-        for v in 0..200u64 {
-            rt.begin();
-            rt.write_u64(a + (v as usize % 4) * 4096, v);
-            rt.commit();
-            last = v;
-        }
-        // Both arms were sampled; correctness holds throughout.
-        let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
-        HwSpecPmt::recover(&mut img);
-        assert_eq!(img.read_u64(a + (last as usize % 4) * 4096), last);
     }
 
     #[test]

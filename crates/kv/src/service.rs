@@ -69,7 +69,7 @@ pub struct KvConfig {
     /// then bracket every operation with `KvOp`/`KvOpDone` events and
     /// log governor rejections, so a shard crash image names the
     /// in-flight op class under `forensics`. Defaults to the runtime's
-    /// own default (the `SPECPMT_FLIGHT_RECORDER` knob).
+    /// own default (off).
     pub flight_recorder: bool,
 }
 

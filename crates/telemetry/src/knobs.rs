@@ -8,19 +8,15 @@
 //!
 //! Malformed or out-of-range values are **named errors**
 //! ([`KnobError`]), never silent defaults: a typo'd
-//! `SPECPMT_BBOX_CAP=40K` fails fast with the variable name, the
+//! `SPECPMT_TELEMETRY=maybe` fails fast with the variable name, the
 //! offending value, and what was expected, instead of quietly running
-//! with the default capacity.
+//! with telemetry off.
 //!
 //! | Variable | Default | Accepted values | Meaning |
 //! |---|---|---|---|
 //! | `SPECPMT_TELEMETRY` | off | `1/true/yes/on` (or `0/false/no/off`) | Start metric registries enabled. |
-//! | `SPECPMT_GROUP_COMMIT` | off | boolean as above | Default the shared runtime to epoch/group commit. |
-//! | `SPECPMT_GROUP_LINGER_NS` | `0` | non-negative integer | Combiner linger budget per batch, simulated ns. |
 //! | `SPECPMT_BENCH_SMOKE` | off | set (any value) | Run benches at bounded smoke scale. |
 //! | `SPECPMT_CRASH_TARGET` | unset | `site:hit` | Deterministic crash target for the enumeration harness (1-based hit count; site names in `specpmt_pmem::sites`). |
-//! | `SPECPMT_FLIGHT_RECORDER` | off | boolean as above | Default the shared runtime's PM-resident flight recorder on. |
-//! | `SPECPMT_BBOX_CAP` | [`crate::blackbox::DEFAULT_RING_CAPACITY`] | integer `16..=1048576` | Flight-recorder events per ring (per thread). |
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -62,32 +58,12 @@ fn parse_flag(var: &'static str, raw: Option<&str>) -> Result<bool, KnobError> {
     }
 }
 
-/// Parses an integer knob within `[lo, hi]`; unset returns `None`.
-fn parse_ranged(
-    var: &'static str,
-    raw: Option<&str>,
-    lo: u64,
-    hi: u64,
-    expected: &'static str,
-) -> Result<Option<u64>, KnobError> {
-    let Some(raw) = raw else { return Ok(None) };
-    let v: u64 = raw.trim().parse().map_err(|_| bad(var, raw, expected))?;
-    if !(lo..=hi).contains(&v) {
-        return Err(bad(var, raw, expected));
-    }
-    Ok(Some(v))
-}
-
 /// The parsed `SPECPMT_*` knob set (see the module table for each knob's
 /// default and accepted values).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Knobs {
     /// `SPECPMT_TELEMETRY`: start metric registries enabled.
     pub telemetry: bool,
-    /// `SPECPMT_GROUP_COMMIT`: default the shared runtime to group commit.
-    pub group_commit: bool,
-    /// `SPECPMT_GROUP_LINGER_NS`: combiner linger budget (simulated ns).
-    pub group_linger_ns: u64,
     /// `SPECPMT_BENCH_SMOKE`: set (to anything) runs benches at smoke
     /// scale.
     pub bench_smoke: bool,
@@ -96,12 +72,6 @@ pub struct Knobs {
     /// crate sits below `specpmt-pmem`, which owns the typed `CrashPlan`
     /// and validates the site name against its inventory).
     pub crash_target: Option<(String, u64)>,
-    /// `SPECPMT_FLIGHT_RECORDER`: default the shared runtime's
-    /// PM-resident flight recorder on.
-    pub flight_recorder: bool,
-    /// `SPECPMT_BBOX_CAP`: flight-recorder events per ring; `None` means
-    /// [`crate::blackbox::DEFAULT_RING_CAPACITY`].
-    pub bbox_cap: Option<usize>,
 }
 
 impl Knobs {
@@ -111,16 +81,6 @@ impl Knobs {
     pub fn from_lookup(look: &dyn Fn(&str) -> Option<String>) -> Result<Self, KnobError> {
         let get = |name: &str| look(name);
         let telemetry = parse_flag("SPECPMT_TELEMETRY", get("SPECPMT_TELEMETRY").as_deref())?;
-        let group_commit =
-            parse_flag("SPECPMT_GROUP_COMMIT", get("SPECPMT_GROUP_COMMIT").as_deref())?;
-        let group_linger_ns = parse_ranged(
-            "SPECPMT_GROUP_LINGER_NS",
-            get("SPECPMT_GROUP_LINGER_NS").as_deref(),
-            0,
-            u64::MAX,
-            "a non-negative integer (simulated ns)",
-        )?
-        .unwrap_or(0);
         let bench_smoke = get("SPECPMT_BENCH_SMOKE").is_some();
         let crash_target = match get("SPECPMT_CRASH_TARGET") {
             None => None,
@@ -132,25 +92,7 @@ impl Knobs {
                 )
             })?),
         };
-        let flight_recorder =
-            parse_flag("SPECPMT_FLIGHT_RECORDER", get("SPECPMT_FLIGHT_RECORDER").as_deref())?;
-        let bbox_cap = parse_ranged(
-            "SPECPMT_BBOX_CAP",
-            get("SPECPMT_BBOX_CAP").as_deref(),
-            16,
-            1 << 20,
-            "an integer events-per-ring capacity in 16..=1048576",
-        )?
-        .map(|v| v as usize);
-        Ok(Self {
-            telemetry,
-            group_commit,
-            group_linger_ns,
-            bench_smoke,
-            crash_target,
-            flight_recorder,
-            bbox_cap,
-        })
+        Ok(Self { telemetry, bench_smoke, crash_target })
     }
 
     /// Parses the process environment, surfacing the first malformed
@@ -207,30 +149,20 @@ mod tests {
     #[test]
     fn defaults_are_all_off() {
         let k = from_map(&[]).expect("empty environment parses");
-        assert!(!k.telemetry && !k.group_commit && !k.bench_smoke);
-        assert!(!k.flight_recorder);
-        assert_eq!(k.group_linger_ns, 0);
+        assert!(!k.telemetry && !k.bench_smoke);
         assert_eq!(k.crash_target, None);
-        assert_eq!(k.bbox_cap, None);
     }
 
     #[test]
     fn well_formed_values_parse() {
         let k = from_map(&[
-            ("SPECPMT_TELEMETRY", "on"),
-            ("SPECPMT_GROUP_COMMIT", "TRUE"),
-            ("SPECPMT_GROUP_LINGER_NS", "250"),
+            ("SPECPMT_TELEMETRY", "TRUE"),
             ("SPECPMT_BENCH_SMOKE", "whatever"),
             ("SPECPMT_CRASH_TARGET", "mt/commit/fence:3"),
-            ("SPECPMT_FLIGHT_RECORDER", "yes"),
-            ("SPECPMT_BBOX_CAP", " 64 "),
         ])
         .expect("all values are well-formed");
-        assert!(k.telemetry && k.group_commit && k.bench_smoke);
-        assert_eq!(k.group_linger_ns, 250);
+        assert!(k.telemetry && k.bench_smoke);
         assert_eq!(k.crash_target, Some(("mt/commit/fence".to_string(), 3)));
-        assert!(k.flight_recorder);
-        assert_eq!(k.bbox_cap, Some(64));
     }
 
     /// Every documented variable with a constrained value space must
@@ -240,18 +172,10 @@ mod tests {
     fn malformed_values_name_the_variable() {
         let cases: &[(&str, &str)] = &[
             ("SPECPMT_TELEMETRY", "maybe"),
-            ("SPECPMT_GROUP_COMMIT", "enable"),
-            ("SPECPMT_GROUP_LINGER_NS", "fast"),
-            ("SPECPMT_GROUP_LINGER_NS", "-1"),
             ("SPECPMT_CRASH_TARGET", "no-colon"),
             ("SPECPMT_CRASH_TARGET", "site:0"),
             ("SPECPMT_CRASH_TARGET", ":3"),
             ("SPECPMT_CRASH_TARGET", "a/b:x"),
-            ("SPECPMT_FLIGHT_RECORDER", "si"),
-            ("SPECPMT_BBOX_CAP", "40K"),
-            ("SPECPMT_BBOX_CAP", "-5"),
-            ("SPECPMT_BBOX_CAP", "8"),
-            ("SPECPMT_BBOX_CAP", "99999999"),
         ];
         for (var, value) in cases {
             let err =
@@ -261,15 +185,6 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains(var), "error must name the variable: {msg}");
             assert!(msg.contains(value), "error must show the value: {msg}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_values_are_rejected_not_clamped() {
-        // BBOX_CAP just outside its documented range, on either side.
-        for raw in ["15", "1048577"] {
-            let err = from_map(&[("SPECPMT_BBOX_CAP", raw)]).unwrap_err();
-            assert_eq!(err.var, "SPECPMT_BBOX_CAP");
         }
     }
 

@@ -236,13 +236,31 @@ pub fn run_tx<A: TxAccess, T>(rt: &mut A, mut body: impl FnMut(&mut A) -> T) -> 
     }
 }
 
-/// Implements the device-derived [`TxAccess`] methods (`compute`,
-/// `local_now_ns`, `set_timing`, `setup_alloc`, `setup_write`) for a type
-/// that implements [`crate::TxRuntime`], in terms of its exclusive pool.
-/// Invoke inside the `impl TxAccess for T` block.
+/// Implements the pool-derived [`TxAccess`] methods (`alloc`, `free`,
+/// `compute`, `local_now_ns`, `set_timing`, `setup_alloc`, `setup_write`)
+/// for a type that implements [`crate::TxRuntime`], in terms of its
+/// exclusive pool. Invoke inside the `impl TxAccess for T` block.
 #[macro_export]
-macro_rules! impl_pool_tx_timing {
+macro_rules! impl_pool_tx_access {
     () => {
+        fn alloc(&mut self, size: usize, align: usize) -> usize {
+            assert!($crate::TxAccess::in_tx(self), "alloc outside transaction");
+            let r = $crate::TxRuntime::pool_mut(self)
+                .reserve(size, align)
+                .expect("pool heap exhausted");
+            if let Some(bump) = r.new_bump {
+                // The bump update rides the runtime's log like any other
+                // durable write, making the allocation crash-atomic with
+                // the transaction.
+                $crate::TxAccess::write_u64(self, ::specpmt_pmem::BUMP_OFF, bump);
+            }
+            r.off
+        }
+
+        fn free(&mut self, addr: usize, size: usize, align: usize) {
+            $crate::TxRuntime::pool_mut(self).free(addr, size, align);
+        }
+
         fn compute(&mut self, ns: u64) {
             $crate::TxRuntime::pool_mut(self).device_mut().advance(ns);
         }

@@ -349,4 +349,34 @@ for f in $(find crates -path '*/src/*' -name '*.rs' ! -path 'crates/core/src/cra
           echo "$hits (call recover_image_opts)" >&2; exit 1; }
 done
 
+# One pool layout: every runtime that roots a log chain formats the
+# descriptor and publishes heads through it; the fixed-root-slot format,
+# its constants and the "descriptor or not" accessors stay deleted, and
+# the hardware models and SPHT touch no root slot of their own (the undo
+# region's two, in hwtx/src/common.rs, are not chain heads). The §5.1.2
+# sampling controller was measured on Fig. 15 and deleted; the CSR bit
+# stays. The four environment knobs that only pre-loaded builder fields
+# are gone: CHANGES.md keeps the history and ISSUE.md is the request that
+# retired them. The patterns do not match their own line.
+if grep -rnE 'LEGACY_CHAIN_[S]LOTS|LOG_HEAD_SLOT_[B]ASE|BLOCK_BYTES_[S]LOT|is_[d]ynamic|dynamic_[l]ayout|desc_base [=]= 0' \
+    crates src tests examples; then
+    echo "the legacy fixed-slot pool layout is back (format a PoolLayout)" >&2
+    exit 1
+fi
+for f in crates/hwtx/src/spec.rs crates/hwtx/src/hoop.rs crates/baselines/src/spht.rs; do
+    if nontest "$f" | grep -nF 'root_off('; then
+        echo "$f addresses a root slot itself (publish heads through PoolLayout)" >&2
+        exit 1
+    fi
+done
+if grep -rn 'adaptiv[e]' crates/hwtx/src; then
+    echo "the unmeasured §5.1.2 controller is back (EXPERIMENTS.md, Figure 15)" >&2
+    exit 1
+fi
+if git grep -nE 'SPECPMT_(GROUP_[C]OMMIT|GROUP_[L]INGER_NS|FLIGHT_[R]ECORDER|BBOX_[C]AP)' \
+    -- . ':!CHANGES.md' ':!ISSUE.md'; then
+    echo "an env knob that only pre-loads a builder field is back (set the builder)" >&2
+    exit 1
+fi
+
 echo "verify: OK"

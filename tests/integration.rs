@@ -117,34 +117,90 @@ fn workload_state_survives_crash_after_run() {
 }
 
 /// Hardware SpecPMT across epochs: interleave hot/cold phases and crash at
-/// several points.
+/// the end of the run — then crash inside every epoch-head publication of
+/// a run. `layout/head_write` fires with the new head word stored but not
+/// yet persisted: in `start_epoch` that is after the new chain's
+/// `LogArea::create` fence and before its head is published, in
+/// `reclaim_oldest` after `clear_epoch` and before the cleared head is
+/// durable. `AllLost` keeps the old word and `AllSurvive` the new one, and
+/// either way recovery must reach the oracle's committed state.
+///
+/// The sweep promotes a page on its first store (`hot_threshold: 1`): with
+/// the default threshold a page re-cooled by `clearepoch` takes cold,
+/// in-place writes while a younger live epoch still holds its older
+/// record, which recovery then replays over them — EXPERIMENTS.md
+/// divergence 7, open, and not what this test is about.
 #[test]
 fn hw_spec_epoch_lifecycle_recovers() {
-    let mut rt = HwSpecPmt::new(
-        hw_pool(16 << 20),
-        HwSpecConfig {
-            epoch_max_bytes: 8 * 1024,
-            epoch_max_pages: 4,
-            max_live_epochs: 2,
-            ..HwSpecConfig::default()
-        },
-    );
-    rt.begin();
-    let a = rt.alloc(8 * 4096, 4096);
-    rt.commit();
-    for round in 0..120u64 {
+    use specpmt::hwsim::HwConfig;
+    use specpmt::pmem::{CrashImage, CrashPlan};
+    use specpmt::txn::CommitOracle;
+    const HEAD_WRITE: &str = "layout/head_write";
+
+    /// Runs the workload under `plan` until it fires (or to the end);
+    /// returns the recovered image of that instant, the oracle at it, the
+    /// data base, the head-write hits and the epochs cleared.
+    fn run(hw: HwConfig, plan: CrashPlan) -> (CrashImage, CommitOracle, usize, u64, u64) {
+        let mut rt = HwSpecPmt::new(
+            hw_pool(4 << 20),
+            HwSpecConfig {
+                hw,
+                epoch_max_bytes: 8 * 1024,
+                epoch_max_pages: 4,
+                max_live_epochs: 2,
+                ..HwSpecConfig::default()
+            },
+        );
         rt.begin();
-        // Two hot pages + one rotating cold page.
-        rt.write_u64(a, round);
-        rt.write_u64(a + 4096, round * 3);
-        rt.write_u64(a + 4096 * (2 + (round as usize % 6)), round);
+        let a = rt.alloc(8 * 4096, 4096);
         rt.commit();
+        rt.pool().device().arm(plan);
+        let mut oracle = CommitOracle::new();
+        for round in 0..120u64 {
+            rt.begin();
+            oracle.begin();
+            // Two hot pages + one rotating cold page.
+            let writes =
+                [(a, round), (a + 4096, round * 3), (a + 4096 * (2 + (round as usize % 6)), round)];
+            for (addr, v) in writes {
+                rt.write_u64(addr, v);
+                oracle.write(addr, &v.to_le_bytes());
+            }
+            // Epochs rotate (and publish heads) after the commit fence, so
+            // a capture inside this call already holds the transaction.
+            rt.commit();
+            oracle.commit();
+            if rt.pool().device().fired() {
+                break;
+            }
+        }
+        let dev = rt.pool().device();
+        let hits = dev.site_hits().iter().find(|(s, _)| *s == HEAD_WRITE).map_or(0, |&(_, n)| n);
+        let mut img = dev.take_image().unwrap_or_else(|| dev.capture(CrashPolicy::AllLost));
+        HwSpecPmt::recover(&mut img);
+        (img, oracle, a, hits, rt.hw_stats().epochs_cleared)
     }
-    let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
-    HwSpecPmt::recover(&mut img);
+
+    let (img, _, a, ..) = run(HwConfig::default(), CrashPlan::observe());
     assert_eq!(img.read_u64(a), 119);
     assert_eq!(img.read_u64(a + 4096), 357);
     assert_eq!(img.read_u64(a + 4096 * (2 + (119 % 6))), 119);
+
+    let eager = HwConfig { hot_threshold: 1, ..HwConfig::default() };
+    let (img, oracle, _, hits, cleared) = run(eager.clone(), CrashPlan::observe());
+    oracle.verify(&img).expect("end-of-run image recovers to the oracle state");
+    assert!(cleared > 16 && hits > 2 * 16, "{hits} publications, {cleared} of them clears");
+    // The first 32 publications: some sixteen epochs opened and as many
+    // cleared, which wraps the 3-bit EID space twice.
+    for hit in 1..=32 {
+        for policy in [CrashPolicy::AllLost, CrashPolicy::AllSurvive] {
+            let plan = CrashPlan::at_site(HEAD_WRITE, hit).with_policy(policy);
+            let (img, oracle, ..) = run(eager.clone(), plan);
+            oracle
+                .verify(&img)
+                .unwrap_or_else(|e| panic!("{HEAD_WRITE}:{hit} under {policy:?}: {e}"));
+        }
+    }
 }
 
 /// Send/Sync sanity: runtimes can move across threads (useful for test

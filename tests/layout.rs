@@ -1,13 +1,20 @@
-//! End-to-end contract for the dynamic pool layout through the facade:
-//! pools formatted at any thread count in `1..=PoolLayout::MAX_THREADS`
-//! must recover every committed value after adversarial crash sweeps, and
-//! `inspect_image` must report the same geometry the runtime formatted.
+//! End-to-end contract for the pool layout through the facade: pools
+//! formatted at any thread count in `1..=PoolLayout::MAX_THREADS` must
+//! recover every committed value after adversarial crash sweeps,
+//! `inspect_image` must report the same geometry the runtime formatted,
+//! every runtime that roots a log chain roots it in the one descriptor,
+//! and a pool without a descriptor has no layout at all.
 
 use std::sync::Arc;
 
-use specpmt::core::{inspect_image, ConcurrentConfig, PoolLayout, SpecSpmtShared};
-use specpmt::pmem::CrashPolicy;
-use specpmt::txn::TxAccess;
+use specpmt::baselines::{Spht, SphtConfig};
+use specpmt::core::{
+    inspect_image, recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecConfig,
+    SpecSpmt, SpecSpmtShared, LAYOUT_SLOT,
+};
+use specpmt::hwtx::{hw_pool, Hoop, HoopConfig, HwSpecConfig, HwSpecPmt};
+use specpmt::pmem::{root_off, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool};
+use specpmt::txn::{TxAccess, TxRuntime};
 use specpmt_pmem::CrashControl;
 
 const POOL_BYTES: usize = 1 << 21;
@@ -70,7 +77,6 @@ fn inspect_round_trips_formatted_geometry() {
         let img = rt.device().capture(CrashPolicy::AllSurvive);
         let report = inspect_image(&img);
         assert!(report.valid_pool, "{threads} threads: pool magic");
-        assert!(report.dynamic_layout, "{threads} threads: descriptor expected");
         assert_eq!(report.threads, threads, "{threads} threads: reported count");
         assert_eq!(report.chains.len(), threads, "{threads} threads: one chain per thread");
         assert_eq!(report.block_bytes, ConcurrentConfig::default().block_bytes);
@@ -78,7 +84,7 @@ fn inspect_round_trips_formatted_geometry() {
         let layout = PoolLayout::read(&img).expect("layout parses");
         assert_eq!(layout, rt.layout(), "{threads} threads: layout round-trip");
         let rendered = report.to_string();
-        assert!(rendered.contains("dynamic descriptor"), "{rendered}");
+        assert!(rendered.contains(&format!("{threads} chain slots")), "{rendered}");
     }
 }
 
@@ -105,20 +111,70 @@ fn crash_mid_commit_on_thread_sixteen_of_seventeen_thread_pool() {
         for (tid, &slot) in slots.iter().enumerate().take(16) {
             assert_eq!(img.read_u64(slot), 0xC0FFEE00 + tid as u64, "seed {seed} tid {tid}");
         }
-        // The image still parses as a 17-thread dynamic pool.
-        let report = inspect_image(&img);
-        assert_eq!((report.threads, report.dynamic_layout), (17, true), "seed {seed}");
+        // The image still parses as a 17-thread pool.
+        assert_eq!(inspect_image(&img).threads, 17, "seed {seed}");
     }
 }
 
+/// One committed transaction on a fresh sequential runtime, then the
+/// `AllSurvive` image.
+fn image_after_one_commit<R: TxRuntime>(mut rt: R) -> CrashImage {
+    let a = rt.setup_alloc(64, 64);
+    rt.begin();
+    rt.write_u64(a, 0x1A70);
+    rt.commit();
+    rt.pool().device().capture(CrashPolicy::AllSurvive)
+}
+
+/// Every runtime that roots a log chain formats the same descriptor, with
+/// the slot count its chains need, and `inspect_image` finds its chains
+/// there.
 #[test]
-fn legacy_metadata_constants_remain_reachable_through_the_facade() {
-    // The hardware baselines still address the fixed root-slot region; the
-    // facade must keep exposing the aliases alongside the layout, with the
-    // descriptor slot strictly below the legacy metadata region.
-    use specpmt::core::{BLOCK_BYTES_SLOT, LAYOUT_SLOT, LEGACY_CHAIN_SLOTS, LOG_HEAD_SLOT_BASE};
-    const { assert!(LEGACY_CHAIN_SLOTS == 8) };
-    const { assert!(BLOCK_BYTES_SLOT < LOG_HEAD_SLOT_BASE) };
-    const { assert!(LAYOUT_SLOT < BLOCK_BYTES_SLOT) };
-    const { assert!(PoolLayout::MAX_THREADS >= 32) };
+fn every_chain_rooting_runtime_formats_the_one_descriptor() {
+    let sw_pool = || PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
+    let shared = committed_runtime(3).0.device().capture(CrashPolicy::AllSurvive);
+    let cases = [
+        ("SpecSpmt", image_after_one_commit(SpecSpmt::new(sw_pool(), SpecConfig::default())), 1),
+        ("SpecSpmtShared", shared, 3),
+        (
+            "HwSpecPmt",
+            image_after_one_commit(HwSpecPmt::new(hw_pool(4 << 20), HwSpecConfig::default())),
+            8,
+        ),
+        ("Hoop", image_after_one_commit(Hoop::new(hw_pool(4 << 20), HoopConfig::default())), 1),
+        ("Spht", image_after_one_commit(Spht::new(sw_pool(), SphtConfig::default())), 1),
+    ];
+    for (name, img, slots) in cases {
+        let layout = PoolLayout::read(&img).unwrap_or_else(|| panic!("{name}: no descriptor"));
+        assert_eq!(layout.threads(), slots, "{name}: chain slots");
+        assert_eq!(layout.block_bytes(), 4096, "{name}: block size");
+        let report = inspect_image(&img);
+        assert_eq!(report.threads, slots, "{name}: inspected slots");
+        assert!(!report.chains.is_empty(), "{name}: inspect lists its chains");
+        assert!(report.chains.iter().all(|c| layout.head(&img, c.tid) == c.head), "{name}");
+    }
+}
+
+/// A pool whose `LAYOUT_SLOT` is 0 has no layout, whatever its other root
+/// slots hold — a plausible block size in slot 7 and chain-head-looking
+/// values in slots 8–15 included: nothing parses and recovery leaves the
+/// image byte for byte as it found it.
+#[test]
+fn pool_without_a_descriptor_has_no_layout() {
+    let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
+    let block = pool.alloc_direct(4096, 64).expect("alloc");
+    pool.set_root_direct(7, 4096);
+    for slot in 8..16 {
+        pool.set_root_direct(slot, block as u64);
+    }
+    let img = pool.device().capture(CrashPolicy::AllSurvive);
+    assert_eq!(img.read_u64(root_off(LAYOUT_SLOT)), 0);
+    assert!(PoolLayout::read(&img).is_none());
+    let report = inspect_image(&img);
+    assert!(report.valid_pool);
+    assert_eq!((report.threads, report.block_bytes, report.chains.len()), (0, 0, 0));
+    let mut recovered = img.clone();
+    let rep = recover_image_opts(&mut recovered, &RecoveryOptions::default());
+    assert_eq!((rep.chains, rep.records_parsed), (0, 0));
+    assert!(recovered == img, "recovery must not touch a pool it cannot parse");
 }

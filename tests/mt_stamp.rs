@@ -54,11 +54,10 @@ fn sixteen_thread_fleet_runs_past_the_legacy_cap() {
         assert_eq!(run.report.threads, THREADS, "{}: thread count", app.name());
         assert_eq!(locks.held_stripes(), 0, "{} @ 16 threads: leak", app.name());
         // The pool the fleet wrote must still parse and recover as a
-        // 16-thread dynamic layout.
+        // 16-thread pool.
         let mut img = shared.pool().device().capture(CrashPolicy::AllLost);
         SpecSpmtShared::recover(&mut img);
         let report = specpmt::core::inspect_image(&img);
-        assert!(report.dynamic_layout, "{}: dynamic layout", app.name());
         assert_eq!(report.threads, THREADS, "{}: inspect threads", app.name());
     }
 }

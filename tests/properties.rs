@@ -205,7 +205,7 @@ fn freshness_index_matches_per_byte_oracle() {
 /// calls stale.
 #[test]
 fn inspect_reports_on_garbage_address_image() {
-    use specpmt::core::layout::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
+    use specpmt::core::PoolLayout;
     for seed in 0u64..8 {
         let mut records = index_corpus(seed ^ 0x6A4BA6E);
         records.retain(|r| r.entries.iter().any(|e| !e.value.is_empty()));
@@ -217,8 +217,8 @@ fn inspect_reports_on_garbage_address_image() {
             area.append(&mut store, &encode_record(rec), &mut dirty);
         }
         area.write_terminator(&mut store, &mut dirty);
-        pool.set_root_direct(BLOCK_BYTES_SLOT, 256);
-        pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
+        let head = area.head() as u64;
+        PoolLayout::format(&mut pool, 1, 256).set_head(&mut pool, 0, head);
         let img = pool.device().capture(CrashPolicy::AllSurvive);
 
         let mut oracle = ByteOracle::default();

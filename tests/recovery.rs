@@ -1,12 +1,11 @@
 //! Recovery boundary contracts through the facade: the documented
-//! equal-timestamp tie-break, legacy (non-descriptor) pools through the
-//! engine, torn-checkpoint fallback to full replay, a checksum-valid entry
+//! equal-timestamp tie-break, a hand-built pool through the engine at a
+//! wider parse, torn-checkpoint fallback to full replay, a checksum-valid entry
 //! whose address range wraps — and the exact simulated time-to-recover of
 //! one deterministic 32-chain image (the cost model's goldens). Wherever
 //! an image is compared, the other side is the reference replay,
 //! `recovery::recover_image`, never the engine under another option.
 
-use specpmt::core::layout::{BLOCK_BYTES_SLOT, LOG_HEAD_SLOT_BASE};
 use specpmt::core::record::{encode_record, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR};
 use specpmt::core::recovery::recover_image;
 use specpmt::core::{
@@ -33,10 +32,11 @@ fn recover_clone(
     (report, clone)
 }
 
-/// Hand-builds a *legacy* pool (no layout descriptor, heads in fixed root
-/// slots) whose two chains carry records with the same commit timestamp:
-/// the adversarial input for the documented tie-break. Returns the image
-/// plus the two probed addresses.
+/// Hand-builds a two-chain pool (no runtime: records appended straight to
+/// `LogArea`s, heads published through a formatted [`PoolLayout`]) whose
+/// chains carry records with the same commit timestamp: the adversarial
+/// input for the documented tie-break. Returns the image plus the two
+/// probed addresses.
 ///
 /// * `shared_addr` is written by chain 0 (ts 7) and chain 1 (ts 7) —
 ///   equal timestamps resolve by ascending chain index, so chain 1's
@@ -44,7 +44,7 @@ fn recover_clone(
 /// * `pos_addr` is written twice by chain 0, both at ts 7 — equal
 ///   timestamps within one chain resolve by chain position, so the
 ///   later record wins.
-fn legacy_equal_ts_image() -> (CrashImage, usize, usize) {
+fn equal_ts_image() -> (CrashImage, usize, usize) {
     const BLOCK: usize = 256;
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
     let shared_addr = pool.alloc_direct(8, 8).expect("alloc");
@@ -82,10 +82,9 @@ fn legacy_equal_ts_image() -> (CrashImage, usize, usize) {
         heads.push(area.head());
     }
 
-    // Legacy wiring: no LAYOUT_SLOT descriptor, just the fixed root slots.
-    pool.set_root_direct(BLOCK_BYTES_SLOT, BLOCK as u64);
+    let layout = PoolLayout::format(&mut pool, heads.len(), BLOCK);
     for (tid, &head) in heads.iter().enumerate() {
-        pool.set_root_direct(LOG_HEAD_SLOT_BASE + tid, head as u64);
+        layout.set_head(&mut pool, tid, head as u64);
     }
     // AllSurvive keeps the hand-staged (never flushed) bytes.
     (pool.device().capture(CrashPolicy::AllSurvive), shared_addr, pos_addr)
@@ -97,7 +96,7 @@ fn legacy_equal_ts_image() -> (CrashImage, usize, usize) {
 /// bit-identically.
 #[test]
 fn equal_timestamp_tie_break_is_chain_index_then_position() {
-    let (img, shared_addr, pos_addr) = legacy_equal_ts_image();
+    let (img, shared_addr, pos_addr) = equal_ts_image();
 
     // Chain 1 beats chain 0 at equal ts; within chain 0 the later record
     // beats the earlier one.
@@ -109,7 +108,7 @@ fn equal_timestamp_tie_break_is_chain_index_then_position() {
     assert_eq!(rep.chains_nonempty, 2);
     assert_eq!(rep.records_parsed, 3);
     assert_eq!(rep.records_replayed, 3);
-    assert!(!rep.checkpoint_used, "legacy pools have no checkpoint");
+    assert!(!rep.checkpoint_used, "no checkpoint was ever written");
     assert_eq!(merged, reference, "the merge diverged from the reference tie-break order");
 }
 
@@ -133,8 +132,8 @@ fn entry_with_wrapping_address_is_skipped_not_replayed() {
         area.append(&mut store, &encode_record(rec), &mut dirty);
     }
     area.write_terminator(&mut store, &mut dirty);
-    pool.set_root_direct(BLOCK_BYTES_SLOT, 256);
-    pool.set_root_direct(LOG_HEAD_SLOT_BASE, area.head() as u64);
+    let head = area.head() as u64;
+    PoolLayout::format(&mut pool, 1, 256).set_head(&mut pool, 0, head);
     let img = pool.device().capture(CrashPolicy::AllSurvive);
 
     let reference = reference_of(&img);
@@ -145,14 +144,14 @@ fn entry_with_wrapping_address_is_skipped_not_replayed() {
     assert_eq!(specpmt::core::inspect_image(&img).total_records(), 2);
 }
 
-/// A legacy (non-descriptor) pool parses through the engine: the fixed
-/// root-slot heads are honored and the report shows the legacy chain-slot
-/// geometry, whatever the modelled parse width.
+/// A pool no runtime formatted parses through the engine: the descriptor's
+/// heads are honored and the report shows its chain-slot geometry,
+/// whatever the modelled parse width.
 #[test]
-fn legacy_pool_recovers_through_the_parallel_engine() {
-    let (img, shared_addr, _) = legacy_equal_ts_image();
-    let layout = PoolLayout::read(&img).expect("legacy pool still parses");
-    assert_eq!(layout.ckpt_head(&img), 0, "legacy pools carry no checkpoint head");
+fn hand_built_pool_recovers_through_the_parallel_engine() {
+    let (img, shared_addr, _) = equal_ts_image();
+    let layout = PoolLayout::read(&img).expect("the formatted descriptor parses");
+    assert_eq!(layout.ckpt_head(&img), 0, "no checkpoint head was published");
 
     let (rep, recovered) = recover_clone(&img, &RecoveryOptions::parallel(4));
     assert_eq!(rep.chains, layout.threads());
