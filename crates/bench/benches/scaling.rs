@@ -12,10 +12,10 @@
 //! Output is one JSON line per configuration:
 //! `{"bench":"scaling","threads":N,"daemon":B,...}`.
 //!
-//! With `--threads N,M,..` (default 1,2,4,8; any counts in 1..=32) the
-//! bench instead sweeps the STAMP workloads on real OS threads over
-//! `LockedTxHandle` fleets and prints per-workload simulated commit
-//! throughput as JSON. With `--stripe-bytes A,B,..` it sweeps the shared
+//! With `--threads N,M,..` (default 1,2,4,8; any counts in 1..=4096,
+//! `PoolLayout::MAX_THREADS`) the bench instead sweeps the STAMP workloads
+//! on real OS threads over `LockedTxHandle` fleets and prints per-workload
+//! simulated commit throughput as JSON. With `--stripe-bytes A,B,..` it sweeps the shared
 //! lock table's stripe size at a fixed thread count and reports lock
 //! acquire/conflict counters per point. With `--media-channels A,B,..` it
 //! sweeps the device's interleaved-DIMM count at a fixed thread count

@@ -16,8 +16,12 @@
 //!
 //! The exit status is non-zero if any case failed **or** any inventory
 //! site went unvisited (the zero-unvisited-labels acceptance check); each
-//! failure prints an exact `SPECPMT_CRASH_TARGET=<site>:<hit> ...` repro
-//! command on stderr.
+//! failure prints an exact `crashenum --target <site>:<hit>` repro command
+//! on stderr.
+//!
+//! `--target <site>:<hit>` is that command: it replays the one crash on
+//! the smoke workload that reaches the site, prints where it fired, and
+//! exits non-zero if the target is malformed or recovery broke.
 //!
 //! `--selftest-reorder` instead enumerates the deliberately buggy
 //! group-commit workload ([`specpmt_txn::crashenum::selftest`], receipt
@@ -28,9 +32,9 @@
 //! `--selftest-forensics` validates the flight-recorder decode end to
 //! end: a correct group-commit run crashed at `mt/group/pre_fence` must
 //! decode to a **clean** [`ForensicReport`], while the same run with
-//! PR 7's receipt-before-fence bug re-injected
-//! (`bbox_eager_receipts`) must produce a report whose violation names
-//! `mt/group/pre_fence`. Exits zero only when both arms behave.
+//! PR 7's receipt-before-fence bug forged from outside (a durable receipt
+//! for the commit about to crash) must produce a report whose violation
+//! names `mt/group/pre_fence`. Exits zero only when both arms behave.
 //!
 //! `--cap N` bounds targeted runs per site (default 8); CI uses a small
 //! cap to keep the smoke tier fast.
@@ -41,10 +45,13 @@
 //! [`SpecSpmtShared`]: specpmt_core::SpecSpmtShared
 
 use specpmt_core::crashsmoke::{run_mt_smoke, run_seq_smoke};
-use specpmt_pmem::sites;
+use specpmt_pmem::{sites, CrashPlan};
 use specpmt_telemetry::{JsonWriter, Metric, Registry};
 use specpmt_txn::crashenum::selftest;
-use specpmt_txn::{enumerate, EnumConfig, EnumReport};
+use specpmt_txn::{enumerate, EnumConfig, EnumReport, RunSummary};
+
+/// What every repro line starts with (the enumerator appends the target).
+const REPRO: &str = "cargo run --release -q -p specpmt-bench --bin crashenum --";
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
@@ -53,7 +60,7 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// Enumerates the injected-ordering-bug workload; exits zero only when
 /// the harness catches it and names the violated site.
 fn selftest_reorder() -> i32 {
-    let cfg = EnumConfig::new("cargo test -p specpmt-txn crashenum");
+    let cfg = EnumConfig::new(format!("{REPRO} --selftest-reorder"));
     let report = match enumerate(&cfg, |plan| selftest::run_group_workload(plan, true)) {
         Ok(r) => r,
         Err(e) => {
@@ -95,7 +102,8 @@ fn selftest_reorder() -> i32 {
 /// point, decoded by [`specpmt_core::forensics`].
 fn forensics_arm(buggy: bool) -> specpmt_core::ForensicReport {
     use specpmt_core::{ConcurrentConfig, SpecSpmtShared};
-    use specpmt_pmem::{CrashControl, CrashPlan};
+    use specpmt_pmem::CrashControl;
+    use specpmt_telemetry::BbKind;
     use specpmt_txn::TxAccess as _;
 
     let rt = SpecSpmtShared::open_or_format(
@@ -105,7 +113,6 @@ fn forensics_arm(buggy: bool) -> specpmt_core::ForensicReport {
             .group_commit(true)
             .flight_recorder(true)
             .bbox_capacity(64)
-            .bbox_eager_receipts(buggy)
             .build(),
     );
     let base = rt.pool().alloc_direct(64, 64).expect("alloc");
@@ -113,15 +120,23 @@ fn forensics_arm(buggy: bool) -> specpmt_core::ForensicReport {
     let mut h = rt.tx_handle(0);
     // Warm-up commits give the ring durable history and a real
     // durability frontier for the decoder to check receipts against.
+    let mut last_ts = 0;
     for i in 0..3u64 {
         h.begin();
         h.write_u64(base, i);
-        h.commit();
+        last_ts = h.commit().ts();
+    }
+    if buggy {
+        // PR 7's receipt-before-fence bug, forged through public API: the
+        // next commit's receipt is durable before that commit fences.
+        let site = sites::index_of("mt/group/pre_fence").expect("known site") as u64;
+        h.record_event(BbKind::TxCommit, last_ts + 1, site, 1);
+        rt.device().flush_everything();
     }
     // Crash the next commit at the pre-fence point: its record is
-    // appended but unfenced. Correct runtime → no receipt exists yet →
-    // clean report. Buggy runtime → the eagerly persisted receipt
-    // outruns the durability frontier → violation at this site.
+    // appended but unfenced. Correct run → no receipt exists yet → clean
+    // report. Forged run → the receipt outruns the durability frontier →
+    // violation at this site.
     rt.device().arm(CrashPlan::parse_target("mt/group/pre_fence:1").expect("known site"));
     h.begin();
     h.write_u64(base, 42);
@@ -164,20 +179,43 @@ fn selftest_forensics() -> i32 {
     }
 }
 
+/// `--target`: replays one labeled crash on the smoke workload that
+/// reaches its site (`reorder`: on the buggy toy workload). An MT target
+/// can race past its crash point; `fired_at` is then `None`.
+fn replay(target: &str, reorder: bool) -> Result<RunSummary, String> {
+    let plan = CrashPlan::parse_target(target)?;
+    let (name, _) = target.rsplit_once(':').expect("parse_target checked the form");
+    match sites::lookup(name).expect("parse_target checked the site").subsystem {
+        _ if reorder => selftest::run_group_workload(plan, true),
+        "mt-group" | "bbox" => run_mt_smoke(plan, true),
+        s if s.starts_with("mt-") || s == "ckpt" => run_mt_smoke(plan, false),
+        _ => run_seq_smoke(plan),
+    }
+}
+
 /// One workload's enumeration, tagged for the merged report.
 fn workload(
     name: &'static str,
     cap: u64,
-    repro: &str,
-    run: impl FnMut(specpmt_pmem::CrashPlan) -> Result<specpmt_txn::RunSummary, String>,
+    run: impl FnMut(CrashPlan) -> Result<RunSummary, String>,
 ) -> Result<(EnumReport, &'static str), String> {
-    let cfg = EnumConfig { max_hits_per_site: cap, ..EnumConfig::new(repro) };
+    let cfg = EnumConfig { max_hits_per_site: cap, ..EnumConfig::new(REPRO) };
     enumerate(&cfg, run).map(|r| (r, name)).map_err(|e| format!("{name}: {e}"))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--selftest-reorder") {
+    let reorder = args.iter().any(|a| a == "--selftest-reorder");
+    if let Some(target) = arg_value(&args, "--target") {
+        let summary = replay(&target, reorder).unwrap_or_else(|e| {
+            eprintln!("{target}: {e}");
+            std::process::exit(1)
+        });
+        let fired_at = summary.fired_at.map_or(String::new(), |(s, h)| format!("{s}:{h}"));
+        println!(r#"{{"bench":"crashenum_target","target":"{target}","fired_at":"{fired_at}"}}"#);
+        return;
+    }
+    if reorder {
         std::process::exit(selftest_reorder());
     }
     if args.iter().any(|a| a == "--selftest-forensics") {
@@ -188,13 +226,9 @@ fn main() {
     let mut merged = EnumReport::default();
     let mut workload_lines = Vec::new();
     let runs = [
-        workload("seq", cap, "cargo test -p specpmt-core crashsmoke", run_seq_smoke),
-        workload("mt", cap, "cargo test -p specpmt-core crashsmoke", |plan| {
-            run_mt_smoke(plan, false)
-        }),
-        workload("mt-group", cap, "cargo test -p specpmt-core crashsmoke", |plan| {
-            run_mt_smoke(plan, true)
-        }),
+        workload("seq", cap, run_seq_smoke),
+        workload("mt", cap, |plan| run_mt_smoke(plan, false)),
+        workload("mt-group", cap, |plan| run_mt_smoke(plan, true)),
     ];
     for res in runs {
         let (report, name) = match res {
@@ -288,5 +322,23 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn target_replays_the_named_crash_on_the_smoke_workload_that_reaches_it() {
+        let summary = replay("seq/commit/fence:1", false).expect("recovery holds at the fence");
+        assert_eq!(summary.fired_at, Some(("seq/commit/fence", 1)), "seq targets always fire");
+        // An MT target either fires exactly where it was aimed or races
+        // past and verifies the orderly shutdown; both recover.
+        let summary = replay("mt/group/pre_fence:1", false).expect("recovery holds pre-fence");
+        assert!(summary.fired_at.is_none_or(|at| at == ("mt/group/pre_fence", 1)));
+        assert!(replay("no/such/site:1", false).is_err(), "a bad target is an error, not a run");
+        // The toy workload's injected bug bites at exactly this point.
+        assert!(replay("mt/group/pre_fence:1", true).is_err());
     }
 }

@@ -14,9 +14,9 @@ use std::time::Instant;
 
 /// `true` when the binary should run a fast smoke pass rather than a full
 /// measurement: under `cargo test` (cargo passes `--test` to `harness =
-/// false` bench targets) or when `SPECPMT_BENCH_SMOKE` is set.
+/// false` bench targets) or when `--smoke` is on the command line.
 pub fn smoke_mode() -> bool {
-    std::env::args().skip(1).any(|a| a == "--test") || specpmt_telemetry::Knobs::get().bench_smoke
+    std::env::args().skip(1).any(|a| a == "--test" || a == "--smoke")
 }
 
 /// One benchmark's samples. `samples[i]` is the wall-clock nanoseconds of

@@ -285,7 +285,7 @@ pub struct MtSweepPoint {
     /// per-phase latency summaries from the runtime's registry, plus the
     /// device's WPQ drain-wait histogram and the lock table's wait
     /// histogram. All-zero unless the run had telemetry enabled
-    /// ([`MtRunConfig::telemetry`] or `SPECPMT_TELEMETRY=1`).
+    /// ([`MtRunConfig::telemetry`]).
     pub telemetry_json: String,
 }
 

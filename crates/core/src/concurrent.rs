@@ -103,12 +103,6 @@ pub struct ConcurrentConfig {
     /// Events per flight-recorder ring (one ring per thread plus one for
     /// the daemons).
     pub bbox_capacity: usize,
-    /// **Selftest only** — deliberately stage commit receipts *before*
-    /// the commit fence (re-injecting the PR-7 receipt-before-fence bug)
-    /// so `crashenum --selftest-forensics` can prove the forensic report
-    /// catches the resulting ordering violation. Never set in production
-    /// configurations.
-    pub bbox_eager_receipts: bool,
 }
 
 impl Default for ConcurrentConfig {
@@ -122,7 +116,6 @@ impl Default for ConcurrentConfig {
             group_linger_ns: 0,
             flight_recorder: false,
             bbox_capacity: specpmt_telemetry::blackbox::DEFAULT_RING_CAPACITY,
-            bbox_eager_receipts: false,
         }
     }
 }
@@ -225,14 +218,6 @@ impl ConcurrentConfigBuilder {
     #[must_use]
     pub fn bbox_capacity(mut self, events: usize) -> Self {
         self.cfg.bbox_capacity = events;
-        self
-    }
-
-    /// **Selftest only**: re-inject the receipt-before-fence bug (see
-    /// [`ConcurrentConfig::bbox_eager_receipts`]).
-    #[must_use]
-    pub fn bbox_eager_receipts(mut self, on: bool) -> Self {
-        self.cfg.bbox_eager_receipts = on;
         self
     }
 
@@ -495,9 +480,8 @@ impl SpecSpmtShared {
     }
 
     /// The runtime's telemetry bundle: per-thread counters and
-    /// commit-phase latency histograms. Disabled by default; enable with
-    /// [`Telemetry::set_enabled`] or the `SPECPMT_TELEMETRY` environment
-    /// variable.
+    /// commit-phase latency histograms. Disabled until
+    /// [`Telemetry::set_enabled`] turns it on.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -1202,19 +1186,6 @@ impl TxHandle {
         let mut st = area.lock();
         log.seal(&mut shared.store(dev), &mut st.area, ts, shared.probe(tid));
 
-        if commit && shared.cfg.bbox_eager_receipts {
-            if let Some(bb) = &shared.bbox {
-                // Selftest-only bug re-injection (PR 7's receipt-before-
-                // fence): publish the commit receipt durably *before* the
-                // commit fence. A crash between here and the fence leaves
-                // a persisted TxCommit whose record never became durable —
-                // exactly the violation `forensics` must catch.
-                let site = sites::index_of("mt/group/pre_fence").unwrap_or(0) as u64;
-                let (addr, len) = bb.record_now(dev, tid, BbKind::TxCommit, ts, site, 1);
-                dev.persist_range(addr, len);
-            }
-        }
-
         if shared.cfg.group_commit && commit {
             Self::seal_group(shared, dev, log, plan, data_plan, tid, urgent);
         } else {
@@ -1232,8 +1203,6 @@ impl TxHandle {
                 Phase::CommitSim,
                 dev.local_now_ns().saturating_sub(sim0),
             );
-        }
-        if commit && !shared.cfg.bbox_eager_receipts {
             if let Some(bb) = &shared.bbox {
                 // Commit receipt, staged only now — after the fence that
                 // made the record durable returned. This ordering is the
@@ -1479,24 +1448,6 @@ impl specpmt_txn::TxAccess for TxHandle {
         self.dev.write(addr, data);
         self.dev.persist_range(addr, data.len());
         self.shared.device().set_timing(prev);
-    }
-}
-
-impl specpmt_txn::TxThread for TxHandle {
-    fn begin(&mut self) {
-        TxHandle::begin(self);
-    }
-
-    fn write(&mut self, addr: usize, data: &[u8]) {
-        TxHandle::write(self, addr, data);
-    }
-
-    fn commit(&mut self) -> u64 {
-        TxHandle::commit(self).ts()
-    }
-
-    fn abort(&mut self) {
-        TxHandle::abort(self);
     }
 }
 

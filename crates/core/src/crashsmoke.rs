@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn seq_smoke_enumerates_every_seq_and_layout_site() {
-        let cfg = EnumConfig::new("cargo test -p specpmt-core crashsmoke");
+        let cfg = EnumConfig::new("crashenum");
         let report = enumerate(&cfg, run_seq_smoke).expect("observe pass");
         assert!(report.passed(), "failures:\n{}", report.failure_lines().join("\n"));
         // Single-threaded determinism: every targeted case fires.
@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn mt_smoke_enumerates_every_mt_site_across_both_commit_paths() {
-        let cfg = EnumConfig::new("cargo test -p specpmt-core crashsmoke");
+        let cfg = EnumConfig::new("crashenum");
         let mut merged = EnumReport::default();
         for group in [false, true] {
             let report = enumerate(&cfg, |plan| run_mt_smoke(plan, group)).expect("observe pass");
@@ -346,42 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn env_crash_target_replays_on_the_smoke_workloads() {
-        // This is where the enumerator's printed repro command lands:
-        // `SPECPMT_CRASH_TARGET=<site>:<hit> cargo test -p specpmt-core
-        // crashsmoke` replays that exact crash on whichever smoke workload
-        // reaches the site. Unset, the test drives the same path with a
-        // default sequential target so it never silently no-ops.
-        let (site, hit) = match &crate::knobs::Knobs::get().crash_target {
-            Some((site, hit)) => (site.clone(), *hit),
-            None => ("seq/commit/fence".to_string(), 1),
-        };
-        let plan = CrashPlan::parse_target(&format!("{site}:{hit}"))
-            .unwrap_or_else(|e| panic!("SPECPMT_CRASH_TARGET rejected: {e}"));
-        let canonical = sites::lookup(&site).expect("validated by parse_target");
-        let summary = match canonical.subsystem {
-            "mt-group" | "bbox" => run_mt_smoke(plan, true),
-            s if s.starts_with("mt-") || s == "ckpt" => run_mt_smoke(plan, false),
-            _ => run_seq_smoke(plan),
-        }
-        .unwrap_or_else(|e| panic!("targeted crash at {site}:{hit} broke recovery: {e}"));
-        // MT targets can race past the crash point (the run then verified
-        // an orderly shutdown instead); whenever the crash fired, it must
-        // have fired exactly where the target said.
-        if summary.fired {
-            assert_eq!(summary.fired_at, Some((canonical.name, hit)));
-        } else {
-            assert!(
-                canonical.name.starts_with("mt/") || canonical.name.starts_with("bbox/"),
-                "seq targets are deterministic"
-            );
-        }
-    }
-
-    #[test]
     fn targeted_seq_replay_is_bit_identical() {
         // Exact-repro contract: enumerate, pick a covered site, re-run via
-        // a parsed SPECPMT_CRASH_TARGET-style plan, and the crash image is
+        // a parsed `crashenum --target`-style plan, and the crash image is
         // bit-identical with the same (site, hit).
         let cfg = EnumConfig::new("replay");
         let report = enumerate(&cfg, run_seq_smoke).expect("observe pass");

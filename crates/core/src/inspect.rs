@@ -14,7 +14,7 @@ use specpmt_telemetry::{JsonWriter, StatExport};
 
 use crate::layout::PoolLayout;
 use crate::reclaim::FreshnessIndex;
-use crate::record::{parse_chain, REC_HDR};
+use crate::record::{RecordReader, ENTRY_HDR, REC_HDR};
 
 /// Summary of one thread's (or epoch's) log chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,50 +185,57 @@ pub fn inspect_image(image: &CrashImage) -> InspectReport {
             chains: Vec::new(),
         };
     };
-    // Two passes: parse every chain first so the freshness index sees all
+    // Two passes over every chain: the first feeds the freshness index all
     // committed records (staleness is a *global* property — a byte written
-    // by thread 0 may be overwritten by thread 3), then summarize each
-    // chain against the full index, exactly as a reclamation cycle would.
-    let mut parsed = Vec::new();
-    for tid in 0..layout.threads() {
-        let head = layout.head(image, tid);
-        if head == 0 {
-            continue;
+    // by thread 0 may be overwritten by thread 3), the second summarizes
+    // each chain against the full index, exactly as a reclamation cycle
+    // would.
+    let heads: Vec<(usize, usize)> = (0..layout.threads())
+        .map(|tid| (tid, layout.head(image, tid)))
+        .filter(|&(_, head)| head != 0)
+        .collect();
+    let mut index = FreshnessIndex::default();
+    for &(_, head) in &heads {
+        let mut reader = RecordReader::new(image, head, layout.block_bytes());
+        while let Some(rec) = reader.next() {
+            for e in rec.entries() {
+                index.insert(rec.ts, e.addr, e.value.len());
+            }
         }
-        parsed.push((tid, head, parse_chain(image, head, layout.block_bytes())));
     }
-    let index = FreshnessIndex::build(parsed.iter().flat_map(|(_, _, recs)| recs.iter()));
     let mut chains = Vec::new();
-    for (tid, head, records) in parsed {
-        let entries = records.iter().map(|r| r.entries.len()).sum();
-        let payload_bytes = records.iter().map(|r| r.payload_len()).sum();
-        let mut stale_entries = 0usize;
-        let mut reclaimable_bytes = 0usize;
-        for rec in &records {
-            let before = REC_HDR + rec.payload_len();
-            let (kept, dropped) = index.compact_record(rec);
-            stale_entries += dropped as usize;
-            reclaimable_bytes += match kept {
-                Some(k) => before - (REC_HDR + k.payload_len()),
-                None => before,
-            };
-        }
-        let ts_range = records.iter().map(|r| r.ts).fold(None, |acc: Option<(u64, u64)>, ts| {
-            Some(match acc {
-                None => (ts, ts),
-                Some((lo, hi)) => (lo.min(ts), hi.max(ts)),
-            })
-        });
-        chains.push(ChainSummary {
+    for (tid, head) in heads {
+        let mut c = ChainSummary {
             tid,
             head,
-            records: records.len(),
-            entries,
-            payload_bytes,
-            stale_entries,
-            reclaimable_bytes,
-            ts_range,
-        });
+            records: 0,
+            entries: 0,
+            payload_bytes: 0,
+            stale_entries: 0,
+            reclaimable_bytes: 0,
+            ts_range: None,
+        };
+        let mut reader = RecordReader::new(image, head, layout.block_bytes());
+        while let Some(rec) = reader.next() {
+            c.records += 1;
+            let (lo, hi) = c.ts_range.unwrap_or((rec.ts, rec.ts));
+            c.ts_range = Some((lo.min(rec.ts), hi.max(rec.ts)));
+            let (mut kept, mut stale_bytes) = (0usize, 0);
+            for e in rec.entries() {
+                let bytes = ENTRY_HDR + e.value.len();
+                c.entries += 1;
+                c.payload_bytes += bytes;
+                if index.is_fresh(rec.ts, e.addr, e.value.len()) {
+                    kept += 1;
+                } else {
+                    c.stale_entries += 1;
+                    stale_bytes += bytes;
+                }
+            }
+            // A record left with no entry goes whole, header included.
+            c.reclaimable_bytes += stale_bytes + if kept == 0 { REC_HDR } else { 0 };
+        }
+        chains.push(c);
     }
     InspectReport {
         valid_pool,

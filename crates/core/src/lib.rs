@@ -82,8 +82,6 @@ pub mod recovery;
 mod runtime;
 pub mod writeset;
 
-pub use specpmt_telemetry::knobs;
-
 pub use checksum::{fnv1a64, fnv1a64_reference, Fnv1a};
 pub use concurrent::{
     ConcurrentConfig, ConcurrentConfigBuilder, GroupCombinerDaemon, PoolSource, ReclaimDaemon,

@@ -64,7 +64,7 @@ use specpmt_telemetry::{JsonWriter, Metric, Phase, StatExport, Telemetry};
 
 use crate::record::{
     decode_entry, decode_header, encode_header, encoded_records, ByteSource, Cursor, LogArea,
-    LogEntry, LogRecord, LogStore, RecordReader, ENTRY_HDR, REC_HDR,
+    LogStore, RecordReader, ENTRY_HDR, REC_HDR,
 };
 
 /// Bytes per index word.
@@ -137,15 +137,6 @@ pub struct FreshnessIndex {
 }
 
 impl FreshnessIndex {
-    /// Builds the index from committed records (any order, any thread).
-    pub fn build<'a>(records: impl IntoIterator<Item = &'a LogRecord>) -> Self {
-        let mut idx = Self::default();
-        for rec in records {
-            idx.insert_record(rec);
-        }
-        idx
-    }
-
     /// Folds one entry — `len` bytes at `addr`, committed at `ts` — into
     /// the index. The fold is monotone (each byte keeps its *youngest*
     /// covering timestamp), so inserting an entry twice is idempotent.
@@ -162,13 +153,6 @@ impl FreshnessIndex {
             for slot in &mut w.ts[first..first + n] {
                 *slot = (*slot).max(ts);
             }
-        }
-    }
-
-    /// Folds every entry of one committed record into the index.
-    pub fn insert_record(&mut self, rec: &LogRecord) {
-        for e in &rec.entries {
-            self.insert(rec.ts, e.addr, e.value.len());
         }
     }
 
@@ -189,24 +173,6 @@ impl FreshnessIndex {
                 w.present & mask != mask || w.ts[first..first + n].iter().any(|&t| t <= ts)
             }
         })
-    }
-
-    /// Filters a record down to its fresh entries, preserving order.
-    /// Returns `None` when nothing survives (the whole record is stale).
-    /// The second component counts dropped entries.
-    pub fn compact_record(&self, rec: &LogRecord) -> (Option<LogRecord>, u64) {
-        let kept: Vec<LogEntry> = rec
-            .entries
-            .iter()
-            .filter(|e| self.is_fresh(rec.ts, e.addr, e.value.len()))
-            .cloned()
-            .collect();
-        let dropped = (rec.entries.len() - kept.len()) as u64;
-        if kept.is_empty() {
-            (None, dropped)
-        } else {
-            (Some(LogRecord { ts: rec.ts, entries: kept }), dropped)
-        }
     }
 
     /// Number of distinct bytes tracked.
@@ -497,7 +463,9 @@ impl ReclaimState {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::record::{encode_record, parse_chain, PoolStore, RecordRef, BLOCK_HDR};
+    use crate::record::{
+        encode_record, parse_chain, LogEntry, LogRecord, PoolStore, RecordRef, BLOCK_HDR,
+    };
     use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool, SplitMix64};
 
     impl ReclaimState {
@@ -512,14 +480,32 @@ pub(crate) mod tests {
         }
     }
 
+    /// An index fed every entry of `records`.
+    fn index_of<'a>(records: impl IntoIterator<Item = &'a LogRecord>) -> FreshnessIndex {
+        let mut idx = FreshnessIndex::default();
+        for rec in records {
+            for e in &rec.entries {
+                idx.insert(rec.ts, e.addr, e.value.len());
+            }
+        }
+        idx
+    }
+
+    /// `rec` cut down to the entries `idx` calls fresh, if any is.
+    fn fresh_part(idx: &FreshnessIndex, rec: &LogRecord) -> Option<LogRecord> {
+        let fresh = |e: &&LogEntry| idx.is_fresh(rec.ts, e.addr, e.value.len());
+        let entries: Vec<LogEntry> = rec.entries.iter().filter(fresh).cloned().collect();
+        (!entries.is_empty()).then_some(LogRecord { ts: rec.ts, entries })
+    }
+
     /// What a cycle must leave of `chains` (every chain's committed
     /// records), decided the slow way: an index built from scratch over
     /// exactly these records, each record cloned down to its fresh entries.
     pub(crate) fn reference_compaction(chains: &[Vec<LogRecord>]) -> Vec<Vec<LogRecord>> {
-        let index = FreshnessIndex::build(chains.iter().flatten());
+        let index = index_of(chains.iter().flatten());
         chains
             .iter()
-            .map(|recs| recs.iter().filter_map(|r| index.compact_record(r).0).collect())
+            .map(|recs| recs.iter().filter_map(|r| fresh_part(&index, r)).collect())
             .collect()
     }
 
@@ -534,34 +520,23 @@ pub(crate) mod tests {
 
     #[test]
     fn younger_record_stales_older() {
-        let r1 = rec(1, 0, &[1, 1]);
-        let r2 = rec(2, 0, &[2, 2]);
-        let idx = FreshnessIndex::build([&r1, &r2]);
-        let (kept, dropped) = idx.compact_record(&r1);
-        assert!(kept.is_none());
-        assert_eq!(dropped, 1);
-        let (kept, dropped) = idx.compact_record(&r2);
-        assert_eq!(kept.unwrap(), r2);
-        assert_eq!(dropped, 0);
+        let idx = index_of([&rec(1, 0, &[1, 1]), &rec(2, 0, &[2, 2])]);
+        assert!(!idx.is_fresh(1, 0, 2));
+        assert!(idx.is_fresh(2, 0, 2));
     }
 
     #[test]
     fn partial_overlap_keeps_older_entry() {
-        // r1 covers [0, 4); r2 only covers [0, 2): r1 still owns bytes 2-3.
-        let r1 = rec(1, 0, &[1; 4]);
-        let r2 = rec(2, 0, &[2; 2]);
-        let idx = FreshnessIndex::build([&r1, &r2]);
-        let (kept, _) = idx.compact_record(&r1);
-        assert_eq!(kept.unwrap(), r1);
+        // ts 1 covers [0, 4); ts 2 only covers [0, 2): ts 1 still owns bytes 2-3.
+        let idx = index_of([&rec(1, 0, &[1; 4]), &rec(2, 0, &[2; 2])]);
+        assert!(idx.is_fresh(1, 0, 4));
     }
 
     #[test]
     fn cross_thread_coverage_counts() {
         // Records from different threads are just records with a global ts.
-        let mine = rec(3, 64, &[1; 8]);
-        let other = rec(9, 64, &[2; 8]);
-        let idx = FreshnessIndex::build([&mine, &other]);
-        assert!(idx.compact_record(&mine).0.is_none());
+        let idx = index_of([&rec(3, 64, &[1; 8]), &rec(9, 64, &[2; 8])]);
+        assert!(!idx.is_fresh(3, 64, 8));
     }
 
     #[test]
@@ -573,19 +548,14 @@ pub(crate) mod tests {
                 LogEntry { addr: 8, value: vec![1] },
             ],
         };
-        let r2 = rec(2, 0, &[2]);
-        let idx = FreshnessIndex::build([&r1, &r2]);
-        let (kept, dropped) = idx.compact_record(&r1);
-        let kept = kept.unwrap();
-        assert_eq!(kept.entries.len(), 1);
-        assert_eq!(kept.entries[0].addr, 8);
-        assert_eq!(dropped, 1);
+        let idx = index_of([&r1, &rec(2, 0, &[2])]);
+        let kept = fresh_part(&idx, &r1).unwrap();
+        assert_eq!(kept.entries, r1.entries[1..]);
     }
 
     #[test]
     fn newest_ts_lookup() {
-        let r = rec(7, 100, &[1]);
-        let idx = FreshnessIndex::build([&r]);
+        let idx = index_of([&rec(7, 100, &[1])]);
         assert_eq!(idx.newest_ts(100), Some(7));
         assert_eq!(idx.newest_ts(101), None);
         assert_eq!(idx.tracked_bytes(), 1);
@@ -593,8 +563,7 @@ pub(crate) mod tests {
 
     #[test]
     fn timestamp_zero_is_tracked_not_absent() {
-        let r = rec(0, 16, &[1; 8]);
-        let idx = FreshnessIndex::build([&r]);
+        let idx = index_of([&rec(0, 16, &[1; 8])]);
         assert_eq!(idx.newest_ts(16), Some(0));
         assert_eq!(idx.newest_ts(24), None);
         assert!(idx.is_fresh(0, 16, 8), "nothing younger than itself");
@@ -602,11 +571,12 @@ pub(crate) mod tests {
         assert!(!idx.is_fresh(0, 16, 0), "an empty entry owns no byte");
     }
 
-    /// In-place compaction of encoded records agrees with the owned
-    /// `compact_record`, byte for byte, whether a record survives whole
-    /// (moved verbatim), in part (re-headed) or not at all.
+    /// In-place compaction of encoded records agrees with filtering owned
+    /// records entry by entry through `is_fresh`, byte for byte, whether a
+    /// record survives whole (moved verbatim), in part (re-headed) or not
+    /// at all.
     #[test]
-    fn compact_encoded_matches_compact_record() {
+    fn compact_encoded_matches_per_entry_is_fresh() {
         for seed in 0u64..64 {
             let mut rng = SplitMix64::new(seed ^ 0xE1C0DE);
             let records: Vec<LogRecord> = (0..rng.range_usize(1, 24))
@@ -621,14 +591,13 @@ pub(crate) mod tests {
                         .collect(),
                 })
                 .collect();
-            let idx = FreshnessIndex::build(&records);
-            let want: Vec<LogRecord> =
-                records.iter().filter_map(|r| idx.compact_record(r).0).collect();
-            let want_dropped: u64 = records.iter().map(|r| idx.compact_record(r).1).sum();
+            let idx = index_of(&records);
+            let want: Vec<LogRecord> = records.iter().filter_map(|r| fresh_part(&idx, r)).collect();
+            let entries = |recs: &[LogRecord]| recs.iter().map(|r| r.entries.len() as u64).sum();
+            let (want_kept, all): (u64, u64) = (entries(&want), entries(&records));
             let mut buf = encode_all(&records);
             let (kept, dropped) = idx.compact_encoded(&mut buf);
-            assert_eq!(dropped, want_dropped, "seed={seed}");
-            assert_eq!(kept, want.iter().map(|r| r.entries.len() as u64).sum::<u64>());
+            assert_eq!((kept, dropped), (want_kept, all - want_kept), "seed={seed}");
             assert_eq!(buf, encode_all(&want), "seed={seed}");
         }
     }

@@ -229,7 +229,7 @@ pub(crate) fn decode_entry(bytes: &[u8]) -> Option<(usize, usize)> {
 /// One entry of a record payload, borrowed from the bytes it was decoded
 /// from.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct EntryRef<'a> {
+pub struct EntryRef<'a> {
     /// Pool offset the value belongs at.
     pub addr: usize,
     /// The (new, speculative) value.
@@ -238,7 +238,7 @@ pub(crate) struct EntryRef<'a> {
 
 /// Borrowing iterator over the entries of a record payload.
 #[derive(Debug)]
-pub(crate) struct Entries<'a> {
+pub struct Entries<'a> {
     /// The payload bytes not yet decoded.
     rest: &'a [u8],
 }
@@ -328,7 +328,7 @@ impl<'a, S: ByteSource> StreamReader<'a, S> {
 /// A committed record as it is stored in the chain — header, then payload
 /// — borrowed from the reader's buffer or from a cache of encoded records.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RecordRef<'a> {
+pub struct RecordRef<'a> {
     /// Commit timestamp.
     pub ts: u64,
     bytes: &'a [u8],
@@ -337,17 +337,17 @@ pub(crate) struct RecordRef<'a> {
 impl<'a> RecordRef<'a> {
     /// The encoded record: appending these bytes to a chain re-creates the
     /// record, checksum included.
-    pub(crate) fn bytes(&self) -> &'a [u8] {
+    pub fn bytes(&self) -> &'a [u8] {
         self.bytes
     }
 
     /// The record's payload: its entries, encoded back to back.
-    pub(crate) fn payload(&self) -> &'a [u8] {
+    pub fn payload(&self) -> &'a [u8] {
         &self.bytes[REC_HDR..]
     }
 
     /// The record's entries, in append order.
-    pub(crate) fn entries(&self) -> Entries<'a> {
+    pub fn entries(&self) -> Entries<'a> {
         Entries::new(self.payload())
     }
 
@@ -380,7 +380,7 @@ pub(crate) fn encoded_records(mut bytes: &[u8]) -> impl Iterator<Item = RecordRe
 /// chain only ever grows there (see [`crate::reclaim`]), so a later reader
 /// [resumed](RecordReader::resume) at the cursor sees exactly the records
 /// appended since.
-pub(crate) struct RecordReader<'a, S: ByteSource> {
+pub struct RecordReader<'a, S: ByteSource> {
     /// `None` once reading has stopped.
     stream: Option<StreamReader<'a, S>>,
     /// The current record, header then payload.
@@ -391,7 +391,7 @@ pub(crate) struct RecordReader<'a, S: ByteSource> {
 
 impl<'a, S: ByteSource> RecordReader<'a, S> {
     /// Reads the chain starting at block `head` from its first record.
-    pub(crate) fn new(src: &'a S, head: usize, block_bytes: usize) -> Self {
+    pub fn new(src: &'a S, head: usize, block_bytes: usize) -> Self {
         Self::resume(src, Cursor { block: head, pos: BLOCK_HDR }, block_bytes)
     }
 
@@ -407,8 +407,10 @@ impl<'a, S: ByteSource> RecordReader<'a, S> {
         self.next
     }
 
-    /// The next committed record, valid until the next call.
-    pub(crate) fn next(&mut self) -> Option<RecordRef<'_>> {
+    /// The next committed record, valid until the next call (it borrows
+    /// the reader's buffer, which is why this is not an `Iterator`).
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<RecordRef<'_>> {
         // Taken, and put back only when a whole record was read.
         let mut stream = self.stream.take()?;
         let mut hdr = [0u8; REC_HDR];

@@ -147,9 +147,7 @@ impl SpecSpmt {
     }
 
     /// The runtime's telemetry bundle: counters and commit-phase latency
-    /// histograms. Disabled by default (enable with
-    /// [`Telemetry::set_enabled`] or the `SPECPMT_TELEMETRY` environment
-    /// toggle).
+    /// histograms. Disabled until [`Telemetry::set_enabled`] turns it on.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }

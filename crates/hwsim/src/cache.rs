@@ -1,20 +1,18 @@
 //! Set-associative cache with SpecPMT's per-line flag bits.
 
+use crate::assoc::{SetAssoc, Way};
+
 /// Cache line size in bytes.
 pub const LINE: usize = 64;
 
-/// One resident cache line.
+/// A resident line's state beside its address and LRU stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineState {
-    /// Line-aligned byte address.
-    addr: usize,
     dirty: bool,
     /// PBit: must persist on eviction (inside or outside transactions).
     pbit: bool,
     /// LogBit: needs speculative logging at commit or eviction.
     logbit: bool,
-    /// LRU stamp (higher = more recent).
-    lru: u64,
 }
 
 /// A line evicted to make room, reported to the policy layer.
@@ -33,9 +31,8 @@ pub struct EvictedLine {
 /// LRU set-associative cache.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: usize,
-    ways: usize,
-    lines: Vec<Option<LineState>>,
+    /// Keyed by line number (`addr / LINE`).
+    lines: SetAssoc<LineState>,
     tick: u64,
     /// Slots whose LogBit [`Self::set_flags`] set since the last
     /// [`Self::clear_logbits`] — what a commit has to clear.
@@ -49,100 +46,49 @@ impl SetAssocCache {
     ///
     /// Panics if `sets` or `ways` is zero.
     pub fn new(sets: usize, ways: usize) -> Self {
-        assert!(sets > 0 && ways > 0, "degenerate cache geometry");
-        Self { sets, ways, lines: vec![None; sets * ways], tick: 0, logged_slots: Vec::new() }
-    }
-
-    fn set_of(&self, line_addr: usize) -> usize {
-        (line_addr / LINE) % self.sets
-    }
-
-    fn slot_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.ways..(set + 1) * self.ways
+        Self { lines: SetAssoc::new(sets, ways), tick: 0, logged_slots: Vec::new() }
     }
 
     /// Looks up `line_addr` without touching LRU state.
     pub fn contains(&self, line_addr: usize) -> bool {
-        let set = self.set_of(line_addr);
-        self.lines[self.slot_range(set)].iter().any(|l| l.is_some_and(|l| l.addr == line_addr))
+        self.lines.find(line_addr / LINE).is_some()
     }
 
     /// Accesses a line (filling it on miss). Returns `(hit, evicted)`.
     pub fn access(&mut self, line_addr: usize, write: bool) -> (bool, Option<EvictedLine>) {
         debug_assert_eq!(line_addr % LINE, 0, "line address must be aligned");
         self.tick += 1;
-        let set = self.set_of(line_addr);
-        let range = self.slot_range(set);
-        // Hit?
-        for i in range.clone() {
-            if let Some(l) = self.lines[i].as_mut() {
-                if l.addr == line_addr {
-                    l.lru = self.tick;
-                    l.dirty |= write;
-                    return (true, None);
-                }
-            }
+        let key = line_addr / LINE;
+        if let Some(l) = self.lines.get_mut(key) {
+            l.lru = self.tick;
+            l.val.dirty |= write;
+            return (true, None);
         }
         // Miss: fill, evicting LRU if the set is full.
-        let mut victim = None;
-        for i in range.clone() {
-            match &self.lines[i] {
-                None => {
-                    victim = Some((i, None));
-                    break;
-                }
-                Some(l) => match victim {
-                    Some((_, Some(LineState { lru, .. }))) if l.lru >= lru => {}
-                    Some((_, None)) => {}
-                    _ => victim = Some((i, Some(*l))),
-                },
-            }
-        }
-        let (slot, old) = victim.expect("set has at least one way");
-        let evicted = old.map(|l| EvictedLine {
-            addr: l.addr,
-            dirty: l.dirty,
-            pbit: l.pbit,
-            logbit: l.logbit,
-        });
-        self.lines[slot] = Some(LineState {
-            addr: line_addr,
-            dirty: write,
-            pbit: false,
-            logbit: false,
-            lru: self.tick,
+        let val = LineState { dirty: write, pbit: false, logbit: false };
+        let evicted = self.lines.insert(Way { key, lru: self.tick, val }).map(|l| EvictedLine {
+            addr: l.key * LINE,
+            dirty: l.val.dirty,
+            pbit: l.val.pbit,
+            logbit: l.val.logbit,
         });
         (false, evicted)
     }
 
     /// Sets the SpecPMT flag bits on a resident line (no-op if absent).
     pub fn set_flags(&mut self, line_addr: usize, pbit: bool, logbit: bool) {
-        let set = self.set_of(line_addr);
-        for i in self.slot_range(set) {
-            if let Some(l) = self.lines[i].as_mut() {
-                if l.addr == line_addr {
-                    l.pbit |= pbit;
-                    if logbit && !l.logbit {
-                        l.logbit = true;
-                        self.logged_slots.push(i);
-                    }
-                    return;
-                }
-            }
+        let Some(slot) = self.lines.find(line_addr / LINE) else { return };
+        let l = &mut self.lines.slot_mut(slot).expect("find named an occupied slot").val;
+        l.pbit |= pbit;
+        if logbit && !l.logbit {
+            l.logbit = true;
+            self.logged_slots.push(slot);
         }
     }
 
     /// Returns the flags of a resident line: `(dirty, pbit, logbit)`.
     pub fn flags(&self, line_addr: usize) -> Option<(bool, bool, bool)> {
-        let set = self.set_of(line_addr);
-        for i in self.slot_range(set) {
-            if let Some(l) = &self.lines[i] {
-                if l.addr == line_addr {
-                    return Some((l.dirty, l.pbit, l.logbit));
-                }
-            }
-        }
-        None
+        self.lines.get(line_addr / LINE).map(|l| (l.val.dirty, l.val.pbit, l.val.logbit))
     }
 
     /// Clears the LogBit of every resident line (transaction commit); PBits
@@ -150,23 +96,17 @@ impl SetAssocCache {
     /// [`Self::set_flags`] set the bit in: a line filled into one of them
     /// since (its predecessor was evicted) arrived with the bit clear.
     pub fn clear_logbits(&mut self) {
-        for i in self.logged_slots.drain(..) {
-            if let Some(l) = self.lines[i].as_mut() {
-                l.logbit = false;
+        for slot in self.logged_slots.drain(..) {
+            if let Some(l) = self.lines.slot_mut(slot) {
+                l.val.logbit = false;
             }
         }
     }
 
     /// Marks a resident line clean (it was written back by policy code).
     pub fn mark_clean(&mut self, line_addr: usize) {
-        let set = self.set_of(line_addr);
-        for i in self.slot_range(set) {
-            if let Some(l) = self.lines[i].as_mut() {
-                if l.addr == line_addr {
-                    l.dirty = false;
-                    return;
-                }
-            }
+        if let Some(l) = self.lines.get_mut(line_addr / LINE) {
+            l.val.dirty = false;
         }
     }
 }

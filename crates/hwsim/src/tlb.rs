@@ -1,5 +1,7 @@
 //! Two-level TLB with SpecPMT's EpochBit + hotness counter (Fig. 9).
 
+use crate::assoc::{SetAssoc, Way};
+
 /// One TLB entry's SpecPMT metadata.
 ///
 /// When `epoch_bit` is clear, `cnt_or_eid` is the 3-bit saturating counter
@@ -13,7 +15,17 @@ pub struct TlbEntry {
     pub epoch_bit: bool,
     /// Saturating store counter (cold) or epoch ID (hot).
     pub cnt_or_eid: u8,
-    lru: u64,
+}
+
+/// What a TLB way holds beside its page number and LRU stamp.
+#[derive(Debug, Clone, Copy)]
+struct Meta {
+    epoch_bit: bool,
+    cnt_or_eid: u8,
+}
+
+fn entry_of(w: &Way<Meta>) -> TlbEntry {
+    TlbEntry { page: w.key, epoch_bit: w.val.epoch_bit, cnt_or_eid: w.val.cnt_or_eid }
 }
 
 /// Result of a TLB lookup.
@@ -27,79 +39,26 @@ pub enum TlbLookup {
     Miss,
 }
 
-#[derive(Debug, Clone)]
-struct TlbLevel {
-    sets: usize,
-    ways: usize,
-    entries: Vec<Option<TlbEntry>>,
-}
-
-impl TlbLevel {
-    fn new(entries: usize, ways: usize) -> Self {
-        assert!(entries.is_multiple_of(ways), "entries must divide into ways");
-        let sets = entries / ways;
-        Self { sets, ways, entries: vec![None; entries] }
-    }
-
-    fn range(&self, page: usize) -> std::ops::Range<usize> {
-        let set = page % self.sets;
-        set * self.ways..(set + 1) * self.ways
-    }
-
-    fn find(&mut self, page: usize) -> Option<&mut TlbEntry> {
-        let range = self.range(page);
-        self.entries[range].iter_mut().flatten().find(|e| e.page == page)
-    }
-
-    fn take(&mut self, page: usize) -> Option<TlbEntry> {
-        let range = self.range(page);
-        for i in range {
-            if self.entries[i].is_some_and(|e| e.page == page) {
-                return self.entries[i].take();
-            }
-        }
-        None
-    }
-
-    /// Inserts, evicting LRU; returns the victim.
-    fn insert(&mut self, entry: TlbEntry) -> Option<TlbEntry> {
-        let range = self.range(entry.page);
-        let mut victim: Option<usize> = None;
-        for i in range {
-            match &self.entries[i] {
-                None => {
-                    self.entries[i] = Some(entry);
-                    return None;
-                }
-                Some(e) => {
-                    if victim.is_none_or(|v| self.entries[v].expect("victim occupied").lru > e.lru)
-                    {
-                        victim = Some(i);
-                    }
-                }
-            }
-        }
-        let v = victim.expect("set non-empty");
-        self.entries[v].replace(entry)
-    }
-}
-
 /// L1 + L2 TLB pair with epoch metadata.
 #[derive(Debug, Clone)]
 pub struct TwoLevelTlb {
-    l1: TlbLevel,
-    l2: TlbLevel,
+    l1: SetAssoc<Meta>,
+    l2: SetAssoc<Meta>,
     tick: u64,
 }
 
 impl TwoLevelTlb {
     /// Creates the TLB pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a level's entries do not divide into its ways.
     pub fn new(l1_entries: usize, l1_ways: usize, l2_entries: usize, l2_ways: usize) -> Self {
-        Self {
-            l1: TlbLevel::new(l1_entries, l1_ways),
-            l2: TlbLevel::new(l2_entries, l2_ways),
-            tick: 0,
-        }
+        let level = |entries: usize, ways: usize| {
+            assert!(entries.is_multiple_of(ways), "entries must divide into ways");
+            SetAssoc::new(entries / ways, ways)
+        };
+        Self { l1: level(l1_entries, l1_ways), l2: level(l2_entries, l2_ways), tick: 0 }
     }
 
     /// Looks up `page`, inserting a fresh cold entry on a miss. An entry
@@ -107,52 +66,49 @@ impl TwoLevelTlb {
     /// becomes cold, exactly the paper's bounded-tracking property.
     pub fn lookup(&mut self, page: usize) -> (TlbLookup, TlbEntry) {
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.l1.find(page) {
-            e.lru = tick;
-            return (TlbLookup::HitL1, *e);
+        let lru = self.tick;
+        if let Some(w) = self.l1.get_mut(page) {
+            w.lru = lru;
+            return (TlbLookup::HitL1, entry_of(w));
         }
-        if let Some(mut e) = self.l2.take(page) {
-            e.lru = tick;
-            let demoted = self.l1.insert(e);
-            if let Some(d) = demoted {
-                self.l2.insert(d);
-            }
-            return (TlbLookup::HitL2, e);
-        }
-        let fresh = TlbEntry { page, epoch_bit: false, cnt_or_eid: 0, lru: tick };
-        if let Some(demoted) = self.l1.insert(fresh) {
-            // Demotion to L2 may drop an entry entirely (tracking lost).
+        let (kind, val) = match self.l2.take(page) {
+            Some(w) => (TlbLookup::HitL2, w.val),
+            None => (TlbLookup::Miss, Meta { epoch_bit: false, cnt_or_eid: 0 }),
+        };
+        let way = Way { key: page, lru, val };
+        if let Some(demoted) = self.l1.insert(way) {
+            // Demotion keeps the L1 stamp, and may drop an L2 entry
+            // entirely (tracking lost).
             self.l2.insert(demoted);
         }
-        (TlbLookup::Miss, fresh)
+        (kind, entry_of(&way))
+    }
+
+    fn resident(&mut self, page: usize) -> Option<&mut Way<Meta>> {
+        self.l1.get_mut(page).or_else(|| self.l2.get_mut(page))
     }
 
     /// Increments the hotness counter of a resident cold page (saturating
     /// at 7) and returns the new value. No-op (returning the EID) for hot
     /// pages.
     pub fn bump_counter(&mut self, page: usize) -> u8 {
-        if let Some(e) = self.l1.find(page).or_else(|| self.l2.find(page)) {
-            if !e.epoch_bit {
-                e.cnt_or_eid = (e.cnt_or_eid + 1).min(7);
-            }
-            e.cnt_or_eid
-        } else {
-            0
+        let Some(Way { val: e, .. }) = self.resident(page) else { return 0 };
+        if !e.epoch_bit {
+            e.cnt_or_eid = (e.cnt_or_eid + 1).min(7);
         }
+        e.cnt_or_eid
     }
 
     /// Marks a resident page hot with the given epoch ID.
     pub fn set_hot(&mut self, page: usize, eid: u8) {
-        if let Some(e) = self.l1.find(page).or_else(|| self.l2.find(page)) {
-            e.epoch_bit = true;
-            e.cnt_or_eid = eid;
+        if let Some(w) = self.resident(page) {
+            w.val = Meta { epoch_bit: true, cnt_or_eid: eid };
         }
     }
 
     /// Metadata for a resident page.
     pub fn entry(&mut self, page: usize) -> Option<TlbEntry> {
-        self.l1.find(page).or_else(|| self.l2.find(page)).map(|e| *e)
+        self.resident(page).map(|w| entry_of(w))
     }
 
     /// The `clearepoch EID` instruction: flash-clears the EpochBit and
@@ -160,13 +116,10 @@ impl TwoLevelTlb {
     /// Returns how many pages were cleared.
     pub fn clear_epoch(&mut self, eid: u8) -> usize {
         let mut cleared = 0;
-        for level in [&mut self.l1, &mut self.l2] {
-            for e in level.entries.iter_mut().flatten() {
-                if e.epoch_bit && e.cnt_or_eid == eid {
-                    e.epoch_bit = false;
-                    e.cnt_or_eid = 0;
-                    cleared += 1;
-                }
+        for w in self.l1.iter_mut().chain(self.l2.iter_mut()) {
+            if w.val.epoch_bit && w.val.cnt_or_eid == eid {
+                w.val = Meta { epoch_bit: false, cnt_or_eid: 0 };
+                cleared += 1;
             }
         }
         cleared
@@ -252,5 +205,22 @@ mod tests {
         t.lookup(16); // evicts LRU (0) to L2
         let (r, _) = t.lookup(0);
         assert_eq!(r, TlbLookup::HitL2);
+    }
+
+    #[test]
+    fn the_stamp_survives_demotion() {
+        // Two one-way L1 sets feed one two-way L2 set, so L2 can receive
+        // an older stamp after a younger one: page 1 is demoted last but
+        // was stamped first, and it is the one L2 gives up.
+        let mut t = TwoLevelTlb::new(2, 1, 2, 2);
+        t.lookup(1);
+        t.lookup(2);
+        t.lookup(4); // demotes 2 (stamp 2)
+        t.lookup(3); // demotes 1 (stamp 1)
+        assert_eq!(t.l2.get(2).map(|w| w.lru), Some(2), "demotion must not restamp");
+        assert_eq!(t.l2.get(1).map(|w| w.lru), Some(1));
+        t.lookup(6); // demotes 4 (stamp 3) into the full L2 set
+        assert_eq!(t.lookup(2).0, TlbLookup::HitL2);
+        assert_eq!(t.lookup(1).0, TlbLookup::Miss, "the oldest stamp, not the oldest arrival");
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use specpmt_core::record::{parse_chain, LogArea, PoolStore, ENTRY_HDR, REC_HDR};
+use specpmt_core::record::{LogArea, PoolStore, RecordReader, ENTRY_HDR, REC_HDR};
 use specpmt_core::{recovery, PoolLayout};
 use specpmt_hwsim::{HwConfig, HwCore};
 use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
@@ -212,13 +212,16 @@ impl HwSpecPmt {
             return;
         };
         // Step 1: persist all speculatively-logged data of the epoch by
-        // scanning its records and flushing the named lines.
-        let records = parse_chain(self.pool.device(), epoch.area.head(), self.cfg.block_bytes);
-        let mut lines = LineSet::default();
-        for e in records.iter().flat_map(|rec| &rec.entries) {
-            lines.insert_range(e.addr, e.value.len());
+        // scanning its records into the flush set (idle: epochs rotate
+        // between transactions) and flushing the named lines.
+        let mut reader =
+            RecordReader::new(self.pool.device(), epoch.area.head(), self.cfg.block_bytes);
+        self.flush_set.clear();
+        while let Some(rec) = reader.next() {
+            self.stats.records_reclaimed += 1;
+            rec.entries().for_each(|e| self.flush_set.insert_range(e.addr, e.value.len()));
         }
-        for &l in lines.as_slice() {
+        for &l in self.flush_set.as_slice() {
             self.pool.device_mut().clwb(l);
             self.core.l1_mut().mark_clean(l);
         }
@@ -228,7 +231,6 @@ impl HwSpecPmt {
         // Step 3: reclaim the log space (head pointer cleared atomically).
         self.layout.set_head(&mut self.pool, epoch.slot, 0);
         self.free_slots.push(epoch.slot);
-        self.stats.records_reclaimed += records.len() as u64;
         self.free_blocks.extend(epoch.area.into_blocks());
         self.stats.log_live_bytes = self.log_footprint() as u64;
     }

@@ -41,7 +41,7 @@ pub struct KvConfig {
     /// Number of shards (independent pools + runtimes).
     pub shards: usize,
     /// Worker threads; each holds one transaction slot in every shard
-    /// (1..=32).
+    /// (1..=[`specpmt_core::PoolLayout::MAX_THREADS`]).
     pub workers: usize,
     /// Tenants served (admission tracks quotas per tenant).
     pub tenants: u32,

@@ -244,7 +244,7 @@ impl CrashPlan {
         self.policy
     }
 
-    /// Parses a `SPECPMT_CRASH_TARGET`-style `site:hit` string (e.g.
+    /// Parses a `site:hit` string as `crashenum --target` takes it (e.g.
     /// `seq/commit/flush:2`) into a labeled plan. The site must be in the
     /// [`crate::sites`] inventory; the hit count is 1-based.
     ///
@@ -266,8 +266,8 @@ impl CrashPlan {
         Ok(Self::at_site(site.name, nth_hit))
     }
 
-    /// The `site:hit` string for a labeled plan — the value to put in
-    /// `SPECPMT_CRASH_TARGET` to reproduce it. `None` for fuel and observe
+    /// The `site:hit` string for a labeled plan — the value to give
+    /// `crashenum --target` to reproduce it. `None` for fuel and observe
     /// plans.
     pub fn target(&self) -> Option<String> {
         match self.trigger {

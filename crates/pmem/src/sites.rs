@@ -24,7 +24,7 @@ pub const BBOX_PERSIST: &str = "bbox/persist";
 /// invariant a crash at this point stresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSite {
-    /// Stable site name (`SPECPMT_CRASH_TARGET` uses `name:hit`).
+    /// Stable site name (`crashenum --target` takes `name:hit`).
     pub name: &'static str,
     /// Subsystem bucket for coverage reporting.
     pub subsystem: &'static str,

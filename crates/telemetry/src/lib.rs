@@ -23,10 +23,8 @@
 //! device handle's timeline, a kv worker's latencies) is made of, so that
 //! sharing is paid for by the reader and not on every update.
 //!
-//! A fourth piece rides along because this crate is the workspace's leaf:
-//! [`knobs`] — the typed [`Knobs`] struct that parses every `SPECPMT_*`
-//! environment variable once at startup (re-exported by `specpmt-core` as
-//! `specpmt_core::knobs` for the upper layers).
+//! Nothing here reads the process environment: a registry starts
+//! disabled and is switched on by [`Telemetry::set_enabled`] alone.
 //!
 //! This crate sits below `specpmt-pmem` in the dependency graph and has
 //! no dependencies of its own.
@@ -36,14 +34,12 @@
 pub mod blackbox;
 pub mod export;
 pub mod json;
-pub mod knobs;
 pub mod metrics;
 pub mod owned;
 
 pub use blackbox::{BbEvent, BbKind};
 pub use export::{Series, SeriesPoint};
 pub use json::{JsonWriter, StatExport};
-pub use knobs::{KnobError, Knobs};
 pub use metrics::{
     bucket_floor, bucket_of, DeltaSnapshot, Histogram, HistogramSnapshot, Metric, Phase, Registry,
     Span, BUCKETS, METRIC_COUNT, METRIC_NAMES, PHASE_COUNT, PHASE_NAMES,
@@ -51,9 +47,8 @@ pub use metrics::{
 pub use owned::{OwnedCounter, OwnedHistogram};
 
 /// One runtime's telemetry bundle: the metrics [`Registry`], one shard per
-/// thread. It starts in its env-controlled default state
-/// (`SPECPMT_TELEMETRY`), which is *off* unless set — an inert bundle costs
-/// one relaxed atomic load per instrumentation site.
+/// thread. It starts *off* ([`Telemetry::set_enabled`] turns it on) — an
+/// inert bundle costs one relaxed atomic load per instrumentation site.
 #[derive(Debug)]
 pub struct Telemetry {
     /// Counters + phase-latency histograms.

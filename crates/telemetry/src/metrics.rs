@@ -386,9 +386,7 @@ impl Shard {
 /// Per-thread metrics registry. Owned by a runtime (`SpecSpmt` /
 /// `SpecSpmtShared`); threads index their shard by `tid`.
 ///
-/// Disabled by default; enable with [`Registry::set_enabled`] or by
-/// setting `SPECPMT_TELEMETRY=1` in the environment at build time of the
-/// registry.
+/// Starts disabled; [`Registry::set_enabled`] is the only switch.
 #[derive(Debug)]
 pub struct Registry {
     enabled: AtomicBool,
@@ -399,12 +397,10 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Builds a registry with one shard per thread. Honors the
-    /// `SPECPMT_TELEMETRY` env toggle for the initial enabled state.
+    /// Builds a disabled registry with one shard per thread.
     pub fn new(threads: usize) -> Self {
-        let enabled = crate::Knobs::get().telemetry;
         Self {
-            enabled: AtomicBool::new(enabled),
+            enabled: AtomicBool::new(false),
             shards: (0..threads.max(1)).map(|_| Shard::new()).collect(),
             delta_base: Mutex::new(DeltaSnapshot::default()),
         }
@@ -665,9 +661,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
+    fn registry_starts_disabled() {
         let r = Registry::new(2);
-        r.set_enabled(false);
+        assert!(!r.enabled(), "nothing but set_enabled turns a registry on");
         r.add(0, Metric::Commits, 1);
         r.record(1, Phase::Commit, 99);
         drop(r.span(0, Phase::Fence));

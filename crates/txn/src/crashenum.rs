@@ -18,8 +18,8 @@
 //!    receipts.
 //! 3. **Report** — an [`EnumReport`] of every case: which sites were
 //!    visited, which passed, and for each failure an exact repro command
-//!    (`SPECPMT_CRASH_TARGET=<site>:<hit> <cmd>`) that replays the same
-//!    crash point deterministically.
+//!    (`<cmd> --target <site>:<hit>`) that replays the same crash point
+//!    deterministically.
 //!
 //! Hand-rolled fuel sweeps plug into the same report via
 //! [`run_fuel_sweep`], so both flavors of crash testing share one
@@ -59,7 +59,7 @@ pub struct EnumConfig {
     /// repeat them.
     pub max_hits_per_site: u64,
     /// Command that re-runs this workload, used to print exact repro
-    /// lines (`SPECPMT_CRASH_TARGET=<site>:<hit> <cmd>`).
+    /// lines (`<cmd> --target <site>:<hit>`).
     pub repro: String,
 }
 
@@ -227,7 +227,7 @@ fn fail_case(
         fired: true,
         passed: false,
         error: Some(error),
-        repro: Some(format!("SPECPMT_CRASH_TARGET={site}:{hit} {}", cfg.repro)),
+        repro: Some(format!("{} --target {site}:{hit}", cfg.repro)),
     }
 }
 
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn correct_group_workload_enumerates_clean() {
-        let cfg = EnumConfig::new("cargo test -q -p specpmt-txn crashenum");
+        let cfg = EnumConfig::new("crashenum --selftest-reorder");
         let report = enumerate(&cfg, |plan| selftest::run_group_workload(plan, false))
             .expect("observe pass");
         assert!(report.passed(), "failures: {:?}", report.failure_lines());
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn reordered_receipt_is_caught_and_named() {
-        let cfg = EnumConfig::new("cargo test -q -p specpmt-txn crashenum");
+        let cfg = EnumConfig::new("crashenum --selftest-reorder");
         let report = enumerate(&cfg, |plan| selftest::run_group_workload(plan, true))
             .expect("observe pass (the bug only bites under a crash)");
         assert!(!report.passed(), "the injected ordering bug must be caught");
@@ -405,7 +405,8 @@ mod tests {
         // Every failure prints an exact repro command.
         for case in report.failures() {
             let repro = case.repro.as_deref().expect("failures carry repro commands");
-            assert!(repro.starts_with("SPECPMT_CRASH_TARGET="), "got {repro}");
+            let site = case.site.expect("targeted cases name their site");
+            assert!(repro.contains(&format!(" --target {site}:")), "got {repro}");
         }
     }
 

@@ -34,7 +34,7 @@ pub use access::{run_tx, CommitReceipt, TxAccess};
 pub use crashenum::{enumerate, run_fuel_sweep, CaseResult, EnumConfig, EnumReport, RunSummary};
 pub use group::{GroupBatch, GroupCommitter, GroupReport, MAX_LINGER_ROUNDS};
 pub use lock::{LockGuard, LockTableStats, SharedLockTable};
-pub use mt::{check_mt_crash_atomicity, MtScenario, TxThread};
+pub use mt::{check_mt_crash_atomicity, MtScenario};
 pub use oracle::CommitOracle;
 pub use report::{geomean, RunReport, TxStats};
 pub use runtime::{Recover, TxRuntime};

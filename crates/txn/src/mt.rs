@@ -23,23 +23,7 @@
 use specpmt_pmem::{CrashControl, CrashImage, CrashPlan, CrashPolicy, SharedPmemDevice};
 
 use crate::driver::{verify_recovered, ScenarioOutcome, TxOp};
-use crate::CommitOracle;
-
-/// A per-thread transaction endpoint of a concurrent runtime — the
-/// multi-threaded counterpart of [`crate::TxRuntime`]'s transaction
-/// surface. Implementations are moved into worker threads, so `Send` is
-/// required.
-pub trait TxThread: Send {
-    /// Starts a transaction.
-    fn begin(&mut self);
-    /// Durably writes `data` at pool offset `addr` inside the open
-    /// transaction.
-    fn write(&mut self, addr: usize, data: &[u8]);
-    /// Commits; returns the global commit timestamp.
-    fn commit(&mut self) -> u64;
-    /// Aborts the open transaction, restoring what it wrote.
-    fn abort(&mut self);
-}
+use crate::{CommitOracle, TxAccess};
 
 /// Per-thread execution outcome: the definitely-committed transactions, and
 /// the at-most-one transaction whose commit overlapped the image capture
@@ -69,7 +53,8 @@ pub struct MtScenario {
 /// count hits globally in arrival order), then recovers the image with
 /// `recover` and verifies per-thread atomic durability.
 ///
-/// `handles[t]` drives thread `t`'s stream into the disjoint region
+/// `handles[t]` (moved into worker thread `t`, hence `Send`) drives that
+/// thread's stream into the disjoint region
 /// `[thread_bases[t], thread_bases[t] + region_len)`; stream addresses are
 /// region-relative. Each region gets one committed snapshot transaction of
 /// zeros first (the paper's external-data protocol) before the crash is
@@ -84,7 +69,7 @@ pub struct MtScenario {
 /// Panics if `handles`, `thread_bases`, and `streams` disagree in length,
 /// or if a stream op exceeds `region_len`.
 #[allow(clippy::too_many_arguments)] // harness entry point: the scenario *is* seven knobs
-pub fn check_mt_crash_atomicity<H: TxThread>(
+pub fn check_mt_crash_atomicity<H: TxAccess + Send>(
     dev: &SharedPmemDevice,
     handles: Vec<H>,
     thread_bases: &[usize],
@@ -203,7 +188,6 @@ pub fn check_mt_crash_atomicity<H: TxThread>(
 mod tests {
     use super::*;
     use specpmt_pmem::PmemConfig;
-    use std::sync::{Arc, Mutex};
 
     /// A deliberately naive runtime for harness self-tests: in-place writes
     /// with immediate per-op persistence and an undo set discarded at
@@ -213,31 +197,52 @@ mod tests {
     struct NaiveTx {
         dev: specpmt_pmem::DeviceHandle,
         epoch_src: SharedPmemDevice,
-        ts: Arc<Mutex<u64>>,
     }
 
-    impl TxThread for NaiveTx {
+    impl TxAccess for NaiveTx {
         fn begin(&mut self) {}
         fn write(&mut self, addr: usize, data: &[u8]) {
             self.dev.write(addr, data);
             self.dev.persist_range(addr, data.len());
         }
-        fn commit(&mut self) -> u64 {
+        fn commit(&mut self) {
             let _ = &self.epoch_src;
-            let mut ts = self.ts.lock().unwrap();
-            *ts += 1;
-            *ts
         }
         fn abort(&mut self) {
             unreachable!("the self-test streams always write");
         }
+        // The harness drives begin / write / commit / abort and nothing else.
+        fn read(&mut self, _: usize, _: &mut [u8]) {
+            unreachable!()
+        }
+        fn alloc(&mut self, _: usize, _: usize) -> usize {
+            unreachable!()
+        }
+        fn free(&mut self, _: usize, _: usize, _: usize) {
+            unreachable!()
+        }
+        fn in_tx(&self) -> bool {
+            unreachable!()
+        }
+        fn compute(&mut self, _: u64) {
+            unreachable!()
+        }
+        fn local_now_ns(&self) -> u64 {
+            unreachable!()
+        }
+        fn set_timing(&mut self, _: specpmt_pmem::TimingMode) -> specpmt_pmem::TimingMode {
+            unreachable!()
+        }
+        fn setup_alloc(&mut self, _: usize, _: usize) -> usize {
+            unreachable!()
+        }
+        fn setup_write(&mut self, _: usize, _: &[u8]) {
+            unreachable!()
+        }
     }
 
     fn naive_pair(dev: &SharedPmemDevice, n: usize) -> Vec<NaiveTx> {
-        let ts = Arc::new(Mutex::new(0));
-        (0..n)
-            .map(|_| NaiveTx { dev: dev.handle(), epoch_src: dev.clone(), ts: Arc::clone(&ts) })
-            .collect()
+        (0..n).map(|_| NaiveTx { dev: dev.handle(), epoch_src: dev.clone() }).collect()
     }
 
     fn no_recover(_img: &mut CrashImage) {}

@@ -65,9 +65,19 @@ fn compaction_preserves_replay_semantics() {
         let mut rng = SplitMix64::new(seed ^ 0xC0FFEE);
         let records: Vec<LogRecord> =
             (0..rng.range_usize(1, 15)).map(|i| random_record(&mut rng, 1 + i as u64)).collect();
-        let index = FreshnessIndex::build(records.iter());
-        let compacted: Vec<LogRecord> =
-            records.iter().filter_map(|r| index.compact_record(r).0).collect();
+        let mut index = FreshnessIndex::default();
+        for r in &records {
+            for e in &r.entries {
+                index.insert(r.ts, e.addr, e.value.len());
+            }
+        }
+        let compacted: Vec<LogRecord> = records
+            .iter()
+            .map(|r| {
+                let fresh = |e: &&LogEntry| index.is_fresh(r.ts, e.addr, e.value.len());
+                LogRecord { ts: r.ts, entries: r.entries.iter().filter(fresh).cloned().collect() }
+            })
+            .collect();
 
         let replay = |recs: &[LogRecord]| {
             let mut mem = std::collections::HashMap::new();
@@ -97,25 +107,16 @@ struct ByteOracle {
 }
 
 impl ByteOracle {
-    fn insert_record(&mut self, rec: &LogRecord) {
-        for e in &rec.entries {
-            for i in 0..e.value.len() {
-                let slot = self.newest.entry(e.addr.wrapping_add(i)).or_insert(0);
-                *slot = (*slot).max(rec.ts);
-            }
+    fn insert(&mut self, ts: u64, e: &LogEntry) {
+        for i in 0..e.value.len() {
+            let slot = self.newest.entry(e.addr.wrapping_add(i)).or_insert(0);
+            *slot = (*slot).max(ts);
         }
     }
 
     fn is_fresh(&self, ts: u64, e: &LogEntry) -> bool {
         (0..e.value.len())
             .any(|i| self.newest.get(&e.addr.wrapping_add(i)).is_none_or(|&n| n <= ts))
-    }
-
-    fn compact_record(&self, rec: &LogRecord) -> (Option<LogRecord>, u64) {
-        let kept: Vec<LogEntry> =
-            rec.entries.iter().filter(|e| self.is_fresh(rec.ts, e)).cloned().collect();
-        let dropped = (rec.entries.len() - kept.len()) as u64;
-        ((!kept.is_empty()).then_some(LogRecord { ts: rec.ts, entries: kept }), dropped)
     }
 }
 
@@ -162,10 +163,12 @@ fn freshness_index_matches_per_byte_oracle() {
         let mut index = FreshnessIndex::default();
         let mut oracle = ByteOracle::default();
         for (n, rec) in records.iter().enumerate() {
-            index.insert_record(rec);
-            oracle.insert_record(rec);
-            if n % 2 == 1 {
-                index.insert_record(rec); // the fold is idempotent
+            for e in &rec.entries {
+                index.insert(rec.ts, e.addr, e.value.len());
+                oracle.insert(rec.ts, e);
+                if n % 2 == 1 {
+                    index.insert(rec.ts, e.addr, e.value.len()); // the fold is idempotent
+                }
             }
             assert_eq!(index.tracked_bytes(), oracle.newest.len(), "seed={seed} n={n}");
             for r in &records {
@@ -188,12 +191,6 @@ fn freshness_index_matches_per_byte_oracle() {
                         );
                     }
                 }
-                assert_eq!(
-                    index.compact_record(r),
-                    oracle.compact_record(r),
-                    "compact_record(ts={}) seed={seed} n={n}",
-                    r.ts
-                );
             }
         }
     }
@@ -222,11 +219,12 @@ fn inspect_reports_on_garbage_address_image() {
         let img = pool.device().capture(CrashPolicy::AllSurvive);
 
         let mut oracle = ByteOracle::default();
-        records.iter().for_each(|r| oracle.insert_record(r));
-        let stale: u64 = records.iter().map(|r| oracle.compact_record(r).1).sum();
+        let entries = || records.iter().flat_map(|r| r.entries.iter().map(move |e| (r.ts, e)));
+        entries().for_each(|(ts, e)| oracle.insert(ts, e));
+        let stale = entries().filter(|&(ts, e)| !oracle.is_fresh(ts, e)).count();
         let report = specpmt::core::inspect_image(&img);
         assert_eq!(report.total_records(), records.len(), "seed={seed}");
-        assert_eq!(report.total_stale_entries() as u64, stale, "seed={seed}");
+        assert_eq!(report.total_stale_entries(), stale, "seed={seed}");
     }
 }
 
