@@ -10,7 +10,7 @@
 //! printed as one JSON line with a per-subsystem breakdown:
 //!
 //! ```json
-//! {"bench":"crashenum","sites_total":18,"sites_visited":18,"passed":true,
+//! {"bench":"crashenum","sites_total":23,"sites_visited":23,"passed":true,
 //!  "subsystems":[{"name":"seq-commit","sites":4,"visited":4,...},...]}
 //! ```
 //!
@@ -36,8 +36,8 @@
 //! for the commit about to crash) must produce a report whose violation
 //! names `mt/group/pre_fence`. Exits zero only when both arms behave.
 //!
-//! `--cap N` bounds targeted runs per site (default 8); CI uses a small
-//! cap to keep the smoke tier fast.
+//! `--cap N` bounds targeted runs per site (default 8, at least 1; any
+//! other value exits 2); CI uses a small cap to keep the smoke tier fast.
 //!
 //! [`ForensicReport`]: specpmt_core::ForensicReport
 //!
@@ -193,6 +193,15 @@ fn replay(target: &str, reorder: bool) -> Result<RunSummary, String> {
     }
 }
 
+/// `--cap`'s value: an integer ≥ 1. A cap of 0 would run the observe pass
+/// and no targeted case — a green run that crashed nothing.
+fn parse_cap(v: &str) -> Result<u64, String> {
+    match v.parse() {
+        Ok(cap) if cap >= 1 => Ok(cap),
+        _ => Err(format!("usage: crashenum --cap N (an integer >= 1), got {v:?}")),
+    }
+}
+
 /// One workload's enumeration, tagged for the merged report.
 fn workload(
     name: &'static str,
@@ -221,7 +230,10 @@ fn main() {
     if args.iter().any(|a| a == "--selftest-forensics") {
         std::process::exit(selftest_forensics());
     }
-    let cap: u64 = arg_value(&args, "--cap").map_or(8, |v| v.parse().expect("--cap takes a u64"));
+    let cap = arg_value(&args, "--cap").map_or(Ok(8), |v| parse_cap(&v)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
 
     let mut merged = EnumReport::default();
     let mut workload_lines = Vec::new();
@@ -340,5 +352,12 @@ mod tests {
         assert!(replay("no/such/site:1", false).is_err(), "a bad target is an error, not a run");
         // The toy workload's injected bug bites at exactly this point.
         assert!(replay("mt/group/pre_fence:1", true).is_err());
+    }
+
+    #[test]
+    fn cap_must_be_a_positive_integer() {
+        assert_eq!(parse_cap("2"), Ok(2));
+        assert!(parse_cap("0").is_err(), "a zero cap crashes nothing");
+        assert!(parse_cap("abc").is_err());
     }
 }

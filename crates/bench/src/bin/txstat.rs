@@ -143,14 +143,6 @@ fn seq_point(txs: u64) -> Point {
     }
 }
 
-/// Group-commit batch window. Zero: with the dedicated combiner daemon
-/// draining every batch, batches form naturally from whatever staged
-/// while the daemon was busy with the previous drain — an artificial
-/// linger only adds commit latency (and on an oversubscribed host it
-/// stacks with daemon wake latency, starving lock holders and causing
-/// retry storms).
-const LINGER_NS: u64 = 0;
-
 /// Knobs for one shared-runtime point.
 struct SharedOpts {
     threads: usize,
@@ -163,16 +155,6 @@ struct SharedOpts {
     mode: &'static str,
 }
 
-impl SharedOpts {
-    fn linger_ns(&self) -> u64 {
-        if self.group_commit && self.threads > 1 {
-            LINGER_NS
-        } else {
-            0
-        }
-    }
-}
-
 /// Runs the shared runtime on real OS threads under strict 2PL (disjoint
 /// per-thread regions plus one shared hot counter) with telemetry enabled
 /// and prints its per-phase line.
@@ -182,11 +164,7 @@ fn shared_point(opts: &SharedOpts) -> Point {
         PmemConfig::new(POOL_BYTES)
             .with_media_channels(opts.media_channels)
             .with_wpq_entries(opts.wpq_entries),
-        ConcurrentConfig::builder()
-            .threads(threads)
-            .group_commit(opts.group_commit)
-            .group_linger_ns(opts.linger_ns())
-            .build(),
+        ConcurrentConfig::builder().threads(threads).group_commit(opts.group_commit).build(),
     );
     let bases: Vec<usize> =
         (0..threads).map(|_| shared.pool().alloc_direct(REGION, 64).unwrap()).collect();
@@ -271,7 +249,7 @@ fn shared_point(opts: &SharedOpts) -> Point {
         if commits > 0 { (sim.sum + daemon_drain.sum) as f64 / commits as f64 } else { 0.0 };
     println!(
         "{{\"bench\":\"txstat\",\"runtime\":\"shared\",\"mode\":\"{}\",\"threads\":{threads},\
-         \"group_commit\":{},\"group_linger_ns\":{},\"media_channels\":{},\"wpq_entries\":{},\
+         \"group_commit\":{},\"media_channels\":{},\"wpq_entries\":{},\
          \"commits\":{commits},\"aborts\":{aborts},\"retries\":{},\"commit_ns_avg\":{:.1},\
          \"commit_sim_ns_avg\":{:.1},\"commit_sim_amortized_ns_avg\":{sim_amortized:.1},\
          \"fences_per_commit\":{fences_per_commit:.3},\
@@ -281,7 +259,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
          \"telemetry\":{}}}",
         opts.mode,
         opts.group_commit,
-        opts.linger_ns(),
         opts.media_channels,
         opts.wpq_entries,
         tel.registry.counter(Metric::Retries),

@@ -348,17 +348,9 @@ pub fn telemetry_block(shared: &SpecSpmtShared, locks: &SharedLockTable) -> Stri
 
 /// Runs `app` on `threads` real OS threads over the concurrent SpecSPMT
 /// runtime, with strict-2PL concurrency control supplied by
-/// [`LockedTxHandle`] (fresh shared pool and lock table each run).
-///
-/// # Panics
-///
-/// Panics if the workload fails invariant verification.
-pub fn run_spec_mt(app: StampApp, threads: usize, scale: Scale) -> MtAppRun {
-    run_spec_mt_cfg(app, threads, scale, MtRunConfig::default()).run
-}
-
-/// [`run_spec_mt`] with explicit [`MtRunConfig`] knobs; returns the run
-/// plus abort/conflict counters for the contention study.
+/// [`LockedTxHandle`] (fresh shared pool and lock table each run) and the
+/// [`MtRunConfig`] knobs; returns the run plus abort/conflict counters for
+/// the contention study.
 ///
 /// # Panics
 ///

@@ -85,14 +85,6 @@ pub struct ConcurrentConfig {
     /// coalesced flush+fence for the whole batch. Off by default (the
     /// per-commit path is the comparison baseline).
     pub group_commit: bool,
-    /// Group-commit batch window in host nanoseconds: a combiner holds
-    /// its epoch open in linger-long rounds while commits keep staging
-    /// (bounded by [`specpmt_txn::MAX_LINGER_ROUNDS`]). `0` is immediate
-    /// drain — batches then form only from natural commit overlap. On a
-    /// CPU-oversubscribed host the window is what makes fence batching
-    /// real: the combiner's timed wait yields the core to the threads
-    /// that are about to commit.
-    pub group_linger_ns: u64,
     /// Enable the persistent flight recorder: a PM-resident black box of
     /// per-thread event rings ([`specpmt_pmem::BlackBoxSink`]) whose
     /// cache lines piggyback on flushes the commit/reclaim/checkpoint
@@ -113,7 +105,6 @@ impl Default for ConcurrentConfig {
             threads: 1,
             reclaim_threshold_bytes: 1 << 20,
             group_commit: false,
-            group_linger_ns: 0,
             flight_recorder: false,
             bbox_capacity: specpmt_telemetry::blackbox::DEFAULT_RING_CAPACITY,
         }
@@ -132,13 +123,6 @@ impl ConcurrentConfig {
     #[must_use]
     pub fn builder() -> ConcurrentConfigBuilder {
         ConcurrentConfigBuilder { cfg: Self::default() }
-    }
-
-    /// The SpecSPMT-DP variant of this configuration.
-    #[must_use]
-    pub fn dp(mut self) -> Self {
-        self.data_persistence = true;
-        self
     }
 }
 
@@ -195,13 +179,6 @@ impl ConcurrentConfigBuilder {
     #[must_use]
     pub fn group_commit(mut self, on: bool) -> Self {
         self.cfg.group_commit = on;
-        self
-    }
-
-    /// Group-commit batch window in host nanoseconds.
-    #[must_use]
-    pub fn group_linger_ns(mut self, ns: u64) -> Self {
-        self.cfg.group_linger_ns = ns;
         self
     }
 
@@ -438,7 +415,6 @@ impl SpecSpmtShared {
         // One telemetry shard per transaction thread plus one for the
         // reclamation daemon.
         let tel = Telemetry::new(cfg.threads + 1);
-        let gc = GroupCommitter::with_linger(std::time::Duration::from_nanos(cfg.group_linger_ns));
         Arc::new(Self {
             pool,
             cfg,
@@ -454,7 +430,7 @@ impl SpecSpmtShared {
             stop_group: AtomicBool::new(false),
             reclaim: Mutex::new(ReclaimState::default()),
             tel,
-            gc,
+            gc: GroupCommitter::new(),
             bbox,
         })
     }
@@ -1160,18 +1136,13 @@ impl TxHandle {
     /// Seals the open record: timestamped, checksummed header plus the
     /// single SpecSPMT flush+fence. Shared tail of [`TxHandle::commit`] and
     /// [`TxHandle::abort`].
-    /// `commit`: `true` for commit seals — they may ride the group-commit
-    /// batch window and record the `commit_sim` phase. `false` for
-    /// compensating (abort) records, which always fence solo: an aborting
-    /// transaction holds 2PL stripes its retry (and every conflicting
-    /// thread) is waiting on, so it releases them immediately instead of
-    /// parking in a batch window. Routing aborts through the window also
-    /// feeds the window's staged-growth check, extending it and dooming
-    /// yet more lock waiters — a retry storm.
-    /// `urgent`: a commit seal that must release contended resources
-    /// fast — it still stages into the batch (amortized fence) but slams
-    /// the window shut ([`GroupCommitter::commit_urgent`]).
-    fn seal(&mut self, commit: bool, urgent: bool) -> u64 {
+    /// `commit`: `true` for commit seals — they may ride a group-commit
+    /// batch and record the `commit_sim` phase. `false` for compensating
+    /// (abort) records, which always fence solo: an aborting transaction
+    /// holds 2PL stripes its retry (and every conflicting thread) is
+    /// waiting on, so it releases them after its own fence instead of
+    /// waiting for a batch drain to take it.
+    fn seal(&mut self, commit: bool) -> u64 {
         let tid = self.tid;
         // Borrow the fields apart, so the flush/fence tails can take the
         // log and the plans mutably while the spans and the area lock —
@@ -1187,7 +1158,7 @@ impl TxHandle {
         log.seal(&mut shared.store(dev), &mut st.area, ts, shared.probe(tid));
 
         if shared.cfg.group_commit && commit {
-            Self::seal_group(shared, dev, log, plan, data_plan, tid, urgent);
+            Self::seal_group(shared, dev, log, plan, data_plan, tid);
         } else {
             Self::seal_solo(shared, dev, log, tid);
         }
@@ -1271,7 +1242,6 @@ impl TxHandle {
         plan: &mut Vec<usize>,
         data_plan: &mut Vec<usize>,
         tid: usize,
-        urgent: bool,
     ) {
         log.group_plan(plan, data_plan);
         let reg = &shared.tel.registry;
@@ -1284,11 +1254,7 @@ impl TxHandle {
         // closure never runs here — the daemon drains from its own handle.
         let drain =
             |batch: &GroupBatch| drain_group_batch(dev, reg, shared.bbox.as_ref(), tid, batch);
-        let report = if urgent {
-            shared.gc.commit_urgent(plan, data_plan, drain)
-        } else {
-            shared.gc.commit(plan, data_plan, drain)
-        };
+        let report = shared.gc.commit(plan, data_plan, drain);
         wait_span.stop();
         reg.add(tid, Metric::GroupCommits, 1);
         record_batch_drained(&shared.tel, tid, &report);
@@ -1306,29 +1272,9 @@ impl TxHandle {
     ///
     /// Panics outside a transaction.
     pub fn commit(&mut self) -> CommitReceipt {
-        self.commit_with(false)
-    }
-
-    /// Commits like [`TxHandle::commit`] but slams the group-commit batch
-    /// window shut: the record still rides the shared batch fence
-    /// (amortized, not a solo drain), but the epoch drains immediately
-    /// instead of lingering for more arrivals. Lock-based callers use
-    /// this for contended transactions — parking a stripe other threads
-    /// are spinning on across a full batch window would exhaust their
-    /// try-lock budgets and doom them. No-op distinction when group
-    /// commit is disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics outside a transaction.
-    pub fn commit_urgent(&mut self) -> CommitReceipt {
-        self.commit_with(true)
-    }
-
-    fn commit_with(&mut self, urgent: bool) -> CommitReceipt {
         assert!(self.in_tx, "commit outside transaction");
         let ts = if self.log.reserved() {
-            self.seal(true, urgent)
+            self.seal(true)
         } else {
             // Write-free: nothing to make durable. Under strict 2PL every
             // value this transaction read was released only after its
@@ -1379,7 +1325,7 @@ impl TxHandle {
         }
         self.undo_addrs = addrs;
         self.undo_data = data;
-        let _ = self.seal(false, false);
+        let _ = self.seal(false);
         if let Some(bb) = &self.shared.bbox {
             bb.record_now(&self.dev, self.tid, BbKind::TxAbort, 0, 0, 0);
         }
@@ -1650,7 +1596,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dp_variant_persists_data_with_second_fence() {
-        let s = shared(ConcurrentConfig::default().dp());
+        let s = shared(ConcurrentConfig::builder().data_persistence(true).build());
         let a = alloc_region(&s, 64);
         let mut h = s.tx_handle(0);
         let before = s.device().stats().sfence_count;
@@ -1947,12 +1893,13 @@ pub(crate) mod tests {
             &plans,
             "cargo test -p specpmt-core group_crash_sweep",
             |plan| {
-                let mut cfg =
-                    ConcurrentConfig::builder().threads(threads).group_commit(true).build();
-                if dp {
-                    cfg = cfg.dp();
-                }
-                let s = shared(cfg);
+                let s = shared(
+                    ConcurrentConfig::builder()
+                        .threads(threads)
+                        .group_commit(true)
+                        .data_persistence(dp)
+                        .build(),
+                );
                 let base = alloc_region(&s, threads * region);
                 let bases: Vec<usize> = (0..threads).map(|t| base + t * region).collect();
                 let handles: Vec<TxHandle> = (0..threads).map(|t| s.tx_handle(t)).collect();

@@ -9,6 +9,9 @@
 //! stripe lock for every byte the transaction touches *on access* (growing
 //! phase) and releasing everything when the commit or abort record seals
 //! (shrinking phase — strict, so nothing is exposed before durability).
+//! Under group commit a holder keeps its stripes until the batch drain
+//! covering its record retires; a combiner drains as soon as it is
+//! elected, so no holder waits on a timer.
 //!
 //! Strictness is also why a transaction that wrote nothing commits for
 //! free (see [`TxHandle::commit`](crate::TxHandle::commit)): a stripe is
@@ -41,30 +44,21 @@ pub use specpmt_txn::run_tx;
 /// the transaction. Between attempts the handle spins briefly with a
 /// per-handle random jitter so that symmetric conflicts do not re-collide
 /// in lockstep; past [`YIELD_AFTER_ATTEMPT`] the pauses become scheduler
-/// yields. The budget is sized so that waiting out a stripe holder parked
-/// in a group-commit batch window (hundreds of microseconds) normally
-/// succeeds — dooming is the deadlock breaker of last resort, not the
-/// common contention outcome. (A single contended stripe cannot deadlock;
-/// only multi-stripe cycles need the doom.)
+/// yields. The budget is sized so that waiting out a stripe holder that
+/// is waiting for its group-commit batch drain normally succeeds —
+/// dooming is the deadlock breaker of last resort, not the common
+/// contention outcome. (A single contended stripe cannot deadlock; only
+/// multi-stripe cycles need the doom.)
 const TRY_LOCK_ATTEMPTS: u32 = 1024;
 
 /// Attempt number past which the inter-attempt pause becomes a scheduler
 /// yield instead of a pure spin. Spinning assumes the stripe holder is
 /// running on another core; on an oversubscribed host the holder may be
-/// descheduled (or parked in a group-commit batch window), and only
+/// descheduled (or blocked until its batch drain retires), and only
 /// yielding gives it the core to finish and release. Without this, every
 /// contender burns its own quantum spinning, dooms, and retries — a
 /// thrash loop in which nobody progresses.
 const YIELD_AFTER_ATTEMPT: u32 = 8;
-
-/// Attempt count beyond which a successful contended acquisition marks
-/// the transaction for an *urgent* commit ([`TxHandle::commit_urgent`]),
-/// slamming the group-commit batch window shut so the stripe is released
-/// quickly. Brief collisions below the threshold ride the window
-/// normally — slamming on every touch of a popular stripe would cap
-/// batch sizes at the conflict rate and forfeit the fence amortization
-/// group commit exists for.
-const CONTENDED_SLAM_AFTER: u32 = 64;
 
 /// A [`TxHandle`] with strict-2PL concurrency control, safe to race
 /// against other `LockedTxHandle`s over the same [`SharedLockTable`].
@@ -93,12 +87,6 @@ pub struct LockedTxHandle {
     /// nothing in steady state.
     guard: LockGuard,
     doomed: bool,
-    /// Set when any acquisition of the current transaction hit the
-    /// contended path: at commit the handle seals urgently
-    /// ([`TxHandle::commit_urgent`]) so its stripes — which other
-    /// threads are spinning on right now — are not parked across a
-    /// full group-commit batch window.
-    contended: bool,
     /// SplitMix64 state for backoff jitter.
     rng: u64,
 }
@@ -109,7 +97,7 @@ impl LockedTxHandle {
     /// every address transactions touch).
     pub fn new(inner: TxHandle, locks: Arc<SharedLockTable>) -> Self {
         let rng = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(inner.tid() as u64 + 1);
-        Self { guard: locks.guard(inner.tid()), inner, locks, doomed: false, contended: false, rng }
+        Self { guard: locks.guard(inner.tid()), inner, locks, doomed: false, rng }
     }
 
     /// The wrapped handle.
@@ -117,24 +105,9 @@ impl LockedTxHandle {
         &self.inner
     }
 
-    /// Unwraps the handle, discarding the lock table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transaction is open.
-    pub fn into_inner(self) -> TxHandle {
-        assert!(!self.inner.in_tx(), "into_inner with an open transaction");
-        self.inner
-    }
-
     /// The shared lock table.
     pub fn locks(&self) -> &Arc<SharedLockTable> {
         &self.locks
-    }
-
-    /// This handle's thread slot.
-    pub fn tid(&self) -> usize {
-        self.inner.tid()
     }
 
     /// Builds a fleet of `n` handles (thread slots `0..n`) over one shared
@@ -189,12 +162,6 @@ impl LockedTxHandle {
                 }
             }
             if self.guard.try_extend(addr, len) {
-                if attempt > CONTENDED_SLAM_AFTER {
-                    // A long wait means real starvation pressure on this
-                    // stripe — commit urgently so it is released after one
-                    // batch drain, not a full batch window.
-                    self.contended = true;
-                }
                 let wait_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.locks.record_wait_ns(wait_ns);
                 let tel = self.inner.shared().telemetry();
@@ -220,11 +187,7 @@ impl LockedTxHandle {
     /// (doomed transactions must [`abort`](Self::abort)).
     pub fn commit(&mut self) -> CommitReceipt {
         assert!(!self.doomed, "commit of a doomed transaction (abort it instead)");
-        // A contended transaction holds stripes other threads are spinning
-        // on: it still rides the shared batch fence but slams the window
-        // shut, keeping 2PL hold times short instead of stretching them
-        // across a full batch window.
-        let receipt = if self.contended { self.inner.commit_urgent() } else { self.inner.commit() };
+        let receipt = self.inner.commit();
         // Strict 2PL: locks release only after the commit record is
         // durable, so no other thread ever reads speculative state.
         self.guard.release();
@@ -236,7 +199,6 @@ impl TxAccess for LockedTxHandle {
     fn begin(&mut self) {
         self.inner.begin();
         self.doomed = false;
-        self.contended = false;
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {

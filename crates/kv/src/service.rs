@@ -33,6 +33,12 @@ use crate::router::ShardRouter;
 use crate::table::{CasOutcome, ShardTable};
 use crate::zipf::{KvOp, OpClass, OP_CLASSES};
 
+/// Per-shard reclamation threshold (bytes of log footprint).
+const RECLAIM_THRESHOLD_BYTES: usize = 1 << 20;
+
+/// Lock-table stripe width (bytes).
+const STRIPE_BYTES: usize = 64;
+
 /// Configuration for [`KvService::open`]. Builder-style `with_*` setters
 /// over service defaults sized for tests and smokes; benches scale up
 /// `pool_bytes`/`capacity_per_shard`.
@@ -53,13 +59,9 @@ pub struct KvConfig {
     pub media_channels: usize,
     /// Route shard commits through the group-commit path.
     pub group_commit: bool,
-    /// Per-shard reclamation threshold (bytes of log footprint).
-    pub reclaim_threshold_bytes: usize,
     /// Spawn the per-shard reclamation (and, under group commit,
     /// combiner) daemons.
     pub daemons: bool,
-    /// Lock-table stripe width (bytes).
-    pub stripe_bytes: usize,
     /// Admission-control tuning.
     pub admission: AdmissionConfig,
     /// Sample shard tails into the shed governor every N admitted ops
@@ -83,9 +85,7 @@ impl Default for KvConfig {
             pool_bytes: 16 << 20,
             media_channels: 6,
             group_commit: false,
-            reclaim_threshold_bytes: 1 << 20,
             daemons: true,
-            stripe_bytes: 64,
             admission: AdmissionConfig::default(),
             governor_every: 256,
             flight_recorder: ConcurrentConfig::default().flight_recorder,
@@ -328,11 +328,11 @@ impl KvService {
                     ConcurrentConfig::builder()
                         .threads(cfg.workers)
                         .group_commit(cfg.group_commit)
-                        .reclaim_threshold_bytes(cfg.reclaim_threshold_bytes)
+                        .reclaim_threshold_bytes(RECLAIM_THRESHOLD_BYTES)
                         .flight_recorder(cfg.flight_recorder)
                         .build(),
                 );
-                let locks = SharedLockTable::new(cfg.pool_bytes, cfg.stripe_bytes);
+                let locks = SharedLockTable::new(cfg.pool_bytes, STRIPE_BYTES);
                 let mut setup = runtime.tx_handle(0);
                 let table = ShardTable::create(&mut setup, cfg.capacity_per_shard);
                 drop(setup);

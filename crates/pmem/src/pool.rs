@@ -157,11 +157,6 @@ impl PmemPool {
     pub fn heap_peak(&self) -> usize {
         self.alloc.peak() - POOL_HEADER_SIZE
     }
-
-    /// Total heap capacity.
-    pub fn heap_capacity(&self) -> usize {
-        self.dev.size() - POOL_HEADER_SIZE
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +230,6 @@ mod tests {
         assert_eq!(p.heap_used(), 0);
         p.alloc_direct(128, 8).unwrap();
         assert_eq!(p.heap_used(), 128);
-        assert!(p.heap_capacity() > 0);
         assert_eq!(p.heap_peak(), 128);
     }
 

@@ -919,11 +919,6 @@ impl SharedPmemPool {
     pub fn heap_used(&self) -> usize {
         self.inner().alloc.used_until() - POOL_HEADER_SIZE
     }
-
-    /// Total heap capacity.
-    pub fn heap_capacity(&self) -> usize {
-        self.dev.size() - POOL_HEADER_SIZE
-    }
 }
 
 #[cfg(test)]

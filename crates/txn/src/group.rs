@@ -31,29 +31,12 @@
 //!    still open elects itself combiner for the following batch, so
 //!    batches retire strictly in epoch order without a dedicated thread.
 //!
-//! Combiner election defaults to *immediate-drain*: a self-elected
-//! combiner never waits for more arrivals before draining. Batches larger
-//! than one then form only when commits genuinely overlap (a combiner is
-//! mid-drain while others stage) — and in the uncontended case a commit
-//! costs one mutex round more than the per-commit path, never a timer or
-//! scheduling quantum.
-//!
-//! [`GroupCommitter::with_linger`] adds a bounded **batch window**: after
-//! electing itself, the combiner sleeps in short rounds for as long as
-//! new transactions keep staging into its epoch (capped at
-//! [`MAX_LINGER_ROUNDS`]). On a CPU-oversubscribed host this is what
-//! makes batching real — the combiner's timed wait yields the core to
-//! the very threads that are about to commit, so the window overlaps
-//! their transaction work instead of wasting cycles, and the drain then
-//! covers all of them with one fence.
-//!
-//! [`GroupCommitter::commit_urgent`] stages like `commit` but **slams
-//! the window shut**: the open epoch's combiner skips its remaining
-//! linger rounds and drains immediately. Lock-based runtimes use it for
-//! transactions holding contended 2PL stripes — the commit still rides
-//! the shared fence (amortized, not a solo drain), but the stripes are
-//! released after one drain instead of a full batch window, so lock
-//! waiters don't exhaust their try budgets and doom themselves.
+//! A combiner drains its epoch as soon as it is elected: it never waits
+//! for more arrivals. Batches larger than one form only when commits
+//! genuinely overlap (a combiner is mid-drain while others stage). A
+//! committer waits at most for the drain in progress and the one covering
+//! its epoch, and in the uncontended case a commit costs one mutex round
+//! more than the per-commit path, never a timer or scheduling quantum.
 //!
 //! **Daemon mode** ([`GroupCommitter::set_daemon_combining`] +
 //! [`GroupCommitter::drain_next`]) replaces election entirely: a
@@ -71,11 +54,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-
-/// Upper bound on per-batch linger rounds: the window closes after this
-/// many rounds even if transactions are still arriving, so a combiner's
-/// latency is bounded by `MAX_LINGER_ROUNDS * linger` regardless of load.
-pub const MAX_LINGER_ROUNDS: u32 = 16;
 
 /// What a committer learns from [`GroupCommitter::commit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,10 +96,6 @@ struct GcState {
     retired_epoch: u64,
     /// Whether a combiner is currently draining a closed epoch.
     combining: bool,
-    /// An urgent committer staged into the open epoch: the combiner must
-    /// close the window now (skip remaining linger rounds). Reset when
-    /// the epoch closes.
-    close_now: bool,
     /// Staging buffers for `open_epoch` (unsorted, duplicates allowed —
     /// the combiner coalesces once per batch).
     log_lines: Vec<usize>,
@@ -139,7 +113,6 @@ impl Default for GcState {
             open_epoch: 1,
             retired_epoch: 0,
             combining: false,
-            close_now: false,
             log_lines: Vec::new(),
             data_lines: Vec::new(),
             staged: 0,
@@ -155,7 +128,6 @@ impl Default for GcState {
 pub struct GroupCommitter {
     state: Mutex<GcState>,
     cv: Condvar,
-    linger: Duration,
     /// When set, a dedicated combiner thread owns every drain
     /// ([`GroupCommitter::drain_next`]) and stagers never self-elect —
     /// they stage, wake the daemon, and wait for their epoch to retire.
@@ -163,16 +135,9 @@ pub struct GroupCommitter {
 }
 
 impl GroupCommitter {
-    /// Creates an immediate-drain committer (no batch window).
+    /// Creates a committer with no combiner attached: stagers self-elect.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a committer whose combiner holds each epoch open in
-    /// `linger`-long rounds while transactions keep staging (see the
-    /// module docs). `Duration::ZERO` is immediate drain.
-    pub fn with_linger(linger: Duration) -> Self {
-        Self { linger, ..Self::default() }
     }
 
     /// Stages one sealed transaction's lines and blocks until a batch
@@ -191,42 +156,12 @@ impl GroupCommitter {
         data_lines: &[usize],
         drain: impl FnOnce(&GroupBatch) -> (u64, u64),
     ) -> GroupReport {
-        self.commit_inner(log_lines, data_lines, false, drain)
-    }
-
-    /// Stages like [`GroupCommitter::commit`] but closes the batch window
-    /// immediately: a lingering combiner is woken and drains without
-    /// waiting for further arrivals, and if this thread elects itself it
-    /// skips the window entirely. Use for commits that must release
-    /// contended resources (2PL stripes) as soon as durability allows —
-    /// the fence is still shared with everything already staged.
-    pub fn commit_urgent(
-        &self,
-        log_lines: &[usize],
-        data_lines: &[usize],
-        drain: impl FnOnce(&GroupBatch) -> (u64, u64),
-    ) -> GroupReport {
-        self.commit_inner(log_lines, data_lines, true, drain)
-    }
-
-    fn commit_inner(
-        &self,
-        log_lines: &[usize],
-        data_lines: &[usize],
-        urgent: bool,
-        drain: impl FnOnce(&GroupBatch) -> (u64, u64),
-    ) -> GroupReport {
         let mut st = self.state.lock().expect("group-commit state");
         let my_epoch = st.open_epoch;
         st.log_lines.extend_from_slice(log_lines);
         st.data_lines.extend_from_slice(data_lines);
         st.staged += 1;
-        if urgent && !st.close_now {
-            st.close_now = true;
-            // Wake a combiner lingering in `wait_timeout` so it observes
-            // `close_now` and drains this epoch without further rounds.
-            self.cv.notify_all();
-        } else if st.staged == 1 {
+        if st.staged == 1 {
             // First stager of the epoch: wake an idle daemon combiner.
             self.cv.notify_all();
         }
@@ -237,40 +172,24 @@ impl GroupCommitter {
                 return GroupReport { epoch: my_epoch, combined: None, stall_ns: 0, flushes: 0 };
             }
             if !st.combining && !self.daemon.load(Ordering::Relaxed) {
-                // Elect self: hold the batch window open while commits
-                // keep arriving, then close the epoch and drain it.
+                // Elect self: close the epoch and drain it now.
                 st.combining = true;
-                return self.linger_close_and_drain(st, drain);
+                return self.close_and_drain(st, drain);
             }
             st = self.cv.wait(st).expect("group-commit state");
         }
     }
 
     /// Shared combine tail (self-elected committer or daemon, with
-    /// `combining` already set): linger while commits keep staging, close
-    /// the epoch, drain it outside the lock, retire it, wake everyone.
-    fn linger_close_and_drain(
+    /// `combining` already set): close the epoch, drain it outside the
+    /// lock, retire it, wake everyone.
+    fn close_and_drain(
         &self,
         mut st: std::sync::MutexGuard<'_, GcState>,
         drain: impl FnOnce(&GroupBatch) -> (u64, u64),
     ) -> GroupReport {
-        if !self.linger.is_zero() && !st.close_now {
-            let mut seen = st.staged;
-            for _ in 0..MAX_LINGER_ROUNDS {
-                // The timed wait releases the state lock, so on an
-                // oversubscribed host the sleep hands the core to
-                // the threads that are about to stage.
-                let (guard, _) = self.cv.wait_timeout(st, self.linger).expect("group-commit state");
-                st = guard;
-                if st.close_now || st.staged == seen {
-                    break;
-                }
-                seen = st.staged;
-            }
-        }
         let batch_epoch = st.open_epoch;
         st.open_epoch += 1;
-        st.close_now = false;
         let mut batch = GroupBatch {
             log_lines: std::mem::take(&mut st.log_lines),
             data_lines: std::mem::take(&mut st.data_lines),
@@ -320,8 +239,8 @@ impl GroupCommitter {
     }
 
     /// Daemon-combiner loop body: waits up to `idle_wait` for staged
-    /// transactions, then lingers / closes / drains exactly like a
-    /// self-elected combiner (`drain` has the same contract as in
+    /// transactions, then closes and drains exactly like a self-elected
+    /// combiner (`drain` has the same contract as in
     /// [`GroupCommitter::commit`]). Returns `None` when nothing staged
     /// within `idle_wait`, or when a self-elected combiner already owns
     /// the open epoch (possible in the window right after
@@ -341,7 +260,7 @@ impl GroupCommitter {
             }
         }
         st.combining = true;
-        Some(self.linger_close_and_drain(st, drain))
+        Some(self.close_and_drain(st, drain))
     }
 
     /// Number of batches retired so far (the current retired epoch).
@@ -437,62 +356,6 @@ mod tests {
         assert_eq!(combiners[0].combined, Some(3));
         assert!(reports.iter().all(|r| r.epoch == 2));
         assert_eq!(gc.batches_retired(), 2);
-    }
-
-    /// A lingering combiner holds its epoch open long enough for commits
-    /// arriving during the window to share its batch.
-    #[test]
-    fn linger_window_collects_concurrent_commits() {
-        let gc = Arc::new(GroupCommitter::with_linger(Duration::from_millis(25)));
-        let drains = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let (gc, drains) = (gc.clone(), drains.clone());
-                thread::spawn(move || {
-                    gc.commit(&[i * 64], &[], |b| {
-                        drains.fetch_add(1, Ordering::SeqCst);
-                        (0, b.log_lines.len() as u64)
-                    })
-                })
-            })
-            .collect();
-        let reports: Vec<_> = handles.into_iter().map(|h| h.join().expect("committer")).collect();
-        // All four spawn well inside one 25 ms linger round, so the
-        // staged-growth loop keeps the first epoch open for all of them.
-        assert_eq!(drains.load(Ordering::SeqCst), 1, "one shared drain for four commits");
-        assert_eq!(gc.batches_retired(), 1);
-        let combined: Vec<_> = reports.iter().filter_map(|r| r.combined).collect();
-        assert_eq!(combined, vec![4]);
-        assert!(reports.iter().all(|r| r.epoch == 1));
-    }
-
-    /// An urgent commit slams a long batch window shut: with a 5-second
-    /// linger round, a plain committer would hold the epoch open far
-    /// longer than the test budget, but the urgent stager forces an
-    /// immediate drain covering both transactions.
-    #[test]
-    fn urgent_commit_closes_the_window_immediately() {
-        let gc = Arc::new(GroupCommitter::with_linger(Duration::from_secs(5)));
-        let t0 = std::time::Instant::now();
-        let lingerer = {
-            let gc = gc.clone();
-            thread::spawn(move || gc.commit(&[0], &[], |b| (0, b.log_lines.len() as u64)))
-        };
-        // Let the lingerer elect itself and enter its window.
-        while gc.staged_now() < 1 {
-            thread::yield_now();
-        }
-        let urgent = gc.commit_urgent(&[64], &[], |b| (0, b.log_lines.len() as u64));
-        let linger = lingerer.join().expect("lingering committer");
-        assert!(
-            t0.elapsed() < Duration::from_secs(4),
-            "urgent close must cut the 5 s window short"
-        );
-        assert_eq!(gc.batches_retired(), 1, "one shared drain for both commits");
-        assert_eq!(urgent.epoch, 1);
-        assert_eq!(linger.epoch, 1);
-        let combined = linger.combined.or(urgent.combined);
-        assert_eq!(combined, Some(2), "the drain covered both staged transactions");
     }
 
     /// Daemon mode: with a dedicated combiner attached, no committer ever

@@ -78,16 +78,6 @@ impl RunReport {
         }
         self.sim_ns as f64 / ideal.sim_ns as f64 - 1.0
     }
-
-    /// PM write-traffic reduction relative to `baseline`, as a fraction
-    /// (positive = this run writes less).
-    pub fn traffic_reduction_over(&self, baseline: &RunReport) -> f64 {
-        let base = baseline.pmem.pm_write_bytes();
-        if base == 0 {
-            return 0.0;
-        }
-        1.0 - self.pmem.pm_write_bytes() as f64 / base as f64
-    }
 }
 
 /// Geometric mean of a sequence of positive ratios.
@@ -122,15 +112,6 @@ mod tests {
         let fast = RunReport { sim_ns: 200, ..RunReport::default() };
         assert_eq!(fast.speedup_over(&base), 5.0);
         assert!((base.overhead_over(&fast) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn traffic_reduction() {
-        let mut base = RunReport::default();
-        base.pmem.lines_persisted = 100;
-        let mut lean = RunReport::default();
-        lean.pmem.lines_persisted = 40;
-        assert!((lean.traffic_reduction_over(&base) - 0.6).abs() < 1e-9);
     }
 
     #[test]

@@ -58,7 +58,8 @@ nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
 nontest_files_with() { # <fixed string> <dir> <file that only defines it>
     for f in "$2"/*.rs; do
         [ "$(basename "$f")" = "$3" ] && continue
-        if nontest "$f" | grep -qF -- "$1"; then
+        # Not `grep -q`: its early exit SIGPIPEs awk, which pipefail reads as a miss.
+        if nontest "$f" | grep -F -- "$1" >/dev/null; then
             echo "$f"
         fi
     done
@@ -389,6 +390,14 @@ fi
 if grep -rnE 'Kno[b]s(::| \{)|Knob[E]rror|SPECPMT_(TELE[M]ETRY|BENCH_[S]MOKE|CRASH_[T]ARGET)|bbox_[e]ager|Tx[T]hread' \
     crates src tests examples scripts README.md DESIGN.md .claude; then
     echo "an env knob or a harness-only hook is back in the library (flags and public API only)" >&2
+    exit 1
+fi
+
+# One drain policy: a combiner drains once elected. The batch window, its urgent
+# close and the 2PL slam stay deleted (history not searched; no self-match).
+if grep -rnE 'group_linger_[n]s|with_[l]inger|commit_[u]rgent|close_[n]ow|MAX_LINGER_[R]OUNDS|CONTENDED_[S]LAM' \
+    crates src tests examples README.md DESIGN.md .claude; then
+    echo "the group-commit batch window is back (combiners drain at once)" >&2
     exit 1
 fi
 

@@ -360,10 +360,7 @@ fn concurrent_crash_atomicity_random() {
 
         let dev = SharedPmemDevice::new(PmemConfig::new(1 << 21));
         let pool = SharedPmemPool::create(dev.clone());
-        let mut cfg = ConcurrentConfig::builder().threads(threads).build();
-        if dp {
-            cfg = cfg.dp();
-        }
+        let cfg = ConcurrentConfig::builder().threads(threads).data_persistence(dp).build();
         let shared = SpecSpmtShared::open_or_format(pool, cfg);
         let region_len = 192;
         let bases: Vec<usize> =
