@@ -1,35 +1,67 @@
-//! FNV-1a checksum used as the record commit flag.
+//! The record checksum (the commit flag) and FNV-1a.
 //!
-//! Two implementations of the same function live here on purpose:
-//!
-//! * [`fnv1a64_reference`] — the textbook byte-serial loop. It *defines*
-//!   the hash and is kept as the oracle for the property tests.
-//! * [`fnv1a64`] / [`Fnv1a`] — the hot-path version. FNV-1a is inherently
-//!   sequential (`h = (h ^ b) * p` chains through every byte), so it
-//!   cannot be parallelised bit-identically across bytes; what *can* be
-//!   done is processing the input eight bytes per loop iteration: one
-//!   unaligned 8-byte load, then eight unrolled xor/multiply steps on the
-//!   register, with a byte-at-a-time tail. Same byte operations in the
-//!   same order — bit-identical by construction — but the bounds checks,
-//!   loads, and loop overhead drop by ~8×, which matters because every
-//!   commit hashes its whole record payload.
-//!
-//! [`Fnv1a`] is the streaming form: the commit path feeds entry bytes into
-//! it *as they are staged* instead of re-walking the payload at seal time.
+//! * [`word_hash`] — the checksum every log record carries (through
+//!   [`crate::record::record_checksum`]) and the hardware undo entries too.
+//!   A one-shot hash that folds the input a little-endian 8-byte word per
+//!   step, `h = rotl((h ^ w) · K, R)` with `K` odd, then two more words the
+//!   caller supplies (a record's payload length and timestamp), and
+//!   finishes with `h ^ (h >> 32)`. Every step is a bijection in `h` and in
+//!   `w`, and so is the finish, so two inputs of the same length that differ
+//!   in exactly one word always hash differently: a torn 8-byte unit — the
+//!   unit in which x86 persists or tears a store — is always caught, as one
+//!   changed byte was under the byte-serial FNV-1a this replaced, at an
+//!   eighth of the multiplies. The hash has no streaming form: a record is
+//!   hashed once, whole, when it is sealed and when it is read.
+//! * [`fnv1a64`] / [`fnv1a64_reference`] — 64-bit FNV-1a, which the layout
+//!   descriptor, `hashlog`, the baselines and image fingerprints use.
+//!   [`fnv1a64_reference`] is the textbook byte-serial loop that *defines*
+//!   the hash; [`fnv1a64`] does one unaligned 8-byte load per eight
+//!   unrolled xor/multiply steps — the same byte operations in the same
+//!   order, so bit-identical by construction.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x100_0000_01b3;
 
-/// Folds one byte into the running hash.
+/// [`word_hash`]'s multiplier (odd, so multiplying is a bijection).
+const WORD_K: u64 = 0x9e37_79b9_7f4a_7c15;
+/// [`word_hash`]'s rotation.
+const WORD_R: u32 = 29;
+
+/// Folds one word into the running word hash.
+#[inline(always)]
+fn word_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(WORD_K).rotate_left(WORD_R)
+}
+
+/// The word hash of `bytes` followed by the words `a` and `b` (see the
+/// module docs): each little-endian 8-byte word of `bytes`, the last one
+/// zero-padded, is one step.
+pub fn word_hash(bytes: &[u8], a: u64, b: u64) -> u64 {
+    let mut chunks = bytes.chunks_exact(8);
+    let mut h = OFFSET;
+    for chunk in &mut chunks {
+        h = word_step(h, u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = word_step(h, u64::from_le_bytes(last));
+    }
+    h = word_step(word_step(h, a), b);
+    h ^ (h >> 32)
+}
+
+/// Folds one byte into the running FNV-1a hash.
 #[inline(always)]
 fn step(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(PRIME)
 }
 
-/// Folds `bytes` into `h`, eight bytes per iteration.
-#[inline]
-fn fold(mut h: u64, bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a hash, eight bytes per iteration (see the module docs).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(8);
+    let mut h = OFFSET;
     for chunk in &mut chunks {
         // One unaligned load, then eight register-only steps. The byte
         // order of the steps is exactly the byte order of the input, so
@@ -50,15 +82,6 @@ fn fold(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// 64-bit FNV-1a hash, word-at-a-time (see the module docs).
-///
-/// Used to validate log records; a mismatch marks the record as torn or
-/// uncommitted (the paper's checksum-as-commit-status design, which avoids
-/// a dedicated commit flag and its extra fence).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fold(OFFSET, bytes)
-}
-
 /// The byte-serial FNV-1a definition. Reference implementation for the
 /// property tests; production code uses [`fnv1a64`].
 pub fn fnv1a64_reference(bytes: &[u8]) -> u64 {
@@ -67,38 +90,6 @@ pub fn fnv1a64_reference(bytes: &[u8]) -> u64 {
         h = step(h, b);
     }
     h
-}
-
-/// Streaming FNV-1a hasher: feed bytes in any chunking, the result equals
-/// [`fnv1a64`] over the concatenation. FNV has no block state, so the
-/// struct is a single `u64` and cheap to copy/snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv1a {
-    h: u64,
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// Fresh hasher (offset basis).
-    pub fn new() -> Self {
-        Self { h: OFFSET }
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        self.h = fold(self.h, bytes);
-    }
-
-    /// The hash of everything fed so far. Does not consume the hasher —
-    /// FNV supports continued feeding after a read.
-    pub fn finish(&self) -> u64 {
-        self.h
-    }
 }
 
 #[cfg(test)]
@@ -123,27 +114,24 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_oneshot_across_chunkings() {
-        let data: Vec<u8> = (0u16..256).map(|i| (i ^ (i >> 3)) as u8).collect();
-        let expect = fnv1a64(&data);
-        for chunk in [1, 3, 7, 8, 13, 64, 256] {
-            let mut h = Fnv1a::new();
-            for c in data.chunks(chunk) {
-                h.update(c);
-            }
-            assert_eq!(h.finish(), expect, "chunk {chunk}");
-        }
-    }
-
-    #[test]
     fn single_bit_flip_changes_hash() {
         let a = fnv1a64(&[0b0000_0000, 1, 2, 3]);
         let b = fnv1a64(&[0b0000_0001, 1, 2, 3]);
         assert_ne!(a, b);
+        assert_ne!(word_hash(&[0, 1, 2, 3], 4, 0), word_hash(&[1, 1, 2, 3], 4, 0));
     }
 
     #[test]
     fn length_extension_differs() {
         assert_ne!(fnv1a64(&[0]), fnv1a64(&[0, 0]));
+        // Zero padding alone cannot tell these apart; the caller's words do.
+        assert_eq!(word_hash(&[7], 0, 0), word_hash(&[7, 0], 0, 0));
+        assert_ne!(word_hash(&[7], 1, 0), word_hash(&[7, 0], 2, 0));
+    }
+
+    #[test]
+    fn the_trailing_words_are_hashed_in_order() {
+        assert_ne!(word_hash(b"payload", 1, 2), word_hash(b"payload", 2, 1));
+        assert_ne!(word_hash(b"", 0, 0), word_hash(b"", 0, 1));
     }
 }

@@ -2095,10 +2095,14 @@ pub(crate) mod tests {
 
     /// Three chains stepped round-robin through 40 rounds of overlapping,
     /// unaligned stores shared by all chains, with a checkpoint written
-    /// before round `ckpt_round`. Returns the runtime and the checkpoint's
-    /// watermark.
+    /// before round `ckpt_round`. Blocks are small, so every chain and the
+    /// checkpoint span several and records cross block boundaries. Returns
+    /// the runtime and the checkpoint's watermark.
     pub(crate) fn overlapping_three_chain_history(ckpt_round: usize) -> (Arc<SpecSpmtShared>, u64) {
-        let cfg = ConcurrentConfig::builder().threads(3).reclaim_threshold_bytes(usize::MAX);
+        let cfg = ConcurrentConfig::builder()
+            .threads(3)
+            .block_bytes(256)
+            .reclaim_threshold_bytes(usize::MAX);
         let s = SpecSpmtShared::open_or_format(1usize << 20, cfg.build());
         let base = s.pool().alloc_direct(512, 64).expect("alloc");
         let mut handles: Vec<_> = (0..3).map(|t| s.tx_handle(t)).collect();

@@ -134,9 +134,8 @@ impl TxLog {
     }
 
     /// Seals the reserved record as committed at `ts`: patches in the
-    /// header (the checksum was streamed while entries were staged; only
-    /// the fixed `(len, ts)` suffix is folded in here) and writes the
-    /// terminator after the record. Nothing is flushed yet.
+    /// header (its checksum hashed over the staged payload in one pass)
+    /// and writes the terminator after the record. Nothing is flushed yet.
     ///
     /// # Panics
     ///

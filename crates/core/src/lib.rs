@@ -11,9 +11,9 @@
 //!
 //! * [`record`] — the on-PM log format: chained log blocks holding
 //!   chronologically ordered records `[len | ts | checksum | entries…]`.
-//!   The checksum doubles as the commit flag (a torn record fails
-//!   validation and is treated as uncommitted), eliminating the dedicated
-//!   commit-status write and fence.
+//!   The checksum ([`word_hash`]) doubles as the commit flag (a torn record
+//!   fails validation and is treated as uncommitted), eliminating the
+//!   dedicated commit-status write and fence.
 //! * [`SpecSpmt`] — the runtime as one handle over one append-only log
 //!   area: write-set indexing that dedups repeated updates inside a
 //!   transaction, transactional allocation, and the `SpecSPMT-DP` variant
@@ -82,7 +82,7 @@ pub mod recovery;
 mod runtime;
 pub mod writeset;
 
-pub use checksum::{fnv1a64, fnv1a64_reference, Fnv1a};
+pub use checksum::{fnv1a64, fnv1a64_reference, word_hash};
 pub use concurrent::{
     ConcurrentConfig, ConcurrentConfigBuilder, GroupCombinerDaemon, PoolSource, ReclaimDaemon,
     SharedStats, SpecSpmtShared, TxHandle,

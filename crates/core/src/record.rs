@@ -14,6 +14,13 @@
 //! `len == 0`, an unreadable record, or a checksum mismatch terminates the
 //! chain: the checksum doubles as the commit flag, so a transaction whose
 //! commit was interrupted leaves a torn record that parsing rejects.
+//!
+//! [`RecordReader`] is the one parser. Where the source can lend its bytes
+//! in place ([`ByteSource::lend`]: a crash image, a device) and a record's
+//! header and payload lie in one block, the record it returns is borrowed
+//! from the source itself; only a record that crosses a block boundary, or
+//! one read from a source that cannot lend, is copied into the reader's
+//! buffer first.
 
 use std::sync::Mutex;
 
@@ -22,7 +29,7 @@ use specpmt_pmem::{
     SharedPmemPool,
 };
 
-use crate::checksum::Fnv1a;
+use crate::checksum::word_hash;
 
 /// Bytes reserved at the start of each log block (forward + backward
 /// pointers).
@@ -34,8 +41,8 @@ pub const REC_HDR: usize = 20;
 /// Entry header size: `addr (u64) | len (u32)`.
 pub const ENTRY_HDR: usize = 12;
 
-/// Upper bound on a single record's payload; larger lengths are treated as
-/// corruption during parsing.
+/// Upper bound on a single record's payload; larger lengths — and lengths
+/// the source could not hold — are treated as corruption during parsing.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 24;
 
 /// Whether `[addr, addr + len)` lies inside a `size`-byte source. A
@@ -52,39 +59,43 @@ pub trait ByteSource {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool;
     /// Source size in bytes.
     fn source_len(&self) -> usize;
+    /// Lends the `len` bytes at `addr` in place. `None` if out of bounds,
+    /// or — the default — when the source does not hold its bytes in one
+    /// piece; readers then copy through [`Self::read_at`].
+    fn lend(&self, _addr: usize, _len: usize) -> Option<&[u8]> {
+        None
+    }
 }
 
 impl ByteSource for CrashImage {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
-        let bytes = self.as_bytes();
-        if !in_bounds(addr, buf.len(), bytes.len()) {
-            return false;
-        }
-        buf.copy_from_slice(&bytes[addr..addr + buf.len()]);
-        true
+        self.lend(addr, buf.len()).map(|bytes| buf.copy_from_slice(bytes)).is_some()
     }
 
     fn source_len(&self) -> usize {
         self.len()
     }
+
+    fn lend(&self, addr: usize, len: usize) -> Option<&[u8]> {
+        in_bounds(addr, len, self.len()).then(|| self.read_bytes(addr, len))
+    }
 }
 
 impl ByteSource for PmemDevice {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
-        if !in_bounds(addr, buf.len(), self.size()) {
-            return false;
-        }
-        // `peek` returns a borrowed slice of the device image: a single
-        // copy into the caller's buffer, no intermediate allocation.
-        buf.copy_from_slice(self.peek(addr, buf.len()));
-        true
+        self.lend(addr, buf.len()).map(|bytes| buf.copy_from_slice(bytes)).is_some()
     }
 
     fn source_len(&self) -> usize {
         self.size()
     }
+
+    fn lend(&self, addr: usize, len: usize) -> Option<&[u8]> {
+        in_bounds(addr, len, self.size()).then(|| self.peek(addr, len))
+    }
 }
 
+/// Does not lend: the shared device's image is sharded behind locks.
 impl ByteSource for DeviceHandle {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
         if !in_bounds(addr, buf.len(), self.size()) {
@@ -137,31 +148,15 @@ impl LogRecord {
     }
 }
 
-/// Computes the record checksum over `payload || len || ts`.
-///
-/// The variable-length payload comes *first* so the commit path can fold
-/// entry bytes into a streaming [`Fnv1a`] as they are staged and only
-/// append the fixed 12-byte `len || ts` suffix at seal time: FNV-1a is
-/// strictly sequential, so whatever is hashed first must be known first —
-/// and at staging time the payload bytes are known while the final length
-/// and commit timestamp are not. Runs without any temporary buffer.
+/// Computes the record checksum: the [`word_hash`] of the payload's words,
+/// then its length and `ts` as two more words. One pass over the payload,
+/// no temporary buffer.
 pub fn record_checksum(ts: u64, payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(payload);
-    record_checksum_finish(h, payload.len(), ts)
+    word_hash(payload, payload.len() as u64, ts)
 }
 
-/// Finalizes a streaming payload hash into the record checksum by folding
-/// in the `len || ts` suffix. `payload_hash` must have been fed exactly
-/// the record's payload bytes in order.
-pub fn record_checksum_finish(mut payload_hash: Fnv1a, payload_len: usize, ts: u64) -> u64 {
-    payload_hash.update(&(payload_len as u32).to_le_bytes());
-    payload_hash.update(&ts.to_le_bytes());
-    payload_hash.finish()
-}
-
-/// Encodes a record header from precomputed parts — the seal fast path,
-/// where the checksum was accumulated incrementally during staging.
+/// Encodes a record header from precomputed parts — the seal path, where
+/// the write set computed the checksum over its staged payload.
 pub fn encode_header_parts(ts: u64, payload_len: usize, checksum: u64) -> [u8; REC_HDR] {
     let mut h = [0u8; REC_HDR];
     h[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
@@ -317,16 +312,61 @@ impl<'a, S: ByteSource> StreamReader<'a, S> {
         true
     }
 
-    /// Reads a payload into `buf` and checks it against the checksum its
-    /// header carried — the one place a stored checksum is verified, for
-    /// transaction records and checkpoints alike.
-    fn read_payload(&mut self, buf: &mut [u8], ts: u64, cksum: u64) -> bool {
-        self.read(buf) && record_checksum(ts, buf) == cksum
+    /// Lends the `back` bytes just read and the `len` bytes that follow
+    /// them as one slice of the source, and moves past them. `None`,
+    /// moving nothing, unless all of them lie in the current block and the
+    /// source lends.
+    fn lend(&mut self, back: usize, len: usize) -> Option<&'a [u8]> {
+        let start = self.cur.pos.checked_sub(back).filter(|&s| s >= BLOCK_HDR)?;
+        if self.cur.pos + len > self.block_bytes {
+            return None;
+        }
+        let bytes = self.src.lend(self.cur.block + start, back + len)?;
+        self.cur.pos += len;
+        Some(bytes)
+    }
+
+    /// Reads the `len`-byte payload behind the header `hdr` just read and
+    /// checks it against the checksum that header carried — the one place
+    /// a stored checksum is verified, for transaction records and
+    /// checkpoints alike. Returns header and payload as one slice: lent by
+    /// the source where it can ([`Self::lend`]), otherwise copied into
+    /// `buf`. The length is unverified until the checksum matches, so one
+    /// the source could not even hold is rejected before it sizes `buf`.
+    fn read_payload<'b>(
+        &mut self,
+        hdr: &[u8],
+        len: usize,
+        ts: u64,
+        cksum: u64,
+        buf: &'b mut Vec<u8>,
+    ) -> Option<&'b [u8]>
+    where
+        'a: 'b,
+    {
+        if len > self.src.source_len().saturating_sub(hdr.len()) {
+            return None;
+        }
+        let bytes = match self.lend(hdr.len(), len) {
+            Some(lent) => lent,
+            None => {
+                buf.clear();
+                buf.reserve(hdr.len() + len);
+                buf.extend_from_slice(hdr);
+                buf.resize(hdr.len() + len, 0);
+                if !self.read(&mut buf[hdr.len()..]) {
+                    return None;
+                }
+                buf
+            }
+        };
+        (record_checksum(ts, &bytes[hdr.len()..]) == cksum).then_some(bytes)
     }
 }
 
 /// A committed record as it is stored in the chain — header, then payload
-/// — borrowed from the reader's buffer or from a cache of encoded records.
+/// — borrowed from the source it was read from, the reader's buffer, or a
+/// cache of encoded records.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordRef<'a> {
     /// Commit timestamp.
@@ -371,7 +411,9 @@ pub(crate) fn encoded_records(mut bytes: &[u8]) -> impl Iterator<Item = RecordRe
 }
 
 /// The one parser of transaction records: streams the committed records of
-/// a chain through a single reused buffer (no allocation per record).
+/// a chain, each lent by the source when it lies in one block and the
+/// source lends ([`ByteSource::lend`]), and copied into a single reused
+/// buffer otherwise — no allocation per record either way.
 ///
 /// Reading stops for good at the first `len == 0` header (open or
 /// terminated log), an unreadable position, or a checksum mismatch (torn
@@ -383,7 +425,7 @@ pub(crate) fn encoded_records(mut bytes: &[u8]) -> impl Iterator<Item = RecordRe
 pub struct RecordReader<'a, S: ByteSource> {
     /// `None` once reading has stopped.
     stream: Option<StreamReader<'a, S>>,
-    /// The current record, header then payload.
+    /// The current record, header then payload, when it was not lent.
     buf: Vec<u8>,
     /// Start of the first record not yet returned.
     next: Cursor,
@@ -401,13 +443,20 @@ impl<'a, S: ByteSource> RecordReader<'a, S> {
         Self { stream: StreamReader::at(src, at, block_bytes), buf: Vec::new(), next: at }
     }
 
+    /// Starts over on the chain at block `head` of `src`, keeping the
+    /// buffer copied records are read into: one reader reads any number of
+    /// chains with the allocations of one.
+    pub(crate) fn restart(&mut self, src: &'a S, head: usize, block_bytes: usize) {
+        *self = Self { buf: std::mem::take(&mut self.buf), ..Self::new(src, head, block_bytes) };
+    }
+
     /// Start of the first record not yet returned: once [`Self::next`] has
     /// returned `None`, where the chain's committed records end.
     pub(crate) fn cursor(&self) -> Cursor {
         self.next
     }
 
-    /// The next committed record, valid until the next call (it borrows
+    /// The next committed record, valid until the next call (it may borrow
     /// the reader's buffer, which is why this is not an `Iterator`).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<RecordRef<'_>> {
@@ -421,22 +470,18 @@ impl<'a, S: ByteSource> RecordReader<'a, S> {
         if len == 0 || len > MAX_RECORD_PAYLOAD {
             return None;
         }
-        self.buf.clear();
-        self.buf.resize(REC_HDR + len, 0);
-        self.buf[..REC_HDR].copy_from_slice(&hdr);
-        if !stream.read_payload(&mut self.buf[REC_HDR..], ts, cksum) {
-            return None;
-        }
+        let bytes = stream.read_payload(&hdr, len, ts, cksum, &mut self.buf)?;
         self.next = stream.cur;
         self.stream = Some(stream);
-        Some(RecordRef { ts, bytes: &self.buf })
+        Some(RecordRef { ts, bytes })
     }
 }
 
 /// Reads all committed records of the chain starting at `head` into one
 /// buffer, encoded back to back as the chain stores them — what
 /// [`encoded_records`] splits again. One allocation per chain, however many
-/// records and entries it holds.
+/// records and entries it holds. The reference replay reads chains this
+/// way; the recovery engine copies only the records it replays.
 pub(crate) fn read_chain_encoded<S: ByteSource>(
     src: &S,
     head: usize,
@@ -489,9 +534,10 @@ pub(crate) fn encode_checkpoint(watermark: u64, payload: &[u8]) -> Vec<u8> {
 /// Reads the checkpoint record stored in the block chain at `head` as
 /// `(watermark, payload)`; [`Entries`] decodes the payload's runs.
 ///
-/// Returns `None` for an empty head, a bad magic, an implausible length,
-/// an unreadable chain, or a checksum mismatch — the torn-checkpoint
-/// cases, where recovery must fall back to a full log replay.
+/// Returns `None` for an empty head, a bad magic, an implausible length
+/// (over [`MAX_CKPT_PAYLOAD`] or more than the source holds), an
+/// unreadable chain, or a checksum mismatch — the torn-checkpoint cases,
+/// where recovery must fall back to a full log replay.
 pub(crate) fn read_checkpoint<S: ByteSource>(
     src: &S,
     head: usize,
@@ -511,8 +557,9 @@ pub(crate) fn read_checkpoint<S: ByteSource>(
         return None;
     }
     let cksum = u64::from_le_bytes(hdr[20..28].try_into().expect("8 bytes"));
-    let mut payload = vec![0u8; len];
-    reader.read_payload(&mut payload, watermark, cksum).then_some((watermark, payload))
+    let mut buf = Vec::new();
+    let record = reader.read_payload(&hdr, len, watermark, cksum, &mut buf)?;
+    Some((watermark, record[CKPT_HDR..].to_vec()))
 }
 
 /// The device a log chain lives on, as the record protocol sees it: the
@@ -804,11 +851,24 @@ impl LogArea {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use specpmt_pmem::{PmemConfig, PmemDevice};
 
     const BB: usize = 128;
+
+    /// The bytes of `S`, never lent: every read through it copies.
+    pub(crate) struct CopyOnly<'a, S>(pub &'a S);
+
+    impl<S: ByteSource> ByteSource for CopyOnly<'_, S> {
+        fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
+            self.0.read_at(addr, buf)
+        }
+
+        fn source_len(&self) -> usize {
+            self.0.source_len()
+        }
+    }
 
     fn pool() -> PmemPool {
         PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20).untimed()))
@@ -1023,5 +1083,154 @@ mod tests {
         let enc = encode_record(&r);
         let payload = &enc[REC_HDR..];
         assert_eq!(Entries::new(payload).into_owned(), r.entries);
+    }
+
+    /// A record inside one block is borrowed from a source that lends; one
+    /// that crosses a block boundary, or comes from a source that does
+    /// not lend, is copied — and both read back the same.
+    #[test]
+    fn records_inside_a_block_are_lent_and_others_copied() {
+        let mut pool = pool();
+        let mut free = Vec::new();
+        let mut dirty = Vec::new();
+        let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
+        // 40 bytes at block offset 16; 248 bytes from offset 56 across two
+        // boundaries to offset 80 of the third block; 36 bytes after it.
+        let recs = [rec(1, 0x40, &[1; 8]), rec(2, 0x80, &[2; 216]), rec(3, 0xC0, &[3; 4])];
+        for r in &recs {
+            append_record(&mut area, &mut pool, &mut free, r);
+        }
+        let dev = pool.device();
+        let image = dev.peek(0, dev.size()).as_ptr_range();
+        let mut reader = RecordReader::new(dev, area.head(), BB);
+        for (r, lent) in recs.iter().zip([true, false, true]) {
+            let got = reader.next().expect("committed");
+            assert_eq!(got.to_record(), *r);
+            assert_eq!(image.contains(&got.bytes().as_ptr()), lent, "record {}", r.ts);
+        }
+        assert!(reader.next().is_none());
+        assert_eq!(parse_chain(&CopyOnly(dev), area.head(), BB), recs);
+    }
+
+    /// A header whose length the source could not hold is rejected before
+    /// the length sizes anything.
+    #[test]
+    fn a_length_larger_than_the_source_is_rejected_unread() {
+        let mut pool = pool();
+        let mut free = Vec::new();
+        let mut dirty = Vec::new();
+        let area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
+        let size = pool.device().size();
+        let hdr = encode_header_parts(1, size, 0);
+        pool.device_mut().write(area.head() + BLOCK_HDR, &hdr);
+        let mut reader = RecordReader::new(pool.device(), area.head(), BB);
+        assert!(reader.next().is_none());
+        assert_eq!(reader.buf.capacity(), 0, "nothing was sized by the length");
+    }
+
+    /// The record checksum, pinned: an accidental change to the hash, or
+    /// to what it covers, fails here first.
+    #[test]
+    fn record_checksum_known_answers() {
+        let payload: Vec<u8> = (0u32..255).map(|i| (i * 37 + 11) as u8).collect();
+        let ts = 0x0123_4567_89ab_cdef;
+        let want = [
+            (0, 0x23de_7c3d_fe48_8031),
+            (1, 0x5669_697d_e116_76ab),
+            (7, 0x9b5a_b6bc_3071_7f9d),
+            (8, 0x84cc_5c15_7bd4_d55d),
+            (9, 0x1c79_1f7e_12e6_2236),
+            (64, 0xbc06_7803_0e74_645a),
+            (255, 0xf1f2_32dc_6fb1_4070),
+        ];
+        for (len, sum) in want {
+            assert_eq!(record_checksum(ts, &payload[..len]), sum, "{len} bytes");
+        }
+    }
+
+    /// Every change confined to one byte, and to any eight consecutive
+    /// bytes, of a payload of 0..=256 bytes at each of the eight source
+    /// alignments changes the record checksum.
+    #[test]
+    fn every_single_byte_and_word_change_is_detected() {
+        let mut rng = specpmt_pmem::SplitMix64::new(0xb17e);
+        let backing: Vec<u8> = (0..256 + 8).map(|_| rng.next_u8()).collect();
+        for len in 0..=256 {
+            for align in 0..8 {
+                let payload = &backing[align..align + len];
+                let want = record_checksum(9, payload);
+                let mut changed = payload.to_vec();
+                for at in 0..len {
+                    changed[at] ^= rng.next_u8() | 1;
+                    assert_ne!(record_checksum(9, &changed), want, "byte {at} len {len}");
+                    changed[at] = payload[at];
+                }
+                for at in 0..len {
+                    let word = at..(at + 8).min(len);
+                    word.clone().for_each(|i| changed[i] ^= rng.next_u8());
+                    changed[at] = payload[at] ^ (rng.next_u8() | 1);
+                    assert_ne!(record_checksum(9, &changed), want, "word at {at} len {len}");
+                    changed[word.clone()].copy_from_slice(&payload[word]);
+                }
+            }
+        }
+    }
+
+    /// Px86 persists or tears a store in 8-byte units. For 10,000 seeded
+    /// records at random positions in a chain of small blocks, a commit
+    /// torn in any non-empty subset of the address-aligned units the record
+    /// covers — those units holding the bytes they held before — is
+    /// rejected by the reader, while the whole record reads back.
+    #[test]
+    fn records_torn_at_any_subset_of_eight_byte_units_are_rejected() {
+        const BLOCKS: usize = 3;
+        let mut rng = specpmt_pmem::SplitMix64::new(0x7042);
+        for trial in 0..10_000 {
+            let value: Vec<u8> = (0..rng.range_usize(1, 150)).map(|_| rng.next_u8()).collect();
+            let record = encode_record(&rec(rng.next_u64(), rng.range_usize(0, 1 << 20), &value));
+            let start = Cursor { block: BB, pos: rng.range_usize(BLOCK_HDR, BB - 1) };
+            // The image addresses the record's bytes land at.
+            let mut addrs = Vec::with_capacity(record.len());
+            let mut cur = start;
+            while addrs.len() < record.len() {
+                if cur.pos == BB {
+                    cur = Cursor { block: cur.block + BB, pos: BLOCK_HDR };
+                }
+                addrs.push(cur.block + cur.pos);
+                cur.pos += 1;
+            }
+            // Before the commit: whatever the blocks held, different from
+            // the record at every byte it covers.
+            let mut before =
+                CrashImage::new((0..(BLOCKS + 1) * BB).map(|_| rng.next_u8()).collect());
+            for b in 1..=BLOCKS {
+                let next = if b < BLOCKS { (b + 1) * BB } else { 0 };
+                before.write_u64(b * BB, next as u64);
+            }
+            let mut committed = before.clone();
+            for (&addr, &byte) in addrs.iter().zip(&record) {
+                before.write_bytes(addr, &[byte ^ (rng.next_u8() | 1)]);
+                committed.write_bytes(addr, &[byte]);
+            }
+            let mut whole = RecordReader::resume(&committed, start, BB);
+            assert_eq!(whole.next().map(|r| r.bytes().to_vec()), Some(record.clone()));
+
+            let mut units: Vec<usize> = addrs.iter().map(|a| a / 8).collect();
+            units.dedup();
+            let mut torn_units: Vec<usize> =
+                units.iter().copied().filter(|_| rng.next_bool()).collect();
+            if torn_units.is_empty() {
+                torn_units.push(units[rng.range_usize(0, units.len() - 1)]);
+            }
+            let mut torn = committed.clone();
+            for &addr in addrs.iter().filter(|a| torn_units.contains(&(*a / 8))) {
+                torn.write_bytes(addr, before.read_bytes(addr, 1));
+            }
+            let mut reader = RecordReader::resume(&torn, start, BB);
+            assert!(
+                reader.next().is_none(),
+                "trial {trial}: record at {start:?} torn in units {torn_units:?} was accepted"
+            );
+        }
     }
 }

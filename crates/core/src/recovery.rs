@@ -18,12 +18,14 @@
 //! compare against it, and nothing in production calls it. Every
 //! runtime's `recover` runs the engine, [`recover_image_opts`].
 //!
-//! Both read a chain through the one streaming parser ([`crate::record`]'s
-//! `RecordReader`) into a single buffer of records encoded back to back,
-//! one chain after another on the calling thread, and replay borrowed
-//! entries out of it: a recovery allocates per chain, never per record or
-//! entry. Only [`committed_records`] — the API for tools and tests —
-//! materialises owned [`LogRecord`]s.
+//! Both read every chain through the one streaming parser
+//! ([`crate::record`]'s `RecordReader`), one chain after another on the
+//! calling thread, and replay borrowed entries: nothing is allocated per
+//! record or entry. The reference copies every chain into a buffer of
+//! records encoded back to back. The engine reads records lent by the
+//! image, counts them all, and copies into its one replay buffer only the
+//! records that replay. Only [`committed_records`] — the API for tools
+//! and tests — materialises owned [`LogRecord`]s.
 //!
 //! # The engine
 //!
@@ -38,17 +40,19 @@
 //!   sorts by `ts`, which leaves equal timestamps in ascending chain
 //!   order. See [`committed_records`] for the tie-break contract.
 //! * **Last-writer-wins replay** — the merged sequence is applied in
-//!   *reverse* with a byte-claim bitmap (`fold_last_writer_wins`): a byte
-//!   is written by the last record that touches it and every superseded
-//!   (stale) store is skipped instead of copied. Same final image, bytes
-//!   written once.
+//!   *reverse* with a byte-claim bitmap (`fold_last_writer_wins`, a
+//!   bitmap word per step): a byte is written by the last record that
+//!   touches it and every superseded (stale) store is skipped instead of
+//!   copied. Same final image, bytes written once.
 //! * **A checkpoint** (written by `SpecSpmtShared::write_checkpoint`
 //!   through the same fold, head persisted in the layout descriptor)
 //!   bounds how much log must replay at all: it snapshots the
 //!   last-writer-wins state of every record with `ts <= watermark`, so
 //!   recovery replays the checkpoint's runs plus only the records above
-//!   the watermark. A torn or unparsable checkpoint silently degrades to
-//!   the full replay — the checkpoint is purely redundant state.
+//!   the watermark — the others are counted while the chains are read and
+//!   never copied or merged. A torn or unparsable checkpoint silently
+//!   degrades to the full replay — the checkpoint is purely redundant
+//!   state.
 //!
 //! Chains verify independently, so [`RecoveryReport::sim_ns`] models a
 //! parse [`RecoveryOptions::parse_threads`] wide. The host parse is
@@ -245,24 +249,27 @@ impl RecoveryReport {
     }
 }
 
-/// What parsing `chains` costs `workers` wide: the byte total of the
-/// busiest worker under the deterministic round-robin partition (worker
-/// `w` owns chains `w, w + workers, ...`).
-fn parse_makespan(chains: &[Vec<u8>], workers: usize) -> u64 {
+/// What parsing chains of `chain_bytes` costs `workers` wide: the byte
+/// total of the busiest worker under the deterministic round-robin
+/// partition (worker `w` owns chains `w, w + workers, ...`).
+fn parse_makespan(chain_bytes: &[u64], workers: usize) -> u64 {
     let mut per_worker = vec![0u64; workers];
-    for (idx, chain) in chains.iter().enumerate() {
-        per_worker[idx % workers] += chain.len() as u64;
+    for (idx, bytes) in chain_bytes.iter().enumerate() {
+        per_worker[idx % workers] += bytes;
     }
     per_worker.into_iter().max().unwrap_or(0)
 }
 
 /// K-way merge of per-chain record lists on the key `(ts, chain index)` —
 /// bit-identical to [`committed_records`]' concatenate-then-stable-sort
-/// order (see the tie-break contract there).
-fn merge_chains(chains: &[Vec<u8>]) -> impl Iterator<Item = RecordRef<'_>> {
+/// order (see the tie-break contract there). `replay` holds the chains'
+/// records encoded back to back; chain `i` ends at `ends[i]`.
+fn merge_chains<'a>(replay: &'a [u8], ends: &[usize]) -> impl Iterator<Item = RecordRef<'a>> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let mut iters: Vec<_> = chains.iter().map(|c| encoded_records(c)).collect();
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    let mut iters: Vec<_> =
+        starts.zip(ends).map(|(start, &end)| encoded_records(&replay[start..end])).collect();
     // The head record of every chain that has one, keyed `(ts, chain)`.
     let mut heads: Vec<Option<RecordRef>> = iters.iter_mut().map(Iterator::next).collect();
     let mut heap: BinaryHeap<_> = heads
@@ -299,20 +306,47 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
         None
     };
 
-    // Each chain's committed records, encoded back to back, read one chain
-    // after another on this thread; the width only prices the parse.
-    let chains: Vec<Vec<u8>> = (0..layout.threads())
-        .map(|tid| read_chain_encoded(image, layout.head(image, tid), layout.block_bytes()))
-        .collect();
+    // Every chain read one after another on this thread by one reader (a
+    // record it must copy reuses one buffer), its records otherwise lent by
+    // the image: all of them are counted (the width only prices the
+    // parse), and only those that replay — above the watermark, or all of
+    // them without a checkpoint — are copied into the replay buffer, each
+    // chain's ending at its entry of `ends`. Records at or below the
+    // watermark are exactly what the checkpoint folded in.
+    let watermark = ckpt.as_ref().map(|&(mark, _)| mark);
+    let mut replay: Vec<u8> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(layout.threads());
+    let mut chain_bytes: Vec<u64> = Vec::with_capacity(layout.threads());
+    let mut reader = RecordReader::new(&*image, 0, layout.block_bytes());
+    for tid in 0..layout.threads() {
+        reader.restart(&*image, layout.head(image, tid), layout.block_bytes());
+        let mut bytes = 0u64;
+        while let Some(rec) = reader.next() {
+            report.records_parsed += 1;
+            bytes += rec.bytes().len() as u64;
+            if watermark.is_some_and(|mark| rec.ts <= mark) {
+                report.records_skipped_checkpoint += 1;
+            } else {
+                replay.extend_from_slice(rec.bytes());
+            }
+        }
+        chain_bytes.push(bytes);
+        ends.push(replay.len());
+    }
     report.parse_threads = opts.parse_threads.clamp(1, layout.threads().max(1));
-    report.chains_nonempty = chains.iter().filter(|c| !c.is_empty()).count();
-    report.bytes_parsed = chains.iter().map(|c| c.len() as u64).sum();
-    report.parse_makespan_bytes = parse_makespan(&chains, report.parse_threads);
+    report.chains_nonempty = chain_bytes.iter().filter(|&&bytes| bytes > 0).count();
+    report.bytes_parsed = chain_bytes.iter().sum();
+    report.parse_makespan_bytes = parse_makespan(&chain_bytes, report.parse_threads);
+    report.records_replayed = report.records_parsed - report.records_skipped_checkpoint;
 
     // Forward replay order: checkpoint runs (anything else supersedes
-    // them), then every record above the watermark. Records at or below
-    // it are exactly what the checkpoint folded in, so they are skipped
-    // wholesale.
+    // them), then the replayed records merged on `(ts, chain)`. Dropping
+    // the records at or below the watermark `W` before the merge cannot
+    // reorder the rest: on the heap of chain heads, a head with `ts <= W`
+    // is smaller than every replayed record (all have `ts > W`), so it pops
+    // as soon as it becomes a head. Whenever a replayed record pops, every
+    // chain's head is therefore its next replayed record — the same heads,
+    // under the same key, as in the merge of the replayed records alone.
     let mut forward: Vec<EntryRef> = Vec::new();
     if let Some((mark, payload)) = &ckpt {
         report.checkpoint_used = true;
@@ -320,15 +354,7 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
         forward.extend(Entries::new(payload));
         report.checkpoint_entries = forward.len();
     }
-    for rec in merge_chains(&chains) {
-        report.records_parsed += 1;
-        if report.checkpoint_used && rec.ts <= report.checkpoint_watermark {
-            report.records_skipped_checkpoint += 1;
-            continue;
-        }
-        report.records_replayed += 1;
-        forward.extend(rec.entries());
-    }
+    forward.extend(merge_chains(&replay, &ends).flat_map(|rec| rec.entries()));
 
     (report.bytes_replayed, report.bytes_skipped_stale) =
         fold_last_writer_wins(&forward, image.len(), |addr, bytes| image.write_bytes(addr, bytes));
@@ -339,9 +365,15 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
 /// `SpecSpmtShared::write_checkpoint`: walks `forward` (entries in replay
 /// order, oldest first) in reverse, claims bytes of the `size`-byte pool
 /// in a bitmap, and hands `emit` every run of bytes no later entry wrote —
-/// each byte at most once, runs disjoint, in no address order. The
-/// reference replay drops any entry that does not fit the image, so the
-/// same bounds check is applied *before* claiming.
+/// each byte at most once, runs disjoint, ascending within an entry and in
+/// no address order across entries. The reference replay drops any entry
+/// that does not fit the image, so the same bounds check is applied
+/// *before* claiming.
+///
+/// An entry is claimed a bitmap word (64 bytes) per step: a word whose
+/// bytes are all unclaimed extends the current run, one whose bytes are
+/// all claimed ends it, and only a word mixing both is walked bit by bit —
+/// the runs emitted are exactly those of a per-byte walk.
 ///
 /// Returns `(bytes emitted, entry bytes skipped as stale)`.
 pub(crate) fn fold_last_writer_wins<'a>(
@@ -350,33 +382,44 @@ pub(crate) fn fold_last_writer_wins<'a>(
     mut emit: impl FnMut(usize, &'a [u8]),
 ) -> (u64, u64) {
     let (mut emitted, mut stale) = (0u64, 0u64);
-    let mut emit = |addr: usize, bytes: &'a [u8]| {
-        emitted += bytes.len() as u64;
-        emit(addr, bytes);
-    };
     let mut claimed = vec![0u64; size.div_ceil(64)];
     for e in forward.iter().rev() {
         if e.value.is_empty() || !in_bounds(e.addr, e.value.len(), size) {
             continue;
         }
-        // Claim per byte; runs of unclaimed bytes are emitted in one piece
-        // to keep the common (no-overlap) case cheap.
-        let mut run_start: Option<usize> = None;
-        for i in 0..e.value.len() {
-            let (word, bit) = ((e.addr + i) / 64, (e.addr + i) % 64);
-            if claimed[word] & (1 << bit) == 0 {
-                claimed[word] |= 1 << bit;
-                run_start.get_or_insert(i);
-                continue;
+        let end = e.addr + e.value.len();
+        // Start address of the run of unclaimed bytes being gathered.
+        let mut run: Option<usize> = None;
+        let mut close = |run: &mut Option<usize>, at: usize| {
+            if let Some(start) = run.take() {
+                emitted += (at - start) as u64;
+                emit(start, &e.value[start - e.addr..at - e.addr]);
             }
-            stale += 1;
-            if let Some(s) = run_start.take() {
-                emit(e.addr + s, &e.value[s..i]);
+        };
+        let mut at = e.addr;
+        while at < end {
+            let (word, lo) = (at / 64, at % 64);
+            let n = (64 - lo).min(end - at);
+            let mask = (u64::MAX >> (64 - n)) << lo;
+            let fresh = mask & !claimed[word];
+            claimed[word] |= mask;
+            stale += u64::from((mask ^ fresh).count_ones());
+            if fresh == mask {
+                run.get_or_insert(at);
+            } else if fresh == 0 {
+                close(&mut run, at);
+            } else {
+                for bit in lo..lo + n {
+                    if fresh >> bit & 1 == 1 {
+                        run.get_or_insert(word * 64 + bit);
+                    } else {
+                        close(&mut run, word * 64 + bit);
+                    }
+                }
             }
+            at += n;
         }
-        if let Some(s) = run_start {
-            emit(e.addr + s, &e.value[s..]);
-        }
+        close(&mut run, end);
     }
     (emitted, stale)
 }
@@ -785,6 +828,209 @@ mod tests {
             assert_eq!(report.bytes_parsed, log_bytes as u64);
             assert_eq!(report.checkpoint_used, opts.use_checkpoint);
             assert_eq!(report.records_replayed + report.records_skipped_checkpoint, records.len());
+        }
+    }
+
+    /// The per-byte walk [`fold_last_writer_wins`] replaced, kept as its
+    /// specification: claim byte by byte, emit each run of unclaimed bytes
+    /// as it ends.
+    fn per_byte_fold<'a>(
+        forward: &[EntryRef<'a>],
+        size: usize,
+        mut emit: impl FnMut(usize, &'a [u8]),
+    ) -> (u64, u64) {
+        let (mut emitted, mut stale) = (0u64, 0u64);
+        let mut emit = |addr: usize, bytes: &'a [u8]| {
+            emitted += bytes.len() as u64;
+            emit(addr, bytes);
+        };
+        let mut claimed = vec![0u64; size.div_ceil(64)];
+        for e in forward.iter().rev() {
+            if e.value.is_empty() || !in_bounds(e.addr, e.value.len(), size) {
+                continue;
+            }
+            let mut run_start: Option<usize> = None;
+            for i in 0..e.value.len() {
+                let (word, bit) = ((e.addr + i) / 64, (e.addr + i) % 64);
+                if claimed[word] & (1 << bit) == 0 {
+                    claimed[word] |= 1 << bit;
+                    run_start.get_or_insert(i);
+                    continue;
+                }
+                stale += 1;
+                if let Some(s) = run_start.take() {
+                    emit(e.addr + s, &e.value[s..i]);
+                }
+            }
+            if let Some(s) = run_start {
+                emit(e.addr + s, &e.value[s..]);
+            }
+        }
+        (emitted, stale)
+    }
+
+    /// On seeded entry sets — unaligned, word-straddling, whole-word,
+    /// nested in or equal to or covering an earlier entry, zero-length and
+    /// out of bounds — the word-at-a-time fold emits the per-byte fold's
+    /// runs, in its order, and the same counts.
+    #[test]
+    fn word_fold_emits_exactly_the_per_byte_folds_runs() {
+        const SIZE: usize = 1000;
+        for seed in 0..400u64 {
+            let mut rng = specpmt_pmem::SplitMix64::new(seed ^ 0xf01d);
+            let mut spans: Vec<(usize, usize)> = Vec::new();
+            for _ in 0..rng.range_usize(1, 40) {
+                let earlier = spans.get(rng.range_usize(0, spans.len())).copied();
+                let span = match (rng.below(8), earlier) {
+                    (0, _) => (64 * rng.range_usize(0, 14), 64 * rng.range_usize(1, 2)),
+                    (1, Some((a, l))) => (a, l),
+                    (2, Some((a, l))) => {
+                        let at = rng.range_usize(0, l);
+                        (a.saturating_add(at), rng.range_usize(0, l - at))
+                    }
+                    (3, Some((a, l))) => {
+                        let pad = rng.range_usize(1, 70);
+                        (a.saturating_sub(pad), l + 2 * pad)
+                    }
+                    (4, _) => (rng.range_usize(0, SIZE), 0),
+                    (5, _) => [(SIZE - 3, 10), (usize::MAX - 2, 8)][rng.range_usize(0, 1)],
+                    _ => (rng.range_usize(0, SIZE - 1), rng.range_usize(1, 150)),
+                };
+                spans.push(span);
+            }
+            let values: Vec<Vec<u8>> =
+                spans.iter().map(|&(_, len)| (0..len).map(|_| rng.next_u8()).collect()).collect();
+            let forward: Vec<EntryRef> = spans
+                .iter()
+                .zip(&values)
+                .map(|(&(addr, _), value)| EntryRef { addr, value })
+                .collect();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let got_counts = fold_last_writer_wins(&forward, SIZE, |a, b| got.push((a, b)));
+            let want_counts = per_byte_fold(&forward, SIZE, |a, b| want.push((a, b)));
+            assert_eq!(got, want, "seed {seed}: {spans:?}");
+            assert_eq!(got_counts, want_counts, "seed {seed}: {spans:?}");
+        }
+    }
+
+    /// Seeded mutations of a crash image — bit flips in chain heads,
+    /// forward pointers, record lengths, timestamps, checksums and
+    /// payloads and the checkpoint header, and truncation — read the same
+    /// through a source that lends and one that never does, and recover to
+    /// the reference's image without panicking. The engine's full replay
+    /// must equal the reference every time; with the checkpoint honoured it
+    /// must whenever the checkpoint is rejected (a record torn below the
+    /// watermark may differ, since the checkpoint still holds what the
+    /// reference loses behind it).
+    #[test]
+    fn lending_and_copying_readers_agree_on_garbage() {
+        use crate::record::tests::CopyOnly;
+        use crate::record::{read_checkpoint, ByteSource, Cursor, BLOCK_HDR, CKPT_HDR, REC_HDR};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// A chain's records as read through `src`, and where reading stopped.
+        fn chain<S: ByteSource>(src: &S, head: usize, bb: usize) -> (Vec<Vec<u8>>, Cursor) {
+            let mut reader = RecordReader::new(src, head, bb);
+            let mut records = Vec::new();
+            while let Some(rec) = reader.next() {
+                records.push(rec.bytes().to_vec());
+            }
+            (records, reader.cursor())
+        }
+
+        let (shared, _) = crate::concurrent::tests::overlapping_three_chain_history(20);
+        let base = shared.device().capture(specpmt_pmem::CrashPolicy::AllLost);
+        let layout = PoolLayout::read(&base).expect("formatted");
+        let bb = layout.block_bytes();
+
+        // Every byte a mutation may hit, with what it holds.
+        let mut targets: Vec<(&str, usize)> = Vec::new();
+        let ckpt = layout.ckpt_head(&base);
+        targets.extend((0..CKPT_HDR).map(|off| ("checkpoint header", ckpt + BLOCK_HDR + off)));
+        for tid in 0..layout.threads() {
+            targets.extend((0..8).map(|off| ("head", layout.head_addr(tid) + off)));
+            let mut block = layout.head(&base, tid);
+            while block != 0 {
+                targets.extend((0..8).map(|off| ("forward pointer", block + off)));
+                block = base.read_u64(block) as usize;
+            }
+            // Image address of byte `off` of the record starting at `at`.
+            let addr_of = |at: Cursor, off: usize| {
+                let (mut block, mut pos) = (at.block, at.pos + off);
+                while pos >= bb {
+                    (block, pos) = (base.read_u64(block) as usize, pos - bb + BLOCK_HDR);
+                }
+                block + pos
+            };
+            let mut reader = RecordReader::new(&base, layout.head(&base, tid), bb);
+            loop {
+                let at = reader.cursor();
+                let Some(len) = reader.next().map(|rec| rec.payload().len()) else { break };
+                for (what, from, n) in
+                    [("len", 0, 4), ("ts", 4, 8), ("checksum", 12, 8), ("payload", REC_HDR, len)]
+                {
+                    targets.extend((from..from + n).map(|off| (what, addr_of(at, off))));
+                }
+            }
+        }
+        let extent = targets.iter().map(|&(_, a)| a).max().expect("targets") + bb;
+
+        for seed in 0..2_000u64 {
+            let mut rng = specpmt_pmem::SplitMix64::new(seed);
+            let mut img = base.clone();
+            let mut what = Vec::new();
+            if rng.below(8) == 0 {
+                let len = rng.range_usize(0, extent);
+                img = CrashImage::new(base.as_bytes()[..len].to_vec());
+                what.push(format!("truncated to {len}"));
+            } else {
+                for _ in 0..rng.range_usize(1, 3) {
+                    let (kind, addr) = targets[rng.range_usize(0, targets.len() - 1)];
+                    let bit = rng.below(8);
+                    img.as_bytes_mut()[addr] ^= 1 << bit;
+                    what.push(format!("{kind} byte {addr:#x} bit {bit}"));
+                }
+            }
+            let checked = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(layout) = PoolLayout::read(&img) {
+                    let bb = layout.block_bytes();
+                    for tid in 0..layout.threads() {
+                        let head = layout.head(&img, tid);
+                        let copied = chain(&CopyOnly(&img), head, bb);
+                        assert_eq!(chain(&img, head, bb), copied, "chain {tid}");
+                    }
+                    let ckpt = layout.ckpt_head(&img);
+                    assert_eq!(
+                        read_checkpoint(&img, ckpt, layout.block_bytes()),
+                        read_checkpoint(&CopyOnly(&img), ckpt, layout.block_bytes()),
+                    );
+                }
+                let mut reference = img.clone();
+                recover_image(&mut reference);
+                let mut full = img.clone();
+                let full_report =
+                    recover_image_opts(&mut full, &RecoveryOptions::default().without_checkpoint());
+                assert!(full == reference, "the full replay differs from the reference");
+                let mut engine = img.clone();
+                let report = recover_image_opts(&mut engine, &RecoveryOptions::default());
+                assert!(
+                    report.checkpoint_used || engine == reference,
+                    "no checkpoint, yet differs"
+                );
+                assert_eq!(
+                    (report.records_parsed, report.bytes_parsed, report.chains_nonempty),
+                    (
+                        full_report.records_parsed,
+                        full_report.bytes_parsed,
+                        full_report.chains_nonempty
+                    )
+                );
+            }));
+            if let Err(panic) = checked {
+                let msg = panic.downcast_ref::<String>().map(String::as_str);
+                let msg = msg.or_else(|| panic.downcast_ref::<&str>().copied()).unwrap_or("");
+                panic!("seed {seed}, mutation [{}]: {msg}", what.join("; "));
+            }
         }
     }
 

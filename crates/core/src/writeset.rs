@@ -15,18 +15,14 @@
 //!   the table, so clearing is O(1) and the table's capacity — grown to
 //!   the high-water mark of any past transaction — is never released;
 //! * a payload arena (`Vec<u8>`) that is `clear()`ed, not freed, so its
-//!   capacity is likewise sticky;
-//! * a streaming [`Fnv1a`] hasher fed *as entries are staged*, so sealing
-//!   the record does not re-walk the payload. In-place patches (the
-//!   same-address-same-length dedup path) poison the stream
-//!   (`hash_dirty`); [`WriteSet::checksum`] then falls back to one
-//!   re-stream of the final payload — still allocation-free.
+//!   capacity is likewise sticky. [`WriteSet::checksum`] hashes the final
+//!   arena in one pass at seal time — a word per multiply, so there is no
+//!   streaming hash to keep in step with staging and in-place patches.
 //!
 //! After warm-up, a committed transaction performs **zero** heap
 //! allocations in this layer (the commit-path microbench asserts this via
 //! a counting global allocator).
 
-use crate::checksum::Fnv1a;
 use crate::record::{self, Cursor, ENTRY_HDR};
 
 /// Where one staged entry lives, for the in-transaction dedup path.
@@ -55,8 +51,8 @@ const EMPTY_SLOT: Slot = Slot {
     entry: EntrySlot { payload_off: 0, len: 0, value_cursor: Cursor { block: 0, pos: 0 } },
 };
 
-/// Reusable write-set: open-addressing index + payload arena + streaming
-/// record checksum. See the module docs for the design rationale.
+/// Reusable write-set: open-addressing index + payload arena. See the
+/// module docs for the design rationale.
 #[derive(Debug)]
 pub struct WriteSet {
     slots: Vec<Slot>,
@@ -68,8 +64,6 @@ pub struct WriteSet {
     /// Current transaction stamp; slots with an older stamp are empty.
     stamp: u64,
     payload: Vec<u8>,
-    hasher: Fnv1a,
-    hash_dirty: bool,
 }
 
 const INITIAL_SLOTS: usize = 16;
@@ -90,20 +84,15 @@ impl WriteSet {
             live: 0,
             stamp: 0,
             payload: Vec::new(),
-            hasher: Fnv1a::new(),
-            hash_dirty: false,
         }
     }
 
     /// Starts a new transaction: O(1) — bumps the stamp (logically
-    /// emptying the table), clears the arena (keeping capacity), resets
-    /// the streaming hasher.
+    /// emptying the table) and clears the arena (keeping capacity).
     pub fn begin(&mut self) {
         self.stamp += 1;
         self.live = 0;
         self.payload.clear();
-        self.hasher = Fnv1a::new();
-        self.hash_dirty = false;
     }
 
     /// Number of entries staged in the current transaction.
@@ -144,8 +133,7 @@ impl WriteSet {
     }
 
     /// Stages a fresh entry for `addr`: appends the entry header and
-    /// `data` to the payload arena, feeds the streaming hasher, and
-    /// indexes the entry. `value_cursor` is the log-chain cursor where the
+    /// `data` to the payload arena and indexes the entry. `value_cursor` is the log-chain cursor where the
     /// value bytes will land (captured by the caller from the log area).
     ///
     /// Returns the [`EntrySlot`] recorded for the entry.
@@ -154,39 +142,22 @@ impl WriteSet {
         let payload_off = self.payload.len() + ENTRY_HDR;
         self.payload.extend_from_slice(&hdr);
         self.payload.extend_from_slice(data);
-        if !self.hash_dirty {
-            self.hasher.update(&hdr);
-            self.hasher.update(data);
-        }
         let entry = EntrySlot { payload_off, len: data.len(), value_cursor };
         self.insert(addr, entry);
         entry
     }
 
     /// Overwrites the value bytes of an already-staged entry in place
-    /// (the same-address-same-length dedup path). Poisons the streaming
-    /// hash; [`Self::checksum`] will re-stream once at seal time.
+    /// (the same-address-same-length dedup path).
     pub fn patch(&mut self, slot: EntrySlot, data: &[u8]) {
         debug_assert_eq!(slot.len, data.len());
         self.payload[slot.payload_off..slot.payload_off + slot.len].copy_from_slice(data);
-        self.hash_dirty = true;
     }
 
-    /// The record checksum for the staged payload, sealed with `ts`.
-    ///
-    /// Fast path: the streaming hasher already holds the payload hash and
-    /// only the `(len, ts)` suffix is folded in. Slow path (after any
-    /// [`Self::patch`]): one full re-stream of the payload — no
-    /// allocation either way.
+    /// The record checksum for the staged payload, sealed with `ts`: one
+    /// pass over the arena, however the payload was staged or patched.
     pub fn checksum(&self, ts: u64) -> u64 {
-        let h = if self.hash_dirty {
-            let mut h = Fnv1a::new();
-            h.update(&self.payload);
-            h
-        } else {
-            self.hasher
-        };
-        record::record_checksum_finish(h, self.payload.len(), ts)
+        record::record_checksum(ts, &self.payload)
     }
 
     fn insert(&mut self, addr: usize, entry: EntrySlot) {
@@ -276,33 +247,38 @@ mod tests {
         assert_eq!(ws.lookup(16), None);
     }
 
+    /// Seeded transactions mixing fresh stages and same-length patches, in
+    /// any order: the checksum is the record checksum of the payload an
+    /// independent encoder builds from the same writes — entries in first
+    /// staged order, a patched entry holding its last value.
     #[test]
-    fn streamed_checksum_matches_oneshot() {
+    fn checksum_matches_an_independently_encoded_payload() {
+        let mut rng = specpmt_pmem::SplitMix64::new(0x3a5e);
         let mut ws = WriteSet::new();
-        ws.begin();
-        for i in 0..37usize {
-            let len = 1 + (i * 5) % 40;
-            let data: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8).collect();
-            ws.stage(i * 64, &data, cur(i));
+        for tx in 0..200u64 {
+            ws.begin();
+            let mut want: Vec<(usize, Vec<u8>)> = Vec::new();
+            for _ in 0..rng.range_usize(1, 12) {
+                let addr = 64 * rng.below(6) as usize;
+                let data: Vec<u8> =
+                    (0..rng.range_usize(1, 20)).map(|_| rng.next_u64() as u8).collect();
+                match ws.lookup(addr).filter(|slot| slot.len == data.len()) {
+                    Some(slot) => {
+                        ws.patch(slot, &data);
+                        let e = want.iter_mut().rev().find(|(a, _)| *a == addr).expect("staged");
+                        e.1 = data;
+                    }
+                    None => {
+                        ws.stage(addr, &data, cur(0));
+                        want.push((addr, data));
+                    }
+                }
+            }
+            let mut payload = Vec::new();
+            want.iter().for_each(|(addr, value)| record::push_entry(&mut payload, *addr, value));
+            assert_eq!(ws.payload(), payload.as_slice(), "tx {tx}");
+            assert_eq!(ws.checksum(tx), record::record_checksum(tx, &payload), "tx {tx}");
         }
-        for ts in [1u64, 2, 1 << 40] {
-            assert_eq!(ws.checksum(ts), record::record_checksum(ts, ws.payload()));
-        }
-    }
-
-    #[test]
-    fn patch_poisons_then_checksum_still_correct() {
-        let mut ws = WriteSet::new();
-        ws.begin();
-        let slot = ws.stage(64, &[1, 1, 1, 1], cur(0));
-        ws.stage(128, &[2; 8], cur(0));
-        ws.patch(slot, &[9, 9, 9, 9]);
-        assert_eq!(&ws.payload()[slot.payload_off..slot.payload_off + 4], &[9, 9, 9, 9]);
-        assert_eq!(ws.checksum(5), record::record_checksum(5, ws.payload()));
-        // Next transaction resumes the fast streaming path.
-        ws.begin();
-        ws.stage(64, &[3; 4], cur(0));
-        assert_eq!(ws.checksum(6), record::record_checksum(6, ws.payload()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared plumbing for the hardware transaction models.
 
 use specpmt_core::record::{encode_header, push_entry, LogArea, PoolStore, REC_HDR};
-use specpmt_core::Fnv1a;
+use specpmt_core::word_hash;
 use specpmt_pmem::{
     root_off, CrashImage, PmemConfig, PmemDevice, PmemPool, TimingMode, CACHE_LINE, POOL_MAGIC,
 };
@@ -153,13 +153,10 @@ impl RecordBuf {
     }
 }
 
+/// The record checksum's [`word_hash`] over an entry's pre-image, then its
+/// `magic | len` and `addr` header words.
 fn entry_checksum(len: u32, addr: u64, old: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(&ENTRY_MAGIC.to_le_bytes());
-    h.update(&len.to_le_bytes());
-    h.update(&addr.to_le_bytes());
-    h.update(old);
-    h.finish()
+    word_hash(old, u64::from(ENTRY_MAGIC) | u64::from(len) << 32, addr)
 }
 
 /// Hardware-managed undo log region: line-granular pre-image records

@@ -109,6 +109,22 @@ if grep -nF 'HashMap<usize, u64>' crates/core/src/reclaim.rs; then
     exit 1
 fi
 
+# One checksum, hashed once: a record is hashed whole at seal and at read
+# (checksum::word_hash), so the streaming hasher, its finishing step and the
+# write set's dirty-stream flag stay deleted. And recovery copies only the
+# records that replay: outside #[cfg(test)], whole chains are copied out of
+# an image only by the reference replay, `recover_image`. Neither pattern
+# matches its own line.
+if grep -rnE 'Fnv1[a]\b|record_checksum_[f]inish|hash_[d]irty' crates src tests examples; then
+    echo "the streaming record hasher is back (hash the sealed payload with record_checksum)" >&2
+    exit 1
+fi
+copiers=$(nontest crates/core/src/recovery.rs | awk '
+    /^(pub(\(crate\))? )?fn / { name = $0; sub(/^(pub(\(crate\))? )?fn /, "", name); sub(/[<(].*/, "", name) }
+    /read_chain_encode[d]\(/ { print name }' | sort -u)
+[ "$copiers" = recover_image ] ||
+    { echo "recovery copies whole chains outside recover_image: ${copiers:-(none)}" >&2; exit 1; }
+
 # Re-fork guard, sharing cost: per-owner state is written through the one
 # single-writer primitive (specpmt_telemetry::owned) and the global
 # atomics and lists it replaced stay gone. The primitive is defined in one

@@ -11,28 +11,37 @@
 //! extending): at most a couple of `Vec` doublings across hundreds of
 //! transactions, never a per-commit cost. (One test per concern, same binary, so the counting
 //! is still per-measurement: each measurement reads the counter delta
-//! around its own single-threaded loop.)
+//! around its own single-threaded loop.) The same allocator also records
+//! the largest single request, which bounds what recovery may allocate
+//! for a length read from a crash image.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use specpmt::core::record::{BLOCK_HDR, MAX_CKPT_PAYLOAD};
 use specpmt::core::{
-    ConcurrentConfig, LockedTxHandle, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared,
+    ConcurrentConfig, LockedTxHandle, ReclaimMode, RecoveryOptions, SpecConfig, SpecSpmt,
+    SpecSpmtShared,
 };
 use specpmt::hwtx::{hw_pool, Ede, EdeConfig, HwSpecConfig, HwSpecPmt};
-use specpmt::pmem::{PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool};
+use specpmt::pmem::{
+    CrashControl, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool,
+};
 use specpmt::txn::{run_tx, SharedLockTable, TxAccess, TxRuntime};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// The largest single allocation (or reallocation) requested.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: delegates directly to `System`; the counter has no effect on
+// SAFETY: delegates directly to `System`; the counters have no effect on
 // allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -42,6 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -137,6 +147,37 @@ fn locked_get_is_zero_alloc_in_steady_state() {
         get(round);
     }
     assert_eq!(ALLOCS.load(Ordering::Relaxed) - before, 0, "a warm locked get must not allocate");
+}
+
+/// Recovery reads lengths from the image before any checksum vouches for
+/// them, so none may size an allocation the image could not back: on a
+/// 64 KiB image whose checkpoint header claims the largest payload a
+/// checkpoint may carry (256 MiB), recovery falls back to the full replay
+/// with no single allocation larger than the image.
+#[test]
+fn recovery_sizes_no_allocation_beyond_the_image() {
+    let _guard = serial();
+    let cfg = ConcurrentConfig::builder().block_bytes(256).build();
+    let shared = SpecSpmtShared::open_or_format(64usize << 10, cfg);
+    let base = shared.pool().alloc_direct(64, 64).unwrap();
+    let mut h = shared.tx_handle(0);
+    for v in 0..8u64 {
+        h.begin();
+        h.write_u64(base + 8 * v as usize, v);
+        h.commit();
+    }
+    assert!(shared.write_checkpoint().is_some());
+    let mut img = shared.device().capture(CrashPolicy::AllLost);
+    // The header is `magic u64 | watermark u64 | len u32 | checksum u64`.
+    let len_at = shared.layout().ckpt_head(&img) + BLOCK_HDR + 16;
+    img.write_bytes(len_at, &(MAX_CKPT_PAYLOAD as u32).to_le_bytes());
+
+    LARGEST.store(0, Ordering::Relaxed);
+    let report = SpecSpmtShared::recover_opts(&mut img, &RecoveryOptions::default());
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(!report.checkpoint_used, "the claimed length cannot be read back");
+    assert_eq!(report.records_replayed, 8, "the full replay");
+    assert!(largest <= img.len(), "allocated {largest} bytes for a {}-byte image", img.len());
 }
 
 /// The hardware runtimes keep the same contract: line sets, the record
