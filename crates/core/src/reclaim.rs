@@ -94,13 +94,16 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The freshness state of one aligned 8-byte word: per byte, the youngest
-/// commit timestamp that wrote it, and whether any did (`ts == 0` is a
-/// legal timestamp, so absence needs its own bit).
+/// The freshness state of one aligned 8-byte word: which bytes a commit
+/// wrote (`ts == 0` is a legal timestamp, so absence needs its own bit)
+/// and their youngest timestamp — until they carry different ones: from
+/// then on the word is `mixed`, and [`FreshnessIndex`]'s side map holds
+/// the eight.
 #[derive(Debug, Clone, Copy, Default)]
 struct Word {
-    ts: [u64; WORD],
+    ts: u64,
     present: u8,
+    mixed: bool,
 }
 
 /// Splits `[addr, addr + len)` — wrapping, since `inspect` indexes crash
@@ -127,11 +130,15 @@ fn byte_mask(first: usize, n: usize) -> u8 {
 }
 
 /// Volatile index mapping each logged byte address to the youngest commit
-/// timestamp that wrote it. Verdicts are byte-exact; storage is one hash
-/// entry per aligned 8-byte word, so an aligned 8-byte datum is one probe.
+/// timestamp that wrote it. Verdicts are byte-exact; storage is one
+/// 16-byte hash value per aligned 8-byte word, so an aligned 8-byte datum
+/// is one probe. Only the rare word whose bytes carry different timestamps
+/// keeps eight, in a side map.
 #[derive(Debug, Clone, Default)]
 pub struct FreshnessIndex {
     words: HashMap<usize, Word, BuildHasherDefault<WordHasher>>,
+    /// Per-byte timestamps of the `mixed` words (0 for an absent byte).
+    mixed: HashMap<usize, [u64; WORD], BuildHasherDefault<WordHasher>>,
     /// Distinct bytes tracked (set `present` bits across all words).
     bytes: usize,
 }
@@ -149,17 +156,34 @@ impl FreshnessIndex {
             let w = self.words.entry(word).or_default();
             let mask = byte_mask(first, n);
             self.bytes += (mask & !w.present).count_ones() as usize;
-            w.present |= mask;
-            for slot in &mut w.ts[first..first + n] {
+            // One timestamp survives if `ts` is it, or a younger (or the
+            // first) `ts` covers every written byte, or an older adds none.
+            let uniform = !w.mixed
+                && (ts == w.ts
+                    || (ts >= w.ts && w.present & !mask == 0)
+                    || (ts <= w.ts && mask & !w.present == 0));
+            if uniform {
+                w.ts = w.ts.max(ts);
+                w.present |= mask;
+                continue;
+            }
+            let per_byte = self.mixed.entry(word).or_insert_with(|| {
+                std::array::from_fn(|i| if w.present >> i & 1 == 1 { w.ts } else { 0 })
+            });
+            for slot in &mut per_byte[first..first + n] {
                 *slot = (*slot).max(ts);
             }
+            w.present |= mask;
+            w.mixed = true;
         }
     }
 
     /// Youngest commit timestamp covering `addr`, if any.
     pub fn newest_ts(&self, addr: usize) -> Option<u64> {
-        let w = self.words.get(&(addr / WORD))?;
-        (w.present & byte_mask(addr % WORD, 1) != 0).then_some(w.ts[addr % WORD])
+        let (word, i) = (addr / WORD, addr % WORD);
+        let w = self.words.get(&word)?;
+        (w.present & byte_mask(i, 1) != 0)
+            .then(|| if w.mixed { self.mixed[&word][i] } else { w.ts })
     }
 
     /// Whether the entry of `len` bytes at `addr`, committed at `ts`, is
@@ -170,7 +194,9 @@ impl FreshnessIndex {
             None => true,
             Some(w) => {
                 let mask = byte_mask(first, n);
-                w.present & mask != mask || w.ts[first..first + n].iter().any(|&t| t <= ts)
+                let any_older = |m: &[u64; WORD]| m[first..first + n].iter().any(|&t| t <= ts);
+                w.present & mask != mask
+                    || if w.mixed { any_older(&self.mixed[&word]) } else { w.ts <= ts }
             }
         })
     }
@@ -559,6 +585,13 @@ pub(crate) mod tests {
         assert_eq!(idx.newest_ts(100), Some(7));
         assert_eq!(idx.newest_ts(101), None);
         assert_eq!(idx.tracked_bytes(), 1);
+    }
+
+    /// The index's point: a tracked word is one 16-byte hash value, not
+    /// eight timestamps.
+    #[test]
+    fn a_word_is_sixteen_bytes() {
+        assert!(std::mem::size_of::<Word>() <= 16);
     }
 
     #[test]

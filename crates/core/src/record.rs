@@ -95,14 +95,15 @@ impl ByteSource for PmemDevice {
     }
 }
 
-/// Does not lend: the shared device's image is sharded behind locks.
+/// Does not lend: the shared device's volatile image is atomic words, not
+/// bytes a slice can borrow.
 impl ByteSource for DeviceHandle {
     fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
         if !in_bounds(addr, buf.len(), self.size()) {
             return false;
         }
-        // `peek_into` copies straight from the (sharded) device image into
-        // the caller's buffer — the earlier `peek(..) -> Vec` round-trip
+        // `peek_into` copies straight from the device's words into the
+        // caller's buffer — the earlier `peek(..) -> Vec` round-trip
         // allocated and copied every parsed header/payload twice.
         self.peek_into(addr, buf);
         true

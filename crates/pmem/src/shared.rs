@@ -8,10 +8,10 @@
 //! `std::sync` primitives only, and so that threads meet only where the
 //! modelled hardware makes them meet:
 //!
-//! * the byte images (volatile + persisted) are **sharded** into fixed-size
-//!   stripes, each behind its own `Mutex` — threads touching different
-//!   stripes (e.g. appending to their own log-block chains) proceed in
-//!   parallel;
+//! * a **load takes no lock**: the volatile image is one `AtomicU64` per
+//!   8-byte word. Stores take a lock per fixed-size **stripe**, the `Mutex`
+//!   over its persisted bytes, so threads storing to different stripes
+//!   (e.g. appending to their own log-block chains) proceed in parallel;
 //! * the WPQ/media timing model is one small mutex-protected critical
 //!   section, taken once per flush batch (the memory controller *is*
 //!   shared);
@@ -36,16 +36,24 @@
 //! definitely in the image, one that overlapped a capture is a boundary
 //! case (all-or-nothing).
 //!
+//! Why a load needs no lock: a word is the unit the model persists or tears
+//! ([`PERSIST_WORD`]; Px86), and a store writes each word whole, merging a
+//! partial one under the stripe lock, so a racing load sees each word
+//! before or after it, never a mix. A reader that must see another
+//! thread's bytes is ordered after them by a lock it holds — the 2PL stripe
+//! CAS, the chain's area mutex, or the stripe lock for line snapshots and
+//! captures — so `Relaxed` suffices, and a capture is still one instant.
+//!
 //! Lock ordering (deadlock freedom): the crash gate's mutex is only taken
 //! while holding no other lock; below it the order is **handle registry →
 //! a handle's flush list (handle creation order) → image shards (ascending
 //! index)**, with the WPQ mutex a leaf. A capture takes all of them in that
-//! order; a handle operation takes its own flush list and then one shard
-//! at a time. Crash fuel and [`SharedPmemDevice::now_ns`] are therefore
-//! only ever used while holding none of these locks.
+//! order; a flush or fence its own flush list and then one shard at a time,
+//! a store one shard, a load none. Crash fuel and [`SharedPmemDevice::now_ns`]
+//! are therefore only ever used while holding none of these locks.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::alloc::{Reservation, SizeClassAllocator};
@@ -67,8 +75,69 @@ pub const SHARD_BYTES: usize = 4096;
 
 #[derive(Debug)]
 struct Shard {
-    volatile: Vec<u8>,
-    persisted: Vec<u8>,
+    /// Little-endian words, stored only under `persisted`'s lock.
+    volatile: Box<[AtomicU64]>,
+    persisted: Mutex<Vec<u8>>,
+}
+
+/// Copies `buf.len()` bytes from byte `off` of a stripe, one whole-word
+/// load per word touched.
+fn load_words(words: &[AtomicU64], off: usize, buf: &mut [u8]) {
+    let word = |i: usize| words[i].load(Ordering::Relaxed).to_le_bytes();
+    let (w, first) = (off / PERSIST_WORD, off % PERSIST_WORD);
+    let head = buf.len().min((PERSIST_WORD - first) % PERSIST_WORD);
+    let (head_buf, body) = buf.split_at_mut(head);
+    if head != 0 {
+        head_buf.copy_from_slice(&word(w)[first..first + head]);
+    }
+    let w = w + usize::from(first != 0);
+    let whole = body.len() / PERSIST_WORD;
+    let mut chunks = body.chunks_exact_mut(PERSIST_WORD);
+    for (chunk, i) in (&mut chunks).zip(w..) {
+        chunk.copy_from_slice(&word(i));
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        tail.copy_from_slice(&word(w + whole)[..tail.len()]);
+    }
+}
+
+/// Stores `run` at byte `off` of a stripe, a whole-word store per word, under
+/// the caller's stripe lock: merging a partial word races no other store. The
+/// merge is in a register; patching bytes in memory stalls the wide load.
+fn store_words(words: &[AtomicU64], off: usize, run: &[u8]) {
+    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let merge = |i: usize, mask: u64, bits: u64| {
+        let old = words[i].load(Ordering::Relaxed);
+        words[i].store(old & !mask | bits & mask, Ordering::Relaxed);
+    };
+    let (w, first) = (off / PERSIST_WORD, off % PERSIST_WORD);
+    if run.len() < PERSIST_WORD {
+        // At most two words: lay the run over a 128-bit window from `w`.
+        let bits = run.iter().rev().fold(0u128, |v, &b| v << 8 | u128::from(b)) << (8 * first);
+        let mask = ((1u128 << (8 * run.len())) - 1) << (8 * first);
+        merge(w, mask as u64, bits as u64);
+        if mask >> 64 != 0 {
+            merge(w + 1, (mask >> 64) as u64, (bits >> 64) as u64);
+        }
+        return;
+    }
+    // A partial first (last) word takes its bytes from the first (last) 8.
+    let head = (PERSIST_WORD - first) % PERSIST_WORD;
+    if head != 0 {
+        merge(w, u64::MAX << (8 * first), le(&run[..PERSIST_WORD]) << (8 * first));
+    }
+    let w = w + usize::from(head != 0);
+    let chunks = run[head..].chunks_exact(PERSIST_WORD);
+    let tail = chunks.remainder().len();
+    let whole = chunks.len();
+    for (chunk, i) in chunks.zip(w..) {
+        words[i].store(le(chunk), Ordering::Relaxed);
+    }
+    if tail != 0 {
+        let shift = 8 * (PERSIST_WORD - tail);
+        merge(w + whole, u64::MAX >> shift, le(&run[run.len() - PERSIST_WORD..]) >> shift);
+    }
 }
 
 /// What one [`DeviceHandle`] writes and the rest of the device may read.
@@ -94,7 +163,7 @@ fn latest(cells: &[Arc<HandleCell>]) -> u64 {
 struct DevInner {
     cfg: PmemConfig,
     size: usize,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
     wpq: Mutex<WpqModel>,
     /// The handle registry: every cell in creation order. The first is the
     /// **retired** cell no handle owns: a dropped handle folds its
@@ -131,7 +200,9 @@ impl SharedPmemDevice {
         let shards = (0..shards)
             .map(|i| {
                 let len = SHARD_BYTES.min(size - i * SHARD_BYTES);
-                Mutex::new(Shard { volatile: vec![0; len], persisted: vec![0; len] })
+                // Collecting from a `Vec<u64>` reuses its one zeroed allocation.
+                let words = vec![0u64; len / PERSIST_WORD].into_iter().map(AtomicU64::new);
+                Shard { volatile: words.collect(), persisted: Mutex::new(vec![0; len]) }
             })
             .collect();
         let wpq = Mutex::new(WpqModel::new(&cfg));
@@ -239,9 +310,7 @@ impl SharedPmemDevice {
             cell.unfenced.lock().expect("flush lock").clear();
         }
         for shard in &self.inner.shards {
-            let mut s = shard.lock().expect("shard lock");
-            let Shard { volatile, persisted } = &mut *s;
-            persisted.copy_from_slice(volatile);
+            load_words(&shard.volatile, 0, &mut shard.persisted.lock().expect("shard lock"));
         }
     }
 
@@ -262,57 +331,51 @@ impl SharedPmemDevice {
         Ok(())
     }
 
-    fn shard(&self, idx: usize) -> MutexGuard<'_, Shard> {
-        self.inner.shards[idx].lock().expect("shard lock")
-    }
-
-    /// Calls `f(shard_guard, offset_in_shard, range_in_buf)` for each shard
-    /// stripe overlapped by `[addr, addr + len)`, in ascending order.
+    /// Calls `f(shard, offset_in_shard, range_in_buf)`, taking no lock, for
+    /// each shard stripe overlapped by `[addr, addr + len)`, in order.
     fn for_stripes(
         &self,
         addr: usize,
         len: usize,
-        mut f: impl FnMut(&mut Shard, usize, std::ops::Range<usize>),
+        mut f: impl FnMut(&Shard, usize, std::ops::Range<usize>),
     ) {
         let mut off = 0;
         while off < len {
             let a = addr + off;
-            let idx = a / SHARD_BYTES;
             let in_shard = a % SHARD_BYTES;
             let n = (SHARD_BYTES - in_shard).min(len - off);
-            let mut guard = self.shard(idx);
-            f(&mut guard, in_shard, off..off + n);
+            f(&self.inner.shards[a / SHARD_BYTES], in_shard, off..off + n);
             off += n;
         }
     }
 
-    /// Calls `f(shard_guard, offset_in_shard, item)` for each item of a
-    /// batch, where `line_of(item)` is its cache line: the shard guard is
-    /// taken once per run of adjacent lines in the same shard, not once per
-    /// line (a sorted batch takes each shard it touches once).
+    /// Calls `f(volatile, persisted, offset_in_shard, item)` under the shard
+    /// lock for each item of a batch, where `line_of(item)` is its cache
+    /// line: the lock is taken once per run of adjacent lines in the same
+    /// shard, not once per line (a sorted batch takes each shard once).
     fn for_line_runs<T>(
         &self,
         items: &[T],
         line_of: impl Fn(&T) -> usize,
-        mut f: impl FnMut(&mut Shard, usize, &T),
+        mut f: impl FnMut(&[AtomicU64], &mut [u8], usize, &T),
     ) {
         let mut items = items.iter().map(|item| (line_start(line_of(item)), item)).peekable();
         while let Some(&(first, _)) = items.peek() {
             let shard_idx = first / SHARD_BYTES;
-            let mut guard = self.shard(shard_idx);
+            let shard = &self.inner.shards[shard_idx];
+            let mut persisted = shard.persisted.lock().expect("shard lock");
             while let Some((start, item)) = items.next_if(|(s, _)| s / SHARD_BYTES == shard_idx) {
-                f(&mut guard, start % SHARD_BYTES, item);
+                f(&shard.volatile, &mut persisted, start % SHARD_BYTES, item);
             }
         }
     }
 
     /// Copies `buf.len()` bytes at `addr` out of the volatile image: the
-    /// untimed read under every peek, which needs no handle.
+    /// untimed load under every read and peek, which needs no handle.
     fn peek_into(&self, addr: usize, buf: &mut [u8]) {
-        self.check(addr, buf.len()).expect("peek out of bounds");
+        self.check(addr, buf.len()).expect("shared pmem read out of bounds");
         self.for_stripes(addr, buf.len(), |shard, off, range| {
-            let n = range.len();
-            buf[range].copy_from_slice(&shard.volatile[off..off + n]);
+            load_words(&shard.volatile, off, &mut buf[range]);
         });
     }
 
@@ -328,7 +391,7 @@ impl SharedPmemDevice {
         self.for_line_runs(
             flushes,
             |p| p.line,
-            |shard, off, p| shard.persisted[off..off + CACHE_LINE].copy_from_slice(&p.snapshot),
+            |_, persisted, off, p| persisted[off..off + CACHE_LINE].copy_from_slice(&p.snapshot),
         );
     }
 
@@ -370,13 +433,13 @@ impl CrashControl for SharedPmemDevice {
         let cells = self.cells();
         let unfenced: Vec<_> =
             cells.iter().map(|c| c.unfenced.lock().expect("flush lock")).collect();
-        let shards: Vec<_> =
-            self.inner.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
-        let mut volatile = Vec::with_capacity(self.inner.size);
+        let shards = &self.inner.shards;
+        let held: Vec<_> = shards.iter().map(|s| s.persisted.lock().expect("shard lock")).collect();
+        let mut volatile = vec![0; self.inner.size];
         let mut persisted = Vec::with_capacity(self.inner.size);
-        for s in &shards {
-            volatile.extend_from_slice(&s.volatile);
-            persisted.extend_from_slice(&s.persisted);
+        for ((s, bytes), dst) in shards.iter().zip(&held).zip(volatile.chunks_mut(SHARD_BYTES)) {
+            load_words(&s.volatile, 0, dst);
+            persisted.extend_from_slice(bytes);
         }
         let pending = unfenced.iter().flat_map(|list| list.iter());
         materialize(persisted, &volatile, pending, latest(&cells), policy)
@@ -485,8 +548,8 @@ impl DeviceHandle {
         self.dev.check(addr, data.len())?;
         self.dev.tick_fuel();
         self.dev.for_stripes(addr, data.len(), |shard, off, range| {
-            let n = range.len();
-            shard.volatile[off..off + n].copy_from_slice(&data[range]);
+            let _stores = shard.persisted.lock().expect("shard lock");
+            store_words(&shard.volatile, off, &data[range]);
         });
         if self.dev.timing_is_on() {
             let words = data.len().div_ceil(PERSIST_WORD) as u64;
@@ -502,11 +565,7 @@ impl DeviceHandle {
     ///
     /// Panics if the range is out of bounds.
     pub fn read(&self, addr: usize, buf: &mut [u8]) {
-        self.dev.check(addr, buf.len()).expect("shared pmem read out of bounds");
-        self.dev.for_stripes(addr, buf.len(), |shard, off, range| {
-            let n = range.len();
-            buf[range].copy_from_slice(&shard.volatile[off..off + n]);
-        });
+        self.dev.peek_into(addr, buf);
         if self.dev.timing_is_on() {
             let words = buf.len().div_ceil(PERSIST_WORD) as u64;
             self.local_charge(words * self.dev.inner.cfg.load_word_ns);
@@ -620,10 +679,12 @@ impl DeviceHandle {
         self.dev.for_line_runs(
             lines,
             |&line| line,
-            |shard, off, &line| {
-                let mut snapshot = [0u8; CACHE_LINE];
-                snapshot.copy_from_slice(&shard.volatile[off..off + CACHE_LINE]);
-                unfenced.push(PendingFlush { line, accepted_at: 0, snapshot });
+            |volatile, _, off, &line| {
+                // Filled in place: moving a line just stored word by word
+                // stalls on the wide loads of the move.
+                unfenced.push(PendingFlush { line, accepted_at: 0, snapshot: [0; CACHE_LINE] });
+                let i = unfenced.len() - 1;
+                load_words(volatile, off, &mut unfenced[i].snapshot);
             },
         );
         if !self.dev.timing_is_on() {
@@ -1346,6 +1407,103 @@ mod tests {
         let d = dev();
         let h = d.handle();
         assert!(h.try_write(64 * 1024 - 4, &[0u8; 16]).is_err());
+    }
+
+    /// The byte↔word conversions at every alignment: runs stored at 32
+    /// offsets straddling a stripe seam, 0..=40 bytes long, read back
+    /// through `read`, `peek_into` and a capture against a byte model,
+    /// with the bytes around each run intact.
+    #[test]
+    fn unaligned_runs_round_trip_across_a_stripe_seam() {
+        let d = SharedPmemDevice::new(PmemConfig::new(2 * SHARD_BYTES));
+        let h = d.handle();
+        let mut model = vec![0u8; d.size()];
+        let mut fill = 0u8;
+        for addr in SHARD_BYTES - 16..SHARD_BYTES + 16 {
+            for len in 0..=40 {
+                fill = fill.wrapping_add(1);
+                let data: Vec<u8> = (0..len).map(|i| fill ^ (i as u8).wrapping_mul(37)).collect();
+                h.write(addr, &data);
+                model[addr..addr + len].copy_from_slice(&data);
+                let window = addr - 9..addr + len + 9;
+                let mut got = vec![0u8; window.len()];
+                h.read(window.start, &mut got);
+                assert_eq!(got, model[window.clone()], "read at {addr:#x}+{len}");
+                got.fill(0);
+                h.peek_into(window.start, &mut got);
+                assert_eq!(got, model[window.clone()], "peek_into at {addr:#x}+{len}");
+                let mut exact = vec![0u8; len];
+                h.read(addr, &mut exact);
+                assert_eq!(exact, data, "exact read at {addr:#x}+{len}");
+            }
+            let img = d.capture(CrashPolicy::AllSurvive);
+            assert_eq!(img.as_bytes(), &model[..], "capture after runs at {addr:#x}");
+        }
+    }
+
+    /// A load racing stores sees each word whole, and a capture taken
+    /// mid-traffic is one instant. One writer stores alternating byte-uniform
+    /// words to the eight words of a line; the other stores 24-byte runs
+    /// at 4 bytes past a word boundary, so words 0, 3, 4 and 7 are
+    /// half-written at the runs' edges. Every value a word can hold is
+    /// then byte-uniform (per 4-byte half, for the edge words), and a load
+    /// or capture that mixed two stores within one word would show a
+    /// non-uniform word or half.
+    #[test]
+    fn racing_loads_see_whole_words_and_captures_one_instant() {
+        const ROUNDS: usize = 40_000;
+        const LINE: usize = SHARD_BYTES + CACHE_LINE; // not the stripe's first line
+        let d = dev();
+        let legal = |v: u64, word: usize| {
+            let b = v.to_le_bytes();
+            let uniform = |s: &[u8]| s.iter().all(|&x| x == s[0]);
+            let halves = matches!(word, 0 | 3 | 4 | 7);
+            b.iter().all(|x| [0, 0xA1, 0xA2, 0xB1, 0xB2].contains(x))
+                && if halves { uniform(&b[..4]) && uniform(&b[4..]) } else { uniform(&b) }
+        };
+        let start = std::sync::Barrier::new(3);
+        thread::scope(|s| {
+            let (a, b) = (d.handle(), d.handle());
+            let start = &start;
+            let words = s.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS * 8 {
+                    let fill = [0xA1u8, 0xA2][i / 8 % 2];
+                    a.write_u64(LINE + i % 8 * 8, u64::from_ne_bytes([fill; 8]));
+                }
+            });
+            let runs = s.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS * 2 {
+                    let fill = [0xB1u8, 0xB2][i / 2 % 2];
+                    b.write(LINE + 4 + i % 2 * 32, &[fill; 24]);
+                }
+            });
+            let r = d.handle();
+            start.wait();
+            let (mut loads, mut captures) = (0, 0);
+            let mut line = [0u8; CACHE_LINE];
+            while !(words.is_finished() && runs.is_finished()) || captures == 0 {
+                for w in 0..8 {
+                    let v = r.read_u64(LINE + w * 8);
+                    assert!(legal(v, w), "read_u64 of word {w}: {v:#018x}");
+                }
+                r.peek_into(LINE, &mut line);
+                for (w, chunk) in line.chunks_exact(8).enumerate() {
+                    let v = u64::from_le_bytes(chunk.try_into().expect("a word"));
+                    assert!(legal(v, w), "peek_into of word {w}: {v:#018x}");
+                }
+                loads += 1;
+                if loads % 32 == 0 {
+                    let img = d.capture(CrashPolicy::AllSurvive);
+                    for w in 0..8 {
+                        let v = img.read_u64(LINE + w * 8);
+                        assert!(legal(v, w), "capture of word {w}: {v:#018x}");
+                    }
+                    captures += 1;
+                }
+            }
+        });
     }
 
     /// The dirty ranges a commit hands to [`DeviceHandle::clwb_ranges`]:

@@ -149,6 +149,32 @@ if nontest crates/kv/src/service.rs | grep -E 'stats\.(host|sim|completed)\[' |
     exit 1
 fi
 
+# A shared-device load takes no lock: the volatile image is atomic words, so
+# outside #[cfg(test)] the five bodies of `read`, `peek_into` and `peek_u64`
+# in shared.rs, and the two helpers every load goes through (`for_stripes`,
+# `load_words`), take no shard lock, and the byte-vector image stays gone.
+# The freshness index keeps one timestamp per word; only its side map holds
+# eight. No pattern matches its own line.
+loads=$(nontest crates/pmem/src/shared.rs | awk '
+    /^ *(pub )?fn (read|peek_into|peek_u64|for_stripes|load_words)[(<]/ {
+        body = 1; indent = $0; sub(/[^ ].*/, "", indent); print "@fn" }
+    body { print }
+    body && $0 == indent "}" { body = 0 }')
+[ "$(grep -c '^@fn' <<<"$loads")" -eq 7 ] ||
+    { echo "load guard: did not find the seven load bodies in shared.rs" >&2; exit 1; }
+if grep -nE 'shar[d]\(|\.loc[k]\(' <<<"$loads"; then
+    echo "a shared-device load takes a lock again (load the atomic words)" >&2
+    exit 1
+fi
+if grep -nE 'volatile: Vec<u[8]>' crates/pmem/src/shared.rs; then
+    echo "the shared device's byte-vector volatile image is back" >&2
+    exit 1
+fi
+if grep -nE 'ts: \[u64; WOR[D]\]' crates/core/src/reclaim.rs; then
+    echo "the freshness index keeps eight timestamps per word again" >&2
+    exit 1
+fi
+
 # Re-fork guard, hardware write path: what a transaction touches is kept
 # in the one reused, sorted line set (hwtx::common::LineSet) — no tree of
 # addresses anywhere in the crate — and epoch, page, eviction and redo

@@ -153,13 +153,36 @@ fn index_corpus(seed: u64) -> Vec<LogRecord> {
     records
 }
 
+/// Histories, inserted in the order given, that keep a word in the index's
+/// one-timestamp form or move it to the per-byte form.
+fn two_form_histories() -> Vec<Vec<LogRecord>> {
+    let rec = |ts: u64, addr: usize, len: usize| LogRecord {
+        ts,
+        entries: vec![LogEntry { addr, value: vec![ts as u8; len] }],
+    };
+    vec![
+        // An older timestamp re-covering part of a younger word: inside it,
+        // then past its written bytes.
+        vec![rec(5, 0, 8), rec(3, 2, 4), rec(5, 8, 4), rec(3, 10, 6), rec(6, 8, 8)],
+        // A younger timestamp covering only a subset of a word, then all of it.
+        vec![rec(2, 16, 8), rec(7, 18, 3), rec(9, 17, 2), rec(1, 16, 8), rec(9, 16, 8)],
+        // Disjoint bytes carrying different timestamps, then the gaps filled.
+        vec![rec(4, 24, 2), rec(6, 28, 2), rec(1, 30, 2), rec(4, 26, 2), rec(6, 24, 4)],
+        // `ts == 0`: alone, beside a younger byte, and under an older one.
+        vec![rec(0, 32, 8), rec(0, 40, 3), rec(1, 41, 1), rec(0, 43, 5), rec(2, 36, 8)],
+        // One commit writing a word in two pieces, and straddling words.
+        vec![rec(3, 48, 4), rec(3, 52, 4), rec(8, 50, 12), rec(3, 46, 20)],
+    ]
+}
+
 /// The word-keyed [`FreshnessIndex`] agrees with the per-byte oracle
 /// verdict for verdict — after every single insertion, not just at the
-/// end, since reclamation feeds it incrementally.
+/// end, since reclamation feeds it incrementally. Cases 0–4 are the
+/// hand-built histories; case `k ≥ 5` is corpus seed `k − 5`.
 #[test]
 fn freshness_index_matches_per_byte_oracle() {
-    for seed in 0u64..48 {
-        let records = index_corpus(seed ^ 0x0DDBA11);
+    let seeded = (0u64..48).map(|seed| index_corpus(seed ^ 0x0DDBA11));
+    for (case, records) in two_form_histories().into_iter().chain(seeded).enumerate() {
         let mut index = FreshnessIndex::default();
         let mut oracle = ByteOracle::default();
         for (n, rec) in records.iter().enumerate() {
@@ -170,13 +193,13 @@ fn freshness_index_matches_per_byte_oracle() {
                     index.insert(rec.ts, e.addr, e.value.len()); // the fold is idempotent
                 }
             }
-            assert_eq!(index.tracked_bytes(), oracle.newest.len(), "seed={seed} n={n}");
+            assert_eq!(index.tracked_bytes(), oracle.newest.len(), "case={case} n={n}");
             for r in &records {
                 for e in &r.entries {
                     assert_eq!(
                         index.is_fresh(r.ts, e.addr, e.value.len()),
                         oracle.is_fresh(r.ts, e),
-                        "is_fresh(ts={}, addr={:#x}, len={}) seed={seed} n={n}",
+                        "is_fresh(ts={}, addr={:#x}, len={}) case={case} n={n}",
                         r.ts,
                         e.addr,
                         e.value.len()
@@ -187,7 +210,7 @@ fn freshness_index_matches_per_byte_oracle() {
                         assert_eq!(
                             index.newest_ts(addr),
                             oracle.newest.get(&addr).copied(),
-                            "newest_ts({addr:#x}) seed={seed} n={n}"
+                            "newest_ts({addr:#x}) case={case} n={n}"
                         );
                     }
                 }
