@@ -18,9 +18,8 @@
 //!   Shares the log-record format with `specpmt-core`, so recovery is the
 //!   same timestamp-ordered replay.
 //! * [`NoLog`] — no crash consistency at all: the "versions without
-//!   persistent memory transactions" bound of Figure 1 (and, with
-//!   [`NoLogConfig::persist_data_at_commit`], the hardware no-log ideal of
-//!   Figure 13).
+//!   persistent memory transactions" bound of Figure 1. (Figure 13's
+//!   hardware no-log ideal is `specpmt_hwtx::HwNoLog`.)
 //!
 //! All four implement [`specpmt_txn::TxRuntime`], so every STAMP mini-workload runs on
 //! them unmodified.
@@ -34,6 +33,6 @@ mod pmdk;
 mod spht;
 
 pub use kamino::{KaminoConfig, KaminoTx};
-pub use nolog::{NoLog, NoLogConfig};
+pub use nolog::NoLog;
 pub use pmdk::{PmdkConfig, PmdkUndo};
 pub use spht::{Spht, SphtConfig};

@@ -4,22 +4,11 @@
 //!
 //! Paper reference (geomean speedup over PMDK): Kamino-Tx 2.1x, SPHT 2.8x,
 //! SpecSPMT-DP 3.0x, SpecSPMT 5.1x.
-//!
-//! With `--threads [N,M,..]` (default 1,2,4,8) the binary instead runs
-//! every workload on real OS threads over the concurrent SpecSPMT runtime
-//! under strict 2PL and prints one JSON line of simulated commit
-//! throughput per (app, thread-count) pair.
 
-use specpmt_bench::{
-    apps_arg, print_mt_scaling, print_table, run_sw_suite, threads_arg, with_geomean, SwRuntime,
-};
+use specpmt_bench::{print_table, run_sw_suite, with_geomean, SwRuntime};
 use specpmt_stamp::{Scale, StampApp};
 
 fn main() {
-    if let Some(counts) = threads_arg() {
-        print_mt_scaling("fig12", &counts, Scale::Small, &apps_arg());
-        return;
-    }
     let runtimes =
         [SwRuntime::Pmdk, SwRuntime::Kamino, SwRuntime::Spht, SwRuntime::SpecDp, SwRuntime::Spec];
     let reports = run_sw_suite(&runtimes, Scale::Small);

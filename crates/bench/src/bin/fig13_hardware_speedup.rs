@@ -3,23 +3,12 @@
 //! Paper reference (geomean): HOOP 1.19x, SpecHPMT-DP ~1.0x, SpecHPMT
 //! 1.41x, no-log 1.5x. Also prints the Figure 1 (bottom) overheads of EDE
 //! and HOOP relative to no-log (paper: 50% and 29%).
-//!
-//! With `--threads [N,M,..]` (default 1,2,4,8) the binary instead prints
-//! JSON commit-throughput lines for the concurrent (software) SpecSPMT
-//! runtime on real OS threads — the hardware models are single-threaded,
-//! so the multi-threaded sweep shares the fig12 path.
 
-use specpmt_bench::{
-    apps_arg, print_mt_scaling, print_table, run_hw_suite, threads_arg, with_geomean, HwRuntime,
-};
+use specpmt_bench::{print_table, run_hw_suite, with_geomean, HwRuntime};
 use specpmt_stamp::{Scale, StampApp};
 use specpmt_txn::geomean;
 
 fn main() {
-    if let Some(counts) = threads_arg() {
-        print_mt_scaling("fig13", &counts, Scale::Small, &apps_arg());
-        return;
-    }
     let runtimes =
         [HwRuntime::Ede, HwRuntime::Hoop, HwRuntime::SpecDp, HwRuntime::Spec, HwRuntime::NoLog];
     let reports = run_hw_suite(&runtimes, Scale::Small);

@@ -31,18 +31,15 @@
 //! exits non-zero when one fails (see [`check`]): the group-commit budget
 //! (16-thread amortized sim cost within 1.5x sequential, < 1 fence per
 //! commit) and the live series reconciling exactly with each point's
-//! commit count. `scripts/verify.sh` runs `txstat --check` at full scale,
-//! and `txstat --group-only` (shared, 8 threads, group commit forced on)
-//! as the group-commit smoke.
-
-use std::time::Instant;
+//! commit count. `scripts/verify.sh` runs `txstat --check` at full scale
+//! and requires the group-commit keys on the `"group_commit":true` lines.
+//! `--smoke` shrinks every point to a quick pass.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
-use specpmt_bench::{media_channels_arg, telemetry_block, POOL_BYTES};
-use specpmt_core::{
-    ConcurrentConfig, LockedTxHandle, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared,
-};
+use specpmt_bench::POOL_BYTES;
+use specpmt_core::{ConcurrentConfig, LockedTxHandle, SpecConfig, SpecSpmt, SpecSpmtShared};
 use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool};
 use specpmt_telemetry::{JsonWriter, Metric, Phase, Series};
 use specpmt_txn::{run_tx, SharedLockTable, TxAccess};
@@ -64,6 +61,91 @@ fn tx_body<A: TxAccess>(a: &mut A, base: usize, round: u64) {
         let off = ((round as usize * 131 + w * 509) % (REGION / WRITE_BYTES - 1)) * WRITE_BYTES;
         a.write(base + off, &val);
     }
+}
+
+/// Serializes one runtime's telemetry into a self-contained JSON object:
+/// the registry's counters and phase histograms (transaction threads
+/// only), a `daemon` sub-object attributing the background threads'
+/// (reclamation daemon + group-commit combiner, which share the shard
+/// past the last transaction thread) fences, WPQ drains, and batch
+/// occupancies separately, the device's per-channel queue-depth
+/// high-water, and the lock table's stripe-wait histogram.
+///
+/// Every observation is attributed exactly once: the main block excludes
+/// the daemon's registry shard, so its `phases.wpq_drain` histogram is
+/// the transaction threads' drain waits and nothing else (there is no
+/// device-wide sibling `wpq_drain` key whose counts could disagree).
+fn telemetry_block(shared: &SpecSpmtShared, locks: &SharedLockTable) -> String {
+    let reg = &shared.telemetry().registry;
+    let daemon_tid = shared.config().threads;
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    reg.emit_excluding(&mut w, &[daemon_tid]);
+    w.begin_object_field("daemon");
+    w.begin_object_field("counters");
+    w.field_u64("fences", reg.counter_in(daemon_tid, Metric::Fences));
+    w.field_u64("wpq_drains", reg.counter_in(daemon_tid, Metric::WpqDrains));
+    w.field_u64("reclaim_cycles", reg.counter_in(daemon_tid, Metric::ReclaimCycles));
+    w.field_u64("group_batches", reg.counter_in(daemon_tid, Metric::GroupBatches));
+    w.end_object();
+    w.begin_object_field("phases");
+    for (name, phase) in [
+        ("wpq_drain", Phase::WpqDrain),
+        ("reclaim_cycle", Phase::ReclaimCycle),
+        // Batch occupancy: with the combiner daemon attached, every
+        // group-commit drain (and so the occupancy histogram) lands on
+        // the daemon's shard.
+        ("group_batch", Phase::GroupBatch),
+    ] {
+        let snap = reg.phase_in(daemon_tid, phase);
+        if snap.count() == 0 {
+            continue;
+        }
+        w.begin_object_field(name);
+        snap.emit(&mut w);
+        w.end_object();
+    }
+    w.end_object();
+    w.end_object();
+    w.begin_array_field("wpq_depth_high_water");
+    for d in shared.device().wpq_depth_high_water() {
+        w.value_u64(d);
+    }
+    w.end_array();
+    w.begin_object_field("lock_wait");
+    locks.wait_histogram().emit(&mut w);
+    w.end_object();
+    w.end_object();
+    w.finish()
+}
+
+fn usage_bail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// Parses a `--media-channels A[,B,..]` flag (interleaved-DIMM counts for
+/// the WPQ-depth / fence-batching sweep). Returns `None` when absent.
+/// Counts are validated non-zero up front so a typo exits with a usage
+/// error instead of panicking inside the device constructor.
+fn media_channels_arg() -> Option<Vec<usize>> {
+    let args: Vec<String> = std::env::args().collect();
+    let at = args.iter().position(|a| a == "--media-channels")?;
+    let Some(list) = args.get(at + 1).filter(|a| !a.starts_with('-')) else {
+        usage_bail("--media-channels requires a comma-separated list of counts (e.g. 1,4,12)");
+    };
+    let counts: Vec<usize> = list
+        .split(',')
+        .map(|s| {
+            s.trim().parse::<usize>().unwrap_or_else(|_| {
+                usage_bail(&format!("--media-channels takes a comma-separated list, got {s:?}"))
+            })
+        })
+        .collect();
+    if counts.contains(&0) {
+        usage_bail("--media-channels 0 invalid: a device needs at least one channel");
+    }
+    Some(counts)
 }
 
 /// Renders a [`Series`] as the `"series":{...}` fragment the point
@@ -94,7 +176,7 @@ struct Point {
 fn seq_point(txs: u64) -> Point {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
     let base = pool.alloc_direct(REGION, 64).unwrap();
-    let cfg = SpecConfig { reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
+    let cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
     let mut rt = SpecSpmt::new(pool, cfg);
     rt.telemetry().set_enabled(true);
     // Live export: one interval snapshot every eighth of the run
@@ -337,7 +419,7 @@ fn check(seq: &Point, shared: &[Point]) -> Vec<String> {
 fn seq_commit_ns(telemetry_on: bool, warmup: u64, measured: u64) -> f64 {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
     let base = pool.alloc_direct(REGION, 64).unwrap();
-    let cfg = SpecConfig { reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
+    let cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
     let mut rt = SpecSpmt::new(pool, cfg);
     rt.telemetry().set_enabled(telemetry_on);
     let mut round = 0u64;
@@ -358,7 +440,7 @@ fn seq_commit_ns(telemetry_on: bool, warmup: u64, measured: u64) -> f64 {
 }
 
 fn main() {
-    let smoke = specpmt_bench::harness::smoke_mode();
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let (txs, warmup, measured) = if smoke { (96, 64, 192) } else { (4000, 512, 4096) };
     let point = |threads: usize, group_commit: bool| SharedOpts {
         threads,
@@ -368,13 +450,6 @@ fn main() {
         wpq_entries: 8,
         mode: "point",
     };
-
-    if std::env::args().any(|a| a == "--group-only") {
-        // verify.sh group-commit smoke: one shared point, group commit
-        // forced on, 8 threads.
-        shared_point(&point(8, true));
-        return;
-    }
 
     let seq = seq_point(txs);
     let mut shared = Vec::new();

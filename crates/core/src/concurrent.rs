@@ -1,10 +1,10 @@
 //! Concurrent SpecSPMT: real OS threads over one shared pool, plus the
 //! background reclamation daemon.
 //!
-//! [`crate::SpecSpmt`] models the paper's multi-threaded design with
-//! *logical* threads multiplexed on one core (deterministic, good for crash
-//! search). This module is the actually-concurrent counterpart on top of
-//! [`specpmt_pmem::SharedPmemDevice`]:
+//! [`crate::SpecSpmt`] is one log chain driven by one thread. This module
+//! is the paper's multi-threaded design, one chain per thread, on top of
+//! [`specpmt_pmem::SharedPmemDevice`] (several chains stepped round-robin
+//! from one thread are several [`TxHandle`]s of one runtime):
 //!
 //! * [`SpecSpmtShared`] owns the pool, the global commit-timestamp counter
 //!   (an `AtomicU64` standing in for `rdtscp`), one log-chain slot per
@@ -128,7 +128,7 @@ impl ConcurrentConfig {
 
 /// Builder for [`ConcurrentConfig`], started with
 /// [`ConcurrentConfig::builder`]. Every field has a setter; unset fields
-/// keep the knob-aware defaults of [`ConcurrentConfig::default`].
+/// keep the defaults of [`ConcurrentConfig::default`].
 ///
 /// ```
 /// use specpmt_core::concurrent::{ConcurrentConfig, SpecSpmtShared};
@@ -291,10 +291,12 @@ pub struct SharedStats {
     /// Transactions aborted (all threads). Each one that had written
     /// sealed a compensating restore record ([`TxHandle::abort`]).
     pub aborts: u64,
-    /// Reclamation cycles the daemon (or explicit calls) completed.
+    /// Reclamation cycles the daemon (or explicit calls) completed
+    /// ([`ReclaimStats::cycles`]).
     pub reclaim_cycles: u64,
-    /// Log *entries* (not whole records) dropped as stale; the name is
-    /// part of the exported schema.
+    /// Log *entries* (not whole records) dropped as stale
+    /// ([`ReclaimStats::records_dropped`]); the name is part of the
+    /// exported schema.
     pub records_reclaimed: u64,
     /// Current aggregate log footprint in bytes.
     pub log_live_bytes: u64,
@@ -318,8 +320,6 @@ pub struct SpecSpmtShared {
     ckpt_area: Mutex<Option<LogArea>>,
     checkpoints: AtomicU64,
     free_blocks: Mutex<Vec<usize>>,
-    reclaim_cycles: AtomicU64,
-    records_reclaimed: AtomicU64,
     stop: AtomicBool,
     /// Stop flag for the group-combiner daemon (separate from `stop` so
     /// the reclaimer and the combiner shut down independently).
@@ -424,8 +424,6 @@ impl SpecSpmtShared {
             ckpt_area: Mutex::new(None),
             checkpoints: AtomicU64::new(0),
             free_blocks,
-            reclaim_cycles: AtomicU64::new(0),
-            records_reclaimed: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             stop_group: AtomicBool::new(false),
             reclaim: Mutex::new(ReclaimState::default()),
@@ -526,13 +524,15 @@ impl SpecSpmtShared {
         }
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot. The reclamation fields are read from
+    /// [`Self::reclaim_stats`], so this waits out a running cycle.
     pub fn stats(&self) -> SharedStats {
+        let reclaim = self.reclaim_stats();
         SharedStats {
             commits: self.areas.iter().map(|s| s.commits.get()).sum(),
             aborts: self.areas.iter().map(|s| s.aborts.get()).sum(),
-            reclaim_cycles: self.reclaim_cycles.load(Ordering::Relaxed),
-            records_reclaimed: self.records_reclaimed.load(Ordering::Relaxed),
+            reclaim_cycles: reclaim.cycles,
+            records_reclaimed: reclaim.records_dropped,
             log_live_bytes: self.log_footprint() as u64,
         }
     }
@@ -580,7 +580,6 @@ impl SpecSpmtShared {
         }
         if !any_changed {
             rs.stats.noop_cycles += 1;
-            self.reclaim_cycles.fetch_add(1, Ordering::Relaxed);
             rs.end_cycle(self.device().now_ns(), &self.tel, rtid);
             return;
         }
@@ -636,9 +635,7 @@ impl SpecSpmtShared {
             if let Some(bb) = &self.bbox {
                 bb.record_now(&handle, rtid, BbKind::ReclaimSplice, dropped, freed, 0);
             }
-            self.records_reclaimed.fetch_add(dropped, Ordering::Relaxed);
         }
-        self.reclaim_cycles.fetch_add(1, Ordering::Relaxed);
         rs.end_cycle(self.device().now_ns(), &self.tel, rtid);
     }
 
@@ -1567,6 +1564,9 @@ pub(crate) mod tests {
         daemon.stop();
         let st = s.stats();
         assert!(st.reclaim_cycles > 0, "daemon never ran");
+        // The shared counters are the reclamation state's, not a recount.
+        let rs = s.reclaim_stats();
+        assert_eq!((st.reclaim_cycles, st.records_reclaimed), (rs.cycles, rs.records_dropped));
         // One final cycle with no open transactions bounds the tail.
         s.reclaim_cycle();
         assert!(s.log_footprint() <= 2 * 64 * 1024, "footprint {} not bounded", s.log_footprint());

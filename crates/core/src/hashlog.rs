@@ -7,7 +7,7 @@
 //! grows — but slot locations are effectively random in PM, forfeiting the
 //! XPLine write-combining that makes sequential logs fast. The paper
 //! measures this design at **3.2× slower** than the sequential log; the
-//! `micro_hashlog` bench harness reproduces that comparison.
+//! `micro_hashlog` bin reproduces that comparison.
 //!
 //! To stay crash-safe while overwriting in place, every slot holds **two
 //! generations** of the record. An update always overwrites the *older*

@@ -25,11 +25,10 @@ fn probe(tel: &Telemetry) -> Probe<'_> {
     }
 }
 
-/// How log reclamation runs.
+/// How log reclamation runs. A log that never reclaims sets
+/// [`SpecConfig::reclaim_threshold_bytes`] to `usize::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReclaimMode {
-    /// Never reclaim (the log grows without bound).
-    Disabled,
     /// Reclaim on a modelled dedicated background core: PM traffic is
     /// counted but elapsed time is recorded as [`TxStats::background_ns`]
     /// so harnesses exclude it from foreground execution time — the
@@ -170,8 +169,7 @@ impl SpecSpmt {
 
     /// Explicitly runs a log-reclamation cycle (the paper's explicit API).
     /// No-op while the open transaction holds a *record* (it has written;
-    /// one that has only read pins nothing) or when reclamation is
-    /// disabled.
+    /// one that has only read pins nothing).
     ///
     /// Cycles are incremental (see [`crate::reclaim`]): a chain whose
     /// `(head, generation)` watermark has not moved is not read, one that
@@ -180,7 +178,7 @@ impl SpecSpmt {
     /// a compaction that drops nothing does not rewrite. A cycle in which
     /// the chain did not change does no PM work at all.
     pub fn reclaim_now(&mut self) {
-        if self.cfg.reclaim_mode == ReclaimMode::Disabled || self.log.reserved() {
+        if self.log.reserved() {
             return;
         }
         let block_bytes = self.cfg.block_bytes;
@@ -377,9 +375,7 @@ impl TxAccess for SpecSpmt {
     }
 
     fn maintain(&mut self) {
-        if self.cfg.reclaim_mode != ReclaimMode::Disabled
-            && self.log_footprint() > self.cfg.reclaim_threshold_bytes
-        {
+        if self.log_footprint() > self.cfg.reclaim_threshold_bytes {
             self.reclaim_now();
         }
     }

@@ -52,7 +52,7 @@ use specpmt_txn::{RunReport, TxRuntime};
 pub enum Scale {
     /// A few dozen transactions — for unit tests.
     Tiny,
-    /// Thousands of transactions — for the figure harnesses and benches.
+    /// Thousands of transactions — for the figure bins.
     #[default]
     Small,
 }

@@ -2,9 +2,7 @@
 //! runtime — the workloads are runtime-agnostic and the runtimes preserve
 //! sequential semantics.
 
-use specpmt_baselines::{
-    KaminoConfig, KaminoTx, NoLog, NoLogConfig, PmdkConfig, PmdkUndo, Spht, SphtConfig,
-};
+use specpmt_baselines::{KaminoConfig, KaminoTx, NoLog, PmdkConfig, PmdkUndo, Spht, SphtConfig};
 use specpmt_core::{HashLogConfig, HashLogSpmt, SpecConfig, SpecSpmt};
 use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool};
 use specpmt_stamp::{run_app, Scale, StampApp};
@@ -50,7 +48,7 @@ fn spht_runs_all_apps() {
 
 #[test]
 fn nolog_runs_all_apps() {
-    check(NoLog::new(pool(), NoLogConfig::default()));
+    check(NoLog::new(pool()));
 }
 
 #[test]

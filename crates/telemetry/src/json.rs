@@ -1,4 +1,4 @@
-//! Hand-rolled JSON emission, matching the bench harness's one-line style.
+//! Hand-rolled JSON emission, one object per line (the bins' output style).
 //!
 //! The workspace is zero-dependency by policy (`scripts/verify.sh` builds
 //! offline), so there is no serde. [`JsonWriter`] is a tiny append-only

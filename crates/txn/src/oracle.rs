@@ -15,8 +15,8 @@ use specpmt_pmem::CrashImage;
 pub struct CommitOracle {
     committed: HashMap<usize, u8>,
     pending: HashMap<usize, u8>,
-    /// Pre-transaction values of bytes first touched by an uncommitted tx,
-    /// captured so mismatches can be reported meaningfully.
+    /// `true` between [`begin`](Self::begin) and
+    /// [`commit`](Self::commit) / [`abort`](Self::abort).
     tx_open: bool,
 }
 

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example kv_store`
 
-use specpmt::baselines::{KaminoConfig, KaminoTx, NoLog, NoLogConfig, PmdkConfig, PmdkUndo};
+use specpmt::baselines::{KaminoConfig, KaminoTx, NoLog, PmdkConfig, PmdkUndo};
 use specpmt::core::{SpecConfig, SpecSpmt};
 use specpmt::pmem::{CrashPolicy, PmemConfig, PmemDevice, PmemPool};
 use specpmt::txn::{Recover, TxRuntime};
@@ -108,7 +108,7 @@ where
 
 fn main() {
     println!("persistent KV store: {OPS} transactional puts\n");
-    bench("no-tx", |p| NoLog::new(p, NoLogConfig::default()));
+    bench("no-tx", NoLog::new);
     bench("PMDK", |p| PmdkUndo::new(p, PmdkConfig::default()));
     bench("Kamino-Tx", |p| KaminoTx::new(p, KaminoConfig::default()));
     bench("SpecSPMT-DP", |p| SpecSpmt::new(p, SpecConfig::default().dp()));

@@ -21,8 +21,7 @@ run env RUSTFLAGS="-D deprecated" cargo check --offline --workspace --all-target
 
 # No hidden inputs: the library, its bins, examples and tests read no
 # environment variable (bins take flags; benchmark/ is its own package).
-if grep -rn 'env::var' crates/*/src crates/*/benches crates/*/tests src examples tests \
-    --include='*.rs'; then
+if grep -rn 'env::var' crates/*/src crates/*/tests src examples tests --include='*.rs'; then
     echo "an environment read is back (take an argument or a flag)" >&2
     exit 1
 fi
@@ -255,45 +254,6 @@ for key in '"clean_ok":true' '"bug_caught":true' '"site_named":true'; do
 done
 rm -f "$forensics_out"
 
-# Multi-threaded STAMP smoke: every workload once at small scale on two real
-# OS threads over LockedTxHandle fleets (one JSON line per app).
-run cargo run --release --offline -p specpmt-bench --bin fig12_software_speedup -- --threads 2
-
-# Dynamic-layout smoke: one workload on a 16-thread fleet — past the legacy
-# 8-slot cap, over a pool formatted with the persisted layout descriptor.
-run cargo bench --offline -p specpmt-bench --bench scaling -- \
-    --smoke --threads 16 --app intruder
-
-# Stripe-sweep smoke: two stripe sizes, one workload, fixed thread count;
-# each line must carry the lock table's acquire/conflict counters.
-run cargo bench --offline -p specpmt-bench --bench scaling -- \
-    --smoke --stripe-bytes 64,256 --threads 4 --app intruder
-
-# Media-provisioning sweep smoke: per-commit vs group-commit at two DIMM
-# counts; the group-commit lines must attribute fences to the combiner
-# daemon and carry the batch-occupancy histogram.
-media_out=$(mktemp)
-run cargo bench --offline -p specpmt-bench --bench scaling -- \
-    --smoke --media-channels 1,12 --threads 4 --app kmeans-low | tee "$media_out"
-for key in '"mode":"media"' '"group_commit":true' '"group_batches"' '"group_batch"'; do
-    grep -q "$key" "$media_out" ||
-        { echo "media sweep output missing key: $key" >&2; exit 1; }
-done
-rm -f "$media_out"
-
-# Group-commit smoke: the shared runtime with the epoch/group-commit path
-# and its combiner daemon forced on, at smoke scale. The line must show
-# batched fences actually happening (fences_per_commit, batch occupancy).
-group_out=$(mktemp)
-run cargo run --release --offline -q -p specpmt-bench \
-    --bin txstat -- --smoke --group-only | tee "$group_out"
-for key in '"group_commit":true' '"fences_per_commit"' '"batch_txs_mean"' \
-    '"commit_sim_amortized_ns_avg"'; do
-    grep -q "$key" "$group_out" ||
-        { echo "txstat --group-only output missing key: $key" >&2; exit 1; }
-done
-rm -f "$group_out"
-
 # KV crash smoke: crash a shard mid-CAS at a labeled commit-fence site,
 # recover the image, and require exactly-once for every definitely-acked
 # op (plus rejection of stale CAS retries after recovery).
@@ -306,9 +266,19 @@ run cargo test -q --offline -p specpmt-kv --test crash
 # here is the profiler's own acceptance check at full scale: 16-thread group
 # commit within 1.5x the sequential amortized sim cost at < 1 fence per
 # commit, and every live series reconciling exactly with its line's commit
-# count (crates/bench/src/bin/txstat.rs).
+# count (crates/bench/src/bin/txstat.rs). Its 8- and 16-thread group-commit
+# points must also show the batching: fences, occupancy, amortized sim cost.
+txstat_out=$(mktemp)
 echo "==> txstat --check"
-cargo run --release --offline -q -p specpmt-bench --bin txstat -- --check >/dev/null
+cargo run --release --offline -q -p specpmt-bench --bin txstat -- --check >"$txstat_out"
+for threads in 8 16; do
+    line=$(grep -F "\"mode\":\"point\",\"threads\":$threads,\"group_commit\":true" "$txstat_out" || true)
+    for key in '"fences_per_commit"' '"batch_txs_mean"' '"commit_sim_amortized_ns_avg"'; do
+        grep -qF "$key" <<<"$line" ||
+            { echo "txstat $threads-thread group-commit point missing key: $key" >&2; exit 1; }
+    done
+done
+rm -f "$txstat_out"
 
 # The paper's figures and tables: every bin below is deterministic
 # (simulated time and traffic only), and results/ holds its output, which
@@ -440,6 +410,19 @@ fi
 if grep -rnE 'group_linger_[n]s|with_[l]inger|commit_[u]rgent|close_[n]ow|MAX_LINGER_[R]OUNDS|CONTENDED_[S]LAM' \
     crates src tests examples README.md DESIGN.md .claude; then
     echo "the group-commit batch window is back (combiners drain at once)" >&2
+    exit 1
+fi
+
+# One measurement system, finished: crates/bench keeps the figures, crashenum
+# and txstat. The wall-clock harness, bench targets, sweeps and retired
+# options stay deleted (history not searched; no self-match).
+if [ -d crates/bench/benches ] || grep -n '^\[\[[b]ench\]\]' crates/bench/Cargo.toml; then
+    echo "a bench target is back in crates/bench (host time is benchmark/'s)" >&2
+    exit 1
+fi
+if grep -rnE 'bench_with_[s]etup|Bench[R]eport|print_(mt_[s]caling|stripe_[s]weep|media_[s]weep)|MtRun[C]onfig|--stripe-[b]ytes|--group-[o]nly|ReclaimMode::[D]isabled|NoLog[C]onfig' \
+    crates src tests examples README.md DESIGN.md .claude; then
+    echo "a deleted sweep, bench harness or option is back" >&2
     exit 1
 fi
 

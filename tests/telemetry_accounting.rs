@@ -5,7 +5,7 @@
 //! The registry's `commit_sim` phase is also where the exact
 //! simulated-commit-cost goldens are read.
 
-use specpmt::core::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared};
+use specpmt::core::{ConcurrentConfig, SpecConfig, SpecSpmt, SpecSpmtShared};
 use specpmt::pmem::{PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool};
 use specpmt::telemetry::{Metric, Phase, Telemetry};
 use specpmt::txn::{TxAccess, TxRuntime};
@@ -13,7 +13,7 @@ use specpmt::txn::{TxAccess, TxRuntime};
 fn seq_runtime() -> (SpecSpmt, usize) {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
     let base = pool.alloc_direct(4096, 64).unwrap();
-    let cfg = SpecConfig { reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
+    let cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
     (SpecSpmt::new(pool, cfg), base)
 }
 
@@ -290,7 +290,7 @@ fn commit_sim_sum(tel: &Telemetry) -> u64 {
 fn commit_sim_total_seq(pm: PmemConfig) -> u64 {
     let mut pool = PmemPool::create(PmemDevice::new(pm));
     let base = pool.alloc_direct(GOLDEN_REGION, 64).unwrap();
-    let cfg = SpecConfig { reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
+    let cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
     let mut rt = SpecSpmt::new(pool, cfg);
     rt.telemetry().set_enabled(true);
     for round in 0..GOLDEN_TXS {

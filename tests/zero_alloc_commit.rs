@@ -21,8 +21,7 @@ use std::sync::Mutex;
 
 use specpmt::core::record::{BLOCK_HDR, MAX_CKPT_PAYLOAD};
 use specpmt::core::{
-    ConcurrentConfig, LockedTxHandle, ReclaimMode, RecoveryOptions, SpecConfig, SpecSpmt,
-    SpecSpmtShared,
+    ConcurrentConfig, LockedTxHandle, RecoveryOptions, SpecConfig, SpecSpmt, SpecSpmtShared,
 };
 use specpmt::hwtx::{hw_pool, Ede, EdeConfig, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{
@@ -95,7 +94,7 @@ fn sequential_commit_is_zero_alloc_with_telemetry_off() {
     let _guard = serial();
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(4 << 20)));
     let base = pool.alloc_direct(64 * 1024, 64).unwrap();
-    let cfg = SpecConfig { reclaim_mode: ReclaimMode::Disabled, ..SpecConfig::default() };
+    let cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
     let mut rt = SpecSpmt::new(pool, cfg);
     assert!(!rt.telemetry().registry.enabled(), "telemetry must default off");
     let allocs = allocs_over(&mut rt, base, 512, 256);
