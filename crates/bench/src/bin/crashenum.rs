@@ -46,7 +46,7 @@
 
 use specpmt_core::crashsmoke::{run_mt_smoke, run_seq_smoke};
 use specpmt_pmem::{sites, CrashPlan};
-use specpmt_telemetry::{JsonWriter, Metric, Registry};
+use specpmt_telemetry::JsonWriter;
 use specpmt_txn::crashenum::selftest;
 use specpmt_txn::{enumerate, EnumConfig, EnumReport, RunSummary};
 
@@ -254,14 +254,10 @@ fn main() {
         merged.merge(report);
     }
 
-    // Harness-side telemetry: total labeled-site hits observed while
-    // armed. The runtimes never record this metric themselves (a disarmed
-    // crash point is a single flag check), so the counter is exactly the
-    // enumeration's doing.
-    let registry = Registry::new(1);
-    registry.set_enabled(true);
-    let total_hits: u64 = merged.discovered.iter().map(|&(_, n)| n).sum();
-    registry.add(0, Metric::CrashPoints, total_hits);
+    // Total labeled-site hits the observe passes counted. The runtimes
+    // never count these themselves (a disarmed crash point is a single
+    // flag check), so the figure is exactly the enumeration's doing.
+    let crash_points: u64 = merged.discovered.iter().map(|&(_, n)| n).sum();
 
     let visited = merged.visited();
     let all_subsystems: Vec<&str> = {
@@ -278,7 +274,7 @@ fn main() {
         .field_u64("sites_visited", visited.len() as u64)
         .field_u64("cases", merged.cases.len() as u64)
         .field_u64("fired_cases", merged.fired_cases() as u64)
-        .field_u64("crash_points", registry.counter(Metric::CrashPoints))
+        .field_u64("crash_points", crash_points)
         .field_bool("passed", merged.passed() && unvisited.is_empty());
     w.begin_array_field("workloads");
     for (name, cases, fired, passed) in &workload_lines {

@@ -7,16 +7,18 @@
 //! workload — the commit-cost goldens' transaction shape
 //! (`tests/telemetry_accounting.rs`): eight scattered 16-byte updates in
 //! a 64 KiB region — with the metrics
-//! registry **enabled** and prints one JSON line carrying the merged
-//! counters, the per-phase latency summaries (count / mean / p50 / p90 /
-//! p99 / max), the device's per-channel queue-depth high-water, and (for
+//! registry **enabled** and prints one JSON line carrying the per-phase
+//! summaries (count / mean / p50 / p90 / p99 / max; a phase's count is its
+//! event count), the device's per-channel queue-depth high-water, and (for
 //! the shared runtime, which runs under strict 2PL with a shared hot
 //! address) the lock-table wait histogram. Shared points are emitted
 //! twice — per-commit fences (`"group_commit":false`, the comparison
 //! baseline) and the epoch/group-commit path (`"group_commit":true`) —
-//! each carrying `fences_per_commit` and the batch-occupancy summary
-//! (`group_batches`, `batch_txs_mean`, `batch_txs_max`) from the new
-//! `group_batch_size` telemetry.
+//! each carrying `fences_per_commit` (the device's `sfence_count` over
+//! sealed records) and the batch-occupancy summary (`group_batches`,
+//! `batch_txs_mean`, `batch_txs_max`) from the `group_batch_size` phase.
+//! Commit and abort counts are the runtimes' own (`TxStats`,
+//! `SharedStats`).
 //!
 //! A `"mode":"sweep"` block re-runs the 16-thread group-commit point
 //! across media-channel counts (override with `--media-channels A,B,..`)
@@ -27,22 +29,20 @@
 //! cost (`commit_ns_seq`), the telemetry-on cost, and the on/off overhead
 //! ratio.
 //!
-//! `--check` additionally holds the run to its acceptance assertions and
-//! exits non-zero when one fails (see [`check`]): the group-commit budget
-//! (16-thread amortized sim cost within 1.5x sequential, < 1 fence per
-//! commit) and the live series reconciling exactly with each point's
-//! commit count. `scripts/verify.sh` runs `txstat --check` at full scale
-//! and requires the group-commit keys on the `"group_commit":true` lines.
-//! `--smoke` shrinks every point to a quick pass.
+//! `--check` additionally holds the run to the group-commit budget and
+//! exits non-zero when it fails (see [`check`]): 16-thread amortized sim
+//! cost within 1.5x sequential, at < 1 fence per commit.
+//! `scripts/verify.sh` runs `txstat --check` at full scale and requires the
+//! group-commit keys on the `"group_commit":true` lines. `--smoke` shrinks
+//! every point to a quick pass.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use specpmt_bench::POOL_BYTES;
 use specpmt_core::{ConcurrentConfig, LockedTxHandle, SpecConfig, SpecSpmt, SpecSpmtShared};
 use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool};
-use specpmt_telemetry::{JsonWriter, Metric, Phase, Series};
-use specpmt_txn::{run_tx, SharedLockTable, TxAccess};
+use specpmt_telemetry::{JsonWriter, Phase};
+use specpmt_txn::{run_tx, SharedLockTable, TxAccess, TxRuntime};
 
 const WRITES_PER_TX: usize = 8;
 const WRITE_BYTES: usize = 16;
@@ -64,12 +64,12 @@ fn tx_body<A: TxAccess>(a: &mut A, base: usize, round: u64) {
 }
 
 /// Serializes one runtime's telemetry into a self-contained JSON object:
-/// the registry's counters and phase histograms (transaction threads
-/// only), a `daemon` sub-object attributing the background threads'
-/// (reclamation daemon + group-commit combiner, which share the shard
-/// past the last transaction thread) fences, WPQ drains, and batch
-/// occupancies separately, the device's per-channel queue-depth
-/// high-water, and the lock table's stripe-wait histogram.
+/// the registry's phase histograms (transaction threads only), a `daemon`
+/// sub-object attributing the background threads' (reclamation daemon +
+/// group-commit combiner, which share the shard past the last transaction
+/// thread) WPQ drains, reclamation cycles and batch occupancies
+/// separately, the device's per-channel queue-depth high-water, and the
+/// lock table's stripe-wait histogram.
 ///
 /// Every observation is attributed exactly once: the main block excludes
 /// the daemon's registry shard, so its `phases.wpq_drain` histogram is
@@ -82,12 +82,6 @@ fn telemetry_block(shared: &SpecSpmtShared, locks: &SharedLockTable) -> String {
     w.begin_object();
     reg.emit_excluding(&mut w, &[daemon_tid]);
     w.begin_object_field("daemon");
-    w.begin_object_field("counters");
-    w.field_u64("fences", reg.counter_in(daemon_tid, Metric::Fences));
-    w.field_u64("wpq_drains", reg.counter_in(daemon_tid, Metric::WpqDrains));
-    w.field_u64("reclaim_cycles", reg.counter_in(daemon_tid, Metric::ReclaimCycles));
-    w.field_u64("group_batches", reg.counter_in(daemon_tid, Metric::GroupBatches));
-    w.end_object();
     w.begin_object_field("phases");
     for (name, phase) in [
         ("wpq_drain", Phase::WpqDrain),
@@ -148,51 +142,27 @@ fn media_channels_arg() -> Option<Vec<usize>> {
     Some(counts)
 }
 
-/// Renders a [`Series`] as the `"series":{...}` fragment the point
-/// lines splice into their printed JSON objects.
-fn series_fragment(series: &Series) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    series.emit_field(&mut w);
-    w.end_object();
-    let s = w.finish();
-    s[1..s.len() - 1].to_string()
-}
-
-/// What [`check`] reads back from one emitted point.
+/// What [`check`] reads back from one emitted shared-runtime point.
 struct Point {
-    threads: usize,
     /// The `"mode":"point"` 16-thread group-commit line: the one the
     /// group-commit budget is stated against.
     group16: bool,
-    commits: u64,
     sim_amortized_ns: f64,
     fences_per_commit: f64,
-    series: Series,
 }
 
-/// Runs the sequential runtime with telemetry enabled and prints its
-/// per-phase line.
-fn seq_point(txs: u64) -> Point {
+/// Runs the sequential runtime with telemetry enabled, prints its
+/// per-phase line and returns its simulated commit cost.
+fn seq_point(txs: u64) -> f64 {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
     let base = pool.alloc_direct(REGION, 64).unwrap();
     let cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
     let mut rt = SpecSpmt::new(pool, cfg);
     rt.telemetry().set_enabled(true);
-    // Live export: one interval snapshot every eighth of the run
-    // (deterministic in rounds — the single-threaded point needs no
-    // sampler thread).
-    let mut series = Series::new();
-    let sample_every = (txs / 8).max(1);
-    let t0 = Instant::now();
     for round in 0..txs {
         rt.begin();
         tx_body(&mut rt, base, round);
         rt.commit();
-        if (round + 1) % sample_every == 0 {
-            let delta = rt.telemetry().registry.snapshot_delta();
-            series.push(t0.elapsed().as_nanos() as u64, delta);
-        }
     }
     let tel = rt.telemetry();
     let commit = tel.registry.phase(Phase::Commit);
@@ -204,25 +174,17 @@ fn seq_point(txs: u64) -> Point {
     println!(
         "{{\"bench\":\"txstat\",\"runtime\":\"seq\",\"threads\":1,\
          \"commits\":{},\"commit_ns_avg\":{:.1},\"commit_sim_ns_avg\":{:.1},\
-         \"commit_sim_amortized_ns_avg\":{:.1},{},\
+         \"commit_sim_amortized_ns_avg\":{:.1},\
          \"telemetry\":{}}}",
-        tel.registry.counter(Metric::Commits),
+        rt.tx_stats().tx_committed,
         commit.mean(),
         sim.mean(),
         // No combiner daemon in the sequential runtime: the amortized
         // column equals the plain per-commit simulated cost.
         sim.mean(),
-        series_fragment(&series),
         w.finish()
     );
-    Point {
-        threads: 1,
-        group16: false,
-        commits: tel.registry.counter(Metric::Commits),
-        sim_amortized_ns: sim.mean(),
-        fences_per_commit: 1.0,
-        series,
-    }
+    sim.mean()
 }
 
 /// Knobs for one shared-runtime point.
@@ -252,6 +214,7 @@ fn shared_point(opts: &SharedOpts) -> Point {
         (0..threads).map(|_| shared.pool().alloc_direct(REGION, 64).unwrap()).collect();
     let hot = shared.pool().alloc_direct(64, 64).unwrap();
     shared.telemetry().set_enabled(true);
+    let sfences_before = shared.device().stats().sfence_count;
     let locks = SharedLockTable::new(POOL_BYTES, 64);
     let mut handles = LockedTxHandle::fleet(&shared, &locks, threads);
     // Group mode runs with the dedicated combiner daemon: batch drains
@@ -261,61 +224,37 @@ fn shared_point(opts: &SharedOpts) -> Point {
         .group_commit
         .then(|| shared.spawn_group_combiner(std::time::Duration::from_micros(100)));
     let txs_per_thread = opts.txs_per_thread;
-    // Live export: a sampler thread pushes registry delta snapshots at a
-    // fixed cadence while the workers run, plus one final point covering
-    // the tail interval.
-    let registry = &shared.telemetry().registry;
-    let done = AtomicBool::new(false);
-    let series = std::thread::scope(|s| {
-        let workers: Vec<_> = handles
-            .iter_mut()
-            .enumerate()
-            .map(|(t, h)| {
-                let base = bases[t];
-                s.spawn(move || {
-                    for round in 0..txs_per_thread {
-                        run_tx(h, |tx| {
-                            tx_body(tx, base, round);
-                            if round % HOT_EVERY == 0 {
-                                let v = tx.read_u64(hot);
-                                tx.write_u64(hot, v + 1);
-                            }
-                        });
-                    }
-                })
-            })
-            .collect();
-        let done = &done;
-        let sampler = s.spawn(move || {
-            let mut series = Series::new();
-            let t0 = Instant::now();
-            while !done.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                series.push(t0.elapsed().as_nanos() as u64, registry.snapshot_delta());
-            }
-            series.push(t0.elapsed().as_nanos() as u64, registry.snapshot_delta());
-            series
-        });
-        for wkr in workers {
-            wkr.join().expect("worker thread");
+    std::thread::scope(|s| {
+        for (t, h) in handles.iter_mut().enumerate() {
+            let base = bases[t];
+            s.spawn(move || {
+                for round in 0..txs_per_thread {
+                    run_tx(h, |tx| {
+                        tx_body(tx, base, round);
+                        if round % HOT_EVERY == 0 {
+                            let v = tx.read_u64(hot);
+                            tx.write_u64(hot, v + 1);
+                        }
+                    });
+                }
+            });
         }
-        done.store(true, Ordering::Relaxed);
-        sampler.join().expect("sampler thread")
     });
     drop(combiner);
     let tel = shared.telemetry();
     let commit = tel.registry.phase(Phase::Commit);
     let sim = tel.registry.phase(Phase::CommitSim);
-    let commits = tel.registry.counter(Metric::Commits);
-    let aborts = shared.stats().aborts;
-    // Device-wide commit fences: the committing threads' solo fences plus
-    // the combiner daemon's batch-drain fences (its shard also holds the
-    // reclaimer's splice fences, but no reclaimer runs here). This is the
-    // fence-amortization headline — group commit drops it below one. The
-    // denominator is *sealed records* (commits + aborts): doomed
-    // transactions also seal and fence a record, so per-commit
-    // normalization would overstate the fence rate on contended runs.
-    let fences: u64 = (0..=threads).map(|t| tel.registry.counter_in(t, Metric::Fences)).sum();
+    let stats = shared.stats();
+    let (commits, aborts) = (stats.commits, stats.aborts);
+    // Every fence the device executed during the run: the committing
+    // threads' solo fences, the combiner daemon's batch drains, and the
+    // heap's bump persists when the log takes a new batch of blocks (no
+    // reclaimer runs here). This is the fence-amortization headline —
+    // group commit drops it below one. The denominator is *sealed records*
+    // (commits + aborts): doomed transactions also seal and fence a
+    // record, so per-commit normalization would overstate the fence rate
+    // on contended runs.
+    let fences = shared.device().stats().sfence_count - sfences_before;
     let seals = commits + aborts;
     let fences_per_commit = if seals > 0 { fences as f64 / seals as f64 } else { 0.0 };
     let batch = tel.registry.phase(Phase::GroupBatch);
@@ -332,84 +271,52 @@ fn shared_point(opts: &SharedOpts) -> Point {
     println!(
         "{{\"bench\":\"txstat\",\"runtime\":\"shared\",\"mode\":\"{}\",\"threads\":{threads},\
          \"group_commit\":{},\"media_channels\":{},\"wpq_entries\":{},\
-         \"commits\":{commits},\"aborts\":{aborts},\"retries\":{},\"commit_ns_avg\":{:.1},\
+         \"commits\":{commits},\"aborts\":{aborts},\"commit_ns_avg\":{:.1},\
          \"commit_sim_ns_avg\":{:.1},\"commit_sim_amortized_ns_avg\":{sim_amortized:.1},\
          \"fences_per_commit\":{fences_per_commit:.3},\
          \"group_commits\":{},\"group_batches\":{},\
          \"batch_txs_mean\":{:.3},\"batch_txs_max\":{},\
-         \"flight_recorder\":{},{},\
+         \"flight_recorder\":{},\
          \"telemetry\":{}}}",
         opts.mode,
         opts.group_commit,
         opts.media_channels,
         opts.wpq_entries,
-        tel.registry.counter(Metric::Retries),
         commit.mean(),
         sim.mean(),
-        tel.registry.counter(Metric::GroupCommits),
-        tel.registry.counter(Metric::GroupBatches),
+        tel.registry.phase(Phase::BatchWait).count(),
+        batch.count(),
         batch.mean(),
         batch.max,
         shared.config().flight_recorder,
-        series_fragment(&series),
         telemetry_block(&shared, &locks)
     );
     Point {
-        threads,
         group16: opts.group_commit && threads == 16 && opts.mode == "point",
-        commits,
         sim_amortized_ns: sim_amortized,
         fences_per_commit,
-        series,
     }
 }
 
-/// The acceptance assertions of a full run, one message per failure.
-///
-/// * **Group commit pays off.** At 16 threads with the combiner daemon,
-///   the amortized simulated commit cost (committer staging plus the
-///   daemon's drain stalls, per commit) is within 1.5x the sequential
-///   runtime's, at under one fence per commit.
-/// * **The live series is lossless.** Every point sampled at least one
-///   interval, timestamps are monotone, and the summed commit deltas
-///   equal the cumulative commit count the same line reports — the
-///   sampler neither drops nor double-counts an interval.
-fn check(seq: &Point, shared: &[Point]) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut require = |ok: bool, msg: String| {
-        if !ok {
-            failures.push(msg);
-        }
-    };
+/// The group-commit budget of a full run, one message per failure: at 16
+/// threads with the combiner daemon, the amortized simulated commit cost
+/// (committer staging plus the daemon's drain stalls, per commit) is
+/// within 1.5x the sequential runtime's `seq_sim_ns`, at under one fence
+/// per commit.
+fn check(seq_sim_ns: f64, shared: &[Point]) -> Vec<String> {
     let g16 = shared.iter().find(|p| p.group16).expect("the 16-thread group-commit point ran");
-    require(
-        g16.sim_amortized_ns <= 1.5 * seq.sim_amortized_ns,
-        format!(
+    let mut failures = Vec::new();
+    if g16.sim_amortized_ns > 1.5 * seq_sim_ns {
+        failures.push(format!(
             "16-thread group-commit amortized sim cost {:.1} ns exceeds 1.5x sequential {:.1} ns",
-            g16.sim_amortized_ns, seq.sim_amortized_ns
-        ),
-    );
-    require(
-        g16.fences_per_commit < 1.0,
-        format!(
+            g16.sim_amortized_ns, seq_sim_ns
+        ));
+    }
+    if g16.fences_per_commit >= 1.0 {
+        failures.push(format!(
             "group commit at 16 threads still fences per commit ({:.3})",
             g16.fences_per_commit
-        ),
-    );
-    for p in std::iter::once(seq).chain(shared) {
-        let at: Vec<u64> = p.series.points().iter().map(|pt| pt.at_ns).collect();
-        require(
-            !at.is_empty() && at.windows(2).all(|w| w[0] <= w[1]),
-            format!("{}-thread series: {} points, timestamps {at:?}", p.threads, at.len()),
-        );
-        let delta_sum = p.series.total(Metric::Commits);
-        require(
-            delta_sum == p.commits,
-            format!(
-                "{}-thread series commit deltas sum to {delta_sum}, the line reports {}",
-                p.threads, p.commits
-            ),
-        );
+        ));
     }
     failures
 }
@@ -451,7 +358,7 @@ fn main() {
         mode: "point",
     };
 
-    let seq = seq_point(txs);
+    let seq_sim_ns = seq_point(txs);
     let mut shared = Vec::new();
     for &threads in &[1usize, 8, 16] {
         shared.push(shared_point(&point(threads, false)));
@@ -508,7 +415,7 @@ fn main() {
     );
 
     if std::env::args().any(|a| a == "--check") {
-        let failures = check(&seq, &shared);
+        let failures = check(seq_sim_ns, &shared);
         for f in &failures {
             eprintln!("txstat --check: FAIL {f}");
         }

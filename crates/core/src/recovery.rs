@@ -554,10 +554,6 @@ impl ForensicReport {
 }
 
 impl StatExport for ForensicReport {
-    fn export_name(&self) -> &'static str {
-        "forensics"
-    }
-
     /// Machine-readable counterpart of the [`fmt::Display`] table: region
     /// geometry and decode counts, the durability frontier, every
     /// violation, the in-flight set, and the merged event tail (capped at

@@ -1,7 +1,7 @@
 //! The [`SpecSpmt`] transaction runtime.
 
 use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode};
-use specpmt_telemetry::{Metric, Phase, Telemetry};
+use specpmt_telemetry::{Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use crate::engine::{Probe, TxLog};
@@ -145,8 +145,8 @@ impl SpecSpmt {
         }
     }
 
-    /// The runtime's telemetry bundle: counters and commit-phase latency
-    /// histograms. Disabled until [`Telemetry::set_enabled`] turns it on.
+    /// The runtime's telemetry bundle: phase histograms. Disabled until
+    /// [`Telemetry::set_enabled`] turns it on.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
     }
@@ -301,7 +301,6 @@ impl TxAccess for SpecSpmt {
     fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction on thread 0");
         self.stats.tx_begun += 1;
-        self.tel.registry.add(TID, Metric::Begins, 1);
         // Volatile only: the log is not touched until the first write
         // reserves the record header.
         self.log.begin();
@@ -322,7 +321,6 @@ impl TxAccess for SpecSpmt {
         stats.data_bytes += data.len() as u64;
         if log.stage(&mut store, area, addr, data) {
             stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
-            tel.registry.add(TID, Metric::LogEntries, 1);
         }
     }
 
@@ -340,8 +338,6 @@ impl TxAccess for SpecSpmt {
             self.in_tx = false;
             self.stats.tx_committed += 1;
             self.stats.write_free_commits += 1;
-            self.tel.registry.add(TID, Metric::Commits, 1);
-            self.tel.registry.add(TID, Metric::WriteFreeCommits, 1);
             return;
         }
         let ts = self.ts_counter;
@@ -358,7 +354,6 @@ impl TxAccess for SpecSpmt {
 
         *in_tx = false;
         stats.tx_committed += 1;
-        tel.registry.add(TID, Metric::Commits, 1);
         // Simulated device nanoseconds charged for the seal — the
         // scheduler-immune counterpart of the host-time `commit` span,
         // comparable across runtimes.

@@ -362,11 +362,6 @@ impl PmemDevice {
         self.sfence();
     }
 
-    /// Shorthand for [`CrashControl::capture`]`(CrashPolicy::Random(seed))`.
-    pub fn crash(&self, seed: u64) -> CrashImage {
-        self.capture(CrashPolicy::Random(seed))
-    }
-
     /// Drains every outstanding flush and persists **all** dirty data, as an
     /// orderly shutdown (or `wbnoinvd`) would. The persisted image becomes
     /// identical to the volatile image.
@@ -451,7 +446,7 @@ mod tests {
         d.clwb(0);
         d.sfence();
         for seed in 0..16 {
-            assert_eq!(d.crash(seed).read_u64(0), 7);
+            assert_eq!(d.capture(CrashPolicy::Random(seed)).read_u64(0), 7);
         }
     }
 
@@ -576,7 +571,7 @@ mod tests {
         d.write_u64(8, 0x2222);
         let mut seen_torn = false;
         for seed in 0..64 {
-            let img = d.crash(seed);
+            let img = d.capture(CrashPolicy::Random(seed));
             let a = img.read_u64(0);
             let b = img.read_u64(8);
             if (a == 0x1111) != (b == 0x2222) {

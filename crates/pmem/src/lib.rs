@@ -14,7 +14,7 @@
 //!   media latency, fences stall until outstanding flushes drain, and
 //!   sequential flushes within one 256 B XPLine are cheaper than random ones
 //!   (the asymmetry Section 4 of the paper relies on),
-//! * **crash-image generation** ([`PmemDevice::crash`]): unflushed stores
+//! * **crash-image generation** ([`CrashControl::capture`]): unflushed stores
 //!   survive only nondeterministically, which is what makes recovery-protocol
 //!   testing meaningful,
 //! * a persistent [`pool`] with a bump + size-class allocator standing in
@@ -23,13 +23,13 @@
 //! # Quick example
 //!
 //! ```
-//! use specpmt_pmem::{PmemConfig, PmemDevice};
+//! use specpmt_pmem::{CrashControl, CrashPolicy, PmemConfig, PmemDevice};
 //!
 //! let mut dev = PmemDevice::new(PmemConfig::default().with_size(4096));
 //! dev.write(0, &42u64.to_le_bytes());
 //! dev.clwb(0);
 //! dev.sfence();
-//! let img = dev.crash(1);
+//! let img = dev.capture(CrashPolicy::Random(1));
 //! assert_eq!(img.read_u64(0), 42); // flushed + fenced => survives any crash
 //! ```
 

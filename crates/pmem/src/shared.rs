@@ -31,7 +31,7 @@
 //! the image *between* operations of whichever thread exhausts the fuel —
 //! or at a labeled crash site ([`CrashControl::crash_point`]) when the
 //! plan targets one; concurrently committing threads observe the capture
-//! through the **crash epoch** ([`SharedPmemDevice::crash_epoch`]): a
+//! through the **crash epoch** ([`CrashControl::observe`]): a
 //! transaction whose commit fence completed with no epoch change is
 //! definitely in the image, one that overlapped a capture is a boundary
 //! case (all-or-nothing).
@@ -288,18 +288,6 @@ impl SharedPmemDevice {
         } else {
             TimingMode::Off
         }
-    }
-
-    /// Raw crash-epoch counter (two increments per capture; odd while a
-    /// capture is in progress). See the module docs for the bracketing
-    /// protocol.
-    pub fn crash_epoch(&self) -> u64 {
-        self.observe().0
-    }
-
-    /// Shorthand for [`CrashControl::capture`]`(CrashPolicy::Random(seed))`.
-    pub fn crash(&self, seed: u64) -> CrashImage {
-        self.capture(CrashPolicy::Random(seed))
     }
 
     /// Copies every shard's volatile image into its persisted image — the
@@ -975,11 +963,6 @@ impl SharedPmemPool {
     pub fn set_root_direct(&self, i: usize, value: u64) {
         self.inner().persist_u64(crate::root_off(i), value);
     }
-
-    /// Bytes consumed by the bump region.
-    pub fn heap_used(&self) -> usize {
-        self.inner().alloc.used_until() - POOL_HEADER_SIZE
-    }
 }
 
 #[cfg(test)]
@@ -1090,7 +1073,7 @@ mod tests {
         for i in flush_order {
             h.clwb(i * CACHE_LINE);
         }
-        d.crash(seed)
+        d.capture(CrashPolicy::Random(seed))
     }
 
     #[test]
@@ -1103,7 +1086,7 @@ mod tests {
                 h.write_u64(i * CACHE_LINE, i as u64 + 1);
                 h.clwb(i * CACHE_LINE);
             }
-            d.crash(seed)
+            d.capture(CrashPolicy::Random(seed))
         };
         let mut differs_from_issue_order = false;
         for seed in 0..16 {
@@ -1298,13 +1281,12 @@ mod tests {
     fn armed_crash_fires_and_bumps_epoch() {
         let d = dev();
         let h = d.handle();
-        assert_eq!(d.crash_epoch(), 0);
+        assert_eq!(d.observe(), (0, false));
         d.arm(CrashPlan::after_ops(1));
         h.write_u64(0, 1); // fuel 1 -> 0
         h.write_u64(8, 2); // fires before this op
         assert!(d.fired());
-        assert_eq!(d.crash_epoch(), 2, "two increments per capture");
-        assert_eq!(d.observe(), (2, true));
+        assert_eq!(d.observe(), (2, true), "two increments per capture");
         let img = d.take_image().unwrap();
         assert_eq!(img.read_u64(0), 0);
         assert_eq!(h.read_u64(8), 2, "execution continues after capture");
@@ -1700,7 +1682,7 @@ mod tests {
         });
         assert!(d.fired());
         assert_eq!(d.fired_at(), Some((SITE, 13)));
-        assert_eq!(d.crash_epoch(), 2, "two increments per capture");
+        assert_eq!(d.observe().0, 2, "two increments per capture");
         // Hits stop counting once the plan fires.
         let total: u64 = d.site_hits().iter().map(|(_, n)| n).sum();
         assert_eq!(total, 13);

@@ -1,6 +1,6 @@
 //! Counters exposed by the device.
 
-use specpmt_telemetry::{JsonWriter, OwnedCounter, StatExport};
+use specpmt_telemetry::OwnedCounter;
 
 /// Event counters accumulated by a [`crate::PmemDevice`].
 ///
@@ -89,23 +89,6 @@ impl OwnedStats {
     }
 }
 
-impl StatExport for PmemStats {
-    fn export_name(&self) -> &'static str {
-        "pmem"
-    }
-
-    fn emit(&self, w: &mut JsonWriter) {
-        w.field_u64("clwb_count", self.clwb_count);
-        w.field_u64("sfence_count", self.sfence_count);
-        w.field_u64("fence_stall_ns", self.fence_stall_ns);
-        w.field_u64("lines_persisted", self.lines_persisted);
-        w.field_u64("seq_line_hits", self.seq_line_hits);
-        w.field_u64("bytes_stored", self.bytes_stored);
-        w.field_u64("bytes_loaded", self.bytes_loaded);
-        w.field_u64("pm_write_bytes", self.pm_write_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,24 +143,5 @@ mod tests {
         let crossed = live.delta_since(&frozen);
         assert!(crossed.clwb_count < 1 << 32, "must not wrap");
         assert_eq!(crossed, PmemStats::default());
-    }
-
-    #[test]
-    fn emit_produces_full_schema() {
-        let s = PmemStats { clwb_count: 2, sfence_count: 1, ..PmemStats::default() };
-        let j = s.to_json();
-        for key in [
-            "clwb_count",
-            "sfence_count",
-            "fence_stall_ns",
-            "lines_persisted",
-            "seq_line_hits",
-            "bytes_stored",
-            "bytes_loaded",
-            "pm_write_bytes",
-        ] {
-            assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
-        }
-        assert!(j.contains("\"sfence_count\":1"));
     }
 }

@@ -3,9 +3,8 @@
 //! The workspace is zero-dependency by policy (`scripts/verify.sh` builds
 //! offline), so there is no serde. [`JsonWriter`] is a tiny append-only
 //! builder that tracks comma placement with a nesting stack; [`StatExport`]
-//! is the common export hook the per-crate stat structs (`PmemStats`,
-//! `ReclaimStats`, `LockTableStats`, …) implement so bench phases stop
-//! hand-rolling field lists.
+//! is the export hook of the reports `log_inspect --json` prints
+//! (`InspectReport`, `ForensicReport`).
 
 /// Append-only JSON builder. Values are written in document order; the
 /// writer inserts commas and handles string escaping. Nesting is tracked
@@ -153,7 +152,7 @@ impl JsonWriter {
     }
 }
 
-/// Common export hook for stat structs across the workspace.
+/// Export hook for a report rendered as one JSON object.
 ///
 /// Implementors emit their fields into an object the *caller* has opened:
 ///
@@ -164,9 +163,6 @@ impl JsonWriter {
 ///     hits: u64,
 /// }
 /// impl StatExport for Demo {
-///     fn export_name(&self) -> &'static str {
-///         "demo"
-///     }
 ///     fn emit(&self, w: &mut JsonWriter) {
 ///         w.field_u64("hits", self.hits);
 ///     }
@@ -176,10 +172,6 @@ impl JsonWriter {
 /// assert_eq!(d.to_json(), r#"{"hits":3}"#);
 /// ```
 pub trait StatExport {
-    /// Stable block name, used as the JSON key when nesting this export
-    /// inside a larger document (e.g. `"pmem":{...}`).
-    fn export_name(&self) -> &'static str;
-
     /// Emits the struct's fields into an already-open JSON object.
     fn emit(&self, w: &mut JsonWriter);
 
@@ -190,14 +182,6 @@ pub trait StatExport {
         self.emit(&mut w);
         w.end_object();
         w.finish()
-    }
-
-    /// Emits the export as a named field (`"name":{...}`) of the
-    /// caller's open object.
-    fn emit_field(&self, w: &mut JsonWriter) {
-        w.begin_object_field(self.export_name());
-        self.emit(w);
-        w.end_object();
     }
 }
 

@@ -3,20 +3,20 @@
 //!
 //! Three pieces (DESIGN.md §4.7, §4.11):
 //!
-//! * [`metrics`] — a per-thread [`Registry`] of named counters
-//!   ([`Metric`]) and log2-bucketed latency histograms ([`Phase`],
-//!   [`Histogram`]) with p50/p90/p99/max summaries and cheap
-//!   `Instant`-based [`Span`] guards. Disabled by default: an inert span
-//!   reads no clock and touches no atomics, keeping the telemetry-off
-//!   commit path within its < 3% overhead budget.
+//! * [`metrics`] — a per-thread [`Registry`] of log2-bucketed phase
+//!   histograms ([`Phase`], [`Histogram`]) with p50/p90/p99/max summaries
+//!   and cheap `Instant`-based [`Span`] guards. A phase's count is its
+//!   event count; the registry keeps no second counter of anything the
+//!   device or the runtimes already count exactly. Disabled by default: an
+//!   inert span reads no clock and touches no atomics, keeping the
+//!   telemetry-off commit path within its < 3% overhead budget.
 //! * [`blackbox`] — the event format of the PM-resident flight recorder
 //!   ([`BbKind`], [`BbEvent`], slot checksums, ring decode and merge): the
 //!   workspace's one event stream. The write side is
 //!   `specpmt_pmem::BlackBoxSink`, the reader `specpmt_core::forensics`.
 //! * [`json`] — a hand-rolled [`JsonWriter`] (the workspace is
-//!   zero-dependency) and the [`StatExport`] trait that `PmemStats`,
-//!   `ReclaimStats`, and `LockTableStats` implement so every stat block
-//!   shares one JSON schema across live runs, benches, and `inspect`.
+//!   zero-dependency) and the [`StatExport`] trait the `inspect` and
+//!   forensics reports implement for `log_inspect --json`.
 //!
 //! Beside the shared [`Histogram`], [`owned`] holds the single-writer
 //! [`OwnedCounter`] / [`OwnedHistogram`]: what a per-owner statistic (a
@@ -32,17 +32,15 @@
 #![deny(missing_docs)]
 
 pub mod blackbox;
-pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod owned;
 
 pub use blackbox::{BbEvent, BbKind};
-pub use export::{Series, SeriesPoint};
 pub use json::{JsonWriter, StatExport};
 pub use metrics::{
-    bucket_floor, bucket_of, DeltaSnapshot, Histogram, HistogramSnapshot, Metric, Phase, Registry,
-    Span, BUCKETS, METRIC_COUNT, METRIC_NAMES, PHASE_COUNT, PHASE_NAMES,
+    bucket_floor, bucket_of, Histogram, HistogramSnapshot, Phase, Registry, Span, BUCKETS,
+    PHASE_COUNT, PHASE_NAMES,
 };
 pub use owned::{OwnedCounter, OwnedHistogram};
 
@@ -51,7 +49,7 @@ pub use owned::{OwnedCounter, OwnedHistogram};
 /// inert bundle costs one relaxed atomic load per instrumentation site.
 #[derive(Debug)]
 pub struct Telemetry {
-    /// Counters + phase-latency histograms.
+    /// Phase histograms.
     pub registry: Registry,
 }
 
@@ -61,7 +59,7 @@ impl Telemetry {
         Self { registry: Registry::new(threads) }
     }
 
-    /// Enables or disables metrics recording (counters + histograms).
+    /// Enables or disables metrics recording.
     pub fn set_enabled(&self, on: bool) {
         self.registry.set_enabled(on);
     }

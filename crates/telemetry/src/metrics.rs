@@ -1,5 +1,8 @@
-//! Per-thread metrics registry: named counters and log2-bucketed latency
-//! histograms with cheap `Instant`-based span guards.
+//! Per-thread metrics registry: log2-bucketed phase histograms with cheap
+//! `Instant`-based span guards. A histogram's count is the phase's event
+//! count; every other count is read from the layer that already keeps it
+//! exactly (the device's `PmemStats`, the runtimes' commit and abort
+//! counters, `ReclaimStats`).
 //!
 //! Design constraints (see DESIGN.md §4.7):
 //!
@@ -19,7 +22,6 @@
 //! and `2^k` always fall in adjacent buckets (a tested invariant).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::JsonWriter;
@@ -259,127 +261,17 @@ pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
     "commit_sim",
 ];
 
-/// Monotone event counters kept per thread shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Metric {
-    /// Transactions begun.
-    Begins = 0,
-    /// Transactions committed.
-    Commits = 1,
-    /// Transactions aborted (any reason).
-    Aborts = 2,
-    /// Conflict-driven abort→retry round trips.
-    Retries = 3,
-    /// Transactions doomed by a peer.
-    Dooms = 4,
-    /// Commit fences issued.
-    Fences = 5,
-    /// `clwb` flush plans executed (one per commit flush phase).
-    ClwbPlans = 6,
-    /// Log records appended.
-    LogAppends = 7,
-    /// WPQ drains observed at fences.
-    WpqDrains = 8,
-    /// Reclamation cycles run.
-    ReclaimCycles = 9,
-    /// Individual log *entries* appended (one per staged write that opened
-    /// a new entry; in-place write-set patches do not count).
-    LogEntries = 10,
-    /// Commits that went through the group-commit (epoch batch) path.
-    GroupCommits = 11,
-    /// Epoch batches drained (each costs one shared flush+fence; the
-    /// group path's fences-per-commit is `group_batches / group_commits`).
-    GroupBatches = 12,
-    /// Labeled crash-point sites hit while a site plan was armed (the
-    /// crash-enumeration harness's per-run visit count; zero in normal
-    /// operation because disarmed sites never reach telemetry).
-    CrashPoints = 13,
-    /// Commits of transactions that never wrote: no record was reserved,
-    /// so nothing was appended, flushed or fenced (`commits == log_appends
-    /// + write_free_commits` on an abort-free stream).
-    WriteFreeCommits = 14,
-}
-
-/// Number of [`Metric`] variants.
-pub const METRIC_COUNT: usize = 15;
-
-/// JSON names for each [`Metric`], index-aligned with the enum.
-pub const METRIC_NAMES: [&str; METRIC_COUNT] = [
-    "begins",
-    "commits",
-    "aborts",
-    "retries",
-    "dooms",
-    "fences",
-    "clwb_plans",
-    "log_appends",
-    "wpq_drains",
-    "reclaim_cycles",
-    "log_entries",
-    "group_commits",
-    "group_batches",
-    "crash_points",
-    "write_free_commits",
-];
-
-/// Counter and phase deltas over one sampling interval, returned by
-/// [`Registry::snapshot_delta`] and rendered by
-/// [`crate::export::Series`]. All arrays are index-aligned with
-/// [`Metric`] / [`Phase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaSnapshot {
-    /// Counter increments since the previous delta snapshot.
-    pub metrics: [u64; METRIC_COUNT],
-    /// Phase observation-count increments.
-    pub phase_counts: [u64; PHASE_COUNT],
-    /// Phase sum-of-observations increments (ns, except size-valued
-    /// phases like `group_batch_size`).
-    pub phase_sums: [u64; PHASE_COUNT],
-}
-
-impl Default for DeltaSnapshot {
-    fn default() -> Self {
-        Self {
-            metrics: [0; METRIC_COUNT],
-            phase_counts: [0; PHASE_COUNT],
-            phase_sums: [0; PHASE_COUNT],
-        }
-    }
-}
-
-impl DeltaSnapshot {
-    /// One counter's increment over the interval.
-    pub fn metric(&self, m: Metric) -> u64 {
-        self.metrics[m as usize]
-    }
-
-    /// One phase's (count, sum) increment over the interval.
-    pub fn phase(&self, p: Phase) -> (u64, u64) {
-        (self.phase_counts[p as usize], self.phase_sums[p as usize])
-    }
-
-    /// `true` when nothing was recorded in the interval.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.iter().all(|&v| v == 0) && self.phase_counts.iter().all(|&v| v == 0)
-    }
-}
-
 /// One thread's slice of the registry. Cache-line aligned so two threads
 /// never share a shard line.
 #[derive(Debug)]
 #[repr(align(64))]
 struct Shard {
-    counters: [AtomicU64; METRIC_COUNT],
     phases: [Histogram; PHASE_COUNT],
 }
 
 impl Shard {
     fn new() -> Self {
-        Self {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            phases: std::array::from_fn(|_| Histogram::new()),
-        }
+        Self { phases: std::array::from_fn(|_| Histogram::new()) }
     }
 }
 
@@ -391,9 +283,6 @@ impl Shard {
 pub struct Registry {
     enabled: AtomicBool,
     shards: Vec<Shard>,
-    /// Cumulative totals at the last [`Registry::snapshot_delta`] call
-    /// (cold path only — sampling cadence is per interval, not per op).
-    delta_base: Mutex<DeltaSnapshot>,
 }
 
 impl Registry {
@@ -402,7 +291,6 @@ impl Registry {
         Self {
             enabled: AtomicBool::new(false),
             shards: (0..threads.max(1)).map(|_| Shard::new()).collect(),
-            delta_base: Mutex::new(DeltaSnapshot::default()),
         }
     }
 
@@ -420,14 +308,6 @@ impl Registry {
     #[inline]
     fn shard(&self, tid: usize) -> &Shard {
         &self.shards[tid % self.shards.len()]
-    }
-
-    /// Bumps a counter by `n` (no-op while disabled).
-    #[inline]
-    pub fn add(&self, tid: usize, m: Metric, n: u64) {
-        if self.enabled() {
-            self.shard(tid).counters[m as usize].fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Records a pre-measured duration into a phase histogram (no-op
@@ -451,19 +331,9 @@ impl Registry {
         }
     }
 
-    /// Sum of one counter across all shards.
-    pub fn counter(&self, m: Metric) -> u64 {
-        self.shards.iter().map(|s| s.counters[m as usize].load(Ordering::Relaxed)).sum()
-    }
-
-    /// One shard's value of one counter (no merging) — used to attribute
-    /// activity to a specific thread, e.g. the reclamation daemon's
-    /// dedicated shard vs the transaction threads.
-    pub fn counter_in(&self, tid: usize, m: Metric) -> u64 {
-        self.shard(tid).counters[m as usize].load(Ordering::Relaxed)
-    }
-
-    /// One shard's snapshot of one phase histogram (no merging).
+    /// One shard's snapshot of one phase histogram (no merging) — used to
+    /// attribute activity to a specific thread, e.g. the daemons' dedicated
+    /// shard vs the transaction threads.
     pub fn phase_in(&self, tid: usize, p: Phase) -> HistogramSnapshot {
         self.shard(tid).phases[p as usize].snapshot()
     }
@@ -477,66 +347,19 @@ impl Registry {
         out
     }
 
-    /// Zeroes every counter and histogram in every shard, and
-    /// re-baselines the [`Registry::snapshot_delta`] state so the next
-    /// delta measures from the reset, not from before it.
+    /// Zeroes every histogram in every shard.
     pub fn reset(&self) {
         for s in &self.shards {
-            for c in &s.counters {
-                c.store(0, Ordering::Relaxed);
-            }
             for h in &s.phases {
                 h.reset();
             }
         }
-        if let Ok(mut base) = self.delta_base.lock() {
-            *base = DeltaSnapshot::default();
-        }
-    }
-
-    /// Returns the counter and phase increments since the previous
-    /// `snapshot_delta` call (the first call measures from construction
-    /// or the last [`Registry::reset`]) and advances the baseline — the
-    /// sampling primitive behind the `series` block in the bench
-    /// artifacts ([`crate::export::Series`]).
-    ///
-    /// Concurrent recorders may land between the per-entry reads; such
-    /// late increments are never lost, they surface in the next delta
-    /// (totals are monotone, and the baseline is the exact totals this
-    /// call observed).
-    pub fn snapshot_delta(&self) -> DeltaSnapshot {
-        let mut now = DeltaSnapshot::default();
-        for (m, slot) in now.metrics.iter_mut().enumerate() {
-            *slot = self.shards.iter().map(|s| s.counters[m].load(Ordering::Relaxed)).sum();
-        }
-        for p in 0..PHASE_COUNT {
-            let mut count = 0u64;
-            let mut sum = 0u64;
-            for s in &self.shards {
-                let snap = s.phases[p].snapshot();
-                count += snap.count();
-                sum += snap.sum;
-            }
-            now.phase_counts[p] = count;
-            now.phase_sums[p] = sum;
-        }
-        let mut base = self.delta_base.lock().unwrap_or_else(|e| e.into_inner());
-        let mut delta = DeltaSnapshot::default();
-        for i in 0..METRIC_COUNT {
-            delta.metrics[i] = now.metrics[i].saturating_sub(base.metrics[i]);
-        }
-        for i in 0..PHASE_COUNT {
-            delta.phase_counts[i] = now.phase_counts[i].saturating_sub(base.phase_counts[i]);
-            delta.phase_sums[i] = now.phase_sums[i].saturating_sub(base.phase_sums[i]);
-        }
-        *base = now;
-        delta
     }
 
     /// Emits the merged registry as fields of the caller's open object:
-    /// `"enabled":…,"counters":{…},"phases":{…}` where each phase carries
-    /// the standard histogram summary. Phases with zero observations are
-    /// skipped to keep the block small.
+    /// `"enabled":…,"phases":{…}` where each phase carries the standard
+    /// histogram summary. Phases with zero observations are skipped to keep
+    /// the block small.
     pub fn emit(&self, w: &mut JsonWriter) {
         self.emit_excluding(w, &[]);
     }
@@ -544,20 +367,11 @@ impl Registry {
     /// [`Registry::emit`] restricted to the shards whose index is **not**
     /// in `exclude` — so a runtime with a dedicated daemon shard can emit
     /// the transaction threads' view without the daemon's drains and
-    /// fences folded in (the daemon shard is emitted separately, keeping
+    /// batches folded in (the daemon shard is emitted separately, keeping
     /// every observation attributed exactly once).
     pub fn emit_excluding(&self, w: &mut JsonWriter, exclude: &[usize]) {
         let keep = |i: &usize| !exclude.contains(i);
         w.field_bool("enabled", self.enabled());
-        w.begin_object_field("counters");
-        for (m, name) in METRIC_NAMES.iter().enumerate() {
-            let v: u64 = (0..self.shards.len())
-                .filter(keep)
-                .map(|i| self.shards[i].counters[m].load(Ordering::Relaxed))
-                .sum();
-            w.field_u64(name, v);
-        }
-        w.end_object();
         w.begin_object_field("phases");
         for (p, name) in PHASE_NAMES.iter().enumerate() {
             let mut snap = HistogramSnapshot::default();
@@ -582,11 +396,6 @@ pub struct Span<'a> {
 }
 
 impl Span<'_> {
-    /// An inert span (useful as a placeholder when no registry exists).
-    pub fn disabled() -> Span<'static> {
-        Span { live: None }
-    }
-
     fn finish(&mut self) -> u64 {
         match self.live.take() {
             Some((t0, h)) => {
@@ -664,10 +473,8 @@ mod tests {
     fn registry_starts_disabled() {
         let r = Registry::new(2);
         assert!(!r.enabled(), "nothing but set_enabled turns a registry on");
-        r.add(0, Metric::Commits, 1);
         r.record(1, Phase::Commit, 99);
         drop(r.span(0, Phase::Fence));
-        assert_eq!(r.counter(Metric::Commits), 0);
         assert_eq!(r.phase(Phase::Commit).count(), 0);
         assert_eq!(r.phase(Phase::Fence).count(), 0);
     }
@@ -677,10 +484,8 @@ mod tests {
         let r = Registry::new(4);
         r.set_enabled(true);
         for tid in 0..4 {
-            r.add(tid, Metric::Commits, 2);
             r.record(tid, Phase::Seal, 8);
         }
-        assert_eq!(r.counter(Metric::Commits), 8);
         let s = r.phase(Phase::Seal);
         assert_eq!(s.count(), 4);
         assert_eq!(s.max, 8);
@@ -689,7 +494,6 @@ mod tests {
         assert_eq!(r.phase(Phase::Seal).count(), 5);
         assert!(r.phase(Phase::Seal).max >= ns.min(8));
         r.reset();
-        assert_eq!(r.counter(Metric::Commits), 0);
         assert_eq!(r.phase(Phase::Seal).count(), 0);
     }
 
@@ -697,12 +501,9 @@ mod tests {
     fn per_shard_access_and_exclusion_attribute_exactly_once() {
         let r = Registry::new(3);
         r.set_enabled(true);
-        r.add(0, Metric::Fences, 4);
-        r.add(2, Metric::Fences, 1); // the "daemon" shard
         r.record(0, Phase::WpqDrain, 100);
-        r.record(2, Phase::WpqDrain, 900);
-        assert_eq!(r.counter(Metric::Fences), 5);
-        assert_eq!(r.counter_in(2, Metric::Fences), 1);
+        r.record(2, Phase::WpqDrain, 900); // the "daemon" shard
+        assert_eq!(r.phase(Phase::WpqDrain).count(), 2);
         assert_eq!(r.phase_in(2, Phase::WpqDrain).count(), 1);
         assert_eq!(r.phase_in(2, Phase::WpqDrain).max, 900);
         let mut w = JsonWriter::new();
@@ -710,7 +511,7 @@ mod tests {
         r.emit_excluding(&mut w, &[2]);
         w.end_object();
         let j = w.finish();
-        assert!(j.contains("\"fences\":4"), "{j}");
+        assert!(j.contains("\"wpq_drain\":{\"count\":1,"), "{j}");
         assert!(!j.contains("\"max_ns\":900"), "daemon shard must be excluded: {j}");
     }
 
@@ -726,6 +527,5 @@ mod tests {
         let j = w.finish();
         assert!(j.contains("\"commit\":{"), "{j}");
         assert!(!j.contains("\"writeset\""), "{j}");
-        assert!(j.contains("\"counters\""), "{j}");
     }
 }

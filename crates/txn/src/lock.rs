@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use specpmt_telemetry::{Histogram, HistogramSnapshot, JsonWriter, StatExport};
+use specpmt_telemetry::{Histogram, HistogramSnapshot};
 
 /// A stripe owner cell: 0 = free, `tid + 1` = held.
 const FREE: usize = 0;
@@ -57,18 +57,6 @@ impl LockTableStats {
             acquires: self.acquires.saturating_sub(earlier.acquires),
             conflicts: self.conflicts.saturating_sub(earlier.conflicts),
         }
-    }
-}
-
-impl StatExport for LockTableStats {
-    fn export_name(&self) -> &'static str {
-        "locks"
-    }
-
-    fn emit(&self, w: &mut JsonWriter) {
-        w.field_u64("acquires", self.acquires);
-        w.field_u64("conflicts", self.conflicts);
-        w.field_f64("conflict_rate", self.conflict_rate());
     }
 }
 
@@ -406,14 +394,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_delta_saturates_and_emits() {
+    fn stats_delta_saturates() {
         let a = LockTableStats { acquires: 10, conflicts: 2 };
         let b = LockTableStats { acquires: 4, conflicts: 5 };
         let d = a.delta_since(&b);
         assert_eq!(d.acquires, 6);
         assert_eq!(d.conflicts, 0, "crossed snapshot clamps to zero");
-        let j = a.to_json();
-        assert!(j.contains("\"acquires\":10"), "{j}");
-        assert!(j.contains("\"conflict_rate\":"), "{j}");
+        assert!((a.conflict_rate() - 2.0 / 12.0).abs() < 1e-12);
     }
 }

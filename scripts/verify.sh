@@ -47,7 +47,7 @@ fi
 
 # Re-fork guard: the SpecPMT record protocol, the WPQ timing model and the
 # crash gate are each written once. Outside #[cfg(test)], the header seal
-# and the fence telemetry block live in one file of crates/core/src
+# and the WPQ-drain telemetry live in one file of crates/core/src
 # (record.rs only defines the encoder), the WPQ service-time arithmetic is
 # read in one file of crates/pmem/src (config.rs only defines the field),
 # and the crash-plan ticks and the what-survives policy walk are called in
@@ -64,7 +64,7 @@ nontest_files_with() { # <fixed string> <dir> <file that only defines it>
     done
 }
 for probe in 'encode_header_parts(|crates/core/src|record.rs' \
-    'Metric::WpqDrains|crates/core/src|-' \
+    'Phase::WpqDrain|crates/core/src|-' \
     'cfg.line_write_seq_ns|crates/pmem/src|config.rs' \
     'fuel_tick(|crates/pmem/src|-' \
     'site_tick(|crates/pmem/src|-' \
@@ -264,10 +264,10 @@ run cargo test -q --offline -p specpmt-kv --test crash
 # tests/recovery.rs, crates/kv/tests/sim_golden.rs); host-time numbers come
 # from benchmark/'s per-layer metrics and nowhere else. What is left to run
 # here is the profiler's own acceptance check at full scale: 16-thread group
-# commit within 1.5x the sequential amortized sim cost at < 1 fence per
-# commit, and every live series reconciling exactly with its line's commit
-# count (crates/bench/src/bin/txstat.rs). Its 8- and 16-thread group-commit
-# points must also show the batching: fences, occupancy, amortized sim cost.
+# commit within 1.5x the sequential amortized sim cost at < 1 device fence
+# per sealed record (crates/bench/src/bin/txstat.rs). Its 8- and 16-thread
+# group-commit points must also show the batching: fences, occupancy,
+# amortized sim cost.
 txstat_out=$(mktemp)
 echo "==> txstat --check"
 cargo run --release --offline -q -p specpmt-bench --bin txstat -- --check >"$txstat_out"
@@ -423,6 +423,16 @@ fi
 if grep -rnE 'bench_with_[s]etup|Bench[R]eport|print_(mt_[s]caling|stripe_[s]weep|media_[s]weep)|MtRun[C]onfig|--stripe-[b]ytes|--group-[o]nly|ReclaimMode::[D]isabled|NoLog[C]onfig' \
     crates src tests examples README.md DESIGN.md .claude; then
     echo "a deleted sweep, bench harness or option is back" >&2
+    exit 1
+fi
+
+# Count each event once: the registry keeps phase histograms only. Its
+# counters, delta snapshots and live series, the unused export names and
+# the crash-epoch alias stay deleted — a fence is the device's sfence_count,
+# a commit the runtime's own counter (history not searched; no self-match).
+if grep -rnE 'Metri[c]::|METRIC_[N]AMES|snapshot_[d]elta|Delta[S]napshot|\bSer[i]es\b|export_[n]ame|crash_[e]poch' \
+    crates src tests examples README.md DESIGN.md .claude; then
+    echo "a second counting system is back (read the count where it is exact)" >&2
     exit 1
 fi
 

@@ -7,7 +7,7 @@
 
 use specpmt::core::{ConcurrentConfig, SpecConfig, SpecSpmt, SpecSpmtShared};
 use specpmt::pmem::{PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool};
-use specpmt::telemetry::{Metric, Phase, Telemetry};
+use specpmt::telemetry::{Phase, Telemetry};
 use specpmt::txn::{TxAccess, TxRuntime};
 
 fn seq_runtime() -> (SpecSpmt, usize) {
@@ -17,7 +17,7 @@ fn seq_runtime() -> (SpecSpmt, usize) {
     (SpecSpmt::new(pool, cfg), base)
 }
 
-fn commit_n(rt: &mut SpecSpmt, base: usize, n: u64) {
+fn commit_n<A: TxAccess>(rt: &mut A, base: usize, n: u64) {
     for i in 0..n {
         rt.begin();
         rt.write_u64(base + ((i as usize * 24) % 4096 / 8) * 8, i);
@@ -26,10 +26,11 @@ fn commit_n(rt: &mut SpecSpmt, base: usize, n: u64) {
     }
 }
 
-/// Every simulated `sfence` the device executes must be counted exactly
-/// once by the `fences` counter, and the lifecycle counters must agree
-/// with the transactions run — the registry is not allowed to drop or
-/// invent fences.
+/// The one-fence-per-commit claim, read from its one exact count — the
+/// device's `sfence_count` — on the sequential engine, a solo `TxHandle`
+/// and a group-committing one. The registry's phases agree with it: a
+/// solo commit times its own fence, a group commit's fence is its batch
+/// drain, and `append` counts one sealed record per commit.
 #[test]
 fn fence_counter_matches_device_sfence_count() {
     let (mut rt, base) = seq_runtime();
@@ -41,9 +42,35 @@ fn fence_counter_matches_device_sfence_count() {
     let sfence_delta = rt.pool().device().stats().sfence_count - sfences_before;
     assert_eq!(sfence_delta, 37, "one fence per commit (non-DP, reclamation disabled)");
     let reg = &rt.telemetry().registry;
-    assert_eq!(reg.counter(Metric::Fences), sfence_delta, "every device sfence counted once");
-    assert_eq!(reg.counter(Metric::Commits), 37);
-    assert_eq!(reg.counter(Metric::Begins), 37);
+    assert_eq!(reg.phase(Phase::Fence).count(), sfence_delta, "every device sfence timed once");
+    assert_eq!(reg.phase(Phase::Append).count(), 37);
+    let stats = rt.tx_stats();
+    assert_eq!((stats.tx_begun, stats.tx_committed), (37, 37));
+
+    for group_commit in [false, true] {
+        let cfg = ConcurrentConfig::builder().group_commit(group_commit).build();
+        let shared = SpecSpmtShared::open_or_format(1usize << 20, cfg);
+        shared.telemetry().set_enabled(true);
+        let base = shared.pool().alloc_direct(4096, 64).unwrap();
+        let mut h = shared.tx_handle(0);
+        let sfences_before = shared.device().stats().sfence_count;
+
+        commit_n(&mut h, base, 37);
+
+        let sfence_delta = shared.device().stats().sfence_count - sfences_before;
+        assert_eq!(sfence_delta, 37, "group commit {group_commit}: a batch of one per commit");
+        assert_eq!(shared.stats().commits, 37);
+        let reg = &shared.telemetry().registry;
+        assert_eq!(reg.phase(Phase::Append).count(), 37);
+        let fence_spans = reg.phase(Phase::Fence).count();
+        let batches = reg.phase(Phase::GroupBatch).count();
+        if group_commit {
+            assert_eq!((fence_spans, batches), (0, sfence_delta));
+            assert_eq!(reg.phase(Phase::BatchWait).count(), 37, "every commit staged once");
+        } else {
+            assert_eq!((fence_spans, batches), (sfence_delta, 0));
+        }
+    }
 }
 
 /// The instrumented sub-phases of a commit (seal, append, flush, fence,
@@ -107,14 +134,16 @@ fn disabled_telemetry_reads_empty_and_reset_roundtrips() {
     let (mut rt, base) = seq_runtime();
     // Disabled by default: nothing records.
     commit_n(&mut rt, base, 10);
-    assert_eq!(rt.telemetry().registry.counter(Metric::Commits), 0);
-    assert_eq!(rt.telemetry().registry.phase(Phase::Commit).count(), 0);
+    let reg = &rt.telemetry().registry;
+    assert_eq!(reg.phase(Phase::Commit).count(), 0);
+    assert_eq!(reg.phase(Phase::Append).count(), 0);
     // Enable, record, reset: back to empty.
     rt.telemetry().set_enabled(true);
     commit_n(&mut rt, base, 5);
-    assert_eq!(rt.telemetry().registry.counter(Metric::Commits), 5);
+    let reg = &rt.telemetry().registry;
+    assert_eq!(reg.phase(Phase::Commit).count(), 5);
     rt.telemetry().reset();
-    assert_eq!(rt.telemetry().registry.counter(Metric::Commits), 0);
+    assert_eq!(reg.phase(Phase::Commit).count(), 0);
 }
 
 /// Every third transaction of the mixed streams below only reads.
@@ -133,24 +162,25 @@ fn mixed_stream<A: TxAccess>(a: &mut A, base: usize, n: u64) -> u64 {
     write_free
 }
 
-/// The books of a 60-transaction [`mixed_stream`] that issued `sfences`
-/// device fences: only the writers appended, fenced, and fed the
-/// commit-cost phases.
-fn assert_write_free_books(tel: &Telemetry, sfences: u64, write_free: u64) {
+/// The books of a 60-transaction [`mixed_stream`] that the runtime counted
+/// as `commits` and that issued `sfences` device fences: only the writers
+/// sealed a record, fenced, and fed the commit-cost phases, so commits
+/// minus writing seals are the write-free commits.
+fn assert_write_free_books(tel: &Telemetry, commits: u64, sfences: u64, write_free: u64) {
     let reg = &tel.registry;
-    assert_eq!(reg.counter(Metric::Commits), 60);
-    assert_eq!(reg.counter(Metric::WriteFreeCommits), write_free);
-    assert_eq!(reg.counter(Metric::LogAppends), 60 - write_free);
-    assert_eq!(sfences, 60 - write_free, "only writing commits fence");
-    assert_eq!(reg.counter(Metric::Fences), sfences);
-    assert_eq!(reg.phase(Phase::Commit).count(), 60 - write_free, "no zero-cost samples");
-    assert_eq!(reg.phase(Phase::CommitSim).count(), 60 - write_free);
+    let writing = reg.phase(Phase::Append).count();
+    assert_eq!(commits, 60);
+    assert_eq!(commits - writing, write_free);
+    assert_eq!(sfences, writing, "only writing commits fence");
+    assert_eq!(reg.phase(Phase::Fence).count(), sfences);
+    assert_eq!(reg.phase(Phase::Commit).count(), writing, "no zero-cost samples");
+    assert_eq!(reg.phase(Phase::CommitSim).count(), writing);
 }
 
 /// A write-free commit appends no record, fences nothing, and feeds no
-/// sample into the commit-cost phases — on both engines, the counters
-/// still add up exactly: `commits == log_appends + write_free_commits`
-/// and every device `sfence` is one counted fence.
+/// sample into the commit-cost phases — on both engines the books still
+/// add up exactly: every commit is a sealed record or a write-free one,
+/// and every device `sfence` is one timed fence.
 #[test]
 fn write_free_commits_are_counted_and_cost_nothing() {
     let (mut rt, base) = seq_runtime();
@@ -158,9 +188,9 @@ fn write_free_commits_are_counted_and_cost_nothing() {
     let sfences_before = rt.pool().device().stats().sfence_count;
     let write_free = mixed_stream(&mut rt, base, 60);
     let sfences = rt.pool().device().stats().sfence_count - sfences_before;
-    assert_write_free_books(rt.telemetry(), sfences, write_free);
     let stats = rt.tx_stats();
-    assert_eq!((stats.tx_committed, stats.write_free_commits), (60, write_free));
+    assert_write_free_books(rt.telemetry(), stats.tx_committed, sfences, write_free);
+    assert_eq!(stats.write_free_commits, write_free);
 
     let shared = SpecSpmtShared::open_or_format(1usize << 20, ConcurrentConfig::default());
     shared.telemetry().set_enabled(true);
@@ -169,8 +199,7 @@ fn write_free_commits_are_counted_and_cost_nothing() {
     let sfences_before = shared.device().stats().sfence_count;
     let write_free = mixed_stream(&mut h, base, 60);
     let sfences = shared.device().stats().sfence_count - sfences_before;
-    assert_write_free_books(shared.telemetry(), sfences, write_free);
-    assert_eq!(shared.stats().commits, 60);
+    assert_write_free_books(shared.telemetry(), shared.stats().commits, sfences, write_free);
 
     // The receipt of a write-free commit names no record: it carries the
     // timestamp frontier without consuming it.
@@ -249,11 +278,11 @@ fn recorder_events_reconcile_with_registry_counters() {
     assert_eq!(fx.events_torn, 0);
     let reg = &shared.telemetry().registry;
     let of_kind = |kind| fx.events.iter().filter(move |e| e.kind == kind);
-    assert_eq!(of_kind(BbKind::TxBegin).count() as u64, reg.counter(Metric::LogAppends));
-    let writing = reg.counter(Metric::Commits) - reg.counter(Metric::WriteFreeCommits);
-    assert_eq!(writing, 60 - write_free);
+    let appends = reg.phase(Phase::Append).count();
+    assert_eq!(of_kind(BbKind::TxBegin).count() as u64, appends);
+    assert_eq!(shared.stats().commits - appends, write_free, "the write-free third sealed nothing");
     let receipts: Vec<u64> = of_kind(BbKind::TxCommit).map(|e| e.a).collect();
-    assert_eq!(receipts.len() as u64, writing);
+    assert_eq!(receipts.len() as u64, appends);
     assert!(receipts.windows(2).all(|w| w[0] < w[1]), "receipts out of order: {receipts:?}");
     assert!(fx.in_flight.is_empty(), "every transaction committed");
 }
