@@ -1,6 +1,6 @@
 //! Kamino-Tx upper-bound model.
 
-use specpmt_core::fnv1a64;
+use specpmt_core::word_hash;
 use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
@@ -106,12 +106,12 @@ impl TxAccess for KaminoTx {
                     "Kamino address log exhausted; raise KaminoConfig::log_bytes"
                 );
                 self.pool.device_mut().advance(self.cfg.sw_overhead_ns);
-                let mut entry = Vec::with_capacity(ENTRY_BYTES);
-                entry.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
-                entry.extend_from_slice(&(GRANULE as u32).to_le_bytes());
-                entry.extend_from_slice(&(line_start as u64).to_le_bytes());
-                let cksum = fnv1a64(&entry);
-                entry.extend_from_slice(&cksum.to_le_bytes());
+                let word0 = u64::from(ENTRY_MAGIC) | (GRANULE as u64) << 32;
+                let mut entry = [0u8; ENTRY_BYTES];
+                entry[0..8].copy_from_slice(&word0.to_le_bytes());
+                entry[8..16].copy_from_slice(&(line_start as u64).to_le_bytes());
+                let cksum = word_hash(&[], word0, line_start as u64);
+                entry[16..].copy_from_slice(&cksum.to_le_bytes());
                 let at = self.log_base + self.log_pos;
                 let dev = self.pool.device_mut();
                 dev.write(at, &entry);

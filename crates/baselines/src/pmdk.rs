@@ -2,18 +2,13 @@
 
 use std::collections::BTreeSet;
 
-use specpmt_core::fnv1a64;
-use specpmt_pmem::{root_off, CrashImage, PmemPool, TimingMode, CACHE_LINE, POOL_MAGIC};
+use specpmt_core::undo::{self, entry_bytes};
+use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-/// Root slot holding the undo-log region base.
-pub const UNDO_BASE_SLOT: usize = 4;
-/// Root slot holding the undo-log region size.
-pub const UNDO_SIZE_SLOT: usize = 5;
-
 const ENTRY_MAGIC: u32 = 0x554E_444F; // "UNDO"
-const ENTRY_HDR: usize = 24; // magic u32 | len u32 | addr u64 | cksum u64
-/// Entries start here; the first 64 B of the region hold the tx-stage word.
+/// Entries start here; the first 64 B of the region hold the tx-stage word
+/// and the used-offset word.
 const ENTRIES_OFF: usize = 64;
 
 /// Configuration for [`PmdkUndo`].
@@ -37,15 +32,6 @@ impl Default for PmdkConfig {
     fn default() -> Self {
         Self { log_bytes: 1 << 20, snapshot_granule: 256, sw_overhead_ns: 1600 }
     }
-}
-
-fn entry_checksum(len: u32, addr: u64, old: &[u8]) -> u64 {
-    let mut b = Vec::with_capacity(16 + old.len());
-    b.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
-    b.extend_from_slice(&len.to_le_bytes());
-    b.extend_from_slice(&addr.to_le_bytes());
-    b.extend_from_slice(old);
-    fnv1a64(&b)
 }
 
 /// Undo-logging transaction runtime following the PMDK (`libpmemobj`)
@@ -80,7 +66,7 @@ impl PmdkUndo {
     pub fn new(mut pool: PmemPool, cfg: PmdkConfig) -> Self {
         assert!(cfg.snapshot_granule.is_power_of_two() && cfg.snapshot_granule >= CACHE_LINE);
         assert!(
-            cfg.log_bytes > ENTRIES_OFF + ENTRY_HDR + cfg.snapshot_granule,
+            cfg.log_bytes > ENTRIES_OFF + entry_bytes(cfg.snapshot_granule),
             "log region too small"
         );
         let prev = pool.device().timing();
@@ -89,8 +75,7 @@ impl PmdkUndo {
             .alloc_direct(cfg.log_bytes, CACHE_LINE)
             .expect("pool too small for undo log region");
         pool.device_mut().persist_range(log_base, ENTRIES_OFF + 8);
-        pool.set_root_direct(UNDO_BASE_SLOT, log_base as u64);
-        pool.set_root_direct(UNDO_SIZE_SLOT, cfg.log_bytes as u64);
+        undo::publish_region(&mut pool, log_base, cfg.log_bytes);
         pool.device_mut().set_timing(prev);
         Self {
             pool,
@@ -114,7 +99,7 @@ impl PmdkUndo {
     /// for the ulog metadata.
     fn snapshot_object(&mut self, obj_start: usize) {
         let granule = self.cfg.snapshot_granule;
-        let sz = ENTRY_HDR + granule;
+        let sz = entry_bytes(granule);
         assert!(
             self.log_pos + sz + 4 <= self.cfg.log_bytes,
             "undo log region exhausted; raise PmdkConfig::log_bytes"
@@ -127,15 +112,9 @@ impl PmdkUndo {
         let read_ns = self.pool.device().config().line_read_ns;
         let lines = granule / CACHE_LINE;
         self.pool.device_mut().advance(read_ns + (lines as u64 - 1) * read_ns / 3);
-        let old = self.pool.device().peek(obj_start, granule).to_vec();
-        let mut entry = Vec::with_capacity(sz);
-        entry.extend_from_slice(&ENTRY_MAGIC.to_le_bytes());
-        entry.extend_from_slice(&(granule as u32).to_le_bytes());
-        entry.extend_from_slice(&(obj_start as u64).to_le_bytes());
-        entry.extend_from_slice(
-            &entry_checksum(granule as u32, obj_start as u64, &old).to_le_bytes(),
-        );
-        entry.extend_from_slice(&old);
+        let mut entry = vec![0u8; sz];
+        let old = self.pool.device().peek(obj_start, granule);
+        undo::encode_entry(&mut entry, ENTRY_MAGIC, obj_start, old);
         let at = self.log_base + self.log_pos;
         let dev = self.pool.device_mut();
         dev.write(at, &entry);
@@ -248,43 +227,7 @@ impl TxRuntime for PmdkUndo {
 
 impl Recover for PmdkUndo {
     fn recover(image: &mut CrashImage) {
-        if image.len() < specpmt_pmem::POOL_HEADER_SIZE || image.read_u64(0) != POOL_MAGIC {
-            return;
-        }
-        let base = image.read_u64(root_off(UNDO_BASE_SLOT)) as usize;
-        let size = image.read_u64(root_off(UNDO_SIZE_SLOT)) as usize;
-        if base == 0 || size == 0 || base + size > image.len() {
-            return;
-        }
-        // Scan live entries.
-        let mut entries = Vec::new();
-        let mut pos = ENTRIES_OFF;
-        while pos + ENTRY_HDR <= size {
-            let at = base + pos;
-            let magic = u32::from_le_bytes(image.read_bytes(at, 4).try_into().expect("4B"));
-            if magic != ENTRY_MAGIC {
-                break;
-            }
-            let len =
-                u32::from_le_bytes(image.read_bytes(at + 4, 4).try_into().expect("4B")) as usize;
-            if pos + ENTRY_HDR + len > size {
-                break;
-            }
-            let addr = image.read_u64(at + 8) as usize;
-            let cksum = image.read_u64(at + 16);
-            let old = image.read_bytes(at + ENTRY_HDR, len).to_vec();
-            if entry_checksum(len as u32, addr as u64, &old) != cksum {
-                break;
-            }
-            entries.push((addr, old));
-            pos += ENTRY_HDR + len;
-        }
-        // Roll back the interrupted transaction: newest first.
-        for (addr, old) in entries.into_iter().rev() {
-            if addr + old.len() <= image.len() {
-                image.write_bytes(addr, &old);
-            }
-        }
+        undo::roll_back(image, ENTRIES_OFF, ENTRY_MAGIC);
     }
 }
 
@@ -374,7 +317,7 @@ mod tests {
         rt.begin();
         rt.write_u64(a, 1);
         rt.commit();
-        assert_eq!(rt.tx_stats().log_bytes, (ENTRY_HDR + 256) as u64);
+        assert_eq!(rt.tx_stats().log_bytes, entry_bytes(256) as u64);
     }
 
     #[test]

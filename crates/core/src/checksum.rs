@@ -1,10 +1,13 @@
-//! The record checksum (the commit flag) and FNV-1a.
+//! The checksum of every on-PM format (the commit flag) and FNV-1a.
 //!
 //! * [`word_hash`] — the checksum every log record carries (through
-//!   [`crate::record::record_checksum`]) and the hardware undo entries too.
-//!   A one-shot hash that folds the input a little-endian 8-byte word per
-//!   step, `h = rotl((h ^ w) · K, R)` with `K` odd, then two more words the
-//!   caller supplies (a record's payload length and timestamp), and
+//!   [`crate::record::record_checksum`]), and every other checksummed
+//!   on-PM format but the flight recorder's: undo entries
+//!   ([`crate::undo`]), the layout descriptor, hash-log generations and
+//!   Kamino's intent entries. A one-shot hash that folds the input a
+//!   little-endian 8-byte word per step, `h = rotl((h ^ w) · K, R)` with
+//!   `K` odd, then two more words the caller supplies (a record's payload
+//!   length and timestamp, an undo entry's `magic | len` and address), and
 //!   finishes with `h ^ (h >> 32)`. Every step is a bijection in `h` and in
 //!   `w`, and so is the finish, so two inputs of the same length that differ
 //!   in exactly one word always hash differently: a torn 8-byte unit — the
@@ -12,8 +15,8 @@
 //!   changed byte was under the byte-serial FNV-1a this replaced, at an
 //!   eighth of the multiplies. The hash has no streaming form: a record is
 //!   hashed once, whole, when it is sealed and when it is read.
-//! * [`fnv1a64`] / [`fnv1a64_reference`] — 64-bit FNV-1a, which the layout
-//!   descriptor, `hashlog`, the baselines and image fingerprints use.
+//! * [`fnv1a64`] / [`fnv1a64_reference`] — 64-bit FNV-1a, which no on-PM
+//!   format uses: only image fingerprints in tests and a benchmark probe.
 //!   [`fnv1a64_reference`] is the textbook byte-serial loop that *defines*
 //!   the hash; [`fnv1a64`] does one unaligned 8-byte load per eight
 //!   unrolled xor/multiply steps — the same byte operations in the same

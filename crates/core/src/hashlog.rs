@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use specpmt_pmem::{root_off, CrashImage, PmemPool, TimingMode, CACHE_LINE, POOL_MAGIC};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-use crate::checksum::fnv1a64;
+use crate::checksum::word_hash;
 
 /// Root slot holding the table base offset.
 pub const HASH_BASE_SLOT: usize = 4;
@@ -59,14 +59,6 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-fn gen_checksum(key: u64, ts: u64, value: &[u8]) -> u64 {
-    let mut b = Vec::with_capacity(16 + value.len());
-    b.extend_from_slice(&key.to_le_bytes());
-    b.extend_from_slice(&ts.to_le_bytes());
-    b.extend_from_slice(value);
-    fnv1a64(&b)
 }
 
 /// Hash-located, in-place-overwritten speculative log (the paper's
@@ -166,7 +158,7 @@ impl HashLogSpmt {
         } else {
             GEN_B
         };
-        let cksum = gen_checksum(key, self.tx_ts, &value);
+        let cksum = word_hash(&value, key, self.tx_ts);
         let dev = self.pool.device_mut();
         dev.write_u64(s + gen, self.tx_ts);
         dev.write_u64(s + gen + 8, cksum);
@@ -257,7 +249,9 @@ impl Recover for HashLogSpmt {
         let base = image.read_u64(root_off(HASH_BASE_SLOT)) as usize;
         let cap = image.read_u64(root_off(HASH_CAP_SLOT)) as usize;
         let cts = image.read_u64(root_off(HASH_CTS_SLOT));
-        if base == 0 || cap == 0 || base + cap * SLOT_BYTES > image.len() {
+        // The table bounds and every key are image words: none may wrap.
+        let end = cap.checked_mul(SLOT_BYTES).and_then(|bytes| base.checked_add(bytes));
+        if base == 0 || cap == 0 || end.is_none_or(|end| end > image.len()) {
             return;
         }
         for i in 0..cap {
@@ -266,10 +260,10 @@ impl Recover for HashLogSpmt {
             if key == 0 {
                 continue;
             }
-            let chunk_addr = (key as usize - 1) * CHUNK;
-            if chunk_addr + CHUNK > image.len() {
-                continue;
-            }
+            let chunk_addr = match (key as usize - 1).checked_mul(CHUNK) {
+                Some(addr) if addr <= image.len() - CHUNK => addr,
+                _ => continue,
+            };
             let mut best: Option<(u64, [u8; CHUNK])> = None;
             for gen in [GEN_A, GEN_B] {
                 let ts = image.read_u64(s + gen);
@@ -279,7 +273,7 @@ impl Recover for HashLogSpmt {
                 let cksum = image.read_u64(s + gen + 8);
                 let mut value = [0u8; CHUNK];
                 value.copy_from_slice(image.read_bytes(s + gen + 16, CHUNK));
-                if gen_checksum(key, ts, &value) != cksum {
+                if word_hash(&value, key, ts) != cksum {
                     continue; // torn
                 }
                 if best.is_none_or(|(bts, _)| ts > bts) {
@@ -400,5 +394,33 @@ mod tests {
         for i in 0..(1 << 12) / CHUNK {
             assert_eq!(img.read_u64(a + i * CHUNK), i as u64);
         }
+    }
+
+    /// Recovery reads the table capacity and every slot key from the
+    /// image: a capacity whose byte size wraps skips the table, and a key
+    /// whose chunk address wraps skips its slot alone.
+    #[test]
+    fn wrapping_capacity_and_slot_keys_are_skipped() {
+        let mut rt = runtime();
+        let a = alloc_region(&mut rt, 64);
+        rt.begin();
+        rt.write_u64(a, 42);
+        rt.commit();
+        let valid = rt.pool().device().capture(CrashPolicy::AllLost);
+
+        let mut wild_cap = valid.clone();
+        wild_cap.write_u64(root_off(HASH_CAP_SLOT), u64::MAX / 2);
+        HashLogSpmt::recover(&mut wild_cap);
+        assert_eq!(wild_cap.read_u64(a), 0, "the table was skipped");
+
+        let mut wild_key = valid;
+        let base = wild_key.read_u64(root_off(HASH_BASE_SLOT)) as usize;
+        let free = (0..rt.config().capacity)
+            .map(|i| base + i * SLOT_BYTES)
+            .find(|&s| wild_key.read_u64(s) == 0)
+            .unwrap();
+        wild_key.write_u64(free, u64::MAX);
+        HashLogSpmt::recover(&mut wild_key);
+        assert_eq!(wild_key.read_u64(a), 42, "only the wild slot was skipped");
     }
 }

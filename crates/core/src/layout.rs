@@ -20,7 +20,7 @@
 //!   8  .. 12  version (u32)
 //!   12 .. 16  chain capacity (u32, 1..=4096)
 //!   16 .. 24  log block bytes (u64)
-//!   24 .. 32  FNV-1a checksum of bytes 0..24
+//!   24 .. 32  word_hash of bytes 0..24
 //!   32 .. 40  checkpoint chain head (u64; 0 = no checkpoint)
 //!   40 .. 48  black-box region base (u64; 0 = recorder never on)
 //!   48 .. 48 + 8·capacity   per-thread chain-head pointers (u64 each)
@@ -42,7 +42,7 @@
 
 use specpmt_pmem::{root_off, PmemPool, SharedPmemPool, POOL_HEADER_SIZE, POOL_MAGIC};
 
-use crate::checksum::fnv1a64;
+use crate::checksum::word_hash;
 use crate::record::ByteSource;
 
 /// Root slot pointing at the layout descriptor (0 = no layout).
@@ -103,7 +103,7 @@ impl PoolLayout {
         d[8..12].copy_from_slice(&LAYOUT_VERSION.to_le_bytes());
         d[12..16].copy_from_slice(&(threads as u32).to_le_bytes());
         d[16..24].copy_from_slice(&(block_bytes as u64).to_le_bytes());
-        let sum = fnv1a64(&d[0..24]);
+        let sum = word_hash(&d[0..24], 0, 0);
         d[24..32].copy_from_slice(&sum.to_le_bytes());
         d
     }
@@ -184,7 +184,7 @@ impl PoolLayout {
             return None;
         }
         let sum = u64::from_le_bytes(hdr[24..32].try_into().expect("8 bytes"));
-        if sum != fnv1a64(&hdr[0..24]) {
+        if sum != word_hash(&hdr[0..24], 0, 0) {
             return None;
         }
         let threads = u32::from_le_bytes(hdr[12..16].try_into().expect("4 bytes")) as usize;
@@ -375,7 +375,7 @@ mod tests {
         for version in [1u32, 2, 99] {
             let mut img3 = p.device().capture(CrashPolicy::AllLost);
             img3.write_bytes(l.desc_base() + 8, &version.to_le_bytes());
-            let sum = fnv1a64(&img3.as_bytes()[l.desc_base()..l.desc_base() + 24]);
+            let sum = word_hash(&img3.as_bytes()[l.desc_base()..l.desc_base() + 24], 0, 0);
             img3.write_bytes(l.desc_base() + 24, &sum.to_le_bytes());
             assert!(PoolLayout::read(&img3).is_none(), "version {version} is rejected");
         }

@@ -40,6 +40,8 @@
 //! * [`hashlog`] — the paper's strawman alternative (one log slot per
 //!   datum located by hashing, Section 4): space-efficient but with random
 //!   PM write locality; reproduced for the "3.2× slower" micro-experiment.
+//! * [`undo`] — the undo entry PMDK and the hardware models share: its
+//!   encoder and its one rollback scanner.
 //!
 //! # Quick example
 //!
@@ -80,6 +82,7 @@ pub mod reclaim;
 pub mod record;
 pub mod recovery;
 mod runtime;
+pub mod undo;
 pub mod writeset;
 
 pub use checksum::{fnv1a64, fnv1a64_reference, word_hash};

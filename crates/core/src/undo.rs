@@ -1,0 +1,158 @@
+//! The undo entry: the on-PM format PMDK's object snapshots and the
+//! hardware models' cold-line pre-images share, its one encoder and its one
+//! rollback scanner.
+//!
+//! A pool roots one undo region at [`UNDO_BASE_SLOT`] / [`UNDO_SIZE_SLOT`].
+//! Entries follow one another from an offset that is a constant of the
+//! caller's region format (PMDK keeps its stage word in front of them):
+//!
+//! ```text
+//!   0 .. 8          magic (u32) | len (u32), one little-endian word
+//!   8 .. 16         addr (u64)
+//!   16 .. 24        word_hash(old, word 0, addr)
+//!   24 .. 24 + len  old: the pre-image of [addr, addr + len)
+//! ```
+//!
+//! The scan stops at the first entry whose magic is not the caller's (a
+//! log is truncated by zeroing its first entry's magic), whose length
+//! leaves the region, or whose checksum fails. The region bounds and each
+//! entry's address are image words too, so none of them is summed
+//! unchecked: a region that wraps or overruns the image is skipped whole,
+//! and an entry whose target does is skipped alone.
+
+use specpmt_pmem::{root_off, CrashImage, PmemPool, POOL_HEADER_SIZE, POOL_MAGIC};
+
+use crate::checksum::word_hash;
+
+/// Root slot holding the undo region's base.
+pub const UNDO_BASE_SLOT: usize = 4;
+/// Root slot holding the undo region's size in bytes.
+pub const UNDO_SIZE_SLOT: usize = 5;
+
+/// Entry header bytes: `magic | len`, `addr`, checksum.
+const HDR: usize = 24;
+
+/// Encoded size of an entry holding `len` bytes of pre-image.
+pub const fn entry_bytes(len: usize) -> usize {
+    HDR + len
+}
+
+/// Roots the undo region `[base, base + size)` in `pool`.
+pub fn publish_region(pool: &mut PmemPool, base: usize, size: usize) {
+    pool.set_root_direct(UNDO_BASE_SLOT, base as u64);
+    pool.set_root_direct(UNDO_SIZE_SLOT, size as u64);
+}
+
+/// Encodes the entry `addr -> old` into `entry`, which is
+/// [`entry_bytes`]`(old.len())` bytes long.
+pub fn encode_entry(entry: &mut [u8], magic: u32, addr: usize, old: &[u8]) {
+    let word0 = u64::from(magic) | u64::from(old.len() as u32) << 32;
+    entry[0..8].copy_from_slice(&word0.to_le_bytes());
+    entry[8..16].copy_from_slice(&(addr as u64).to_le_bytes());
+    entry[16..HDR].copy_from_slice(&word_hash(old, word0, addr as u64).to_le_bytes());
+    entry[HDR..].copy_from_slice(old);
+}
+
+/// Rolls back the interrupted transaction in `image`'s undo region, newest
+/// entry first. Entries carry `magic` and start `first_entry_off` bytes
+/// into the region.
+pub fn roll_back(image: &mut CrashImage, first_entry_off: usize, magic: u32) {
+    if image.len() < POOL_HEADER_SIZE || image.read_u64(0) != POOL_MAGIC {
+        return;
+    }
+    let base = image.read_u64(root_off(UNDO_BASE_SLOT)) as usize;
+    let size = image.read_u64(root_off(UNDO_SIZE_SLOT)) as usize;
+    if base == 0 || size == 0 || base.checked_add(size).is_none_or(|end| end > image.len()) {
+        return;
+    }
+    let mut entries = Vec::new();
+    let mut pos = first_entry_off;
+    while pos + HDR <= size {
+        let at = base + pos;
+        let word0 = image.read_u64(at);
+        let len = (word0 >> 32) as usize;
+        if word0 as u32 != magic || pos + HDR + len > size {
+            break;
+        }
+        let addr = image.read_u64(at + 8);
+        let old = image.read_bytes(at + HDR, len);
+        if word_hash(old, word0, addr) != image.read_u64(at + 16) {
+            break;
+        }
+        entries.push((addr as usize, old.to_vec()));
+        pos += HDR + len;
+    }
+    for (addr, old) in entries.into_iter().rev() {
+        if addr.checked_add(old.len()).is_some_and(|end| end <= image.len()) {
+            image.write_bytes(addr, &old);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MAGIC: u32 = 0x5445_5354; // "TEST"
+    const OFF: usize = 64;
+    const BASE: usize = 4096;
+    const SIZE: usize = 1024;
+    /// A target outside the region.
+    const DATA: usize = 6144;
+
+    /// A pool image whose undo region holds `entries`, oldest first.
+    fn image(entries: &[(usize, &[u8])]) -> CrashImage {
+        let mut img = CrashImage::new(vec![0; 8192]);
+        img.write_u64(0, POOL_MAGIC);
+        img.write_u64(root_off(UNDO_BASE_SLOT), BASE as u64);
+        img.write_u64(root_off(UNDO_SIZE_SLOT), SIZE as u64);
+        let mut at = BASE + OFF;
+        for &(addr, old) in entries {
+            let mut entry = vec![0; entry_bytes(old.len())];
+            encode_entry(&mut entry, MAGIC, addr, old);
+            img.write_bytes(at, &entry);
+            at += entry.len();
+        }
+        img
+    }
+
+    fn rolled_back(mut img: CrashImage) -> CrashImage {
+        roll_back(&mut img, OFF, MAGIC);
+        img
+    }
+
+    #[test]
+    fn rolls_back_newest_first_and_only_its_own_magic() {
+        let img = image(&[(DATA, &[1; 8]), (DATA, &[2; 8])]);
+        assert_eq!(rolled_back(img.clone()).read_bytes(DATA, 8), [1; 8], "oldest pre-image wins");
+        let mut foreign = img.clone();
+        roll_back(&mut foreign, OFF, !MAGIC);
+        assert_eq!(foreign.as_bytes(), img.as_bytes());
+        let mut truncated = img;
+        truncated.write_bytes(BASE + OFF, &[0; 4]);
+        assert_eq!(rolled_back(truncated).read_bytes(DATA, 8), [0; 8]);
+    }
+
+    /// Recovery reads the region bounds, every entry's length and every
+    /// entry's address from the image, so none may be trusted: wrapping or
+    /// overrunning values are skipped, not summed.
+    #[test]
+    fn wrapping_region_bounds_and_entry_addresses_are_skipped() {
+        let mut wild_bounds = image(&[(DATA, &[1; 8])]);
+        wild_bounds.write_u64(root_off(UNDO_BASE_SLOT), u64::MAX);
+        wild_bounds.write_u64(root_off(UNDO_SIZE_SLOT), u64::MAX);
+        assert_eq!(rolled_back(wild_bounds).read_bytes(DATA, 8), [0; 8]);
+
+        // A checksum-valid entry is not address-valid: the wild one is
+        // skipped, the scan goes on past it.
+        let wild_entry = image(&[(DATA, &[1; 8]), (usize::MAX - 3, &[9; 64])]);
+        assert_eq!(rolled_back(wild_entry).read_bytes(DATA, 8), [1; 8]);
+
+        // A length past the region (and the image) ends the scan before
+        // its bytes are read.
+        let mut long = image(&[(DATA, &[1; 8]), (DATA, &[2; 8])]);
+        let second = BASE + OFF + entry_bytes(8);
+        long.write_u64(second, u64::from(MAGIC) | 8000 << 32);
+        assert_eq!(rolled_back(long).read_bytes(DATA, 8), [1; 8]);
+    }
+}

@@ -1,18 +1,10 @@
 //! Shared plumbing for the hardware transaction models.
 
 use specpmt_core::record::{encode_header, push_entry, LogArea, PoolStore, REC_HDR};
-use specpmt_core::word_hash;
-use specpmt_pmem::{
-    root_off, CrashImage, PmemConfig, PmemDevice, PmemPool, TimingMode, CACHE_LINE, POOL_MAGIC,
-};
-
-/// Root slot holding the hardware undo-log region base.
-pub const HW_UNDO_BASE_SLOT: usize = 4;
-/// Root slot holding the hardware undo-log region size.
-pub const HW_UNDO_SIZE_SLOT: usize = 5;
+use specpmt_core::undo::{self, entry_bytes};
+use specpmt_pmem::{CrashImage, PmemConfig, PmemDevice, PmemPool, TimingMode, CACHE_LINE};
 
 const ENTRY_MAGIC: u32 = 0x4857_4C47; // "HWLG"
-const ENTRY_HDR: usize = 24; // magic u32 | len u32 | addr u64 | cksum u64
 
 /// Device configuration for the simulated-hardware experiments: CPU-side
 /// store/load costs live in the `hwsim` cache model, so the device charges
@@ -153,12 +145,6 @@ impl RecordBuf {
     }
 }
 
-/// The record checksum's [`word_hash`] over an entry's pre-image, then its
-/// `magic | len` and `addr` header words.
-fn entry_checksum(len: u32, addr: u64, old: &[u8]) -> u64 {
-    word_hash(old, u64::from(ENTRY_MAGIC) | u64::from(len) << 32, addr)
-}
-
 /// Hardware-managed undo log region: line-granular pre-image records
 /// created by the logging engine at **store time** and streamed straight
 /// through the WPQ (ATOM/EDE-style hardware logging: no fence, no core
@@ -184,8 +170,7 @@ impl UndoLog {
         let base =
             pool.alloc_direct(cap, CACHE_LINE).expect("pool too small for hardware undo log");
         pool.device_mut().persist_range(base, 8);
-        pool.set_root_direct(HW_UNDO_BASE_SLOT, base as u64);
-        pool.set_root_direct(HW_UNDO_SIZE_SLOT, cap as u64);
+        undo::publish_region(pool, base, cap);
         pool.device_mut().set_timing(prev);
         Self { base, pos: 0, cap }
     }
@@ -204,15 +189,10 @@ impl UndoLog {
     ///
     /// Panics if the region overflows (raise the capacity).
     pub fn append_line(&mut self, dev: &mut PmemDevice, line_addr: usize) {
-        const SZ: usize = ENTRY_HDR + CACHE_LINE;
+        const SZ: usize = entry_bytes(CACHE_LINE);
         assert!(self.pos + SZ + 4 <= self.cap, "hardware undo log exhausted");
         let mut entry = [0u8; SZ];
-        entry[0..4].copy_from_slice(&ENTRY_MAGIC.to_le_bytes());
-        entry[4..8].copy_from_slice(&(CACHE_LINE as u32).to_le_bytes());
-        entry[8..16].copy_from_slice(&(line_addr as u64).to_le_bytes());
-        entry[ENTRY_HDR..].copy_from_slice(dev.peek(line_addr, CACHE_LINE));
-        let cksum = entry_checksum(CACHE_LINE as u32, line_addr as u64, &entry[ENTRY_HDR..]);
-        entry[16..ENTRY_HDR].copy_from_slice(&cksum.to_le_bytes());
+        undo::encode_entry(&mut entry, ENTRY_MAGIC, line_addr, dev.peek(line_addr, CACHE_LINE));
         let at = self.base + self.pos;
         dev.write(at, &entry);
         dev.write(at + SZ, &[0u8; 4]); // scan terminator
@@ -233,43 +213,7 @@ impl UndoLog {
     /// Rolls back the interrupted transaction recorded in `image`'s undo
     /// region (newest entry first).
     pub fn recover(image: &mut CrashImage) {
-        if image.len() < specpmt_pmem::POOL_HEADER_SIZE || image.read_u64(0) != POOL_MAGIC {
-            return;
-        }
-        let base = image.read_u64(root_off(HW_UNDO_BASE_SLOT)) as usize;
-        let size = image.read_u64(root_off(HW_UNDO_SIZE_SLOT)) as usize;
-        // Both words come from the image: the sum must not wrap.
-        if base == 0 || size == 0 || base.checked_add(size).is_none_or(|end| end > image.len()) {
-            return;
-        }
-        let mut entries = Vec::new();
-        let mut pos = 0usize;
-        while pos + ENTRY_HDR <= size {
-            let at = base + pos;
-            let magic = u32::from_le_bytes(image.read_bytes(at, 4).try_into().expect("4B"));
-            if magic != ENTRY_MAGIC {
-                break;
-            }
-            let len =
-                u32::from_le_bytes(image.read_bytes(at + 4, 4).try_into().expect("4B")) as usize;
-            if pos + ENTRY_HDR + len > size {
-                break;
-            }
-            let addr = image.read_u64(at + 8) as usize;
-            let cksum = image.read_u64(at + 16);
-            let old = image.read_bytes(at + ENTRY_HDR, len).to_vec();
-            if entry_checksum(len as u32, addr as u64, &old) != cksum {
-                break;
-            }
-            entries.push((addr, old));
-            pos += ENTRY_HDR + len;
-        }
-        // An entry is only checksum-valid, not address-valid.
-        for (addr, old) in entries.into_iter().rev() {
-            if addr.checked_add(old.len()).is_some_and(|end| end <= image.len()) {
-                image.write_bytes(addr, &old);
-            }
-        }
+        undo::roll_back(image, 0, ENTRY_MAGIC);
     }
 }
 
@@ -309,50 +253,6 @@ mod tests {
         UndoLog::recover(&mut img);
         assert_eq!(img.read_u64(a), 5);
         assert_eq!(undo.used(), 0);
-    }
-
-    /// Recovery reads the region bounds and every entry address from the
-    /// image, so neither may be trusted: wrapping values are skipped, not
-    /// summed, through both hardware recoveries that end in the undo log.
-    #[test]
-    fn wrapping_region_bounds_and_entry_addresses_are_skipped() {
-        use crate::{Ede, HwSpecConfig, HwSpecPmt};
-        use specpmt_txn::{Recover, TxAccess, TxRuntime};
-
-        // One committed cold write, then an open transaction on the same
-        // line: the undo region holds one live entry.
-        let mut rt = HwSpecPmt::new(hw_pool(4 << 20), HwSpecConfig::default());
-        let a = rt.setup_alloc(64, 64);
-        rt.begin();
-        rt.write_u64(a, 7);
-        rt.commit();
-        rt.begin();
-        rt.write_u64(a, 8);
-        let valid = rt.pool().device().capture(CrashPolicy::AllSurvive);
-        let undo_base = valid.read_u64(root_off(HW_UNDO_BASE_SLOT)) as usize;
-
-        let mut wild_bounds = valid.clone();
-        wild_bounds.write_u64(root_off(HW_UNDO_BASE_SLOT), u64::MAX);
-        wild_bounds.write_u64(root_off(HW_UNDO_SIZE_SLOT), u64::MAX);
-
-        let mut wild_entry = valid.clone();
-        let addr = (usize::MAX - 3) as u64;
-        let old = [0u8; CACHE_LINE];
-        wild_entry.write_u64(undo_base + 8, addr);
-        wild_entry.write_u64(undo_base + 16, entry_checksum(CACHE_LINE as u32, addr, &old));
-        wild_entry.write_bytes(undo_base + ENTRY_HDR, &old);
-
-        for image in [wild_bounds, wild_entry] {
-            for recover in [HwSpecPmt::recover, Ede::recover] {
-                let mut img = image.clone();
-                recover(&mut img);
-                assert_eq!(img.read_u64(a), 8, "nothing could be rolled back");
-            }
-        }
-        // The untouched image does roll back, so the entry was live.
-        let mut img = valid;
-        Ede::recover(&mut img);
-        assert_eq!(img.read_u64(a), 7);
     }
 
     #[test]

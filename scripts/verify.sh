@@ -118,11 +118,39 @@ if grep -rnE 'Fnv1[a]\b|record_checksum_[f]inish|hash_[d]irty' crates src tests 
     echo "the streaming record hasher is back (hash the sealed payload with record_checksum)" >&2
     exit 1
 fi
+
 copiers=$(nontest crates/core/src/recovery.rs | awk '
     /^(pub(\(crate\))? )?fn / { name = $0; sub(/^(pub(\(crate\))? )?fn /, "", name); sub(/[<(].*/, "", name) }
     /read_chain_encode[d]\(/ { print name }' | sort -u)
 [ "$copiers" = recover_image ] ||
     { echo "recovery copies whole chains outside recover_image: ${copiers:-(none)}" >&2; exit 1; }
+
+# One undo codec and one checksum. The undo entry that PMDK's snapshots and
+# the hardware models' cold lines share is encoded, checksummed and
+# scanned in core/src/undo.rs alone, which also declares its two root
+# slots: pmdk.rs and hwtx's common.rs name neither a header size nor a
+# checksum of their own. Outside #[cfg(test)], no crates/*/src file but
+# checksum.rs calls FNV-1a; blackbox.rs keeps a private copy because the
+# telemetry crate sits below core. No pattern matches its own line.
+for f in crates/baselines/src/pmdk.rs crates/hwtx/src/common.rs; do
+    if grep -nE 'ENTRY_[H]DR|entry_[c]hecksum' "$f"; then
+        echo "re-fork guard: $f encodes or verifies undo entries itself (use core::undo)" >&2
+        exit 1
+    fi
+done
+for f in $(find crates -path '*/src/*' -name '*.rs' ! -path crates/core/src/undo.rs); do
+    if nontest "$f" | grep -nE 'UNDO_(BASE|SIZE)_[S]LOT'; then
+        echo "re-fork guard: $f addresses the undo root slots (use core::undo)" >&2
+        exit 1
+    fi
+done
+for f in $(find crates -path '*/src/*' -name '*.rs' ! -path crates/core/src/checksum.rs \
+    ! -path crates/telemetry/src/blackbox.rs); do
+    if nontest "$f" | grep -nF 'fnv1a64('; then
+        echo "re-fork guard: $f checksums with FNV-1a (on-PM formats use word_hash)" >&2
+        exit 1
+    fi
+done
 
 # Re-fork guard, sharing cost: per-owner state is written through the one
 # single-writer primitive (specpmt_telemetry::owned) and the global
@@ -370,7 +398,7 @@ done
 # descriptor and publishes heads through it; the fixed-root-slot format,
 # its constants and the "descriptor or not" accessors stay deleted, and
 # the hardware models and SPHT touch no root slot of their own (the undo
-# region's two, in hwtx/src/common.rs, are not chain heads). The §5.1.2
+# region's two are core/src/undo.rs's, and are not chain heads). The §5.1.2
 # sampling controller was measured on Fig. 15 and deleted; the CSR bit
 # stays. The four environment knobs that only pre-loaded builder fields
 # are gone: CHANGES.md keeps the history and ISSUE.md is the request that

@@ -6,12 +6,14 @@
 //! transaction is all-or-nothing.
 
 use specpmt::baselines::{PmdkConfig, PmdkUndo, Spht, SphtConfig};
+use specpmt::core::undo::{self, UNDO_BASE_SLOT, UNDO_SIZE_SLOT};
 use specpmt::core::{
     ConcurrentConfig, HashLogConfig, HashLogSpmt, LockedTxHandle, ReclaimMode, SpecConfig,
     SpecSpmt, SpecSpmtShared,
 };
+use specpmt::hwtx::{hw_pool, Ede, EdeConfig, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{
-    CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
+    root_off, CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
 };
 use specpmt::txn::driver::{check_crash_atomicity, StreamSpec};
 use specpmt::txn::{Recover, SharedLockTable, TxAccess, TxRuntime};
@@ -111,6 +113,54 @@ fn spht_is_crash_atomic_everywhere() {
 #[test]
 fn hashlog_is_crash_atomic_everywhere() {
     sweep(hashlog);
+}
+
+/// Every runtime with an undo region rolls back through `core::undo`,
+/// which reads the region bounds and every entry address from the image:
+/// wrapping values are skipped, not summed. `first_entry_off` is where the
+/// runtime's region format puts its first entry.
+fn undo_rollback_survives_wild_words<R: TxRuntime + Recover>(mut rt: R, first_entry_off: usize) {
+    // One committed write, then an open transaction on the same word: the
+    // undo region holds one live entry.
+    let a = rt.setup_alloc(64, 64);
+    rt.begin();
+    rt.write_u64(a, 7);
+    rt.commit();
+    rt.begin();
+    rt.write_u64(a, 8);
+    let valid = rt.pool().device().capture(CrashPolicy::AllSurvive);
+
+    let mut wild_bounds = valid.clone();
+    wild_bounds.write_u64(root_off(UNDO_BASE_SLOT), u64::MAX);
+    wild_bounds.write_u64(root_off(UNDO_SIZE_SLOT), u64::MAX);
+
+    // The live entry re-encoded, checksum and all, onto a wrapping address.
+    let mut wild_entry = valid.clone();
+    let at = valid.read_u64(root_off(UNDO_BASE_SLOT)) as usize + first_entry_off;
+    let word0 = valid.read_u64(at);
+    let len = (word0 >> 32) as usize;
+    let mut entry = vec![0; undo::entry_bytes(len)];
+    undo::encode_entry(&mut entry, word0 as u32, usize::MAX - 3, &vec![0; len]);
+    wild_entry.write_bytes(at, &entry);
+
+    for (what, mut img) in [("wild bounds", wild_bounds), ("wild entry", wild_entry)] {
+        R::recover(&mut img);
+        assert_eq!(img.read_u64(a), 8, "{}, {what}: nothing could be rolled back", rt.name());
+    }
+    let mut img = valid;
+    R::recover(&mut img);
+    assert_eq!(img.read_u64(a), 7, "{}: the untouched entry was live", rt.name());
+}
+
+#[test]
+fn undo_rollback_skips_wrapping_bounds_and_entry_addresses() {
+    // PMDK keeps its stage and used-offset words in the region's first 64 B.
+    undo_rollback_survives_wild_words(
+        pmdk(PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)))),
+        64,
+    );
+    undo_rollback_survives_wild_words(HwSpecPmt::new(hw_pool(4 << 20), HwSpecConfig::default()), 0);
+    undo_rollback_survives_wild_words(Ede::new(hw_pool(4 << 20), EdeConfig::default()), 0);
 }
 
 /// Crash during background reclamation/compaction must leave a recoverable

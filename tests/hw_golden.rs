@@ -193,6 +193,12 @@ fn small_epochs() -> HwSpecConfig {
 /// bytes — log records on the three SpecHPMT rows, the undo entries'
 /// checksums on all four — so its fingerprint moves while every clock and
 /// counter, which depend on sizes and addresses only, stays.
+///
+/// The three SpecHPMT `image_fnv`s were re-taken, and nothing else, when
+/// the layout descriptor's checksum moved from FNV-1a to the word hash:
+/// each of those images roots a descriptor, so its fingerprint moves. The
+/// EDE row roots none, and its undo entries were already word-hashed, so it
+/// did not move.
 #[test]
 fn hw_sim_cost_matches_goldens() {
     type Routine<'a> = &'a dyn Fn(PmemConfig) -> Observed;
@@ -223,7 +229,7 @@ fn hw_sim_cost_matches_goldens() {
                     commit_scans: 133,
                     epochs_cleared: 0,
                 },
-                image_fnv: 15_089_647_338_502_372_295,
+                image_fnv: 15_156_598_324_900_734_470,
             },
         ),
         (
@@ -252,7 +258,7 @@ fn hw_sim_cost_matches_goldens() {
                     commit_scans: 133,
                     epochs_cleared: 0,
                 },
-                image_fnv: 15_089_647_338_502_372_295,
+                image_fnv: 15_156_598_324_900_734_470,
             },
         ),
         (
@@ -281,7 +287,7 @@ fn hw_sim_cost_matches_goldens() {
                     commit_scans: 133,
                     epochs_cleared: 2,
                 },
-                image_fnv: 4_359_284_324_792_781_412,
+                image_fnv: 6_766_144_509_044_937_613,
             },
         ),
         (
