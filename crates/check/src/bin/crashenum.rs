@@ -1,8 +1,8 @@
 //! `crashenum`: deterministic crash-point enumeration driver.
 //!
 //! Drives the canonical smoke workloads
-//! ([`specpmt_core::crashsmoke`]) through the FIRST-style enumerator
-//! ([`specpmt_txn::enumerate`]): one sequential [`SpecSpmt`] workload with
+//! ([`specpmt_check::crashsmoke`]) through the FIRST-style enumerator
+//! ([`specpmt_check::enumerate`]): one sequential [`SpecSpmt`] workload with
 //! inline reclamation, plus the 4-thread [`SpecSpmtShared`] workload with
 //! group commit off *and* on (the two commit paths reach disjoint `mt/*`
 //! sites). Every labeled crash site each workload reaches is crashed at
@@ -24,7 +24,7 @@
 //! exits non-zero if the target is malformed or recovery broke.
 //!
 //! `--selftest-reorder` instead enumerates the deliberately buggy
-//! group-commit workload ([`specpmt_txn::crashenum::selftest`], receipt
+//! group-commit workload ([`specpmt_check::crashenum::selftest`], receipt
 //! persisted *before* the batch fence) and exits zero only when the
 //! enumerator catches the bug and names the violated fence site — CI runs
 //! this as a must-fail check on the harness itself.
@@ -32,7 +32,7 @@
 //! `--selftest-forensics` validates the flight-recorder decode end to
 //! end: a correct group-commit run crashed at `mt/group/pre_fence` must
 //! decode to a **clean** [`ForensicReport`], while the same run with
-//! PR 7's receipt-before-fence bug forged from outside (a durable receipt
+//! the receipt-before-fence bug forged from outside (a durable receipt
 //! for the commit about to crash) must produce a report whose violation
 //! names `mt/group/pre_fence`. Exits zero only when both arms behave.
 //!
@@ -44,14 +44,14 @@
 //! [`SpecSpmt`]: specpmt_core::SpecSpmt
 //! [`SpecSpmtShared`]: specpmt_core::SpecSpmtShared
 
-use specpmt_core::crashsmoke::{run_mt_smoke, run_seq_smoke};
+use specpmt_check::crashenum::selftest;
+use specpmt_check::crashsmoke::{run_mt_smoke, run_seq_smoke};
+use specpmt_check::{enumerate, EnumConfig, EnumReport, RunSummary};
 use specpmt_pmem::{sites, CrashPlan};
 use specpmt_telemetry::JsonWriter;
-use specpmt_txn::crashenum::selftest;
-use specpmt_txn::{enumerate, EnumConfig, EnumReport, RunSummary};
 
 /// What every repro line starts with (the enumerator appends the target).
-const REPRO: &str = "cargo run --release -q -p specpmt-bench --bin crashenum --";
+const REPRO: &str = "cargo run --release -q -p specpmt-check --bin crashenum --";
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
@@ -127,7 +127,7 @@ fn forensics_arm(buggy: bool) -> specpmt_core::ForensicReport {
         last_ts = h.commit().ts();
     }
     if buggy {
-        // PR 7's receipt-before-fence bug, forged through public API: the
+        // The receipt-before-fence bug, forged through public API: the
         // next commit's receipt is durable before that commit fences.
         let site = sites::index_of("mt/group/pre_fence").expect("known site") as u64;
         h.record_event(BbKind::TxCommit, last_ts + 1, site, 1);

@@ -33,20 +33,7 @@
 
 use specpmt_pmem::{sites, CrashPlan, CrashPolicy};
 
-/// What one workload run under an armed [`CrashPlan`] reported back.
-/// Runners build this from [`CrashControl`] accessors after the run.
-///
-/// [`CrashControl`]: specpmt_pmem::CrashControl
-#[derive(Debug, Clone, Default)]
-pub struct RunSummary {
-    /// Whether the armed plan fired during the run.
-    pub fired: bool,
-    /// The `(site, hit)` a labeled plan fired at (`None` for fuel plans
-    /// and unfired runs).
-    pub fired_at: Option<(&'static str, u64)>,
-    /// Per-site hit counts observed during the run.
-    pub site_hits: Vec<(&'static str, u64)>,
-}
+use crate::RunSummary;
 
 /// Enumeration parameters.
 #[derive(Debug, Clone)]
@@ -272,11 +259,9 @@ where
 /// A deliberately tiny group-commit workload with a switchable ordering
 /// bug, proving the enumerator catches the class of bug it exists for.
 pub mod selftest {
-    use super::RunSummary;
-    use crate::GroupCommitter;
-    use specpmt_pmem::{
-        line_of, CrashControl, CrashPlan, CrashPolicy, PmemConfig, SharedPmemDevice,
-    };
+    use crate::{end_run, RunSummary};
+    use specpmt_pmem::{line_of, CrashControl, CrashPlan, PmemConfig, SharedPmemDevice};
+    use specpmt_txn::GroupCommitter;
 
     /// Transactions the workload commits.
     pub const TXS: usize = 4;
@@ -340,14 +325,7 @@ pub mod selftest {
                 h.persist_range(receipt_addr(k), 8);
             }
         }
-        let (fired, fired_at, site_hits) = (dev.fired(), dev.fired_at(), dev.site_hits());
-        let image = match dev.take_image() {
-            Some(img) => img,
-            None => {
-                dev.flush_everything();
-                dev.capture(CrashPolicy::AllLost)
-            }
-        };
+        let (summary, image) = end_run(&dev, |d| *d, |d| d.flush_everything());
         // Recovery for this toy protocol is vacuous (no log replay); the
         // receipt/payload implication is the whole invariant.
         for k in 0..TXS {
@@ -362,7 +340,7 @@ pub mod selftest {
                 ));
             }
         }
-        Ok(RunSummary { fired, fired_at, site_hits })
+        Ok(summary)
     }
 }
 
@@ -413,7 +391,7 @@ mod tests {
     #[test]
     fn fuel_sweep_shares_the_report_format() {
         let plans = CrashPlan::sweep_fuel(1..=12, CrashPolicy::AllLost);
-        let report = run_fuel_sweep(&plans, "cargo test -q -p specpmt-txn crashenum", |plan| {
+        let report = run_fuel_sweep(&plans, "cargo test -q -p specpmt-check crashenum", |plan| {
             selftest::run_group_workload(plan, false)
         });
         assert_eq!(report.cases.len(), 12);

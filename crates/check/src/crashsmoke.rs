@@ -1,7 +1,7 @@
 //! Canonical enumeration smoke workloads.
 //!
-//! The crash-point enumerator ([`specpmt_txn::crashenum`]) is generic over
-//! a *runner* closure; this module provides the two runners the repo's
+//! The crash-point enumerator ([`crate::crashenum`]) is generic over a
+//! *runner* closure; this module provides the two runners the repo's
 //! smoke tier drives — one per runtime — sized so that together they reach
 //! **every** labeled crash site in [`specpmt_pmem::sites`]:
 //!
@@ -24,24 +24,22 @@
 //! runtime per call), recover from the captured image, and verify atomic
 //! durability, which is exactly the contract [`enumerate`] expects. They
 //! also recover every image twice — once with the reference replay
-//! ([`crate::recovery::recover_image`]), once with the engine every
+//! ([`specpmt_core::recovery::recover_image`]), once with the engine every
 //! runtime's `recover` runs — and assert the two images are
 //! bit-identical, so each enumerated crash case doubles as a check of
 //! production recovery against its executable specification.
 //!
-//! [`EnumReport::merge`]: specpmt_txn::EnumReport::merge
-//! [`enumerate`]: specpmt_txn::enumerate
+//! [`EnumReport::merge`]: crate::EnumReport::merge
+//! [`enumerate`]: crate::enumerate
 
-use specpmt_pmem::{
-    CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, SharedPmemDevice,
+use specpmt_core::recovery::{self, RecoveryOptions};
+use specpmt_core::{
+    inspect_image, ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared, TxHandle,
 };
-use specpmt_txn::driver::{
-    fresh_pool_with_region, generate_stream, run_crash_scenario, verify_recovered, StreamSpec,
-};
-use specpmt_txn::{RunSummary, TxAccess, TxRuntime};
+use specpmt_pmem::{CrashControl, CrashImage, CrashPlan, PmemConfig, SharedPmemDevice};
 
-use crate::recovery::RecoveryOptions;
-use crate::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared, TxHandle};
+use crate::driver::{check_crash_atomicity, StreamSpec};
+use crate::{bracket, end_run, run_threads, Bracket, RunSummary};
 
 /// Recovers `image` through the reference replay — named explicitly:
 /// `SpecSpmt::recover` is the engine, and would compare it with itself —
@@ -50,26 +48,25 @@ use crate::{ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared,
 /// acceptance contract that production recovery matches the reference on
 /// *every* enumerated crash case.
 ///
-/// Every image also runs through [`crate::recovery::forensics`]: the
-/// decode must never fail (torn ring slots degrade to counts), the
+/// Every image also runs through [`recovery::forensics`]: the decode must
+/// never fail (torn ring slots degrade to counts), the
 /// receipt-ahead-of-durability check must come back clean, and the event
 /// record must be consistent with what recovery reported. That makes each
 /// enumerated crash case double as a black-box soundness check.
-fn recover_and_check_equivalence(image: &mut CrashImage) -> crate::recovery::RecoveryReport {
+fn recover_and_check_equivalence(image: &mut CrashImage) {
     let mut optimized = image.clone();
-    crate::recovery::recover_image(image);
-    let report = crate::recovery::recover_image_opts(&mut optimized, &RecoveryOptions::default());
+    recovery::recover_image(image);
+    let report = recovery::recover_image_opts(&mut optimized, &RecoveryOptions::default());
     assert_eq!(*image, optimized, "the recovery engine diverged from the reference replay");
-    let fx = crate::recovery::forensics(image);
+    let fx = recovery::forensics(image);
     assert!(
         fx.is_clean(),
         "forensic violations on a correct runtime: {:?}\n{fx}\n{}",
         fx.violations,
-        crate::inspect::inspect_image(image),
+        inspect_image(image),
     );
     let issues = fx.check_against(&report);
     assert!(issues.is_empty(), "forensics inconsistent with recovery: {issues:?}\n{fx}");
-    report
 }
 
 /// Region bytes of the sequential smoke stream.
@@ -95,47 +92,26 @@ const MT_REGION: usize = 128;
 /// Returns the first atomic-durability violation found in the recovered
 /// image.
 pub fn run_seq_smoke_with_image(plan: CrashPlan) -> Result<(RunSummary, CrashImage), String> {
-    let (pool, base) = fresh_pool_with_region(1 << 19, SEQ_REGION);
-    let mut rt = SpecSpmt::new(
-        pool,
-        SpecConfig {
-            block_bytes: 256,
-            reclaim_threshold_bytes: 1024,
-            reclaim_mode: ReclaimMode::Inline,
-            ..SpecConfig::default()
-        },
-    );
-    // External-data protocol: one committed snapshot of zeros first.
-    let zeros = vec![0u8; SEQ_REGION];
-    rt.begin();
-    rt.write(base, &zeros);
-    rt.commit();
-
-    let stream = generate_stream(&StreamSpec {
+    let cfg = SpecConfig {
+        block_bytes: 256,
+        reclaim_threshold_bytes: 1024,
+        reclaim_mode: ReclaimMode::Inline,
+        ..SpecConfig::default()
+    };
+    let spec = StreamSpec {
         txs: 40,
         max_writes_per_tx: 4,
         max_write_len: 8,
         region_len: SEQ_REGION,
         seed: 0xC0DE,
-    });
-    let mut outcome = run_crash_scenario(&mut rt, base, &stream, plan);
-    let fired = outcome.image.is_some();
-    let summary =
-        RunSummary { fired, fired_at: outcome.fired_at, site_hits: outcome.site_hits.clone() };
-    let mut image = match outcome.image.take() {
-        Some(img) => img,
-        None => {
-            rt.close();
-            rt.pool().device().capture(CrashPolicy::AllLost)
-        }
     };
-    recover_and_check_equivalence(&mut image);
-    verify_recovered(&outcome, &image)?;
-    Ok((summary, image))
+    let make = |pool| SpecSpmt::new(pool, cfg);
+    let outcome = check_crash_atomicity(make, &spec, plan, recover_and_check_equivalence)?;
+    Ok((outcome.run, outcome.image))
 }
 
 /// [`run_seq_smoke_with_image`] without the image — the exact shape
-/// [`enumerate`](specpmt_txn::enumerate) wants.
+/// [`enumerate`](crate::enumerate) wants.
 ///
 /// # Errors
 ///
@@ -166,7 +142,8 @@ fn mt_value(t: usize, k: usize) -> u64 {
 /// transaction that has not written pins nothing), deterministically
 /// walking the `mt/reclaim/*` splice protocol, and a checkpoint is
 /// written. Only then does the transaction write its pair — reserving its
-/// record in the compacted chain — and commit.
+/// record in the compacted chain — and commit. The whole straggler runs in
+/// one bracket; once the image is taken it does not run at all.
 ///
 /// With `group_commit` the commits funnel through the batched-fence group
 /// path (`mt/group/*` sites); without it each commit seals solo
@@ -203,79 +180,56 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
     }
 
     dev.arm(plan);
-    let (mut definite, mut handles): (Vec<usize>, Vec<TxHandle>) = std::thread::scope(|scope| {
-        let mut workers = Vec::new();
-        for (t, (mut h, &base)) in handles.into_iter().zip(&bases).enumerate() {
-            let dev = dev.clone();
-            workers.push(scope.spawn(move || {
-                let mut last_definite = 0usize;
-                for k in 1..=MT_TXS {
-                    let (e0, f0) = dev.observe();
-                    if f0 {
-                        break; // image frozen: later commits cannot be in it
-                    }
-                    h.begin();
-                    if k % 2 == 0 {
-                        h.read(base, &mut [0u8; 8]);
-                        h.commit();
-                    } else {
-                        h.abort();
-                    }
-                    let v = mt_value(t, k).to_le_bytes();
-                    h.begin();
-                    h.write(base, &v);
-                    h.write(base + 64, &v);
-                    h.commit();
-                    let (e1, _) = dev.observe();
-                    if e0 % 2 == 0 && e1 == e0 {
-                        last_definite = k;
-                    } else {
-                        break; // boundary commit: all-or-nothing from here
-                    }
-                }
-                (last_definite, h)
-            }));
+    let txs: Vec<usize> = (1..=MT_TXS).collect();
+    let mut runs = run_threads(&dev, handles, &vec![txs; MT_THREADS], |t, h, &k| {
+        h.begin();
+        if k % 2 == 0 {
+            h.read(bases[t], &mut [0u8; 8]);
+            h.commit();
+        } else {
+            h.abort();
         }
-        workers.into_iter().map(|w| w.join().expect("worker panicked")).unzip()
+        let v = mt_value(t, k).to_le_bytes();
+        h.begin();
+        h.write(bases[t], &v);
+        h.write(bases[t] + 64, &v);
+        h.commit();
     });
 
     // Thread 0's last transaction is open, and still write-free, across
     // the compaction and the checkpoint below.
-    let (e0, f0) = dev.observe();
-    let straggler = &mut handles[0];
-    straggler.begin();
-    straggler.read(bases[0], &mut [0u8; 8]);
-    // Each chain now holds MT_TXS-fold churn on two words: one compaction
-    // cycle rewrites every chain through the two-fence splice.
-    shared.reclaim_cycle();
-    // One checkpoint write walks the ckpt/* splice protocol; recovery of
-    // the captured image then exercises checkpoint-bounded replay (or its
-    // torn-checkpoint fallback, when the crash lands mid-protocol).
-    shared.write_checkpoint();
-    let v = mt_value(0, MT_TXS + 1).to_le_bytes();
-    straggler.write(bases[0], &v);
-    straggler.write(bases[0] + 64, &v);
-    straggler.commit();
-    if definite[0] == MT_TXS && !f0 && e0 % 2 == 0 && dev.observe().0 == e0 {
-        definite[0] = MT_TXS + 1;
+    let straggler = &mut runs[0];
+    let last = bracket(&dev, || {
+        let h = &mut straggler.handle;
+        h.begin();
+        h.read(bases[0], &mut [0u8; 8]);
+        // Each chain now holds MT_TXS-fold churn on two words: one
+        // compaction cycle rewrites every chain through the two-fence
+        // splice.
+        shared.reclaim_cycle();
+        // One checkpoint write walks the ckpt/* splice protocol; recovery
+        // of the captured image then exercises checkpoint-bounded replay
+        // (or its torn-checkpoint fallback, when the crash lands
+        // mid-protocol).
+        shared.write_checkpoint();
+        let v = mt_value(0, MT_TXS + 1).to_le_bytes();
+        h.write(bases[0], &v);
+        h.write(bases[0] + 64, &v);
+        h.commit();
+    });
+    if last == Bracket::Definite {
+        straggler.definite += 1;
     }
 
-    let summary =
-        RunSummary { fired: dev.fired(), fired_at: dev.fired_at(), site_hits: dev.site_hits() };
-    let mut image = match dev.take_image() {
-        Some(img) => img,
-        None => {
-            dev.flush_everything();
-            dev.capture(CrashPolicy::AllLost)
-        }
-    };
+    let (summary, mut image) = end_run(&dev, |d| *d, |d| d.flush_everything());
     recover_and_check_equivalence(&mut image);
     // The recorder was formatted before the crash armed, so the region
     // must decode on every enumerated image.
-    let fx = crate::recovery::forensics(&image);
+    let fx = recovery::forensics(&image);
     assert!(fx.recorder_present, "flight-recorder region missing from the mt crash image");
 
-    for (t, (&base, &last_definite)) in bases.iter().zip(&definite).enumerate() {
+    for (t, (&base, run)) in bases.iter().zip(&runs).enumerate() {
+        let last_definite = run.definite;
         let (a, b) = (image.read_u64(base), image.read_u64(base + 64));
         if a != b {
             return Err(format!("thread {t}: torn pair {a:#x} / {b:#x} after recovery"));
@@ -298,8 +252,8 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{enumerate, EnumConfig, EnumReport};
     use specpmt_pmem::sites;
-    use specpmt_txn::{enumerate, EnumConfig, EnumReport};
 
     #[test]
     fn seq_smoke_enumerates_every_seq_and_layout_site() {

@@ -3,32 +3,75 @@
 //! Stepping a runtime's per-thread handles round-robin from one thread
 //! gives a replayable schedule. This module drives N actual
 //! `std::thread`s against one [`SharedPmemDevice`] and still verifies
-//! atomic durability, using the
-//! device's *crash-epoch bracketing* protocol
-//! ([`CrashControl::observe`]):
-//!
-//! * observe `(e0, f0)` before a transaction and `(e1, _)` after its commit
-//!   fence;
-//! * `f0 == false`, `e0` even, and `e1 == e0` ⇒ no image capture started
-//!   anywhere inside the bracket ⇒ the transaction is **definitely**
-//!   contained in any image captured later;
-//! * otherwise a capture overlapped the transaction ⇒ it is a *boundary*
-//!   case that recovery may surface entirely or not at all.
+//! atomic durability: [`run_threads`] runs every transaction inside a
+//! crash-epoch [`bracket`], which sorts it as definitely in the image, as
+//! the boundary transaction recovery may surface entirely or not at all,
+//! or as not run because the image was already taken.
 //!
 //! Each thread owns a disjoint data region, so per-thread verification is
 //! exact: committed transactions must be visible in commit order, the
 //! (at most one) boundary transaction must be all-or-nothing, and nothing
 //! else may touch the region.
 
-use specpmt_pmem::{CrashControl, CrashImage, CrashPlan, CrashPolicy, SharedPmemDevice};
+use specpmt_pmem::{CrashControl, CrashImage, CrashPlan, SharedPmemDevice};
+use specpmt_txn::TxAccess;
 
-use crate::driver::{verify_recovered, ScenarioOutcome, TxOp};
-use crate::{CommitOracle, TxAccess};
+use crate::driver::TxOp;
+use crate::{bracket, end_run, Bracket, CommitOracle, RunSummary};
 
-/// Per-thread execution outcome: the definitely-committed transactions, and
-/// the at-most-one transaction whose commit overlapped the image capture
-/// (all-or-nothing at recovery).
-type ThreadOutcome = (Vec<Vec<TxOp>>, Option<Vec<TxOp>>);
+/// How far one thread's stream got, as the crash-epoch bracket saw it.
+#[derive(Debug)]
+pub struct ThreadRun<H> {
+    /// The thread's handle, back from its worker.
+    pub handle: H,
+    /// How many leading transactions of the stream are definitely in the
+    /// image.
+    pub definite: usize,
+    /// Whether the next transaction's commit overlapped the capture.
+    pub boundary: bool,
+}
+
+/// Runs `streams[t]` on `handles[t]`, one real thread each: `tx(t, handle,
+/// item)` runs one transaction inside a [`bracket`] on `dev`, and a thread
+/// stops at its first transaction that is not definite.
+///
+/// # Panics
+///
+/// Panics if `handles` and `streams` disagree in length, or a worker
+/// panics.
+pub fn run_threads<H: Send, T: Sync>(
+    dev: &SharedPmemDevice,
+    handles: Vec<H>,
+    streams: &[Vec<T>],
+    tx: impl Fn(usize, &mut H, &T) + Sync,
+) -> Vec<ThreadRun<H>> {
+    assert_eq!(handles.len(), streams.len(), "one handle per stream");
+    let tx = &tx;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = handles
+            .into_iter()
+            .zip(streams)
+            .enumerate()
+            .map(|(t, (mut handle, stream))| {
+                scope.spawn(move || {
+                    let (mut definite, mut boundary) = (0, false);
+                    for item in stream {
+                        match bracket(dev, || tx(t, &mut handle, item)) {
+                            Bracket::Definite => definite += 1,
+                            Bracket::Boundary => {
+                                boundary = true;
+                                break;
+                            }
+                            Bracket::Frozen => break,
+                        }
+                    }
+                    ThreadRun { handle, definite, boundary }
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
+    })
+}
 
 /// What a multi-threaded crash scenario observed.
 #[derive(Debug, Clone)]
@@ -38,14 +81,8 @@ pub struct MtScenario {
     /// Whether a thread's commit overlapped the image capture (at most one
     /// per thread).
     pub boundary_per_thread: Vec<bool>,
-    /// Whether the armed crash fired during the run.
-    pub crash_fired: bool,
-    /// The `(site, hit)` a labeled plan fired at (`None` for fuel plans
-    /// or when the crash never fired).
-    pub fired_at: Option<(&'static str, u64)>,
-    /// Labeled-site hit counts observed during the run (empty for fuel
-    /// plans, which bypass site counting).
-    pub site_hits: Vec<(&'static str, u64)>,
+    /// What the run reported.
+    pub run: RunSummary,
 }
 
 /// Runs per-thread transaction streams on real OS threads with `plan`
@@ -71,28 +108,20 @@ pub struct MtScenario {
 #[allow(clippy::too_many_arguments)] // harness entry point: the scenario *is* seven knobs
 pub fn check_mt_crash_atomicity<H: TxAccess + Send>(
     dev: &SharedPmemDevice,
-    handles: Vec<H>,
+    mut handles: Vec<H>,
     thread_bases: &[usize],
     region_len: usize,
     streams: &[Vec<Vec<TxOp>>],
     plan: CrashPlan,
     recover: fn(&mut CrashImage),
 ) -> Result<MtScenario, String> {
-    assert_eq!(handles.len(), streams.len(), "one handle per stream");
     assert_eq!(handles.len(), thread_bases.len(), "one base per stream");
-    for (stream, &base) in streams.iter().zip(thread_bases) {
-        for tx in stream {
-            for op in tx {
-                assert!(op.addr + op.data.len() <= region_len, "op outside region");
-                let _ = base;
-            }
-        }
-    }
+    let ops = streams.iter().flatten().flatten();
+    assert!(ops.clone().all(|op| op.addr + op.data.len() <= region_len), "op outside region");
 
     // External-data protocol: one committed snapshot transaction per region
     // before speculative logging may rely on log records to revoke updates.
     let zeros = vec![0u8; region_len];
-    let mut handles = handles;
     for (h, &base) in handles.iter_mut().zip(thread_bases) {
         h.begin();
         h.write(base, &zeros);
@@ -100,94 +129,57 @@ pub fn check_mt_crash_atomicity<H: TxAccess + Send>(
     }
 
     dev.arm(plan);
-
-    // Execution: real threads, epoch-bracketed commits.
-    let results: Vec<ThreadOutcome> = std::thread::scope(|scope| {
-        let mut workers = Vec::new();
-        for ((mut h, stream), &base) in handles.into_iter().zip(streams.iter()).zip(thread_bases) {
-            let dev = dev.clone();
-            workers.push(scope.spawn(move || {
-                let mut committed: Vec<Vec<TxOp>> = Vec::new();
-                let mut boundary: Option<Vec<TxOp>> = None;
-                for tx in stream {
-                    let (e0, f0) = dev.observe();
-                    if f0 {
-                        // Image already frozen: nothing later can be in it.
-                        break;
-                    }
-                    if tx.is_empty() {
-                        // A write-free transaction reserves no record, so
-                        // its abort is as free as its commit: drive both.
-                        h.begin();
-                        h.abort();
-                    }
-                    h.begin();
-                    for op in tx {
-                        h.write(base + op.addr, &op.data);
-                    }
-                    h.commit();
-                    let (e1, _) = dev.observe();
-                    if e0 % 2 == 0 && e1 == e0 {
-                        committed.push(tx.clone());
-                    } else {
-                        boundary = Some(tx.clone());
-                        break;
-                    }
-                }
-                (committed, boundary)
-            }));
+    let progress: Vec<(usize, bool)> = run_threads(dev, handles, streams, |t, h, tx| {
+        if tx.is_empty() {
+            // A write-free transaction reserves no record, so its abort is
+            // as free as its commit: drive both.
+            h.begin();
+            h.abort();
         }
-        workers.into_iter().map(|w| w.join().expect("worker panicked")).collect()
-    });
-
-    // Image: the fired capture, or an adversarial post-shutdown image when
-    // the stream ended first.
-    let crash_fired = dev.fired();
-    let (fired_at, site_hits) = (dev.fired_at(), dev.site_hits());
-    let mut image = match dev.take_image() {
-        Some(img) => img,
-        None => {
-            dev.flush_everything();
-            dev.capture(CrashPolicy::AllLost)
+        h.begin();
+        for op in tx {
+            h.write(thread_bases[t] + op.addr, &op.data);
         }
-    };
+        h.commit();
+    })
+    .into_iter()
+    .map(|r| (r.definite, r.boundary))
+    .collect();
+
+    let (run, mut image) = end_run(dev, |d| *d, |d| d.flush_everything());
     recover(&mut image);
 
     // Per-thread verification over disjoint regions.
-    let mut committed_per_thread = Vec::with_capacity(results.len());
-    let mut boundary_per_thread = Vec::with_capacity(results.len());
-    for (tid, ((committed, boundary), &base)) in results.iter().zip(thread_bases).enumerate() {
+    for (t, (&(definite, boundary), stream)) in progress.iter().zip(streams).enumerate() {
+        let base = thread_bases[t];
         let mut oracle = CommitOracle::new();
         oracle.begin();
         oracle.write(base, &zeros);
         oracle.commit();
-        for tx in committed {
+        for (k, tx) in stream.iter().take(definite + usize::from(boundary)).enumerate() {
             oracle.begin();
             for op in tx {
                 oracle.write(base + op.addr, &op.data);
             }
-            oracle.commit();
+            if k < definite {
+                oracle.commit();
+            } else {
+                oracle.boundary_commit();
+            }
         }
-        let outcome = ScenarioOutcome {
-            image: None,
-            committed_txs: committed.len(),
-            boundary: boundary.clone(),
-            oracle,
-            region_base: base,
-            fired_at,
-            site_hits: Vec::new(),
-        };
-        verify_recovered(&outcome, &image).map_err(|e| format!("thread {tid}: {e}"))?;
-        committed_per_thread.push(committed.len());
-        boundary_per_thread.push(boundary.is_some());
+        oracle.verify(&image).map_err(|e| format!("thread {t}: {e}"))?;
     }
-    Ok(MtScenario { committed_per_thread, boundary_per_thread, crash_fired, fired_at, site_hits })
+    Ok(MtScenario {
+        committed_per_thread: progress.iter().map(|p| p.0).collect(),
+        boundary_per_thread: progress.iter().map(|p| p.1).collect(),
+        run,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specpmt_pmem::PmemConfig;
+    use specpmt_pmem::{CrashPolicy, PmemConfig};
 
     /// A deliberately naive runtime for harness self-tests: in-place writes
     /// with immediate per-op persistence and an undo set discarded at

@@ -6,15 +6,21 @@ use specpmt_pmem::CrashImage;
 
 /// Tracks the byte-level state that a crash-consistent runtime must expose
 /// after recovery: the value last written by a **committed** transaction (or
-/// the pre-existing value if no committed transaction ever wrote the byte).
+/// the pre-existing value if no committed transaction ever wrote the byte),
+/// plus the writes of the one *boundary* transaction whose commit the crash
+/// cut, which recovery may surface entirely or not at all.
 ///
 /// Drivers mirror every transactional write into the oracle; on
 /// [`commit`](Self::commit) the pending writes become expected state, on
-/// [`abort`](Self::abort) (or a crash mid-transaction) they are discarded.
+/// [`abort`](Self::abort) (or a crash mid-transaction) they are discarded,
+/// and on [`boundary_commit`](Self::boundary_commit) they become the
+/// boundary transaction.
 #[derive(Debug, Clone, Default)]
 pub struct CommitOracle {
     committed: HashMap<usize, u8>,
     pending: HashMap<usize, u8>,
+    /// The boundary transaction's writes: all new, or all old.
+    boundary: HashMap<usize, u8>,
     /// `true` between [`begin`](Self::begin) and
     /// [`commit`](Self::commit) / [`abort`](Self::abort).
     tx_open: bool,
@@ -62,6 +68,19 @@ impl CommitOracle {
         }
     }
 
+    /// Ends the open transaction as the boundary transaction: its commit
+    /// overlapped the crash, so recovery may surface all of its writes or
+    /// none of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no transaction is open.
+    pub fn boundary_commit(&mut self) {
+        assert!(self.tx_open, "oracle: commit outside transaction");
+        self.tx_open = false;
+        self.boundary = std::mem::take(&mut self.pending);
+    }
+
     /// Discards the open transaction's writes (abort or crash).
     pub fn abort(&mut self) {
         self.tx_open = false;
@@ -83,26 +102,31 @@ impl CommitOracle {
         Some(u64::from_le_bytes(b))
     }
 
-    /// Iterates over `(addr, expected_value)` for every byte written by a
-    /// committed transaction, in no particular order.
-    pub fn committed_bytes(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.committed.iter().map(|(&a, &b)| (a, b))
-    }
-
-    /// Checks a recovered image against the committed state.
+    /// Checks a recovered image: every committed byte the boundary
+    /// transaction did not write has its committed value, and the boundary
+    /// transaction surfaced entirely or not at all (a byte no committed
+    /// transaction wrote was zero before it).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first mismatching byte.
+    /// Returns a description of the first violation.
     pub fn verify(&self, image: &CrashImage) -> Result<(), String> {
         let bytes = image.as_bytes();
         for (&addr, &want) in &self.committed {
             let got = bytes[addr];
-            if got != want {
+            if got != want && !self.boundary.contains_key(&addr) {
                 return Err(format!(
                     "addr {addr:#x}: recovered {got:#04x}, committed state requires {want:#04x}"
                 ));
             }
+        }
+        let surfaced = |new: bool| {
+            self.boundary.iter().all(|(&addr, &b)| {
+                bytes[addr] == if new { b } else { self.expected(addr).unwrap_or(0) }
+            })
+        };
+        if !surfaced(true) && !surfaced(false) {
+            return Err("boundary transaction surfaced partially (atomicity violation)".into());
         }
         Ok(())
     }

@@ -1842,82 +1842,6 @@ pub(crate) mod tests {
         assert_eq!(img.read_u64(base), 2);
     }
 
-    /// Crash-point sweep through the group-commit window (satellite:
-    /// batched-fence crash atomicity). Multi-op transactions on four
-    /// threads with the crash armed at every fuel budget across the run:
-    /// the capture lands before the combiner's batch fence, between the
-    /// fence and receipt distribution, and while waiters sit staged —
-    /// receipt-holders must never lose a transaction, boundary/non-receipt
-    /// transactions must be all-or-nothing after recovery.
-    #[test]
-    fn group_commit_mt_crash_sweep_all_lost() {
-        group_crash_sweep(CrashPolicy::AllLost, false);
-    }
-
-    #[test]
-    fn group_commit_mt_crash_sweep_random_policy() {
-        group_crash_sweep(CrashPolicy::Random(0xC0FFEE), false);
-    }
-
-    #[test]
-    fn group_commit_dp_mt_crash_sweep() {
-        group_crash_sweep(CrashPolicy::AllLost, true);
-    }
-
-    fn group_crash_sweep(policy: CrashPolicy, dp: bool) {
-        use specpmt_pmem::CrashPlan;
-        use specpmt_txn::driver::TxOp;
-        use specpmt_txn::RunSummary;
-        let threads = 4usize;
-        let region = 256usize;
-        let plans = CrashPlan::sweep_fuel((1..90).step_by(2).map(|n| n as u64), policy);
-        let report = specpmt_txn::run_fuel_sweep(
-            &plans,
-            "cargo test -p specpmt-core group_crash_sweep",
-            |plan| {
-                let s = shared(
-                    ConcurrentConfig::builder()
-                        .threads(threads)
-                        .group_commit(true)
-                        .data_persistence(dp)
-                        .build(),
-                );
-                let base = alloc_region(&s, threads * region);
-                let bases: Vec<usize> = (0..threads).map(|t| base + t * region).collect();
-                let handles: Vec<TxHandle> = (0..threads).map(|t| s.tx_handle(t)).collect();
-                let streams: Vec<Vec<Vec<TxOp>>> = (0..threads as u8)
-                    .map(|t| {
-                        (0..6u8)
-                            .map(|i| {
-                                vec![
-                                    TxOp { addr: 0, data: vec![t * 32 + i + 1; 8] },
-                                    TxOp { addr: 64, data: vec![t * 32 + i + 1; 8] },
-                                    TxOp { addr: 160, data: vec![0xA0 + i; 4] },
-                                ]
-                            })
-                            .collect()
-                    })
-                    .collect();
-                specpmt_txn::check_mt_crash_atomicity(
-                    s.device(),
-                    handles,
-                    &bases,
-                    region,
-                    &streams,
-                    plan,
-                    SpecSpmtShared::recover,
-                )
-                .map(|out| RunSummary {
-                    fired: out.crash_fired,
-                    fired_at: out.fired_at,
-                    site_hits: out.site_hits,
-                })
-                .map_err(|e| format!("dp={dp}: {e}"))
-            },
-        );
-        assert!(report.passed(), "failures:\n{}", report.failure_lines().join("\n"));
-    }
-
     /// The committed records of every chain and whether it is open, read
     /// the slow way: a full `parse_chain` from each head.
     fn parse_all(s: &SpecSpmtShared) -> Vec<(usize, bool, Vec<crate::record::LogRecord>)> {

@@ -72,7 +72,6 @@
 
 mod checksum;
 pub mod concurrent;
-pub mod crashsmoke;
 mod engine;
 pub mod hashlog;
 pub mod inspect;
@@ -90,7 +89,6 @@ pub use concurrent::{
     ConcurrentConfig, ConcurrentConfigBuilder, GroupCombinerDaemon, PoolSource, ReclaimDaemon,
     SharedStats, SpecSpmtShared, TxHandle,
 };
-pub use crashsmoke::{run_mt_smoke, run_seq_smoke, run_seq_smoke_with_image};
 pub use hashlog::{HashLogConfig, HashLogSpmt};
 pub use inspect::{inspect_image, ChainSummary, InspectReport};
 pub use layout::{PoolLayout, LAYOUT_SLOT};

@@ -14,8 +14,8 @@
 //! fresher records later in the order, which is harmless.
 //!
 //! [`recover_image`] is that paragraph as code and is **the reference**:
-//! tests, `crashsmoke` (on every enumerated crash image) and `benchmark/`
-//! compare against it, and nothing in production calls it. Every
+//! tests, `specpmt-check`'s smoke workloads (on every enumerated crash
+//! image) and `benchmark/` compare against it, and nothing in production calls it. Every
 //! runtime's `recover` runs the engine, [`recover_image_opts`].
 //!
 //! Both read every chain through the one streaming parser
@@ -112,7 +112,7 @@ pub fn committed_records(image: &CrashImage) -> Vec<LogRecord> {
 /// timestamp order — **the reference**, not a production path: the
 /// executable statement of what recovery means, which
 /// [`recover_image_opts`] must (and, on every enumerated crash image, is
-/// tested to) reproduce bit for bit. Called by tests, by
+/// tested to) reproduce bit for bit. Called by tests, by `specpmt-check`'s
 /// `crashsmoke::recover_and_check_equivalence` and by `benchmark/` only.
 ///
 /// Same order as [`committed_records`] (chains in `tid` order, stable sort

@@ -11,30 +11,21 @@
 //! (the machine rebooted; no runtime state survives), expressed by the
 //! [`Recover`] trait.
 //!
-//! The crate also provides the correctness harness: a [`oracle::CommitOracle`]
-//! that shadows committed state, and a [`driver`] that generates random
-//! transaction streams, crashes the device at arbitrary points under
-//! arbitrary [`specpmt_pmem::CrashPolicy`]s, recovers, and verifies
-//! atomicity — the property at the heart of the paper.
+//! The correctness harness that checks every runtime against these traits
+//! — the commit oracle, the crash-injection drivers and the crash-point
+//! enumerator — is the separate `specpmt-check` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod crashenum;
-pub mod driver;
 pub mod group;
 pub mod lock;
-pub mod mt;
-pub mod oracle;
 mod report;
 mod runtime;
 
 pub use access::{run_tx, CommitReceipt, TxAccess};
-pub use crashenum::{enumerate, run_fuel_sweep, CaseResult, EnumConfig, EnumReport, RunSummary};
 pub use group::{GroupBatch, GroupCommitter, GroupReport};
 pub use lock::{LockGuard, LockTableStats, SharedLockTable};
-pub use mt::{check_mt_crash_atomicity, MtScenario};
-pub use oracle::CommitOracle;
 pub use report::{geomean, RunReport, TxStats};
 pub use runtime::{Recover, TxRuntime};

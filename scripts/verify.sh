@@ -232,7 +232,7 @@ run benchmark/check.sh
 # verifies recovery. The run must visit the ENTIRE site inventory — an
 # unvisited label means dead instrumentation or a lost code path.
 enum_out=$(mktemp)
-run cargo run --release --offline -q -p specpmt-bench --bin crashenum -- --cap 2 \
+run cargo run --release --offline -q -p specpmt-check --bin crashenum -- --cap 2 \
     | tee "$enum_out"
 for key in '"bench":"crashenum"' '"passed":true' '"unvisited":[]'; do
     grep -qF "$key" "$enum_out" ||
@@ -252,7 +252,7 @@ rm -f "$enum_out"
 # not a harness.
 selftest_out=$(mktemp)
 echo "==> crashenum --selftest-reorder (injected ordering bug must be caught)"
-cargo run --release --offline -q -p specpmt-bench --bin crashenum -- --selftest-reorder \
+cargo run --release --offline -q -p specpmt-check --bin crashenum -- --selftest-reorder \
     | tee "$selftest_out" ||
     { echo "crashenum self-test: injected ordering bug was NOT caught" >&2; exit 1; }
 for key in '"bug_caught":true' '"fence_site_named":true' ' --target '; do
@@ -263,7 +263,7 @@ rm -f "$selftest_out"
 
 # The repro command itself: one crash, replayed on the workload that
 # reaches the site (non-zero exit on a bad target or a broken recovery).
-run cargo run --release --offline -q -p specpmt-bench --bin crashenum -- \
+run cargo run --release --offline -q -p specpmt-check --bin crashenum -- \
     --target mt/group/pre_fence:1
 
 # Forensics self-test: the flight-recorder decode must tell a correct
@@ -273,7 +273,7 @@ run cargo run --release --offline -q -p specpmt-bench --bin crashenum -- \
 # records for is decoration.
 forensics_out=$(mktemp)
 echo "==> crashenum --selftest-forensics (re-injected receipt bug must be named)"
-cargo run --release --offline -q -p specpmt-bench --bin crashenum -- --selftest-forensics \
+cargo run --release --offline -q -p specpmt-check --bin crashenum -- --selftest-forensics \
     | tee "$forensics_out" ||
     { echo "crashenum forensics self-test failed" >&2; exit 1; }
 for key in '"clean_ok":true' '"bug_caught":true' '"site_named":true'; do
@@ -387,7 +387,7 @@ if nontest crates/core/src/concurrent.rs | grep -nE 'BTree[M]ap|Rw[L]ock'; then
     echo "concurrent.rs folds through a map or locks its slot list again" >&2
     exit 1
 fi
-for f in $(find crates -path '*/src/*' -name '*.rs' ! -path 'crates/core/src/crashsmoke.rs'); do
+for f in $(find crates -path '*/src/*' -name '*.rs' ! -path 'crates/check/src/crashsmoke.rs'); do
     hits=$(nontest "$f" | grep -nE 'recovery::recover_[i]mage\(' || true)
     [ -z "$hits" ] ||
         { echo "$f calls the reference replay from production code:" >&2
@@ -441,8 +441,8 @@ if grep -rnE 'group_linger_[n]s|with_[l]inger|commit_[u]rgent|close_[n]ow|MAX_LI
     exit 1
 fi
 
-# One measurement system, finished: crates/bench keeps the figures, crashenum
-# and txstat. The wall-clock harness, bench targets, sweeps and retired
+# One measurement system, finished: crates/bench keeps the figures and txstat
+# (crashenum is crates/check's). The wall-clock harness, bench targets, sweeps and retired
 # options stay deleted (history not searched; no self-match).
 if [ -d crates/bench/benches ] || grep -n '^\[\[[b]ench\]\]' crates/bench/Cargo.toml; then
     echo "a bench target is back in crates/bench (host time is benchmark/'s)" >&2
@@ -461,6 +461,26 @@ fi
 if grep -rnE 'Metri[c]::|METRIC_[N]AMES|snapshot_[d]elta|Delta[S]napshot|\bSer[i]es\b|export_[n]ame|crash_[e]poch' \
     crates src tests examples README.md DESIGN.md .claude; then
     echo "a second counting system is back (read the count where it is exact)" >&2
+    exit 1
+fi
+
+# One correctness crate: the oracle, the stream and real-thread drivers, the
+# smoke workloads, the enumerator and its bin live in crates/check, and no
+# production crate depends on it; the root package takes it for tests/ only.
+# The retired module paths and the bench copy of the bin stay gone.
+for f in crates/*/Cargo.toml; do
+    [ "$f" = crates/check/Cargo.toml ] && continue
+    if grep -nF specpmt-check "$f"; then
+        echo "$f depends on the correctness harness (only tests may)" >&2
+        exit 1
+    fi
+done
+sections=$(awk '/^\[/ { s = $0 } /specpmt-check/ { print s }' Cargo.toml | sort -u | tr '\n' ' ')
+[ "$sections" = "[dev-dependencies] [workspace.dependencies] " ] ||
+    { echo "root Cargo.toml names specpmt-check outside its dev-dependencies: $sections" >&2; exit 1; }
+if grep -rnE '^ *(pub )?mod (crashsmoke|driver|mt|oracle|crashenum)\b' crates/core/src crates/txn/src ||
+    [ -e crates/bench/src/bin/crashenum.rs ]; then
+    echo "crash-harness code is back in a production crate (it lives in crates/check)" >&2
     exit 1
 fi
 

@@ -5,8 +5,8 @@
 //! (ASPLOS 2023). Re-exports every member crate under a stable path:
 //!
 //! * [`pmem`] — simulated persistent memory (device, crash images, pool).
-//! * [`txn`] — the `TxRuntime` abstraction, crash-test driver and
-//!   strict-2PL lock table.
+//! * [`txn`] — the `TxRuntime` abstraction and the strict-2PL lock
+//!   table. The crash harness is the dev-only `specpmt-check` crate.
 //! * [`core`] — software SpecPMT: the paper's primary contribution.
 //! * [`baselines`] — PMDK, Kamino-Tx, SPHT, and no-log comparators.
 //! * [`hwsim`] / [`hwtx`] — the microarchitectural model and the hardware

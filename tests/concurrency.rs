@@ -4,7 +4,7 @@
 //! Real OS threads drive per-thread transaction streams into one shared
 //! pool; the device crashes at a swept persistence-operation boundary
 //! under every [`CrashPolicy`]; recovery replays the speculative logs and
-//! [`specpmt::txn::check_mt_crash_atomicity`] verifies per-thread atomic
+//! [`specpmt_check::check_mt_crash_atomicity`] verifies per-thread atomic
 //! durability via the crash-epoch bracketing protocol. The sweep covers
 //! both SpecSPMT and SpecSPMT-DP, with and without the background
 //! reclamation daemon racing the application threads.
@@ -16,11 +16,9 @@ use specpmt::core::{ConcurrentConfig, LockedTxHandle, SpecSpmtShared};
 use specpmt::pmem::{
     CrashPlan, CrashPolicy, CrashTrigger, PmemConfig, SharedPmemDevice, SharedPmemPool,
 };
-use specpmt::txn::driver::{generate_stream, StreamSpec, TxOp};
-use specpmt::txn::{
-    check_mt_crash_atomicity, run_fuel_sweep, run_tx, MtScenario, RunSummary, SharedLockTable,
-    TxAccess,
-};
+use specpmt::txn::{run_tx, SharedLockTable, TxAccess};
+use specpmt_check::driver::{generate_stream, StreamSpec, TxOp};
+use specpmt_check::{check_mt_crash_atomicity, end_run, run_fuel_sweep, EnumReport, MtScenario};
 
 const REGION_LEN: usize = 256;
 
@@ -72,12 +70,6 @@ fn run_scenario(
     out
 }
 
-/// Adapts a scenario outcome to the enumerator's per-run summary so the
-/// fuel sweeps below share [`run_fuel_sweep`]'s coverage/failure report.
-fn summarize(out: MtScenario) -> RunSummary {
-    RunSummary { fired: out.crash_fired, fired_at: out.fired_at, site_hits: out.site_hits }
-}
-
 /// Fuel used by a sweep plan, for deriving per-case seeds.
 fn fuel_of(plan: CrashPlan) -> u64 {
     match plan.trigger() {
@@ -96,12 +88,12 @@ fn sweep_policies(
     daemon_poll: Option<Duration>,
     repro: &str,
 ) {
-    let mut merged = specpmt::txn::EnumReport::default();
+    let mut merged = EnumReport::default();
     for (p, &policy) in policies.iter().enumerate() {
         let plans = CrashPlan::sweep_fuel(fuels.iter().copied(), policy);
         let report = run_fuel_sweep(&plans, repro, |plan| {
             let seed = fuel_of(plan).wrapping_mul(seed_mul) + p as u64;
-            run_scenario(cfg_of(), plan, seed, daemon_poll).map(summarize)
+            run_scenario(cfg_of(), plan, seed, daemon_poll).map(|out| out.run)
         });
         merged.merge(report);
     }
@@ -268,14 +260,7 @@ fn run_racing_writers(threads: usize, crash_after: u64, seed: u64) -> bool {
     });
     assert_eq!(locks.held_stripes(), 0, "stripes leaked after commit/abort");
 
-    let crash_fired = dev.fired();
-    let mut image = match dev.take_image() {
-        Some(img) => img,
-        None => {
-            dev.flush_everything();
-            dev.capture(CrashPolicy::AllLost)
-        }
-    };
+    let (run, mut image) = end_run(&dev, |d| *d, |d| d.flush_everything());
     SpecSpmtShared::recover(&mut image);
     for slot in 0..SLOTS {
         let a = base + slot * SLOT_BYTES;
@@ -286,7 +271,7 @@ fn run_racing_writers(threads: usize, crash_after: u64, seed: u64) -> bool {
              seed={seed}): {w0:#x} / {w1:#x}"
         );
     }
-    crash_fired
+    run.fired
 }
 
 #[test]
@@ -356,7 +341,7 @@ fn full_streams_commit_when_crash_never_fires() {
         None,
     )
     .expect("crash-free run verifies");
-    assert!(!out.crash_fired);
+    assert!(!out.run.fired);
     assert_eq!(out.committed_per_thread, vec![12; 4]);
     assert_eq!(out.boundary_per_thread, vec![false; 4]);
 }

@@ -15,8 +15,8 @@ use specpmt::hwtx::{hw_pool, Ede, EdeConfig, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{
     root_off, CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
 };
-use specpmt::txn::driver::{check_crash_atomicity, StreamSpec};
 use specpmt::txn::{Recover, SharedLockTable, TxAccess, TxRuntime};
+use specpmt_check::driver::{check_crash_atomicity, StreamSpec};
 
 fn spec(pool: PmemPool) -> SpecSpmt {
     SpecSpmt::new(
@@ -72,7 +72,7 @@ where
                 CrashPolicy::Random(seed * 1000 + crash_after),
             ] {
                 let plan = CrashPlan::after_ops(crash_after).with_policy(policy);
-                let outcome = check_crash_atomicity(make, &spec_stream, plan)
+                let outcome = check_crash_atomicity(make, &spec_stream, plan, R::recover)
                     .unwrap_or_else(|e| {
                         panic!(
                             "atomicity violated (seed {seed}, crash_after {crash_after}, {policy:?}): {e}"
@@ -188,6 +188,7 @@ fn specspmt_crash_mid_reclamation_recovers() {
             make,
             &spec_stream,
             CrashPlan::after_ops(fuel).with_policy(CrashPolicy::Random(fuel)),
+            SpecSpmt::recover,
         )
         .unwrap_or_else(|e| panic!("mid-reclamation crash (fuel {fuel}): {e}"));
     }

@@ -17,8 +17,8 @@ use specpmt::core::{
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool, PmemStats, TimingMode,
 };
-use specpmt::txn::driver::{generate_stream, StreamSpec, TxOp};
 use specpmt::txn::{TxAccess, TxRuntime};
+use specpmt_check::driver::{generate_stream, StreamSpec, TxOp};
 
 const POOL_BYTES: usize = 1 << 22;
 const REGION_LEN: usize = 1024;

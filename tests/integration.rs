@@ -134,7 +134,7 @@ fn workload_state_survives_crash_after_run() {
 fn hw_spec_epoch_lifecycle_recovers() {
     use specpmt::hwsim::HwConfig;
     use specpmt::pmem::{CrashImage, CrashPlan};
-    use specpmt::txn::CommitOracle;
+    use specpmt_check::CommitOracle;
     const HEAD_WRITE: &str = "layout/head_write";
 
     /// Runs the workload under `plan` until it fires (or to the end);
@@ -220,8 +220,8 @@ fn runtimes_are_send() {
 /// oracle exactly, and a second run reproduces the image byte for byte.
 #[test]
 fn round_robin_handles_recover_to_oracle_state_deterministically() {
-    use specpmt::txn::driver::{generate_stream, StreamSpec};
-    use specpmt::txn::CommitOracle;
+    use specpmt_check::driver::{generate_stream, StreamSpec};
+    use specpmt_check::CommitOracle;
 
     let streams: Vec<_> = (0..3u64)
         .map(|seed| {

@@ -10,8 +10,8 @@ use specpmt::core::{SpecConfig, SpecSpmt};
 use specpmt::pmem::{
     CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SplitMix64, TimingMode,
 };
-use specpmt::txn::driver::{check_crash_atomicity, StreamSpec};
 use specpmt::txn::{Recover, TxAccess, TxRuntime};
+use specpmt_check::driver::{check_crash_atomicity, StreamSpec};
 use specpmt_pmem::CrashControl;
 
 /// Draws a random log record: 1–5 entries of 1–40 bytes in a 4 KiB window
@@ -281,6 +281,7 @@ fn specspmt_crash_atomicity_random() {
             make,
             &spec_stream,
             CrashPlan::after_ops(crash_after).with_policy(CrashPolicy::Random(policy_seed)),
+            SpecSpmt::recover,
         )
         .unwrap_or_else(|e| {
             panic!("atomicity violation (seed={seed} crash_after={crash_after}): {e}")
@@ -367,8 +368,8 @@ fn device_persistence_invariants() {
 fn concurrent_crash_atomicity_random() {
     use specpmt::core::{ConcurrentConfig, SpecSpmtShared};
     use specpmt::pmem::{SharedPmemDevice, SharedPmemPool};
-    use specpmt::txn::check_mt_crash_atomicity;
-    use specpmt::txn::driver::generate_stream;
+    use specpmt_check::check_mt_crash_atomicity;
+    use specpmt_check::driver::generate_stream;
 
     for seed in 0u64..24 {
         let mut rng = SplitMix64::new(seed ^ 0xAB1E);
