@@ -1,11 +1,13 @@
 //! Kamino-Tx upper-bound model.
 
-use specpmt_core::word_hash;
+use specpmt_core::undo;
 use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 const ENTRY_MAGIC: u32 = 0x4B41_4D4E; // "KAMN"
-const ENTRY_BYTES: usize = 24; // magic u32 | len u32 | addr u64 | cksum u64
+/// An intent is an undo entry with no pre-image: `magic | 0`, the
+/// object's address, and its seal.
+const ENTRY_BYTES: usize = undo::entry_bytes(0);
 
 /// Configuration for [`KaminoTx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,12 +108,8 @@ impl TxAccess for KaminoTx {
                     "Kamino address log exhausted; raise KaminoConfig::log_bytes"
                 );
                 self.pool.device_mut().advance(self.cfg.sw_overhead_ns);
-                let word0 = u64::from(ENTRY_MAGIC) | (GRANULE as u64) << 32;
                 let mut entry = [0u8; ENTRY_BYTES];
-                entry[0..8].copy_from_slice(&word0.to_le_bytes());
-                entry[8..16].copy_from_slice(&(line_start as u64).to_le_bytes());
-                let cksum = word_hash(&[], word0, line_start as u64);
-                entry[16..].copy_from_slice(&cksum.to_le_bytes());
+                undo::encode_entry(&mut entry, ENTRY_MAGIC, line_start, &[]);
                 let at = self.log_base + self.log_pos;
                 let dev = self.pool.device_mut();
                 dev.write(at, &entry);

@@ -3,6 +3,7 @@
 use std::collections::BTreeSet;
 
 use specpmt_core::undo::{self, entry_bytes};
+use specpmt_pmem::frame::Fields;
 use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
@@ -10,6 +11,14 @@ const ENTRY_MAGIC: u32 = 0x554E_444F; // "UNDO"
 /// Entries start here; the first 64 B of the region hold the tx-stage word
 /// and the used-offset word.
 const ENTRIES_OFF: usize = 64;
+
+/// The magic of transaction `generation`'s entries. The stage word holds
+/// the generation in flight (0: none) and recovery rolls back only its
+/// entries: commit invalidates just the first entry, so older entries
+/// behind it (or under a rewrite torn after its magic) still verify.
+fn entry_magic(generation: u64) -> u32 {
+    ENTRY_MAGIC ^ (generation ^ generation >> 32) as u32
+}
 
 /// Configuration for [`PmdkUndo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +60,8 @@ pub struct PmdkUndo {
     cfg: PmdkConfig,
     log_base: usize,
     log_pos: usize,
+    /// The open (or last) transaction's generation, counted from 1.
+    generation: u64,
     in_tx: bool,
     logged_objects: BTreeSet<usize>,
     data_lines: BTreeSet<usize>,
@@ -82,6 +93,7 @@ impl PmdkUndo {
             cfg,
             log_base,
             log_pos: ENTRIES_OFF,
+            generation: 0,
             in_tx: false,
             logged_objects: BTreeSet::new(),
             data_lines: BTreeSet::new(),
@@ -114,7 +126,7 @@ impl PmdkUndo {
         self.pool.device_mut().advance(read_ns + (lines as u64 - 1) * read_ns / 3);
         let mut entry = vec![0u8; sz];
         let old = self.pool.device().peek(obj_start, granule);
-        undo::encode_entry(&mut entry, ENTRY_MAGIC, obj_start, old);
+        undo::encode_entry(&mut entry, entry_magic(self.generation), obj_start, old);
         let at = self.log_base + self.log_pos;
         let dev = self.pool.device_mut();
         dev.write(at, &entry);
@@ -145,8 +157,10 @@ impl TxAccess for PmdkUndo {
         self.logged_objects.clear();
         self.data_lines.clear();
         self.stats.tx_begun += 1;
-        // Persist the TX_STAGE_WORK transition, as libpmemobj does.
-        self.pool.device_mut().write_u64(self.log_base, 1);
+        self.generation += 1;
+        // Persist the TX_STAGE_WORK transition, as libpmemobj does; the
+        // stage word names the transaction's generation (see `entry_magic`).
+        self.pool.device_mut().write_u64(self.log_base, self.generation);
         self.pool.device_mut().clwb(self.log_base);
         self.pool.device_mut().sfence();
     }
@@ -227,7 +241,10 @@ impl TxRuntime for PmdkUndo {
 
 impl Recover for PmdkUndo {
     fn recover(image: &mut CrashImage) {
-        undo::roll_back(image, ENTRIES_OFF, ENTRY_MAGIC);
+        let stage = undo::region(image).and_then(|region| Fields::new(region).u64());
+        if let Some(generation) = stage.filter(|&generation| generation != 0) {
+            undo::roll_back(image, ENTRIES_OFF, entry_magic(generation));
+        }
     }
 }
 

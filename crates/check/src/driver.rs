@@ -54,20 +54,50 @@ impl Default for StreamSpec {
 }
 
 /// Generates a random transaction stream from `spec`.
+///
+/// A transaction's first write lands anywhere in the region. Each later
+/// one revisits an earlier write of the same transaction half of the
+/// time, in one of three ways: the same `(addr, len)` (the write set's
+/// in-place patch), a write that starts inside the earlier one and runs
+/// past its end (a straddle), or one that lies inside it (a nested write).
+/// Uniform draws alone almost never repeat a range with a partial overlap
+/// in between, the history that reorders writes if a patch skips over it.
 pub fn generate_stream(spec: &StreamSpec) -> Vec<Vec<TxOp>> {
     assert!(spec.region_len >= spec.max_write_len.max(1), "region too small");
+    let max_len = spec.max_write_len.max(1);
     let mut rng = SplitMix64::new(spec.seed);
     (0..spec.txs)
         .map(|_| {
             let writes = rng.range_usize(0, spec.max_writes_per_tx);
-            (0..writes)
-                .map(|_| {
-                    let len = rng.range_usize(1, spec.max_write_len.max(1));
-                    let addr = rng.range_usize(0, spec.region_len - len);
-                    let data = (0..len).map(|_| rng.next_u8()).collect();
-                    TxOp { addr, data }
-                })
-                .collect()
+            let mut ops: Vec<TxOp> = Vec::with_capacity(writes);
+            for _ in 0..writes {
+                let (addr, len) = match (ops.len(), rng.below(6)) {
+                    (0, _) | (_, 3..) => {
+                        let len = rng.range_usize(1, max_len);
+                        (rng.range_usize(0, spec.region_len - len), len)
+                    }
+                    (n, kind) => {
+                        let prev = &ops[rng.below(n as u64) as usize];
+                        let (pa, end) = (prev.addr, prev.addr + prev.data.len());
+                        if kind == 0 {
+                            (pa, end - pa)
+                        } else {
+                            let addr = rng.range_usize(pa, end - 1);
+                            let len = if kind == 1 {
+                                (end - addr + rng.range_usize(1, max_len))
+                                    .min(max_len)
+                                    .min(spec.region_len - addr)
+                            } else {
+                                rng.range_usize(1, end - addr)
+                            };
+                            (addr, len)
+                        }
+                    }
+                };
+                let data = (0..len).map(|_| rng.next_u8()).collect();
+                ops.push(TxOp { addr, data });
+            }
+            ops
         })
         .collect()
 }
@@ -175,11 +205,11 @@ mod tests {
 
     #[test]
     fn stream_generation_is_deterministic_and_bounded() {
-        let spec = StreamSpec { txs: 10, seed: 7, ..StreamSpec::default() };
+        let spec = StreamSpec { txs: 100, seed: 7, ..StreamSpec::default() };
         let a = generate_stream(&spec);
         let b = generate_stream(&spec);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 10);
+        assert_eq!(a.len(), 100);
         assert!(a.iter().any(Vec::is_empty), "the stream draws write-free transactions");
         assert!(a.iter().any(|tx| !tx.is_empty()));
         for tx in &a {
@@ -189,6 +219,40 @@ mod tests {
                 assert!(op.addr + op.data.len() <= spec.region_len);
             }
         }
+    }
+
+    /// Every kind of revisit shows up — a repeat of an earlier write's
+    /// `(addr, len)`, a write starting inside an earlier one and ending
+    /// past it, one lying inside it — and so does the history that
+    /// reorders writes under a careless patch: a range repeated after a
+    /// write that overlaps it.
+    #[test]
+    fn streams_revisit_earlier_writes_of_the_transaction() {
+        let stream = generate_stream(&StreamSpec { txs: 100, seed: 7, ..StreamSpec::default() });
+        let range = |op: &TxOp| (op.addr, op.addr + op.data.len());
+        let (mut repeat, mut straddle, mut nested, mut reordering) = (0, 0, 0, false);
+        for tx in &stream {
+            for (j, later) in tx.iter().enumerate() {
+                let (l0, l1) = range(later);
+                for (i, prev) in tx[..j].iter().enumerate() {
+                    let (p0, p1) = range(prev);
+                    if (l0, l1) == (p0, p1) {
+                        repeat += 1;
+                        reordering |=
+                            tx[i + 1..j].iter().map(range).any(|(m0, m1)| m0 < p1 && p0 < m1);
+                    } else if p0 < l0 && l0 < p1 && p1 < l1 {
+                        straddle += 1;
+                    } else if p0 <= l0 && l1 <= p1 {
+                        nested += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            repeat * straddle * nested > 0,
+            "{repeat} repeats, {straddle} straddles, {nested} nested"
+        );
+        assert!(reordering, "no repeat across an overlapping write");
     }
 
     #[test]

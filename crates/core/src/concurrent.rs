@@ -106,7 +106,7 @@ impl Default for ConcurrentConfig {
             reclaim_threshold_bytes: 1 << 20,
             group_commit: false,
             flight_recorder: false,
-            bbox_capacity: specpmt_telemetry::blackbox::DEFAULT_RING_CAPACITY,
+            bbox_capacity: specpmt_pmem::blackbox::DEFAULT_RING_CAPACITY,
         }
     }
 }
@@ -403,7 +403,7 @@ impl SpecSpmtShared {
         let bbox = cfg.flight_recorder.then(|| {
             let rings = cfg.threads + 1;
             let capacity = cfg.bbox_capacity.max(1);
-            let bytes = specpmt_telemetry::blackbox::region_bytes(rings, capacity);
+            let bytes = specpmt_pmem::blackbox::region_bytes(rings, capacity);
             let base =
                 pool.alloc_direct(bytes, 64).expect("pool too small for flight-recorder rings");
             let sink = BlackBoxSink::format(&handle, base, rings, capacity, DEFAULT_BBOX_STALL_NS);
@@ -631,7 +631,7 @@ impl SpecSpmtShared {
             self.free_blocks.lock().expect("free lock").extend(blocks);
             handle.crash_point("mt/reclaim/splice");
             if let Some(bb) = &self.bbox {
-                bb.record_now(&handle, rtid, BbKind::ReclaimSplice, dropped, freed, 0);
+                bb.record(&handle, rtid, BbKind::ReclaimSplice, dropped, freed, 0);
             }
         }
         rs.end_cycle(self.device().now_ns(), &self.tel, rtid);
@@ -826,7 +826,7 @@ impl SpecSpmtShared {
         self.layout.set_ckpt_head_shared(&self.pool, new_area.head() as u64);
         handle.crash_point("ckpt/splice");
         if let Some(bb) = &self.bbox {
-            bb.record_now(&handle, self.cfg.threads, BbKind::CkptSplice, watermark, runs, 0);
+            bb.record(&handle, self.cfg.threads, BbKind::CkptSplice, watermark, runs, 0);
         }
         let old = ckpt_guard.replace(new_area);
         drop(ckpt_guard);
@@ -888,9 +888,9 @@ fn drain_group_batch(
             dev.crash_point(sites::BBOX_PERSIST);
         }
         let site = sites::index_of("mt/group/batch_fence").unwrap_or(0) as u64;
-        bb.record_now(dev, tid, BbKind::BatchSeal, batch.txs, site, 0);
+        bb.record(dev, tid, BbKind::BatchSeal, batch.txs, site, 0);
         if stall > bb.stall_threshold_ns() {
-            bb.record_now(dev, tid, BbKind::FenceStall, stall, flushes, 0);
+            bb.record(dev, tid, BbKind::FenceStall, stall, flushes, 0);
         }
     }
     (stall, flushes)
@@ -1033,7 +1033,7 @@ impl TxHandle {
     /// call adds no ordering traffic of its own.
     pub fn record_event(&self, kind: BbKind, a: u64, b: u64, aux: u8) {
         if let Some(bb) = &self.shared.bbox {
-            bb.record_now(&self.dev, self.tid, kind, a, b, aux);
+            bb.record(&self.dev, self.tid, kind, a, b, aux);
         }
     }
 
@@ -1077,7 +1077,7 @@ impl TxHandle {
             st.open = true;
             self.log.reserve(&mut store, &mut st.area);
             if let Some(bb) = &shared.bbox {
-                bb.record_now(&self.dev, tid, BbKind::TxBegin, 0, 0, 0);
+                bb.record(&self.dev, tid, BbKind::TxBegin, 0, 0, 0);
             }
         }
         let _ws_span = shared.tel.registry.span(tid, Phase::Writeset);
@@ -1168,7 +1168,7 @@ impl TxHandle {
                 } else {
                     (sites::index_of("mt/commit/fence"), 0)
                 };
-                bb.record_now(dev, tid, BbKind::TxCommit, ts, site.unwrap_or(0) as u64, aux);
+                bb.record(dev, tid, BbKind::TxCommit, ts, site.unwrap_or(0) as u64, aux);
             }
         }
 
@@ -1202,7 +1202,7 @@ impl TxHandle {
                     dev.crash_point(sites::BBOX_PERSIST);
                 }
                 if fr.stall_ns > bb.stall_threshold_ns() {
-                    bb.record_now(dev, tid, BbKind::FenceStall, fr.stall_ns, fr.flushes, 0);
+                    bb.record(dev, tid, BbKind::FenceStall, fr.stall_ns, fr.flushes, 0);
                 }
             }
         });
@@ -1302,7 +1302,7 @@ impl TxHandle {
         self.undo_data = data;
         let _ = self.seal(false);
         if let Some(bb) = &self.shared.bbox {
-            bb.record_now(&self.dev, self.tid, BbKind::TxAbort, 0, 0, 0);
+            bb.record(&self.dev, self.tid, BbKind::TxAbort, 0, 0, 0);
         }
     }
 }

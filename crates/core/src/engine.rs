@@ -100,7 +100,8 @@ impl TxLog {
     /// SpecSPMT) and the log entry of the *new* value — no flush, no
     /// fence. Returns whether a new entry was appended: a repeated
     /// same-length update of a datum overwrites its entry in place
-    /// instead of appending a stale one.
+    /// instead of appending a stale one, unless a later entry overlaps it
+    /// ([`WriteSet::patchable`]).
     pub(crate) fn stage<S: LogStore>(
         &mut self,
         store: &mut S,
@@ -112,7 +113,7 @@ impl TxLog {
         if self.data_persistence {
             self.data.push((addr, data.len()));
         }
-        if let Some(slot) = self.ws.lookup(addr).filter(|slot| slot.len == data.len()) {
+        if let Some(slot) = self.ws.patchable(addr, data.len()) {
             self.ws.patch(slot, data);
             area.write_at(store, slot.value_cursor, data, &mut self.dirty);
             return false;

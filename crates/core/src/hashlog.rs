@@ -19,10 +19,9 @@
 
 use std::collections::BTreeSet;
 
-use specpmt_pmem::{root_off, CrashImage, PmemPool, TimingMode, CACHE_LINE, POOL_MAGIC};
+use specpmt_pmem::frame::{seal, verify, Fields};
+use specpmt_pmem::{root_off, CrashImage, PmemPool, PoolHeader, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
-
-use crate::checksum::word_hash;
 
 /// Root slot holding the table base offset.
 pub const HASH_BASE_SLOT: usize = 4;
@@ -158,7 +157,7 @@ impl HashLogSpmt {
         } else {
             GEN_B
         };
-        let cksum = word_hash(&value, key, self.tx_ts);
+        let cksum = seal(&value, key, self.tx_ts);
         let dev = self.pool.device_mut();
         dev.write_u64(s + gen, self.tx_ts);
         dev.write_u64(s + gen + 8, cksum);
@@ -243,46 +242,43 @@ impl TxRuntime for HashLogSpmt {
 
 impl Recover for HashLogSpmt {
     fn recover(image: &mut CrashImage) {
-        if image.len() < specpmt_pmem::POOL_HEADER_SIZE || image.read_u64(0) != POOL_MAGIC {
+        let Some(header) = PoolHeader::decode(image.as_bytes()) else {
             return;
-        }
-        let base = image.read_u64(root_off(HASH_BASE_SLOT)) as usize;
-        let cap = image.read_u64(root_off(HASH_CAP_SLOT)) as usize;
-        let cts = image.read_u64(root_off(HASH_CTS_SLOT));
+        };
+        let base = header.roots[HASH_BASE_SLOT] as usize;
+        let cap = header.roots[HASH_CAP_SLOT] as usize;
+        let cts = header.roots[HASH_CTS_SLOT];
         // The table bounds and every key are image words: none may wrap.
         let end = cap.checked_mul(SLOT_BYTES).and_then(|bytes| base.checked_add(bytes));
-        if base == 0 || cap == 0 || end.is_none_or(|end| end > image.len()) {
+        let Some(table) = end.filter(|_| base != 0).and_then(|end| image.as_bytes().get(base..end))
+        else {
             return;
-        }
-        for i in 0..cap {
-            let s = base + i * SLOT_BYTES;
-            let key = image.read_u64(s);
-            if key == 0 {
+        };
+        let mut writes = Vec::new();
+        for slot in table.chunks_exact(SLOT_BYTES) {
+            let Some(key) = Fields::new(slot).u64().filter(|&key| key != 0) else {
                 continue;
-            }
+            };
             let chunk_addr = match (key as usize - 1).checked_mul(CHUNK) {
                 Some(addr) if addr <= image.len() - CHUNK => addr,
                 _ => continue,
             };
-            let mut best: Option<(u64, [u8; CHUNK])> = None;
-            for gen in [GEN_A, GEN_B] {
-                let ts = image.read_u64(s + gen);
-                if ts == 0 || ts > cts {
-                    continue; // empty or uncommitted (revoked)
-                }
-                let cksum = image.read_u64(s + gen + 8);
-                let mut value = [0u8; CHUNK];
-                value.copy_from_slice(image.read_bytes(s + gen + 16, CHUNK));
-                if word_hash(&value, key, ts) != cksum {
-                    continue; // torn
-                }
-                if best.is_none_or(|(bts, _)| ts > bts) {
-                    best = Some((ts, value));
-                }
+            // The newest committed generation that verifies (the first on
+            // a tie); an empty, uncommitted (revoked) or torn one is skipped.
+            let newest = [GEN_A, GEN_B]
+                .into_iter()
+                .filter_map(|gen| {
+                    let mut f = Fields::new(slot.get(gen..)?);
+                    let (ts, sum, value) = (f.u64()?, f.u64()?, f.bytes(CHUNK)?);
+                    (ts != 0 && ts <= cts && verify(value, key, ts, sum)).then_some((ts, value))
+                })
+                .reduce(|best, gen| if gen.0 > best.0 { gen } else { best });
+            if let Some((_, value)) = newest {
+                writes.push((chunk_addr, value.to_vec()));
             }
-            if let Some((_, value)) = best {
-                image.write_bytes(chunk_addr, &value);
-            }
+        }
+        for (addr, value) in writes {
+            image.write_bytes(addr, &value);
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use specpmt_pmem::{CrashImage, POOL_MAGIC};
+use specpmt_pmem::{CrashImage, PoolHeader};
 use specpmt_telemetry::{JsonWriter, StatExport};
 
 use crate::layout::PoolLayout;
@@ -169,9 +169,8 @@ impl fmt::Display for InspectReport {
 /// pool whose layout does not parse (no runtime has formatted it, or the
 /// descriptor is corrupt) reports no geometry and no chains.
 pub fn inspect_image(image: &CrashImage) -> InspectReport {
-    let valid_pool =
-        image.len() >= specpmt_pmem::POOL_HEADER_SIZE && image.read_u64(0) == POOL_MAGIC;
-    let heap_bump = if valid_pool { image.read_u64(specpmt_pmem::BUMP_OFF) } else { 0 };
+    let header = PoolHeader::decode(image.as_bytes());
+    let (valid_pool, heap_bump) = (header.is_some(), header.map_or(0, |h| h.bump));
     let Some(layout) = PoolLayout::read(image) else {
         return InspectReport {
             valid_pool,

@@ -40,9 +40,9 @@
 //! descriptor of any version but [`LAYOUT_VERSION`] is rejected as corrupt
 //! rather than parsed.
 
-use specpmt_pmem::{root_off, PmemPool, SharedPmemPool, POOL_HEADER_SIZE, POOL_MAGIC};
+use specpmt_pmem::frame::{seal, verify, Fields};
+use specpmt_pmem::{PmemPool, PoolHeader, SharedPmemPool, POOL_HEADER_SIZE};
 
-use crate::checksum::word_hash;
 use crate::record::ByteSource;
 
 /// Root slot pointing at the layout descriptor (0 = no layout).
@@ -56,6 +56,9 @@ pub const LAYOUT_VERSION: u32 = 3;
 
 /// Bytes of the checksummed, write-once part of the descriptor.
 const DESC_STATIC: usize = 32;
+
+/// Bytes of the static part its seal covers: all but the seal.
+const DESC_COVERED: usize = DESC_STATIC - 8;
 
 /// Descriptor header bytes preceding the head table: the static part plus
 /// the mutable checkpoint-head and black-box-base pointers.
@@ -103,8 +106,8 @@ impl PoolLayout {
         d[8..12].copy_from_slice(&LAYOUT_VERSION.to_le_bytes());
         d[12..16].copy_from_slice(&(threads as u32).to_le_bytes());
         d[16..24].copy_from_slice(&(block_bytes as u64).to_le_bytes());
-        let sum = word_hash(&d[0..24], 0, 0);
-        d[24..32].copy_from_slice(&sum.to_le_bytes());
+        let sum = seal(&d[..DESC_COVERED], 0, 0);
+        d[DESC_COVERED..DESC_STATIC].copy_from_slice(&sum.to_le_bytes());
         d
     }
 
@@ -164,31 +167,24 @@ impl PoolLayout {
     /// Returns `None` when the source is not a SpecPMT pool, has no
     /// descriptor ([`LAYOUT_SLOT`] is zero), or the descriptor is corrupt.
     pub fn read<S: ByteSource>(src: &S) -> Option<Self> {
-        if src.source_len() < POOL_HEADER_SIZE || read_u64_at(src, 0)? != POOL_MAGIC {
+        let mut pool = [0u8; POOL_HEADER_SIZE];
+        if !src.read_at(0, &mut pool) {
             return None;
         }
-        let desc_base = read_u64_at(src, root_off(LAYOUT_SLOT))? as usize;
-        if desc_base < POOL_HEADER_SIZE
-            || desc_base.checked_add(DESC_STATIC).is_none_or(|end| end > src.source_len())
-        {
-            return None;
-        }
+        let desc_base = PoolHeader::decode(&pool)?.roots[LAYOUT_SLOT] as usize;
         let mut hdr = [0u8; DESC_STATIC];
-        if !src.read_at(desc_base, &mut hdr) {
+        if desc_base < POOL_HEADER_SIZE || !src.read_at(desc_base, &mut hdr) {
             return None;
         }
-        if u64::from_le_bytes(hdr[0..8].try_into().expect("8 bytes")) != LAYOUT_MAGIC {
+        let mut f = Fields::new(&hdr);
+        if !verify(f.bytes(DESC_COVERED)?, 0, 0, f.u64()?) {
             return None;
         }
-        if u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes")) != LAYOUT_VERSION {
+        let mut f = Fields::new(&hdr);
+        if f.u64()? != LAYOUT_MAGIC || f.u32()? != LAYOUT_VERSION {
             return None;
         }
-        let sum = u64::from_le_bytes(hdr[24..32].try_into().expect("8 bytes"));
-        if sum != word_hash(&hdr[0..24], 0, 0) {
-            return None;
-        }
-        let threads = u32::from_le_bytes(hdr[12..16].try_into().expect("4 bytes")) as usize;
-        let block_bytes = u64::from_le_bytes(hdr[16..24].try_into().expect("8 bytes")) as usize;
+        let (threads, block_bytes) = (f.u32()? as usize, f.u64()? as usize);
         if !(1..=Self::MAX_THREADS).contains(&threads)
             || !BLOCK_BYTES_RANGE.contains(&block_bytes)
             || desc_base + DESC_HDR + 8 * threads > src.source_len()
@@ -305,7 +301,7 @@ impl PoolLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specpmt_pmem::{CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice};
+    use specpmt_pmem::{root_off, CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice};
 
     fn pool() -> PmemPool {
         PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)))
@@ -375,7 +371,7 @@ mod tests {
         for version in [1u32, 2, 99] {
             let mut img3 = p.device().capture(CrashPolicy::AllLost);
             img3.write_bytes(l.desc_base() + 8, &version.to_le_bytes());
-            let sum = word_hash(&img3.as_bytes()[l.desc_base()..l.desc_base() + 24], 0, 0);
+            let sum = seal(&img3.as_bytes()[l.desc_base()..l.desc_base() + DESC_COVERED], 0, 0);
             img3.write_bytes(l.desc_base() + 24, &sum.to_le_bytes());
             assert!(PoolLayout::read(&img3).is_none(), "version {version} is rejected");
         }

@@ -219,8 +219,8 @@ impl FreshnessIndex {
         while r < buf.len() {
             // The header is copied out first: kept entries land at
             // `w + REC_HDR`, which may already overlap its old place.
-            let hdr: [u8; REC_HDR] = buf[r..r + REC_HDR].try_into().expect("REC_HDR bytes");
-            let (len, ts, _) = decode_header(&hdr);
+            let Some(&hdr) = buf[r..].first_chunk::<REC_HDR>() else { break };
+            let Some((len, ts, _)) = decode_header(&hdr) else { break };
             let end = r + REC_HDR + len;
             let (mut pr, mut pw) = (r + REC_HDR, w + REC_HDR);
             let mut lost = false;

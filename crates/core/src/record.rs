@@ -24,12 +24,11 @@
 
 use std::sync::Mutex;
 
+use specpmt_pmem::frame::{seal, verify, Fields};
 use specpmt_pmem::{
     CrashControl, CrashImage, DeviceHandle, FenceReport, PmemDevice, PmemError, PmemPool,
     SharedPmemPool,
 };
-
-use crate::checksum::word_hash;
 
 /// Bytes reserved at the start of each log block (forward + backward
 /// pointers).
@@ -55,23 +54,22 @@ pub(crate) fn in_bounds(addr: usize, len: usize, size: usize) -> bool {
 /// Something log bytes can be read from: a live device or a crash image.
 pub trait ByteSource {
     /// Reads `buf.len()` bytes at `addr`; returns `false` (leaving `buf`
-    /// unspecified) if out of bounds.
-    fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool;
+    /// unspecified) if out of bounds. The default copies what
+    /// [`Self::lend`] lends.
+    fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
+        self.lend(addr, buf.len()).map(|bytes| buf.copy_from_slice(bytes)).is_some()
+    }
     /// Source size in bytes.
     fn source_len(&self) -> usize;
     /// Lends the `len` bytes at `addr` in place. `None` if out of bounds,
     /// or — the default — when the source does not hold its bytes in one
-    /// piece; readers then copy through [`Self::read_at`].
+    /// piece; such a source implements [`Self::read_at`] itself.
     fn lend(&self, _addr: usize, _len: usize) -> Option<&[u8]> {
         None
     }
 }
 
 impl ByteSource for CrashImage {
-    fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
-        self.lend(addr, buf.len()).map(|bytes| buf.copy_from_slice(bytes)).is_some()
-    }
-
     fn source_len(&self) -> usize {
         self.len()
     }
@@ -82,10 +80,6 @@ impl ByteSource for CrashImage {
 }
 
 impl ByteSource for PmemDevice {
-    fn read_at(&self, addr: usize, buf: &mut [u8]) -> bool {
-        self.lend(addr, buf.len()).map(|bytes| buf.copy_from_slice(bytes)).is_some()
-    }
-
     fn source_len(&self) -> usize {
         self.size()
     }
@@ -149,11 +143,11 @@ impl LogRecord {
     }
 }
 
-/// Computes the record checksum: the [`word_hash`] of the payload's words,
-/// then its length and `ts` as two more words. One pass over the payload,
+/// Computes the record checksum: the frame [`seal`] of the payload, with
+/// its length and `ts` as the two extra words. One pass over the payload,
 /// no temporary buffer.
 pub fn record_checksum(ts: u64, payload: &[u8]) -> u64 {
-    word_hash(payload, payload.len() as u64, ts)
+    seal(payload, payload.len() as u64, ts)
 }
 
 /// Encodes a record header from precomputed parts — the seal path, where
@@ -200,13 +194,11 @@ pub fn encode_record(rec: &LogRecord) -> Vec<u8> {
     out
 }
 
-/// Decodes a record header into `(payload length, timestamp, checksum)`.
-pub(crate) fn decode_header(hdr: &[u8; REC_HDR]) -> (usize, u64, u64) {
-    (
-        u32::from_le_bytes(hdr[0..4].try_into().expect("4 bytes")) as usize,
-        u64::from_le_bytes(hdr[4..12].try_into().expect("8 bytes")),
-        u64::from_le_bytes(hdr[12..20].try_into().expect("8 bytes")),
-    )
+/// Decodes the record header `bytes` starts with into `(payload length,
+/// timestamp, checksum)`; `None` when `bytes` is shorter than a header.
+pub(crate) fn decode_header(bytes: &[u8]) -> Option<(usize, u64, u64)> {
+    let mut f = Fields::new(bytes);
+    Some((f.u32()? as usize, f.u64()?, f.u64()?))
 }
 
 /// Decodes the entry `bytes` starts with into `(addr, value length)`; its
@@ -216,10 +208,9 @@ pub(crate) fn decode_header(hdr: &[u8; REC_HDR]) -> (usize, u64, u64) {
 /// Returns positions rather than borrows, so compaction can decode an
 /// entry and then move it within the buffer it was decoded from.
 pub(crate) fn decode_entry(bytes: &[u8]) -> Option<(usize, usize)> {
-    let hdr = bytes.get(..ENTRY_HDR)?;
-    let addr = u64::from_le_bytes(hdr[..8].try_into().expect("8 bytes")) as usize;
-    let len = u32::from_le_bytes(hdr[8..].try_into().expect("4 bytes")) as usize;
-    (len <= bytes.len() - ENTRY_HDR).then_some((addr, len))
+    let mut f = Fields::new(bytes);
+    let (addr, len) = (f.u64()? as usize, f.u32()? as usize);
+    (len <= f.rest().len()).then_some((addr, len))
 }
 
 /// One entry of a record payload, borrowed from the bytes it was decoded
@@ -328,12 +319,12 @@ impl<'a, S: ByteSource> StreamReader<'a, S> {
     }
 
     /// Reads the `len`-byte payload behind the header `hdr` just read and
-    /// checks it against the checksum that header carried — the one place
-    /// a stored checksum is verified, for transaction records and
-    /// checkpoints alike. Returns header and payload as one slice: lent by
-    /// the source where it can ([`Self::lend`]), otherwise copied into
-    /// `buf`. The length is unverified until the checksum matches, so one
-    /// the source could not even hold is rejected before it sizes `buf`.
+    /// checks it against the checksum that header carried (through the one
+    /// frame `verify`), for transaction records and checkpoints alike.
+    /// Returns header and payload as one slice: lent by the source where
+    /// it can ([`Self::lend`]), otherwise copied into `buf`. The length is
+    /// unverified until the checksum matches, so one the source could not
+    /// even hold is rejected before it sizes `buf`.
     fn read_payload<'b>(
         &mut self,
         hdr: &[u8],
@@ -361,7 +352,8 @@ impl<'a, S: ByteSource> StreamReader<'a, S> {
                 buf
             }
         };
-        (record_checksum(ts, &bytes[hdr.len()..]) == cksum).then_some(bytes)
+        let payload = &bytes[hdr.len()..];
+        verify(payload, payload.len() as u64, ts, cksum).then_some(bytes)
     }
 }
 
@@ -403,9 +395,8 @@ impl<'a> RecordRef<'a> {
 /// checksums were verified when the records were read from the chain.
 pub(crate) fn encoded_records(mut bytes: &[u8]) -> impl Iterator<Item = RecordRef<'_>> {
     std::iter::from_fn(move || {
-        let hdr: &[u8; REC_HDR] = bytes.get(..REC_HDR)?.try_into().expect("REC_HDR bytes");
-        let (len, ts, _) = decode_header(hdr);
-        let (rec, rest) = bytes.split_at(REC_HDR + len);
+        let (len, ts, _) = decode_header(bytes)?;
+        let (rec, rest) = bytes.split_at_checked(REC_HDR + len)?;
         bytes = rest;
         Some(RecordRef { ts, bytes: rec })
     })
@@ -467,7 +458,7 @@ impl<'a, S: ByteSource> RecordReader<'a, S> {
         if !stream.read(&mut hdr) {
             return None;
         }
-        let (len, ts, cksum) = decode_header(&hdr);
+        let (len, ts, cksum) = decode_header(&hdr)?;
         if len == 0 || len > MAX_RECORD_PAYLOAD {
             return None;
         }
@@ -549,15 +540,14 @@ pub(crate) fn read_checkpoint<S: ByteSource>(
     if !reader.read(&mut hdr) {
         return None;
     }
-    if u64::from_le_bytes(hdr[0..8].try_into().expect("8 bytes")) != CKPT_MAGIC {
+    let mut f = Fields::new(&hdr);
+    if f.u64()? != CKPT_MAGIC {
         return None;
     }
-    let watermark = u64::from_le_bytes(hdr[8..16].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(hdr[16..20].try_into().expect("4 bytes")) as usize;
+    let (watermark, len, cksum) = (f.u64()?, f.u32()? as usize, f.u64()?);
     if len > MAX_CKPT_PAYLOAD {
         return None;
     }
-    let cksum = u64::from_le_bytes(hdr[20..28].try_into().expect("8 bytes"));
     let mut buf = Vec::new();
     let record = reader.read_payload(&hdr, len, watermark, cksum, &mut buf)?;
     Some((watermark, record[CKPT_HDR..].to_vec()))

@@ -62,10 +62,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use specpmt_pmem::blackbox::decode_region;
 use specpmt_pmem::{sites, CrashImage};
-use specpmt_telemetry::blackbox::{
-    decode_region, decode_region_header, kv_op_name, region_bytes, BbEvent, BbKind, REGION_HDR,
-};
+use specpmt_telemetry::blackbox::{kv_op_name, BbEvent, BbKind};
 use specpmt_telemetry::{JsonWriter, StatExport};
 
 use crate::layout::PoolLayout;
@@ -667,10 +666,10 @@ impl fmt::Display for ForensicReport {
 /// Decodes a crash image's flight-recorder region and checks the event
 /// record against the image's own durable state.
 ///
-/// The black-box base comes from the layout descriptor's v3 slot; the
-/// region header (checksummed) gives the geometry; each ring slot
-/// validates independently, so torn slots degrade to counts. The
-/// durability frontier — `max(max committed record ts, checkpoint
+/// The black-box base comes from the layout descriptor's v3 slot and
+/// [`decode_region`] does the rest: the sealed region header gives the
+/// geometry, and each ring slot validates independently, so torn slots
+/// degrade to counts. The durability frontier — `max(max committed record ts, checkpoint
 /// watermark)` — is recomputed from the log itself, and every surviving
 /// commit receipt is checked against it (see [`ForensicViolation`]).
 ///
@@ -681,23 +680,15 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
     let Some(layout) = PoolLayout::read(image) else {
         return rep;
     };
-    let base = layout.bbox_head(image);
-    if base == 0 || base.saturating_add(REGION_HDR) > image.len() {
-        return rep;
-    }
-    let Some((rings, capacity)) = decode_region_header(image.read_bytes(base, REGION_HDR)) else {
-        return rep;
-    };
-    let total = region_bytes(rings, capacity);
-    if base.saturating_add(total) > image.len() {
-        return rep;
-    }
-    let Some(region) = decode_region(image.read_bytes(base, total)) else {
+    // A zero base (recorder never on) names the pool header, which never
+    // decodes as a region.
+    let region = image.as_bytes().get(layout.bbox_head(image)..).and_then(decode_region);
+    let Some(region) = region else {
         return rep;
     };
     rep.recorder_present = true;
-    rep.rings = rings;
-    rep.capacity = capacity;
+    rep.rings = region.rings.len();
+    rep.capacity = region.capacity;
     rep.events_decoded = region.decoded();
     rep.events_torn = region.torn();
     rep.events = region.merged();

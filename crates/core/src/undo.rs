@@ -20,9 +20,8 @@
 //! unchecked: a region that wraps or overruns the image is skipped whole,
 //! and an entry whose target does is skipped alone.
 
-use specpmt_pmem::{root_off, CrashImage, PmemPool, POOL_HEADER_SIZE, POOL_MAGIC};
-
-use crate::checksum::word_hash;
+use specpmt_pmem::frame::{seal, verify, Fields};
+use specpmt_pmem::{CrashImage, PmemPool, PoolHeader};
 
 /// Root slot holding the undo region's base.
 pub const UNDO_BASE_SLOT: usize = 4;
@@ -49,38 +48,46 @@ pub fn encode_entry(entry: &mut [u8], magic: u32, addr: usize, old: &[u8]) {
     let word0 = u64::from(magic) | u64::from(old.len() as u32) << 32;
     entry[0..8].copy_from_slice(&word0.to_le_bytes());
     entry[8..16].copy_from_slice(&(addr as u64).to_le_bytes());
-    entry[16..HDR].copy_from_slice(&word_hash(old, word0, addr as u64).to_le_bytes());
+    entry[16..HDR].copy_from_slice(&seal(old, word0, addr as u64).to_le_bytes());
     entry[HDR..].copy_from_slice(old);
+}
+
+/// The undo region `image` roots: `None` for a garbage pool, a zero base,
+/// or bounds that wrap or overrun the image.
+pub fn region(image: &CrashImage) -> Option<&[u8]> {
+    let header = PoolHeader::decode(image.as_bytes())?;
+    let base = header.roots[UNDO_BASE_SLOT] as usize;
+    let end = base.checked_add(header.roots[UNDO_SIZE_SLOT] as usize)?;
+    image.as_bytes().get(base..end).filter(|_| base != 0)
+}
+
+/// Decodes the entry `rest` starts with and moves past it: `None` at the
+/// end of the log (another magic, a length past the region, a short
+/// header) or at an entry that does not verify.
+fn next_entry<'a>(rest: &mut &'a [u8], magic: u32) -> Option<(u64, &'a [u8])> {
+    let mut f = Fields::new(rest);
+    if f.u32()? != magic {
+        return None;
+    }
+    let len = f.u32()?;
+    let (addr, sum, old) = (f.u64()?, f.u64()?, f.bytes(len as usize)?);
+    if !verify(old, u64::from(magic) | u64::from(len) << 32, addr, sum) {
+        return None;
+    }
+    *rest = f.rest();
+    Some((addr, old))
 }
 
 /// Rolls back the interrupted transaction in `image`'s undo region, newest
 /// entry first. Entries carry `magic` and start `first_entry_off` bytes
 /// into the region.
 pub fn roll_back(image: &mut CrashImage, first_entry_off: usize, magic: u32) {
-    if image.len() < POOL_HEADER_SIZE || image.read_u64(0) != POOL_MAGIC {
+    let Some(mut rest) = region(image).and_then(|region| region.get(first_entry_off..)) else {
         return;
-    }
-    let base = image.read_u64(root_off(UNDO_BASE_SLOT)) as usize;
-    let size = image.read_u64(root_off(UNDO_SIZE_SLOT)) as usize;
-    if base == 0 || size == 0 || base.checked_add(size).is_none_or(|end| end > image.len()) {
-        return;
-    }
+    };
     let mut entries = Vec::new();
-    let mut pos = first_entry_off;
-    while pos + HDR <= size {
-        let at = base + pos;
-        let word0 = image.read_u64(at);
-        let len = (word0 >> 32) as usize;
-        if word0 as u32 != magic || pos + HDR + len > size {
-            break;
-        }
-        let addr = image.read_u64(at + 8);
-        let old = image.read_bytes(at + HDR, len);
-        if word_hash(old, word0, addr) != image.read_u64(at + 16) {
-            break;
-        }
+    while let Some((addr, old)) = next_entry(&mut rest, magic) {
         entries.push((addr as usize, old.to_vec()));
-        pos += HDR + len;
     }
     for (addr, old) in entries.into_iter().rev() {
         if addr.checked_add(old.len()).is_some_and(|end| end <= image.len()) {
@@ -92,6 +99,7 @@ pub fn roll_back(image: &mut CrashImage, first_entry_off: usize, magic: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specpmt_pmem::{root_off, POOL_MAGIC};
 
     const MAGIC: u32 = 0x5445_5354; // "TEST"
     const OFF: usize = 64;

@@ -147,8 +147,19 @@ impl WriteSet {
         entry
     }
 
+    /// The entry a write of `len` bytes at `addr` may overwrite in place:
+    /// the one staged for `addr`, if it has that length and no entry staged
+    /// after it overlaps `[addr, addr + len)`. Recovery replays a record's
+    /// entries in payload order, so patching past a later overlapping
+    /// entry would replay the two writes out of order.
+    pub fn patchable(&self, addr: usize, len: usize) -> Option<EntrySlot> {
+        let slot = self.lookup(addr).filter(|slot| slot.len == len)?;
+        let mut later = record::Entries::new(&self.payload[slot.payload_off + len..]);
+        (!later.any(|e| e.addr < addr + len && addr < e.addr + e.value.len())).then_some(slot)
+    }
+
     /// Overwrites the value bytes of an already-staged entry in place
-    /// (the same-address-same-length dedup path).
+    /// (the same-address-same-length dedup path, see [`Self::patchable`]).
     pub fn patch(&mut self, slot: EntrySlot, data: &[u8]) {
         debug_assert_eq!(slot.len, data.len());
         self.payload[slot.payload_off..slot.payload_off + slot.len].copy_from_slice(data);
@@ -247,31 +258,40 @@ mod tests {
         assert_eq!(ws.lookup(16), None);
     }
 
-    /// Seeded transactions mixing fresh stages and same-length patches, in
-    /// any order: the checksum is the record checksum of the payload an
-    /// independent encoder builds from the same writes — entries in first
-    /// staged order, a patched entry holding its last value.
+    /// Seeded transactions mixing fresh stages and same-length patches of
+    /// overlapping ranges, in any order: a write patches exactly when an
+    /// independent model says it may (same address and length as the
+    /// newest entry for its address, and no later entry overlapping it),
+    /// and the checksum is the record checksum of the payload the model
+    /// encodes from the same writes.
     #[test]
     fn checksum_matches_an_independently_encoded_payload() {
         let mut rng = specpmt_pmem::SplitMix64::new(0x3a5e);
         let mut ws = WriteSet::new();
+        let mut patches = 0;
         for tx in 0..200u64 {
             ws.begin();
             let mut want: Vec<(usize, Vec<u8>)> = Vec::new();
             for _ in 0..rng.range_usize(1, 12) {
-                let addr = 64 * rng.below(6) as usize;
+                let addr = 8 * rng.below(6) as usize;
                 let data: Vec<u8> =
                     (0..rng.range_usize(1, 20)).map(|_| rng.next_u64() as u8).collect();
-                match ws.lookup(addr).filter(|slot| slot.len == data.len()) {
-                    Some(slot) => {
+                let disjoint =
+                    |(a, v): &(usize, Vec<u8>)| a + v.len() <= addr || addr + data.len() <= *a;
+                let model = want.iter().rposition(|(a, _)| *a == addr).filter(|&i| {
+                    want[i].1.len() == data.len() && want[i + 1..].iter().all(disjoint)
+                });
+                match (ws.patchable(addr, data.len()), model) {
+                    (Some(slot), Some(i)) => {
                         ws.patch(slot, &data);
-                        let e = want.iter_mut().rev().find(|(a, _)| *a == addr).expect("staged");
-                        e.1 = data;
+                        want[i].1 = data;
+                        patches += 1;
                     }
-                    None => {
+                    (None, None) => {
                         ws.stage(addr, &data, cur(0));
                         want.push((addr, data));
                     }
+                    (got, _) => panic!("tx {tx}: patchable {got:?} disagrees with the model"),
                 }
             }
             let mut payload = Vec::new();
@@ -279,6 +299,7 @@ mod tests {
             assert_eq!(ws.payload(), payload.as_slice(), "tx {tx}");
             assert_eq!(ws.checksum(tx), record::record_checksum(tx, &payload), "tx {tx}");
         }
+        assert!(patches > 0, "the stream never patched");
     }
 
     #[test]

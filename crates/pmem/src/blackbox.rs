@@ -1,34 +1,190 @@
-//! The flight recorder's write side: [`BlackBoxSink`], a PM-resident set
-//! of per-thread event rings written through a [`DeviceHandle`].
+//! The flight recorder on PM (DESIGN.md §4.11): its persisted format and
+//! [`BlackBoxSink`], which writes per-thread event rings through a
+//! [`DeviceHandle`]. The event vocabulary is `specpmt_telemetry::blackbox`;
+//! `specpmt_core::forensics` reads a crash image through [`decode_region`].
 //!
-//! The event *format* (slot layout, checksums, decode, merge order) lives
-//! in [`specpmt_telemetry::blackbox`]; this module owns the persistence
-//! discipline (DESIGN.md §4.11):
+//! ```text
+//! region header (REGION_HDR = 64 bytes, so no slot shares its line)
+//!   0 .. 8 magic "SPBBOX01" | 8 .. 12 rings | 12 .. 16 capacity | 16 .. 24 seal
+//! then `rings` rings of `capacity` slots (EVT_BYTES = 40, zero until written)
+//!   0 .. 8 ts | 8 .. 16 a | 16 .. 24 b | 24 .. 28 seq | 28 .. 30 tid
+//!   30 kind (0 = empty) | 31 aux | 32 .. 40 seal of bytes 0 .. 32
+//! ```
 //!
-//! * **Writes are plain stores.** [`BlackBoxSink::record`] encodes one
-//!   checksummed [`EVT_BYTES`] slot into the recording thread's ring and
-//!   remembers the dirty range — it issues **no flush and no fence**.
-//! * **Persistence piggybacks.** The owning runtime calls
-//!   [`BlackBoxSink::take_dirty`] while assembling a flush plan it was
-//!   going to issue anyway (commit flush, group-batch drain, reclamation
-//!   or checkpoint persist) and folds the ranges in. The ring therefore
-//!   adds **zero extra fences** to the commit path; an event is durable
-//!   exactly when the next already-scheduled fence of its thread retires.
-//! * **Tearing is expected.** A crash can catch any slot half-written or
-//!   an overwrite half-flushed; the per-event checksum makes such slots
-//!   decode as *torn* (skipped and counted) rather than poisoning the
-//!   ring. Recovery never fails on black-box damage.
-//!
-//! Two labeled crash sites cover the new ordering surface:
-//! `bbox/write` (slot stored, unflushed) and `bbox/persist` (a fence that
-//! carried black-box lines retired).
+//! Both are frames of [`crate::frame`]. A slot is a plain store: the sink
+//! issues **no flush and no fence** of its own. The owning runtime folds
+//! the ring's dirty ranges ([`BlackBoxSink::take_dirty`]) into a flush it
+//! was issuing anyway, so an event is durable when its thread's next
+//! scheduled fence retires, and any slot can be torn at a crash. A slot
+//! that does not verify is *skipped and counted* ([`RingDecode::torn`]):
+//! forensics degrades, recovery never fails on it. Events merge across
+//! rings on `(ts, tid, seq)`, so one crash image decodes to one sequence.
+//! The crash sites `bbox/write` (slot stored, unflushed) and
+//! `bbox/persist` (a fence that carried black-box lines retired) cover
+//! this ordering.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use specpmt_telemetry::blackbox::{BbEvent, BbKind, EVT_BYTES, REGION_HDR};
+use specpmt_telemetry::blackbox::{BbEvent, BbKind};
 
+use crate::frame::{seal, verify, Fields};
 use crate::shared::DeviceHandle;
+
+/// Bytes per encoded event slot.
+pub const EVT_BYTES: usize = 40;
+
+/// Magic stamping a black-box region header (`"SPBBOX01"`).
+pub const BBOX_MAGIC: u64 = 0x5350_4242_4f58_3031;
+
+/// Bytes reserved for the region header ahead of ring 0 (64-byte aligned
+/// so ring slots never share a line with the header).
+pub const REGION_HDR: usize = 64;
+
+/// Default events per ring (one ring per thread plus one for the
+/// reclamation/checkpoint daemon).
+pub const DEFAULT_RING_CAPACITY: usize = 256;
+
+/// Bytes of a slot, and of the region header, that the seal covers.
+const SLOT_COVERED: usize = EVT_BYTES - 8;
+const HDR_COVERED: usize = 16;
+
+/// Total bytes of a black-box region holding `rings` rings of `capacity`
+/// slots each (header included).
+pub fn region_bytes(rings: usize, capacity: usize) -> usize {
+    REGION_HDR + rings * capacity * EVT_BYTES
+}
+
+/// Encodes `ev` into one sealed slot.
+fn encode_slot(ev: &BbEvent) -> [u8; EVT_BYTES] {
+    let mut s = [0u8; EVT_BYTES];
+    s[0..8].copy_from_slice(&ev.ts.to_le_bytes());
+    s[8..16].copy_from_slice(&ev.a.to_le_bytes());
+    s[16..24].copy_from_slice(&ev.b.to_le_bytes());
+    s[24..28].copy_from_slice(&ev.seq.to_le_bytes());
+    s[28..30].copy_from_slice(&ev.tid.to_le_bytes());
+    s[30] = ev.kind as u8;
+    s[31] = ev.aux;
+    let sum = seal(&s[..SLOT_COVERED], 0, 0);
+    s[SLOT_COVERED..].copy_from_slice(&sum.to_le_bytes());
+    s
+}
+
+/// The event a written slot holds, or `None` when it does not verify or
+/// names no kind: a torn slot.
+fn decode_slot(slot: &[u8]) -> Option<BbEvent> {
+    let mut f = Fields::new(slot);
+    let covered = f.bytes(SLOT_COVERED)?;
+    if !verify(covered, 0, 0, f.u64()?) {
+        return None;
+    }
+    let mut f = Fields::new(covered);
+    Some(BbEvent {
+        ts: f.u64()?,
+        a: f.u64()?,
+        b: f.u64()?,
+        seq: f.u32()?,
+        tid: f.u16()?,
+        kind: BbKind::from_u8(f.u8()?)?,
+        aux: f.u8()?,
+    })
+}
+
+/// The sealed region header persisted once at format time.
+fn region_header(rings: usize, capacity: usize) -> [u8; REGION_HDR] {
+    let mut h = [0u8; REGION_HDR];
+    h[0..8].copy_from_slice(&BBOX_MAGIC.to_le_bytes());
+    h[8..12].copy_from_slice(&(rings as u32).to_le_bytes());
+    h[12..16].copy_from_slice(&(capacity as u32).to_le_bytes());
+    let sum = seal(&h[..HDR_COVERED], 0, 0);
+    h[HDR_COVERED..HDR_COVERED + 8].copy_from_slice(&sum.to_le_bytes());
+    h
+}
+
+/// One ring's decode: surviving events in sequence order plus the torn
+/// and empty slot counts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RingDecode {
+    /// Ring index (thread id; the last ring belongs to the daemon).
+    pub tid: usize,
+    /// Surviving events, ordered by `seq`.
+    pub events: Vec<BbEvent>,
+    /// Slots that do not verify (torn at the crash).
+    pub torn: usize,
+    /// Never-written slots.
+    pub empty: usize,
+}
+
+/// A fully decoded black-box region.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionDecode {
+    /// One decode per ring (threads + 1 daemon ring).
+    pub rings: Vec<RingDecode>,
+    /// Events per ring.
+    pub capacity: usize,
+}
+
+impl RegionDecode {
+    /// Total surviving events across all rings.
+    pub fn decoded(&self) -> usize {
+        self.rings.iter().map(|r| r.events.len()).sum()
+    }
+
+    /// Total torn slots across all rings.
+    pub fn torn(&self) -> usize {
+        self.rings.iter().map(|r| r.torn).sum()
+    }
+
+    /// All surviving events merged on the deterministic total order
+    /// `(ts, tid, seq)` — the forensic analogue of replay's
+    /// `(ts, chain_idx, pos)` merge.
+    pub fn merged(&self) -> Vec<BbEvent> {
+        let mut out: Vec<BbEvent> =
+            self.rings.iter().flat_map(|r| r.events.iter().copied()).collect();
+        out.sort_by_key(|e| (e.ts, e.tid, e.seq));
+        out
+    }
+}
+
+/// Decodes the region `bytes` starts with (e.g. a crash image from the
+/// region's base on). `None` when the header does not verify, names an
+/// implausible geometry, or describes more rings than `bytes` holds; ring
+/// damage degrades to skipped slots.
+pub fn decode_region(bytes: &[u8]) -> Option<RegionDecode> {
+    let mut f = Fields::new(bytes);
+    let covered = f.bytes(HDR_COVERED)?;
+    if !verify(covered, 0, 0, f.u64()?) {
+        return None;
+    }
+    let mut h = Fields::new(covered);
+    if h.u64()? != BBOX_MAGIC {
+        return None;
+    }
+    let (rings, capacity) = (h.u32()? as usize, h.u32()? as usize);
+    if rings == 0 || rings > 8192 || capacity == 0 || capacity > 1 << 24 {
+        return None;
+    }
+    let body = bytes.get(REGION_HDR..region_bytes(rings, capacity))?;
+    let rings = body
+        .chunks_exact(capacity * EVT_BYTES)
+        .enumerate()
+        .map(|(tid, ring)| {
+            let mut dec = RingDecode { tid, events: Vec::new(), torn: 0, empty: 0 };
+            for slot in ring.chunks_exact(EVT_BYTES) {
+                if slot.iter().all(|&b| b == 0) {
+                    dec.empty += 1;
+                } else if let Some(ev) = decode_slot(slot) {
+                    dec.events.push(ev);
+                } else {
+                    dec.torn += 1;
+                }
+            }
+            dec.events.sort_by_key(|e| e.seq);
+            dec
+        })
+        .collect();
+    Some(RegionDecode { rings, capacity })
+}
 
 /// Per-ring write state: the monotone sequence counter and the dirty
 /// ranges not yet handed to a flush plan.
@@ -69,33 +225,13 @@ impl BlackBoxSink {
         stall_ns: u64,
     ) -> Self {
         assert!(rings > 0 && capacity > 0, "black box needs at least one ring and one slot");
-        let hdr = specpmt_telemetry::blackbox::encode_region_header(rings, capacity);
+        let hdr = region_header(rings, capacity);
         h.write(base, &hdr);
         h.persist_range(base, REGION_HDR);
         let state = (0..rings)
             .map(|_| RingState { seq: AtomicU32::new(0), dirty: Mutex::new(Vec::new()) })
             .collect();
         Self { base, rings, capacity, stall_ns, state }
-    }
-
-    /// Pool offset of the region (what the layout descriptor roots).
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Ring count (threads + 1 daemon ring).
-    pub fn rings(&self) -> usize {
-        self.rings
-    }
-
-    /// Events per ring.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total region bytes (header + rings).
-    pub fn region_bytes(&self) -> usize {
-        specpmt_telemetry::blackbox::region_bytes(self.rings, self.capacity)
     }
 
     /// Fence-stall threshold (simulated ns) above which the owning
@@ -105,45 +241,20 @@ impl BlackBoxSink {
     }
 
     /// Records one event on `tid`'s ring (thread ids beyond the ring
-    /// count share the last — daemon — ring) and returns the written
-    /// slot's `(addr, len)`. The slot is stored volatile only; its range
-    /// joins the ring's dirty set for the next [`Self::take_dirty`]
+    /// count share the last — daemon — ring), stamped with the handle's
+    /// core-local simulated time. The slot is stored volatile only; its
+    /// range joins the ring's dirty set for the next [`Self::take_dirty`]
     /// caller to fold into an already-scheduled flush.
-    #[allow(clippy::too_many_arguments)] // the argument list *is* the wire slot
-    pub fn record(
-        &self,
-        h: &DeviceHandle,
-        tid: usize,
-        kind: BbKind,
-        ts: u64,
-        a: u64,
-        b: u64,
-        aux: u8,
-    ) -> (usize, usize) {
+    pub fn record(&self, h: &DeviceHandle, tid: usize, kind: BbKind, a: u64, b: u64, aux: u8) {
         let ring = tid.min(self.rings - 1);
         let st = &self.state[ring];
         let seq = st.seq.fetch_add(1, Ordering::Relaxed);
         let slot = (seq as usize) % self.capacity;
         let addr = self.base + REGION_HDR + ring * self.capacity * EVT_BYTES + slot * EVT_BYTES;
-        let ev = BbEvent { ts, a, b, seq, tid: ring as u16, kind, aux };
-        h.write(addr, &ev.encode());
+        let ev = BbEvent { ts: h.local_now_ns(), a, b, seq, tid: ring as u16, kind, aux };
+        h.write(addr, &encode_slot(&ev));
         st.dirty.lock().unwrap_or_else(|e| e.into_inner()).push((addr, EVT_BYTES));
         h.crash_point(crate::sites::BBOX_WRITE);
-        (addr, EVT_BYTES)
-    }
-
-    /// [`Self::record`] stamping the event with the handle's core-local
-    /// simulated time.
-    pub fn record_now(
-        &self,
-        h: &DeviceHandle,
-        tid: usize,
-        kind: BbKind,
-        a: u64,
-        b: u64,
-        aux: u8,
-    ) -> (usize, usize) {
-        self.record(h, tid, kind, h.local_now_ns(), a, b, aux)
     }
 
     /// Drains `tid`'s pending dirty ranges into `out` (appending),
@@ -177,7 +288,6 @@ impl BlackBoxSink {
 mod tests {
     use super::*;
     use crate::{CrashControl, CrashPolicy, PmemConfig, SharedPmemDevice};
-    use specpmt_telemetry::blackbox::{decode_region, region_bytes};
 
     fn sink_on_dev() -> (SharedPmemDevice, BlackBoxSink) {
         let dev = SharedPmemDevice::new(PmemConfig::new(64 * 1024));
@@ -190,11 +300,10 @@ mod tests {
     fn record_is_volatile_until_piggybacked() {
         let (dev, sink) = sink_on_dev();
         let h = dev.handle();
-        sink.record(&h, 0, BbKind::TxBegin, 100, 1, 2, 0);
+        sink.record(&h, 0, BbKind::TxBegin, 1, 2, 0);
         // Not flushed: a lose-everything crash shows an empty ring.
         let img = dev.capture(CrashPolicy::AllLost);
-        let bytes = img.read_bytes(sink.base(), sink.region_bytes());
-        let dec = decode_region(bytes).expect("header persisted at format");
+        let dec = decode_region(&img.as_bytes()[sink.base..]).expect("header persisted at format");
         assert_eq!(dec.decoded(), 0, "unflushed events must not survive AllLost");
         // Piggyback: fold the dirty ranges into a flush the caller issues.
         let mut ranges = Vec::new();
@@ -202,10 +311,9 @@ mod tests {
         h.clwb_ranges(&ranges);
         h.sfence();
         let img = dev.capture(CrashPolicy::AllLost);
-        let bytes = img.read_bytes(sink.base(), sink.region_bytes());
-        let dec = decode_region(bytes).expect("header parses");
+        let dec = decode_region(&img.as_bytes()[sink.base..]).expect("header parses");
         assert_eq!(dec.decoded(), 1, "fenced events survive any crash");
-        assert_eq!(dec.merged()[0].ts, 100);
+        assert_eq!((dec.merged()[0].a, dec.merged()[0].b), (1, 2));
         // Dirty set drained exactly once.
         assert_eq!(sink.take_dirty(0, &mut Vec::new()), 0);
     }
@@ -215,15 +323,14 @@ mod tests {
         let (dev, sink) = sink_on_dev();
         let h = dev.handle();
         for i in 0..11u64 {
-            sink.record(&h, 1, BbKind::TxCommit, i, i, 0, 0);
+            sink.record(&h, 1, BbKind::TxCommit, i, 0, 0);
         }
         let mut ranges = Vec::new();
         sink.take_dirty(1, &mut ranges);
         h.clwb_ranges(&ranges);
         h.sfence();
         let img = dev.capture(CrashPolicy::AllLost);
-        let bytes = img.read_bytes(sink.base(), sink.region_bytes());
-        let dec = decode_region(bytes).expect("header parses");
+        let dec = decode_region(&img.as_bytes()[sink.base..]).expect("header parses");
         // Capacity 8, 11 events: the 8 newest survive, in seq order.
         let ring = &dec.rings[1];
         assert_eq!(ring.events.len(), 8);
@@ -235,10 +342,72 @@ mod tests {
     fn daemon_overflow_tids_share_the_last_ring() {
         let (dev, sink) = sink_on_dev();
         let h = dev.handle();
-        sink.record(&h, 2, BbKind::ReclaimSplice, 1, 0, 0, 0);
-        sink.record(&h, 57, BbKind::CkptSplice, 2, 0, 0, 0);
+        sink.record(&h, 2, BbKind::ReclaimSplice, 1, 0, 0);
+        sink.record(&h, 57, BbKind::CkptSplice, 2, 0, 0);
         let mut ranges = Vec::new();
         assert_eq!(sink.take_dirty(57, &mut ranges), 2, "tid 57 clamps onto ring 2");
-        assert_eq!(region_bytes(3, 8), sink.region_bytes());
+        assert_eq!((sink.rings, sink.capacity), (3, 8));
+    }
+
+    fn ev(ts: u64, tid: u16, seq: u32, kind: BbKind) -> BbEvent {
+        BbEvent { ts, a: 7, b: 9, seq, tid, kind, aux: 3 }
+    }
+
+    #[test]
+    fn slots_round_trip_and_torn_slots_do_not_decode() {
+        let e = ev(123, 2, 5, BbKind::TxCommit);
+        assert_eq!(decode_slot(&encode_slot(&e)), Some(e));
+        let mut torn = encode_slot(&e);
+        torn[4] ^= 0xFF; // tear the timestamp
+        assert_eq!(decode_slot(&torn), None);
+        // An out-of-range kind byte under a valid seal is torn too.
+        let mut bogus = encode_slot(&e);
+        bogus[30] = 99;
+        let sum = seal(&bogus[..SLOT_COVERED], 0, 0);
+        bogus[SLOT_COVERED..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode_slot(&bogus), None);
+        assert_eq!(decode_slot(&bogus[..EVT_BYTES - 1]), None, "a short slot");
+    }
+
+    #[test]
+    fn region_round_trips_and_merges_deterministically() {
+        let rings = 3;
+        let cap = 4;
+        let mut bytes = vec![0u8; region_bytes(rings, cap)];
+        bytes[0..REGION_HDR].copy_from_slice(&region_header(rings, cap));
+        // Two events on ring 0, one on ring 2, one torn slot on ring 1.
+        let write = |bytes: &mut Vec<u8>, tid: usize, slot: usize, e: &BbEvent| {
+            let off = REGION_HDR + tid * cap * EVT_BYTES + slot * EVT_BYTES;
+            bytes[off..off + EVT_BYTES].copy_from_slice(&encode_slot(e));
+        };
+        write(&mut bytes, 0, 0, &ev(10, 0, 0, BbKind::TxBegin));
+        write(&mut bytes, 0, 1, &ev(20, 0, 1, BbKind::TxCommit));
+        write(&mut bytes, 2, 0, &ev(15, 2, 0, BbKind::ReclaimSplice));
+        write(&mut bytes, 1, 0, &ev(12, 1, 0, BbKind::TxBegin));
+        let torn_off = REGION_HDR + cap * EVT_BYTES;
+        bytes[torn_off + 2] ^= 1;
+
+        let dec = decode_region(&bytes).expect("header validates");
+        assert_eq!(dec.capacity, cap);
+        assert_eq!(dec.rings.len(), rings);
+        assert_eq!(dec.decoded(), 3);
+        assert_eq!(dec.torn(), 1);
+        assert_eq!(dec.rings[1].torn, 1);
+        assert_eq!(dec.rings[0].empty, 2);
+        let merged = dec.merged();
+        let key: Vec<(u64, u16)> = merged.iter().map(|e| (e.ts, e.tid)).collect();
+        assert_eq!(key, vec![(10, 0), (15, 2), (20, 0)], "merge is (ts, tid, seq)-ordered");
+    }
+
+    #[test]
+    fn corrupt_region_header_is_rejected() {
+        let mut bytes = vec![0u8; region_bytes(1, 2)];
+        assert!(decode_region(&bytes).is_none(), "zero header");
+        bytes[0..REGION_HDR].copy_from_slice(&region_header(1, 2));
+        bytes[9] ^= 1;
+        assert!(decode_region(&bytes).is_none(), "the seal rejects a torn ring count");
+        // Geometry larger than the byte slice is rejected, not sliced.
+        assert!(decode_region(&region_header(4, 1024)).is_none());
+        assert!(decode_region(&region_header(1, 2)[..20]).is_none(), "a short header");
     }
 }

@@ -18,7 +18,10 @@
 //!   survive only nondeterministically, which is what makes recovery-protocol
 //!   testing meaningful,
 //! * a persistent [`pool`] with a bump + size-class allocator standing in
-//!   for `libvmmalloc`.
+//!   for `libvmmalloc`,
+//! * the one on-PM [`frame`] codec (the `word_hash` seal, its one
+//!   `verify`, a bounded field reader) every persisted format decodes
+//!   through, and the flight recorder's format and sink ([`blackbox`]).
 //!
 //! # Quick example
 //!
@@ -47,6 +50,7 @@ mod wpq;
 
 pub mod alloc;
 pub mod blackbox;
+pub mod frame;
 pub mod pool;
 pub mod shared;
 pub mod sites;
@@ -60,7 +64,9 @@ pub use error::PmemError;
 pub use geometry::{
     coalesce_lines, line_of, line_start, word_of, CACHE_LINE, PERSIST_WORD, XPLINE,
 };
-pub use pool::{root_off, PmemPool, BUMP_OFF, POOL_HEADER_SIZE, POOL_MAGIC, ROOT_SLOTS};
+pub use pool::{
+    root_off, PmemPool, PoolHeader, BUMP_OFF, POOL_HEADER_SIZE, POOL_MAGIC, ROOT_SLOTS,
+};
 pub use rng::SplitMix64;
 pub use shared::{DeviceHandle, SharedPmemDevice, SharedPmemPool};
 pub use stats::PmemStats;

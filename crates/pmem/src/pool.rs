@@ -12,6 +12,7 @@
 //! ```
 
 use crate::alloc::{Reservation, SizeClassAllocator};
+use crate::frame::Fields;
 use crate::{CrashImage, PmemDevice, PmemError};
 
 /// Magic value identifying a formatted pool.
@@ -34,6 +35,34 @@ pub const POOL_HEADER_SIZE: usize = 256;
 pub fn root_off(i: usize) -> usize {
     assert!(i < ROOT_SLOTS, "root slot {i} out of range");
     16 + i * 8
+}
+
+/// A formatted pool's header, decoded from the start of an image: the one
+/// place the pool magic is checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolHeader {
+    /// The persisted bump pointer.
+    pub bump: u64,
+    /// The root slots.
+    pub roots: [u64; ROOT_SLOTS],
+}
+
+impl PoolHeader {
+    /// Decodes the header `bytes` starts with (a whole image, or at least
+    /// its first [`POOL_HEADER_SIZE`] bytes). `None` unless they hold a
+    /// whole header that opens with [`POOL_MAGIC`].
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let mut f = Fields::new(bytes.get(..POOL_HEADER_SIZE)?);
+        if f.u64()? != POOL_MAGIC {
+            return None;
+        }
+        let bump = f.u64()?;
+        let mut roots = [0; ROOT_SLOTS];
+        for root in &mut roots {
+            *root = f.u64()?;
+        }
+        Some(Self { bump, roots })
+    }
 }
 
 /// A formatted persistent pool over a [`PmemDevice`].
@@ -80,10 +109,8 @@ impl PmemPool {
     /// Returns [`PmemError::BadPoolHeader`] if the magic does not match or
     /// the bump pointer is implausible.
     pub fn open(image: &CrashImage, cfg: crate::PmemConfig) -> Result<Self, PmemError> {
-        if image.len() < POOL_HEADER_SIZE || image.read_u64(0) != POOL_MAGIC {
-            return Err(PmemError::BadPoolHeader);
-        }
-        let bump = image.read_u64(BUMP_OFF) as usize;
+        let header = PoolHeader::decode(image.as_bytes()).ok_or(PmemError::BadPoolHeader)?;
+        let bump = header.bump as usize;
         if bump < POOL_HEADER_SIZE || bump > image.len() {
             return Err(PmemError::BadPoolHeader);
         }

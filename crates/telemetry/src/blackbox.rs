@@ -1,51 +1,12 @@
-//! The persistent flight-recorder event vocabulary: compact binary
-//! events, per-event checksums, and the deterministic post-crash merge.
+//! The flight recorder's event vocabulary: what an event records
+//! ([`BbKind`], [`BbEvent`]) and its JSON form.
 //!
-//! This module is the *format* half of the black box (DESIGN.md §4.11).
-//! The write half — `BlackBoxSink` on `specpmt_pmem::SharedPmemDevice` —
-//! encodes [`BbEvent`]s into fixed [`EVT_BYTES`]-byte slots of per-thread
-//! PM-resident rings and piggybacks their cache lines onto flushes the
-//! commit/reclaim/checkpoint paths already issue (zero extra fences).
-//! The read half — `specpmt_core::recovery::forensics` — hands the raw
-//! region bytes from a crash image back to [`decode_region`] here.
-//!
-//! Because ring slots are overwritten in place and never fenced on their
-//! own, any individual slot can be torn at a crash. Every event therefore
-//! carries an FNV-1a checksum over its other 32 bytes: a slot that fails
-//! the checksum is *skipped and counted* ([`RingDecode::torn`]), never an
-//! error — forensics degrades, recovery never fails on it.
-//!
-//! Decoded events merge across rings on the total order
-//! `(ts, tid, seq)` — the same shape as replay's `(ts, chain_idx, pos)`
-//! order — so one crash image always decodes to one event sequence.
+//! The persisted format — the checksummed slot, the region header, the
+//! ring decode and the `(ts, tid, seq)` merge — is `specpmt_pmem::blackbox`,
+//! beside the sink that writes it (DESIGN.md §4.11); the reader is
+//! `specpmt_core::forensics`.
 
 use crate::json::JsonWriter;
-
-/// Bytes per encoded event slot.
-pub const EVT_BYTES: usize = 40;
-
-/// Magic stamping a black-box region header (`"SPBBOX01"`).
-pub const BBOX_MAGIC: u64 = 0x5350_4242_4f58_3031;
-
-/// Bytes reserved for the region header ahead of ring 0 (64-byte aligned
-/// so ring slots never share a line with the header).
-pub const REGION_HDR: usize = 64;
-
-/// Default events per ring (one ring per thread plus one for the
-/// reclamation/checkpoint daemon).
-pub const DEFAULT_RING_CAPACITY: usize = 256;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// What a flight-recorder event records. Operand meaning (`a`, `b`,
 /// `aux`) is per-kind; `0` is reserved to mark a never-written slot.
@@ -132,44 +93,18 @@ impl BbKind {
     }
 }
 
-/// KV op-class codes carried in the `aux` byte of [`BbKind::KvOp`] /
-/// [`BbKind::KvOpDone`] events (shared with `specpmt-kv`'s `OpClass`).
-pub const KV_OP_GET: u8 = 0;
-/// See [`KV_OP_GET`].
-pub const KV_OP_PUT: u8 = 1;
-/// See [`KV_OP_GET`].
-pub const KV_OP_DEL: u8 = 2;
-/// See [`KV_OP_GET`].
-pub const KV_OP_CAS: u8 = 3;
-/// See [`KV_OP_GET`].
-pub const KV_OP_SCAN: u8 = 4;
+/// Names of the KV op-class codes carried in the `aux` byte of
+/// [`BbKind::KvOp`] / [`BbKind::KvOpDone`] events, indexed by code (the
+/// order of `specpmt-kv`'s `OpClass`).
+const KV_OP_NAMES: [&str; 5] = ["get", "put", "del", "cas", "scan"];
 
 /// Names a KV op-class code from an event's `aux` byte.
 pub fn kv_op_name(aux: u8) -> &'static str {
-    match aux {
-        KV_OP_GET => "get",
-        KV_OP_PUT => "put",
-        KV_OP_DEL => "del",
-        KV_OP_CAS => "cas",
-        KV_OP_SCAN => "scan",
-        _ => "unknown",
-    }
+    KV_OP_NAMES.get(usize::from(aux)).copied().unwrap_or("unknown")
 }
 
-/// One decoded flight-recorder event.
-///
-/// Encoded slot layout (little-endian, [`EVT_BYTES`] = 40 bytes):
-///
-/// ```text
-/// 0  .. 8   ts (device-local ns at record time, or the commit ts)
-/// 8  .. 16  a  (per-kind operand)
-/// 16 .. 24  b  (per-kind operand)
-/// 24 .. 28  seq (u32, per-ring monotone sequence number)
-/// 28 .. 30  tid (u16, recording ring)
-/// 30        kind (u8, 0 = empty slot)
-/// 31        aux (u8, per-kind operand)
-/// 32 .. 40  FNV-1a checksum of bytes 0..32
-/// ```
+/// One flight-recorder event. `specpmt_pmem::blackbox` stores it as one
+/// checksummed slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BbEvent {
     /// Event timestamp (simulated device ns; commit ts for `TxCommit`).
@@ -189,21 +124,6 @@ pub struct BbEvent {
 }
 
 impl BbEvent {
-    /// Encodes the event into one checksummed slot.
-    pub fn encode(&self) -> [u8; EVT_BYTES] {
-        let mut s = [0u8; EVT_BYTES];
-        s[0..8].copy_from_slice(&self.ts.to_le_bytes());
-        s[8..16].copy_from_slice(&self.a.to_le_bytes());
-        s[16..24].copy_from_slice(&self.b.to_le_bytes());
-        s[24..28].copy_from_slice(&self.seq.to_le_bytes());
-        s[28..30].copy_from_slice(&self.tid.to_le_bytes());
-        s[30] = self.kind as u8;
-        s[31] = self.aux;
-        let sum = fnv1a64(&s[0..32]);
-        s[32..40].copy_from_slice(&sum.to_le_bytes());
-        s
-    }
-
     /// Emits the event as an object field set into `w`'s open object.
     pub fn emit(&self, w: &mut JsonWriter) {
         w.field_u64("ts", self.ts);
@@ -216,225 +136,9 @@ impl BbEvent {
     }
 }
 
-/// Decode outcome for one ring slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotState {
-    /// All-zero slot: never written.
-    Empty,
-    /// Checksum (or kind byte) does not validate: a torn or partially
-    /// persisted write. Skipped, counted, never fatal.
-    Torn,
-    /// A fully persisted event.
-    Ok(BbEvent),
-}
-
-/// Decodes one [`EVT_BYTES`] slot.
-pub fn decode_slot(slot: &[u8]) -> SlotState {
-    assert_eq!(slot.len(), EVT_BYTES, "slot must be exactly {EVT_BYTES} bytes");
-    if slot.iter().all(|&b| b == 0) {
-        return SlotState::Empty;
-    }
-    let sum = u64::from_le_bytes(slot[32..40].try_into().expect("8 bytes"));
-    if sum != fnv1a64(&slot[0..32]) {
-        return SlotState::Torn;
-    }
-    let Some(kind) = BbKind::from_u8(slot[30]) else {
-        return SlotState::Torn;
-    };
-    SlotState::Ok(BbEvent {
-        ts: u64::from_le_bytes(slot[0..8].try_into().expect("8 bytes")),
-        a: u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes")),
-        b: u64::from_le_bytes(slot[16..24].try_into().expect("8 bytes")),
-        seq: u32::from_le_bytes(slot[24..28].try_into().expect("4 bytes")),
-        tid: u16::from_le_bytes(slot[28..30].try_into().expect("2 bytes")),
-        kind,
-        aux: slot[31],
-    })
-}
-
-/// Total bytes of a black-box region holding `rings` rings of `capacity`
-/// slots each (header included).
-pub fn region_bytes(rings: usize, capacity: usize) -> usize {
-    REGION_HDR + rings * capacity * EVT_BYTES
-}
-
-/// Builds the checksummed region header persisted once at pool format.
-pub fn encode_region_header(rings: usize, capacity: usize) -> [u8; REGION_HDR] {
-    let mut h = [0u8; REGION_HDR];
-    h[0..8].copy_from_slice(&BBOX_MAGIC.to_le_bytes());
-    h[8..12].copy_from_slice(&(rings as u32).to_le_bytes());
-    h[12..16].copy_from_slice(&(capacity as u32).to_le_bytes());
-    let sum = fnv1a64(&h[0..16]);
-    h[16..24].copy_from_slice(&sum.to_le_bytes());
-    h
-}
-
-/// Parses a region header: `Some((rings, capacity))` when the magic and
-/// checksum validate and the geometry is sane.
-pub fn decode_region_header(hdr: &[u8]) -> Option<(usize, usize)> {
-    if hdr.len() < REGION_HDR {
-        return None;
-    }
-    if u64::from_le_bytes(hdr[0..8].try_into().expect("8 bytes")) != BBOX_MAGIC {
-        return None;
-    }
-    let sum = u64::from_le_bytes(hdr[16..24].try_into().expect("8 bytes"));
-    if sum != fnv1a64(&hdr[0..16]) {
-        return None;
-    }
-    let rings = u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes")) as usize;
-    let capacity = u32::from_le_bytes(hdr[12..16].try_into().expect("4 bytes")) as usize;
-    if rings == 0 || rings > 8192 || capacity == 0 || capacity > 1 << 24 {
-        return None;
-    }
-    Some((rings, capacity))
-}
-
-/// One ring's decode: surviving events in sequence order plus the torn
-/// and empty slot counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RingDecode {
-    /// Ring index (thread id; the last ring belongs to the daemon).
-    pub tid: usize,
-    /// Surviving events, ordered by `seq`.
-    pub events: Vec<BbEvent>,
-    /// Slots whose checksum failed (torn at the crash).
-    pub torn: usize,
-    /// Never-written slots.
-    pub empty: usize,
-}
-
-/// A fully decoded black-box region.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionDecode {
-    /// Ring count (threads + 1 daemon ring).
-    pub rings: Vec<RingDecode>,
-    /// Events per ring.
-    pub capacity: usize,
-}
-
-impl RegionDecode {
-    /// Total surviving events across all rings.
-    pub fn decoded(&self) -> usize {
-        self.rings.iter().map(|r| r.events.len()).sum()
-    }
-
-    /// Total torn slots across all rings.
-    pub fn torn(&self) -> usize {
-        self.rings.iter().map(|r| r.torn).sum()
-    }
-
-    /// All surviving events merged on the deterministic total order
-    /// `(ts, tid, seq)` — the forensic analogue of replay's
-    /// `(ts, chain_idx, pos)` merge.
-    pub fn merged(&self) -> Vec<BbEvent> {
-        let mut out: Vec<BbEvent> =
-            self.rings.iter().flat_map(|r| r.events.iter().copied()).collect();
-        out.sort_by_key(|e| (e.ts, e.tid, e.seq));
-        out
-    }
-}
-
-/// Decodes a whole region (header + rings) from raw bytes, e.g. the
-/// black-box slice of a crash image. Returns `None` only when the header
-/// itself does not validate — ring damage degrades to skipped slots.
-pub fn decode_region(bytes: &[u8]) -> Option<RegionDecode> {
-    let (rings, capacity) = decode_region_header(bytes)?;
-    if region_bytes(rings, capacity) > bytes.len() {
-        return None;
-    }
-    let ring_bytes = capacity * EVT_BYTES;
-    let mut out = Vec::with_capacity(rings);
-    for tid in 0..rings {
-        let base = REGION_HDR + tid * ring_bytes;
-        let mut events = Vec::new();
-        let mut torn = 0usize;
-        let mut empty = 0usize;
-        for slot in 0..capacity {
-            let off = base + slot * EVT_BYTES;
-            match decode_slot(&bytes[off..off + EVT_BYTES]) {
-                SlotState::Empty => empty += 1,
-                SlotState::Torn => torn += 1,
-                SlotState::Ok(ev) => events.push(ev),
-            }
-        }
-        events.sort_by_key(|e| e.seq);
-        out.push(RingDecode { tid, events, torn, empty });
-    }
-    Some(RegionDecode { rings: out, capacity })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(ts: u64, tid: u16, seq: u32, kind: BbKind) -> BbEvent {
-        BbEvent { ts, a: 7, b: 9, seq, tid, kind, aux: 3 }
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let e = ev(123, 2, 5, BbKind::TxCommit);
-        let slot = e.encode();
-        assert_eq!(decode_slot(&slot), SlotState::Ok(e));
-    }
-
-    #[test]
-    fn torn_slots_are_skipped_not_fatal() {
-        let mut slot = ev(1, 0, 0, BbKind::TxBegin).encode();
-        slot[4] ^= 0xFF; // tear the timestamp
-        assert_eq!(decode_slot(&slot), SlotState::Torn);
-        let zero = [0u8; EVT_BYTES];
-        assert_eq!(decode_slot(&zero), SlotState::Empty);
-        // An out-of-range kind byte with a "valid" checksum is torn too.
-        let mut bogus = ev(1, 0, 0, BbKind::TxBegin).encode();
-        bogus[30] = 99;
-        let sum = fnv1a64(&bogus[0..32]);
-        bogus[32..40].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode_slot(&bogus), SlotState::Torn);
-    }
-
-    #[test]
-    fn region_round_trips_and_merges_deterministically() {
-        let rings = 3;
-        let cap = 4;
-        let mut bytes = vec![0u8; region_bytes(rings, cap)];
-        bytes[0..REGION_HDR].copy_from_slice(&encode_region_header(rings, cap));
-        // Two events on ring 0, one on ring 2, one torn slot on ring 1.
-        let write = |bytes: &mut Vec<u8>, tid: usize, slot: usize, e: &BbEvent| {
-            let off = REGION_HDR + tid * cap * EVT_BYTES + slot * EVT_BYTES;
-            bytes[off..off + EVT_BYTES].copy_from_slice(&e.encode());
-        };
-        write(&mut bytes, 0, 0, &ev(10, 0, 0, BbKind::TxBegin));
-        write(&mut bytes, 0, 1, &ev(20, 0, 1, BbKind::TxCommit));
-        write(&mut bytes, 2, 0, &ev(15, 2, 0, BbKind::ReclaimSplice));
-        write(&mut bytes, 1, 0, &ev(12, 1, 0, BbKind::TxBegin));
-        let torn_off = REGION_HDR + cap * EVT_BYTES;
-        bytes[torn_off + 2] ^= 1;
-
-        let dec = decode_region(&bytes).expect("header validates");
-        assert_eq!(dec.capacity, cap);
-        assert_eq!(dec.rings.len(), rings);
-        assert_eq!(dec.decoded(), 3);
-        assert_eq!(dec.torn(), 1);
-        assert_eq!(dec.rings[1].torn, 1);
-        assert_eq!(dec.rings[0].empty, 2);
-        let merged = dec.merged();
-        let key: Vec<(u64, u16)> = merged.iter().map(|e| (e.ts, e.tid)).collect();
-        assert_eq!(key, vec![(10, 0), (15, 2), (20, 0)], "merge is (ts, tid, seq)-ordered");
-    }
-
-    #[test]
-    fn corrupt_region_header_is_rejected() {
-        let mut bytes = vec![0u8; region_bytes(1, 2)];
-        assert!(decode_region(&bytes).is_none(), "zero header");
-        bytes[0..REGION_HDR].copy_from_slice(&encode_region_header(1, 2));
-        bytes[9] ^= 1;
-        assert!(decode_region(&bytes).is_none(), "checksummed header rejects a torn ring count");
-        // Geometry larger than the byte slice is rejected, not sliced.
-        let hdr = encode_region_header(4, 1024);
-        assert!(decode_region(&hdr).is_none());
-    }
 
     #[test]
     fn kind_names_align() {
@@ -445,7 +149,7 @@ mod tests {
         }
         assert_eq!(BbKind::from_u8(0), None);
         assert_eq!(BbKind::from_u8(BB_KIND_COUNT as u8 + 1), None);
-        assert_eq!(kv_op_name(KV_OP_CAS), "cas");
+        assert_eq!(kv_op_name(3), "cas");
         assert_eq!(kv_op_name(200), "unknown");
     }
 }

@@ -10,10 +10,10 @@
 //!   device or the runtimes already count exactly. Disabled by default: an
 //!   inert span reads no clock and touches no atomics, keeping the
 //!   telemetry-off commit path within its < 3% overhead budget.
-//! * [`blackbox`] — the event format of the PM-resident flight recorder
-//!   ([`BbKind`], [`BbEvent`], slot checksums, ring decode and merge): the
-//!   workspace's one event stream. The write side is
-//!   `specpmt_pmem::BlackBoxSink`, the reader `specpmt_core::forensics`.
+//! * [`blackbox`] — the vocabulary of the PM-resident flight recorder
+//!   ([`BbKind`], [`BbEvent`] and its JSON): the workspace's one event
+//!   stream. Its on-PM format and write side are `specpmt_pmem::blackbox`,
+//!   the reader `specpmt_core::forensics`.
 //! * [`json`] — a hand-rolled [`JsonWriter`] (the workspace is
 //!   zero-dependency) and the [`StatExport`] trait the `inspect` and
 //!   forensics reports implement for `log_inspect --json`.

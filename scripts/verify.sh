@@ -78,38 +78,41 @@ for probe in 'encode_header_parts(|crates/core/src|record.rs' \
     fi
 done
 
-# Re-fork guard, record parsing and the freshness index: every reader of a
-# log chain goes through record.rs's one streaming reader. Outside
-# #[cfg(test)], a stored checksum is compared in one line of one function
-# (`StreamReader::read_payload`), an entry's `u32` length is decoded in one
-# function (`decode_entry`; the other two `u32` reads of record.rs are the
-# record and checkpoint headers' lengths, and layout.rs parses pool
-# descriptors, not log bytes) — a second parse loop anywhere in
-# crates/core/src would have to add one of either. And the per-byte
+# Re-fork guard, one frame codec: every checksummed on-PM format (log
+# record, checkpoint, layout descriptor, undo entry, hash-log generation,
+# black-box slot and region header) is sealed and verified through
+# crates/pmem/src/frame.rs and decodes its fields through the frame's one
+# bounded reader. Outside #[cfg(test)], across crates/*/src, a stored
+# checksum is compared in one line (`frame::verify`) and a `u32` field is
+# decoded in one line (`Fields::u32`) — a second parse loop anywhere would
+# have to add one of either; txn's access.rs keeps the typed `read_u32` of
+# application data, which is no frame. The pool header's magic is checked
+# in one line (`PoolHeader::decode`). And the per-byte
 # `HashMap<usize, u64>` index survives only as the oracle in
 # tests/properties.rs.
-verifies=0
-for f in crates/core/src/*.rs; do
-    n=$(nontest "$f" | grep -cE 'record_checksum\(.*\) *[!=]= |[!=]= *record_checksum\(' || true)
-    verifies=$((verifies + n))
-    [ "$n" -eq 0 ] || [ "$(basename "$f")" = record.rs ] ||
-        { echo "re-fork guard: $f verifies a record checksum itself" >&2; exit 1; }
-    want=0
-    case "$(basename "$f")" in record.rs) want=3 ;; layout.rs) continue ;; esac
-    got=$(nontest "$f" | grep -c 'u32::from_le_bytes' || true)
-    [ "$got" -eq "$want" ] ||
-        { echo "re-fork guard: $f decodes $got u32 length fields, expected $want" \
-            "(entries are decoded by record::decode_entry only)" >&2; exit 1; }
+production_sources() { find crates -path '*/src/*' -name '*.rs' | sort; }
+count_in_sources() { # <extended regex>: "file:count" for every source that matches
+    for f in $(production_sources); do
+        n=$(nontest "$f" | grep -cE -- "$1" || true)
+        [ "$n" -eq 0 ] || echo "$f:$n"
+    done
+}
+for probe in \
+    'crates/pmem/src/frame.rs:1|(word_hash|seal|record_checksum|fnv1a64|checksum)\(.*\) *[!=]= |[!=]= *(word_hash|seal|record_checksum|fnv1a64|checksum)\(|\b(sum|cksum|checksum|stored) *[!=]= |[!=]= *(sum|cksum|checksum|stored)\b' \
+    'crates/pmem/src/frame.rs:1 crates/txn/src/access.rs:1|u32::from_le_bytes' \
+    'crates/pmem/src/pool.rs:1|[!=]= *([a-z_]+::)*POOL_MAGIC\b|POOL_MAGIC *[!=]='; do
+    IFS='|' read -r want pat <<<"$probe"
+    got=$(count_in_sources "$pat" | tr '\n' ' ' | sed 's/ $//')
+    [ "$got" = "$want" ] ||
+        { echo "re-fork guard: '$pat' must match only $want, found: ${got:-(none)}" >&2; exit 1; }
 done
-[ "$verifies" -eq 1 ] ||
-    { echo "re-fork guard: $verifies checksum comparisons in crates/core/src, expected 1" >&2; exit 1; }
 if grep -nF 'HashMap<usize, u64>' crates/core/src/reclaim.rs; then
     echo "re-fork guard: the per-byte freshness map is back in reclaim.rs" >&2
     exit 1
 fi
 
 # One checksum, hashed once: a record is hashed whole at seal and at read
-# (checksum::word_hash), so the streaming hasher, its finishing step and the
+# (frame::word_hash), so the streaming hasher, its finishing step and the
 # write set's dirty-stream flag stay deleted. And recovery copies only the
 # records that replay: outside #[cfg(test)], whole chains are copied out of
 # an image only by the reference replay, `recover_image`. Neither pattern
@@ -130,8 +133,8 @@ copiers=$(nontest crates/core/src/recovery.rs | awk '
 # scanned in core/src/undo.rs alone, which also declares its two root
 # slots: pmdk.rs and hwtx's common.rs name neither a header size nor a
 # checksum of their own. Outside #[cfg(test)], no crates/*/src file but
-# checksum.rs calls FNV-1a; blackbox.rs keeps a private copy because the
-# telemetry crate sits below core. No pattern matches its own line.
+# checksum.rs calls FNV-1a: the flight recorder's format is sealed with
+# word_hash like every other frame. No pattern matches its own line.
 for f in crates/baselines/src/pmdk.rs crates/hwtx/src/common.rs; do
     if grep -nE 'ENTRY_[H]DR|entry_[c]hecksum' "$f"; then
         echo "re-fork guard: $f encodes or verifies undo entries itself (use core::undo)" >&2
@@ -144,8 +147,7 @@ for f in $(find crates -path '*/src/*' -name '*.rs' ! -path crates/core/src/undo
         exit 1
     fi
 done
-for f in $(find crates -path '*/src/*' -name '*.rs' ! -path crates/core/src/checksum.rs \
-    ! -path crates/telemetry/src/blackbox.rs); do
+for f in $(find crates -path '*/src/*' -name '*.rs' ! -path crates/core/src/checksum.rs); do
     if nontest "$f" | grep -nF 'fnv1a64('; then
         echo "re-fork guard: $f checksums with FNV-1a (on-PM formats use word_hash)" >&2
         exit 1
@@ -483,5 +485,19 @@ if grep -rnE '^ *(pub )?mod (crashsmoke|driver|mt|oracle|crashenum)\b' crates/co
     echo "crash-harness code is back in a production crate (it lives in crates/check)" >&2
     exit 1
 fi
+
+# Panic ceiling: the non-test panic sites of the crates a crash image is
+# read through may not rise silently. Counted per line before a file's
+# first #[cfg(test)], `debug_assert*` included; a change that adds one
+# raises the ceiling in the same change and says why.
+PANIC_CEILING=125
+panics=0
+for f in $(find crates/core/src crates/pmem/src crates/txn/src crates/kv/src \
+    crates/telemetry/src -name '*.rs'); do
+    n=$(nontest "$f" | grep -cE 'assert!|assert_eq!|assert_ne!|\.expect\(|\.unwrap\(\)|panic!|unreachable!' || true)
+    panics=$((panics + n))
+done
+[ "$panics" -le "$PANIC_CEILING" ] ||
+    { echo "panic guard: $panics non-test panic sites, ceiling $PANIC_CEILING" >&2; exit 1; }
 
 echo "verify: OK"

@@ -222,6 +222,41 @@ fn younger_record_survives_write_free_txs<A: TxAccess>(
     assert_eq!(img.read_u64(addr), 2, "record committed after a write-free transaction was lost");
 }
 
+/// Writes inside one transaction recover in write order, however their
+/// ranges overlap: `w(a, [1; 4]); w(a + 2, [2; 4]); w(a, [3; 4])` must
+/// leave `[3, 3, 3, 3, 2, 2]`. Patching the third write into the first
+/// write's entry would replay it before the second and leave
+/// `[3, 3, 2, 2, 2, 2]`.
+fn overlapping_writes_recover_in_write_order<A: TxAccess>(
+    a: &mut A,
+    capture: impl Fn(&A) -> CrashImage,
+) {
+    let addr = a.setup_alloc(64, 64);
+    a.begin();
+    a.write(addr, &[1; 4]);
+    a.write(addr + 2, &[2; 4]);
+    a.write(addr, &[3; 4]);
+    a.commit();
+    let mut img = capture(a);
+    SpecSpmt::recover(&mut img);
+    assert_eq!(img.read_bytes(addr, 6), [3, 3, 3, 3, 2, 2], "writes replayed out of order");
+}
+
+#[test]
+fn overlapping_writes_in_one_tx_recover_in_write_order() {
+    let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
+    let mut seq = SpecSpmt::new(pool, SpecConfig::default());
+    overlapping_writes_recover_in_write_order(&mut seq, |rt| {
+        rt.pool().device().capture(CrashPolicy::AllLost)
+    });
+
+    let shared = SpecSpmtShared::open_or_format(1usize << 20, ConcurrentConfig::default());
+    let mut solo = shared.tx_handle(0);
+    overlapping_writes_recover_in_write_order(&mut solo, |h| {
+        h.device().capture(CrashPolicy::AllLost)
+    });
+}
+
 #[test]
 fn write_free_tx_does_not_orphan_younger_records() {
     let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
