@@ -18,7 +18,9 @@
 //!   setting and [`EnumReport::merge`] the reports to cover both commit
 //!   paths. Every writer is preceded by a write-free transaction (committed
 //!   or aborted), and one transaction stays open, still write-free, across
-//!   the compaction cycle and the checkpoint before it writes and commits.
+//!   the compaction cycle and the checkpoint before it writes and commits;
+//!   one more cycle after that commit leaves the checkpoint's anchor for
+//!   its chain stale.
 //!
 //! Both runners execute the workload **fresh** (new device, pool, and
 //! runtime per call), recover from the captured image, and verify atomic
@@ -142,8 +144,10 @@ fn mt_value(t: usize, k: usize) -> u64 {
 /// transaction that has not written pins nothing), deterministically
 /// walking the `mt/reclaim/*` splice protocol, and a checkpoint is
 /// written. Only then does the transaction write its pair — reserving its
-/// record in the compacted chain — and commit. The whole straggler runs in
-/// one bracket; once the image is taken it does not run at all.
+/// record in the compacted chain — and commit, and a second cycle splices
+/// thread 0's chain again, leaving the checkpoint's anchor for it stale.
+/// The whole straggler runs in one bracket; once the image is taken it
+/// does not run at all.
 ///
 /// With `group_commit` the commits funnel through the batched-fence group
 /// path (`mt/group/*` sites); without it each commit seals solo
@@ -216,6 +220,11 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
         h.write(bases[0], &v);
         h.write(bases[0] + 64, &v);
         h.commit();
+        // The commit made thread 0's checkpointed record stale: a second
+        // cycle splices its chain and frees the block the checkpoint's
+        // anchor names, bytes intact, so the final image recovers through a
+        // stale anchor — recovery must read that chain from its head.
+        shared.reclaim_cycle();
     });
     if last == Bracket::Definite {
         straggler.definite += 1;

@@ -61,7 +61,8 @@ use crate::engine::{record_drain, Probe, TxLog};
 use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
 use crate::record::{
-    encode_checkpoint, entry_header, Entries, EntryRef, LogArea, RecordReader, SharedStore,
+    encode_checkpoint, entry_header, record_checksum, stream_cursor, Anchor, Entries, EntryRef,
+    LogArea, RecordReader, SharedStore, REC_HDR,
 };
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 
@@ -721,7 +722,11 @@ impl SpecSpmtShared {
     /// watermark`, where the watermark is the minimum last-committed
     /// timestamp across non-empty chains at scan time. Recovery applies
     /// the checkpoint image first and replays only records younger than
-    /// the watermark.
+    /// the watermark. Beside the fold the checkpoint carries one
+    /// anchor per chain — where its last record at or below the
+    /// watermark starts, with that record's timestamp and checksum — so
+    /// recovery reads each chain only from there on, while the anchor
+    /// still holds (see [`crate::recovery`]).
     ///
     /// Soundness of the watermark: a commit timestamp is issued
     /// (`fetch_add`) *before* the area lock is taken in `seal`, but each
@@ -743,9 +748,12 @@ impl SpecSpmtShared {
 
         // Scan: every chain's committed records under that chain's lock,
         // streamed into one flat buffer of payloads — `(ts, chain index,
-        // payload range)` per record, nothing owned per record or entry.
+        // payload range)` per record, nothing owned per record or entry —
+        // and the chain's blocks, which place its anchor once the
+        // watermark is known.
         let mut payloads: Vec<u8> = Vec::new();
         let mut records: Vec<(u64, usize, std::ops::Range<usize>)> = Vec::new();
+        let mut chain_blocks: Vec<Vec<usize>> = Vec::with_capacity(self.areas.len());
         let mut watermark = u64::MAX;
         for (idx, slot) in self.areas.iter().enumerate() {
             let st = slot.lock();
@@ -757,6 +765,7 @@ impl SpecSpmtShared {
                 records.push((rec.ts, idx, start..payloads.len()));
                 last_ts = Some(rec.ts);
             }
+            chain_blocks.push(st.area.blocks().to_vec());
             let open = st.open;
             drop(st);
             match last_ts {
@@ -769,6 +778,22 @@ impl SpecSpmtShared {
         }
         if watermark == u64::MAX {
             return None; // no committed records anywhere
+        }
+
+        // Each chain's anchor: its last record at or below the watermark
+        // (those records are a prefix of the chain), placed by the bytes of
+        // the records before it, which the chain stores back to back from
+        // its head.
+        let mut anchors: Vec<Option<Anchor>> = vec![None; self.areas.len()];
+        for chain in records.chunk_by(|a, b| a.1 == b.1) {
+            let kept = chain.iter().take_while(|&&(ts, _, _)| ts <= watermark).count();
+            let Some((ts, idx, p)) = kept.checked_sub(1).map(|last| chain[last].clone()) else {
+                continue;
+            };
+            let offset = chain[..kept - 1].iter().map(|(_, _, p)| REC_HDR + p.len()).sum();
+            let checksum = record_checksum(ts, &payloads[p]);
+            anchors[idx] = stream_cursor(&chain_blocks[idx], self.cfg.block_bytes, offset)
+                .map(|at| Anchor { at, ts, checksum });
         }
 
         // Records up to the watermark in replay order; equal timestamps
@@ -800,7 +825,7 @@ impl SpecSpmtShared {
             run.iter().for_each(|(_, bytes)| payload.extend_from_slice(bytes));
             runs += 1;
         }
-        let encoded = encode_checkpoint(watermark, &payload);
+        let encoded = encode_checkpoint(watermark, &anchors, &payload);
 
         // Persist protocol: build the new chain, flush+fence it, then
         // atomically swap the descriptor's checkpoint head. A crash at
@@ -2040,13 +2065,26 @@ pub(crate) mod tests {
         for ckpt_round in [3, 25] {
             let (s, watermark) = overlapping_three_chain_history(ckpt_round);
             let handle = s.pool().handle();
-            let (mark, payload) = crate::record::read_checkpoint(
+            let ckpt = crate::record::read_checkpoint(
                 &handle,
                 s.layout().ckpt_head(&handle),
                 s.cfg.block_bytes,
             )
             .expect("the checkpoint reads back");
-            assert_eq!(mark, watermark);
+            assert_eq!(ckpt.watermark, watermark);
+            // Chain by chain, the anchor names the chain's last record at
+            // or below the watermark: a reader resumed there reads it.
+            for (tid, anchor) in ckpt.anchors.iter().enumerate() {
+                let a = anchor.expect("every chain has a record below the watermark");
+                let head = s.layout().head(&handle, tid);
+                let mut reader = RecordReader::new(&handle, head, s.cfg.block_bytes);
+                let last = std::iter::from_fn(|| reader.next().map(|r| r.ts))
+                    .take_while(|&ts| ts <= watermark)
+                    .last();
+                assert_eq!(Some(a.ts), last, "chain {tid}");
+                let mut resumed = RecordReader::resume(&handle, a.at, s.cfg.block_bytes);
+                assert_eq!(resumed.next().map(|r| r.anchor(a.at)), Some(a), "chain {tid}");
+            }
 
             let mut records: Vec<_> = parse_all(&s)
                 .into_iter()
@@ -2072,7 +2110,7 @@ pub(crate) mod tests {
             let mut want = Vec::new();
             runs.iter()
                 .for_each(|(addr, value)| crate::record::push_entry(&mut want, *addr, value));
-            assert_eq!(payload, want, "checkpoint before round {ckpt_round}");
+            assert_eq!(ckpt.runs, want, "checkpoint before round {ckpt_round}");
             assert!(runs.len() > 1, "the workload leaves gaps between runs");
         }
     }
@@ -2118,8 +2156,12 @@ pub(crate) mod tests {
             let d = s.device().stats().delta_since(&before);
             ops.push((d.clwb_count, d.lines_persisted, d.bytes_stored, d.sfence_count));
         }
-        // (clwb, lines persisted, bytes stored, sfence) per round.
-        assert_eq!(ops, [(37, 37, 2293, 4), (47, 47, 2810, 7), (37, 37, 2293, 4)]);
+        // (clwb, lines persisted, bytes stored, sfence) per round. Round 1
+        // writes the checkpoint, whose anchor table (a count and two
+        // 32-byte anchors, 68 bytes) spills it into one more 256-byte block:
+        // 68 bytes plus that block's 28 bytes of pointers and terminator,
+        // on one more line.
+        assert_eq!(ops, [(37, 37, 2293, 4), (48, 48, 2906, 7), (37, 37, 2293, 4)]);
         let rs = s.reclaim_stats();
         assert_eq!((rs.records_kept, rs.records_dropped, rs.bytes_reclaimed), (159, 379, 13619));
         assert_eq!(rs.last_cycle_ns, 6144, "the daemon's simulated clock");

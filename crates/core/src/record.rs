@@ -21,6 +21,22 @@
 //! from the source itself; only a record that crosses a block boundary, or
 //! one read from a source that cannot lend, is copied into the reader's
 //! buffer first.
+//!
+//! A checkpoint is one record of its own, in a chain of its own:
+//!
+//! ```text
+//! checkpoint: [magic: u64][watermark: u64][len: u32][checksum: u64][payload …]
+//! payload:    [anchors: u32][anchor × anchors][runs …]
+//! anchor:     [block: u64][pos: u64][ts: u64][checksum: u64]     (block 0 = none)
+//! run:        an entry, as above
+//! ```
+//!
+//! The checksum seals the whole payload, anchor table included, so a torn
+//! checkpoint is rejected whole. Anchor `i` names chain `i`'s last record at
+//! or below the watermark (an `Anchor`); the runs are the last-writer-wins
+//! state of every record at or below it. `encode_checkpoint` and
+//! `read_checkpoint` are the frame's one encoder and one decoder, and
+//! `stream_cursor` places a record in its chain from the bytes before it.
 
 use std::sync::Mutex;
 
@@ -261,18 +277,29 @@ struct StreamReader<'a, S: ByteSource> {
     hops_left: usize,
 }
 
+/// The cycle guard: at most this many forward pointers are followed on one
+/// chain of `block_bytes`-byte blocks in a `source_len`-byte source — one
+/// more than the source could hold blocks, so a garbage pointer that closes
+/// a loop ends the walk instead of spinning it.
+pub(crate) fn max_hops(source_len: usize, block_bytes: usize) -> usize {
+    source_len / block_bytes.max(1) + 2
+}
+
 impl<'a, S: ByteSource> StreamReader<'a, S> {
     /// A reader positioned at `cur`, or `None` when `cur` does not name a
-    /// block of `src` (empty head, garbage pointer, degenerate block size).
+    /// position in a block of `src` (empty head, garbage pointer, a
+    /// position inside the block header or past the block, degenerate
+    /// block size).
     fn at(src: &'a S, cur: Cursor, block_bytes: usize) -> Option<Self> {
         if cur.block == 0
             || block_bytes <= BLOCK_HDR
+            || !(BLOCK_HDR..=block_bytes).contains(&cur.pos)
             || !in_bounds(cur.block, block_bytes, src.source_len())
         {
             return None;
         }
-        let max_blocks = src.source_len() / block_bytes + 2;
-        Some(Self { src, cur, block_bytes, hops_left: max_blocks })
+        let hops_left = max_hops(src.source_len(), block_bytes);
+        Some(Self { src, cur, block_bytes, hops_left })
     }
 
     fn read(&mut self, buf: &mut [u8]) -> bool {
@@ -384,6 +411,12 @@ impl<'a> RecordRef<'a> {
         Entries::new(self.payload())
     }
 
+    /// The record as a checkpoint names it, read at `at`.
+    pub(crate) fn anchor(&self, at: Cursor) -> Anchor {
+        let checksum = decode_header(self.bytes).map_or(0, |(_, _, sum)| sum);
+        Anchor { at, ts: self.ts, checksum }
+    }
+
     /// The owned form.
     pub(crate) fn to_record(self) -> LogRecord {
         LogRecord { ts: self.ts, entries: self.entries().into_owned() }
@@ -435,11 +468,12 @@ impl<'a, S: ByteSource> RecordReader<'a, S> {
         Self { stream: StreamReader::at(src, at, block_bytes), buf: Vec::new(), next: at }
     }
 
-    /// Starts over on the chain at block `head` of `src`, keeping the
+    /// Starts over at `at` — a chain's head, `Cursor { block: head, pos:
+    /// BLOCK_HDR }`, or a position an earlier reader recorded — keeping the
     /// buffer copied records are read into: one reader reads any number of
     /// chains with the allocations of one.
-    pub(crate) fn restart(&mut self, src: &'a S, head: usize, block_bytes: usize) {
-        *self = Self { buf: std::mem::take(&mut self.buf), ..Self::new(src, head, block_bytes) };
+    pub(crate) fn restart(&mut self, src: &'a S, at: Cursor, block_bytes: usize) {
+        *self = Self { buf: std::mem::take(&mut self.buf), ..Self::resume(src, at, block_bytes) };
     }
 
     /// Start of the first record not yet returned: once [`Self::next`] has
@@ -469,6 +503,16 @@ impl<'a, S: ByteSource> RecordReader<'a, S> {
     }
 }
 
+/// Where the record stream of a chain stands `offset` bytes from its start:
+/// the stream fills each of `blocks` (the chain's blocks, head first) after
+/// its header, as [`LogArea::append`] writes it and [`RecordReader`] reads
+/// it. `None` past the last block.
+pub(crate) fn stream_cursor(blocks: &[usize], block_bytes: usize, offset: usize) -> Option<Cursor> {
+    let per_block = block_bytes.checked_sub(BLOCK_HDR).filter(|&n| n > 0)?;
+    let block = *blocks.get(offset / per_block)?;
+    Some(Cursor { block, pos: BLOCK_HDR + offset % per_block })
+}
+
 /// Reads all committed records of the chain starting at `head` into one
 /// buffer, encoded back to back as the chain stores them — what
 /// [`encoded_records`] splits again. One allocation per chain, however many
@@ -495,46 +539,107 @@ pub fn parse_chain<S: ByteSource>(src: &S, head: usize, block_bytes: usize) -> V
     std::iter::from_fn(|| reader.next().map(RecordRef::to_record)).collect()
 }
 
-/// Magic opening a checkpoint record ("SPCKPT00").
-pub const CKPT_MAGIC: u64 = 0x5350_434b_5054_3030;
+/// Magic opening a checkpoint record ("SPCKPT01": the payload opens with
+/// the anchor table).
+pub const CKPT_MAGIC: u64 = 0x5350_434b_5054_3031;
 
 /// Checkpoint record header size:
 /// `magic (u64) | watermark (u64) | len (u32) | checksum (u64)`.
 pub const CKPT_HDR: usize = 28;
 
+/// Bytes of one anchor in a checkpoint's anchor table:
+/// `block (u64) | pos (u64) | ts (u64) | checksum (u64)`, a zero `block`
+/// meaning no anchor.
+pub const ANCHOR_BYTES: usize = 32;
+
 /// Upper bound on a checkpoint's payload (a checkpoint snapshots live
 /// data, which can legitimately dwarf any single transaction record).
 pub const MAX_CKPT_PAYLOAD: usize = 1 << 28;
 
-/// Encodes a checkpoint record around `payload` — its snapshot runs
-/// (disjoint, address-sorted, the last-writer-wins state of every record
-/// with commit timestamp `<= watermark`), already encoded back to back as
-/// entries: `magic | watermark | len | checksum | payload`. The checksum
-/// covers `payload || len || watermark` via [`record_checksum`] (the
-/// watermark rides in the timestamp seat), so a torn checkpoint is
-/// rejected exactly like a torn transaction record.
-pub(crate) fn encode_checkpoint(watermark: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CKPT_HDR + payload.len());
+/// Where a chain's last record at or below a checkpoint's watermark
+/// started when the checkpoint read the chain, and the timestamp and
+/// checksum that record carried. Recovery trusts it only after finding
+/// `at.block` on the live chain and the same record at `at`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Anchor {
+    /// Where the record starts in its chain.
+    pub(crate) at: Cursor,
+    /// The record's commit timestamp.
+    pub(crate) ts: u64,
+    /// The record's stored checksum.
+    pub(crate) checksum: u64,
+}
+
+/// A checkpoint record as [`read_checkpoint`] decodes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Checkpoint {
+    /// Every record with a commit timestamp at or below it is folded in.
+    pub(crate) watermark: u64,
+    /// Chain `i`'s anchor at index `i`; `None` where the chain held no
+    /// record at or below the watermark.
+    pub(crate) anchors: Vec<Option<Anchor>>,
+    /// The snapshot runs, encoded back to back as entries ([`Entries`]).
+    pub(crate) runs: Vec<u8>,
+}
+
+/// Encodes a checkpoint record: `magic | watermark | len | checksum`, then
+/// a `len`-byte payload holding
+///
+/// * the anchor table — `count (u32)`, then `count` anchors of
+///   [`ANCHOR_BYTES`], chain `i`'s at index `i`; and
+/// * the snapshot `runs` (disjoint, address-sorted, the last-writer-wins
+///   state of every record with commit timestamp `<= watermark`), already
+///   encoded back to back as entries.
+///
+/// The checksum covers `payload || len || watermark` via
+/// [`record_checksum`] (the watermark rides in the timestamp seat), so a
+/// torn checkpoint — anchor table included — is rejected exactly like a
+/// torn transaction record.
+pub(crate) fn encode_checkpoint(
+    watermark: u64,
+    anchors: &[Option<Anchor>],
+    runs: &[u8],
+) -> Vec<u8> {
+    let len = 4 + anchors.len() * ANCHOR_BYTES + runs.len();
+    let mut out = Vec::with_capacity(CKPT_HDR + len);
     out.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
     out.extend_from_slice(&watermark.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record_checksum(watermark, payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&[0u8; 8]); // the checksum, once the payload is in
+    out.extend_from_slice(&(anchors.len() as u32).to_le_bytes());
+    for anchor in anchors {
+        let a = anchor.unwrap_or(Anchor { at: Cursor { block: 0, pos: 0 }, ts: 0, checksum: 0 });
+        for word in [a.at.block as u64, a.at.pos as u64, a.ts, a.checksum] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    out.extend_from_slice(runs);
+    let sum = record_checksum(watermark, &out[CKPT_HDR..]);
+    out[CKPT_HDR - 8..CKPT_HDR].copy_from_slice(&sum.to_le_bytes());
     out
 }
 
-/// Reads the checkpoint record stored in the block chain at `head` as
-/// `(watermark, payload)`; [`Entries`] decodes the payload's runs.
+/// Decodes one [`ANCHOR_BYTES`] entry of the anchor table; `None` for an
+/// empty one. Positions are taken as stored: recovery validates them.
+fn decode_anchor(entry: &[u8]) -> Option<Anchor> {
+    let mut f = Fields::new(entry);
+    let at = Cursor { block: f.u64()? as usize, pos: f.u64()? as usize };
+    let anchor = Anchor { at, ts: f.u64()?, checksum: f.u64()? };
+    (at.block != 0).then_some(anchor)
+}
+
+/// Reads the checkpoint record stored in the block chain at `head`.
 ///
 /// Returns `None` for an empty head, a bad magic, an implausible length
 /// (over [`MAX_CKPT_PAYLOAD`] or more than the source holds), an
-/// unreadable chain, or a checksum mismatch — the torn-checkpoint cases,
-/// where recovery must fall back to a full log replay.
+/// unreadable chain, a checksum mismatch or an anchor table the payload
+/// cannot hold — the torn-checkpoint cases, where recovery must fall back
+/// to a full log replay.
 pub(crate) fn read_checkpoint<S: ByteSource>(
     src: &S,
     head: usize,
     block_bytes: usize,
-) -> Option<(u64, Vec<u8>)> {
+) -> Option<Checkpoint> {
     let mut reader = StreamReader::at(src, Cursor { block: head, pos: BLOCK_HDR }, block_bytes)?;
     let mut hdr = [0u8; CKPT_HDR];
     if !reader.read(&mut hdr) {
@@ -550,7 +655,11 @@ pub(crate) fn read_checkpoint<S: ByteSource>(
     }
     let mut buf = Vec::new();
     let record = reader.read_payload(&hdr, len, watermark, cksum, &mut buf)?;
-    Some((watermark, record[CKPT_HDR..].to_vec()))
+    let mut f = Fields::new(&record[CKPT_HDR..]);
+    let count = f.u32()? as usize;
+    let table = f.bytes(count.checked_mul(ANCHOR_BYTES)?)?;
+    let anchors = table.chunks_exact(ANCHOR_BYTES).map(decode_anchor).collect();
+    Some(Checkpoint { watermark, anchors, runs: f.rest().to_vec() })
 }
 
 /// The device a log chain lives on, as the record protocol sees it: the
@@ -748,6 +857,11 @@ impl LogArea {
     /// Number of blocks in the chain.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// The chain's blocks, head first.
+    pub(crate) fn blocks(&self) -> &[usize] {
+        &self.blocks
     }
 
     /// Total PM bytes occupied by the chain.
@@ -1025,16 +1139,21 @@ pub(crate) mod tests {
             LogEntry { addr: 0x100, value: vec![7u8; 3 * BB] },
             LogEntry { addr: 0x500, value: vec![9u8; 5] },
         ];
+        let anchors = [
+            Some(Anchor { at: Cursor { block: 0x4000, pos: BB }, ts: 41, checksum: 0xfeed }),
+            None,
+            Some(Anchor { at: Cursor { block: 0x8000, pos: BLOCK_HDR }, ts: 40, checksum: 1 }),
+        ];
         area.append(
             &mut PoolStore::new(&mut pool, &mut free),
-            &encode_checkpoint(42, &ckpt_payload(&runs)),
+            &encode_checkpoint(42, &anchors, &ckpt_payload(&runs)),
             &mut dirty,
         );
-        let (watermark, payload) =
-            read_checkpoint(pool.device(), area.head(), BB).expect("checkpoint parses");
-        assert_eq!(watermark, 42);
-        assert_eq!(payload, ckpt_payload(&runs));
-        assert_eq!(Entries::new(&payload).into_owned(), runs);
+        let ckpt = read_checkpoint(pool.device(), area.head(), BB).expect("checkpoint parses");
+        assert_eq!(ckpt.watermark, 42);
+        assert_eq!(ckpt.anchors, anchors);
+        assert_eq!(ckpt.runs, ckpt_payload(&runs));
+        assert_eq!(Entries::new(&ckpt.runs).into_owned(), runs);
     }
 
     #[test]
@@ -1044,22 +1163,107 @@ pub(crate) mod tests {
         let mut dirty = Vec::new();
         let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
         let runs = [LogEntry { addr: 0x40, value: vec![1, 2, 3, 4] }];
+        let anchors = [Some(Anchor { at: Cursor { block: BB, pos: 20 }, ts: 7, checksum: 3 })];
         area.append(
             &mut PoolStore::new(&mut pool, &mut free),
-            &encode_checkpoint(7, &ckpt_payload(&runs)),
+            &encode_checkpoint(7, &anchors, &ckpt_payload(&runs)),
             &mut dirty,
         );
         assert!(read_checkpoint(pool.device(), area.head(), BB).is_some(), "intact as written");
-        // Corrupt one payload byte: the checksum must reject the record.
-        let addr = area.head() + BLOCK_HDR + CKPT_HDR + ENTRY_HDR + 1;
-        pool.device_mut().write(addr, &[0xFF]);
-        assert!(read_checkpoint(pool.device(), area.head(), BB).is_none());
+        // Corrupt one byte of the anchor table, then of the runs: the
+        // checksum must reject the record either way.
+        let table = area.head() + BLOCK_HDR + CKPT_HDR;
+        for addr in [table + 4 + 9, table + 4 + ANCHOR_BYTES + ENTRY_HDR + 1] {
+            let before = pool.device().peek(addr, 1)[0];
+            pool.device_mut().write(addr, &[before ^ 0x10]);
+            assert!(read_checkpoint(pool.device(), area.head(), BB).is_none(), "{addr:#x}");
+            pool.device_mut().write(addr, &[before]);
+        }
         // A wrong magic (e.g. a transaction record in the slot) is rejected.
         let mut area2 = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
         append_record(&mut area2, &mut pool, &mut free, &rec(1, 0x40, &[1; 4]));
         assert!(read_checkpoint(pool.device(), area2.head(), BB).is_none());
         // Empty head.
         assert!(read_checkpoint(pool.device(), 0, BB).is_none());
+    }
+
+    /// A sealed checkpoint whose anchor count claims more entries than its
+    /// payload holds — or a count whose table size wraps — is rejected
+    /// whole, not read short.
+    #[test]
+    fn an_anchor_table_the_payload_cannot_hold_is_rejected() {
+        for count in [2u32, u32::MAX] {
+            let mut payload = count.to_le_bytes().to_vec();
+            payload.extend_from_slice(&[0u8; ANCHOR_BYTES]);
+            let mut frame = CKPT_MAGIC.to_le_bytes().to_vec();
+            frame.extend_from_slice(&9u64.to_le_bytes());
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&record_checksum(9, &payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            let mut pool = pool();
+            let (mut free, mut dirty) = (Vec::new(), Vec::new());
+            let mut store = PoolStore::new(&mut pool, &mut free);
+            let mut area = LogArea::create(&mut store, BB, &mut dirty);
+            area.append(&mut store, &frame, &mut dirty);
+            assert_eq!(read_checkpoint(pool.device(), area.head(), BB), None, "count {count}");
+        }
+    }
+
+    /// The stream position of each record — the bytes of the records
+    /// before it — names where a reader finds it, including a record that
+    /// starts exactly at a block boundary; past the last block there is
+    /// none.
+    #[test]
+    fn stream_cursor_places_every_record_of_a_chain() {
+        let mut pool = pool();
+        let mut free = Vec::new();
+        let mut dirty = Vec::new();
+        let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
+        // The first record fills its block's stream exactly (112 bytes).
+        let fill = BB - BLOCK_HDR - REC_HDR - ENTRY_HDR;
+        let recs: Vec<_> = [fill, 3, 150, 1, 40]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| rec(i as u64 + 1, 0x40, &vec![i as u8; len]))
+            .collect();
+        for r in &recs {
+            append_record(&mut area, &mut pool, &mut free, r);
+        }
+        let mut offset = 0;
+        for r in &recs {
+            let at = stream_cursor(area.blocks(), BB, offset).expect("inside the chain");
+            let mut reader = RecordReader::resume(pool.device(), at, BB);
+            assert_eq!(reader.next().map(RecordRef::to_record).as_ref(), Some(r), "{offset}");
+            offset += REC_HDR + r.payload_len();
+        }
+        assert_eq!(stream_cursor(area.blocks(), BB, 0).map(|c| c.pos), Some(BLOCK_HDR));
+        assert_eq!(
+            stream_cursor(area.blocks(), BB, fill + REC_HDR + ENTRY_HDR).map(|c| c.pos),
+            Some(BLOCK_HDR)
+        );
+        let end = area.block_count() * (BB - BLOCK_HDR);
+        assert_eq!(stream_cursor(area.blocks(), BB, end), None);
+        assert_eq!(stream_cursor(area.blocks(), BLOCK_HDR, 0), None, "a block with no stream");
+    }
+
+    /// A reader resumed inside a block header or past the block end reads
+    /// nothing: a garbage position never reads the forward pointer as a
+    /// record.
+    #[test]
+    fn a_position_outside_the_block_body_reads_nothing() {
+        let mut pool = pool();
+        let mut free = Vec::new();
+        let mut dirty = Vec::new();
+        let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
+        append_record(&mut area, &mut pool, &mut free, &rec(1, 0x40, &[1; 4]));
+        let head = area.head();
+        for pos in [0, BLOCK_HDR - 1, BB + 1, usize::MAX] {
+            let mut reader = RecordReader::resume(pool.device(), Cursor { block: head, pos }, BB);
+            assert!(reader.next().is_none(), "pos {pos}");
+        }
+        assert!(RecordReader::resume(pool.device(), Cursor { block: head, pos: BLOCK_HDR }, BB)
+            .next()
+            .is_some());
     }
 
     #[test]

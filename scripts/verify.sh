@@ -128,6 +128,34 @@ copiers=$(nontest crates/core/src/recovery.rs | awk '
 [ "$copiers" = recover_image ] ||
     { echo "recovery copies whole chains outside recover_image: ${copiers:-(none)}" >&2; exit 1; }
 
+# Re-fork guard, the checkpoint seek. A checkpoint's anchor table is encoded
+# and decoded in record.rs alone: outside #[cfg(test)], no other
+# crates/*/src file names the checkpoint magic or the anchor stride. And the
+# seek that walks a live chain's forward pointers to an anchor is written
+# once, as recovery.rs's `seek`: no other function there follows a forward
+# pointer, bounds a walk by the reader's cycle guard or resumes a reader at
+# an anchor, and no file but record.rs (which defines the cycle guard) and
+# recovery.rs does either. Comment lines are not searched.
+codecs=$(for f in $(production_sources); do
+    if nontest "$f" | grep -vE '^ *//' | grep -E 'ANCHOR_BYTES|CKPT_MAGIC' >/dev/null; then
+        echo "$f"
+    fi
+done | tr '\n' ' ' | sed 's/ $//')
+[ "$codecs" = crates/core/src/record.rs ] ||
+    { echo "re-fork guard: the checkpoint frame is coded outside record.rs: $codecs" >&2; exit 1; }
+seekers=$(nontest crates/core/src/recovery.rs | grep -vE '^ *//' | awk '
+    /^(pub(\(crate\))? )?fn / { name = $0; sub(/^(pub(\(crate\))? )?fn /, "", name); sub(/[<(].*/, "", name) }
+    /read_u64\(|max_hops\(|anchor\.at/ { print name }' | sort -u)
+[ "$seekers" = seek ] ||
+    { echo "re-fork guard: recovery.rs walks to an anchor outside seek: ${seekers:-(none)}" >&2; exit 1; }
+for f in $(production_sources); do
+    case "$f" in crates/core/src/record.rs | crates/core/src/recovery.rs) continue ;; esac
+    if nontest "$f" | grep -vE '^ *//' | grep -nE 'max_hops\(|\.at\.block'; then
+        echo "re-fork guard: $f walks a chain to an anchor (recovery.rs's seek does)" >&2
+        exit 1
+    fi
+done
+
 # One undo codec and one checksum. The undo entry that PMDK's snapshots and
 # the hardware models' cold lines share is encoded, checksummed and
 # scanned in core/src/undo.rs alone, which also declares its two root

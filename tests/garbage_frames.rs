@@ -1,14 +1,17 @@
 //! Garbage frames: fixed-seed bit flips and truncations of every sealed
-//! on-PM frame beside the log record — the layout descriptor, a checkpoint,
-//! the flight recorder's region header and slots, an undo region and a
-//! hash-log table. Each reader must reject what it cannot verify (`None`,
-//! an absent recorder, a skipped entry) and never panic; where a frame is
-//! rejected, the rest of recovery goes on as if it had never been written.
+//! on-PM frame beside the log record — the layout descriptor, a checkpoint
+//! (its anchor table included), the flight recorder's region header and
+//! slots, an undo region and a hash-log table. Each reader must reject what
+//! it cannot verify (`None`, an absent recorder, a skipped entry) and never
+//! panic; where a frame is rejected, the rest of recovery goes on as if it
+//! had never been written. A checkpoint whose seal holds but whose anchors
+//! the image does not back — forged from outside and re-sealed — costs
+//! recovery its seek, never its image.
 
 use specpmt::baselines::{PmdkConfig, PmdkUndo};
 use specpmt::core::hashlog::{HASH_BASE_SLOT, SLOT_BYTES};
 use specpmt::core::layout::DESC_HDR;
-use specpmt::core::record::{BLOCK_HDR, CKPT_HDR};
+use specpmt::core::record::{ANCHOR_BYTES, BLOCK_HDR, CKPT_HDR, REC_HDR};
 use specpmt::core::recovery::recover_image;
 use specpmt::core::undo::{entry_bytes, UNDO_BASE_SLOT};
 use specpmt::core::{
@@ -16,6 +19,7 @@ use specpmt::core::{
     PoolLayout, RecoveryOptions, SpecSpmtShared,
 };
 use specpmt::pmem::blackbox::{EVT_BYTES, REGION_HDR};
+use specpmt::pmem::frame::seal;
 use specpmt::pmem::{
     root_off, CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
     SharedPmemDevice, SplitMix64,
@@ -116,6 +120,129 @@ fn a_damaged_checkpoint_falls_back_to_full_replay() {
     }
     let mut short = truncated(&img, rec + CKPT_HDR + len as usize / 2);
     assert!(!recover_image_opts(&mut short, &RecoveryOptions::default()).checkpoint_used);
+}
+
+/// A four-chain image whose checkpoint was written twice, so the first
+/// checkpoint's block went back to the free list when the second was
+/// spliced in. Returns the image and that freed block.
+fn twice_checkpointed_image() -> (CrashImage, usize) {
+    let dev = SharedPmemDevice::new(PmemConfig::new(8 << 20));
+    let cfg = ConcurrentConfig::builder().threads(4).reclaim_threshold_bytes(usize::MAX).build();
+    let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
+    let slots: Vec<usize> =
+        (0..4).map(|_| shared.pool().alloc_direct(64, 8).expect("alloc")).collect();
+    let mut handles: Vec<_> = (0..4).map(|t| shared.tx_handle(t)).collect();
+    let mut freed = 0;
+    for round in 0..8u64 {
+        if round == 2 || round == 5 {
+            assert!(shared.write_checkpoint().is_some());
+        }
+        if round == 2 {
+            freed = shared.layout().ckpt_head(&shared.pool().handle());
+        }
+        for (t, h) in handles.iter_mut().enumerate() {
+            h.begin();
+            h.write(slots[t], &(round << 8 | t as u64).to_le_bytes());
+            h.commit();
+        }
+    }
+    (dev.capture(CrashPolicy::AllLost), freed)
+}
+
+/// Where `img`'s checkpoint record starts, its watermark and payload
+/// length, and its anchors as `[block, pos, ts, checksum]`. The record is
+/// `magic | watermark | len (u32) | seal`, then the payload: the anchor
+/// count (u32), the anchors, the runs.
+fn checkpoint_frame(img: &CrashImage) -> (usize, u64, usize, Vec<[u64; 4]>) {
+    let layout = PoolLayout::read(img).expect("pristine layout");
+    let rec = layout.ckpt_head(img) + BLOCK_HDR;
+    let u32_at = |at| u32::from_le_bytes(img.read_bytes(at, 4).try_into().expect("4 bytes"));
+    let len = u32_at(rec + 16) as usize;
+    assert!(CKPT_HDR + len <= layout.block_bytes() - BLOCK_HDR, "the frame fits one block");
+    let table = rec + CKPT_HDR + 4;
+    let anchors = (0..u32_at(rec + CKPT_HDR) as usize)
+        .map(|i| [0, 1, 2, 3].map(|w| img.read_u64(table + i * ANCHOR_BYTES + 8 * w)))
+        .collect();
+    (rec, img.read_u64(rec + 8), len, anchors)
+}
+
+/// `img` with its checkpoint's anchors replaced by `anchors` and the
+/// record re-sealed through `frame::seal` as the writer seals it: a
+/// checkpoint the seal vouches for, whose anchors the image need not back.
+fn with_anchors(img: &CrashImage, anchors: &[[u64; 4]]) -> CrashImage {
+    let (rec, watermark, len, _) = checkpoint_frame(img);
+    let mut out = img.clone();
+    for (i, anchor) in anchors.iter().enumerate() {
+        for (w, &word) in anchor.iter().enumerate() {
+            out.write_u64(rec + CKPT_HDR + 4 + i * ANCHOR_BYTES + 8 * w, word);
+        }
+    }
+    let payload = out.read_bytes(rec + CKPT_HDR, len).to_vec();
+    out.write_u64(rec + 20, seal(&payload, len as u64, watermark));
+    out
+}
+
+/// Sealed checkpoints whose anchors are out of bounds, wrap, point into a
+/// record or a block header or past a block, carry another timestamp or
+/// checksum, name a freed block or another chain's block, or are absent:
+/// the checkpoint is honoured, no chain is read from such an anchor, and
+/// the image is the reference's. Bit flips in the anchor table still
+/// reject the whole checkpoint.
+#[test]
+fn forged_anchors_cost_the_seek_never_the_image() {
+    let (img, freed) = twice_checkpointed_image();
+    let block_bytes = PoolLayout::read(&img).expect("pristine layout").block_bytes() as u64;
+    let (rec, _, _, anchors) = checkpoint_frame(&img);
+    assert_eq!(anchors.len(), 4);
+    assert_ne!(freed, rec - BLOCK_HDR, "the freed block is not the live one");
+    let reseal = with_anchors(&img, &anchors);
+    assert!(reseal == img, "re-sealing the stored anchors changes nothing");
+    let pristine = recover_image_opts(&mut img.clone(), &RecoveryOptions::default());
+    assert_eq!(pristine.chains_seeked, 4, "every genuine anchor holds");
+
+    let size = img.len() as u64;
+    type Forge = fn(u64, u64, u64, [u64; 4], [u64; 4]) -> [u64; 4];
+    let forgeries: [(&str, Forge); 13] = [
+        ("out of bounds", |size, _, _, [_, p, t, c], _| [size, p, t, c]),
+        ("block wraps", |_, _, _, [_, p, t, c], _| [u64::MAX - 7, p, t, c]),
+        ("position wraps", |_, _, _, [b, _, t, c], _| [b, u64::MAX, t, c]),
+        ("in the block header", |_, _, _, [b, _, t, c], _| [b, 8, t, c]),
+        ("past the block", |_, bb, _, [b, _, t, c], _| [b, bb + 1, t, c]),
+        ("mid-record", |_, _, _, [b, p, t, c], _| [b, p + 1, t, c]),
+        ("mid-header", |_, _, _, [b, p, t, c], _| [b, p + REC_HDR as u64 / 2, t, c]),
+        ("another timestamp", |_, _, _, [b, p, t, c], _| [b, p, t + 1, c]),
+        ("another checksum", |_, _, _, [b, p, t, c], _| [b, p, t, c ^ 1]),
+        ("a freed block", |_, _, freed, [_, _, t, c], _| [freed, BLOCK_HDR as u64, t, c]),
+        ("another chain's block", |_, _, _, _, next| next),
+        ("another chain's block, own record", |_, _, _, [_, p, t, c], [b, ..]| [b, p, t, c]),
+        ("absent", |_, _, _, [_, p, t, c], _| [0, p, t, c]),
+    ];
+    for (what, forge) in forgeries {
+        let forged: Vec<[u64; 4]> = (0..anchors.len())
+            .map(|i| forge(size, block_bytes, freed as u64, anchors[i], anchors[(i + 1) % 4]))
+            .collect();
+        let bad = with_anchors(&img, &forged);
+        let mut engine = bad.clone();
+        let report = recover_image_opts(&mut engine, &RecoveryOptions::default());
+        assert!(report.checkpoint_used, "{what}: the seal holds");
+        assert_eq!(report.chains_seeked, 0, "{what}: a chain was read from a forged anchor");
+        let mut reference = bad.clone();
+        recover_image(&mut reference);
+        assert_eq!(engine, reference, "{what}: diverged from the reference");
+        read_everything(&bad);
+    }
+
+    let table = rec + CKPT_HDR;
+    let mut rng = SplitMix64::new(0xa2c4);
+    for _ in 0..FLIPS {
+        let (at, bad) = flipped(&img, &mut rng, table, table + 4 + 4 * ANCHOR_BYTES);
+        let mut engine = bad.clone();
+        let report = recover_image_opts(&mut engine, &RecoveryOptions::default());
+        assert!(!report.checkpoint_used, "anchor table flip at {at:#x} was honoured");
+        let mut reference = bad;
+        recover_image(&mut reference);
+        assert_eq!(engine, reference, "flip at {at:#x}: the fallback diverged from full replay");
+    }
 }
 
 #[test]

@@ -1,12 +1,15 @@
 //! Recovery boundary contracts through the facade: the documented
 //! equal-timestamp tie-break, a hand-built pool through the engine at a
 //! wider parse, torn-checkpoint fallback to full replay, a checksum-valid entry
-//! whose address range wraps — and the exact simulated time-to-recover of
-//! one deterministic 32-chain image (the cost model's goldens). Wherever
+//! whose address range wraps, a checkpoint anchor a reclamation splice left
+//! stale — and the exact simulated time-to-recover of one deterministic
+//! 32-chain image (the cost model's goldens). Wherever
 //! an image is compared, the other side is the reference replay,
 //! `recovery::recover_image`, never the engine under another option.
 
-use specpmt::core::record::{encode_record, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR};
+use specpmt::core::record::{
+    encode_record, parse_chain, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR,
+};
 use specpmt::core::recovery::recover_image;
 use specpmt::core::{
     recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecSpmtShared,
@@ -278,15 +281,21 @@ fn chain_image(rounds: usize, extra: usize) -> CrashImage {
 
 /// The simulated time-to-recover of the 32-chain × 64-round image, exact:
 /// the parse term shrinks with the modelled parse width (chains parse
-/// independently; the busiest worker's byte share is the makespan) and
-/// the checkpoint moves the merge term from every record to the tail.
+/// independently; the busiest worker's byte share is the makespan), and
+/// the checkpoint moves the merge term from every record to the tail and
+/// the parse term from every record to each chain's anchor and tail.
 /// One extra record on one chain must move every number. The width is a
 /// parameter of that model and of nothing else: the image, and every
 /// report field but the two that carry the width, are the same at any.
+///
+/// The checkpointed goldens were 310,306 / 95,266 / 72,226 while recovery
+/// parsed every chain from its head: the seek reads 191 records (11,460
+/// bytes) instead of 2,048 (122,880), and every chain here fits in one
+/// block, so it follows no forward pointer.
 #[test]
 fn recovery_sim_cost_matches_goldens() {
     const GOLDEN: [(usize, u64, u64); 3] =
-        [(1, 518_096, 310_306), (8, 303_056, 95_266), (32, 280_016, 72_226)];
+        [(1, 518_096, 68_896), (8, 303_056, 48_856), (32, 280_016, 46_696)];
     let img = chain_image(64, 0);
     let dearer = chain_image(64, 1);
     let reference = reference_of(&img);
@@ -320,22 +329,88 @@ fn recovery_sim_cost_matches_goldens() {
 }
 
 /// The time-to-recover bound: at a fixed checkpoint lag the checkpointed
-/// replay cost is the same number whatever the log size, while full
-/// replay grows with the log.
+/// replay cost, and the log bytes the checkpointed recovery parses — each
+/// chain's anchor record and the records after it — are the same numbers
+/// whatever the log size, while full replay grows with the log. What the
+/// log size still moves is the seek: one forward pointer per block before
+/// a chain's anchor (none while every chain fits in one 4 KiB block).
 #[test]
 fn checkpointed_replay_cost_is_flat_in_log_size() {
     const CKPT_REPLAY_NS: u64 = 43_656;
+    const CKPT_BYTES_PARSED: u64 = 11_460;
     let opts = RecoveryOptions::parallel(32);
-    for rounds in [16, 64, 256] {
+    for (rounds, seek_hops) in [(16, 0), (64, 0), (256, 96)] {
         let img = chain_image(rounds, 0);
         let (full_rep, full_img) = recover_clone(&img, &opts.without_checkpoint());
         let (ckpt_rep, ckpt_img) = recover_clone(&img, &opts);
         assert_eq!(full_img, ckpt_img, "{rounds} rounds");
         assert_eq!(ckpt_img, reference_of(&img), "{rounds} rounds, against the reference");
         assert_eq!(ckpt_rep.replay_sim_ns(), CKPT_REPLAY_NS, "{rounds} rounds");
+        assert_eq!(ckpt_rep.bytes_parsed, CKPT_BYTES_PARSED, "{rounds} rounds");
+        assert_eq!(ckpt_rep.chains_seeked, 32, "{rounds} rounds");
+        assert_eq!(ckpt_rep.seek_hops, seek_hops, "{rounds} rounds");
         assert!(full_rep.replay_sim_ns() > CKPT_REPLAY_NS, "{rounds} rounds");
         assert!(ckpt_rep.sim_ns() < full_rep.sim_ns(), "{rounds} rounds");
     }
     let (dearer, _) = recover_clone(&chain_image(16, 1), &opts);
     assert_ne!(dearer.replay_sim_ns(), CKPT_REPLAY_NS, "one more tail record");
+}
+
+/// A stale anchor is never followed. A checkpoint anchors both chains of a
+/// two-chain runtime; then a reclamation splice rewrites chain 0 — whose
+/// records but the last went stale — and frees its old blocks with the
+/// anchored record still intact in them, and chain 0 commits again. Its
+/// anchor's block is no longer on its live chain, so recovery reads chain
+/// 0 from its head (only chain 1, which the cycle left alone, from its
+/// anchor) and lands the reference's image, post-splice commits included.
+#[test]
+fn a_reclaim_splice_leaves_a_stale_anchor_that_recovery_does_not_follow() {
+    const BLOCK: usize = 256;
+    let dev = SharedPmemDevice::new(PmemConfig::new(4 << 20));
+    let cfg = ConcurrentConfig::builder()
+        .threads(2)
+        .block_bytes(BLOCK)
+        .reclaim_threshold_bytes(usize::MAX)
+        .build();
+    let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
+    let base = shared.pool().alloc_direct(4096, 64).expect("alloc");
+    let mut handles = [shared.tx_handle(0), shared.tx_handle(1)];
+    let mut commit = |t: usize, addr: usize, v: u64| {
+        let h = &mut handles[t];
+        h.begin();
+        h.write(addr, &v.to_le_bytes());
+        h.commit();
+    };
+    // Chain 0 overwrites one word; chain 1 writes a word of its own each
+    // round, so only chain 0 has anything for reclamation to drop.
+    for r in 0..20u64 {
+        commit(0, base, r);
+        commit(1, base + 64 + 8 * r as usize, r);
+    }
+    shared.write_checkpoint().expect("both chains committed");
+    let anchored = dev.capture(CrashPolicy::AllLost);
+    let (rep, recovered) = recover_clone(&anchored, &RecoveryOptions::default());
+    assert_eq!(rep.chains_seeked, 2, "both anchors hold before the splice");
+    assert_eq!(recovered, reference_of(&anchored));
+    let layout = PoolLayout::read(&anchored).expect("formatted");
+    let old_head = layout.head(&anchored, 0);
+    let old_chain = parse_chain(&anchored, old_head, BLOCK);
+    assert!(old_chain.len() == 20 && old_head != 0);
+
+    shared.reclaim_cycle();
+    commit(0, base, 100);
+    commit(0, base + 8, 101);
+    let img = dev.capture(CrashPolicy::AllLost);
+    assert_ne!(layout.head(&img, 0), old_head, "the splice moved chain 0");
+    assert_eq!(parse_chain(&img, old_head, BLOCK), old_chain, "the freed blocks still hold it");
+
+    let (rep, recovered) = recover_clone(&img, &RecoveryOptions::default());
+    assert!(rep.checkpoint_used);
+    assert_eq!(rep.chains_seeked, 1, "chain 0's anchor is stale, chain 1's holds");
+    let watermark = rep.checkpoint_watermark;
+    let chain = |t| parse_chain(&img, layout.head(&img, t), BLOCK);
+    let from_anchor_1 = 1 + chain(1).iter().filter(|r| r.ts > watermark).count();
+    assert_eq!(rep.records_parsed, chain(0).len() + from_anchor_1, "chain 0 read from its head");
+    assert_eq!(recovered, reference_of(&img), "the stale anchor diverged from the reference");
+    assert_eq!((recovered.read_u64(base), recovered.read_u64(base + 8)), (100, 101));
 }
