@@ -43,7 +43,11 @@
 //! Per-thread area mutexes are leaf-ish: at most **one** area lock is held
 //! at a time. The free-block lock is taken only for the moment a log block
 //! changes hands, possibly under an area lock (never the reverse).
-//! Device-internal locks nest below both.
+//! Device-internal locks nest below both. The checkpoint lock is taken
+//! before any area lock by the checkpoint writer, and by a reclamation
+//! cycle only to hand a spliced-out chain's blocks back, after it has
+//! dropped that chain's lock — so a splice waits out a checkpoint being
+//! written, and never the reverse.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -303,6 +307,28 @@ pub struct SharedStats {
     pub log_live_bytes: u64,
 }
 
+/// The checkpoint writer's state (see [`SpecSpmtShared::write_checkpoint`]).
+///
+/// A checkpoint anchor is trusted by recovery only while its block is on
+/// the live chain, and that is sound only if a block that leaves a chain
+/// cannot come back to one with the anchored bytes still in it: a spill
+/// writes just the block header and a terminator, so an anchored record
+/// further in would sit intact past the live stream's end. A splice is
+/// the one way a block leaves a chain, so it hands back the blocks the
+/// durable checkpoint's anchors name to `held`, not to the free list;
+/// they go back only once a newer checkpoint is durable and nothing names
+/// them. The pins are volatile: `open_or_format` formats the pool, so no
+/// checkpoint, and no anchor, outlives the runtime that wrote it.
+#[derive(Debug, Default)]
+struct CkptState {
+    /// The live checkpoint chain (None before the first checkpoint).
+    area: Option<LogArea>,
+    /// The blocks the live checkpoint's anchors name.
+    anchored: Vec<usize>,
+    /// Those of them a splice took off their chain.
+    held: Vec<usize>,
+}
+
 /// Shared state of the concurrent SpecSPMT runtime, built by
 /// [`SpecSpmtShared::open_or_format`]; hand each thread a [`TxHandle`].
 #[derive(Debug)]
@@ -316,9 +342,9 @@ pub struct SpecSpmtShared {
     /// One slot per configured thread, fixed at format time; a handle
     /// clones its slot's `Arc` once at creation.
     areas: Vec<Arc<Slot>>,
-    /// The live checkpoint chain (None before the first checkpoint);
-    /// doubles as the checkpoint-writer serialization lock.
-    ckpt_area: Mutex<Option<LogArea>>,
+    /// The live checkpoint and the blocks its anchors name; doubles as
+    /// the checkpoint-writer serialization lock.
+    ckpt: Mutex<CkptState>,
     checkpoints: AtomicU64,
     free_blocks: Mutex<Vec<usize>>,
     stop: AtomicBool,
@@ -422,7 +448,7 @@ impl SpecSpmtShared {
             layout,
             ts: AtomicU64::new(1),
             areas,
-            ckpt_area: Mutex::new(None),
+            ckpt: Mutex::new(CkptState::default()),
             checkpoints: AtomicU64::new(0),
             free_blocks,
             stop: AtomicBool::new(false),
@@ -508,6 +534,11 @@ impl SpecSpmtShared {
     /// The log store `handle`'s thread writes chains through.
     fn store<'a>(&'a self, handle: &'a DeviceHandle) -> SharedStore<'a> {
         SharedStore { handle, pool: &self.pool, free: &self.free_blocks }
+    }
+
+    /// Hands log blocks back to the free list.
+    fn recycle(&self, blocks: impl IntoIterator<Item = usize>) {
+        self.free_blocks.lock().expect("free lock").extend(blocks);
     }
 
     /// The per-commit crash sites, on telemetry shard `tid` (the inventory
@@ -626,10 +657,21 @@ impl SpecSpmtShared {
             let old = std::mem::replace(&mut st.area, area);
             drop(st);
             // Old blocks are recycled only after the swap fence, so a crash
-            // image either references the old chain (intact) or the new.
-            let blocks = old.into_blocks();
+            // image either references the old chain (intact) or the new —
+            // and a block the durable checkpoint anchors on is held back.
+            let mut blocks = old.into_blocks();
             let freed = blocks.len() as u64;
-            self.free_blocks.lock().expect("free lock").extend(blocks);
+            let mut ckpt = self.ckpt.lock().expect("ckpt lock");
+            let CkptState { anchored, held, .. } = &mut *ckpt;
+            blocks.retain(|&b| {
+                let pinned = anchored.contains(&b);
+                if pinned {
+                    held.push(b);
+                }
+                !pinned
+            });
+            drop(ckpt);
+            self.recycle(blocks);
             handle.crash_point("mt/reclaim/splice");
             if let Some(bb) = &self.bbox {
                 bb.record(&handle, rtid, BbKind::ReclaimSplice, dropped, freed, 0);
@@ -741,10 +783,11 @@ impl SpecSpmtShared {
     /// written (no committed records, or an open chain without a bound).
     pub fn write_checkpoint(&self) -> Option<u64> {
         let handle = self.pool.handle();
-        // The checkpoint-area mutex doubles as the writer lock: one
-        // checkpoint at a time, and the old chain stays reachable until
-        // the new head is persisted.
-        let mut ckpt_guard = self.ckpt_area.lock().expect("ckpt lock");
+        // The checkpoint mutex doubles as the writer lock: one checkpoint
+        // at a time, the old chain stays reachable until the new head is
+        // persisted, and no splice hands a chain's blocks back between this
+        // checkpoint's scan and the pinning of its anchors.
+        let mut ckpt = self.ckpt.lock().expect("ckpt lock");
 
         // Scan: every chain's committed records under that chain's lock,
         // streamed into one flat buffer of payloads — `(ts, chain index,
@@ -783,8 +826,9 @@ impl SpecSpmtShared {
         // Each chain's anchor: its last record at or below the watermark
         // (those records are a prefix of the chain), placed by the bytes of
         // the records before it, which the chain stores back to back from
-        // its head.
+        // its head. Their blocks are pinned once the checkpoint is durable.
         let mut anchors: Vec<Option<Anchor>> = vec![None; self.areas.len()];
+        let mut anchored = Vec::with_capacity(self.areas.len());
         for chain in records.chunk_by(|a, b| a.1 == b.1) {
             let kept = chain.iter().take_while(|&&(ts, _, _)| ts <= watermark).count();
             let Some((ts, idx, p)) = kept.checked_sub(1).map(|last| chain[last].clone()) else {
@@ -792,8 +836,10 @@ impl SpecSpmtShared {
             };
             let offset = chain[..kept - 1].iter().map(|(_, _, p)| REC_HDR + p.len()).sum();
             let checksum = record_checksum(ts, &payloads[p]);
-            anchors[idx] = stream_cursor(&chain_blocks[idx], self.cfg.block_bytes, offset)
-                .map(|at| Anchor { at, ts, checksum });
+            if let Some(at) = stream_cursor(&chain_blocks[idx], self.cfg.block_bytes, offset) {
+                anchored.push(at.block);
+                anchors[idx] = Some(Anchor { at, ts, checksum });
+            }
         }
 
         // Records up to the watermark in replay order; equal timestamps
@@ -853,11 +899,15 @@ impl SpecSpmtShared {
         if let Some(bb) = &self.bbox {
             bb.record(&handle, self.cfg.threads, BbKind::CkptSplice, watermark, runs, 0);
         }
-        let old = ckpt_guard.replace(new_area);
-        drop(ckpt_guard);
-        if let Some(old_area) = old {
-            self.free_blocks.lock().expect("free lock").extend(old_area.into_blocks());
-        }
+        // The new anchors are durable: pin their blocks, and release the
+        // old checkpoint's chain and the blocks held for its anchors (all
+        // taken off their chains before this scan, so none is anchored
+        // now).
+        let old = ckpt.area.replace(new_area);
+        ckpt.anchored = anchored;
+        let held = std::mem::take(&mut ckpt.held);
+        drop(ckpt);
+        self.recycle(old.into_iter().flat_map(LogArea::into_blocks).chain(held));
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Some(watermark)
     }

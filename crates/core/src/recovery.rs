@@ -61,10 +61,13 @@
 //!   through the one reader that the record there carries the anchor's
 //!   timestamp and checksum, and resumes just past it: the records before
 //!   it are never read. Everything else — an anchor whose block a
-//!   reclamation splice took off the chain (freed, its bytes possibly
-//!   still intact, possibly reused by a spill), bytes that no longer
-//!   match, an anchor out of bounds or absent — reads that chain from its
-//!   head, dropping the records at or below the watermark as they come.
+//!   reclamation splice took off the chain (its bytes still intact),
+//!   bytes that no longer match, an anchor out of bounds or absent —
+//!   reads that chain from its head, dropping the records at or below the
+//!   watermark as they come. The runtime keeps an anchored block that a
+//!   splice took off its chain off the free list while the anchor is
+//!   durable (`SpecSpmtShared::write_checkpoint`), so a block found on the
+//!   live chain never left it.
 //!   The log itself is untouched, so the full replay
 //!   ([`RecoveryOptions::without_checkpoint`]) and the reference still
 //!   read all of it.
@@ -78,7 +81,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use specpmt_pmem::blackbox::decode_region;
-use specpmt_pmem::{sites, CrashImage};
+use specpmt_pmem::{sites, CrashImage, PmemConfig};
 use specpmt_telemetry::blackbox::{kv_op_name, BbEvent, BbKind};
 use specpmt_telemetry::{JsonWriter, StatExport};
 
@@ -241,14 +244,15 @@ pub struct RecoveryReport {
 /// step for every record that enters the replay, a much cheaper
 /// timestamp-compare visit for records read but not replayed, and
 /// per-byte store cost. The constants are calibrated to the same order of
-/// magnitude as the simulated device (≈1 ns/byte streaming reads, a
-/// 150 ns PM line read per pointer hop, ≈100 ns of heap work per record) —
+/// magnitude as the simulated device (≈1 ns/byte streaming reads, its
+/// default PM line read per pointer hop, ≈100 ns of heap work per record) —
 /// their exact values matter less than their determinism:
 /// `tests/recovery.rs` pins the results as exact goldens and `benchmark/`
 /// reports them as the bit-identical `sim_ns_per_op`.
 const SIM_FIXED_NS: u64 = 2_000;
 const SIM_PARSE_NS_PER_BYTE: u64 = 2;
-const SIM_SEEK_NS_PER_HOP: u64 = 150;
+/// A dependent line read: the device's default, not a copy of it.
+const SIM_SEEK_NS_PER_HOP: u64 = PmemConfig::DEFAULT_LINE_READ_NS;
 const SIM_MERGE_NS_PER_RECORD: u64 = 120;
 const SIM_SKIP_NS_PER_RECORD: u64 = 10;
 const SIM_REPLAY_NS_PER_BYTE: u64 = 4;
@@ -413,8 +417,9 @@ pub fn recover_image_opts(image: &mut CrashImage, opts: &RecoveryOptions) -> Rec
 /// 1. `anchor.at.block` is on the *live* chain — found by following
 ///    forward pointers from `head`, block hops only, within the reader's
 ///    own cycle guard ([`max_hops`]) — and not merely a block a
-///    reclamation splice freed, which still holds the anchored bytes
-///    until a spill reuses it; and
+///    reclamation splice took off it, which still holds the anchored
+///    bytes (the runtime never hands such a block to a chain again while
+///    its anchor is durable, so one on the live chain never left it); and
 /// 2. the record the reader finds at `anchor.at` carries the anchor's
 ///    timestamp and checksum.
 ///
@@ -1014,7 +1019,9 @@ mod tests {
     /// checkpoint honoured it must whenever the checkpoint is rejected (a
     /// record torn below the watermark may differ, since the checkpoint
     /// still holds what the reference loses behind it, and a chain read
-    /// from its anchor never reads that record at all).
+    /// from its anchor never reads that record at all). The engine's parse
+    /// accounting is checked against a model built on the full parse of
+    /// each chain, exactly wherever every anchor is reached.
     #[test]
     fn lending_and_copying_readers_agree_on_garbage() {
         use crate::record::tests::CopyOnly;
@@ -1072,6 +1079,7 @@ mod tests {
         }
         let extent = targets.iter().map(|&(_, a)| a).max().expect("targets") + bb;
 
+        let mut seeked_and_modelled = 0;
         for seed in 0..2_000u64 {
             let mut rng = specpmt_pmem::SplitMix64::new(seed);
             let mut img = base.clone();
@@ -1114,26 +1122,84 @@ mod tests {
                     report.checkpoint_used || engine == reference,
                     "no checkpoint, yet differs"
                 );
-                // A chain read from its anchor reads less than the full
-                // replay does (or, behind a record torn below the anchor,
-                // more); every other chain reads the same.
-                if report.chains_seeked == 0 {
-                    assert_eq!(
-                        (report.records_parsed, report.bytes_parsed, report.chains_nonempty),
-                        (
-                            full_report.records_parsed,
-                            full_report.bytes_parsed,
-                            full_report.chains_nonempty
-                        )
-                    );
+                // The seek's accounting, modelled on the full parse of each
+                // chain: one whose full parse reaches its anchor's record
+                // (same timestamp and checksum) is read from that record on
+                // — it, then what the full parse reads after it — and any
+                // other as the full parse reads it. Where every anchor is
+                // reached, the engine replays exactly the records the full
+                // parse holds above the watermark. A record torn below an
+                // anchor leaves it unreached, and a seek past the tear reads
+                // records the full parse never sees: there, the reached
+                // chains must still seek.
+                assert_eq!(
+                    report.records_replayed + report.records_skipped_checkpoint,
+                    report.records_parsed
+                );
+                let Some(layout) = PoolLayout::read(&img) else {
+                    return false;
+                };
+                let bb = layout.block_bytes();
+                let ckpt = read_checkpoint(&img, layout.ckpt_head(&img), bb);
+                assert_eq!(report.checkpoint_used, ckpt.is_some());
+                let (watermark, anchors) =
+                    ckpt.map_or((0, Vec::new()), |c| (c.watermark, c.anchors));
+                let word = |rec: &[u8], at: usize| {
+                    u64::from_le_bytes(rec[at..at + 8].try_into().expect("8 bytes"))
+                };
+                let (mut reached, mut all_reached) = (0, true);
+                let (mut parsed, mut bytes, mut replayed, mut nonempty) = (0, 0, 0, 0);
+                let (mut full_parsed, mut full_bytes) = (0, 0);
+                for tid in 0..layout.threads() {
+                    let (records, _) = chain(&img, layout.head(&img, tid), bb);
+                    full_parsed += records.len();
+                    full_bytes += records.iter().map(|r| r.len() as u64).sum::<u64>();
+                    let anchor = anchors.get(tid).copied().flatten();
+                    let from = anchor.and_then(|a| {
+                        records.iter().position(|r| (word(r, 4), word(r, 12)) == (a.ts, a.checksum))
+                    });
+                    all_reached &= anchor.is_none() || from.is_some();
+                    reached += usize::from(from.is_some());
+                    let read = &records[from.unwrap_or(0)..];
+                    parsed += read.len();
+                    bytes += read.iter().map(|r| r.len() as u64).sum::<u64>();
+                    nonempty += usize::from(!read.is_empty());
+                    replayed += records
+                        .iter()
+                        .filter(|r| !report.checkpoint_used || word(r, 4) > watermark)
+                        .count();
                 }
+                assert_eq!(
+                    (full_report.records_parsed, full_report.bytes_parsed),
+                    (full_parsed, full_bytes)
+                );
+                if !all_reached {
+                    assert!(report.chains_seeked >= reached, "a reached anchor was not seeked");
+                    return false;
+                }
+                assert_eq!(
+                    (
+                        report.chains_seeked,
+                        report.records_parsed,
+                        report.bytes_parsed,
+                        report.records_replayed,
+                        report.chains_nonempty
+                    ),
+                    (reached, parsed, bytes, replayed, nonempty)
+                );
+                report.chains_seeked > 0
             }));
-            if let Err(panic) = checked {
-                let msg = panic.downcast_ref::<String>().map(String::as_str);
-                let msg = msg.or_else(|| panic.downcast_ref::<&str>().copied()).unwrap_or("");
-                panic!("seed {seed}, mutation [{}]: {msg}", what.join("; "));
+            match checked {
+                Ok(seeked_exactly) => seeked_and_modelled += usize::from(seeked_exactly),
+                Err(panic) => {
+                    let msg = panic.downcast_ref::<String>().map(String::as_str);
+                    let msg = msg.or_else(|| panic.downcast_ref::<&str>().copied()).unwrap_or("");
+                    panic!("seed {seed}, mutation [{}]: {msg}", what.join("; "));
+                }
             }
         }
+        // The exact model covered a seeked recovery on a third of them.
+        assert!(seeked_and_modelled > 600, "{seeked_and_modelled} of 2000");
     }
 
     #[test]
@@ -1178,7 +1244,8 @@ mod tests {
             seek_hops: 40,
             ..ckpt
         };
-        assert_eq!(seeked.sim_ns() - RecoveryReport { seek_hops: 0, ..seeked }.sim_ns(), 40 * 150);
+        let hops_ns = seeked.sim_ns() - RecoveryReport { seek_hops: 0, ..seeked }.sim_ns();
+        assert_eq!(hops_ns, 40 * PmemConfig::default().line_read_ns);
         assert!(seeked.sim_ns() < ckpt.sim_ns());
         assert_eq!(seeked.replay_sim_ns(), ckpt.replay_sim_ns());
     }

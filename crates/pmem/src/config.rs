@@ -55,6 +55,9 @@ pub struct PmemConfig {
 }
 
 impl PmemConfig {
+    /// The default [`Self::line_read_ns`]: Table 1's 150 ns PM read.
+    pub const DEFAULT_LINE_READ_NS: u64 = 150;
+
     /// Creates a configuration with default timing and the given capacity.
     pub fn new(size: usize) -> Self {
         Self::default().with_size(size)
@@ -118,7 +121,7 @@ impl Default for PmemConfig {
             sfence_base_ns: 20,
             line_write_ns: 280,
             line_write_seq_ns: 32,
-            line_read_ns: 150,
+            line_read_ns: Self::DEFAULT_LINE_READ_NS,
             wpq_accept_ns: 100,
             wpq_entries: 8,
             store_word_ns: 1,

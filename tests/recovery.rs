@@ -12,7 +12,7 @@ use specpmt::core::record::{
 };
 use specpmt::core::recovery::recover_image;
 use specpmt::core::{
-    recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecSpmtShared,
+    recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecSpmtShared, TxHandle,
 };
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SharedPmemDevice,
@@ -356,61 +356,128 @@ fn checkpointed_replay_cost_is_flat_in_log_size() {
     assert_ne!(dearer.replay_sim_ns(), CKPT_REPLAY_NS, "one more tail record");
 }
 
-/// A stale anchor is never followed. A checkpoint anchors both chains of a
-/// two-chain runtime; then a reclamation splice rewrites chain 0 — whose
-/// records but the last went stale — and frees its old blocks with the
-/// anchored record still intact in them, and chain 0 commits again. Its
-/// anchor's block is no longer on its live chain, so recovery reads chain
-/// 0 from its head (only chain 1, which the cycle left alone, from its
-/// anchor) and lands the reference's image, post-splice commits included.
-#[test]
-fn a_reclaim_splice_leaves_a_stale_anchor_that_recovery_does_not_follow() {
-    const BLOCK: usize = 256;
+/// A two-chain runtime on 256-byte blocks after `rounds` rounds — chain 0
+/// overwrites one word, chain 1 writes a word of its own each round, so
+/// only chain 0 has anything for reclamation to drop — and a checkpoint
+/// anchoring both chains. Returns the device, the runtime, its handles and
+/// the written region.
+fn anchored_runtime(
+    rounds: u64,
+) -> (SharedPmemDevice, std::sync::Arc<SpecSpmtShared>, Vec<TxHandle>, usize) {
     let dev = SharedPmemDevice::new(PmemConfig::new(4 << 20));
     let cfg = ConcurrentConfig::builder()
         .threads(2)
-        .block_bytes(BLOCK)
+        .block_bytes(STALE_BLOCK)
         .reclaim_threshold_bytes(usize::MAX)
         .build();
     let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
     let base = shared.pool().alloc_direct(4096, 64).expect("alloc");
-    let mut handles = [shared.tx_handle(0), shared.tx_handle(1)];
-    let mut commit = |t: usize, addr: usize, v: u64| {
-        let h = &mut handles[t];
-        h.begin();
-        h.write(addr, &v.to_le_bytes());
-        h.commit();
-    };
-    // Chain 0 overwrites one word; chain 1 writes a word of its own each
-    // round, so only chain 0 has anything for reclamation to drop.
-    for r in 0..20u64 {
-        commit(0, base, r);
-        commit(1, base + 64 + 8 * r as usize, r);
+    let mut handles = vec![shared.tx_handle(0), shared.tx_handle(1)];
+    for r in 0..rounds {
+        commit_word(&mut handles[0], base, r);
+        commit_word(&mut handles[1], base + 64 + 8 * r as usize, r);
     }
     shared.write_checkpoint().expect("both chains committed");
+    (dev, shared, handles, base)
+}
+
+const STALE_BLOCK: usize = 256;
+
+/// One transaction writing `v` at `addr`.
+fn commit_word(h: &mut TxHandle, addr: usize, v: u64) {
+    h.begin();
+    h.write(addr, &v.to_le_bytes());
+    h.commit();
+}
+
+/// The blocks of the chain at `head`, head first, by its forward pointers.
+fn chain_blocks(img: &CrashImage, head: usize) -> Vec<usize> {
+    std::iter::successors((head != 0).then_some(head), |&b| {
+        Some(img.read_u64(b) as usize).filter(|&next| next != 0)
+    })
+    .collect()
+}
+
+/// A stale anchor is never followed. A checkpoint anchors both chains of a
+/// two-chain runtime; then a reclamation splice rewrites chain 0 — whose
+/// records but the last went stale — and takes its old blocks off the
+/// chain with the anchored record still intact in them, and chain 0
+/// commits again. Its anchor's block is no longer on its live chain, so
+/// recovery reads chain 0 from its head (only chain 1, which the cycle
+/// left alone, from its anchor) and lands the reference's image,
+/// post-splice commits included.
+#[test]
+fn a_reclaim_splice_leaves_a_stale_anchor_that_recovery_does_not_follow() {
+    let (dev, shared, mut handles, base) = anchored_runtime(20);
     let anchored = dev.capture(CrashPolicy::AllLost);
     let (rep, recovered) = recover_clone(&anchored, &RecoveryOptions::default());
     assert_eq!(rep.chains_seeked, 2, "both anchors hold before the splice");
     assert_eq!(recovered, reference_of(&anchored));
     let layout = PoolLayout::read(&anchored).expect("formatted");
     let old_head = layout.head(&anchored, 0);
-    let old_chain = parse_chain(&anchored, old_head, BLOCK);
+    let old_chain = parse_chain(&anchored, old_head, STALE_BLOCK);
     assert!(old_chain.len() == 20 && old_head != 0);
 
     shared.reclaim_cycle();
-    commit(0, base, 100);
-    commit(0, base + 8, 101);
+    commit_word(&mut handles[0], base, 100);
+    commit_word(&mut handles[0], base + 8, 101);
     let img = dev.capture(CrashPolicy::AllLost);
     assert_ne!(layout.head(&img, 0), old_head, "the splice moved chain 0");
-    assert_eq!(parse_chain(&img, old_head, BLOCK), old_chain, "the freed blocks still hold it");
+    assert_eq!(parse_chain(&img, old_head, STALE_BLOCK), old_chain, "the old blocks still hold it");
 
     let (rep, recovered) = recover_clone(&img, &RecoveryOptions::default());
     assert!(rep.checkpoint_used);
     assert_eq!(rep.chains_seeked, 1, "chain 0's anchor is stale, chain 1's holds");
     let watermark = rep.checkpoint_watermark;
-    let chain = |t| parse_chain(&img, layout.head(&img, t), BLOCK);
+    let chain = |t| parse_chain(&img, layout.head(&img, t), STALE_BLOCK);
     let from_anchor_1 = 1 + chain(1).iter().filter(|r| r.ts > watermark).count();
     assert_eq!(rep.records_parsed, chain(0).len() + from_anchor_1, "chain 0 read from its head");
     assert_eq!(recovered, reference_of(&img), "the stale anchor diverged from the reference");
     assert_eq!((recovered.read_u64(base), recovered.read_u64(base + 8)), (100, 101));
+}
+
+/// The block a checkpoint anchor names never comes back to a chain while
+/// that checkpoint is the durable one. Chain 0's 21st record — its anchor
+/// — starts 96 bytes into its fourth block. The splice leaves one record
+/// on chain 0 and takes the four old blocks off it; six more commits fill
+/// the new block and spill into a block from the free list, leaving the
+/// live stream's terminator at 56 in it. Were that the anchor's block (the
+/// old tail, the last block the splice freed), its anchored record would
+/// sit intact past the terminator, on the live chain: a seek that trusted
+/// it would read nothing after it and drop all six commits. The block is
+/// held off the free list instead, so the spill takes another one and
+/// recovery reads chain 0 from its head.
+#[test]
+fn a_spill_never_reuses_the_block_a_durable_anchor_names() {
+    let (dev, shared, mut handles, base) = anchored_runtime(21);
+    let anchored = dev.capture(CrashPolicy::AllLost);
+    let layout = PoolLayout::read(&anchored).expect("formatted");
+    let old_blocks = chain_blocks(&anchored, layout.head(&anchored, 0));
+    let old_chain = parse_chain(&anchored, old_blocks[0], STALE_BLOCK);
+    // Every record is the same size, so the anchor starts 20 of them into
+    // the chain's stream of block bodies.
+    let record_bytes = encode_record(&old_chain[20]).len();
+    let (offset, body) = (20 * record_bytes, STALE_BLOCK - BLOCK_HDR);
+    let tail = old_blocks[offset / body];
+    let at = tail + BLOCK_HDR + offset % body;
+    assert_eq!((old_blocks.len(), offset / body, at - tail), (4, 3, 96), "anchor in the tail");
+    let anchor_bytes = anchored.read_bytes(at, record_bytes).to_vec();
+
+    shared.reclaim_cycle();
+    for v in 0..6 {
+        commit_word(&mut handles[0], base + 8 * v as usize, 100 + v);
+    }
+    let img = dev.capture(CrashPolicy::AllLost);
+    let live = chain_blocks(&img, layout.head(&img, 0));
+    assert_eq!(live.len(), 2, "the sixth commit spilled into a block from the free list");
+    assert_eq!(img.read_bytes(at, record_bytes), anchor_bytes, "the anchored record is intact");
+
+    let (rep, recovered) = recover_clone(&img, &RecoveryOptions::default());
+    // Not `assert_eq!`: a divergence would print two 4 MiB images.
+    assert!(recovered == reference_of(&img), "a reused anchor block dropped the commits");
+    assert_eq!(rep.chains_seeked, 1, "chain 0 is read from its head");
+    assert!(!live.contains(&tail), "the anchored block went back to chain 0");
+    for v in 0..6 {
+        assert_eq!(recovered.read_u64(base + 8 * v as usize), 100 + v);
+    }
 }
