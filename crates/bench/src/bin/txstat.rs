@@ -13,7 +13,9 @@
 //! the shared runtime, which runs under strict 2PL with a shared hot
 //! address) the lock-table wait histogram. Shared points are emitted
 //! twice — per-commit fences (`"group_commit":false`, the comparison
-//! baseline) and the epoch/group-commit path (`"group_commit":true`) —
+//! baseline) and the epoch/group-commit path (`"group_commit":true`, its
+//! batch fences issued by the runtime's drain thread, whose stalls are
+//! reported under `daemon` and folded into `commit_sim_amortized_ns_avg`) —
 //! each carrying `fences_per_commit` (the device's `sfence_count` over
 //! sealed records) and the batch-occupancy summary (`group_batches`,
 //! `batch_txs_mean`, `batch_txs_max`) from the `group_batch_size` phase.
@@ -66,8 +68,8 @@ fn tx_body<A: TxAccess>(a: &mut A, base: usize, round: u64) {
 /// Serializes one runtime's telemetry into a self-contained JSON object:
 /// the registry's phase histograms (transaction threads only), a `daemon`
 /// sub-object attributing the background threads' (reclamation daemon +
-/// group-commit combiner, which share the shard past the last transaction
-/// thread) WPQ drains, reclamation cycles and batch occupancies
+/// group-commit drain thread, which share the shard past the last
+/// transaction thread) WPQ drains, reclamation cycles and batch occupancies
 /// separately, the device's per-channel queue-depth high-water, and the
 /// lock table's stripe-wait histogram.
 ///
@@ -86,9 +88,8 @@ fn telemetry_block(shared: &SpecSpmtShared, locks: &SharedLockTable) -> String {
     for (name, phase) in [
         ("wpq_drain", Phase::WpqDrain),
         ("reclaim_cycle", Phase::ReclaimCycle),
-        // Batch occupancy: with the combiner daemon attached, every
-        // group-commit drain (and so the occupancy histogram) lands on
-        // the daemon's shard.
+        // Batch occupancy: every group-commit drain (and so the occupancy
+        // histogram) lands on the drain thread's shard.
         ("group_batch", Phase::GroupBatch),
     ] {
         let snap = reg.phase_in(daemon_tid, phase);
@@ -179,7 +180,7 @@ fn seq_point(txs: u64) -> f64 {
         rt.tx_stats().tx_committed,
         commit.mean(),
         sim.mean(),
-        // No combiner daemon in the sequential runtime: the amortized
+        // No drain thread in the sequential runtime: the amortized
         // column equals the plain per-commit simulated cost.
         sim.mean(),
         w.finish()
@@ -217,12 +218,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
     let sfences_before = shared.device().stats().sfence_count;
     let locks = SharedLockTable::new(POOL_BYTES, 64);
     let mut handles = LockedTxHandle::fleet(&shared, &locks, threads);
-    // Group mode runs with the dedicated combiner daemon: batch drains
-    // (and their WPQ stalls) land on the daemon's telemetry shard, so
-    // `commit_sim_ns_avg` isolates what the committing threads pay.
-    let combiner = opts
-        .group_commit
-        .then(|| shared.spawn_group_combiner(std::time::Duration::from_micros(100)));
     let txs_per_thread = opts.txs_per_thread;
     std::thread::scope(|s| {
         for (t, h) in handles.iter_mut().enumerate() {
@@ -240,14 +235,13 @@ fn shared_point(opts: &SharedOpts) -> Point {
             });
         }
     });
-    drop(combiner);
     let tel = shared.telemetry();
     let commit = tel.registry.phase(Phase::Commit);
     let sim = tel.registry.phase(Phase::CommitSim);
     let stats = shared.stats();
     let (commits, aborts) = (stats.commits, stats.aborts);
     // Every fence the device executed during the run: the committing
-    // threads' solo fences, the combiner daemon's batch drains, and the
+    // threads' solo fences, the drain thread's batch drains, and the
     // heap's bump persists when the log takes a new batch of blocks (no
     // reclaimer runs here). This is the fence-amortization headline —
     // group commit drops it below one. The denominator is *sealed records*
@@ -259,12 +253,12 @@ fn shared_point(opts: &SharedOpts) -> Point {
     let fences_per_commit = if seals > 0 { fences as f64 / seals as f64 } else { 0.0 };
     let batch = tel.registry.phase(Phase::GroupBatch);
     // Amortized per-commit device cost: the committing threads' own
-    // `commit_sim` charges plus the combiner daemon's batch-drain stalls
-    // (daemon shard `wpq_drain`), divided by commits. Without a daemon
-    // the second term is zero and this equals `commit_sim_ns_avg`, so the
-    // column is comparable across group-off, flat-combining, and
-    // daemon-combining points — it is the headline for the "shared
-    // commit within 1.5x of sequential" target.
+    // `commit_sim` charges plus the drain thread's batch-drain stalls
+    // (daemon shard `wpq_drain`), divided by commits. With group commit
+    // off the second term is zero and this equals `commit_sim_ns_avg`, so
+    // the column is comparable across group-off and group-on points — it
+    // is the headline for the "shared commit within 1.5x of sequential"
+    // target.
     let daemon_drain = tel.registry.phase_in(threads, Phase::WpqDrain);
     let sim_amortized =
         if commits > 0 { (sim.sum + daemon_drain.sum) as f64 / commits as f64 } else { 0.0 };
@@ -299,8 +293,8 @@ fn shared_point(opts: &SharedOpts) -> Point {
 }
 
 /// The group-commit budget of a full run, one message per failure: at 16
-/// threads with the combiner daemon, the amortized simulated commit cost
-/// (committer staging plus the daemon's drain stalls, per commit) is
+/// threads with group commit, the amortized simulated commit cost
+/// (committer staging plus the drain thread's stalls, per commit) is
 /// within 1.5x the sequential runtime's `seq_sim_ns`, at under one fence
 /// per commit.
 fn check(seq_sim_ns: f64, shared: &[Point]) -> Vec<String> {

@@ -262,6 +262,8 @@ pub mod selftest {
     use crate::{end_run, RunSummary};
     use specpmt_pmem::{line_of, CrashControl, CrashPlan, PmemConfig, SharedPmemDevice};
     use specpmt_txn::GroupCommitter;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     /// Transactions the workload commits.
     pub const TXS: usize = 4;
@@ -281,11 +283,11 @@ pub mod selftest {
         0xA5A5_0000_0000_0000 | (k as u64 + 1)
     }
 
-    /// Runs a single-threaded group-commit workload with `plan` armed:
-    /// each transaction writes a payload, stages its log line with the
+    /// Runs a one-committer group-commit workload with `plan` armed: each
+    /// transaction writes a payload, stages its log line with the
     /// [`GroupCommitter`], and persists an exactly-once receipt after the
-    /// batch fence retires. The drain closure carries the real
-    /// `mt/group/*` crash-point labels.
+    /// batch fence retires. A drain thread drains every batch, carrying
+    /// the real `mt/group/*` crash-point labels.
     ///
     /// With `reorder_receipt` the receipt is persisted **before** the
     /// batch fence — the ordering bug this harness exists to catch: a
@@ -303,28 +305,37 @@ pub mod selftest {
         let dev = SharedPmemDevice::new(PmemConfig::new(1 << 16));
         let h = dev.handle();
         let gc = GroupCommitter::new();
+        let done = AtomicBool::new(false);
         dev.arm(plan);
-        for k in 0..TXS {
-            let v = value(k).to_le_bytes();
-            h.write(payload_addr(k), &v);
-            dev.crash_point("mt/group/stage");
-            if reorder_receipt {
-                // BUG (deliberate): the receipt becomes durable before the
-                // batch fence covers the payload.
-                h.write(receipt_addr(k), &v);
-                h.persist_range(receipt_addr(k), 8);
-            }
-            gc.commit(&[line_of(payload_addr(k))], &[], |batch| {
-                dev.crash_point("mt/group/pre_fence");
-                let rep = h.drain_lines(&batch.log_lines);
-                dev.crash_point("mt/group/batch_fence");
-                (rep.stall_ns, rep.flushes)
+        std::thread::scope(|s| {
+            let (drain_dev, gc, done, dev) = (dev.handle(), &gc, &done, &dev);
+            s.spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    gc.drain_next(Duration::from_millis(1), |batch| {
+                        dev.crash_point("mt/group/pre_fence");
+                        drain_dev.drain_lines(&batch.log_lines);
+                        dev.crash_point("mt/group/batch_fence");
+                    });
+                }
             });
-            if !reorder_receipt {
-                h.write(receipt_addr(k), &v);
-                h.persist_range(receipt_addr(k), 8);
+            for k in 0..TXS {
+                let v = value(k).to_le_bytes();
+                h.write(payload_addr(k), &v);
+                dev.crash_point("mt/group/stage");
+                if reorder_receipt {
+                    // BUG (deliberate): the receipt becomes durable before
+                    // the batch fence covers the payload.
+                    h.write(receipt_addr(k), &v);
+                    h.persist_range(receipt_addr(k), 8);
+                }
+                gc.commit(&[line_of(payload_addr(k))], &[]);
+                if !reorder_receipt {
+                    h.write(receipt_addr(k), &v);
+                    h.persist_range(receipt_addr(k), 8);
+                }
             }
-        }
+            done.store(true, Ordering::SeqCst);
+        });
         let (summary, image) = end_run(&dev, |d| *d, |d| d.flush_everything());
         // Recovery for this toy protocol is vacuous (no log replay); the
         // receipt/payload implication is the whole invariant.

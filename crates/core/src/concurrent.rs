@@ -17,7 +17,10 @@
 //!   reclamation core): it periodically feeds the [`FreshnessIndex`] the
 //!   records **all** threads *committed* since its last cycle, compacts
 //!   each chain, and splices the result in with the two-fence protocol
-//!   (persist the new chain, fence; swap the 8-byte head pointer, fence).
+//!   (persist the new chain, fence; swap the 8-byte head pointer, fence);
+//! * under [`ConcurrentConfig::group_commit`], the runtime runs one more
+//!   thread of its own: the group-commit drain thread, which issues every
+//!   batch fence ([`specpmt_txn::group`]).
 //!
 //! The on-PM layout (root slots, block chains, record encoding) is
 //! identical to the sequential runtime, so one recovery engine
@@ -86,9 +89,9 @@ pub struct ConcurrentConfig {
     pub reclaim_threshold_bytes: usize,
     /// Route commits through the epoch/group-commit path
     /// ([`specpmt_txn::GroupCommitter`]): committers stage their sealed
-    /// lines into the open epoch's batch and one combiner issues a single
-    /// coalesced flush+fence for the whole batch. Off by default (the
-    /// per-commit path is the comparison baseline).
+    /// lines into the open epoch's batch and the runtime's drain thread
+    /// issues a single coalesced flush+fence for the whole batch. Off by
+    /// default (the per-commit path is the comparison baseline).
     pub group_commit: bool,
     /// Enable the persistent flight recorder: a PM-resident black box of
     /// per-thread event rings ([`specpmt_pmem::BlackBoxSink`]) whose
@@ -348,19 +351,16 @@ pub struct SpecSpmtShared {
     checkpoints: AtomicU64,
     free_blocks: Mutex<Vec<usize>>,
     stop: AtomicBool,
-    /// Stop flag for the group-combiner daemon (separate from `stop` so
-    /// the reclaimer and the combiner shut down independently).
-    stop_group: AtomicBool,
     /// Incremental-reclamation state (persistent freshness index,
     /// per-chain watermarked scan caches, cycle counters). One reclamation
     /// cycle runs at a time; the mutex serializes explicit calls with the
     /// daemon.
     reclaim: Mutex<ReclaimState>,
     /// Phase histograms. Sized with one extra shard
-    /// for the reclamation daemon (`tid == cfg.threads`). Off by default;
+    /// for the daemons (`tid == cfg.threads`). Off by default;
     /// see [`Telemetry`].
     tel: Telemetry,
-    /// Epoch/group-commit combiner (used only when `cfg.group_commit`).
+    /// Epoch/group-commit state (used only when `cfg.group_commit`).
     gc: GroupCommitter,
     /// The PM-resident flight recorder (None unless
     /// [`ConcurrentConfig::flight_recorder`]): one event ring per thread
@@ -425,8 +425,8 @@ impl SpecSpmtShared {
         }
         // Flight recorder: allocate and format the black-box region (one
         // ring per thread + one daemon ring) and root it in the
-        // descriptor's v3 slot. Still inside the timing-off setup window —
-        // the format fence is free.
+        // descriptor's black-box slot. Still inside the timing-off setup
+        // window — the format fence is free.
         let bbox = cfg.flight_recorder.then(|| {
             let rings = cfg.threads + 1;
             let capacity = cfg.bbox_capacity.max(1);
@@ -440,9 +440,9 @@ impl SpecSpmtShared {
         dev.flush_everything();
         dev.set_timing(prev);
         // One telemetry shard per transaction thread plus one for the
-        // reclamation daemon.
+        // daemons.
         let tel = Telemetry::new(cfg.threads + 1);
-        Arc::new(Self {
+        let shared = Arc::new(Self {
             pool,
             cfg,
             layout,
@@ -452,12 +452,15 @@ impl SpecSpmtShared {
             checkpoints: AtomicU64::new(0),
             free_blocks,
             stop: AtomicBool::new(false),
-            stop_group: AtomicBool::new(false),
             reclaim: Mutex::new(ReclaimState::default()),
             tel,
             gc: GroupCommitter::new(),
             bbox,
-        })
+        });
+        if shared.cfg.group_commit {
+            shared.spawn_group_drain();
+        }
+        shared
     }
 
     /// The active configuration.
@@ -709,41 +712,32 @@ impl SpecSpmtShared {
         ReclaimDaemon { shared: Arc::clone(self), handle: Some(handle) }
     }
 
-    /// Spawns the dedicated group-commit combiner thread (the issue's
-    /// "handed to the daemon" election mode). While it runs, committing
-    /// threads never self-elect: they stage, wake the daemon, and wait
-    /// for their epoch's batch fence — so the fence stall against the
-    /// device's media backlog is confined to the daemon's timeline and
-    /// telemetry shard (`tid == threads`, reported under `daemon` in the
-    /// stats block) instead of rotating across every committer's
-    /// `commit_sim`. `idle_poll` bounds how long the daemon sleeps
-    /// between stop-flag checks when no work is staged.
-    ///
-    /// Stop (and join) it by dropping the returned handle or calling
-    /// [`GroupCombinerDaemon::stop`]; committers blocked mid-wait fall
-    /// back to flat combining. Meaningful only with
-    /// [`ConcurrentConfig::group_commit`] set.
-    pub fn spawn_group_combiner(self: &Arc<Self>, idle_poll: Duration) -> GroupCombinerDaemon {
-        let shared = Arc::clone(self);
-        shared.stop_group.store(false, Ordering::SeqCst);
-        shared.gc.set_daemon_combining(true);
-        let handle = std::thread::Builder::new()
+    /// Starts the group-commit drain thread, the one thread that drains a
+    /// batch ([`specpmt_txn::group`]). It fences from its own device
+    /// handle and records into the daemons' telemetry shard and recorder
+    /// ring (`tid == threads`), so the stall against the media backlog
+    /// lands on its timeline and not on a committer's `commit_sim`. It
+    /// holds the runtime through a `Weak` and exits once that is gone:
+    /// the last strong reference may be the one it drops, so nothing
+    /// joins it.
+    fn spawn_group_drain(self: &Arc<Self>) {
+        let weak = Arc::downgrade(self);
+        let dev = self.pool.handle();
+        std::thread::Builder::new()
             .name("specpmt-groupc".into())
             .spawn(move || {
-                let tid = shared.cfg.threads;
-                let dev = shared.pool.handle();
-                let bbox = shared.bbox.as_ref();
-                while !shared.stop_group.load(Ordering::SeqCst) {
-                    let report = shared
-                        .gc
-                        .drain_next(idle_poll, |batch| drain_group_batch(&dev, bbox, tid, batch));
-                    if let Some(r) = report {
-                        record_batch_drained(&shared.tel, tid, &r);
-                    }
+                while let Some(shared) = weak.upgrade() {
+                    let (tid, tel) = (shared.cfg.threads, &shared.tel);
+                    shared.gc.drain_next(GROUP_IDLE_WAIT, |batch| {
+                        let fr = drain_group_batch(&dev, shared.bbox.as_ref(), tid, batch);
+                        // Recorded before the epoch retires: a committer
+                        // holding its receipt finds its batch counted.
+                        tel.registry.record(tid, Phase::GroupBatch, batch.txs);
+                        record_drain(tel, tid, fr);
+                    });
                 }
             })
-            .expect("spawn group combiner daemon");
-        GroupCombinerDaemon { shared: Arc::clone(self), handle: Some(handle) }
+            .expect("spawn group-commit drain thread");
     }
 
     /// Post-crash recovery (identical image format to [`crate::SpecSpmt`]):
@@ -913,15 +907,19 @@ impl SpecSpmtShared {
     }
 }
 
+/// How long the group-commit drain thread waits for a stager before it
+/// checks that its runtime is still alive (a stager wakes it at once).
+const GROUP_IDLE_WAIT: Duration = Duration::from_millis(1);
+
 /// One fused flush+fence per non-empty line set of a group batch — log
 /// lines first, then DP data lines, the same fence order the per-commit
-/// path uses. Returns the summed `(stall_ns, flushes)` fence report.
+/// path uses. Returns the summed fence report.
 fn drain_group_batch(
     dev: &DeviceHandle,
     bbox: Option<&BlackBoxSink>,
     tid: usize,
-    batch: &specpmt_txn::GroupBatch,
-) -> (u64, u64) {
+    batch: &GroupBatch,
+) -> FenceReport {
     // Flight recorder: the batch fence covers every stager, so carry
     // every ring's pending event slots with it (folded into the same
     // fused drain — no fence of their own).
@@ -946,9 +944,7 @@ fn drain_group_batch(
         None => &batch.log_lines,
     };
     // Every receipt in the batch is still unpublished here; after the
-    // fused drain(s) below, all of them are durable at once. Both the
-    // flat-combining and daemon drain paths funnel through this function,
-    // so the labels cover group commit in every election mode.
+    // fused drain(s) below, all of them are durable at once.
     dev.crash_point("mt/group/pre_fence");
     let fr = dev.drain_lines(log_lines);
     let (mut stall, mut flushes) = (fr.stall_ns, fr.flushes);
@@ -968,18 +964,7 @@ fn drain_group_batch(
             bb.record(dev, tid, BbKind::FenceStall, stall, flushes, 0);
         }
     }
-    (stall, flushes)
-}
-
-/// Batch-drain telemetry tail shared by the combiner paths: the batch
-/// size lands in the `group_batch_size` phase (whose count is the batch
-/// count) and the drain's WPQ stall in `wpq_drain`, all on the draining
-/// thread's shard.
-fn record_batch_drained(tel: &Telemetry, tid: usize, report: &specpmt_txn::GroupReport) {
-    let Some(txs) = report.combined else { return };
-    tel.registry.record(tid, Phase::GroupBatch, txs);
-    let drained = FenceReport { stall_ns: report.stall_ns, flushes: report.flushes };
-    record_drain(tel, tid, drained);
+    FenceReport { stall_ns: stall, flushes }
 }
 
 /// Handle to the background reclamation thread. Dropping it stops and
@@ -1005,39 +990,6 @@ impl ReclaimDaemon {
 }
 
 impl Drop for ReclaimDaemon {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Handle to the dedicated group-commit combiner thread
-/// ([`SpecSpmtShared::spawn_group_combiner`]). Dropping it stops and
-/// joins the daemon; committers revert to flat combining.
-#[derive(Debug)]
-pub struct GroupCombinerDaemon {
-    shared: Arc<SpecSpmtShared>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl GroupCombinerDaemon {
-    /// Stops the daemon and waits for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.shared.stop_group.store(true, Ordering::SeqCst);
-        // Clearing the flag wakes stagers blocked on the committer state
-        // so they self-elect instead of waiting for a dead daemon; it
-        // also wakes the daemon's idle wait so it observes the stop flag.
-        self.shared.gc.set_daemon_combining(false);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for GroupCombinerDaemon {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -1222,7 +1174,7 @@ impl TxHandle {
         }
         // Simulated device nanoseconds this thread's timeline was charged
         // for the seal (stores + flush issue + fence stall). Group-commit
-        // waiters charge only their append work — the combiner's timeline
+        // waiters charge only their append work — the drain thread's timeline
         // absorbs the shared batch drain. Abort seals are excluded: this
         // is a per-*commit* cost metric, and compensating records always
         // fence solo.
@@ -1285,14 +1237,14 @@ impl TxHandle {
 
     /// Group-commit tail of [`Self::seal`]: coalesce this record's lines,
     /// stage them into the open epoch's batch, and block until a batch
-    /// fence covering them retires. Whichever staged thread combines the
-    /// epoch issues one fused [`DeviceHandle::drain_lines`] for the whole
-    /// batch's log lines (plus one for staged DP data lines) — durability
+    /// fence covering them retires. The runtime's drain thread issues one
+    /// fused [`DeviceHandle::drain_lines`] for the whole batch's log lines
+    /// (plus one for staged DP data lines) — durability
     /// is identical to [`Self::seal_solo`], fences are amortized across
     /// the batch. Called with the area lock held: 2PL semantics keep the
     /// record's region locked until the receipt anyway, and the daemon
-    /// skips open chains, so waiting under the lock is safe (the combiner
-    /// takes no area locks).
+    /// skips open chains, so waiting under the lock is safe (the drain
+    /// thread takes no area locks).
     fn seal_group(
         shared: &SpecSpmtShared,
         dev: &DeviceHandle,
@@ -1303,15 +1255,8 @@ impl TxHandle {
     ) {
         log.group_plan(plan, data_plan);
         dev.crash_point("mt/group/stage");
-        let wait_span = shared.tel.registry.span(tid, Phase::BatchWait);
-        // If this thread combines, the drain issues one fused flush+fence
-        // per non-empty line set from *its* handle (fences cover only the
-        // issuing handle's flushes). With a combiner daemon attached, the
-        // closure never runs here — the daemon drains from its own handle.
-        let drain = |batch: &GroupBatch| drain_group_batch(dev, shared.bbox.as_ref(), tid, batch);
-        let report = shared.gc.commit(plan, data_plan, drain);
-        wait_span.stop();
-        record_batch_drained(&shared.tel, tid, &report);
+        let _wait_span = shared.tel.registry.span(tid, Phase::BatchWait);
+        shared.gc.commit(plan, data_plan);
     }
 
     /// Commits the open transaction with the single SpecSPMT flush+fence;
@@ -1809,7 +1754,7 @@ pub(crate) mod tests {
 
     /// The reclamation daemon coexists with group-mode committers (waiters
     /// park holding their area lock; the daemon skips open chains and
-    /// never blocks the combiner).
+    /// never blocks the drain thread).
     #[test]
     fn group_commit_with_reclaim_daemon() {
         let s = shared(
@@ -1843,19 +1788,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// A dedicated group-combiner daemon owns every batch drain:
-    /// committers never fence (their shards record no `fence` span and no
-    /// WPQ drain, and the device counts exactly one fence per batch on the
-    /// daemon's shard), every receipt-holding commit is durable, and the
-    /// batch occupancy bookkeeping still sums to the commit count.
+    /// With nothing but `group_commit(true)` set, the runtime's own drain
+    /// thread owns every batch drain: committers never fence (their shards
+    /// record no `fence` span, no WPQ drain and no batch), the device
+    /// counts exactly one fence per batch on the daemons' shard, every
+    /// receipt-holding commit is durable, and the batch occupancies sum to
+    /// the commit count.
     #[test]
-    fn group_combiner_daemon_owns_fences_and_commits_are_durable() {
+    fn group_commit_batches_drain_only_on_the_daemon_shard() {
         let threads = 4usize;
         let s = shared(ConcurrentConfig::builder().threads(threads).group_commit(true).build());
         s.telemetry().set_enabled(true);
         let base = alloc_region(&s, threads * 64);
         let sfences_before = s.device().stats().sfence_count;
-        let mut combiner = s.spawn_group_combiner(Duration::from_micros(100));
         std::thread::scope(|scope| {
             for tid in 0..threads {
                 let s = &s;
@@ -1869,7 +1814,6 @@ pub(crate) mod tests {
                 });
             }
         });
-        combiner.shutdown();
         let commits = threads as u64 * 200;
         assert_eq!(s.stats().commits, commits);
         let reg = &s.telemetry().registry;
@@ -1880,6 +1824,7 @@ pub(crate) mod tests {
                 0,
                 "committer {tid} never drains"
             );
+            assert_eq!(reg.phase_in(tid, Phase::GroupBatch).count(), 0, "committer {tid} batched");
         }
         // Every fence was issued from the daemon's handle, one per batch.
         let occ = reg.phase_in(threads, Phase::GroupBatch);
@@ -1893,28 +1838,6 @@ pub(crate) mod tests {
         for tid in 0..threads {
             assert_eq!(img.read_u64(base + tid * 64), 199, "thread {tid}");
         }
-    }
-
-    /// Stopping the combiner daemon mid-stream is safe: staged commits
-    /// fall back to flat combining (self-election) and nothing deadlocks
-    /// or loses durability.
-    #[test]
-    fn group_combiner_daemon_handoff_back_to_flat_combining() {
-        let s = shared(ConcurrentConfig::builder().threads(2).group_commit(true).build());
-        let base = alloc_region(&s, 2 * 64);
-        let mut combiner = s.spawn_group_combiner(Duration::from_micros(100));
-        let mut h = s.tx_handle(0);
-        h.begin();
-        h.write_u64(base, 1);
-        h.commit();
-        combiner.shutdown();
-        // Daemon gone: commits self-elect again and still retire.
-        h.begin();
-        h.write_u64(base, 2);
-        h.commit();
-        let mut img = s.device().capture(CrashPolicy::AllLost);
-        SpecSpmtShared::recover(&mut img);
-        assert_eq!(img.read_u64(base), 2);
     }
 
     /// The committed records of every chain and whether it is open, read

@@ -86,8 +86,8 @@ pub mod writeset;
 
 pub use checksum::{fnv1a64, fnv1a64_reference, word_hash};
 pub use concurrent::{
-    ConcurrentConfig, ConcurrentConfigBuilder, GroupCombinerDaemon, PoolSource, ReclaimDaemon,
-    SharedStats, SpecSpmtShared, TxHandle,
+    ConcurrentConfig, ConcurrentConfigBuilder, PoolSource, ReclaimDaemon, SharedStats,
+    SpecSpmtShared, TxHandle,
 };
 pub use hashlog::{HashLogConfig, HashLogSpmt};
 pub use inspect::{inspect_image, ChainSummary, InspectReport};

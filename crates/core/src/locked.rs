@@ -10,8 +10,8 @@
 //! phase) and releasing everything when the commit or abort record seals
 //! (shrinking phase — strict, so nothing is exposed before durability).
 //! Under group commit a holder keeps its stripes until the batch drain
-//! covering its record retires; a combiner drains as soon as it is
-//! elected, so no holder waits on a timer.
+//! covering its record retires; the drain thread drains as soon as
+//! anything is staged, so no holder waits on a timer.
 //!
 //! Strictness is also why a transaction that wrote nothing commits for
 //! free (see [`TxHandle::commit`](crate::TxHandle::commit)): a stripe is

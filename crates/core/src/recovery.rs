@@ -554,7 +554,7 @@ pub struct ForensicInFlight {
 ///
 /// Torn ring slots are *counted*, never fatal — forensics degrades, the
 /// pool still recovers. An image without a recorder region (recorder off,
-/// or a pre-v3 layout) yields a report with
+/// or no layout descriptor) yields a report with
 /// [`recorder_present`](Self::recorder_present) `false` and nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ForensicReport {
@@ -693,7 +693,7 @@ impl StatExport for ForensicReport {
 impl fmt::Display for ForensicReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if !self.recorder_present {
-            return writeln!(f, "flight recorder: absent (recorder off or pre-v3 pool)");
+            return writeln!(f, "flight recorder: absent (recorder off or no layout)");
         }
         writeln!(
             f,
@@ -757,15 +757,15 @@ impl fmt::Display for ForensicReport {
 /// Decodes a crash image's flight-recorder region and checks the event
 /// record against the image's own durable state.
 ///
-/// The black-box base comes from the layout descriptor's v3 slot and
-/// [`decode_region`] does the rest: the sealed region header gives the
+/// The black-box base comes from the layout descriptor's black-box slot
+/// and [`decode_region`] does the rest: the sealed region header gives the
 /// geometry, and each ring slot validates independently, so torn slots
 /// degrade to counts. The durability frontier — `max(max committed record ts, checkpoint
 /// watermark)` — is recomputed from the log itself, and every surviving
 /// commit receipt is checked against it (see [`ForensicViolation`]).
 ///
-/// Never fails: garbage, recorder-off, and pre-v3 images all return an
-/// absent-recorder report.
+/// Never fails: garbage, recorder-off, and descriptor-less images all
+/// return an absent-recorder report.
 pub fn forensics(image: &CrashImage) -> ForensicReport {
     let mut rep = ForensicReport::default();
     let Some(layout) = PoolLayout::read(image) else {

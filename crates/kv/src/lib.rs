@@ -6,7 +6,7 @@
 //! service-shaped load. It layers:
 //!
 //! * **Sharding** ([`router`]) — N independent [`SpecSpmtShared`] pools,
-//!   each with its own reclamation daemon, optional group combiner, and
+//!   each with its own reclamation daemon, optional group commit, and
 //!   strict-2PL lock table; a pure, reopen-stable hash routes
 //!   `(tenant, key)` identities to shards.
 //! * **A persistent table** ([`table`]) — fixed-capacity open addressing

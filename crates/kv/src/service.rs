@@ -2,7 +2,7 @@
 //!
 //! [`KvService::open`] provisions N independent [`SpecSpmtShared`] pools
 //! (one per shard, each with its own lock table and optional reclamation
-//! and group-combiner daemons) through the unified
+//! daemon) through the unified
 //! [`SpecSpmtShared::open_or_format`] construction path. Requests route by
 //! [`ShardRouter`] and execute as strict-2PL transactions on the owning
 //! shard; every worker thread holds one [`LockedTxHandle`] per shard
@@ -21,8 +21,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use specpmt_core::{
-    ConcurrentConfig, GroupCombinerDaemon, LockedTxHandle, ReclaimDaemon, RecoveryOptions,
-    RecoveryReport, SpecSpmtShared,
+    ConcurrentConfig, LockedTxHandle, ReclaimDaemon, RecoveryOptions, RecoveryReport,
+    SpecSpmtShared,
 };
 use specpmt_pmem::{CrashImage, PmemConfig};
 use specpmt_telemetry::{BbKind, HistogramSnapshot, OwnedCounter, OwnedHistogram};
@@ -59,8 +59,8 @@ pub struct KvConfig {
     pub media_channels: usize,
     /// Route shard commits through the group-commit path.
     pub group_commit: bool,
-    /// Spawn the per-shard reclamation (and, under group commit,
-    /// combiner) daemons.
+    /// Spawn the per-shard reclamation daemon (group commit's drain thread
+    /// is the shard runtime's own and runs regardless).
     pub daemons: bool,
     /// Admission-control tuning.
     pub admission: AdmissionConfig,
@@ -136,7 +136,7 @@ impl KvConfig {
         self
     }
 
-    /// Enables or disables the background daemons.
+    /// Enables or disables the per-shard reclamation daemons.
     #[must_use]
     pub fn with_daemons(mut self, on: bool) -> Self {
         self.daemons = on;
@@ -166,14 +166,13 @@ impl KvConfig {
 }
 
 /// One shard: an independent pool, runtime, lock table, table root, and
-/// its background daemons.
+/// its reclamation daemon.
 #[derive(Debug)]
 pub struct KvShard {
     runtime: Arc<SpecSpmtShared>,
     locks: Arc<SharedLockTable>,
     table: ShardTable,
     reclaimer: Option<ReclaimDaemon>,
-    combiner: Option<GroupCombinerDaemon>,
 }
 
 impl KvShard {
@@ -206,21 +205,6 @@ impl KvShard {
         let drain = self.runtime.device().wpq_drain_histogram().quantile(0.99);
         let lock = self.locks.wait_histogram().quantile(0.99);
         drain.max(lock)
-    }
-
-    fn stop_daemons(&mut self) {
-        if let Some(d) = self.reclaimer.take() {
-            d.stop();
-        }
-        if let Some(c) = self.combiner.take() {
-            c.stop();
-        }
-    }
-}
-
-impl Drop for KvShard {
-    fn drop(&mut self) {
-        self.stop_daemons();
     }
 }
 
@@ -338,9 +322,7 @@ impl KvService {
                 drop(setup);
                 let reclaimer =
                     cfg.daemons.then(|| runtime.spawn_reclaimer(Duration::from_micros(200)));
-                let combiner = (cfg.daemons && cfg.group_commit)
-                    .then(|| runtime.spawn_group_combiner(Duration::from_micros(100)));
-                KvShard { runtime, locks, table, reclaimer, combiner }
+                KvShard { runtime, locks, table, reclaimer }
             })
             .collect();
         Self {
@@ -397,12 +379,11 @@ impl KvService {
         KvWorker { service: self, handles, stats: self.stats.register() }
     }
 
-    /// Stops every shard's daemons and flushes outstanding background
-    /// work. Also runs on drop; explicit calls make shutdown points
-    /// visible in benches.
+    /// Stops every shard's reclamation daemon. Also runs on drop;
+    /// explicit calls make shutdown points visible in benches.
     pub fn shutdown(mut self) {
         for shard in &mut self.shards {
-            shard.stop_daemons();
+            shard.reclaimer.take();
         }
     }
 

@@ -258,6 +258,15 @@ impl LoadGen {
 mod tests {
     use super::*;
 
+    /// The flight recorder names an in-flight op by the code kv stores in
+    /// its `aux` byte; that name is the op class's stats name.
+    #[test]
+    fn recorder_op_names_match_stats_names() {
+        for c in OP_CLASSES {
+            assert_eq!(specpmt_telemetry::blackbox::kv_op_name(c.index() as u8), c.as_str());
+        }
+    }
+
     #[test]
     fn same_seed_is_bit_identical() {
         let spec = WorkloadSpec { seed: 42, ..WorkloadSpec::default() };

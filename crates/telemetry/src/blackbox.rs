@@ -96,7 +96,7 @@ impl BbKind {
 /// Names of the KV op-class codes carried in the `aux` byte of
 /// [`BbKind::KvOp`] / [`BbKind::KvOpDone`] events, indexed by code (the
 /// order of `specpmt-kv`'s `OpClass`).
-const KV_OP_NAMES: [&str; 5] = ["get", "put", "del", "cas", "scan"];
+const KV_OP_NAMES: [&str; 5] = ["get", "put", "delete", "cas", "scan"];
 
 /// Names a KV op-class code from an event's `aux` byte.
 pub fn kv_op_name(aux: u8) -> &'static str {

@@ -222,13 +222,13 @@ pub enum Phase {
     /// One background reclamation cycle.
     ReclaimCycle = 9,
     /// Group commit: from staging a sealed record into the epoch batch
-    /// until the batch fence retires (combiner election, the shared drain,
-    /// and receipt handoff all live inside this span).
+    /// until the batch fence retires (waking the drain thread, the shared
+    /// drain, and receipt handoff all live inside this span).
     BatchWait = 10,
     /// Group commit: *batch occupancy* — the histogram records the number
     /// of transactions each retired batch carried (a size distribution,
     /// not a latency; one observation per batch, recorded by the
-    /// combiner).
+    /// drain thread).
     GroupBatch = 11,
     /// Commit cost in **simulated device nanoseconds**: the device work
     /// (stores, flush issue, fence stalls) charged to the committing
@@ -236,7 +236,7 @@ pub enum Phase {
     /// this is deterministic and immune to scheduler preemption on
     /// oversubscribed hosts, so it is the number cross-runtime commit
     /// comparisons should use. Under group commit, waiters charge only
-    /// their append work — the combiner's timeline absorbs the shared
+    /// their append work — the drain thread's timeline absorbs the shared
     /// batch drain — so the mean directly shows fence amortization.
     CommitSim = 12,
 }

@@ -25,7 +25,7 @@ mod report;
 mod runtime;
 
 pub use access::{run_tx, CommitReceipt, TxAccess};
-pub use group::{GroupBatch, GroupCommitter, GroupReport};
+pub use group::{GroupBatch, GroupCommitter};
 pub use lock::{LockGuard, LockTableStats, SharedLockTable};
 pub use report::{geomean, RunReport, TxStats};
 pub use runtime::{Recover, TxRuntime};

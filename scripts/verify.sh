@@ -471,6 +471,20 @@ if grep -rnE 'group_linger_[n]s|with_[l]inger|commit_[u]rgent|close_[n]ow|MAX_LI
     exit 1
 fi
 
+# One combiner: under group commit the runtime starts and owns the drain
+# thread. Self-elected flat combining, the opt-in daemon spawn and its
+# handle stay deleted (history not searched; no self-match), and outside
+# #[cfg(test)] one production call site drains a batch. crates/check is not
+# production: its reorder self-test drives a bare committer of its own.
+if grep -rnE 'spawn_group_[c]ombiner|GroupCombiner[D]aemon|set_daemon_[c]ombining' \
+    crates src tests examples README.md DESIGN.md; then
+    echo "a second way to elect the group-commit combiner is back" >&2
+    exit 1
+fi
+drainers=$(count_in_sources '\.drain_next\(' | { grep -v '^crates/check/' || true; } | tr '\n' ' ' | sed 's/ $//')
+[ "$drainers" = crates/core/src/concurrent.rs:1 ] ||
+    { echo "drain_next must have one production caller, found: ${drainers:-(none)}" >&2; exit 1; }
+
 # One measurement system, finished: crates/bench keeps the figures and txstat
 # (crashenum is crates/check's). The wall-clock harness, bench targets, sweeps and retired
 # options stay deleted (history not searched; no self-match).
