@@ -47,7 +47,7 @@
 use specpmt_check::crashenum::selftest;
 use specpmt_check::crashsmoke::{run_mt_smoke, run_seq_smoke};
 use specpmt_check::{enumerate, EnumConfig, EnumReport, RunSummary};
-use specpmt_pmem::{sites, CrashPlan};
+use specpmt_pmem::{sites, CrashPlan, CrashTrigger, Site};
 use specpmt_telemetry::JsonWriter;
 
 /// What every repro line starts with (the enumerator appends the target).
@@ -69,8 +69,8 @@ fn selftest_reorder() -> i32 {
         }
     };
     let caught = !report.passed();
-    let named: Vec<&str> = report.failures().filter_map(|c| c.site).collect();
-    let fence_named = named.contains(&"mt/group/pre_fence");
+    let named: Vec<Site> = report.failures().filter_map(|c| c.site).collect();
+    let fence_named = named.contains(&Site::MtGroupPreFence);
     let mut w = JsonWriter::new();
     w.begin_object()
         .field_str("bench", "crashenum_selftest")
@@ -78,7 +78,7 @@ fn selftest_reorder() -> i32 {
         .field_bool("fence_site_named", fence_named);
     w.begin_array_field("failure_sites");
     for s in &named {
-        w.value_str(s);
+        w.value_str(s.name());
     }
     w.end_array();
     if let Some(repro) = report.failures().find_map(|c| c.repro.as_deref()) {
@@ -129,15 +129,14 @@ fn forensics_arm(buggy: bool) -> specpmt_core::ForensicReport {
     if buggy {
         // The receipt-before-fence bug, forged through public API: the
         // next commit's receipt is durable before that commit fences.
-        let site = sites::index_of("mt/group/pre_fence").expect("known site") as u64;
-        h.record_event(BbKind::TxCommit, last_ts + 1, site, 1);
+        h.record_event(BbKind::TxCommit, last_ts + 1, Site::MtGroupPreFence as u64, 1);
         rt.device().flush_everything();
     }
     // Crash the next commit at the pre-fence point: its record is
     // appended but unfenced. Correct run → no receipt exists yet → clean
     // report. Forged run → the receipt outruns the durability frontier →
     // violation at this site.
-    rt.device().arm(CrashPlan::parse_target("mt/group/pre_fence:1").expect("known site"));
+    rt.device().arm(CrashPlan::at_site(Site::MtGroupPreFence, 1));
     h.begin();
     h.write_u64(base, 42);
     h.commit();
@@ -153,7 +152,7 @@ fn selftest_forensics() -> i32 {
     let buggy = forensics_arm(true);
     let clean_ok = clean.recorder_present && clean.is_clean();
     let bug_caught = !buggy.is_clean();
-    let site_named = buggy.violations.iter().any(|v| v.site == "mt/group/pre_fence");
+    let site_named = buggy.violations.iter().any(|v| v.site == Site::MtGroupPreFence.name());
     let mut w = JsonWriter::new();
     w.begin_object()
         .field_str("bench", "selftest_forensics")
@@ -184,8 +183,10 @@ fn selftest_forensics() -> i32 {
 /// can race past its crash point; `fired_at` is then `None`.
 fn replay(target: &str, reorder: bool) -> Result<RunSummary, String> {
     let plan = CrashPlan::parse_target(target)?;
-    let (name, _) = target.rsplit_once(':').expect("parse_target checked the form");
-    match sites::lookup(name).expect("parse_target checked the site").subsystem {
+    let CrashTrigger::AtSite { site, .. } = plan.trigger() else {
+        unreachable!("parse_target builds labeled plans")
+    };
+    match site.subsystem() {
         _ if reorder => selftest::run_group_workload(plan, true),
         "mt-group" | "bbox" => run_mt_smoke(plan, true),
         s if s.starts_with("mt-") || s == "ckpt" => run_mt_smoke(plan, false),
@@ -261,7 +262,7 @@ fn main() {
 
     let visited = merged.visited();
     let all_subsystems: Vec<&str> = {
-        let mut v: Vec<&str> = sites::ALL.iter().map(|s| s.subsystem).collect();
+        let mut v: Vec<&str> = sites::ALL.iter().map(|s| s.subsystem()).collect();
         v.dedup();
         v
     };
@@ -288,20 +289,14 @@ fn main() {
     w.end_array();
     w.begin_array_field("subsystems");
     for &sub in &all_subsystems {
-        let in_sub: Vec<_> = sites::ALL.iter().filter(|s| s.subsystem == sub).collect();
-        let visited_n = in_sub.iter().filter(|s| visited.contains(&s.name)).count();
-        let cases = merged
-            .cases
-            .iter()
-            .filter(|c| c.site.is_some_and(|n| in_sub.iter().any(|s| s.name == n)))
-            .count();
-        let failed = merged
-            .failures()
-            .filter(|c| c.site.is_some_and(|n| in_sub.iter().any(|s| s.name == n)))
-            .count();
+        let in_sub = |s: &Site| s.subsystem() == sub;
+        let sites_n = sites::ALL.iter().filter(|s| in_sub(s)).count();
+        let visited_n = visited.iter().filter(|s| in_sub(s)).count();
+        let cases = merged.cases.iter().filter(|c| c.site.as_ref().is_some_and(in_sub)).count();
+        let failed = merged.failures().filter(|c| c.site.as_ref().is_some_and(in_sub)).count();
         w.begin_object()
             .field_str("name", sub)
-            .field_u64("sites", in_sub.len() as u64)
+            .field_u64("sites", sites_n as u64)
             .field_u64("visited", visited_n as u64)
             .field_u64("cases", cases as u64)
             .field_bool("passed", failed == 0)
@@ -310,7 +305,7 @@ fn main() {
     w.end_array();
     w.begin_array_field("unvisited");
     for site in &unvisited {
-        w.value_str(site.name);
+        w.value_str(site.name());
     }
     w.end_array();
     w.end_object();
@@ -324,7 +319,7 @@ fn main() {
     if !unvisited.is_empty() {
         eprintln!(
             "unvisited labeled sites: {:?}",
-            unvisited.iter().map(|s| s.name).collect::<Vec<_>>()
+            unvisited.iter().map(|s| s.name()).collect::<Vec<_>>()
         );
         failed = true;
     }
@@ -340,11 +335,11 @@ mod tests {
     #[test]
     fn target_replays_the_named_crash_on_the_smoke_workload_that_reaches_it() {
         let summary = replay("seq/commit/fence:1", false).expect("recovery holds at the fence");
-        assert_eq!(summary.fired_at, Some(("seq/commit/fence", 1)), "seq targets always fire");
+        assert_eq!(summary.fired_at, Some((Site::SeqCommitFence, 1)), "seq targets always fire");
         // An MT target either fires exactly where it was aimed or races
         // past and verifies the orderly shutdown; both recover.
         let summary = replay("mt/group/pre_fence:1", false).expect("recovery holds pre-fence");
-        assert!(summary.fired_at.is_none_or(|at| at == ("mt/group/pre_fence", 1)));
+        assert!(summary.fired_at.is_none_or(|at| at == (Site::MtGroupPreFence, 1)));
         assert!(replay("no/such/site:1", false).is_err(), "a bad target is an error, not a run");
         // The toy workload's injected bug bites at exactly this point.
         assert!(replay("mt/group/pre_fence:1", true).is_err());

@@ -31,7 +31,7 @@
 //! violated site — a self-test that the harness can actually detect the
 //! class of bug it exists for.
 
-use specpmt_pmem::{sites, CrashPlan, CrashPolicy};
+use specpmt_pmem::{sites, CrashPlan, CrashPolicy, Site};
 
 use crate::RunSummary;
 
@@ -65,7 +65,7 @@ pub struct CaseResult {
     /// Display label: `site:hit` for targeted runs, `fuel:n` for sweeps.
     pub label: String,
     /// The targeted site (`None` for fuel cases).
-    pub site: Option<&'static str>,
+    pub site: Option<Site>,
     /// Whether the armed crash actually fired. A targeted multi-threaded
     /// run may legitimately not fire when the interleaving shifts; the
     /// runner then degrades to orderly-shutdown verification and the case
@@ -83,7 +83,7 @@ pub struct CaseResult {
 #[derive(Debug, Clone, Default)]
 pub struct EnumReport {
     /// Sites the observe pass discovered, with total hit counts.
-    pub discovered: Vec<(&'static str, u64)>,
+    pub discovered: Vec<(Site, u64)>,
     /// Every targeted / fuel case, in execution order.
     pub cases: Vec<CaseResult>,
 }
@@ -104,20 +104,21 @@ impl EnumReport {
         self.cases.iter().filter(|c| c.fired).count()
     }
 
-    /// Site names visited (hit at least once) by the observe pass.
-    pub fn visited(&self) -> Vec<&'static str> {
+    /// Sites visited (hit at least once) by the observe pass.
+    pub fn visited(&self) -> Vec<Site> {
         self.discovered.iter().filter(|&&(_, n)| n > 0).map(|&(s, _)| s).collect()
     }
 
     /// Inventory sites in `subsystems` that no observe pass visited —
     /// the zero-unvisited-labels check. Pass the subsystems the workload
     /// can reach (a sequential workload cannot reach `mt-*` sites).
-    pub fn unvisited(&self, subsystems: &[&str]) -> Vec<&'static sites::CrashSite> {
+    pub fn unvisited(&self, subsystems: &[&str]) -> Vec<Site> {
         let visited = self.visited();
         sites::ALL
             .iter()
-            .filter(|s| subsystems.contains(&s.subsystem))
-            .filter(|s| !visited.contains(&s.name))
+            .copied()
+            .filter(|s| subsystems.contains(&s.subsystem()))
+            .filter(|s| !visited.contains(s))
             .collect()
     }
 
@@ -197,17 +198,11 @@ where
     Ok(report)
 }
 
-fn pass_case(site: &'static str, label: String, fired: bool) -> CaseResult {
+fn pass_case(site: Site, label: String, fired: bool) -> CaseResult {
     CaseResult { label, site: Some(site), fired, passed: true, error: None, repro: None }
 }
 
-fn fail_case(
-    cfg: &EnumConfig,
-    site: &'static str,
-    hit: u64,
-    label: String,
-    error: String,
-) -> CaseResult {
+fn fail_case(cfg: &EnumConfig, site: Site, hit: u64, label: String, error: String) -> CaseResult {
     CaseResult {
         label,
         site: Some(site),
@@ -260,7 +255,7 @@ where
 /// bug, proving the enumerator catches the class of bug it exists for.
 pub mod selftest {
     use crate::{end_run, RunSummary};
-    use specpmt_pmem::{line_of, CrashControl, CrashPlan, PmemConfig, SharedPmemDevice};
+    use specpmt_pmem::{line_of, CrashControl, CrashPlan, PmemConfig, SharedPmemDevice, Site};
     use specpmt_txn::GroupCommitter;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
@@ -312,16 +307,16 @@ pub mod selftest {
             s.spawn(move || {
                 while !done.load(Ordering::SeqCst) {
                     gc.drain_next(Duration::from_millis(1), |batch| {
-                        dev.crash_point("mt/group/pre_fence");
+                        dev.crash_point(Site::MtGroupPreFence);
                         drain_dev.drain_lines(&batch.log_lines);
-                        dev.crash_point("mt/group/batch_fence");
+                        dev.crash_point(Site::MtGroupBatchFence);
                     });
                 }
             });
             for k in 0..TXS {
                 let v = value(k).to_le_bytes();
                 h.write(payload_addr(k), &v);
-                dev.crash_point("mt/group/stage");
+                dev.crash_point(Site::MtGroupStage);
                 if reorder_receipt {
                     // BUG (deliberate): the receipt becomes durable before
                     // the batch fence covers the payload.
@@ -369,7 +364,7 @@ mod tests {
         // must actually fire.
         assert_eq!(report.fired_cases(), report.cases.len());
         // All three group sites are reachable, TXS hits each.
-        for site in ["mt/group/stage", "mt/group/pre_fence", "mt/group/batch_fence"] {
+        for site in [Site::MtGroupStage, Site::MtGroupPreFence, Site::MtGroupBatchFence] {
             let (_, n) = report
                 .discovered
                 .iter()
@@ -388,7 +383,7 @@ mod tests {
         assert!(!report.passed(), "the injected ordering bug must be caught");
         let sites: Vec<_> = report.failures().filter_map(|c| c.site).collect();
         assert!(
-            sites.contains(&"mt/group/pre_fence"),
+            sites.contains(&Site::MtGroupPreFence),
             "the violated fence site must be named, got {sites:?}"
         );
         // Every failure prints an exact repro command.
@@ -417,10 +412,10 @@ mod tests {
     #[test]
     fn merged_reports_union_discoveries() {
         let mut a = EnumReport {
-            discovered: vec![("seq/commit/flush", 2)],
+            discovered: vec![(Site::SeqCommitFlush, 2)],
             cases: vec![CaseResult {
                 label: "seq/commit/flush:1".into(),
-                site: Some("seq/commit/flush"),
+                site: Some(Site::SeqCommitFlush),
                 fired: true,
                 passed: true,
                 error: None,
@@ -428,11 +423,11 @@ mod tests {
             }],
         };
         let b = EnumReport {
-            discovered: vec![("seq/commit/flush", 1), ("seq/commit/fence", 3)],
+            discovered: vec![(Site::SeqCommitFlush, 1), (Site::SeqCommitFence, 3)],
             cases: Vec::new(),
         };
         a.merge(b);
-        assert_eq!(a.discovered, vec![("seq/commit/flush", 3), ("seq/commit/fence", 3)]);
+        assert_eq!(a.discovered, vec![(Site::SeqCommitFlush, 3), (Site::SeqCommitFence, 3)]);
         assert_eq!(a.cases.len(), 1);
         let unv = a.unvisited(&["seq-commit"]);
         assert_eq!(unv.len(), 2, "seal + append still unvisited: {unv:?}");

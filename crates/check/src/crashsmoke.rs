@@ -262,7 +262,7 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
 mod tests {
     use super::*;
     use crate::{enumerate, EnumConfig, EnumReport};
-    use specpmt_pmem::sites;
+    use specpmt_pmem::{sites, Site};
 
     #[test]
     fn seq_smoke_enumerates_every_seq_and_layout_site() {
@@ -303,7 +303,7 @@ mod tests {
         for group in [false, true] {
             merged.merge(enumerate(&cfg, |plan| run_mt_smoke(plan, group)).expect("mt observe"));
         }
-        let all: Vec<&str> = sites::ALL.iter().map(|s| s.subsystem).collect();
+        let all: Vec<&str> = sites::ALL.iter().map(|s| s.subsystem()).collect();
         let unvisited = merged.unvisited(&all);
         assert!(unvisited.is_empty(), "unvisited labeled sites: {unvisited:?}");
     }
@@ -318,7 +318,7 @@ mod tests {
         let (site, hits) = *report
             .discovered
             .iter()
-            .find(|(s, _)| *s == "seq/commit/fence")
+            .find(|(s, _)| *s == Site::SeqCommitFence)
             .expect("commit fence is reachable");
         let hit = hits.min(3);
         let plan = CrashPlan::parse_target(&format!("{site}:{hit}")).expect("parsable target");

@@ -3,7 +3,7 @@
 //!
 //! [`CrashPlan`]: specpmt_pmem::CrashPlan
 
-use specpmt_pmem::{CrashControl, CrashImage, CrashPolicy};
+use specpmt_pmem::{CrashControl, CrashImage, CrashPolicy, Site};
 
 /// What one workload run under an armed [`CrashPlan`] reported back.
 ///
@@ -14,10 +14,10 @@ pub struct RunSummary {
     pub fired: bool,
     /// The `(site, hit)` a labeled plan fired at (`None` for fuel plans
     /// and unfired runs).
-    pub fired_at: Option<(&'static str, u64)>,
-    /// Per-site hit counts observed during the run (empty for fuel plans,
-    /// which bypass site counting).
-    pub site_hits: Vec<(&'static str, u64)>,
+    pub fired_at: Option<(Site, u64)>,
+    /// Per-site hit counts observed during the run, in inventory order
+    /// (empty for fuel plans, which bypass site counting).
+    pub site_hits: Vec<(Site, u64)>,
 }
 
 impl RunSummary {

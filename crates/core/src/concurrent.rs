@@ -58,8 +58,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use specpmt_pmem::{
-    line_of, sites, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice,
-    SharedPmemPool, TimingMode, BUMP_OFF,
+    line_of, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice, SharedPmemPool,
+    Site, TimingMode, BUMP_OFF,
 };
 use specpmt_telemetry::{BbKind, OwnedCounter, Phase, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
@@ -550,9 +550,9 @@ impl SpecSpmtShared {
     fn probe(&self, tid: usize) -> Probe<'_> {
         Probe {
             seal: None,
-            append: "mt/commit/append",
-            flush: "mt/commit/flush",
-            fence: "mt/commit/fence",
+            append: Site::MtCommitAppend,
+            flush: Site::MtCommitFlush,
+            fence: Site::MtCommitFence,
             tel: &self.tel,
             tid,
         }
@@ -645,12 +645,12 @@ impl SpecSpmtShared {
             // pointer references it (one vectored, coalesced flush). Its
             // WPQ stall is recorded on the daemon's own telemetry shard so
             // per-commit breakdowns never absorb background drains.
-            handle.crash_point("mt/reclaim/pre_fence");
+            handle.crash_point(Site::MtReclaimPreFence);
             handle.clwb_ranges(&dirty);
             let fr = handle.sfence();
-            handle.crash_point("mt/reclaim/fence");
+            handle.crash_point(Site::MtReclaimFence);
             if bbox_carried > 0 {
-                handle.crash_point(sites::BBOX_PERSIST);
+                handle.crash_point(Site::BboxPersist);
             }
             record_drain(&self.tel, rtid, fr);
             // Fence 2: atomically swap the 8-byte head pointer (persisted
@@ -675,7 +675,7 @@ impl SpecSpmtShared {
             });
             drop(ckpt);
             self.recycle(blocks);
-            handle.crash_point("mt/reclaim/splice");
+            handle.crash_point(Site::MtReclaimSplice);
             if let Some(bb) = &self.bbox {
                 bb.record(&handle, rtid, BbKind::ReclaimSplice, dropped, freed, 0);
             }
@@ -764,14 +764,21 @@ impl SpecSpmtShared {
     /// recovery reads each chain only from there on, while the anchor
     /// still holds (see [`crate::recovery`]).
     ///
-    /// Soundness of the watermark: a commit timestamp is issued
+    /// Soundness of the watermark: every record the scan did not fold
+    /// must carry a timestamp above it. A commit timestamp is issued
     /// (`fetch_add`) *before* the area lock is taken in `seal`, but each
     /// chain's timestamps are issued in chain order by its single owning
-    /// thread — so any record still in flight on a chain carries a
-    /// timestamp greater than that chain's last committed one, hence
-    /// greater than the minimum. A chain that is open but has *no*
-    /// committed record yet provides no such bound, so the checkpoint is
-    /// skipped (returns `None`) in that case.
+    /// thread, so a record still in flight on a non-empty chain carries a
+    /// timestamp above that chain's last committed one. A chain scanned
+    /// empty and idle has no such bound, yet its owner may reserve and
+    /// commit right after the scan passes it, while later chains are still
+    /// being scanned. Such a chain bounds the watermark by the timestamp
+    /// counter, read under the chain's lock: the owner's first write takes that
+    /// lock after the scan releases it, and its `fetch_add` comes later
+    /// still, so it draws a value at or above the one read. A chain that
+    /// is open but has *no* committed record bounds nothing — its record's
+    /// timestamp may already be drawn — so the checkpoint is skipped
+    /// (returns `None`) in that case.
     ///
     /// Returns the watermark, or `None` when no checkpoint could be
     /// written (no committed records, or an open chain without a bound).
@@ -803,18 +810,17 @@ impl SpecSpmtShared {
                 last_ts = Some(rec.ts);
             }
             chain_blocks.push(st.area.blocks().to_vec());
-            let open = st.open;
-            drop(st);
             match last_ts {
                 Some(ts) => watermark = watermark.min(ts),
                 // An open chain with nothing committed yet bounds nothing:
                 // its in-flight record may carry any timestamp.
-                None if open => return None,
-                None => {}
+                None if st.open => return None,
+                // An idle empty chain's next record is reserved after this
+                // lock is released and draws its timestamp after that, so
+                // it is at or above the counter read here.
+                None => watermark = watermark.min(self.ts.load(Ordering::SeqCst) - 1),
             }
-        }
-        if watermark == u64::MAX {
-            return None; // no committed records anywhere
+            drop(st);
         }
 
         // Each chain's anchor: its last record at or below the watermark
@@ -842,7 +848,7 @@ impl SpecSpmtShared {
         // own order is kept).
         records.retain(|&(ts, _, _)| ts <= watermark);
         if records.is_empty() {
-            return None;
+            return None; // nothing committed at or below the watermark
         }
         records.sort_by_key(|&(ts, idx, _)| (ts, idx));
         let forward: Vec<EntryRef> =
@@ -881,15 +887,15 @@ impl SpecSpmtShared {
             Some(bb) => bb.take_dirty(self.cfg.threads, &mut dirty),
             None => 0,
         };
-        handle.crash_point("ckpt/write");
+        handle.crash_point(Site::CkptWrite);
         handle.clwb_ranges(&dirty);
         handle.sfence();
         if bbox_carried > 0 {
-            handle.crash_point(sites::BBOX_PERSIST);
+            handle.crash_point(Site::BboxPersist);
         }
-        handle.crash_point("ckpt/persist");
+        handle.crash_point(Site::CkptPersist);
         self.layout.set_ckpt_head_shared(&self.pool, new_area.head() as u64);
-        handle.crash_point("ckpt/splice");
+        handle.crash_point(Site::CkptSplice);
         if let Some(bb) = &self.bbox {
             bb.record(&handle, self.cfg.threads, BbKind::CkptSplice, watermark, runs, 0);
         }
@@ -945,7 +951,7 @@ fn drain_group_batch(
     };
     // Every receipt in the batch is still unpublished here; after the
     // fused drain(s) below, all of them are durable at once.
-    dev.crash_point("mt/group/pre_fence");
+    dev.crash_point(Site::MtGroupPreFence);
     let fr = dev.drain_lines(log_lines);
     let (mut stall, mut flushes) = (fr.stall_ns, fr.flushes);
     if !batch.data_lines.is_empty() {
@@ -953,12 +959,12 @@ fn drain_group_batch(
         stall += fr.stall_ns;
         flushes += fr.flushes;
     }
-    dev.crash_point("mt/group/batch_fence");
+    dev.crash_point(Site::MtGroupBatchFence);
     if let Some(bb) = bbox {
         if bbox_carried > 0 {
-            dev.crash_point(sites::BBOX_PERSIST);
+            dev.crash_point(Site::BboxPersist);
         }
-        let site = sites::index_of("mt/group/batch_fence").unwrap_or(0) as u64;
+        let site = Site::MtGroupBatchFence as u64;
         bb.record(dev, tid, BbKind::BatchSeal, batch.txs, site, 0);
         if stall > bb.stall_threshold_ns() {
             bb.record(dev, tid, BbKind::FenceStall, stall, flushes, 0);
@@ -1191,11 +1197,11 @@ impl TxHandle {
                 // its record was already in the persisted image. The slot
                 // itself rides the *next* already-scheduled fence.
                 let (site, aux) = if shared.cfg.group_commit {
-                    (sites::index_of("mt/group/batch_fence"), 1)
+                    (Site::MtGroupBatchFence, 1)
                 } else {
-                    (sites::index_of("mt/commit/fence"), 0)
+                    (Site::MtCommitFence, 0)
                 };
-                bb.record(dev, tid, BbKind::TxCommit, ts, site.unwrap_or(0) as u64, aux);
+                bb.record(dev, tid, BbKind::TxCommit, ts, site as u64, aux);
             }
         }
 
@@ -1226,7 +1232,7 @@ impl TxHandle {
         log.drain_solo(&mut shared.store(dev), shared.probe(tid), |fr| {
             if let Some(bb) = &shared.bbox {
                 if bbox_carried > 0 {
-                    dev.crash_point(sites::BBOX_PERSIST);
+                    dev.crash_point(Site::BboxPersist);
                 }
                 if fr.stall_ns > bb.stall_threshold_ns() {
                     bb.record(dev, tid, BbKind::FenceStall, fr.stall_ns, fr.flushes, 0);
@@ -1254,7 +1260,7 @@ impl TxHandle {
         tid: usize,
     ) {
         log.group_plan(plan, data_plan);
-        dev.crash_point("mt/group/stage");
+        dev.crash_point(Site::MtGroupStage);
         let _wait_span = shared.tel.registry.span(tid, Phase::BatchWait);
         shared.gc.commit(plan, data_plan);
     }

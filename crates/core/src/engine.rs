@@ -8,26 +8,25 @@
 //! timestamp source, chain ownership and locking, group commit, flight
 //! recorder, statistics — stays with them and comes in as values.
 
-use specpmt_pmem::{coalesce_lines, FenceReport};
+use specpmt_pmem::{coalesce_lines, FenceReport, Site};
 use specpmt_telemetry::{Phase, Telemetry};
 
 use crate::record::{encode_header_parts, entry_header, Cursor, LogArea, LogStore, REC_HDR};
 use crate::writeset::WriteSet;
 
-/// Where one runtime's commits are observed: its crash-site labels
-/// (entries of [`specpmt_pmem::sites::ALL`]) and the telemetry shard of
-/// the committing thread.
+/// Where one runtime's commits are observed: its commit crash sites and
+/// the telemetry shard of the committing thread.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Probe<'a> {
     /// Header computed, nothing stored yet (`None`: the inventory has no
     /// such site for this runtime).
-    pub seal: Option<&'static str>,
+    pub seal: Option<Site>,
     /// Header and terminator stored, unflushed.
-    pub append: &'static str,
+    pub append: Site,
     /// Flushes issued, fence pending.
-    pub flush: &'static str,
+    pub flush: Site,
     /// Fence completed.
-    pub fence: &'static str,
+    pub fence: Site,
     pub tel: &'a Telemetry,
     pub tid: usize,
 }

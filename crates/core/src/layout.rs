@@ -41,7 +41,7 @@
 //! rather than parsed.
 
 use specpmt_pmem::frame::{seal, verify, Fields};
-use specpmt_pmem::{PmemPool, PoolHeader, SharedPmemPool, POOL_HEADER_SIZE};
+use specpmt_pmem::{PmemPool, PoolHeader, SharedPmemPool, Site, POOL_HEADER_SIZE};
 
 use crate::record::ByteSource;
 
@@ -232,9 +232,9 @@ impl PoolLayout {
         use specpmt_pmem::CrashControl;
         let addr = self.head_addr(tid);
         pool.device_mut().write_u64(addr, head);
-        pool.device().crash_point("layout/head_write");
+        pool.device().crash_point(Site::LayoutHeadWrite);
         pool.device_mut().persist_range(addr, 8);
-        pool.device().crash_point("layout/head_persist");
+        pool.device().crash_point(Site::LayoutHeadPersist);
     }
 
     /// Writes thread `tid`'s chain head from a background engine (a
@@ -251,9 +251,9 @@ impl PoolLayout {
         let addr = self.head_addr(tid);
         let h = pool.handle();
         h.write_u64(addr, head);
-        h.crash_point("layout/head_write");
+        h.crash_point(Site::LayoutHeadWrite);
         h.persist_range(addr, 8);
-        h.crash_point("layout/head_persist");
+        h.crash_point(Site::LayoutHeadPersist);
     }
 
     /// Pool offset of the checkpoint chain head.

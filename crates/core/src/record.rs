@@ -43,7 +43,7 @@ use std::sync::Mutex;
 use specpmt_pmem::frame::{seal, verify, Fields};
 use specpmt_pmem::{
     CrashControl, CrashImage, DeviceHandle, FenceReport, PmemDevice, PmemError, PmemPool,
-    SharedPmemPool,
+    SharedPmemPool, Site,
 };
 
 /// Bytes reserved at the start of each log block (forward + backward
@@ -686,7 +686,7 @@ pub trait LogStore {
     /// Fences this thread's outstanding flushes.
     fn sfence(&mut self) -> FenceReport;
     /// Executes a labeled crash site.
-    fn crash_point(&self, site: &'static str);
+    fn crash_point(&self, site: Site);
 }
 
 /// Batch size for log-block allocation (amortizes the bump-pointer persist
@@ -748,7 +748,7 @@ impl LogStore for PoolStore<'_> {
         self.pool.device_mut().sfence()
     }
 
-    fn crash_point(&self, site: &'static str) {
+    fn crash_point(&self, site: Site) {
         self.pool.device().crash_point(site);
     }
 }
@@ -790,7 +790,7 @@ impl LogStore for SharedStore<'_> {
         self.handle.sfence()
     }
 
-    fn crash_point(&self, site: &'static str) {
+    fn crash_point(&self, site: Site) {
         self.handle.crash_point(site);
     }
 }

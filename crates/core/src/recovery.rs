@@ -81,7 +81,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use specpmt_pmem::blackbox::decode_region;
-use specpmt_pmem::{sites, CrashImage, PmemConfig};
+use specpmt_pmem::{CrashImage, PmemConfig, Site};
 use specpmt_telemetry::blackbox::{kv_op_name, BbEvent, BbKind};
 use specpmt_telemetry::{JsonWriter, StatExport};
 
@@ -812,7 +812,7 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
                         tid: ev.tid,
                         seq: ev.seq,
                         commit_ts: ev.a,
-                        site: sites::name_of(ev.b as usize).unwrap_or("unknown"),
+                        site: Site::from_index(ev.b).map_or("unknown", Site::name),
                     });
                 }
             }

@@ -1,6 +1,6 @@
 //! The [`SpecSpmt`] transaction runtime.
 
-use specpmt_pmem::{CrashControl, CrashImage, PmemPool, TimingMode};
+use specpmt_pmem::{CrashControl, CrashImage, PmemPool, Site, TimingMode};
 use specpmt_telemetry::{Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
@@ -16,10 +16,10 @@ const TID: usize = 0;
 /// The sequential runtime's commit crash sites.
 fn probe(tel: &Telemetry) -> Probe<'_> {
     Probe {
-        seal: Some("seq/commit/seal"),
-        append: "seq/commit/append",
-        flush: "seq/commit/flush",
-        fence: "seq/commit/fence",
+        seal: Some(Site::SeqCommitSeal),
+        append: Site::SeqCommitAppend,
+        flush: Site::SeqCommitFlush,
+        fence: Site::SeqCommitFence,
         tel,
         tid: TID,
     }
@@ -209,7 +209,7 @@ impl SpecSpmt {
         // stall the application thread.
         let background = self.cfg.reclaim_mode == ReclaimMode::Background;
         if let Some((area, dropped)) = rewrite {
-            self.pool.device().crash_point("seq/reclaim/pre_fence");
+            self.pool.device().crash_point(Site::SeqReclaimPreFence);
             if background {
                 for &(addr, len) in &dirty {
                     self.pool.device_mut().background_range_write(addr, len);
@@ -218,7 +218,7 @@ impl SpecSpmt {
                 self.pool.device_mut().clwb_ranges(&dirty);
                 self.pool.device_mut().sfence();
             }
-            self.pool.device().crash_point("seq/reclaim/fence");
+            self.pool.device().crash_point(Site::SeqReclaimFence);
             let (layout, head) = (self.layout, area.head() as u64);
             if background {
                 layout.set_head_background(&mut self.pool, TID, head);
@@ -229,7 +229,7 @@ impl SpecSpmt {
             self.stats.records_reclaimed += dropped;
             let old = std::mem::replace(&mut self.area, area);
             self.free_blocks.extend(old.into_blocks());
-            self.pool.device().crash_point("seq/reclaim/splice");
+            self.pool.device().crash_point(Site::SeqReclaimSplice);
         }
 
         self.refresh_log_stats();

@@ -24,7 +24,7 @@
 
 use specpmt_core::forensics;
 use specpmt_kv::{AdmissionConfig, CasOutcome, KvConfig, KvError, KvService};
-use specpmt_pmem::{CrashControl, CrashPlan, CrashPolicy};
+use specpmt_pmem::{CrashControl, CrashPlan, CrashPolicy, Site};
 
 fn crash_config() -> KvConfig {
     // Two shards, one worker, no daemons: the per-commit fence path runs
@@ -61,7 +61,7 @@ fn shard_crash_mid_cas_keeps_acked_ops_exactly_once() {
     // Crash the hot shard at the 3rd commit fence after arming — i.e. in
     // the middle of the CAS stream below, inside a commit.
     let dev = svc.shard(hot_shard).runtime().device().clone();
-    dev.arm(CrashPlan::at_site("mt/commit/fence", 3).with_policy(CrashPolicy::AllLost));
+    dev.arm(CrashPlan::at_site(Site::MtCommitFence, 3).with_policy(CrashPolicy::AllLost));
 
     const ATTEMPTS: u64 = 10;
     let mut applied = 0u64;

@@ -30,6 +30,7 @@ use specpmt_telemetry::blackbox::{BbEvent, BbKind};
 
 use crate::frame::{seal, verify, Fields};
 use crate::shared::DeviceHandle;
+use crate::sites::Site;
 
 /// Bytes per encoded event slot.
 pub const EVT_BYTES: usize = 40;
@@ -254,7 +255,7 @@ impl BlackBoxSink {
         let ev = BbEvent { ts: h.local_now_ns(), a, b, seq, tid: ring as u16, kind, aux };
         h.write(addr, &encode_slot(&ev));
         st.dirty.lock().unwrap_or_else(|e| e.into_inner()).push((addr, EVT_BYTES));
-        h.crash_point(crate::sites::BBOX_WRITE);
+        h.crash_point(Site::BboxWrite);
     }
 
     /// Drains `tid`'s pending dirty ranges into `out` (appending),

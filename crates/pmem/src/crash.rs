@@ -17,7 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::geometry::{line_start, CACHE_LINE, PERSIST_WORD};
 use crate::rng::SplitMix64;
-use crate::sites;
+use crate::sites::{self, Site};
 use crate::wpq::PendingFlush;
 
 /// Controls which *unfenced* data survives a simulated crash.
@@ -168,12 +168,11 @@ pub enum CrashTrigger {
     /// flushes, fences — reads and timing-off operations do not count).
     AfterOps(u64),
     /// Labeled: the image is captured at the `nth_hit`-th execution
-    /// (1-based) of the named crash site (see [`crate::sites`] for the
-    /// inventory). Deterministic under any interleaving: hits are counted
-    /// under the device's crash serialization.
+    /// (1-based) of `site`. Deterministic under any interleaving: hits are
+    /// counted under the device's crash serialization.
     AtSite {
-        /// Site name from the [`crate::sites`] inventory.
-        site: &'static str,
+        /// The targeted site.
+        site: Site,
         /// Which execution of the site to crash at (1-based).
         nth_hit: u64,
     },
@@ -218,7 +217,7 @@ impl CrashPlan {
     /// # Panics
     ///
     /// Panics if `nth_hit` is zero (hit counts are 1-based).
-    pub fn at_site(site: &'static str, nth_hit: u64) -> Self {
+    pub fn at_site(site: Site, nth_hit: u64) -> Self {
         assert!(nth_hit >= 1, "site hit counts are 1-based");
         Self { trigger: CrashTrigger::AtSite { site, nth_hit }, policy: CrashPolicy::AllLost }
     }
@@ -245,8 +244,8 @@ impl CrashPlan {
     }
 
     /// Parses a `site:hit` string as `crashenum --target` takes it (e.g.
-    /// `seq/commit/flush:2`) into a labeled plan. The site must be in the
-    /// [`crate::sites`] inventory; the hit count is 1-based.
+    /// `seq/commit/flush:2`) into a labeled plan — the one place a site
+    /// name becomes a [`Site`]. The hit count is 1-based.
     ///
     /// # Errors
     ///
@@ -256,14 +255,14 @@ impl CrashPlan {
         let (name, hit) = s
             .rsplit_once(':')
             .ok_or_else(|| format!("crash target `{s}` is not of the form site:hit"))?;
-        let site = sites::lookup(name)
+        let site = Site::from_name(name)
             .ok_or_else(|| format!("unknown crash site `{name}` (see specpmt_pmem::sites)"))?;
         let nth_hit: u64 =
             hit.parse().map_err(|_| format!("crash target hit count `{hit}` is not an integer"))?;
         if nth_hit == 0 {
             return Err("crash target hit counts are 1-based".into());
         }
-        Ok(Self::at_site(site.name, nth_hit))
+        Ok(Self::at_site(site, nth_hit))
     }
 
     /// The `site:hit` string for a labeled plan — the value to give
@@ -327,7 +326,7 @@ pub trait CrashControl {
     }
 
     /// The `(site, hit)` a labeled plan fired at, if one did.
-    fn fired_at(&self) -> Option<(&'static str, u64)> {
+    fn fired_at(&self) -> Option<(Site, u64)> {
         self.gate().ctl().fired_at
     }
 
@@ -349,14 +348,15 @@ pub trait CrashControl {
         (c.epoch, c.fired.is_some())
     }
 
-    /// Per-site hit counts recorded since the last [`CrashControl::arm`]
-    /// (sites are counted whenever a plan is armed with a labeled or
-    /// observe trigger).
-    fn site_hits(&self) -> Vec<(&'static str, u64)> {
-        self.gate().ctl().hits.clone()
+    /// Per-site hit counts recorded since the last [`CrashControl::arm`],
+    /// in inventory order, sites never hit left out (sites are counted
+    /// whenever a plan is armed with a labeled or observe trigger).
+    fn site_hits(&self) -> Vec<(Site, u64)> {
+        let hits = self.gate().ctl().hits;
+        sites::ALL.iter().map(|&s| (s, hits[s as usize])).filter(|&(_, n)| n > 0).collect()
     }
 
-    /// Executes the labeled crash site `site`: with no labeled/observe
+    /// Executes the crash site `site`: with no labeled/observe
     /// plan armed this is a single flag check; with one armed it counts
     /// the hit and captures an image when the armed `(site, nth_hit)`
     /// target matches. Hit counting and target matching happen under the
@@ -364,7 +364,7 @@ pub trait CrashControl {
     /// any thread interleaving. Runtimes call this at every
     /// ordering-sensitive point of their persistence protocols (see
     /// [`crate::sites`]).
-    fn crash_point(&self, site: &'static str) {
+    fn crash_point(&self, site: Site) {
         self.gate().crash_point(site, self.timing_on(), |policy| self.capture(policy));
     }
 }
@@ -375,10 +375,9 @@ pub trait CrashControl {
 struct CrashCtl {
     plan: Option<CrashPlan>,
     fired: Option<CrashImage>,
-    fired_at: Option<(&'static str, u64)>,
-    /// Per-site hit counts: a linear-scan map (the inventory has ~20
-    /// entries; hashing would cost more than the scan).
-    hits: Vec<(&'static str, u64)>,
+    fired_at: Option<(Site, u64)>,
+    /// Per-site hit counts, indexed by the site's code.
+    hits: [u64; sites::COUNT],
     /// Two increments per capture: odd ⇒ capture in progress.
     epoch: u64,
 }
@@ -389,7 +388,7 @@ impl CrashCtl {
         self.plan = Some(plan);
         self.fired = None;
         self.fired_at = None;
-        self.hits.clear();
+        self.hits = [0; sites::COUNT];
     }
 
     /// One persistence op happened. Returns the capture policy when fuel
@@ -414,21 +413,14 @@ impl CrashCtl {
     /// One execution of labeled site `site` happened. Counts the hit and
     /// returns the capture policy when the armed target fires; same
     /// contract as [`CrashCtl::fuel_tick`].
-    fn site_tick(&mut self, site: &'static str) -> Option<CrashPolicy> {
+    fn site_tick(&mut self, site: Site) -> Option<CrashPolicy> {
         let plan = self.plan?;
         if matches!(plan.trigger, CrashTrigger::AfterOps(_)) {
             return None;
         }
-        let hit = match self.hits.iter_mut().find(|(name, _)| *name == site) {
-            Some((_, n)) => {
-                *n += 1;
-                *n
-            }
-            None => {
-                self.hits.push((site, 1));
-                1
-            }
-        };
+        let n = &mut self.hits[site as usize];
+        *n += 1;
+        let hit = *n;
         if plan.trigger != (CrashTrigger::AtSite { site, nth_hit: hit }) {
             return None;
         }
@@ -518,7 +510,7 @@ impl CrashGate {
     #[inline]
     pub(crate) fn crash_point(
         &self,
-        site: &'static str,
+        site: Site,
         timing_on: bool,
         capture: impl FnOnce(CrashPolicy) -> CrashImage,
     ) {
@@ -604,7 +596,7 @@ mod tests {
         assert_eq!(p.trigger(), CrashTrigger::AfterOps(7));
         assert_eq!(p.policy(), CrashPolicy::AllSurvive);
         assert!(p.target().is_none());
-        let site = crate::sites::ALL[0].name;
+        let site = sites::ALL[0];
         let p = CrashPlan::at_site(site, 3);
         assert_eq!(p.policy(), CrashPolicy::AllLost);
         assert_eq!(p.target(), Some(format!("{site}:3")));
@@ -613,7 +605,7 @@ mod tests {
 
     #[test]
     fn parse_target_accepts_inventory_sites_only() {
-        let site = crate::sites::ALL[0].name;
+        let site = sites::ALL[0];
         let p = CrashPlan::parse_target(&format!("{site}:2")).unwrap();
         assert_eq!(p.trigger(), CrashTrigger::AtSite { site, nth_hit: 2 });
         assert!(CrashPlan::parse_target("nonsense").is_err());
@@ -647,29 +639,31 @@ mod tests {
 
     #[test]
     fn ctl_site_counts_hits_and_fires_at_nth() {
-        let site = crate::sites::ALL[0].name;
-        let other = crate::sites::ALL[1].name;
+        let site = sites::ALL[0];
+        let other = sites::ALL[1];
         let mut c = CrashCtl::default();
         c.arm(CrashPlan::at_site(site, 2));
         assert!(c.site_tick(site).is_none()); // hit 1
         assert!(c.site_tick(other).is_none()); // unrelated site counted too
         assert_eq!(c.site_tick(site), Some(CrashPolicy::AllLost), "fires at hit 2");
         assert_eq!(c.fired_at, Some((site, 2)));
-        assert_eq!(c.hits, vec![(site, 2), (other, 1)]);
+        assert_eq!((c.hits[site as usize], c.hits[other as usize]), (2, 1));
+        assert_eq!(c.hits.iter().sum::<u64>(), 3);
         c.store(CrashImage::new(vec![0; 8]));
         assert!(c.site_tick(site).is_none(), "plan consumed");
     }
 
     #[test]
     fn ctl_observe_counts_without_firing() {
-        let site = crate::sites::ALL[0].name;
+        let site = sites::ALL[0];
         let mut c = CrashCtl::default();
         c.arm(CrashPlan::observe());
         for _ in 0..5 {
             assert!(c.site_tick(site).is_none());
         }
         assert!(c.fuel_tick().is_none());
-        assert_eq!(c.hits, vec![(site, 5)]);
+        assert_eq!(c.hits[site as usize], 5);
+        assert_eq!(c.hits.iter().sum::<u64>(), 5);
         assert_eq!(c.epoch, 0);
     }
 }

@@ -398,7 +398,7 @@ impl CrashControl for PmemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CrashPlan;
+    use crate::{CrashPlan, Site};
 
     fn dev() -> PmemDevice {
         PmemDevice::new(PmemConfig::new(4096))
@@ -650,8 +650,8 @@ mod tests {
         assert!(d.fired());
     }
 
-    const SITE_A: &str = "seq/commit/flush";
-    const SITE_B: &str = "seq/commit/fence";
+    const SITE_A: Site = Site::SeqCommitFlush;
+    const SITE_B: Site = Site::SeqCommitFence;
 
     #[test]
     fn crash_point_fires_at_targeted_hit() {

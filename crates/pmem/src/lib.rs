@@ -69,4 +69,5 @@ pub use pool::{
 };
 pub use rng::SplitMix64;
 pub use shared::{DeviceHandle, SharedPmemDevice, SharedPmemPool};
+pub use sites::Site;
 pub use stats::PmemStats;

@@ -59,6 +59,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::alloc::{Reservation, SizeClassAllocator};
 use crate::crash::{materialize, CrashControl, CrashGate, CrashImage, CrashPolicy};
 use crate::geometry::{line_of, line_start, lines_touching, CACHE_LINE, PERSIST_WORD};
+use crate::sites::Site;
 use crate::stats::OwnedStats;
 use crate::wpq::{PendingFlush, WpqModel};
 use specpmt_telemetry::{HistogramSnapshot, OwnedCounter, OwnedHistogram};
@@ -852,7 +853,7 @@ impl DeviceHandle {
     /// Executes a labeled crash site on the shared device (see
     /// [`CrashControl::crash_point`]): one relaxed flag load when no
     /// labeled plan is armed.
-    pub fn crash_point(&self, site: &'static str) {
+    pub fn crash_point(&self, site: Site) {
         self.dev.crash_point(site);
     }
 }
@@ -1660,7 +1661,7 @@ mod tests {
         assert!(d.take_image().is_some());
     }
 
-    const SITE: &str = "mt/commit/fence";
+    const SITE: Site = Site::MtCommitFence;
 
     #[test]
     fn crash_point_targets_exact_hit_across_threads() {

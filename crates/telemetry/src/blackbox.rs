@@ -8,89 +8,71 @@
 
 use crate::json::JsonWriter;
 
-/// What a flight-recorder event records. Operand meaning (`a`, `b`,
-/// `aux`) is per-kind; `0` is reserved to mark a never-written slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum BbKind {
+macro_rules! kinds {
+    ($($(#[doc = $doc:literal])+ $variant:ident = $code:literal, $name:literal;)+) => {
+        /// What a flight-recorder event records. Operand meaning (`a`, `b`,
+        /// `aux`) is per-kind; `0` is reserved to mark a never-written slot.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum BbKind {
+            $($(#[doc = $doc])+ $variant = $code,)+
+        }
+
+        impl BbKind {
+            /// Parses a raw kind byte (`None` for 0 or out-of-range values).
+            pub fn from_u8(v: u8) -> Option<Self> {
+                match v {
+                    $($code => Some(Self::$variant),)+
+                    _ => None,
+                }
+            }
+
+            /// Stable name for JSON and the human forensics table.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+kinds! {
     /// Transaction began. `a` = begin timestamp source (device-local ns).
-    TxBegin = 1,
+    TxBegin = 1, "tx_begin";
     /// Transaction commit *receipt*: staged only after the commit fence
     /// returned, so a persisted `TxCommit` implies the commit record was
     /// already durable (the forensic tail invariant). `a` = commit
-    /// timestamp, `b` = crash-site index of the fence just completed
-    /// (`specpmt_pmem::sites::ALL`), `aux` = 1 on the group path.
-    TxCommit = 2,
+    /// timestamp, `b` = code of the crash site whose fence just completed
+    /// (`specpmt_pmem::Site`), `aux` = 1 on the group path.
+    TxCommit = 2, "tx_commit";
     /// Transaction aborted. `a` = retry attempt number.
-    TxAbort = 3,
+    TxAbort = 3, "tx_abort";
     /// A fence/drain stalled beyond the configured threshold. `a` =
     /// stall ns, `b` = flushes the fence completed.
-    FenceStall = 4,
+    FenceStall = 4, "fence_stall";
     /// Group-commit batch sealed (recorded by the combiner after the
-    /// batch fence). `a` = transactions in the batch, `b` = crash-site
-    /// index of the batch fence.
-    BatchSeal = 5,
+    /// batch fence). `a` = transactions in the batch, `b` = code of the
+    /// batch-fence crash site.
+    BatchSeal = 5, "batch_seal";
     /// Reclamation spliced rebuilt chains in. `a` = records reclaimed,
     /// `b` = blocks freed.
-    ReclaimSplice = 6,
+    ReclaimSplice = 6, "reclaim_splice";
     /// Checkpoint head spliced. `a` = checkpoint watermark timestamp,
     /// `b` = entries folded.
-    CkptSplice = 7,
+    CkptSplice = 7, "ckpt_splice";
     /// KV governor shed a request. `a` = worst shard p99 ns, `b` =
     /// tenant id.
-    GovShed = 8,
+    GovShed = 8, "gov_shed";
     /// KV governor quota decision (window exhausted). `a` = window ops,
     /// `b` = tenant id.
-    GovQuota = 9,
+    GovQuota = 9, "gov_quota";
     /// KV operation dispatched to a shard. `a` = key hash, `b` = shard,
     /// `aux` = op class ([`kv_op_name`]).
-    KvOp = 10,
+    KvOp = 10, "kv_op";
     /// KV operation completed. `a` = key hash, `b` = shard, `aux` = op
     /// class.
-    KvOpDone = 11,
-}
-
-/// Number of [`BbKind`] variants (kinds are `1..=BB_KIND_COUNT`).
-pub const BB_KIND_COUNT: usize = 11;
-
-/// JSON/debug names for each [`BbKind`], index `kind - 1`.
-pub const BB_KIND_NAMES: [&str; BB_KIND_COUNT] = [
-    "tx_begin",
-    "tx_commit",
-    "tx_abort",
-    "fence_stall",
-    "batch_seal",
-    "reclaim_splice",
-    "ckpt_splice",
-    "gov_shed",
-    "gov_quota",
-    "kv_op",
-    "kv_op_done",
-];
-
-impl BbKind {
-    /// Parses a raw kind byte (`None` for 0 or out-of-range values).
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(Self::TxBegin),
-            2 => Some(Self::TxCommit),
-            3 => Some(Self::TxAbort),
-            4 => Some(Self::FenceStall),
-            5 => Some(Self::BatchSeal),
-            6 => Some(Self::ReclaimSplice),
-            7 => Some(Self::CkptSplice),
-            8 => Some(Self::GovShed),
-            9 => Some(Self::GovQuota),
-            10 => Some(Self::KvOp),
-            11 => Some(Self::KvOpDone),
-            _ => None,
-        }
-    }
-
-    /// Stable name for JSON and the human forensics table.
-    pub fn name(self) -> &'static str {
-        BB_KIND_NAMES[self as usize - 1]
-    }
+    KvOpDone = 11, "kv_op_done";
 }
 
 /// Names of the KV op-class codes carried in the `aux` byte of
@@ -142,13 +124,18 @@ mod tests {
 
     #[test]
     fn kind_names_align() {
-        for k in 1..=BB_KIND_COUNT as u8 {
-            let kind = BbKind::from_u8(k).expect("in range");
-            assert_eq!(kind as u8, k);
+        // Every byte that parses, in code order: the one list's kinds.
+        let kinds: Vec<(u8, BbKind)> =
+            (0..=u8::MAX).filter_map(|v| Some((v, BbKind::from_u8(v)?))).collect();
+        assert_eq!(kinds.len(), 11);
+        for (i, &(code, kind)) in kinds.iter().enumerate() {
+            assert_eq!(usize::from(code), i + 1, "codes are 1..=len, 0 never parses");
+            assert_eq!(kind as u8, code);
             assert!(!kind.name().is_empty());
+            for (_, other) in &kinds[i + 1..] {
+                assert_ne!(kind.name(), other.name(), "duplicate kind name");
+            }
         }
-        assert_eq!(BbKind::from_u8(0), None);
-        assert_eq!(BbKind::from_u8(BB_KIND_COUNT as u8 + 1), None);
         assert_eq!(kv_op_name(3), "cas");
         assert_eq!(kv_op_name(200), "unknown");
     }

@@ -40,7 +40,6 @@ pub use blackbox::{BbEvent, BbKind};
 pub use json::{JsonWriter, StatExport};
 pub use metrics::{
     bucket_floor, bucket_of, Histogram, HistogramSnapshot, Phase, Registry, Span, BUCKETS,
-    PHASE_COUNT, PHASE_NAMES,
 };
 pub use owned::{OwnedCounter, OwnedHistogram};
 

@@ -192,44 +192,64 @@ impl HistogramSnapshot {
     }
 }
 
-/// Instrumented phases — each gets a latency histogram per thread shard.
-///
-/// The first six are the sub-spans of one commit (the ISSUE's
-/// writeset/seal/append/flush/fence/lock breakdown); `Commit` is the
-/// whole-commit envelope (so per-phase sums ≤ commit is checkable);
-/// the rest are cross-cutting waits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Phase {
+macro_rules! phases {
+    ($($(#[doc = $doc:literal])+ $variant:ident = $name:literal;)+) => {
+        /// Instrumented phases — each gets a latency histogram per thread shard.
+        ///
+        /// The first six are the sub-spans of one commit (the
+        /// writeset/seal/append/flush/fence/lock breakdown); `Commit` is the
+        /// whole-commit envelope (so per-phase sums ≤ commit is checkable);
+        /// the rest are cross-cutting waits.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Phase {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Phase {
+            /// Every phase, in index order (`p as usize` is its position).
+            pub const ALL: &'static [Phase] = &[$(Phase::$variant),+];
+
+            /// JSON/bench name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+phases! {
     /// Write-set build: staging in-place writes + undo/redo bookkeeping.
-    Writeset = 0,
+    Writeset = "writeset";
     /// Checksum seal: header encode + checksum over the payload.
-    Seal = 1,
+    Seal = "seal";
     /// Log append: reserving log space and storing the record.
-    Append = 2,
+    Append = "append";
     /// Flush planning + `clwb` of dirty lines.
-    Flush = 3,
+    Flush = "flush";
     /// The commit fence (`sfence`, incl. simulated WPQ drain stall).
-    Fence = 4,
+    Fence = "fence";
     /// Lock release (address locks and/or area locks).
-    LockRelease = 5,
+    LockRelease = "lock";
     /// Whole commit envelope (covers all six sub-phases).
-    Commit = 6,
+    Commit = "commit";
     /// Address-lock acquisition wait (spin + backoff) in the 2PL path.
-    LockWait = 7,
+    LockWait = "lock_wait";
     /// WPQ drain wait observed at a fence.
-    WpqDrain = 8,
+    WpqDrain = "wpq_drain";
     /// One background reclamation cycle.
-    ReclaimCycle = 9,
+    ReclaimCycle = "reclaim_cycle";
     /// Group commit: from staging a sealed record into the epoch batch
     /// until the batch fence retires (waking the drain thread, the shared
     /// drain, and receipt handoff all live inside this span).
-    BatchWait = 10,
+    BatchWait = "batch_wait";
     /// Group commit: *batch occupancy* — the histogram records the number
     /// of transactions each retired batch carried (a size distribution,
     /// not a latency; one observation per batch, recorded by the
     /// drain thread).
-    GroupBatch = 11,
+    GroupBatch = "group_batch_size";
     /// Commit cost in **simulated device nanoseconds**: the device work
     /// (stores, flush issue, fence stalls) charged to the committing
     /// thread's timeline during seal. Unlike the host-time `commit` span,
@@ -238,35 +258,15 @@ pub enum Phase {
     /// comparisons should use. Under group commit, waiters charge only
     /// their append work — the drain thread's timeline absorbs the shared
     /// batch drain — so the mean directly shows fence amortization.
-    CommitSim = 12,
+    CommitSim = "commit_sim";
 }
-
-/// Number of [`Phase`] variants.
-pub const PHASE_COUNT: usize = 13;
-
-/// JSON/bench names for each [`Phase`], index-aligned with the enum.
-pub const PHASE_NAMES: [&str; PHASE_COUNT] = [
-    "writeset",
-    "seal",
-    "append",
-    "flush",
-    "fence",
-    "lock",
-    "commit",
-    "lock_wait",
-    "wpq_drain",
-    "reclaim_cycle",
-    "batch_wait",
-    "group_batch_size",
-    "commit_sim",
-];
 
 /// One thread's slice of the registry. Cache-line aligned so two threads
 /// never share a shard line.
 #[derive(Debug)]
 #[repr(align(64))]
 struct Shard {
-    phases: [Histogram; PHASE_COUNT],
+    phases: [Histogram; Phase::ALL.len()],
 }
 
 impl Shard {
@@ -373,15 +373,15 @@ impl Registry {
         let keep = |i: &usize| !exclude.contains(i);
         w.field_bool("enabled", self.enabled());
         w.begin_object_field("phases");
-        for (p, name) in PHASE_NAMES.iter().enumerate() {
+        for &p in Phase::ALL {
             let mut snap = HistogramSnapshot::default();
             for i in (0..self.shards.len()).filter(keep) {
-                snap.merge(&self.shards[i].phases[p].snapshot());
+                snap.merge(&self.shards[i].phases[p as usize].snapshot());
             }
             if snap.count() == 0 {
                 continue;
             }
-            w.begin_object_field(name);
+            w.begin_object_field(p.name());
             snap.emit(w);
             w.end_object();
         }

@@ -528,6 +528,25 @@ if grep -rnE '^ *(pub )?mod (crashsmoke|driver|mt|oracle|crashenum)\b' crates/co
     exit 1
 fi
 
+# One crash-site vocabulary: each site is declared once, in
+# crates/pmem/src/sites.rs, and everything else names it as a `Site`.
+# Outside #[cfg(test)] and comment lines, no production crates/*/src file
+# but sites.rs quotes a site name (crates/check is the harness, not
+# production: its self-tests spell `--target` strings). The name lookups
+# and the parallel string and count tables stay deleted.
+for f in $(production_sources); do
+    case "$f" in crates/pmem/src/sites.rs | crates/check/*) continue ;; esac
+    if nontest "$f" | grep -vE '^ *//' | grep -E '"(seq|mt|layout|ckpt|bbox)/'; then
+        echo "$f quotes a crash-site name (name it as a specpmt_pmem::Site)" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'sites::(lookup|index_of|name_of)\b|BB_KIND_(NAMES|COUNT)|PHASE_(NAMES|COUNT)|BBOX_(WRITE|PERSIST)' \
+    crates src tests examples; then
+    echo "a crash-site name lookup or a parallel name table is back (use Site, BbKind, Phase)" >&2
+    exit 1
+fi
+
 # Panic ceiling: the non-test panic sites of the crates a crash image is
 # read through may not rise silently. Counted per line before a file's
 # first #[cfg(test)], `debug_assert*` included; a change that adds one

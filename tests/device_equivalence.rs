@@ -25,12 +25,12 @@
 
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPlan, CrashPolicy, DeviceHandle, PmemConfig, PmemDevice,
-    PmemStats, SharedPmemDevice, SplitMix64, TimingMode, CACHE_LINE,
+    PmemStats, SharedPmemDevice, Site, SplitMix64, TimingMode, CACHE_LINE,
 };
 
 const SIZE: usize = 64 * 1024;
-const SITE_A: &str = "seq/commit/flush";
-const SITE_B: &str = "seq/commit/fence";
+const SITE_A: Site = Site::SeqCommitFlush;
+const SITE_B: Site = Site::SeqCommitFence;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -42,7 +42,7 @@ enum Op {
     Background(usize, usize),
     Advance(u64),
     Timing(TimingMode),
-    Site(&'static str),
+    Site(Site),
     Capture(CrashPolicy),
     Arm(CrashPlan),
     /// The armed plan must have fired by now: take its image.
@@ -149,18 +149,9 @@ impl Dev for OneHandle {
 enum Seen {
     Loaded(Vec<u8>),
     Image(CrashImage),
-    Hits(Vec<(&'static str, u64)>),
-    Fired {
-        image: CrashImage,
-        at: Option<(&'static str, u64)>,
-        hits: Vec<(&'static str, u64)>,
-        epoch: (u64, bool),
-    },
-    End {
-        stats: PmemStats,
-        now_ns: u64,
-        epoch: (u64, bool),
-    },
+    Hits(Vec<(Site, u64)>),
+    Fired { image: CrashImage, at: Option<(Site, u64)>, hits: Vec<(Site, u64)>, epoch: (u64, bool) },
+    End { stats: PmemStats, now_ns: u64, epoch: (u64, bool) },
 }
 
 fn any_policy(rng: &mut SplitMix64) -> CrashPolicy {
@@ -257,7 +248,7 @@ fn run(dev: &mut impl Dev, ops: &[Op]) -> Vec<Seen> {
             Op::Background(addr, len) => dev.background(*addr, *len),
             Op::Advance(ns) => dev.advance(*ns),
             Op::Timing(mode) => dev.set_timing(*mode),
-            Op::Site(site) => dev.ctl().crash_point(site),
+            Op::Site(site) => dev.ctl().crash_point(*site),
             Op::Capture(policy) => seen.push(Seen::Image(dev.ctl().capture(*policy))),
             Op::Arm(plan) => dev.ctl().arm(*plan),
             Op::Hits => seen.push(Seen::Hits(dev.ctl().site_hits())),

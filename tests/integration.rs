@@ -133,9 +133,9 @@ fn workload_state_survives_crash_after_run() {
 #[test]
 fn hw_spec_epoch_lifecycle_recovers() {
     use specpmt::hwsim::HwConfig;
-    use specpmt::pmem::{CrashImage, CrashPlan};
+    use specpmt::pmem::{CrashImage, CrashPlan, Site};
     use specpmt_check::CommitOracle;
-    const HEAD_WRITE: &str = "layout/head_write";
+    const HEAD_WRITE: Site = Site::LayoutHeadWrite;
 
     /// Runs the workload under `plan` until it fires (or to the end);
     /// returns the recovered image of that instant, the oracle at it, the

@@ -481,3 +481,57 @@ fn a_spill_never_reuses_the_block_a_durable_anchor_names() {
         assert_eq!(recovered.read_u64(base + 8 * v as usize), 100 + v);
     }
 }
+
+/// A chain a checkpoint scans empty and not open still bounds its
+/// watermark. One thread writes a checkpoint over a 512-chain runtime
+/// while another, after a spin that grows by trial, commits one word on
+/// chain 0 and then one on chain 511. When the scan passes chain 0 before
+/// that commit and reaches chain 511 after the second, chain 511's
+/// timestamp would set the watermark above chain 0's record — which the
+/// scan did not fold — and the checkpointed recovery would drop it. Every
+/// trial must land the reference replay's image, both words included.
+///
+/// Without the bound, a debug build on a 2-vCPU host loses the word in
+/// about 9 trials of 10, so 24 trials (about 3 s) all miss the race only
+/// by a vanishing chance.
+#[test]
+fn a_chain_scanned_empty_still_bounds_the_checkpoint_watermark() {
+    const CHAINS: usize = 512;
+    const TRIALS: u64 = 24;
+    for trial in 0..TRIALS {
+        let dev = SharedPmemDevice::new(PmemConfig::new(4 << 20));
+        let cfg = ConcurrentConfig::builder()
+            .threads(CHAINS)
+            .block_bytes(STALE_BLOCK)
+            .reclaim_threshold_bytes(usize::MAX)
+            .build();
+        let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
+        let base = shared.pool().alloc_direct(64, 64).expect("alloc");
+        shared.pool().handle().persist_range(base, 64);
+        let (mut first, mut last) = (shared.tx_handle(0), shared.tx_handle(CHAINS - 1));
+        let spin = trial * 250;
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                barrier.wait();
+                shared.write_checkpoint();
+            });
+            barrier.wait();
+            for i in 0..spin {
+                std::hint::black_box(i);
+            }
+            commit_word(&mut first, base, 0xa0a0);
+            commit_word(&mut last, base + 8, 0xb0b0);
+        });
+        let img = dev.capture(CrashPolicy::AllLost);
+        let (rep, recovered) = recover_clone(&img, &RecoveryOptions::default());
+        // Not `assert_eq!`: a divergence would print two 4 MiB images.
+        assert!(
+            recovered == reference_of(&img),
+            "trial {trial} (spin {spin}): watermark {} lost chain 0's commit, which reads {:#x}",
+            rep.checkpoint_watermark,
+            recovered.read_u64(base)
+        );
+        assert_eq!((recovered.read_u64(base), recovered.read_u64(base + 8)), (0xa0a0, 0xb0b0));
+    }
+}
