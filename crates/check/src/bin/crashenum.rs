@@ -102,8 +102,8 @@ fn selftest_reorder() -> i32 {
 /// point, decoded by [`specpmt_core::forensics`].
 fn forensics_arm(buggy: bool) -> specpmt_core::ForensicReport {
     use specpmt_core::{ConcurrentConfig, SpecSpmtShared};
+    use specpmt_pmem::blackbox::BbKind;
     use specpmt_pmem::CrashControl;
-    use specpmt_telemetry::BbKind;
     use specpmt_txn::TxAccess as _;
 
     let rt = SpecSpmtShared::open_or_format(

@@ -36,7 +36,7 @@
 
 use specpmt_core::recovery::{self, RecoveryOptions};
 use specpmt_core::{
-    inspect_image, ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared, TxHandle,
+    forensics, ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared, TxHandle,
 };
 use specpmt_pmem::{CrashControl, CrashImage, CrashPlan, PmemConfig, SharedPmemDevice};
 
@@ -50,7 +50,7 @@ use crate::{bracket, end_run, run_threads, Bracket, RunSummary};
 /// acceptance contract that production recovery matches the reference on
 /// *every* enumerated crash case.
 ///
-/// Every image also runs through [`recovery::forensics`]: the decode must
+/// Every image also runs through [`forensics`]: the decode must
 /// never fail (torn ring slots degrade to counts), the
 /// receipt-ahead-of-durability check must come back clean, and the event
 /// record must be consistent with what recovery reported. That makes each
@@ -60,13 +60,8 @@ fn recover_and_check_equivalence(image: &mut CrashImage) {
     recovery::recover_image(image);
     let report = recovery::recover_image_opts(&mut optimized, &RecoveryOptions::default());
     assert_eq!(*image, optimized, "the recovery engine diverged from the reference replay");
-    let fx = recovery::forensics(image);
-    assert!(
-        fx.is_clean(),
-        "forensic violations on a correct runtime: {:?}\n{fx}\n{}",
-        fx.violations,
-        inspect_image(image),
-    );
+    let fx = forensics(image);
+    assert!(fx.is_clean(), "forensic violations on a correct runtime: {:?}\n{fx}", fx.violations);
     let issues = fx.check_against(&report);
     assert!(issues.is_empty(), "forensics inconsistent with recovery: {issues:?}\n{fx}");
 }
@@ -234,7 +229,7 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
     recover_and_check_equivalence(&mut image);
     // The recorder was formatted before the crash armed, so the region
     // must decode on every enumerated image.
-    let fx = recovery::forensics(&image);
+    let fx = forensics(&image);
     assert!(fx.recorder_present, "flight-recorder region missing from the mt crash image");
 
     for (t, (&base, run)) in bases.iter().zip(&runs).enumerate() {

@@ -57,11 +57,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use specpmt_pmem::blackbox::BbKind;
 use specpmt_pmem::{
     line_of, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice, SharedPmemPool,
     Site, TimingMode, BUMP_OFF,
 };
-use specpmt_telemetry::{BbKind, OwnedCounter, Phase, Telemetry};
+use specpmt_telemetry::{OwnedCounter, Phase, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
 
 use crate::engine::{record_drain, Probe, TxLog};
@@ -98,7 +99,7 @@ pub struct ConcurrentConfig {
     /// cache lines piggyback on flushes the commit/reclaim/checkpoint
     /// paths already issue — zero extra fences on the commit path. Off by
     /// default; decode a crash image's surviving rings with
-    /// [`crate::recovery::forensics`].
+    /// [`crate::forensics`].
     pub flight_recorder: bool,
     /// Events per flight-recorder ring (one ring per thread plus one for
     /// the daemons).

@@ -31,6 +31,8 @@
 //!   (checksum mismatch), then replay every valid record across all
 //!   threads in commit-timestamp order (undoing interrupted transactions
 //!   and redoing committed ones).
+//! * [`inspect`] — the crash-image reader: [`forensics`] reports an
+//!   image's chains and its flight recorder without repairing it.
 //! * [`reclaim`] — log reclamation and compaction: a byte-granular
 //!   freshness index finds records fully covered by younger records and
 //!   rewrites each thread's chain without them, splicing the new chain in
@@ -90,13 +92,10 @@ pub use concurrent::{
     SpecSpmtShared, TxHandle,
 };
 pub use hashlog::{HashLogConfig, HashLogSpmt};
-pub use inspect::{inspect_image, ChainSummary, InspectReport};
+pub use inspect::{forensics, ChainSummary, ForensicInFlight, ForensicReport, ForensicViolation};
 pub use layout::{PoolLayout, LAYOUT_SLOT};
 pub use locked::LockedTxHandle;
 pub use reclaim::{FreshnessIndex, ReclaimState, ReclaimStats};
-pub use recovery::{
-    forensics, recover_image_opts, ForensicInFlight, ForensicReport, ForensicViolation,
-    RecoveryOptions, RecoveryReport,
-};
+pub use recovery::{recover_image_opts, RecoveryOptions, RecoveryReport};
 pub use runtime::{ReclaimMode, SpecConfig, SpecSpmt};
 pub use writeset::{EntrySlot, WriteSet};

@@ -11,7 +11,8 @@
 //!   PM (the freshest committed record for each byte is replayed last).
 //!
 //! Unreclaimed stale records may replay too; they are overwritten by
-//! fresher records later in the order, which is harmless.
+//! fresher records later in the order, which is harmless. Reading an image
+//! without repairing it — chains and flight recorder — is [`crate::inspect`].
 //!
 //! [`recover_image`] is that paragraph as code and is **the reference**:
 //! tests, `specpmt-check`'s smoke workloads (on every enumerated crash
@@ -77,13 +78,7 @@
 //! serial: a threaded one was measured at three image sizes and never
 //! reached the 1.5× that would have kept it (EXPERIMENTS.md).
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use specpmt_pmem::blackbox::decode_region;
-use specpmt_pmem::{CrashImage, PmemConfig, Site};
-use specpmt_telemetry::blackbox::{kv_op_name, BbEvent, BbKind};
-use specpmt_telemetry::{JsonWriter, StatExport};
+use specpmt_pmem::{CrashImage, PmemConfig};
 
 use crate::layout::PoolLayout;
 use crate::record::{
@@ -512,336 +507,6 @@ pub(crate) fn fold_last_writer_wins<'a>(
         close(&mut run, end);
     }
     (emitted, stale)
-}
-
-/// A persisted commit *receipt* whose commit timestamp exceeds every
-/// committed log record **and** the checkpoint watermark.
-///
-/// Receipts are staged only after their commit fence returns, so a
-/// persisted receipt proves its record was durable first; a violation is
-/// therefore direct evidence of a receipt-before-fence ordering bug (the
-/// class the PR-7 group-commit fix closed). The flight recorder turns
-/// that invariant into a post-crash check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForensicViolation {
-    /// Ring (thread) that staged the receipt.
-    pub tid: u16,
-    /// Per-ring sequence number of the offending event.
-    pub seq: u32,
-    /// The receipt's commit timestamp — ahead of every durable record.
-    pub commit_ts: u64,
-    /// Crash-site name of the fence the receipt claims completed
-    /// (decoded from the event's `b` operand).
-    pub site: &'static str,
-}
-
-/// A transaction the event record shows as open at the crash: a
-/// `tx_begin` with no later `tx_commit`/`tx_abort` on the same ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ForensicInFlight {
-    /// Ring (thread) with the open transaction or KV operation.
-    pub tid: u16,
-    /// Device-local ns timestamp of the open `tx_begin` (0 when only a
-    /// KV op is open — the shard began no durable transaction yet).
-    pub begin_ts: u64,
-    /// Op class of an open KV dispatch (`kv_op` with no `kv_op_done`),
-    /// e.g. `"cas"`. `None` for plain transactional work.
-    pub kv_op: Option<&'static str>,
-}
-
-/// What the black box said: the decode + analysis of a crash image's
-/// flight-recorder region, produced by [`forensics`].
-///
-/// Torn ring slots are *counted*, never fatal — forensics degrades, the
-/// pool still recovers. An image without a recorder region (recorder off,
-/// or no layout descriptor) yields a report with
-/// [`recorder_present`](Self::recorder_present) `false` and nothing else.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ForensicReport {
-    /// A valid black-box region was found and decoded.
-    pub recorder_present: bool,
-    /// Rings in the region (threads + 1 daemon ring).
-    pub rings: usize,
-    /// Event slots per ring.
-    pub capacity: usize,
-    /// Checksum-valid events decoded across all rings.
-    pub events_decoded: usize,
-    /// Slots whose checksum failed (torn at the crash) — skipped.
-    pub events_torn: usize,
-    /// All surviving events merged on the deterministic `(ts, tid, seq)`
-    /// order.
-    pub events: Vec<BbEvent>,
-    /// Transactions/KV ops the record shows open at the crash.
-    pub in_flight: Vec<ForensicInFlight>,
-    /// Youngest surviving group-commit batch seal.
-    pub last_batch_seal: Option<BbEvent>,
-    /// Youngest surviving checkpoint splice.
-    pub last_ckpt_splice: Option<BbEvent>,
-    /// Commit receipts decoded.
-    pub commit_receipts: usize,
-    /// Largest commit timestamp among surviving receipts (0 when none).
-    pub max_receipt_ts: u64,
-    /// Largest commit timestamp among committed log records (0 when none).
-    pub max_committed_record_ts: u64,
-    /// Parsed checkpoint watermark (0 when no checkpoint survives).
-    pub checkpoint_watermark: u64,
-    /// Receipt-ahead-of-durability violations (see [`ForensicViolation`]).
-    pub violations: Vec<ForensicViolation>,
-}
-
-impl ForensicReport {
-    /// No ordering violations decoded. Vacuously true when the recorder
-    /// is absent.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// The last `n` merged events — what an operator reads first.
-    pub fn tail(&self, n: usize) -> &[BbEvent] {
-        &self.events[self.events.len().saturating_sub(n)..]
-    }
-
-    /// Cross-checks the event record against what recovery reported,
-    /// returning one line per inconsistency (empty = consistent).
-    ///
-    /// The checks are necessarily one-sided: events persist lazily (they
-    /// ride later fences), so the record may lag durable reality, but it
-    /// must never be *ahead* of it.
-    pub fn check_against(&self, recovery: &RecoveryReport) -> Vec<String> {
-        let mut out = Vec::new();
-        if !self.recorder_present {
-            return out;
-        }
-        if recovery.checkpoint_used && recovery.checkpoint_watermark != self.checkpoint_watermark {
-            out.push(format!(
-                "checkpoint watermark mismatch: recovery honoured {}, forensics parsed {}",
-                recovery.checkpoint_watermark, self.checkpoint_watermark
-            ));
-        }
-        // A surviving ckpt_splice is staged only after the new head
-        // persisted, and watermarks only grow — the parsed checkpoint can
-        // be younger than the event, never older.
-        if let Some(ev) = &self.last_ckpt_splice {
-            if ev.a > self.checkpoint_watermark {
-                out.push(format!(
-                    "ckpt_splice event claims watermark {} but only {} is durable",
-                    ev.a, self.checkpoint_watermark
-                ));
-            }
-        }
-        for v in &self.violations {
-            out.push(format!(
-                "commit receipt ahead of durability: tid {} seq {} ts {} (site {}, durable max {})",
-                v.tid,
-                v.seq,
-                v.commit_ts,
-                v.site,
-                self.max_committed_record_ts.max(self.checkpoint_watermark)
-            ));
-        }
-        out
-    }
-}
-
-impl StatExport for ForensicReport {
-    /// Machine-readable counterpart of the [`fmt::Display`] table: region
-    /// geometry and decode counts, the durability frontier, every
-    /// violation, the in-flight set, and the merged event tail (capped at
-    /// the last 32 events to bound report size).
-    fn emit(&self, w: &mut JsonWriter) {
-        w.field_bool("recorder_present", self.recorder_present);
-        w.field_u64("rings", self.rings as u64);
-        w.field_u64("capacity", self.capacity as u64);
-        w.field_u64("events_decoded", self.events_decoded as u64);
-        w.field_u64("events_torn", self.events_torn as u64);
-        w.field_u64("commit_receipts", self.commit_receipts as u64);
-        w.field_u64("max_receipt_ts", self.max_receipt_ts);
-        w.field_u64("max_committed_record_ts", self.max_committed_record_ts);
-        w.field_u64("checkpoint_watermark", self.checkpoint_watermark);
-        w.field_bool("clean", self.is_clean());
-        w.begin_array_field("violations");
-        for v in &self.violations {
-            w.begin_object();
-            w.field_u64("tid", v.tid as u64);
-            w.field_u64("seq", v.seq as u64);
-            w.field_u64("commit_ts", v.commit_ts);
-            w.field_str("site", v.site);
-            w.end_object();
-        }
-        w.end_array();
-        w.begin_array_field("in_flight");
-        for f in &self.in_flight {
-            w.begin_object();
-            w.field_u64("tid", f.tid as u64);
-            w.field_u64("begin_ts", f.begin_ts);
-            if let Some(op) = f.kv_op {
-                w.field_str("kv_op", op);
-            }
-            w.end_object();
-        }
-        w.end_array();
-        w.begin_array_field("tail");
-        for ev in self.tail(32) {
-            w.begin_object();
-            ev.emit(w);
-            w.end_object();
-        }
-        w.end_array();
-    }
-}
-
-impl fmt::Display for ForensicReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.recorder_present {
-            return writeln!(f, "flight recorder: absent (recorder off or no layout)");
-        }
-        writeln!(
-            f,
-            "flight recorder: {} rings x {} slots  ({} events, {} torn)",
-            self.rings, self.capacity, self.events_decoded, self.events_torn
-        )?;
-        writeln!(
-            f,
-            "durability:      max receipt ts {}  max record ts {}  ckpt watermark {}",
-            self.max_receipt_ts, self.max_committed_record_ts, self.checkpoint_watermark
-        )?;
-        match self.violations.len() {
-            0 => writeln!(f, "verdict:         clean (no receipt ahead of durability)")?,
-            n => {
-                writeln!(f, "verdict:         {n} VIOLATION(S)")?;
-                for v in &self.violations {
-                    writeln!(
-                        f,
-                        "  tid {:2} seq {:4}: receipt ts {} ahead of durable log (site {})",
-                        v.tid, v.seq, v.commit_ts, v.site
-                    )?;
-                }
-            }
-        }
-        if self.in_flight.is_empty() {
-            writeln!(f, "in flight:       none")?;
-        } else {
-            for fl in &self.in_flight {
-                match fl.kv_op {
-                    Some(op) => writeln!(
-                        f,
-                        "in flight:       tid {:2} kv {op} (begin ts {})",
-                        fl.tid, fl.begin_ts
-                    )?,
-                    None => writeln!(
-                        f,
-                        "in flight:       tid {:2} tx (begin ts {})",
-                        fl.tid, fl.begin_ts
-                    )?,
-                }
-            }
-        }
-        writeln!(f, "event tail (newest last):")?;
-        for ev in self.tail(16) {
-            writeln!(
-                f,
-                "  ts {:10} tid {:2} seq {:4} {:14} a={} b={} aux={}",
-                ev.ts,
-                ev.tid,
-                ev.seq,
-                ev.kind.name(),
-                ev.a,
-                ev.b,
-                ev.aux
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Decodes a crash image's flight-recorder region and checks the event
-/// record against the image's own durable state.
-///
-/// The black-box base comes from the layout descriptor's black-box slot
-/// and [`decode_region`] does the rest: the sealed region header gives the
-/// geometry, and each ring slot validates independently, so torn slots
-/// degrade to counts. The durability frontier — `max(max committed record ts, checkpoint
-/// watermark)` — is recomputed from the log itself, and every surviving
-/// commit receipt is checked against it (see [`ForensicViolation`]).
-///
-/// Never fails: garbage, recorder-off, and descriptor-less images all
-/// return an absent-recorder report.
-pub fn forensics(image: &CrashImage) -> ForensicReport {
-    let mut rep = ForensicReport::default();
-    let Some(layout) = PoolLayout::read(image) else {
-        return rep;
-    };
-    // A zero base (recorder never on) names the pool header, which never
-    // decodes as a region.
-    let region = image.as_bytes().get(layout.bbox_head(image)..).and_then(decode_region);
-    let Some(region) = region else {
-        return rep;
-    };
-    rep.recorder_present = true;
-    rep.rings = region.rings.len();
-    rep.capacity = region.capacity;
-    rep.events_decoded = region.decoded();
-    rep.events_torn = region.torn();
-    rep.events = region.merged();
-
-    // The durability frontier, from the image's own log: receipts may
-    // lawfully lag it (they persist lazily) but never lead it.
-    let chain_max_ts = |tid| {
-        let mut reader = RecordReader::new(image, layout.head(image, tid), layout.block_bytes());
-        std::iter::from_fn(|| reader.next().map(|rec| rec.ts)).max()
-    };
-    rep.max_committed_record_ts = (0..layout.threads()).filter_map(chain_max_ts).max().unwrap_or(0);
-    rep.checkpoint_watermark =
-        read_checkpoint(image, layout.ckpt_head(image), layout.block_bytes())
-            .map_or(0, |c| c.watermark);
-    let frontier = rep.max_committed_record_ts.max(rep.checkpoint_watermark);
-
-    let mut open_tx: BTreeMap<u16, u64> = BTreeMap::new();
-    let mut open_kv: BTreeMap<u16, u8> = BTreeMap::new();
-    for ev in &rep.events {
-        match ev.kind {
-            BbKind::TxBegin => {
-                open_tx.insert(ev.tid, ev.ts);
-            }
-            BbKind::TxCommit => {
-                open_tx.remove(&ev.tid);
-                rep.commit_receipts += 1;
-                rep.max_receipt_ts = rep.max_receipt_ts.max(ev.a);
-                if ev.a > frontier {
-                    rep.violations.push(ForensicViolation {
-                        tid: ev.tid,
-                        seq: ev.seq,
-                        commit_ts: ev.a,
-                        site: Site::from_index(ev.b).map_or("unknown", Site::name),
-                    });
-                }
-            }
-            BbKind::TxAbort => {
-                open_tx.remove(&ev.tid);
-            }
-            BbKind::KvOp => {
-                open_kv.insert(ev.tid, ev.aux);
-            }
-            BbKind::KvOpDone => {
-                open_kv.remove(&ev.tid);
-            }
-            BbKind::BatchSeal => rep.last_batch_seal = Some(*ev),
-            BbKind::CkptSplice => rep.last_ckpt_splice = Some(*ev),
-            _ => {}
-        }
-    }
-    let mut tids: Vec<u16> = open_tx.keys().chain(open_kv.keys()).copied().collect();
-    tids.sort_unstable();
-    tids.dedup();
-    rep.in_flight = tids
-        .into_iter()
-        .map(|tid| ForensicInFlight {
-            tid,
-            begin_ts: open_tx.get(&tid).copied().unwrap_or(0),
-            kv_op: open_kv.get(&tid).map(|&aux| kv_op_name(aux)),
-        })
-        .collect();
-    rep
 }
 
 #[cfg(test)]

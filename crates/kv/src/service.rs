@@ -24,8 +24,9 @@ use specpmt_core::{
     ConcurrentConfig, LockedTxHandle, ReclaimDaemon, RecoveryOptions, RecoveryReport,
     SpecSpmtShared,
 };
+use specpmt_pmem::blackbox::BbKind;
 use specpmt_pmem::{CrashImage, PmemConfig};
-use specpmt_telemetry::{BbKind, HistogramSnapshot, OwnedCounter, OwnedHistogram};
+use specpmt_telemetry::{HistogramSnapshot, OwnedCounter, OwnedHistogram};
 use specpmt_txn::{run_tx, SharedLockTable, TxAccess};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats, KvError};

@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn recorder_op_names_match_stats_names() {
         for c in OP_CLASSES {
-            assert_eq!(specpmt_telemetry::blackbox::kv_op_name(c.index() as u8), c.as_str());
+            assert_eq!(specpmt_pmem::blackbox::kv_op_name(c.index() as u8), c.as_str());
         }
     }
 

@@ -1,6 +1,6 @@
-//! The flight recorder on PM (DESIGN.md §4.11): its persisted format and
-//! [`BlackBoxSink`], which writes per-thread event rings through a
-//! [`DeviceHandle`]. The event vocabulary is `specpmt_telemetry::blackbox`;
+//! The flight recorder on PM (DESIGN.md §4.11): its event vocabulary
+//! ([`BbKind`], [`BbEvent`]), its persisted format and [`BlackBoxSink`],
+//! which writes per-thread event rings through a [`DeviceHandle`].
 //! `specpmt_core::forensics` reads a crash image through [`decode_region`].
 //!
 //! ```text
@@ -26,11 +26,105 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use specpmt_telemetry::blackbox::{BbEvent, BbKind};
-
 use crate::frame::{seal, verify, Fields};
 use crate::shared::DeviceHandle;
 use crate::sites::Site;
+
+macro_rules! kinds {
+    ($($(#[doc = $doc:literal])+ $variant:ident = $code:literal, $name:literal;)+) => {
+        /// What a flight-recorder event records. Operand meaning (`a`, `b`,
+        /// `aux`) is per-kind; `0` is reserved to mark a never-written slot.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum BbKind {
+            $($(#[doc = $doc])+ $variant = $code,)+
+        }
+
+        impl BbKind {
+            /// Parses a raw kind byte (`None` for 0 or out-of-range values).
+            pub fn from_u8(v: u8) -> Option<Self> {
+                match v {
+                    $($code => Some(Self::$variant),)+
+                    _ => None,
+                }
+            }
+
+            /// Stable name for JSON and the human forensics table.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+kinds! {
+    /// Transaction began. `a` = begin timestamp source (device-local ns).
+    TxBegin = 1, "tx_begin";
+    /// Transaction commit *receipt*: staged only after the commit fence
+    /// returned, so a persisted `TxCommit` implies the commit record was
+    /// already durable (the forensic tail invariant). `a` = commit
+    /// timestamp, `b` = code of the crash site whose fence just completed
+    /// ([`Site`]), `aux` = 1 on the group path.
+    TxCommit = 2, "tx_commit";
+    /// Transaction aborted. `a` = retry attempt number.
+    TxAbort = 3, "tx_abort";
+    /// A fence/drain stalled beyond the configured threshold. `a` =
+    /// stall ns, `b` = flushes the fence completed.
+    FenceStall = 4, "fence_stall";
+    /// Group-commit batch sealed (recorded by the combiner after the
+    /// batch fence). `a` = transactions in the batch, `b` = code of the
+    /// batch-fence crash site.
+    BatchSeal = 5, "batch_seal";
+    /// Reclamation spliced rebuilt chains in. `a` = records reclaimed,
+    /// `b` = blocks freed.
+    ReclaimSplice = 6, "reclaim_splice";
+    /// Checkpoint head spliced. `a` = checkpoint watermark timestamp,
+    /// `b` = entries folded.
+    CkptSplice = 7, "ckpt_splice";
+    /// KV governor shed a request. `a` = worst shard p99 ns, `b` =
+    /// tenant id.
+    GovShed = 8, "gov_shed";
+    /// KV governor quota decision (window exhausted). `a` = window ops,
+    /// `b` = tenant id.
+    GovQuota = 9, "gov_quota";
+    /// KV operation dispatched to a shard. `a` = key hash, `b` = shard,
+    /// `aux` = op class ([`kv_op_name`]).
+    KvOp = 10, "kv_op";
+    /// KV operation completed. `a` = key hash, `b` = shard, `aux` = op
+    /// class.
+    KvOpDone = 11, "kv_op_done";
+}
+
+/// Names of the KV op-class codes carried in the `aux` byte of
+/// [`BbKind::KvOp`] / [`BbKind::KvOpDone`] events, indexed by code (the
+/// order of `specpmt-kv`'s `OpClass`).
+const KV_OP_NAMES: [&str; 5] = ["get", "put", "delete", "cas", "scan"];
+
+/// Names a KV op-class code from an event's `aux` byte.
+pub fn kv_op_name(aux: u8) -> &'static str {
+    KV_OP_NAMES.get(usize::from(aux)).copied().unwrap_or("unknown")
+}
+
+/// One flight-recorder event, stored as one checksummed slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BbEvent {
+    /// Event timestamp (simulated device ns; commit ts for `TxCommit`).
+    pub ts: u64,
+    /// First operand.
+    pub a: u64,
+    /// Second operand.
+    pub b: u64,
+    /// Per-ring monotone sequence number.
+    pub seq: u32,
+    /// Recording ring (thread id; the last ring is the daemon's).
+    pub tid: u16,
+    /// Event kind.
+    pub kind: BbKind,
+    /// Third (byte) operand.
+    pub aux: u8,
+}
 
 /// Bytes per encoded event slot.
 pub const EVT_BYTES: usize = 40;
@@ -126,11 +220,6 @@ pub struct RegionDecode {
 }
 
 impl RegionDecode {
-    /// Total surviving events across all rings.
-    pub fn decoded(&self) -> usize {
-        self.rings.iter().map(|r| r.events.len()).sum()
-    }
-
     /// Total torn slots across all rings.
     pub fn torn(&self) -> usize {
         self.rings.iter().map(|r| r.torn).sum()
@@ -305,7 +394,7 @@ mod tests {
         // Not flushed: a lose-everything crash shows an empty ring.
         let img = dev.capture(CrashPolicy::AllLost);
         let dec = decode_region(&img.as_bytes()[sink.base..]).expect("header persisted at format");
-        assert_eq!(dec.decoded(), 0, "unflushed events must not survive AllLost");
+        assert_eq!(dec.merged().len(), 0, "unflushed events must not survive AllLost");
         // Piggyback: fold the dirty ranges into a flush the caller issues.
         let mut ranges = Vec::new();
         assert_eq!(sink.take_dirty(0, &mut ranges), 1);
@@ -313,7 +402,7 @@ mod tests {
         h.sfence();
         let img = dev.capture(CrashPolicy::AllLost);
         let dec = decode_region(&img.as_bytes()[sink.base..]).expect("header parses");
-        assert_eq!(dec.decoded(), 1, "fenced events survive any crash");
+        assert_eq!(dec.merged().len(), 1, "fenced events survive any crash");
         assert_eq!((dec.merged()[0].a, dec.merged()[0].b), (1, 2));
         // Dirty set drained exactly once.
         assert_eq!(sink.take_dirty(0, &mut Vec::new()), 0);
@@ -348,6 +437,24 @@ mod tests {
         let mut ranges = Vec::new();
         assert_eq!(sink.take_dirty(57, &mut ranges), 2, "tid 57 clamps onto ring 2");
         assert_eq!((sink.rings, sink.capacity), (3, 8));
+    }
+
+    #[test]
+    fn kind_names_align() {
+        // Every byte that parses, in code order: the one list's kinds.
+        let kinds: Vec<(u8, BbKind)> =
+            (0..=u8::MAX).filter_map(|v| Some((v, BbKind::from_u8(v)?))).collect();
+        assert_eq!(kinds.len(), 11);
+        for (i, &(code, kind)) in kinds.iter().enumerate() {
+            assert_eq!(usize::from(code), i + 1, "codes are 1..=len, 0 never parses");
+            assert_eq!(kind as u8, code);
+            assert!(!kind.name().is_empty());
+            for (_, other) in &kinds[i + 1..] {
+                assert_ne!(kind.name(), other.name(), "duplicate kind name");
+            }
+        }
+        assert_eq!(kv_op_name(3), "cas");
+        assert_eq!(kv_op_name(200), "unknown");
     }
 
     fn ev(ts: u64, tid: u16, seq: u32, kind: BbKind) -> BbEvent {
@@ -391,7 +498,7 @@ mod tests {
         let dec = decode_region(&bytes).expect("header validates");
         assert_eq!(dec.capacity, cap);
         assert_eq!(dec.rings.len(), rings);
-        assert_eq!(dec.decoded(), 3);
+        assert_eq!(dec.merged().len(), 3);
         assert_eq!(dec.torn(), 1);
         assert_eq!(dec.rings[1].torn, 1);
         assert_eq!(dec.rings[0].empty, 2);

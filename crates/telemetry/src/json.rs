@@ -2,9 +2,7 @@
 //!
 //! The workspace is zero-dependency by policy (`scripts/verify.sh` builds
 //! offline), so there is no serde. [`JsonWriter`] is a tiny append-only
-//! builder that tracks comma placement with a nesting stack; [`StatExport`]
-//! is the export hook of the reports `log_inspect --json` prints
-//! (`InspectReport`, `ForensicReport`).
+//! builder that tracks comma placement with a nesting stack.
 
 /// Append-only JSON builder. Values are written in document order; the
 /// writer inserts commas and handles string escaping. Nesting is tracked
@@ -149,39 +147,6 @@ impl JsonWriter {
     /// Borrowed view of the text built so far.
     pub fn as_str(&self) -> &str {
         &self.buf
-    }
-}
-
-/// Export hook for a report rendered as one JSON object.
-///
-/// Implementors emit their fields into an object the *caller* has opened:
-///
-/// ```
-/// use specpmt_telemetry::{JsonWriter, StatExport};
-///
-/// struct Demo {
-///     hits: u64,
-/// }
-/// impl StatExport for Demo {
-///     fn emit(&self, w: &mut JsonWriter) {
-///         w.field_u64("hits", self.hits);
-///     }
-/// }
-///
-/// let d = Demo { hits: 3 };
-/// assert_eq!(d.to_json(), r#"{"hits":3}"#);
-/// ```
-pub trait StatExport {
-    /// Emits the struct's fields into an already-open JSON object.
-    fn emit(&self, w: &mut JsonWriter);
-
-    /// Renders the export as a standalone `{...}` object.
-    fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        self.emit(&mut w);
-        w.end_object();
-        w.finish()
     }
 }
 

@@ -1,7 +1,7 @@
 //! `specpmt-telemetry`: a unified, zero-dependency metrics layer for the
 //! SpecPMT transaction, pmem, and reclamation stacks.
 //!
-//! Three pieces (DESIGN.md §4.7, §4.11):
+//! Two pieces (DESIGN.md §4.7):
 //!
 //! * [`metrics`] — a per-thread [`Registry`] of log2-bucketed phase
 //!   histograms ([`Phase`], [`Histogram`]) with p50/p90/p99/max summaries
@@ -10,13 +10,9 @@
 //!   device or the runtimes already count exactly. Disabled by default: an
 //!   inert span reads no clock and touches no atomics, keeping the
 //!   telemetry-off commit path within its < 3% overhead budget.
-//! * [`blackbox`] — the vocabulary of the PM-resident flight recorder
-//!   ([`BbKind`], [`BbEvent`] and its JSON): the workspace's one event
-//!   stream. Its on-PM format and write side are `specpmt_pmem::blackbox`,
-//!   the reader `specpmt_core::forensics`.
 //! * [`json`] — a hand-rolled [`JsonWriter`] (the workspace is
-//!   zero-dependency) and the [`StatExport`] trait the `inspect` and
-//!   forensics reports implement for `log_inspect --json`.
+//!   zero-dependency): the registry's export, `txstat`'s lines and the
+//!   crash-image report of `specpmt_core::forensics` are written with it.
 //!
 //! Beside the shared [`Histogram`], [`owned`] holds the single-writer
 //! [`OwnedCounter`] / [`OwnedHistogram`]: what a per-owner statistic (a
@@ -31,13 +27,11 @@
 
 #![deny(missing_docs)]
 
-pub mod blackbox;
 pub mod json;
 pub mod metrics;
 pub mod owned;
 
-pub use blackbox::{BbEvent, BbKind};
-pub use json::{JsonWriter, StatExport};
+pub use json::JsonWriter;
 pub use metrics::{
     bucket_floor, bucket_of, Histogram, HistogramSnapshot, Phase, Registry, Span, BUCKETS,
 };

@@ -1,30 +1,26 @@
-//! Post-crash log inspection: the `fsck`-style view an operator gets of a
-//! crashed pool before (and after) running recovery.
+//! Post-crash log inspection: the view an operator gets of a crashed pool
+//! before (and after) running recovery.
 //!
 //! ```text
-//! cargo run --example log_inspect                        # chain summary
-//! cargo run --example log_inspect -- --forensics         # + flight-recorder decode
-//! cargo run --example log_inspect -- --json --forensics
+//! cargo run --example log_inspect                        # report tables
+//! cargo run --example log_inspect -- --json
 //! cargo run --example log_inspect -- --crash mt/commit/fence:2
 //! ```
 //!
 //! `--crash site:hit` picks the injection point (a labeled site of
 //! `specpmt::pmem::sites`); without it the pool is captured with one
-//! transaction open. `--forensics` appends the flight-recorder decode
-//! ([`specpmt::core::forensics`]) to the crashed pool's chain summary;
-//! `--json` emits every report as machine-readable JSON (the
-//! [`specpmt::telemetry::StatExport`] schema), one object per line,
-//! instead of tables.
+//! transaction open. The crashed pool is printed as one
+//! [`specpmt::core::forensics`] report — its chain summary and its
+//! flight-recorder decode; `--json` emits each report as one JSON object
+//! per line instead of tables.
 
-use specpmt::core::{forensics, inspect_image, ConcurrentConfig, SpecSpmtShared};
+use specpmt::core::{forensics, ConcurrentConfig, SpecSpmtShared};
 use specpmt::pmem::{CrashControl, CrashPlan, CrashPolicy};
-use specpmt::telemetry::StatExport;
 use specpmt::txn::TxAccess;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let want_forensics = args.iter().any(|a| a == "--forensics");
     let target = args.iter().position(|a| a == "--crash").and_then(|i| args.get(i + 1));
     let plan = target.map(|t| {
         CrashPlan::parse_target(t).unwrap_or_else(|e| {
@@ -65,23 +61,16 @@ fn main() {
         shared.device().capture(CrashPolicy::Random(7))
     });
 
-    let fx = want_forensics.then(|| forensics(&image));
     if json {
-        println!("{}", inspect_image(&image).to_json());
-        if let Some(fx) = &fx {
-            println!("{}", fx.to_json());
-        }
+        println!("{}", forensics(&image).to_json());
     } else {
         println!("=== crashed pool ===");
-        println!("{}", inspect_image(&image));
-        if let Some(fx) = &fx {
-            println!("{fx}");
-        }
+        println!("{}", forensics(&image));
     }
 
     SpecSpmtShared::recover(&mut image);
     if json {
-        println!("{}", inspect_image(&image).to_json());
+        println!("{}", forensics(&image).to_json());
     } else {
         println!("=== after recovery ===");
     }

@@ -238,11 +238,14 @@ fi
 # records are encoded in place through record.rs's entry and header
 # encoders, so the owned record types and their encoder do not appear
 # outside the tests of the two runtimes that write chains; a retired epoch
-# and an inspected image go through RecordReader. No pattern matches itself.
+# and an image read by the one crash-image reader (`forensics`, in
+# inspect.rs) go through RecordReader. No pattern matches itself.
 if grep -rn 'BTree[S]et' crates/hwtx/src; then
     echo "re-fork guard: a BTreeSet is back in crates/hwtx/src (use common::LineSet)" >&2
     exit 1
 fi
+grep -q '^pub fn forensics(' crates/core/src/inspect.rs ||
+    { echo "re-fork guard: the crash-image reader left inspect.rs (retarget this guard)" >&2; exit 1; }
 for f in crates/hwtx/src/spec.rs crates/hwtx/src/hoop.rs crates/core/src/inspect.rs; do
     if nontest "$f" | grep -nE 'Log[R]ecord|Log[E]ntry|encode_[r]ecord|parse_[c]hain'; then
         echo "re-fork guard: $f handles owned records (use common::RecordBuf / RecordReader)" >&2
@@ -391,6 +394,33 @@ fi
 inspectors=$(find . -name log_inspect.rs -not -path '*/target/*')
 [ "$(wc -l <<<"$inspectors")" -le 1 ] ||
     { echo "more than one log_inspect example:" $inspectors >&2; exit 1; }
+
+# One crash-image reader: `forensics` reports an image's chains and its
+# flight recorder in one ForensicReport, and the recorder's vocabulary
+# lives beside its format in specpmt_pmem::blackbox. The second reader,
+# its report, the export trait both implemented, the telemetry copy of the
+# vocabulary and the example's flag that chose between the two reports
+# stay deleted (history not searched; no self-match).
+if grep -rnE 'inspect_[i]mage|Inspect[R]eport|Stat[E]xport|telemetry::[b]lackbox|--[f]orensics' \
+    crates src tests examples README.md DESIGN.md .claude ||
+    [ -e crates/telemetry/src/blackbox.rs ]; then
+    echo "a second crash-image reader or its export trait is back (use forensics)" >&2
+    exit 1
+fi
+echo "==> log_inspect (report tables; JSON at a chosen crash; a bad site exits 2)"
+li_out=$(cargo run --release --offline -q --example log_inspect)
+[ "$(tail -n 1 <<<"$li_out")" = "log_inspect OK" ] ||
+    { echo "log_inspect did not end with 'log_inspect OK'" >&2; exit 1; }
+li_out=$(cargo run --release --offline -q --example log_inspect -- --json --crash mt/commit/fence:2) ||
+    { echo "log_inspect --json --crash mt/commit/fence:2 failed" >&2; exit 1; }
+for key in '"chains":[' '"recorder_present":true'; do
+    grep -qF "$key" <<<"$li_out" ||
+        { echo "log_inspect --json output missing key: $key" >&2; exit 1; }
+done
+li_rc=0
+cargo run --release --offline -q --example log_inspect -- --crash no/such_site:1 \
+    >/dev/null 2>&1 || li_rc=$?
+[ "$li_rc" = 2 ] || { echo "log_inspect took a bad crash site (exit $li_rc, want 2)" >&2; exit 1; }
 
 # The paths that lost stay deleted: chains are registered once, at format
 # time; recovery parses on the calling thread (`parse_threads` is the cost

@@ -15,8 +15,8 @@ use specpmt::core::record::{ANCHOR_BYTES, BLOCK_HDR, CKPT_HDR, REC_HDR};
 use specpmt::core::recovery::recover_image;
 use specpmt::core::undo::{entry_bytes, UNDO_BASE_SLOT};
 use specpmt::core::{
-    forensics, inspect_image, recover_image_opts, ConcurrentConfig, HashLogConfig, HashLogSpmt,
-    PoolLayout, RecoveryOptions, SpecSpmtShared,
+    forensics, recover_image_opts, ConcurrentConfig, HashLogConfig, HashLogSpmt, PoolLayout,
+    RecoveryOptions, SpecSpmtShared,
 };
 use specpmt::pmem::blackbox::{EVT_BYTES, REGION_HDR};
 use specpmt::pmem::frame::seal;
@@ -46,7 +46,7 @@ fn truncated(img: &CrashImage, len: usize) -> CrashImage {
 fn read_everything(img: &CrashImage) {
     let mut clone = img.clone();
     recover_image_opts(&mut clone, &RecoveryOptions::default());
-    let _ = (inspect_image(img), forensics(img), PoolLayout::read(img));
+    let _ = (forensics(img), PoolLayout::read(img));
 }
 
 /// A four-chain shared-runtime image with the flight recorder on and a
@@ -249,7 +249,7 @@ fn forged_anchors_cost_the_seek_never_the_image() {
 fn a_damaged_recorder_region_is_absent_and_a_damaged_slot_is_torn() {
     let img = recorder_image();
     let pristine = forensics(&img);
-    assert!(pristine.recorder_present && pristine.events_decoded > 0);
+    assert!(pristine.recorder_present && !pristine.events.is_empty());
     let base = PoolLayout::read(&img).expect("pristine layout").bbox_head(&img);
     let mut rng = SplitMix64::new(0xbb0c);
     for _ in 0..FLIPS {
@@ -268,7 +268,7 @@ fn a_damaged_recorder_region_is_absent_and_a_damaged_slot_is_torn() {
         let report = forensics(&bad);
         assert!(report.recorder_present);
         assert_eq!(report.events_torn, pristine.events_torn + 1, "slot flip at {at:#x}");
-        assert_eq!(report.events_decoded, pristine.events_decoded - 1, "slot flip at {at:#x}");
+        assert_eq!(report.events.len(), pristine.events.len() - 1, "slot flip at {at:#x}");
     }
     let region_end = base + REGION_HDR + pristine.rings * pristine.capacity * EVT_BYTES;
     for cut in [base + 8, base + REGION_HDR + EVT_BYTES / 2, region_end - 1] {

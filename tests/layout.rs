@@ -1,7 +1,7 @@
 //! End-to-end contract for the pool layout through the facade: pools
 //! formatted at any thread count in `1..=PoolLayout::MAX_THREADS` must
 //! recover every committed value after adversarial crash sweeps,
-//! `inspect_image` must report the same geometry the runtime formatted,
+//! `forensics` must report the same geometry the runtime formatted,
 //! every runtime that roots a log chain roots it in the one descriptor,
 //! and a pool without a descriptor has no layout at all.
 
@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use specpmt::baselines::{Spht, SphtConfig};
 use specpmt::core::{
-    inspect_image, recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecConfig,
+    forensics, recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecConfig,
     SpecSpmt, SpecSpmtShared, LAYOUT_SLOT,
 };
 use specpmt::hwtx::{hw_pool, Hoop, HoopConfig, HwSpecConfig, HwSpecPmt};
@@ -75,7 +75,7 @@ fn inspect_round_trips_formatted_geometry() {
     for threads in [1usize, 8, 17, PoolLayout::MAX_THREADS] {
         let (rt, _) = committed_runtime(threads);
         let img = rt.device().capture(CrashPolicy::AllSurvive);
-        let report = inspect_image(&img);
+        let report = forensics(&img);
         assert!(report.valid_pool, "{threads} threads: pool magic");
         assert_eq!(report.threads, threads, "{threads} threads: reported count");
         assert_eq!(report.chains.len(), threads, "{threads} threads: one chain per thread");
@@ -112,7 +112,7 @@ fn crash_mid_commit_on_thread_sixteen_of_seventeen_thread_pool() {
             assert_eq!(img.read_u64(slot), 0xC0FFEE00 + tid as u64, "seed {seed} tid {tid}");
         }
         // The image still parses as a 17-thread pool.
-        assert_eq!(inspect_image(&img).threads, 17, "seed {seed}");
+        assert_eq!(forensics(&img).threads, 17, "seed {seed}");
     }
 }
 
@@ -127,7 +127,7 @@ fn image_after_one_commit<R: TxRuntime>(mut rt: R) -> CrashImage {
 }
 
 /// Every runtime that roots a log chain formats the same descriptor, with
-/// the slot count its chains need, and `inspect_image` finds its chains
+/// the slot count its chains need, and `forensics` finds its chains
 /// there.
 #[test]
 fn every_chain_rooting_runtime_formats_the_one_descriptor() {
@@ -148,7 +148,7 @@ fn every_chain_rooting_runtime_formats_the_one_descriptor() {
         let layout = PoolLayout::read(&img).unwrap_or_else(|| panic!("{name}: no descriptor"));
         assert_eq!(layout.threads(), slots, "{name}: chain slots");
         assert_eq!(layout.block_bytes(), 4096, "{name}: block size");
-        let report = inspect_image(&img);
+        let report = forensics(&img);
         assert_eq!(report.threads, slots, "{name}: inspected slots");
         assert!(!report.chains.is_empty(), "{name}: inspect lists its chains");
         assert!(report.chains.iter().all(|c| layout.head(&img, c.tid) == c.head), "{name}");
@@ -170,7 +170,7 @@ fn pool_without_a_descriptor_has_no_layout() {
     let img = pool.device().capture(CrashPolicy::AllSurvive);
     assert_eq!(img.read_u64(root_off(LAYOUT_SLOT)), 0);
     assert!(PoolLayout::read(&img).is_none());
-    let report = inspect_image(&img);
+    let report = forensics(&img);
     assert!(report.valid_pool);
     assert_eq!((report.threads, report.block_bytes, report.chains.len()), (0, 0, 0));
     let mut recovered = img.clone();

@@ -57,7 +57,7 @@ fn sixteen_thread_fleet_runs_past_the_legacy_cap() {
         // 16-thread pool.
         let mut img = shared.pool().device().capture(CrashPolicy::AllLost);
         SpecSpmtShared::recover(&mut img);
-        let report = specpmt::core::inspect_image(&img);
+        let report = specpmt::core::forensics(&img);
         assert_eq!(report.threads, THREADS, "{}: inspect threads", app.name());
     }
 }

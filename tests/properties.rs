@@ -219,7 +219,7 @@ fn freshness_index_matches_per_byte_oracle() {
     }
 }
 
-/// `inspect_image` runs the same index over whatever a crash image holds:
+/// `forensics` runs the same index over whatever a crash image holds:
 /// on a chain whose checksum-valid records carry garbage addresses it
 /// must still return a report — and count exactly the entries the oracle
 /// calls stale.
@@ -245,7 +245,7 @@ fn inspect_reports_on_garbage_address_image() {
         let entries = || records.iter().flat_map(|r| r.entries.iter().map(move |e| (r.ts, e)));
         entries().for_each(|(ts, e)| oracle.insert(ts, e));
         let stale = entries().filter(|&(ts, e)| !oracle.is_fresh(ts, e)).count();
-        let report = specpmt::core::inspect_image(&img);
+        let report = specpmt::core::forensics(&img);
         assert_eq!(report.total_records(), records.len(), "seed={seed}");
         assert_eq!(report.total_stale_entries(), stale, "seed={seed}");
     }

@@ -144,7 +144,7 @@ fn entry_with_wrapping_address_is_skipped_not_replayed() {
     let (rep, recovered) = recover_clone(&img, &RecoveryOptions::default());
     assert_eq!(rep.records_parsed, 2);
     assert_eq!(recovered, reference, "the engine diverged from the reference path");
-    assert_eq!(specpmt::core::inspect_image(&img).total_records(), 2);
+    assert_eq!(specpmt::core::forensics(&img).total_records(), 2);
 }
 
 /// A pool no runtime formatted parses through the engine: the descriptor's

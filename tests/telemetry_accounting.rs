@@ -222,8 +222,8 @@ fn write_free_commits_are_counted_and_cost_nothing() {
 #[test]
 fn forensics_in_flight_set_skips_write_free_transactions() {
     use specpmt::core::forensics;
+    use specpmt::pmem::blackbox::BbKind;
     use specpmt::pmem::{CrashControl, CrashPolicy};
-    use specpmt::telemetry::BbKind;
 
     let cfg = ConcurrentConfig::builder().threads(2).flight_recorder(true).build();
     let shared = SpecSpmtShared::open_or_format(1usize << 20, cfg);
@@ -262,8 +262,8 @@ fn forensics_in_flight_set_skips_write_free_transactions() {
 #[test]
 fn recorder_events_reconcile_with_registry_counters() {
     use specpmt::core::forensics;
+    use specpmt::pmem::blackbox::BbKind;
     use specpmt::pmem::{CrashControl, CrashPolicy};
-    use specpmt::telemetry::BbKind;
 
     let cfg = ConcurrentConfig::builder().flight_recorder(true).build();
     let shared = SpecSpmtShared::open_or_format(1usize << 20, cfg);
