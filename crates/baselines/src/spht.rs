@@ -2,11 +2,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use specpmt_core::record::{
-    encode_header, push_entry, Cursor, LogArea, PoolStore, ENTRY_HDR, REC_HDR,
-};
-use specpmt_core::{recovery, PoolLayout};
-use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
+use specpmt_core::record::{PoolStore, ENTRY_HDR, REC_HDR};
+use specpmt_core::{recovery, Probe, SingleChain, Telemetry, TxLog};
+use specpmt_pmem::{CrashImage, PmemPool, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 /// Configuration for [`Spht`].
@@ -41,66 +39,43 @@ impl Default for SphtConfig {
 /// [`TxStats::background_ns`] (a dedicated core), but its PM traffic shares
 /// the WPQ with the foreground — the contention the paper observes.
 ///
-/// The log format is `specpmt-core`'s record chain, so recovery is the same
-/// timestamp-ordered replay.
+/// The log is `specpmt-core`'s record chain, written through its record
+/// protocol ([`TxLog`]), so recovery is the same timestamp-ordered replay.
 #[derive(Debug)]
 pub struct Spht {
     pool: PmemPool,
     cfg: SphtConfig,
-    layout: PoolLayout,
-    area: LogArea,
-    free_blocks: Vec<usize>,
+    chain: SingleChain,
     in_tx: bool,
-    /// The open transaction's record header; `None` until its first write
-    /// reserves it, so a write-free transaction never seals a zero-length
-    /// record (the chain terminator) over the chain's tail.
-    tx_start: Option<Cursor>,
-    payload: Vec<u8>,
-    index: HashMap<usize, (usize, usize)>, // addr -> (payload value offset, len)
-    dirty: Vec<(usize, usize)>,
+    /// The open transaction's record, write set and flush plan.
+    log: TxLog,
     /// The DRAM snapshot: bytes written but not yet replayed to PM. Holds
     /// both the open transaction's writes and committed-unreplayed ones.
     overlay: HashMap<usize, u8>,
-    /// Byte addresses written by the open (uncommitted) transaction.
-    tx_overlay: Vec<(usize, usize)>,
     /// Data lines of committed-but-unreplayed records.
     pending_data_lines: BTreeSet<usize>,
     ts_counter: u64,
     stats: TxStats,
+    /// Never enabled: SPHT has no commit crash sites or phase histograms,
+    /// so the record protocol's spans stay off.
+    tel: Telemetry,
 }
 
 impl Spht {
     /// Creates the runtime with an empty redo log chain.
     pub fn new(mut pool: PmemPool, cfg: SphtConfig) -> Self {
-        let prev = pool.device().timing();
-        pool.device_mut().set_timing(TimingMode::Off);
-        let layout = PoolLayout::format(&mut pool, 1, cfg.block_bytes);
-        let mut free_blocks = Vec::new();
-        let mut dirty = Vec::new();
-        let area = LogArea::create(
-            &mut PoolStore::new(&mut pool, &mut free_blocks),
-            cfg.block_bytes,
-            &mut dirty,
-        );
-        layout.set_head(&mut pool, 0, area.head() as u64);
-        pool.device_mut().flush_everything();
-        pool.device_mut().set_timing(prev);
+        let chain = SingleChain::format(&mut pool, cfg.block_bytes);
         Self {
             pool,
             cfg,
-            layout,
-            area,
-            free_blocks,
+            chain,
             in_tx: false,
-            tx_start: None,
-            payload: Vec::new(),
-            index: HashMap::new(),
-            dirty: Vec::new(),
+            log: TxLog::new(false),
             overlay: HashMap::new(),
-            tx_overlay: Vec::new(),
             pending_data_lines: BTreeSet::new(),
             ts_counter: 1,
             stats: TxStats::default(),
+            tel: Telemetry::new(1),
         }
     }
 
@@ -111,22 +86,7 @@ impl Spht {
 
     /// Unreplayed log footprint in bytes.
     pub fn log_footprint(&self) -> usize {
-        self.area.footprint()
-    }
-
-    fn flush_ranges(pool: &mut PmemPool, ranges: &[(usize, usize)]) {
-        let mut lines = BTreeSet::new();
-        for &(addr, len) in ranges {
-            if len == 0 {
-                continue;
-            }
-            for l in addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE {
-                lines.insert(l * CACHE_LINE);
-            }
-        }
-        for l in lines {
-            pool.device_mut().clwb(l);
-        }
+        self.chain.area.footprint()
     }
 
     /// Runs the background replayer: persists the data named by committed
@@ -136,13 +96,10 @@ impl Spht {
             return;
         }
         let t0 = self.pool.device().now_ns();
-        // Persist all data covered by committed records. The volatile image
-        // already holds the committed values (transactions ran against it),
-        // so applying the log is writing those lines back — from the
-        // replayer core, contending for the WPQ with the foreground.
-        // Apply the DRAM snapshot to PM, then write the lines back.
-        let overlay = std::mem::take(&mut self.overlay);
-        for (addr, b) in overlay {
+        // Apply the DRAM snapshot to PM, then write the lines covered by
+        // committed records back — from the replayer core, contending for
+        // the WPQ with the foreground.
+        for (addr, b) in std::mem::take(&mut self.overlay) {
             self.pool.device_mut().write(addr, &[b]);
         }
         let lines = std::mem::take(&mut self.pending_data_lines);
@@ -150,21 +107,9 @@ impl Spht {
         for l in lines {
             self.pool.device_mut().background_line_write(l);
         }
-        // Truncate: fresh chain, atomic head swap (also replayer-side).
-        let mut dirty = Vec::new();
-        let area = LogArea::create(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            self.cfg.block_bytes,
-            &mut dirty,
-        );
-        for (addr, len) in dirty {
-            self.pool.device_mut().background_range_write(addr, len);
-        }
-        self.layout.set_head_background(&mut self.pool, 0, area.head() as u64);
-        let old = std::mem::replace(&mut self.area, area);
-        self.free_blocks.extend(old.into_blocks());
+        self.chain.truncate_background(&mut self.pool);
         self.stats.records_reclaimed += line_count as u64;
-        self.stats.log_live_bytes = self.area.footprint() as u64;
+        self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.background_ns += self.pool.device().now_ns() - t0;
     }
 }
@@ -173,86 +118,33 @@ impl TxAccess for Spht {
     fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction");
         self.stats.tx_begun += 1;
-        self.payload.clear();
-        self.index.clear();
-        self.dirty.clear();
-        self.tx_overlay.clear();
+        self.log.begin();
         self.in_tx = true;
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
-        let tx_start = match self.tx_start {
-            Some(cursor) => cursor,
-            None => {
-                // First write: reserve the record header.
-                let cursor = self.area.tail();
-                self.area.append(
-                    &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-                    &[0u8; REC_HDR],
-                    &mut self.dirty,
-                );
-                self.tx_start = Some(cursor);
-                cursor
-            }
-        };
+        let Self { pool, chain, log, overlay, pending_data_lines, stats, .. } = self;
+        let mut store = PoolStore::new(pool, &mut chain.free_blocks);
+        if !log.reserved() {
+            log.reserve(&mut store, &mut chain.area);
+        }
         // Update the DRAM snapshot (no PM data write on the critical
         // path; the replayer applies it later). Charge the store cost the
         // in-place runtimes pay at the device.
         for (i, &b) in data.iter().enumerate() {
-            self.overlay.insert(addr + i, b);
+            overlay.insert(addr + i, b);
         }
-        self.tx_overlay.push((addr, data.len()));
-        let word_ns = self.pool.device().config().store_word_ns;
-        self.pool.device_mut().advance(data.len().div_ceil(8) as u64 * word_ns);
-        self.stats.updates += 1;
-        self.stats.data_bytes += data.len() as u64;
-        if let Some(&(off, len)) = self.index.get(&addr) {
-            if len == data.len() {
-                self.payload[off..off + len].copy_from_slice(data);
-                // PM copy of the entry is patched lazily at commit via the
-                // payload re-encode? No: entries were appended already, so
-                // patch through a fresh append is wasteful. SPHT coalesces
-                // per-address write intents; model that by rewriting the
-                // volatile payload only and appending nothing — the PM
-                // bytes for this entry were already appended and will be
-                // re-patched below.
-                let mut dirty = Vec::new();
-                // Recompute the PM position: entries are appended in payload
-                // order right after the record header at tx_start.
-                let cursor = advance(tx_start, REC_HDR + off, self.cfg.block_bytes, &self.pool);
-                self.area.write_at(
-                    &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-                    cursor,
-                    data,
-                    &mut dirty,
-                );
-                self.dirty.extend(dirty);
-                return;
-            }
+        let word_ns = store.pool.device().config().store_word_ns;
+        store.pool.device_mut().advance(data.len().div_ceil(8) as u64 * word_ns);
+        stats.updates += 1;
+        stats.data_bytes += data.len() as u64;
+        if log.stage(&mut store, &mut chain.area, addr, data) {
+            stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
         }
-        let off = self.payload.len() + ENTRY_HDR;
-        push_entry(&mut self.payload, addr, data);
-        let mut hdr = [0u8; ENTRY_HDR];
-        hdr[0..8].copy_from_slice(&(addr as u64).to_le_bytes());
-        hdr[8..12].copy_from_slice(&(data.len() as u32).to_le_bytes());
-        let mut dirty = Vec::new();
-        self.area.append(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            &hdr,
-            &mut dirty,
-        );
-        self.area.append(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            data,
-            &mut dirty,
-        );
-        self.dirty.extend(dirty);
-        self.index.insert(addr, (off, data.len()));
-        self.stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
         if !data.is_empty() {
             for l in addr / CACHE_LINE..=(addr + data.len() - 1) / CACHE_LINE {
-                self.pending_data_lines.insert(l * CACHE_LINE);
+                pending_data_lines.insert(l * CACHE_LINE);
             }
         }
     }
@@ -270,42 +162,26 @@ impl TxAccess for Spht {
 
     fn commit(&mut self) {
         assert!(self.in_tx, "commit outside transaction");
-        let Some(tx_start) = self.tx_start.take() else {
+        self.in_tx = false;
+        self.stats.tx_committed += 1;
+        if !self.log.reserved() {
             // Write-free: no record, nothing to link, flush or fence.
-            self.in_tx = false;
-            self.stats.tx_committed += 1;
             self.stats.write_free_commits += 1;
             return;
-        };
+        }
         let ts = self.ts_counter;
         self.ts_counter += 1;
         self.pool.device_mut().advance(self.cfg.link_overhead_ns);
-        let header = encode_header(ts, &self.payload);
-        let mut dirty = Vec::new();
-        let wrote = self.area.write_at(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            tx_start,
-            &header,
-            &mut dirty,
-        );
-        assert_eq!(wrote, REC_HDR);
-        self.area.write_terminator(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            &mut dirty,
-        );
-        self.dirty.extend(dirty);
+        let Self { pool, chain, log, tel, .. } = self;
+        let mut store = PoolStore::new(pool, &mut chain.free_blocks);
+        // Single fence: persist the redo record only.
+        let p = Probe { seal: None, append: None, flush: None, fence: None, tel, tid: 0 };
+        log.seal(&mut store, &mut chain.area, ts, p);
+        log.drain_solo(&mut store, p, |_| {});
         self.stats.log_bytes += REC_HDR as u64;
-        // Single fence: persist the redo records only.
-        let ranges = std::mem::take(&mut self.dirty);
-        Self::flush_ranges(&mut self.pool, &ranges);
-        self.pool.device_mut().sfence();
-        self.in_tx = false;
-        self.stats.tx_committed += 1;
-        self.stats.log_live_bytes = self.area.footprint() as u64;
+        self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.log_peak_bytes = self.stats.log_peak_bytes.max(self.stats.log_live_bytes);
-        if self.area.footprint() > self.cfg.replay_threshold_bytes {
-            self.replay_now();
-        }
+        self.maintain();
     }
 
     fn in_tx(&self) -> bool {
@@ -313,7 +189,7 @@ impl TxAccess for Spht {
     }
 
     fn maintain(&mut self) {
-        if self.area.footprint() > self.cfg.replay_threshold_bytes {
+        if self.log_footprint() > self.cfg.replay_threshold_bytes {
             self.replay_now();
         }
     }
@@ -344,22 +220,6 @@ impl TxRuntime for Spht {
     }
 }
 
-/// Advances `cursor` by `n` bytes following existing forward pointers.
-fn advance(mut cursor: Cursor, mut n: usize, block_bytes: usize, pool: &PmemPool) -> Cursor {
-    while n > 0 {
-        if cursor.pos >= block_bytes {
-            let next = pool.device().peek_u64(cursor.block) as usize;
-            assert!(next != 0, "cursor advanced past chain end");
-            cursor = Cursor { block: next, pos: specpmt_core::record::BLOCK_HDR };
-            continue;
-        }
-        let step = (block_bytes - cursor.pos).min(n);
-        cursor.pos += step;
-        n -= step;
-    }
-    cursor
-}
-
 impl Recover for Spht {
     fn recover(image: &mut CrashImage) {
         // Same chain format and pool layout as software SpecPMT.
@@ -371,7 +231,7 @@ impl Recover for Spht {
 mod tests {
     use super::*;
     use specpmt_pmem::CrashControl;
-    use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice};
+    use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice, TimingMode};
 
     fn runtime() -> Spht {
         let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));

@@ -70,7 +70,7 @@ use crate::layout::PoolLayout;
 use crate::reclaim::{ReclaimState, ReclaimStats};
 use crate::record::{
     encode_checkpoint, entry_header, record_checksum, stream_cursor, Anchor, Entries, EntryRef,
-    LogArea, RecordReader, SharedStore, REC_HDR,
+    LogArea, LogStore, RecordReader, SharedStore, REC_HDR,
 };
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 
@@ -551,9 +551,9 @@ impl SpecSpmtShared {
     fn probe(&self, tid: usize) -> Probe<'_> {
         Probe {
             seal: None,
-            append: Site::MtCommitAppend,
-            flush: Site::MtCommitFlush,
-            fence: Site::MtCommitFence,
+            append: Some(Site::MtCommitAppend),
+            flush: Some(Site::MtCommitFlush),
+            fence: Some(Site::MtCommitFence),
             tel: &self.tel,
             tid,
         }
@@ -1125,6 +1125,7 @@ impl TxHandle {
             self.dev.peek_into(addr, &mut self.undo_data[off..]);
             self.undo_addrs.push((addr, off, data.len()));
         }
+        store.store(addr, data);
         self.log.stage(&mut store, &mut st.area, addr, data);
     }
 

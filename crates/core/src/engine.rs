@@ -2,11 +2,12 @@
 //!
 //! A writing transaction *reserves* a record header at its chain's tail,
 //! *stages* each update, *seals* the record with `(len, ts, checksum)` and
-//! *drains* it with one vectored flush and one fence. [`crate::SpecSpmt`]
-//! and [`crate::TxHandle`] both run [`TxLog`], so they issue the same
-//! device operations in the same order. What differs between them —
-//! timestamp source, chain ownership and locking, group commit, flight
-//! recorder, statistics — stays with them and comes in as values.
+//! *drains* it with one vectored flush and one fence. [`crate::SpecSpmt`],
+//! [`crate::TxHandle`] and the SPHT comparator all run [`TxLog`], so they
+//! issue the same device operations in the same order. What differs
+//! between them — where a write's data goes, timestamp source, chain
+//! ownership and locking, group commit, flight recorder, statistics —
+//! stays with them and comes in as values.
 
 use specpmt_pmem::{coalesce_lines, FenceReport, Site};
 use specpmt_telemetry::{Phase, Telemetry};
@@ -15,20 +16,29 @@ use crate::record::{encode_header_parts, entry_header, Cursor, LogArea, LogStore
 use crate::writeset::WriteSet;
 
 /// Where one runtime's commits are observed: its commit crash sites and
-/// the telemetry shard of the committing thread.
+/// the telemetry shard of the committing thread. A site is `None` where
+/// the inventory has none for this runtime.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Probe<'a> {
-    /// Header computed, nothing stored yet (`None`: the inventory has no
-    /// such site for this runtime).
+pub struct Probe<'a> {
+    /// Header computed, nothing stored yet.
     pub seal: Option<Site>,
     /// Header and terminator stored, unflushed.
-    pub append: Site,
+    pub append: Option<Site>,
     /// Flushes issued, fence pending.
-    pub flush: Site,
+    pub flush: Option<Site>,
     /// Fence completed.
-    pub fence: Site,
+    pub fence: Option<Site>,
+    /// The registry the commit's phase spans are recorded in.
     pub tel: &'a Telemetry,
+    /// The committing thread's telemetry shard.
     pub tid: usize,
+}
+
+/// Executes `site`, if there is one.
+fn crash_point<S: LogStore>(store: &S, site: Option<Site>) {
+    if let Some(site) = site {
+        store.crash_point(site);
+    }
 }
 
 /// One fence's outcome on `tid`'s books: its WPQ stall, when it completed
@@ -43,7 +53,7 @@ pub(crate) fn record_drain(tel: &Telemetry, tid: usize, fr: FenceReport) {
 /// never freed — between transactions, so a warmed-up owner commits
 /// without heap allocation.
 #[derive(Debug)]
-pub(crate) struct TxLog {
+pub struct TxLog {
     /// SpecSPMT-DP: data lines are flushed too, with a second fence.
     data_persistence: bool,
     /// Where the open transaction's record header sits in the chain.
@@ -63,7 +73,9 @@ pub(crate) struct TxLog {
 }
 
 impl TxLog {
-    pub(crate) fn new(data_persistence: bool) -> Self {
+    /// An idle log; `data_persistence` selects SpecSPMT-DP's second
+    /// flush and fence of the data lines.
+    pub fn new(data_persistence: bool) -> Self {
         Self {
             data_persistence,
             tx_start: None,
@@ -75,14 +87,14 @@ impl TxLog {
 
     /// Starts a transaction. Volatile only: the log is not touched until
     /// the first write [reserves](Self::reserve) the record.
-    pub(crate) fn begin(&mut self) {
+    pub fn begin(&mut self) {
         self.ws.begin();
         self.dirty.clear();
         self.data.clear();
     }
 
     /// Whether the open transaction has written (reserved its record).
-    pub(crate) fn reserved(&self) -> bool {
+    pub fn reserved(&self) -> bool {
         self.tx_start.is_some()
     }
 
@@ -90,25 +102,25 @@ impl TxLog {
     /// open/uncommitted) — the first write's job, ahead of its data store
     /// and entry stores: one device-op order for every writing
     /// transaction.
-    pub(crate) fn reserve<S: LogStore>(&mut self, store: &mut S, area: &mut LogArea) {
+    pub fn reserve<S: LogStore>(&mut self, store: &mut S, area: &mut LogArea) {
         self.tx_start = Some(area.tail());
         area.append(store, &[0u8; REC_HDR], &mut self.dirty);
     }
 
-    /// One durable write: the in-place data update (never flushed by
-    /// SpecSPMT) and the log entry of the *new* value — no flush, no
-    /// fence. Returns whether a new entry was appended: a repeated
-    /// same-length update of a datum overwrites its entry in place
-    /// instead of appending a stale one, unless a later entry overlaps it
-    /// ([`WriteSet::patchable`]).
-    pub(crate) fn stage<S: LogStore>(
+    /// Logs one durable write: the entry of the *new* value — no flush,
+    /// no fence. The caller stores the data itself (in place, never
+    /// flushed by SpecSPMT; SPHT into its DRAM overlay), after the
+    /// [reservation](Self::reserve) and before this. Returns whether a new
+    /// entry was appended: a repeated same-length update of a datum
+    /// overwrites its entry in place instead of appending a stale one,
+    /// unless a later entry overlaps it ([`WriteSet::patchable`]).
+    pub fn stage<S: LogStore>(
         &mut self,
         store: &mut S,
         area: &mut LogArea,
         addr: usize,
         data: &[u8],
     ) -> bool {
-        store.store(addr, data);
         if self.data_persistence {
             self.data.push((addr, data.len()));
         }
@@ -134,27 +146,19 @@ impl TxLog {
     /// header in the payload, so the sealed length is never zero (a
     /// zero-length header is the chain terminator and would orphan every
     /// younger record behind it).
-    pub(crate) fn seal<S: LogStore>(
-        &mut self,
-        store: &mut S,
-        area: &mut LogArea,
-        ts: u64,
-        p: Probe<'_>,
-    ) {
+    pub fn seal<S: LogStore>(&mut self, store: &mut S, area: &mut LogArea, ts: u64, p: Probe<'_>) {
         let tx_start = self.tx_start.take().expect("seal of a transaction that reserved no record");
         let payload_len = self.ws.payload().len();
         let seal_span = p.tel.registry.span(p.tid, Phase::Seal);
         let header = encode_header_parts(ts, payload_len, self.ws.checksum(ts));
         seal_span.stop();
-        if let Some(site) = p.seal {
-            store.crash_point(site);
-        }
+        crash_point(store, p.seal);
         let append_span = p.tel.registry.span(p.tid, Phase::Append);
         let wrote = area.write_at(store, tx_start, &header, &mut self.dirty);
         assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
         area.write_terminator(store, &mut self.dirty);
         append_span.stop();
-        store.crash_point(p.append);
+        crash_point(store, p.append);
     }
 
     /// The sealed record's dirty ranges, for a caller that folds more
@@ -167,7 +171,7 @@ impl TxLog {
     /// (coalesced, ascending lines — sequential and cheap) and the single
     /// commit fence; under DP a second flush+fence for the data lines.
     /// `log_fenced` runs as soon as the record's fence has completed.
-    pub(crate) fn drain_solo<S: LogStore>(
+    pub fn drain_solo<S: LogStore>(
         &mut self,
         store: &mut S,
         p: Probe<'_>,
@@ -197,11 +201,11 @@ impl TxLog {
     /// Fences the flush plan that was just issued, between the flush and
     /// fence crash sites.
     fn fence<S: LogStore>(store: &mut S, p: Probe<'_>) -> FenceReport {
-        store.crash_point(p.flush);
+        crash_point(store, p.flush);
         let fence_span = p.tel.registry.span(p.tid, Phase::Fence);
         let fr = store.sfence();
         fence_span.stop();
-        store.crash_point(p.fence);
+        crash_point(store, p.fence);
         fr
     }
 

@@ -20,7 +20,9 @@
 use std::collections::BTreeSet;
 
 use specpmt_pmem::frame::{seal, verify, Fields};
-use specpmt_pmem::{root_off, CrashImage, PmemPool, PoolHeader, TimingMode, CACHE_LINE};
+use specpmt_pmem::{
+    root_off, CrashImage, PmemPool, PoolHeader, SplitMix64, TimingMode, CACHE_LINE,
+};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 /// Root slot holding the table base offset.
@@ -51,13 +53,6 @@ impl Default for HashLogConfig {
     fn default() -> Self {
         Self { capacity: 1 << 14 }
     }
-}
-
-fn mix(mut x: u64) -> u64 {
-    // splitmix64 finalizer.
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Hash-located, in-place-overwritten speculative log (the paper's
@@ -119,7 +114,7 @@ impl HashLogSpmt {
     fn locate(&mut self, chunk_index: usize) -> usize {
         let key = chunk_index as u64 + 1;
         let mask = self.cfg.capacity - 1;
-        let mut idx = (mix(key) as usize) & mask;
+        let mut idx = (SplitMix64::mix(key) as usize) & mask;
         for _ in 0..self.cfg.capacity {
             let s = self.slot_addr(idx);
             let k = self.pool.device().peek_u64(s);

@@ -41,9 +41,9 @@
 //! rather than parsed.
 
 use specpmt_pmem::frame::{seal, verify, Fields};
-use specpmt_pmem::{PmemPool, PoolHeader, SharedPmemPool, Site, POOL_HEADER_SIZE};
+use specpmt_pmem::{PmemPool, PoolHeader, SharedPmemPool, Site, TimingMode, POOL_HEADER_SIZE};
 
-use crate::record::ByteSource;
+use crate::record::{ByteSource, LogArea, PoolStore};
 
 /// Root slot pointing at the layout descriptor (0 = no layout).
 pub const LAYOUT_SLOT: usize = 3;
@@ -295,6 +295,64 @@ impl PoolLayout {
         let h = pool.handle();
         h.write_u64(addr, base);
         h.persist_range(addr, 8);
+    }
+}
+
+/// A single-threaded pool's one log chain — [`crate::SpecSpmt`]'s and the
+/// SPHT and HOOP comparators': the layout rooting it, the live chain and
+/// the volatile list of free log blocks.
+#[derive(Debug)]
+pub struct SingleChain {
+    /// The layout descriptor, with one chain slot.
+    pub layout: PoolLayout,
+    /// The live chain.
+    pub area: LogArea,
+    /// Log blocks free for reuse.
+    pub free_blocks: Vec<usize>,
+}
+
+impl SingleChain {
+    /// Formats `pool` with one empty chain of `block_bytes` blocks and
+    /// persists everything, with device timing off: formatting is setup,
+    /// not measured execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block size is out of range.
+    pub fn format(pool: &mut PmemPool, block_bytes: usize) -> Self {
+        let prev = pool.device().timing();
+        pool.device_mut().set_timing(TimingMode::Off);
+        let layout = PoolLayout::format(pool, 1, block_bytes);
+        let mut free_blocks = Vec::new();
+        let area = LogArea::create(
+            &mut PoolStore::new(pool, &mut free_blocks),
+            block_bytes,
+            &mut Vec::new(),
+        );
+        layout.set_head(pool, 0, area.head() as u64);
+        pool.device_mut().flush_everything();
+        pool.device_mut().set_timing(prev);
+        Self { layout, area, free_blocks }
+    }
+
+    /// Truncates the chain from a background engine (a replayer or GC
+    /// core) once every record in it is applied: a fresh empty chain goes
+    /// straight to the WPQ, the head swings to it, and the old chain's
+    /// blocks are freed. The writes contend for WPQ bandwidth without
+    /// fencing the foreground.
+    pub fn truncate_background(&mut self, pool: &mut PmemPool) {
+        let mut dirty = Vec::new();
+        let area = LogArea::create(
+            &mut PoolStore::new(pool, &mut self.free_blocks),
+            self.layout.block_bytes(),
+            &mut dirty,
+        );
+        for (addr, len) in dirty {
+            pool.device_mut().background_range_write(addr, len);
+        }
+        self.layout.set_head_background(pool, 0, area.head() as u64);
+        let old = std::mem::replace(&mut self.area, area);
+        self.free_blocks.extend(old.into_blocks());
     }
 }
 

@@ -91,11 +91,14 @@ pub use concurrent::{
     ConcurrentConfig, ConcurrentConfigBuilder, PoolSource, ReclaimDaemon, SharedStats,
     SpecSpmtShared, TxHandle,
 };
+pub use engine::{Probe, TxLog};
 pub use hashlog::{HashLogConfig, HashLogSpmt};
 pub use inspect::{forensics, ChainSummary, ForensicInFlight, ForensicReport, ForensicViolation};
-pub use layout::{PoolLayout, LAYOUT_SLOT};
+pub use layout::{PoolLayout, SingleChain, LAYOUT_SLOT};
 pub use locked::LockedTxHandle;
 pub use reclaim::{FreshnessIndex, ReclaimState, ReclaimStats};
 pub use recovery::{recover_image_opts, RecoveryOptions, RecoveryReport};
 pub use runtime::{ReclaimMode, SpecConfig, SpecSpmt};
+/// The metrics bundle [`SpecSpmt::telemetry`] and [`Probe`] carry.
+pub use specpmt_telemetry::Telemetry;
 pub use writeset::{EntrySlot, WriteSet};

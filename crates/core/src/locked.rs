@@ -33,6 +33,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use specpmt_pmem::SplitMix64;
 use specpmt_telemetry::Phase;
 use specpmt_txn::{CommitReceipt, LockGuard, SharedLockTable, TxAccess};
 
@@ -87,8 +88,8 @@ pub struct LockedTxHandle {
     /// nothing in steady state.
     guard: LockGuard,
     doomed: bool,
-    /// SplitMix64 state for backoff jitter.
-    rng: u64,
+    /// Backoff jitter.
+    rng: SplitMix64,
 }
 
 impl LockedTxHandle {
@@ -96,7 +97,7 @@ impl LockedTxHandle {
     /// the same data must share the same table (and the table must span
     /// every address transactions touch).
     pub fn new(inner: TxHandle, locks: Arc<SharedLockTable>) -> Self {
-        let rng = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(inner.tid() as u64 + 1);
+        let rng = SplitMix64::new(SplitMix64::GAMMA.wrapping_mul(inner.tid() as u64 + 1));
         Self { guard: locks.guard(inner.tid()), inner, locks, doomed: false, rng }
     }
 
@@ -126,12 +127,7 @@ impl LockedTxHandle {
     }
 
     fn next_jitter(&mut self) -> u32 {
-        // SplitMix64 step.
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as u32 & 0x3F
+        self.rng.next_u64() as u32 & 0x3F
     }
 
     /// Bounded-try-lock acquisition of `[addr, addr + len)`. Returns

@@ -1,13 +1,13 @@
 //! The [`SpecSpmt`] transaction runtime.
 
-use specpmt_pmem::{CrashControl, CrashImage, PmemPool, Site, TimingMode};
+use specpmt_pmem::{CrashControl, CrashImage, PmemPool, Site};
 use specpmt_telemetry::{Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use crate::engine::{Probe, TxLog};
-use crate::layout::PoolLayout;
+use crate::layout::{PoolLayout, SingleChain};
 use crate::reclaim::{ReclaimState, ReclaimStats};
-use crate::record::{LogArea, PoolStore, ENTRY_HDR, REC_HDR};
+use crate::record::{LogArea, LogStore, PoolStore, ENTRY_HDR, REC_HDR};
 use crate::recovery;
 
 /// The runtime's one chain slot and telemetry shard.
@@ -17,9 +17,9 @@ const TID: usize = 0;
 fn probe(tel: &Telemetry) -> Probe<'_> {
     Probe {
         seal: Some(Site::SeqCommitSeal),
-        append: Site::SeqCommitAppend,
-        flush: Site::SeqCommitFlush,
-        fence: Site::SeqCommitFence,
+        append: Some(Site::SeqCommitAppend),
+        flush: Some(Site::SeqCommitFlush),
+        fence: Some(Site::SeqCommitFence),
         tel,
         tid: TID,
     }
@@ -117,18 +117,8 @@ impl SpecSpmt {
     ///
     /// Panics if the block size is out of range.
     pub fn new(mut pool: PmemPool, cfg: SpecConfig) -> Self {
-        let prev = pool.device().timing();
-        pool.device_mut().set_timing(TimingMode::Off);
-        let layout = PoolLayout::format(&mut pool, 1, cfg.block_bytes);
-        let mut free_blocks = Vec::new();
-        let area = LogArea::create(
-            &mut PoolStore::new(&mut pool, &mut free_blocks),
-            cfg.block_bytes,
-            &mut Vec::new(),
-        );
-        layout.set_head(&mut pool, TID, area.head() as u64);
-        pool.device_mut().flush_everything();
-        pool.device_mut().set_timing(prev);
+        let SingleChain { layout, area, free_blocks } =
+            SingleChain::format(&mut pool, cfg.block_bytes);
         let log = TxLog::new(cfg.data_persistence);
         Self {
             pool,
@@ -319,6 +309,7 @@ impl TxAccess for SpecSpmt {
         let _ws_span = tel.registry.span(TID, Phase::Writeset);
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
+        store.store(addr, data);
         if log.stage(&mut store, area, addr, data) {
             stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
         }
@@ -409,7 +400,7 @@ impl Recover for SpecSpmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice, BUMP_OFF};
+    use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice, TimingMode, BUMP_OFF};
 
     fn runtime(cfg: SpecConfig) -> SpecSpmt {
         let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));

@@ -158,6 +158,18 @@ impl WriteSet {
         (!later.any(|e| e.addr < addr + len && addr < e.addr + e.value.len())).then_some(slot)
     }
 
+    /// Adds a write to a set that no log chain mirrors as it grows (one
+    /// encoded into its record only at commit): overwrites the entry
+    /// [`Self::patchable`] names, else stages a new one.
+    pub fn coalesce(&mut self, addr: usize, data: &[u8]) {
+        match self.patchable(addr, data.len()) {
+            Some(slot) => self.patch(slot, data),
+            None => {
+                self.stage(addr, data, Cursor { block: 0, pos: 0 });
+            }
+        }
+    }
+
     /// Overwrites the value bytes of an already-staged entry in place
     /// (the same-address-same-length dedup path, see [`Self::patchable`]).
     pub fn patch(&mut self, slot: EntrySlot, data: &[u8]) {

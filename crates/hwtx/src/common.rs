@@ -122,6 +122,12 @@ impl RecordBuf {
         push_entry(&mut self.bytes, addr, value);
     }
 
+    /// Adds entries already encoded back to back, as a
+    /// [`specpmt_core::WriteSet`] stages them.
+    pub(crate) fn push_entries(&mut self, payload: &[u8]) {
+        self.bytes.extend_from_slice(payload);
+    }
+
     /// Seals the record with `ts` and appends it, then the stream
     /// terminator, to `area` — one store per block the record touches.
     /// Returns the encoded size; [`Self::dirty`] holds what must persist.

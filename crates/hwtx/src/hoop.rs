@@ -1,12 +1,12 @@
 //! HOOP: hardware-assisted out-of-place updates.
 
-use specpmt_core::record::{LogArea, PoolStore};
-use specpmt_core::{recovery, PoolLayout};
+use specpmt_core::record::PoolStore;
+use specpmt_core::{recovery, SingleChain, WriteSet};
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
+use specpmt_pmem::{CrashImage, PmemPool, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-use crate::common::{flush_line_set, lines_of_ranges, LineSet, RecordBuf};
+use crate::common::{LineSet, RecordBuf};
 
 /// Configuration for [`Hoop`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,19 +18,11 @@ pub struct HoopConfig {
     /// GC batch: home locations are updated once this many log bytes
     /// accumulate (paper: 128 KB per GC cycle).
     pub gc_batch_bytes: usize,
-    /// On-chip eviction buffer (paper: 16 KB/core + 256 KB mapping
-    /// structures); write sets beyond it spill.
-    pub onchip_buffer_bytes: usize,
 }
 
 impl Default for HoopConfig {
     fn default() -> Self {
-        Self {
-            hw: HwConfig::default(),
-            block_bytes: 4096,
-            gc_batch_bytes: 128 * 1024,
-            onchip_buffer_bytes: 16 * 1024,
-        }
+        Self { hw: HwConfig::default(), block_bytes: 4096, gc_batch_bytes: 128 * 1024 }
     }
 }
 
@@ -47,23 +39,19 @@ pub struct Hoop {
     pool: PmemPool,
     core: HwCore,
     cfg: HoopConfig,
-    layout: PoolLayout,
-    area: LogArea,
-    free_blocks: Vec<usize>,
+    chain: SingleChain,
     in_tx: bool,
-    /// The transaction's write intents as `(addr, offset, len)` into
-    /// `tx_data`, in program order (offsets only grow).
-    tx_writes: Vec<(usize, usize, usize)>,
-    tx_data: Vec<u8>,
+    /// The transaction's write intents, coalesced in program order by
+    /// the record protocol's write set: of two writes, the later one
+    /// overwrites the earlier's entry only where recovery would replay
+    /// them in the same order ([`WriteSet::patchable`]).
+    ws: WriteSet,
     tx_miss_lines: LineSet,
     /// Home-location lines awaiting GC (coalesced across transactions).
     gc_pending: LineSet,
-    /// The redo record being encoded, and the lines it dirtied.
+    /// The redo record being encoded.
     rec: RecordBuf,
-    rec_lines: LineSet,
     gc_accum_bytes: usize,
-    /// Write sets that overflowed the on-chip buffer.
-    pub spills: u64,
     ts_counter: u64,
     stats: TxStats,
 }
@@ -71,35 +59,18 @@ pub struct Hoop {
 impl Hoop {
     /// Creates the runtime with an empty redo log.
     pub fn new(mut pool: PmemPool, cfg: HoopConfig) -> Self {
-        let prev = pool.device().timing();
-        pool.device_mut().set_timing(TimingMode::Off);
-        let layout = PoolLayout::format(&mut pool, 1, cfg.block_bytes);
-        let mut free_blocks = Vec::new();
-        let mut dirty = Vec::new();
-        let area = LogArea::create(
-            &mut PoolStore::new(&mut pool, &mut free_blocks),
-            cfg.block_bytes,
-            &mut dirty,
-        );
-        layout.set_head(&mut pool, 0, area.head() as u64);
-        pool.device_mut().flush_everything();
-        pool.device_mut().set_timing(prev);
+        let chain = SingleChain::format(&mut pool, cfg.block_bytes);
         Self {
             pool,
             core: HwCore::new(cfg.hw.clone()),
             cfg,
-            layout,
-            area,
-            free_blocks,
+            chain,
             in_tx: false,
-            tx_writes: Vec::new(),
-            tx_data: Vec::new(),
+            ws: WriteSet::new(),
             tx_miss_lines: LineSet::default(),
             gc_pending: LineSet::default(),
             rec: RecordBuf::default(),
-            rec_lines: LineSet::default(),
             gc_accum_bytes: 0,
-            spills: 0,
             ts_counter: 1,
             stats: TxStats::default(),
         }
@@ -112,7 +83,7 @@ impl Hoop {
 
     /// Unapplied log footprint.
     pub fn log_footprint(&self) -> usize {
-        self.area.footprint()
+        self.chain.area.footprint()
     }
 
     /// Runs a GC cycle: applies coalesced home-location updates (random
@@ -128,22 +99,10 @@ impl Hoop {
             self.pool.device_mut().background_line_write(line);
         }
         self.gc_pending.clear();
-        // Truncate the applied log.
-        let mut dirty = Vec::new();
-        let area = LogArea::create(
-            &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            self.cfg.block_bytes,
-            &mut dirty,
-        );
-        for (addr, len) in dirty {
-            self.pool.device_mut().background_range_write(addr, len);
-        }
-        self.layout.set_head_background(&mut self.pool, 0, area.head() as u64);
-        let old = std::mem::replace(&mut self.area, area);
-        self.free_blocks.extend(old.into_blocks());
+        self.chain.truncate_background(&mut self.pool);
         self.gc_accum_bytes = 0;
         self.stats.records_reclaimed += applied;
-        self.stats.log_live_bytes = self.area.footprint() as u64;
+        self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.background_ns += self.pool.device().now_ns() - t0;
     }
 }
@@ -152,8 +111,7 @@ impl TxAccess for Hoop {
     fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction");
         self.in_tx = true;
-        self.tx_writes.clear();
-        self.tx_data.clear();
+        self.ws.begin();
         self.tx_miss_lines.clear();
         self.stats.tx_begun += 1;
     }
@@ -165,11 +123,7 @@ impl TxAccess for Hoop {
         // redirected value so reads observe it.)
         self.pool.device_mut().write(addr, data);
         self.core.store(self.pool.device_mut(), addr, data.len());
-        self.tx_writes.push((addr, self.tx_data.len(), data.len()));
-        self.tx_data.extend_from_slice(data);
-        if self.tx_data.len() > self.cfg.onchip_buffer_bytes {
-            self.spills += 1;
-        }
+        self.ws.coalesce(addr, data);
         self.gc_pending.insert_range(addr, data.len());
         self.stats.updates += 1;
         self.stats.data_bytes += data.len() as u64;
@@ -190,30 +144,22 @@ impl TxAccess for Hoop {
         let ts = self.ts_counter;
         self.ts_counter += 1;
         // Pack the record: miss lines first (indirection state), then the
-        // coalesced write intents, ascending by address; of several writes
-        // to one address the last wins (its offset sorts last).
+        // coalesced write intents in program order.
         self.rec.begin();
         for &l in self.tx_miss_lines.as_slice() {
             self.rec.push(l, self.pool.device().peek(l, CACHE_LINE));
         }
-        self.tx_writes.sort_unstable();
-        for (i, &(addr, off, len)) in self.tx_writes.iter().enumerate() {
-            if self.tx_writes.get(i + 1).is_none_or(|next| next.0 != addr) {
-                self.rec.push(addr, &self.tx_data[off..off + len]);
-            }
-        }
-        let mut store = PoolStore::new(&mut self.pool, &mut self.free_blocks);
-        let bytes = self.rec.append(ts, &mut self.area, &mut store);
+        self.rec.push_entries(self.ws.payload());
+        let mut store = PoolStore::new(&mut self.pool, &mut self.chain.free_blocks);
+        let bytes = self.rec.append(ts, &mut self.chain.area, &mut store);
         // One fence: persist the packed redo records.
-        self.rec_lines.clear();
-        lines_of_ranges(self.rec.dirty(), &mut self.rec_lines);
-        flush_line_set(self.pool.device_mut(), &self.rec_lines);
+        self.pool.device_mut().clwb_ranges(self.rec.dirty());
         self.pool.device_mut().sfence();
         self.stats.log_bytes += bytes as u64;
         self.gc_accum_bytes += bytes;
         self.in_tx = false;
         self.stats.tx_committed += 1;
-        self.stats.log_live_bytes = self.area.footprint() as u64;
+        self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.log_peak_bytes = self.stats.log_peak_bytes.max(self.stats.log_live_bytes);
         if self.gc_accum_bytes >= self.cfg.gc_batch_bytes {
             self.gc_now();
@@ -264,7 +210,7 @@ mod tests {
     use super::*;
     use crate::common::hw_pool;
     use specpmt_pmem::CrashControl;
-    use specpmt_pmem::CrashPolicy;
+    use specpmt_pmem::{CrashPolicy, TimingMode};
 
     fn runtime() -> Hoop {
         Hoop::new(hw_pool(16 << 20), HoopConfig::default())

@@ -196,9 +196,7 @@ impl HwSpecPmt {
             self.cfg.block_bytes,
             &mut dirty,
         );
-        let mut lines = LineSet::default();
-        lines_of_ranges(&dirty, &mut lines);
-        flush_line_set(self.pool.device_mut(), &lines);
+        self.pool.device_mut().clwb_ranges(&dirty);
         self.pool.device_mut().sfence();
         self.layout.set_head(&mut self.pool, slot, area.head() as u64);
         self.epochs.push_back(Epoch { eid, slot, area, record_bytes: 0, pages: 0 });

@@ -15,15 +15,25 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The state increment of every draw (2^64 / φ, odd).
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Creates a generator from a seed. Equal seeds yield equal streams.
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Next raw 64-bit draw.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
+        self.state = self.state.wrapping_add(Self::GAMMA);
+        Self::mix(self.state)
+    }
+
+    /// The SplitMix64 finalizer: a bijective 64-bit scramble of `z`, what
+    /// a draw returns for its state — also a hash of its own.
+    #[inline]
+    pub fn mix(mut z: u64) -> u64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)

@@ -2,25 +2,20 @@
 
 /// SplitMix64: tiny, fast, deterministic PRNG — every workload is seeded so
 /// runs are byte-reproducible across runtimes (required for verification
-/// against the volatile reference execution).
+/// against the volatile reference execution). The workspace's one mixer,
+/// with this crate's own seeding offset and reductions.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
+pub struct SplitMix64(specpmt_pmem::SplitMix64);
 
 impl SplitMix64 {
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> Self {
-        Self { state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15) }
+        Self(specpmt_pmem::SplitMix64::new(seed.wrapping_add(specpmt_pmem::SplitMix64::GAMMA)))
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Uniform value in `[0, bound)`.

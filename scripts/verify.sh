@@ -253,6 +253,35 @@ for f in crates/hwtx/src/spec.rs crates/hwtx/src/hoop.rs crates/core/src/inspect
     fi
 done
 
+# Re-fork guard, the comparators' logs. SPHT writes its records through
+# core's record protocol (TxLog) and HOOP through hwtx::common::RecordBuf,
+# its write set coalesced in write order by core::WriteSet. So outside
+# #[cfg(test)], no crates/baselines/src file and not hoop.rs seals a record
+# header (encode_header), reserves one by hand (a zeroed REC_HDR buffer) or
+# spells an entry header inline; and hoop.rs sorts nothing (replaying a
+# write set in address order loses write order). No pattern matches itself.
+for f in crates/baselines/src/*.rs crates/hwtx/src/hoop.rs; do
+    if nontest "$f" | grep -nE 'encode_[h]eader\(|\[0u8; (REC|ENTRY)_[H]DR\]|as u(64|32)\)\.to_le_[b]ytes'; then
+        echo "re-fork guard: $f encodes a log record by hand (use TxLog / RecordBuf)" >&2
+        exit 1
+    fi
+done
+if nontest crates/hwtx/src/hoop.rs | grep -nE '\.sor[t]'; then
+    echo "re-fork guard: HOOP sorts its write intents again (core::WriteSet keeps write order)" >&2
+    exit 1
+fi
+
+# One SplitMix64 mixer, in crates/pmem/src/rng.rs: STAMP's generator and the
+# 2PL backoff jitter draw from it. Only kv's zipf scramble and admission
+# hash, whose streams are left as they are, may spell a mixer constant too.
+for f in $(production_sources); do
+    case "$f" in crates/pmem/src/rng.rs | crates/kv/src/zipf.rs | crates/kv/src/admission.rs) continue ;; esac
+    if grep -niE '0xBF58_?476[D]|0x94D0_?49B[B]' "$f"; then
+        echo "re-fork guard: $f copies the SplitMix64 mixer (use specpmt_pmem::SplitMix64)" >&2
+        exit 1
+    fi
+done
+
 # The judged benchmark is a package of its own (own workspace and lock
 # file), so nothing above builds it: smoke-run every workload and check the
 # emitted names against BENCHMARK.json, so a specpmt-core API change that

@@ -11,7 +11,7 @@ use specpmt::core::{
     ConcurrentConfig, HashLogConfig, HashLogSpmt, LockedTxHandle, ReclaimMode, SpecConfig,
     SpecSpmt, SpecSpmtShared,
 };
-use specpmt::hwtx::{hw_pool, Ede, EdeConfig, HwSpecConfig, HwSpecPmt};
+use specpmt::hwtx::{hw_pool, Ede, EdeConfig, Hoop, HoopConfig, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{
     root_off, CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
 };
@@ -223,23 +223,42 @@ fn younger_record_survives_write_free_txs<A: TxAccess>(
 }
 
 /// Writes inside one transaction recover in write order, however their
-/// ranges overlap: `w(a, [1; 4]); w(a + 2, [2; 4]); w(a, [3; 4])` must
-/// leave `[3, 3, 3, 3, 2, 2]`. Patching the third write into the first
-/// write's entry would replay it before the second and leave
-/// `[3, 3, 2, 2, 2, 2]`.
+/// ranges overlap. Each shape is one transaction's writes `(offset from
+/// a, value)`, then the offset read back and the bytes expected there:
+///
+/// * `w(a, [1; 4]); w(a + 2, [2; 4]); w(a, [3; 4])` leaves
+///   `[3, 3, 3, 3, 2, 2]`. Patching the third write into the first
+///   write's entry would replay it before the second and leave
+///   `[3, 3, 2, 2, 2, 2]`.
+/// * `w(a, [1; 4]); w(a - 2, [2; 4])` leaves `[2, 2, 2, 2, 1, 1]` from
+///   `a - 2`. Replaying entries in address order would leave
+///   `[2, 2, 1, 1, 1, 1]`.
+/// * `w(a, [1; 8]); w(a, [2; 4])` leaves `[2, 2, 2, 2, 1, 1, 1, 1]`.
+///   Keeping only the last write per address would drop the first
+///   write's tail and leave `[2, 2, 2, 2, 0, 0, 0, 0]`.
+type WriteOrderShape = (&'static [(isize, &'static [u8])], isize, &'static [u8]);
+const WRITE_ORDER_SHAPES: [WriteOrderShape; 3] = [
+    (&[(0, &[1; 4]), (2, &[2; 4]), (0, &[3; 4])], 0, &[3, 3, 3, 3, 2, 2]),
+    (&[(0, &[1; 4]), (-2, &[2; 4])], -2, &[2, 2, 2, 2, 1, 1]),
+    (&[(0, &[1; 8]), (0, &[2; 4])], 0, &[2, 2, 2, 2, 1, 1, 1, 1]),
+];
+
 fn overlapping_writes_recover_in_write_order<A: TxAccess>(
     a: &mut A,
     capture: impl Fn(&A) -> CrashImage,
 ) {
-    let addr = a.setup_alloc(64, 64);
-    a.begin();
-    a.write(addr, &[1; 4]);
-    a.write(addr + 2, &[2; 4]);
-    a.write(addr, &[3; 4]);
-    a.commit();
-    let mut img = capture(a);
-    SpecSpmt::recover(&mut img);
-    assert_eq!(img.read_bytes(addr, 6), [3, 3, 3, 3, 2, 2], "writes replayed out of order");
+    for (writes, read_at, want) in WRITE_ORDER_SHAPES {
+        let addr = a.setup_alloc(64, 64) + 8;
+        a.begin();
+        for &(off, value) in writes {
+            a.write(addr.wrapping_add_signed(off), value);
+        }
+        a.commit();
+        let mut img = capture(a);
+        SpecSpmt::recover(&mut img);
+        let got = img.read_bytes(addr.wrapping_add_signed(read_at), want.len());
+        assert_eq!(got, want, "writes {writes:?} replayed out of order");
+    }
 }
 
 #[test]
@@ -254,6 +273,19 @@ fn overlapping_writes_in_one_tx_recover_in_write_order() {
     let mut solo = shared.tx_handle(0);
     overlapping_writes_recover_in_write_order(&mut solo, |h| {
         h.device().capture(CrashPolicy::AllLost)
+    });
+
+    // The comparators log through the same record chain, and recovery
+    // replays it the same way.
+    let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
+    let mut spht = Spht::new(pool, SphtConfig::default());
+    overlapping_writes_recover_in_write_order(&mut spht, |rt| {
+        rt.pool().device().capture(CrashPolicy::AllLost)
+    });
+
+    let mut hoop = Hoop::new(hw_pool(1 << 20), HoopConfig::default());
+    overlapping_writes_recover_in_write_order(&mut hoop, |rt| {
+        rt.pool().device().capture(CrashPolicy::AllLost)
     });
 }
 
