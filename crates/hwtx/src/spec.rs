@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use specpmt_core::record::{LogArea, PoolStore, RecordReader, ENTRY_HDR, REC_HDR};
+use specpmt_core::record::{LogArea, PoolStore, RecordReader};
 use specpmt_core::{recovery, PoolLayout};
 use specpmt_hwsim::{HwConfig, HwCore};
 use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
@@ -436,24 +436,11 @@ impl Recover for HwSpecPmt {
     }
 }
 
-impl HwSpecPmt {
-    /// Per-epoch fixed overhead for test bounds (block + record headers).
-    #[doc(hidden)]
-    pub fn config_epoch_overhead(&self) -> usize {
-        self.cfg.block_bytes + REC_HDR + ENTRY_HDR
-    }
-
-    /// Undo-region bytes currently live (test support).
-    #[doc(hidden)]
-    pub fn undo_used(&self) -> usize {
-        self.undo.used()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::hw_pool;
+    use specpmt_core::record::{ENTRY_HDR, REC_HDR};
     use specpmt_pmem::CrashControl;
     use specpmt_pmem::CrashPolicy;
 
@@ -595,7 +582,10 @@ mod tests {
             }
         }
         assert!(rt.hw_stats().epochs_cleared > 0, "epochs must be reclaimed");
-        let bound = 2 * (8 * 1024 + 3 * rt.config_epoch_overhead()) + rt.undo_used();
+        // Per epoch: the byte budget plus three blocks' fixed overhead
+        // (block + record headers), and whatever undo is still live.
+        let epoch_overhead = rt.cfg.block_bytes + REC_HDR + ENTRY_HDR;
+        let bound = 2 * (8 * 1024 + 3 * epoch_overhead) + rt.undo.used();
         assert!(
             rt.log_footprint() <= bound.max(128 * 1024),
             "footprint {} exceeds bound",

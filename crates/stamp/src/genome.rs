@@ -5,14 +5,17 @@
 //! transactional writes, ~7 B average per Table 2); phase 2 links unique
 //! segments into an assembly chain (single pointer write per transaction).
 //!
-//! The transaction bodies ([`insert_segment`], [`link_segment`]) are
-//! written once against [`TxAccess`] and shared by the sequential [`run`]
-//! and the real-thread [`run_mt`].
+//! The transaction bodies ([`insert_segment`], [`link_segment`]) and the
+//! one driver (`execute`) are written once against [`TxAccess`]: the
+//! sequential [`run`] is that driver on one handle, the real-thread
+//! [`run_mt`] the same driver on a fleet.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::Mutex;
 
 use specpmt_txn::{run_tx, TxAccess};
 
+use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{hash64, setup_region, SplitMix64};
 use crate::Scale;
 
@@ -60,14 +63,16 @@ impl GenomeCfg {
 struct Layout {
     /// Hash table: `table_cap` entries of 8 B (segment fingerprint; 0 = empty).
     table: usize,
-    /// Unique-segment count (u32) — the sequential run's counter.
+    /// Unique-segment count (u32) — thread 0's counter, and so the
+    /// sequential run's.
     unique: usize,
     /// Chain links: `table_cap` × u32 (next unique segment's slot + 1).
     links: usize,
     /// Chain head slot (u32).
     head: usize,
-    /// Per-thread unique-counter shards (u32 each) — only allocated by
-    /// [`run_mt`], which would otherwise serialize on a single counter.
+    /// Unique-counter shards of threads 1 and up (u32 each), allocated
+    /// past the sequential region; one shared counter would serialize
+    /// every insert.
     shards: usize,
 }
 
@@ -126,25 +131,31 @@ fn reference(cfg: &GenomeCfg, segments: &[u64]) -> (Vec<u64>, Vec<usize>) {
 }
 
 /// Phase-1 transaction body: deduplicating insert of one fingerprint, with
-/// the unique counter at `unique_ctr` (the global counter for sequential
-/// runs, a per-thread shard for multi-threaded ones).
+/// the calling thread's unique counter at `unique_ctr`. Returns the slot
+/// it filled, or `None` for a duplicate.
 ///
 /// Doom-safe: when a doomed access returns zeros, the probe loop
 /// terminates at the first slot and every write is dropped — the driver
 /// aborts and retries.
-fn insert_segment<A: TxAccess>(tx: &mut A, lay: &Layout, mask: usize, fp: u64, unique_ctr: usize) {
+fn insert_segment<A: TxAccess>(
+    tx: &mut A,
+    lay: &Layout,
+    mask: usize,
+    fp: u64,
+    unique_ctr: usize,
+) -> Option<usize> {
     let mut idx = (fp as usize) & mask;
     loop {
         let a = lay.table + idx * 8;
         let cur = tx.read_u64(a);
         if cur == fp {
-            break; // duplicate — nothing to write
+            return None; // duplicate — nothing to write
         }
         if cur == 0 {
             tx.write_u64(a, fp);
             let cnt = tx.read_u32(unique_ctr);
             tx.write_u32(unique_ctr, cnt + 1);
-            break;
+            return Some(idx);
         }
         idx = (idx + 1) & mask;
     }
@@ -160,132 +171,78 @@ fn link_segment<A: TxAccess>(tx: &mut A, lay: &Layout, prev: Option<usize>, slot
     }
 }
 
-/// Runs the workload sequentially; returns the verification outcome.
+/// Runs the workload sequentially on one handle; returns the verification
+/// outcome.
 ///
 /// # Panics
 ///
 /// Panics if `table_cap` is not a power of two.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &GenomeCfg) -> Result<(), String> {
-    assert!(cfg.table_cap.is_power_of_two(), "table_cap must be a power of two");
-    let base = setup_region(rt, region_bytes(cfg), 64);
-    let lay = layout(cfg, base);
-    let genome = gen_genome(cfg);
-    let segments = gen_segments(cfg, &genome);
-    let mask = cfg.table_cap - 1;
-
-    // Phase 1: transactional dedup inserts.
-    for &fp in &segments {
-        rt.compute(cfg.hash_compute_ns);
-        run_tx(rt, |tx| insert_segment(tx, &lay, mask, fp, lay.unique));
-    }
-
-    // Phase 2: link unique segments into the assembly chain.
-    let (uniques, slots) = reference(cfg, &segments);
-    let mut prev: Option<usize> = None;
-    for &slot in &slots {
-        rt.compute(cfg.hash_compute_ns / 2);
-        run_tx(rt, |tx| link_segment(tx, &lay, prev, slot));
-        prev = Some(slot);
-    }
-
-    // Verify: unique count, table contents, and chain traversal.
-    rt.untimed(|rt| {
-        let got = rt.read_u32(lay.unique) as usize;
-        if got != uniques.len() {
-            return Err(format!("unique count {got} != {}", uniques.len()));
-        }
-        for (i, &slot) in slots.iter().enumerate() {
-            let fp = rt.read_u64(lay.table + slot * 8);
-            if fp != uniques[i] {
-                return Err(format!("slot {slot}: fingerprint mismatch"));
-            }
-        }
-        // Walk the chain.
-        let mut cur = rt.read_u32(lay.head) as usize;
-        for (i, &slot) in slots.iter().enumerate() {
-            if cur == 0 {
-                return Err(format!("chain ends early at {i}"));
-            }
-            if cur - 1 != slot {
-                return Err(format!("chain position {i}: slot {} != {slot}", cur - 1));
-            }
-            cur = rt.read_u32(lay.links + (cur - 1) * 4) as usize;
-        }
-        Ok(())
-    })
+    execute(&mut Solo(rt), cfg).map(drop)
 }
 
 /// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread, racing phase-1 inserts over the shared hash table. Returns the
-/// number of committed transactions.
-///
-/// Verification is order-independent: the final table must hold exactly
-/// the set of unique fingerprints, the sharded counters must sum to the
-/// unique count, and the chain must visit each unique slot exactly once.
+/// thread; returns the number of committed transactions.
 ///
 /// # Panics
 ///
 /// Panics if `handles` is empty or `table_cap` is not a power of two.
 pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &GenomeCfg) -> Result<u64, String> {
-    assert!(!handles.is_empty(), "need at least one handle");
+    execute(handles, cfg)
+}
+
+/// The one driver: phase-1 inserts race over the shared hash table,
+/// segments partitioned round-robin, each thread bumping its own unique
+/// counter (thread 0 the sequential one). Phase 2, chain linking, is
+/// inherently sequential (each link names its predecessor), so handle 0
+/// performs it, as STAMP's sequential epilogue phases do.
+///
+/// Verification is order-independent: the table holds exactly the set of
+/// unique fingerprints, the counters sum to the unique count, and the
+/// chain visits each unique slot exactly once. On one handle, slots and
+/// chain order must also match the sequential reference exactly.
+pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &GenomeCfg) -> Committed {
     assert!(cfg.table_cap.is_power_of_two(), "table_cap must be a power of two");
-    let threads = handles.len();
-    let base = setup_region(&mut handles[0], region_bytes(cfg) + threads * 4, 64);
+    let threads = fleet.threads();
+    let base = setup_region(fleet.first(), region_bytes(cfg) + (threads - 1) * 4, 64);
     let lay = layout(cfg, base);
     let genome = gen_genome(cfg);
     let segments = gen_segments(cfg, &genome);
     let mask = cfg.table_cap - 1;
-    let commits = AtomicU64::new(0);
+    let counter = |t: usize| if t == 0 { lay.unique } else { lay.shards + (t - 1) * 4 };
 
-    // Phase 1: racing dedup inserts, segments partitioned round-robin.
-    std::thread::scope(|scope| {
-        for (t, h) in handles.iter_mut().enumerate() {
-            let (segments, lay, commits) = (&segments, &lay, &commits);
-            scope.spawn(move || {
-                let ctr = lay.shards + t * 4;
-                let mut n = 0u64;
-                for &fp in segments.iter().skip(t).step_by(threads) {
-                    h.compute(cfg.hash_compute_ns);
-                    run_tx(h, |tx| insert_segment(tx, lay, mask, fp, ctr));
-                    n += 1;
-                }
-                commits.fetch_add(n, Ordering::Relaxed);
-            });
+    // The slots each thread's committed inserts filled, in its order.
+    let filled: Vec<Mutex<Vec<usize>>> = (0..threads).map(|_| Mutex::default()).collect();
+    let mut commits = fleet.each(|t, h| {
+        let mut mine = filled[t].lock().unwrap();
+        let mut n = 0u64;
+        for &fp in segments.iter().skip(t).step_by(threads) {
+            h.compute(cfg.hash_compute_ns);
+            mine.extend(run_tx(h, |tx| insert_segment(tx, &lay, mask, fp, counter(t))));
+            n += 1;
         }
-    });
+        Ok(n)
+    })?;
 
-    // Phase 2: chain linking is inherently sequential (each link names its
-    // predecessor); thread 0 performs it, as STAMP's sequential epilogue
-    // phases do.
-    let (uniques, _) = reference(cfg, &segments);
-    let h0 = &mut handles[0];
-    let probe = |h: &mut A, fp: u64| -> Result<usize, String> {
-        let mut idx = (fp as usize) & mask;
-        loop {
-            match h.untimed(|h| h.read_u64(lay.table + idx * 8)) {
-                cur if cur == fp => return Ok(idx),
-                0 => return Err(format!("fingerprint {fp:#x} missing from table")),
-                _ => idx = (idx + 1) & mask,
-            }
-        }
-    };
+    // Link the filled slots thread by thread in insertion order: on one
+    // handle, the reference's order.
+    let h0 = fleet.first();
     let mut prev: Option<usize> = None;
-    for &fp in &uniques {
-        let slot = probe(h0, fp)?;
+    for slot in filled.into_iter().flat_map(|m| m.into_inner().unwrap()) {
         h0.compute(cfg.hash_compute_ns / 2);
         run_tx(h0, |tx| link_segment(tx, &lay, prev, slot));
-        commits.fetch_add(1, Ordering::Relaxed);
+        commits += 1;
         prev = Some(slot);
     }
 
-    // Order-independent verification.
-    let want: std::collections::HashSet<u64> = uniques.iter().copied().collect();
-    handles[0].untimed(|rt| {
-        let shard_sum: u32 = (0..threads).map(|t| rt.read_u32(lay.shards + t * 4)).sum();
-        if shard_sum as usize != want.len() {
-            return Err(format!("sharded unique count {shard_sum} != {}", want.len()));
+    let (uniques, ref_slots) = reference(cfg, &segments);
+    let want: HashSet<u64> = uniques.iter().copied().collect();
+    h0.untimed(|rt| {
+        let count: u32 = (0..threads).map(|t| rt.read_u32(counter(t))).sum();
+        if count as usize != want.len() {
+            return Err(format!("unique count {count} != {}", want.len()));
         }
-        let mut got = std::collections::HashSet::new();
+        let mut got = HashSet::new();
         for slot in 0..cfg.table_cap {
             let fp = rt.read_u64(lay.table + slot * 8);
             if fp != 0 && !got.insert(fp) {
@@ -296,24 +253,37 @@ pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &GenomeCfg) -> Result<
             return Err(format!("table holds {} fingerprints, want {}", got.len(), want.len()));
         }
         // The chain must visit every unique slot exactly once.
+        let mut chain = Vec::with_capacity(want.len());
+        let mut seen = vec![false; cfg.table_cap];
         let mut cur = rt.read_u32(lay.head) as usize;
-        let mut seen = std::collections::HashSet::new();
         while cur != 0 {
             let slot = cur - 1;
-            if !seen.insert(slot) {
+            if std::mem::replace(&mut seen[slot], true) {
                 return Err(format!("chain revisits slot {slot}"));
             }
             if rt.read_u64(lay.table + slot * 8) == 0 {
                 return Err(format!("chain visits empty slot {slot}"));
             }
+            chain.push(slot);
             cur = rt.read_u32(lay.links + slot * 4) as usize;
         }
-        if seen.len() != want.len() {
-            return Err(format!("chain visits {} slots, want {}", seen.len(), want.len()));
+        if chain.len() != want.len() {
+            return Err(format!("chain visits {} slots, want {}", chain.len(), want.len()));
         }
-        Ok(())
-    })?;
-    Ok(commits.load(Ordering::Relaxed))
+        // One handle replays the reference: its slots, in its chain order.
+        if threads == 1 {
+            for (i, (&slot, &fp)) in ref_slots.iter().zip(&uniques).enumerate() {
+                let got = rt.read_u64(lay.table + slot * 8);
+                if got != fp || chain[i] != slot {
+                    return Err(format!(
+                        "chain position {i}: slot {} (slot {slot} holds {got:#x}, want {fp:#x})",
+                        chain[i]
+                    ));
+                }
+            }
+        }
+        Ok(commits)
+    })
 }
 
 #[cfg(test)]

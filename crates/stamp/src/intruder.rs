@@ -6,17 +6,17 @@
 //! scans the reassembled payload for the attack signature (compute) and a
 //! transaction records the verdict.
 //!
-//! The transaction bodies ([`insert_fragment`], [`record_verdict`]) are
-//! written once against [`TxAccess`] and shared by the sequential [`run`]
-//! and the real-thread [`run_mt`]. Under concurrency the per-stream
-//! bookkeeping (`last_seq`, `bytes_rcvd`) is sharded per thread — the body
-//! takes the shard addresses as parameters — and the thread whose
-//! committed insert completes a flow's bitmap performs the decode.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The transaction bodies ([`insert_fragment`], [`record_verdict`]) and
+//! the one driver (`execute`) are written once against [`TxAccess`]: the
+//! sequential [`run`] is that driver on one handle, the real-thread
+//! [`run_mt`] the same driver on a fleet. The per-stream bookkeeping
+//! (`last_seq`, `bytes_rcvd`) is one pair per thread — the body takes the
+//! pair's addresses as parameters — and the thread whose committed insert
+//! completes a flow's bitmap performs the decode.
 
 use specpmt_txn::{run_tx, TxAccess};
 
+use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -56,23 +56,15 @@ const FULL_BITMAP: u32 = (1 << FRAGS) - 1;
 struct Layout {
     flows: usize,
     attacks_found: usize, // u32 counter
-    last_seq: usize,      // u32 stream metadata
-    bytes_rcvd: usize,    // u32 stream metadata
-    /// Per-thread `(last_seq, bytes_rcvd)` shards (8 B each) — only
-    /// allocated by [`run_mt`], which would otherwise serialize every
-    /// fragment insert on the global stream metadata.
-    shards: usize,
+    /// Per-thread stream metadata, `(last_seq, bytes_rcvd)` as two u32s
+    /// per thread: thread 0's pair is the sequential run's, the others
+    /// follow it, as one shared pair would serialize every insert.
+    stream: usize,
 }
 
 fn layout(cfg: &IntruderCfg, base: usize) -> Layout {
     let attacks_found = base + cfg.flows * FLOW_BYTES;
-    Layout {
-        flows: base,
-        attacks_found,
-        last_seq: attacks_found + 4,
-        bytes_rcvd: attacks_found + 8,
-        shards: attacks_found + 12,
-    }
+    Layout { flows: base, attacks_found, stream: attacks_found + 4 }
 }
 
 const SIGNATURE: [u8; 4] = *b"EVIL";
@@ -117,10 +109,9 @@ fn contains_signature(payload: &[u8]) -> bool {
 }
 
 /// Fragment-insertion transaction body: store the fragment, merge its bit
-/// into the flow's arrival bitmap, and update the stream bookkeeping at
-/// `seq_addr`/`rcvd_addr` (global for sequential runs, per-thread shards
-/// for multi-threaded ones). Returns the post-merge bitmap — the caller
-/// that observes it complete performs the decode.
+/// into the flow's arrival bitmap, and update the calling thread's stream
+/// bookkeeping at `seq_addr`/`rcvd_addr`. Returns the post-merge bitmap —
+/// the caller that observes it complete performs the decode.
 ///
 /// Doom-safe: doomed reads return zeros and writes are dropped, and the
 /// returned bitmap of a doomed attempt is discarded by [`run_tx`].
@@ -154,126 +145,90 @@ fn record_verdict<A: TxAccess>(tx: &mut A, flow_base: usize, attack: bool, attac
     }
 }
 
-/// Decode step shared by both drivers: read the reassembled payload
-/// (every fragment is already committed once the bitmap is full), scan it
-/// (compute), and run the verdict transaction.
-fn decode_flow<A: TxAccess>(rt: &mut A, lay: &Layout, flow_base: usize, compute_ns: u64) {
-    rt.compute(compute_ns);
-    let mut payload = [0u8; FRAGS * FRAG_BYTES];
-    rt.read(flow_base, &mut payload);
-    let attack = contains_signature(&payload);
-    run_tx(rt, |tx| record_verdict(tx, flow_base, attack, lay.attacks_found));
-}
-
-/// Per-flow verification shared by both drivers: payload bytes, verdict,
-/// and the attack counter.
-fn verify_flows<A: TxAccess>(
-    rt: &mut A,
-    lay: &Layout,
-    payloads: &[[u8; FRAGS * FRAG_BYTES]],
-) -> Result<(), String> {
-    let want_attacks = payloads.iter().filter(|p| contains_signature(&p[..])).count() as u32;
-    let got = rt.read_u32(lay.attacks_found);
-    if got != want_attacks {
-        return Err(format!("attacks found {got} != {want_attacks}"));
-    }
-    for (f, p) in payloads.iter().enumerate() {
-        let flow_base = lay.flows + f * FLOW_BYTES;
-        let mut got_payload = [0u8; FRAGS * FRAG_BYTES];
-        rt.read(flow_base, &mut got_payload);
-        if &got_payload != p {
-            return Err(format!("flow {f}: payload mismatch"));
-        }
-        let verdict = rt.read_u32(flow_base + FRAGS * FRAG_BYTES + 4);
-        let want = if contains_signature(&p[..]) { 2 } else { 1 };
-        if verdict != want {
-            return Err(format!("flow {f}: verdict {verdict} != {want}"));
-        }
-    }
-    Ok(())
-}
-
-/// Runs the workload sequentially; returns the verification outcome.
+/// Runs the workload sequentially on one handle; returns the verification
+/// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &IntruderCfg) -> Result<(), String> {
-    let base = setup_region(rt, cfg.flows * FLOW_BYTES + 12, 64);
-    let lay = layout(cfg, base);
-    let (payloads, stream) = gen_stream(cfg);
-
-    for frag in &stream {
-        let flow_base = lay.flows + frag.flow as usize * FLOW_BYTES;
-        // Flow-map lookup and list insertion (cache misses) happen before
-        // the transactional update.
-        rt.compute(cfg.scan_compute_ns / 3);
-        let bitmap =
-            run_tx(rt, |tx| insert_fragment(tx, flow_base, frag, lay.last_seq, lay.bytes_rcvd));
-        // Complete flow: decode (compute) and record the verdict.
-        if bitmap == FULL_BITMAP {
-            decode_flow(rt, &lay, flow_base, cfg.scan_compute_ns);
-        }
-    }
-
-    rt.untimed(|rt| verify_flows(rt, &lay, &payloads))
+    execute(&mut Solo(rt), cfg).map(drop)
 }
 
 /// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread, racing fragment inserts over the shared flow table. Returns
-/// the number of committed transactions.
-///
-/// Fragments are partitioned round-robin; strict 2PL serializes the
-/// bitmap read-modify-write per flow, so exactly one committed insert
-/// observes the full bitmap and performs the decode. Stream bookkeeping
-/// is sharded per thread and verified by summation.
+/// thread; returns the number of committed transactions.
 ///
 /// # Panics
 ///
 /// Panics if `handles` is empty.
 pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &IntruderCfg) -> Result<u64, String> {
-    assert!(!handles.is_empty(), "need at least one handle");
-    let threads = handles.len();
-    let base = setup_region(&mut handles[0], cfg.flows * FLOW_BYTES + 12 + threads * 8, 64);
+    execute(handles, cfg)
+}
+
+/// The one driver: fragments are partitioned round-robin; strict 2PL
+/// serializes the bitmap read-modify-write per flow, so exactly one
+/// committed insert observes the full bitmap and performs the decode.
+///
+/// Verification is order-independent: every flow's payload and verdict,
+/// the attack count, the summed `bytes_rcvd` and each `last_seq`'s range.
+pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &IntruderCfg) -> Committed {
+    let threads = fleet.threads();
+    let base = setup_region(fleet.first(), cfg.flows * FLOW_BYTES + 4 + threads * 8, 64);
     let lay = layout(cfg, base);
     let (payloads, stream) = gen_stream(cfg);
-    let commits = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for (t, h) in handles.iter_mut().enumerate() {
-            let (stream, lay, commits) = (&stream, &lay, &commits);
-            scope.spawn(move || {
-                let seq_addr = lay.shards + t * 8;
-                let rcvd_addr = seq_addr + 4;
-                let mut n = 0u64;
-                for frag in stream.iter().skip(t).step_by(threads) {
-                    let flow_base = lay.flows + frag.flow as usize * FLOW_BYTES;
-                    h.compute(cfg.scan_compute_ns / 3);
-                    let bitmap =
-                        run_tx(h, |tx| insert_fragment(tx, flow_base, frag, seq_addr, rcvd_addr));
-                    n += 1;
-                    if bitmap == FULL_BITMAP {
-                        decode_flow(h, lay, flow_base, cfg.scan_compute_ns);
-                        n += 1;
-                    }
-                }
-                commits.fetch_add(n, Ordering::Relaxed);
-            });
+    let commits = fleet.each(|t, h| {
+        let (seq_addr, rcvd_addr) = (lay.stream + t * 8, lay.stream + t * 8 + 4);
+        let mut n = 0u64;
+        for frag in stream.iter().skip(t).step_by(threads) {
+            let flow_base = lay.flows + frag.flow as usize * FLOW_BYTES;
+            // Flow-map lookup and list insertion (cache misses) happen
+            // before the transactional update.
+            h.compute(cfg.scan_compute_ns / 3);
+            let bitmap = run_tx(h, |tx| insert_fragment(tx, flow_base, frag, seq_addr, rcvd_addr));
+            n += 1;
+            // Complete flow: read the reassembled payload (every fragment
+            // is committed), scan it (compute), and record the verdict.
+            if bitmap == FULL_BITMAP {
+                h.compute(cfg.scan_compute_ns);
+                let mut payload = [0u8; FRAGS * FRAG_BYTES];
+                h.read(flow_base, &mut payload);
+                let attack = contains_signature(&payload);
+                run_tx(h, |tx| record_verdict(tx, flow_base, attack, lay.attacks_found));
+                n += 1;
+            }
         }
-    });
+        Ok(n)
+    })?;
 
-    handles[0].untimed(|rt| {
-        verify_flows(rt, &lay, &payloads)?;
-        let rcvd_sum: u32 = (0..threads).map(|t| rt.read_u32(lay.shards + t * 8 + 4)).sum();
+    fleet.first().untimed(|rt| {
+        let want_attacks = payloads.iter().filter(|p| contains_signature(&p[..])).count() as u32;
+        let got = rt.read_u32(lay.attacks_found);
+        if got != want_attacks {
+            return Err(format!("attacks found {got} != {want_attacks}"));
+        }
+        for (f, p) in payloads.iter().enumerate() {
+            let flow_base = lay.flows + f * FLOW_BYTES;
+            let mut got_payload = [0u8; FRAGS * FRAG_BYTES];
+            rt.read(flow_base, &mut got_payload);
+            if &got_payload != p {
+                return Err(format!("flow {f}: payload mismatch"));
+            }
+            let verdict = rt.read_u32(flow_base + FRAGS * FRAG_BYTES + 4);
+            let want = if contains_signature(&p[..]) { 2 } else { 1 };
+            if verdict != want {
+                return Err(format!("flow {f}: verdict {verdict} != {want}"));
+            }
+        }
+        let rcvd_sum: u32 = (0..threads).map(|t| rt.read_u32(lay.stream + t * 8 + 4)).sum();
         let want = (cfg.flows * FRAGS * FRAG_BYTES) as u32;
         if rcvd_sum != want {
-            return Err(format!("sharded bytes_rcvd {rcvd_sum} != {want}"));
+            return Err(format!("summed bytes_rcvd {rcvd_sum} != {want}"));
         }
         for t in 0..threads {
-            let seq = rt.read_u32(lay.shards + t * 8);
+            let seq = rt.read_u32(lay.stream + t * 8);
             if seq as usize >= FRAGS {
                 return Err(format!("thread {t}: last_seq {seq} out of range"));
             }
         }
-        Ok(())
-    })?;
-    Ok(commits.load(Ordering::Relaxed))
+        Ok(commits)
+    })
 }
 
 #[cfg(test)]

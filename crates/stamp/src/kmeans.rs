@@ -8,19 +8,20 @@
 //! the paper calls out for `kmeans-low` in Section 7.3).
 //!
 //! Coordinates are fixed-point `i32`, so the transactional run and the
-//! volatile reference are bit-identical — even under [`run_mt`], because
-//! the per-point updates are commutative integer adds and the centroid
+//! volatile reference are bit-identical at every fleet size: the
+//! per-point updates are commutative integer adds and the centroid
 //! recomputation happens at a barrier, exactly as in STAMP.
 //!
-//! The transaction bodies ([`zero_cluster`], [`assign_point`]) are
-//! written once against [`TxAccess`] and shared by the sequential [`run`]
-//! and the real-thread [`run_mt`].
+//! The transaction bodies ([`zero_cluster`], [`assign_point`]) and the
+//! one driver (`execute`) are written once against [`TxAccess`]: the
+//! sequential [`run`] is that driver on one handle, the real-thread
+//! [`run_mt`] the same driver on a fleet.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use specpmt_txn::{run_tx, TxAccess};
 
+use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -198,135 +199,96 @@ fn recompute_centroids<A: TxAccess>(
     });
 }
 
-/// Verifies the persistent accumulators and membership against the
-/// volatile reference (exact — the arithmetic is order-independent).
-fn verify<A: TxAccess>(
-    rt: &mut A,
-    lay: &Layout,
-    cfg: &KmeansCfg,
-    want: &Reference,
-) -> Result<(), String> {
-    for c in 0..cfg.clusters {
-        for d in 0..cfg.dims {
-            let got = rt.read_u32(lay.sums + (c * cfg.dims + d) * 4) as i64;
-            if got != want.sums[c * cfg.dims + d] {
-                return Err(format!(
-                    "cluster {c} dim {d}: sum {got} != {}",
-                    want.sums[c * cfg.dims + d]
-                ));
-            }
-        }
-        let got = rt.read_u32(lay.counts + c * 4);
-        if got != want.counts[c] {
-            return Err(format!("cluster {c}: count {got} != {}", want.counts[c]));
-        }
-    }
-    for p in 0..cfg.points {
-        let got = rt.read_u32(lay.membership + p * 4);
-        if got != want.membership[p] {
-            return Err(format!("point {p}: membership {got} != {}", want.membership[p]));
-        }
-    }
-    Ok(())
-}
-
-/// Runs the workload sequentially; returns the verification outcome.
+/// Runs the workload sequentially on one handle; returns the verification
+/// outcome.
 ///
 /// # Panics
 ///
 /// Panics if the pool is too small (allocate ≥ a few MiB).
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &KmeansCfg) -> Result<(), String> {
-    assert!(cfg.points >= cfg.clusters, "need at least one point per cluster");
-    let base = setup_region(rt, region_bytes(cfg), 64);
-    let lay = layout(cfg, base);
-    let points = gen_points(cfg);
-    let mut centroids = initial_centroids(cfg, &points);
-
-    for _ in 0..cfg.iters {
-        // Zero the accumulators, one transaction per cluster.
-        for c in 0..cfg.clusters {
-            run_tx(rt, |tx| zero_cluster(tx, &lay, cfg.dims, c));
-        }
-        // Assignment pass: one transaction per point.
-        for p in 0..cfg.points {
-            let pt = &points[p * cfg.dims..(p + 1) * cfg.dims];
-            // Distance computation happens outside the transaction.
-            rt.compute(cfg.flop_ns * (cfg.clusters * cfg.dims) as u64);
-            let c = nearest(pt, &centroids);
-            run_tx(rt, |tx| assign_point(tx, &lay, cfg.dims, p, pt, c));
-        }
-        // Centroid recomputation (volatile, like STAMP's barrier phase).
-        recompute_centroids(rt, &lay, cfg, &mut centroids);
-    }
-
-    let want = reference(cfg, &points);
-    rt.untimed(|rt| verify(rt, &lay, cfg, &want))
+    execute(&mut Solo(rt), cfg).map(drop)
 }
 
 /// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread. Clusters (zero phase) and points (assignment phase) are
-/// partitioned round-robin; a [`Barrier`] separates the phases, and
-/// thread 0 recomputes centroids between passes for everyone (avoiding
-/// racing timing-mode toggles on the shared device). Returns the number
-/// of committed transactions.
-///
-/// Verification is exact against the sequential reference: the
-/// accumulator updates are commutative, so the multi-threaded result is
-/// bit-identical regardless of interleaving.
+/// thread; returns the number of committed transactions.
 ///
 /// # Panics
 ///
 /// Panics if `handles` is empty.
 pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &KmeansCfg) -> Result<u64, String> {
-    assert!(!handles.is_empty(), "need at least one handle");
+    execute(handles, cfg)
+}
+
+/// The one driver: clusters (zero phase) and points (assignment phase)
+/// are partitioned round-robin; a [`Barrier`] separates the phases, and
+/// thread 0 recomputes centroids between passes for everyone (avoiding
+/// racing timing-mode toggles on the shared device).
+///
+/// Verification is exact against the sequential reference at every fleet
+/// size: the accumulator updates are commutative.
+pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &KmeansCfg) -> Committed {
     assert!(cfg.points >= cfg.clusters, "need at least one point per cluster");
-    let threads = handles.len();
-    let base = setup_region(&mut handles[0], region_bytes(cfg), 64);
+    let threads = fleet.threads();
+    let base = setup_region(fleet.first(), region_bytes(cfg), 64);
     let lay = layout(cfg, base);
     let points = gen_points(cfg);
-    let commits = AtomicU64::new(0);
     let barrier = Barrier::new(threads);
     let shared_centroids = Mutex::new(initial_centroids(cfg, &points));
 
-    std::thread::scope(|scope| {
-        for (t, h) in handles.iter_mut().enumerate() {
-            let (points, lay, commits, barrier, shared_centroids) =
-                (&points, &lay, &commits, &barrier, &shared_centroids);
-            scope.spawn(move || {
-                let mut centroids = shared_centroids.lock().unwrap().clone();
-                let mut n = 0u64;
-                for _ in 0..cfg.iters {
-                    // Zero phase: clusters partitioned round-robin.
-                    for c in (t..cfg.clusters).step_by(threads) {
-                        run_tx(h, |tx| zero_cluster(tx, lay, cfg.dims, c));
-                        n += 1;
-                    }
-                    barrier.wait();
-                    // Assignment pass: points partitioned round-robin.
-                    for p in (t..cfg.points).step_by(threads) {
-                        let pt = &points[p * cfg.dims..(p + 1) * cfg.dims];
-                        h.compute(cfg.flop_ns * (cfg.clusters * cfg.dims) as u64);
-                        let c = nearest(pt, &centroids);
-                        run_tx(h, |tx| assign_point(tx, lay, cfg.dims, p, pt, c));
-                        n += 1;
-                    }
-                    barrier.wait();
-                    // Barrier phase: thread 0 recomputes for everyone.
-                    if t == 0 {
-                        let mut shared = shared_centroids.lock().unwrap();
-                        recompute_centroids(h, lay, cfg, &mut shared);
-                    }
-                    barrier.wait();
-                    centroids.clone_from(&shared_centroids.lock().unwrap());
-                }
-                commits.fetch_add(n, Ordering::Relaxed);
-            });
+    let commits = fleet.each(|t, h| {
+        let mut centroids = shared_centroids.lock().unwrap().clone();
+        let mut n = 0u64;
+        for _ in 0..cfg.iters {
+            // Zero the accumulators, one transaction per cluster.
+            for c in (t..cfg.clusters).step_by(threads) {
+                run_tx(h, |tx| zero_cluster(tx, &lay, cfg.dims, c));
+                n += 1;
+            }
+            barrier.wait();
+            // Assignment pass: one transaction per point; the distance
+            // computation happens outside the transaction.
+            for p in (t..cfg.points).step_by(threads) {
+                let pt = &points[p * cfg.dims..(p + 1) * cfg.dims];
+                h.compute(cfg.flop_ns * (cfg.clusters * cfg.dims) as u64);
+                let c = nearest(pt, &centroids);
+                run_tx(h, |tx| assign_point(tx, &lay, cfg.dims, p, pt, c));
+                n += 1;
+            }
+            barrier.wait();
+            if t == 0 {
+                recompute_centroids(h, &lay, cfg, &mut shared_centroids.lock().unwrap());
+            }
+            barrier.wait();
+            centroids.clone_from(&shared_centroids.lock().unwrap());
         }
-    });
+        Ok(n)
+    })?;
 
     let want = reference(cfg, &points);
-    handles[0].untimed(|rt| verify(rt, &lay, cfg, &want))?;
-    Ok(commits.load(Ordering::Relaxed))
+    fleet.first().untimed(|rt| {
+        for c in 0..cfg.clusters {
+            for d in 0..cfg.dims {
+                let got = rt.read_u32(lay.sums + (c * cfg.dims + d) * 4) as i64;
+                if got != want.sums[c * cfg.dims + d] {
+                    return Err(format!(
+                        "cluster {c} dim {d}: sum {got} != {}",
+                        want.sums[c * cfg.dims + d]
+                    ));
+                }
+            }
+            let got = rt.read_u32(lay.counts + c * 4);
+            if got != want.counts[c] {
+                return Err(format!("cluster {c}: count {got} != {}", want.counts[c]));
+            }
+        }
+        for p in 0..cfg.points {
+            let got = rt.read_u32(lay.membership + p * 4);
+            if got != want.membership[p] {
+                return Err(format!("point {p}: membership {got} != {}", want.membership[p]));
+            }
+        }
+        Ok(commits)
+    })
 }
 
 #[cfg(test)]

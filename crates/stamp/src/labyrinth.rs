@@ -1,23 +1,25 @@
 //! `labyrinth`: maze routing with transactional path claims.
 //!
-//! Mirrors STAMP `labyrinth`: each route is computed on a private snapshot
+//! Mirrors STAMP `labyrinth`: each route is computed on a volatile mirror
 //! of the grid (breadth-first search — heavy compute), then one large
 //! transaction claims every cell of the path (Table 2's biggest write sets:
 //! ~1.4 KB of 8-byte cell updates).
 //!
-//! The claim transaction body ([`try_claim`]) is written once against
-//! [`TxAccess`] and shared by the sequential [`run`] and the real-thread
-//! [`run_mt`]. Like STAMP, the claim *revalidates* the path inside the
-//! transaction: routing used a possibly stale snapshot, so the body
-//! re-reads every cell and claims nothing if another route got there
-//! first — the driver then re-routes on a fresh snapshot.
+//! The claim transaction body ([`try_claim`]) and the one driver
+//! (`execute`) are written once against [`TxAccess`]: the sequential
+//! [`run`] is that driver on one handle, the real-thread [`run_mt`] the
+//! same driver on a fleet. Like STAMP, the claim *revalidates* the path
+//! inside the transaction: routing used a grid that another thread's
+//! claim may since have crossed, so the body re-reads every cell and
+//! claims nothing if another route got there first — the driver then
+//! re-routes.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use specpmt_txn::{run_tx, TxAccess};
 
+use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -136,7 +138,7 @@ fn gen_requests(cfg: &LabyrinthCfg) -> Vec<(usize, usize)> {
 }
 
 /// Claim transaction body: revalidate every path cell (the route was
-/// computed on a snapshot that may be stale), then claim them all and
+/// computed on a mirror that may be stale), then claim them all and
 /// bump the routed counter. Returns whether the claim succeeded; on
 /// `false` nothing was written and the caller should re-route.
 ///
@@ -163,122 +165,81 @@ fn try_claim<A: TxAccess>(
     true
 }
 
-/// Runs the workload sequentially; returns the verification outcome.
+/// Runs the workload sequentially on one handle; returns the verification
+/// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &LabyrinthCfg) -> Result<(), String> {
-    let grid_bytes = cfg.cells() * 8;
-    let base = setup_region(rt, grid_bytes + 8, 64);
-    let routed_count_a = base + grid_bytes;
-
-    // Volatile occupancy mirror — doubles as the verification reference.
-    let mut occ = vec![0u64; cfg.cells()];
-    let mut routed = 0u64;
-
-    for (path_id, &(src, dst)) in gen_requests(cfg).iter().enumerate() {
-        if occ[src] != 0 || occ[dst] != 0 {
-            continue;
-        }
-        let Some((path, visited)) = route(cfg, &occ, src, dst) else {
-            continue;
-        };
-        // Routing happens on the private snapshot (compute only).
-        rt.compute(cfg.visit_compute_ns * visited as u64);
-        // The claim transaction: sequentially the snapshot is never stale,
-        // so revalidation always succeeds.
-        let id = path_id as u64 + 1;
-        let claimed = run_tx(rt, |tx| try_claim(tx, base, routed_count_a, &path, id));
-        if !claimed {
-            return Err(format!("route {path_id}: sequential claim revalidation failed"));
-        }
-        routed += 1;
-        for &c in &path {
-            occ[c] = id;
-        }
-    }
-
-    // Verify: persistent grid equals the mirror; counter matches.
-    rt.untimed(|rt| {
-        let got = rt.read_u64(routed_count_a);
-        if got != routed {
-            return Err(format!("routed count {got} != {routed}"));
-        }
-        for (c, &want) in occ.iter().enumerate() {
-            let got = rt.read_u64(base + c * 8);
-            if got != want {
-                return Err(format!("cell {c}: {got} != {want}"));
-            }
-        }
-        Ok(())
-    })
+    execute(&mut Solo(rt), cfg).map(drop)
 }
 
-/// Re-route attempts per request before a multi-threaded driver gives up
-/// (a failed claim means another thread's route crossed ours).
-const MT_REROUTES: usize = 8;
-
 /// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread, requests partitioned round-robin. Each thread snapshots a
-/// shared occupancy mirror, routes privately (compute), and claims
-/// transactionally with in-transaction revalidation; a failed claim
-/// re-routes on a fresh snapshot, as STAMP does. Returns the number of
-/// committed transactions.
-///
-/// Verification is order-independent: the persistent grid must hold
-/// exactly the committed claims (each path's cells carry its unique id,
-/// all other cells zero) and the routed counter must equal the number of
-/// successful claims.
+/// thread; returns the number of committed transactions.
 ///
 /// # Panics
 ///
 /// Panics if `handles` is empty.
 pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &LabyrinthCfg) -> Result<u64, String> {
-    assert!(!handles.is_empty(), "need at least one handle");
-    let threads = handles.len();
+    execute(handles, cfg)
+}
+
+/// Re-route attempts per request before a thread gives up (a failed
+/// claim means another thread's route crossed ours).
+const REROUTES: usize = 8;
+
+/// The one driver: requests are partitioned round-robin. Each thread
+/// routes (compute) on the shared occupancy mirror while holding its lock
+/// and claims transactionally with in-transaction revalidation; a failed
+/// claim re-routes, as STAMP does. On one handle the mirror is never
+/// stale, so a failed claim is an error.
+///
+/// Verification: the persistent grid holds exactly the committed claims
+/// (each path's cells carry its unique id, all other cells zero) and the
+/// routed counter equals the number of successful claims. With one
+/// handle the claims are the sequential run's, so this is its exact check.
+pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &LabyrinthCfg) -> Committed {
+    let threads = fleet.threads();
     let grid_bytes = cfg.cells() * 8;
-    let base = setup_region(&mut handles[0], grid_bytes + 8, 64);
+    let base = setup_region(fleet.first(), grid_bytes + 8, 64);
     let routed_count_a = base + grid_bytes;
     let requests = gen_requests(cfg);
-    let commits = AtomicU64::new(0);
-    // Shared occupancy mirror: snapshots for routing. Updated only after
-    // a committed claim, so it always trails the persistent grid — stale
-    // snapshots are caught by the in-transaction revalidation.
+    // Volatile occupancy mirror, updated only after a committed claim, so
+    // it trails the persistent grid — a route that another thread's claim
+    // crosses is caught by the in-transaction revalidation.
     let occ = Mutex::new(vec![0u64; cfg.cells()]);
     let claims = Mutex::new(Vec::<(u64, Vec<usize>)>::new());
 
-    std::thread::scope(|scope| {
-        for (t, h) in handles.iter_mut().enumerate() {
-            let (requests, occ, claims, commits) = (&requests, &occ, &claims, &commits);
-            scope.spawn(move || {
-                let mut n = 0u64;
-                for (path_id, &(src, dst)) in requests.iter().enumerate().skip(t).step_by(threads) {
-                    let id = path_id as u64 + 1;
-                    for _ in 0..MT_REROUTES {
-                        let snapshot = occ.lock().unwrap().clone();
-                        if snapshot[src] != 0 || snapshot[dst] != 0 {
-                            break;
-                        }
-                        let Some((path, visited)) = route(cfg, &snapshot, src, dst) else {
-                            break;
-                        };
-                        h.compute(cfg.visit_compute_ns * visited as u64);
-                        let claimed =
-                            run_tx(h, |tx| try_claim(tx, base, routed_count_a, &path, id));
-                        n += 1;
-                        if claimed {
-                            let mut occ = occ.lock().unwrap();
-                            for &c in &path {
-                                occ[c] = id;
-                            }
-                            claims.lock().unwrap().push((id, path));
-                            break;
-                        }
-                        // Another thread's route crossed ours between the
-                        // snapshot and the claim: re-route.
+    let commits = fleet.each(|t, h| {
+        let mut n = 0u64;
+        for (path_id, &(src, dst)) in requests.iter().enumerate().skip(t).step_by(threads) {
+            let id = path_id as u64 + 1;
+            for _ in 0..REROUTES {
+                let routed = {
+                    let occ = occ.lock().unwrap();
+                    if occ[src] != 0 || occ[dst] != 0 {
+                        break;
                     }
+                    route(cfg, &occ, src, dst)
+                };
+                let Some((path, visited)) = routed else {
+                    break;
+                };
+                h.compute(cfg.visit_compute_ns * visited as u64);
+                let claimed = run_tx(h, |tx| try_claim(tx, base, routed_count_a, &path, id));
+                n += 1;
+                if claimed {
+                    let mut occ = occ.lock().unwrap();
+                    for &c in &path {
+                        occ[c] = id;
+                    }
+                    claims.lock().unwrap().push((id, path));
+                    break;
                 }
-                commits.fetch_add(n, Ordering::Relaxed);
-            });
+                if threads == 1 {
+                    return Err(format!("route {path_id}: sequential claim revalidation failed"));
+                }
+            }
         }
-    });
+        Ok(n)
+    })?;
 
     let claims = claims.into_inner().unwrap();
     let mut want = vec![0u64; cfg.cells()];
@@ -290,7 +251,7 @@ pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &LabyrinthCfg) -> Resu
             want[c] = *id;
         }
     }
-    handles[0].untimed(|rt| {
+    fleet.first().untimed(|rt| {
         let got = rt.read_u64(routed_count_a);
         if got != claims.len() as u64 {
             return Err(format!("routed count {got} != {}", claims.len()));
@@ -301,9 +262,8 @@ pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &LabyrinthCfg) -> Resu
                 return Err(format!("cell {c}: {got} != {w}"));
             }
         }
-        Ok(())
-    })?;
-    Ok(commits.load(Ordering::Relaxed))
+        Ok(commits)
+    })
 }
 
 #[cfg(test)]

@@ -4,11 +4,12 @@
 //! except `bayes` (unstable performance), ported to persistent memory with
 //! `libvmmalloc`. This crate provides faithful *miniatures* of those nine
 //! workloads — real algorithms with verifiable results, not synthetic write
-//! streams — with every transaction body written exactly once against
-//! [`specpmt_txn::TxAccess`] so it runs unmodified on every runtime in the
-//! workspace: sequentially on the deterministic single-threaded runtimes
-//! (via [`run_app`]) or raced over real OS threads on per-thread handles
-//! under strict two-phase locking (via [`run_app_mt`]):
+//! streams — with every transaction body and every driver written exactly
+//! once against [`specpmt_txn::TxAccess`] so it runs unmodified on every
+//! runtime in the workspace: on one handle of a deterministic
+//! single-threaded runtime (via [`run_app`]) or raced over real OS threads
+//! on per-thread handles under strict two-phase locking (via
+//! [`run_app_mt`]). The sequential run is the one-handle fleet:
 //!
 //! | app | transactional kernel | per-tx profile it mirrors (Table 2) |
 //! |---|---|---|
@@ -27,8 +28,9 @@
 //! values for comparison against the paper.
 //!
 //! Every workload performs an untimed setup phase, a timed transactional
-//! phase, and a verification phase that compares the final persistent state
-//! against a volatile reference execution of the same algorithm.
+//! phase, and a verification phase that checks the final persistent state:
+//! order-independent invariants at every fleet size and, on one handle,
+//! exact agreement with a volatile reference execution of the algorithm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +46,8 @@ pub mod vacation;
 pub mod yada;
 
 pub use mt::{run_app_mt, MtAppRun, MtRunReport};
+
+use mt::{Committed, Fleet, Solo};
 
 use specpmt_txn::{RunReport, TxRuntime};
 
@@ -144,17 +148,7 @@ pub fn run_app<R: TxRuntime>(app: StampApp, rt: &mut R, scale: Scale) -> AppRun 
     let pmem0 = rt.pool().device().stats().clone();
     let tx0 = rt.tx_stats();
 
-    let verified = match app {
-        StampApp::Genome => genome::run(rt, &genome::GenomeCfg::scaled(scale)),
-        StampApp::Intruder => intruder::run(rt, &intruder::IntruderCfg::scaled(scale)),
-        StampApp::KmeansLow => kmeans::run(rt, &kmeans::KmeansCfg::low(scale)),
-        StampApp::KmeansHigh => kmeans::run(rt, &kmeans::KmeansCfg::high(scale)),
-        StampApp::Labyrinth => labyrinth::run(rt, &labyrinth::LabyrinthCfg::scaled(scale)),
-        StampApp::Ssca2 => ssca2::run(rt, &ssca2::Ssca2Cfg::scaled(scale)),
-        StampApp::VacationLow => vacation::run(rt, &vacation::VacationCfg::low(scale)),
-        StampApp::VacationHigh => vacation::run(rt, &vacation::VacationCfg::high(scale)),
-        StampApp::Yada => yada::run(rt, &yada::YadaCfg::scaled(scale)),
-    };
+    let verified = execute(app, &mut Solo(rt), scale).map(drop);
 
     let tx1 = rt.tx_stats();
     let clock1 = rt.pool().device().now_ns();
@@ -179,6 +173,22 @@ pub fn run_app<R: TxRuntime>(app: StampApp, rt: &mut R, scale: Scale) -> AppRun 
             heap_peak_bytes: rt.pool().heap_peak() as u64,
         },
         verified,
+    }
+}
+
+/// The one `match app` both entry points dispatch through: runs `app`'s
+/// driver at `scale` on `fleet` and returns the committed transactions.
+fn execute<F: Fleet + ?Sized>(app: StampApp, fleet: &mut F, scale: Scale) -> Committed {
+    match app {
+        StampApp::Genome => genome::execute(fleet, &genome::GenomeCfg::scaled(scale)),
+        StampApp::Intruder => intruder::execute(fleet, &intruder::IntruderCfg::scaled(scale)),
+        StampApp::KmeansLow => kmeans::execute(fleet, &kmeans::KmeansCfg::low(scale)),
+        StampApp::KmeansHigh => kmeans::execute(fleet, &kmeans::KmeansCfg::high(scale)),
+        StampApp::Labyrinth => labyrinth::execute(fleet, &labyrinth::LabyrinthCfg::scaled(scale)),
+        StampApp::Ssca2 => ssca2::execute(fleet, &ssca2::Ssca2Cfg::scaled(scale)),
+        StampApp::VacationLow => vacation::execute(fleet, &vacation::VacationCfg::low(scale)),
+        StampApp::VacationHigh => vacation::execute(fleet, &vacation::VacationCfg::high(scale)),
+        StampApp::Yada => yada::execute(fleet, &yada::YadaCfg::scaled(scale)),
     }
 }
 

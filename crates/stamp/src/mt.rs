@@ -1,16 +1,72 @@
-//! Multi-threaded STAMP driver: runs each application's `run_mt` over a
-//! set of per-thread [`TxAccess`] handles and reports simulated commit
-//! throughput.
-//!
-//! The handles are typically `specpmt_core::LockedTxHandle` values (one
-//! per OS thread, strict 2PL over one shared pool), but any
-//! `TxAccess + Send` implementation works — including single-threaded
-//! runtimes driven with a one-element slice, which makes the 1-thread
-//! baseline of the scaling figures exactly the sequential runner.
+//! The fleet seam every application's one driver, `execute`, is written
+//! against — a [`Solo`] handle on the caller's thread (the sequential
+//! `run`) or a slice raced one OS thread per handle (`run_mt`) — and the
+//! multi-threaded entry point. Slice handles are typically
+//! `specpmt_core::LockedTxHandle`s (strict 2PL over one shared pool), but
+//! any `TxAccess + Send` works: a one-element slice of a single-threaded
+//! runtime issues the sequential run's transaction stream.
 
 use specpmt_txn::TxAccess;
 
-use crate::{genome, intruder, kmeans, labyrinth, ssca2, vacation, yada, Scale, StampApp};
+use crate::{execute, Scale, StampApp};
+
+/// The handles one driver runs on. Handle 0 performs setup, sequential
+/// epilogue phases and verification; with one handle the driver also
+/// makes its exact checks against the sequential reference.
+pub(crate) trait Fleet {
+    /// The per-thread transaction handle.
+    type H: TxAccess;
+    /// Number of handles (= worker threads); panics on an empty slice.
+    fn threads(&self) -> usize;
+    /// Handle 0.
+    fn first(&mut self) -> &mut Self::H;
+    /// Runs `body(t, handle)` once per handle `t` and sums the committed
+    /// transactions the bodies return; an error wins over the sum.
+    fn each(&mut self, body: impl Fn(usize, &mut Self::H) -> Committed + Sync) -> Committed;
+}
+
+/// The committed transactions of a driver or of one of its threads, or
+/// the verification error that stopped it.
+pub(crate) type Committed = Result<u64, String>;
+
+/// A fleet of one handle, driven on the caller's thread (no `Send` bound).
+pub(crate) struct Solo<'a, A>(pub &'a mut A);
+
+impl<A: TxAccess> Fleet for Solo<'_, A> {
+    type H = A;
+    fn threads(&self) -> usize {
+        1
+    }
+    fn first(&mut self) -> &mut A {
+        self.0
+    }
+    fn each(&mut self, body: impl Fn(usize, &mut A) -> Committed + Sync) -> Committed {
+        body(0, self.0)
+    }
+}
+
+/// One OS thread per handle, scoped to each [`Fleet::each`] call.
+impl<A: TxAccess + Send> Fleet for [A] {
+    type H = A;
+    fn threads(&self) -> usize {
+        assert!(!self.is_empty(), "need at least one handle");
+        self.len()
+    }
+    fn first(&mut self) -> &mut A {
+        &mut self[0]
+    }
+    fn each(&mut self, body: impl Fn(usize, &mut A) -> Committed + Sync) -> Committed {
+        let body = &body;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> =
+                self.iter_mut().enumerate().map(|(t, h)| scope.spawn(move || body(t, h))).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .sum()
+        })
+    }
+}
 
 /// Measured counters for one multi-threaded workload execution.
 #[derive(Debug, Clone)]
@@ -23,6 +79,13 @@ pub struct MtRunReport {
     pub commits: u64,
     /// Simulated wall-clock of the timed phase: the maximum per-handle
     /// core-local clock advance (setup and verification are untimed).
+    ///
+    /// Background maintenance time is *included*: `TxAccess` exposes no
+    /// background counter, so on a single-threaded runtime this reads the
+    /// same device clock as [`run_app`](crate::run_app) but without the
+    /// `TxStats::background_ns` that `run_app` subtracts, and is larger by
+    /// exactly that amount (kmeans-low at `Scale::Small` on one `SpecSpmt`:
+    /// 27,104,851 here against 27,046,376 from `run_app`).
     pub sim_ns: u64,
     /// Simulated commit throughput, commits per simulated millisecond.
     pub commits_per_ms: f64,
@@ -33,8 +96,9 @@ pub struct MtRunReport {
 pub struct MtAppRun {
     /// Measured counters for the timed transactional phase.
     pub report: MtRunReport,
-    /// Invariant-verification outcome (order-independent checks; see each
-    /// application's `run_mt`).
+    /// Verification outcome: the order-independent invariants at every
+    /// fleet size, plus the exact sequential-reference checks on a fleet
+    /// of one handle.
     pub verified: Result<(), String>,
 }
 
@@ -51,21 +115,10 @@ pub struct MtAppRun {
 ///
 /// Panics if `handles` is empty.
 pub fn run_app_mt<A: TxAccess + Send>(app: StampApp, handles: &mut [A], scale: Scale) -> MtAppRun {
-    assert!(!handles.is_empty(), "need at least one handle");
     let threads = handles.len();
     let t0: Vec<u64> = handles.iter().map(|h| h.local_now_ns()).collect();
 
-    let outcome = match app {
-        StampApp::Genome => genome::run_mt(handles, &genome::GenomeCfg::scaled(scale)),
-        StampApp::Intruder => intruder::run_mt(handles, &intruder::IntruderCfg::scaled(scale)),
-        StampApp::KmeansLow => kmeans::run_mt(handles, &kmeans::KmeansCfg::low(scale)),
-        StampApp::KmeansHigh => kmeans::run_mt(handles, &kmeans::KmeansCfg::high(scale)),
-        StampApp::Labyrinth => labyrinth::run_mt(handles, &labyrinth::LabyrinthCfg::scaled(scale)),
-        StampApp::Ssca2 => ssca2::run_mt(handles, &ssca2::Ssca2Cfg::scaled(scale)),
-        StampApp::VacationLow => vacation::run_mt(handles, &vacation::VacationCfg::low(scale)),
-        StampApp::VacationHigh => vacation::run_mt(handles, &vacation::VacationCfg::high(scale)),
-        StampApp::Yada => yada::run_mt(handles, &yada::YadaCfg::scaled(scale)),
-    };
+    let outcome = execute(app, handles, scale);
 
     let sim_ns = handles
         .iter()
@@ -73,10 +126,7 @@ pub fn run_app_mt<A: TxAccess + Send>(app: StampApp, handles: &mut [A], scale: S
         .map(|(h, &before)| h.local_now_ns().saturating_sub(before))
         .max()
         .unwrap_or(0);
-    let (commits, verified) = match outcome {
-        Ok(c) => (c, Ok(())),
-        Err(e) => (0, Err(e)),
-    };
+    let commits = *outcome.as_ref().unwrap_or(&0);
     let commits_per_ms =
         if sim_ns == 0 { 0.0 } else { commits as f64 / (sim_ns as f64 / 1_000_000.0) };
 
@@ -88,6 +138,6 @@ pub fn run_app_mt<A: TxAccess + Send>(app: StampApp, handles: &mut [A], scale: S
             sim_ns,
             commits_per_ms,
         },
-        verified,
+        verified: outcome.map(drop),
     }
 }

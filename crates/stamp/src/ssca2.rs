@@ -4,16 +4,16 @@
 //! per-vertex adjacency arrays — four 4-byte updates (slot + degree for
 //! both endpoints) per transaction, the 16-byte profile of Table 2.
 //!
-//! The transaction body ([`insert_edge`]) is written once against
-//! [`TxAccess`] and shared by the sequential [`run`] and the real-thread
-//! [`run_mt`]. Under concurrency the adjacency slot order depends on the
-//! interleaving, so the multi-threaded verification compares neighbor
-//! *multisets* per vertex instead of slot-exact contents.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The transaction body ([`insert_edge`]) and the one driver (`execute`)
+//! are written once against [`TxAccess`]: the sequential [`run`] is that
+//! driver on one handle, the real-thread [`run_mt`] the same driver on a
+//! fleet. Under concurrency the adjacency slot order depends on the
+//! interleaving, so verification compares neighbor *multisets* per vertex
+//! and demands slot-exact contents only of one handle.
 
 use specpmt_txn::{run_tx, TxAccess};
 
+use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -101,98 +101,70 @@ fn reference(cfg: &Ssca2Cfg, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
     (want_deg, want_adj)
 }
 
-/// Runs the workload sequentially; returns the verification outcome.
+/// Runs the workload sequentially on one handle; returns the verification
+/// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &Ssca2Cfg) -> Result<(), String> {
-    let bytes = cfg.vertices * 4 + cfg.vertices * cfg.max_degree * 4;
-    let base = setup_region(rt, bytes, 64);
-    let lay = layout(cfg, base);
-    let edges = gen_edges(cfg);
-
-    for &(u, v) in &edges {
-        rt.compute(cfg.edge_compute_ns);
-        run_tx(rt, |tx| insert_edge(tx, &lay, cfg.max_degree, u, v));
-    }
-
-    // Verify against a volatile reference construction (slot-exact: the
-    // sequential insertion order is deterministic).
-    let (want_deg, want_adj) = reference(cfg, &edges);
-    rt.untimed(|rt| {
-        for vtx in 0..cfg.vertices {
-            let got = rt.read_u32(lay.degrees + vtx * 4);
-            if got != want_deg[vtx] {
-                return Err(format!("vertex {vtx}: degree {got} != {}", want_deg[vtx]));
-            }
-            for s in 0..want_deg[vtx] as usize {
-                let got = rt.read_u32(lay.adj + (vtx * cfg.max_degree + s) * 4);
-                if got != want_adj[vtx * cfg.max_degree + s] {
-                    return Err(format!("vertex {vtx} slot {s}: {got} mismatch"));
-                }
-            }
-        }
-        Ok(())
-    })
+    execute(&mut Solo(rt), cfg).map(drop)
 }
 
 /// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread, racing edge inserts (partitioned round-robin) over the shared
-/// adjacency arrays. Returns the number of committed transactions.
-///
-/// Verification is order-independent: each vertex's final degree must
-/// equal its incident-edge count and its adjacency slice must hold
-/// exactly the expected neighbor multiset (slot order varies with the
-/// interleaving).
+/// thread; returns the number of committed transactions.
 ///
 /// # Panics
 ///
 /// Panics if `handles` is empty.
 pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &Ssca2Cfg) -> Result<u64, String> {
-    assert!(!handles.is_empty(), "need at least one handle");
-    let threads = handles.len();
+    execute(handles, cfg)
+}
+
+/// The one driver: edge inserts, partitioned round-robin, race over the
+/// shared adjacency arrays.
+///
+/// Verification: each vertex's final degree equals its incident-edge
+/// count and its adjacency slice holds exactly the expected neighbor
+/// multiset; on one handle the slices must match the sequential
+/// reference slot for slot.
+pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &Ssca2Cfg) -> Committed {
+    let threads = fleet.threads();
     let bytes = cfg.vertices * 4 + cfg.vertices * cfg.max_degree * 4;
-    let base = setup_region(&mut handles[0], bytes, 64);
+    let base = setup_region(fleet.first(), bytes, 64);
     let lay = layout(cfg, base);
     let edges = gen_edges(cfg);
-    let commits = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for (t, h) in handles.iter_mut().enumerate() {
-            let (edges, lay, commits) = (&edges, &lay, &commits);
-            scope.spawn(move || {
-                let mut n = 0u64;
-                for &(u, v) in edges.iter().skip(t).step_by(threads) {
-                    h.compute(cfg.edge_compute_ns);
-                    run_tx(h, |tx| insert_edge(tx, lay, cfg.max_degree, u, v));
-                    n += 1;
-                }
-                commits.fetch_add(n, Ordering::Relaxed);
-            });
+    let commits = fleet.each(|t, h| {
+        let mine = edges.iter().skip(t).step_by(threads);
+        let n = mine.len() as u64;
+        for &(u, v) in mine {
+            h.compute(cfg.edge_compute_ns);
+            run_tx(h, |tx| insert_edge(tx, &lay, cfg.max_degree, u, v));
         }
-    });
+        Ok(n)
+    })?;
 
-    let (want_deg, _) = reference(cfg, &edges);
-    let mut want_nbrs: Vec<Vec<u32>> = vec![Vec::new(); cfg.vertices];
-    for &(u, v) in &edges {
-        want_nbrs[u as usize].push(v);
-        want_nbrs[v as usize].push(u);
-    }
-    want_nbrs.iter_mut().for_each(|n| n.sort_unstable());
-    handles[0].untimed(|rt| {
-        for vtx in 0..cfg.vertices {
+    let (want_deg, want_adj) = reference(cfg, &edges);
+    let (mut got_nbrs, mut want_nbrs) = (Vec::new(), Vec::new());
+    fleet.first().untimed(|rt| {
+        for (vtx, &want) in want_deg.iter().enumerate() {
             let got = rt.read_u32(lay.degrees + vtx * 4);
-            if got != want_deg[vtx] {
-                return Err(format!("vertex {vtx}: degree {got} != {}", want_deg[vtx]));
+            if got != want {
+                return Err(format!("vertex {vtx}: degree {got} != {want}"));
             }
-            let mut got_nbrs: Vec<u32> = (0..got as usize)
-                .map(|s| rt.read_u32(lay.adj + (vtx * cfg.max_degree + s) * 4))
-                .collect();
+            let slots = vtx * cfg.max_degree..vtx * cfg.max_degree + got as usize;
+            got_nbrs.clear();
+            got_nbrs.extend(slots.clone().map(|s| rt.read_u32(lay.adj + s * 4)));
+            want_nbrs.clear();
+            want_nbrs.extend_from_slice(&want_adj[slots]);
+            if threads == 1 && got_nbrs != want_nbrs {
+                return Err(format!("vertex {vtx}: adjacency differs from the sequential order"));
+            }
             got_nbrs.sort_unstable();
-            if got_nbrs != want_nbrs[vtx] {
+            want_nbrs.sort_unstable();
+            if got_nbrs != want_nbrs {
                 return Err(format!("vertex {vtx}: neighbor multiset mismatch"));
             }
         }
-        Ok(())
-    })?;
-    Ok(commits.load(Ordering::Relaxed))
+        Ok(commits)
+    })
 }
 
 #[cfg(test)]

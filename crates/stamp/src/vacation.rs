@@ -6,17 +6,18 @@
 //! and appending a reservation record. The high-contention input reserves
 //! up to two items per transaction (larger write sets, ~68 B vs ~44 B).
 //!
-//! The session transaction body ([`run_session`]) is written once against
-//! [`TxAccess`] and shared by the sequential [`run`] and the real-thread
-//! [`run_mt`]. All RNG decisions (customer, tables, queried rows) are
-//! drawn up front into [`Session`] plans so the body is retry-safe; the
-//! reservation slot is claimed by a read-modify-write of the persistent
-//! record counter inside the transaction, which 2PL serializes.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The session transaction body ([`run_session`]) and the one driver
+//! (`execute`) are written once against [`TxAccess`]: the sequential
+//! [`run`] is that driver on one handle, the real-thread [`run_mt`] the
+//! same driver on a fleet. All RNG decisions (customer, tables, queried
+//! rows) are drawn up front into [`Session`] plans so the body is
+//! retry-safe; the reservation slot is claimed by a read-modify-write of
+//! the persistent record counter inside the transaction, which 2PL
+//! serializes.
 
 use specpmt_txn::{run_tx, TxAccess};
 
+use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -224,89 +225,50 @@ fn setup_tables<A: TxAccess>(rt: &mut A, lay: &Layout, initial_rows: &[(u32, u32
     });
 }
 
-/// Runs the workload sequentially; returns the verification outcome.
+/// Runs the workload sequentially on one handle; returns the verification
+/// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &VacationCfg) -> Result<(), String> {
-    let base = setup_region(rt, region_bytes(cfg), 64);
-    let lay = layout(cfg, base);
-    let initial_rows = gen_initial_rows(cfg);
-    let sessions = gen_sessions(cfg);
-    setup_tables(rt, &lay, &initial_rows);
-
-    // Timed client sessions — replay the same decisions as `simulate`.
-    for sess in &sessions {
-        run_tx(rt, |tx| run_session(tx, &lay, cfg, sess));
-    }
-
-    // Verify (exact: sequential decisions match the mirror's).
-    let want = simulate(cfg, &initial_rows, &sessions);
-    rt.untimed(|rt| {
-        let got_count = rt.read_u64(lay.resv_count) as usize;
-        if got_count != want.reservations.len() {
-            return Err(format!("reservation count {got_count} != {}", want.reservations.len()));
-        }
-        for (i, &(cust, table, row, price)) in want.reservations.iter().enumerate() {
-            let ra = lay.resv + i * RESV_BYTES;
-            let got =
-                (rt.read_u32(ra), rt.read_u32(ra + 4), rt.read_u32(ra + 8), rt.read_u32(ra + 12));
-            if got != (cust, table, row, price) {
-                return Err(format!("reservation {i}: {got:?} != {:?}", (cust, table, row, price)));
-            }
-        }
-        for (i, &(cap, _)) in want.rows.iter().enumerate() {
-            let got = rt.read_u32(lay.tables + i * ROW_BYTES);
-            if got != cap {
-                return Err(format!("row {i}: capacity {got} != {cap}"));
-            }
-        }
-        for (c, &(spent, trips)) in want.customers.iter().enumerate() {
-            let ca = lay.customers + c * CUST_BYTES;
-            if rt.read_u32(ca) != spent || rt.read_u32(ca + 4) != trips {
-                return Err(format!("customer {c} state mismatch"));
-            }
-        }
-        Ok(())
-    })
+    execute(&mut Solo(rt), cfg).map(drop)
 }
 
 /// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread, sessions partitioned round-robin. Returns the number of
-/// committed transactions.
-///
-/// The concurrent outcome depends on the interleaving (which session
-/// sees which capacities), so verification checks the database's
-/// accounting invariants instead of an exact trace: every reservation
-/// record is priced at its row's initial price, each row's capacity
-/// drop equals its record count, and each customer's spent/trips equal
-/// the sum/count of their records.
+/// thread; returns the number of committed transactions.
 ///
 /// # Panics
 ///
 /// Panics if `handles` is empty.
 pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &VacationCfg) -> Result<u64, String> {
-    assert!(!handles.is_empty(), "need at least one handle");
-    let threads = handles.len();
-    let base = setup_region(&mut handles[0], region_bytes(cfg), 64);
+    execute(handles, cfg)
+}
+
+/// The one driver: client sessions, partitioned round-robin.
+///
+/// The concurrent outcome depends on the interleaving (which session
+/// sees which capacities), so verification checks the database's
+/// accounting invariants at every fleet size: every reservation record
+/// is priced at its row's initial price, each row's capacity drop equals
+/// its record count, and each customer's spent/trips equal the sum/count
+/// of their records. One handle replays `simulate`'s decisions, so there
+/// every record, capacity and customer must also match it exactly.
+pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &VacationCfg) -> Committed {
+    let threads = fleet.threads();
+    let base = setup_region(fleet.first(), region_bytes(cfg), 64);
     let lay = layout(cfg, base);
     let initial_rows = gen_initial_rows(cfg);
     let sessions = gen_sessions(cfg);
-    setup_tables(&mut handles[0], &lay, &initial_rows);
-    let commits = AtomicU64::new(0);
+    setup_tables(fleet.first(), &lay, &initial_rows);
 
-    std::thread::scope(|scope| {
-        for (t, h) in handles.iter_mut().enumerate() {
-            let (sessions, lay, commits) = (&sessions, &lay, &commits);
-            scope.spawn(move || {
-                let mut n = 0u64;
-                for sess in sessions.iter().skip(t).step_by(threads) {
-                    run_tx(h, |tx| run_session(tx, lay, cfg, sess));
-                    n += 1;
-                }
-                commits.fetch_add(n, Ordering::Relaxed);
-            });
+    let commits = fleet.each(|t, h| {
+        let mine = sessions.iter().skip(t).step_by(threads);
+        let n = mine.len() as u64;
+        for sess in mine {
+            run_tx(h, |tx| run_session(tx, &lay, cfg, sess));
         }
-    });
+        Ok(n)
+    })?;
 
-    handles[0].untimed(|rt| {
+    let exact = (threads == 1).then(|| simulate(cfg, &initial_rows, &sessions));
+    fleet.first().untimed(|rt| {
         let got_count = rt.read_u64(lay.resv_count) as usize;
         if got_count > cfg.sessions * cfg.max_items {
             return Err(format!("reservation count {got_count} out of range"));
@@ -316,15 +278,19 @@ pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &VacationCfg) -> Resul
         let mut cust_trips = vec![0u32; cfg.customers];
         for i in 0..got_count {
             let ra = lay.resv + i * RESV_BYTES;
-            let cust = rt.read_u32(ra) as usize;
-            let table = rt.read_u32(ra + 4) as usize;
-            let row = rt.read_u32(ra + 8) as usize;
-            let price = rt.read_u32(ra + 12);
+            let got =
+                (rt.read_u32(ra), rt.read_u32(ra + 4), rt.read_u32(ra + 8), rt.read_u32(ra + 12));
+            let (cust, table, row, price) = (got.0 as usize, got.1 as usize, got.2 as usize, got.3);
             if cust >= cfg.customers || table >= TABLES || row >= cfg.rows {
                 return Err(format!("reservation {i}: out-of-range fields"));
             }
             if price != initial_rows[table * cfg.rows + row].1 {
                 return Err(format!("reservation {i}: price {price} mismatch"));
+            }
+            if let Some(want) = exact.as_ref().and_then(|m| m.reservations.get(i)) {
+                if got != *want {
+                    return Err(format!("reservation {i}: {got:?} != {want:?}"));
+                }
             }
             row_resv[table * cfg.rows + row] += 1;
             cust_spent[cust] += price as u64;
@@ -344,9 +310,28 @@ pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &VacationCfg) -> Resul
                 return Err(format!("customer {c}: accounting mismatch"));
             }
         }
-        Ok(())
-    })?;
-    Ok(commits.load(Ordering::Relaxed))
+        if let Some(want) = &exact {
+            if got_count != want.reservations.len() {
+                return Err(format!(
+                    "reservation count {got_count} != {}",
+                    want.reservations.len()
+                ));
+            }
+            for (i, &(cap, _)) in want.rows.iter().enumerate() {
+                let got = rt.read_u32(lay.tables + i * ROW_BYTES);
+                if got != cap {
+                    return Err(format!("row {i}: capacity {got} != {cap}"));
+                }
+            }
+            for (c, &(spent, trips)) in want.customers.iter().enumerate() {
+                let ca = lay.customers + c * CUST_BYTES;
+                if rt.read_u32(ca) != spent || rt.read_u32(ca + 4) != trips {
+                    return Err(format!("customer {c} state mismatch"));
+                }
+            }
+        }
+        Ok(commits)
+    })
 }
 
 #[cfg(test)]

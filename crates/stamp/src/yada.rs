@@ -8,19 +8,21 @@
 //! transaction profile and a machine-checkable termination/quality
 //! invariant.
 //!
-//! The transaction bodies ([`seed_tri`], [`refine_tri`]) are written once
-//! against [`TxAccess`] and shared by the sequential [`run`] and the
-//! real-thread [`run_mt`]. Child slots are allocated by a
+//! The transaction bodies ([`seed_tri`], [`refine_tri`]) and the one
+//! driver (`execute`) are written once against [`TxAccess`]: the
+//! sequential [`run`] is that driver on one handle, the real-thread
+//! [`run_mt`] the same driver on a fleet. Child slots are allocated by a
 //! read-modify-write of the persistent triangle count *inside* the
-//! refinement transaction, so the sequential run reproduces the reference
-//! ids exactly while concurrent runs stay collision-free under 2PL.
+//! refinement transaction, so one handle reproduces the reference ids
+//! exactly while concurrent runs stay collision-free under 2PL.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use specpmt_txn::{run_tx, TxAccess};
 
+use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -195,150 +197,116 @@ fn refine_tri<A: TxAccess>(
     Some(base_id)
 }
 
-/// Runs the workload sequentially; returns the verification outcome.
+/// Runs the workload sequentially on one handle; returns the verification
+/// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &YadaCfg) -> Result<(), String> {
-    let base = setup_region(rt, cfg.capacity * TRI_BYTES + 4, 64);
+    execute(&mut Solo(rt), cfg).map(drop)
+}
+
+/// Runs the workload on real OS threads, one [`TxAccess`] handle per
+/// thread; returns the number of committed transactions.
+///
+/// # Panics
+///
+/// Panics if `handles` is empty.
+pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &YadaCfg) -> Result<u64, String> {
+    execute(handles, cfg)
+}
+
+/// The one driver: seeds (one transaction per initial triangle, like mesh
+/// loading) are partitioned round-robin, then all threads drain a shared
+/// FIFO work queue of `(id, quality, gen)` items for bad triangles; an
+/// `outstanding` counter detects quiescence. Each id is enqueued at most
+/// once.
+///
+/// Child ids depend on the interleaving, so verification checks the
+/// refinement invariants at every fleet size: every live triangle meets
+/// the quality bar, and the final count equals
+/// `initial + CHILDREN × retired`. One handle replays the reference's
+/// slot allocations, so there every triangle must also match it exactly.
+pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &YadaCfg) -> Committed {
+    let threads = fleet.threads();
+    let base = setup_region(fleet.first(), cfg.capacity * TRI_BYTES + 4, 64);
     let lay = layout(cfg, base);
-
-    // Seed mesh (one transaction per initial triangle, like mesh loading).
     let seeds = initial_tris(cfg);
-    for (i, t) in seeds.iter().enumerate() {
-        run_tx(rt, |tx| seed_tri(tx, &lay, i, t));
-    }
+    let barrier = Barrier::new(threads);
+    let queue = Mutex::new(VecDeque::<(usize, u32, u32)>::new());
+    // Work items enqueued but not yet fully processed (children enqueued).
+    let outstanding = AtomicUsize::new(0);
 
-    // Refinement loop: (id, quality, gen) work items; each id is enqueued
-    // at most once, and the slot allocations replay the reference exactly.
-    let mut queue: VecDeque<(usize, u32, u32)> = seeds
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.quality < QUALITY_MIN)
-        .map(|(i, t)| (i, t.quality, t.gen))
-        .collect();
-    while let Some((t, q, gen)) = queue.pop_front() {
-        rt.compute(cfg.refine_compute_ns);
-        let first = run_tx(rt, |tx| refine_tri(tx, &lay, cfg.capacity, t, q, gen));
-        let Some(base_id) = first else {
-            return Err(format!("triangle {t}: refined twice"));
-        };
-        for c in 0..CHILDREN {
-            let cq = child_quality(q, t, c);
-            if cq < QUALITY_MIN {
-                queue.push_back((base_id + c, cq, gen + 1));
+    let commits = fleet.each(|t, h| {
+        let mut n = 0u64;
+        // Seed phase: fixed slots, counter serialized by 2PL.
+        for (i, tri) in seeds.iter().enumerate().skip(t).step_by(threads) {
+            run_tx(h, |tx| seed_tri(tx, &lay, i, tri));
+            n += 1;
+            if tri.quality < QUALITY_MIN {
+                outstanding.fetch_add(1, Ordering::SeqCst);
+                queue.lock().unwrap().push_back((i, tri.quality, tri.gen));
             }
         }
-    }
-
-    // Verify against the reference.
-    let want = reference(cfg);
-    rt.untimed(|rt| {
-        let got_count = rt.read_u32(lay.count) as usize;
-        if got_count != want.len() {
-            return Err(format!("triangle count {got_count} != {}", want.len()));
+        barrier.wait();
+        // Refinement: drain the shared queue to quiescence.
+        loop {
+            let item = queue.lock().unwrap().pop_front();
+            let Some((tri, q, gen)) = item else {
+                if outstanding.load(Ordering::SeqCst) == 0 {
+                    break;
+                }
+                std::thread::yield_now();
+                continue;
+            };
+            h.compute(cfg.refine_compute_ns);
+            let first = run_tx(h, |tx| refine_tri(tx, &lay, cfg.capacity, tri, q, gen));
+            n += 1;
+            match first {
+                Some(base_id) => {
+                    for c in 0..CHILDREN {
+                        let cq = child_quality(q, tri, c);
+                        if cq < QUALITY_MIN {
+                            outstanding.fetch_add(1, Ordering::SeqCst);
+                            queue.lock().unwrap().push_back((base_id + c, cq, gen + 1));
+                        }
+                    }
+                }
+                None if threads == 1 => return Err(format!("triangle {tri}: refined twice")),
+                None => {}
+            }
+            outstanding.fetch_sub(1, Ordering::SeqCst);
         }
-        for (i, w) in want.iter().enumerate() {
+        Ok(n)
+    })?;
+
+    let exact = (threads == 1).then(|| reference(cfg));
+    fleet.first().untimed(|rt| {
+        let got_count = rt.read_u32(lay.count) as usize;
+        if got_count > cfg.capacity || got_count < cfg.initial {
+            return Err(format!("triangle count {got_count} out of range"));
+        }
+        if let Some(want) = &exact {
+            if got_count != want.len() {
+                return Err(format!("triangle count {got_count} != {}", want.len()));
+            }
+        }
+        let mut retired = 0usize;
+        for i in 0..got_count {
             let at = lay.tris + i * TRI_BYTES;
             let got = Tri {
                 quality: rt.read_u32(at),
                 v: [rt.read_u32(at + 4), rt.read_u32(at + 8), rt.read_u32(at + 12)],
                 alive: rt.read_u32(at + 16) != 0,
                 gen: rt.read_u32(at + 20),
-                n: [w.n[0], w.n[1]], // neighbor links mutate on retirement
+                n: [0; 2], // neighbor links mutate on retirement
             };
-            if got != *w {
-                return Err(format!("triangle {i}: {got:?} != {w:?}"));
+            if let Some(w) = exact.as_ref().map(|want| &want[i]) {
+                if got != (Tri { n: [0; 2], ..*w }) {
+                    return Err(format!("triangle {i}: {got:?} != {w:?}"));
+                }
             }
             if got.alive && got.quality < QUALITY_MIN {
                 return Err(format!("triangle {i} alive but below quality threshold"));
             }
-        }
-        Ok(())
-    })
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread: seeds are partitioned round-robin, then all threads drain a
-/// shared work queue of bad triangles (an `outstanding` counter detects
-/// quiescence). Returns the number of committed transactions.
-///
-/// Child ids depend on the interleaving, so verification checks the
-/// refinement invariants instead of an exact trace: every live triangle
-/// meets the quality bar, and the final count equals
-/// `initial + CHILDREN × retired`.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &YadaCfg) -> Result<u64, String> {
-    assert!(!handles.is_empty(), "need at least one handle");
-    let threads = handles.len();
-    let base = setup_region(&mut handles[0], cfg.capacity * TRI_BYTES + 4, 64);
-    let lay = layout(cfg, base);
-    let seeds = initial_tris(cfg);
-    let commits = AtomicU64::new(0);
-    let barrier = Barrier::new(threads);
-    let queue = Mutex::new(VecDeque::<(usize, u32, u32)>::new());
-    // Work items enqueued but not yet fully processed (children enqueued).
-    let outstanding = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for (t, h) in handles.iter_mut().enumerate() {
-            let (seeds, lay, commits, barrier, queue, outstanding) =
-                (&seeds, &lay, &commits, &barrier, &queue, &outstanding);
-            scope.spawn(move || {
-                let mut n = 0u64;
-                // Seed phase: fixed slots, counter serialized by 2PL.
-                for (i, tri) in seeds.iter().enumerate().skip(t).step_by(threads) {
-                    run_tx(h, |tx| seed_tri(tx, lay, i, tri));
-                    n += 1;
-                    if tri.quality < QUALITY_MIN {
-                        outstanding.fetch_add(1, Ordering::SeqCst);
-                        queue.lock().unwrap().push_back((i, tri.quality, tri.gen));
-                    }
-                }
-                barrier.wait();
-                // Refinement: drain the shared queue to quiescence.
-                loop {
-                    let item = queue.lock().unwrap().pop_front();
-                    let Some((tri, q, gen)) = item else {
-                        if outstanding.load(Ordering::SeqCst) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    h.compute(cfg.refine_compute_ns);
-                    let first = run_tx(h, |tx| refine_tri(tx, lay, cfg.capacity, tri, q, gen));
-                    n += 1;
-                    if let Some(base_id) = first {
-                        for c in 0..CHILDREN {
-                            let cq = child_quality(q, tri, c);
-                            if cq < QUALITY_MIN {
-                                outstanding.fetch_add(1, Ordering::SeqCst);
-                                queue.lock().unwrap().push_back((base_id + c, cq, gen + 1));
-                            }
-                        }
-                    }
-                    outstanding.fetch_sub(1, Ordering::SeqCst);
-                }
-                commits.fetch_add(n, Ordering::Relaxed);
-            });
-        }
-    });
-
-    handles[0].untimed(|rt| {
-        let got_count = rt.read_u32(lay.count) as usize;
-        if got_count > cfg.capacity || got_count < cfg.initial {
-            return Err(format!("triangle count {got_count} out of range"));
-        }
-        let mut retired = 0usize;
-        for i in 0..got_count {
-            let at = lay.tris + i * TRI_BYTES;
-            let quality = rt.read_u32(at);
-            let alive = rt.read_u32(at + 16) != 0;
-            if alive && quality < QUALITY_MIN {
-                return Err(format!("triangle {i} alive but below quality threshold"));
-            }
-            if !alive {
+            if !got.alive {
                 retired += 1;
             }
         }
@@ -348,9 +316,8 @@ pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &YadaCfg) -> Result<u6
                 cfg.initial
             ));
         }
-        Ok(())
-    })?;
-    Ok(commits.load(Ordering::Relaxed))
+        Ok(commits)
+    })
 }
 
 #[cfg(test)]

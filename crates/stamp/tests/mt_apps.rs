@@ -66,14 +66,34 @@ fn lock_table_is_empty_after_every_app() {
 #[test]
 fn sequential_runtimes_also_drive_run_mt() {
     // A one-element fleet of a single-threaded runtime: run_mt is generic
-    // over any `TxAccess + Send`, so the deterministic runtimes can drive
-    // the same multi-threaded entry points.
+    // over any `TxAccess + Send`, and one handle is the sequential run —
+    // the same transaction stream, the same persistent image.
     use specpmt_core::{SpecConfig, SpecSpmt};
-    use specpmt_pmem::{PmemDevice, PmemPool};
+    use specpmt_pmem::{CrashControl, CrashPolicy, PmemDevice, PmemPool};
+    use specpmt_stamp::run_app;
+    use specpmt_txn::TxRuntime;
 
-    let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
-    let mut rts = [SpecSpmt::new(pool, SpecConfig::default())];
-    let run = run_app_mt(StampApp::Genome, &mut rts, Scale::Tiny);
-    assert!(run.verified.is_ok(), "{:?}", run.verified);
-    assert!(run.report.commits > 0);
+    let fresh = || {
+        SpecSpmt::new(
+            PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES))),
+            SpecConfig::default(),
+        )
+    };
+    for app in StampApp::all() {
+        let mut rts = [fresh()];
+        let mt = run_app_mt(app, &mut rts, Scale::Tiny);
+        assert!(mt.verified.is_ok(), "{}: {:?}", app.name(), mt.verified);
+        assert!(mt.report.commits > 0, "{}: no commits", app.name());
+        let mut rt = fresh();
+        let seq = run_app(app, &mut rt, Scale::Tiny);
+        assert!(seq.verified.is_ok(), "{}: {:?}", app.name(), seq.verified);
+
+        assert_eq!(mt.report.commits, seq.report.tx.tx_committed, "{}: commits", app.name());
+        assert_eq!(rts[0].tx_stats(), rt.tx_stats(), "{}: TxStats", app.name());
+        let (dev_mt, dev_seq) = (rts[0].pool().device(), rt.pool().device());
+        assert_eq!(dev_mt.stats(), dev_seq.stats(), "{}: PmemStats", app.name());
+        let (img_mt, img_seq) =
+            (dev_mt.capture(CrashPolicy::AllLost), dev_seq.capture(CrashPolicy::AllLost));
+        assert!(img_mt.as_bytes() == img_seq.as_bytes(), "{}: AllLost images differ", app.name());
+    }
 }

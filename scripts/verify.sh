@@ -514,9 +514,10 @@ if git grep -nE 'SPECPMT_(GROUP_[C]OMMIT|GROUP_[L]INGER_NS|FLIGHT_[R]ECORDER|BBO
 fi
 
 # No hidden inputs, resurrection guard: the env-knob table and its three
-# variables, the selftest-only receipt reordering in `seal` and the second
-# per-thread transaction trait stay deleted (history files not searched).
-if grep -rnE 'Kno[b]s(::| \{)|Knob[E]rror|SPECPMT_(TELE[M]ETRY|BENCH_[S]MOKE|CRASH_[T]ARGET)|bbox_[e]ager|Tx[T]hread' \
+# variables, the selftest-only receipt reordering in `seal`, the second
+# per-thread transaction trait and HwSpecPmt's test-bound accessors stay
+# deleted (history files not searched).
+if grep -rnE 'Kno[b]s(::| \{)|Knob[E]rror|SPECPMT_(TELE[M]ETRY|BENCH_[S]MOKE|CRASH_[T]ARGET)|bbox_[e]ager|Tx[T]hread|config_epoch_[o]verhead|undo_[u]sed' \
     crates src tests examples scripts README.md DESIGN.md .claude; then
     echo "an env knob or a harness-only hook is back in the library (flags and public API only)" >&2
     exit 1
@@ -605,6 +606,23 @@ if grep -rnE 'sites::(lookup|index_of|name_of)\b|BB_KIND_(NAMES|COUNT)|PHASE_(NA
     echo "a crash-site name lookup or a parallel name table is back (use Site, BbKind, Phase)" >&2
     exit 1
 fi
+
+# One driver per STAMP application: each app's `execute` runs over the fleet
+# seam in crates/stamp/src/mt.rs, the sequential `run` on one handle and
+# `run_mt` on a thread per handle. Only mt.rs starts threads, and the public
+# `run` / `run_mt` wrappers run no transaction themselves: a re-forked `run`
+# calls `run_tx`, a re-forked `run_mt` also spawns.
+if grep -rnE 'thread::scope|\.spawn\(' crates/stamp/src | grep -v '^crates/stamp/src/mt\.rs:'; then
+    echo "a STAMP app starts its own threads (race a fleet through mt.rs's Fleet)" >&2
+    exit 1
+fi
+for f in crates/stamp/src/*.rs; do
+    if nontest "$f" | awk '/^pub fn run(_mt)?[<(]/ { body = 1 }
+        body && /run_tx\(/ { print; hit = 1 } body && /^}/ { body = 0 } END { exit !hit }'; then
+        echo "$f: a public run/run_mt drives transactions itself (call the app's execute)" >&2
+        exit 1
+    fi
+done
 
 # Panic ceiling: the non-test panic sites of the crates a crash image is
 # read through may not rise silently. Counted per line before a file's
