@@ -23,7 +23,7 @@ use specpmt_telemetry::JsonWriter;
 
 use crate::layout::PoolLayout;
 use crate::reclaim::FreshnessIndex;
-use crate::record::{read_checkpoint, RecordReader, ENTRY_HDR, REC_HDR};
+use crate::record::{read_checkpoint, RecordReader, ENTRY_HDR};
 use crate::recovery::RecoveryReport;
 
 /// Summary of one thread's (or epoch's) log chain.
@@ -42,9 +42,9 @@ pub struct ChainSummary {
     /// Entries fully overwritten by younger committed records (any chain):
     /// a reclamation cycle would drop them.
     pub stale_entries: usize,
-    /// Log bytes (record headers + payload) a reclamation cycle would
-    /// reclaim from this chain, per the same [`FreshnessIndex`] the
-    /// reclamator itself uses.
+    /// Log bytes (record and entry headers, stale bytes) a reclamation
+    /// cycle would reclaim from this chain: the same compaction, against
+    /// the same kind of [`FreshnessIndex`], the reclamator itself runs.
     pub reclaimable_bytes: usize,
     /// Commit-timestamp range (min, max), if any records exist.
     pub ts_range: Option<(u64, u64)>,
@@ -451,6 +451,8 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
             }
         }
     }
+    // One record at a time through the reclamator's own compaction.
+    let mut compacted = Vec::new();
     for (tid, head) in heads {
         let mut c = ChainSummary { tid, head, ..ChainSummary::default() };
         let mut reader = RecordReader::new(image, head, layout.block_bytes());
@@ -458,20 +460,15 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
             c.records += 1;
             let (lo, hi) = c.ts_range.unwrap_or((rec.ts, rec.ts));
             c.ts_range = Some((lo.min(rec.ts), hi.max(rec.ts)));
-            let (mut kept, mut stale_bytes) = (0usize, 0);
             for e in rec.entries() {
-                let bytes = ENTRY_HDR + e.value.len();
                 c.entries += 1;
-                c.payload_bytes += bytes;
-                if index.is_fresh(rec.ts, e.addr, e.value.len()) {
-                    kept += 1;
-                } else {
-                    c.stale_entries += 1;
-                    stale_bytes += bytes;
-                }
+                c.payload_bytes += ENTRY_HDR + e.value.len();
             }
-            // A record left with no entry goes whole, header included.
-            c.reclaimable_bytes += stale_bytes + if kept == 0 { REC_HDR } else { 0 };
+            compacted.clear();
+            compacted.extend_from_slice(rec.bytes());
+            let (_, dropped) = index.compact_encoded(&mut compacted);
+            c.stale_entries += dropped as usize;
+            c.reclaimable_bytes += rec.bytes().len() - compacted.len();
         }
         rep.chains.push(c);
     }

@@ -13,6 +13,35 @@
 //! never because of an in-flight transaction (the same requirement that
 //! motivates Fig. 11's epoch-overlap rule in the hardware design).
 //!
+//! # What a rewrite keeps
+//!
+//! The index decides per byte: a byte of an entry is *fresh* if no younger
+//! committed record wrote it ([`FreshnessIndex::fresh_span`] — the one
+//! predicate; [`FreshnessIndex::is_fresh`] is "has a span"). Compaction
+//! keeps less than whole fresh entries:
+//!
+//! * **spans** — a kept entry is trimmed to its *fresh span*, from its
+//!   first fresh byte to its last. Stale bytes between two fresh ones stay:
+//!   replay applies records in timestamp order, so the younger record that
+//!   made them stale overwrites them anyway, and an entry that is never
+//!   split never needs a second header;
+//! * **merges** — a span that starts at the address where the previous
+//!   kept span of the *same record* ends is appended to that entry. Replay
+//!   applies a record's entries in order and the two runs are disjoint, so
+//!   the merged entry writes the same bytes with one 12-byte header fewer
+//!   (a hash-table slot's state, key and value are three adjacent words);
+//! * a record left with no span is dropped whole, one that changed is
+//!   re-headered and re-checksummed, and one that did not goes back to PM
+//!   byte for byte — header, checksum and all — without being decoded,
+//!   cloned, re-encoded or re-hashed.
+//!
+//! All of this is an in-place pass over the chain's cached, encoded
+//! records: a span is never longer than its entry and a merge saves a
+//! header, so the write position never passes the read position and the
+//! buffer never grows. The compacted buffer is then streamed into the new
+//! chain with one append — block-sized stores, records at the positions the
+//! buffer gives them — so the cache stays a byte mirror of the new chain.
+//!
 //! # Incremental cycles
 //!
 //! A naive cycle re-parses every chain from PM and rebuilds the index from
@@ -34,27 +63,26 @@
 //!   a splice installs a different chain, and a splice goes through
 //!   `ReclaimState::spliced`, which re-bases the cursor on the new
 //!   chain's tail (a `head` the cache does not know forces a full parse);
-//! * the per-chain cache is one flat buffer of *encoded* records, so
-//!   compaction is an in-place retain and a record that keeps all its
-//!   entries goes back to PM byte for byte — header, checksum and all —
-//!   without being decoded, cloned, re-encoded or re-hashed;
+//! * the per-chain cache is one flat buffer of *encoded* records, the
+//!   bytes the chain stores, which compaction rewrites in place (above);
 //! * the [`FreshnessIndex`] **persists across cycles** and is only *fed*
 //!   the newly parsed records. This is sound because the index fold is
-//!   monotone ([`FreshnessIndex::insert`]): entries for records that a
-//!   rewrite has since dropped may linger, but a dropped entry is by
-//!   definition covered by a younger retained one, so no freshness verdict
-//!   ever depends on vanished data;
+//!   monotone ([`FreshnessIndex::insert`]): bytes that a rewrite has since
+//!   dropped may linger, but a dropped byte is by definition covered by a
+//!   younger retained one, so no freshness verdict ever depends on
+//!   vanished data;
 //! * when **no** chain changed, the whole cycle is a no-op: the index is
-//!   unchanged, so every chain that the previous cycle left fully fresh is
-//!   still fully fresh — skipping is always the safe side (a skipped
-//!   compaction only delays garbage collection, never corrupts recovery);
-//! * a chain whose compaction drops nothing is **not rewritten** (no new
+//!   unchanged, so every chain that the previous cycle left compact is
+//!   still compact (a second pass over a compacted buffer changes
+//!   nothing) — skipping is always the safe side (a skipped compaction
+//!   only delays garbage collection, never corrupts recovery);
+//! * a chain whose compaction changes nothing is **not rewritten** (no new
 //!   blocks, no splice fences).
 //!
-//! What a cycle still pays per *live* entry is one index probe (staleness
-//! is global, so an old entry must be re-checked against younger records of
-//! every chain) and, when anything was dropped, the copy of the kept
-//! records into the new chain.
+//! What a cycle still pays per *live* entry is one index probe per word
+//! (staleness is global, so an old entry must be re-checked against
+//! younger records of every chain) and, when anything changed, the copy of
+//! the kept spans into the new chain.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -63,7 +91,7 @@ use std::time::Instant;
 use specpmt_telemetry::{Phase, Telemetry};
 
 use crate::record::{
-    decode_entry, decode_header, encode_header, encoded_records, ByteSource, Cursor, LogArea,
+    decode_entry, decode_header, encode_header, entry_header, ByteSource, Cursor, LogArea,
     LogStore, RecordReader, ENTRY_HDR, REC_HDR,
 };
 
@@ -186,19 +214,44 @@ impl FreshnessIndex {
             .then(|| if w.mixed { self.mixed[&word][i] } else { w.ts })
     }
 
-    /// Whether the entry of `len` bytes at `addr`, committed at `ts`, is
-    /// fresh: at least one of its bytes has no younger committed record.
-    /// (An empty entry has no such byte and is never fresh.)
-    pub fn is_fresh(&self, ts: u64, addr: usize, len: usize) -> bool {
-        word_pieces(addr, len).any(|(word, first, n)| match self.words.get(&word) {
-            None => true,
-            Some(w) => {
-                let mask = byte_mask(first, n);
-                let any_older = |m: &[u64; WORD]| m[first..first + n].iter().any(|&t| t <= ts);
-                w.present & mask != mask
-                    || if w.mixed { any_older(&self.mixed[&word]) } else { w.ts <= ts }
+    /// Which of bytes `first..first + n` of `word` are fresh for a record
+    /// committed at `ts`: untracked, or with no younger covering record.
+    fn fresh_mask(&self, ts: u64, word: usize, first: usize, n: usize) -> u8 {
+        let mask = byte_mask(first, n);
+        let Some(w) = self.words.get(&word) else { return mask };
+        let owned = if w.mixed {
+            let per_byte = &self.mixed[&word];
+            (0..WORD).filter(|&i| per_byte[i] <= ts).fold(0u8, |m, i| m | 1 << i)
+        } else if w.ts <= ts {
+            w.present
+        } else {
+            0
+        };
+        mask & (owned | !w.present)
+    }
+
+    /// The fresh span of the entry of `len` bytes at `addr`, committed at
+    /// `ts`: the offsets `(lo, hi)` of its first fresh byte and one past its
+    /// last, or `None` when every byte has a younger committed record (an
+    /// empty entry has no byte and no span). Stale bytes between `lo` and
+    /// `hi` stay inside the span.
+    pub fn fresh_span(&self, ts: u64, addr: usize, len: usize) -> Option<(usize, usize)> {
+        let (mut off, mut span): (usize, Option<(usize, usize)>) = (0, None);
+        for (word, first, n) in word_pieces(addr, len) {
+            let m = self.fresh_mask(ts, word, first, n);
+            if m != 0 {
+                let lo = span.map_or(off + m.trailing_zeros() as usize - first, |(lo, _)| lo);
+                span = Some((lo, off + WORD - m.leading_zeros() as usize - first));
             }
-        })
+            off += n;
+        }
+        span
+    }
+
+    /// Whether the entry of `len` bytes at `addr`, committed at `ts`, is
+    /// fresh: it has a [fresh span](Self::fresh_span).
+    pub fn is_fresh(&self, ts: u64, addr: usize, len: usize) -> bool {
+        self.fresh_span(ts, addr, len).is_some()
     }
 
     /// Number of distinct bytes tracked.
@@ -206,13 +259,17 @@ impl FreshnessIndex {
         self.bytes
     }
 
-    /// Compacts a buffer of back-to-back encoded records in place: stale
-    /// entries are cut out, a record left with none is cut out whole, a
-    /// record that lost some gets a fresh header, and a record that lost
-    /// none is moved down untouched — header, checksum and all. Returns
-    /// `(entries kept, entries dropped)`; with nothing dropped the buffer
-    /// is unchanged.
-    fn compact_encoded(&self, buf: &mut Vec<u8>) -> (u64, u64) {
+    /// Compacts a buffer of back-to-back encoded records in place. Each
+    /// entry is trimmed to its [fresh span](Self::fresh_span), and an entry
+    /// with none is cut out; a span that starts where the record's previous
+    /// kept span ends is merged into that entry; a record left with no
+    /// entry is cut out whole; a record that changed gets a fresh header,
+    /// and one that did not is moved down untouched — header, checksum and
+    /// all. Nothing ever grows (a span is never longer than its entry and a
+    /// merge saves a header), so every write lands at or below what is
+    /// still to be read. Returns `(entries kept, entries dropped)`, counted
+    /// over the input; the buffer shrinks if and only if anything changed.
+    pub(crate) fn compact_encoded(&self, buf: &mut Vec<u8>) -> (u64, u64) {
         let (mut kept, mut dropped) = (0u64, 0u64);
         // Read and write positions; everything below `w` is compacted.
         let (mut r, mut w) = (0usize, 0usize);
@@ -223,20 +280,41 @@ impl FreshnessIndex {
             let Some((len, ts, _)) = decode_header(&hdr) else { break };
             let end = r + REC_HDR + len;
             let (mut pr, mut pw) = (r + REC_HDR, w + REC_HDR);
-            let mut lost = false;
+            let mut changed = false;
+            // The last kept entry: where its header went, the address it
+            // starts at and the address one past its value.
+            let mut last: Option<(usize, usize, usize)> = None;
             while let Some((addr, vlen)) = decode_entry(&buf[pr..end]) {
-                let entry = ENTRY_HDR + vlen;
-                if self.is_fresh(ts, addr, vlen) {
-                    buf.copy_within(pr..pr + entry, pw);
-                    pw += entry;
-                    kept += 1;
-                } else {
-                    lost = true;
+                let value = pr + ENTRY_HDR;
+                pr = value + vlen;
+                let Some((lo, hi)) = self.fresh_span(ts, addr, vlen) else {
                     dropped += 1;
+                    changed = true;
+                    continue;
+                };
+                kept += 1;
+                let (at, n) = (addr.wrapping_add(lo), hi - lo);
+                match &mut last {
+                    Some((h, start, run_end)) if *run_end == at => {
+                        // The span continues the previous entry: its bytes
+                        // follow that entry's, whose header is lengthened.
+                        buf.copy_within(value + lo..value + hi, pw);
+                        pw += n;
+                        let merged = pw - *h - ENTRY_HDR;
+                        buf[*h..*h + ENTRY_HDR].copy_from_slice(&entry_header(*start, merged));
+                        *run_end = at.wrapping_add(n);
+                        changed = true;
+                    }
+                    _ => {
+                        changed |= n != vlen;
+                        buf[pw..pw + ENTRY_HDR].copy_from_slice(&entry_header(at, n));
+                        buf.copy_within(value + lo..value + hi, pw + ENTRY_HDR);
+                        last = Some((pw, at, at.wrapping_add(n)));
+                        pw += ENTRY_HDR + n;
+                    }
                 }
-                pr += entry;
             }
-            if !lost {
+            if !changed {
                 // Verbatim, including any bytes past the last whole entry.
                 buf.copy_within(pr..end, pw);
                 pw += end - pr;
@@ -260,8 +338,10 @@ impl FreshnessIndex {
 ///
 /// `records_kept` and `records_dropped` count log **entries** (one per
 /// datum a transaction wrote), not records (one per transaction): a record
-/// can lose some entries and keep others. The field names stay: the
-/// judged benchmark reads them.
+/// can lose some entries and keep others. They count the compaction's
+/// *input*: an entry trimmed to its fresh span, or merged into the entry
+/// before it, is one kept entry. The field names stay: the judged
+/// benchmark reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReclaimStats {
     /// Reclamation cycles run (including no-op cycles).
@@ -275,18 +355,19 @@ pub struct ReclaimStats {
     /// Chain scans skipped because the `(head, generation)` watermark was
     /// unchanged — the cached records were reused.
     pub chains_skipped: u64,
-    /// Chains rewritten (compaction dropped at least one entry).
+    /// Chains rewritten (compaction changed the chain's records).
     pub chains_rewritten: u64,
-    /// Chain rewrites skipped because compaction dropped nothing — no new
+    /// Chain rewrites skipped because compaction changed nothing — no new
     /// blocks were written and no splice fences were issued.
     pub rewrites_skipped: u64,
     /// **Entries** carried over into a rewritten chain, summed over the
-    /// compaction passes that rewrote (a pass that drops nothing rewrites
-    /// nothing and counts nothing here).
+    /// compaction passes that rewrote (a pass that changes nothing
+    /// rewrites nothing and counts nothing here).
     pub records_kept: u64,
     /// **Entries** dropped as stale across all compaction passes.
     pub records_dropped: u64,
-    /// Log bytes (record headers + payload) reclaimed by compaction.
+    /// Log bytes (record and entry headers, stale bytes) reclaimed by
+    /// compaction.
     pub bytes_reclaimed: u64,
     /// Simulated duration of the most recent cycle, in nanoseconds.
     pub last_cycle_ns: u64,
@@ -401,11 +482,12 @@ impl ReclaimState {
     }
 
     /// Compacts chain `tid`'s cached records against the index (freshness
-    /// uses committed records of *all* threads). If that drops at least
-    /// one entry, writes the kept records plus a terminator into a fresh
-    /// chain from `store`, pushes the ranges to persist onto `dirty`, and
-    /// returns the new area and the number of entries dropped. `None`
-    /// means the chain is fully fresh: no new blocks, no splice.
+    /// uses committed records of *all* threads). If that changes the cache,
+    /// streams it plus a terminator into a fresh chain from `store` with
+    /// one append — block-sized stores, byte for byte where the cache puts
+    /// them — pushes the ranges to persist onto `dirty`, and returns the
+    /// new area and the number of entries dropped. `None` means the chain
+    /// is already compact: no new blocks, no splice.
     pub(crate) fn rewrite_chain<S: LogStore>(
         &mut self,
         store: &mut S,
@@ -416,7 +498,7 @@ impl ReclaimState {
         let chain = &mut self.chains[tid];
         let before = chain.encoded.len();
         let (kept, dropped) = self.index.compact_encoded(&mut chain.encoded);
-        if dropped == 0 {
+        if chain.encoded.len() == before {
             self.stats.rewrites_skipped += 1;
             return None;
         }
@@ -427,9 +509,7 @@ impl ReclaimState {
         self.stats.records_kept += kept;
         self.stats.bytes_reclaimed += (before - chain.encoded.len()) as u64;
         let mut area = LogArea::create(store, block_bytes, dirty);
-        for rec in encoded_records(&chain.encoded) {
-            area.append(store, rec.bytes(), dirty);
-        }
+        area.append(store, &chain.encoded, dirty);
         area.write_terminator(store, dirty);
         Some((area, dropped))
     }
@@ -470,9 +550,11 @@ impl ReclaimState {
 pub(crate) mod tests {
     use super::*;
     use crate::record::{
-        encode_record, parse_chain, LogEntry, LogRecord, PoolStore, RecordRef, BLOCK_HDR,
+        encode_record, encoded_records, parse_chain, LogEntry, LogRecord, PoolStore, RecordRef,
+        BLOCK_HDR,
     };
     use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool, SplitMix64};
+    use std::collections::BTreeMap;
 
     impl ReclaimState {
         /// Chain `tid`'s cached records, decoded.
@@ -497,21 +579,52 @@ pub(crate) mod tests {
         idx
     }
 
-    /// `rec` cut down to the entries `idx` calls fresh, if any is.
-    fn fresh_part(idx: &FreshnessIndex, rec: &LogRecord) -> Option<LogRecord> {
-        let fresh = |e: &&LogEntry| idx.is_fresh(rec.ts, e.addr, e.value.len());
-        let entries: Vec<LogEntry> = rec.entries.iter().filter(fresh).cloned().collect();
+    /// The youngest timestamp of every byte `records` log, one map entry
+    /// per byte: the slow, obviously right form of the index.
+    fn newest_bytes<'a>(records: impl IntoIterator<Item = &'a LogRecord>) -> BTreeMap<usize, u64> {
+        let mut newest = BTreeMap::new();
+        for rec in records {
+            for e in &rec.entries {
+                for i in 0..e.value.len() {
+                    let t = newest.entry(e.addr.wrapping_add(i)).or_insert(rec.ts);
+                    *t = (*t).max(rec.ts);
+                }
+            }
+        }
+        newest
+    }
+
+    /// `rec` compacted byte by byte against `newest`: each entry cut down
+    /// to its first through last fresh byte (untracked, or with no younger
+    /// timestamp), a span that starts where the record's previous kept one
+    /// ends appended to it, and `None` when no entry keeps a byte.
+    fn fresh_part(newest: &BTreeMap<usize, u64>, rec: &LogRecord) -> Option<LogRecord> {
+        let fresh = |a: usize| newest.get(&a).is_none_or(|&t| t <= rec.ts);
+        let mut entries: Vec<LogEntry> = Vec::new();
+        for e in &rec.entries {
+            let mut kept = (0..e.value.len()).filter(|&i| fresh(e.addr.wrapping_add(i)));
+            let Some(lo) = kept.next() else { continue };
+            let hi = kept.next_back().unwrap_or(lo) + 1;
+            let (addr, value) = (e.addr.wrapping_add(lo), &e.value[lo..hi]);
+            match entries.last_mut() {
+                Some(prev) if prev.addr.wrapping_add(prev.value.len()) == addr => {
+                    prev.value.extend_from_slice(value);
+                }
+                _ => entries.push(LogEntry { addr, value: value.to_vec() }),
+            }
+        }
         (!entries.is_empty()).then_some(LogRecord { ts: rec.ts, entries })
     }
 
     /// What a cycle must leave of `chains` (every chain's committed
-    /// records), decided the slow way: an index built from scratch over
-    /// exactly these records, each record cloned down to its fresh entries.
+    /// records), decided the slow way: a per-byte map built from scratch
+    /// over exactly these records, each record cloned down to its fresh
+    /// spans and merged.
     pub(crate) fn reference_compaction(chains: &[Vec<LogRecord>]) -> Vec<Vec<LogRecord>> {
-        let index = index_of(chains.iter().flatten());
+        let newest = newest_bytes(chains.iter().flatten());
         chains
             .iter()
-            .map(|recs| recs.iter().filter_map(|r| fresh_part(&index, r)).collect())
+            .map(|recs| recs.iter().filter_map(|r| fresh_part(&newest, r)).collect())
             .collect()
     }
 
@@ -554,9 +667,52 @@ pub(crate) mod tests {
                 LogEntry { addr: 8, value: vec![1] },
             ],
         };
-        let idx = index_of([&r1, &rec(2, 0, &[2])]);
-        let kept = fresh_part(&idx, &r1).unwrap();
+        let r2 = rec(2, 0, &[2]);
+        let kept = fresh_part(&newest_bytes([&r1, &r2]), &r1).unwrap();
         assert_eq!(kept.entries, r1.entries[1..]);
+        let mut buf = encode_all(&[r1.clone(), r2.clone()]);
+        assert_eq!(index_of([&r1, &r2]).compact_encoded(&mut buf), (2, 1));
+        assert_eq!(buf, encode_all(&[kept, r2]));
+    }
+
+    /// A span runs from the first fresh byte to the last: stale bytes at
+    /// either end go, a stale byte between two fresh runs stays, so the
+    /// entry is never split and the buffer never grows.
+    #[test]
+    fn a_stale_middle_keeps_one_span() {
+        let old = rec(1, 0, &[1; 8]);
+        let idx = index_of([&old, &rec(2, 3, &[2; 2])]);
+        assert_eq!(idx.fresh_span(1, 0, 8), Some((0, 8)));
+        let mut buf = encode_all(std::slice::from_ref(&old));
+        assert_eq!(idx.compact_encoded(&mut buf), (1, 0));
+        assert_eq!(buf, encode_record(&old), "unchanged, so moved verbatim");
+
+        let idx = index_of([&old, &rec(2, 0, &[2; 2]), &rec(3, 7, &[3])]);
+        assert_eq!(idx.fresh_span(1, 0, 8), Some((2, 7)));
+        let mut buf = encode_all(std::slice::from_ref(&old));
+        idx.compact_encoded(&mut buf);
+        assert_eq!(buf, encode_record(&rec(1, 2, &[1; 5])));
+    }
+
+    /// A record's adjacent spans become one entry, the saved entry header
+    /// is reclaimed, and the result is stable: a second pass changes
+    /// nothing.
+    #[test]
+    fn adjacent_spans_of_one_record_merge() {
+        let slot = LogRecord {
+            ts: 4,
+            entries: (0..3)
+                .map(|i| LogEntry { addr: 64 + 8 * i, value: vec![i as u8; 8] })
+                .collect(),
+        };
+        let idx = index_of([&slot]);
+        let mut buf = encode_record(&slot);
+        assert_eq!(idx.compact_encoded(&mut buf), (3, 0));
+        let merged = [0u8, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2];
+        assert_eq!(buf, encode_record(&rec(4, 64, &merged)));
+        let once = buf.clone();
+        assert_eq!(idx.compact_encoded(&mut buf), (1, 0));
+        assert_eq!(buf, once);
     }
 
     #[test]
@@ -584,35 +740,71 @@ pub(crate) mod tests {
         assert!(!idx.is_fresh(0, 16, 0), "an empty entry owns no byte");
     }
 
-    /// In-place compaction of encoded records agrees with filtering owned
-    /// records entry by entry through `is_fresh`, byte for byte, whether a
-    /// record survives whole (moved verbatim), in part (re-headed) or not
-    /// at all.
+    /// In-place compaction of encoded records agrees with the byte-level
+    /// reference, byte for byte, whether a record survives whole (moved
+    /// verbatim), in part (trimmed, merged, re-headed) or not at all; it
+    /// counts input entries, never grows the buffer, replays to the same
+    /// bytes, and a second pass changes nothing. The histories overlap
+    /// entries inside one record (replayed in write order), place entries
+    /// end to end, and carry empty entries, timestamp 0 and words whose
+    /// bytes have different timestamps.
     #[test]
-    fn compact_encoded_matches_per_entry_is_fresh() {
-        for seed in 0u64..64 {
+    fn compact_encoded_matches_the_byte_level_reference() {
+        let replay = |recs: &[LogRecord]| {
+            let mut mem = BTreeMap::new();
+            for e in recs.iter().flat_map(|r| &r.entries) {
+                mem.extend(e.value.iter().enumerate().map(|(i, &b)| (e.addr + i, b)));
+            }
+            mem
+        };
+        let mut merged = 0;
+        for seed in 0u64..256 {
             let mut rng = SplitMix64::new(seed ^ 0xE1C0DE);
             let records: Vec<LogRecord> = (0..rng.range_usize(1, 24))
-                .map(|i| LogRecord {
-                    ts: 1 + i as u64,
-                    entries: (0..rng.range_usize(1, 4))
+                .map(|i| {
+                    let mut at = rng.range_usize(0, 96);
+                    let entries = (0..rng.range_usize(1, 5))
                         .map(|_| {
                             let len = rng.range_usize(0, 20);
-                            let addr = rng.range_usize(0, 96);
-                            LogEntry { addr, value: (0..len).map(|_| rng.next_u8()).collect() }
+                            // End to end, overlapping the last, or anywhere.
+                            match rng.below(3) {
+                                0 => {}
+                                1 => at = at.saturating_sub(rng.range_usize(1, 8)),
+                                _ => at = rng.range_usize(0, 96),
+                            }
+                            let e = LogEntry {
+                                addr: at,
+                                value: (0..len).map(|_| rng.next_u8()).collect(),
+                            };
+                            at += len;
+                            e
                         })
-                        .collect(),
+                        .collect();
+                    LogRecord { ts: i as u64, entries }
                 })
                 .collect();
             let idx = index_of(&records);
-            let want: Vec<LogRecord> = records.iter().filter_map(|r| fresh_part(&idx, r)).collect();
-            let entries = |recs: &[LogRecord]| recs.iter().map(|r| r.entries.len() as u64).sum();
-            let (want_kept, all): (u64, u64) = (entries(&want), entries(&records));
+            let want = reference_compaction(std::slice::from_ref(&records)).remove(0);
+            let entries = |recs: &[LogRecord]| recs.iter().map(|r| r.entries.len()).sum::<usize>();
+            let all = entries(&records) as u64;
+            let newest = newest_bytes(&records);
+            let dropped = records
+                .iter()
+                .flat_map(|r| r.entries.iter().map(move |e| (r.ts, e)))
+                .filter(|(ts, e)| (0..e.value.len()).all(|i| newest[&(e.addr + i)] > *ts))
+                .count() as u64;
             let mut buf = encode_all(&records);
-            let (kept, dropped) = idx.compact_encoded(&mut buf);
-            assert_eq!((kept, dropped), (want_kept, all - want_kept), "seed={seed}");
+            let before = buf.len();
+            assert_eq!(idx.compact_encoded(&mut buf), (all - dropped, dropped), "seed={seed}");
             assert_eq!(buf, encode_all(&want), "seed={seed}");
+            assert!(buf.len() <= before, "seed={seed}");
+            assert_eq!(replay(&want), replay(&records), "seed={seed}");
+            let once = buf.clone();
+            idx.compact_encoded(&mut buf);
+            assert_eq!(buf, once, "seed={seed}: a second pass changes nothing");
+            merged += entries(&records) - dropped as usize - entries(&want);
         }
+        assert!(merged > 100, "too few merges: {merged}");
     }
 
     /// `ReclaimState` over one hand-built chain: an unchanged watermark is

@@ -1,6 +1,6 @@
 //! The [`SpecSpmt`] transaction runtime.
 
-use specpmt_pmem::{CrashControl, CrashImage, PmemPool, Site};
+use specpmt_pmem::{coalesce_lines, line_start, CrashControl, CrashImage, PmemPool, Site};
 use specpmt_telemetry::{Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
@@ -165,7 +165,7 @@ impl SpecSpmt {
     /// `(head, generation)` watermark has not moved is not read, one that
     /// grew is read only from where the last scan stopped, the freshness
     /// index persists across cycles and is only fed those new records, and
-    /// a compaction that drops nothing does not rewrite. A cycle in which
+    /// a compaction that changes nothing does not rewrite. A cycle in which
     /// the chain did not change does no PM work at all.
     pub fn reclaim_now(&mut self) {
         if self.log.reserved() {
@@ -182,7 +182,7 @@ impl SpecSpmt {
             return;
         }
 
-        // Compact: rewrite only if that drops at least one entry.
+        // Compact: rewrite only if that changes the chain.
         let mut dirty = Vec::new();
         let rewrite = self.reclaim.rewrite_chain(
             &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
@@ -201,8 +201,13 @@ impl SpecSpmt {
         if let Some((area, dropped)) = rewrite {
             self.pool.device().crash_point(Site::SeqReclaimPreFence);
             if background {
-                for &(addr, len) in &dirty {
-                    self.pool.device_mut().background_range_write(addr, len);
+                // One write per line, however many dirty ranges share it
+                // (a block's first line holds its pointers, the spill's
+                // terminator and data), as `clwb_ranges` flushes inline.
+                let mut lines = Vec::new();
+                coalesce_lines(&dirty, &mut lines);
+                for line in lines {
+                    self.pool.device_mut().background_line_write(line_start(line));
                 }
             } else {
                 self.pool.device_mut().clwb_ranges(&dirty);
@@ -627,6 +632,74 @@ mod tests {
             SpecSpmt::recover(&mut img);
             assert_eq!(img.as_bytes()[a..a + 160], live[..], "{mode:?}");
         }
+    }
+
+    /// A rewrite persists each line it dirtied once, however many dirty
+    /// ranges share it (a block's first line holds its pointers, the
+    /// spill's terminator and data; records share lines): on one seeded
+    /// history, background and inline mode persist the same lines per
+    /// cycle — the new chain's distinct lines plus the head pointer's.
+    #[test]
+    fn background_rewrite_persists_each_dirty_line_once() {
+        let runtimes = [ReclaimMode::Inline, ReclaimMode::Background].map(|mode| {
+            let mut rt = runtime(SpecConfig {
+                block_bytes: 256,
+                reclaim_mode: mode,
+                reclaim_threshold_bytes: usize::MAX,
+                ..SpecConfig::default()
+            });
+            let a = alloc_region(&mut rt, 512);
+            // A free list deep enough that no block allocation (which
+            // persists the pool's bump pointer) lands inside a cycle.
+            let base = rt.pool.alloc_direct(256 * 256, 64).unwrap();
+            rt.free_blocks.extend((0..256).map(|i| base + 256 * i));
+            (rt, a)
+        });
+        let [(mut inline, a), (mut background, b)] = runtimes;
+        assert_eq!(a, b);
+        let mut rng = specpmt_pmem::SplitMix64::new(0xB16);
+        let mut rewrites = 0;
+        for _ in 0..60 {
+            for _ in 0..rng.range_usize(5, 40) {
+                let writes: Vec<(usize, Vec<u8>)> = (0..rng.range_usize(1, 3))
+                    .map(|_| {
+                        let len = rng.range_usize(1, 24);
+                        (a + rng.range_usize(0, 512 - len), vec![rng.next_u8(); len])
+                    })
+                    .collect();
+                for rt in [&mut inline, &mut background] {
+                    rt.begin();
+                    for (at, data) in &writes {
+                        rt.write(*at, data);
+                    }
+                    rt.commit();
+                }
+            }
+            let deltas = [&mut inline, &mut background].map(|rt| {
+                let (head, before) = (rt.area.head(), rt.pool.device().stats().lines_persisted);
+                rt.reclaim_now();
+                let persisted = rt.pool.device().stats().lines_persisted - before;
+                if rt.area.head() == head {
+                    return (persisted, 0);
+                }
+                // The new chain's bytes: every block full but the last,
+                // which holds the stream up to its terminator.
+                let (blocks, tail) = (rt.area.blocks(), rt.area.tail());
+                let mut ranges: Vec<(usize, usize)> = blocks.iter().map(|&b| (b, 256)).collect();
+                let last = ranges.last_mut().unwrap();
+                last.1 = (tail.pos + 4).min(256);
+                let mut lines = Vec::new();
+                coalesce_lines(&ranges, &mut lines);
+                (persisted, lines.len() as u64 + 1)
+            });
+            assert_eq!(deltas[0], deltas[1], "inline vs background");
+            let (persisted, distinct) = deltas[1];
+            if distinct > 0 {
+                assert_eq!(persisted, distinct, "one write per dirty line");
+                rewrites += 1;
+            }
+        }
+        assert!(rewrites > 20, "history too tame: {rewrites} rewrites");
     }
 
     #[test]

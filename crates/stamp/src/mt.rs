@@ -85,7 +85,7 @@ pub struct MtRunReport {
     /// same device clock as [`run_app`](crate::run_app) but without the
     /// `TxStats::background_ns` that `run_app` subtracts, and is larger by
     /// exactly that amount (kmeans-low at `Scale::Small` on one `SpecSpmt`:
-    /// 27,104,851 here against 27,046,376 from `run_app`).
+    /// 26,667,657 here against 26,618,533 from `run_app`).
     pub sim_ns: u64,
     /// Simulated commit throughput, commits per simulated millisecond.
     pub commits_per_ms: f64,

@@ -111,6 +111,37 @@ if grep -nF 'HashMap<usize, u64>' crates/core/src/reclaim.rs; then
     exit 1
 fi
 
+# Re-fork guard, reclamation writes each live byte once. A byte is fresh
+# when no younger record wrote it, and that comparison is made in one
+# place, FreshnessIndex::fresh_mask under fresh_span: compaction and
+# is_fresh ("has a span") both call fresh_span, and nothing outside
+# reclaim.rs probes the index byte by byte (newest_ts). rewrite_chain
+# streams the compacted cache into the new chain with one append, never
+# record by record.
+fns_matching() { # <file> <awk regex>: the functions whose bodies match
+    nontest "$1" | awk -v pat="$2" '
+        /^ *(pub(\(crate\))? )?fn / {
+            name = $0; sub(/^ *(pub(\(crate\))? )?fn /, "", name); sub(/[<(].*/, "", name)
+        }
+        $0 ~ pat { print name }' | sort -u | tr '\n' ' ' | sed 's/ $//'
+}
+got=$(fns_matching crates/core/src/reclaim.rs '<= ts([^a-z_.]|$)')
+[ "$got" = fresh_mask ] ||
+    { echo "re-fork guard: freshness is compared outside fresh_mask: ${got:-(none)}" >&2; exit 1; }
+got=$(fns_matching crates/core/src/reclaim.rs 'self[.]fresh_span[(]')
+[ "$got" = "compact_encoded is_fresh" ] ||
+    { echo "re-fork guard: fresh_span callers are '$got', want compaction and is_fresh" >&2; exit 1; }
+got=$(count_in_sources 'newest_ts[(]' | tr '\n' ' ' | sed 's/ $//')
+[ "$got" = crates/core/src/reclaim.rs:1 ] ||
+    { echo "re-fork guard: the index is probed byte by byte (newest_ts) in: $got" >&2; exit 1; }
+rewrite=$(nontest crates/core/src/reclaim.rs |
+    awk '/fn rewrite_chain/ { on = 1 } on { print } on && /^    }$/ { exit }')
+appends=$(printf '%s\n' "$rewrite" | grep -c '[.]append(' || true)
+if [ "$appends" -ne 1 ] || printf '%s\n' "$rewrite" | grep -E '\b(for|while|loop)\b|encoded_records' >/dev/null; then
+    echo "re-fork guard: rewrite_chain appends record by record again (one append of the cache)" >&2
+    exit 1
+fi
+
 # One checksum, hashed once: a record is hashed whole at seal and at read
 # (frame::word_hash), so the streaming hasher, its finishing step and the
 # write set's dirty-stream flag stay deleted. And recovery copies only the

@@ -71,11 +71,15 @@ fn compaction_preserves_replay_semantics() {
                 index.insert(r.ts, e.addr, e.value.len());
             }
         }
+        // Every entry cut down to its fresh span, as reclamation keeps it.
         let compacted: Vec<LogRecord> = records
             .iter()
             .map(|r| {
-                let fresh = |e: &&LogEntry| index.is_fresh(r.ts, e.addr, e.value.len());
-                LogRecord { ts: r.ts, entries: r.entries.iter().filter(fresh).cloned().collect() }
+                let span = |e: &LogEntry| {
+                    let (lo, hi) = index.fresh_span(r.ts, e.addr, e.value.len())?;
+                    Some(LogEntry { addr: e.addr + lo, value: e.value[lo..hi].to_vec() })
+                };
+                LogRecord { ts: r.ts, entries: r.entries.iter().filter_map(span).collect() }
             })
             .collect();
 
@@ -115,8 +119,19 @@ impl ByteOracle {
     }
 
     fn is_fresh(&self, ts: u64, e: &LogEntry) -> bool {
-        (0..e.value.len())
-            .any(|i| self.newest.get(&e.addr.wrapping_add(i)).is_none_or(|&n| n <= ts))
+        (0..e.value.len()).any(|i| self.fresh(ts, e.addr.wrapping_add(i)))
+    }
+
+    fn fresh(&self, ts: u64, addr: usize) -> bool {
+        self.newest.get(&addr).is_none_or(|&n| n <= ts)
+    }
+
+    /// Offsets of the entry's first fresh byte and one past its last.
+    fn fresh_span(&self, ts: u64, e: &LogEntry) -> Option<(usize, usize)> {
+        let fresh = |&i: &usize| self.fresh(ts, e.addr.wrapping_add(i));
+        let lo = (0..e.value.len()).find(fresh)?;
+        let hi = (0..e.value.len()).rfind(fresh)?;
+        Some((lo, hi + 1))
     }
 }
 
@@ -200,6 +215,14 @@ fn freshness_index_matches_per_byte_oracle() {
                         index.is_fresh(r.ts, e.addr, e.value.len()),
                         oracle.is_fresh(r.ts, e),
                         "is_fresh(ts={}, addr={:#x}, len={}) case={case} n={n}",
+                        r.ts,
+                        e.addr,
+                        e.value.len()
+                    );
+                    assert_eq!(
+                        index.fresh_span(r.ts, e.addr, e.value.len()),
+                        oracle.fresh_span(r.ts, e),
+                        "fresh_span(ts={}, addr={:#x}, len={}) case={case} n={n}",
                         r.ts,
                         e.addr,
                         e.value.len()
