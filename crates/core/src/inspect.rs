@@ -23,7 +23,10 @@ use specpmt_telemetry::JsonWriter;
 
 use crate::layout::PoolLayout;
 use crate::reclaim::FreshnessIndex;
-use crate::record::{read_checkpoint, RecordReader, ENTRY_HDR};
+use crate::record::{
+    encoded_records, read_chain_encoded, read_checkpoint, RecordReader, ENTRY_HDR,
+    MAX_RECORD_PAYLOAD,
+};
 use crate::recovery::RecoveryReport;
 
 /// Summary of one thread's (or epoch's) log chain.
@@ -43,8 +46,9 @@ pub struct ChainSummary {
     /// a reclamation cycle would drop them.
     pub stale_entries: usize,
     /// Log bytes (record and entry headers, stale bytes) a reclamation
-    /// cycle would reclaim from this chain: the same compaction, against
-    /// the same kind of [`FreshnessIndex`], the reclamator itself runs.
+    /// cycle would reclaim from this chain: the same fold, against the same
+    /// kind of [`FreshnessIndex`], the reclamator itself runs, with every
+    /// record settled (0 when the chain holds no garbage).
     pub reclaimable_bytes: usize,
     /// Commit-timestamp range (min, max), if any records exist.
     pub ts_range: Option<(u64, u64)>,
@@ -451,12 +455,13 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
             }
         }
     }
-    // One record at a time through the reclamator's own compaction.
-    let mut compacted = Vec::new();
+    // Each chain through the reclamator's own fold. A crash image has no
+    // record in flight, so every record is settled.
+    let (mut pieces, mut folded) = (Vec::new(), Vec::new());
     for (tid, head) in heads {
         let mut c = ChainSummary { tid, head, ..ChainSummary::default() };
-        let mut reader = RecordReader::new(image, head, layout.block_bytes());
-        while let Some(rec) = reader.next() {
+        let chain = read_chain_encoded(image, head, layout.block_bytes());
+        for rec in encoded_records(&chain) {
             c.records += 1;
             let (lo, hi) = c.ts_range.unwrap_or((rec.ts, rec.ts));
             c.ts_range = Some((lo.min(rec.ts), hi.max(rec.ts)));
@@ -464,11 +469,11 @@ pub fn forensics(image: &CrashImage) -> ForensicReport {
                 c.entries += 1;
                 c.payload_bytes += ENTRY_HDR + e.value.len();
             }
-            compacted.clear();
-            compacted.extend_from_slice(rec.bytes());
-            let (_, dropped) = index.compact_encoded(&mut compacted);
-            c.stale_entries += dropped as usize;
-            c.reclaimable_bytes += rec.bytes().len() - compacted.len();
+        }
+        let fold = index.fold(&chain, Some(u64::MAX), MAX_RECORD_PAYLOAD, &mut pieces, &mut folded);
+        if let Some(f) = fold {
+            c.stale_entries = f.dropped as usize;
+            c.reclaimable_bytes = chain.len().saturating_sub(folded.len());
         }
         rep.chains.push(c);
     }

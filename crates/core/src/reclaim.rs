@@ -16,31 +16,40 @@
 //! # What a rewrite keeps
 //!
 //! The index decides per byte: a byte of an entry is *fresh* if no younger
-//! committed record wrote it ([`FreshnessIndex::fresh_span`] — the one
-//! predicate; [`FreshnessIndex::is_fresh`] is "has a span"). Compaction
-//! keeps less than whole fresh entries:
+//! committed record wrote it ([`FreshnessIndex::fresh_runs`], over the one
+//! comparison in `fresh_mask`). A chain is rewritten only when a cycle
+//! finds garbage in it — a stale byte, or an entry with no byte at all —
+//! and the rewrite is a **fold**:
 //!
-//! * **spans** — a kept entry is trimmed to its *fresh span*, from its
-//!   first fresh byte to its last. Stale bytes between two fresh ones stay:
-//!   replay applies records in timestamp order, so the younger record that
-//!   made them stale overwrites them anyway, and an entry that is never
-//!   split never needs a second header;
-//! * **merges** — a span that starts at the address where the previous
-//!   kept span of the *same record* ends is appended to that entry. Replay
-//!   applies a record's entries in order and the two runs are disjoint, so
-//!   the merged entry writes the same bytes with one 12-byte header fewer
-//!   (a hash-table slot's state, key and value are three adjacent words);
-//! * a record left with no span is dropped whole, one that changed is
-//!   re-headered and re-checksummed, and one that did not goes back to PM
-//!   byte for byte — header, checksum and all — without being decoded,
-//!   cloned, re-encoded or re-hashed.
+//! * the chain's **settled** records — those at or below the settled
+//!   watermark `W` ([`settled_bound`]), a prefix of the chain — become one
+//!   **base record**: exactly their fresh bytes, sorted by address and
+//!   joined where they touch ([`crate::record::RunEncoder`], the
+//!   checkpoint's run encoding), under the newest folded timestamp. Where a
+//!   record's own entries overlap, the later one wins, as in replay. A base
+//!   over [`MAX_RECORD_PAYLOAD`](crate::record::MAX_RECORD_PAYLOAD) splits into consecutive records with the
+//!   same timestamp;
+//! * each record above `W` follows the base byte for byte, or — when it
+//!   holds garbage itself — folded alone under its own timestamp (dropped
+//!   when nothing of it is fresh).
 //!
-//! All of this is an in-place pass over the chain's cached, encoded
-//! records: a span is never longer than its entry and a merge saves a
-//! header, so the write position never passes the read position and the
-//! buffer never grows. The compacted buffer is then streamed into the new
-//! chain with one append — block-sized stores, records at the positions the
-//! buffer gives them — so the cache stays a byte mirror of the new chain.
+//! Recovery needs no change. A base byte has no younger committed writer
+//! up to `W`: every record that can still commit draws a timestamp above
+//! `W`, and every committed one at or below it was fed to the index before
+//! the fold. So replaying the base at its timestamp writes what the folded
+//! records would have left there, and replay order holds. A kv slot's
+//! state, key and value words, written by a dozen transactions, end up as
+//! one run in one record: the live set is stored at the checkpoint's
+//! density instead of paying a record and an entry header per write.
+//!
+//! The fold reads the chain's cached, encoded records and writes the new
+//! chain's records into a scratch buffer, which is copied back into the
+//! cache: the cache keeps its allocation, and the scratch is only as large
+//! as a fold's output. What it allocates is proportional to the chain (one
+//! piece per fresh run), never to the pool. The cache is streamed into the
+//! new chain with one append — block-sized stores, records at the
+//! positions the cache gives them — so it stays a byte mirror of the new
+//! chain.
 //!
 //! # Incremental cycles
 //!
@@ -54,7 +63,7 @@
 //!   not moved since the last cycle is not read at all;
 //! * a chain whose generation moved but whose `head` did not is read from
 //!   the **suffix cursor** — where the previous parse stopped — and only
-//!   those records are parsed, cached and folded into the index. This is
+//!   those records are parsed, cached and fed to the index. This is
 //!   sound because a chain is **append-only between splices**: a commit
 //!   reserves its header at the tail and later patches that header and its
 //!   own entries, an abort seals a compensating record the same way, and
@@ -64,25 +73,25 @@
 //!   `ReclaimState::spliced`, which re-bases the cursor on the new
 //!   chain's tail (a `head` the cache does not know forces a full parse);
 //! * the per-chain cache is one flat buffer of *encoded* records, the
-//!   bytes the chain stores, which compaction rewrites in place (above);
+//!   bytes the chain stores, which the fold replaces (above);
 //! * the [`FreshnessIndex`] **persists across cycles** and is only *fed*
-//!   the newly parsed records. This is sound because the index fold is
-//!   monotone ([`FreshnessIndex::insert`]): bytes that a rewrite has since
-//!   dropped may linger, but a dropped byte is by definition covered by a
-//!   younger retained one, so no freshness verdict ever depends on
-//!   vanished data;
+//!   the newly parsed records — never a base, whose bytes it already
+//!   holds under their own, older timestamps. This is sound because the
+//!   index fold is monotone ([`FreshnessIndex::insert`]): bytes that a
+//!   rewrite has since dropped may linger, but a dropped byte is by
+//!   definition covered by a younger retained one, so no freshness verdict
+//!   ever depends on vanished data;
 //! * when **no** chain changed, the whole cycle is a no-op: the index is
-//!   unchanged, so every chain that the previous cycle left compact is
-//!   still compact (a second pass over a compacted buffer changes
-//!   nothing) — skipping is always the safe side (a skipped compaction
+//!   unchanged, so every chain the previous cycle left without garbage
+//!   still has none — skipping is always the safe side (a skipped fold
 //!   only delays garbage collection, never corrupts recovery);
-//! * a chain whose compaction changes nothing is **not rewritten** (no new
-//!   blocks, no splice fences).
+//! * a chain without garbage is **not rewritten** (no new blocks, no
+//!   splice fences).
 //!
 //! What a cycle still pays per *live* entry is one index probe per word
 //! (staleness is global, so an old entry must be re-checked against
 //! younger records of every chain) and, when anything changed, the copy of
-//! the kept spans into the new chain.
+//! the live runs into the new chain.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -91,8 +100,8 @@ use std::time::Instant;
 use specpmt_telemetry::{Phase, Telemetry};
 
 use crate::record::{
-    decode_entry, decode_header, encode_header, entry_header, ByteSource, Cursor, LogArea,
-    LogStore, RecordReader, ENTRY_HDR, REC_HDR,
+    decode_entry, decode_header, encode_header, ByteSource, Cursor, LogArea, LogStore,
+    RecordReader, RunEncoder, ENTRY_HDR, REC_HDR,
 };
 
 /// Bytes per index word.
@@ -230,28 +239,56 @@ impl FreshnessIndex {
         mask & (owned | !w.present)
     }
 
-    /// The fresh span of the entry of `len` bytes at `addr`, committed at
-    /// `ts`: the offsets `(lo, hi)` of its first fresh byte and one past its
-    /// last, or `None` when every byte has a younger committed record (an
-    /// empty entry has no byte and no span). Stale bytes between `lo` and
-    /// `hi` stay inside the span.
-    pub fn fresh_span(&self, ts: u64, addr: usize, len: usize) -> Option<(usize, usize)> {
-        let (mut off, mut span): (usize, Option<(usize, usize)>) = (0, None);
+    /// Hands `run` each maximal run of fresh bytes of the entry of `len`
+    /// bytes at `addr`, committed at `ts`, as offsets `(lo, hi)` into the
+    /// entry, in ascending order — computed a word at a time through
+    /// `fresh_mask`. A run never wraps the address space (`inspect` feeds
+    /// the index crash images, whose entries can carry any address).
+    /// Returns the number of fresh bytes.
+    pub fn fresh_runs(
+        &self,
+        ts: u64,
+        addr: usize,
+        len: usize,
+        mut run: impl FnMut(usize, usize),
+    ) -> usize {
+        let (mut off, mut fresh) = (0, 0);
+        let mut open: Option<(usize, usize)> = None;
         for (word, first, n) in word_pieces(addr, len) {
-            let m = self.fresh_mask(ts, word, first, n);
-            if m != 0 {
-                let lo = span.map_or(off + m.trailing_zeros() as usize - first, |(lo, _)| lo);
-                span = Some((lo, off + WORD - m.leading_zeros() as usize - first));
+            let mut m = self.fresh_mask(ts, word, first, n);
+            fresh += m.count_ones() as usize;
+            if word == 0 && off > 0 {
+                // Wrapped past the top of the address space.
+                if let Some((lo, hi)) = open.take() {
+                    run(lo, hi);
+                }
+            }
+            while m != 0 {
+                let b0 = m.trailing_zeros() as usize;
+                let b1 = b0 + (m >> b0).trailing_ones() as usize;
+                m &= !(((1u16 << b1) - 1) as u8);
+                let (lo, hi) = (off + b0 - first, off + b1 - first);
+                match &mut open {
+                    Some((_, end)) if *end == lo => *end = hi,
+                    _ => {
+                        if let Some((l, h)) = open.replace((lo, hi)) {
+                            run(l, h);
+                        }
+                    }
+                }
             }
             off += n;
         }
-        span
+        if let Some((lo, hi)) = open {
+            run(lo, hi);
+        }
+        fresh
     }
 
-    /// Whether the entry of `len` bytes at `addr`, committed at `ts`, is
-    /// fresh: it has a [fresh span](Self::fresh_span).
+    /// Whether the entry of `len` bytes at `addr`, committed at `ts`, has
+    /// a fresh byte (an empty entry has none).
     pub fn is_fresh(&self, ts: u64, addr: usize, len: usize) -> bool {
-        self.fresh_span(ts, addr, len).is_some()
+        word_pieces(addr, len).any(|(word, first, n)| self.fresh_mask(ts, word, first, n) != 0)
     }
 
     /// Number of distinct bytes tracked.
@@ -259,76 +296,200 @@ impl FreshnessIndex {
         self.bytes
     }
 
-    /// Compacts a buffer of back-to-back encoded records in place. Each
-    /// entry is trimmed to its [fresh span](Self::fresh_span), and an entry
-    /// with none is cut out; a span that starts where the record's previous
-    /// kept span ends is merged into that entry; a record left with no
-    /// entry is cut out whole; a record that changed gets a fresh header,
-    /// and one that did not is moved down untouched — header, checksum and
-    /// all. Nothing ever grows (a span is never longer than its entry and a
-    /// merge saves a header), so every write lands at or below what is
-    /// still to be read. Returns `(entries kept, entries dropped)`, counted
-    /// over the input; the buffer shrinks if and only if anything changed.
-    pub(crate) fn compact_encoded(&self, buf: &mut Vec<u8>) -> (u64, u64) {
-        let (mut kept, mut dropped) = (0u64, 0u64);
-        // Read and write positions; everything below `w` is compacted.
-        let (mut r, mut w) = (0usize, 0usize);
-        while r < buf.len() {
-            // The header is copied out first: kept entries land at
-            // `w + REC_HDR`, which may already overlap its old place.
-            let Some(&hdr) = buf[r..].first_chunk::<REC_HDR>() else { break };
-            let Some((len, ts, _)) = decode_header(&hdr) else { break };
-            let end = r + REC_HDR + len;
-            let (mut pr, mut pw) = (r + REC_HDR, w + REC_HDR);
-            let mut changed = false;
-            // The last kept entry: where its header went, the address it
-            // starts at and the address one past its value.
-            let mut last: Option<(usize, usize, usize)> = None;
-            while let Some((addr, vlen)) = decode_entry(&buf[pr..end]) {
-                let value = pr + ENTRY_HDR;
-                pr = value + vlen;
-                let Some((lo, hi)) = self.fresh_span(ts, addr, vlen) else {
-                    dropped += 1;
-                    changed = true;
-                    continue;
-                };
-                kept += 1;
-                let (at, n) = (addr.wrapping_add(lo), hi - lo);
-                match &mut last {
-                    Some((h, start, run_end)) if *run_end == at => {
-                        // The span continues the previous entry: its bytes
-                        // follow that entry's, whose header is lengthened.
-                        buf.copy_within(value + lo..value + hi, pw);
-                        pw += n;
-                        let merged = pw - *h - ENTRY_HDR;
-                        buf[*h..*h + ENTRY_HDR].copy_from_slice(&entry_header(*start, merged));
-                        *run_end = at.wrapping_add(n);
-                        changed = true;
-                    }
-                    _ => {
-                        changed |= n != vlen;
-                        buf[pw..pw + ENTRY_HDR].copy_from_slice(&entry_header(at, n));
-                        buf.copy_within(value + lo..value + hi, pw + ENTRY_HDR);
-                        last = Some((pw, at, at.wrapping_add(n)));
-                        pw += ENTRY_HDR + n;
-                    }
+    /// Folds `chain` — back-to-back encoded records — against the index
+    /// (see the module docs): the records at or below `settled` (a prefix;
+    /// `None` settles nothing) become one base record of their fresh runs,
+    /// split into records of at most `cap` payload bytes; each later record
+    /// is copied verbatim, or folded alone when it holds garbage. The new
+    /// records are written to `out` (cleared first); `pieces` is scratch.
+    ///
+    /// Returns `None`, leaving `out` empty, when no record holds garbage —
+    /// a stale byte, an entry without bytes, bytes past a record's last
+    /// whole entry — so there is nothing to rewrite.
+    pub(crate) fn fold(
+        &self,
+        chain: &[u8],
+        settled: Option<u64>,
+        cap: usize,
+        pieces: &mut Vec<Piece>,
+        out: &mut Vec<u8>,
+    ) -> Option<Folded> {
+        pieces.clear();
+        out.clear();
+        let mut folded = Folded::default();
+        let mut garbage = false;
+        // The settled prefix: its newest timestamp and its pieces' end.
+        let mut base: Option<(u64, usize)> = None;
+        // The later records: bytes in `chain`, timestamp, pieces, garbage.
+        let mut later = Vec::new();
+        let mut r = 0;
+        while let Some((len, ts, _)) = decode_header(&chain[r..]) {
+            let (end, first_piece) = (r + REC_HDR + len, pieces.len());
+            let mut p = r + REC_HDR;
+            let mut dirty = false;
+            while let Some((addr, vlen)) = decode_entry(&chain[p..end]) {
+                let value = p + ENTRY_HDR;
+                p = value + vlen;
+                let fresh = self.fresh_runs(ts, addr, vlen, |lo, hi| {
+                    pieces.push(Piece {
+                        addr: addr.wrapping_add(lo),
+                        off: value + lo,
+                        len: hi - lo,
+                    });
+                });
+                if fresh == 0 {
+                    folded.dropped += 1;
+                } else {
+                    folded.kept += 1;
                 }
+                dirty |= fresh < vlen || vlen == 0;
             }
-            if !changed {
-                // Verbatim, including any bytes past the last whole entry.
-                buf.copy_within(pr..end, pw);
-                pw += end - pr;
-                buf[w..w + REC_HDR].copy_from_slice(&hdr);
-                w = pw;
-            } else if pw > w + REC_HDR {
-                let hdr = encode_header(ts, &buf[w + REC_HDR..pw]);
-                buf[w..w + REC_HDR].copy_from_slice(&hdr);
-                w = pw;
+            dirty |= p < end;
+            garbage |= dirty;
+            if later.is_empty() && settled.is_some_and(|w| ts <= w) {
+                base = Some((ts, pieces.len()));
+            } else {
+                later.push((r..end, ts, first_piece..pieces.len(), dirty));
             }
             r = end;
         }
-        buf.truncate(w);
-        (kept, dropped)
+        if !garbage {
+            return None;
+        }
+        if let Some((ts, end)) = base {
+            fold_pieces(chain, &mut pieces[..end], ts, cap, out, &mut folded);
+        }
+        for (bytes, ts, own, dirty) in later {
+            if dirty {
+                fold_pieces(chain, &mut pieces[own], ts, cap, out, &mut folded);
+            } else {
+                out.extend_from_slice(&chain[bytes]);
+                folded.last_ts = Some(ts);
+            }
+        }
+        Some(folded)
+    }
+}
+
+/// One fresh run of a chain's cache: `len` bytes bound for `addr`, found
+/// at `off` in the cache. Offsets grow in write order, so where pieces
+/// overlap — entries of one record — the larger offset wins.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Piece {
+    addr: usize,
+    off: usize,
+    len: usize,
+}
+
+/// What a [`FreshnessIndex::fold`] did: its input entries with a fresh
+/// byte and without one, and the timestamp of the last record it wrote.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Folded {
+    pub(crate) kept: u64,
+    pub(crate) dropped: u64,
+    pub(crate) last_ts: Option<u64>,
+}
+
+/// Appends the records holding `pieces` (bytes of `chain`) at `ts` to
+/// `out`: their bytes sorted by address and run-encoded, overlaps resolved
+/// in write order, the payload split into records of at most `cap` bytes.
+/// Nothing is written when there are no pieces.
+fn fold_pieces(
+    chain: &[u8],
+    pieces: &mut [Piece],
+    ts: u64,
+    cap: usize,
+    out: &mut Vec<u8>,
+    folded: &mut Folded,
+) {
+    if pieces.is_empty() {
+        return;
+    }
+    assert!(cap > ENTRY_HDR, "a record cap of {cap} bytes holds no entry");
+    // By address alone: pieces at one address overlap, and a cluster of
+    // overlapping pieces is put in write order below.
+    pieces.sort_unstable_by_key(|p| p.addr);
+    let rec = out.len();
+    out.extend_from_slice(&[0; REC_HDR]);
+    let mut runs = RunEncoder::new(out, cap - ENTRY_HDR);
+    let mut i = 0;
+    while i < pieces.len() {
+        // The pieces overlapping piece `i`, directly or through each other;
+        // `last` is their last byte's address (a piece never wraps).
+        let (start, mut last) = (pieces[i].addr, pieces[i].addr + (pieces[i].len - 1));
+        let mut j = i + 1;
+        while j < pieces.len() && pieces[j].addr <= last {
+            last = last.max(pieces[j].addr + (pieces[j].len - 1));
+            j += 1;
+        }
+        if j == i + 1 {
+            runs.push(start, &chain[pieces[i].off..pieces[i].off + pieces[i].len]);
+        } else {
+            let cluster = &mut pieces[i..j];
+            cluster.sort_unstable_by_key(|p| p.off);
+            let mut bytes = vec![0; last - start + 1];
+            for p in cluster.iter() {
+                bytes[p.addr - start..][..p.len].copy_from_slice(&chain[p.off..][..p.len]);
+            }
+            runs.push(start, &bytes);
+        }
+        i = j;
+    }
+    runs.finish();
+    folded.last_ts = Some(ts);
+    if out.len() - rec - REC_HDR <= cap {
+        let hdr = encode_header(ts, &out[rec + REC_HDR..]);
+        out[rec..rec + REC_HDR].copy_from_slice(&hdr);
+        return;
+    }
+    // Over the cap: whole entries (each at most `cap` bytes) packed into
+    // consecutive records.
+    let payload = out.split_off(rec + REC_HDR);
+    out.truncate(rec);
+    let mut at = 0;
+    while at < payload.len() {
+        let mut end = at;
+        while let Some((_, vlen)) = decode_entry(&payload[end..]) {
+            if end + ENTRY_HDR + vlen - at > cap {
+                break;
+            }
+            end += ENTRY_HDR + vlen;
+        }
+        out.extend_from_slice(&encode_header(ts, &payload[at..end]));
+        out.extend_from_slice(&payload[at..end]);
+        at = end;
+    }
+}
+
+/// One chain's bound on the **settled watermark** `W` — the newest
+/// timestamp at or below which every record that will ever commit, on any
+/// chain, already has — read under that chain's lock; `W` is the minimum
+/// over all chains, and `None` from any chain means there is none. A
+/// checkpoint snapshots the records at or below `W`, and a reclamation
+/// cycle folds them into base records.
+///
+/// * A chain with committed records is bounded by the last one's
+///   timestamp: a commit timestamp is issued (`fetch_add`) *before* the
+///   chain's lock is taken in `seal`, but each chain's timestamps are
+///   issued in chain order by its single owning thread, so a record still
+///   in flight carries a timestamp above that chain's last committed one.
+/// * An idle empty chain has no such bound, yet its owner may reserve and
+///   commit right after the scan passes it, while later chains are still
+///   being scanned. It is bounded by the timestamp counter (`next_ts`, the
+///   next timestamp to issue), read under its lock: the owner's first
+///   write takes that lock after the scan releases it, and its `fetch_add`
+///   comes later still, so it draws a value at or above the one read.
+/// * An open chain with *no* committed record bounds nothing — its
+///   record's timestamp may already be drawn — so it returns `None`.
+pub(crate) fn settled_bound(
+    last_committed: Option<u64>,
+    open: bool,
+    next_ts: impl FnOnce() -> u64,
+) -> Option<u64> {
+    match last_committed {
+        Some(ts) => Some(ts),
+        None if open => None,
+        None => Some(next_ts() - 1),
     }
 }
 
@@ -338,9 +499,9 @@ impl FreshnessIndex {
 ///
 /// `records_kept` and `records_dropped` count log **entries** (one per
 /// datum a transaction wrote), not records (one per transaction): a record
-/// can lose some entries and keep others. They count the compaction's
-/// *input*: an entry trimmed to its fresh span, or merged into the entry
-/// before it, is one kept entry. The field names stay: the judged
+/// can lose some entries and keep others. They count the fold's *input*:
+/// an entry with at least one fresh byte is kept, whatever run its bytes
+/// land in, and one with none is dropped. The field names stay: the judged
 /// benchmark reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReclaimStats {
@@ -355,19 +516,19 @@ pub struct ReclaimStats {
     /// Chain scans skipped because the `(head, generation)` watermark was
     /// unchanged — the cached records were reused.
     pub chains_skipped: u64,
-    /// Chains rewritten (compaction changed the chain's records).
+    /// Chains rewritten (the fold found garbage in them).
     pub chains_rewritten: u64,
-    /// Chain rewrites skipped because compaction changed nothing — no new
+    /// Chain rewrites skipped because the chain held no garbage — no new
     /// blocks were written and no splice fences were issued.
     pub rewrites_skipped: u64,
-    /// **Entries** carried over into a rewritten chain, summed over the
-    /// compaction passes that rewrote (a pass that changes nothing
-    /// rewrites nothing and counts nothing here).
+    /// **Entries** with a fresh byte, summed over the folds that rewrote
+    /// (a chain without garbage is not rewritten and counts nothing here).
     pub records_kept: u64,
-    /// **Entries** dropped as stale across all compaction passes.
+    /// **Entries** dropped as stale across all folds.
     pub records_dropped: u64,
     /// Log bytes (record and entry headers, stale bytes) reclaimed by
-    /// compaction.
+    /// the folds (a fold that splits a stale middle out of an entry can
+    /// add a header; such a chain counts no bytes).
     pub bytes_reclaimed: u64,
     /// Simulated duration of the most recent cycle, in nanoseconds.
     pub last_cycle_ns: u64,
@@ -408,6 +569,8 @@ struct ChainCache {
     /// The chain's committed records, encoded back to back exactly as the
     /// chain stores them.
     encoded: Vec<u8>,
+    /// The timestamp of the last of them.
+    last_ts: Option<u64>,
 }
 
 /// Volatile state carried across reclamation cycles: the persistent
@@ -418,6 +581,13 @@ struct ChainCache {
 pub struct ReclaimState {
     index: FreshnessIndex,
     chains: Vec<ChainCache>,
+    /// The open cycle's settled watermark, as far as the chains bounded
+    /// so far allow ([`settled_bound`]).
+    settled: Option<u64>,
+    /// The fold's scratch: its pieces, and the buffer it writes the new
+    /// chain's records to before they are copied into the cache.
+    pieces: Vec<Piece>,
+    folded: Vec<u8>,
     /// Cycle counters, surfaced through the runtimes' observability APIs.
     pub stats: ReclaimStats,
     /// The open cycle's start on the simulated and the host clock.
@@ -425,8 +595,9 @@ pub struct ReclaimState {
 }
 
 /// The steps of a reclamation cycle both runtimes share. A cycle scans
-/// every chain (`ReclaimState::scan_chain`), rewrites the ones whose
-/// compaction drops something (`ReclaimState::rewrite_chain`) and, once
+/// every chain (`ReclaimState::scan_chain`) and bounds the settled
+/// watermark by it (`ReclaimState::settle`), rewrites the ones holding
+/// garbage (`ReclaimState::rewrite_chain`) and, once
 /// the caller has persisted a rewrite and swapped the chain's head pointer
 /// to it — which is where a background reclamator and a fencing daemon
 /// differ — records the splice (`ReclaimState::spliced`).
@@ -437,6 +608,7 @@ impl ReclaimState {
             self.chains.resize_with(chains, ChainCache::default);
         }
         self.stats.cycles += 1;
+        self.settled = Some(u64::MAX);
         // Host wall-clock for the telemetry histogram; cycles are rare, so
         // an unconditional `Instant::now()` is well within budget.
         self.cycle_start = Some((sim_now, Instant::now()));
@@ -467,6 +639,7 @@ impl ReclaimState {
             }
             _ => {
                 chain.encoded.clear();
+                chain.last_ts = None;
                 RecordReader::new(src, mark.0, block_bytes)
             }
         };
@@ -475,43 +648,62 @@ impl ReclaimState {
                 self.index.insert(rec.ts, e.addr, e.value.len());
             }
             chain.encoded.extend_from_slice(rec.bytes());
+            chain.last_ts = Some(rec.ts);
         }
         chain.scanned = Some((mark, reader.cursor()));
         self.stats.chains_scanned += 1;
         true
     }
 
-    /// Compacts chain `tid`'s cached records against the index (freshness
-    /// uses committed records of *all* threads). If that changes the cache,
-    /// streams it plus a terminator into a fresh chain from `store` with
-    /// one append — block-sized stores, byte for byte where the cache puts
-    /// them — pushes the ranges to persist onto `dirty`, and returns the
-    /// new area and the number of entries dropped. `None` means the chain
-    /// is already compact: no new blocks, no splice.
+    /// Bounds the open cycle's settled watermark by chain `tid`, as
+    /// [`settled_bound`] says: by its last cached record, or — when it has
+    /// none — by whether it is `open` and by `next_ts`. Called in the scan
+    /// phase, under the chain's lock, after [`Self::scan_chain`].
+    pub(crate) fn settle(&mut self, tid: usize, open: bool, next_ts: impl FnOnce() -> u64) {
+        let bound = settled_bound(self.chains[tid].last_ts, open, next_ts);
+        self.settled = self.settled.zip(bound).map(|(w, b)| w.min(b));
+    }
+
+    /// Folds chain `tid`'s cached records against the index (freshness
+    /// uses committed records of *all* threads) and the cycle's settled
+    /// watermark, splitting a base record over `cap` payload bytes. If the
+    /// chain holds garbage, streams the folded records plus a terminator
+    /// into a fresh chain from `store` with one append — block-sized
+    /// stores, byte for byte where the cache puts them — pushes the ranges
+    /// to persist onto `dirty`, and returns the new area and the number of
+    /// entries dropped. `None` means the chain holds no garbage: no new
+    /// blocks, no splice.
     pub(crate) fn rewrite_chain<S: LogStore>(
         &mut self,
         store: &mut S,
         tid: usize,
         block_bytes: usize,
+        cap: usize,
         dirty: &mut Vec<(usize, usize)>,
     ) -> Option<(LogArea, u64)> {
-        let chain = &mut self.chains[tid];
-        let before = chain.encoded.len();
-        let (kept, dropped) = self.index.compact_encoded(&mut chain.encoded);
-        if chain.encoded.len() == before {
-            self.stats.rewrites_skipped += 1;
+        let Self { index, chains, settled, pieces, folded, stats, .. } = self;
+        let chain = &mut chains[tid];
+        let Some(f) = index.fold(&chain.encoded, *settled, cap, pieces, folded) else {
+            stats.rewrites_skipped += 1;
             return None;
-        }
+        };
+        let before = chain.encoded.len();
+        // Copied, not swapped: the cache keeps its allocation, which the
+        // chain's next records reuse, and the scratch stays the size of a
+        // fold's output rather than of the chain it read.
+        chain.encoded.clear();
+        chain.encoded.extend_from_slice(folded);
+        chain.last_ts = f.last_ts;
         // The cache now describes the new chain; until `spliced` says the
         // head pointer names it, a scan must not trust the cache.
         chain.scanned = None;
-        self.stats.records_dropped += dropped;
-        self.stats.records_kept += kept;
-        self.stats.bytes_reclaimed += (before - chain.encoded.len()) as u64;
+        stats.records_dropped += f.dropped;
+        stats.records_kept += f.kept;
+        stats.bytes_reclaimed += before.saturating_sub(chain.encoded.len()) as u64;
         let mut area = LogArea::create(store, block_bytes, dirty);
         area.append(store, &chain.encoded, dirty);
         area.write_terminator(store, dirty);
-        Some((area, dropped))
+        Some((area, f.dropped))
     }
 
     /// Chain `tid`'s head pointer now names the rewritten `area`, whose
@@ -538,6 +730,8 @@ impl ReclaimState {
     pub fn reset(&mut self) {
         self.index = FreshnessIndex::default();
         self.chains.clear();
+        self.pieces = Vec::new();
+        self.folded = Vec::new();
     }
 
     /// The persistent freshness index.
@@ -551,7 +745,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::record::{
         encode_record, encoded_records, parse_chain, LogEntry, LogRecord, PoolStore, RecordRef,
-        BLOCK_HDR,
+        BLOCK_HDR, MAX_RECORD_PAYLOAD,
     };
     use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool, SplitMix64};
     use std::collections::BTreeMap;
@@ -594,43 +788,111 @@ pub(crate) mod tests {
         newest
     }
 
-    /// `rec` compacted byte by byte against `newest`: each entry cut down
-    /// to its first through last fresh byte (untracked, or with no younger
-    /// timestamp), a span that starts where the record's previous kept one
-    /// ends appended to it, and `None` when no entry keeps a byte.
-    fn fresh_part(newest: &BTreeMap<usize, u64>, rec: &LogRecord) -> Option<LogRecord> {
-        let fresh = |a: usize| newest.get(&a).is_none_or(|&t| t <= rec.ts);
-        let mut entries: Vec<LogEntry> = Vec::new();
-        for e in &rec.entries {
-            let mut kept = (0..e.value.len()).filter(|&i| fresh(e.addr.wrapping_add(i)));
-            let Some(lo) = kept.next() else { continue };
-            let hi = kept.next_back().unwrap_or(lo) + 1;
-            let (addr, value) = (e.addr.wrapping_add(lo), &e.value[lo..hi]);
-            match entries.last_mut() {
-                Some(prev) if prev.addr.wrapping_add(prev.value.len()) == addr => {
-                    prev.value.extend_from_slice(value);
+    /// Whether byte `addr`, written at `ts`, is fresh against `newest`.
+    fn fresh(newest: &BTreeMap<usize, u64>, ts: u64, addr: usize) -> bool {
+        newest.get(&addr).is_none_or(|&t| t <= ts)
+    }
+
+    /// Whether `rec` holds garbage: an entry without bytes, or a stale byte.
+    fn has_garbage(newest: &BTreeMap<usize, u64>, rec: &LogRecord) -> bool {
+        rec.entries.iter().any(|e| {
+            e.value.is_empty()
+                || (0..e.value.len()).any(|i| !fresh(newest, rec.ts, e.addr.wrapping_add(i)))
+        })
+    }
+
+    /// `records` folded byte by byte against `newest` into one record at
+    /// `ts`: every fresh byte, later writes over earlier ones, then runs of
+    /// touching addresses; `None` when no byte is fresh.
+    fn fold_bytes(
+        newest: &BTreeMap<usize, u64>,
+        records: &[LogRecord],
+        ts: u64,
+    ) -> Option<LogRecord> {
+        let mut bytes = BTreeMap::new();
+        for rec in records {
+            for e in &rec.entries {
+                for (i, &b) in e.value.iter().enumerate() {
+                    let addr = e.addr.wrapping_add(i);
+                    if fresh(newest, rec.ts, addr) {
+                        bytes.insert(addr, b);
+                    }
                 }
-                _ => entries.push(LogEntry { addr, value: value.to_vec() }),
             }
         }
-        (!entries.is_empty()).then_some(LogRecord { ts: rec.ts, entries })
+        let mut entries: Vec<LogEntry> = Vec::new();
+        for (addr, b) in bytes {
+            match entries.last_mut() {
+                Some(run) if run.addr.checked_add(run.value.len()) == Some(addr) => {
+                    run.value.push(b);
+                }
+                _ => entries.push(LogEntry { addr, value: vec![b] }),
+            }
+        }
+        (!entries.is_empty()).then_some(LogRecord { ts, entries })
     }
 
     /// What a cycle must leave of `chains` (every chain's committed
-    /// records), decided the slow way: a per-byte map built from scratch
-    /// over exactly these records, each record cloned down to its fresh
-    /// spans and merged.
-    pub(crate) fn reference_compaction(chains: &[Vec<LogRecord>]) -> Vec<Vec<LogRecord>> {
+    /// records) at settled watermark `settled`, decided the slow way: a
+    /// per-byte map built from scratch over exactly these records. A chain
+    /// without garbage stays as it is; otherwise its records at or below
+    /// the watermark (a prefix) fold byte by byte into one base record at
+    /// the newest of their timestamps, and each later record follows as it
+    /// is, or folded alone when it holds garbage.
+    pub(crate) fn reference_fold(
+        chains: &[Vec<LogRecord>],
+        settled: Option<u64>,
+    ) -> Vec<Vec<LogRecord>> {
         let newest = newest_bytes(chains.iter().flatten());
         chains
             .iter()
-            .map(|recs| recs.iter().filter_map(|r| fresh_part(&newest, r)).collect())
+            .map(|recs| {
+                if !recs.iter().any(|r| has_garbage(&newest, r)) {
+                    return recs.clone();
+                }
+                let n = recs.iter().take_while(|r| settled.is_some_and(|w| r.ts <= w)).count();
+                let (base, later) = recs.split_at(n);
+                let base = base.last().and_then(|last| fold_bytes(&newest, base, last.ts));
+                let later = later.iter().filter_map(|r| {
+                    if has_garbage(&newest, r) {
+                        fold_bytes(&newest, std::slice::from_ref(r), r.ts)
+                    } else {
+                        Some(r.clone())
+                    }
+                });
+                base.into_iter().chain(later).collect()
+            })
             .collect()
     }
 
     /// `records` as a chain stores them.
     pub(crate) fn encode_all(records: &[LogRecord]) -> Vec<u8> {
         records.iter().flat_map(encode_record).collect()
+    }
+
+    /// The bytes replaying `chains` leaves, records in `(ts, chain)` order
+    /// and a record's entries in write order, as recovery replays them.
+    pub(crate) fn replay(chains: &[Vec<LogRecord>]) -> BTreeMap<usize, u8> {
+        let mut recs: Vec<&LogRecord> = chains.iter().flatten().collect();
+        recs.sort_by_key(|r| r.ts);
+        let mut mem = BTreeMap::new();
+        for e in recs.iter().flat_map(|r| &r.entries) {
+            mem.extend(e.value.iter().enumerate().map(|(i, &b)| (e.addr.wrapping_add(i), b)));
+        }
+        mem
+    }
+
+    /// `chain` folded by the index, decoded; `None` when it holds no
+    /// garbage.
+    fn fold_of(
+        idx: &FreshnessIndex,
+        chain: &[LogRecord],
+        settled: Option<u64>,
+        cap: usize,
+    ) -> Option<(Vec<LogRecord>, Folded)> {
+        let mut out = Vec::new();
+        let f = idx.fold(&encode_all(chain), settled, cap, &mut Vec::new(), &mut out)?;
+        Some((encoded_records(&out).map(RecordRef::to_record).collect(), f))
     }
 
     fn rec(ts: u64, addr: usize, value: &[u8]) -> LogRecord {
@@ -658,61 +920,130 @@ pub(crate) mod tests {
         assert!(!idx.is_fresh(3, 64, 8));
     }
 
+    /// A fold keeps the fresh bytes of every settled record in one record
+    /// at the newest timestamp, sorted by address: the younger write wins
+    /// byte 0, the older keeps byte 8. Entries are counted over the input.
     #[test]
-    fn multi_entry_record_partially_compacts() {
+    fn a_fold_keeps_each_fresh_byte_once() {
         let r1 = LogRecord {
             ts: 1,
             entries: vec![
-                LogEntry { addr: 0, value: vec![1] },
                 LogEntry { addr: 8, value: vec![1] },
+                LogEntry { addr: 0, value: vec![1] },
             ],
         };
         let r2 = rec(2, 0, &[2]);
-        let kept = fresh_part(&newest_bytes([&r1, &r2]), &r1).unwrap();
-        assert_eq!(kept.entries, r1.entries[1..]);
-        let mut buf = encode_all(&[r1.clone(), r2.clone()]);
-        assert_eq!(index_of([&r1, &r2]).compact_encoded(&mut buf), (2, 1));
-        assert_eq!(buf, encode_all(&[kept, r2]));
+        let chain = [r1, r2];
+        let idx = index_of(&chain);
+        let (got, f) = fold_of(&idx, &chain, Some(2), MAX_RECORD_PAYLOAD).expect("one stale byte");
+        let base = LogRecord {
+            ts: 2,
+            entries: vec![
+                LogEntry { addr: 0, value: vec![2] },
+                LogEntry { addr: 8, value: vec![1] },
+            ],
+        };
+        assert_eq!(got, [base]);
+        assert_eq!((f.kept, f.dropped, f.last_ts), (2, 1, Some(2)));
     }
 
-    /// A span runs from the first fresh byte to the last: stale bytes at
-    /// either end go, a stale byte between two fresh runs stays, so the
-    /// entry is never split and the buffer never grows.
+    /// Freshness is per byte: a stale middle splits an entry into two
+    /// runs, and stale ends are cut. A record above the watermark that
+    /// holds garbage is folded alone, under its own timestamp.
     #[test]
-    fn a_stale_middle_keeps_one_span() {
+    fn a_stale_middle_splits_into_two_runs() {
         let old = rec(1, 0, &[1; 8]);
         let idx = index_of([&old, &rec(2, 3, &[2; 2])]);
-        assert_eq!(idx.fresh_span(1, 0, 8), Some((0, 8)));
-        let mut buf = encode_all(std::slice::from_ref(&old));
-        assert_eq!(idx.compact_encoded(&mut buf), (1, 0));
-        assert_eq!(buf, encode_record(&old), "unchanged, so moved verbatim");
+        let split = |ts| LogRecord {
+            ts,
+            entries: vec![
+                LogEntry { addr: 0, value: vec![1; 3] },
+                LogEntry { addr: 5, value: vec![1; 3] },
+            ],
+        };
+        let (got, _) = fold_of(&idx, std::slice::from_ref(&old), Some(2), MAX_RECORD_PAYLOAD)
+            .expect("two stale bytes");
+        assert_eq!(got, [split(1)]);
+        let (got, _) = fold_of(&idx, std::slice::from_ref(&old), None, MAX_RECORD_PAYLOAD)
+            .expect("two stale bytes");
+        assert_eq!(got, [split(1)], "unsettled, folded alone");
 
         let idx = index_of([&old, &rec(2, 0, &[2; 2]), &rec(3, 7, &[3])]);
-        assert_eq!(idx.fresh_span(1, 0, 8), Some((2, 7)));
-        let mut buf = encode_all(std::slice::from_ref(&old));
-        idx.compact_encoded(&mut buf);
-        assert_eq!(buf, encode_record(&rec(1, 2, &[1; 5])));
+        let (got, _) = fold_of(&idx, std::slice::from_ref(&old), Some(3), MAX_RECORD_PAYLOAD)
+            .expect("three stale bytes");
+        assert_eq!(got, [rec(1, 2, &[1; 5])]);
     }
 
-    /// A record's adjacent spans become one entry, the saved entry header
-    /// is reclaimed, and the result is stable: a second pass changes
-    /// nothing.
+    /// A hash-table slot's state, key and value words, written by three
+    /// transactions, fold into one run under one header — and the base is
+    /// stable: it holds no garbage, so a second fold rewrites nothing.
     #[test]
-    fn adjacent_spans_of_one_record_merge() {
-        let slot = LogRecord {
+    fn a_slot_folds_into_one_run() {
+        let chain: Vec<LogRecord> =
+            (0..6u64).map(|i| rec(i + 1, 64 + 8 * (i as usize % 3), &[i as u8; 8])).collect();
+        let idx = index_of(&chain);
+        let (got, f) = fold_of(&idx, &chain, Some(6), MAX_RECORD_PAYLOAD).expect("three stale");
+        let slot = [[3u8; 8], [4; 8], [5; 8]].concat();
+        assert_eq!(got, [rec(6, 64, &slot)]);
+        assert_eq!((f.kept, f.dropped), (3, 3));
+        assert!(fold_of(&idx, &got, Some(6), MAX_RECORD_PAYLOAD).is_none());
+    }
+
+    /// A record's own entries overlap: the later one wins, as in replay.
+    #[test]
+    fn overlapping_entries_of_one_record_resolve_in_write_order() {
+        let r = LogRecord {
             ts: 4,
-            entries: (0..3)
-                .map(|i| LogEntry { addr: 64 + 8 * i, value: vec![i as u8; 8] })
-                .collect(),
+            entries: vec![
+                LogEntry { addr: 10, value: vec![1; 6] },
+                LogEntry { addr: 12, value: vec![2; 2] },
+                LogEntry { addr: 8, value: vec![3; 3] },
+            ],
         };
-        let idx = index_of([&slot]);
-        let mut buf = encode_record(&slot);
-        assert_eq!(idx.compact_encoded(&mut buf), (3, 0));
-        let merged = [0u8, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2];
-        assert_eq!(buf, encode_record(&rec(4, 64, &merged)));
-        let once = buf.clone();
-        assert_eq!(idx.compact_encoded(&mut buf), (1, 0));
-        assert_eq!(buf, once);
+        let older = rec(2, 20, &[9; 2]);
+        let chain = [older.clone(), r.clone(), rec(5, 21, &[5])];
+        let idx = index_of(&chain);
+        let (got, _) = fold_of(&idx, &chain, Some(5), MAX_RECORD_PAYLOAD).expect("stale byte 21");
+        let want = [3u8, 3, 3, 1, 2, 2, 1, 1];
+        assert_eq!(
+            got,
+            [LogRecord {
+                ts: 5,
+                entries: vec![
+                    LogEntry { addr: 8, value: want.to_vec() },
+                    LogEntry { addr: 20, value: vec![9, 5] },
+                ],
+            }]
+        );
+        assert_eq!(replay(&[got]), replay(&[chain.to_vec()]));
+    }
+
+    /// A base over the cap splits into consecutive records with the same
+    /// timestamp, each at most the cap, whose entries replay like the one
+    /// uncapped base — a run longer than a record continues in the next.
+    #[test]
+    fn a_base_over_the_cap_splits_into_records_of_one_timestamp() {
+        let mut chain: Vec<LogRecord> =
+            (0..40u64).map(|i| rec(i + 1, 16 * (i as usize % 20), &[i as u8; 12])).collect();
+        chain.push(rec(41, 1000, &[7; 100]));
+        let idx = index_of(&chain);
+        let (whole, _) = fold_of(&idx, &chain, Some(41), MAX_RECORD_PAYLOAD).expect("stale");
+        assert_eq!(whole.len(), 1);
+        for cap in [ENTRY_HDR + 1, 40, 64, 200] {
+            let (split, f) = fold_of(&idx, &chain, Some(41), cap).expect("stale");
+            assert!(split.len() > 1, "cap={cap}");
+            for r in &split {
+                assert_eq!(r.ts, 41, "cap={cap}");
+                assert!(r.payload_len() <= cap, "cap={cap}");
+            }
+            assert_eq!(
+                replay(std::slice::from_ref(&split)),
+                replay(std::slice::from_ref(&whole)),
+                "cap={cap}"
+            );
+            assert_eq!(f.last_ts, Some(41));
+            assert!(fold_of(&idx, &split, Some(41), cap).is_none(), "cap={cap}: stable");
+        }
     }
 
     #[test]
@@ -740,76 +1071,94 @@ pub(crate) mod tests {
         assert!(!idx.is_fresh(0, 16, 0), "an empty entry owns no byte");
     }
 
-    /// In-place compaction of encoded records agrees with the byte-level
-    /// reference, byte for byte, whether a record survives whole (moved
-    /// verbatim), in part (trimmed, merged, re-headed) or not at all; it
-    /// counts input entries, never grows the buffer, replays to the same
-    /// bytes, and a second pass changes nothing. The histories overlap
-    /// entries inside one record (replayed in write order), place entries
-    /// end to end, and carry empty entries, timestamp 0 and words whose
-    /// bytes have different timestamps.
+    /// The fold agrees with the byte-level reference, byte for byte, on
+    /// one to three chains at every settled watermark (none, below, inside
+    /// and past the chains' timestamps): the same records, the same
+    /// entries counted kept and dropped, the same replay as the input, and
+    /// a second fold finds no garbage. The histories overlap entries inside
+    /// one record (resolved in write order), place entries end to end, and
+    /// carry empty entries, timestamp 0 and words whose bytes have
+    /// different timestamps.
     #[test]
-    fn compact_encoded_matches_the_byte_level_reference() {
-        let replay = |recs: &[LogRecord]| {
-            let mut mem = BTreeMap::new();
-            for e in recs.iter().flat_map(|r| &r.entries) {
-                mem.extend(e.value.iter().enumerate().map(|(i, &b)| (e.addr + i, b)));
-            }
-            mem
-        };
-        let mut merged = 0;
+    fn fold_matches_the_byte_level_reference() {
+        let (mut folded_later, mut joined) = (0, 0);
         for seed in 0u64..256 {
             let mut rng = SplitMix64::new(seed ^ 0xE1C0DE);
-            let records: Vec<LogRecord> = (0..rng.range_usize(1, 24))
-                .map(|i| {
-                    let mut at = rng.range_usize(0, 96);
-                    let entries = (0..rng.range_usize(1, 5))
-                        .map(|_| {
-                            let len = rng.range_usize(0, 20);
-                            // End to end, overlapping the last, or anywhere.
-                            match rng.below(3) {
-                                0 => {}
-                                1 => at = at.saturating_sub(rng.range_usize(1, 8)),
-                                _ => at = rng.range_usize(0, 96),
-                            }
-                            let e = LogEntry {
-                                addr: at,
-                                value: (0..len).map(|_| rng.next_u8()).collect(),
-                            };
-                            at += len;
-                            e
+            let n_chains = rng.range_usize(1, 3);
+            let mut chains: Vec<Vec<LogRecord>> = vec![Vec::new(); n_chains];
+            for ts in 0..rng.range_usize(1, 24) as u64 {
+                let mut at = rng.range_usize(0, 96);
+                let entries = (0..rng.range_usize(1, 5))
+                    .map(|_| {
+                        let len = rng.range_usize(0, 20);
+                        // End to end, overlapping the last, or anywhere.
+                        match rng.below(3) {
+                            0 => {}
+                            1 => at = at.saturating_sub(rng.range_usize(1, 8)),
+                            _ => at = rng.range_usize(0, 96),
+                        }
+                        let e =
+                            LogEntry { addr: at, value: (0..len).map(|_| rng.next_u8()).collect() };
+                        at += len;
+                        e
+                    })
+                    .collect();
+                chains[rng.range_usize(0, n_chains - 1)].push(LogRecord { ts, entries });
+            }
+            let idx = index_of(chains.iter().flatten());
+            let newest = newest_bytes(chains.iter().flatten());
+            for settled in [None, Some(0), Some(rng.range_usize(0, 24) as u64), Some(u64::MAX)] {
+                let ctx = format!("seed={seed} settled={settled:?}");
+                let want = reference_fold(&chains, settled);
+                let mut after = Vec::new();
+                for (chain, want) in chains.iter().zip(&want) {
+                    let Some((got, f)) = fold_of(&idx, chain, settled, MAX_RECORD_PAYLOAD) else {
+                        assert_eq!(want, chain, "{ctx}: no garbage, no fold");
+                        after.push(chain.clone());
+                        continue;
+                    };
+                    let mut out = Vec::new();
+                    idx.fold(
+                        &encode_all(chain),
+                        settled,
+                        MAX_RECORD_PAYLOAD,
+                        &mut Vec::new(),
+                        &mut out,
+                    );
+                    assert_eq!(out, encode_all(want), "{ctx}");
+                    let entries =
+                        chain.iter().flat_map(|r| r.entries.iter().map(move |e| (r.ts, e)));
+                    let dropped = entries
+                        .clone()
+                        .filter(|(ts, e)| {
+                            (0..e.value.len()).all(|i| !fresh(&newest, *ts, e.addr + i))
                         })
-                        .collect();
-                    LogRecord { ts: i as u64, entries }
-                })
-                .collect();
-            let idx = index_of(&records);
-            let want = reference_compaction(std::slice::from_ref(&records)).remove(0);
-            let entries = |recs: &[LogRecord]| recs.iter().map(|r| r.entries.len()).sum::<usize>();
-            let all = entries(&records) as u64;
-            let newest = newest_bytes(&records);
-            let dropped = records
-                .iter()
-                .flat_map(|r| r.entries.iter().map(move |e| (r.ts, e)))
-                .filter(|(ts, e)| (0..e.value.len()).all(|i| newest[&(e.addr + i)] > *ts))
-                .count() as u64;
-            let mut buf = encode_all(&records);
-            let before = buf.len();
-            assert_eq!(idx.compact_encoded(&mut buf), (all - dropped, dropped), "seed={seed}");
-            assert_eq!(buf, encode_all(&want), "seed={seed}");
-            assert!(buf.len() <= before, "seed={seed}");
-            assert_eq!(replay(&want), replay(&records), "seed={seed}");
-            let once = buf.clone();
-            idx.compact_encoded(&mut buf);
-            assert_eq!(buf, once, "seed={seed}: a second pass changes nothing");
-            merged += entries(&records) - dropped as usize - entries(&want);
+                        .count() as u64;
+                    assert_eq!(
+                        (f.kept, f.dropped),
+                        (entries.count() as u64 - dropped, dropped),
+                        "{ctx}"
+                    );
+                    assert_eq!(f.last_ts, want.last().map(|r| r.ts), "{ctx}");
+                    assert!(
+                        fold_of(&idx, &got, settled, MAX_RECORD_PAYLOAD).is_none(),
+                        "{ctx}: stable"
+                    );
+                    folded_later += got.iter().filter(|r| settled.is_none_or(|w| r.ts > w)).count();
+                    joined +=
+                        got.iter().flat_map(|r| &r.entries).filter(|e| e.value.len() > 20).count();
+                    after.push(got);
+                }
+                assert_eq!(replay(&after), replay(&chains), "{ctx}");
+            }
         }
-        assert!(merged > 100, "too few merges: {merged}");
+        assert!(folded_later > 100 && joined > 100, "too tame: {folded_later} {joined}");
     }
 
     /// `ReclaimState` over one hand-built chain: an unchanged watermark is
-    /// not read, a moved one reads only the suffix, a rewrite leaves the
-    /// cache describing the new chain, and `reset` forgets everything.
+    /// not read, a moved one reads only the suffix, a rewrite folds the
+    /// settled records into one base and leaves the cache describing the
+    /// new chain, and `reset` forgets everything.
     #[test]
     fn scan_reads_only_the_suffix_and_rewrite_rebases_the_cursor() {
         const BB: usize = 128;
@@ -849,15 +1198,27 @@ pub(crate) mod tests {
         assert_eq!(st.cached_chain(0), all);
         assert_eq!(st.cached_chain(0), parse_chain(pool.device(), area.head(), BB));
 
-        // ts 4 stales ts 1: the rewrite drops one entry and one record.
-        let want = reference_compaction(std::slice::from_ref(&all)).remove(0);
-        assert_eq!(want.len(), 4);
+        // ts 4 stales ts 1: all five records are settled and fold into one
+        // base at ts 5, bytes 0..16 one run.
+        st.settle(0, false, || 6);
+        let want = reference_fold(std::slice::from_ref(&all), Some(5)).remove(0);
+        assert_eq!(want.len(), 1);
+        assert_eq!(want[0].entries.len(), 3);
         let (new_area, dropped) = st
-            .rewrite_chain(&mut PoolStore::new(&mut pool, &mut free), 0, BB, &mut dirty)
+            .rewrite_chain(
+                &mut PoolStore::new(&mut pool, &mut free),
+                0,
+                BB,
+                MAX_RECORD_PAYLOAD,
+                &mut dirty,
+            )
             .expect("one stale entry");
         assert_eq!(dropped, 1);
         assert_eq!(st.stats.records_kept, 4);
-        assert_eq!(st.stats.bytes_reclaimed, (REC_HDR + ENTRY_HDR + 8) as u64);
+        assert_eq!(
+            st.stats.bytes_reclaimed,
+            (encode_all(&all).len() - encode_all(&want).len()) as u64
+        );
         st.spliced(0, &new_area);
         area = new_area;
         assert_eq!(parse_chain(pool.device(), area.head(), BB), want);
@@ -871,16 +1232,35 @@ pub(crate) mod tests {
         assert_eq!(st.cached_chain(0), parse_chain(pool.device(), area.head(), BB));
         assert_eq!(st.cached_chain(0).last(), Some(&newest));
 
-        // ts 6 stales ts 2; after that rewrite the chain is fully fresh:
-        // nothing dropped, nothing rewritten, the cache still current.
+        // ts 6 stales half the base's first run; the base re-folds with
+        // it. After that rewrite the chain holds no garbage: nothing is
+        // rewritten, and the cache is still current.
+        st.begin_cycle(1, 0);
+        st.settle(0, false, || 7);
         let (new_area, dropped) = st
-            .rewrite_chain(&mut PoolStore::new(&mut pool, &mut free), 0, BB, &mut dirty)
-            .expect("one stale entry");
-        assert_eq!(dropped, 1);
+            .rewrite_chain(
+                &mut PoolStore::new(&mut pool, &mut free),
+                0,
+                BB,
+                MAX_RECORD_PAYLOAD,
+                &mut dirty,
+            )
+            .expect("eight stale bytes");
+        assert_eq!(dropped, 0, "every input entry keeps a byte");
         st.spliced(0, &new_area);
         area = new_area;
+        let base = parse_chain(pool.device(), area.head(), BB);
+        assert_eq!(base.len(), 1);
+        assert_eq!(base[0].ts, 6);
+        assert_eq!(base[0].entries[0], LogEntry { addr: 0, value: [[4; 8], [6; 8]].concat() });
         assert!(st
-            .rewrite_chain(&mut PoolStore::new(&mut pool, &mut free), 0, BB, &mut dirty)
+            .rewrite_chain(
+                &mut PoolStore::new(&mut pool, &mut free),
+                0,
+                BB,
+                MAX_RECORD_PAYLOAD,
+                &mut dirty
+            )
             .is_none());
         assert_eq!(st.stats.rewrites_skipped, 1);
         assert!(!st.scan_chain(pool.device(), 0, &area, BB));
@@ -891,5 +1271,22 @@ pub(crate) mod tests {
         st.begin_cycle(1, 0);
         assert!(st.scan_chain(pool.device(), 0, &area, BB), "reset forgets the watermark");
         assert_eq!(st.cached_chain(0), parse_chain(pool.device(), area.head(), BB));
+    }
+
+    /// The settled watermark's three cases.
+    #[test]
+    fn settled_bound_follows_the_checkpoint_rule() {
+        assert_eq!(settled_bound(Some(7), true, || unreachable!()), Some(7));
+        assert_eq!(settled_bound(Some(7), false, || unreachable!()), Some(7));
+        assert_eq!(settled_bound(None, false, || 12), Some(11));
+        assert_eq!(settled_bound(None, true, || 12), None);
+        let mut st = ReclaimState::default();
+        st.begin_cycle(3, 0);
+        st.settle(0, false, || 12);
+        assert_eq!(st.settled, Some(11));
+        st.settle(1, true, || 12);
+        assert_eq!(st.settled, None, "an open empty chain settles nothing");
+        st.begin_cycle(3, 0);
+        assert_eq!(st.settled, Some(u64::MAX));
     }
 }

@@ -198,7 +198,73 @@ pub fn entry_header(addr: usize, value_len: usize) -> [u8; ENTRY_HDR] {
     hdr
 }
 
-/// Encodes a full record (header + payload) — used by compaction.
+/// The one encoder of address-sorted byte runs: a checkpoint's snapshot and
+/// a reclamation base record's entries. Pieces arrive disjoint and sorted
+/// by address; one that starts where the open run ends joins it, so every
+/// run is maximal, and each run is one entry (`[addr | len]`, then its
+/// bytes) of at most `max_len` bytes — a longer stretch continues in the
+/// next entry.
+pub(crate) struct RunEncoder<'a> {
+    out: &'a mut Vec<u8>,
+    max_len: usize,
+    /// The open run: where its entry header sits in `out`, its first
+    /// address, and the address one past its last byte (`None` at the top
+    /// of the address space, where nothing can join it).
+    open: Option<(usize, usize, Option<usize>)>,
+    runs: u64,
+}
+
+impl<'a> RunEncoder<'a> {
+    /// An encoder appending to `out`.
+    pub(crate) fn new(out: &'a mut Vec<u8>, max_len: usize) -> Self {
+        assert!(max_len > 0, "a run holds at least one byte");
+        Self { out, max_len, open: None, runs: 0 }
+    }
+
+    /// Appends the `bytes` bound for `addr`, which lie above every byte
+    /// pushed so far and do not wrap the address space.
+    pub(crate) fn push(&mut self, mut addr: usize, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let room = match self.open {
+                Some((hdr, _, end)) if end == Some(addr) => {
+                    self.max_len - (self.out.len() - hdr - ENTRY_HDR)
+                }
+                _ => 0,
+            };
+            if room == 0 {
+                self.close();
+                self.open = Some((self.out.len(), addr, Some(addr)));
+                self.out.extend_from_slice(&entry_header(addr, 0));
+                self.runs += 1;
+                continue;
+            }
+            let n = room.min(bytes.len());
+            self.out.extend_from_slice(&bytes[..n]);
+            let end = addr.checked_add(n);
+            if let Some((_, _, open_end)) = &mut self.open {
+                *open_end = end;
+            }
+            bytes = &bytes[n..];
+            addr = end.unwrap_or(0);
+        }
+    }
+
+    /// Writes the open run's length into its header.
+    fn close(&mut self) {
+        if let Some((hdr, start, _)) = self.open.take() {
+            let len = self.out.len() - hdr - ENTRY_HDR;
+            self.out[hdr..hdr + ENTRY_HDR].copy_from_slice(&entry_header(start, len));
+        }
+    }
+
+    /// Closes the last run; returns the number of entries written.
+    pub(crate) fn finish(mut self) -> u64 {
+        self.close();
+        self.runs
+    }
+}
+
+/// Encodes a full record (header + payload).
 pub fn encode_record(rec: &LogRecord) -> Vec<u8> {
     let mut payload = Vec::with_capacity(rec.payload_len());
     for e in &rec.entries {

@@ -7,7 +7,7 @@ use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 use crate::engine::{Probe, TxLog};
 use crate::layout::{PoolLayout, SingleChain};
 use crate::reclaim::{ReclaimState, ReclaimStats};
-use crate::record::{LogArea, LogStore, PoolStore, ENTRY_HDR, REC_HDR};
+use crate::record::{LogArea, LogStore, PoolStore, ENTRY_HDR, MAX_RECORD_PAYLOAD, REC_HDR};
 use crate::recovery;
 
 /// The runtime's one chain slot and telemetry shard.
@@ -165,9 +165,23 @@ impl SpecSpmt {
     /// `(head, generation)` watermark has not moved is not read, one that
     /// grew is read only from where the last scan stopped, the freshness
     /// index persists across cycles and is only fed those new records, and
-    /// a compaction that changes nothing does not rewrite. A cycle in which
-    /// the chain did not change does no PM work at all.
+    /// a chain without garbage is not rewritten. A cycle in which the chain
+    /// did not change does no PM work at all. A rewrite folds the whole
+    /// chain into one base record: with one chain and no open record, the
+    /// settled watermark is the last committed timestamp.
     pub fn reclaim_now(&mut self) {
+        self.reclaim_now_with_cap(MAX_RECORD_PAYLOAD);
+    }
+
+    /// [`Self::reclaim_now`], with a base record split into records of at
+    /// most `cap` payload bytes instead of [`MAX_RECORD_PAYLOAD`] — small
+    /// caps exercise the split on small logs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rewrite is due and `cap` cannot hold an entry header
+    /// and one byte.
+    pub fn reclaim_now_with_cap(&mut self, cap: usize) {
         if self.log.reserved() {
             return;
         }
@@ -181,13 +195,16 @@ impl SpecSpmt {
             self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, TID);
             return;
         }
+        let next_ts = self.ts_counter;
+        self.reclaim.settle(TID, false, || next_ts);
 
-        // Compact: rewrite only if that changes the chain.
+        // Fold: rewrite only a chain holding garbage.
         let mut dirty = Vec::new();
         let rewrite = self.reclaim.rewrite_chain(
             &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
             TID,
             block_bytes,
+            cap,
             &mut dirty,
         );
 
@@ -582,11 +599,12 @@ mod tests {
 
     /// `reclaim_now` over a seeded history (writing, write-free and
     /// snapshot transactions), inline and background: after every cycle
-    /// the suffix-scanned cache equals a full re-parse, and a rewritten
-    /// chain holds exactly `encode_record` of the reference compaction.
+    /// the suffix-scanned cache equals a full re-parse, a rewritten chain
+    /// holds exactly `encode_record` of the reference fold — every record
+    /// settled, so one base record — and replays to the same bytes.
     #[test]
     fn reclaim_now_matches_full_reparse_over_a_seeded_history() {
-        use crate::reclaim::tests::{encode_all, reference_compaction};
+        use crate::reclaim::tests::{encode_all, reference_fold, replay};
         use crate::record::parse_chain;
         for mode in [ReclaimMode::Inline, ReclaimMode::Background] {
             let mut rt = runtime(SpecConfig {
@@ -614,11 +632,18 @@ mod tests {
                     continue;
                 }
                 let before = parse_chain(rt.pool.device(), rt.area.head(), 256);
-                let want = reference_compaction(std::slice::from_ref(&before)).remove(0);
+                let settled = before.last().map(|r| r.ts);
+                let want = reference_fold(std::slice::from_ref(&before), settled).remove(0);
                 let head = rt.area.head();
                 rt.reclaim_now();
                 let after = parse_chain(rt.pool.device(), rt.area.head(), 256);
                 assert_eq!(after, want, "{mode:?} step={step}");
+                assert!(after.len() <= 1 || after == before, "{mode:?} step={step}: one base");
+                assert_eq!(
+                    replay(std::slice::from_ref(&after)),
+                    replay(std::slice::from_ref(&before)),
+                    "{mode:?} step={step}"
+                );
                 assert_eq!(rt.area.head() != head, want != before, "{mode:?} step={step}");
                 assert_eq!(rt.reclaim.cached_chain(TID), after, "{mode:?} step={step}");
                 if want != before {

@@ -111,13 +111,17 @@ if grep -nF 'HashMap<usize, u64>' crates/core/src/reclaim.rs; then
     exit 1
 fi
 
-# Re-fork guard, reclamation writes each live byte once. A byte is fresh
-# when no younger record wrote it, and that comparison is made in one
-# place, FreshnessIndex::fresh_mask under fresh_span: compaction and
-# is_fresh ("has a span") both call fresh_span, and nothing outside
-# reclaim.rs probes the index byte by byte (newest_ts). rewrite_chain
-# streams the compacted cache into the new chain with one append, never
-# record by record.
+# Re-fork guard, one fold. A byte is fresh when no younger record wrote
+# it, and that comparison is made in one place, FreshnessIndex::fresh_mask:
+# fresh_runs (the fold's per-byte runs) and is_fresh ("has a fresh byte")
+# are its only callers, the fold is fresh_runs' only caller, and nothing
+# outside reclaim.rs probes the index byte by byte (newest_ts). The fold is
+# the one compaction: rewrite_chain and forensics' ChainSummary both call
+# it, and the record-by-record compact_encoded stays deleted. rewrite_chain
+# streams the folded chain into the new one with one append, never record
+# by record. And the fold takes freshness from the resident index and
+# allocates in proportion to the chain: reclaim.rs neither calls recovery's
+# pool-sized fold_last_writer_wins nor reads a pool's size.
 fns_matching() { # <file> <awk regex>: the functions whose bodies match
     nontest "$1" | awk -v pat="$2" '
         /^ *(pub(\(crate\))? )?fn / {
@@ -128,17 +132,31 @@ fns_matching() { # <file> <awk regex>: the functions whose bodies match
 got=$(fns_matching crates/core/src/reclaim.rs '<= ts([^a-z_.]|$)')
 [ "$got" = fresh_mask ] ||
     { echo "re-fork guard: freshness is compared outside fresh_mask: ${got:-(none)}" >&2; exit 1; }
-got=$(fns_matching crates/core/src/reclaim.rs 'self[.]fresh_span[(]')
-[ "$got" = "compact_encoded is_fresh" ] ||
-    { echo "re-fork guard: fresh_span callers are '$got', want compaction and is_fresh" >&2; exit 1; }
+got=$(fns_matching crates/core/src/reclaim.rs 'self[.]fresh_mask[(]')
+[ "$got" = "fresh_runs is_fresh" ] ||
+    { echo "re-fork guard: fresh_mask callers are '$got', want fresh_runs and is_fresh" >&2; exit 1; }
+got=$(fns_matching crates/core/src/reclaim.rs 'self[.]fresh_runs[(]')
+[ "$got" = fold ] ||
+    { echo "re-fork guard: fresh_runs callers are '$got', want the fold" >&2; exit 1; }
 got=$(count_in_sources 'newest_ts[(]' | tr '\n' ' ' | sed 's/ $//')
 [ "$got" = crates/core/src/reclaim.rs:1 ] ||
     { echo "re-fork guard: the index is probed byte by byte (newest_ts) in: $got" >&2; exit 1; }
+got=$(count_in_sources '\bindex[.]fold[(]' | tr '\n' ' ' | sed 's/ $//')
+[ "$got" = "crates/core/src/inspect.rs:1 crates/core/src/reclaim.rs:1" ] ||
+    { echo "re-fork guard: the fold's callers are '$got', want rewrite_chain and forensics" >&2; exit 1; }
+if grep -rn 'compact_encoded' crates src tests examples --include='*.rs'; then
+    echo "re-fork guard: the record-by-record compaction is back (fold the chain)" >&2
+    exit 1
+fi
 rewrite=$(nontest crates/core/src/reclaim.rs |
     awk '/fn rewrite_chain/ { on = 1 } on { print } on && /^    }$/ { exit }')
 appends=$(printf '%s\n' "$rewrite" | grep -c '[.]append(' || true)
 if [ "$appends" -ne 1 ] || printf '%s\n' "$rewrite" | grep -E '\b(for|while|loop)\b|encoded_records' >/dev/null; then
-    echo "re-fork guard: rewrite_chain appends record by record again (one append of the cache)" >&2
+    echo "re-fork guard: rewrite_chain appends record by record again (one append of the fold)" >&2
+    exit 1
+fi
+if nontest crates/core/src/reclaim.rs | grep -nE 'fold_last_writer_wins|source_len[(]|[.]size[(][)]'; then
+    echo "re-fork guard: reclamation sizes work to the pool (fold the chain against the index)" >&2
     exit 1
 fi
 

@@ -71,15 +71,19 @@ fn compaction_preserves_replay_semantics() {
                 index.insert(r.ts, e.addr, e.value.len());
             }
         }
-        // Every entry cut down to its fresh span, as reclamation keeps it.
+        // Every entry cut down to its fresh runs, the bytes reclamation
+        // keeps.
         let compacted: Vec<LogRecord> = records
             .iter()
             .map(|r| {
-                let span = |e: &LogEntry| {
-                    let (lo, hi) = index.fresh_span(r.ts, e.addr, e.value.len())?;
-                    Some(LogEntry { addr: e.addr + lo, value: e.value[lo..hi].to_vec() })
-                };
-                LogRecord { ts: r.ts, entries: r.entries.iter().filter_map(span).collect() }
+                let mut entries = Vec::new();
+                for e in &r.entries {
+                    index.fresh_runs(r.ts, e.addr, e.value.len(), |lo, hi| {
+                        entries
+                            .push(LogEntry { addr: e.addr + lo, value: e.value[lo..hi].to_vec() })
+                    });
+                }
+                LogRecord { ts: r.ts, entries }
             })
             .collect();
 
@@ -126,12 +130,21 @@ impl ByteOracle {
         self.newest.get(&addr).is_none_or(|&n| n <= ts)
     }
 
-    /// Offsets of the entry's first fresh byte and one past its last.
-    fn fresh_span(&self, ts: u64, e: &LogEntry) -> Option<(usize, usize)> {
-        let fresh = |&i: &usize| self.fresh(ts, e.addr.wrapping_add(i));
-        let lo = (0..e.value.len()).find(fresh)?;
-        let hi = (0..e.value.len()).rfind(fresh)?;
-        Some((lo, hi + 1))
+    /// The entry's maximal runs of fresh bytes, as offsets `(lo, hi)`, a
+    /// run broken where the address wraps past `usize::MAX`.
+    fn fresh_runs(&self, ts: u64, e: &LogEntry) -> Vec<(usize, usize)> {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for i in 0..e.value.len() {
+            let addr = e.addr.wrapping_add(i);
+            if !self.fresh(ts, addr) {
+                continue;
+            }
+            match runs.last_mut() {
+                Some((_, hi)) if *hi == i && addr != 0 => *hi = i + 1,
+                _ => runs.push((i, i + 1)),
+            }
+        }
+        runs
     }
 }
 
@@ -219,10 +232,15 @@ fn freshness_index_matches_per_byte_oracle() {
                         e.addr,
                         e.value.len()
                     );
+                    let mut runs = Vec::new();
+                    let fresh = index.fresh_runs(r.ts, e.addr, e.value.len(), |lo, hi| {
+                        runs.push((lo, hi));
+                    });
+                    let want = oracle.fresh_runs(r.ts, e);
                     assert_eq!(
-                        index.fresh_span(r.ts, e.addr, e.value.len()),
-                        oracle.fresh_span(r.ts, e),
-                        "fresh_span(ts={}, addr={:#x}, len={}) case={case} n={n}",
+                        (runs, fresh),
+                        (want.clone(), want.iter().map(|(lo, hi)| hi - lo).sum()),
+                        "fresh_runs(ts={}, addr={:#x}, len={}) case={case} n={n}",
                         r.ts,
                         e.addr,
                         e.value.len()
