@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use specpmt_core::record::{PoolStore, ENTRY_HDR, REC_HDR};
+use specpmt_core::record::{PoolStore, REC_HDR};
 use specpmt_core::{recovery, Probe, SingleChain, Telemetry, TxLog};
 use specpmt_pmem::{CrashImage, PmemPool, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
@@ -139,9 +139,7 @@ impl TxAccess for Spht {
         store.pool.device_mut().advance(data.len().div_ceil(8) as u64 * word_ns);
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
-        if log.stage(&mut store, &mut chain.area, addr, data) {
-            stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
-        }
+        stats.log_bytes += log.stage(&mut store, &mut chain.area, addr, data) as u64;
         if !data.is_empty() {
             for l in addr / CACHE_LINE..=(addr + data.len() - 1) / CACHE_LINE {
                 pending_data_lines.insert(l * CACHE_LINE);

@@ -79,10 +79,10 @@ const MT_REGION: usize = 128;
 /// run summary plus the recovered crash image (for bit-exact replay
 /// checks).
 ///
-/// The workload is fully deterministic: a fixed-seed 40-transaction stream
+/// The workload is fully deterministic: a fixed-seed 48-transaction stream
 /// over a 64-byte region on a [`SpecSpmt`] with 256-byte log blocks and
 /// inline reclamation above a 1 KiB footprint, so compaction (and its
-/// splice into the layout head slots) happens many times mid-stream.
+/// splice into the layout head slots) happens twice mid-stream.
 ///
 /// # Errors
 ///
@@ -96,7 +96,7 @@ pub fn run_seq_smoke_with_image(plan: CrashPlan) -> Result<(RunSummary, CrashIma
         ..SpecConfig::default()
     };
     let spec = StreamSpec {
-        txs: 40,
+        txs: 48,
         max_writes_per_tx: 4,
         max_write_len: 8,
         region_len: SEQ_REGION,
@@ -268,6 +268,16 @@ mod tests {
         assert_eq!(report.fired_cases(), report.cases.len());
         let unvisited = report.unvisited(&["seq-commit", "seq-reclaim", "layout"]);
         assert!(unvisited.is_empty(), "unvisited labeled sites: {unvisited:?}");
+        // Reclamation runs at least twice, so a cap of two crashes each
+        // reclaim and layout site at its first hit and at a later one.
+        let once: Vec<_> = report
+            .discovered
+            .iter()
+            .filter(|(site, hits)| {
+                ["seq-reclaim", "layout"].contains(&site.subsystem()) && *hits < 2
+            })
+            .collect();
+        assert!(once.is_empty(), "sites the stream reaches only once: {once:?}");
     }
 
     #[test]

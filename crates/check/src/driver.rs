@@ -56,12 +56,15 @@ impl Default for StreamSpec {
 /// Generates a random transaction stream from `spec`.
 ///
 /// A transaction's first write lands anywhere in the region. Each later
-/// one revisits an earlier write of the same transaction half of the
-/// time, in one of three ways: the same `(addr, len)` (the write set's
+/// one relates to an earlier write of the same transaction half of the
+/// time, in one of four ways: the same `(addr, len)` (the write set's
 /// in-place patch), a write that starts inside the earlier one and runs
-/// past its end (a straddle), or one that lies inside it (a nested write).
+/// past its end (a straddle), one that lies inside it (a nested write), or
+/// one that starts where the transaction's last write ended (the write
+/// set's extension of its tail entry).
 /// Uniform draws alone almost never repeat a range with a partial overlap
-/// in between, the history that reorders writes if a patch skips over it.
+/// in between, the history that reorders writes if a patch skips over it,
+/// nor continue the last write byte for byte.
 pub fn generate_stream(spec: &StreamSpec) -> Vec<Vec<TxOp>> {
     assert!(spec.region_len >= spec.max_write_len.max(1), "region too small");
     let max_len = spec.max_write_len.max(1);
@@ -71,7 +74,11 @@ pub fn generate_stream(spec: &StreamSpec) -> Vec<Vec<TxOp>> {
             let writes = rng.range_usize(0, spec.max_writes_per_tx);
             let mut ops: Vec<TxOp> = Vec::with_capacity(writes);
             for _ in 0..writes {
-                let (addr, len) = match (ops.len(), rng.below(6)) {
+                let last_end = ops.last().map_or(spec.region_len, |op| op.addr + op.data.len());
+                let (addr, len) = match (ops.len(), rng.below(8)) {
+                    (_, 3) if last_end < spec.region_len => {
+                        (last_end, rng.range_usize(1, max_len).min(spec.region_len - last_end))
+                    }
                     (0, _) | (_, 3..) => {
                         let len = rng.range_usize(1, max_len);
                         (rng.range_usize(0, spec.region_len - len), len)
@@ -221,19 +228,21 @@ mod tests {
         }
     }
 
-    /// Every kind of revisit shows up — a repeat of an earlier write's
-    /// `(addr, len)`, a write starting inside an earlier one and ending
-    /// past it, one lying inside it — and so does the history that
-    /// reorders writes under a careless patch: a range repeated after a
-    /// write that overlaps it.
+    /// Every relation to an earlier write shows up — a repeat of its
+    /// `(addr, len)`, a write starting inside it and ending past it, one
+    /// lying inside it, one starting where the last write ended — and so
+    /// does the history that reorders writes under a careless patch: a
+    /// range repeated after a write that overlaps it.
     #[test]
     fn streams_revisit_earlier_writes_of_the_transaction() {
         let stream = generate_stream(&StreamSpec { txs: 100, seed: 7, ..StreamSpec::default() });
         let range = |op: &TxOp| (op.addr, op.addr + op.data.len());
-        let (mut repeat, mut straddle, mut nested, mut reordering) = (0, 0, 0, false);
+        let (mut repeat, mut straddle, mut nested, mut adjacent) = (0, 0, 0, 0);
+        let mut reordering = false;
         for tx in &stream {
             for (j, later) in tx.iter().enumerate() {
                 let (l0, l1) = range(later);
+                adjacent += usize::from(j > 0 && range(&tx[j - 1]).1 == l0);
                 for (i, prev) in tx[..j].iter().enumerate() {
                     let (p0, p1) = range(prev);
                     if (l0, l1) == (p0, p1) {
@@ -249,8 +258,8 @@ mod tests {
             }
         }
         assert!(
-            repeat * straddle * nested > 0,
-            "{repeat} repeats, {straddle} straddles, {nested} nested"
+            repeat * straddle * nested * adjacent > 0,
+            "{repeat} repeats, {straddle} straddles, {nested} nested, {adjacent} adjacent"
         );
         assert!(reordering, "no repeat across an overlapping write");
     }

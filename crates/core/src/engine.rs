@@ -12,7 +12,9 @@
 use specpmt_pmem::{coalesce_lines, FenceReport, Site};
 use specpmt_telemetry::{Phase, Telemetry};
 
-use crate::record::{encode_header_parts, entry_header, Cursor, LogArea, LogStore, REC_HDR};
+use crate::record::{
+    encode_header_parts, entry_header, Cursor, LogArea, LogStore, ENTRY_HDR, ENTRY_LEN_AT, REC_HDR,
+};
 use crate::writeset::WriteSet;
 
 /// Where one runtime's commits are observed: its commit crash sites and
@@ -64,6 +66,9 @@ pub struct TxLog {
     /// Write set (paper §4: only the last update of a datum in a
     /// transaction needs a log entry), see [`crate::writeset`].
     ws: WriteSet,
+    /// Where the length field of the open record's last entry header
+    /// sits in the chain: an [extension](WriteSet::extend_tail) rewrites it.
+    tail_len: Cursor,
     /// Dirty `(addr, len)` log ranges of the open transaction; coalesced
     /// into one vectored flush at commit.
     dirty: Vec<(usize, usize)>,
@@ -80,6 +85,7 @@ impl TxLog {
             data_persistence,
             tx_start: None,
             ws: WriteSet::new(),
+            tail_len: Cursor { block: 0, pos: 0 },
             dirty: Vec::new(),
             data: Vec::new(),
         }
@@ -110,30 +116,46 @@ impl TxLog {
     /// Logs one durable write: the entry of the *new* value — no flush,
     /// no fence. The caller stores the data itself (in place, never
     /// flushed by SpecSPMT; SPHT into its DRAM overlay), after the
-    /// [reservation](Self::reserve) and before this. Returns whether a new
-    /// entry was appended: a repeated same-length update of a datum
-    /// overwrites its entry in place instead of appending a stale one,
-    /// unless a later entry overlaps it ([`WriteSet::patchable`]).
+    /// [reservation](Self::reserve) and before this. Returns the log bytes
+    /// appended:
+    /// - 0 when a repeated same-length update of a datum overwrites its
+    ///   bytes in place, which no later entry overlaps
+    ///   ([`WriteSet::patchable`]);
+    /// - the value length when the write starts where the record's last
+    ///   entry ends: the value is appended and that entry's length
+    ///   rewritten ([`WriteSet::extend_tail`]), so a contiguous run of writes
+    ///   pays one entry header;
+    /// - [`ENTRY_HDR`] plus the value length for a new entry.
+    ///
+    /// The record header reads zero length until the seal, so a crash
+    /// between an extension's value append and its length rewrite leaves
+    /// an unsealed record, like any in-flight write.
     pub fn stage<S: LogStore>(
         &mut self,
         store: &mut S,
         area: &mut LogArea,
         addr: usize,
         data: &[u8],
-    ) -> bool {
+    ) -> usize {
         if self.data_persistence {
             self.data.push((addr, data.len()));
         }
         if let Some(slot) = self.ws.patchable(addr, data.len()) {
             self.ws.patch(slot, data);
             area.write_at(store, slot.value_cursor, data, &mut self.dirty);
-            return false;
+            return 0;
+        }
+        if let Some(len) = self.ws.extend_tail(addr, data, area.tail()) {
+            area.append(store, data, &mut self.dirty);
+            area.write_at(store, self.tail_len, &(len as u32).to_le_bytes(), &mut self.dirty);
+            return data.len();
         }
         area.append(store, &entry_header(addr, data.len()), &mut self.dirty);
+        self.tail_len = area.behind_tail(ENTRY_HDR - ENTRY_LEN_AT);
         let value_cursor = area.tail();
         area.append(store, data, &mut self.dirty);
         self.ws.stage(addr, data, value_cursor);
-        true
+        ENTRY_HDR + data.len()
     }
 
     /// Seals the reserved record as committed at `ts`: patches in the

@@ -56,6 +56,9 @@ pub const REC_HDR: usize = 20;
 /// Entry header size: `addr (u64) | len (u32)`.
 pub const ENTRY_HDR: usize = 12;
 
+/// Where an entry header's `u32` value length starts, after its address.
+pub(crate) const ENTRY_LEN_AT: usize = 8;
+
 /// Upper bound on a single record's payload; larger lengths — and lengths
 /// the source could not hold — are treated as corruption during parsing.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 24;
@@ -193,8 +196,8 @@ pub fn push_entry(payload: &mut Vec<u8>, addr: usize, value: &[u8]) {
 /// reusable write set.
 pub fn entry_header(addr: usize, value_len: usize) -> [u8; ENTRY_HDR] {
     let mut hdr = [0u8; ENTRY_HDR];
-    hdr[..8].copy_from_slice(&(addr as u64).to_le_bytes());
-    hdr[8..].copy_from_slice(&(value_len as u32).to_le_bytes());
+    hdr[..ENTRY_LEN_AT].copy_from_slice(&(addr as u64).to_le_bytes());
+    hdr[ENTRY_LEN_AT..].copy_from_slice(&(value_len as u32).to_le_bytes());
     hdr
 }
 
@@ -918,6 +921,18 @@ impl LogArea {
     /// Current append position.
     pub fn tail(&self) -> Cursor {
         self.tail
+    }
+
+    /// The position `n` bytes before the tail, stepping back across block
+    /// boundaries; `n` must not reach past the chain's first byte.
+    pub(crate) fn behind_tail(&self, mut n: usize) -> Cursor {
+        let (mut i, mut pos) = (self.blocks.len() - 1, self.tail.pos);
+        while n > pos - BLOCK_HDR {
+            n -= pos - BLOCK_HDR;
+            i -= 1;
+            pos = self.block_bytes;
+        }
+        Cursor { block: self.blocks[i], pos: pos - n }
     }
 
     /// Number of blocks in the chain.

@@ -7,7 +7,7 @@ use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 use crate::engine::{Probe, TxLog};
 use crate::layout::{PoolLayout, SingleChain};
 use crate::reclaim::{ReclaimState, ReclaimStats};
-use crate::record::{LogArea, LogStore, PoolStore, ENTRY_HDR, MAX_RECORD_PAYLOAD, REC_HDR};
+use crate::record::{LogArea, LogStore, PoolStore, MAX_RECORD_PAYLOAD, REC_HDR};
 use crate::recovery;
 
 /// The runtime's one chain slot and telemetry shard.
@@ -332,9 +332,7 @@ impl TxAccess for SpecSpmt {
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
         store.store(addr, data);
-        if log.stage(&mut store, area, addr, data) {
-            stats.log_bytes += (ENTRY_HDR + data.len()) as u64;
-        }
+        stats.log_bytes += log.stage(&mut store, area, addr, data) as u64;
     }
 
     fn read(&mut self, addr: usize, buf: &mut [u8]) {
@@ -422,6 +420,7 @@ impl Recover for SpecSpmt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{parse_chain, ENTRY_HDR};
     use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice, TimingMode, BUMP_OFF};
 
     fn runtime(cfg: SpecConfig) -> SpecSpmt {
@@ -509,6 +508,75 @@ mod tests {
         let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
         SpecSpmt::recover(&mut img);
         assert_eq!(img.read_u64(a), 99);
+    }
+
+    /// `log_bytes` counts what each write appended — nothing for a patch,
+    /// the value alone for an extension, header and value for a new
+    /// entry — so it is the sealed record's length exactly.
+    #[test]
+    fn log_bytes_is_the_sealed_record_when_writes_patch_and_extend() {
+        let mut rt = runtime(SpecConfig::default());
+        let a = alloc_region(&mut rt, 128);
+        rt.begin();
+        rt.write(a, &[1; 4]);
+        rt.write(a + 4, &[2; 4]); // extends the entry at `a`
+        rt.write(a, &[3; 4]); // patches its first piece
+        rt.write(a + 64, &[5; 8]); // a new entry
+        rt.write(a + 72, &[6; 2]); // extends that one
+        rt.write(a + 4, &[7; 4]); // patches a piece inside the first entry
+        rt.commit();
+        let records = parse_chain(rt.pool.device(), rt.area.head(), rt.cfg.block_bytes);
+        let sealed = records.last().expect("one record");
+        let values: Vec<(usize, &[u8])> =
+            sealed.entries.iter().map(|e| (e.addr, e.value.as_slice())).collect();
+        assert_eq!(
+            values,
+            [(a, &[3, 3, 3, 3, 7, 7, 7, 7][..]), (a + 64, &[5, 5, 5, 5, 5, 5, 5, 5, 6, 6])]
+        );
+        assert_eq!(sealed.payload_len(), 2 * ENTRY_HDR + 8 + 10);
+        assert_eq!(rt.tx_stats().log_bytes, (REC_HDR + sealed.payload_len()) as u64);
+    }
+
+    /// An entry extended across block boundaries: its header in the first
+    /// block, its value running through the next two. The chain still
+    /// parses it as one entry, and both recovery paths agree on the image.
+    /// A leading entry then moves that header up to and across the first
+    /// block's end (its length field whole in either block, or split), so
+    /// the length rewrite follows the block's forward pointer.
+    #[test]
+    fn an_extended_entry_spans_blocks_as_one_entry() {
+        const BB: usize = 128;
+        for lead in std::iter::once(0).chain(60..=84) {
+            let mut rt = runtime(SpecConfig { block_bytes: BB, ..SpecConfig::default() });
+            let a = alloc_region(&mut rt, 512);
+            let blocks = rt.area.block_count();
+            rt.begin();
+            if lead > 0 {
+                rt.write(a + 256, &vec![0xee; lead]);
+            }
+            for i in 0..30 {
+                rt.write_u64(a + i * 8, 0x1000 + i as u64);
+            }
+            rt.commit();
+            if lead == 0 {
+                assert_eq!(rt.area.block_count(), blocks + 2, "the value fills two more blocks");
+            }
+            let records = parse_chain(rt.pool.device(), rt.area.head(), BB);
+            let sealed = records.last().expect("one record");
+            let shape: Vec<(usize, usize)> =
+                sealed.entries.iter().map(|e| (e.addr, e.value.len())).collect();
+            let want = if lead == 0 { vec![(a, 240)] } else { vec![(a + 256, lead), (a, 240)] };
+            assert_eq!(shape, want, "lead {lead}");
+            let img = rt.pool().device().capture(CrashPolicy::AllLost);
+            let mut reference = img.clone();
+            recovery::recover_image(&mut reference);
+            let mut engine = img;
+            recovery::recover_image_opts(&mut engine, &recovery::RecoveryOptions::default());
+            assert_eq!(engine.as_bytes(), reference.as_bytes(), "lead {lead}");
+            for i in 0..30 {
+                assert_eq!(engine.read_u64(a + i * 8), 0x1000 + i as u64, "lead {lead}");
+            }
+        }
     }
 
     #[test]
@@ -605,7 +673,6 @@ mod tests {
     #[test]
     fn reclaim_now_matches_full_reparse_over_a_seeded_history() {
         use crate::reclaim::tests::{encode_all, reference_fold, replay};
-        use crate::record::parse_chain;
         for mode in [ReclaimMode::Inline, ReclaimMode::Background] {
             let mut rt = runtime(SpecConfig {
                 block_bytes: 256,

@@ -23,17 +23,21 @@
 //! allocations in this layer (the commit-path microbench asserts this via
 //! a counting global allocator).
 
-use crate::record::{self, Cursor, ENTRY_HDR};
+use crate::record::{self, Cursor, ENTRY_HDR, ENTRY_LEN_AT};
 
-/// Where one staged entry lives, for the in-transaction dedup path.
+/// Where one staged write's bytes live, for the in-transaction dedup
+/// path. A write that [extended](WriteSet::extend_tail) the tail entry is a
+/// piece of that entry: its bytes sit in the middle of the entry's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntrySlot {
-    /// Offset of the entry's *value* bytes inside the payload arena.
+    /// Offset of the write's value bytes inside the payload arena.
     pub payload_off: usize,
     /// Value length in bytes.
     pub len: usize,
     /// Log-chain cursor of the value bytes (for write-through patching).
     pub value_cursor: Cursor,
+    /// Offset of the header of the entry holding the bytes.
+    pub entry_off: usize,
 }
 
 /// One index slot. `stamp` ties the slot to the transaction that wrote
@@ -48,7 +52,12 @@ struct Slot {
 const EMPTY_SLOT: Slot = Slot {
     addr: 0,
     stamp: 0,
-    entry: EntrySlot { payload_off: 0, len: 0, value_cursor: Cursor { block: 0, pos: 0 } },
+    entry: EntrySlot {
+        payload_off: 0,
+        len: 0,
+        value_cursor: Cursor { block: 0, pos: 0 },
+        entry_off: 0,
+    },
 };
 
 /// Reusable write-set: open-addressing index + payload arena. See the
@@ -64,6 +73,10 @@ pub struct WriteSet {
     /// Current transaction stamp; slots with an older stamp are empty.
     stamp: u64,
     payload: Vec<u8>,
+    /// The last staged entry: its header's arena offset and the address
+    /// one past its last byte. A write starting there may
+    /// [extend](Self::extend_tail) it.
+    tail: Option<(usize, usize)>,
 }
 
 const INITIAL_SLOTS: usize = 16;
@@ -84,6 +97,7 @@ impl WriteSet {
             live: 0,
             stamp: 0,
             payload: Vec::new(),
+            tail: None,
         }
     }
 
@@ -93,9 +107,10 @@ impl WriteSet {
         self.stamp += 1;
         self.live = 0;
         self.payload.clear();
+        self.tail = None;
     }
 
-    /// Number of entries staged in the current transaction.
+    /// Number of write addresses indexed in the current transaction.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -139,22 +154,49 @@ impl WriteSet {
     /// Returns the [`EntrySlot`] recorded for the entry.
     pub fn stage(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> EntrySlot {
         let hdr = record::entry_header(addr, data.len());
-        let payload_off = self.payload.len() + ENTRY_HDR;
+        let entry_off = self.payload.len();
         self.payload.extend_from_slice(&hdr);
         self.payload.extend_from_slice(data);
-        let entry = EntrySlot { payload_off, len: data.len(), value_cursor };
+        self.tail = Some((entry_off, addr + data.len()));
+        let entry = EntrySlot {
+            payload_off: entry_off + ENTRY_HDR,
+            len: data.len(),
+            value_cursor,
+            entry_off,
+        };
         self.insert(addr, entry);
         entry
     }
 
-    /// The entry a write of `len` bytes at `addr` may overwrite in place:
-    /// the one staged for `addr`, if it has that length and no entry staged
-    /// after it overlaps `[addr, addr + len)`. Recovery replays a record's
-    /// entries in payload order, so patching past a later overlapping
-    /// entry would replay the two writes out of order.
+    /// Appends `data` to the tail entry when `addr` is where that entry
+    /// ends: the arena grows by the value bytes alone and the entry's
+    /// length is rewritten. The tail entry is the payload's last, so the
+    /// grown entry replays exactly as the two writes would, in write
+    /// order. `value_cursor` is the log-chain cursor where the bytes will
+    /// land. Returns the grown entry's value length, or `None` (nothing
+    /// staged) when `addr` does not continue the tail entry.
+    pub fn extend_tail(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> Option<usize> {
+        let (entry_off, _) = self.tail.filter(|&(_, end)| end == addr)?;
+        let payload_off = self.payload.len();
+        self.payload.extend_from_slice(data);
+        let len = self.payload.len() - entry_off - ENTRY_HDR;
+        self.payload[entry_off + ENTRY_LEN_AT..entry_off + ENTRY_HDR]
+            .copy_from_slice(&(len as u32).to_le_bytes());
+        self.tail = Some((entry_off, addr + data.len()));
+        self.insert(addr, EntrySlot { payload_off, len: data.len(), value_cursor, entry_off });
+        Some(len)
+    }
+
+    /// The staged write that a write of `len` bytes at `addr` may
+    /// overwrite in place: the one staged for `addr`, if it has that length and no entry staged
+    /// after the entry holding it overlaps `[addr, addr + len)`. Recovery
+    /// replays a record's entries in payload order, so patching past a
+    /// later overlapping entry would replay the two writes out of order.
+    /// The scan starts at the holding entry's end, not the write's: bytes
+    /// in the middle of an extended entry are values, not headers.
     pub fn patchable(&self, addr: usize, len: usize) -> Option<EntrySlot> {
         let slot = self.lookup(addr).filter(|slot| slot.len == len)?;
-        let mut later = record::Entries::new(&self.payload[slot.payload_off + len..]);
+        let mut later = record::Entries::new(&self.payload[slot.entry_off..]).skip(1);
         (!later.any(|e| e.addr < addr + len && addr < e.addr + e.value.len())).then_some(slot)
     }
 
@@ -270,40 +312,58 @@ mod tests {
         assert_eq!(ws.lookup(16), None);
     }
 
-    /// Seeded transactions mixing fresh stages and same-length patches of
-    /// overlapping ranges, in any order: a write patches exactly when an
-    /// independent model says it may (same address and length as the
-    /// newest entry for its address, and no later entry overlapping it),
-    /// and the checksum is the record checksum of the payload the model
-    /// encodes from the same writes.
+    /// Seeded transactions mixing fresh stages, extensions of the tail
+    /// entry and same-length patches of overlapping ranges, in any order,
+    /// tried as `TxLog::stage` tries them (patch, else extend, else a new
+    /// entry): a write patches exactly when an independent model says it
+    /// may (same address and length as the newest write at its address,
+    /// and no entry after the one holding it overlapping it), extends
+    /// exactly when it starts where the last entry ends, and the checksum
+    /// is the record checksum of the payload the model encodes.
     #[test]
     fn checksum_matches_an_independently_encoded_payload() {
         let mut rng = specpmt_pmem::SplitMix64::new(0x3a5e);
         let mut ws = WriteSet::new();
-        let mut patches = 0;
-        for tx in 0..200u64 {
+        let (mut patches, mut extensions) = (0, 0);
+        for tx in 0..400u64 {
             ws.begin();
+            // Entries as the model encodes them, and each write as
+            // (addr, len, index of its entry, offset in that entry).
             let mut want: Vec<(usize, Vec<u8>)> = Vec::new();
+            let mut writes: Vec<(usize, usize, usize, usize)> = Vec::new();
             for _ in 0..rng.range_usize(1, 12) {
-                let addr = 8 * rng.below(6) as usize;
-                let data: Vec<u8> =
-                    (0..rng.range_usize(1, 20)).map(|_| rng.next_u64() as u8).collect();
+                let tail_end = want.last().map(|(a, v)| a + v.len());
+                let addr = match tail_end {
+                    Some(end) if rng.below(3) == 0 => end,
+                    _ => 8 * rng.below(6) as usize,
+                };
+                let data: Vec<u8> = (0..rng.range_usize(1, 20)).map(|_| rng.next_u8()).collect();
                 let disjoint =
                     |(a, v): &(usize, Vec<u8>)| a + v.len() <= addr || addr + data.len() <= *a;
-                let model = want.iter().rposition(|(a, _)| *a == addr).filter(|&i| {
-                    want[i].1.len() == data.len() && want[i + 1..].iter().all(disjoint)
+                let model = writes.iter().rposition(|w| w.0 == addr).filter(|&i| {
+                    writes[i].1 == data.len() && want[writes[i].2 + 1..].iter().all(disjoint)
                 });
-                match (ws.patchable(addr, data.len()), model) {
-                    (Some(slot), Some(i)) => {
-                        ws.patch(slot, &data);
-                        want[i].1 = data;
-                        patches += 1;
-                    }
-                    (None, None) => {
-                        ws.stage(addr, &data, cur(0));
-                        want.push((addr, data));
-                    }
-                    (got, _) => panic!("tx {tx}: patchable {got:?} disagrees with the model"),
+                if let Some(i) = model {
+                    let (_, len, e, off) = writes[i];
+                    let slot = ws.patchable(addr, len).unwrap_or_else(|| panic!("tx {tx}"));
+                    ws.patch(slot, &data);
+                    want[e].1[off..off + len].copy_from_slice(&data);
+                    patches += 1;
+                    continue;
+                }
+                assert_eq!(ws.patchable(addr, data.len()), None, "tx {tx}");
+                let grown = ws.extend_tail(addr, &data, cur(0));
+                if tail_end == Some(addr) {
+                    let (e, off) = (want.len() - 1, want[want.len() - 1].1.len());
+                    want[e].1.extend_from_slice(&data);
+                    assert_eq!(grown, Some(want[e].1.len()), "tx {tx}");
+                    writes.push((addr, data.len(), e, off));
+                    extensions += 1;
+                } else {
+                    assert_eq!(grown, None, "tx {tx}");
+                    ws.stage(addr, &data, cur(0));
+                    writes.push((addr, data.len(), want.len(), 0));
+                    want.push((addr, data));
                 }
             }
             let mut payload = Vec::new();
@@ -311,7 +371,28 @@ mod tests {
             assert_eq!(ws.payload(), payload.as_slice(), "tx {tx}");
             assert_eq!(ws.checksum(tx), record::record_checksum(tx, &payload), "tx {tx}");
         }
-        assert!(patches > 0, "the stream never patched");
+        assert!(patches > 0 && extensions > 0, "{patches} patches, {extensions} extensions");
+    }
+
+    /// A patch of a write in the middle of an extended entry scans for
+    /// later overlapping entries from the end of the whole entry: the
+    /// bytes after the write are values, not entry headers.
+    #[test]
+    fn a_piece_inside_an_extended_entry_patches_only_past_no_overlap() {
+        let mut ws = WriteSet::new();
+        ws.begin();
+        ws.stage(0, &[1; 4], cur(0));
+        assert_eq!(ws.extend_tail(4, &[2; 4], cur(0)), Some(8));
+        assert_eq!(ws.extend_tail(8, &[4; 4], cur(0)), Some(12));
+        assert_eq!(ws.extend_tail(6, &[7; 4], cur(0)), None, "6 is not where the entry ends");
+        ws.stage(6, &[7; 4], cur(0));
+        assert_eq!(ws.patchable(4, 4), None, "the entry at 6 overlaps [4, 8)");
+        let slot = ws.patchable(0, 4).expect("nothing after the entry overlaps [0, 4)");
+        ws.patch(slot, &[3; 4]);
+        let mut payload = Vec::new();
+        record::push_entry(&mut payload, 0, &[3, 3, 3, 3, 2, 2, 2, 2, 4, 4, 4, 4]);
+        record::push_entry(&mut payload, 6, &[7; 4]);
+        assert_eq!(ws.payload(), payload.as_slice());
     }
 
     #[test]

@@ -324,6 +324,34 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &YadaCfg) -> Commit
 mod tests {
     use super::*;
 
+    /// A triangle is written field by field, eight adjacent `u32`s, and
+    /// each field continues the last one's log entry: the record holds one
+    /// entry, a 12-byte header and 32 value bytes, where one header per
+    /// field sealed 128 bytes.
+    #[test]
+    fn a_triangle_seals_one_entry_of_44_bytes() {
+        use specpmt_core::{forensics, SpecConfig, SpecSpmt};
+        use specpmt_pmem::{CrashControl, CrashPolicy, PmemConfig, PmemDevice, PmemPool};
+        use specpmt_txn::{Recover, TxRuntime};
+        let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
+        let mut rt = SpecSpmt::new(pool, SpecConfig::default());
+        let at = rt.setup_alloc(TRI_BYTES, 64);
+        let t = Tri { quality: 7, v: [1, 2, 3], alive: true, gen: 4, n: [5, 6] };
+        rt.begin();
+        write_tri(&mut rt, at, &t);
+        rt.commit();
+        let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
+        let chain = &forensics(&img).chains[0];
+        assert_eq!((chain.records, chain.entries, chain.payload_bytes), (1, 1, 44));
+        SpecSpmt::recover(&mut img);
+        let fields: Vec<u32> = img
+            .read_bytes(at, TRI_BYTES)
+            .chunks(4)
+            .map(|f| u32::from_le_bytes(f.try_into().unwrap()))
+            .collect();
+        assert_eq!(fields, [7, 1, 2, 3, 1, 4, 5, 6]);
+    }
+
     #[test]
     fn refinement_terminates_with_all_good_triangles() {
         let tris = reference(&YadaCfg::scaled(Scale::Tiny));

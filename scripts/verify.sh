@@ -320,6 +320,20 @@ if nontest crates/hwtx/src/hoop.rs | grep -nE '\.sor[t]'; then
     exit 1
 fi
 
+# One entry header per contiguous run, written by the commit path alone.
+# Outside #[cfg(test)], the write set's tail extension is called only from
+# TxLog::stage (HOOP's coalesce keeps its patch-or-stage rule), and the
+# log bytes a write appended are counted where they are appended:
+# TxLog::stage returns them, so no caller recomputes an entry's size for
+# TxStats::log_bytes. No pattern matches its own line.
+got=$(count_in_sources 'extend_tai[l][(]' | tr '\n' ' ' | sed 's/ $//')
+[ "$got" = "crates/core/src/engine.rs:1 crates/core/src/writeset.rs:1" ] &&
+    [ "$(fns_matching crates/core/src/engine.rs 'extend_tai[l][(]')" = stage ] ||
+    { echo "re-fork guard: the tail entry is extended outside TxLog::stage: $got" >&2; exit 1; }
+got=$(count_in_sources 'ENTRY_HD[R] [+] data[.]len[(]|log_bytes.*ENTRY_HD[R]' | tr '\n' ' ' | sed 's/ $//')
+[ "$got" = crates/core/src/engine.rs:1 ] ||
+    { echo "re-fork guard: log bytes recomputed outside TxLog::stage: $got" >&2; exit 1; }
+
 # One SplitMix64 mixer, in crates/pmem/src/rng.rs: STAMP's generator and the
 # 2PL backoff jitter draw from it. Only kv's zipf scramble and admission
 # hash, whose streams are left as they are, may spell a mixer constant too.

@@ -236,11 +236,26 @@ fn younger_record_survives_write_free_txs<A: TxAccess>(
 /// * `w(a, [1; 8]); w(a, [2; 4])` leaves `[2, 2, 2, 2, 1, 1, 1, 1]`.
 ///   Keeping only the last write per address would drop the first
 ///   write's tail and leave `[2, 2, 2, 2, 0, 0, 0, 0]`.
+/// * `w(a, [1; 4]); w(a + 4, [2; 4]); w(a, [3; 4])` leaves
+///   `[3, 3, 3, 3, 2, 2, 2, 2]`: the second write extends the first
+///   write's entry, and the third patches the front of that entry.
+/// * `w(a, [1; 4]); w(a + 4, [2; 4]); w(a + 8, [4; 4]); w(a + 6, [7; 4]);
+///   w(a + 4, [3; 4])` leaves `[1, 1, 1, 1, 3, 3, 3, 3, 7, 7, 4, 4]`. The
+///   last write repeats a piece in the middle of one extended entry, and
+///   the entry after it overlaps that piece, so it must log anew. Reading
+///   the entry's value bytes as the next entry's header could patch it
+///   in place and leave `[1, 1, 1, 1, 3, 3, 7, 7, 7, 7, 4, 4]`.
 type WriteOrderShape = (&'static [(isize, &'static [u8])], isize, &'static [u8]);
-const WRITE_ORDER_SHAPES: [WriteOrderShape; 3] = [
+const WRITE_ORDER_SHAPES: [WriteOrderShape; 5] = [
     (&[(0, &[1; 4]), (2, &[2; 4]), (0, &[3; 4])], 0, &[3, 3, 3, 3, 2, 2]),
     (&[(0, &[1; 4]), (-2, &[2; 4])], -2, &[2, 2, 2, 2, 1, 1]),
     (&[(0, &[1; 8]), (0, &[2; 4])], 0, &[2, 2, 2, 2, 1, 1, 1, 1]),
+    (&[(0, &[1; 4]), (4, &[2; 4]), (0, &[3; 4])], 0, &[3, 3, 3, 3, 2, 2, 2, 2]),
+    (
+        &[(0, &[1; 4]), (4, &[2; 4]), (8, &[4; 4]), (6, &[7; 4]), (4, &[3; 4])],
+        0,
+        &[1, 1, 1, 1, 3, 3, 3, 3, 7, 7, 4, 4],
+    ),
 ];
 
 fn overlapping_writes_recover_in_write_order<A: TxAccess>(
