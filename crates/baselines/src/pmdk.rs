@@ -241,7 +241,7 @@ impl TxRuntime for PmdkUndo {
 
 impl Recover for PmdkUndo {
     fn recover(image: &mut CrashImage) {
-        let stage = undo::region(image).and_then(|region| Fields::new(region).u64());
+        let stage = undo::region(image).and_then(|region| Fields::new(region).read::<u64>());
         if let Some(generation) = stage.filter(|&generation| generation != 0) {
             undo::roll_back(image, ENTRIES_OFF, entry_magic(generation));
         }

@@ -58,6 +58,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use specpmt_pmem::blackbox::BbKind;
+use specpmt_pmem::frame::Wire;
 use specpmt_pmem::{
     line_of, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice, SharedPmemPool,
     Site, TimingMode, BUMP_OFF,
@@ -822,7 +823,7 @@ impl SpecSpmtShared {
             let checksum = record_checksum(ts, &payloads[p]);
             if let Some(at) = stream_cursor(&chain_blocks[idx], self.cfg.block_bytes, offset) {
                 anchored.push(at.block);
-                anchors[idx] = Some(Anchor { at, ts, checksum });
+                anchors[idx] = Some(Anchor::new(at, ts, checksum));
             }
         }
 
@@ -1125,7 +1126,9 @@ impl TxHandle {
         assert!(self.in_tx, "alloc outside transaction");
         let r = self.shared.pool.reserve(size, align).expect("pool heap exhausted");
         if let Some(bump) = r.new_bump {
-            self.write(BUMP_OFF, &bump.to_le_bytes());
+            let mut word = [0; 8];
+            bump.put(&mut word);
+            self.write(BUMP_OFF, &word);
         }
         r.off
     }
@@ -2062,8 +2065,8 @@ pub(crate) mod tests {
                     .take_while(|&ts| ts <= watermark)
                     .last();
                 assert_eq!(Some(a.ts), last, "chain {tid}");
-                let mut resumed = RecordReader::resume(&handle, a.at, s.cfg.block_bytes);
-                assert_eq!(resumed.next().map(|r| r.anchor(a.at)), Some(a), "chain {tid}");
+                let mut resumed = RecordReader::resume(&handle, a.at(), s.cfg.block_bytes);
+                assert_eq!(resumed.next().map(|r| r.anchor(a.at())), Some(a), "chain {tid}");
             }
 
             let mut records: Vec<_> = parse_all(&s)

@@ -12,9 +12,9 @@
 use specpmt_pmem::{coalesce_lines, FenceReport, Site};
 use specpmt_telemetry::{Phase, Telemetry};
 
-use crate::record::{
-    encode_header_parts, entry_header, Cursor, LogArea, LogStore, ENTRY_HDR, ENTRY_LEN_AT, REC_HDR,
-};
+use std::mem::offset_of;
+
+use crate::record::{Cursor, EntryHeader, LogArea, LogStore, RecordHeader, ENTRY_HDR, REC_HDR};
 use crate::writeset::WriteSet;
 
 /// Where one runtime's commits are observed: its commit crash sites and
@@ -145,13 +145,14 @@ impl TxLog {
             area.write_at(store, slot.value_cursor, data, &mut self.dirty);
             return 0;
         }
-        if let Some(len) = self.ws.extend_tail(addr, data, area.tail()) {
+        if let Some(len_field) = self.ws.extend_tail(addr, data, area.tail()) {
             area.append(store, data, &mut self.dirty);
-            area.write_at(store, self.tail_len, &(len as u32).to_le_bytes(), &mut self.dirty);
+            area.write_at(store, self.tail_len, len_field, &mut self.dirty);
             return data.len();
         }
-        area.append(store, &entry_header(addr, data.len()), &mut self.dirty);
-        self.tail_len = area.behind_tail(ENTRY_HDR - ENTRY_LEN_AT);
+        let header = EntryHeader { addr: addr as u64, len: data.len() as u32 };
+        area.append(store, &header.encode(), &mut self.dirty);
+        self.tail_len = area.behind_tail(ENTRY_HDR - offset_of!(EntryHeader, len));
         let value_cursor = area.tail();
         area.append(store, data, &mut self.dirty);
         self.ws.stage(addr, data, value_cursor);
@@ -172,11 +173,11 @@ impl TxLog {
         let tx_start = self.tx_start.take().expect("seal of a transaction that reserved no record");
         let payload_len = self.ws.payload().len();
         let seal_span = p.tel.registry.span(p.tid, Phase::Seal);
-        let header = encode_header_parts(ts, payload_len, self.ws.checksum(ts));
+        let header = RecordHeader { len: payload_len as u32, ts, checksum: self.ws.checksum(ts) };
         seal_span.stop();
         crash_point(store, p.seal);
         let append_span = p.tel.registry.span(p.tid, Phase::Append);
-        let wrote = area.write_at(store, tx_start, &header, &mut self.dirty);
+        let wrote = area.write_at(store, tx_start, &header.encode(), &mut self.dirty);
         assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
         area.write_terminator(store, &mut self.dirty);
         append_span.stop();

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use specpmt_pmem::frame::{seal, verify, Fields};
+use specpmt_pmem::frame::{seal, verify, Fields, Wire};
 use specpmt_pmem::{
     root_off, CrashImage, PmemPool, PoolHeader, SplitMix64, TimingMode, CACHE_LINE,
 };
@@ -37,9 +37,22 @@ pub const CHUNK: usize = 32;
 /// Bytes per slot (two generations + key, padded to two cache half-lines).
 pub const SLOT_BYTES: usize = 128;
 
-const GEN_A: usize = 8; // key at 0..8
-const GEN_B: usize = 56;
-const GEN_SIZE: usize = 48; // ts(8) + cksum(8) + value(32)
+specpmt_pmem::frame! {
+    /// A hash-log generation's header, the chunk's value behind it: the
+    /// writing transaction's timestamp (0 = never written) and the seal of
+    /// the value with the slot's key and `ts`.
+    pub struct GenerationHeader {
+        pub(crate) ts: u64,
+        pub(crate) checksum: u64,
+    }
+}
+
+/// Bytes of one generation: its header, then the chunk's value.
+const GEN_SIZE: usize = GenerationHeader::LEN + CHUNK;
+/// Where a slot's two generations start: after its `u64` key, one behind
+/// the other.
+const GEN_A: usize = u64::WIDTH;
+const GEN_B: usize = GEN_A + GEN_SIZE;
 
 /// Configuration for [`HashLogSpmt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,11 +165,13 @@ impl HashLogSpmt {
         } else {
             GEN_B
         };
-        let cksum = seal(&value, key, self.tx_ts);
+        let header = GenerationHeader { ts: self.tx_ts, checksum: seal(&value, key, self.tx_ts) };
+        let header = header.encode();
         let dev = self.pool.device_mut();
-        dev.write_u64(s + gen, self.tx_ts);
-        dev.write_u64(s + gen + 8, cksum);
-        dev.write(s + gen + 16, &value);
+        for field in GenerationHeader::FIELDS {
+            dev.write(s + gen + field.offset, &header[field.offset..][..field.width]);
+        }
+        dev.write(s + gen + GenerationHeader::LEN, &value);
         self.dirty_slots.insert(s + gen);
         self.stats.log_bytes += GEN_SIZE as u64;
     }
@@ -237,7 +252,7 @@ impl TxRuntime for HashLogSpmt {
 
 impl Recover for HashLogSpmt {
     fn recover(image: &mut CrashImage) {
-        let Some(header) = PoolHeader::decode(image.as_bytes()) else {
+        let Some(header) = PoolHeader::read(image.as_bytes()) else {
             return;
         };
         let base = header.roots[HASH_BASE_SLOT] as usize;
@@ -251,7 +266,7 @@ impl Recover for HashLogSpmt {
         };
         let mut writes = Vec::new();
         for slot in table.chunks_exact(SLOT_BYTES) {
-            let Some(key) = Fields::new(slot).u64().filter(|&key| key != 0) else {
+            let Some(key) = Fields::new(slot).read::<u64>().filter(|&key| key != 0) else {
                 continue;
             };
             let chunk_addr = match (key as usize - 1).checked_mul(CHUNK) {
@@ -264,8 +279,10 @@ impl Recover for HashLogSpmt {
                 .into_iter()
                 .filter_map(|gen| {
                     let mut f = Fields::new(slot.get(gen..)?);
-                    let (ts, sum, value) = (f.u64()?, f.u64()?, f.bytes(CHUNK)?);
-                    (ts != 0 && ts <= cts && verify(value, key, ts, sum)).then_some((ts, value))
+                    let h = GenerationHeader::decode(f.bytes(GenerationHeader::LEN)?)?;
+                    let (ts, value) = (h.ts, f.bytes(CHUNK)?);
+                    (ts != 0 && ts <= cts && verify(value, key, ts, h.checksum))
+                        .then_some((ts, value))
                 })
                 .reduce(|best, gen| if gen.0 > best.0 { gen } else { best });
             if let Some((_, value)) = newest {
@@ -413,5 +430,28 @@ mod tests {
         wild_key.write_u64(free, u64::MAX);
         HashLogSpmt::recover(&mut wild_key);
         assert_eq!(wild_key.read_u64(a), 42, "only the wild slot was skipped");
+    }
+
+    /// A slot after two commits to its chunk, pinned byte for byte as the
+    /// generations were written before their header was declared as a
+    /// frame.
+    #[test]
+    fn a_slot_keeps_its_known_answer() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
+        let mut rt = HashLogSpmt::new(pool, HashLogConfig { capacity: 1 << 6 });
+        let a = rt.setup_alloc(32, 32);
+        for v in [0x0102_0304_0506_0708u64, 0x1112_1314_1516_1718] {
+            rt.begin();
+            rt.write_u64(a, v);
+            rt.commit();
+        }
+        assert_eq!(a, 0x2100);
+        let key = (a / CHUNK + 1) as u64;
+        let slot = (0..1 << 6)
+            .map(|i| rt.slot_addr(i))
+            .find(|&s| rt.pool.device().peek_u64(s) == key)
+            .expect("the chunk's slot");
+        assert_eq!(hex(rt.pool.device().peek(slot, SLOT_BYTES)), "09010000000000000100000000000000415a164ca13e687c0807060504030201000000000000000000000000000000000000000000000000020000000000000092ff424f8c15ab911817161514131211000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000");
     }
 }

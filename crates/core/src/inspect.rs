@@ -431,7 +431,7 @@ impl fmt::Display for ForensicReport {
 /// Never fails: garbage, recorder-off and descriptor-less images all
 /// return a report.
 pub fn forensics(image: &CrashImage) -> ForensicReport {
-    let header = PoolHeader::decode(image.as_bytes());
+    let header = PoolHeader::read(image.as_bytes());
     let mut rep = ForensicReport {
         valid_pool: header.is_some(),
         heap_bump: header.map_or(0, |h| h.bump),

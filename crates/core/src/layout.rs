@@ -15,18 +15,11 @@
 //! ([`crate::recovery`], [`crate::inspect`]) finds the chains through it.
 //!
 //! ```text
-//! root slot 3 (LAYOUT_SLOT) ──► descriptor (heap, 64-byte aligned)
-//!   0  .. 8   layout magic "SPLAYOUT"
-//!   8  .. 12  version (u32)
-//!   12 .. 16  chain capacity (u32, 1..=4096)
-//!   16 .. 24  log block bytes (u64)
-//!   24 .. 32  word_hash of bytes 0..24
-//!   32 .. 40  checkpoint chain head (u64; 0 = no checkpoint)
-//!   40 .. 48  black-box region base (u64; 0 = recorder never on)
-//!   48 .. 48 + 8·capacity   per-thread chain-head pointers (u64 each)
+//! root slot 3 (LAYOUT_SLOT) ──► descriptor (heap, 64-byte aligned):
+//!   DescriptorHeader, then one u64 chain-head pointer per chain slot
 //! ```
 //!
-//! The header (bytes 0..32) is written once at format time and never
+//! The header up to its seal is written once at format time and never
 //! mutated, so its checksum catches a torn or foreign descriptor. The
 //! checkpoint head and the head table **are** mutated at runtime (log
 //! reclamation and checkpointing splice new chains in by atomically
@@ -40,7 +33,9 @@
 //! descriptor of any version but [`LAYOUT_VERSION`] is rejected as corrupt
 //! rather than parsed.
 
-use specpmt_pmem::frame::{seal, verify, Fields};
+use std::mem::offset_of;
+
+use specpmt_pmem::frame::{seal, verify, Fields, Wire};
 use specpmt_pmem::{PmemPool, PoolHeader, SharedPmemPool, Site, TimingMode, POOL_HEADER_SIZE};
 
 use crate::record::{ByteSource, LogArea, PoolStore};
@@ -54,24 +49,25 @@ pub const LAYOUT_MAGIC: u64 = 0x5350_4c41_594f_5554;
 /// The descriptor version (the only one [`PoolLayout::read`] accepts).
 pub const LAYOUT_VERSION: u32 = 3;
 
-/// Bytes of the checksummed, write-once part of the descriptor.
-const DESC_STATIC: usize = 32;
+specpmt_pmem::frame! {
+    /// The layout descriptor's header, the chain-head table behind it:
+    /// [`LAYOUT_MAGIC`], [`LAYOUT_VERSION`], the chain slots
+    /// (`1..=`[`PoolLayout::MAX_THREADS`]), the log block size and the seal
+    /// of those bytes, which never change; then the mutable, unsealed
+    /// checkpoint chain head and black-box region base (0 = none).
+    pub struct DescriptorHeader {
+        pub(crate) magic: u64,
+        pub(crate) version: u32,
+        pub(crate) threads: u32,
+        pub(crate) block_bytes: u64,
+        pub(crate) seal: u64,
+        pub(crate) ckpt_head: u64,
+        pub(crate) bbox_head: u64,
+    }
+}
 
-/// Bytes of the static part its seal covers: all but the seal.
-const DESC_COVERED: usize = DESC_STATIC - 8;
-
-/// Descriptor header bytes preceding the head table: the static part plus
-/// the mutable checkpoint-head and black-box-base pointers.
-pub const DESC_HDR: usize = 48;
-
-/// Offset of the checkpoint chain head within the descriptor.
-pub const CKPT_HEAD_OFF: usize = 32;
-
-/// Offset of the black-box (flight recorder) region base within the
-/// descriptor. Like the checkpoint head it is mutable, non-checksummed
-/// state: the region it points at self-validates via its own
-/// checksummed header, and 0 means the recorder was never enabled.
-pub const BBOX_HEAD_OFF: usize = 40;
+/// The descriptor bytes its seal covers: all before it.
+const SEALED: usize = offset_of!(DescriptorHeader, seal);
 
 /// Valid log block sizes (shared with recovery's plausibility check).
 const BLOCK_BYTES_RANGE: std::ops::RangeInclusive<usize> = 64..=(1 << 20);
@@ -90,24 +86,22 @@ pub struct PoolLayout {
     desc_base: usize,
 }
 
-fn read_u64_at<S: ByteSource>(src: &S, addr: usize) -> Option<u64> {
-    let mut b = [0u8; 8];
-    src.read_at(addr, &mut b).then(|| u64::from_le_bytes(b))
-}
-
 impl PoolLayout {
     /// Maximum chain slots a pool can be formatted with (8 · 4096 = 32 KiB
     /// of head table, still tiny next to a single log block chain).
     pub const MAX_THREADS: usize = 4096;
 
     fn descriptor_bytes(threads: usize, block_bytes: usize) -> Vec<u8> {
-        let mut d = vec![0u8; DESC_HDR + 8 * threads];
-        d[0..8].copy_from_slice(&LAYOUT_MAGIC.to_le_bytes());
-        d[8..12].copy_from_slice(&LAYOUT_VERSION.to_le_bytes());
-        d[12..16].copy_from_slice(&(threads as u32).to_le_bytes());
-        d[16..24].copy_from_slice(&(block_bytes as u64).to_le_bytes());
-        let sum = seal(&d[..DESC_COVERED], 0, 0);
-        d[DESC_COVERED..DESC_STATIC].copy_from_slice(&sum.to_le_bytes());
+        let h = DescriptorHeader {
+            magic: LAYOUT_MAGIC,
+            version: LAYOUT_VERSION,
+            threads: threads as u32,
+            block_bytes: block_bytes as u64,
+            ..DescriptorHeader::default()
+        };
+        let h = DescriptorHeader { seal: seal(&h.encode()[..SEALED], 0, 0), ..h };
+        let mut d = vec![0u8; DescriptorHeader::LEN + u64::WIDTH * threads];
+        d[..DescriptorHeader::LEN].copy_from_slice(&h.encode());
         d
     }
 
@@ -171,23 +165,22 @@ impl PoolLayout {
         if !src.read_at(0, &mut pool) {
             return None;
         }
-        let desc_base = PoolHeader::decode(&pool)?.roots[LAYOUT_SLOT] as usize;
-        let mut hdr = [0u8; DESC_STATIC];
-        if desc_base < POOL_HEADER_SIZE || !src.read_at(desc_base, &mut hdr) {
+        let desc_base = PoolHeader::read(&pool)?.roots[LAYOUT_SLOT] as usize;
+        let mut bytes = [0u8; DescriptorHeader::LEN];
+        if desc_base < POOL_HEADER_SIZE || !src.read_at(desc_base, &mut bytes) {
             return None;
         }
-        let mut f = Fields::new(&hdr);
-        if !verify(f.bytes(DESC_COVERED)?, 0, 0, f.u64()?) {
+        let h = DescriptorHeader::decode(&bytes)?;
+        if !verify(&bytes[..SEALED], 0, 0, h.seal)
+            || h.magic != LAYOUT_MAGIC
+            || h.version != LAYOUT_VERSION
+        {
             return None;
         }
-        let mut f = Fields::new(&hdr);
-        if f.u64()? != LAYOUT_MAGIC || f.u32()? != LAYOUT_VERSION {
-            return None;
-        }
-        let (threads, block_bytes) = (f.u32()? as usize, f.u64()? as usize);
+        let (threads, block_bytes) = (h.threads as usize, h.block_bytes as usize);
         if !(1..=Self::MAX_THREADS).contains(&threads)
             || !BLOCK_BYTES_RANGE.contains(&block_bytes)
-            || desc_base + DESC_HDR + 8 * threads > src.source_len()
+            || desc_base + DescriptorHeader::LEN + u64::WIDTH * threads > src.source_len()
         {
             return None;
         }
@@ -219,12 +212,21 @@ impl PoolLayout {
     /// Panics if `tid` is out of range for this layout.
     pub fn head_addr(&self, tid: usize) -> usize {
         assert!(tid < self.threads, "thread {tid} out of range (layout has {})", self.threads);
-        self.desc_base + DESC_HDR + 8 * tid
+        self.desc_base + DescriptorHeader::LEN + u64::WIDTH * tid
     }
 
     /// Reads thread `tid`'s chain head from `src` (0 = empty chain).
     pub fn head<S: ByteSource>(&self, src: &S, tid: usize) -> usize {
-        read_u64_at(src, self.head_addr(tid)).unwrap_or(0) as usize
+        let mut head = [0u8; 8];
+        let read = src.read_at(self.head_addr(tid), &mut head);
+        read.then(|| Fields::new(&head).read::<u64>()).flatten().unwrap_or(0) as usize
+    }
+
+    /// The descriptor's header as `src` holds it, checked by [`Self::read`]
+    /// when the layout was.
+    fn header<S: ByteSource>(&self, src: &S) -> Option<DescriptorHeader> {
+        let mut bytes = [0u8; DescriptorHeader::LEN];
+        src.read_at(self.desc_base, &mut bytes).then(|| DescriptorHeader::decode(&bytes)).flatten()
     }
 
     /// Writes and immediately persists thread `tid`'s chain head.
@@ -258,12 +260,12 @@ impl PoolLayout {
 
     /// Pool offset of the checkpoint chain head.
     pub fn ckpt_head_addr(&self) -> usize {
-        self.desc_base + CKPT_HEAD_OFF
+        self.desc_base + offset_of!(DescriptorHeader, ckpt_head)
     }
 
     /// Reads the checkpoint chain head (0 = no checkpoint).
     pub fn ckpt_head<S: ByteSource>(&self, src: &S) -> usize {
-        read_u64_at(src, self.ckpt_head_addr()).unwrap_or(0) as usize
+        self.header(src).map_or(0, |h| h.ckpt_head as usize)
     }
 
     /// Writes and immediately persists the checkpoint chain head — the
@@ -278,12 +280,12 @@ impl PoolLayout {
 
     /// Pool offset of the black-box (flight recorder) region base.
     pub fn bbox_head_addr(&self) -> usize {
-        self.desc_base + BBOX_HEAD_OFF
+        self.desc_base + offset_of!(DescriptorHeader, bbox_head)
     }
 
     /// Reads the black-box region base (0 = recorder never enabled).
     pub fn bbox_head<S: ByteSource>(&self, src: &S) -> usize {
-        read_u64_at(src, self.bbox_head_addr()).unwrap_or(0) as usize
+        self.header(src).map_or(0, |h| h.bbox_head as usize)
     }
 
     /// Writes and immediately persists the black-box region base. Done
@@ -429,7 +431,7 @@ mod tests {
         for version in [1u32, 2, 99] {
             let mut img3 = p.device().capture(CrashPolicy::AllLost);
             img3.write_bytes(l.desc_base() + 8, &version.to_le_bytes());
-            let sum = seal(&img3.as_bytes()[l.desc_base()..l.desc_base() + DESC_COVERED], 0, 0);
+            let sum = seal(&img3.as_bytes()[l.desc_base()..l.desc_base() + SEALED], 0, 0);
             img3.write_bytes(l.desc_base() + 24, &sum.to_le_bytes());
             assert!(PoolLayout::read(&img3).is_none(), "version {version} is rejected");
         }
@@ -485,5 +487,13 @@ mod tests {
         assert_eq!(back.head(&img, 1), 0x3333);
         assert_eq!(back.ckpt_head(&img), 0x4444);
         assert_eq!(back.head(&img, 0), 0, "unset heads read as empty");
+    }
+
+    /// The descriptor [`PoolLayout::format`] writes, pinned byte for byte
+    /// as it was before the header was declared as a frame.
+    #[test]
+    fn descriptor_bytes_keep_their_known_answer() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(hex(&PoolLayout::descriptor_bytes(3, 4096)), "54554f59414c5053030000000300000000100000000000000f1acbd59a4d723f00000000000000000000000000000000000000000000000000000000000000000000000000000000");
     }
 }

@@ -100,8 +100,8 @@ use std::time::Instant;
 use specpmt_telemetry::{Phase, Telemetry};
 
 use crate::record::{
-    decode_entry, decode_header, encode_header, ByteSource, Cursor, LogArea, LogStore,
-    RecordReader, RunEncoder, ENTRY_HDR, REC_HDR,
+    decode_entry, ByteSource, Cursor, LogArea, LogStore, RecordHeader, RecordReader, RunEncoder,
+    ENTRY_HDR, REC_HDR,
 };
 
 /// Bytes per index word.
@@ -323,8 +323,9 @@ impl FreshnessIndex {
         // The later records: bytes in `chain`, timestamp, pieces, garbage.
         let mut later = Vec::new();
         let mut r = 0;
-        while let Some((len, ts, _)) = decode_header(&chain[r..]) {
-            let (end, first_piece) = (r + REC_HDR + len, pieces.len());
+        while let Some(header) = RecordHeader::decode(&chain[r..]) {
+            let (ts, end) = (header.ts, r + REC_HDR + header.len as usize);
+            let first_piece = pieces.len();
             let mut p = r + REC_HDR;
             let mut dirty = false;
             while let Some((addr, vlen)) = decode_entry(&chain[p..end]) {
@@ -438,8 +439,8 @@ fn fold_pieces(
     runs.finish();
     folded.last_ts = Some(ts);
     if out.len() - rec - REC_HDR <= cap {
-        let hdr = encode_header(ts, &out[rec + REC_HDR..]);
-        out[rec..rec + REC_HDR].copy_from_slice(&hdr);
+        let hdr = RecordHeader::sealing(ts, &out[rec + REC_HDR..]);
+        out[rec..rec + REC_HDR].copy_from_slice(&hdr.encode());
         return;
     }
     // Over the cap: whole entries (each at most `cap` bytes) packed into
@@ -455,7 +456,7 @@ fn fold_pieces(
             }
             end += ENTRY_HDR + vlen;
         }
-        out.extend_from_slice(&encode_header(ts, &payload[at..end]));
+        out.extend_from_slice(&RecordHeader::sealing(ts, &payload[at..end]).encode());
         out.extend_from_slice(&payload[at..end]);
         at = end;
     }

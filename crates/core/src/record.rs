@@ -4,9 +4,9 @@
 //! sequence of *records* stored in chained fixed-size *log blocks*:
 //!
 //! ```text
-//! block:  [fwd ptr: u64][bwd ptr: u64][record bytes …]
-//! record: [len: u32][ts: u64][checksum: u64][entries …]       (len = entry bytes)
-//! entry:  [addr: u64][len: u32][value bytes]
+//! block:  BlockHeader, then record bytes …
+//! record: RecordHeader, then entries …      (its len = the entries' bytes)
+//! entry:  EntryHeader, then value bytes
 //! ```
 //!
 //! Records flow byte-contiguously across blocks (a record larger than the
@@ -25,39 +25,60 @@
 //! A checkpoint is one record of its own, in a chain of its own:
 //!
 //! ```text
-//! checkpoint: [magic: u64][watermark: u64][len: u32][checksum: u64][payload …]
-//! payload:    [anchors: u32][anchor × anchors][runs …]
-//! anchor:     [block: u64][pos: u64][ts: u64][checksum: u64]     (block 0 = none)
+//! checkpoint: CheckpointHeader, then the payload …
+//! payload:    anchor count (u32), Anchor × count, runs …   (Anchor block 0 = none)
 //! run:        an entry, as above
 //! ```
 //!
 //! The checksum seals the whole payload, anchor table included, so a torn
 //! checkpoint is rejected whole. Anchor `i` names chain `i`'s last record at
-//! or below the watermark (an `Anchor`); the runs are the last-writer-wins
+//! or below the watermark (an [`Anchor`]); the runs are the last-writer-wins
 //! state of every record at or below it. `encode_checkpoint` and
 //! `read_checkpoint` are the frame's one encoder and one decoder, and
 //! `stream_cursor` places a record in its chain from the bytes before it.
 
+use std::mem::offset_of;
 use std::sync::Mutex;
 
-use specpmt_pmem::frame::{seal, verify, Fields};
+use specpmt_pmem::frame::{seal, verify, Fields, Wire, Writer};
 use specpmt_pmem::{
     CrashControl, CrashImage, DeviceHandle, FenceReport, PmemDevice, PmemError, PmemPool,
     SharedPmemPool, Site,
 };
 
-/// Bytes reserved at the start of each log block (forward + backward
-/// pointers).
-pub const BLOCK_HDR: usize = 16;
+specpmt_pmem::frame! {
+    /// The links a log block opens with: the chain's `next` block (0 = none
+    /// yet) and its `prev` block (0 = the head).
+    pub struct BlockHeader {
+        pub(crate) next: u64,
+        pub(crate) prev: u64,
+    }
 
-/// Record header size: `len (u32) | ts (u64) | checksum (u64)`.
-pub const REC_HDR: usize = 20;
+    /// A transaction record's header, its entries behind it: their bytes
+    /// (`len`; 0 ends the chain), the commit timestamp and the
+    /// [`record_checksum`] of the payload, the commit flag.
+    pub struct RecordHeader {
+        pub(crate) len: u32,
+        pub(crate) ts: u64,
+        pub(crate) checksum: u64,
+    }
 
-/// Entry header size: `addr (u64) | len (u32)`.
-pub const ENTRY_HDR: usize = 12;
+    /// One entry's header, `len` value bytes behind it for pool offset
+    /// `addr`.
+    pub struct EntryHeader {
+        pub(crate) addr: u64,
+        pub(crate) len: u32,
+    }
+}
 
-/// Where an entry header's `u32` value length starts, after its address.
-pub(crate) const ENTRY_LEN_AT: usize = 8;
+/// Bytes reserved at the start of each log block.
+pub const BLOCK_HDR: usize = BlockHeader::LEN;
+
+/// Record header size.
+pub const REC_HDR: usize = RecordHeader::LEN;
+
+/// Entry header size.
+pub const ENTRY_HDR: usize = EntryHeader::LEN;
 
 /// Upper bound on a single record's payload; larger lengths — and lengths
 /// the source could not hold — are treated as corruption during parsing.
@@ -169,36 +190,17 @@ pub fn record_checksum(ts: u64, payload: &[u8]) -> u64 {
     seal(payload, payload.len() as u64, ts)
 }
 
-/// Encodes a record header from precomputed parts — the seal path, where
-/// the write set computed the checksum over its staged payload.
-pub fn encode_header_parts(ts: u64, payload_len: usize, checksum: u64) -> [u8; REC_HDR] {
-    let mut h = [0u8; REC_HDR];
-    h[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    h[4..12].copy_from_slice(&ts.to_le_bytes());
-    h[12..20].copy_from_slice(&checksum.to_le_bytes());
-    h
-}
-
-/// Encodes a record header for the given payload.
-pub fn encode_header(ts: u64, payload: &[u8]) -> [u8; REC_HDR] {
-    encode_header_parts(ts, payload.len(), record_checksum(ts, payload))
+impl RecordHeader {
+    /// The header that seals `payload` as committed at `ts`.
+    pub fn sealing(ts: u64, payload: &[u8]) -> Self {
+        Self { len: payload.len() as u32, ts, checksum: record_checksum(ts, payload) }
+    }
 }
 
 /// Appends one entry to a payload buffer.
 pub fn push_entry(payload: &mut Vec<u8>, addr: usize, value: &[u8]) {
-    payload.extend_from_slice(&(addr as u64).to_le_bytes());
-    payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    payload.extend_from_slice(&EntryHeader { addr: addr as u64, len: value.len() as u32 }.encode());
     payload.extend_from_slice(value);
-}
-
-/// Encodes the fixed-size entry header `[addr u64 | len u32]` on the
-/// stack — the allocation-free form of [`push_entry`] used by the
-/// reusable write set.
-pub fn entry_header(addr: usize, value_len: usize) -> [u8; ENTRY_HDR] {
-    let mut hdr = [0u8; ENTRY_HDR];
-    hdr[..ENTRY_LEN_AT].copy_from_slice(&(addr as u64).to_le_bytes());
-    hdr[ENTRY_LEN_AT..].copy_from_slice(&(value_len as u32).to_le_bytes());
-    hdr
 }
 
 /// The one encoder of address-sorted byte runs: a checkpoint's snapshot and
@@ -237,7 +239,7 @@ impl<'a> RunEncoder<'a> {
             if room == 0 {
                 self.close();
                 self.open = Some((self.out.len(), addr, Some(addr)));
-                self.out.extend_from_slice(&entry_header(addr, 0));
+                self.out.extend_from_slice(&EntryHeader { addr: addr as u64, len: 0 }.encode());
                 self.runs += 1;
                 continue;
             }
@@ -256,7 +258,8 @@ impl<'a> RunEncoder<'a> {
     fn close(&mut self) {
         if let Some((hdr, start, _)) = self.open.take() {
             let len = self.out.len() - hdr - ENTRY_HDR;
-            self.out[hdr..hdr + ENTRY_HDR].copy_from_slice(&entry_header(start, len));
+            let entry = EntryHeader { addr: start as u64, len: len as u32 };
+            self.out[hdr..hdr + ENTRY_HDR].copy_from_slice(&entry.encode());
         }
     }
 
@@ -274,16 +277,9 @@ pub fn encode_record(rec: &LogRecord) -> Vec<u8> {
         push_entry(&mut payload, e.addr, &e.value);
     }
     let mut out = Vec::with_capacity(REC_HDR + payload.len());
-    out.extend_from_slice(&encode_header(rec.ts, &payload));
+    out.extend_from_slice(&RecordHeader::sealing(rec.ts, &payload).encode());
     out.extend_from_slice(&payload);
     out
-}
-
-/// Decodes the record header `bytes` starts with into `(payload length,
-/// timestamp, checksum)`; `None` when `bytes` is shorter than a header.
-pub(crate) fn decode_header(bytes: &[u8]) -> Option<(usize, u64, u64)> {
-    let mut f = Fields::new(bytes);
-    Some((f.u32()? as usize, f.u64()?, f.u64()?))
 }
 
 /// Decodes the entry `bytes` starts with into `(addr, value length)`; its
@@ -293,9 +289,9 @@ pub(crate) fn decode_header(bytes: &[u8]) -> Option<(usize, u64, u64)> {
 /// Returns positions rather than borrows, so compaction can decode an
 /// entry and then move it within the buffer it was decoded from.
 pub(crate) fn decode_entry(bytes: &[u8]) -> Option<(usize, usize)> {
-    let mut f = Fields::new(bytes);
-    let (addr, len) = (f.u64()? as usize, f.u32()? as usize);
-    (len <= f.rest().len()).then_some((addr, len))
+    let h = EntryHeader::decode(bytes)?;
+    let len = h.len as usize;
+    (len <= bytes.len() - ENTRY_HDR).then_some((h.addr as usize, len))
 }
 
 /// One entry of a record payload, borrowed from the bytes it was decoded
@@ -376,11 +372,13 @@ impl<'a, S: ByteSource> StreamReader<'a, S> {
         while off < buf.len() {
             if self.cur.pos >= self.block_bytes {
                 // Follow the forward pointer.
-                let mut p = [0u8; 8];
-                if !self.src.read_at(self.cur.block, &mut p) {
+                let mut hdr = [0u8; BLOCK_HDR];
+                if !self.src.read_at(self.cur.block, &mut hdr) {
                     return false;
                 }
-                let next = u64::from_le_bytes(p) as usize;
+                let Some(next) = BlockHeader::decode(&hdr).map(|h| h.next as usize) else {
+                    return false;
+                };
                 if next == 0 || !in_bounds(next, self.block_bytes, self.src.source_len()) {
                     return false;
                 }
@@ -482,8 +480,8 @@ impl<'a> RecordRef<'a> {
 
     /// The record as a checkpoint names it, read at `at`.
     pub(crate) fn anchor(&self, at: Cursor) -> Anchor {
-        let checksum = decode_header(self.bytes).map_or(0, |(_, _, sum)| sum);
-        Anchor { at, ts: self.ts, checksum }
+        let checksum = RecordHeader::decode(self.bytes).map_or(0, |h| h.checksum);
+        Anchor::new(at, self.ts, checksum)
     }
 
     /// The owned form.
@@ -497,10 +495,10 @@ impl<'a> RecordRef<'a> {
 /// checksums were verified when the records were read from the chain.
 pub(crate) fn encoded_records(mut bytes: &[u8]) -> impl Iterator<Item = RecordRef<'_>> {
     std::iter::from_fn(move || {
-        let (len, ts, _) = decode_header(bytes)?;
-        let (rec, rest) = bytes.split_at_checked(REC_HDR + len)?;
+        let h = RecordHeader::decode(bytes)?;
+        let (rec, rest) = bytes.split_at_checked(REC_HDR + h.len as usize)?;
         bytes = rest;
-        Some(RecordRef { ts, bytes: rec })
+        Some(RecordRef { ts: h.ts, bytes: rec })
     })
 }
 
@@ -561,14 +559,15 @@ impl<'a, S: ByteSource> RecordReader<'a, S> {
         if !stream.read(&mut hdr) {
             return None;
         }
-        let (len, ts, cksum) = decode_header(&hdr)?;
+        let h = RecordHeader::decode(&hdr)?;
+        let len = h.len as usize;
         if len == 0 || len > MAX_RECORD_PAYLOAD {
             return None;
         }
-        let bytes = stream.read_payload(&hdr, len, ts, cksum, &mut self.buf)?;
+        let bytes = stream.read_payload(&hdr, len, h.ts, h.checksum, &mut self.buf)?;
         self.next = stream.cur;
         self.stream = Some(stream);
-        Some(RecordRef { ts, bytes })
+        Some(RecordRef { ts: h.ts, bytes })
     }
 }
 
@@ -612,31 +611,46 @@ pub fn parse_chain<S: ByteSource>(src: &S, head: usize, block_bytes: usize) -> V
 /// the anchor table).
 pub const CKPT_MAGIC: u64 = 0x5350_434b_5054_3031;
 
-/// Checkpoint record header size:
-/// `magic (u64) | watermark (u64) | len (u32) | checksum (u64)`.
-pub const CKPT_HDR: usize = 28;
+specpmt_pmem::frame! {
+    /// A checkpoint record's header, its `len`-byte payload (the anchor
+    /// table, then the runs) behind it: [`CKPT_MAGIC`], the watermark (every
+    /// record with a commit timestamp at or below it is folded in) and the
+    /// payload's [`record_checksum`], the watermark in the timestamp's seat.
+    pub struct CheckpointHeader {
+        pub(crate) magic: u64,
+        pub(crate) watermark: u64,
+        pub(crate) len: u32,
+        pub(crate) checksum: u64,
+    }
 
-/// Bytes of one anchor in a checkpoint's anchor table:
-/// `block (u64) | pos (u64) | ts (u64) | checksum (u64)`, a zero `block`
-/// meaning no anchor.
-pub const ANCHOR_BYTES: usize = 32;
+    /// One entry of a checkpoint's anchor table: where a chain's last
+    /// record at or below the watermark started when the checkpoint read
+    /// the chain (`block`, 0 = no anchor, and `pos`), and the timestamp and
+    /// checksum that record carried. Recovery trusts it only after finding
+    /// `block` on the live chain and the same record at [`Anchor::at`].
+    pub struct Anchor {
+        pub(crate) block: u64,
+        pub(crate) pos: u64,
+        pub(crate) ts: u64,
+        pub(crate) checksum: u64,
+    }
+}
 
 /// Upper bound on a checkpoint's payload (a checkpoint snapshots live
 /// data, which can legitimately dwarf any single transaction record).
 pub const MAX_CKPT_PAYLOAD: usize = 1 << 28;
 
-/// Where a chain's last record at or below a checkpoint's watermark
-/// started when the checkpoint read the chain, and the timestamp and
-/// checksum that record carried. Recovery trusts it only after finding
-/// `at.block` on the live chain and the same record at `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Anchor {
+impl Anchor {
+    /// The anchor of the record at `at` with timestamp `ts` and checksum
+    /// `checksum`.
+    pub(crate) fn new(at: Cursor, ts: u64, checksum: u64) -> Self {
+        Self { block: at.block as u64, pos: at.pos as u64, ts, checksum }
+    }
+
     /// Where the record starts in its chain.
-    pub(crate) at: Cursor,
-    /// The record's commit timestamp.
-    pub(crate) ts: u64,
-    /// The record's stored checksum.
-    pub(crate) checksum: u64,
+    pub(crate) fn at(&self) -> Cursor {
+        Cursor { block: self.block as usize, pos: self.pos as usize }
+    }
 }
 
 /// A checkpoint record as [`read_checkpoint`] decodes it.
@@ -651,11 +665,12 @@ pub(crate) struct Checkpoint {
     pub(crate) runs: Vec<u8>,
 }
 
-/// Encodes a checkpoint record: `magic | watermark | len | checksum`, then
-/// a `len`-byte payload holding
+/// Encodes a checkpoint record: its [`CheckpointHeader`], then a
+/// `len`-byte payload holding
 ///
-/// * the anchor table — `count (u32)`, then `count` anchors of
-///   [`ANCHOR_BYTES`], chain `i`'s at index `i`; and
+/// * the anchor table — the anchor count (`u32`), then that many
+///   [`Anchor`]s, chain `i`'s at index `i` (all zero where it has none);
+///   and
 /// * the snapshot `runs` (disjoint, address-sorted, the last-writer-wins
 ///   state of every record with commit timestamp `<= watermark`), already
 ///   encoded back to back as entries.
@@ -669,32 +684,20 @@ pub(crate) fn encode_checkpoint(
     anchors: &[Option<Anchor>],
     runs: &[u8],
 ) -> Vec<u8> {
-    let len = 4 + anchors.len() * ANCHOR_BYTES + runs.len();
-    let mut out = Vec::with_capacity(CKPT_HDR + len);
-    out.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&watermark.to_le_bytes());
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 8]); // the checksum, once the payload is in
-    out.extend_from_slice(&(anchors.len() as u32).to_le_bytes());
+    const HDR: usize = CheckpointHeader::LEN;
+    let len = u32::WIDTH + anchors.len() * Anchor::LEN + runs.len();
+    let mut out = Vec::with_capacity(HDR + len);
+    // The header, once the payload is in; then the anchor count.
+    out.resize(HDR + u32::WIDTH, 0);
+    Writer::new(&mut out[HDR..]).put(anchors.len() as u32);
     for anchor in anchors {
-        let a = anchor.unwrap_or(Anchor { at: Cursor { block: 0, pos: 0 }, ts: 0, checksum: 0 });
-        for word in [a.at.block as u64, a.at.pos as u64, a.ts, a.checksum] {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
+        out.extend_from_slice(&anchor.unwrap_or_default().encode());
     }
     out.extend_from_slice(runs);
-    let sum = record_checksum(watermark, &out[CKPT_HDR..]);
-    out[CKPT_HDR - 8..CKPT_HDR].copy_from_slice(&sum.to_le_bytes());
+    let checksum = record_checksum(watermark, &out[HDR..]);
+    let header = CheckpointHeader { magic: CKPT_MAGIC, watermark, len: len as u32, checksum };
+    out[..HDR].copy_from_slice(&header.encode());
     out
-}
-
-/// Decodes one [`ANCHOR_BYTES`] entry of the anchor table; `None` for an
-/// empty one. Positions are taken as stored: recovery validates them.
-fn decode_anchor(entry: &[u8]) -> Option<Anchor> {
-    let mut f = Fields::new(entry);
-    let at = Cursor { block: f.u64()? as usize, pos: f.u64()? as usize };
-    let anchor = Anchor { at, ts: f.u64()?, checksum: f.u64()? };
-    (at.block != 0).then_some(anchor)
 }
 
 /// Reads the checkpoint record stored in the block chain at `head`.
@@ -710,25 +713,25 @@ pub(crate) fn read_checkpoint<S: ByteSource>(
     block_bytes: usize,
 ) -> Option<Checkpoint> {
     let mut reader = StreamReader::at(src, Cursor { block: head, pos: BLOCK_HDR }, block_bytes)?;
-    let mut hdr = [0u8; CKPT_HDR];
+    let mut hdr = [0u8; CheckpointHeader::LEN];
     if !reader.read(&mut hdr) {
         return None;
     }
-    let mut f = Fields::new(&hdr);
-    if f.u64()? != CKPT_MAGIC {
-        return None;
-    }
-    let (watermark, len, cksum) = (f.u64()?, f.u32()? as usize, f.u64()?);
-    if len > MAX_CKPT_PAYLOAD {
+    let h = CheckpointHeader::decode(&hdr)?;
+    let len = h.len as usize;
+    if h.magic != CKPT_MAGIC || len > MAX_CKPT_PAYLOAD {
         return None;
     }
     let mut buf = Vec::new();
-    let record = reader.read_payload(&hdr, len, watermark, cksum, &mut buf)?;
-    let mut f = Fields::new(&record[CKPT_HDR..]);
-    let count = f.u32()? as usize;
-    let table = f.bytes(count.checked_mul(ANCHOR_BYTES)?)?;
-    let anchors = table.chunks_exact(ANCHOR_BYTES).map(decode_anchor).collect();
-    Some(Checkpoint { watermark, anchors, runs: f.rest().to_vec() })
+    let record = reader.read_payload(&hdr, len, h.watermark, h.checksum, &mut buf)?;
+    let mut f = Fields::new(&record[CheckpointHeader::LEN..]);
+    let count = f.read::<u32>()? as usize;
+    let table = f.bytes(count.checked_mul(Anchor::LEN)?)?;
+    let anchors = table
+        .chunks_exact(Anchor::LEN)
+        .map(|a| Anchor::decode(a).filter(|a| a.block != 0))
+        .collect();
+    Some(Checkpoint { watermark: h.watermark, anchors, runs: f.rest().to_vec() })
 }
 
 /// The device a log chain lives on, as the record protocol sees it: the
@@ -864,6 +867,23 @@ impl LogStore for SharedStore<'_> {
     }
 }
 
+/// Stores the header of `block`, a fresh block linked behind `prev` (0 for
+/// a chain's head), one store per field, and the zero terminator after it
+/// so parsing stops there. Volatile: the ranges go to `dirty`.
+fn open_block<S: LogStore>(
+    store: &mut S,
+    block: usize,
+    prev: usize,
+    dirty: &mut Vec<(usize, usize)>,
+) {
+    let header = BlockHeader { next: 0, prev: prev as u64 }.encode();
+    for field in BlockHeader::FIELDS {
+        store.store(block + field.offset, &header[field.offset..][..field.width]);
+    }
+    store.store(block + BLOCK_HDR, &[0u8; 4]);
+    dirty.push((block, BLOCK_HDR + 4));
+}
+
 /// Writer over a (growable) block chain on a live pool.
 ///
 /// Appends records byte-contiguously, allocating and linking new blocks on
@@ -893,11 +913,7 @@ impl LogArea {
     ) -> Self {
         assert!(block_bytes > BLOCK_HDR + REC_HDR, "block size too small");
         let b = store.take_block(block_bytes);
-        store.store(b, &0u64.to_le_bytes());
-        store.store(b + 8, &0u64.to_le_bytes());
-        // Zero terminator so parsing stops immediately.
-        store.store(b + BLOCK_HDR, &[0u8; 4]);
-        dirty.push((b, BLOCK_HDR + 4));
+        open_block(store, b, 0, dirty);
         Self {
             head: b,
             tail: Cursor { block: b, pos: BLOCK_HDR },
@@ -982,12 +998,11 @@ impl LogArea {
     fn spill<S: LogStore>(&mut self, store: &mut S, dirty: &mut Vec<(usize, usize)>) {
         let prev = self.tail.block;
         let nb = store.take_block(self.block_bytes);
-        store.store(nb, &0u64.to_le_bytes());
-        store.store(nb + 8, &(prev as u64).to_le_bytes());
-        store.store(nb + BLOCK_HDR, &[0u8; 4]);
-        store.store(prev, &(nb as u64).to_le_bytes());
-        dirty.push((nb, BLOCK_HDR + 4));
-        dirty.push((prev, 8));
+        open_block(store, nb, prev, dirty);
+        let (next, mut link) = (prev + offset_of!(BlockHeader, next), [0; 8]);
+        (nb as u64).put(&mut link);
+        store.store(next, &link);
+        dirty.push((next, link.len()));
         self.blocks.push(nb);
         self.tail = Cursor { block: nb, pos: BLOCK_HDR };
     }
@@ -1007,7 +1022,7 @@ impl LogArea {
         let mut off = 0;
         while off < bytes.len() {
             if cursor.pos >= self.block_bytes {
-                let next = store.load_u64(cursor.block) as usize;
+                let next = store.load_u64(cursor.block + offset_of!(BlockHeader, next)) as usize;
                 if next == 0 {
                     break;
                 }
@@ -1221,9 +1236,9 @@ pub(crate) mod tests {
             LogEntry { addr: 0x500, value: vec![9u8; 5] },
         ];
         let anchors = [
-            Some(Anchor { at: Cursor { block: 0x4000, pos: BB }, ts: 41, checksum: 0xfeed }),
+            Some(Anchor { block: 0x4000, pos: BB as u64, ts: 41, checksum: 0xfeed }),
             None,
-            Some(Anchor { at: Cursor { block: 0x8000, pos: BLOCK_HDR }, ts: 40, checksum: 1 }),
+            Some(Anchor { block: 0x8000, pos: BLOCK_HDR as u64, ts: 40, checksum: 1 }),
         ];
         area.append(
             &mut PoolStore::new(&mut pool, &mut free),
@@ -1244,7 +1259,7 @@ pub(crate) mod tests {
         let mut dirty = Vec::new();
         let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
         let runs = [LogEntry { addr: 0x40, value: vec![1, 2, 3, 4] }];
-        let anchors = [Some(Anchor { at: Cursor { block: BB, pos: 20 }, ts: 7, checksum: 3 })];
+        let anchors = [Some(Anchor { block: BB as u64, pos: 20, ts: 7, checksum: 3 })];
         area.append(
             &mut PoolStore::new(&mut pool, &mut free),
             &encode_checkpoint(7, &anchors, &ckpt_payload(&runs)),
@@ -1253,8 +1268,8 @@ pub(crate) mod tests {
         assert!(read_checkpoint(pool.device(), area.head(), BB).is_some(), "intact as written");
         // Corrupt one byte of the anchor table, then of the runs: the
         // checksum must reject the record either way.
-        let table = area.head() + BLOCK_HDR + CKPT_HDR;
-        for addr in [table + 4 + 9, table + 4 + ANCHOR_BYTES + ENTRY_HDR + 1] {
+        let table = area.head() + BLOCK_HDR + CheckpointHeader::LEN;
+        for addr in [table + 4 + 9, table + 4 + Anchor::LEN + ENTRY_HDR + 1] {
             let before = pool.device().peek(addr, 1)[0];
             pool.device_mut().write(addr, &[before ^ 0x10]);
             assert!(read_checkpoint(pool.device(), area.head(), BB).is_none(), "{addr:#x}");
@@ -1275,11 +1290,10 @@ pub(crate) mod tests {
     fn an_anchor_table_the_payload_cannot_hold_is_rejected() {
         for count in [2u32, u32::MAX] {
             let mut payload = count.to_le_bytes().to_vec();
-            payload.extend_from_slice(&[0u8; ANCHOR_BYTES]);
-            let mut frame = CKPT_MAGIC.to_le_bytes().to_vec();
-            frame.extend_from_slice(&9u64.to_le_bytes());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&record_checksum(9, &payload).to_le_bytes());
+            payload.extend_from_slice(&[0u8; Anchor::LEN]);
+            let (len, checksum) = (payload.len() as u32, record_checksum(9, &payload));
+            let header = CheckpointHeader { magic: CKPT_MAGIC, watermark: 9, len, checksum };
+            let mut frame = header.encode().to_vec();
             frame.extend_from_slice(&payload);
             let mut pool = pool();
             let (mut free, mut dirty) = (Vec::new(), Vec::new());
@@ -1397,8 +1411,8 @@ pub(crate) mod tests {
         let mut dirty = Vec::new();
         let area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
         let size = pool.device().size();
-        let hdr = encode_header_parts(1, size, 0);
-        pool.device_mut().write(area.head() + BLOCK_HDR, &hdr);
+        let hdr = RecordHeader { len: size as u32, ts: 1, checksum: 0 };
+        pool.device_mut().write(area.head() + BLOCK_HDR, &hdr.encode());
         let mut reader = RecordReader::new(pool.device(), area.head(), BB);
         assert!(reader.next().is_none());
         assert_eq!(reader.buf.capacity(), 0, "nothing was sized by the length");
@@ -1508,5 +1522,43 @@ pub(crate) mod tests {
                 "trial {trial}: record at {start:?} torn in units {torn_units:?} was accepted"
             );
         }
+    }
+
+    /// What the record-side encoders wrote before the formats were declared
+    /// as frames, pinned byte for byte: a declaration that moves a byte, or
+    /// an encoder that stops using it, fails here.
+    #[test]
+    fn encoders_write_their_known_answers() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let rec = RecordHeader {
+            len: 0xA1B2_C3D4,
+            ts: 0x1122_3344_5566_7788,
+            checksum: 0x0F1E_2D3C_4B5A_6978,
+        };
+        assert_eq!(hex(&rec.encode()), "d4c3b2a1887766554433221178695a4b3c2d1e0f");
+        let entry = EntryHeader { addr: 0x1122_3344_5566_7788, len: 0x0A0B_0C0D };
+        assert_eq!(hex(&entry.encode()), "88776655443322110d0c0b0a");
+        let anchor = Anchor::new(Cursor { block: 0x4000, pos: 0x30 }, 0x77, 0xDEAD_BEEF_0BAD_F00D);
+        let ckpt = encode_checkpoint(0x99, &[Some(anchor), None], &[1, 2, 3]);
+        assert_eq!(hex(&ckpt), "313054504b43505399000000000000004700000083de2a217c5197a0020000000040000000000000300000000000000077000000000000000df0ad0befbeadde0000000000000000000000000000000000000000000000000000000000000000010203");
+        // A chain of 64-byte blocks spilled twice: each block's links.
+        let mut pool = pool();
+        let (mut free, mut dirty) = (Vec::new(), Vec::new());
+        let mut store = PoolStore::new(&mut pool, &mut free);
+        let mut area = LogArea::create(&mut store, 64, &mut dirty);
+        area.append(&mut store, &[0xEE; 100], &mut dirty);
+        let links: Vec<_> = area
+            .blocks()
+            .iter()
+            .map(|&b| format!("{b:#x} {}", hex(pool.device().peek(b, BLOCK_HDR))))
+            .collect();
+        assert_eq!(
+            links,
+            [
+                "0x100 40010000000000000000000000000000",
+                "0x140 80010000000000000001000000000000",
+                "0x180 00000000000000004001000000000000",
+            ]
+        );
     }
 }

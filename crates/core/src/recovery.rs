@@ -435,10 +435,11 @@ fn seek<'a>(
         if block == 0 || !in_bounds(block, block_bytes, image.len()) {
             return None;
         }
-        if block == anchor.at.block {
-            reader.restart(image, anchor.at, block_bytes);
+        let at = anchor.at();
+        if block == at.block {
+            reader.restart(image, at, block_bytes);
             let rec = reader.next()?;
-            return (rec.anchor(anchor.at) == anchor).then_some(rec.bytes().len() as u64);
+            return (rec.anchor(at) == anchor).then_some(rec.bytes().len() as u64);
         }
         block = image.read_u64(block) as usize;
         *hops += 1;
@@ -690,7 +691,7 @@ mod tests {
     #[test]
     fn lending_and_copying_readers_agree_on_garbage() {
         use crate::record::tests::CopyOnly;
-        use crate::record::{ByteSource, ANCHOR_BYTES, CKPT_HDR, REC_HDR};
+        use crate::record::{Anchor, ByteSource, CheckpointHeader, RecordHeader, REC_HDR};
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
         /// A chain's records as read through `src`, and where reading stopped.
@@ -711,9 +712,9 @@ mod tests {
         // Every byte a mutation may hit, with what it holds.
         let mut targets: Vec<(&str, usize)> = Vec::new();
         let ckpt = layout.ckpt_head(&base);
-        let table = 4 + layout.threads() * ANCHOR_BYTES;
+        let table = 4 + layout.threads() * Anchor::LEN;
         targets.extend(
-            (0..CKPT_HDR + table)
+            (0..CheckpointHeader::LEN + table)
                 .map(|off| ("checkpoint header or anchor", ckpt + BLOCK_HDR + off)),
         );
         for tid in 0..layout.threads() {
@@ -735,9 +736,8 @@ mod tests {
             loop {
                 let at = reader.cursor();
                 let Some(len) = reader.next().map(|rec| rec.payload().len()) else { break };
-                for (what, from, n) in
-                    [("len", 0, 4), ("ts", 4, 8), ("checksum", 12, 8), ("payload", REC_HDR, len)]
-                {
+                let fields = RecordHeader::FIELDS.iter().map(|f| (f.name, f.offset, f.width));
+                for (what, from, n) in fields.chain([("payload", REC_HDR, len)]) {
                     targets.extend((from..from + n).map(|off| (what, addr_of(at, off))));
                 }
             }

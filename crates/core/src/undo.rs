@@ -7,10 +7,7 @@
 //! caller's region format (PMDK keeps its stage word in front of them):
 //!
 //! ```text
-//!   0 .. 8          magic (u32) | len (u32), one little-endian word
-//!   8 .. 16         addr (u64)
-//!   16 .. 24        word_hash(old, word 0, addr)
-//!   24 .. 24 + len  old: the pre-image of [addr, addr + len)
+//!   UndoHeader, then old: the `len`-byte pre-image of [addr, addr + len)
 //! ```
 //!
 //! The scan stops at the first entry whose magic is not the caller's (a
@@ -21,6 +18,18 @@
 //! and an entry whose target does is skipped alone.
 
 use specpmt_pmem::frame::{seal, verify, Fields};
+
+specpmt_pmem::frame! {
+    /// An undo entry's header, its `len`-byte pre-image for `addr` behind
+    /// it: the caller's magic (any other value ends the log) and the seal
+    /// of the pre-image with `magic | len << 32` and `addr`.
+    pub struct UndoHeader {
+        pub(crate) magic: u32,
+        pub(crate) len: u32,
+        pub(crate) addr: u64,
+        pub(crate) checksum: u64,
+    }
+}
 use specpmt_pmem::{CrashImage, PmemPool, PoolHeader};
 
 /// Root slot holding the undo region's base.
@@ -28,12 +37,9 @@ pub const UNDO_BASE_SLOT: usize = 4;
 /// Root slot holding the undo region's size in bytes.
 pub const UNDO_SIZE_SLOT: usize = 5;
 
-/// Entry header bytes: `magic | len`, `addr`, checksum.
-const HDR: usize = 24;
-
 /// Encoded size of an entry holding `len` bytes of pre-image.
 pub const fn entry_bytes(len: usize) -> usize {
-    HDR + len
+    UndoHeader::LEN + len
 }
 
 /// Roots the undo region `[base, base + size)` in `pool`.
@@ -45,17 +51,17 @@ pub fn publish_region(pool: &mut PmemPool, base: usize, size: usize) {
 /// Encodes the entry `addr -> old` into `entry`, which is
 /// [`entry_bytes`]`(old.len())` bytes long.
 pub fn encode_entry(entry: &mut [u8], magic: u32, addr: usize, old: &[u8]) {
-    let word0 = u64::from(magic) | u64::from(old.len() as u32) << 32;
-    entry[0..8].copy_from_slice(&word0.to_le_bytes());
-    entry[8..16].copy_from_slice(&(addr as u64).to_le_bytes());
-    entry[16..HDR].copy_from_slice(&seal(old, word0, addr as u64).to_le_bytes());
-    entry[HDR..].copy_from_slice(old);
+    let (len, addr) = (old.len() as u32, addr as u64);
+    let checksum = seal(old, u64::from(magic) | u64::from(len) << 32, addr);
+    let (header, rest) = entry.split_at_mut(UndoHeader::LEN);
+    header.copy_from_slice(&UndoHeader { magic, len, addr, checksum }.encode());
+    rest.copy_from_slice(old);
 }
 
 /// The undo region `image` roots: `None` for a garbage pool, a zero base,
 /// or bounds that wrap or overrun the image.
 pub fn region(image: &CrashImage) -> Option<&[u8]> {
-    let header = PoolHeader::decode(image.as_bytes())?;
+    let header = PoolHeader::read(image.as_bytes())?;
     let base = header.roots[UNDO_BASE_SLOT] as usize;
     let end = base.checked_add(header.roots[UNDO_SIZE_SLOT] as usize)?;
     image.as_bytes().get(base..end).filter(|_| base != 0)
@@ -66,16 +72,13 @@ pub fn region(image: &CrashImage) -> Option<&[u8]> {
 /// header) or at an entry that does not verify.
 fn next_entry<'a>(rest: &mut &'a [u8], magic: u32) -> Option<(u64, &'a [u8])> {
     let mut f = Fields::new(rest);
-    if f.u32()? != magic {
-        return None;
-    }
-    let len = f.u32()?;
-    let (addr, sum, old) = (f.u64()?, f.u64()?, f.bytes(len as usize)?);
-    if !verify(old, u64::from(magic) | u64::from(len) << 32, addr, sum) {
+    let h = UndoHeader::decode(f.bytes(UndoHeader::LEN)?).filter(|h| h.magic == magic)?;
+    let old = f.bytes(h.len as usize)?;
+    if !verify(old, u64::from(magic) | u64::from(h.len) << 32, h.addr, h.checksum) {
         return None;
     }
     *rest = f.rest();
-    Some((addr, old))
+    Some((h.addr, old))
 }
 
 /// Rolls back the interrupted transaction in `image`'s undo region, newest
@@ -162,5 +165,15 @@ mod tests {
         let second = BASE + OFF + entry_bytes(8);
         long.write_u64(second, u64::from(MAGIC) | 8000 << 32);
         assert_eq!(rolled_back(long).read_bytes(DATA, 8), [1; 8]);
+    }
+
+    /// [`encode_entry`]'s bytes, pinned as they were before the header was
+    /// declared as a frame.
+    #[test]
+    fn an_entry_keeps_its_known_answer() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let mut entry = vec![0u8; entry_bytes(5)];
+        encode_entry(&mut entry, 0x55AA_1234, 0x1122_3344_5566_7788, &[1, 2, 3, 4, 5]);
+        assert_eq!(hex(&entry), "3412aa550500000088776655443322114d24382dfa7434920102030405");
     }
 }

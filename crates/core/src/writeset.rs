@@ -23,7 +23,11 @@
 //! allocations in this layer (the commit-path microbench asserts this via
 //! a counting global allocator).
 
-use crate::record::{self, Cursor, ENTRY_HDR, ENTRY_LEN_AT};
+use std::mem::offset_of;
+
+use specpmt_pmem::frame::Writer;
+
+use crate::record::{self, Cursor, EntryHeader, ENTRY_HDR};
 
 /// Where one staged write's bytes live, for the in-transaction dedup
 /// path. A write that [extended](WriteSet::extend_tail) the tail entry is a
@@ -153,9 +157,9 @@ impl WriteSet {
     ///
     /// Returns the [`EntrySlot`] recorded for the entry.
     pub fn stage(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> EntrySlot {
-        let hdr = record::entry_header(addr, data.len());
+        let hdr = EntryHeader { addr: addr as u64, len: data.len() as u32 };
         let entry_off = self.payload.len();
-        self.payload.extend_from_slice(&hdr);
+        self.payload.extend_from_slice(&hdr.encode());
         self.payload.extend_from_slice(data);
         self.tail = Some((entry_off, addr + data.len()));
         let entry = EntrySlot {
@@ -173,18 +177,19 @@ impl WriteSet {
     /// length is rewritten. The tail entry is the payload's last, so the
     /// grown entry replays exactly as the two writes would, in write
     /// order. `value_cursor` is the log-chain cursor where the bytes will
-    /// land. Returns the grown entry's value length, or `None` (nothing
-    /// staged) when `addr` does not continue the tail entry.
-    pub fn extend_tail(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> Option<usize> {
+    /// land. Returns the grown entry's rewritten length field, the bytes a
+    /// log mirroring the arena rewrites, or `None` (nothing staged) when
+    /// `addr` does not continue the tail entry.
+    pub fn extend_tail(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> Option<&[u8]> {
         let (entry_off, _) = self.tail.filter(|&(_, end)| end == addr)?;
         let payload_off = self.payload.len();
         self.payload.extend_from_slice(data);
         let len = self.payload.len() - entry_off - ENTRY_HDR;
-        self.payload[entry_off + ENTRY_LEN_AT..entry_off + ENTRY_HDR]
-            .copy_from_slice(&(len as u32).to_le_bytes());
+        let len_field = entry_off + offset_of!(EntryHeader, len)..entry_off + ENTRY_HDR;
+        Writer::new(&mut self.payload[len_field.clone()]).put(len as u32);
         self.tail = Some((entry_off, addr + data.len()));
         self.insert(addr, EntrySlot { payload_off, len: data.len(), value_cursor, entry_off });
-        Some(len)
+        Some(&self.payload[len_field])
     }
 
     /// The staged write that a write of `len` bytes at `addr` may
@@ -356,7 +361,7 @@ mod tests {
                 if tail_end == Some(addr) {
                     let (e, off) = (want.len() - 1, want[want.len() - 1].1.len());
                     want[e].1.extend_from_slice(&data);
-                    assert_eq!(grown, Some(want[e].1.len()), "tx {tx}");
+                    assert_eq!(grown, Some(&(want[e].1.len() as u32).to_le_bytes()[..]), "tx {tx}");
                     writes.push((addr, data.len(), e, off));
                     extensions += 1;
                 } else {
@@ -382,8 +387,8 @@ mod tests {
         let mut ws = WriteSet::new();
         ws.begin();
         ws.stage(0, &[1; 4], cur(0));
-        assert_eq!(ws.extend_tail(4, &[2; 4], cur(0)), Some(8));
-        assert_eq!(ws.extend_tail(8, &[4; 4], cur(0)), Some(12));
+        assert_eq!(ws.extend_tail(4, &[2; 4], cur(0)), Some(&8u32.to_le_bytes()[..]));
+        assert_eq!(ws.extend_tail(8, &[4; 4], cur(0)), Some(&12u32.to_le_bytes()[..]));
         assert_eq!(ws.extend_tail(6, &[7; 4], cur(0)), None, "6 is not where the entry ends");
         ws.stage(6, &[7; 4], cur(0));
         assert_eq!(ws.patchable(4, 4), None, "the entry at 6 overlaps [4, 8)");

@@ -1,6 +1,6 @@
 //! Shared plumbing for the hardware transaction models.
 
-use specpmt_core::record::{encode_header, push_entry, LogArea, PoolStore, REC_HDR};
+use specpmt_core::record::{push_entry, LogArea, PoolStore, RecordHeader, REC_HDR};
 use specpmt_core::undo::{self, entry_bytes};
 use specpmt_pmem::{CrashImage, PmemConfig, PmemDevice, PmemPool, TimingMode, CACHE_LINE};
 
@@ -137,8 +137,8 @@ impl RecordBuf {
         area: &mut LogArea,
         store: &mut PoolStore<'_>,
     ) -> usize {
-        let header = encode_header(ts, &self.bytes[REC_HDR..]);
-        self.bytes[..REC_HDR].copy_from_slice(&header);
+        let header = RecordHeader::sealing(ts, &self.bytes[REC_HDR..]);
+        self.bytes[..REC_HDR].copy_from_slice(&header.encode());
         self.dirty.clear();
         area.append(store, &self.bytes, &mut self.dirty);
         area.write_terminator(store, &mut self.dirty);

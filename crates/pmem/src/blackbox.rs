@@ -3,15 +3,10 @@
 //! which writes per-thread event rings through a [`DeviceHandle`].
 //! `specpmt_core::forensics` reads a crash image through [`decode_region`].
 //!
-//! ```text
-//! region header (REGION_HDR = 64 bytes, so no slot shares its line)
-//!   0 .. 8 magic "SPBBOX01" | 8 .. 12 rings | 12 .. 16 capacity | 16 .. 24 seal
-//! then `rings` rings of `capacity` slots (EVT_BYTES = 40, zero until written)
-//!   0 .. 8 ts | 8 .. 16 a | 16 .. 24 b | 24 .. 28 seq | 28 .. 30 tid
-//!   30 kind (0 = empty) | 31 aux | 32 .. 40 seal of bytes 0 .. 32
-//! ```
-//!
-//! Both are frames of [`crate::frame`]. A slot is a plain store: the sink
+//! A region opens with a [`RegionHeader`] in [`REGION_HDR`] bytes (so no
+//! slot shares its line), then holds `rings` rings of `capacity`
+//! [`EventSlot`]s, zero until written. Both are frames of [`crate::frame`],
+//! each sealed over the bytes before its `seal`. A slot is a plain store: the sink
 //! issues **no flush and no fence** of its own. The owning runtime folds
 //! the ring's dirty ranges ([`BlackBoxSink::take_dirty`]) into a flush it
 //! was issuing anyway, so an event is durable when its thread's next
@@ -23,10 +18,11 @@
 //! `bbox/persist` (a fence that carried black-box lines retired) cover
 //! this ordering.
 
+use std::mem::offset_of;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use crate::frame::{seal, verify, Fields};
+use crate::frame::{seal, verify};
 use crate::shared::DeviceHandle;
 use crate::sites::Site;
 
@@ -126,8 +122,30 @@ pub struct BbEvent {
     pub aux: u8,
 }
 
-/// Bytes per encoded event slot.
-pub const EVT_BYTES: usize = 40;
+crate::frame! {
+    /// One [`BbEvent`] as a ring slot stores it (`kind` 0 = never written),
+    /// sealed over the bytes before `seal`.
+    pub struct EventSlot {
+        pub(crate) ts: u64,
+        pub(crate) a: u64,
+        pub(crate) b: u64,
+        pub(crate) seq: u32,
+        pub(crate) tid: u16,
+        pub(crate) kind: u8,
+        pub(crate) aux: u8,
+        pub(crate) seal: u64,
+    }
+
+    /// A black-box region's header, written once at format time:
+    /// [`BBOX_MAGIC`], the ring count and slots per ring, sealed over the
+    /// bytes before `seal`.
+    pub struct RegionHeader {
+        pub(crate) magic: u64,
+        pub(crate) rings: u32,
+        pub(crate) capacity: u32,
+        pub(crate) seal: u64,
+    }
+}
 
 /// Magic stamping a black-box region header (`"SPBBOX01"`).
 pub const BBOX_MAGIC: u64 = 0x5350_4242_4f58_3031;
@@ -140,60 +158,40 @@ pub const REGION_HDR: usize = 64;
 /// reclamation/checkpoint daemon).
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
-/// Bytes of a slot, and of the region header, that the seal covers.
-const SLOT_COVERED: usize = EVT_BYTES - 8;
-const HDR_COVERED: usize = 16;
-
 /// Total bytes of a black-box region holding `rings` rings of `capacity`
 /// slots each (header included).
 pub fn region_bytes(rings: usize, capacity: usize) -> usize {
-    REGION_HDR + rings * capacity * EVT_BYTES
+    REGION_HDR + rings * capacity * EventSlot::LEN
 }
 
 /// Encodes `ev` into one sealed slot.
-fn encode_slot(ev: &BbEvent) -> [u8; EVT_BYTES] {
-    let mut s = [0u8; EVT_BYTES];
-    s[0..8].copy_from_slice(&ev.ts.to_le_bytes());
-    s[8..16].copy_from_slice(&ev.a.to_le_bytes());
-    s[16..24].copy_from_slice(&ev.b.to_le_bytes());
-    s[24..28].copy_from_slice(&ev.seq.to_le_bytes());
-    s[28..30].copy_from_slice(&ev.tid.to_le_bytes());
-    s[30] = ev.kind as u8;
-    s[31] = ev.aux;
-    let sum = seal(&s[..SLOT_COVERED], 0, 0);
-    s[SLOT_COVERED..].copy_from_slice(&sum.to_le_bytes());
-    s
+fn encode_slot(ev: &BbEvent) -> [u8; EventSlot::LEN] {
+    let (ts, a, b, seq, tid, aux) = (ev.ts, ev.a, ev.b, ev.seq, ev.tid, ev.aux);
+    let slot = EventSlot { ts, a, b, seq, tid, kind: ev.kind as u8, aux, seal: 0 };
+    EventSlot { seal: seal(&slot.encode()[..offset_of!(EventSlot, seal)], 0, 0), ..slot }.encode()
 }
 
 /// The event a written slot holds, or `None` when it does not verify or
 /// names no kind: a torn slot.
-fn decode_slot(slot: &[u8]) -> Option<BbEvent> {
-    let mut f = Fields::new(slot);
-    let covered = f.bytes(SLOT_COVERED)?;
-    if !verify(covered, 0, 0, f.u64()?) {
+fn decode_slot(bytes: &[u8]) -> Option<BbEvent> {
+    let s = EventSlot::decode(bytes)?;
+    if !verify(&bytes[..offset_of!(EventSlot, seal)], 0, 0, s.seal) {
         return None;
     }
-    let mut f = Fields::new(covered);
-    Some(BbEvent {
-        ts: f.u64()?,
-        a: f.u64()?,
-        b: f.u64()?,
-        seq: f.u32()?,
-        tid: f.u16()?,
-        kind: BbKind::from_u8(f.u8()?)?,
-        aux: f.u8()?,
-    })
+    let kind = BbKind::from_u8(s.kind)?;
+    Some(BbEvent { ts: s.ts, a: s.a, b: s.b, seq: s.seq, tid: s.tid, kind, aux: s.aux })
 }
 
-/// The sealed region header persisted once at format time.
+/// The sealed region header persisted once at format time, padded to
+/// [`REGION_HDR`].
 fn region_header(rings: usize, capacity: usize) -> [u8; REGION_HDR] {
-    let mut h = [0u8; REGION_HDR];
-    h[0..8].copy_from_slice(&BBOX_MAGIC.to_le_bytes());
-    h[8..12].copy_from_slice(&(rings as u32).to_le_bytes());
-    h[12..16].copy_from_slice(&(capacity as u32).to_le_bytes());
-    let sum = seal(&h[..HDR_COVERED], 0, 0);
-    h[HDR_COVERED..HDR_COVERED + 8].copy_from_slice(&sum.to_le_bytes());
-    h
+    let h =
+        RegionHeader { magic: BBOX_MAGIC, rings: rings as u32, capacity: capacity as u32, seal: 0 };
+    let sealed =
+        RegionHeader { seal: seal(&h.encode()[..offset_of!(RegionHeader, seal)], 0, 0), ..h };
+    let mut out = [0u8; REGION_HDR];
+    out[..RegionHeader::LEN].copy_from_slice(&sealed.encode());
+    out
 }
 
 /// One ring's decode: surviving events in sequence order plus the torn
@@ -241,26 +239,21 @@ impl RegionDecode {
 /// implausible geometry, or describes more rings than `bytes` holds; ring
 /// damage degrades to skipped slots.
 pub fn decode_region(bytes: &[u8]) -> Option<RegionDecode> {
-    let mut f = Fields::new(bytes);
-    let covered = f.bytes(HDR_COVERED)?;
-    if !verify(covered, 0, 0, f.u64()?) {
+    let h = RegionHeader::decode(bytes)?;
+    if !verify(&bytes[..offset_of!(RegionHeader, seal)], 0, 0, h.seal) || h.magic != BBOX_MAGIC {
         return None;
     }
-    let mut h = Fields::new(covered);
-    if h.u64()? != BBOX_MAGIC {
-        return None;
-    }
-    let (rings, capacity) = (h.u32()? as usize, h.u32()? as usize);
+    let (rings, capacity) = (h.rings as usize, h.capacity as usize);
     if rings == 0 || rings > 8192 || capacity == 0 || capacity > 1 << 24 {
         return None;
     }
     let body = bytes.get(REGION_HDR..region_bytes(rings, capacity))?;
     let rings = body
-        .chunks_exact(capacity * EVT_BYTES)
+        .chunks_exact(capacity * EventSlot::LEN)
         .enumerate()
         .map(|(tid, ring)| {
             let mut dec = RingDecode { tid, events: Vec::new(), torn: 0, empty: 0 };
-            for slot in ring.chunks_exact(EVT_BYTES) {
+            for slot in ring.chunks_exact(EventSlot::LEN) {
                 if slot.iter().all(|&b| b == 0) {
                     dec.empty += 1;
                 } else if let Some(ev) = decode_slot(slot) {
@@ -340,10 +333,11 @@ impl BlackBoxSink {
         let st = &self.state[ring];
         let seq = st.seq.fetch_add(1, Ordering::Relaxed);
         let slot = (seq as usize) % self.capacity;
-        let addr = self.base + REGION_HDR + ring * self.capacity * EVT_BYTES + slot * EVT_BYTES;
+        let addr =
+            self.base + REGION_HDR + ring * self.capacity * EventSlot::LEN + slot * EventSlot::LEN;
         let ev = BbEvent { ts: h.local_now_ns(), a, b, seq, tid: ring as u16, kind, aux };
         h.write(addr, &encode_slot(&ev));
-        st.dirty.lock().unwrap_or_else(|e| e.into_inner()).push((addr, EVT_BYTES));
+        st.dirty.lock().unwrap_or_else(|e| e.into_inner()).push((addr, EventSlot::LEN));
         h.crash_point(Site::BboxWrite);
     }
 
@@ -471,10 +465,11 @@ mod tests {
         // An out-of-range kind byte under a valid seal is torn too.
         let mut bogus = encode_slot(&e);
         bogus[30] = 99;
-        let sum = seal(&bogus[..SLOT_COVERED], 0, 0);
-        bogus[SLOT_COVERED..].copy_from_slice(&sum.to_le_bytes());
+        let seal_at = offset_of!(EventSlot, seal);
+        let sum = seal(&bogus[..seal_at], 0, 0);
+        bogus[seal_at..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(decode_slot(&bogus), None);
-        assert_eq!(decode_slot(&bogus[..EVT_BYTES - 1]), None, "a short slot");
+        assert_eq!(decode_slot(&bogus[..EventSlot::LEN - 1]), None, "a short slot");
     }
 
     #[test]
@@ -485,14 +480,14 @@ mod tests {
         bytes[0..REGION_HDR].copy_from_slice(&region_header(rings, cap));
         // Two events on ring 0, one on ring 2, one torn slot on ring 1.
         let write = |bytes: &mut Vec<u8>, tid: usize, slot: usize, e: &BbEvent| {
-            let off = REGION_HDR + tid * cap * EVT_BYTES + slot * EVT_BYTES;
-            bytes[off..off + EVT_BYTES].copy_from_slice(&encode_slot(e));
+            let off = REGION_HDR + tid * cap * EventSlot::LEN + slot * EventSlot::LEN;
+            bytes[off..off + EventSlot::LEN].copy_from_slice(&encode_slot(e));
         };
         write(&mut bytes, 0, 0, &ev(10, 0, 0, BbKind::TxBegin));
         write(&mut bytes, 0, 1, &ev(20, 0, 1, BbKind::TxCommit));
         write(&mut bytes, 2, 0, &ev(15, 2, 0, BbKind::ReclaimSplice));
         write(&mut bytes, 1, 0, &ev(12, 1, 0, BbKind::TxBegin));
-        let torn_off = REGION_HDR + cap * EVT_BYTES;
+        let torn_off = REGION_HDR + cap * EventSlot::LEN;
         bytes[torn_off + 2] ^= 1;
 
         let dec = decode_region(&bytes).expect("header validates");
@@ -517,5 +512,26 @@ mod tests {
         // Geometry larger than the byte slice is rejected, not sliced.
         assert!(decode_region(&region_header(4, 1024)).is_none());
         assert!(decode_region(&region_header(1, 2)[..20]).is_none(), "a short header");
+    }
+
+    /// A slot and a region header, pinned byte for byte as they were
+    /// encoded before they were declared as frames.
+    #[test]
+    fn slot_and_region_header_keep_their_known_answers() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let ev = BbEvent {
+            ts: 0x1122_3344_5566_7788,
+            a: 0x0102_0304_0506_0708,
+            b: 0xA1A2_A3A4_A5A6_A7A8,
+            seq: 0xB1B2_B3B4,
+            tid: 0xC1C2,
+            kind: BbKind::CkptSplice,
+            aux: 0x5A,
+        };
+        assert_eq!(
+            hex(&encode_slot(&ev)),
+            "88776655443322110807060504030201a8a7a6a5a4a3a2a1b4b3b2b1c2c1075a90daadc56a444158"
+        );
+        assert_eq!(hex(&region_header(3, 256)), "3130584f424250530300000000010000c17f09946cea871300000000000000000000000000000000000000000000000000000000000000000000000000000000");
     }
 }

@@ -1,12 +1,26 @@
 //! The one on-PM frame codec. A *frame* is whatever a crash can tear and
-//! recovery must reject — a log record or checkpoint, the layout
-//! descriptor, an undo entry, a hash-log generation, a flight-recorder
-//! slot or region header ([`crate::blackbox`]). Each stores the [`seal`]
-//! of the bytes it covers and is accepted only where [`verify`] holds:
-//! the checksum doubles as the commit flag (paper §4.1). Every decoder
-//! reads its fields through [`Fields`], which returns `None` at the first
-//! field the bytes cannot hold, so a truncated frame is rejected, never a
-//! panic; [`crate::PoolHeader::decode`] is the one pool-magic check.
+//! recovery must reject. Each stores the [`seal`] of the bytes it covers
+//! and is accepted only where [`verify`] holds: the checksum doubles as
+//! the commit flag (paper §4.1).
+//!
+//! Each format is declared once, with [`frame!`](crate::frame!), in the
+//! module that owns it; its struct, `LEN`, `FIELDS` table, `encode` and
+//! `decode` all come from that one field list:
+//!
+//! * `specpmt_core::record`: `RecordHeader`, `EntryHeader`, `BlockHeader`,
+//!   `CheckpointHeader` and `Anchor`;
+//! * `specpmt_core::layout`: `DescriptorHeader`;
+//! * `specpmt_core::undo`: `UndoHeader`;
+//! * `specpmt_core::hashlog`: `GenerationHeader`;
+//! * the [pool](crate::pool): [`crate::PoolHeader`];
+//! * the [flight recorder](crate::blackbox): [`crate::blackbox::EventSlot`] and
+//!   [`crate::blackbox::RegionHeader`].
+//!
+//! Fields are [`Wire`] types, read through [`Fields`] (which returns
+//! `None` at the first field the bytes cannot hold, so a truncated frame
+//! is rejected, never a panic) and written through [`Writer`]. Their
+//! impls here are the one little-endian field coder of `core` and `pmem`;
+//! [`crate::PoolHeader::read`] is the one pool-magic check.
 //!
 //! [`word_hash`] folds the input one little-endian 8-byte word per step,
 //! `h = rotl((h ^ w) · K, R)` with `K` odd, then two words the caller
@@ -63,6 +77,67 @@ pub fn verify(covered: &[u8], a: u64, b: u64, stored: u64) -> bool {
     seal(covered, a, b) == stored
 }
 
+/// One field of a declared frame, as [`frame!`](crate::frame!) lists it
+/// in `FIELDS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Field {
+    /// The field's name in the declaration.
+    pub name: &'static str,
+    /// Where the field starts in the frame.
+    pub offset: usize,
+    /// Its width in bytes.
+    pub width: usize,
+}
+
+/// A type a frame field can have, stored little-endian in
+/// [`Self::WIDTH`] bytes: read through [`Fields::read`], written through
+/// [`Writer::put`].
+pub trait Wire: Copy {
+    /// Bytes the field takes.
+    const WIDTH: usize;
+    /// Writes `self` into `out`, [`Self::WIDTH`] bytes long.
+    fn put(self, out: &mut [u8]);
+    /// The value `bytes` hold; `None` unless they are [`Self::WIDTH`] long.
+    fn get(bytes: &[u8]) -> Option<Self>;
+}
+
+macro_rules! wire_ints {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+
+            #[inline]
+            fn put(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+
+            #[inline]
+            fn get(bytes: &[u8]) -> Option<Self> {
+                bytes.try_into().ok().map(<$t>::from_le_bytes)
+            }
+        }
+    )+};
+}
+
+wire_ints!(u8, u16, u32, u64);
+
+impl<T: Wire + Default, const N: usize> Wire for [T; N] {
+    const WIDTH: usize = T::WIDTH * N;
+
+    fn put(self, out: &mut [u8]) {
+        let mut w = Writer::new(out);
+        self.into_iter().for_each(|v| w.put(v));
+    }
+
+    fn get(bytes: &[u8]) -> Option<Self> {
+        let (mut f, mut out) = (Fields::new(bytes), [T::default(); N]);
+        for v in &mut out {
+            *v = f.read()?;
+        }
+        Some(out)
+    }
+}
+
 /// A bounded little-endian field reader over a frame's bytes: each read
 /// takes the next field, or returns `None` (consuming nothing) when the
 /// bytes left cannot hold it.
@@ -86,34 +161,12 @@ impl<'a> Fields<'a> {
         Some(head)
     }
 
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let (head, rest) = self.rest.split_first_chunk::<N>()?;
-        self.rest = rest;
-        Some(*head)
-    }
-
-    /// The next byte.
+    /// The next field.
     #[inline]
-    pub fn u8(&mut self) -> Option<u8> {
-        self.array().map(u8::from_le_bytes)
-    }
-
-    /// The next little-endian `u16`.
-    #[inline]
-    pub fn u16(&mut self) -> Option<u16> {
-        self.array().map(u16::from_le_bytes)
-    }
-
-    /// The next little-endian `u32`.
-    #[inline]
-    pub fn u32(&mut self) -> Option<u32> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    /// The next little-endian `u64`.
-    #[inline]
-    pub fn u64(&mut self) -> Option<u64> {
-        self.array().map(u64::from_le_bytes)
+    pub fn read<T: Wire>(&mut self) -> Option<T> {
+        let v = T::get(self.rest.get(..T::WIDTH)?)?;
+        self.rest = &self.rest[T::WIDTH..];
+        Some(v)
     }
 
     /// The bytes not read yet.
@@ -121,6 +174,79 @@ impl<'a> Fields<'a> {
     pub fn rest(&self) -> &'a [u8] {
         self.rest
     }
+}
+
+/// The mirror of [`Fields`]: writes fields one after another into a buffer
+/// sized for them, and panics at a field the bytes left cannot hold.
+#[derive(Debug)]
+pub struct Writer<'a> {
+    rest: &'a mut [u8],
+}
+
+impl<'a> Writer<'a> {
+    /// A writer at the start of `out`.
+    #[inline]
+    pub fn new(out: &'a mut [u8]) -> Self {
+        Self { rest: out }
+    }
+
+    /// Writes `v` as the next field.
+    #[inline]
+    pub fn put<T: Wire>(&mut self, v: T) {
+        let (head, rest) = std::mem::take(&mut self.rest).split_at_mut(T::WIDTH);
+        v.put(head);
+        self.rest = rest;
+    }
+}
+
+/// Declares on-PM frames, each once: an ordered list of `name: type`
+/// fields ([`Wire`] types) becomes the frame's struct, its `LEN`, its
+/// `FIELDS` table and its one `encode` and one `decode`, each field
+/// little-endian. The struct is `#[repr(C, packed)]`, so its layout is the
+/// frame's and `core::mem::offset_of!` names a field's offset.
+#[macro_export]
+macro_rules! frame {
+    ($(
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),+ $(,)?
+        }
+    )+) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        #[repr(C, packed)]
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty),+
+        }
+
+        impl $name {
+            /// Bytes of the encoded frame: the sum of its field widths.
+            pub const LEN: usize = 0 $(+ <$ty as $crate::frame::Wire>::WIDTH)+;
+
+            /// The fields in order, each with its offset and width.
+            pub const FIELDS: &'static [$crate::frame::Field] = &[$($crate::frame::Field {
+                name: stringify!($field),
+                offset: ::core::mem::offset_of!($name, $field),
+                width: <$ty as $crate::frame::Wire>::WIDTH,
+            }),+];
+
+            /// The frame's bytes.
+            #[inline]
+            pub fn encode(&self) -> [u8; $name::LEN] {
+                let mut out = [0u8; $name::LEN];
+                let mut w = $crate::frame::Writer::new(&mut out);
+                $(w.put({ self.$field });)+
+                out
+            }
+
+            /// The frame `bytes` starts with; `None` when they are shorter.
+            #[inline]
+            pub fn decode(bytes: &[u8]) -> Option<Self> {
+                let mut f = $crate::frame::Fields::new(bytes);
+                Some(Self { $($field: f.read()?),+ })
+            }
+        }
+    )+};
 }
 
 #[cfg(test)]
@@ -167,19 +293,60 @@ mod tests {
 
     #[test]
     fn fields_read_in_order_and_stop_short() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
-        bytes.extend_from_slice(&0x0a0b_0c0du32.to_le_bytes());
-        bytes.extend_from_slice(&0x1234u16.to_le_bytes());
-        bytes.extend_from_slice(&[9, 1, 2]);
+        let mut bytes = [0u8; 17];
+        let mut w = Writer::new(&mut bytes);
+        w.put(0x0102_0304_0506_0708u64);
+        w.put(0x0a0b_0c0du32);
+        w.put(0x1234u16);
+        w.put(9u8);
+        w.put([1u8, 2]);
+        assert_eq!(bytes[..8], [8, 7, 6, 5, 4, 3, 2, 1], "little-endian");
         let mut f = Fields::new(&bytes);
-        assert_eq!(f.u64(), Some(0x0102_0304_0506_0708));
-        assert_eq!(f.u32(), Some(0x0a0b_0c0d));
-        assert_eq!(f.u16(), Some(0x1234));
-        assert_eq!(f.u8(), Some(9));
-        assert_eq!(f.u64(), None, "a field the bytes cannot hold");
-        assert_eq!(f.u16(), Some(0x0201), "and the failed read consumed nothing");
+        assert_eq!(f.read(), Some(0x0102_0304_0506_0708u64));
+        assert_eq!(f.read(), Some(0x0a0b_0c0du32));
+        assert_eq!(f.read(), Some(0x1234u16));
+        assert_eq!(f.read(), Some(9u8));
+        assert_eq!(f.read::<u64>(), None, "a field the bytes cannot hold");
+        assert_eq!(f.read(), Some(0x0201u16), "and the failed read consumed nothing");
         assert_eq!(f.bytes(1), None);
         assert_eq!(f.rest(), b"");
+    }
+
+    #[test]
+    fn arrays_are_their_elements_in_order() {
+        let mut bytes = [0u8; 16];
+        Writer::new(&mut bytes).put([1u64, 2]);
+        assert_eq!(u64::get(&bytes[8..]), Some(2));
+        assert_eq!(Fields::new(&bytes).read(), Some([1u64, 2]));
+        assert_eq!(Fields::new(&bytes[1..]).read::<[u64; 2]>(), None);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_writer_never_writes_past_its_buffer() {
+        Writer::new(&mut [0u8; 3]).put(1u32);
+    }
+
+    crate::frame! {
+        /// A frame with one field of every width.
+        struct Probe {
+            a: u8,
+            b: u64,
+            c: u16,
+            d: [u32; 2],
+            e: u32,
+        }
+    }
+
+    #[test]
+    fn a_declared_frame_is_its_field_list() {
+        assert_eq!(Probe::LEN, 23);
+        let at: Vec<_> = Probe::FIELDS.iter().map(|f| (f.name, f.offset, f.width)).collect();
+        assert_eq!(at, [("a", 0, 1), ("b", 1, 8), ("c", 9, 2), ("d", 11, 8), ("e", 19, 4)]);
+        let p = Probe { a: 1, b: 2, c: 3, d: [4, 5], e: 6 };
+        let bytes = p.encode();
+        assert_eq!(bytes[1..9], 2u64.to_le_bytes());
+        assert_eq!(Probe::decode(&bytes), Some(p));
+        assert_eq!(Probe::decode(&bytes[..Probe::LEN - 1]), None);
     }
 }

@@ -20,8 +20,9 @@
 //! * a persistent [`pool`] with a bump + size-class allocator standing in
 //!   for `libvmmalloc`,
 //! * the one on-PM [`frame`] codec (the `word_hash` seal, its one
-//!   `verify`, a bounded field reader) every persisted format decodes
-//!   through, and the flight recorder's format and sink ([`blackbox`]).
+//!   `verify`, the bounded field reader and writer, and `frame!`, which
+//!   declares each persisted format once), and the flight recorder's
+//!   format and sink ([`blackbox`]).
 //!
 //! # Quick example
 //!

@@ -1,25 +1,22 @@
 //! Persistent pool: a formatted device with a header, root slots, and heap.
 //!
-//! Layout (all offsets fixed so recovery code can find them in a raw
-//! [`crate::CrashImage`]):
-//!
-//! ```text
-//! 0   .. 8     magic
-//! 8   .. 16    persistent bump pointer (u64 absolute offset)
-//! 16  .. 144   16 root slots (u64 each) — runtimes stash log heads etc. here
-//! 144 .. 256   reserved
-//! 256 ..       heap
-//! ```
+//! The device opens with the [`PoolHeader`] (magic, persistent bump
+//! pointer, [`ROOT_SLOTS`] root slots in which runtimes stash log heads and
+//! the like); the bytes after it up to [`POOL_HEADER_SIZE`] are reserved
+//! and the heap starts there. All offsets are fixed so recovery code can
+//! find them in a raw [`crate::CrashImage`].
+
+use std::mem::offset_of;
 
 use crate::alloc::{Reservation, SizeClassAllocator};
-use crate::frame::Fields;
+use crate::frame::Wire;
 use crate::{CrashImage, PmemDevice, PmemError};
 
 /// Magic value identifying a formatted pool.
 pub const POOL_MAGIC: u64 = 0x5350_4543_504d_5431; // "SPECPMT1"
 
 /// Offset of the persistent bump pointer.
-pub const BUMP_OFF: usize = 8;
+pub const BUMP_OFF: usize = offset_of!(PoolHeader, bump);
 
 /// Number of root slots.
 pub const ROOT_SLOTS: usize = 16;
@@ -34,34 +31,33 @@ pub const POOL_HEADER_SIZE: usize = 256;
 /// Panics if `i >= ROOT_SLOTS`.
 pub fn root_off(i: usize) -> usize {
     assert!(i < ROOT_SLOTS, "root slot {i} out of range");
-    16 + i * 8
+    offset_of!(PoolHeader, roots) + i * u64::WIDTH
 }
 
-/// A formatted pool's header, decoded from the start of an image: the one
-/// place the pool magic is checked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolHeader {
-    /// The persisted bump pointer.
-    pub bump: u64,
-    /// The root slots.
-    pub roots: [u64; ROOT_SLOTS],
+crate::frame! {
+    /// A formatted pool's header, at the start of the device.
+    pub struct PoolHeader {
+        /// [`POOL_MAGIC`].
+        pub magic: u64,
+        /// The persisted bump pointer (an absolute offset).
+        pub bump: u64,
+        /// The root slots.
+        pub roots: [u64; ROOT_SLOTS],
+    }
 }
 
 impl PoolHeader {
-    /// Decodes the header `bytes` starts with (a whole image, or at least
-    /// its first [`POOL_HEADER_SIZE`] bytes). `None` unless they hold a
-    /// whole header that opens with [`POOL_MAGIC`].
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut f = Fields::new(bytes.get(..POOL_HEADER_SIZE)?);
-        if f.u64()? != POOL_MAGIC {
-            return None;
-        }
-        let bump = f.u64()?;
-        let mut roots = [0; ROOT_SLOTS];
-        for root in &mut roots {
-            *root = f.u64()?;
-        }
-        Some(Self { bump, roots })
+    /// The header a pool is formatted with: an empty heap, zero roots.
+    pub(crate) fn formatted() -> Self {
+        Self { magic: POOL_MAGIC, bump: POOL_HEADER_SIZE as u64, roots: [0; ROOT_SLOTS] }
+    }
+
+    /// The header `bytes` starts with (a whole image, or at least its first
+    /// [`POOL_HEADER_SIZE`] bytes): the one place the pool magic is
+    /// checked. `None` unless they hold a whole header that opens with
+    /// [`POOL_MAGIC`].
+    pub fn read(bytes: &[u8]) -> Option<Self> {
+        Self::decode(bytes.get(..POOL_HEADER_SIZE)?).filter(|h| h.magic == POOL_MAGIC)
     }
 }
 
@@ -90,11 +86,7 @@ impl PmemPool {
         let end = dev.size();
         let timing = dev.timing();
         dev.set_timing(crate::TimingMode::Off);
-        dev.write_u64(0, POOL_MAGIC);
-        dev.write_u64(BUMP_OFF, POOL_HEADER_SIZE as u64);
-        for i in 0..ROOT_SLOTS {
-            dev.write_u64(root_off(i), 0);
-        }
+        dev.write(0, &PoolHeader::formatted().encode());
         dev.persist_range(0, POOL_HEADER_SIZE);
         dev.set_timing(timing);
         Self { dev, alloc: SizeClassAllocator::new(POOL_HEADER_SIZE, end) }
@@ -109,7 +101,7 @@ impl PmemPool {
     /// Returns [`PmemError::BadPoolHeader`] if the magic does not match or
     /// the bump pointer is implausible.
     pub fn open(image: &CrashImage, cfg: crate::PmemConfig) -> Result<Self, PmemError> {
-        let header = PoolHeader::decode(image.as_bytes()).ok_or(PmemError::BadPoolHeader)?;
+        let header = PoolHeader::read(image.as_bytes()).ok_or(PmemError::BadPoolHeader)?;
         let bump = header.bump as usize;
         if bump < POOL_HEADER_SIZE || bump > image.len() {
             return Err(PmemError::BadPoolHeader);
@@ -264,5 +256,21 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn root_slot_bounds_checked() {
         root_off(ROOT_SLOTS);
+    }
+
+    /// Both pools' header after a root write and an allocation, pinned
+    /// byte for byte as it was written before it was declared as a frame.
+    #[test]
+    fn the_header_keeps_its_known_answer() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let want = "31544d50434550536801000000000000000000000000000000000000000000000000000000000000887766554433221100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000";
+        let mut p = PmemPool::create(PmemDevice::new(PmemConfig::new(4096)));
+        p.set_root_direct(3, 0x1122_3344_5566_7788);
+        p.alloc_direct(100, 8).unwrap();
+        assert_eq!(hex(p.device().peek(0, POOL_HEADER_SIZE)), want);
+        let s = crate::SharedPmemPool::create(crate::SharedPmemDevice::new(PmemConfig::new(4096)));
+        s.set_root_direct(3, 0x1122_3344_5566_7788);
+        s.alloc_direct(100, 8).unwrap();
+        assert_eq!(hex(&s.handle().peek(0, POOL_HEADER_SIZE)), want);
     }
 }

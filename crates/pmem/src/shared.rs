@@ -65,8 +65,8 @@ use crate::wpq::{PendingFlush, WpqModel};
 use specpmt_telemetry::{HistogramSnapshot, OwnedCounter, OwnedHistogram};
 
 use crate::{
-    FenceReport, PmemConfig, PmemError, PmemStats, TimingMode, BUMP_OFF, POOL_HEADER_SIZE,
-    POOL_MAGIC, ROOT_SLOTS,
+    FenceReport, PmemConfig, PmemError, PmemStats, PoolHeader, TimingMode, BUMP_OFF,
+    POOL_HEADER_SIZE,
 };
 
 /// Bytes per image shard (one mutex each). Must be a multiple of
@@ -900,11 +900,7 @@ impl SharedPmemPool {
         let prev = dev.timing();
         dev.set_timing(TimingMode::Off);
         let handle = dev.handle();
-        handle.write_u64(0, POOL_MAGIC);
-        handle.write_u64(BUMP_OFF, POOL_HEADER_SIZE as u64);
-        for i in 0..ROOT_SLOTS {
-            handle.write_u64(crate::root_off(i), 0);
-        }
+        handle.write(0, &PoolHeader::formatted().encode());
         handle.persist_range(0, POOL_HEADER_SIZE);
         dev.set_timing(prev);
         let alloc = SizeClassAllocator::new(POOL_HEADER_SIZE, dev.size());
@@ -969,7 +965,7 @@ impl SharedPmemPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CrashPlan;
+    use crate::{CrashPlan, POOL_MAGIC};
     use std::thread;
 
     fn dev() -> SharedPmemDevice {

@@ -63,7 +63,7 @@ nontest_files_with() { # <fixed string> <dir> <file that only defines it>
         fi
     done
 }
-for probe in 'encode_header_parts(|crates/core/src|record.rs' \
+for probe in 'RecordHeader {|crates/core/src|record.rs' \
     'Phase::WpqDrain|crates/core/src|-' \
     'cfg.line_write_seq_ns|crates/pmem/src|config.rs' \
     'fuel_tick(|crates/pmem/src|-' \
@@ -83,11 +83,12 @@ done
 # black-box slot and region header) is sealed and verified through
 # crates/pmem/src/frame.rs and decodes its fields through the frame's one
 # bounded reader. Outside #[cfg(test)], across crates/*/src, a stored
-# checksum is compared in one line (`frame::verify`) and a `u32` field is
-# decoded in one line (`Fields::u32`) — a second parse loop anywhere would
-# have to add one of either; txn's access.rs keeps the typed `read_u32` of
-# application data, which is no frame. The pool header's magic is checked
-# in one line (`PoolHeader::decode`). And the per-byte
+# checksum is compared in one line (`frame::verify`) and a field is
+# decoded in one line (the `Wire` impl of frame.rs, `<$t>::from_le_bytes`)
+# — a second parse loop anywhere would have to add one of either; txn's
+# access.rs keeps the typed `read_u32` of application data, which is no
+# frame. The pool header's magic is checked in one line
+# (`PoolHeader::read`). And the per-byte
 # `HashMap<usize, u64>` index survives only as the oracle in
 # tests/properties.rs.
 production_sources() { find crates -path '*/src/*' -name '*.rs' | sort; }
@@ -99,7 +100,7 @@ count_in_sources() { # <extended regex>: "file:count" for every source that matc
 }
 for probe in \
     'crates/pmem/src/frame.rs:1|(word_hash|seal|record_checksum|fnv1a64|checksum)\(.*\) *[!=]= |[!=]= *(word_hash|seal|record_checksum|fnv1a64|checksum)\(|\b(sum|cksum|checksum|stored) *[!=]= |[!=]= *(sum|cksum|checksum|stored)\b' \
-    'crates/pmem/src/frame.rs:1 crates/txn/src/access.rs:1|u32::from_le_bytes' \
+    'crates/pmem/src/frame.rs:1 crates/txn/src/access.rs:1|u(8|16|32)::from_le_[b]ytes|>::from_le_[b]ytes' \
     'crates/pmem/src/pool.rs:1|[!=]= *([a-z_]+::)*POOL_MAGIC\b|POOL_MAGIC *[!=]='; do
     IFS='|' read -r want pat <<<"$probe"
     got=$(count_in_sources "$pat" | tr '\n' ' ' | sed 's/ $//')
@@ -110,6 +111,36 @@ if grep -nF 'HashMap<usize, u64>' crates/core/src/reclaim.rs; then
     echo "re-fork guard: the per-byte freshness map is back in reclaim.rs" >&2
     exit 1
 fi
+
+# Re-fork guard, one frame schema: each on-PM format is declared once,
+# with `frame!`, in the module that owns it (record.rs: record, entry and
+# block headers, checkpoint header, anchor; layout.rs, undo.rs, hashlog.rs,
+# pool.rs: one each; blackbox.rs: slot and region header), and its
+# encoder, decoder and offsets come from that declaration. So outside
+# #[cfg(test)] and comment lines, no source of crates/core/src or
+# crates/pmem/src codes a little-endian field by hand: `to_le_bytes` /
+# `from_le_bytes` appear only in frame.rs (the `Wire` impls, the word
+# hash's word loop) and in the listed exceptions — the devices' and the
+# crash image's u64 word accessors and core's checksum word loop. No
+# pattern matches its own line.
+got=$(for f in $(production_sources); do
+    n=$(nontest "$f" | awk '/^[a-z_:]*frame! *[{]/ { inside = 1 }
+        inside && /^ *(pub(\([a-z]+\))? )?struct / { n++ } /^[}]/ { inside = 0 } END { print n + 0 }')
+    [ "$n" -eq 0 ] || echo "$f:$n"
+done | tr '\n' ' ' | sed 's/ $//')
+want="crates/core/src/hashlog.rs:1 crates/core/src/layout.rs:1 crates/core/src/record.rs:5"
+want="$want crates/core/src/undo.rs:1 crates/pmem/src/blackbox.rs:2 crates/pmem/src/pool.rs:1"
+[ "$got" = "$want" ] ||
+    { echo "re-fork guard: frame! declarations must be $want, found: ${got:-(none)}" >&2; exit 1; }
+got=$(for f in crates/core/src/*.rs crates/pmem/src/*.rs; do
+    [ "$f" = crates/pmem/src/frame.rs ] && continue
+    n=$(nontest "$f" | grep -vE '^ *//' | grep -oE '(to|from)_le_[b]ytes' | wc -l)
+    [ "$n" -eq 0 ] || echo "$f:$n"
+done | tr '\n' ' ' | sed 's/ $//')
+want="crates/core/src/checksum.rs:1 crates/pmem/src/crash.rs:2 crates/pmem/src/device.rs:3"
+want="$want crates/pmem/src/shared.rs:5"
+[ "$got" = "$want" ] ||
+    { echo "re-fork guard: little-endian field coding outside frame.rs must be only $want, found: ${got:-(none)}" >&2; exit 1; }
 
 # Re-fork guard, one fold. A byte is fresh when no younger record wrote
 # it, and that comparison is made in one place, FreshnessIndex::fresh_mask:
@@ -179,14 +210,16 @@ copiers=$(nontest crates/core/src/recovery.rs | awk '
 
 # Re-fork guard, the checkpoint seek. A checkpoint's anchor table is encoded
 # and decoded in record.rs alone: outside #[cfg(test)], no other
-# crates/*/src file names the checkpoint magic or the anchor stride. And the
+# crates/*/src file names the checkpoint magic, the checkpoint header, or
+# the anchor frame's stride, table or decoder. And the
 # seek that walks a live chain's forward pointers to an anchor is written
 # once, as recovery.rs's `seek`: no other function there follows a forward
 # pointer, bounds a walk by the reader's cycle guard or resumes a reader at
 # an anchor, and no file but record.rs (which defines the cycle guard) and
 # recovery.rs does either. Comment lines are not searched.
 codecs=$(for f in $(production_sources); do
-    if nontest "$f" | grep -vE '^ *//' | grep -E 'ANCHOR_BYTES|CKPT_MAGIC' >/dev/null; then
+    if nontest "$f" | grep -vE '^ *//' |
+        grep -E 'ANCHOR_BYTES|CKPT_MAGIC|CheckpointHeader|Anchor::(LEN|FIELDS|decode)' >/dev/null; then
         echo "$f"
     fi
 done | tr '\n' ' ' | sed 's/ $//')
@@ -306,11 +339,12 @@ done
 # core's record protocol (TxLog) and HOOP through hwtx::common::RecordBuf,
 # its write set coalesced in write order by core::WriteSet. So outside
 # #[cfg(test)], no crates/baselines/src file and not hoop.rs seals a record
-# header (encode_header), reserves one by hand (a zeroed REC_HDR buffer) or
-# spells an entry header inline; and hoop.rs sorts nothing (replaying a
+# header (encode_header, or a RecordHeader of its own), reserves one by hand
+# (a zeroed REC_HDR buffer) or spells an entry header inline (by hand or as
+# an EntryHeader); and hoop.rs sorts nothing (replaying a
 # write set in address order loses write order). No pattern matches itself.
 for f in crates/baselines/src/*.rs crates/hwtx/src/hoop.rs; do
-    if nontest "$f" | grep -nE 'encode_[h]eader\(|\[0u8; (REC|ENTRY)_[H]DR\]|as u(64|32)\)\.to_le_[b]ytes'; then
+    if nontest "$f" | grep -nE 'encode_[h]eader\(|(Record|Entry)[H]eader|\[0u8; (REC|ENTRY)_[H]DR\]|as u(64|32)\)\.to_le_[b]ytes'; then
         echo "re-fork guard: $f encodes a log record by hand (use TxLog / RecordBuf)" >&2
         exit 1
     fi
