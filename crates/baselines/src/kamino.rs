@@ -9,22 +9,13 @@ const ENTRY_MAGIC: u32 = 0x4B41_4D4E; // "KAMN"
 /// object's address, and its seal.
 const ENTRY_BYTES: usize = undo::entry_bytes(0);
 
-/// Configuration for [`KaminoTx`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KaminoConfig {
-    /// Size of the address-log region; bounds the largest transaction
-    /// write set (one 24-byte entry per write).
-    pub log_bytes: usize,
-    /// CPU bookkeeping cost per logged object (ns): write-set tracking and
-    /// backup-copy accounting on the critical path.
-    pub sw_overhead_ns: u64,
-}
+/// Size of the address-log region; bounds the largest transaction write
+/// set (one 24-byte entry per write).
+const LOG_BYTES: usize = 1 << 20;
 
-impl Default for KaminoConfig {
-    fn default() -> Self {
-        Self { log_bytes: 1 << 20, sw_overhead_ns: 900 }
-    }
-}
+/// CPU bookkeeping cost per logged object (ns): write-set tracking and
+/// backup-copy accounting on the critical path.
+const SW_OVERHEAD_NS: u64 = 900;
 
 /// Kamino-Tx as the paper implements it (Section 7.1.2): the performance
 /// **upper bound** of the in-place + backup-copy design.
@@ -41,7 +32,6 @@ impl Default for KaminoConfig {
 #[derive(Debug)]
 pub struct KaminoTx {
     pool: PmemPool,
-    cfg: KaminoConfig,
     log_base: usize,
     log_pos: usize,
     in_tx: bool,
@@ -55,27 +45,21 @@ impl KaminoTx {
     /// # Panics
     ///
     /// Panics if the pool cannot hold the log region.
-    pub fn new(mut pool: PmemPool, cfg: KaminoConfig) -> Self {
+    pub fn new(mut pool: PmemPool) -> Self {
         let prev = pool.device().timing();
         pool.device_mut().set_timing(TimingMode::Off);
         let log_base = pool
-            .alloc_direct(cfg.log_bytes, CACHE_LINE)
+            .alloc_direct(LOG_BYTES, CACHE_LINE)
             .expect("pool too small for Kamino address log");
         pool.device_mut().set_timing(prev);
         Self {
             pool,
-            cfg,
             log_base,
             log_pos: 0,
             in_tx: false,
             logged_lines: std::collections::BTreeSet::new(),
             stats: TxStats::default(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &KaminoConfig {
-        &self.cfg
     }
 }
 
@@ -104,10 +88,10 @@ impl TxAccess for KaminoTx {
                     continue;
                 }
                 assert!(
-                    self.log_pos + ENTRY_BYTES <= self.cfg.log_bytes,
-                    "Kamino address log exhausted; raise KaminoConfig::log_bytes"
+                    self.log_pos + ENTRY_BYTES <= LOG_BYTES,
+                    "Kamino address log exhausted; raise LOG_BYTES"
                 );
-                self.pool.device_mut().advance(self.cfg.sw_overhead_ns);
+                self.pool.device_mut().advance(SW_OVERHEAD_NS);
                 let mut entry = [0u8; ENTRY_BYTES];
                 undo::encode_entry(&mut entry, ENTRY_MAGIC, line_start, &[]);
                 let at = self.log_base + self.log_pos;
@@ -136,7 +120,7 @@ impl TxAccess for KaminoTx {
         assert!(self.in_tx, "commit outside transaction");
         // Persist the commit record so recovery would know the transaction
         // completed (single fence; no data flushes on the critical path).
-        let at = self.log_base + self.log_pos.min(self.cfg.log_bytes - 8);
+        let at = self.log_base + self.log_pos.min(LOG_BYTES - 8);
         self.pool.device_mut().write_u64(at, u64::from(ENTRY_MAGIC) | 0xC0_0000_0000);
         self.pool.device_mut().clwb(at);
         self.pool.device_mut().sfence();
@@ -189,7 +173,7 @@ mod tests {
 
     fn runtime() -> KaminoTx {
         let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));
-        KaminoTx::new(pool, KaminoConfig::default())
+        KaminoTx::new(pool)
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod nolog;
 mod pmdk;
 mod spht;
 
-pub use kamino::{KaminoConfig, KaminoTx};
+pub use kamino::KaminoTx;
 pub use nolog::NoLog;
 pub use pmdk::{PmdkConfig, PmdkUndo};
-pub use spht::{Spht, SphtConfig};
+pub use spht::Spht;

@@ -64,7 +64,8 @@ pub struct PmdkUndo {
     generation: u64,
     in_tx: bool,
     logged_objects: BTreeSet<usize>,
-    data_lines: BTreeSet<usize>,
+    /// The byte ranges this transaction updated, flushed at commit.
+    data_ranges: Vec<(usize, usize)>,
     stats: TxStats,
 }
 
@@ -96,7 +97,7 @@ impl PmdkUndo {
             generation: 0,
             in_tx: false,
             logged_objects: BTreeSet::new(),
-            data_lines: BTreeSet::new(),
+            data_ranges: Vec::new(),
             stats: TxStats::default(),
         }
     }
@@ -155,7 +156,7 @@ impl TxAccess for PmdkUndo {
         self.in_tx = true;
         self.log_pos = ENTRIES_OFF;
         self.logged_objects.clear();
-        self.data_lines.clear();
+        self.data_ranges.clear();
         self.stats.tx_begun += 1;
         self.generation += 1;
         // Persist the TX_STAGE_WORK transition, as libpmemobj does; the
@@ -177,12 +178,8 @@ impl TxAccess for PmdkUndo {
                     self.snapshot_object(start);
                 }
             }
-            let first = addr / CACHE_LINE;
-            let last = (addr + data.len() - 1) / CACHE_LINE;
-            for l in first..=last {
-                self.data_lines.insert(l * CACHE_LINE);
-            }
         }
+        self.data_ranges.push((addr, data.len()));
         // In-place data update, after its lines are snapshot-protected.
         self.pool.device_mut().write(addr, data);
         self.stats.updates += 1;
@@ -196,10 +193,7 @@ impl TxAccess for PmdkUndo {
     fn commit(&mut self) {
         assert!(self.in_tx, "commit outside transaction");
         // 1. Persist all updated data (fence).
-        let lines = std::mem::take(&mut self.data_lines);
-        for l in lines {
-            self.pool.device_mut().clwb(l);
-        }
+        self.pool.device_mut().clwb_ranges(&self.data_ranges);
         self.pool.device_mut().sfence();
         // 2. Truncate the log: invalidate the first entry and reset the
         //    stage word (fence).

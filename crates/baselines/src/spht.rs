@@ -1,31 +1,23 @@
 //! SPHT-style redo logging with a background replayer.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use specpmt_core::record::{PoolStore, REC_HDR};
 use specpmt_core::{recovery, Probe, SingleChain, Telemetry, TxLog};
-use specpmt_pmem::{CrashImage, PmemPool, CACHE_LINE};
+use specpmt_pmem::{CrashImage, PmemPool};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-/// Configuration for [`Spht`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SphtConfig {
-    /// Log block size.
-    pub block_bytes: usize,
-    /// Unreplayed log footprint that wakes the background replayer.
-    pub replay_threshold_bytes: usize,
-    /// CPU cost per commit for SPHT's cross-thread log linking (ns).
-    pub link_overhead_ns: u64,
-}
+/// Log block size.
+const BLOCK_BYTES: usize = 4096;
 
-impl Default for SphtConfig {
-    fn default() -> Self {
-        // A small threshold approximates SPHT's continuously-running
-        // replayer: replay happens in frequent small batches, so its PM
-        // traffic steadily contends with foreground commits.
-        Self { block_bytes: 4096, replay_threshold_bytes: 8 * 1024, link_overhead_ns: 500 }
-    }
-}
+/// Unreplayed log footprint that wakes the background replayer. A small
+/// threshold approximates SPHT's continuously-running replayer: replay
+/// happens in frequent small batches, so its PM traffic steadily contends
+/// with foreground commits.
+const REPLAY_THRESHOLD_BYTES: usize = 8 * 1024;
+
+/// CPU cost per commit for SPHT's cross-thread log linking (ns).
+const LINK_OVERHEAD_NS: u64 = 500;
 
 /// SPHT (forward-linking variant with a background replayer), per the
 /// paper's Section 7.1.2 description.
@@ -44,7 +36,6 @@ impl Default for SphtConfig {
 #[derive(Debug)]
 pub struct Spht {
     pool: PmemPool,
-    cfg: SphtConfig,
     chain: SingleChain,
     in_tx: bool,
     /// The open transaction's record, write set and flush plan.
@@ -52,8 +43,8 @@ pub struct Spht {
     /// The DRAM snapshot: bytes written but not yet replayed to PM. Holds
     /// both the open transaction's writes and committed-unreplayed ones.
     overlay: HashMap<usize, u8>,
-    /// Data lines of committed-but-unreplayed records.
-    pending_data_lines: BTreeSet<usize>,
+    /// Data ranges of committed-but-unreplayed records.
+    pending_data: Vec<(usize, usize)>,
     ts_counter: u64,
     stats: TxStats,
     /// Never enabled: SPHT has no commit crash sites or phase histograms,
@@ -63,25 +54,19 @@ pub struct Spht {
 
 impl Spht {
     /// Creates the runtime with an empty redo log chain.
-    pub fn new(mut pool: PmemPool, cfg: SphtConfig) -> Self {
-        let chain = SingleChain::format(&mut pool, cfg.block_bytes);
+    pub fn new(mut pool: PmemPool) -> Self {
+        let chain = SingleChain::format(&mut pool, BLOCK_BYTES);
         Self {
             pool,
-            cfg,
             chain,
             in_tx: false,
             log: TxLog::new(false),
             overlay: HashMap::new(),
-            pending_data_lines: BTreeSet::new(),
+            pending_data: Vec::new(),
             ts_counter: 1,
             stats: TxStats::default(),
             tel: Telemetry::new(1),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SphtConfig {
-        &self.cfg
     }
 
     /// Unreplayed log footprint in bytes.
@@ -102,13 +87,10 @@ impl Spht {
         for (addr, b) in std::mem::take(&mut self.overlay) {
             self.pool.device_mut().write(addr, &[b]);
         }
-        let lines = std::mem::take(&mut self.pending_data_lines);
-        let line_count = lines.len();
-        for l in lines {
-            self.pool.device_mut().background_line_write(l);
-        }
+        let lines = self.pool.device_mut().background_ranges(&self.pending_data);
+        self.pending_data.clear();
         self.chain.truncate_background(&mut self.pool);
-        self.stats.records_reclaimed += line_count as u64;
+        self.stats.records_reclaimed += lines as u64;
         self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.background_ns += self.pool.device().now_ns() - t0;
     }
@@ -124,7 +106,7 @@ impl TxAccess for Spht {
 
     fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
-        let Self { pool, chain, log, overlay, pending_data_lines, stats, .. } = self;
+        let Self { pool, chain, log, overlay, pending_data, stats, .. } = self;
         let mut store = PoolStore::new(pool, &mut chain.free_blocks);
         if !log.reserved() {
             log.reserve(&mut store, &mut chain.area);
@@ -140,11 +122,7 @@ impl TxAccess for Spht {
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
         stats.log_bytes += log.stage(&mut store, &mut chain.area, addr, data) as u64;
-        if !data.is_empty() {
-            for l in addr / CACHE_LINE..=(addr + data.len() - 1) / CACHE_LINE {
-                pending_data_lines.insert(l * CACHE_LINE);
-            }
-        }
+        pending_data.push((addr, data.len()));
     }
 
     fn read(&mut self, addr: usize, buf: &mut [u8]) {
@@ -169,7 +147,7 @@ impl TxAccess for Spht {
         }
         let ts = self.ts_counter;
         self.ts_counter += 1;
-        self.pool.device_mut().advance(self.cfg.link_overhead_ns);
+        self.pool.device_mut().advance(LINK_OVERHEAD_NS);
         let Self { pool, chain, log, tel, .. } = self;
         let mut store = PoolStore::new(pool, &mut chain.free_blocks);
         // Single fence: persist the redo record only.
@@ -187,7 +165,7 @@ impl TxAccess for Spht {
     }
 
     fn maintain(&mut self) {
-        if self.log_footprint() > self.cfg.replay_threshold_bytes {
+        if self.log_footprint() > REPLAY_THRESHOLD_BYTES {
             self.replay_now();
         }
     }
@@ -233,7 +211,7 @@ mod tests {
 
     fn runtime() -> Spht {
         let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));
-        Spht::new(pool, SphtConfig::default())
+        Spht::new(pool)
     }
 
     fn region(rt: &mut Spht, bytes: usize) -> usize {
@@ -313,17 +291,17 @@ mod tests {
 
     #[test]
     fn crossing_threshold_triggers_replay() {
-        let mut rt = Spht::new(
-            PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22))),
-            SphtConfig { block_bytes: 1024, replay_threshold_bytes: 4096, link_overhead_ns: 300 },
-        );
+        let mut rt = runtime();
         let a = region(&mut rt, 4096);
-        for i in 0..200u64 {
+        // Each one-word record is tens of bytes: enough of them fill the
+        // chain past the threshold several times over.
+        for i in 0..1000u64 {
             rt.begin();
             rt.write_u64(a + ((i as usize * 8) % 4096), i);
             rt.commit();
         }
-        assert!(rt.log_footprint() <= 2 * 4096);
+        assert!(rt.log_footprint() <= REPLAY_THRESHOLD_BYTES);
         assert!(rt.tx_stats().background_ns > 0);
+        assert!(rt.tx_stats().records_reclaimed > 0);
     }
 }

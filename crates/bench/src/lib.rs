@@ -6,9 +6,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use specpmt_baselines::{KaminoConfig, KaminoTx, NoLog, PmdkConfig, PmdkUndo, Spht, SphtConfig};
+use specpmt_baselines::{KaminoTx, NoLog, PmdkConfig, PmdkUndo, Spht};
 use specpmt_core::{HashLogConfig, HashLogSpmt, SpecConfig, SpecSpmt};
-use specpmt_hwtx::{hw_pool, Ede, EdeConfig, Hoop, HoopConfig, HwNoLog, HwSpecConfig, HwSpecPmt};
+use specpmt_hwtx::{hw_pool, Ede, EdeConfig, Hoop, HwNoLog, HwSpecConfig, HwSpecPmt};
 use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool};
 use specpmt_stamp::{run_app, AppRun, Scale, StampApp};
 use specpmt_txn::RunReport;
@@ -65,10 +65,8 @@ pub fn run_sw(rt: SwRuntime, app: StampApp, scale: Scale) -> AppRun {
         SwRuntime::Pmdk => {
             run_app(app, &mut PmdkUndo::new(fresh_pool(), PmdkConfig::default()), scale)
         }
-        SwRuntime::Kamino => {
-            run_app(app, &mut KaminoTx::new(fresh_pool(), KaminoConfig::default()), scale)
-        }
-        SwRuntime::Spht => run_app(app, &mut Spht::new(fresh_pool(), SphtConfig::default()), scale),
+        SwRuntime::Kamino => run_app(app, &mut KaminoTx::new(fresh_pool()), scale),
+        SwRuntime::Spht => run_app(app, &mut Spht::new(fresh_pool()), scale),
         SwRuntime::SpecDp => {
             run_app(app, &mut SpecSpmt::new(fresh_pool(), SpecConfig::default().dp()), scale)
         }
@@ -174,7 +172,7 @@ pub fn run_hw_with(
     let pool = hw_pool(POOL_BYTES);
     let (run, avg_footprint) = match rt {
         HwRuntime::Ede => (run_app(app, &mut Ede::new(pool, EdeConfig::default()), scale), 0.0),
-        HwRuntime::Hoop => (run_app(app, &mut Hoop::new(pool, HoopConfig::default()), scale), 0.0),
+        HwRuntime::Hoop => (run_app(app, &mut Hoop::new(pool), scale), 0.0),
         HwRuntime::SpecDp => {
             let mut r = HwSpecPmt::new(pool, spec_cfg.dp());
             let run = run_app(app, &mut r, scale);

@@ -14,7 +14,7 @@
 //!   its own log chain, so disjoint threads never contend beyond the
 //!   device's internal sharding;
 //! * [`ReclaimDaemon`] is a real `std::thread` (the paper's dedicated
-//!   reclamation core): it periodically feeds the [`FreshnessIndex`] the
+//!   reclamation core): it periodically feeds the [`crate::FreshnessIndex`] the
 //!   records **all** threads *committed* since its last cycle, compacts
 //!   each chain, and splices the result in with the two-fence protocol
 //!   (persist the new chain, fence; swap the 8-byte head pointer, fence);
@@ -60,8 +60,8 @@ use std::time::Duration;
 use specpmt_pmem::blackbox::BbKind;
 use specpmt_pmem::frame::Wire;
 use specpmt_pmem::{
-    line_of, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice, SharedPmemPool,
-    Site, TimingMode, BUMP_OFF,
+    coalesce_lines, BlackBoxSink, CrashImage, DeviceHandle, FenceReport, SharedPmemDevice,
+    SharedPmemPool, Site, TimingMode, BUMP_OFF,
 };
 use specpmt_telemetry::{OwnedCounter, Phase, Telemetry};
 use specpmt_txn::{CommitReceipt, GroupBatch, GroupCommitter};
@@ -219,7 +219,7 @@ impl ConcurrentConfigBuilder {
 ///
 /// The runtime is simulation-backed, so "path or memory" resolves to one
 /// of: a fresh device of a given size, a fresh device with explicit
-/// [`PmemConfig`] timing/topology, an already-provisioned device, or an
+/// [`specpmt_pmem::PmemConfig`] timing/topology, an already-provisioned device, or an
 /// existing pool (reopened in place). Each variant converts via `From`,
 /// so call sites just pass the thing they have.
 #[derive(Debug)]
@@ -919,10 +919,8 @@ fn drain_group_batch(
             if bbox_carried == 0 {
                 &batch.log_lines
             } else {
+                coalesce_lines(&ranges, &mut lines_with_bbox);
                 lines_with_bbox.extend_from_slice(&batch.log_lines);
-                for (addr, len) in ranges {
-                    lines_with_bbox.extend(line_of(addr)..=line_of(addr + len - 1));
-                }
                 lines_with_bbox.sort_unstable();
                 lines_with_bbox.dedup();
                 &lines_with_bbox

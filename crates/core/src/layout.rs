@@ -349,9 +349,7 @@ impl SingleChain {
             self.layout.block_bytes(),
             &mut dirty,
         );
-        for (addr, len) in dirty {
-            pool.device_mut().background_range_write(addr, len);
-        }
+        pool.device_mut().background_ranges(&dirty);
         self.layout.set_head_background(pool, 0, area.head() as u64);
         let old = std::mem::replace(&mut self.area, area);
         self.free_blocks.extend(old.into_blocks());

@@ -5,7 +5,7 @@
 //! critical sections, so *some* locking discipline must already exist
 //! around every transaction. [`LockedTxHandle`] supplies that discipline
 //! for workloads that do not bring their own: it wraps a
-//! [`TxHandle`](crate::TxHandle) and a [`SharedLockTable`], acquiring the
+//! [`TxHandle`] and a [`SharedLockTable`], acquiring the
 //! stripe lock for every byte the transaction touches *on access* (growing
 //! phase) and releasing everything when the commit or abort record seals
 //! (shrinking phase — strict, so nothing is exposed before durability).

@@ -22,9 +22,9 @@
 //! and the rewrite is a **fold**:
 //!
 //! * the chain's **settled** records — those at or below the settled
-//!   watermark `W` ([`settled_bound`]), a prefix of the chain — become one
+//!   watermark `W` (`settled_bound`), a prefix of the chain — become one
 //!   **base record**: exactly their fresh bytes, sorted by address and
-//!   joined where they touch ([`crate::record::RunEncoder`], the
+//!   joined where they touch (`record::RunEncoder`, the
 //!   checkpoint's run encoding), under the newest folded timestamp. Where a
 //!   record's own entries overlap, the later one wins, as in replay. A base
 //!   over [`MAX_RECORD_PAYLOAD`](crate::record::MAX_RECORD_PAYLOAD) splits into consecutive records with the

@@ -510,9 +510,9 @@ pub(crate) fn encoded_records(mut bytes: &[u8]) -> impl Iterator<Item = RecordRe
 /// Reading stops for good at the first `len == 0` header (open or
 /// terminated log), an unreadable position, or a checksum mismatch (torn
 /// commit) — per the paper, no fresh records can follow a corrupt one.
-/// [`RecordReader::cursor`] then names where that record starts. A live
+/// `RecordReader::cursor` then names where that record starts. A live
 /// chain only ever grows there (see [`crate::reclaim`]), so a later reader
-/// [resumed](RecordReader::resume) at the cursor sees exactly the records
+/// resumed (`RecordReader::resume`) at the cursor sees exactly the records
 /// appended since.
 pub struct RecordReader<'a, S: ByteSource> {
     /// `None` once reading has stopped.

@@ -1,6 +1,6 @@
 //! The [`SpecSpmt`] transaction runtime.
 
-use specpmt_pmem::{coalesce_lines, line_start, CrashControl, CrashImage, PmemPool, Site};
+use specpmt_pmem::{CrashControl, CrashImage, PmemPool, Site};
 use specpmt_telemetry::{Phase, Telemetry};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
@@ -218,14 +218,7 @@ impl SpecSpmt {
         if let Some((area, dropped)) = rewrite {
             self.pool.device().crash_point(Site::SeqReclaimPreFence);
             if background {
-                // One write per line, however many dirty ranges share it
-                // (a block's first line holds its pointers, the spill's
-                // terminator and data), as `clwb_ranges` flushes inline.
-                let mut lines = Vec::new();
-                coalesce_lines(&dirty, &mut lines);
-                for line in lines {
-                    self.pool.device_mut().background_line_write(line_start(line));
-                }
+                self.pool.device_mut().background_ranges(&dirty);
             } else {
                 self.pool.device_mut().clwb_ranges(&dirty);
                 self.pool.device_mut().sfence();
@@ -421,7 +414,7 @@ impl Recover for SpecSpmt {
 mod tests {
     use super::*;
     use crate::record::{parse_chain, ENTRY_HDR};
-    use specpmt_pmem::{CrashPolicy, PmemConfig, PmemDevice, TimingMode, BUMP_OFF};
+    use specpmt_pmem::{coalesce_lines, CrashPolicy, PmemConfig, PmemDevice, TimingMode, BUMP_OFF};
 
     fn runtime(cfg: SpecConfig) -> SpecSpmt {
         let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)));

@@ -2,7 +2,9 @@
 
 use specpmt_core::record::{push_entry, LogArea, PoolStore, RecordHeader, REC_HDR};
 use specpmt_core::undo::{self, entry_bytes};
-use specpmt_pmem::{CrashImage, PmemConfig, PmemDevice, PmemPool, TimingMode, CACHE_LINE};
+use specpmt_pmem::{
+    line_of, lines_touching, CrashImage, PmemConfig, PmemDevice, PmemPool, TimingMode, CACHE_LINE,
+};
 
 const ENTRY_MAGIC: u32 = 0x4857_4C47; // "HWLG"
 
@@ -30,11 +32,12 @@ pub fn hw_pool(size: usize) -> PmemPool {
     PmemPool::create(PmemDevice::new(hw_pmem_config(size)))
 }
 
-/// A set of line-aligned addresses, kept sorted and deduplicated in one
-/// `Vec` that its owner clears and refills transaction after transaction.
-/// Transactions mostly touch lines in ascending order, which is a `push`;
-/// anything else is a binary search and a shift. Ascending iteration is
-/// what the flush order (and its XPLine discount) depends on.
+/// A set of cache-line indices (`addr / CACHE_LINE`), kept sorted and
+/// deduplicated in one `Vec` that its owner clears and refills transaction
+/// after transaction. Transactions mostly touch lines in ascending order,
+/// which is a `push`; anything else is a binary search and a shift.
+/// Ascending order is what `PmemDevice::clwb_lines` takes and what the
+/// flush order's XPLine discount depends on.
 #[derive(Debug, Default)]
 pub struct LineSet(Vec<usize>);
 
@@ -76,27 +79,6 @@ impl LineSet {
     /// Empties the set, keeping its buffer.
     pub fn clear(&mut self) {
         self.0.clear();
-    }
-}
-
-/// Iterates the line-aligned addresses of the lines `[addr, addr + len)`
-/// touches (`len > 0`).
-pub(crate) fn lines_touching(addr: usize, len: usize) -> impl Iterator<Item = usize> + Clone {
-    (addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE).map(|l| l * CACHE_LINE)
-}
-
-/// Flushes a set of cache lines (ascending order keeps the XPLine
-/// write-combining discount for contiguous runs). The caller fences.
-pub fn flush_line_set(dev: &mut PmemDevice, lines: &LineSet) {
-    for &l in lines.as_slice() {
-        dev.clwb(l);
-    }
-}
-
-/// Collects the cache lines of `[addr, addr+len)` ranges into `lines`.
-pub fn lines_of_ranges(ranges: &[(usize, usize)], lines: &mut LineSet) {
-    for &(addr, len) in ranges {
-        lines.insert_range(addr, len);
     }
 }
 
@@ -204,7 +186,7 @@ impl UndoLog {
         dev.write(at + SZ, &[0u8; 4]); // scan terminator
 
         // Hardware logging: the record goes straight to the WPQ.
-        dev.background_range_write(at, SZ + 4);
+        dev.background_ranges(&[(at, SZ + 4)]);
         self.pos += SZ;
     }
 
@@ -212,7 +194,7 @@ impl UndoLog {
     /// entry. The caller includes the line in its commit flush.
     pub fn truncate(&mut self, dev: &mut PmemDevice, flush_set: &mut LineSet) {
         dev.write(self.base, &[0u8; 4]);
-        flush_set.insert(self.base / CACHE_LINE * CACHE_LINE);
+        flush_set.insert(line_of(self.base));
         self.pos = 0;
     }
 
@@ -253,19 +235,12 @@ mod tests {
         undo.append_line(pool.device_mut(), a);
         pool.device_mut().write_u64(a, 5);
         undo.truncate(pool.device_mut(), &mut flush);
-        flush_line_set(pool.device_mut(), &flush);
+        pool.device_mut().clwb_lines(flush.as_slice());
         pool.device_mut().sfence();
         let mut img = pool.device().capture(CrashPolicy::AllSurvive);
         UndoLog::recover(&mut img);
         assert_eq!(img.read_u64(a), 5);
         assert_eq!(undo.used(), 0);
-    }
-
-    #[test]
-    fn lines_of_ranges_dedups() {
-        let mut set = LineSet::default();
-        lines_of_ranges(&[(64, 4), (0, 8), (8, 8), (0, 0), (60, 8)], &mut set);
-        assert_eq!(set.as_slice(), [0, 64]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! EDE: Execution Dependence Extension (the hardware baseline).
 
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool, CACHE_LINE};
+use specpmt_pmem::{line_start, lines_touching, CrashImage, PmemPool, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-use crate::common::{flush_line_set, lines_touching, LineSet, UndoLog};
+use crate::common::{LineSet, UndoLog};
 
 /// Configuration for [`Ede`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl TxAccess for Ede {
                 if self.lines.insert(line) {
                     // Hardware undo record (old value) — created before the
                     // store, no fence.
-                    self.undo.append_line(self.pool.device_mut(), line);
+                    self.undo.append_line(self.pool.device_mut(), line_start(line));
                     self.stats.log_bytes += (24 + CACHE_LINE) as u64;
                 }
             }
@@ -96,12 +96,12 @@ impl TxAccess for Ede {
         // Persist undo records + data + truncation; ordering within the
         // commit is the hardware's dependency tracking (one fence here).
         for &l in self.lines.as_slice() {
-            self.core.l1_mut().mark_clean(l);
+            self.core.l1_mut().mark_clean(line_start(l));
         }
         if self.undo.used() > 0 {
             self.undo.truncate(self.pool.device_mut(), &mut self.lines);
         }
-        flush_line_set(self.pool.device_mut(), &self.lines);
+        self.pool.device_mut().clwb_lines(self.lines.as_slice());
         self.pool.device_mut().sfence();
         self.in_tx = false;
         self.stats.tx_committed += 1;

@@ -3,28 +3,17 @@
 use specpmt_core::record::PoolStore;
 use specpmt_core::{recovery, SingleChain, WriteSet};
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool, CACHE_LINE};
+use specpmt_pmem::{line_start, CrashImage, PmemPool, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
 use crate::common::{LineSet, RecordBuf};
 
-/// Configuration for [`Hoop`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HoopConfig {
-    /// Hardware core parameters.
-    pub hw: HwConfig,
-    /// Log block size.
-    pub block_bytes: usize,
-    /// GC batch: home locations are updated once this many log bytes
-    /// accumulate (paper: 128 KB per GC cycle).
-    pub gc_batch_bytes: usize,
-}
+/// Log block size.
+const BLOCK_BYTES: usize = 4096;
 
-impl Default for HoopConfig {
-    fn default() -> Self {
-        Self { hw: HwConfig::default(), block_bytes: 4096, gc_batch_bytes: 128 * 1024 }
-    }
-}
+/// GC batch: home locations are updated once this many log bytes
+/// accumulate (paper: 128 KB per GC cycle).
+const GC_BATCH_BYTES: usize = 128 * 1024;
 
 /// HOOP (Cai et al.), per the paper's Section 7.1.3 setup: out-of-place
 /// updates buffered on chip, commits persisting packed redo records with
@@ -38,7 +27,6 @@ impl Default for HoopConfig {
 pub struct Hoop {
     pool: PmemPool,
     core: HwCore,
-    cfg: HoopConfig,
     chain: SingleChain,
     in_tx: bool,
     /// The transaction's write intents, coalesced in program order by
@@ -58,12 +46,11 @@ pub struct Hoop {
 
 impl Hoop {
     /// Creates the runtime with an empty redo log.
-    pub fn new(mut pool: PmemPool, cfg: HoopConfig) -> Self {
-        let chain = SingleChain::format(&mut pool, cfg.block_bytes);
+    pub fn new(mut pool: PmemPool) -> Self {
+        let chain = SingleChain::format(&mut pool, BLOCK_BYTES);
         Self {
             pool,
-            core: HwCore::new(cfg.hw.clone()),
-            cfg,
+            core: HwCore::new(HwConfig::default()),
             chain,
             in_tx: false,
             ws: WriteSet::new(),
@@ -96,7 +83,7 @@ impl Hoop {
         let t0 = self.pool.device().now_ns();
         let applied = self.gc_pending.as_slice().len() as u64;
         for &line in self.gc_pending.as_slice() {
-            self.pool.device_mut().background_line_write(line);
+            self.pool.device_mut().background_line_write(line_start(line));
         }
         self.gc_pending.clear();
         self.chain.truncate_background(&mut self.pool);
@@ -147,7 +134,8 @@ impl TxAccess for Hoop {
         // coalesced write intents in program order.
         self.rec.begin();
         for &l in self.tx_miss_lines.as_slice() {
-            self.rec.push(l, self.pool.device().peek(l, CACHE_LINE));
+            let addr = line_start(l);
+            self.rec.push(addr, self.pool.device().peek(addr, CACHE_LINE));
         }
         self.rec.push_entries(self.ws.payload());
         let mut store = PoolStore::new(&mut self.pool, &mut self.chain.free_blocks);
@@ -161,7 +149,7 @@ impl TxAccess for Hoop {
         self.stats.tx_committed += 1;
         self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.log_peak_bytes = self.stats.log_peak_bytes.max(self.stats.log_live_bytes);
-        if self.gc_accum_bytes >= self.cfg.gc_batch_bytes {
+        if self.gc_accum_bytes >= GC_BATCH_BYTES {
             self.gc_now();
         }
     }
@@ -171,7 +159,7 @@ impl TxAccess for Hoop {
     }
 
     fn maintain(&mut self) {
-        if self.gc_accum_bytes >= self.cfg.gc_batch_bytes {
+        if self.gc_accum_bytes >= GC_BATCH_BYTES {
             self.gc_now();
         }
     }
@@ -213,7 +201,7 @@ mod tests {
     use specpmt_pmem::{CrashPolicy, TimingMode};
 
     fn runtime() -> Hoop {
-        Hoop::new(hw_pool(16 << 20), HoopConfig::default())
+        Hoop::new(hw_pool(16 << 20))
     }
 
     fn region(rt: &mut Hoop, bytes: usize) -> usize {
@@ -256,23 +244,23 @@ mod tests {
 
     #[test]
     fn gc_applies_homes_and_truncates() {
-        let mut rt = Hoop::new(
-            hw_pool(16 << 20),
-            HoopConfig { gc_batch_bytes: 2048, ..HoopConfig::default() },
-        );
+        let mut rt = runtime();
         let a = region(&mut rt, 4096);
-        for v in 0..100u64 {
+        // One-word records of a few dozen bytes: enough of them to pass
+        // the GC batch once.
+        let txs = 5000u64;
+        for v in 0..txs {
             rt.begin();
             rt.write_u64(a + (v as usize % 32) * 64, v);
             rt.commit();
         }
         assert!(rt.tx_stats().records_reclaimed > 0, "GC must have run");
-        assert!(rt.log_footprint() <= 3 * 4096);
+        assert!(rt.log_footprint() <= GC_BATCH_BYTES);
         // After GC the home locations are durable even without the log.
         let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
         Hoop::recover(&mut img);
-        // Slot 3 was last written by v = 99 (99 % 32 == 3).
-        assert_eq!(img.read_u64(a + 3 * 64), 99);
+        let last_of_slot_3 = (0..txs).rev().find(|v| v % 32 == 3).unwrap();
+        assert_eq!(img.read_u64(a + 3 * 64), last_of_slot_3);
     }
 
     #[test]

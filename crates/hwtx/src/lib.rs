@@ -42,6 +42,6 @@ mod spec;
 
 pub use common::{hw_pmem_config, hw_pool, LineSet, UndoLog};
 pub use ede::{Ede, EdeConfig};
-pub use hoop::{Hoop, HoopConfig};
+pub use hoop::Hoop;
 pub use nolog::HwNoLog;
 pub use spec::{HwSpecConfig, HwSpecPmt};

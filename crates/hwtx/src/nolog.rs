@@ -1,10 +1,10 @@
 //! The hardware no-log ideal bound.
 
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool};
+use specpmt_pmem::{line_start, CrashImage, PmemPool};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-use crate::common::{lines_touching, LineSet};
+use crate::common::LineSet;
 
 /// Transactions without logging on the simulated hardware: data is flushed
 /// with one fence at commit (Section 7.1.3's `no-log`). **Not crash
@@ -48,11 +48,7 @@ impl TxAccess for HwNoLog {
         assert!(self.in_tx, "write outside transaction");
         self.pool.device_mut().write(addr, data);
         self.core.store(self.pool.device_mut(), addr, data.len());
-        if !data.is_empty() {
-            for l in lines_touching(addr, data.len()) {
-                self.data_lines.insert(l);
-            }
-        }
+        self.data_lines.insert_range(addr, data.len());
         self.stats.updates += 1;
         self.stats.data_bytes += data.len() as u64;
     }
@@ -65,9 +61,9 @@ impl TxAccess for HwNoLog {
     fn commit(&mut self) {
         assert!(self.in_tx, "commit outside transaction");
         for &l in self.data_lines.as_slice() {
-            self.pool.device_mut().clwb(l);
-            self.core.l1_mut().mark_clean(l);
+            self.core.l1_mut().mark_clean(line_start(l));
         }
+        self.pool.device_mut().clwb_lines(self.data_lines.as_slice());
         self.pool.device_mut().sfence();
         self.in_tx = false;
         self.stats.tx_committed += 1;

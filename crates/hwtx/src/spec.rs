@@ -5,10 +5,10 @@ use std::collections::VecDeque;
 use specpmt_core::record::{LogArea, PoolStore, RecordReader};
 use specpmt_core::{recovery, PoolLayout};
 use specpmt_hwsim::{HwConfig, HwCore};
-use specpmt_pmem::{CrashImage, PmemPool, TimingMode, CACHE_LINE};
+use specpmt_pmem::{line_start, lines_touching, CrashImage, PmemPool, TimingMode, CACHE_LINE};
 use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 
-use crate::common::{flush_line_set, lines_of_ranges, lines_touching, LineSet, RecordBuf, UndoLog};
+use crate::common::{LineSet, RecordBuf, UndoLog};
 
 /// Configuration for [`HwSpecPmt`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,10 +24,6 @@ pub struct HwSpecConfig {
     /// Live (unreclaimed) epochs kept before the oldest is reclaimed;
     /// bounds log memory at roughly `max_live_epochs x epoch_max_bytes`.
     pub max_live_epochs: usize,
-    /// Log block size.
-    pub block_bytes: usize,
-    /// Undo-log region capacity.
-    pub undo_bytes: usize,
 }
 
 impl Default for HwSpecConfig {
@@ -38,8 +34,6 @@ impl Default for HwSpecConfig {
             epoch_max_bytes: 2 << 20,
             epoch_max_pages: 200,
             max_live_epochs: 3,
-            block_bytes: 4096,
-            undo_bytes: 1 << 20,
         }
     }
 }
@@ -94,6 +88,12 @@ pub struct HwSpecPmt {
     stats: TxStats,
 }
 
+/// Log block size.
+const BLOCK_BYTES: usize = 4096;
+
+/// Undo-log region capacity.
+const UNDO_BYTES: usize = 1 << 20;
+
 /// Chain slots the pool is formatted with: one per 3-bit EID value. At
 /// most `max_live_epochs` (≤ 6) are in use, so a new epoch always finds a
 /// free one.
@@ -111,8 +111,8 @@ impl HwSpecPmt {
         // The undo region first, so that it starts the heap on an XPLine
         // boundary: its first line is flushed by every truncation, and
         // behind the descriptor it costs +2.9 % on `tests/hw_golden.rs`.
-        let undo = UndoLog::new(&mut pool, cfg.undo_bytes);
-        let layout = PoolLayout::format(&mut pool, EPOCH_SLOTS, cfg.block_bytes);
+        let undo = UndoLog::new(&mut pool, UNDO_BYTES);
+        let layout = PoolLayout::format(&mut pool, EPOCH_SLOTS, BLOCK_BYTES);
         pool.device_mut().set_timing(prev);
         let mut rt = Self {
             pool,
@@ -193,7 +193,7 @@ impl HwSpecPmt {
         let mut dirty = Vec::new();
         let area = LogArea::create(
             &mut PoolStore::new(&mut self.pool, &mut self.free_blocks),
-            self.cfg.block_bytes,
+            BLOCK_BYTES,
             &mut dirty,
         );
         self.pool.device_mut().clwb_ranges(&dirty);
@@ -212,17 +212,16 @@ impl HwSpecPmt {
         // Step 1: persist all speculatively-logged data of the epoch by
         // scanning its records into the flush set (idle: epochs rotate
         // between transactions) and flushing the named lines.
-        let mut reader =
-            RecordReader::new(self.pool.device(), epoch.area.head(), self.cfg.block_bytes);
+        let mut reader = RecordReader::new(self.pool.device(), epoch.area.head(), BLOCK_BYTES);
         self.flush_set.clear();
         while let Some(rec) = reader.next() {
             self.stats.records_reclaimed += 1;
             rec.entries().for_each(|e| self.flush_set.insert_range(e.addr, e.value.len()));
         }
         for &l in self.flush_set.as_slice() {
-            self.pool.device_mut().clwb(l);
-            self.core.l1_mut().mark_clean(l);
+            self.core.l1_mut().mark_clean(line_start(l));
         }
+        self.pool.device_mut().clwb_lines(self.flush_set.as_slice());
         self.pool.device_mut().sfence();
         // Step 2: clearepoch — the epoch's pages become cold.
         self.core.clear_epoch(self.pool.device_mut(), epoch.eid);
@@ -244,11 +243,11 @@ impl HwSpecPmt {
         let bytes = self.rec.append(ts, &mut epoch.area, &mut store);
         epoch.record_bytes += bytes;
         if background {
-            for &(addr, len) in self.rec.dirty() {
-                self.pool.device_mut().background_range_write(addr, len);
-            }
+            self.pool.device_mut().background_ranges(self.rec.dirty());
         } else {
-            lines_of_ranges(self.rec.dirty(), &mut self.flush_set);
+            for &(addr, len) in self.rec.dirty() {
+                self.flush_set.insert_range(addr, len);
+            }
         }
         self.stats.log_bytes += bytes as u64;
     }
@@ -276,7 +275,7 @@ impl HwSpecPmt {
     /// Undo-logs `line` unless this transaction already has.
     fn undo_log_line(&mut self, line: usize) {
         if self.logged_cold_lines.insert(line) {
-            self.undo.append_line(self.pool.device_mut(), line);
+            self.undo.append_line(self.pool.device_mut(), line_start(line));
             self.stats.log_bytes += (24 + CACHE_LINE) as u64;
         }
     }
@@ -322,7 +321,7 @@ impl TxAccess for HwSpecPmt {
 
         for l in lines {
             if hot {
-                self.core.l1_mut().set_flags(l, true, true);
+                self.core.l1_mut().set_flags(line_start(l), true, true);
                 self.hot_dirty_lines.insert(l);
             } else {
                 self.undo_log_line(l);
@@ -357,7 +356,8 @@ impl TxAccess for HwSpecPmt {
         if !self.hot_dirty_lines.is_empty() {
             self.rec.begin();
             for &l in self.hot_dirty_lines.as_slice() {
-                self.rec.push(l, self.pool.device().peek(l, CACHE_LINE));
+                let addr = line_start(l);
+                self.rec.push(addr, self.pool.device().peek(addr, CACHE_LINE));
             }
             self.append_record(ts, false);
         }
@@ -366,20 +366,20 @@ impl TxAccess for HwSpecPmt {
         // *not* persisted (they overflow naturally via PBit evictions).
         for &l in self.cold_data_lines.as_slice() {
             self.flush_set.insert(l);
-            self.core.l1_mut().mark_clean(l);
+            self.core.l1_mut().mark_clean(line_start(l));
         }
         if self.cfg.data_persistence {
             // SpecHPMT-DP: the hot data lines persist by the same commit
             // fence (ordering inside the commit is the hardware's job).
             for &l in self.hot_dirty_lines.as_slice() {
                 self.flush_set.insert(l);
-                self.core.l1_mut().mark_clean(l);
+                self.core.l1_mut().mark_clean(line_start(l));
             }
         }
         if self.undo.used() > 0 {
             self.undo.truncate(self.pool.device_mut(), &mut self.flush_set);
         }
-        flush_line_set(self.pool.device_mut(), &self.flush_set);
+        self.pool.device_mut().clwb_lines(self.flush_set.as_slice());
         self.pool.device_mut().sfence();
 
         self.core.l1_mut().clear_logbits();
@@ -442,7 +442,7 @@ mod tests {
     use crate::common::hw_pool;
     use specpmt_core::record::{ENTRY_HDR, REC_HDR};
     use specpmt_pmem::CrashControl;
-    use specpmt_pmem::CrashPolicy;
+    use specpmt_pmem::{coalesce_lines, CrashPolicy};
 
     fn runtime(cfg: HwSpecConfig) -> HwSpecPmt {
         HwSpecPmt::new(hw_pool(16 << 20), cfg)
@@ -475,6 +475,35 @@ mod tests {
         // Cold data is flushed at commit — durable without recovery.
         let img = rt.pool().device().capture(CrashPolicy::AllLost);
         assert_eq!(img.read_u64(a), 5);
+    }
+
+    /// The bulk engine writes a page's record once per line: the line the
+    /// record shares with the stream terminator behind it, and with its
+    /// block's header when it spills, is one write, not one per range.
+    #[test]
+    fn bulk_logged_page_persists_each_record_line_once() {
+        let mut rt = runtime(HwSpecConfig::default());
+        let a = region(&mut rt, 4 * 4096);
+        let mut lines = Vec::new();
+        for page in a / 4096..a / 4096 + 4 {
+            let before = rt.pool().device().stats().lines_persisted;
+            rt.bulk_log_page(page);
+            let written = rt.pool().device().stats().lines_persisted - before;
+            let dirty = rt.rec.dirty();
+            coalesce_lines(dirty, &mut lines);
+            let per_range: usize =
+                dirty.iter().map(|&(at, len)| lines_touching(at, len).count()).sum();
+            assert!(per_range > lines.len(), "page {page}: the record's ranges share no line");
+            assert_eq!(written, lines.len() as u64, "page {page}: one write per distinct line");
+            let img = rt.pool().device().capture(CrashPolicy::AllLost);
+            for &l in &lines {
+                let at = line_start(l);
+                assert_eq!(
+                    &img.as_bytes()[at..at + CACHE_LINE],
+                    rt.pool().device().peek(at, CACHE_LINE)
+                );
+            }
+        }
     }
 
     #[test]
@@ -584,7 +613,7 @@ mod tests {
         assert!(rt.hw_stats().epochs_cleared > 0, "epochs must be reclaimed");
         // Per epoch: the byte budget plus three blocks' fixed overhead
         // (block + record headers), and whatever undo is still live.
-        let epoch_overhead = rt.cfg.block_bytes + REC_HDR + ENTRY_HDR;
+        let epoch_overhead = BLOCK_BYTES + REC_HDR + ENTRY_HDR;
         let bound = 2 * (8 * 1024 + 3 * epoch_overhead) + rt.undo.used();
         assert!(
             rt.log_footprint() <= bound.max(128 * 1024),

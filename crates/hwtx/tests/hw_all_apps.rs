@@ -1,6 +1,6 @@
 //! Every STAMP mini-app must verify on every hardware runtime.
 
-use specpmt_hwtx::{hw_pool, Ede, EdeConfig, Hoop, HoopConfig, HwNoLog, HwSpecConfig, HwSpecPmt};
+use specpmt_hwtx::{hw_pool, Ede, EdeConfig, Hoop, HwNoLog, HwSpecConfig, HwSpecPmt};
 use specpmt_stamp::{run_app, Scale, StampApp};
 use specpmt_txn::TxRuntime;
 
@@ -29,7 +29,7 @@ fn ede_runs_all_apps() {
 
 #[test]
 fn hoop_runs_all_apps() {
-    check(Hoop::new(hw_pool(64 << 20), HoopConfig::default()));
+    check(Hoop::new(hw_pool(64 << 20)));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //!
 //! A region opens with a [`RegionHeader`] in [`REGION_HDR`] bytes (so no
 //! slot shares its line), then holds `rings` rings of `capacity`
-//! [`EventSlot`]s, zero until written. Both are frames of [`crate::frame`],
+//! [`EventSlot`]s, zero until written. Both are frames of [`crate::frame`](mod@crate::frame),
 //! each sealed over the bytes before its `seal`. A slot is a plain store: the sink
 //! issues **no flush and no fence** of its own. The owning runtime folds
 //! the ring's dirty ranges ([`BlackBoxSink::take_dirty`]) into a flush it

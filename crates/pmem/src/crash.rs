@@ -285,7 +285,7 @@ impl CrashPlan {
 
 /// The unified fault-injection control surface, implemented by both
 /// [`crate::PmemDevice`] and [`crate::SharedPmemDevice`] so one harness
-/// drives either flavour. A device supplies its [`CrashGate`], whether it
+/// drives either flavour. A device supplies its `CrashGate`, whether it
 /// is currently charging operations, and how to photograph itself; every
 /// other method is written once here.
 ///

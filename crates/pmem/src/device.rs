@@ -37,10 +37,11 @@ pub struct FenceReport {
 /// Simulated byte-addressable persistent memory device.
 ///
 /// The device keeps two images: the **volatile** image every load/store sees,
-/// and the **persisted** image that survives a [`crash`](Self::crash). Data
-/// moves from volatile to persisted through cache-line flushes
-/// ([`clwb`](Self::clwb)) completed by fences ([`sfence`](Self::sfence)), or
-/// nondeterministically at crash time (modelling cache evictions).
+/// and the **persisted** image that survives a crash
+/// ([`CrashControl::capture`]). Data moves from volatile to persisted
+/// through cache-line flushes ([`clwb`](Self::clwb)) completed by fences
+/// ([`sfence`](Self::sfence)), or nondeterministically at crash time
+/// (modelling cache evictions).
 ///
 /// Timing follows an ADR platform: a `clwb` issues an asynchronous line
 /// write-back that must be *accepted by the write pending queue* to be
@@ -63,9 +64,9 @@ pub struct PmemDevice {
     /// epoch): one flag read per persistence op or labeled site while
     /// nothing is armed.
     gate: CrashGate,
-    /// Reusable flush-plan scratch for [`Self::clwb_ranges`]: cleared, not
-    /// freed, between commits so steady-state flush planning is
-    /// allocation-free.
+    /// Reusable line-plan scratch for [`Self::clwb_ranges`] and
+    /// [`Self::background_ranges`]: cleared, not freed, between plans so
+    /// steady-state planning is allocation-free.
     line_scratch: Vec<usize>,
 }
 
@@ -275,11 +276,20 @@ impl PmemDevice {
             .copy_from_slice(&self.volatile[start..start + CACHE_LINE]);
     }
 
-    /// [`Self::background_line_write`] over every line of a range.
-    pub fn background_range_write(&mut self, addr: usize, len: usize) {
-        for line in lines_touching(addr, len) {
+    /// The background twin of [`Self::clwb_ranges`]: plans the lines of
+    /// `ranges` with [`crate::geometry::coalesce_lines`] and makes one
+    /// [`Self::background_line_write`] per distinct line, ascending — the
+    /// line set `clwb_ranges` would flush, each line written once however
+    /// many ranges share it. Returns the number of lines written.
+    pub fn background_ranges(&mut self, ranges: &[(usize, usize)]) -> usize {
+        let mut lines = std::mem::take(&mut self.line_scratch);
+        crate::geometry::coalesce_lines(ranges, &mut lines);
+        for &line in &lines {
             self.background_line_write(line_start(line));
         }
+        let written = lines.len();
+        self.line_scratch = lines;
+        written
     }
 
     /// Issues `clwb` for every cache line touched by `[addr, addr + len)`.
@@ -485,6 +495,39 @@ mod tests {
         assert_eq!(d.stats().clwb_count, 1);
         assert_eq!(d.stats().sfence_count, 1);
         assert_eq!(d.stats().lines_persisted, 1);
+    }
+
+    #[test]
+    fn background_ranges_writes_the_flush_plan_once_per_line() {
+        // Out of order, overlapping, adjacent, zero-length (over a dirty
+        // line) and line-straddling ranges: lines 0, 1, 4, 11, 12, 13.
+        let ranges = [(300, 8), (0, 65), (60, 8), (128, 0), (65, 63), (704, 130)];
+        let [mut bg, mut fl] = [dev(), dev()];
+        for d in [&mut bg, &mut fl] {
+            for (i, &(at, len)) in ranges.iter().enumerate() {
+                d.write(at, &vec![i as u8 + 1; len]);
+            }
+            d.write(128, &[0xEE; 64]); // line 2: only a zero-length range names it
+        }
+        let t0 = bg.now_ns();
+        let written = bg.background_ranges(&ranges);
+        fl.clwb_ranges(&ranges);
+        fl.sfence();
+        assert_eq!(written, 6);
+        assert_eq!(bg.stats().lines_persisted, 6, "one write per distinct line");
+        assert_eq!((bg.stats().clwb_count, bg.stats().sfence_count, bg.now_ns()), (0, 0, t0));
+        assert_eq!(fl.stats().lines_persisted, 6);
+        let img = bg.capture(CrashPolicy::AllLost);
+        assert!(img == fl.capture(CrashPolicy::AllLost), "the lines clwb_ranges flushes");
+        for line in 0..bg.size() / CACHE_LINE {
+            let at = line_start(line);
+            let want = if [0, 1, 4, 11, 12, 13].contains(&line) {
+                bg.peek(at, CACHE_LINE)
+            } else {
+                &[0; CACHE_LINE]
+            };
+            assert_eq!(&img.as_bytes()[at..at + CACHE_LINE], want, "line {line}");
+        }
     }
 
     #[test]

@@ -52,9 +52,10 @@ pub fn channel_of_xpline(xp: usize, channels: usize) -> usize {
     (xp * XPLINE / INTERLEAVE_BYTES) % channels
 }
 
-/// Iterator over the cache-line indices touched by `[addr, addr + len)`.
+/// The cache-line indices touched by `[addr, addr + len)`, ascending (the
+/// line of `addr` when `len == 0`).
 #[inline]
-pub fn lines_touching(addr: usize, len: usize) -> impl Iterator<Item = usize> {
+pub fn lines_touching(addr: usize, len: usize) -> std::ops::RangeInclusive<usize> {
     let first = line_of(addr);
     let last = if len == 0 { first } else { line_of(addr + len - 1) };
     first..=last

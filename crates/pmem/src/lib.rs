@@ -19,7 +19,7 @@
 //!   testing meaningful,
 //! * a persistent [`pool`] with a bump + size-class allocator standing in
 //!   for `libvmmalloc`,
-//! * the one on-PM [`frame`] codec (the `word_hash` seal, its one
+//! * the one on-PM [`frame`](mod@frame) codec (the `word_hash` seal, its one
 //!   `verify`, the bounded field reader and writer, and `frame!`, which
 //!   declares each persisted format once), and the flight recorder's
 //!   format and sink ([`blackbox`]).
@@ -63,7 +63,7 @@ pub use crash::{CrashControl, CrashImage, CrashPlan, CrashPolicy, CrashTrigger};
 pub use device::{FenceReport, PmemDevice, TimingMode};
 pub use error::PmemError;
 pub use geometry::{
-    coalesce_lines, line_of, line_start, word_of, CACHE_LINE, PERSIST_WORD, XPLINE,
+    coalesce_lines, line_of, line_start, lines_touching, word_of, CACHE_LINE, PERSIST_WORD, XPLINE,
 };
 pub use pool::{
     root_off, PmemPool, PoolHeader, BUMP_OFF, POOL_HEADER_SIZE, POOL_MAGIC, ROOT_SLOTS,

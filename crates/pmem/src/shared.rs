@@ -413,7 +413,7 @@ impl CrashControl for SharedPmemDevice {
     /// recorder's receipt-after-fence rule). The module docs give the lock
     /// order that keeps this sweep deadlock-free.
     ///
-    /// [`materialize`] applies the unfenced flushes, and draws its
+    /// `materialize` applies the unfenced flushes, and draws its
     /// `Random(seed)` stream over them, in registry order: dropped handles'
     /// leftovers, then live handles in creation order, each handle's in
     /// issue order — with one handle, plain issue order, as on
@@ -819,28 +819,6 @@ impl DeviceHandle {
     pub fn persist_range(&self, addr: usize, len: usize) {
         self.clwb_range(addr, len);
         self.sfence();
-    }
-
-    /// Persists the line containing `addr` from a background core: consumes
-    /// WPQ/media bandwidth but does not advance the caller's clock or leave
-    /// a fence obligation (see [`crate::PmemDevice::background_line_write`]).
-    pub fn background_line_write(&self, addr: usize) {
-        let line = line_of(addr);
-        assert!(line_start(line) < self.dev.size(), "background write out of bounds");
-        let mut snapshot = [0u8; CACHE_LINE];
-        self.peek_into(line_start(line), &mut snapshot);
-        if self.dev.timing_is_on() {
-            let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
-            let _ = self.wpq_accept(&mut w, line, self.local_now_ns());
-        }
-        self.dev.apply_persisted(&[PendingFlush { line, accepted_at: 0, snapshot }]);
-    }
-
-    /// [`Self::background_line_write`] over every line of a range.
-    pub fn background_range_write(&self, addr: usize, len: usize) {
-        for line in lines_touching(addr, len) {
-            self.background_line_write(line_start(line));
-        }
     }
 
     /// Advances the simulated clock by `ns` of CPU work.

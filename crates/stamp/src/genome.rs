@@ -5,7 +5,7 @@
 //! transactional writes, ~7 B average per Table 2); phase 2 links unique
 //! segments into an assembly chain (single pointer write per transaction).
 //!
-//! The transaction bodies ([`insert_segment`], [`link_segment`]) and the
+//! The transaction bodies (`insert_segment`, `link_segment`) and the
 //! one driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
 //! [`run_mt`] the same driver on a fleet.

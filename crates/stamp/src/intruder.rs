@@ -6,7 +6,7 @@
 //! scans the reassembled payload for the attack signature (compute) and a
 //! transaction records the verdict.
 //!
-//! The transaction bodies ([`insert_fragment`], [`record_verdict`]) and
+//! The transaction bodies (`insert_fragment`, `record_verdict`) and
 //! the one driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
 //! [`run_mt`] the same driver on a fleet. The per-stream bookkeeping

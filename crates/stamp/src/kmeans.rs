@@ -12,7 +12,7 @@
 //! per-point updates are commutative integer adds and the centroid
 //! recomputation happens at a barrier, exactly as in STAMP.
 //!
-//! The transaction bodies ([`zero_cluster`], [`assign_point`]) and the
+//! The transaction bodies (`zero_cluster`, `assign_point`) and the
 //! one driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
 //! [`run_mt`] the same driver on a fleet.

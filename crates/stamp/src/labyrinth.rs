@@ -5,7 +5,7 @@
 //! transaction claims every cell of the path (Table 2's biggest write sets:
 //! ~1.4 KB of 8-byte cell updates).
 //!
-//! The claim transaction body ([`try_claim`]) and the one driver
+//! The claim transaction body (`try_claim`) and the one driver
 //! (`execute`) are written once against [`TxAccess`]: the sequential
 //! [`run`] is that driver on one handle, the real-thread [`run_mt`] the
 //! same driver on a fleet. Like STAMP, the claim *revalidates* the path

@@ -4,7 +4,7 @@
 //! per-vertex adjacency arrays — four 4-byte updates (slot + degree for
 //! both endpoints) per transaction, the 16-byte profile of Table 2.
 //!
-//! The transaction body ([`insert_edge`]) and the one driver (`execute`)
+//! The transaction body (`insert_edge`) and the one driver (`execute`)
 //! are written once against [`TxAccess`]: the sequential [`run`] is that
 //! driver on one handle, the real-thread [`run_mt`] the same driver on a
 //! fleet. Under concurrency the adjacency slot order depends on the

@@ -6,11 +6,11 @@
 //! and appending a reservation record. The high-contention input reserves
 //! up to two items per transaction (larger write sets, ~68 B vs ~44 B).
 //!
-//! The session transaction body ([`run_session`]) and the one driver
+//! The session transaction body (`run_session`) and the one driver
 //! (`execute`) are written once against [`TxAccess`]: the sequential
 //! [`run`] is that driver on one handle, the real-thread [`run_mt`] the
 //! same driver on a fleet. All RNG decisions (customer, tables, queried
-//! rows) are drawn up front into [`Session`] plans so the body is
+//! rows) are drawn up front into `Session` plans so the body is
 //! retry-safe; the reservation slot is claimed by a read-modify-write of
 //! the persistent record counter inside the transaction, which 2PL
 //! serializes.

@@ -8,7 +8,7 @@
 //! transaction profile and a machine-checkable termination/quality
 //! invariant.
 //!
-//! The transaction bodies ([`seed_tri`], [`refine_tri`]) and the one
+//! The transaction bodies (`seed_tri`, `refine_tri`) and the one
 //! driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
 //! [`run_mt`] the same driver on a fleet. Child slots are allocated by a

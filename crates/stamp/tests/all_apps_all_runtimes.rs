@@ -2,7 +2,7 @@
 //! runtime — the workloads are runtime-agnostic and the runtimes preserve
 //! sequential semantics.
 
-use specpmt_baselines::{KaminoConfig, KaminoTx, NoLog, PmdkConfig, PmdkUndo, Spht, SphtConfig};
+use specpmt_baselines::{KaminoTx, NoLog, PmdkConfig, PmdkUndo, Spht};
 use specpmt_core::{HashLogConfig, HashLogSpmt, SpecConfig, SpecSpmt};
 use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool};
 use specpmt_stamp::{run_app, Scale, StampApp};
@@ -38,12 +38,12 @@ fn pmdk_runs_all_apps() {
 
 #[test]
 fn kamino_runs_all_apps() {
-    check(KaminoTx::new(pool(), KaminoConfig::default()));
+    check(KaminoTx::new(pool()));
 }
 
 #[test]
 fn spht_runs_all_apps() {
-    check(Spht::new(pool(), SphtConfig::default()));
+    check(Spht::new(pool()));
 }
 
 #[test]

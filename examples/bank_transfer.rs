@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example bank_transfer`
 
-use specpmt::baselines::{PmdkConfig, PmdkUndo, Spht, SphtConfig};
+use specpmt::baselines::{PmdkConfig, PmdkUndo, Spht};
 use specpmt::core::{HashLogConfig, HashLogSpmt, SpecConfig, SpecSpmt};
 use specpmt::pmem::{CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool};
 use specpmt::txn::{Recover, TxRuntime};
@@ -102,7 +102,7 @@ fn main() {
     torture("SpecSPMT", |p| SpecSpmt::new(p, SpecConfig::default()));
     torture("SpecSPMT-DP", |p| SpecSpmt::new(p, SpecConfig::default().dp()));
     torture("PMDK", |p| PmdkUndo::new(p, PmdkConfig::default()));
-    torture("SPHT", |p| Spht::new(p, SphtConfig::default()));
+    torture("SPHT", Spht::new);
     torture("HashLog-SPMT", |p| HashLogSpmt::new(p, HashLogConfig { capacity: 1 << 10 }));
     println!("bank_transfer OK");
 }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example kv_store`
 
-use specpmt::baselines::{KaminoConfig, KaminoTx, NoLog, PmdkConfig, PmdkUndo};
+use specpmt::baselines::{KaminoTx, NoLog, PmdkConfig, PmdkUndo};
 use specpmt::core::{SpecConfig, SpecSpmt};
 use specpmt::pmem::{CrashPolicy, PmemConfig, PmemDevice, PmemPool};
 use specpmt::txn::{Recover, TxRuntime};
@@ -110,7 +110,7 @@ fn main() {
     println!("persistent KV store: {OPS} transactional puts\n");
     bench("no-tx", NoLog::new);
     bench("PMDK", |p| PmdkUndo::new(p, PmdkConfig::default()));
-    bench("Kamino-Tx", |p| KaminoTx::new(p, KaminoConfig::default()));
+    bench("Kamino-Tx", KaminoTx::new);
     bench("SpecSPMT-DP", |p| SpecSpmt::new(p, SpecConfig::default().dp()));
     bench("SpecSPMT", |p| SpecSpmt::new(p, SpecConfig::default()));
     println!("\nkv_store OK");

@@ -14,6 +14,10 @@ run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Doc gate: every intra-doc link resolves, and no public doc links a
+# private item.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Deprecation gate: the workspace keeps no #[deprecated] shim of its own (an
 # API is replaced in the PR that retires it, callers included), so this
 # only ever fires on a std item the toolchain has deprecated.
@@ -367,6 +371,27 @@ got=$(count_in_sources 'extend_tai[l][(]' | tr '\n' ' ' | sed 's/ $//')
 got=$(count_in_sources 'ENTRY_HD[R] [+] data[.]len[(]|log_bytes.*ENTRY_HD[R]' | tr '\n' ' ' | sed 's/ $//')
 [ "$got" = crates/core/src/engine.rs:1 ] ||
     { echo "re-fork guard: log bytes recomputed outside TxLog::stage: $got" >&2; exit 1; }
+
+# One cache-line planner: which lines a set of byte ranges touches, each
+# once, ascending, is decided by crates/pmem/src/geometry.rs alone
+# (`lines_touching`, `coalesce_lines`). Flushes plan through `clwb_ranges`
+# and background writes through `background_ranges`; the per-range
+# background write stays deleted, no other file defines a line iterator,
+# and outside #[cfg(test)] no production source spells a range-to-line
+# loop (`addr / CACHE_LINE..=` or `line_of(a)..=line_of(b)`). No pattern
+# matches its own line.
+if grep -rnE 'background_range_[w]rite' crates src tests examples README.md DESIGN.md; then
+    echo "the per-range background write is back (use PmemDevice::background_ranges)" >&2
+    exit 1
+fi
+for f in $(production_sources); do
+    [ "$f" = crates/pmem/src/geometry.rs ] && continue
+    if grep -nE 'fn lines_[t]ouching' "$f" ||
+        nontest "$f" | grep -nE '/ *CACHE_LIN[E] *[.][.]=|line_o[f][(][^)]*[)] *[.][.]= *line_of[(]'; then
+        echo "$f plans cache lines itself (use specpmt_pmem's lines_touching / coalesce_lines)" >&2
+        exit 1
+    fi
+done
 
 # One SplitMix64 mixer, in crates/pmem/src/rng.rs: STAMP's generator and the
 # 2PL backoff jitter draw from it. Only kv's zipf scramble and admission

@@ -5,13 +5,13 @@
 //! transactions survive, interrupted ones are revoked, and the boundary
 //! transaction is all-or-nothing.
 
-use specpmt::baselines::{PmdkConfig, PmdkUndo, Spht, SphtConfig};
+use specpmt::baselines::{PmdkConfig, PmdkUndo, Spht};
 use specpmt::core::undo::{self, UNDO_BASE_SLOT, UNDO_SIZE_SLOT};
 use specpmt::core::{
     ConcurrentConfig, HashLogConfig, HashLogSpmt, LockedTxHandle, ReclaimMode, SpecConfig,
     SpecSpmt, SpecSpmtShared,
 };
-use specpmt::hwtx::{hw_pool, Ede, EdeConfig, Hoop, HoopConfig, HwSpecConfig, HwSpecPmt};
+use specpmt::hwtx::{hw_pool, Ede, EdeConfig, Hoop, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{
     root_off, CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
 };
@@ -49,7 +49,7 @@ fn pmdk(pool: PmemPool) -> PmdkUndo {
 }
 
 fn spht(pool: PmemPool) -> Spht {
-    Spht::new(pool, SphtConfig { replay_threshold_bytes: 8 * 1024, ..SphtConfig::default() })
+    Spht::new(pool)
 }
 
 fn hashlog(pool: PmemPool) -> HashLogSpmt {
@@ -293,12 +293,12 @@ fn overlapping_writes_in_one_tx_recover_in_write_order() {
     // The comparators log through the same record chain, and recovery
     // replays it the same way.
     let pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
-    let mut spht = Spht::new(pool, SphtConfig::default());
+    let mut spht = Spht::new(pool);
     overlapping_writes_recover_in_write_order(&mut spht, |rt| {
         rt.pool().device().capture(CrashPolicy::AllLost)
     });
 
-    let mut hoop = Hoop::new(hw_pool(1 << 20), HoopConfig::default());
+    let mut hoop = Hoop::new(hw_pool(1 << 20));
     overlapping_writes_recover_in_write_order(&mut hoop, |rt| {
         rt.pool().device().capture(CrashPolicy::AllLost)
     });

@@ -2,7 +2,7 @@
 //!
 //! The device-level twin of `tests/engine_equivalence.rs`. One seeded
 //! script — stores, loads, vectored and single-line flushes, fences,
-//! background writes, clock advances, a timing-off setup window, explicit
+//! clock advances, a timing-off setup window, explicit
 //! captures under `AllLost` / `AllSurvive` / `Random(seed)`, a site-armed
 //! plan and fuel plans — runs on the single-threaded device and on the
 //! shared device through a single `DeviceHandle`. Everything a harness can
@@ -22,6 +22,8 @@
 //!   pending in the image. Here fuel plans run over single-line ops only.
 //! * `DeviceHandle::drain_lines` and the WPQ-drain histogram, which the
 //!   single-threaded device does not have.
+//! * background writes (`PmemDevice::background_ranges`): the shared
+//!   device has none — its reclaimer fences like any other writer.
 
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPlan, CrashPolicy, DeviceHandle, PmemConfig, PmemDevice,
@@ -39,7 +41,6 @@ enum Op {
     FlushRanges(Vec<(usize, usize)>),
     FlushLine(usize),
     Fence,
-    Background(usize, usize),
     Advance(u64),
     Timing(TimingMode),
     Site(Site),
@@ -58,7 +59,6 @@ trait Dev {
     fn flush_ranges(&mut self, ranges: &[(usize, usize)]);
     fn flush_line(&mut self, addr: usize);
     fn fence(&mut self);
-    fn background(&mut self, addr: usize, len: usize);
     fn advance(&mut self, ns: u64);
     fn set_timing(&mut self, mode: TimingMode);
     fn ctl(&self) -> &dyn CrashControl;
@@ -81,9 +81,6 @@ impl Dev for PmemDevice {
     }
     fn fence(&mut self) {
         self.sfence();
-    }
-    fn background(&mut self, addr: usize, len: usize) {
-        self.background_range_write(addr, len);
     }
     fn advance(&mut self, ns: u64) {
         PmemDevice::advance(self, ns);
@@ -123,9 +120,6 @@ impl Dev for OneHandle {
     }
     fn fence(&mut self) {
         self.h.sfence();
-    }
-    fn background(&mut self, addr: usize, len: usize) {
-        self.h.background_range_write(addr, len);
     }
     fn advance(&mut self, ns: u64) {
         self.h.advance(ns);
@@ -167,7 +161,7 @@ fn mixed(rng: &mut SplitMix64, n: usize, sites: bool, out: &mut Vec<Op>) {
     for _ in 0..n {
         let addr = rng.range_usize(0, SIZE - 256);
         let len = rng.range_usize(1, 200);
-        out.push(match rng.below(if sites { 12 } else { 10 }) {
+        out.push(match rng.below(if sites { 11 } else { 9 }) {
             0..=2 => Op::Store(addr, (0..len).map(|_| rng.next_u8()).collect()),
             3 => Op::Load(addr, len),
             4 | 5 => Op::FlushRanges(
@@ -176,10 +170,9 @@ fn mixed(rng: &mut SplitMix64, n: usize, sites: bool, out: &mut Vec<Op>) {
                     .collect(),
             ),
             6 => Op::Fence,
-            7 => Op::Background(addr, len),
-            8 => Op::Advance(rng.below(400)),
-            9 => Op::Capture(any_policy(rng)),
-            10 => Op::Site(SITE_A),
+            7 => Op::Advance(rng.below(400)),
+            8 => Op::Capture(any_policy(rng)),
+            9 => Op::Site(SITE_A),
             _ => Op::Site(SITE_B),
         });
     }
@@ -245,7 +238,6 @@ fn run(dev: &mut impl Dev, ops: &[Op]) -> Vec<Seen> {
             Op::FlushRanges(ranges) => dev.flush_ranges(ranges),
             Op::FlushLine(addr) => dev.flush_line(*addr),
             Op::Fence => dev.fence(),
-            Op::Background(addr, len) => dev.background(*addr, *len),
             Op::Advance(ns) => dev.advance(*ns),
             Op::Timing(mode) => dev.set_timing(*mode),
             Op::Site(site) => dev.ctl().crash_point(*site),

@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 
-use specpmt::baselines::{Spht, SphtConfig};
+use specpmt::baselines::Spht;
 use specpmt::core::{
     forensics, recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecConfig,
     SpecSpmt, SpecSpmtShared, LAYOUT_SLOT,
 };
-use specpmt::hwtx::{hw_pool, Hoop, HoopConfig, HwSpecConfig, HwSpecPmt};
+use specpmt::hwtx::{hw_pool, Hoop, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{root_off, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool};
 use specpmt::txn::{TxAccess, TxRuntime};
 use specpmt_pmem::CrashControl;
@@ -141,8 +141,8 @@ fn every_chain_rooting_runtime_formats_the_one_descriptor() {
             image_after_one_commit(HwSpecPmt::new(hw_pool(4 << 20), HwSpecConfig::default())),
             8,
         ),
-        ("Hoop", image_after_one_commit(Hoop::new(hw_pool(4 << 20), HoopConfig::default())), 1),
-        ("Spht", image_after_one_commit(Spht::new(sw_pool(), SphtConfig::default())), 1),
+        ("Hoop", image_after_one_commit(Hoop::new(hw_pool(4 << 20))), 1),
+        ("Spht", image_after_one_commit(Spht::new(sw_pool())), 1),
     ];
     for (name, img, slots) in cases {
         let layout = PoolLayout::read(&img).unwrap_or_else(|| panic!("{name}: no descriptor"));
