@@ -87,10 +87,9 @@ impl Spht {
         for (addr, b) in std::mem::take(&mut self.overlay) {
             self.pool.device_mut().write(addr, &[b]);
         }
-        let lines = self.pool.device_mut().background_ranges(&self.pending_data);
+        self.pool.device_mut().background_ranges(&self.pending_data);
         self.pending_data.clear();
-        self.chain.truncate_background(&mut self.pool);
-        self.stats.records_reclaimed += lines as u64;
+        self.stats.records_reclaimed += self.chain.truncate_background(&mut self.pool);
         self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.background_ns += self.pool.device().now_ns() - t0;
     }

@@ -79,7 +79,7 @@ const MT_REGION: usize = 128;
 /// run summary plus the recovered crash image (for bit-exact replay
 /// checks).
 ///
-/// The workload is fully deterministic: a fixed-seed 48-transaction stream
+/// The workload is fully deterministic: a fixed-seed 56-transaction stream
 /// over a 64-byte region on a [`SpecSpmt`] with 256-byte log blocks and
 /// inline reclamation above a 1 KiB footprint, so compaction (and its
 /// splice into the layout head slots) happens twice mid-stream.
@@ -96,7 +96,7 @@ pub fn run_seq_smoke_with_image(plan: CrashPlan) -> Result<(RunSummary, CrashIma
         ..SpecConfig::default()
     };
     let spec = StreamSpec {
-        txs: 48,
+        txs: 56,
         max_writes_per_tx: 4,
         max_write_len: 8,
         region_len: SEQ_REGION,

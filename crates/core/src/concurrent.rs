@@ -71,7 +71,7 @@ use crate::layout::PoolLayout;
 use crate::reclaim::{settled_bound, ReclaimState, ReclaimStats};
 use crate::record::{
     encode_checkpoint, record_checksum, stream_cursor, Anchor, Entries, EntryRef, LogArea,
-    LogStore, RecordReader, RunEncoder, SharedStore, MAX_RECORD_PAYLOAD, REC_HDR,
+    LogStore, RecordReader, RunEncoder, SharedStore, MAX_ENTRY_LEN, MAX_RECORD_PAYLOAD, REC_HDR,
 };
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 
@@ -849,7 +849,7 @@ impl SpecSpmtShared {
         });
         pieces.sort_unstable_by_key(|&(addr, _)| addr);
         let mut payload = Vec::new();
-        let mut encoder = RunEncoder::new(&mut payload, u32::MAX as usize);
+        let mut encoder = RunEncoder::new(&mut payload, MAX_ENTRY_LEN);
         pieces.into_iter().for_each(|(addr, bytes)| encoder.push(addr, bytes));
         let runs = encoder.finish();
         let encoded = encode_checkpoint(watermark, &anchors, &payload);
@@ -2117,7 +2117,7 @@ pub(crate) mod tests {
         let mut handles = [s.tx_handle(0), s.tx_handle(1)];
         let mut ops = Vec::new();
         for round in 0..3u64 {
-            for i in 0..120u64 {
+            for i in 0..150u64 {
                 let h = &mut handles[(i % 2) as usize];
                 h.begin();
                 h.write_u64(a + ((i * 7 + round) % 48) as usize * 8, i ^ round);
@@ -2141,16 +2141,16 @@ pub(crate) mod tests {
         // (clwb, lines persisted, bytes stored, sfence) per round. Each
         // round rewrites both chains, two fences each; the fold stores each
         // chain's settled records as one base record of address-sorted
-        // runs, about half the bytes the record-by-record compaction
-        // stored (2,281 per plain round). Round 1 also writes the
-        // checkpoint (two fences). A fifth fence in round 2 persists the
-        // heap's bump pointer: the free list runs dry (the smaller chains
-        // free fewer blocks, and the blocks the checkpoint's anchors name
-        // are held off it), so a new chain takes a fresh block.
-        assert_eq!(ops, [(22, 22, 1245, 4), (32, 32, 1850, 6), (23, 23, 1253, 5)]);
+        // runs. Round 1 also writes the checkpoint (two fences). A fifth
+        // fence in round 2 persists the heap's bump pointer: the free list
+        // runs dry (the smaller chains free fewer blocks, and the blocks
+        // the checkpoint's anchors name are held off it), so a new chain
+        // takes a fresh block. A round is 150 transactions: at 120, the
+        // records of 8-byte entry headers left round 2 enough free blocks.
+        assert_eq!(ops, [(18, 18, 985, 4), (28, 28, 1578, 6), (19, 19, 993, 5)]);
         let rs = s.reclaim_stats();
-        assert_eq!((rs.records_kept, rs.records_dropped, rs.bytes_reclaimed), (159, 375, 14555));
-        assert_eq!(rs.last_cycle_ns, 4208, "the daemon's simulated clock");
+        assert_eq!((rs.records_kept, rs.records_dropped, rs.bytes_reclaimed), (156, 486, 16505));
+        assert_eq!(rs.last_cycle_ns, 3832, "the daemon's simulated clock");
     }
 
     #[test]

@@ -14,7 +14,9 @@ use specpmt_telemetry::{Phase, Telemetry};
 
 use std::mem::offset_of;
 
-use crate::record::{Cursor, EntryHeader, LogArea, LogStore, RecordHeader, ENTRY_HDR, REC_HDR};
+use crate::record::{
+    entry_pieces, Cursor, EntryHeader, LogArea, LogStore, RecordHeader, ENTRY_HDR, REC_HDR,
+};
 use crate::writeset::WriteSet;
 
 /// Where one runtime's commits are observed: its commit crash sites and
@@ -116,15 +118,18 @@ impl TxLog {
     /// Logs one durable write: the entry of the *new* value — no flush,
     /// no fence. The caller stores the data itself (in place, never
     /// flushed by SpecSPMT; SPHT into its DRAM overlay), after the
-    /// [reservation](Self::reserve) and before this. Returns the log bytes
-    /// appended:
+    /// [reservation](Self::reserve) and before this. A write longer than
+    /// [`MAX_ENTRY_LEN`](crate::record::MAX_ENTRY_LEN) is logged as
+    /// consecutive entries, one per piece (`entry_pieces`), each staged as
+    /// below. Returns the log bytes appended, per piece:
     /// - 0 when a repeated same-length update of a datum overwrites its
     ///   bytes in place, which no later entry overlaps
     ///   ([`WriteSet::patchable`]);
     /// - the value length when the write starts where the record's last
-    ///   entry ends: the value is appended and that entry's length
-    ///   rewritten ([`WriteSet::extend_tail`]), so a contiguous run of writes
-    ///   pays one entry header;
+    ///   entry ends and that entry stays within `MAX_ENTRY_LEN`: the
+    ///   value is appended and that entry's length rewritten
+    ///   ([`WriteSet::extend_tail`]), so a contiguous run of writes pays
+    ///   one entry header;
     /// - [`ENTRY_HDR`] plus the value length for a new entry.
     ///
     /// The record header reads zero length until the seal, so a crash
@@ -140,6 +145,19 @@ impl TxLog {
         if self.data_persistence {
             self.data.push((addr, data.len()));
         }
+        entry_pieces(addr, data)
+            .map(|(addr, piece)| self.stage_piece(store, area, addr, piece))
+            .sum()
+    }
+
+    /// [`Self::stage`] of one piece of at most `MAX_ENTRY_LEN` bytes.
+    fn stage_piece<S: LogStore>(
+        &mut self,
+        store: &mut S,
+        area: &mut LogArea,
+        addr: usize,
+        data: &[u8],
+    ) -> usize {
         if let Some(slot) = self.ws.patchable(addr, data.len()) {
             self.ws.patch(slot, data);
             area.write_at(store, slot.value_cursor, data, &mut self.dirty);
@@ -150,8 +168,7 @@ impl TxLog {
             area.write_at(store, self.tail_len, len_field, &mut self.dirty);
             return data.len();
         }
-        let header = EntryHeader { addr: addr as u64, len: data.len() as u32 };
-        area.append(store, &header.encode(), &mut self.dirty);
+        area.append(store, &EntryHeader::new(addr, data.len()).encode(), &mut self.dirty);
         self.tail_len = area.behind_tail(ENTRY_HDR - offset_of!(EntryHeader, len));
         let value_cursor = area.tail();
         area.append(store, data, &mut self.dirty);

@@ -38,7 +38,7 @@ use std::mem::offset_of;
 use specpmt_pmem::frame::{seal, verify, Fields, Wire};
 use specpmt_pmem::{PmemPool, PoolHeader, SharedPmemPool, Site, TimingMode, POOL_HEADER_SIZE};
 
-use crate::record::{ByteSource, LogArea, PoolStore};
+use crate::record::{ByteSource, LogArea, PoolStore, RecordReader};
 
 /// Root slot pointing at the layout descriptor (0 = no layout).
 pub const LAYOUT_SLOT: usize = 3;
@@ -341,18 +341,26 @@ impl SingleChain {
     /// core) once every record in it is applied: a fresh empty chain goes
     /// straight to the WPQ, the head swings to it, and the old chain's
     /// blocks are freed. The writes contend for WPQ bandwidth without
-    /// fencing the foreground.
-    pub fn truncate_background(&mut self, pool: &mut PmemPool) {
+    /// fencing the foreground. Returns the log entries the truncation
+    /// reclaimed (what `TxStats::records_reclaimed` counts).
+    pub fn truncate_background(&mut self, pool: &mut PmemPool) -> u64 {
+        let block_bytes = self.layout.block_bytes();
+        let mut records = RecordReader::new(pool.device(), self.area.head(), block_bytes);
+        let mut entries = 0;
+        while let Some(rec) = records.next() {
+            entries += rec.entries().count() as u64;
+        }
         let mut dirty = Vec::new();
         let area = LogArea::create(
             &mut PoolStore::new(pool, &mut self.free_blocks),
-            self.layout.block_bytes(),
+            block_bytes,
             &mut dirty,
         );
         pool.device_mut().background_ranges(&dirty);
         self.layout.set_head_background(pool, 0, area.head() as u64);
         let old = std::mem::replace(&mut self.area, area);
         self.free_blocks.extend(old.into_blocks());
+        entries
     }
 }
 

@@ -63,12 +63,54 @@ specpmt_pmem::frame! {
         pub(crate) checksum: u64,
     }
 
-    /// One entry's header, `len` value bytes behind it for pool offset
-    /// `addr`.
+    /// One entry's header, one word: the pool offset as a 48-bit value
+    /// (`addr_lo`, then `addr_hi`) and the `len` value bytes behind it.
+    /// Built by [`EntryHeader::new`] only.
     pub struct EntryHeader {
-        pub(crate) addr: u64,
-        pub(crate) len: u32,
+        pub(crate) addr_lo: u32,
+        pub(crate) addr_hi: u16,
+        pub(crate) len: u16,
     }
+}
+
+/// The most value bytes one entry holds: its length is 16 bits. A longer
+/// write is logged as consecutive entries (`entry_pieces`).
+pub const MAX_ENTRY_LEN: usize = u16::MAX as usize;
+
+impl EntryHeader {
+    /// The header of `len` value bytes bound for pool offset `addr`.
+    /// Every in-pool offset encodes exactly: a pool is at most
+    /// [`specpmt_pmem::MAX_POOL_BYTES`] (2^48) bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` needs more than 48 bits or `len` exceeds
+    /// [`MAX_ENTRY_LEN`].
+    #[inline]
+    pub fn new(addr: usize, len: usize) -> Self {
+        assert!(
+            addr < specpmt_pmem::MAX_POOL_BYTES && len <= MAX_ENTRY_LEN,
+            "entry [{addr:#x}; {len}] does not encode"
+        );
+        Self { addr_lo: addr as u32, addr_hi: (addr >> 32) as u16, len: len as u16 }
+    }
+
+    /// The pool offset the value belongs at.
+    #[inline]
+    pub fn addr(&self) -> usize {
+        self.addr_lo as usize | (self.addr_hi as usize) << 32
+    }
+}
+
+/// `value`, bound for `addr`, cut into the pieces one entry each holds:
+/// consecutive, at most [`MAX_ENTRY_LEN`] bytes, and one (empty) piece for
+/// an empty value.
+pub(crate) fn entry_pieces(addr: usize, value: &[u8]) -> impl Iterator<Item = (usize, &[u8])> {
+    let pieces = value.len().div_ceil(MAX_ENTRY_LEN).max(1);
+    (0..pieces).map(move |i| {
+        let at = i * MAX_ENTRY_LEN;
+        (addr + at, &value[at..value.len().min(at + MAX_ENTRY_LEN)])
+    })
 }
 
 /// Bytes reserved at the start of each log block.
@@ -84,8 +126,8 @@ pub const ENTRY_HDR: usize = EntryHeader::LEN;
 /// the source could not hold — are treated as corruption during parsing.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 24;
 
-/// Whether `[addr, addr + len)` lies inside a `size`-byte source. A
-/// checksum-valid entry can still carry any 64-bit address, so the sum
+/// Whether `[addr, addr + len)` lies inside a `size`-byte source. Callers
+/// pass garbage too (a forward pointer, an anchor's block), so the sum
 /// must not be allowed to wrap.
 pub(crate) fn in_bounds(addr: usize, len: usize, size: usize) -> bool {
     addr.checked_add(len).is_some_and(|end| end <= size)
@@ -179,7 +221,8 @@ pub struct LogRecord {
 impl LogRecord {
     /// Total payload bytes this record's entries encode to.
     pub fn payload_len(&self) -> usize {
-        self.entries.iter().map(|e| ENTRY_HDR + e.value.len()).sum()
+        let pieces = self.entries.iter().flat_map(|e| entry_pieces(e.addr, &e.value));
+        pieces.map(|(_, value)| ENTRY_HDR + value.len()).sum()
     }
 }
 
@@ -197,60 +240,63 @@ impl RecordHeader {
     }
 }
 
-/// Appends one entry to a payload buffer.
+/// Appends the entry `addr -> value` to a payload buffer: one entry per
+/// piece (`entry_pieces`).
 pub fn push_entry(payload: &mut Vec<u8>, addr: usize, value: &[u8]) {
-    payload.extend_from_slice(&EntryHeader { addr: addr as u64, len: value.len() as u32 }.encode());
-    payload.extend_from_slice(value);
+    for (addr, piece) in entry_pieces(addr, value) {
+        payload.extend_from_slice(&EntryHeader::new(addr, piece.len()).encode());
+        payload.extend_from_slice(piece);
+    }
 }
 
 /// The one encoder of address-sorted byte runs: a checkpoint's snapshot and
 /// a reclamation base record's entries. Pieces arrive disjoint and sorted
 /// by address; one that starts where the open run ends joins it, so every
 /// run is maximal, and each run is one entry (`[addr | len]`, then its
-/// bytes) of at most `max_len` bytes — a longer stretch continues in the
-/// next entry.
+/// bytes) of at most `max_len` bytes, and never more than [`MAX_ENTRY_LEN`]
+/// — a longer stretch continues in the next entry.
 pub(crate) struct RunEncoder<'a> {
     out: &'a mut Vec<u8>,
     max_len: usize,
     /// The open run: where its entry header sits in `out`, its first
-    /// address, and the address one past its last byte (`None` at the top
-    /// of the address space, where nothing can join it).
-    open: Option<(usize, usize, Option<usize>)>,
+    /// address, and the address one past its last byte.
+    open: Option<(usize, usize, usize)>,
     runs: u64,
 }
 
 impl<'a> RunEncoder<'a> {
-    /// An encoder appending to `out`.
+    /// An encoder appending to `out`, its runs capped at `max_len` bytes
+    /// (and at [`MAX_ENTRY_LEN`]).
     pub(crate) fn new(out: &'a mut Vec<u8>, max_len: usize) -> Self {
         assert!(max_len > 0, "a run holds at least one byte");
-        Self { out, max_len, open: None, runs: 0 }
+        Self { out, max_len: max_len.min(MAX_ENTRY_LEN), open: None, runs: 0 }
     }
 
     /// Appends the `bytes` bound for `addr`, which lie above every byte
-    /// pushed so far and do not wrap the address space.
+    /// pushed so far, inside the pool (so `addr` encodes and the sum
+    /// cannot wrap).
     pub(crate) fn push(&mut self, mut addr: usize, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             let room = match self.open {
-                Some((hdr, _, end)) if end == Some(addr) => {
+                Some((hdr, _, end)) if end == addr => {
                     self.max_len - (self.out.len() - hdr - ENTRY_HDR)
                 }
                 _ => 0,
             };
             if room == 0 {
                 self.close();
-                self.open = Some((self.out.len(), addr, Some(addr)));
-                self.out.extend_from_slice(&EntryHeader { addr: addr as u64, len: 0 }.encode());
+                self.open = Some((self.out.len(), addr, addr));
+                self.out.extend_from_slice(&EntryHeader::new(addr, 0).encode());
                 self.runs += 1;
                 continue;
             }
             let n = room.min(bytes.len());
             self.out.extend_from_slice(&bytes[..n]);
-            let end = addr.checked_add(n);
-            if let Some((_, _, open_end)) = &mut self.open {
-                *open_end = end;
+            addr += n;
+            if let Some((_, _, end)) = &mut self.open {
+                *end = addr;
             }
             bytes = &bytes[n..];
-            addr = end.unwrap_or(0);
         }
     }
 
@@ -258,8 +304,7 @@ impl<'a> RunEncoder<'a> {
     fn close(&mut self) {
         if let Some((hdr, start, _)) = self.open.take() {
             let len = self.out.len() - hdr - ENTRY_HDR;
-            let entry = EntryHeader { addr: start as u64, len: len as u32 };
-            self.out[hdr..hdr + ENTRY_HDR].copy_from_slice(&entry.encode());
+            self.out[hdr..hdr + ENTRY_HDR].copy_from_slice(&EntryHeader::new(start, len).encode());
         }
     }
 
@@ -291,7 +336,7 @@ pub fn encode_record(rec: &LogRecord) -> Vec<u8> {
 pub(crate) fn decode_entry(bytes: &[u8]) -> Option<(usize, usize)> {
     let h = EntryHeader::decode(bytes)?;
     let len = h.len as usize;
-    (len <= bytes.len() - ENTRY_HDR).then_some((h.addr as usize, len))
+    (len <= bytes.len() - ENTRY_HDR).then_some((h.addr(), len))
 }
 
 /// One entry of a record payload, borrowed from the bytes it was decoded
@@ -1375,6 +1420,64 @@ pub(crate) mod tests {
         assert_eq!(Entries::new(payload).into_owned(), r.entries);
     }
 
+    /// An entry header is one word: the 48-bit offset, then the 16-bit
+    /// length. The largest offset and length round trip; one past either is
+    /// refused, never truncated.
+    #[test]
+    fn an_entry_header_holds_a_48_bit_offset_and_a_16_bit_length() {
+        let top = EntryHeader::new(specpmt_pmem::MAX_POOL_BYTES - 1, MAX_ENTRY_LEN);
+        assert_eq!(top.encode(), [0xff; ENTRY_HDR]);
+        let back = EntryHeader::decode(&top.encode()).expect("a whole header");
+        assert_eq!((back.addr(), back.len), (specpmt_pmem::MAX_POOL_BYTES - 1, u16::MAX));
+        for (addr, len) in [(specpmt_pmem::MAX_POOL_BYTES, 0), (0, MAX_ENTRY_LEN + 1)] {
+            assert!(std::panic::catch_unwind(|| EntryHeader::new(addr, len)).is_err());
+        }
+    }
+
+    /// A value longer than one entry holds is encoded as consecutive
+    /// entries of at most `MAX_ENTRY_LEN` bytes, an empty one as one empty
+    /// entry, and the record reads back as those pieces, its length
+    /// counting every header.
+    #[test]
+    fn a_long_value_encodes_as_consecutive_entries() {
+        let value: Vec<u8> = (0..2 * MAX_ENTRY_LEN + 10).map(|i| (i % 251) as u8).collect();
+        let r = LogRecord {
+            ts: 3,
+            entries: vec![
+                LogEntry { addr: 0x40, value: value.clone() },
+                LogEntry { addr: 8, value: Vec::new() },
+            ],
+        };
+        let enc = encode_record(&r);
+        assert_eq!(r.payload_len(), 4 * ENTRY_HDR + value.len());
+        assert_eq!(enc.len(), REC_HDR + r.payload_len());
+        let got: Vec<_> = Entries::new(&enc[REC_HDR..]).map(|e| (e.addr, e.value.len())).collect();
+        let at = |k: usize| 0x40 + k * MAX_ENTRY_LEN;
+        assert_eq!(got, [(at(0), MAX_ENTRY_LEN), (at(1), MAX_ENTRY_LEN), (at(2), 10), (8, 0)]);
+        let joined: Vec<u8> =
+            Entries::new(&enc[REC_HDR..]).flat_map(|e| e.value.to_vec()).collect();
+        assert_eq!(joined, value);
+    }
+
+    /// The run encoder never writes a run longer than an entry holds,
+    /// whatever cap it is given: a contiguous stretch continues in the next
+    /// entry, at the next address.
+    #[test]
+    fn the_run_encoder_caps_a_long_run_at_the_entry_bound() {
+        let bytes: Vec<u8> = (0..3 * MAX_ENTRY_LEN + 5).map(|i| (i % 241) as u8).collect();
+        let mut out = Vec::new();
+        let mut runs = RunEncoder::new(&mut out, usize::MAX);
+        runs.push(0x100, &bytes[..1000]);
+        runs.push(0x100 + 1000, &bytes[1000..]);
+        assert_eq!(runs.finish(), 4);
+        let got: Vec<_> = Entries::new(&out).map(|e| (e.addr, e.value.len())).collect();
+        let at = |k: usize| 0x100 + k * MAX_ENTRY_LEN;
+        let full = MAX_ENTRY_LEN;
+        assert_eq!(got, [(at(0), full), (at(1), full), (at(2), full), (at(3), 5)]);
+        let joined: Vec<u8> = Entries::new(&out).flat_map(|e| e.value.to_vec()).collect();
+        assert_eq!(joined, bytes);
+    }
+
     /// A record inside one block is borrowed from a source that lends; one
     /// that crosses a block boundary, or comes from a source that does
     /// not lend, is copied — and both read back the same.
@@ -1536,8 +1639,8 @@ pub(crate) mod tests {
             checksum: 0x0F1E_2D3C_4B5A_6978,
         };
         assert_eq!(hex(&rec.encode()), "d4c3b2a1887766554433221178695a4b3c2d1e0f");
-        let entry = EntryHeader { addr: 0x1122_3344_5566_7788, len: 0x0A0B_0C0D };
-        assert_eq!(hex(&entry.encode()), "88776655443322110d0c0b0a");
+        let entry = EntryHeader::new(0x3344_5566_7788, 0x0A0B);
+        assert_eq!(hex(&entry.encode()), "8877665544330b0a");
         let anchor = Anchor::new(Cursor { block: 0x4000, pos: 0x30 }, 0x77, 0xDEAD_BEEF_0BAD_F00D);
         let ckpt = encode_checkpoint(0x99, &[Some(anchor), None], &[1, 2, 3]);
         assert_eq!(hex(&ckpt), "313054504b43505399000000000000004700000083de2a217c5197a0020000000040000000000000300000000000000077000000000000000df0ad0befbeadde0000000000000000000000000000000000000000000000000000000000000000010203");

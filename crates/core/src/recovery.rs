@@ -449,12 +449,16 @@ fn seek<'a>(
 
 /// The one last-writer-wins resolution, shared by replay and by
 /// `SpecSpmtShared::write_checkpoint`: walks `forward` (entries in replay
-/// order, oldest first) in reverse, claims bytes of the `size`-byte pool
-/// in a bitmap, and hands `emit` every run of bytes no later entry wrote —
-/// each byte at most once, runs disjoint, ascending within an entry and in
-/// no address order across entries. The reference replay drops any entry
-/// that does not fit the image, so the same bounds check is applied
+/// order, oldest first) in reverse, claims their bytes in a bitmap, and
+/// hands `emit` every run of bytes no later entry wrote — each byte at
+/// most once, runs disjoint, ascending within an entry and in no address
+/// order across entries. The reference replay drops any entry that does
+/// not fit the `size`-byte image, so the same bounds check is applied
 /// *before* claiming.
+///
+/// The bitmap covers the 64-byte lines the claimable entries span, found
+/// in a first pass over them, not the whole pool: a replay of a short tail
+/// into a large image allocates for what the tail wrote.
 ///
 /// An entry is claimed a bitmap word (64 bytes) per step: a word whose
 /// bytes are all unclaimed extends the current run, one whose bytes are
@@ -467,12 +471,17 @@ pub(crate) fn fold_last_writer_wins<'a>(
     size: usize,
     mut emit: impl FnMut(usize, &'a [u8]),
 ) -> (u64, u64) {
+    let claimable =
+        |e: &&EntryRef<'a>| !e.value.is_empty() && in_bounds(e.addr, e.value.len(), size);
+    // The span's first byte and the byte past its end.
+    let (start, stop) = forward
+        .iter()
+        .filter(claimable)
+        .fold((usize::MAX, 0), |(s, t), e| (s.min(e.addr), t.max(e.addr + e.value.len())));
+    let first_word = start / 64;
     let (mut emitted, mut stale) = (0u64, 0u64);
-    let mut claimed = vec![0u64; size.div_ceil(64)];
-    for e in forward.iter().rev() {
-        if e.value.is_empty() || !in_bounds(e.addr, e.value.len(), size) {
-            continue;
-        }
+    let mut claimed = vec![0u64; stop.div_ceil(64).saturating_sub(first_word)];
+    for e in forward.iter().rev().filter(claimable) {
         let end = e.addr + e.value.len();
         // Start address of the run of unclaimed bytes being gathered.
         let mut run: Option<usize> = None;
@@ -487,8 +496,9 @@ pub(crate) fn fold_last_writer_wins<'a>(
             let (word, lo) = (at / 64, at % 64);
             let n = (64 - lo).min(end - at);
             let mask = (u64::MAX >> (64 - n)) << lo;
-            let fresh = mask & !claimed[word];
-            claimed[word] |= mask;
+            let bits = &mut claimed[word - first_word];
+            let fresh = mask & !*bits;
+            *bits |= mask;
             stale += u64::from((mask ^ fresh).count_ones());
             if fresh == mask {
                 run.get_or_insert(at);
@@ -635,44 +645,50 @@ mod tests {
     /// On seeded entry sets — unaligned, word-straddling, whole-word,
     /// nested in or equal to or covering an earlier entry, zero-length and
     /// out of bounds — the word-at-a-time fold emits the per-byte fold's
-    /// runs, in its order, and the same counts.
+    /// runs, in its order, and the same counts: at the bottom of a small
+    /// pool, and at an unaligned base far into a large one, where the claim
+    /// bitmap covers only the lines the entries span.
     #[test]
     fn word_fold_emits_exactly_the_per_byte_folds_runs() {
-        const SIZE: usize = 1000;
-        for seed in 0..400u64 {
-            let mut rng = specpmt_pmem::SplitMix64::new(seed ^ 0xf01d);
-            let mut spans: Vec<(usize, usize)> = Vec::new();
-            for _ in 0..rng.range_usize(1, 40) {
-                let earlier = spans.get(rng.range_usize(0, spans.len())).copied();
-                let span = match (rng.below(8), earlier) {
-                    (0, _) => (64 * rng.range_usize(0, 14), 64 * rng.range_usize(1, 2)),
-                    (1, Some((a, l))) => (a, l),
-                    (2, Some((a, l))) => {
-                        let at = rng.range_usize(0, l);
-                        (a.saturating_add(at), rng.range_usize(0, l - at))
-                    }
-                    (3, Some((a, l))) => {
-                        let pad = rng.range_usize(1, 70);
-                        (a.saturating_sub(pad), l + 2 * pad)
-                    }
-                    (4, _) => (rng.range_usize(0, SIZE), 0),
-                    (5, _) => [(SIZE - 3, 10), (usize::MAX - 2, 8)][rng.range_usize(0, 1)],
-                    _ => (rng.range_usize(0, SIZE - 1), rng.range_usize(1, 150)),
-                };
-                spans.push(span);
+        const SPAN: usize = 1000;
+        for (base, size) in [(0, SPAN), ((1 << 20) + 37, (1 << 20) + 37 + SPAN)] {
+            for seed in 0..400u64 {
+                let mut rng = specpmt_pmem::SplitMix64::new(seed ^ 0xf01d);
+                let mut spans: Vec<(usize, usize)> = Vec::new();
+                for _ in 0..rng.range_usize(1, 40) {
+                    let earlier = spans.get(rng.range_usize(0, spans.len())).copied();
+                    let span = match (rng.below(8), earlier) {
+                        (0, _) => (64 * rng.range_usize(0, 14), 64 * rng.range_usize(1, 2)),
+                        (1, Some((a, l))) => (a, l),
+                        (2, Some((a, l))) => {
+                            let at = rng.range_usize(0, l);
+                            (a.saturating_add(at), rng.range_usize(0, l - at))
+                        }
+                        (3, Some((a, l))) => {
+                            let pad = rng.range_usize(1, 70);
+                            (a.saturating_sub(pad), l + 2 * pad)
+                        }
+                        (4, _) => (rng.range_usize(0, SPAN), 0),
+                        (5, _) => [(SPAN - 3, 10), (usize::MAX - 2, 8)][rng.range_usize(0, 1)],
+                        _ => (rng.range_usize(0, SPAN - 1), rng.range_usize(1, 150)),
+                    };
+                    spans.push(span);
+                }
+                let values: Vec<Vec<u8>> = spans
+                    .iter()
+                    .map(|&(_, len)| (0..len).map(|_| rng.next_u8()).collect())
+                    .collect();
+                let forward: Vec<EntryRef> = spans
+                    .iter()
+                    .zip(&values)
+                    .map(|(&(addr, _), value)| EntryRef { addr: addr.saturating_add(base), value })
+                    .collect();
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let got_counts = fold_last_writer_wins(&forward, size, |a, b| got.push((a, b)));
+                let want_counts = per_byte_fold(&forward, size, |a, b| want.push((a, b)));
+                assert_eq!(got, want, "base {base} seed {seed}: {spans:?}");
+                assert_eq!(got_counts, want_counts, "base {base} seed {seed}: {spans:?}");
             }
-            let values: Vec<Vec<u8>> =
-                spans.iter().map(|&(_, len)| (0..len).map(|_| rng.next_u8()).collect()).collect();
-            let forward: Vec<EntryRef> = spans
-                .iter()
-                .zip(&values)
-                .map(|(&(addr, _), value)| EntryRef { addr, value })
-                .collect();
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            let got_counts = fold_last_writer_wins(&forward, SIZE, |a, b| got.push((a, b)));
-            let want_counts = per_byte_fold(&forward, SIZE, |a, b| want.push((a, b)));
-            assert_eq!(got, want, "seed {seed}: {spans:?}");
-            assert_eq!(got_counts, want_counts, "seed {seed}: {spans:?}");
         }
     }
 

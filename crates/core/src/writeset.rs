@@ -27,7 +27,7 @@ use std::mem::offset_of;
 
 use specpmt_pmem::frame::Writer;
 
-use crate::record::{self, Cursor, EntryHeader, ENTRY_HDR};
+use crate::record::{self, entry_pieces, Cursor, EntryHeader, ENTRY_HDR, MAX_ENTRY_LEN};
 
 /// Where one staged write's bytes live, for the in-transaction dedup
 /// path. A write that [extended](WriteSet::extend_tail) the tail entry is a
@@ -152,14 +152,14 @@ impl WriteSet {
     }
 
     /// Stages a fresh entry for `addr`: appends the entry header and
-    /// `data` to the payload arena and indexes the entry. `value_cursor` is the log-chain cursor where the
+    /// `data`, at most [`MAX_ENTRY_LEN`] bytes, to the payload arena and
+    /// indexes the entry. `value_cursor` is the log-chain cursor where the
     /// value bytes will land (captured by the caller from the log area).
     ///
     /// Returns the [`EntrySlot`] recorded for the entry.
     pub fn stage(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> EntrySlot {
-        let hdr = EntryHeader { addr: addr as u64, len: data.len() as u32 };
         let entry_off = self.payload.len();
-        self.payload.extend_from_slice(&hdr.encode());
+        self.payload.extend_from_slice(&EntryHeader::new(addr, data.len()).encode());
         self.payload.extend_from_slice(data);
         self.tail = Some((entry_off, addr + data.len()));
         let entry = EntrySlot {
@@ -173,20 +173,23 @@ impl WriteSet {
     }
 
     /// Appends `data` to the tail entry when `addr` is where that entry
-    /// ends: the arena grows by the value bytes alone and the entry's
-    /// length is rewritten. The tail entry is the payload's last, so the
-    /// grown entry replays exactly as the two writes would, in write
-    /// order. `value_cursor` is the log-chain cursor where the bytes will
-    /// land. Returns the grown entry's rewritten length field, the bytes a
-    /// log mirroring the arena rewrites, or `None` (nothing staged) when
-    /// `addr` does not continue the tail entry.
+    /// ends and the grown entry stays within [`MAX_ENTRY_LEN`]: the arena
+    /// grows by the value bytes alone and the entry's length is rewritten.
+    /// The tail entry is the payload's last, so the grown entry replays
+    /// exactly as the two writes would, in write order. `value_cursor` is
+    /// the log-chain cursor where the bytes will land. Returns the grown
+    /// entry's rewritten length field, the bytes a log mirroring the arena
+    /// rewrites, or `None` (nothing staged) when `addr` does not continue
+    /// the tail entry or the entry has no room for `data`.
     pub fn extend_tail(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> Option<&[u8]> {
-        let (entry_off, _) = self.tail.filter(|&(_, end)| end == addr)?;
         let payload_off = self.payload.len();
+        let (entry_off, _) = self.tail.filter(|&(off, end)| {
+            end == addr && payload_off + data.len() - off - ENTRY_HDR <= MAX_ENTRY_LEN
+        })?;
         self.payload.extend_from_slice(data);
         let len = self.payload.len() - entry_off - ENTRY_HDR;
         let len_field = entry_off + offset_of!(EntryHeader, len)..entry_off + ENTRY_HDR;
-        Writer::new(&mut self.payload[len_field.clone()]).put(len as u32);
+        Writer::new(&mut self.payload[len_field.clone()]).put(len as u16);
         self.tail = Some((entry_off, addr + data.len()));
         self.insert(addr, EntrySlot { payload_off, len: data.len(), value_cursor, entry_off });
         Some(&self.payload[len_field])
@@ -206,13 +209,16 @@ impl WriteSet {
     }
 
     /// Adds a write to a set that no log chain mirrors as it grows (one
-    /// encoded into its record only at commit): overwrites the entry
-    /// [`Self::patchable`] names, else stages a new one.
+    /// encoded into its record only at commit), one piece (`entry_pieces`)
+    /// at a time: overwrites the entry [`Self::patchable`] names, else
+    /// stages a new one.
     pub fn coalesce(&mut self, addr: usize, data: &[u8]) {
-        match self.patchable(addr, data.len()) {
-            Some(slot) => self.patch(slot, data),
-            None => {
-                self.stage(addr, data, Cursor { block: 0, pos: 0 });
+        for (addr, piece) in entry_pieces(addr, data) {
+            match self.patchable(addr, piece.len()) {
+                Some(slot) => self.patch(slot, piece),
+                None => {
+                    self.stage(addr, piece, Cursor { block: 0, pos: 0 });
+                }
             }
         }
     }
@@ -361,7 +367,7 @@ mod tests {
                 if tail_end == Some(addr) {
                     let (e, off) = (want.len() - 1, want[want.len() - 1].1.len());
                     want[e].1.extend_from_slice(&data);
-                    assert_eq!(grown, Some(&(want[e].1.len() as u32).to_le_bytes()[..]), "tx {tx}");
+                    assert_eq!(grown, Some(&(want[e].1.len() as u16).to_le_bytes()[..]), "tx {tx}");
                     writes.push((addr, data.len(), e, off));
                     extensions += 1;
                 } else {
@@ -387,8 +393,8 @@ mod tests {
         let mut ws = WriteSet::new();
         ws.begin();
         ws.stage(0, &[1; 4], cur(0));
-        assert_eq!(ws.extend_tail(4, &[2; 4], cur(0)), Some(&8u32.to_le_bytes()[..]));
-        assert_eq!(ws.extend_tail(8, &[4; 4], cur(0)), Some(&12u32.to_le_bytes()[..]));
+        assert_eq!(ws.extend_tail(4, &[2; 4], cur(0)), Some(&8u16.to_le_bytes()[..]));
+        assert_eq!(ws.extend_tail(8, &[4; 4], cur(0)), Some(&12u16.to_le_bytes()[..]));
         assert_eq!(ws.extend_tail(6, &[7; 4], cur(0)), None, "6 is not where the entry ends");
         ws.stage(6, &[7; 4], cur(0));
         assert_eq!(ws.patchable(4, 4), None, "the entry at 6 overlaps [4, 8)");
@@ -398,6 +404,38 @@ mod tests {
         record::push_entry(&mut payload, 0, &[3, 3, 3, 3, 2, 2, 2, 2, 4, 4, 4, 4]);
         record::push_entry(&mut payload, 6, &[7; 4]);
         assert_eq!(ws.payload(), payload.as_slice());
+    }
+
+    /// An extension that fills the tail entry to `MAX_ENTRY_LEN` is taken;
+    /// one that would pass it stages nothing, so the caller opens a new
+    /// entry.
+    #[test]
+    fn an_extension_stops_at_the_entry_bound() {
+        let mut ws = WriteSet::new();
+        ws.begin();
+        ws.stage(0, &vec![1; MAX_ENTRY_LEN - 8], cur(0));
+        let full = (MAX_ENTRY_LEN as u16).to_le_bytes();
+        assert_eq!(ws.extend_tail(MAX_ENTRY_LEN - 8, &[2; 8], cur(0)), Some(&full[..]));
+        assert_eq!(ws.extend_tail(MAX_ENTRY_LEN, &[3], cur(0)), None, "one byte past the bound");
+        assert_eq!(ws.payload().len(), ENTRY_HDR + MAX_ENTRY_LEN);
+    }
+
+    /// A coalesced write longer than an entry holds is staged as the
+    /// entries `push_entry` encodes, and a same-length rewrite of it
+    /// patches every piece in place.
+    #[test]
+    fn a_long_coalesced_write_stages_consecutive_entries() {
+        let mut ws = WriteSet::new();
+        ws.begin();
+        let (first, second) = (vec![5u8; MAX_ENTRY_LEN + 100], vec![6u8; MAX_ENTRY_LEN + 100]);
+        ws.coalesce(64, &first);
+        let mut payload = Vec::new();
+        record::push_entry(&mut payload, 64, &first);
+        assert_eq!(ws.payload(), payload.as_slice());
+        ws.coalesce(64, &second);
+        payload.clear();
+        record::push_entry(&mut payload, 64, &second);
+        assert_eq!(ws.payload(), payload.as_slice(), "patched, not re-staged");
     }
 
     #[test]

@@ -81,14 +81,12 @@ impl Hoop {
             return;
         }
         let t0 = self.pool.device().now_ns();
-        let applied = self.gc_pending.as_slice().len() as u64;
         for &line in self.gc_pending.as_slice() {
             self.pool.device_mut().background_line_write(line_start(line));
         }
         self.gc_pending.clear();
-        self.chain.truncate_background(&mut self.pool);
+        self.stats.records_reclaimed += self.chain.truncate_background(&mut self.pool);
         self.gc_accum_bytes = 0;
-        self.stats.records_reclaimed += applied;
         self.stats.log_live_bytes = self.log_footprint() as u64;
         self.stats.background_ns += self.pool.device().now_ns() - t0;
     }

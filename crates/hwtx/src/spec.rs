@@ -215,8 +215,10 @@ impl HwSpecPmt {
         let mut reader = RecordReader::new(self.pool.device(), epoch.area.head(), BLOCK_BYTES);
         self.flush_set.clear();
         while let Some(rec) = reader.next() {
-            self.stats.records_reclaimed += 1;
-            rec.entries().for_each(|e| self.flush_set.insert_range(e.addr, e.value.len()));
+            for e in rec.entries() {
+                self.stats.records_reclaimed += 1;
+                self.flush_set.insert_range(e.addr, e.value.len());
+            }
         }
         for &l in self.flush_set.as_slice() {
             self.core.l1_mut().mark_clean(line_start(l));

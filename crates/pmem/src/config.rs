@@ -1,5 +1,9 @@
 //! Device configuration: size and timing parameters.
 
+/// The largest device capacity: 2^48 bytes, so every pool offset fits the
+/// 48 bits a log entry header stores it in.
+pub const MAX_POOL_BYTES: usize = 1 << 48;
+
 /// Configuration for a [`crate::PmemDevice`].
 ///
 /// The defaults follow the paper's Table 1 PM parameters (150 ns read,
@@ -8,7 +12,8 @@
 /// flushes substantially cheaper than random ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PmemConfig {
-    /// Device capacity in bytes. Rounded up to a cache-line multiple.
+    /// Device capacity in bytes. Rounded up to a cache-line multiple; at
+    /// most [`MAX_POOL_BYTES`].
     pub size: usize,
     /// Latency charged to a thread for issuing a `clwb` (the instruction
     /// itself is cheap; the persist happens asynchronously).
@@ -63,9 +68,16 @@ impl PmemConfig {
         Self::default().with_size(size)
     }
 
-    /// Returns `self` with the capacity replaced.
+    /// Returns `self` with the capacity replaced. Every device is built
+    /// through here, so this is where a pool too large for a log entry to
+    /// address is refused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` exceeds [`MAX_POOL_BYTES`].
     #[must_use]
     pub fn with_size(mut self, size: usize) -> Self {
+        assert!(size <= MAX_POOL_BYTES, "a {size}-byte pool exceeds the 2^48-byte offset space");
         self.size = size.next_multiple_of(crate::CACHE_LINE);
         self
     }
@@ -139,6 +151,15 @@ mod tests {
     fn size_rounds_to_line() {
         let c = PmemConfig::new(100);
         assert_eq!(c.size, 128);
+    }
+
+    /// The largest pool is configured as asked (nothing is allocated
+    /// here); one line more is refused.
+    #[test]
+    fn a_pool_past_the_entry_offset_space_is_refused() {
+        assert_eq!(PmemConfig::new(MAX_POOL_BYTES).size, MAX_POOL_BYTES);
+        let refused = std::panic::catch_unwind(|| PmemConfig::new(MAX_POOL_BYTES + 1));
+        assert!(refused.is_err());
     }
 
     #[test]

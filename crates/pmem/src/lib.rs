@@ -58,7 +58,7 @@ pub mod sites;
 
 pub use alloc::Reservation;
 pub use blackbox::BlackBoxSink;
-pub use config::PmemConfig;
+pub use config::{PmemConfig, MAX_POOL_BYTES};
 pub use crash::{CrashControl, CrashImage, CrashPlan, CrashPolicy, CrashTrigger};
 pub use device::{FenceReport, PmemDevice, TimingMode};
 pub use error::PmemError;

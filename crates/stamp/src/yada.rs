@@ -326,10 +326,10 @@ mod tests {
 
     /// A triangle is written field by field, eight adjacent `u32`s, and
     /// each field continues the last one's log entry: the record holds one
-    /// entry, a 12-byte header and 32 value bytes, where one header per
-    /// field sealed 128 bytes.
+    /// entry, an 8-byte header and 32 value bytes, where one header per
+    /// field sealed 96 bytes.
     #[test]
-    fn a_triangle_seals_one_entry_of_44_bytes() {
+    fn a_triangle_seals_one_entry_of_40_bytes() {
         use specpmt_core::{forensics, SpecConfig, SpecSpmt};
         use specpmt_pmem::{CrashControl, CrashPolicy, PmemConfig, PmemDevice, PmemPool};
         use specpmt_txn::{Recover, TxRuntime};
@@ -342,7 +342,7 @@ mod tests {
         rt.commit();
         let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
         let chain = &forensics(&img).chains[0];
-        assert_eq!((chain.records, chain.entries, chain.payload_bytes), (1, 1, 44));
+        assert_eq!((chain.records, chain.entries, chain.payload_bytes), (1, 1, 40));
         SpecSpmt::recover(&mut img);
         let fields: Vec<u32> = img
             .read_bytes(at, TRI_BYTES)

@@ -23,8 +23,10 @@ pub struct TxStats {
     pub log_live_bytes: u64,
     /// High-water mark of the log footprint in bytes.
     pub log_peak_bytes: u64,
-    /// Log *entries* (one per datum a transaction wrote — not whole
-    /// records) reclaimed as stale; the name is part of the exported schema.
+    /// Log *entries* reclaimed, in every runtime: dropped as stale by a
+    /// reclamation cycle, or retired with their chain by a replay, GC pass
+    /// or epoch reclaim — never whole records or cache lines. The name is
+    /// part of the exported schema.
     pub records_reclaimed: u64,
     /// Simulated nanoseconds consumed by background maintenance (log
     /// reclamation / redo replay) that runs on a dedicated core in the

@@ -360,17 +360,30 @@ fi
 
 # One entry header per contiguous run, written by the commit path alone.
 # Outside #[cfg(test)], the write set's tail extension is called only from
-# TxLog::stage (HOOP's coalesce keeps its patch-or-stage rule), and the
+# TxLog::stage, in `stage_piece`, its body for each piece of at most
+# MAX_ENTRY_LEN bytes (HOOP's coalesce keeps its patch-or-stage rule), and the
 # log bytes a write appended are counted where they are appended:
 # TxLog::stage returns them, so no caller recomputes an entry's size for
 # TxStats::log_bytes. No pattern matches its own line.
 got=$(count_in_sources 'extend_tai[l][(]' | tr '\n' ' ' | sed 's/ $//')
 [ "$got" = "crates/core/src/engine.rs:1 crates/core/src/writeset.rs:1" ] &&
-    [ "$(fns_matching crates/core/src/engine.rs 'extend_tai[l][(]')" = stage ] ||
+    [ "$(fns_matching crates/core/src/engine.rs 'extend_tai[l][(]')" = stage_piece ] ||
     { echo "re-fork guard: the tail entry is extended outside TxLog::stage: $got" >&2; exit 1; }
 got=$(count_in_sources 'ENTRY_HD[R] [+] data[.]len[(]|log_bytes.*ENTRY_HD[R]' | tr '\n' ' ' | sed 's/ $//')
 [ "$got" = crates/core/src/engine.rs:1 ] ||
     { echo "re-fork guard: log bytes recomputed outside TxLog::stage: $got" >&2; exit 1; }
+
+# One entry-header constructor: `EntryHeader::new` in record.rs builds
+# every log entry header, and is where an offset past 48 bits or a length
+# past 16 is refused. Outside #[cfg(test)], no production source spells an
+# `EntryHeader { .. }` literal — in record.rs the frame declaration and the
+# impl block are the two lines that put a brace after the name — and in
+# record.rs only `new` sets the address fields. No pattern matches its own
+# line.
+got=$(count_in_sources 'EntryHeade[r] *[{]' | tr '\n' ' ' | sed 's/ $//')
+[ "$got" = crates/core/src/record.rs:2 ] &&
+    [ "$(fns_matching crates/core/src/record.rs 'addr_(l[o]|h[i]): *[(]?addr')" = new ] ||
+    { echo "re-fork guard: an entry header is built outside EntryHeader::new: $got" >&2; exit 1; }
 
 # One cache-line planner: which lines a set of byte ranges touches, each
 # once, ascending, is decided by crates/pmem/src/geometry.rs alone

@@ -97,7 +97,7 @@ fn sizes_and_offsets_keep_their_values() {
         EventSlot::LEN,
         UndoHeader::LEN,
     ];
-    assert_eq!(sizes, [20, 12, 8, 16, 28, 32, 48, 40, 24]);
+    assert_eq!(sizes, [20, 8, 6, 16, 28, 32, 48, 40, 24]);
     assert_eq!(entry_bytes(0), 24);
     let descriptor =
         ["seal", "ckpt_head", "bbox_head"].map(|f| offset(DescriptorHeader::FIELDS, f));

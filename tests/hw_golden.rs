@@ -209,6 +209,16 @@ fn small_epochs() -> HwSpecConfig {
 /// the WPQ less backed up for the commit fences that follow: 38, 38 and
 /// 128 fewer lines, and 11,520, 11,520 and 20,000 ns less fence stall.
 /// EDE writes no speculative record and did not move.
+///
+/// The three SpecHPMT rows moved again, and EDE did not, when a log entry
+/// header shrank from 12 bytes to 8: every speculative record logs 4 bytes
+/// less per entry, so `log_bytes`, `bytes_stored`, `clwb_count`,
+/// `lines_persisted`, `now_ns` and `fence_stall_ns` fell (by 1,768 log
+/// bytes on the default rows), the images hash differently, and the small
+/// epochs seal one fence fewer (149 to 148). In the same change the small-
+/// epoch row's `records_reclaimed` went from 91 to 278, as it began to
+/// count the entries an epoch reclaim retires rather than its records —
+/// the unit every other runtime counts.
 #[test]
 fn hw_sim_cost_matches_goldens() {
     type Routine<'a> = &'a dyn Fn(PmemConfig) -> Observed;
@@ -217,13 +227,13 @@ fn hw_sim_cost_matches_goldens() {
             "SpecHPMT",
             &|pm| run_spec(pm, HwSpecConfig::default(), 2),
             Observed {
-                now_ns: 633_623,
-                clwb_count: 997,
+                now_ns: 628_635,
+                clwb_count: 967,
                 sfence_count: 138,
-                lines_persisted: 3_019,
-                bytes_stored: 166_644,
-                fence_stall_ns: 477_443,
-                log_bytes: 143_680,
+                lines_persisted: 2_992,
+                bytes_stored: 164_876,
+                fence_stall_ns: 473_955,
+                log_bytes: 141_912,
                 log_peak_bytes: 118_784,
                 records_reclaimed: 0,
                 hw: HwStats {
@@ -239,20 +249,20 @@ fn hw_sim_cost_matches_goldens() {
                     commit_scans: 133,
                     epochs_cleared: 0,
                 },
-                image_fnv: 15_156_598_324_900_734_470,
+                image_fnv: 8_712_861_482_338_354_388,
             },
         ),
         (
             "SpecHPMT-DP",
             &|pm| run_spec(pm, HwSpecConfig::default().dp(), 2),
             Observed {
-                now_ns: 757_982,
-                clwb_count: 1_419,
+                now_ns: 752_837,
+                clwb_count: 1_389,
                 sfence_count: 138,
-                lines_persisted: 3_441,
-                bytes_stored: 166_644,
-                fence_stall_ns: 580_702,
-                log_bytes: 143_680,
+                lines_persisted: 3_414,
+                bytes_stored: 164_876,
+                fence_stall_ns: 577_057,
+                log_bytes: 141_912,
                 log_peak_bytes: 118_784,
                 records_reclaimed: 0,
                 hw: HwStats {
@@ -268,22 +278,22 @@ fn hw_sim_cost_matches_goldens() {
                     commit_scans: 133,
                     epochs_cleared: 0,
                 },
-                image_fnv: 15_156_598_324_900_734_470,
+                image_fnv: 8_712_861_482_338_354_388,
             },
         ),
         (
             "SpecHPMT, small epochs, 40 KB hot transaction",
             &|pm| run_spec(pm, small_epochs(), 10),
             Observed {
-                now_ns: 1_061_897,
-                clwb_count: 2_897,
-                sfence_count: 149,
-                lines_persisted: 5_630,
-                bytes_stored: 272_144,
-                fence_stall_ns: 747_876,
-                log_bytes: 215_256,
-                log_peak_bytes: 135_168,
-                records_reclaimed: 91,
+                now_ns: 1_051_049,
+                clwb_count: 2_841,
+                sfence_count: 148,
+                lines_persisted: 5_564,
+                bytes_stored: 267_932,
+                fence_stall_ns: 739_848,
+                log_bytes: 211_076,
+                log_peak_bytes: 131_072,
+                records_reclaimed: 278,
                 hw: HwStats {
                     l1_hits: 156,
                     l2_hits: 162,
@@ -297,7 +307,7 @@ fn hw_sim_cost_matches_goldens() {
                     commit_scans: 133,
                     epochs_cleared: 2,
                 },
-                image_fnv: 6_766_144_509_044_937_613,
+                image_fnv: 13_211_585_110_364_524_495,
             },
         ),
         (

@@ -9,6 +9,7 @@ use specpmt::core::record::{encode_record, parse_chain, LogArea, LogEntry, LogRe
 use specpmt::core::{SpecConfig, SpecSpmt};
 use specpmt::pmem::{
     CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SplitMix64, TimingMode,
+    MAX_POOL_BYTES,
 };
 use specpmt::txn::{Recover, TxAccess, TxRuntime};
 use specpmt_check::driver::{check_crash_atomicity, StreamSpec};
@@ -150,10 +151,10 @@ impl ByteOracle {
 
 /// A fixed-seed corpus that hits every shape the word-keyed index treats
 /// specially: aligned words, unaligned and word-straddling ranges, heavy
-/// overlap, empty entries, timestamp 0, and addresses that wrap past
-/// `usize::MAX` (the index is fed crash images, whose entries can carry
-/// any address).
-fn index_corpus(seed: u64) -> Vec<LogRecord> {
+/// overlap, empty entries, timestamp 0, and ranges that run past `top`
+/// (the index is fed crash images, whose entries can carry any address
+/// an entry header encodes). With `top = usize::MAX` they wrap to 0.
+fn index_corpus(seed: u64, top: usize) -> Vec<LogRecord> {
     let mut rng = SplitMix64::new(seed);
     let mut records: Vec<LogRecord> = (0..rng.range_usize(8, 40))
         .map(|i| {
@@ -164,8 +165,8 @@ fn index_corpus(seed: u64) -> Vec<LogRecord> {
                         1 => (rng.range_usize(0, 120), rng.range_usize(1, 7)), // inside or straddling
                         2 => (rng.range_usize(0, 100), rng.range_usize(9, 27)), // several words
                         3 => (rng.range_usize(0, 127), 0),                     // empty
-                        4 => (usize::MAX - 3, 8),                              // wraps to 0..4
-                        5 => (usize::MAX - rng.range_usize(0, 20), rng.range_usize(1, 30)),
+                        4 => (top - 3, 8), // runs 4 bytes past the top
+                        5 => (top - rng.range_usize(0, 20), rng.range_usize(1, 30)),
                         _ => (64 + rng.range_usize(0, 3), rng.range_usize(1, 4)), // hot spot
                     };
                     LogEntry { addr, value: (0..len).map(|_| rng.next_u8()).collect() }
@@ -209,7 +210,7 @@ fn two_form_histories() -> Vec<Vec<LogRecord>> {
 /// hand-built histories; case `k ≥ 5` is corpus seed `k − 5`.
 #[test]
 fn freshness_index_matches_per_byte_oracle() {
-    let seeded = (0u64..48).map(|seed| index_corpus(seed ^ 0x0DDBA11));
+    let seeded = (0u64..48).map(|seed| index_corpus(seed ^ 0x0DDBA11, usize::MAX));
     for (case, records) in two_form_histories().into_iter().chain(seeded).enumerate() {
         let mut index = FreshnessIndex::default();
         let mut oracle = ByteOracle::default();
@@ -261,14 +262,14 @@ fn freshness_index_matches_per_byte_oracle() {
 }
 
 /// `forensics` runs the same index over whatever a crash image holds:
-/// on a chain whose checksum-valid records carry garbage addresses it
-/// must still return a report — and count exactly the entries the oracle
-/// calls stale.
+/// on a chain whose checksum-valid records carry garbage addresses — up to
+/// the largest offset an entry header encodes — it must still return a
+/// report, and count exactly the entries the oracle calls stale.
 #[test]
 fn inspect_reports_on_garbage_address_image() {
     use specpmt::core::PoolLayout;
     for seed in 0u64..8 {
-        let mut records = index_corpus(seed ^ 0x6A4BA6E);
+        let mut records = index_corpus(seed ^ 0x6A4BA6E, MAX_POOL_BYTES - 1);
         records.retain(|r| r.entries.iter().any(|e| !e.value.is_empty()));
         let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20).untimed()));
         let (mut free, mut dirty) = (Vec::new(), Vec::new());

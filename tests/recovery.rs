@@ -1,22 +1,26 @@
 //! Recovery boundary contracts through the facade: the documented
 //! equal-timestamp tie-break, a hand-built pool through the engine at a
-//! wider parse, torn-checkpoint fallback to full replay, a checksum-valid entry
-//! whose address range wraps, a checkpoint anchor a reclamation splice left
-//! stale — and the exact simulated time-to-recover of one deterministic
-//! 32-chain image (the cost model's goldens). Wherever
-//! an image is compared, the other side is the reference replay,
-//! `recovery::recover_image`, never the engine under another option.
+//! wider parse, torn-checkpoint fallback to full replay, a checksum-valid
+//! entry whose address range runs past the pool, a write past the 16-bit
+//! entry length, a checkpoint anchor a reclamation splice left stale — and
+//! the exact simulated time-to-recover of one deterministic 32-chain image
+//! (the cost model's goldens). Wherever an image is compared, the other
+//! side is the reference replay, `recovery::recover_image`, never the
+//! engine under another option.
 
 use specpmt::core::record::{
-    encode_record, parse_chain, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR,
+    encode_record, parse_chain, LogArea, LogEntry, LogRecord, PoolStore, BLOCK_HDR, MAX_ENTRY_LEN,
 };
 use specpmt::core::recovery::recover_image;
 use specpmt::core::{
-    recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecSpmtShared, TxHandle,
+    recover_image_opts, ConcurrentConfig, PoolLayout, RecoveryOptions, SpecConfig, SpecSpmt,
+    SpecSpmtShared, TxHandle,
 };
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SharedPmemDevice,
+    MAX_POOL_BYTES,
 };
+use specpmt::txn::{TxAccess, TxRuntime};
 
 /// A clone of `img` repaired by the reference replay.
 fn reference_of(img: &CrashImage) -> CrashImage {
@@ -116,17 +120,21 @@ fn equal_timestamp_tie_break_is_chain_index_then_position() {
 }
 
 /// A committed record is only checksum-valid, not address-valid: an entry
-/// at `usize::MAX - 3` makes `addr + len` wrap. Both recovery paths (and
-/// `inspect`) must skip it without panicking, apply its well-formed
-/// neighbours, and still agree byte for byte.
+/// at the top of the 48-bit offset space an entry header encodes runs past
+/// any pool (a 48-bit offset can no longer make `addr + len` wrap). Both
+/// recovery paths (and `inspect`) must skip it without panicking, apply
+/// its well-formed neighbours, and still agree byte for byte.
 #[test]
 fn entry_with_wrapping_address_is_skipped_not_replayed() {
     let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20)));
     let good_addr = pool.alloc_direct(8, 8).expect("alloc");
     let entry = |addr, v: u64| LogEntry { addr, value: v.to_le_bytes().to_vec() };
     let records = [
-        LogRecord { ts: 1, entries: vec![entry(usize::MAX - 3, 0xBAD), entry(good_addr, 0x600D)] },
-        LogRecord { ts: 2, entries: vec![entry(usize::MAX - 3, 0xBAD)] },
+        LogRecord {
+            ts: 1,
+            entries: vec![entry(MAX_POOL_BYTES - 4, 0xBAD), entry(good_addr, 0x600D)],
+        },
+        LogRecord { ts: 2, entries: vec![entry(MAX_POOL_BYTES - 4, 0xBAD)] },
     ];
     let (mut free, mut dirty) = (Vec::new(), Vec::new());
     let mut store = PoolStore::new(&mut pool, &mut free);
@@ -291,11 +299,14 @@ fn chain_image(rounds: usize, extra: usize) -> CrashImage {
 /// The checkpointed goldens were 310,306 / 95,266 / 72,226 while recovery
 /// parsed every chain from its head: the seek reads 191 records (11,460
 /// bytes) instead of 2,048 (122,880), and every chain here fits in one
-/// block, so it follows no forward pointer.
+/// block, so it follows no forward pointer. With 8-byte entry headers the
+/// records are 52 bytes, not 60: the seek reads 9,932 bytes, full replay
+/// 106,496, and the goldens fell from 518,096 / 68,896, 303,056 / 48,856
+/// and 280,016 / 46,696.
 #[test]
 fn recovery_sim_cost_matches_goldens() {
     const GOLDEN: [(usize, u64, u64); 3] =
-        [(1, 518_096, 68_896), (8, 303_056, 48_856), (32, 280_016, 46_696)];
+        [(1, 485_328, 65_840), (8, 298_960, 48_472), (32, 278_992, 46_600)];
     let img = chain_image(64, 0);
     let dearer = chain_image(64, 1);
     let reference = reference_of(&img);
@@ -337,7 +348,8 @@ fn recovery_sim_cost_matches_goldens() {
 #[test]
 fn checkpointed_replay_cost_is_flat_in_log_size() {
     const CKPT_REPLAY_NS: u64 = 43_656;
-    const CKPT_BYTES_PARSED: u64 = 11_460;
+    // 191 records of 52 bytes (60 before entry headers shrank to 8 bytes).
+    const CKPT_BYTES_PARSED: u64 = 9_932;
     let opts = RecoveryOptions::parallel(32);
     for (rounds, seek_hops) in [(16, 0), (64, 0), (256, 96)] {
         let img = chain_image(rounds, 0);
@@ -437,11 +449,11 @@ fn a_reclaim_splice_leaves_a_stale_anchor_that_recovery_does_not_follow() {
 }
 
 /// The block a checkpoint anchor names never comes back to a chain while
-/// that checkpoint is the durable one. Chain 0's 21st record — its anchor
-/// — starts 96 bytes into its fourth block. The splice leaves one record
+/// that checkpoint is the durable one. Chain 0's 23rd record — its anchor
+/// — starts 88 bytes into its fourth block. The splice leaves one record
 /// on chain 0 and takes the four old blocks off it; six more commits fill
 /// the new block and spill into a block from the free list, leaving the
-/// live stream's terminator at 56 in it. Were that the anchor's block (the
+/// live stream's terminator at 28 in it. Were that the anchor's block (the
 /// old tail, the last block the splice freed), its anchored record would
 /// sit intact past the terminator, on the live chain: a seek that trusted
 /// it would read nothing after it and drop all six commits. The block is
@@ -449,18 +461,18 @@ fn a_reclaim_splice_leaves_a_stale_anchor_that_recovery_does_not_follow() {
 /// recovery reads chain 0 from its head.
 #[test]
 fn a_spill_never_reuses_the_block_a_durable_anchor_names() {
-    let (dev, shared, mut handles, base) = anchored_runtime(21);
+    let (dev, shared, mut handles, base) = anchored_runtime(23);
     let anchored = dev.capture(CrashPolicy::AllLost);
     let layout = PoolLayout::read(&anchored).expect("formatted");
     let old_blocks = chain_blocks(&anchored, layout.head(&anchored, 0));
     let old_chain = parse_chain(&anchored, old_blocks[0], STALE_BLOCK);
-    // Every record is the same size, so the anchor starts 20 of them into
+    // Every record is the same size, so the anchor starts 22 of them into
     // the chain's stream of block bodies.
-    let record_bytes = encode_record(&old_chain[20]).len();
-    let (offset, body) = (20 * record_bytes, STALE_BLOCK - BLOCK_HDR);
+    let record_bytes = encode_record(&old_chain[22]).len();
+    let (offset, body) = (22 * record_bytes, STALE_BLOCK - BLOCK_HDR);
     let tail = old_blocks[offset / body];
     let at = tail + BLOCK_HDR + offset % body;
-    assert_eq!((old_blocks.len(), offset / body, at - tail), (4, 3, 96), "anchor in the tail");
+    assert_eq!((old_blocks.len(), offset / body, at - tail), (4, 3, 88), "anchor in the tail");
     let anchor_bytes = anchored.read_bytes(at, record_bytes).to_vec();
 
     shared.reclaim_cycle();
@@ -533,5 +545,57 @@ fn a_chain_scanned_empty_still_bounds_the_checkpoint_watermark() {
             recovered.read_u64(base)
         );
         assert_eq!((recovered.read_u64(base), recovered.read_u64(base + 8)), (0xa0a0, 0xb0b0));
+    }
+}
+
+/// Two transactions past the 16-bit entry length, on `a` over the region
+/// at `base`: one write of two full entries and a rest, then 70 adjacent
+/// 1,000-byte writes whose extension of one entry stops at the bound.
+/// Returns the bytes the region must recover to.
+fn write_past_the_entry_bound<A: TxAccess>(a: &mut A, base: usize) -> Vec<u8> {
+    let long: Vec<u8> = (0..2 * MAX_ENTRY_LEN + 1_000).map(|i| (i % 253) as u8).collect();
+    a.begin();
+    a.write(base, &long);
+    a.commit();
+    let run = base + long.len();
+    a.begin();
+    for k in 0..70 {
+        a.write(run + 1_000 * k, &[k as u8 + 1; 1_000]);
+    }
+    a.commit();
+    let mut want = long;
+    (0..70u8).for_each(|k| want.extend_from_slice(&[k + 1; 1_000]));
+    want
+}
+
+/// A write longer than an entry holds is logged as consecutive entries,
+/// and an extension that would pass the bound opens a new one: on the
+/// sequential runtime and on a shared-runtime handle, the five entries
+/// (three for the long write, two for the run) replay through the engine
+/// to the reference's image, which holds every byte written.
+#[test]
+fn a_write_past_the_entry_bound_splits_into_entries_that_replay() {
+    let spec_cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
+    let mut rt =
+        SpecSpmt::new(PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 20))), spec_cfg);
+    let base = rt.setup_alloc(256 << 10, 64);
+    let seq_want = write_past_the_entry_bound(&mut rt, base);
+    let seq = (rt.pool().device().capture(CrashPolicy::AllLost), base, seq_want);
+
+    let dev = SharedPmemDevice::new(PmemConfig::new(1 << 20));
+    let cfg = ConcurrentConfig::builder().threads(1).reclaim_threshold_bytes(usize::MAX).build();
+    let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
+    let base = shared.pool().alloc_direct(256 << 10, 64).expect("alloc");
+    let shared_want = write_past_the_entry_bound(&mut shared.tx_handle(0), base);
+    let mt = (dev.capture(CrashPolicy::AllLost), base, shared_want);
+
+    for (name, (img, base, want)) in [("SpecSpmt", seq), ("TxHandle", mt)] {
+        let chain = &specpmt::core::forensics(&img).chains[0];
+        assert_eq!((chain.records, chain.entries), (2, 5), "{name}");
+        let reference = reference_of(&img);
+        assert_eq!(reference.read_bytes(base, want.len()), &want[..], "{name}");
+        let (rep, recovered) = recover_clone(&img, &RecoveryOptions::default());
+        assert_eq!(rep.records_replayed, 2, "{name}");
+        assert!(recovered == reference, "{name}: the engine diverged from the reference");
     }
 }
