@@ -106,9 +106,8 @@ impl TxAccess for Spht {
     fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
         let Self { pool, chain, log, overlay, pending_data, stats, .. } = self;
-        let mut store = PoolStore::new(pool, &mut chain.free_blocks);
         if !log.reserved() {
-            log.reserve(&mut store, &mut chain.area);
+            log.reserve(&chain.area);
         }
         // Update the DRAM snapshot (no PM data write on the critical
         // path; the replayer applies it later). Charge the store cost the
@@ -116,11 +115,11 @@ impl TxAccess for Spht {
         for (i, &b) in data.iter().enumerate() {
             overlay.insert(addr + i, b);
         }
-        let word_ns = store.pool.device().config().store_word_ns;
-        store.pool.device_mut().advance(data.len().div_ceil(8) as u64 * word_ns);
+        let word_ns = pool.device().config().store_word_ns;
+        pool.device_mut().advance(data.len().div_ceil(8) as u64 * word_ns);
         stats.updates += 1;
         stats.data_bytes += data.len() as u64;
-        stats.log_bytes += log.stage(&mut store, &mut chain.area, addr, data) as u64;
+        stats.log_bytes += log.stage(addr, data) as u64;
         pending_data.push((addr, data.len()));
     }
 

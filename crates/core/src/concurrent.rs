@@ -36,9 +36,10 @@
 //!
 //! An entry may be dropped only when a *younger committed* record covers
 //! every byte it logs — never because of an in-flight transaction. The
-//! daemon builds its index from committed records only (an open record has
-//! a zeroed header, which terminates parsing), and a chain with an open
-//! transaction is skipped entirely in the compaction phase. A *stale* index
+//! daemon builds its index from committed records only (an open record is
+//! not in the chain until its seal, and parsing stops at the terminator),
+//! and a chain with an open transaction is skipped entirely in the
+//! compaction phase. A *stale* index
 //! is safe: records committed after the scan are simply treated as fresh.
 //!
 //! # Lock ordering
@@ -71,7 +72,7 @@ use crate::layout::PoolLayout;
 use crate::reclaim::{settled_bound, ReclaimState, ReclaimStats};
 use crate::record::{
     encode_checkpoint, record_checksum, stream_cursor, Anchor, Entries, EntryRef, LogArea,
-    LogStore, RecordReader, RunEncoder, SharedStore, MAX_ENTRY_LEN, MAX_RECORD_PAYLOAD, REC_HDR,
+    RecordReader, RunEncoder, SharedStore, MAX_ENTRY_LEN, MAX_RECORD_PAYLOAD, REC_HDR,
 };
 use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 
@@ -261,8 +262,8 @@ impl From<SharedPmemPool> for PoolSource {
 #[derive(Debug)]
 struct AreaState {
     area: LogArea,
-    /// A record is open on this chain (its newest record has a zeroed
-    /// header): set when a transaction's first write reserves the header,
+    /// A record is open on this chain (reserved at its tail, not yet
+    /// appended): set when a transaction's first write reserves it,
     /// cleared when it seals. The daemon must skip the chain while set; a
     /// transaction that has only read never sets it.
     open: bool,
@@ -1050,8 +1051,8 @@ impl TxHandle {
     }
 
     /// Starts a transaction. Volatile only: the log is not touched until
-    /// the first [`write`](Self::write) reserves the record header, so a
-    /// transaction that never writes costs the device nothing.
+    /// the seal, and the first [`write`](Self::write) reserves the record,
+    /// so a transaction that never writes costs the device nothing.
     ///
     /// # Panics
     ///
@@ -1068,11 +1069,12 @@ impl TxHandle {
     /// transaction: in-place data update (never flushed by SpecSPMT) plus a
     /// speculative log entry of the new value.
     ///
-    /// The transaction's first write reserves its record header at the
-    /// chain tail. From there until the seal the chain is `open`: the
-    /// daemon skips it, and the flight recorder (whose `tx_begin` is
-    /// emitted at the reservation) counts the transaction as in flight,
-    /// i.e. as one that can have bytes in PM.
+    /// The transaction's first write reserves its record at the chain
+    /// tail, the only write that takes the slot's lock. From there until
+    /// the seal the chain is `open`: the daemon skips it, and the flight
+    /// recorder (whose `tx_begin` is emitted at the reservation) counts
+    /// the transaction as in flight, i.e. as one that can have bytes in
+    /// PM. The entries stay in the write set until the seal appends them.
     ///
     /// # Panics
     ///
@@ -1082,12 +1084,11 @@ impl TxHandle {
         assert!(self.in_tx, "write outside transaction");
         let shared = &*self.shared;
         let tid = self.tid;
-        let mut st = self.area.lock();
-        let mut store = shared.store(&self.dev);
         if !self.log.reserved() {
+            let mut st = self.area.lock();
             assert!(!st.open, "thread slot {} already has an open transaction", self.tid);
             st.open = true;
-            self.log.reserve(&mut store, &mut st.area);
+            self.log.reserve(&st.area);
             if let Some(bb) = &shared.bbox {
                 bb.record(&self.dev, tid, BbKind::TxBegin, 0, 0, 0);
             }
@@ -1103,8 +1104,8 @@ impl TxHandle {
             self.dev.peek_into(addr, &mut self.undo_data[off..]);
             self.undo_addrs.push((addr, off, data.len()));
         }
-        store.store(addr, data);
-        self.log.stage(&mut store, &mut st.area, addr, data);
+        self.dev.write(addr, data);
+        self.log.stage(addr, data);
     }
 
     /// Reads `buf.len()` bytes at `addr` (direct in-place access — SpecPMT

@@ -1,22 +1,21 @@
 //! The SpecPMT record protocol (paper §4), written once over [`LogStore`].
 //!
-//! A writing transaction *reserves* a record header at its chain's tail,
-//! *stages* each update, *seals* the record with `(len, ts, checksum)` and
-//! *drains* it with one vectored flush and one fence. [`crate::SpecSpmt`],
-//! [`crate::TxHandle`] and the SPHT comparator all run [`TxLog`], so they
-//! issue the same device operations in the same order. What differs
-//! between them — where a write's data goes, timestamp source, chain
-//! ownership and locking, group commit, flight recorder, statistics —
-//! stays with them and comes in as values.
+//! A writing transaction *reserves* its record at the first write (it
+//! notes the chain tail; nothing is stored), *stages* each update into its
+//! [`WriteSet`] — the record's only copy until commit — and at commit
+//! *seals* the record with `(len, ts, checksum)`, *appends* header,
+//! payload and terminator at the tail in one store run, and *drains* the
+//! lines that run dirtied with one vectored flush and one fence.
+//! [`crate::SpecSpmt`], [`crate::TxHandle`] and the SPHT comparator all
+//! run [`TxLog`], so they issue the same device operations in the same
+//! order. What differs between them — where a write's data goes,
+//! timestamp source, chain ownership and locking, group commit, flight
+//! recorder, statistics — stays with them and comes in as values.
 
 use specpmt_pmem::{coalesce_lines, FenceReport, Site};
 use specpmt_telemetry::{Phase, Telemetry};
 
-use std::mem::offset_of;
-
-use crate::record::{
-    entry_pieces, Cursor, EntryHeader, LogArea, LogStore, RecordHeader, ENTRY_HDR, REC_HDR,
-};
+use crate::record::{entry_pieces, Cursor, LogArea, LogStore, RecordHeader};
 use crate::writeset::WriteSet;
 
 /// Where one runtime's commits are observed: its commit crash sites and
@@ -26,7 +25,7 @@ use crate::writeset::WriteSet;
 pub struct Probe<'a> {
     /// Header computed, nothing stored yet.
     pub seal: Option<Site>,
-    /// Header and terminator stored, unflushed.
+    /// Record and terminator stored, unflushed.
     pub append: Option<Site>,
     /// Flushes issued, fence pending.
     pub flush: Option<Site>,
@@ -60,19 +59,17 @@ pub(crate) fn record_drain(tel: &Telemetry, tid: usize, fr: FenceReport) {
 pub struct TxLog {
     /// SpecSPMT-DP: data lines are flushed too, with a second fence.
     data_persistence: bool,
-    /// Where the open transaction's record header sits in the chain.
+    /// The chain tail the open transaction's record will be appended at.
     /// `None` until the first write reserves it: a transaction that never
     /// writes never touches the log, and only a reserved record pins the
     /// chain against reclamation.
     tx_start: Option<Cursor>,
-    /// Write set (paper §4: only the last update of a datum in a
-    /// transaction needs a log entry), see [`crate::writeset`].
+    /// The open record's payload (paper §4: only the last update of a
+    /// datum in a transaction needs a log entry), see [`crate::writeset`].
     ws: WriteSet,
-    /// Where the length field of the open record's last entry header
-    /// sits in the chain: an [extension](WriteSet::extend_tail) rewrites it.
-    tail_len: Cursor,
-    /// Dirty `(addr, len)` log ranges of the open transaction; coalesced
-    /// into one vectored flush at commit.
+    /// Dirty `(addr, len)` log ranges of the sealed record, one per block
+    /// its store run touched plus a spill's link; coalesced into one
+    /// vectored flush at commit.
     dirty: Vec<(usize, usize)>,
     /// DP only: the `(addr, len)` data ranges stored, coalesced into the
     /// second vectored flush at commit.
@@ -87,14 +84,13 @@ impl TxLog {
             data_persistence,
             tx_start: None,
             ws: WriteSet::new(),
-            tail_len: Cursor { block: 0, pos: 0 },
             dirty: Vec::new(),
             data: Vec::new(),
         }
     }
 
     /// Starts a transaction. Volatile only: the log is not touched until
-    /// the first write [reserves](Self::reserve) the record.
+    /// the seal.
     pub fn begin(&mut self) {
         self.ws.begin();
         self.dirty.clear();
@@ -106,79 +102,55 @@ impl TxLog {
         self.tx_start.is_some()
     }
 
-    /// Reserves the record header at the chain tail (zero length marks it
-    /// open/uncommitted) — the first write's job, ahead of its data store
-    /// and entry stores: one device-op order for every writing
-    /// transaction.
-    pub fn reserve<S: LogStore>(&mut self, store: &mut S, area: &mut LogArea) {
+    /// Reserves the record at the chain tail — the first write's job. It
+    /// only notes where the seal will append: the owner keeps the chain
+    /// from moving until then (the shared runtime marks it `open`).
+    pub fn reserve(&mut self, area: &LogArea) {
         self.tx_start = Some(area.tail());
-        area.append(store, &[0u8; REC_HDR], &mut self.dirty);
     }
 
-    /// Logs one durable write: the entry of the *new* value — no flush,
-    /// no fence. The caller stores the data itself (in place, never
-    /// flushed by SpecSPMT; SPHT into its DRAM overlay), after the
-    /// [reservation](Self::reserve) and before this. A write longer than
-    /// [`MAX_ENTRY_LEN`](crate::record::MAX_ENTRY_LEN) is logged as
+    /// Logs one durable write into the write set: the entry of the *new*
+    /// value — no store, no flush, no fence. The caller stores the data
+    /// itself (in place, never flushed by SpecSPMT; SPHT into its DRAM
+    /// overlay) after the [reservation](Self::reserve). A write longer
+    /// than [`MAX_ENTRY_LEN`](crate::record::MAX_ENTRY_LEN) is logged as
     /// consecutive entries, one per piece (`entry_pieces`), each staged as
-    /// below. Returns the log bytes appended, per piece:
+    /// below. Returns the bytes the record grew by, summed over the pieces:
     /// - 0 when a repeated same-length update of a datum overwrites its
     ///   bytes in place, which no later entry overlaps
     ///   ([`WriteSet::patchable`]);
     /// - the value length when the write starts where the record's last
-    ///   entry ends and that entry stays within `MAX_ENTRY_LEN`: the
-    ///   value is appended and that entry's length rewritten
-    ///   ([`WriteSet::extend_tail`]), so a contiguous run of writes pays
-    ///   one entry header;
-    /// - [`ENTRY_HDR`] plus the value length for a new entry.
-    ///
-    /// The record header reads zero length until the seal, so a crash
-    /// between an extension's value append and its length rewrite leaves
-    /// an unsealed record, like any in-flight write.
-    pub fn stage<S: LogStore>(
-        &mut self,
-        store: &mut S,
-        area: &mut LogArea,
-        addr: usize,
-        data: &[u8],
-    ) -> usize {
+    ///   entry ends and that entry stays within `MAX_ENTRY_LEN`: the entry
+    ///   grows ([`WriteSet::extend_tail`]), so a contiguous run of writes
+    ///   pays one entry header;
+    /// - [`ENTRY_HDR`](crate::record::ENTRY_HDR) plus the value length for
+    ///   a new entry.
+    pub fn stage(&mut self, addr: usize, data: &[u8]) -> usize {
         if self.data_persistence {
             self.data.push((addr, data.len()));
         }
-        entry_pieces(addr, data)
-            .map(|(addr, piece)| self.stage_piece(store, area, addr, piece))
-            .sum()
+        let before = self.ws.payload().len();
+        for (addr, piece) in entry_pieces(addr, data) {
+            self.stage_piece(addr, piece);
+        }
+        self.ws.payload().len() - before
     }
 
-    /// [`Self::stage`] of one piece of at most `MAX_ENTRY_LEN` bytes.
-    fn stage_piece<S: LogStore>(
-        &mut self,
-        store: &mut S,
-        area: &mut LogArea,
-        addr: usize,
-        data: &[u8],
-    ) -> usize {
+    /// [`Self::stage`] of one piece of at most `MAX_ENTRY_LEN` bytes:
+    /// patch, else extend, else a new entry.
+    fn stage_piece(&mut self, addr: usize, data: &[u8]) {
         if let Some(slot) = self.ws.patchable(addr, data.len()) {
             self.ws.patch(slot, data);
-            area.write_at(store, slot.value_cursor, data, &mut self.dirty);
-            return 0;
+        } else if !self.ws.extend_tail(addr, data) {
+            self.ws.stage_entry(addr, data);
         }
-        if let Some(len_field) = self.ws.extend_tail(addr, data, area.tail()) {
-            area.append(store, data, &mut self.dirty);
-            area.write_at(store, self.tail_len, len_field, &mut self.dirty);
-            return data.len();
-        }
-        area.append(store, &EntryHeader::new(addr, data.len()).encode(), &mut self.dirty);
-        self.tail_len = area.behind_tail(ENTRY_HDR - offset_of!(EntryHeader, len));
-        let value_cursor = area.tail();
-        area.append(store, data, &mut self.dirty);
-        self.ws.stage(addr, data, value_cursor);
-        ENTRY_HDR + data.len()
     }
 
-    /// Seals the reserved record as committed at `ts`: patches in the
-    /// header (its checksum hashed over the staged payload in one pass)
-    /// and writes the terminator after the record. Nothing is flushed yet.
+    /// Seals the reserved record as committed at `ts` (its checksum hashed
+    /// over the staged payload in one pass) and appends header, payload
+    /// and terminator at the tail: the record's only log stores. Their
+    /// dirty ranges are the commit's whole flush plan. Nothing is flushed
+    /// yet.
     ///
     /// # Panics
     ///
@@ -188,14 +160,15 @@ impl TxLog {
     /// younger record behind it).
     pub fn seal<S: LogStore>(&mut self, store: &mut S, area: &mut LogArea, ts: u64, p: Probe<'_>) {
         let tx_start = self.tx_start.take().expect("seal of a transaction that reserved no record");
-        let payload_len = self.ws.payload().len();
+        debug_assert_eq!(area.tail(), tx_start, "the chain moved under an open record");
+        let payload = self.ws.payload();
         let seal_span = p.tel.registry.span(p.tid, Phase::Seal);
-        let header = RecordHeader { len: payload_len as u32, ts, checksum: self.ws.checksum(ts) };
+        let header = RecordHeader { len: payload.len() as u32, ts, checksum: self.ws.checksum(ts) };
         seal_span.stop();
         crash_point(store, p.seal);
         let append_span = p.tel.registry.span(p.tid, Phase::Append);
-        let wrote = area.write_at(store, tx_start, &header.encode(), &mut self.dirty);
-        assert_eq!(wrote, REC_HDR, "record header must fit in the chain");
+        area.append(store, &header.encode(), &mut self.dirty);
+        area.append(store, payload, &mut self.dirty);
         area.write_terminator(store, &mut self.dirty);
         append_span.stop();
         crash_point(store, p.append);

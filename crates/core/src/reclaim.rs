@@ -65,10 +65,10 @@
 //!   the **suffix cursor** — where the previous parse stopped — and only
 //!   those records are parsed, cached and fed to the index. This is
 //!   sound because a chain is **append-only between splices**: a commit
-//!   reserves its header at the tail and later patches that header and its
-//!   own entries, an abort seals a compensating record the same way, and
-//!   group commit only defers the fence — all of them write at or after
-//!   the first unsealed record, which is exactly where a parse stops. Only
+//!   appends its sealed record at the tail, an abort seals a compensating
+//!   record the same way, and group commit only defers the fence — all of
+//!   them write at or after the chain's terminator, which is exactly where
+//!   a parse stops. Only
 //!   a splice installs a different chain, and a splice goes through
 //!   `ReclaimState::spliced`, which re-bases the cursor on the new
 //!   chain's tail (a `head` the cache does not know forces a full parse);

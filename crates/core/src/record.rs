@@ -789,8 +789,6 @@ pub(crate) fn read_checkpoint<S: ByteSource>(
 pub trait LogStore {
     /// Stores `data` at `addr` in the volatile image.
     fn store(&mut self, addr: usize, data: &[u8]);
-    /// Reads a `u64` at `addr` without charging cost (pointer chasing).
-    fn load_u64(&self, addr: usize) -> u64;
     /// Allocates one log block of `block_bytes` (reusing freed blocks where
     /// available).
     ///
@@ -849,10 +847,6 @@ impl LogStore for PoolStore<'_> {
         self.pool.device_mut().write(addr, data);
     }
 
-    fn load_u64(&self, addr: usize) -> u64 {
-        self.pool.device().peek_u64(addr)
-    }
-
     fn take_block(&mut self, block_bytes: usize) -> usize {
         take_block(self.free, block_bytes, |bytes, align| self.pool.alloc_direct(bytes, align))
     }
@@ -888,10 +882,6 @@ pub struct SharedStore<'a> {
 impl LogStore for SharedStore<'_> {
     fn store(&mut self, addr: usize, data: &[u8]) {
         self.handle.write(addr, data);
-    }
-
-    fn load_u64(&self, addr: usize) -> u64 {
-        self.handle.peek_u64(addr)
     }
 
     fn take_block(&mut self, block_bytes: usize) -> usize {
@@ -939,7 +929,7 @@ pub struct LogArea {
     tail: Cursor,
     block_bytes: usize,
     blocks: Vec<usize>,
-    /// Mutation generation: bumped on every append / in-place patch. The
+    /// Mutation generation: bumped on every append. The
     /// pair `(head, generation)` is the chain's change watermark —
     /// reclamation caches parsed records per chain and skips re-parsing
     /// (and, when nothing was dropped last time, rewriting) chains whose
@@ -982,18 +972,6 @@ impl LogArea {
     /// Current append position.
     pub fn tail(&self) -> Cursor {
         self.tail
-    }
-
-    /// The position `n` bytes before the tail, stepping back across block
-    /// boundaries; `n` must not reach past the chain's first byte.
-    pub(crate) fn behind_tail(&self, mut n: usize) -> Cursor {
-        let (mut i, mut pos) = (self.blocks.len() - 1, self.tail.pos);
-        while n > pos - BLOCK_HDR {
-            n -= pos - BLOCK_HDR;
-            i -= 1;
-            pos = self.block_bytes;
-        }
-        Cursor { block: self.blocks[i], pos: pos - n }
     }
 
     /// Number of blocks in the chain.
@@ -1052,47 +1030,21 @@ impl LogArea {
         self.tail = Cursor { block: nb, pos: BLOCK_HDR };
     }
 
-    /// Writes `bytes` at `cursor` (an earlier position in this chain),
-    /// following existing forward pointers. Returns the number of bytes
-    /// written (less than `bytes.len()` only if the chain ends — callers
-    /// patching record headers must never hit that).
-    pub fn write_at<S: LogStore>(
-        &mut self,
-        store: &mut S,
-        mut cursor: Cursor,
-        bytes: &[u8],
-        dirty: &mut Vec<(usize, usize)>,
-    ) -> usize {
-        self.generation += 1;
-        let mut off = 0;
-        while off < bytes.len() {
-            if cursor.pos >= self.block_bytes {
-                let next = store.load_u64(cursor.block + offset_of!(BlockHeader, next)) as usize;
-                if next == 0 {
-                    break;
-                }
-                cursor = Cursor { block: next, pos: BLOCK_HDR };
-            }
-            let n = (self.block_bytes - cursor.pos).min(bytes.len() - off);
-            let addr = cursor.block + cursor.pos;
-            store.store(addr, &bytes[off..off + n]);
-            dirty.push((addr, n));
-            cursor.pos += n;
-            off += n;
-        }
-        off
-    }
-
-    /// Writes the 4-byte zero terminator at the tail **without** advancing
-    /// it (the next record's header overwrites it in place). Bytes that
-    /// would fall past the last block are dropped — parsing stops at the
-    /// chain end anyway.
+    /// Stores the 4-byte zero terminator at the tail **without** advancing
+    /// it (the next record's header overwrites it in place). The tail block
+    /// is the chain's last, so bytes past its end are dropped — parsing
+    /// stops at the chain end anyway.
     pub fn write_terminator<S: LogStore>(
         &mut self,
         store: &mut S,
         dirty: &mut Vec<(usize, usize)>,
     ) {
-        self.write_at(store, self.tail, &[0u8; 4], dirty);
+        let n = self.block_bytes.saturating_sub(self.tail.pos).min(4);
+        if n > 0 {
+            let addr = self.tail.block + self.tail.pos;
+            store.store(addr, &[0u8; 4][..n]);
+            dirty.push((addr, n));
+        }
     }
 }
 
@@ -1228,26 +1180,6 @@ pub(crate) mod tests {
         // Terminates (no hang); the self-loop yields garbage that fails
         // checksum or len checks quickly.
         assert!(parsed.len() < 10_000);
-    }
-
-    #[test]
-    fn write_at_patches_earlier_bytes_across_blocks() {
-        let mut pool = pool();
-        let mut free = Vec::new();
-        let mut dirty = Vec::new();
-        let mut area = LogArea::create(&mut PoolStore::new(&mut pool, &mut free), BB, &mut dirty);
-        let start = area.tail();
-        area.append(&mut PoolStore::new(&mut pool, &mut free), &vec![0u8; 2 * BB], &mut dirty);
-        let patch = vec![0xEE; 200];
-        let n = area.write_at(&mut PoolStore::new(&mut pool, &mut free), start, &patch, &mut dirty);
-        assert_eq!(n, 200);
-        // Verify via a reader.
-        let mut r =
-            StreamReader::at(pool.device(), Cursor { block: area.head(), pos: BLOCK_HDR }, BB)
-                .expect("valid head");
-        let mut buf = vec![0u8; 200];
-        assert!(r.read(&mut buf));
-        assert_eq!(buf, patch);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use specpmt_txn::{Recover, TxAccess, TxRuntime, TxStats};
 use crate::engine::{Probe, TxLog};
 use crate::layout::{PoolLayout, SingleChain};
 use crate::reclaim::{ReclaimState, ReclaimStats};
-use crate::record::{LogArea, LogStore, PoolStore, MAX_RECORD_PAYLOAD, REC_HDR};
+use crate::record::{LogArea, PoolStore, MAX_RECORD_PAYLOAD, REC_HDR};
 use crate::recovery;
 
 /// The runtime's one chain slot and telemetry shard.
@@ -306,26 +306,23 @@ impl TxAccess for SpecSpmt {
     fn begin(&mut self) {
         assert!(!self.in_tx, "nested transaction on thread 0");
         self.stats.tx_begun += 1;
-        // Volatile only: the log is not touched until the first write
-        // reserves the record header.
+        // Volatile only: the log is not touched until the seal.
         self.log.begin();
         self.in_tx = true;
     }
 
     fn write(&mut self, addr: usize, data: &[u8]) {
         assert!(self.in_tx, "write outside transaction");
-        let Self { pool, free_blocks, area, log, stats, tel, .. } = self;
-        let mut store = PoolStore::new(pool, free_blocks);
-        if !log.reserved() {
-            log.reserve(&mut store, area);
+        if !self.log.reserved() {
+            self.log.reserve(&self.area);
         }
         // Write-set build phase: everything staged between begin and seal
         // (in-place store + log staging + dedup bookkeeping).
-        let _ws_span = tel.registry.span(TID, Phase::Writeset);
-        stats.updates += 1;
-        stats.data_bytes += data.len() as u64;
-        store.store(addr, data);
-        stats.log_bytes += log.stage(&mut store, area, addr, data) as u64;
+        let _ws_span = self.tel.registry.span(TID, Phase::Writeset);
+        self.stats.updates += 1;
+        self.stats.data_bytes += data.len() as u64;
+        self.pool.device_mut().write(addr, data);
+        self.stats.log_bytes += self.log.stage(addr, data) as u64;
     }
 
     fn read(&mut self, addr: usize, buf: &mut [u8]) {

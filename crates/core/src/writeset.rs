@@ -1,14 +1,14 @@
-//! Zero-allocation transaction write set.
+//! Zero-allocation transaction write set: the open record's payload.
 //!
-//! The original runtime kept, per transaction, a fresh
-//! `HashMap<usize, EntrySlot>` for write-set indexing plus a `Vec<u8>`
-//! payload staging buffer — both allocated (and the map re-hashed with a
-//! SipHash-grade hasher) on every transaction. At the paper's transaction
-//! sizes (a handful of small writes) the allocator and hasher dominate the
-//! instruction count of `begin`/`write`.
+//! A writing transaction's log record is built here and nowhere else
+//! until it commits. Each write is staged into the payload arena — a new
+//! entry, an extension of the last entry, or an in-place patch of an
+//! earlier one — and [`crate::engine::TxLog`] appends the finished
+//! payload, behind its sealed header, to the chain in one store run at the
+//! seal. No log store is issued before then.
 //!
-//! [`WriteSet`] replaces both with structures that are **owned by the
-//! runtime and reused across transactions**:
+//! The structures are **owned by the runtime and reused across
+//! transactions**:
 //!
 //! * an open-addressing index (linear probing, Fibonacci hashing) whose
 //!   slots carry a *stamp*: `begin()` bumps the stamp instead of zeroing
@@ -38,8 +38,6 @@ pub struct EntrySlot {
     pub payload_off: usize,
     /// Value length in bytes.
     pub len: usize,
-    /// Log-chain cursor of the value bytes (for write-through patching).
-    pub value_cursor: Cursor,
     /// Offset of the header of the entry holding the bytes.
     pub entry_off: usize,
 }
@@ -53,16 +51,8 @@ struct Slot {
     entry: EntrySlot,
 }
 
-const EMPTY_SLOT: Slot = Slot {
-    addr: 0,
-    stamp: 0,
-    entry: EntrySlot {
-        payload_off: 0,
-        len: 0,
-        value_cursor: Cursor { block: 0, pos: 0 },
-        entry_off: 0,
-    },
-};
+const EMPTY_SLOT: Slot =
+    Slot { addr: 0, stamp: 0, entry: EntrySlot { payload_off: 0, len: 0, entry_off: 0 } };
 
 /// Reusable write-set: open-addressing index + payload arena. See the
 /// module docs for the design rationale.
@@ -153,46 +143,44 @@ impl WriteSet {
 
     /// Stages a fresh entry for `addr`: appends the entry header and
     /// `data`, at most [`MAX_ENTRY_LEN`] bytes, to the payload arena and
-    /// indexes the entry. `value_cursor` is the log-chain cursor where the
-    /// value bytes will land (captured by the caller from the log area).
-    ///
-    /// Returns the [`EntrySlot`] recorded for the entry.
-    pub fn stage(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> EntrySlot {
+    /// indexes the entry. Returns the [`EntrySlot`] recorded for it.
+    pub fn stage_entry(&mut self, addr: usize, data: &[u8]) -> EntrySlot {
         let entry_off = self.payload.len();
         self.payload.extend_from_slice(&EntryHeader::new(addr, data.len()).encode());
         self.payload.extend_from_slice(data);
         self.tail = Some((entry_off, addr + data.len()));
-        let entry = EntrySlot {
-            payload_off: entry_off + ENTRY_HDR,
-            len: data.len(),
-            value_cursor,
-            entry_off,
-        };
+        let entry = EntrySlot { payload_off: entry_off + ENTRY_HDR, len: data.len(), entry_off };
         self.insert(addr, entry);
         entry
+    }
+
+    /// [`Self::stage_entry`] under the signature `benchmark/`'s write-set
+    /// probe times. The cursor is unused: no log chain mirrors the arena
+    /// as it grows.
+    pub fn stage(&mut self, addr: usize, data: &[u8], _cursor: Cursor) -> EntrySlot {
+        self.stage_entry(addr, data)
     }
 
     /// Appends `data` to the tail entry when `addr` is where that entry
     /// ends and the grown entry stays within [`MAX_ENTRY_LEN`]: the arena
     /// grows by the value bytes alone and the entry's length is rewritten.
     /// The tail entry is the payload's last, so the grown entry replays
-    /// exactly as the two writes would, in write order. `value_cursor` is
-    /// the log-chain cursor where the bytes will land. Returns the grown
-    /// entry's rewritten length field, the bytes a log mirroring the arena
-    /// rewrites, or `None` (nothing staged) when `addr` does not continue
-    /// the tail entry or the entry has no room for `data`.
-    pub fn extend_tail(&mut self, addr: usize, data: &[u8], value_cursor: Cursor) -> Option<&[u8]> {
+    /// exactly as the two writes would, in write order. Returns `false`
+    /// (nothing staged) when `addr` does not continue the tail entry or the
+    /// entry has no room for `data`.
+    pub fn extend_tail(&mut self, addr: usize, data: &[u8]) -> bool {
         let payload_off = self.payload.len();
-        let (entry_off, _) = self.tail.filter(|&(off, end)| {
+        let Some((entry_off, _)) = self.tail.filter(|&(off, end)| {
             end == addr && payload_off + data.len() - off - ENTRY_HDR <= MAX_ENTRY_LEN
-        })?;
+        }) else {
+            return false;
+        };
         self.payload.extend_from_slice(data);
         let len = self.payload.len() - entry_off - ENTRY_HDR;
-        let len_field = entry_off + offset_of!(EntryHeader, len)..entry_off + ENTRY_HDR;
-        Writer::new(&mut self.payload[len_field.clone()]).put(len as u16);
+        Writer::new(&mut self.payload[entry_off + offset_of!(EntryHeader, len)..]).put(len as u16);
         self.tail = Some((entry_off, addr + data.len()));
-        self.insert(addr, EntrySlot { payload_off, len: data.len(), value_cursor, entry_off });
-        Some(&self.payload[len_field])
+        self.insert(addr, EntrySlot { payload_off, len: data.len(), entry_off });
+        true
     }
 
     /// The staged write that a write of `len` bytes at `addr` may
@@ -208,16 +196,15 @@ impl WriteSet {
         (!later.any(|e| e.addr < addr + len && addr < e.addr + e.value.len())).then_some(slot)
     }
 
-    /// Adds a write to a set that no log chain mirrors as it grows (one
-    /// encoded into its record only at commit), one piece (`entry_pieces`)
-    /// at a time: overwrites the entry [`Self::patchable`] names, else
-    /// stages a new one.
+    /// Adds a write one piece (`entry_pieces`) at a time, without
+    /// extending entries: overwrites the entry [`Self::patchable`] names,
+    /// else stages a new one.
     pub fn coalesce(&mut self, addr: usize, data: &[u8]) {
         for (addr, piece) in entry_pieces(addr, data) {
             match self.patchable(addr, piece.len()) {
                 Some(slot) => self.patch(slot, piece),
                 None => {
-                    self.stage(addr, piece, Cursor { block: 0, pos: 0 });
+                    self.stage_entry(addr, piece);
                 }
             }
         }
@@ -285,16 +272,12 @@ mod tests {
     use super::*;
     use crate::record;
 
-    fn cur(n: usize) -> Cursor {
-        Cursor { block: n, pos: 0 }
-    }
-
     #[test]
     fn stage_lookup_roundtrip() {
         let mut ws = WriteSet::new();
         ws.begin();
-        let a = ws.stage(100, &[1, 2, 3, 4], cur(77));
-        let b = ws.stage(200, &[9; 8], cur(99));
+        let a = ws.stage_entry(100, &[1, 2, 3, 4]);
+        let b = ws.stage_entry(200, &[9; 8]);
         assert_eq!(ws.lookup(100), Some(a));
         assert_eq!(ws.lookup(200), Some(b));
         assert_eq!(ws.lookup(300), None);
@@ -309,7 +292,7 @@ mod tests {
         let mut ws = WriteSet::new();
         ws.begin();
         for i in 0..100 {
-            ws.stage(i * 8, &[i as u8; 8], cur(i));
+            ws.stage_entry(i * 8, &[i as u8; 8]);
         }
         assert_eq!(ws.len(), 100);
         ws.begin();
@@ -318,7 +301,7 @@ mod tests {
         assert_eq!(ws.lookup(8 * 50), None);
         assert!(ws.payload().is_empty());
         // Re-staging after clear works and lookups only see the new tx.
-        ws.stage(8, &[7; 8], cur(1));
+        ws.stage_entry(8, &[7; 8]);
         assert!(ws.lookup(8).is_some());
         assert_eq!(ws.lookup(16), None);
     }
@@ -363,16 +346,15 @@ mod tests {
                     continue;
                 }
                 assert_eq!(ws.patchable(addr, data.len()), None, "tx {tx}");
-                let grown = ws.extend_tail(addr, &data, cur(0));
-                if tail_end == Some(addr) {
+                let grown = ws.extend_tail(addr, &data);
+                assert_eq!(grown, tail_end == Some(addr), "tx {tx}");
+                if grown {
                     let (e, off) = (want.len() - 1, want[want.len() - 1].1.len());
                     want[e].1.extend_from_slice(&data);
-                    assert_eq!(grown, Some(&(want[e].1.len() as u16).to_le_bytes()[..]), "tx {tx}");
                     writes.push((addr, data.len(), e, off));
                     extensions += 1;
                 } else {
-                    assert_eq!(grown, None, "tx {tx}");
-                    ws.stage(addr, &data, cur(0));
+                    ws.stage_entry(addr, &data);
                     writes.push((addr, data.len(), want.len(), 0));
                     want.push((addr, data));
                 }
@@ -392,11 +374,11 @@ mod tests {
     fn a_piece_inside_an_extended_entry_patches_only_past_no_overlap() {
         let mut ws = WriteSet::new();
         ws.begin();
-        ws.stage(0, &[1; 4], cur(0));
-        assert_eq!(ws.extend_tail(4, &[2; 4], cur(0)), Some(&8u16.to_le_bytes()[..]));
-        assert_eq!(ws.extend_tail(8, &[4; 4], cur(0)), Some(&12u16.to_le_bytes()[..]));
-        assert_eq!(ws.extend_tail(6, &[7; 4], cur(0)), None, "6 is not where the entry ends");
-        ws.stage(6, &[7; 4], cur(0));
+        ws.stage_entry(0, &[1; 4]);
+        assert!(ws.extend_tail(4, &[2; 4]));
+        assert!(ws.extend_tail(8, &[4; 4]));
+        assert!(!ws.extend_tail(6, &[7; 4]), "6 is not where the entry ends");
+        ws.stage_entry(6, &[7; 4]);
         assert_eq!(ws.patchable(4, 4), None, "the entry at 6 overlaps [4, 8)");
         let slot = ws.patchable(0, 4).expect("nothing after the entry overlaps [0, 4)");
         ws.patch(slot, &[3; 4]);
@@ -413,11 +395,13 @@ mod tests {
     fn an_extension_stops_at_the_entry_bound() {
         let mut ws = WriteSet::new();
         ws.begin();
-        ws.stage(0, &vec![1; MAX_ENTRY_LEN - 8], cur(0));
-        let full = (MAX_ENTRY_LEN as u16).to_le_bytes();
-        assert_eq!(ws.extend_tail(MAX_ENTRY_LEN - 8, &[2; 8], cur(0)), Some(&full[..]));
-        assert_eq!(ws.extend_tail(MAX_ENTRY_LEN, &[3], cur(0)), None, "one byte past the bound");
+        ws.stage_entry(0, &vec![1; MAX_ENTRY_LEN - 8]);
+        assert!(ws.extend_tail(MAX_ENTRY_LEN - 8, &[2; 8]));
+        assert!(!ws.extend_tail(MAX_ENTRY_LEN, &[3]), "one byte past the bound");
         assert_eq!(ws.payload().len(), ENTRY_HDR + MAX_ENTRY_LEN);
+        let mut payload = Vec::new();
+        record::push_entry(&mut payload, 0, &[vec![1; MAX_ENTRY_LEN - 8], vec![2; 8]].concat());
+        assert_eq!(ws.payload(), payload.as_slice(), "the length field reads the bound");
     }
 
     /// A coalesced write longer than an entry holds is staged as the
@@ -444,11 +428,11 @@ mod tests {
         ws.begin();
         // Far more entries than the initial table; many share low bits.
         for i in 0..500usize {
-            ws.stage(i << 12, &[(i & 0xff) as u8; 4], cur(i));
+            ws.stage_entry(i << 12, &[(i & 0xff) as u8; 4]);
         }
         for i in 0..500usize {
             let s = ws.lookup(i << 12).expect("present");
-            assert_eq!(s.value_cursor, cur(i));
+            assert_eq!(s.entry_off, i * (ENTRY_HDR + 4));
             assert_eq!(ws.payload()[s.payload_off], (i & 0xff) as u8);
         }
         assert_eq!(ws.lookup(501 << 12), None);
@@ -460,8 +444,8 @@ mod tests {
         // then point at the newest entry.
         let mut ws = WriteSet::new();
         ws.begin();
-        let first = ws.stage(64, &[1; 4], cur(10));
-        let second = ws.stage(64, &[2; 8], cur(20));
+        let first = ws.stage_entry(64, &[1; 4]);
+        let second = ws.stage_entry(64, &[2; 8]);
         assert_ne!(first, second);
         assert_eq!(ws.lookup(64), Some(second));
         assert_eq!(ws.checksum(3), record::record_checksum(3, ws.payload()));

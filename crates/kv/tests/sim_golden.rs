@@ -30,7 +30,7 @@ fn sim_totals(cfg: KvConfig) -> [(u64, u64); 5] {
 
 #[test]
 fn per_op_class_sim_cost_matches_goldens() {
-    // Means: get 2.7, put 149.7, delete 110.8, cas 152.4, scan 127.6 ns.
+    // Means: get 2.7, put 146.3, delete 108.5, cas 148.9, scan 127.6 ns.
     // A write that starts where the transaction's last log entry ends
     // extends that entry instead of adding a header, so a put or cas that
     // writes adjacent slot fields logs fewer lines (put was 1_828_696,
@@ -38,12 +38,15 @@ fn per_op_class_sim_cost_matches_goldens() {
     // only the alignment of its record behind the shorter ones moves it
     // (was 131_854). An 8-byte entry header (12 before) logs 4 bytes less
     // per entry, so every writing class fell again: put from 1_812_535,
-    // delete from 132_320, cas from 464_601.
+    // delete from 132_320, cas from 464_601. A record stored into its
+    // chain once, at the seal, stores no reserved header and no length or
+    // patch rewrites, so every writing class fell once more: put from
+    // 1_793_328, delete from 130_711, cas from 459_544.
     const GOLDEN: [(u64, u64); 5] = [
         (42_047, 112_547),
-        (11_976, 1_793_328),
-        (1_180, 130_711),
-        (3_016, 459_544),
+        (11_976, 1_751_646),
+        (1_180, 128_068),
+        (3_016, 449_024),
         (1_781, 227_323),
     ];
     // Tables sized so the key space stays under 50 % occupancy per shard.

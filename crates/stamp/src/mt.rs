@@ -85,7 +85,7 @@ pub struct MtRunReport {
     /// same device clock as [`run_app`](crate::run_app) but without the
     /// `TxStats::background_ns` that `run_app` subtracts, and is larger by
     /// exactly that amount (kmeans-low at `Scale::Small` on one `SpecSpmt`:
-    /// 25,200,569 here against 25,198,044 from `run_app`).
+    /// 24,888,515 here against 24,885,990 from `run_app`).
     pub sim_ns: u64,
     /// Simulated commit throughput, commits per simulated millisecond.
     pub commits_per_ms: f64,

@@ -362,16 +362,37 @@ fi
 # Outside #[cfg(test)], the write set's tail extension is called only from
 # TxLog::stage, in `stage_piece`, its body for each piece of at most
 # MAX_ENTRY_LEN bytes (HOOP's coalesce keeps its patch-or-stage rule), and the
-# log bytes a write appended are counted where they are appended:
-# TxLog::stage returns them, so no caller recomputes an entry's size for
+# log bytes a write staged are measured where they are staged: TxLog::stage
+# returns the record's growth, so no source computes an entry's size for
 # TxStats::log_bytes. No pattern matches its own line.
 got=$(count_in_sources 'extend_tai[l][(]' | tr '\n' ' ' | sed 's/ $//')
 [ "$got" = "crates/core/src/engine.rs:1 crates/core/src/writeset.rs:1" ] &&
     [ "$(fns_matching crates/core/src/engine.rs 'extend_tai[l][(]')" = stage_piece ] ||
     { echo "re-fork guard: the tail entry is extended outside TxLog::stage: $got" >&2; exit 1; }
 got=$(count_in_sources 'ENTRY_HD[R] [+] data[.]len[(]|log_bytes.*ENTRY_HD[R]' | tr '\n' ' ' | sed 's/ $//')
-[ "$got" = crates/core/src/engine.rs:1 ] ||
+[ -z "$got" ] ||
     { echo "re-fork guard: log bytes recomputed outside TxLog::stage: $got" >&2; exit 1; }
+
+# A record is stored into its chain once, at the seal. Outside
+# #[cfg(test)], TxLog::reserve only reads the tail of a chain it borrows
+# shared, and TxLog's stage_piece edits the write set and touches no store
+# and no chain: neither body names a store or a `&mut LogArea`, nor calls a
+# chain method but `tail`. The per-write chain edits stay deleted: no
+# production source names `tail_len`, `behind_tail`, `value_cursor` or a
+# `write_at`. No pattern matches its own line.
+for fn in reserve stage_piece; do
+    body=$(nontest crates/core/src/engine.rs |
+        awk -v f="$fn" '$0 ~ "fn " f "[<(]" { on = 1 } on { print } on && /^    }$/ { exit }')
+    [ -n "$body" ] || { echo "re-fork guard: TxLog::$fn is gone from engine.rs (retarget this guard)" >&2; exit 1; }
+    if grep -nE '[Ss]tor[e]|&mut LogAre[a]' <<<"$body" ||
+        grep -oE 'area[.][a-z_]+' <<<"$body" | grep -vx 'area[.]tai[l]'; then
+        echo "re-fork guard: TxLog::$fn stores into the log (the seal appends the record)" >&2
+        exit 1
+    fi
+done
+got=$(count_in_sources '\b(tail_le[n]|behind_tai[l]|value_curso[r]|write_a[t])\b' | tr '\n' ' ' | sed 's/ $//')
+[ -z "$got" ] ||
+    { echo "re-fork guard: a per-write chain edit is back: $got" >&2; exit 1; }
 
 # One entry-header constructor: `EntryHeader::new` in record.rs builds
 # every log entry header, and is where an offset past 48 bits or a length
