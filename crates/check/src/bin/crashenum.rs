@@ -2,17 +2,23 @@
 //!
 //! Drives the canonical smoke workloads
 //! ([`specpmt_check::crashsmoke`]) through the FIRST-style enumerator
-//! ([`specpmt_check::enumerate`]): one sequential [`SpecSpmt`] workload with
-//! inline reclamation, plus the 4-thread [`SpecSpmtShared`] workload with
-//! group commit off *and* on (the two commit paths reach disjoint `mt/*`
-//! sites). Every labeled crash site each workload reaches is crashed at
+//! ([`specpmt_check::enumerate`]): one sequential [`SpecSpmt`] workload,
+//! plus the 4-thread [`SpecSpmtShared`] workload with group commit off
+//! *and* on (the two commit paths reach disjoint `mt/*` sites). Every
+//! labeled crash site each workload reaches is crashed at
 //! deterministically, recovered, and verified; the merged coverage is
-//! printed as one JSON line with a per-subsystem breakdown:
+//! printed as one JSON line with a per-workload and a per-subsystem
+//! breakdown:
 //!
 //! ```json
 //! {"bench":"crashenum","sites_total":23,"sites_visited":23,"passed":true,
+//!  "workloads":[{"name":"seq","cases":18,"crash_points":..},...],
 //!  "subsystems":[{"name":"seq-commit","sites":4,"visited":4,...},...]}
 //! ```
+//!
+//! A workload's `crash_points` counts the site hits of its observe pass.
+//! Only `seq`'s is deterministic: the `mt` workloads interleave real
+//! threads, so their counts and the top-level total vary from run to run.
 //!
 //! The exit status is non-zero if any case failed **or** any inventory
 //! site went unvisited (the zero-unvisited-labels acceptance check); each
@@ -203,6 +209,15 @@ fn parse_cap(v: &str) -> Result<u64, String> {
     }
 }
 
+/// Labeled-site hits the observe pass(es) behind `report` counted. The
+/// runtimes never count these themselves (a disarmed crash point is a
+/// single flag check), so the figure is exactly the enumeration's doing.
+/// The `seq` workload's figure is deterministic; the `mt` workloads
+/// interleave real threads, so theirs, and the total, vary run to run.
+fn crash_points(report: &EnumReport) -> u64 {
+    report.discovered.iter().map(|&(_, n)| n).sum()
+}
+
 /// One workload's enumeration, tagged for the merged report.
 fn workload(
     name: &'static str,
@@ -251,14 +266,16 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        workload_lines.push((name, report.cases.len(), report.fired_cases(), report.passed()));
+        let points = crash_points(&report);
+        workload_lines.push((
+            name,
+            report.cases.len(),
+            report.fired_cases(),
+            points,
+            report.passed(),
+        ));
         merged.merge(report);
     }
-
-    // Total labeled-site hits the observe passes counted. The runtimes
-    // never count these themselves (a disarmed crash point is a single
-    // flag check), so the figure is exactly the enumeration's doing.
-    let crash_points: u64 = merged.discovered.iter().map(|&(_, n)| n).sum();
 
     let visited = merged.visited();
     let all_subsystems: Vec<&str> = {
@@ -275,14 +292,15 @@ fn main() {
         .field_u64("sites_visited", visited.len() as u64)
         .field_u64("cases", merged.cases.len() as u64)
         .field_u64("fired_cases", merged.fired_cases() as u64)
-        .field_u64("crash_points", crash_points)
+        .field_u64("crash_points", crash_points(&merged))
         .field_bool("passed", merged.passed() && unvisited.is_empty());
     w.begin_array_field("workloads");
-    for (name, cases, fired, passed) in &workload_lines {
+    for (name, cases, fired, points, passed) in &workload_lines {
         w.begin_object()
             .field_str("name", name)
             .field_u64("cases", *cases as u64)
             .field_u64("fired_cases", *fired as u64)
+            .field_u64("crash_points", *points)
             .field_bool("passed", *passed)
             .end_object();
     }

@@ -323,7 +323,7 @@ pub mod selftest {
                     h.write(receipt_addr(k), &v);
                     h.persist_range(receipt_addr(k), 8);
                 }
-                gc.commit(&[line_of(payload_addr(k))], &[]);
+                gc.commit(&[line_of(payload_addr(k))]);
                 if !reorder_receipt {
                     h.write(receipt_addr(k), &v);
                     h.persist_range(receipt_addr(k), 8);

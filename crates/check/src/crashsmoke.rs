@@ -5,12 +5,11 @@
 //! smoke tier drives — one per runtime — sized so that together they reach
 //! **every** labeled crash site in [`specpmt_pmem::sites`]:
 //!
-//! * [`run_seq_smoke`] — [`SpecSpmt`] with small log blocks, a tiny
-//!   reclamation threshold, and inline reclamation, so a short random
-//!   stream walks the full commit sequence (`seq/commit/*`), repeated
-//!   compaction cycles (`seq/reclaim/*`), and the layout head-pointer
-//!   writes (`layout/*`). The stream draws write-free transactions between
-//!   the writers.
+//! * [`run_seq_smoke`] — [`SpecSpmt`] with small log blocks and a tiny
+//!   reclamation threshold, so a short random stream walks the full
+//!   commit sequence (`seq/commit/*`), repeated compaction cycles
+//!   (`seq/reclaim/*`), and the layout head-pointer writes (`layout/*`).
+//!   The stream draws write-free transactions between the writers.
 //! * [`run_mt_smoke`] — [`SpecSpmtShared`] on four real threads with a
 //!   post-run compaction cycle and a checkpoint write, covering
 //!   `mt/commit/*` (group commit off) or `mt/group/*` (group commit on)
@@ -27,17 +26,17 @@
 //! durability, which is exactly the contract [`enumerate`] expects. They
 //! also recover every image twice — once with the reference replay
 //! ([`specpmt_core::recovery::recover_image`]), once with the engine every
-//! runtime's `recover` runs — and assert the two images are
+//! runtime's `recover` runs — and require the two images to be
 //! bit-identical, so each enumerated crash case doubles as a check of
-//! production recovery against its executable specification.
+//! production recovery against its executable specification. A mismatch,
+//! like every other failed check, is the runner's `Err`: the enumerator
+//! reports it as a failing case with its repro line.
 //!
 //! [`EnumReport::merge`]: crate::EnumReport::merge
 //! [`enumerate`]: crate::enumerate
 
 use specpmt_core::recovery::{self, RecoveryOptions};
-use specpmt_core::{
-    forensics, ConcurrentConfig, ReclaimMode, SpecConfig, SpecSpmt, SpecSpmtShared, TxHandle,
-};
+use specpmt_core::{forensics, ConcurrentConfig, SpecConfig, SpecSpmt, SpecSpmtShared, TxHandle};
 use specpmt_pmem::{CrashControl, CrashImage, CrashPlan, PmemConfig, SharedPmemDevice};
 
 use crate::driver::{check_crash_atomicity, StreamSpec};
@@ -46,7 +45,7 @@ use crate::{bracket, end_run, run_threads, Bracket, RunSummary};
 /// Recovers `image` through the reference replay — named explicitly:
 /// `SpecSpmt::recover` is the engine, and would compare it with itself —
 /// then recovers a pristine clone through the engine (merge,
-/// checkpoint-bounded, last writer wins) and asserts bit-identity: the
+/// checkpoint-bounded, last writer wins) and requires bit-identity: the
 /// acceptance contract that production recovery matches the reference on
 /// *every* enumerated crash case.
 ///
@@ -55,15 +54,26 @@ use crate::{bracket, end_run, run_threads, Bracket, RunSummary};
 /// receipt-ahead-of-durability check must come back clean, and the event
 /// record must be consistent with what recovery reported. That makes each
 /// enumerated crash case double as a black-box soundness check.
-fn recover_and_check_equivalence(image: &mut CrashImage) {
+///
+/// # Errors
+///
+/// Returns the first check that fails, with the forensic report.
+fn recover_and_check_equivalence(image: &mut CrashImage) -> Result<(), String> {
     let mut optimized = image.clone();
     recovery::recover_image(image);
     let report = recovery::recover_image_opts(&mut optimized, &RecoveryOptions::default());
-    assert_eq!(*image, optimized, "the recovery engine diverged from the reference replay");
+    if *image != optimized {
+        return Err("the recovery engine diverged from the reference replay".into());
+    }
     let fx = forensics(image);
-    assert!(fx.is_clean(), "forensic violations on a correct runtime: {:?}\n{fx}", fx.violations);
+    if !fx.is_clean() {
+        return Err(format!("forensic violations: {:?}\n{fx}", fx.violations));
+    }
     let issues = fx.check_against(&report);
-    assert!(issues.is_empty(), "forensics inconsistent with recovery: {issues:?}\n{fx}");
+    if !issues.is_empty() {
+        return Err(format!("forensics inconsistent with recovery: {issues:?}\n{fx}"));
+    }
+    Ok(())
 }
 
 /// Region bytes of the sequential smoke stream.
@@ -81,20 +91,16 @@ const MT_REGION: usize = 128;
 ///
 /// The workload is fully deterministic: a fixed-seed 56-transaction stream
 /// over a 64-byte region on a [`SpecSpmt`] with 256-byte log blocks and
-/// inline reclamation above a 1 KiB footprint, so compaction (and its
-/// splice into the layout head slots) happens twice mid-stream.
+/// reclamation above a 1 KiB footprint, so compaction (and its splice into
+/// the layout head slots) happens twice mid-stream.
 ///
 /// # Errors
 ///
-/// Returns the first atomic-durability violation found in the recovered
-/// image.
+/// Returns the first recovery mismatch or atomic-durability violation
+/// found in the crash image.
 pub fn run_seq_smoke_with_image(plan: CrashPlan) -> Result<(RunSummary, CrashImage), String> {
-    let cfg = SpecConfig {
-        block_bytes: 256,
-        reclaim_threshold_bytes: 1024,
-        reclaim_mode: ReclaimMode::Inline,
-        ..SpecConfig::default()
-    };
+    let cfg =
+        SpecConfig { block_bytes: 256, reclaim_threshold_bytes: 1024, ..SpecConfig::default() };
     let spec = StreamSpec {
         txs: 56,
         max_writes_per_tx: 4,
@@ -112,8 +118,8 @@ pub fn run_seq_smoke_with_image(plan: CrashPlan) -> Result<(RunSummary, CrashIma
 ///
 /// # Errors
 ///
-/// Returns the first atomic-durability violation found in the recovered
-/// image.
+/// Returns the first recovery mismatch or atomic-durability violation
+/// found in the crash image.
 pub fn run_seq_smoke(plan: CrashPlan) -> Result<RunSummary, String> {
     run_seq_smoke_with_image(plan).map(|(summary, _)| summary)
 }
@@ -150,8 +156,8 @@ fn mt_value(t: usize, k: usize) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns the first torn pair or lost definitely-committed transaction
-/// found in the recovered image.
+/// Returns the first recovery mismatch, torn pair or lost
+/// definitely-committed transaction found in the crash image.
 pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, String> {
     let dev = SharedPmemDevice::new(PmemConfig::new(1 << 22));
     // The flight recorder runs with a deliberately tiny ring so the smoke
@@ -226,11 +232,12 @@ pub fn run_mt_smoke(plan: CrashPlan, group_commit: bool) -> Result<RunSummary, S
     }
 
     let (summary, mut image) = end_run(&dev, |d| *d, |d| d.flush_everything());
-    recover_and_check_equivalence(&mut image);
+    recover_and_check_equivalence(&mut image)?;
     // The recorder was formatted before the crash armed, so the region
     // must decode on every enumerated image.
-    let fx = forensics(&image);
-    assert!(fx.recorder_present, "flight-recorder region missing from the mt crash image");
+    if !forensics(&image).recorder_present {
+        return Err("flight-recorder region missing from the mt crash image".into());
+    }
 
     for (t, (&base, run)) in bases.iter().zip(&runs).enumerate() {
         let last_definite = run.definite;
@@ -332,5 +339,59 @@ mod tests {
         assert_eq!(s1.fired_at, Some((site, hit)));
         assert_eq!(s2.fired_at, Some((site, hit)));
         assert_eq!(img1, img2, "replayed crash images diverged");
+    }
+
+    /// Two observe passes of the sequential smoke workload count the same
+    /// hits at every site: its crash-point total is a deterministic
+    /// figure (the `mt` workloads' totals follow their thread
+    /// interleaving).
+    #[test]
+    fn seq_observe_passes_report_identical_site_hits() {
+        let first = run_seq_smoke(CrashPlan::observe()).expect("first observe pass");
+        let second = run_seq_smoke(CrashPlan::observe()).expect("second observe pass");
+        assert!(!first.site_hits.is_empty(), "the observe pass counted no site");
+        assert_eq!(first.site_hits, second.site_hits);
+    }
+
+    /// A runner whose crash images fail the recovery check: one committed
+    /// record, then a commit receipt forged for the next timestamp and
+    /// made durable before that commit fences — the receipt-before-fence
+    /// bug. A crash ahead of the next commit's fence leaves the receipt
+    /// without its record, which forensics reports as a violation.
+    fn forged_receipt_run(plan: CrashPlan) -> Result<RunSummary, String> {
+        use specpmt_pmem::blackbox::BbKind;
+        use specpmt_txn::TxAccess as _;
+        let dev = SharedPmemDevice::new(PmemConfig::new(1 << 20));
+        let cfg = ConcurrentConfig::builder().flight_recorder(true).bbox_capacity(64).build();
+        let shared = SpecSpmtShared::open_or_format(dev.clone(), cfg);
+        let base = shared.pool().alloc_direct(64, 64).expect("pool holds the region");
+        let mut h = shared.tx_handle(0);
+        h.begin();
+        h.write_u64(base, 1);
+        let ts = h.commit().ts();
+        h.record_event(BbKind::TxCommit, ts + 1, Site::MtCommitFence as u64, 0);
+        dev.flush_everything();
+        dev.arm(plan);
+        h.begin();
+        h.write_u64(base, 2);
+        h.commit();
+        drop(h);
+        let (summary, mut image) = end_run(&dev, |d| *d, |d| d.flush_everything());
+        recover_and_check_equivalence(&mut image)?;
+        Ok(summary)
+    }
+
+    #[test]
+    fn a_failed_recovery_check_is_a_failing_case_not_a_panic() {
+        let report = enumerate(&EnumConfig::new("crashenum"), forged_receipt_run)
+            .expect("the uncrashed run checks clean");
+        let failures: Vec<_> = report.failures().collect();
+        assert!(!failures.is_empty(), "no case caught the forged receipt");
+        for case in failures {
+            let error = case.error.as_deref().expect("a failed case carries its error");
+            assert!(error.starts_with("forensic violations"), "{}: {error}", case.label);
+            let repro = case.repro.as_deref().expect("a failed case carries its repro line");
+            assert!(repro.starts_with("crashenum --target "), "{repro}");
+        }
     }
 }

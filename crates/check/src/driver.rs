@@ -149,12 +149,12 @@ pub fn fresh_pool_with_region(pool_bytes: usize, region_len: usize) -> (PmemPool
 ///
 /// # Errors
 ///
-/// Returns the first atomicity violation.
+/// Returns `recover`'s error, else the first atomicity violation.
 pub fn check_crash_atomicity<R, F>(
     make: F,
     spec: &StreamSpec,
     plan: CrashPlan,
-    recover: fn(&mut CrashImage),
+    recover: impl FnOnce(&mut CrashImage) -> Result<(), String>,
 ) -> Result<ScenarioOutcome, String>
 where
     R: TxRuntime,
@@ -200,7 +200,7 @@ where
         }
     }
     let (run, mut image) = end_run(&mut rt, |rt| rt.pool().device(), |rt| rt.close());
-    recover(&mut image);
+    recover(&mut image)?;
     oracle.verify(&image)?;
     Ok(ScenarioOutcome { image, committed_txs, oracle, run })
 }

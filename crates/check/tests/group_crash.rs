@@ -1,4 +1,4 @@
-//! Crash-point sweeps through the shared runtime's group-commit window,
+//! Crash-point sw        .map(|out| out.run)eps through the shared runtime's group-commit window,
 //! on real threads through [`check_mt_crash_atomicity`].
 
 use specpmt_check::driver::TxOp;
@@ -16,20 +16,15 @@ use specpmt_txn::TxAccess;
 /// after recovery.
 #[test]
 fn group_commit_mt_crash_sweep_all_lost() {
-    group_crash_sweep(CrashPolicy::AllLost, false);
+    group_crash_sweep(CrashPolicy::AllLost);
 }
 
 #[test]
 fn group_commit_mt_crash_sweep_random_policy() {
-    group_crash_sweep(CrashPolicy::Random(0xC0FFEE), false);
+    group_crash_sweep(CrashPolicy::Random(0xC0FFEE));
 }
 
-#[test]
-fn group_commit_dp_mt_crash_sweep() {
-    group_crash_sweep(CrashPolicy::AllLost, true);
-}
-
-fn group_crash_sweep(policy: CrashPolicy, dp: bool) {
+fn group_crash_sweep(policy: CrashPolicy) {
     let threads = 4usize;
     let region = 256usize;
     let plans = CrashPlan::sweep_fuel((1..90).step_by(2).map(|n| n as u64), policy);
@@ -37,11 +32,7 @@ fn group_crash_sweep(policy: CrashPolicy, dp: bool) {
     let report = run_fuel_sweep(&plans, repro, |plan| {
         let s = SpecSpmtShared::open_or_format(
             1usize << 22,
-            ConcurrentConfig::builder()
-                .threads(threads)
-                .group_commit(true)
-                .data_persistence(dp)
-                .build(),
+            ConcurrentConfig::builder().threads(threads).group_commit(true).build(),
         );
         let mut handles: Vec<TxHandle> = (0..threads).map(|t| s.tx_handle(t)).collect();
         let base = handles[0].setup_alloc(threads * region, 64);
@@ -69,7 +60,6 @@ fn group_crash_sweep(policy: CrashPolicy, dp: bool) {
             SpecSpmtShared::recover,
         )
         .map(|out| out.run)
-        .map_err(|e| format!("dp={dp}: {e}"))
     });
     assert!(report.passed(), "failures:\n{}", report.failure_lines().join("\n"));
 }

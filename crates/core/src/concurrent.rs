@@ -81,9 +81,6 @@ use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 pub struct ConcurrentConfig {
     /// Log block size in bytes.
     pub block_bytes: usize,
-    /// `true` selects the SpecSPMT-DP variant (data lines flushed with a
-    /// second fence at commit).
-    pub data_persistence: bool,
     /// Number of application threads (1..=[`PoolLayout::MAX_THREADS`]),
     /// each with its own log chain and [`TxHandle`].
     pub threads: usize,
@@ -112,7 +109,6 @@ impl Default for ConcurrentConfig {
     fn default() -> Self {
         Self {
             block_bytes: 4096,
-            data_persistence: false,
             threads: 1,
             reclaim_threshold_bytes: 1 << 20,
             group_commit: false,
@@ -161,13 +157,6 @@ impl ConcurrentConfigBuilder {
     #[must_use]
     pub fn block_bytes(mut self, bytes: usize) -> Self {
         self.cfg.block_bytes = bytes;
-        self
-    }
-
-    /// Selects (or deselects) the SpecSPMT-DP variant.
-    #[must_use]
-    pub fn data_persistence(mut self, on: bool) -> Self {
-        self.cfg.data_persistence = on;
         self
     }
 
@@ -519,9 +508,8 @@ impl SpecSpmtShared {
             area: Arc::clone(&self.areas[tid]),
             tid,
             in_tx: false,
-            log: TxLog::new(self.cfg.data_persistence),
+            log: TxLog::new(false),
             plan: Vec::new(),
-            data_plan: Vec::new(),
             undo_addrs: Vec::new(),
             undo_data: Vec::new(),
         }
@@ -899,9 +887,8 @@ impl SpecSpmtShared {
 /// checks that its runtime is still alive (a stager wakes it at once).
 const GROUP_IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// One fused flush+fence per non-empty line set of a group batch — log
-/// lines first, then DP data lines, the same fence order the per-commit
-/// path uses. Returns the summed fence report.
+/// One fused flush+fence for a group batch's log lines. Returns its fence
+/// report.
 fn drain_group_batch(
     dev: &DeviceHandle,
     bbox: Option<&BlackBoxSink>,
@@ -930,15 +917,9 @@ fn drain_group_batch(
         None => &batch.log_lines,
     };
     // Every receipt in the batch is still unpublished here; after the
-    // fused drain(s) below, all of them are durable at once.
+    // fused drain below, all of them are durable at once.
     dev.crash_point(Site::MtGroupPreFence);
     let fr = dev.drain_lines(log_lines);
-    let (mut stall, mut flushes) = (fr.stall_ns, fr.flushes);
-    if !batch.data_lines.is_empty() {
-        let fr = dev.drain_lines(&batch.data_lines);
-        stall += fr.stall_ns;
-        flushes += fr.flushes;
-    }
     dev.crash_point(Site::MtGroupBatchFence);
     if let Some(bb) = bbox {
         if bbox_carried > 0 {
@@ -946,11 +927,11 @@ fn drain_group_batch(
         }
         let site = Site::MtGroupBatchFence as u64;
         bb.record(dev, tid, BbKind::BatchSeal, batch.txs, site, 0);
-        if stall > bb.stall_threshold_ns() {
-            bb.record(dev, tid, BbKind::FenceStall, stall, flushes, 0);
+        if fr.stall_ns > bb.stall_threshold_ns() {
+            bb.record(dev, tid, BbKind::FenceStall, fr.stall_ns, fr.flushes, 0);
         }
     }
-    FenceReport { stall_ns: stall, flushes }
+    fr
 }
 
 /// Handle to the background reclamation thread. Dropping it stops and
@@ -1003,10 +984,9 @@ pub struct TxHandle {
     /// The open transaction's record, write set and flush plan.
     log: TxLog,
     /// Group-commit only: reusable scratch for this commit's coalesced
-    /// log-line and DP data-line plans (the sorted, deduplicated line sets
-    /// staged into the epoch batch). Overwritten, never freed.
+    /// log-line plan (the sorted, deduplicated line set staged into the
+    /// epoch batch). Overwritten, never freed.
     plan: Vec<usize>,
-    data_plan: Vec<usize>,
     /// Volatile pre-images of every in-place write of the open
     /// transaction, in write order — the [`TxHandle::abort`] path replays
     /// them in reverse through the normal logging write, turning the
@@ -1144,9 +1124,9 @@ impl TxHandle {
     fn seal(&mut self, commit: bool) -> u64 {
         let tid = self.tid;
         // Borrow the fields apart, so the flush/fence tails can take the
-        // log and the plans mutably while the spans and the area lock —
+        // log and the plan mutably while the spans and the area lock —
         // which borrow the runtime and the slot — stay live.
-        let Self { shared, dev, area, log, plan, data_plan, .. } = self;
+        let Self { shared, dev, area, log, plan, .. } = self;
         let (shared, dev): (&SpecSpmtShared, &DeviceHandle) = (shared, dev);
         let commit_span = shared.tel.registry.span(tid, Phase::Commit);
         let sim0 = dev.local_now_ns();
@@ -1157,7 +1137,7 @@ impl TxHandle {
         log.seal(&mut shared.store(dev), &mut st.area, ts, shared.probe(tid));
 
         if shared.cfg.group_commit && commit {
-            Self::seal_group(shared, dev, log, plan, data_plan, tid);
+            Self::seal_group(shared, dev, log, plan, tid);
         } else {
             Self::seal_solo(shared, dev, log, tid);
         }
@@ -1202,8 +1182,7 @@ impl TxHandle {
 
     /// Per-commit flush+fence tail of [`Self::seal`] — the comparison
     /// baseline: this thread pays a full vectored flush and fence for its
-    /// own record (plus a second pair for DP data lines). Called with the
-    /// area lock held.
+    /// own record. Called with the area lock held.
     fn seal_solo(shared: &SpecSpmtShared, dev: &DeviceHandle, log: &mut TxLog, tid: usize) {
         // Flight recorder: fold this ring's pending event slots into the
         // commit flush — they ride the fence this commit already pays,
@@ -1227,10 +1206,9 @@ impl TxHandle {
     /// Group-commit tail of [`Self::seal`]: coalesce this record's lines,
     /// stage them into the open epoch's batch, and block until a batch
     /// fence covering them retires. The runtime's drain thread issues one
-    /// fused [`DeviceHandle::drain_lines`] for the whole batch's log lines
-    /// (plus one for staged DP data lines) — durability
-    /// is identical to [`Self::seal_solo`], fences are amortized across
-    /// the batch. Called with the area lock held: 2PL semantics keep the
+    /// fused [`DeviceHandle::drain_lines`] for the whole batch's log lines —
+    /// durability is identical to [`Self::seal_solo`], fences are amortized
+    /// across the batch. Called with the area lock held: 2PL semantics keep the
     /// record's region locked until the receipt anyway, and the daemon
     /// skips open chains, so waiting under the lock is safe (the drain
     /// thread takes no area locks).
@@ -1239,13 +1217,12 @@ impl TxHandle {
         dev: &DeviceHandle,
         log: &mut TxLog,
         plan: &mut Vec<usize>,
-        data_plan: &mut Vec<usize>,
         tid: usize,
     ) {
-        log.group_plan(plan, data_plan);
+        log.group_plan(plan);
         dev.crash_point(Site::MtGroupStage);
         let _wait_span = shared.tel.registry.span(tid, Phase::BatchWait);
-        shared.gc.commit(plan, data_plan);
+        shared.gc.commit(plan);
     }
 
     /// Commits the open transaction with the single SpecSPMT flush+fence;
@@ -1582,20 +1559,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dp_variant_persists_data_with_second_fence() {
-        let s = shared(ConcurrentConfig::builder().data_persistence(true).build());
-        let a = alloc_region(&s, 64);
-        let mut h = s.tx_handle(0);
-        let before = s.device().stats().sfence_count;
-        h.begin();
-        h.write_u64(a, 5);
-        h.commit();
-        assert_eq!(s.device().stats().sfence_count - before, 2);
-        let img = s.device().capture(CrashPolicy::AllLost);
-        assert_eq!(img.read_u64(a), 5, "DP data survives without recovery");
-    }
-
-    #[test]
     fn seventeen_parallel_threads_commit_and_recover() {
         // Past the 8 chains root slots alone could hold: every chain head
         // lives in the descriptor's head table.
@@ -1673,23 +1636,6 @@ pub(crate) mod tests {
         assert_eq!(reg.phase(Phase::BatchWait).count(), 1, "staged once");
         assert_eq!(reg.phase(Phase::GroupBatch).count(), 1, "drained as a batch of one");
         assert_eq!(reg.phase(Phase::Fence).count(), 0, "the batch drain is the only fence");
-    }
-
-    /// Group-mode DP commits drain data lines with their own batch fence
-    /// and the data survives a crash without recovery, like the solo path.
-    #[test]
-    fn group_commit_dp_persists_data() {
-        let s =
-            shared(ConcurrentConfig::builder().data_persistence(true).group_commit(true).build());
-        let a = alloc_region(&s, 64);
-        let mut h = s.tx_handle(0);
-        let before = s.device().stats().sfence_count;
-        h.begin();
-        h.write_u64(a, 5);
-        h.commit();
-        assert_eq!(s.device().stats().sfence_count - before, 2);
-        let img = s.device().capture(CrashPolicy::AllLost);
-        assert_eq!(img.read_u64(a), 5, "DP data survives without recovery");
     }
 
     /// Concurrent group-mode committers: every receipt's transaction is

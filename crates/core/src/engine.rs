@@ -223,11 +223,9 @@ impl TxLog {
     }
 
     /// Hands the sealed record to a group-commit batch instead of
-    /// draining it: coalesces its log lines into `log_plan` and its DP
-    /// data lines into `data_plan`.
-    pub(crate) fn group_plan(&mut self, log_plan: &mut Vec<usize>, data_plan: &mut Vec<usize>) {
+    /// draining it: coalesces its log lines into `log_plan`.
+    pub(crate) fn group_plan(&mut self, log_plan: &mut Vec<usize>) {
         coalesce_lines(&self.dirty, log_plan);
-        coalesce_lines(&self.data, data_plan);
         self.dirty.clear();
     }
 }

@@ -242,10 +242,14 @@ impl PoolLayout {
     /// Writes thread `tid`'s chain head from a background engine (a
     /// reclamator, replayer or GC core): the line goes straight to the
     /// WPQ, contending for its bandwidth without fencing the foreground.
+    /// The crash sites are [`Self::set_head`]'s.
     pub fn set_head_background(&self, pool: &mut PmemPool, tid: usize, head: u64) {
+        use specpmt_pmem::CrashControl;
         let addr = self.head_addr(tid);
         pool.device_mut().write_u64(addr, head);
+        pool.device().crash_point(Site::LayoutHeadWrite);
         pool.device_mut().background_line_write(addr);
+        pool.device().crash_point(Site::LayoutHeadPersist);
     }
 
     /// [`PoolLayout::set_head`] for the shared (concurrent) pool.

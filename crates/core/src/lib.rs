@@ -36,9 +36,8 @@
 //! * [`reclaim`] — log reclamation and compaction: a byte-granular
 //!   freshness index finds records fully covered by younger records and
 //!   rewrites each thread's chain without them, splicing the new chain in
-//!   with the paper's two-fence protocol. Runs in background mode
-//!   (dedicated core — time excluded, traffic counted) or inline (for the
-//!   ablation benchmark).
+//!   with the paper's two-fence protocol. Runs on a modelled dedicated
+//!   core: its time is excluded, its traffic counted.
 //! * [`hashlog`] — the paper's strawman alternative (one log slot per
 //!   datum located by hashing, Section 4): space-efficient but with random
 //!   PM write locality; reproduced for the "3.2× slower" micro-experiment.
@@ -98,7 +97,7 @@ pub use layout::{PoolLayout, SingleChain, LAYOUT_SLOT};
 pub use locked::LockedTxHandle;
 pub use reclaim::{FreshnessIndex, ReclaimState, ReclaimStats};
 pub use recovery::{recover_image_opts, RecoveryOptions, RecoveryReport};
-pub use runtime::{ReclaimMode, SpecConfig, SpecSpmt};
+pub use runtime::{SpecConfig, SpecSpmt};
 /// The metrics bundle [`SpecSpmt::telemetry`] and [`Probe`] carry.
 pub use specpmt_telemetry::Telemetry;
 pub use writeset::{EntrySlot, WriteSet};

@@ -25,21 +25,6 @@ fn probe(tel: &Telemetry) -> Probe<'_> {
     }
 }
 
-/// How log reclamation runs. A log that never reclaims sets
-/// [`SpecConfig::reclaim_threshold_bytes`] to `usize::MAX`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReclaimMode {
-    /// Reclaim on a modelled dedicated background core: PM traffic is
-    /// counted but elapsed time is recorded as [`TxStats::background_ns`]
-    /// so harnesses exclude it from foreground execution time — the
-    /// paper's dedicated-reclamation-thread setup.
-    #[default]
-    Background,
-    /// Reclaim inline on the application thread, charging its time — the
-    /// ablation configuration.
-    Inline,
-}
-
 /// Configuration for [`SpecSpmt`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecConfig {
@@ -50,21 +35,14 @@ pub struct SpecConfig {
     /// separate the gain of removing fences from the gain of removing data
     /// persistence.
     pub data_persistence: bool,
-    /// Reclamation mode.
-    pub reclaim_mode: ReclaimMode,
     /// Log footprint in bytes that triggers reclamation at commit /
-    /// `maintain` time.
+    /// `maintain` time. A log that never reclaims sets `usize::MAX`.
     pub reclaim_threshold_bytes: usize,
 }
 
 impl Default for SpecConfig {
     fn default() -> Self {
-        Self {
-            block_bytes: 4096,
-            data_persistence: false,
-            reclaim_mode: ReclaimMode::Background,
-            reclaim_threshold_bytes: 1 << 20,
-        }
+        Self { block_bytes: 4096, data_persistence: false, reclaim_threshold_bytes: 1 << 20 }
     }
 }
 
@@ -83,8 +61,10 @@ impl SpecConfig {
 /// [`crate::TxHandle`] per chain.
 ///
 /// See the crate-level docs for the design; see [`SpecConfig`] for the
-/// variants (`SpecSPMT` vs `SpecSPMT-DP`, background vs inline
-/// reclamation).
+/// variants (`SpecSPMT` vs `SpecSPMT-DP`). Reclamation runs on a modelled
+/// dedicated background core, the paper's setup: its PM traffic is counted
+/// but its elapsed time goes to [`TxStats::background_ns`], which harnesses
+/// exclude from foreground execution time.
 #[derive(Debug)]
 pub struct SpecSpmt {
     pool: PmemPool,
@@ -208,28 +188,18 @@ impl SpecSpmt {
             &mut dirty,
         );
 
-        // Persist the new chain before the head pointer moves (fence 1),
-        // then atomically swap the 8-byte head pointer (fence 2): a crash
-        // sees the old chain or the new one, and both parse to the same
-        // committed state. In background mode the reclamator core issues
-        // these as background writes: they contend for the WPQ but do not
-        // stall the application thread.
-        let background = self.cfg.reclaim_mode == ReclaimMode::Background;
+        // Persist the new chain before the head pointer moves, then
+        // atomically swap the 8-byte head pointer: a crash sees the old
+        // chain or the new one, and both parse to the same committed state.
+        // The reclamator core issues both as background writes, durable in
+        // issue order: they contend for the WPQ but do not stall the
+        // application thread.
         if let Some((area, dropped)) = rewrite {
             self.pool.device().crash_point(Site::SeqReclaimPreFence);
-            if background {
-                self.pool.device_mut().background_ranges(&dirty);
-            } else {
-                self.pool.device_mut().clwb_ranges(&dirty);
-                self.pool.device_mut().sfence();
-            }
+            self.pool.device_mut().background_ranges(&dirty);
             self.pool.device().crash_point(Site::SeqReclaimFence);
             let (layout, head) = (self.layout, area.head() as u64);
-            if background {
-                layout.set_head_background(&mut self.pool, TID, head);
-            } else {
-                layout.set_head(&mut self.pool, TID, head);
-            }
+            layout.set_head_background(&mut self.pool, TID, head);
             self.reclaim.spliced(TID, &area);
             self.stats.records_reclaimed += dropped;
             let old = std::mem::replace(&mut self.area, area);
@@ -238,10 +208,8 @@ impl SpecSpmt {
         }
 
         self.refresh_log_stats();
-        let cycle_ns = self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, TID);
-        if background {
-            self.stats.background_ns += cycle_ns;
-        }
+        self.stats.background_ns +=
+            self.reclaim.end_cycle(self.pool.device().now_ns(), &self.tel, TID);
     }
 
     /// Adopts *external data* (Section 4.3.2): durable bytes produced by
@@ -639,147 +607,110 @@ mod tests {
         assert!(rt.tx_stats().background_ns > 0);
     }
 
-    #[test]
-    fn inline_reclaim_charges_foreground() {
-        let mut rt = runtime(SpecConfig {
-            reclaim_mode: ReclaimMode::Inline,
-            reclaim_threshold_bytes: 32 * 1024,
-            ..SpecConfig::default()
-        });
-        let a = alloc_region(&mut rt, 64);
-        for v in 0..10_000u64 {
-            rt.begin();
-            rt.write_u64(a, v);
-            rt.commit();
-        }
-        assert_eq!(rt.tx_stats().background_ns, 0);
-    }
-
     /// `reclaim_now` over a seeded history (writing, write-free and
-    /// snapshot transactions), inline and background: after every cycle
-    /// the suffix-scanned cache equals a full re-parse, a rewritten chain
-    /// holds exactly `encode_record` of the reference fold — every record
-    /// settled, so one base record — and replays to the same bytes.
+    /// snapshot transactions): after every cycle the suffix-scanned cache
+    /// equals a full re-parse, a rewritten chain holds exactly
+    /// `encode_record` of the reference fold — every record settled, so
+    /// one base record — and replays to the same bytes.
     #[test]
     fn reclaim_now_matches_full_reparse_over_a_seeded_history() {
         use crate::reclaim::tests::{encode_all, reference_fold, replay};
-        for mode in [ReclaimMode::Inline, ReclaimMode::Background] {
-            let mut rt = runtime(SpecConfig {
-                block_bytes: 256,
-                reclaim_mode: mode,
-                reclaim_threshold_bytes: usize::MAX,
-                ..SpecConfig::default()
-            });
-            let a = alloc_region(&mut rt, 160);
-            let mut rng = specpmt_pmem::SplitMix64::new(0x5EED ^ mode as u64);
-            let mut rewrites = 0;
-            for step in 0..800 {
-                if rng.below(10) > 0 {
-                    rt.begin();
-                    // One 16-byte slot per write: entries of different
-                    // transactions overlap partially, never within one.
-                    let first = rng.range_usize(0, 9);
-                    for k in 0..rng.range_usize(0, 3) {
-                        let len = rng.range_usize(0, 12);
-                        let at = a + (first + k) % 10 * 16 + rng.range_usize(0, 16 - len);
-                        let data: Vec<u8> = (0..len).map(|_| rng.next_u8()).collect();
-                        rt.write(at, &data);
-                    }
-                    rt.commit();
-                    continue;
+        let mut rt = runtime(SpecConfig {
+            block_bytes: 256,
+            reclaim_threshold_bytes: usize::MAX,
+            ..SpecConfig::default()
+        });
+        let a = alloc_region(&mut rt, 160);
+        let mut rng = specpmt_pmem::SplitMix64::new(0x5EED);
+        let mut rewrites = 0;
+        for step in 0..800 {
+            if rng.below(10) > 0 {
+                rt.begin();
+                // One 16-byte slot per write: entries of different
+                // transactions overlap partially, never within one.
+                let first = rng.range_usize(0, 9);
+                for k in 0..rng.range_usize(0, 3) {
+                    let len = rng.range_usize(0, 12);
+                    let at = a + (first + k) % 10 * 16 + rng.range_usize(0, 16 - len);
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u8()).collect();
+                    rt.write(at, &data);
                 }
-                let before = parse_chain(rt.pool.device(), rt.area.head(), 256);
-                let settled = before.last().map(|r| r.ts);
-                let want = reference_fold(std::slice::from_ref(&before), settled).remove(0);
-                let head = rt.area.head();
-                rt.reclaim_now();
-                let after = parse_chain(rt.pool.device(), rt.area.head(), 256);
-                assert_eq!(after, want, "{mode:?} step={step}");
-                assert!(after.len() <= 1 || after == before, "{mode:?} step={step}: one base");
-                assert_eq!(
-                    replay(std::slice::from_ref(&after)),
-                    replay(std::slice::from_ref(&before)),
-                    "{mode:?} step={step}"
-                );
-                assert_eq!(rt.area.head() != head, want != before, "{mode:?} step={step}");
-                assert_eq!(rt.reclaim.cached_chain(TID), after, "{mode:?} step={step}");
-                if want != before {
-                    assert_eq!(rt.reclaim.cached_bytes(TID), encode_all(&want));
-                    rewrites += 1;
-                }
+                rt.commit();
+                continue;
             }
-            assert!(rewrites > 20, "history too tame: {rewrites} rewrites");
-            let live = rt.pool.device().peek(a, 160).to_vec();
-            let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
-            SpecSpmt::recover(&mut img);
-            assert_eq!(img.as_bytes()[a..a + 160], live[..], "{mode:?}");
+            let before = parse_chain(rt.pool.device(), rt.area.head(), 256);
+            let settled = before.last().map(|r| r.ts);
+            let want = reference_fold(std::slice::from_ref(&before), settled).remove(0);
+            let head = rt.area.head();
+            rt.reclaim_now();
+            let after = parse_chain(rt.pool.device(), rt.area.head(), 256);
+            assert_eq!(after, want, "step={step}");
+            assert!(after.len() <= 1 || after == before, "step={step}: one base");
+            assert_eq!(
+                replay(std::slice::from_ref(&after)),
+                replay(std::slice::from_ref(&before)),
+                "step={step}"
+            );
+            assert_eq!(rt.area.head() != head, want != before, "step={step}");
+            assert_eq!(rt.reclaim.cached_chain(TID), after, "step={step}");
+            if want != before {
+                assert_eq!(rt.reclaim.cached_bytes(TID), encode_all(&want));
+                rewrites += 1;
+            }
         }
+        assert!(rewrites > 20, "history too tame: {rewrites} rewrites");
+        let live = rt.pool.device().peek(a, 160).to_vec();
+        let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
+        SpecSpmt::recover(&mut img);
+        assert_eq!(img.as_bytes()[a..a + 160], live[..]);
     }
 
     /// A rewrite persists each line it dirtied once, however many dirty
     /// ranges share it (a block's first line holds its pointers, the
     /// spill's terminator and data; records share lines): on one seeded
-    /// history, background and inline mode persist the same lines per
-    /// cycle — the new chain's distinct lines plus the head pointer's.
+    /// history, each cycle persists the new chain's distinct lines plus
+    /// the head pointer's.
     #[test]
     fn background_rewrite_persists_each_dirty_line_once() {
-        let runtimes = [ReclaimMode::Inline, ReclaimMode::Background].map(|mode| {
-            let mut rt = runtime(SpecConfig {
-                block_bytes: 256,
-                reclaim_mode: mode,
-                reclaim_threshold_bytes: usize::MAX,
-                ..SpecConfig::default()
-            });
-            let a = alloc_region(&mut rt, 512);
-            // A free list deep enough that no block allocation (which
-            // persists the pool's bump pointer) lands inside a cycle.
-            let base = rt.pool.alloc_direct(256 * 256, 64).unwrap();
-            rt.free_blocks.extend((0..256).map(|i| base + 256 * i));
-            (rt, a)
+        let mut rt = runtime(SpecConfig {
+            block_bytes: 256,
+            reclaim_threshold_bytes: usize::MAX,
+            ..SpecConfig::default()
         });
-        let [(mut inline, a), (mut background, b)] = runtimes;
-        assert_eq!(a, b);
+        let a = alloc_region(&mut rt, 512);
+        // A free list deep enough that no block allocation (which persists
+        // the pool's bump pointer) lands inside a cycle.
+        let base = rt.pool.alloc_direct(256 * 256, 64).unwrap();
+        rt.free_blocks.extend((0..256).map(|i| base + 256 * i));
         let mut rng = specpmt_pmem::SplitMix64::new(0xB16);
         let mut rewrites = 0;
         for _ in 0..60 {
             for _ in 0..rng.range_usize(5, 40) {
-                let writes: Vec<(usize, Vec<u8>)> = (0..rng.range_usize(1, 3))
-                    .map(|_| {
-                        let len = rng.range_usize(1, 24);
-                        (a + rng.range_usize(0, 512 - len), vec![rng.next_u8(); len])
-                    })
-                    .collect();
-                for rt in [&mut inline, &mut background] {
-                    rt.begin();
-                    for (at, data) in &writes {
-                        rt.write(*at, data);
-                    }
-                    rt.commit();
+                rt.begin();
+                for _ in 0..rng.range_usize(1, 3) {
+                    let len = rng.range_usize(1, 24);
+                    let at = a + rng.range_usize(0, 512 - len);
+                    rt.write(at, &vec![rng.next_u8(); len]);
                 }
+                rt.commit();
             }
-            let deltas = [&mut inline, &mut background].map(|rt| {
-                let (head, before) = (rt.area.head(), rt.pool.device().stats().lines_persisted);
-                rt.reclaim_now();
-                let persisted = rt.pool.device().stats().lines_persisted - before;
-                if rt.area.head() == head {
-                    return (persisted, 0);
-                }
-                // The new chain's bytes: every block full but the last,
-                // which holds the stream up to its terminator.
-                let (blocks, tail) = (rt.area.blocks(), rt.area.tail());
-                let mut ranges: Vec<(usize, usize)> = blocks.iter().map(|&b| (b, 256)).collect();
-                let last = ranges.last_mut().unwrap();
-                last.1 = (tail.pos + 4).min(256);
-                let mut lines = Vec::new();
-                coalesce_lines(&ranges, &mut lines);
-                (persisted, lines.len() as u64 + 1)
-            });
-            assert_eq!(deltas[0], deltas[1], "inline vs background");
-            let (persisted, distinct) = deltas[1];
-            if distinct > 0 {
-                assert_eq!(persisted, distinct, "one write per dirty line");
-                rewrites += 1;
+            let (head, before) = (rt.area.head(), rt.pool.device().stats().lines_persisted);
+            rt.reclaim_now();
+            let persisted = rt.pool.device().stats().lines_persisted - before;
+            if rt.area.head() == head {
+                assert_eq!(persisted, 0, "a cycle without a rewrite persists nothing");
+                continue;
             }
+            // The new chain's bytes: every block full but the last, which
+            // holds the stream up to its terminator.
+            let (blocks, tail) = (rt.area.blocks(), rt.area.tail());
+            let mut ranges: Vec<(usize, usize)> = blocks.iter().map(|&b| (b, 256)).collect();
+            let last = ranges.last_mut().unwrap();
+            last.1 = (tail.pos + 4).min(256);
+            let mut lines = Vec::new();
+            coalesce_lines(&ranges, &mut lines);
+            assert_eq!(persisted, lines.len() as u64 + 1, "one write per dirty line");
+            rewrites += 1;
         }
         assert!(rewrites > 20, "history too tame: {rewrites} rewrites");
     }

@@ -83,8 +83,6 @@ pub struct HwSpecPmt {
     /// Footprint sampling for the Fig. 15 memory-consumption axis.
     footprint_samples: u64,
     footprint_sum: u64,
-    /// Control-status register bit: speculative logging enabled.
-    spec_enabled: bool,
     stats: TxStats,
 }
 
@@ -133,7 +131,6 @@ impl HwSpecPmt {
             rec: RecordBuf::default(),
             footprint_samples: 0,
             footprint_sum: 0,
-            spec_enabled: true,
             stats: TxStats::default(),
         };
         rt.start_epoch();
@@ -143,18 +140,6 @@ impl HwSpecPmt {
     /// Hardware counters.
     pub fn hw_stats(&self) -> &specpmt_hwsim::HwStats {
         self.core.stats()
-    }
-
-    /// Sets the control-status register bit enabling speculative logging
-    /// (Section 5.1.2). With the bit clear the runtime behaves as pure
-    /// hardware undo logging (every page treated as cold).
-    pub fn set_speculative_logging(&mut self, enabled: bool) {
-        self.spec_enabled = enabled;
-    }
-
-    /// Whether speculative logging is currently enabled.
-    pub fn speculative_logging(&self) -> bool {
-        self.spec_enabled
     }
 
     /// Current log footprint (epoch chains + undo region use).
@@ -306,8 +291,6 @@ impl TxAccess for HwSpecPmt {
 
         let hot = if tlb.epoch_bit {
             true
-        } else if !self.spec_enabled {
-            false
         } else {
             let counter = self.core.tlb_mut().bump_counter(page);
             if counter >= self.cfg.hw.hot_threshold {
@@ -626,25 +609,6 @@ mod tests {
         let mut img = rt.pool().device().capture(CrashPolicy::AllLost);
         HwSpecPmt::recover(&mut img);
         assert_eq!(img.read_u64(a + 31 * 4096), 11);
-    }
-
-    #[test]
-    fn csr_disable_reverts_to_pure_undo_logging() {
-        let mut rt = runtime(HwSpecConfig::default());
-        rt.set_speculative_logging(false);
-        let a = region(&mut rt, 4096);
-        // Hammering a page must NOT promote it with the CSR bit clear.
-        make_hot(&mut rt, a);
-        assert_eq!(rt.hw_stats().pages_made_hot, 0);
-        assert_eq!(rt.hw_stats().bulk_copies, 0);
-        // And it still behaves like a correct undo-logging runtime.
-        let img = rt.pool().device().capture(CrashPolicy::AllLost);
-        assert_eq!(img.read_u64(a), 15, "cold path persists data at commit");
-        rt.begin();
-        rt.write_u64(a, 999);
-        let mut img = rt.pool().device().capture(CrashPolicy::AllSurvive);
-        HwSpecPmt::recover(&mut img);
-        assert_eq!(img.read_u64(a), 15);
     }
 
     #[test]

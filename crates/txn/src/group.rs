@@ -15,17 +15,16 @@
 //! The protocol is one [`Mutex`] + [`Condvar`] and one drain thread:
 //!
 //! 1. A committer ([`GroupCommitter::commit`]) locks the state, records
-//!    the open epoch as *its* epoch, appends its line sets to the epoch's
-//!    staging buffers, bumps the staged-transaction count (the first
+//!    the open epoch as *its* epoch, appends its log lines to the epoch's
+//!    staging buffer, bumps the staged-transaction count (the first
 //!    stager wakes the drain thread), and waits until `retired_epoch`
 //!    reaches its epoch — at that point its lines are durable.
 //! 2. The drain thread ([`GroupCommitter::drain_next`]) closes the epoch
 //!    (advances `open_epoch` so later arrivals stage into the next batch),
-//!    swaps the staging buffers out, and drops the lock. It sorts +
+//!    swaps the staging buffer out, and drops the lock. It sorts +
 //!    dedups the batch and calls its drain closure (one fused flush+fence
-//!    per non-empty line set: log lines first, then in-place data lines —
-//!    the same fence order the per-commit path uses). Relocking, it marks
-//!    the epoch retired and wakes every waiter.
+//!    of the batch's log lines). Relocking, it marks the epoch retired and
+//!    wakes every waiter.
 //!
 //! The drain thread drains an epoch as soon as something is staged in
 //! it: it never waits for more arrivals. Batches larger than one form
@@ -46,15 +45,11 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// One drained line batch handed to the drain closure: the union of the
-/// epoch's staged log lines and (for data-persistence configs) staged
-/// in-place data lines, each sorted and deduplicated.
+/// epoch's staged log lines, sorted and deduplicated.
 #[derive(Debug, Default)]
 pub struct GroupBatch {
     /// Coalesced speculative-log lines of every staged transaction.
     pub log_lines: Vec<usize>,
-    /// Coalesced in-place data lines (empty unless the runtime persists
-    /// data eagerly).
-    pub data_lines: Vec<usize>,
     /// Number of transactions staged in the batch.
     pub txs: u64,
 }
@@ -67,15 +62,13 @@ struct GcState {
     /// Highest epoch whose batch fence has retired. Epochs retire in
     /// order because one thread drains them.
     retired_epoch: u64,
-    /// Staging buffers for `open_epoch` (unsorted, duplicates allowed —
+    /// Staging buffer for `open_epoch` (unsorted, duplicates allowed —
     /// the drain thread coalesces once per batch).
     log_lines: Vec<usize>,
-    data_lines: Vec<usize>,
     staged: u64,
-    /// Retired buffers parked here for reuse, so steady-state batches
+    /// The retired buffer parked here for reuse, so steady-state batches
     /// allocate nothing.
-    spare_log: Vec<usize>,
-    spare_data: Vec<usize>,
+    spare: Vec<usize>,
 }
 
 impl Default for GcState {
@@ -84,10 +77,8 @@ impl Default for GcState {
             open_epoch: 1,
             retired_epoch: 0,
             log_lines: Vec::new(),
-            data_lines: Vec::new(),
             staged: 0,
-            spare_log: Vec::new(),
-            spare_data: Vec::new(),
+            spare: Vec::new(),
         }
     }
 }
@@ -106,7 +97,7 @@ impl GroupCommitter {
         Self::default()
     }
 
-    /// Stages one sealed transaction's lines, wakes the drain thread, and
+    /// Stages one sealed transaction's log lines, wakes the drain thread, and
     /// blocks until a batch fence covering them retires. Returns the
     /// epoch the transaction was staged and made durable in.
     ///
@@ -115,11 +106,10 @@ impl GroupCommitter {
     /// across this call (2PL holds write locks until the receipt anyway);
     /// the drain thread takes no locks beyond the committer state and
     /// whatever its closure acquires.
-    pub fn commit(&self, log_lines: &[usize], data_lines: &[usize]) -> u64 {
+    pub fn commit(&self, log_lines: &[usize]) -> u64 {
         let mut st = self.state.lock().expect("group-commit state");
         let my_epoch = st.open_epoch;
         st.log_lines.extend_from_slice(log_lines);
-        st.data_lines.extend_from_slice(data_lines);
         st.staged += 1;
         if st.staged == 1 {
             // First stager of the epoch: wake an idle drain thread.
@@ -151,24 +141,18 @@ impl GroupCommitter {
         st.open_epoch += 1;
         let mut batch = GroupBatch {
             log_lines: std::mem::take(&mut st.log_lines),
-            data_lines: std::mem::take(&mut st.data_lines),
             txs: std::mem::replace(&mut st.staged, 0),
         };
-        st.log_lines = std::mem::take(&mut st.spare_log);
-        st.data_lines = std::mem::take(&mut st.spare_data);
+        st.log_lines = std::mem::take(&mut st.spare);
         drop(st);
         batch.log_lines.sort_unstable();
         batch.log_lines.dedup();
-        batch.data_lines.sort_unstable();
-        batch.data_lines.dedup();
         drain(&batch);
         let mut st = self.state.lock().expect("group-commit state");
         st.retired_epoch = batch_epoch;
-        // Park the drained buffers for the next epoch's stagers.
+        // Park the drained buffer for the next epoch's stagers.
         batch.log_lines.clear();
-        batch.data_lines.clear();
-        st.spare_log = batch.log_lines;
-        st.spare_data = batch.data_lines;
+        st.spare = batch.log_lines;
         drop(st);
         self.cv.notify_all();
         batch.txs
@@ -227,12 +211,12 @@ mod tests {
         let mut seen = Vec::new();
         let (epochs, sizes) = with_drainer(
             &gc,
-            |b| seen.push((b.log_lines.clone(), b.data_lines.clone())),
-            || [gc.commit(&[3, 1, 3], &[]), gc.commit(&[9], &[7, 7])],
+            |b| seen.push(b.log_lines.clone()),
+            || [gc.commit(&[3, 1, 3]), gc.commit(&[9, 9])],
         );
         assert_eq!(epochs, [1, 2]);
         assert_eq!(sizes, [1, 1]);
-        assert_eq!(seen, [(vec![1, 3], vec![]), (vec![9], vec![7])]);
+        assert_eq!(seen, [vec![1, 3], vec![9]]);
         assert_eq!(gc.batches_retired(), 2);
     }
 
@@ -257,13 +241,13 @@ mod tests {
         };
         let (epochs, sizes) = with_drainer(&gc, on_batch, || {
             thread::scope(|s| {
-                let first = s.spawn(|| gc.commit(&[0], &[]));
+                let first = s.spawn(|| gc.commit(&[0]));
                 first_is_draining.recv().expect("the first commit reaches its drain");
                 let late: Vec<_> = [vec![10, 12], vec![12, 14], vec![16]]
                     .into_iter()
                     .map(|lines| {
                         let gc = &gc;
-                        s.spawn(move || gc.commit(&lines, &[]))
+                        s.spawn(move || gc.commit(&lines))
                     })
                     .collect();
                 let mut epochs = vec![first.join().expect("first committer")];
@@ -293,7 +277,7 @@ mod tests {
                         .map(|i| {
                             let gc = &gc;
                             s.spawn(move || {
-                                (0..50).map(|k| gc.commit(&[i * 64 + k], &[])).collect::<Vec<_>>()
+                                (0..50).map(|k| gc.commit(&[i * 64 + k])).collect::<Vec<_>>()
                             })
                         })
                         .collect();

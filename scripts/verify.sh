@@ -714,6 +714,19 @@ if grep -rnE 'bench_with_[s]etup|Bench[R]eport|print_(mt_[s]caling|stripe_[s]wee
     exit 1
 fi
 
+# Variants no figure, bin or benchmark ran stay deleted: the sequential
+# runtime reclaims on its background core only (no reclaim mode),
+# SpecSPMT-DP is the sequential runtime's (no shared-runtime DP, so group
+# commit drains log lines only) and SpecHPMT has no speculative-logging
+# switch (history not searched; no self-match).
+if grep -rnE 'Reclaim[M]ode|reclaim_[m]ode|spec_[e]nabled|set_speculative_[l]ogging' \
+    crates src tests examples README.md DESIGN.md .claude ||
+    grep -rnE 'data_[l]ines|data_[p]lan' crates/core/src crates/txn/src ||
+    grep -nE 'fn data_[p]ersistence' crates/core/src/concurrent.rs; then
+    echo "a deleted runtime variant is back (inline reclaim, shared DP or the CSR switch)" >&2
+    exit 1
+fi
+
 # Count each event once: the registry keeps phase histograms only. Its
 # counters, delta snapshots and live series, the unused export names and
 # the crash-epoch alias stay deleted — a fence is the device's sfence_count,

@@ -114,20 +114,6 @@ fn specpmt_mt_sweep_all_policies() {
     }
 }
 
-#[test]
-fn specpmt_dp_mt_sweep_all_policies() {
-    for threads in [2usize, 4] {
-        sweep_policies(
-            || ConcurrentConfig::builder().data_persistence(true).threads(threads).build(),
-            &[5, 23, 61, 131, 3001],
-            &[CrashPolicy::AllLost, CrashPolicy::AllSurvive, CrashPolicy::Random(0xd9)],
-            13,
-            None,
-            "cargo test --test concurrency specpmt_dp_mt_sweep_all_policies",
-        );
-    }
-}
-
 /// The same write-free-laced streams through the group-commit path: a
 /// write-free commit stages nothing, so it must neither join a batch nor
 /// wait for one.
@@ -155,24 +141,6 @@ fn specpmt_mt_sweep_with_reclaim_daemon_racing() {
         1,
         Some(Duration::from_micros(50)),
         "cargo test --test concurrency specpmt_mt_sweep_with_reclaim_daemon_racing",
-    );
-}
-
-#[test]
-fn specpmt_dp_mt_with_reclaim_daemon_racing() {
-    sweep_policies(
-        || {
-            ConcurrentConfig::builder()
-                .threads(2)
-                .reclaim_threshold_bytes(2048)
-                .data_persistence(true)
-                .build()
-        },
-        &[37, 149, 499],
-        &[CrashPolicy::AllLost],
-        1,
-        Some(Duration::from_micros(50)),
-        "cargo test --test concurrency specpmt_dp_mt_with_reclaim_daemon_racing",
     );
 }
 

@@ -8,8 +8,8 @@
 use specpmt::baselines::{PmdkConfig, PmdkUndo, Spht};
 use specpmt::core::undo::{self, UNDO_BASE_SLOT, UNDO_SIZE_SLOT};
 use specpmt::core::{
-    ConcurrentConfig, HashLogConfig, HashLogSpmt, LockedTxHandle, ReclaimMode, SpecConfig,
-    SpecSpmt, SpecSpmtShared,
+    ConcurrentConfig, HashLogConfig, HashLogSpmt, LockedTxHandle, SpecConfig, SpecSpmt,
+    SpecSpmtShared,
 };
 use specpmt::hwtx::{hw_pool, Ede, EdeConfig, Hoop, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{
@@ -31,17 +31,6 @@ fn spec(pool: PmemPool) -> SpecSpmt {
 
 fn spec_dp(pool: PmemPool) -> SpecSpmt {
     SpecSpmt::new(pool, SpecConfig::default().dp())
-}
-
-fn spec_inline(pool: PmemPool) -> SpecSpmt {
-    SpecSpmt::new(
-        pool,
-        SpecConfig {
-            reclaim_mode: ReclaimMode::Inline,
-            reclaim_threshold_bytes: 8 * 1024,
-            ..SpecConfig::default()
-        },
-    )
 }
 
 fn pmdk(pool: PmemPool) -> PmdkUndo {
@@ -72,7 +61,11 @@ where
                 CrashPolicy::Random(seed * 1000 + crash_after),
             ] {
                 let plan = CrashPlan::after_ops(crash_after).with_policy(policy);
-                let outcome = check_crash_atomicity(make, &spec_stream, plan, R::recover)
+                let recover = |img: &mut CrashImage| {
+                    R::recover(img);
+                    Ok(())
+                };
+                let outcome = check_crash_atomicity(make, &spec_stream, plan, recover)
                     .unwrap_or_else(|e| {
                         panic!(
                             "atomicity violated (seed {seed}, crash_after {crash_after}, {policy:?}): {e}"
@@ -93,11 +86,6 @@ fn specspmt_is_crash_atomic_everywhere() {
 #[test]
 fn specspmt_dp_is_crash_atomic_everywhere() {
     sweep(spec_dp);
-}
-
-#[test]
-fn specspmt_inline_reclaim_is_crash_atomic_everywhere() {
-    sweep(spec_inline);
 }
 
 #[test]
@@ -163,35 +151,53 @@ fn undo_rollback_skips_wrapping_bounds_and_entry_addresses() {
     undo_rollback_survives_wild_words(Ede::new(hw_pool(4 << 20), EdeConfig::default()), 0);
 }
 
-/// Crash during background reclamation/compaction must leave a recoverable
-/// log (the head-pointer swap is atomic; partially written new chains are
-/// unreachable).
+/// A crash anywhere in a reclamation cycle leaves a recoverable log: the
+/// head-pointer swap is atomic and a partially written new chain is
+/// unreachable. Every hit of every `seq/reclaim/*` and `layout/*` site the
+/// stream reaches — before the new chain's writes, between them and the
+/// head swap, inside the swap and after the splice — is crashed under each
+/// crash policy.
 #[test]
 fn specspmt_crash_mid_reclamation_recovers() {
-    for fuel in (0..400).step_by(23) {
-        let spec_stream =
-            StreamSpec { txs: 60, max_writes_per_tx: 4, max_write_len: 8, region_len: 64, seed: 9 };
-        // Small threshold: reclamation runs repeatedly inside the stream, so
-        // many fuel values land inside a compaction cycle.
-        let make = |pool: PmemPool| {
-            SpecSpmt::new(
-                pool,
-                SpecConfig {
-                    block_bytes: 256,
-                    reclaim_threshold_bytes: 1024,
-                    reclaim_mode: ReclaimMode::Inline,
-                    ..SpecConfig::default()
-                },
-            )
-        };
-        check_crash_atomicity(
-            make,
-            &spec_stream,
-            CrashPlan::after_ops(fuel).with_policy(CrashPolicy::Random(fuel)),
-            SpecSpmt::recover,
+    let spec_stream =
+        StreamSpec { txs: 60, max_writes_per_tx: 4, max_write_len: 8, region_len: 64, seed: 9 };
+    // Small threshold: reclamation runs repeatedly inside the stream.
+    let make = |pool: PmemPool| {
+        SpecSpmt::new(
+            pool,
+            SpecConfig { block_bytes: 256, reclaim_threshold_bytes: 1024, ..SpecConfig::default() },
         )
-        .unwrap_or_else(|e| panic!("mid-reclamation crash (fuel {fuel}): {e}"));
+    };
+    let recover = |img: &mut CrashImage| {
+        SpecSpmt::recover(img);
+        Ok(())
+    };
+    let observed = check_crash_atomicity(make, &spec_stream, CrashPlan::observe(), recover)
+        .expect("the uncrashed run recovers")
+        .run;
+    let mut cases = 0;
+    for &(site, hits) in &observed.site_hits {
+        if !["seq-reclaim", "layout"].contains(&site.subsystem()) {
+            continue;
+        }
+        for hit in 1..=hits {
+            for policy in [
+                CrashPolicy::AllLost,
+                CrashPolicy::AllSurvive,
+                CrashPolicy::Random(site as u64 * 1000 + hit),
+            ] {
+                let plan = CrashPlan::at_site(site, hit).with_policy(policy);
+                let run = check_crash_atomicity(make, &spec_stream, plan, recover)
+                    .unwrap_or_else(|e| panic!("crash at {site}:{hit} ({policy:?}): {e}"))
+                    .run;
+                assert_eq!(run.fired_at, Some((site, hit)), "{policy:?}");
+                cases += 1;
+            }
+        }
     }
+    // Three reclaim sites and two layout sites, each hit by more than one
+    // cycle.
+    assert!(cases >= 5 * 2 * 3, "the stream reclaimed too little: {cases} cases");
 }
 
 /// A transaction that wrote nothing must leave the log alone: sealing

@@ -323,7 +323,10 @@ fn specspmt_crash_atomicity_random() {
             make,
             &spec_stream,
             CrashPlan::after_ops(crash_after).with_policy(CrashPolicy::Random(policy_seed)),
-            SpecSpmt::recover,
+            |img| {
+                SpecSpmt::recover(img);
+                Ok(())
+            },
         )
         .unwrap_or_else(|e| {
             panic!("atomicity violation (seed={seed} crash_after={crash_after}): {e}")
@@ -422,11 +425,10 @@ fn concurrent_crash_atomicity_random() {
             1 => CrashPolicy::AllSurvive,
             _ => CrashPolicy::Random(rng.next_u64()),
         };
-        let dp = rng.next_bool();
 
         let dev = SharedPmemDevice::new(PmemConfig::new(1 << 21));
         let pool = SharedPmemPool::create(dev.clone());
-        let cfg = ConcurrentConfig::builder().threads(threads).data_persistence(dp).build();
+        let cfg = ConcurrentConfig::builder().threads(threads).build();
         let shared = SpecSpmtShared::open_or_format(pool, cfg);
         let region_len = 192;
         let bases: Vec<usize> =
@@ -454,7 +456,7 @@ fn concurrent_crash_atomicity_random() {
         )
         .unwrap_or_else(|e| {
             panic!(
-                "MT atomicity violation (seed={seed} threads={threads} dp={dp} \
+                "MT atomicity violation (seed={seed} threads={threads} \
                  crash_after={crash_after} policy={policy:?}): {e}"
             )
         });
