@@ -9,9 +9,8 @@
 //! a 64 KiB region — with the metrics
 //! registry **enabled** and prints one JSON line carrying the per-phase
 //! summaries (count / mean / p50 / p90 / p99 / max; a phase's count is its
-//! event count), the device's per-channel queue-depth high-water, and (for
-//! the shared runtime, which runs under strict 2PL with a shared hot
-//! address) the lock-table wait histogram. Shared points are emitted
+//! event count) and (for the shared runtime, which runs under strict 2PL
+//! with a shared hot address) the lock-table wait histogram. Shared points are emitted
 //! twice — per-commit fences (`"group_commit":false`, the comparison
 //! baseline) and the epoch/group-commit path (`"group_commit":true`, its
 //! batch fences issued by the runtime's drain thread, whose stalls are
@@ -22,14 +21,8 @@
 //! Commit and abort counts are the runtimes' own (`TxStats`,
 //! `SharedStats`).
 //!
-//! A `"mode":"sweep"` block re-runs the 16-thread group-commit point
-//! across media-channel counts (override with `--media-channels A,B,..`)
-//! and WPQ depths, quantifying how much fence batching buys as the
-//! device's drain bandwidth shrinks.
-//!
-//! A final summary line reports the telemetry-**off** sequential commit
-//! cost (`commit_ns_seq`), the telemetry-on cost, and the on/off overhead
-//! ratio.
+//! Host time is `benchmark/`'s (`telemetry.on_overhead_pct` there is the
+//! telemetry on-cost); this bin reports the simulated clock and counts.
 //!
 //! `--check` additionally holds the run to the group-commit budget and
 //! exits non-zero when it fails (see [`check`]): 16-thread amortized sim
@@ -37,8 +30,6 @@
 //! `scripts/verify.sh` runs `txstat --check` at full scale and requires the
 //! group-commit keys on the `"group_commit":true` lines. `--smoke` shrinks
 //! every point to a quick pass.
-
-use std::time::Instant;
 
 use specpmt_bench::POOL_BYTES;
 use specpmt_core::{ConcurrentConfig, LockedTxHandle, SpecConfig, SpecSpmt, SpecSpmtShared};
@@ -70,8 +61,7 @@ fn tx_body<A: TxAccess>(a: &mut A, base: usize, round: u64) {
 /// sub-object attributing the background threads' (reclamation daemon +
 /// group-commit drain thread, which share the shard past the last
 /// transaction thread) WPQ drains, reclamation cycles and batch occupancies
-/// separately, the device's per-channel queue-depth high-water, and the
-/// lock table's stripe-wait histogram.
+/// separately, and the lock table's stripe-wait histogram.
 ///
 /// Every observation is attributed exactly once: the main block excludes
 /// the daemon's registry shard, so its `phases.wpq_drain` histogram is
@@ -102,11 +92,6 @@ fn telemetry_block(shared: &SpecSpmtShared, locks: &SharedLockTable) -> String {
     }
     w.end_object();
     w.end_object();
-    w.begin_array_field("wpq_depth_high_water");
-    for d in shared.device().wpq_depth_high_water() {
-        w.value_u64(d);
-    }
-    w.end_array();
     w.begin_object_field("lock_wait");
     locks.wait_histogram().emit(&mut w);
     w.end_object();
@@ -114,39 +99,10 @@ fn telemetry_block(shared: &SpecSpmtShared, locks: &SharedLockTable) -> String {
     w.finish()
 }
 
-fn usage_bail(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses a `--media-channels A[,B,..]` flag (interleaved-DIMM counts for
-/// the WPQ-depth / fence-batching sweep). Returns `None` when absent.
-/// Counts are validated non-zero up front so a typo exits with a usage
-/// error instead of panicking inside the device constructor.
-fn media_channels_arg() -> Option<Vec<usize>> {
-    let args: Vec<String> = std::env::args().collect();
-    let at = args.iter().position(|a| a == "--media-channels")?;
-    let Some(list) = args.get(at + 1).filter(|a| !a.starts_with('-')) else {
-        usage_bail("--media-channels requires a comma-separated list of counts (e.g. 1,4,12)");
-    };
-    let counts: Vec<usize> = list
-        .split(',')
-        .map(|s| {
-            s.trim().parse::<usize>().unwrap_or_else(|_| {
-                usage_bail(&format!("--media-channels takes a comma-separated list, got {s:?}"))
-            })
-        })
-        .collect();
-    if counts.contains(&0) {
-        usage_bail("--media-channels 0 invalid: a device needs at least one channel");
-    }
-    Some(counts)
-}
-
 /// What [`check`] reads back from one emitted shared-runtime point.
 struct Point {
-    /// The `"mode":"point"` 16-thread group-commit line: the one the
-    /// group-commit budget is stated against.
+    /// The 16-thread group-commit line: the one the group-commit budget
+    /// is stated against.
     group16: bool,
     sim_amortized_ns: f64,
     fences_per_commit: f64,
@@ -188,28 +144,16 @@ fn seq_point(txs: u64) -> f64 {
     sim.mean()
 }
 
-/// Knobs for one shared-runtime point.
-struct SharedOpts {
-    threads: usize,
-    txs_per_thread: u64,
-    group_commit: bool,
-    media_channels: usize,
-    wpq_entries: usize,
-    /// `"point"` for the main 1/8/16 breakdown, `"sweep"` for the
-    /// media-provisioning sweep lines.
-    mode: &'static str,
-}
+/// Interleaved media channels of every shared-runtime point's device.
+const MEDIA_CHANNELS: usize = 12;
 
 /// Runs the shared runtime on real OS threads under strict 2PL (disjoint
 /// per-thread regions plus one shared hot counter) with telemetry enabled
 /// and prints its per-phase line.
-fn shared_point(opts: &SharedOpts) -> Point {
-    let threads = opts.threads;
+fn shared_point(threads: usize, txs_per_thread: u64, group_commit: bool) -> Point {
     let shared = SpecSpmtShared::open_or_format(
-        PmemConfig::new(POOL_BYTES)
-            .with_media_channels(opts.media_channels)
-            .with_wpq_entries(opts.wpq_entries),
-        ConcurrentConfig::builder().threads(threads).group_commit(opts.group_commit).build(),
+        PmemConfig::new(POOL_BYTES).with_media_channels(MEDIA_CHANNELS),
+        ConcurrentConfig::builder().threads(threads).group_commit(group_commit).build(),
     );
     let bases: Vec<usize> =
         (0..threads).map(|_| shared.pool().alloc_direct(REGION, 64).unwrap()).collect();
@@ -218,7 +162,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
     let sfences_before = shared.device().stats().sfence_count;
     let locks = SharedLockTable::new(POOL_BYTES, 64);
     let mut handles = LockedTxHandle::fleet(&shared, &locks, threads);
-    let txs_per_thread = opts.txs_per_thread;
     std::thread::scope(|s| {
         for (t, h) in handles.iter_mut().enumerate() {
             let base = bases[t];
@@ -263,8 +206,8 @@ fn shared_point(opts: &SharedOpts) -> Point {
     let sim_amortized =
         if commits > 0 { (sim.sum + daemon_drain.sum) as f64 / commits as f64 } else { 0.0 };
     println!(
-        "{{\"bench\":\"txstat\",\"runtime\":\"shared\",\"mode\":\"{}\",\"threads\":{threads},\
-         \"group_commit\":{},\"media_channels\":{},\"wpq_entries\":{},\
+        "{{\"bench\":\"txstat\",\"runtime\":\"shared\",\"mode\":\"point\",\"threads\":{threads},\
+         \"group_commit\":{group_commit},\"media_channels\":{MEDIA_CHANNELS},\
          \"commits\":{commits},\"aborts\":{aborts},\"commit_ns_avg\":{:.1},\
          \"commit_sim_ns_avg\":{:.1},\"commit_sim_amortized_ns_avg\":{sim_amortized:.1},\
          \"fences_per_commit\":{fences_per_commit:.3},\
@@ -272,10 +215,6 @@ fn shared_point(opts: &SharedOpts) -> Point {
          \"batch_txs_mean\":{:.3},\"batch_txs_max\":{},\
          \"flight_recorder\":{},\
          \"telemetry\":{}}}",
-        opts.mode,
-        opts.group_commit,
-        opts.media_channels,
-        opts.wpq_entries,
         commit.mean(),
         sim.mean(),
         tel.registry.phase(Phase::BatchWait).count(),
@@ -286,7 +225,7 @@ fn shared_point(opts: &SharedOpts) -> Point {
         telemetry_block(&shared, &locks)
     );
     Point {
-        group16: opts.group_commit && threads == 16 && opts.mode == "point",
+        group16: group_commit && threads == 16,
         sim_amortized_ns: sim_amortized,
         fences_per_commit,
     }
@@ -315,98 +254,14 @@ fn check(seq_sim_ns: f64, shared: &[Point]) -> Vec<String> {
     failures
 }
 
-/// Host nanoseconds per committed sequential transaction with the given
-/// telemetry state.
-fn seq_commit_ns(telemetry_on: bool, warmup: u64, measured: u64) -> f64 {
-    let mut pool = PmemPool::create(PmemDevice::new(PmemConfig::new(POOL_BYTES)));
-    let base = pool.alloc_direct(REGION, 64).unwrap();
-    let cfg = SpecConfig { reclaim_threshold_bytes: usize::MAX, ..SpecConfig::default() };
-    let mut rt = SpecSpmt::new(pool, cfg);
-    rt.telemetry().set_enabled(telemetry_on);
-    let mut round = 0u64;
-    for _ in 0..warmup {
-        rt.begin();
-        tx_body(&mut rt, base, round);
-        rt.commit();
-        round += 1;
-    }
-    let t0 = Instant::now();
-    for _ in 0..measured {
-        rt.begin();
-        tx_body(&mut rt, base, round);
-        rt.commit();
-        round += 1;
-    }
-    t0.elapsed().as_nanos() as f64 / measured as f64
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (txs, warmup, measured) = if smoke { (96, 64, 192) } else { (4000, 512, 4096) };
-    let point = |threads: usize, group_commit: bool| SharedOpts {
-        threads,
-        txs_per_thread: txs,
-        group_commit,
-        media_channels: 12,
-        wpq_entries: 8,
-        mode: "point",
-    };
-
+    let txs = if std::env::args().any(|a| a == "--smoke") { 96 } else { 4000 };
     let seq_sim_ns = seq_point(txs);
     let mut shared = Vec::new();
     for &threads in &[1usize, 8, 16] {
-        shared.push(shared_point(&point(threads, false)));
-        shared.push(shared_point(&point(threads, true)));
+        shared.push(shared_point(threads, txs, false));
+        shared.push(shared_point(threads, txs, true));
     }
-
-    // Media-provisioning sweep: the 16-thread group-commit point across
-    // channel counts (drain bandwidth) and WPQ depths (queue headroom).
-    // Fewer transactions per point — the sweep reads trends, not tails.
-    let sweep_txs = (txs / 4).max(64);
-    let channels = media_channels_arg().unwrap_or_else(|| vec![1, 4, 12]);
-    for &ch in &channels {
-        shared.push(shared_point(&SharedOpts {
-            threads: 16,
-            txs_per_thread: sweep_txs,
-            group_commit: true,
-            media_channels: ch,
-            wpq_entries: 8,
-            mode: "sweep",
-        }));
-    }
-    for &wpq in &[4usize, 16] {
-        shared.push(shared_point(&SharedOpts {
-            threads: 16,
-            txs_per_thread: sweep_txs,
-            group_commit: true,
-            media_channels: 12,
-            wpq_entries: wpq,
-            mode: "sweep",
-        }));
-    }
-
-    // Telemetry-off vs -on sequential commit cost. Median of three
-    // passes each, interleaved, so transient host noise does not land on
-    // one side only.
-    let median = |mut v: Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    let mut offs = Vec::new();
-    let mut ons = Vec::new();
-    for _ in 0..3 {
-        offs.push(seq_commit_ns(false, warmup, measured));
-        ons.push(seq_commit_ns(true, warmup, measured));
-    }
-    let off_ns = median(offs);
-    let on_ns = median(ons);
-    let overhead_pct = (on_ns / off_ns - 1.0) * 100.0;
-    println!(
-        "{{\"bench\":\"txstat\",\"writes_per_tx\":{WRITES_PER_TX},\
-         \"write_bytes\":{WRITE_BYTES},\"commit_ns_seq\":{off_ns:.1},\
-         \"commit_ns_seq_telemetry\":{on_ns:.1},\
-         \"telemetry_overhead_pct\":{overhead_pct:.2}}}"
-    );
 
     if std::env::args().any(|a| a == "--check") {
         let failures = check(seq_sim_ns, &shared);

@@ -308,7 +308,8 @@ pub mod selftest {
                 while !done.load(Ordering::SeqCst) {
                     gc.drain_next(Duration::from_millis(1), |batch| {
                         dev.crash_point(Site::MtGroupPreFence);
-                        drain_dev.drain_lines(&batch.log_lines);
+                        drain_dev.clwb_lines(&batch.log_lines);
+                        drain_dev.sfence();
                         dev.crash_point(Site::MtGroupBatchFence);
                     });
                 }

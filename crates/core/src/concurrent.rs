@@ -887,7 +887,7 @@ impl SpecSpmtShared {
 /// checks that its runtime is still alive (a stager wakes it at once).
 const GROUP_IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// One fused flush+fence for a group batch's log lines. Returns its fence
+/// One flush+fence for a group batch's log lines. Returns its fence
 /// report.
 fn drain_group_batch(
     dev: &DeviceHandle,
@@ -896,8 +896,8 @@ fn drain_group_batch(
     batch: &GroupBatch,
 ) -> FenceReport {
     // Flight recorder: the batch fence covers every stager, so carry
-    // every ring's pending event slots with it (folded into the same
-    // fused drain — no fence of their own).
+    // every ring's pending event slots with it (flushed with the batch
+    // — no fence of their own).
     let mut bbox_carried = 0;
     let mut lines_with_bbox = Vec::new();
     let log_lines = match bbox {
@@ -917,9 +917,10 @@ fn drain_group_batch(
         None => &batch.log_lines,
     };
     // Every receipt in the batch is still unpublished here; after the
-    // fused drain below, all of them are durable at once.
+    // batch fence below, all of them are durable at once.
     dev.crash_point(Site::MtGroupPreFence);
-    let fr = dev.drain_lines(log_lines);
+    dev.clwb_lines(log_lines);
+    let fr = dev.sfence();
     dev.crash_point(Site::MtGroupBatchFence);
     if let Some(bb) = bbox {
         if bbox_carried > 0 {
@@ -1206,7 +1207,8 @@ impl TxHandle {
     /// Group-commit tail of [`Self::seal`]: coalesce this record's lines,
     /// stage them into the open epoch's batch, and block until a batch
     /// fence covering them retires. The runtime's drain thread issues one
-    /// fused [`DeviceHandle::drain_lines`] for the whole batch's log lines —
+    /// [`DeviceHandle::clwb_lines`] and one [`DeviceHandle::sfence`] for
+    /// the whole batch's log lines —
     /// durability is identical to [`Self::seal_solo`], fences are amortized
     /// across the batch. Called with the area lock held: 2PL semantics keep the
     /// record's region locked until the receipt anyway, and the daemon

@@ -94,21 +94,6 @@ impl PmemConfig {
         self
     }
 
-    /// Returns `self` with the per-channel WPQ depth replaced — the
-    /// sweepable queue-depth knob for the fence-batching study (a deeper
-    /// WPQ absorbs larger flush bursts before fences stall on media
-    /// occupancy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero.
-    #[must_use]
-    pub fn with_wpq_entries(mut self, entries: usize) -> Self {
-        assert!(entries > 0, "at least one WPQ slot");
-        self.wpq_entries = entries;
-        self
-    }
-
     /// Returns `self` with all timing costs zeroed — useful for pure
     /// correctness tests where simulated time is irrelevant.
     #[must_use]
@@ -160,12 +145,6 @@ mod tests {
         assert_eq!(PmemConfig::new(MAX_POOL_BYTES).size, MAX_POOL_BYTES);
         let refused = std::panic::catch_unwind(|| PmemConfig::new(MAX_POOL_BYTES + 1));
         assert!(refused.is_err());
-    }
-
-    #[test]
-    fn wpq_entries_builder_replaces_depth() {
-        let c = PmemConfig::new(4096).with_wpq_entries(32);
-        assert_eq!(c.wpq_entries, 32);
     }
 
     #[test]

@@ -258,22 +258,13 @@ impl SharedPmemDevice {
 
     /// Snapshot of the WPQ-drain wait histogram: the nanoseconds each
     /// fence that completed at least one flush spent waiting for WPQ
-    /// acceptance, merged over handles. Together with
-    /// [`Self::wpq_depth_high_water`] this is the per-commit WPQ traffic
-    /// picture the ROADMAP profiling question asks for.
+    /// acceptance, merged over handles.
     pub fn wpq_drain_histogram(&self) -> HistogramSnapshot {
         let mut total = HistogramSnapshot::default();
         for cell in self.cells().iter() {
             total.merge(&cell.wpq_drain_ns.snapshot());
         }
         total
-    }
-
-    /// Per-channel (per-DIMM) WPQ queue-depth high-water marks: the
-    /// deepest each channel's queue has ever been right after accepting a
-    /// flush.
-    pub fn wpq_depth_high_water(&self) -> Vec<u64> {
-        self.inner.wpq.lock().expect("wpq lock").depth_high_water.clone()
     }
 
     /// Switches timing on or off device-wide (setup phases only — callers
@@ -629,40 +620,18 @@ impl DeviceHandle {
     /// Panics if a line is out of bounds or the slice is not sorted and
     /// deduplicated.
     pub fn clwb_lines(&self, lines: &[usize]) {
-        if lines.is_empty() {
-            return;
-        }
-        self.burn_batch_fuel(lines, 0);
-        let mut unfenced = self.unfenced();
-        if self.issue_batch(lines, &mut unfenced) {
-            self.local_charge(lines.len() as u64 * self.dev.inner.cfg.clwb_issue_ns);
-            self.cell.stats.clwb_count.add(lines.len() as u64);
-        }
-    }
-
-    /// Validates a vectored flush and burns its crash fuel — one unit per
-    /// line plus `extra` — up front, while no lock is held (a fuel capture
-    /// takes this handle's flush list and every shard lock).
-    fn burn_batch_fuel(&self, lines: &[usize], extra: usize) {
+        let Some(&last) = lines.last() else { return };
         assert!(
             lines.windows(2).all(|w| w[0] < w[1]),
             "vectored flush requires a sorted, deduplicated batch"
         );
-        let last = *lines.last().expect("non-empty batch");
         assert!(line_start(last) < self.dev.size(), "vectored flush out of bounds");
-        for _ in 0..lines.len() + extra {
+        // Fuel first, while no lock is held: a fuel capture takes this
+        // handle's flush list and every shard lock.
+        for _ in lines {
             self.dev.tick_fuel();
         }
-    }
-
-    /// Back half of a vectored flush, shared by [`Self::clwb_lines`] and
-    /// [`Self::drain_lines`]: appends a snapshot of every line to
-    /// `unfenced` (this handle's locked flush list) and accepts the batch
-    /// into the WPQ under one lock acquisition, each line at the simulated
-    /// instant its serial `clwb` would have issued. The caller charges the
-    /// issue time. With timing off the lines persist at once, `unfenced`
-    /// is left as it was and `false` is returned.
-    fn issue_batch(&self, lines: &[usize], unfenced: &mut Vec<PendingFlush>) -> bool {
+        let mut unfenced = self.unfenced();
         let first = unfenced.len();
         unfenced.reserve(lines.len());
         self.dev.for_line_runs(
@@ -679,15 +648,19 @@ impl DeviceHandle {
         if !self.dev.timing_is_on() {
             self.dev.apply_persisted(&unfenced[first..]);
             unfenced.truncate(first);
-            return false;
+            return;
         }
+        // The whole batch enters the WPQ under one lock acquisition, each
+        // line at the simulated instant its serial `clwb` would have issued.
         let issue_ns = self.dev.inner.cfg.clwb_issue_ns;
         let t0 = self.local_now_ns();
         let mut w = self.dev.inner.wpq.lock().expect("wpq lock");
         for (k, p) in unfenced[first..].iter_mut().enumerate() {
             p.accepted_at = self.wpq_accept(&mut w, p.line, t0 + (k as u64 + 1) * issue_ns);
         }
-        true
+        drop(w);
+        self.local_charge(lines.len() as u64 * issue_ns);
+        self.cell.stats.clwb_count.add(lines.len() as u64);
     }
 
     /// WPQ + media accounting for one line write-back; returns the time the
@@ -701,23 +674,6 @@ impl DeviceHandle {
             self.cell.stats.seq_line_hits.add(1);
         }
         accepted_at
-    }
-
-    /// The timed half of a fence over `flushes`: stalls this handle's
-    /// timeline until the last of them is accepted, charges the fence
-    /// itself, and counts it.
-    fn stall_for(&self, flushes: &[PendingFlush]) -> FenceReport {
-        let target = flushes.iter().map(|p| p.accepted_at).max().unwrap_or(0);
-        let stall_ns = target.saturating_sub(self.local_now_ns());
-        let stats = &self.cell.stats;
-        stats.sfence_count.add(1);
-        stats.fence_stall_ns.add(stall_ns);
-        self.local_charge(stall_ns + self.dev.inner.cfg.sfence_base_ns);
-        let report = FenceReport { stall_ns, flushes: flushes.len() as u64 };
-        if report.flushes > 0 {
-            self.cell.wpq_drain_ns.record(stall_ns);
-        }
-        report
     }
 
     /// Issues `clwb` for every cache line touched by `[addr, addr + len)`.
@@ -741,56 +697,6 @@ impl DeviceHandle {
         self.clwb_lines(&plan);
     }
 
-    /// Fused batched drain: [`Self::clwb_lines`] plus [`Self::sfence`] for
-    /// one sorted, deduplicated line batch, in a single call. This is the
-    /// group-commit combiner's primitive: one round of this handle's flush
-    /// lock and one of the WPQ lock accept the whole batch, the fence stall
-    /// is computed directly from the batch's acceptance times, and the
-    /// persisted image is updated immediately.
-    ///
-    /// Simulated time and crash fuel match the unfused pair exactly: one
-    /// persistence op per line plus one for the fence, `clwb_issue_ns` per
-    /// line plus `sfence_base_ns` on this handle's clock, and the same
-    /// per-line WPQ acceptance instants. The only semantic difference is
-    /// crash nondeterminism *inside* the call: the flush list is locked
-    /// from issue to fence, so no capture ever sees the batch as accepted
-    /// in-flight flushes — one that fires mid-call (on fuel, before the
-    /// first snapshot) sees volatile-vs-persisted diffs, surviving per
-    /// policy. Both are valid pre-fence outcomes, and the post-fence
-    /// durability guarantee is identical.
-    ///
-    /// The fence covers exactly the batch passed in: the handle must have
-    /// no unfenced [`Self::clwb`]-family flushes outstanding when calling
-    /// this (checked in debug builds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a line is out of bounds or the slice is not sorted and
-    /// deduplicated.
-    pub fn drain_lines(&self, lines: &[usize]) -> FenceReport {
-        if lines.is_empty() {
-            return FenceReport::default();
-        }
-        // One more unit of crash fuel for the fence — the same budget as
-        // clwb_lines + sfence.
-        self.burn_batch_fuel(lines, 1);
-        let mut batch = self.unfenced();
-        debug_assert!(
-            batch.is_empty(),
-            "drain_lines with unfenced flushes outstanding on this handle"
-        );
-        if !self.issue_batch(lines, &mut batch) {
-            return FenceReport::default();
-        }
-        let n = lines.len() as u64;
-        self.cell.stats.clwb_count.add(n);
-        self.local_charge(n * self.dev.inner.cfg.clwb_issue_ns);
-        let report = self.stall_for(&batch);
-        self.dev.apply_persisted(&batch);
-        batch.clear();
-        report
-    }
-
     /// Store fence: stalls until every flush **this handle** issued is
     /// accepted into the persistence domain, then applies them to the
     /// persisted image. Returns what the fence observed (WPQ-drain stall,
@@ -809,7 +715,19 @@ impl DeviceHandle {
             self.dev.tick_fuel();
         }
         let mut mine = self.unfenced();
-        let report = if timed { self.stall_for(&mine) } else { FenceReport::default() };
+        let mut report = FenceReport::default();
+        if timed {
+            let target = mine.iter().map(|p| p.accepted_at).max().unwrap_or(0);
+            let stall_ns = target.saturating_sub(self.local_now_ns());
+            let stats = &self.cell.stats;
+            stats.sfence_count.add(1);
+            stats.fence_stall_ns.add(stall_ns);
+            self.local_charge(stall_ns + self.dev.inner.cfg.sfence_base_ns);
+            report = FenceReport { stall_ns, flushes: mine.len() as u64 };
+            if report.flushes > 0 {
+                self.cell.wpq_drain_ns.record(stall_ns);
+            }
+        }
         self.dev.apply_persisted(&mine);
         mine.clear();
         report
@@ -1210,16 +1128,14 @@ mod tests {
     }
 
     #[test]
-    fn wpq_telemetry_tracks_drains_and_depth() {
+    fn wpq_telemetry_tracks_drains() {
         let d = dev();
         let h = d.handle();
         assert_eq!(d.wpq_drain_histogram().count(), 0);
-        assert!(d.wpq_depth_high_water().iter().all(|&x| x == 0));
         // Fence with nothing pending: no drain observation.
         h.sfence();
         assert_eq!(d.wpq_drain_histogram().count(), 0);
-        // A burst of flushes then a fence: one drain observation, and the
-        // accepting channel's depth high-water is at least 1.
+        // A burst of flushes then a fence: one drain observation.
         for i in 0..8 {
             h.write_u64(i * 64, i as u64);
         }
@@ -1231,7 +1147,6 @@ mod tests {
         let hist = d.wpq_drain_histogram();
         assert_eq!(hist.count(), 1);
         assert_eq!(hist.max, report.stall_ns);
-        assert!(d.wpq_depth_high_water().iter().any(|&x| x >= 1));
         // Timing off: fences are free and unobserved.
         d.set_timing(TimingMode::Off);
         h.clwb(0);
@@ -1522,77 +1437,6 @@ mod tests {
             let ranges = messy_commit(&h);
             h.clwb_ranges(&ranges);
             h.sfence();
-            h.write_u64(MARKER, 0xAB);
-            h.clwb(MARKER);
-            h.sfence();
-            let img = match d.take_image() {
-                Some(img) => img,
-                None => d.capture(CrashPolicy::AllLost),
-            };
-            let expect = [(0usize, 1u64), (128, 3), (200, 2), (SHARD_BYTES - 8, 4)];
-            if img.read_u64(MARKER) == 0xAB {
-                for (addr, v) in expect {
-                    assert_eq!(
-                        img.read_u64(addr),
-                        v,
-                        "marker durable but {addr:#x} lost (fuel={fuel})"
-                    );
-                }
-            } else {
-                for (addr, v) in expect {
-                    let got = img.read_u64(addr);
-                    assert!(got == 0 || got == v, "torn word at {addr:#x} (fuel={fuel}): {got}");
-                }
-            }
-        }
-    }
-
-    /// The fused drain is observationally equivalent to clwb_ranges +
-    /// sfence: same persisted image, same simulated clock, same stats.
-    #[test]
-    fn drain_lines_matches_clwb_sfence_image_and_time() {
-        let unfused = dev();
-        let fused = dev();
-        let hu = unfused.handle();
-        let hf = fused.handle();
-        let ranges = messy_commit(&hu);
-        hu.clwb_ranges(&ranges);
-        let ru = hu.sfence();
-        let ranges = messy_commit(&hf);
-        let mut lines = Vec::new();
-        crate::geometry::coalesce_lines(&ranges, &mut lines);
-        let rf = hf.drain_lines(&lines);
-        assert_eq!(rf.flushes, ru.flushes);
-        assert_eq!(rf.stall_ns, ru.stall_ns);
-        assert_eq!(hf.local_now_ns(), hu.local_now_ns());
-        let su = unfused.stats();
-        let sf = fused.stats();
-        assert_eq!(sf.clwb_count, su.clwb_count);
-        assert_eq!(sf.sfence_count, su.sfence_count);
-        assert_eq!(sf.lines_persisted, su.lines_persisted);
-        let a = unfused.capture(CrashPolicy::AllLost);
-        let b = fused.capture(CrashPolicy::AllLost);
-        for addr in [0usize, 128, 200, SHARD_BYTES - 8, SHARD_BYTES + 64] {
-            assert_eq!(a.read_u64(addr), b.read_u64(addr), "divergence at {addr:#x}");
-        }
-        assert_eq!(b.read_u64(0), 1);
-        assert_eq!(b.read_u64(SHARD_BYTES - 8), 4);
-    }
-
-    /// Crash-epoch sweep through the fused drain: once a later fenced
-    /// marker is durable, the drained batch must be durable in full;
-    /// before that, old-or-new per word, never torn.
-    #[test]
-    fn drain_lines_crash_sweep_preserves_fence_order() {
-        const MARKER: usize = 8 * 1024;
-        for fuel in 1u64..40 {
-            let d = dev();
-            let h = d.handle();
-            d.arm(CrashPlan::after_ops(fuel));
-            let ranges = messy_commit(&h);
-            let mut lines = Vec::new();
-            crate::geometry::coalesce_lines(&ranges, &mut lines);
-            h.drain_lines(&lines);
             h.write_u64(MARKER, 0xAB);
             h.clwb(MARKER);
             h.sfence();

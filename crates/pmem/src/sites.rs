@@ -83,7 +83,7 @@ inventory! {
     MtGroupPreFence = "mt/group/pre_fence", "mt-group",
         "combiner about to drain the batch; every receipt in it must still be unpublished";
     MtGroupBatchFence = "mt/group/batch_fence", "mt-group",
-        "batch drained by the fused flush+fence; every receipt in the batch is durable";
+        "batch drained by one flush+fence; every receipt in the batch is durable";
     // --- shared reclamation splice --------------------------------------
     MtReclaimPreFence = "mt/reclaim/pre_fence", "mt-reclaim",
         "compacted rewrites staged, first fence pending; the old area is still authoritative";

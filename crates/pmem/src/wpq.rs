@@ -37,10 +37,6 @@ pub(crate) struct WpqModel {
     /// [`crate::geometry::channel_of_xpline`]).
     media_busy_until: Vec<u64>,
     last_media_xpline: Vec<Option<usize>>,
-    /// Per-channel (per-DIMM) queue-depth high-water marks: the deepest
-    /// each WPQ has ever been right after accepting a flush. Telemetry
-    /// only — never consulted by the timing model.
-    pub(crate) depth_high_water: Vec<u64>,
 }
 
 impl WpqModel {
@@ -50,7 +46,6 @@ impl WpqModel {
             drains: vec![VecDeque::new(); channels],
             media_busy_until: vec![0; channels],
             last_media_xpline: vec![None; channels],
-            depth_high_water: vec![0; channels],
         }
     }
 
@@ -80,10 +75,6 @@ impl WpqModel {
         self.media_busy_until[ch] = drain_at;
         self.last_media_xpline[ch] = Some(xp);
         self.drains[ch].push_back(drain_at);
-        let depth = self.drains[ch].len() as u64;
-        if depth > self.depth_high_water[ch] {
-            self.depth_high_water[ch] = depth;
-        }
         (accepted_at, sequential)
     }
 }

@@ -8,7 +8,7 @@
 //! The transaction bodies (`insert_segment`, `link_segment`) and the
 //! one driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
-//! [`run_mt`] the same driver on a fleet.
+//! [`crate::run_app_mt`] the same driver on a fleet.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -179,16 +179,6 @@ fn link_segment<A: TxAccess>(tx: &mut A, lay: &Layout, prev: Option<usize>, slot
 /// Panics if `table_cap` is not a power of two.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &GenomeCfg) -> Result<(), String> {
     execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread; returns the number of committed transactions.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty or `table_cap` is not a power of two.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &GenomeCfg) -> Result<u64, String> {
-    execute(handles, cfg)
 }
 
 /// The one driver: phase-1 inserts race over the shared hash table,

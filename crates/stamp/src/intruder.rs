@@ -9,7 +9,7 @@
 //! The transaction bodies (`insert_fragment`, `record_verdict`) and
 //! the one driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
-//! [`run_mt`] the same driver on a fleet. The per-stream bookkeeping
+//! [`crate::run_app_mt`] the same driver on a fleet. The per-stream bookkeeping
 //! (`last_seq`, `bytes_rcvd`) is one pair per thread — the body takes the
 //! pair's addresses as parameters — and the thread whose committed insert
 //! completes a flow's bitmap performs the decode.
@@ -149,16 +149,6 @@ fn record_verdict<A: TxAccess>(tx: &mut A, flow_base: usize, attack: bool, attac
 /// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &IntruderCfg) -> Result<(), String> {
     execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread; returns the number of committed transactions.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &IntruderCfg) -> Result<u64, String> {
-    execute(handles, cfg)
 }
 
 /// The one driver: fragments are partitioned round-robin; strict 2PL

@@ -15,7 +15,7 @@
 //! The transaction bodies (`zero_cluster`, `assign_point`) and the
 //! one driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
-//! [`run_mt`] the same driver on a fleet.
+//! [`crate::run_app_mt`] the same driver on a fleet.
 
 use std::sync::{Barrier, Mutex};
 
@@ -207,16 +207,6 @@ fn recompute_centroids<A: TxAccess>(
 /// Panics if the pool is too small (allocate ≥ a few MiB).
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &KmeansCfg) -> Result<(), String> {
     execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread; returns the number of committed transactions.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &KmeansCfg) -> Result<u64, String> {
-    execute(handles, cfg)
 }
 
 /// The one driver: clusters (zero phase) and points (assignment phase)

@@ -7,7 +7,7 @@
 //!
 //! The claim transaction body (`try_claim`) and the one driver
 //! (`execute`) are written once against [`TxAccess`]: the sequential
-//! [`run`] is that driver on one handle, the real-thread [`run_mt`] the
+//! [`run`] is that driver on one handle, the real-thread [`crate::run_app_mt`] the
 //! same driver on a fleet. Like STAMP, the claim *revalidates* the path
 //! inside the transaction: routing used a grid that another thread's
 //! claim may since have crossed, so the body re-reads every cell and
@@ -169,16 +169,6 @@ fn try_claim<A: TxAccess>(
 /// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &LabyrinthCfg) -> Result<(), String> {
     execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread; returns the number of committed transactions.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &LabyrinthCfg) -> Result<u64, String> {
-    execute(handles, cfg)
 }
 
 /// Re-route attempts per request before a thread gives up (a failed

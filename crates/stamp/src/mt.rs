@@ -1,6 +1,6 @@
 //! The fleet seam every application's one driver, `execute`, is written
 //! against — a `Solo` handle on the caller's thread (the sequential
-//! `run`) or a slice raced one OS thread per handle (`run_mt`) — and the
+//! `run`) or a slice raced one OS thread per handle (`run_app_mt`) — and the
 //! multi-threaded entry point. Slice handles are typically
 //! `specpmt_core::LockedTxHandle`s (strict 2PL over one shared pool), but
 //! any `TxAccess + Send` works: a one-element slice of a single-threaded

@@ -6,7 +6,7 @@
 //!
 //! The transaction body (`insert_edge`) and the one driver (`execute`)
 //! are written once against [`TxAccess`]: the sequential [`run`] is that
-//! driver on one handle, the real-thread [`run_mt`] the same driver on a
+//! driver on one handle, the real-thread [`crate::run_app_mt`] the same driver on a
 //! fleet. Under concurrency the adjacency slot order depends on the
 //! interleaving, so verification compares neighbor *multisets* per vertex
 //! and demands slot-exact contents only of one handle.
@@ -105,16 +105,6 @@ fn reference(cfg: &Ssca2Cfg, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
 /// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &Ssca2Cfg) -> Result<(), String> {
     execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread; returns the number of committed transactions.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &Ssca2Cfg) -> Result<u64, String> {
-    execute(handles, cfg)
 }
 
 /// The one driver: edge inserts, partitioned round-robin, race over the

@@ -8,7 +8,7 @@
 //!
 //! The session transaction body (`run_session`) and the one driver
 //! (`execute`) are written once against [`TxAccess`]: the sequential
-//! [`run`] is that driver on one handle, the real-thread [`run_mt`] the
+//! [`run`] is that driver on one handle, the real-thread [`crate::run_app_mt`] the
 //! same driver on a fleet. All RNG decisions (customer, tables, queried
 //! rows) are drawn up front into `Session` plans so the body is
 //! retry-safe; the reservation slot is claimed by a read-modify-write of
@@ -229,16 +229,6 @@ fn setup_tables<A: TxAccess>(rt: &mut A, lay: &Layout, initial_rows: &[(u32, u32
 /// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &VacationCfg) -> Result<(), String> {
     execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread; returns the number of committed transactions.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &VacationCfg) -> Result<u64, String> {
-    execute(handles, cfg)
 }
 
 /// The one driver: client sessions, partitioned round-robin.

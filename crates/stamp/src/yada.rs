@@ -11,7 +11,7 @@
 //! The transaction bodies (`seed_tri`, `refine_tri`) and the one
 //! driver (`execute`) are written once against [`TxAccess`]: the
 //! sequential [`run`] is that driver on one handle, the real-thread
-//! [`run_mt`] the same driver on a fleet. Child slots are allocated by a
+//! [`crate::run_app_mt`] the same driver on a fleet. Child slots are allocated by a
 //! read-modify-write of the persistent triangle count *inside* the
 //! refinement transaction, so one handle reproduces the reference ids
 //! exactly while concurrent runs stay collision-free under 2PL.
@@ -201,16 +201,6 @@ fn refine_tri<A: TxAccess>(
 /// outcome.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &YadaCfg) -> Result<(), String> {
     execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Runs the workload on real OS threads, one [`TxAccess`] handle per
-/// thread; returns the number of committed transactions.
-///
-/// # Panics
-///
-/// Panics if `handles` is empty.
-pub fn run_mt<A: TxAccess + Send>(handles: &mut [A], cfg: &YadaCfg) -> Result<u64, String> {
-    execute(handles, cfg)
 }
 
 /// The one driver: seeds (one transaction per initial triangle, like mesh

@@ -22,7 +22,7 @@
 //! 2. The drain thread ([`GroupCommitter::drain_next`]) closes the epoch
 //!    (advances `open_epoch` so later arrivals stage into the next batch),
 //!    swaps the staging buffer out, and drops the lock. It sorts +
-//!    dedups the batch and calls its drain closure (one fused flush+fence
+//!    dedups the batch and calls its drain closure (one flush+fence
 //!    of the batch's log lines). Relocking, it marks the epoch retired and
 //!    wakes every waiter.
 //!

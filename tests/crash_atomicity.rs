@@ -14,6 +14,7 @@ use specpmt::core::{
 use specpmt::hwtx::{hw_pool, Ede, EdeConfig, Hoop, HwSpecConfig, HwSpecPmt};
 use specpmt::pmem::{
     root_off, CrashControl, CrashImage, CrashPlan, CrashPolicy, PmemConfig, PmemDevice, PmemPool,
+    Site,
 };
 use specpmt::txn::{Recover, SharedLockTable, TxAccess, TxRuntime};
 use specpmt_check::driver::{check_crash_atomicity, StreamSpec};
@@ -22,8 +23,10 @@ fn spec(pool: PmemPool) -> SpecSpmt {
     SpecSpmt::new(
         pool,
         SpecConfig {
-            block_bytes: 512, // small blocks: exercise spills + compaction
-            reclaim_threshold_bytes: 16 * 1024,
+            block_bytes: 256, // small blocks: exercise spills + compaction
+            // Crossed several times by every sweep stream, so the chain is
+            // rebuilt mid-stream and fuel crashes land inside a rebuild.
+            reclaim_threshold_bytes: 512,
             ..SpecConfig::default()
         },
     )
@@ -45,6 +48,11 @@ fn hashlog(pool: PmemPool) -> HashLogSpmt {
     HashLogSpmt::new(pool, HashLogConfig { capacity: 1 << 10 })
 }
 
+/// The sweep's transaction stream for one seed.
+fn sweep_stream(seed: u64) -> StreamSpec {
+    StreamSpec { txs: 12, max_writes_per_tx: 5, max_write_len: 24, region_len: 384, seed }
+}
+
 /// Sweeps crash points × policies × stream seeds for a runtime.
 fn sweep<R, F>(make: F)
 where
@@ -52,8 +60,7 @@ where
     F: Fn(PmemPool) -> R + Copy,
 {
     for seed in 0..2u64 {
-        let spec_stream =
-            StreamSpec { txs: 12, max_writes_per_tx: 5, max_write_len: 24, region_len: 384, seed };
+        let spec_stream = sweep_stream(seed);
         for crash_after in [0, 1, 3, 7, 15, 40, 90, 200, 100_000] {
             for policy in [
                 CrashPolicy::AllLost,
@@ -81,6 +88,21 @@ where
 #[test]
 fn specspmt_is_crash_atomic_everywhere() {
     sweep(spec);
+    // The sweep reaches reclamation: every seed's uncrashed stream
+    // rebuilds the chain at least once, so the fuel crashes above also
+    // fall inside a reclaim cycle.
+    for seed in 0..2u64 {
+        let recover = |img: &mut CrashImage| {
+            SpecSpmt::recover(img);
+            Ok(())
+        };
+        let run = check_crash_atomicity(spec, &sweep_stream(seed), CrashPlan::observe(), recover)
+            .expect("the uncrashed run recovers")
+            .run;
+        let rebuilds =
+            run.site_hits.iter().find(|(site, _)| *site == Site::SeqReclaimPreFence).map(|h| h.1);
+        assert!(rebuilds >= Some(1), "seed {seed}: no reclaim cycle rebuilt the chain");
+    }
 }
 
 #[test]

@@ -20,8 +20,8 @@
 //!   device one unit per line as it goes. Both fire the same number of
 //!   operations in; what differs is which of the batch's lines are already
 //!   pending in the image. Here fuel plans run over single-line ops only.
-//! * `DeviceHandle::drain_lines` and the WPQ-drain histogram, which the
-//!   single-threaded device does not have.
+//! * the WPQ-drain histogram, which the single-threaded device does not
+//!   have.
 //! * background writes (`PmemDevice::background_ranges`): the shared
 //!   device has none — its reclaimer fences like any other writer.
 
