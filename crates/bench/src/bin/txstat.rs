@@ -29,7 +29,8 @@
 //! cost within 1.5x sequential, at < 1 fence per commit.
 //! `scripts/verify.sh` runs `txstat --check` at full scale and requires the
 //! group-commit keys on the `"group_commit":true` lines. `--smoke` shrinks
-//! every point to a quick pass.
+//! every point to a quick pass. Any other argument prints the usage line
+//! and exits 2.
 
 use specpmt_bench::POOL_BYTES;
 use specpmt_core::{ConcurrentConfig, LockedTxHandle, SpecConfig, SpecSpmt, SpecSpmtShared};
@@ -255,7 +256,18 @@ fn check(seq_sim_ns: f64, shared: &[Point]) -> Vec<String> {
 }
 
 fn main() {
-    let txs = if std::env::args().any(|a| a == "--smoke") { 96 } else { 4000 };
+    let (mut smoke, mut check_budget) = (false, false);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--check" => check_budget = true,
+            _ => {
+                eprintln!("txstat: unknown argument {arg:?}\nusage: txstat [--smoke] [--check]");
+                std::process::exit(2);
+            }
+        }
+    }
+    let txs = if smoke { 96 } else { 4000 };
     let seq_sim_ns = seq_point(txs);
     let mut shared = Vec::new();
     for &threads in &[1usize, 8, 16] {
@@ -263,7 +275,7 @@ fn main() {
         shared.push(shared_point(threads, txs, true));
     }
 
-    if std::env::args().any(|a| a == "--check") {
+    if check_budget {
         let failures = check(seq_sim_ns, &shared);
         for f in &failures {
             eprintln!("txstat --check: FAIL {f}");

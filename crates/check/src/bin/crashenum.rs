@@ -44,6 +44,7 @@
 //!
 //! `--cap N` bounds targeted runs per site (default 8, at least 1; any
 //! other value exits 2); CI uses a small cap to keep the smoke tier fast.
+//! Any other argument prints the usage line and exits 2.
 //!
 //! [`ForensicReport`]: specpmt_core::ForensicReport
 //!
@@ -59,8 +60,35 @@ use specpmt_telemetry::JsonWriter;
 /// What every repro line starts with (the enumerator appends the target).
 const REPRO: &str = "cargo run --release -q -p specpmt-check --bin crashenum --";
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+const USAGE: &str = "usage: crashenum [--cap N] [--target <site>:<hit>] \
+                     [--selftest-reorder] [--selftest-forensics]";
+
+/// The command line. Any other argument is an error, so a misspelt flag
+/// never runs the default enumeration.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    target: Option<String>,
+    cap: Option<String>,
+    reorder: bool,
+    forensics: bool,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--selftest-reorder" => parsed.reorder = true,
+            "--selftest-forensics" => parsed.forensics = true,
+            "--target" | "--cap" => {
+                let value = args.next().ok_or_else(|| format!("{arg} takes a value"))?;
+                let slot = if arg == "--target" { &mut parsed.target } else { &mut parsed.cap };
+                *slot = Some(value);
+            }
+            _ => return Err(format!("unknown argument {arg:?}")),
+        }
+    }
+    Ok(parsed)
 }
 
 /// Enumerates the injected-ordering-bug workload; exits zero only when
@@ -229,9 +257,12 @@ fn workload(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let reorder = args.iter().any(|a| a == "--selftest-reorder");
-    if let Some(target) = arg_value(&args, "--target") {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("crashenum: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let reorder = args.reorder;
+    if let Some(target) = args.target {
         let summary = replay(&target, reorder).unwrap_or_else(|e| {
             eprintln!("{target}: {e}");
             std::process::exit(1)
@@ -243,10 +274,10 @@ fn main() {
     if reorder {
         std::process::exit(selftest_reorder());
     }
-    if args.iter().any(|a| a == "--selftest-forensics") {
+    if args.forensics {
         std::process::exit(selftest_forensics());
     }
-    let cap = arg_value(&args, "--cap").map_or(Ok(8), |v| parse_cap(&v)).unwrap_or_else(|e| {
+    let cap = args.cap.map_or(Ok(8), |v| parse_cap(&v)).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     });
@@ -368,5 +399,16 @@ mod tests {
         assert_eq!(parse_cap("2"), Ok(2));
         assert!(parse_cap("0").is_err(), "a zero cap crashes nothing");
         assert!(parse_cap("abc").is_err());
+    }
+
+    #[test]
+    fn only_known_arguments_parse() {
+        let args = |a: &[&str]| parse_args(a.iter().map(|s| s.to_string()));
+        let want =
+            Args { target: Some("seq/commit/fence:1".into()), reorder: true, ..Args::default() };
+        assert_eq!(args(&["--selftest-reorder", "--target", "seq/commit/fence:1"]), Ok(want));
+        assert_eq!(args(&["--cap", "2"]).map(|a| a.cap), Ok(Some("2".into())));
+        assert!(args(&["--cap"]).is_err(), "a flag that takes a value must get one");
+        assert!(args(&["--cap", "2", "--chek"]).is_err(), "a misspelt flag is an error");
     }
 }

@@ -12,6 +12,13 @@
 //!   8-byte word. Stores take a lock per fixed-size **stripe**, the `Mutex`
 //!   over its persisted bytes, so threads storing to different stripes
 //!   (e.g. appending to their own log-block chains) proceed in parallel;
+//! * the images are **built lazily**, one [`SEGMENT_BYTES`] segment at a
+//!   time: a new device holds one empty cell per segment, and the first
+//!   store or line flush to reach a segment allocates its words and its
+//!   stripes' persisted bytes, zeroed. A load of a segment never built
+//!   reads zeros and builds nothing, and a capture copies only built
+//!   segments into zeroed images, so memory no store reached is never
+//!   touched;
 //! * the WPQ/media timing model is one small mutex-protected critical
 //!   section, taken once per flush batch (the memory controller *is*
 //!   shared);
@@ -44,17 +51,28 @@
 //! CAS, the chain's area mutex, or the stripe lock for line snapshots and
 //! captures — so `Relaxed` suffices, and a capture is still one instant.
 //!
+//! A capture stays one instant as segments are built: a build holds the
+//! **build gate** until its cell is set, and a capture holds the gate while
+//! it locks the built segments' shards. A capture therefore either sees a
+//! segment built, and locks it, or sees neither the build nor any store
+//! its builder made after it (those stores wait on a shard lock the capture
+//! holds, or land in segments it does not copy).
+//!
 //! Lock ordering (deadlock freedom): the crash gate's mutex is only taken
 //! while holding no other lock; below it the order is **handle registry →
-//! a handle's flush list (handle creation order) → image shards (ascending
-//! index)**, with the WPQ mutex a leaf. A capture takes all of them in that
-//! order; a flush or fence its own flush list and then one shard at a time,
-//! a store one shard, a load none. Crash fuel and [`SharedPmemDevice::now_ns`]
-//! are therefore only ever used while holding none of these locks.
+//! a handle's flush list (handle creation order) → build gate → image
+//! shards (ascending index)**, with the WPQ mutex a leaf. A capture takes
+//! all of them in that order (the build gate only until the shards are
+//! held); a flush or fence its own flush list, the build gate if a line
+//! lies in an unbuilt segment, and then one shard at a time; a store the
+//! build gate if it builds, then one shard; a load none. Crash fuel and
+//! [`SharedPmemDevice::now_ns`] are therefore only ever used while holding
+//! none of these locks.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::alloc::{Reservation, SizeClassAllocator};
 use crate::crash::{materialize, CrashControl, CrashGate, CrashImage, CrashPolicy};
@@ -74,11 +92,49 @@ use crate::{
 /// shard, large enough that a typical record touches one or two.
 pub const SHARD_BYTES: usize = 4096;
 
+/// Bytes per segment, the unit the images are built in: a segment's words
+/// and its shards' persisted bytes are allocated together, zeroed, by the
+/// first store or line flush that reaches it. A multiple of
+/// [`SHARD_BYTES`]; large, so that a commit that builds one (and so
+/// allocates) is rare: an amortized cost, like log-block growth.
+pub const SEGMENT_BYTES: usize = 2 << 20;
+
+/// One built segment of the images.
 #[derive(Debug)]
-struct Shard {
-    /// Little-endian words, stored only under `persisted`'s lock.
-    volatile: Box<[AtomicU64]>,
-    persisted: Mutex<Vec<u8>>,
+struct Segment {
+    /// Little-endian words, each stored only under its shard's lock.
+    words: Box<[AtomicU64]>,
+    /// Each shard's persisted bytes (a short last shard uses a prefix).
+    shards: Box<[Mutex<[u8; SHARD_BYTES]>]>,
+}
+
+impl Segment {
+    /// A zeroed segment of `len` bytes, in two allocations. Every page is
+    /// written: safe Rust cannot make atomics out of untouched zero pages.
+    fn build(len: usize) -> Self {
+        // Collecting from a `Vec<u64>` reuses its one zeroed allocation.
+        let words = vec![0u64; len / PERSIST_WORD].into_iter().map(AtomicU64::new).collect();
+        let shards = (0..len.div_ceil(SHARD_BYTES)).map(|_| Mutex::new([0; SHARD_BYTES])).collect();
+        Self { words, shards }
+    }
+
+    /// Bytes the segment covers.
+    fn len(&self) -> usize {
+        self.words.len() * PERSIST_WORD
+    }
+}
+
+/// Calls `f(at, range)` for each piece of `[addr, addr + len)` that lies
+/// within one `unit`-aligned block, in order: `at` is the piece's address
+/// and `range` its span relative to `addr`.
+fn for_pieces(addr: usize, len: usize, unit: usize, mut f: impl FnMut(usize, Range<usize>)) {
+    let mut off = 0;
+    while off < len {
+        let at = addr + off;
+        let n = (unit - at % unit).min(len - off);
+        f(at, off..off + n);
+        off += n;
+    }
 }
 
 /// Copies `buf.len()` bytes from byte `off` of a stripe, one whole-word
@@ -164,7 +220,12 @@ fn latest(cells: &[Arc<HandleCell>]) -> u64 {
 struct DevInner {
     cfg: PmemConfig,
     size: usize,
-    shards: Vec<Shard>,
+    /// One cell per [`SEGMENT_BYTES`] of the device, empty until built.
+    segments: Box<[OnceLock<Segment>]>,
+    /// Held by a build until its cell is set, and by a capture while it
+    /// locks the built segments' shards: no store a capture sees follows a
+    /// build it missed (see the module docs).
+    build_gate: Mutex<()>,
     wpq: Mutex<WpqModel>,
     /// The handle registry: every cell in creation order. The first is the
     /// **retired** cell no handle owns: a dropped handle folds its
@@ -192,26 +253,21 @@ pub struct SharedPmemDevice {
 
 impl SharedPmemDevice {
     /// Creates a zero-filled shared device with the given configuration.
+    /// No segment is built yet: until a store or a line flush reaches one,
+    /// it reads as zeros and holds no memory.
     pub fn new(cfg: PmemConfig) -> Self {
         // A struct-literal config skips `with_size`'s rounding; a partial
         // last line would put `clwb` past the end of its shard.
         let cfg = cfg.clone().with_size(cfg.size);
         let size = cfg.size;
-        let shards = size.div_ceil(SHARD_BYTES);
-        let shards = (0..shards)
-            .map(|i| {
-                let len = SHARD_BYTES.min(size - i * SHARD_BYTES);
-                // Collecting from a `Vec<u64>` reuses its one zeroed allocation.
-                let words = vec![0u64; len / PERSIST_WORD].into_iter().map(AtomicU64::new);
-                Shard { volatile: words.collect(), persisted: Mutex::new(vec![0; len]) }
-            })
-            .collect();
+        let segments = (0..size.div_ceil(SEGMENT_BYTES)).map(|_| OnceLock::new()).collect();
         let wpq = Mutex::new(WpqModel::new(&cfg));
         Self {
             inner: Arc::new(DevInner {
                 cfg,
                 size,
-                shards,
+                segments,
+                build_gate: Mutex::new(()),
                 wpq,
                 cells: Mutex::new(vec![Arc::default()]),
                 timing_on: AtomicBool::new(true),
@@ -282,15 +338,19 @@ impl SharedPmemDevice {
         }
     }
 
-    /// Copies every shard's volatile image into its persisted image — the
-    /// orderly-shutdown (`wbnoinvd`) equivalent. Unfenced flushes are
+    /// Copies every built shard's volatile image into its persisted image
+    /// — the orderly-shutdown (`wbnoinvd`) equivalent. Unfenced flushes are
     /// dropped (their contents are covered by the copy).
     pub fn flush_everything(&self) {
         for cell in self.cells().iter() {
             cell.unfenced.lock().expect("flush lock").clear();
         }
-        for shard in &self.inner.shards {
-            load_words(&shard.volatile, 0, &mut shard.persisted.lock().expect("shard lock"));
+        for seg in self.inner.segments.iter().filter_map(OnceLock::get) {
+            for (i, shard) in seg.shards.iter().enumerate() {
+                let at = i * SHARD_BYTES;
+                let len = SHARD_BYTES.min(seg.len() - at);
+                load_words(&seg.words, at, &mut shard.lock().expect("shard lock")[..len]);
+            }
         }
     }
 
@@ -311,27 +371,36 @@ impl SharedPmemDevice {
         Ok(())
     }
 
-    /// Calls `f(shard, offset_in_shard, range_in_buf)`, taking no lock, for
-    /// each shard stripe overlapped by `[addr, addr + len)`, in order.
-    fn for_stripes(
-        &self,
-        addr: usize,
-        len: usize,
-        mut f: impl FnMut(&Shard, usize, std::ops::Range<usize>),
-    ) {
-        let mut off = 0;
-        while off < len {
-            let a = addr + off;
-            let in_shard = a % SHARD_BYTES;
-            let n = (SHARD_BYTES - in_shard).min(len - off);
-            f(&self.inner.shards[a / SHARD_BYTES], in_shard, off..off + n);
-            off += n;
+    /// The segment holding `addr`, built on this first store or flush to
+    /// reach it.
+    fn segment(&self, addr: usize) -> &Segment {
+        match self.inner.segments[addr / SEGMENT_BYTES].get() {
+            Some(seg) => seg,
+            None => self.build(addr),
         }
     }
 
-    /// Calls `f(volatile, persisted, offset_in_shard, item)` under the shard
-    /// lock for each item of a batch, where `line_of(item)` is its cache
-    /// line: the lock is taken once per run of adjacent lines in the same
+    /// The build gate. It guards no data, so a poisoned gate is entered
+    /// anyway.
+    fn build_gate(&self) -> MutexGuard<'_, ()> {
+        self.inner.build_gate.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Builds the segment holding `addr` under the build gate: the gate is
+    /// released only once the cell is set, so a capture that takes it after
+    /// a build sees the segment built.
+    #[cold]
+    fn build(&self, addr: usize) -> &Segment {
+        let _gate = self.build_gate();
+        let base = addr - addr % SEGMENT_BYTES;
+        let len = SEGMENT_BYTES.min(self.inner.size - base);
+        self.inner.segments[addr / SEGMENT_BYTES].get_or_init(|| Segment::build(len))
+    }
+
+    /// Calls `f(words, persisted, line_addr, item)` under the shard lock for
+    /// each item of a batch, where `line_of(item)` is its cache line,
+    /// `words` its segment's volatile words and `persisted` its shard's
+    /// bytes: the lock is taken once per run of adjacent lines in the same
     /// shard, not once per line (a sorted batch takes each shard once).
     fn for_line_runs<T>(
         &self,
@@ -342,20 +411,25 @@ impl SharedPmemDevice {
         let mut items = items.iter().map(|item| (line_start(line_of(item)), item)).peekable();
         while let Some(&(first, _)) = items.peek() {
             let shard_idx = first / SHARD_BYTES;
-            let shard = &self.inner.shards[shard_idx];
-            let mut persisted = shard.persisted.lock().expect("shard lock");
+            let seg = self.segment(first);
+            let mut persisted =
+                seg.shards[first % SEGMENT_BYTES / SHARD_BYTES].lock().expect("shard lock");
             while let Some((start, item)) = items.next_if(|(s, _)| s / SHARD_BYTES == shard_idx) {
-                f(&shard.volatile, &mut persisted, start % SHARD_BYTES, item);
+                f(&seg.words, &mut persisted[..], start, item);
             }
         }
     }
 
     /// Copies `buf.len()` bytes at `addr` out of the volatile image: the
-    /// untimed load under every read and peek, which needs no handle.
+    /// untimed load under every read and peek, which needs no handle. A
+    /// segment never built reads as zeros and stays unbuilt.
     fn peek_into(&self, addr: usize, buf: &mut [u8]) {
         self.check(addr, buf.len()).expect("shared pmem read out of bounds");
-        self.for_stripes(addr, buf.len(), |shard, off, range| {
-            load_words(&shard.volatile, off, &mut buf[range]);
+        for_pieces(addr, buf.len(), SEGMENT_BYTES, |at, range| {
+            match self.inner.segments[at / SEGMENT_BYTES].get() {
+                Some(seg) => load_words(&seg.words, at % SEGMENT_BYTES, &mut buf[range]),
+                None => buf[range].fill(0),
+            }
         });
     }
 
@@ -371,13 +445,16 @@ impl SharedPmemDevice {
         self.for_line_runs(
             flushes,
             |p| p.line,
-            |_, persisted, off, p| persisted[off..off + CACHE_LINE].copy_from_slice(&p.snapshot),
+            |_, persisted, start, p| {
+                let off = start % SHARD_BYTES;
+                persisted[off..off + CACHE_LINE].copy_from_slice(&p.snapshot);
+            },
         );
     }
 
     /// One persistence-affecting operation is about to happen. Called
     /// while holding **no** locks (a capture takes the registry, every
-    /// flush list and every shard lock).
+    /// flush list, the build gate and every built shard's lock).
     fn tick_fuel(&self) {
         self.inner.gate.tick_fuel(self.timing_is_on(), |policy| self.capture(policy));
     }
@@ -394,15 +471,21 @@ impl CrashControl for SharedPmemDevice {
 
     /// The memory image a crash at this instant could leave (same policy
     /// semantics as the single-threaded device). A real crash is one
-    /// instant: the registry, every handle's flush list and *every* shard
-    /// lock are held together while the image is built, so no concurrent
-    /// store, flush or fence can land between shard copies. Without this,
-    /// a commit fence racing the capture could reach a high-address shard
-    /// (copied late) while its log record lives in a low-address shard
-    /// (copied early) — an image no power failure can produce, which would
-    /// break any cross-address ordering invariant (e.g. the flight
-    /// recorder's receipt-after-fence rule). The module docs give the lock
-    /// order that keeps this sweep deadlock-free.
+    /// instant: the registry, every handle's flush list and *every* built
+    /// shard's lock are held together while the image is built, so no
+    /// concurrent store, flush or fence can land between shard copies.
+    /// Without this, a commit fence racing the capture could reach a
+    /// high-address shard (copied late) while its log record lives in a
+    /// low-address shard (copied early) — an image no power failure can
+    /// produce, which would break any cross-address ordering invariant
+    /// (e.g. the flight recorder's receipt-after-fence rule). The build
+    /// gate is held while the shard locks are taken, so the built set
+    /// cannot grow in between: a segment built after it is out of the
+    /// image, and so is every later store of its builder, which waits on a
+    /// held shard lock or lands in a segment also out of it. The module
+    /// docs give the lock order that keeps this sweep deadlock-free. Both
+    /// images start as `vec![0; size]` and only built segments are copied
+    /// in, so a page no store reached is never touched.
     ///
     /// `materialize` applies the unfenced flushes, and draws its
     /// `Random(seed)` stream over them, in registry order: dropped handles'
@@ -413,13 +496,21 @@ impl CrashControl for SharedPmemDevice {
         let cells = self.cells();
         let unfenced: Vec<_> =
             cells.iter().map(|c| c.unfenced.lock().expect("flush lock")).collect();
-        let shards = &self.inner.shards;
-        let held: Vec<_> = shards.iter().map(|s| s.persisted.lock().expect("shard lock")).collect();
-        let mut volatile = vec![0; self.inner.size];
-        let mut persisted = Vec::with_capacity(self.inner.size);
-        for ((s, bytes), dst) in shards.iter().zip(&held).zip(volatile.chunks_mut(SHARD_BYTES)) {
-            load_words(&s.volatile, 0, dst);
-            persisted.extend_from_slice(bytes);
+        let gate = self.build_gate();
+        let built = self.inner.segments.iter().enumerate();
+        let built: Vec<_> =
+            built.filter_map(|(i, cell)| Some((i * SEGMENT_BYTES, cell.get()?))).collect();
+        let shards = built.iter().flat_map(|(_, seg)| seg.shards.iter());
+        let held: Vec<_> = shards.map(|shard| shard.lock().expect("shard lock")).collect();
+        drop(gate);
+        let (mut volatile, mut persisted) = (vec![0; self.inner.size], vec![0; self.inner.size]);
+        let mut held = held.iter();
+        for &(base, seg) in &built {
+            let range = base..base + seg.len();
+            load_words(&seg.words, 0, &mut volatile[range.clone()]);
+            for (dst, bytes) in persisted[range].chunks_mut(SHARD_BYTES).zip(&mut held) {
+                dst.copy_from_slice(&bytes[..dst.len()]);
+            }
         }
         let pending = unfenced.iter().flat_map(|list| list.iter());
         materialize(persisted, &volatile, pending, latest(&cells), policy)
@@ -527,9 +618,10 @@ impl DeviceHandle {
     pub fn try_write(&self, addr: usize, data: &[u8]) -> Result<(), PmemError> {
         self.dev.check(addr, data.len())?;
         self.dev.tick_fuel();
-        self.dev.for_stripes(addr, data.len(), |shard, off, range| {
-            let _stores = shard.persisted.lock().expect("shard lock");
-            store_words(&shard.volatile, off, &data[range]);
+        for_pieces(addr, data.len(), SHARD_BYTES, |at, range| {
+            let (seg, off) = (self.dev.segment(at), at % SEGMENT_BYTES);
+            let _stores = seg.shards[off / SHARD_BYTES].lock().expect("shard lock");
+            store_words(&seg.words, off, &data[range]);
         });
         if self.dev.timing_is_on() {
             let words = data.len().div_ceil(PERSIST_WORD) as u64;
@@ -637,12 +729,12 @@ impl DeviceHandle {
         self.dev.for_line_runs(
             lines,
             |&line| line,
-            |volatile, _, off, &line| {
+            |words, _, start, &line| {
                 // Filled in place: moving a line just stored word by word
                 // stalls on the wide loads of the move.
                 unfenced.push(PendingFlush { line, accepted_at: 0, snapshot: [0; CACHE_LINE] });
                 let i = unfenced.len() - 1;
-                load_words(volatile, off, &mut unfenced[i].snapshot);
+                load_words(words, start % SEGMENT_BYTES, &mut unfenced[i].snapshot);
             },
         );
         if !self.dev.timing_is_on() {
@@ -1281,6 +1373,69 @@ mod tests {
         assert!(h.try_write(64 * 1024 - 4, &[0u8; 16]).is_err());
     }
 
+    /// Indices of the segments built so far.
+    fn built(d: &SharedPmemDevice) -> Vec<usize> {
+        let cells = d.inner.segments.iter().enumerate();
+        cells.filter(|(_, cell)| cell.get().is_some()).map(|(i, _)| i).collect()
+    }
+
+    /// Neither construction nor a load builds a segment: a fresh device
+    /// reads as zeros end to end and holds no image.
+    #[test]
+    fn a_fresh_device_has_no_segment_and_loads_build_none() {
+        let d = SharedPmemDevice::new(PmemConfig::new(64 << 20));
+        assert_eq!(d.inner.segments.len(), 32);
+        assert!(built(&d).is_empty());
+        let h = d.handle();
+        let mut all = vec![1u8; d.size()];
+        h.peek_into(0, &mut all);
+        assert!(all.iter().all(|&b| b == 0), "an unbuilt segment reads as zeros");
+        let mut seam = [1u8; 24];
+        h.read(SEGMENT_BYTES - 12, &mut seam);
+        assert_eq!((seam, h.read_u64(40 << 20), h.peek_u64(8)), ([0; 24], 0, 0));
+        assert!(built(&d).is_empty(), "a load builds nothing");
+    }
+
+    /// A store builds the segments it reaches, and only those; so does a
+    /// line flush, even of a line never stored to. The short last segment
+    /// ends in a short shard, which stores, flushes and captures like any.
+    #[test]
+    fn stores_and_flushes_build_exactly_the_segments_they_reach() {
+        let size = 3 * SEGMENT_BYTES + SHARD_BYTES + 3 * CACHE_LINE;
+        let d = SharedPmemDevice::new(PmemConfig::new(size));
+        let h = d.handle();
+        h.write(SEGMENT_BYTES - 4, &[7; 8]);
+        assert_eq!(built(&d), [0, 1]);
+        assert_eq!(h.read_u64(SEGMENT_BYTES - 4), u64::from_ne_bytes([7; 8]));
+        h.clwb(SEGMENT_BYTES - 4);
+        h.clwb(2 * SEGMENT_BYTES + CACHE_LINE);
+        assert_eq!(built(&d), [0, 1, 2]);
+        h.write_u64(size - 8, 9);
+        h.clwb(size - 8);
+        h.sfence();
+        assert_eq!(built(&d), [0, 1, 2, 3]);
+        let img = d.capture(CrashPolicy::AllLost);
+        let seam = u64::from_le_bytes([0, 0, 0, 0, 7, 7, 7, 7]);
+        assert_eq!((img.read_u64(SEGMENT_BYTES - 8), img.read_u64(size - 8)), (seam, 9));
+        h.write_u64(size - 16, 5);
+        d.flush_everything();
+        assert_eq!(d.capture(CrashPolicy::AllLost).read_u64(size - 16), 5);
+    }
+
+    /// A capture of a device nothing was stored to is all zeros under every
+    /// policy, and builds nothing.
+    #[test]
+    fn capturing_a_fresh_device_is_zeros_and_builds_nothing() {
+        let d = SharedPmemDevice::new(PmemConfig::new(2 * SEGMENT_BYTES + 3 * CACHE_LINE));
+        for policy in [CrashPolicy::AllLost, CrashPolicy::AllSurvive, CrashPolicy::Random(3)] {
+            let img = d.capture(policy);
+            assert_eq!(img.len(), d.size());
+            assert!(img.as_bytes().iter().all(|&b| b == 0), "{policy:?}");
+        }
+        d.flush_everything();
+        assert!(built(&d).is_empty());
+    }
+
     /// The byte↔word conversions at every alignment: runs stored at 32
     /// offsets straddling a stripe seam, 0..=40 bytes long, read back
     /// through `read`, `peek_into` and a capture against a byte model,
@@ -1320,12 +1475,23 @@ mod tests {
     /// half-written at the runs' edges. Every value a word can hold is
     /// then byte-uniform (per 4-byte half, for the edge words), and a load
     /// or capture that mixed two stores within one word would show a
-    /// non-uniform word or half.
+    /// non-uniform word or half. A third writer, on a device of eight
+    /// segments, builds them as it goes: round `k`'s first store lands in
+    /// unbuilt segment `k` and then it stores `k` to a word of the last
+    /// segment, so a capture that shows `k` there must show every round's
+    /// store up to `k`. It starts round `k` only after `k` captures of
+    /// that device, so captures fall between (and race) the builds.
     #[test]
     fn racing_loads_see_whole_words_and_captures_one_instant() {
         const ROUNDS: usize = 40_000;
         const LINE: usize = SHARD_BYTES + CACHE_LINE; // not the stripe's first line
+        const BUILT: usize = 6; // segments 1..=BUILT are built mid-traffic
+        const HIGH: usize = (BUILT + 1) * SEGMENT_BYTES + 8;
         let d = dev();
+        let e = SharedPmemDevice::new(PmemConfig::new((BUILT + 2) * SEGMENT_BYTES));
+        e.handle().write_u64(HIGH, 0);
+        assert_eq!(built(&e), [BUILT + 1]);
+        let e_captures = std::sync::atomic::AtomicUsize::new(0);
         let legal = |v: u64, word: usize| {
             let b = v.to_le_bytes();
             let uniform = |s: &[u8]| s.iter().all(|&x| x == s[0]);
@@ -1333,10 +1499,10 @@ mod tests {
             b.iter().all(|x| [0, 0xA1, 0xA2, 0xB1, 0xB2].contains(x))
                 && if halves { uniform(&b[..4]) && uniform(&b[4..]) } else { uniform(&b) }
         };
-        let start = std::sync::Barrier::new(3);
+        let start = std::sync::Barrier::new(4);
         thread::scope(|s| {
-            let (a, b) = (d.handle(), d.handle());
-            let start = &start;
+            let (a, b, c) = (d.handle(), d.handle(), e.handle());
+            let (start, e_captures) = (&start, &e_captures);
             let words = s.spawn(move || {
                 start.wait();
                 for i in 0..ROUNDS * 8 {
@@ -1351,11 +1517,22 @@ mod tests {
                     b.write(LINE + 4 + i % 2 * 32, &[fill; 24]);
                 }
             });
+            let builds = s.spawn(move || {
+                start.wait();
+                for k in 1..=BUILT {
+                    while e_captures.load(Ordering::Relaxed) < k {
+                        thread::yield_now();
+                    }
+                    c.write_u64(k * SEGMENT_BYTES + 8 * k, k as u64);
+                    c.write_u64(HIGH, k as u64);
+                }
+            });
             let r = d.handle();
             start.wait();
             let (mut loads, mut captures) = (0, 0);
             let mut line = [0u8; CACHE_LINE];
-            while !(words.is_finished() && runs.is_finished()) || captures == 0 {
+            let finished = || words.is_finished() && runs.is_finished() && builds.is_finished();
+            while !finished() || captures == 0 {
                 for w in 0..8 {
                     let v = r.read_u64(LINE + w * 8);
                     assert!(legal(v, w), "read_u64 of word {w}: {v:#018x}");
@@ -1374,8 +1551,65 @@ mod tests {
                     }
                     captures += 1;
                 }
+                if loads % 256 == 0 {
+                    let img = e.capture(CrashPolicy::AllSurvive);
+                    for k in 1..=img.read_u64(HIGH) as usize {
+                        let v = img.read_u64(k * SEGMENT_BYTES + 8 * k);
+                        assert_eq!(
+                            v, k as u64,
+                            "a capture shows round {k}'s high store, not its build"
+                        );
+                    }
+                    e_captures.fetch_add(1, Ordering::Relaxed);
+                }
             }
         });
+        assert_eq!(built(&e), (1..BUILT + 2).collect::<Vec<_>>());
+    }
+
+    /// A build cannot slip into a capture's shard sweep. The test holds the
+    /// first shard of built segment 0, so a capture that has listed the
+    /// built segments stalls there. A writer then builds segment 1 with its
+    /// first store and stores to built segment 2, whose shards the capture
+    /// has not locked yet. The capture must show both stores or neither:
+    /// the build waits for the gate the capture holds, and the high store
+    /// for the capture's shard lock. Were the gate not held, the writer
+    /// would finish inside the stall and the capture would show the high
+    /// store alone.
+    #[test]
+    fn a_build_cannot_slip_into_a_stalled_capture() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const LOW: usize = SEGMENT_BYTES + 8;
+        const HIGH: usize = 2 * SEGMENT_BYTES + 8;
+        for _ in 0..3 {
+            let e = SharedPmemDevice::new(PmemConfig::new(3 * SEGMENT_BYTES));
+            let h = e.handle();
+            h.write_u64(0, 0);
+            h.write_u64(HIGH, 0);
+            let stall = e.inner.segments[0].get().expect("built").shards[0].lock().expect("shard");
+            thread::scope(|s| {
+                let capture = s.spawn(|| e.capture(CrashPolicy::AllSurvive));
+                // The capture holds the registry from its start to its end.
+                while e.inner.cells.try_lock().is_ok() {
+                    thread::yield_now();
+                }
+                thread::sleep(Duration::from_millis(20));
+                let (done, finished) = mpsc::channel();
+                s.spawn(move || {
+                    h.write_u64(LOW, 1);
+                    h.write_u64(HIGH, 1);
+                    let _ = done.send(());
+                });
+                // The writer waits on the capture, so this times out; an
+                // ungated build would finish well inside it.
+                let _ = finished.recv_timeout(Duration::from_millis(50));
+                drop(stall);
+                let img = capture.join().expect("capture");
+                assert_eq!(img.read_u64(LOW), img.read_u64(HIGH), "a build slipped into a capture");
+            });
+            assert_eq!(built(&e), [0, 1, 2]);
+        }
     }
 
     /// The dirty ranges a commit hands to [`DeviceHandle::clwb_ranges`]:

@@ -292,14 +292,15 @@ if nontest crates/kv/src/service.rs | grep -E 'stats\.(host|sim|completed)\[' |
     exit 1
 fi
 
-# A shared-device load takes no lock: the volatile image is atomic words, so
-# outside #[cfg(test)] the five bodies of `read`, `peek_into` and `peek_u64`
-# in shared.rs, and the two helpers every load goes through (`for_stripes`,
-# `load_words`), take no shard lock, and the byte-vector image stays gone.
-# The freshness index keeps one timestamp per word; only its side map holds
-# eight. No pattern matches its own line.
+# A shared-device load takes no lock and builds nothing: the volatile image
+# is atomic words, so outside #[cfg(test)] the five bodies of `read`,
+# `peek_into` and `peek_u64` in shared.rs, and the two helpers every load
+# goes through (`for_pieces`, `load_words`), take no shard lock and never
+# build a segment (an unbuilt one reads as zeros), and the byte-vector image
+# stays gone. The freshness index keeps one timestamp per word; only its
+# side map holds eight. No pattern matches its own line.
 loads=$(nontest crates/pmem/src/shared.rs | awk '
-    /^ *(pub )?fn (read|peek_into|peek_u64|for_stripes|load_words)[(<]/ {
+    /^ *(pub )?fn (read|peek_into|peek_u64|for_pieces|load_words)[(<]/ {
         body = 1; indent = $0; sub(/[^ ].*/, "", indent); print "@fn" }
     body { print }
     body && $0 == indent "}" { body = 0 }')
@@ -307,6 +308,34 @@ loads=$(nontest crates/pmem/src/shared.rs | awk '
     { echo "load guard: did not find the seven load bodies in shared.rs" >&2; exit 1; }
 if grep -nE 'shar[d]\(|\.loc[k]\(' <<<"$loads"; then
     echo "a shared-device load takes a lock again (load the atomic words)" >&2
+    exit 1
+fi
+if grep -nE '\.segmen[t]\(|\.buil[d]\(|get_or_ini[t]' <<<"$loads"; then
+    echo "a shared-device load builds a segment (an unbuilt one reads as zeros)" >&2
+    exit 1
+fi
+
+# The shared device builds its images lazily, one SEGMENT_BYTES segment on
+# the first store or line flush that reaches it. Outside the body of the
+# segment builder (`Segment::build`), nothing in shared.rs makes atomic
+# words or a shard's persisted bytes, and `SharedPmemDevice::new` builds
+# no segment. No pattern matches its own line.
+eager=$(nontest crates/pmem/src/shared.rs | awk '
+    /^ *fn build\(len: usize\)/ { skip = 1; indent = $0; sub(/[^ ].*/, "", indent) }
+    !skip { print }
+    skip && $0 == indent "}" { skip = 0 }')
+if grep -nE 'AtomicU64::ne[w]|Mutex::new\((vec!\[|\[)0' <<<"$eager"; then
+    echo "the shared device's images are allocated outside the segment builder" >&2
+    exit 1
+fi
+new_body=$(nontest crates/pmem/src/shared.rs | awk '
+    /^    pub fn new\(cfg: PmemConfig\)/ { body = 1; print "@fn" }
+    body { print }
+    body && $0 == "    }" { body = 0 }')
+[ "$(grep -c '^@fn' <<<"$new_body")" -eq 1 ] ||
+    { echo "eager-image guard: did not find SharedPmemDevice::new in shared.rs" >&2; exit 1; }
+if grep -nE 'Segment::buil[d]|\.segmen[t]\(|\.buil[d]\(|get_or_ini[t]' <<<"$new_body"; then
+    echo "SharedPmemDevice::new builds a segment (build one on its first store)" >&2
     exit 1
 fi
 if grep -nE 'volatile: Vec<u[8]>' crates/pmem/src/shared.rs; then
@@ -525,6 +554,17 @@ for threads in 8 16; do
     done
 done
 rm -f "$txstat_out"
+
+# A misspelt flag is an error, not a default run: both bins print their
+# usage and exit 2 on an argument they do not know.
+echo "==> txstat --chek and crashenum --chek (unknown arguments must fail)"
+for pkg_bin in specpmt-bench:txstat specpmt-check:crashenum; do
+    status=0
+    cargo run --release --offline -q -p "${pkg_bin%:*}" --bin "${pkg_bin#*:}" -- --chek \
+        >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 2 ] ||
+        { echo "${pkg_bin#*:} ran with an unknown argument (exit $status, want 2)" >&2; exit 1; }
+done
 
 # The paper's figures and tables: every bin below is deterministic
 # (simulated time and traffic only), and results/ holds its output, which

@@ -8,7 +8,13 @@
 //! shared device through a single `DeviceHandle`. Everything a harness can
 //! observe must come out equal: every crash image byte for byte, the
 //! `PmemStats`, the simulated clock, `fired_at`, `site_hits` and the
-//! capture epoch.
+//! capture epoch. The device spans two whole segments of the shared
+//! device's lazily built images and a short third one, and the script
+//! opens on the shared device before any segment is built: captures
+//! before the first store, loads across a segment seam and single-line
+//! flushes of lines never stored to. The two devices run in lockstep and
+//! each observation is compared as it is made, so no more than two images
+//! are alive at once.
 //!
 //! Left out, because the two flavours define them differently on purpose:
 //!
@@ -25,12 +31,19 @@
 //! * background writes (`PmemDevice::background_ranges`): the shared
 //!   device has none — its reclaimer fences like any other writer.
 
+use specpmt::pmem::shared::SEGMENT_BYTES;
 use specpmt::pmem::{
     CrashControl, CrashImage, CrashPlan, CrashPolicy, DeviceHandle, PmemConfig, PmemDevice,
     PmemStats, SharedPmemDevice, Site, SplitMix64, TimingMode, CACHE_LINE,
 };
 
-const SIZE: usize = 64 * 1024;
+/// Two whole segments and a short last one.
+const SIZE: usize = 2 * SEGMENT_BYTES + 64 * 1024;
+/// Random traffic lands in four windows of this many bytes: the device's
+/// first bytes, one across each segment seam and its last bytes. Together
+/// they are 64 KiB, so stores, flushes and loads meet as often as on a
+/// 64 KiB device, and every seam is crossed.
+const WINDOW: usize = 16 * 1024;
 const SITE_A: Site = Site::SeqCommitFlush;
 const SITE_B: Site = Site::SeqCommitFence;
 
@@ -156,17 +169,24 @@ fn any_policy(rng: &mut SplitMix64) -> CrashPolicy {
     }
 }
 
+/// An address in one of the traffic windows, at least 256 bytes before the
+/// window's end.
+fn traffic_addr(rng: &mut SplitMix64) -> usize {
+    let starts = [0, SEGMENT_BYTES - WINDOW / 2, 2 * SEGMENT_BYTES - WINDOW / 2, SIZE - WINDOW];
+    starts[rng.below(4) as usize] + rng.range_usize(0, WINDOW - 256)
+}
+
 /// `n` mixed operations; `sites` also sprinkles labeled crash sites.
 fn mixed(rng: &mut SplitMix64, n: usize, sites: bool, out: &mut Vec<Op>) {
     for _ in 0..n {
-        let addr = rng.range_usize(0, SIZE - 256);
+        let addr = traffic_addr(rng);
         let len = rng.range_usize(1, 200);
         out.push(match rng.below(if sites { 11 } else { 9 }) {
             0..=2 => Op::Store(addr, (0..len).map(|_| rng.next_u8()).collect()),
             3 => Op::Load(addr, len),
             4 | 5 => Op::FlushRanges(
                 (0..rng.range_usize(1, 4))
-                    .map(|_| (rng.range_usize(0, SIZE - 256), rng.range_usize(0, 200)))
+                    .map(|_| (traffic_addr(rng), rng.range_usize(0, 200)))
                     .collect(),
             ),
             6 => Op::Fence,
@@ -180,7 +200,19 @@ fn mixed(rng: &mut SplitMix64, n: usize, sites: bool, out: &mut Vec<Op>) {
 
 fn script(seed: u64) -> Vec<Op> {
     let mut rng = SplitMix64::new(seed);
-    let mut ops = Vec::new();
+    // Nothing stored yet: captures of the empty device, loads across both
+    // seams and of the last line, then single-line flushes of lines never
+    // stored to (one per segment) and their fence.
+    let mut ops = vec![Op::Capture(CrashPolicy::AllLost), Op::Capture(CrashPolicy::Random(seed))];
+    for seam in [SEGMENT_BYTES, 2 * SEGMENT_BYTES] {
+        ops.push(Op::Load(seam - 100, 200));
+    }
+    ops.push(Op::Load(SIZE - CACHE_LINE, CACHE_LINE));
+    for seam in [0, SEGMENT_BYTES, 2 * SEGMENT_BYTES] {
+        ops.push(Op::FlushLine(seam + rng.range_usize(0, 64) * CACHE_LINE));
+    }
+    ops.extend([Op::Fence, Op::Capture(CrashPolicy::AllSurvive)]);
+    ops.push(Op::Load(SEGMENT_BYTES - 100, 200));
     mixed(&mut rng, 400, false, &mut ops);
 
     // A labeled plan: fires at the third execution of SITE_A, mid-traffic.
@@ -198,7 +230,7 @@ fn script(seed: u64) -> Vec<Op> {
     for fuel in [0, 1, 2, 5, 9] {
         ops.push(Op::Arm(CrashPlan::after_ops(fuel).with_policy(any_policy(&mut rng))));
         for _ in 0..4 {
-            let addr = rng.range_usize(0, SIZE / CACHE_LINE - 1) * CACHE_LINE;
+            let addr = traffic_addr(&mut rng) / CACHE_LINE * CACHE_LINE;
             ops.push(Op::Store(addr + 8, rng.next_u64().to_le_bytes().to_vec()));
             ops.push(Op::FlushLine(addr));
             ops.push(Op::Fence);
@@ -225,72 +257,74 @@ fn script(seed: u64) -> Vec<Op> {
     ops
 }
 
-fn run(dev: &mut impl Dev, ops: &[Op]) -> Vec<Seen> {
-    let mut seen = Vec::new();
-    for op in ops {
-        match op {
-            Op::Store(addr, data) => dev.store(*addr, data),
-            Op::Load(addr, len) => {
-                let mut buf = vec![0; *len];
-                dev.load(*addr, &mut buf);
-                seen.push(Seen::Loaded(buf));
-            }
-            Op::FlushRanges(ranges) => dev.flush_ranges(ranges),
-            Op::FlushLine(addr) => dev.flush_line(*addr),
-            Op::Fence => dev.fence(),
-            Op::Advance(ns) => dev.advance(*ns),
-            Op::Timing(mode) => dev.set_timing(*mode),
-            Op::Site(site) => dev.ctl().crash_point(*site),
-            Op::Capture(policy) => seen.push(Seen::Image(dev.ctl().capture(*policy))),
-            Op::Arm(plan) => dev.ctl().arm(*plan),
-            Op::Hits => seen.push(Seen::Hits(dev.ctl().site_hits())),
-            Op::TakeFired => {
-                let ctl = dev.ctl();
-                assert!(ctl.fired(), "the script's plan must have fired by here");
-                seen.push(Seen::Fired {
-                    at: ctl.fired_at(),
-                    hits: ctl.site_hits(),
-                    epoch: ctl.observe(),
-                    image: ctl.take_image().expect("fired"),
-                });
-            }
+/// Runs one operation; returns what it let a harness see, if anything.
+fn step(dev: &mut impl Dev, op: &Op) -> Option<Seen> {
+    match op {
+        Op::Store(addr, data) => dev.store(*addr, data),
+        Op::Load(addr, len) => {
+            let mut buf = vec![0; *len];
+            dev.load(*addr, &mut buf);
+            return Some(Seen::Loaded(buf));
+        }
+        Op::FlushRanges(ranges) => dev.flush_ranges(ranges),
+        Op::FlushLine(addr) => dev.flush_line(*addr),
+        Op::Fence => dev.fence(),
+        Op::Advance(ns) => dev.advance(*ns),
+        Op::Timing(mode) => dev.set_timing(*mode),
+        Op::Site(site) => dev.ctl().crash_point(*site),
+        Op::Capture(policy) => return Some(Seen::Image(dev.ctl().capture(*policy))),
+        Op::Arm(plan) => dev.ctl().arm(*plan),
+        Op::Hits => return Some(Seen::Hits(dev.ctl().site_hits())),
+        Op::TakeFired => {
+            let ctl = dev.ctl();
+            assert!(ctl.fired(), "the script's plan must have fired by here");
+            return Some(Seen::Fired {
+                at: ctl.fired_at(),
+                hits: ctl.site_hits(),
+                epoch: ctl.observe(),
+                image: ctl.take_image().expect("fired"),
+            });
         }
     }
-    let epoch = dev.ctl().observe();
-    seen.push(Seen::End { stats: dev.stats(), now_ns: dev.now_ns(), epoch });
-    seen
+    None
+}
+
+fn end(dev: &impl Dev) -> Seen {
+    Seen::End { stats: dev.stats(), now_ns: dev.now_ns(), epoch: dev.ctl().observe() }
 }
 
 #[test]
 fn one_handle_shared_device_is_the_single_threaded_device() {
     for seed in [1, 2, 0xD1CE] {
-        let ops = script(seed);
         let cfg = PmemConfig::new(SIZE);
-        let single = run(&mut PmemDevice::new(cfg.clone()), &ops);
+        let single = &mut PmemDevice::new(cfg.clone());
         let dev = SharedPmemDevice::new(cfg);
-        let shared = run(&mut OneHandle { h: dev.handle(), dev }, &ops);
-
-        assert_eq!(single.len(), shared.len(), "seed {seed}");
-        for (i, (a, b)) in single.iter().zip(&shared).enumerate() {
-            // Not `assert_eq!`: a mismatch would print two 64 KiB images.
-            assert!(a == b, "seed {seed}: observation {i} differs ({})", kind(a));
+        let shared = &mut OneHandle { h: dev.handle(), dev };
+        let (mut images, mut fired) = (0, 0);
+        for (i, op) in script(seed).iter().enumerate() {
+            let (a, b) = (step(single, op), step(shared, op));
+            // Not `assert_eq!`: a mismatch would print two 4 MiB images.
+            assert!(a == b, "seed {seed}: op {i} ({op:?}) observed differently ({})", kind(&a));
+            images += usize::from(matches!(a, Some(Seen::Image(_))));
+            fired += usize::from(matches!(a, Some(Seen::Fired { .. })));
         }
-        let images = single.iter().filter(|s| matches!(s, Seen::Image(_))).count();
-        let fired = single.iter().filter(|s| matches!(s, Seen::Fired { .. })).count();
         assert!(images >= 20 && fired == 7, "seed {seed}: {images} captures, {fired} fired plans");
-        let Some(Seen::End { stats, now_ns, epoch }) = single.last() else { unreachable!() };
+        let end = end(single);
+        assert!(end == self::end(shared), "seed {seed}: final stats/clock/epoch differ");
+        let Seen::End { stats, now_ns, epoch } = end else { unreachable!() };
         assert!(stats.sfence_count > 0 && stats.fence_stall_ns > 0 && stats.seq_line_hits > 0);
-        assert!(*now_ns > 0);
-        assert_eq!(*epoch, (14, false), "two epoch steps per fired plan, images all taken");
+        assert!(now_ns > 0);
+        assert_eq!(epoch, (14, false), "two epoch steps per fired plan, images all taken");
     }
 }
 
-fn kind(s: &Seen) -> &'static str {
+fn kind(s: &Option<Seen>) -> &'static str {
     match s {
-        Seen::Loaded(_) => "load",
-        Seen::Image(_) => "capture",
-        Seen::Hits(_) => "site hits",
-        Seen::Fired { .. } => "fired plan",
-        Seen::End { .. } => "final stats/clock/epoch",
+        None => "nothing",
+        Some(Seen::Loaded(_)) => "load",
+        Some(Seen::Image(_)) => "capture",
+        Some(Seen::Hits(_)) => "site hits",
+        Some(Seen::Fired { .. }) => "fired plan",
+        Some(Seen::End { .. }) => "final stats/clock/epoch",
     }
 }

@@ -6,10 +6,18 @@
 //! either software runtime — and on the hardware models, which have no
 //! telemetry to turn off — performs (amortized) **zero** heap allocations
 //! per commit with telemetry disabled (`benchmark/`'s `alloc.calls_per_op`
-//! reports the same count on the judged workloads). The only tolerated allocations are
-//! the log's own block-list growth (reclamation is off, so the chain keeps
-//! extending): at most a couple of `Vec` doublings across hundreds of
-//! transactions, never a per-commit cost. (One test per concern, same binary, so the counting
+//! reports the same count on the judged workloads). The only tolerated
+//! allocations are amortized ones, never a per-commit cost:
+//!
+//! * the log's own block-list growth (reclamation is off, so the chain
+//!   keeps extending): at most a couple of `Vec` doublings across hundreds
+//!   of transactions;
+//! * on the shared device, building a segment of its images
+//!   (`SEGMENT_BYTES`, 2 MiB) when a store or flush first reaches one: a
+//!   constant number of allocations per segment, however many commits
+//!   then land in it.
+//!
+//! (One test per concern, same binary, so the counting
 //! is still per-measurement: each measurement reads the counter delta
 //! around its own single-threaded loop.) The same allocator also records
 //! the largest single request, which bounds what recovery may allocate
@@ -24,6 +32,7 @@ use specpmt::core::{
     ConcurrentConfig, LockedTxHandle, RecoveryOptions, SpecConfig, SpecSpmt, SpecSpmtShared,
 };
 use specpmt::hwtx::{hw_pool, Ede, EdeConfig, HwSpecConfig, HwSpecPmt};
+use specpmt::pmem::shared::SEGMENT_BYTES;
 use specpmt::pmem::{
     CrashControl, CrashPolicy, PmemConfig, PmemDevice, PmemPool, SharedPmemDevice, SharedPmemPool,
 };
@@ -120,6 +129,31 @@ fn shared_commit_is_zero_alloc_with_telemetry_off() {
         "telemetry-off steady-state commits must not allocate beyond amortized \
          log-block growth (got {allocs} over 256 txs)"
     );
+}
+
+/// Building a segment is the shared device's amortized allocation: a
+/// commit window whose first transaction stores into a segment nothing has
+/// reached allocates exactly two more than the same window on a built
+/// segment (`Segment::build`'s words and shards), whether the window holds
+/// 16 commits or 256.
+#[test]
+fn building_a_segment_costs_a_constant_number_of_allocations() {
+    let _guard = serial();
+    let allocs = |first_touch: bool, measured: u64| {
+        let pool = SharedPmemPool::create(SharedPmemDevice::new(PmemConfig::new(8 << 20)));
+        let shared = SpecSpmtShared::open_or_format(pool, ConcurrentConfig::default());
+        let warm = shared.pool().alloc_direct(64 * 1024, 64).unwrap();
+        // A region that starts a segment no store has reached.
+        let far = shared.pool().alloc_direct(2 * SEGMENT_BYTES, 64).unwrap();
+        let far = far.next_multiple_of(SEGMENT_BYTES);
+        let mut h = shared.tx_handle(0);
+        allocs_over(&mut h, warm, 512, 0);
+        allocs_over(&mut h, if first_touch { far } else { warm }, 0, measured)
+    };
+    let build = |measured| allocs(true, measured) - allocs(false, measured);
+    let (short, long) = (build(16), build(256));
+    assert_eq!(short, 2, "a segment is built in two allocations: its words and its shards");
+    assert_eq!(long, 2, "a segment's build costs the same over 16 commits and over 256");
 }
 
 /// A read-only transaction under 2PL — the kv `get` shape — reserves no
