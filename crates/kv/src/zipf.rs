@@ -160,14 +160,6 @@ impl Zipfian {
     }
 }
 
-/// Fixed 64-bit bijective scramble (SplitMix64 finalizer) used to scatter
-/// zipfian ranks over the key space.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// One generated request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvOp {
@@ -239,7 +231,7 @@ impl LoadGen {
         let tenant = self.rng.below(self.spec.tenants as u64) as u32;
         let class = self.spec.mix.pick(self.rng.below(100) as u32);
         let rank = self.zipf.next_rank(&mut self.rng);
-        let key = mix64(rank) % self.spec.key_space;
+        let key = SplitMix64::mix(rank) % self.spec.key_space;
         let value = match class {
             // Bounded scans: 1..=8 entries.
             OpClass::Scan => 1 + self.rng.below(8),

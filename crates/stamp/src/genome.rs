@@ -6,16 +6,12 @@
 //! segments into an assembly chain (single pointer write per transaction).
 //!
 //! The transaction bodies (`insert_segment`, `link_segment`) and the
-//! one driver (`execute`) are written once against [`TxAccess`]: the
-//! sequential [`run`] is that driver on one handle, the real-thread
-//! [`crate::run_app_mt`] the same driver on a fleet.
+//! driver ([`run`]) are written once against [`TxAccess`].
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use specpmt_txn::{run_tx, TxAccess};
 
-use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{hash64, setup_region, SplitMix64};
 use crate::Scale;
 
@@ -63,17 +59,12 @@ impl GenomeCfg {
 struct Layout {
     /// Hash table: `table_cap` entries of 8 B (segment fingerprint; 0 = empty).
     table: usize,
-    /// Unique-segment count (u32) — thread 0's counter, and so the
-    /// sequential run's.
+    /// Unique-segment count (u32).
     unique: usize,
     /// Chain links: `table_cap` × u32 (next unique segment's slot + 1).
     links: usize,
     /// Chain head slot (u32).
     head: usize,
-    /// Unique-counter shards of threads 1 and up (u32 each), allocated
-    /// past the sequential region; one shared counter would serialize
-    /// every insert.
-    shards: usize,
 }
 
 fn layout(cfg: &GenomeCfg, base: usize) -> Layout {
@@ -81,7 +72,7 @@ fn layout(cfg: &GenomeCfg, base: usize) -> Layout {
     let unique = table + cfg.table_cap * 8;
     let links = unique + 4;
     let head = links + cfg.table_cap * 4;
-    Layout { table, unique, links, head, shards: head + 4 }
+    Layout { table, unique, links, head }
 }
 
 fn region_bytes(cfg: &GenomeCfg) -> usize {
@@ -105,8 +96,7 @@ fn gen_segments(cfg: &GenomeCfg, genome: &[u8]) -> Vec<u64> {
 }
 
 /// Volatile reference: insertion order of unique fingerprints and their
-/// final table slots (slots are only meaningful for a sequential run —
-/// under concurrency, probe placement depends on the interleaving).
+/// final table slots.
 fn reference(cfg: &GenomeCfg, segments: &[u64]) -> (Vec<u64>, Vec<usize>) {
     let mask = cfg.table_cap - 1;
     let mut table = vec![0u64; cfg.table_cap];
@@ -130,20 +120,13 @@ fn reference(cfg: &GenomeCfg, segments: &[u64]) -> (Vec<u64>, Vec<usize>) {
     (uniques, slots)
 }
 
-/// Phase-1 transaction body: deduplicating insert of one fingerprint, with
-/// the calling thread's unique counter at `unique_ctr`. Returns the slot
-/// it filled, or `None` for a duplicate.
+/// Phase-1 transaction body: deduplicating insert of one fingerprint.
+/// Returns the slot it filled, or `None` for a duplicate.
 ///
 /// Doom-safe: when a doomed access returns zeros, the probe loop
 /// terminates at the first slot and every write is dropped — the driver
 /// aborts and retries.
-fn insert_segment<A: TxAccess>(
-    tx: &mut A,
-    lay: &Layout,
-    mask: usize,
-    fp: u64,
-    unique_ctr: usize,
-) -> Option<usize> {
+fn insert_segment<A: TxAccess>(tx: &mut A, lay: &Layout, mask: usize, fp: u64) -> Option<usize> {
     let mut idx = (fp as usize) & mask;
     loop {
         let a = lay.table + idx * 8;
@@ -153,8 +136,8 @@ fn insert_segment<A: TxAccess>(
         }
         if cur == 0 {
             tx.write_u64(a, fp);
-            let cnt = tx.read_u32(unique_ctr);
-            tx.write_u32(unique_ctr, cnt + 1);
+            let cnt = tx.read_u32(lay.unique);
+            tx.write_u32(lay.unique, cnt + 1);
             return Some(idx);
         }
         idx = (idx + 1) & mask;
@@ -171,64 +154,43 @@ fn link_segment<A: TxAccess>(tx: &mut A, lay: &Layout, prev: Option<usize>, slot
     }
 }
 
-/// Runs the workload sequentially on one handle; returns the verification
-/// outcome.
+/// Runs the workload on one handle; returns the verification outcome.
+///
+/// Phase 1 inserts every segment; phase 2 links the filled slots in
+/// insertion order (each link names its predecessor).
+///
+/// Verification: the table holds exactly the set of unique fingerprints,
+/// the counter equals the unique count, and the chain visits each unique
+/// slot exactly once — the reference's slots, in its order.
 ///
 /// # Panics
 ///
 /// Panics if `table_cap` is not a power of two.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &GenomeCfg) -> Result<(), String> {
-    execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// The one driver: phase-1 inserts race over the shared hash table,
-/// segments partitioned round-robin, each thread bumping its own unique
-/// counter (thread 0 the sequential one). Phase 2, chain linking, is
-/// inherently sequential (each link names its predecessor), so handle 0
-/// performs it, as STAMP's sequential epilogue phases do.
-///
-/// Verification is order-independent: the table holds exactly the set of
-/// unique fingerprints, the counters sum to the unique count, and the
-/// chain visits each unique slot exactly once. On one handle, slots and
-/// chain order must also match the sequential reference exactly.
-pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &GenomeCfg) -> Committed {
     assert!(cfg.table_cap.is_power_of_two(), "table_cap must be a power of two");
-    let threads = fleet.threads();
-    let base = setup_region(fleet.first(), region_bytes(cfg) + (threads - 1) * 4, 64);
+    let base = setup_region(rt, region_bytes(cfg), 64);
     let lay = layout(cfg, base);
     let genome = gen_genome(cfg);
     let segments = gen_segments(cfg, &genome);
     let mask = cfg.table_cap - 1;
-    let counter = |t: usize| if t == 0 { lay.unique } else { lay.shards + (t - 1) * 4 };
 
-    // The slots each thread's committed inserts filled, in its order.
-    let filled: Vec<Mutex<Vec<usize>>> = (0..threads).map(|_| Mutex::default()).collect();
-    let mut commits = fleet.each(|t, h| {
-        let mut mine = filled[t].lock().unwrap();
-        let mut n = 0u64;
-        for &fp in segments.iter().skip(t).step_by(threads) {
-            h.compute(cfg.hash_compute_ns);
-            mine.extend(run_tx(h, |tx| insert_segment(tx, &lay, mask, fp, counter(t))));
-            n += 1;
-        }
-        Ok(n)
-    })?;
-
-    // Link the filled slots thread by thread in insertion order: on one
-    // handle, the reference's order.
-    let h0 = fleet.first();
+    // The slots the committed inserts filled, in insertion order.
+    let mut filled = Vec::new();
+    for &fp in &segments {
+        rt.compute(cfg.hash_compute_ns);
+        filled.extend(run_tx(rt, |tx| insert_segment(tx, &lay, mask, fp)));
+    }
     let mut prev: Option<usize> = None;
-    for slot in filled.into_iter().flat_map(|m| m.into_inner().unwrap()) {
-        h0.compute(cfg.hash_compute_ns / 2);
-        run_tx(h0, |tx| link_segment(tx, &lay, prev, slot));
-        commits += 1;
+    for slot in filled {
+        rt.compute(cfg.hash_compute_ns / 2);
+        run_tx(rt, |tx| link_segment(tx, &lay, prev, slot));
         prev = Some(slot);
     }
 
     let (uniques, ref_slots) = reference(cfg, &segments);
     let want: HashSet<u64> = uniques.iter().copied().collect();
-    h0.untimed(|rt| {
-        let count: u32 = (0..threads).map(|t| rt.read_u32(counter(t))).sum();
+    rt.untimed(|rt| {
+        let count = rt.read_u32(lay.unique);
         if count as usize != want.len() {
             return Err(format!("unique count {count} != {}", want.len()));
         }
@@ -260,19 +222,17 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &GenomeCfg) -> Comm
         if chain.len() != want.len() {
             return Err(format!("chain visits {} slots, want {}", chain.len(), want.len()));
         }
-        // One handle replays the reference: its slots, in its chain order.
-        if threads == 1 {
-            for (i, (&slot, &fp)) in ref_slots.iter().zip(&uniques).enumerate() {
-                let got = rt.read_u64(lay.table + slot * 8);
-                if got != fp || chain[i] != slot {
-                    return Err(format!(
-                        "chain position {i}: slot {} (slot {slot} holds {got:#x}, want {fp:#x})",
-                        chain[i]
-                    ));
-                }
+        // The reference's slots, in its chain order.
+        for (i, (&slot, &fp)) in ref_slots.iter().zip(&uniques).enumerate() {
+            let got = rt.read_u64(lay.table + slot * 8);
+            if got != fp || chain[i] != slot {
+                return Err(format!(
+                    "chain position {i}: slot {} (slot {slot} holds {got:#x}, want {fp:#x})",
+                    chain[i]
+                ));
             }
         }
-        Ok(commits)
+        Ok(())
     })
 }
 

@@ -6,17 +6,12 @@
 //! scans the reassembled payload for the attack signature (compute) and a
 //! transaction records the verdict.
 //!
-//! The transaction bodies (`insert_fragment`, `record_verdict`) and
-//! the one driver (`execute`) are written once against [`TxAccess`]: the
-//! sequential [`run`] is that driver on one handle, the real-thread
-//! [`crate::run_app_mt`] the same driver on a fleet. The per-stream bookkeeping
-//! (`last_seq`, `bytes_rcvd`) is one pair per thread — the body takes the
-//! pair's addresses as parameters — and the thread whose committed insert
-//! completes a flow's bitmap performs the decode.
+//! The transaction bodies (`insert_fragment`, `record_verdict`) and the
+//! driver ([`run`]) are written once against [`TxAccess`]; the committed
+//! insert that completes a flow's bitmap triggers the decode.
 
 use specpmt_txn::{run_tx, TxAccess};
 
-use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -56,15 +51,18 @@ const FULL_BITMAP: u32 = (1 << FRAGS) - 1;
 struct Layout {
     flows: usize,
     attacks_found: usize, // u32 counter
-    /// Per-thread stream metadata, `(last_seq, bytes_rcvd)` as two u32s
-    /// per thread: thread 0's pair is the sequential run's, the others
-    /// follow it, as one shared pair would serialize every insert.
-    stream: usize,
+    last_seq: usize,      // u32 stream metadata
+    bytes_rcvd: usize,    // u32 stream metadata
 }
 
 fn layout(cfg: &IntruderCfg, base: usize) -> Layout {
     let attacks_found = base + cfg.flows * FLOW_BYTES;
-    Layout { flows: base, attacks_found, stream: attacks_found + 4 }
+    Layout {
+        flows: base,
+        attacks_found,
+        last_seq: attacks_found + 4,
+        bytes_rcvd: attacks_found + 8,
+    }
 }
 
 const SIGNATURE: [u8; 4] = *b"EVIL";
@@ -109,18 +107,17 @@ fn contains_signature(payload: &[u8]) -> bool {
 }
 
 /// Fragment-insertion transaction body: store the fragment, merge its bit
-/// into the flow's arrival bitmap, and update the calling thread's stream
-/// bookkeeping at `seq_addr`/`rcvd_addr`. Returns the post-merge bitmap —
-/// the caller that observes it complete performs the decode.
+/// into the flow's arrival bitmap, and update the stream bookkeeping.
+/// Returns the post-merge bitmap — the caller that observes it complete
+/// performs the decode.
 ///
 /// Doom-safe: doomed reads return zeros and writes are dropped, and the
 /// returned bitmap of a doomed attempt is discarded by [`run_tx`].
 fn insert_fragment<A: TxAccess>(
     tx: &mut A,
+    lay: &Layout,
     flow_base: usize,
     frag: &Fragment,
-    seq_addr: usize,
-    rcvd_addr: usize,
 ) -> u32 {
     let bitmap_a = flow_base + FRAGS * FRAG_BYTES;
     tx.write(flow_base + frag.index as usize * FRAG_BYTES, &frag.data);
@@ -129,9 +126,9 @@ fn insert_fragment<A: TxAccess>(
     // maintains per packet).
     let bitmap = tx.read_u32(bitmap_a) | (1 << frag.index);
     tx.write_u32(bitmap_a, bitmap);
-    tx.write_u32(seq_addr, frag.index);
-    let rcvd = tx.read_u32(rcvd_addr);
-    tx.write_u32(rcvd_addr, rcvd + FRAG_BYTES as u32);
+    tx.write_u32(lay.last_seq, frag.index);
+    let rcvd = tx.read_u32(lay.bytes_rcvd);
+    tx.write_u32(lay.bytes_rcvd, rcvd + FRAG_BYTES as u32);
     bitmap
 }
 
@@ -145,49 +142,33 @@ fn record_verdict<A: TxAccess>(tx: &mut A, flow_base: usize, attack: bool, attac
     }
 }
 
-/// Runs the workload sequentially on one handle; returns the verification
-/// outcome.
-pub fn run<A: TxAccess>(rt: &mut A, cfg: &IntruderCfg) -> Result<(), String> {
-    execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// The one driver: fragments are partitioned round-robin; strict 2PL
-/// serializes the bitmap read-modify-write per flow, so exactly one
-/// committed insert observes the full bitmap and performs the decode.
+/// Runs the workload on one handle; returns the verification outcome.
 ///
-/// Verification is order-independent: every flow's payload and verdict,
-/// the attack count, the summed `bytes_rcvd` and each `last_seq`'s range.
-pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &IntruderCfg) -> Committed {
-    let threads = fleet.threads();
-    let base = setup_region(fleet.first(), cfg.flows * FLOW_BYTES + 4 + threads * 8, 64);
+/// Verification: every flow's payload and verdict, the attack count,
+/// `bytes_rcvd` and the range of `last_seq`.
+pub fn run<A: TxAccess>(rt: &mut A, cfg: &IntruderCfg) -> Result<(), String> {
+    let base = setup_region(rt, cfg.flows * FLOW_BYTES + 4 + 8, 64);
     let lay = layout(cfg, base);
     let (payloads, stream) = gen_stream(cfg);
 
-    let commits = fleet.each(|t, h| {
-        let (seq_addr, rcvd_addr) = (lay.stream + t * 8, lay.stream + t * 8 + 4);
-        let mut n = 0u64;
-        for frag in stream.iter().skip(t).step_by(threads) {
-            let flow_base = lay.flows + frag.flow as usize * FLOW_BYTES;
-            // Flow-map lookup and list insertion (cache misses) happen
-            // before the transactional update.
-            h.compute(cfg.scan_compute_ns / 3);
-            let bitmap = run_tx(h, |tx| insert_fragment(tx, flow_base, frag, seq_addr, rcvd_addr));
-            n += 1;
-            // Complete flow: read the reassembled payload (every fragment
-            // is committed), scan it (compute), and record the verdict.
-            if bitmap == FULL_BITMAP {
-                h.compute(cfg.scan_compute_ns);
-                let mut payload = [0u8; FRAGS * FRAG_BYTES];
-                h.read(flow_base, &mut payload);
-                let attack = contains_signature(&payload);
-                run_tx(h, |tx| record_verdict(tx, flow_base, attack, lay.attacks_found));
-                n += 1;
-            }
+    for frag in &stream {
+        let flow_base = lay.flows + frag.flow as usize * FLOW_BYTES;
+        // Flow-map lookup and list insertion (cache misses) happen
+        // before the transactional update.
+        rt.compute(cfg.scan_compute_ns / 3);
+        let bitmap = run_tx(rt, |tx| insert_fragment(tx, &lay, flow_base, frag));
+        // Complete flow: read the reassembled payload (every fragment
+        // is committed), scan it (compute), and record the verdict.
+        if bitmap == FULL_BITMAP {
+            rt.compute(cfg.scan_compute_ns);
+            let mut payload = [0u8; FRAGS * FRAG_BYTES];
+            rt.read(flow_base, &mut payload);
+            let attack = contains_signature(&payload);
+            run_tx(rt, |tx| record_verdict(tx, flow_base, attack, lay.attacks_found));
         }
-        Ok(n)
-    })?;
+    }
 
-    fleet.first().untimed(|rt| {
+    rt.untimed(|rt| {
         let want_attacks = payloads.iter().filter(|p| contains_signature(&p[..])).count() as u32;
         let got = rt.read_u32(lay.attacks_found);
         if got != want_attacks {
@@ -206,18 +187,16 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &IntruderCfg) -> Co
                 return Err(format!("flow {f}: verdict {verdict} != {want}"));
             }
         }
-        let rcvd_sum: u32 = (0..threads).map(|t| rt.read_u32(lay.stream + t * 8 + 4)).sum();
+        let rcvd = rt.read_u32(lay.bytes_rcvd);
         let want = (cfg.flows * FRAGS * FRAG_BYTES) as u32;
-        if rcvd_sum != want {
-            return Err(format!("summed bytes_rcvd {rcvd_sum} != {want}"));
+        if rcvd != want {
+            return Err(format!("bytes_rcvd {rcvd} != {want}"));
         }
-        for t in 0..threads {
-            let seq = rt.read_u32(lay.stream + t * 8);
-            if seq as usize >= FRAGS {
-                return Err(format!("thread {t}: last_seq {seq} out of range"));
-            }
+        let seq = rt.read_u32(lay.last_seq);
+        if seq as usize >= FRAGS {
+            return Err(format!("last_seq {seq} out of range"));
         }
-        Ok(commits)
+        Ok(())
     })
 }
 

@@ -8,20 +8,14 @@
 //! the paper calls out for `kmeans-low` in Section 7.3).
 //!
 //! Coordinates are fixed-point `i32`, so the transactional run and the
-//! volatile reference are bit-identical at every fleet size: the
-//! per-point updates are commutative integer adds and the centroid
-//! recomputation happens at a barrier, exactly as in STAMP.
+//! volatile reference are bit-identical: the per-point updates are integer
+//! adds and the centroids are recomputed between passes, as in STAMP.
 //!
 //! The transaction bodies (`zero_cluster`, `assign_point`) and the
-//! one driver (`execute`) are written once against [`TxAccess`]: the
-//! sequential [`run`] is that driver on one handle, the real-thread
-//! [`crate::run_app_mt`] the same driver on a fleet.
-
-use std::sync::{Barrier, Mutex};
+//! driver ([`run`]) are written once against [`TxAccess`].
 
 use specpmt_txn::{run_tx, TxAccess};
 
-use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -199,63 +193,37 @@ fn recompute_centroids<A: TxAccess>(
     });
 }
 
-/// Runs the workload sequentially on one handle; returns the verification
-/// outcome.
+/// Runs the workload on one handle; returns the verification outcome,
+/// exact against the volatile reference.
 ///
 /// # Panics
 ///
 /// Panics if the pool is too small (allocate ≥ a few MiB).
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &KmeansCfg) -> Result<(), String> {
-    execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// The one driver: clusters (zero phase) and points (assignment phase)
-/// are partitioned round-robin; a [`Barrier`] separates the phases, and
-/// thread 0 recomputes centroids between passes for everyone (avoiding
-/// racing timing-mode toggles on the shared device).
-///
-/// Verification is exact against the sequential reference at every fleet
-/// size: the accumulator updates are commutative.
-pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &KmeansCfg) -> Committed {
     assert!(cfg.points >= cfg.clusters, "need at least one point per cluster");
-    let threads = fleet.threads();
-    let base = setup_region(fleet.first(), region_bytes(cfg), 64);
+    let base = setup_region(rt, region_bytes(cfg), 64);
     let lay = layout(cfg, base);
     let points = gen_points(cfg);
-    let barrier = Barrier::new(threads);
-    let shared_centroids = Mutex::new(initial_centroids(cfg, &points));
+    let mut centroids = initial_centroids(cfg, &points);
 
-    let commits = fleet.each(|t, h| {
-        let mut centroids = shared_centroids.lock().unwrap().clone();
-        let mut n = 0u64;
-        for _ in 0..cfg.iters {
-            // Zero the accumulators, one transaction per cluster.
-            for c in (t..cfg.clusters).step_by(threads) {
-                run_tx(h, |tx| zero_cluster(tx, &lay, cfg.dims, c));
-                n += 1;
-            }
-            barrier.wait();
-            // Assignment pass: one transaction per point; the distance
-            // computation happens outside the transaction.
-            for p in (t..cfg.points).step_by(threads) {
-                let pt = &points[p * cfg.dims..(p + 1) * cfg.dims];
-                h.compute(cfg.flop_ns * (cfg.clusters * cfg.dims) as u64);
-                let c = nearest(pt, &centroids);
-                run_tx(h, |tx| assign_point(tx, &lay, cfg.dims, p, pt, c));
-                n += 1;
-            }
-            barrier.wait();
-            if t == 0 {
-                recompute_centroids(h, &lay, cfg, &mut shared_centroids.lock().unwrap());
-            }
-            barrier.wait();
-            centroids.clone_from(&shared_centroids.lock().unwrap());
+    for _ in 0..cfg.iters {
+        // Zero the accumulators, one transaction per cluster.
+        for c in 0..cfg.clusters {
+            run_tx(rt, |tx| zero_cluster(tx, &lay, cfg.dims, c));
         }
-        Ok(n)
-    })?;
+        // Assignment pass: one transaction per point; the distance
+        // computation happens outside the transaction.
+        for p in 0..cfg.points {
+            let pt = &points[p * cfg.dims..(p + 1) * cfg.dims];
+            rt.compute(cfg.flop_ns * (cfg.clusters * cfg.dims) as u64);
+            let c = nearest(pt, &centroids);
+            run_tx(rt, |tx| assign_point(tx, &lay, cfg.dims, p, pt, c));
+        }
+        recompute_centroids(rt, &lay, cfg, &mut centroids);
+    }
 
     let want = reference(cfg, &points);
-    fleet.first().untimed(|rt| {
+    rt.untimed(|rt| {
         for c in 0..cfg.clusters {
             for d in 0..cfg.dims {
                 let got = rt.read_u32(lay.sums + (c * cfg.dims + d) * 4) as i64;
@@ -277,7 +245,7 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &KmeansCfg) -> Comm
                 return Err(format!("point {p}: membership {got} != {}", want.membership[p]));
             }
         }
-        Ok(commits)
+        Ok(())
     })
 }
 

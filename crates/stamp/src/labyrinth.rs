@@ -5,21 +5,16 @@
 //! transaction claims every cell of the path (Table 2's biggest write sets:
 //! ~1.4 KB of 8-byte cell updates).
 //!
-//! The claim transaction body (`try_claim`) and the one driver
-//! (`execute`) are written once against [`TxAccess`]: the sequential
-//! [`run`] is that driver on one handle, the real-thread [`crate::run_app_mt`] the
-//! same driver on a fleet. Like STAMP, the claim *revalidates* the path
-//! inside the transaction: routing used a grid that another thread's
-//! claim may since have crossed, so the body re-reads every cell and
-//! claims nothing if another route got there first — the driver then
-//! re-routes.
+//! The claim transaction body (`try_claim`) and the driver ([`run`]) are
+//! written once against [`TxAccess`]. Like STAMP, the claim *revalidates*
+//! the path inside the transaction: the body re-reads every cell and
+//! claims nothing if another route got there first. Routing on one handle
+//! uses a mirror that is never stale, so there a failed claim is an error.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 use specpmt_txn::{run_tx, TxAccess};
 
-use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -137,10 +132,9 @@ fn gen_requests(cfg: &LabyrinthCfg) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Claim transaction body: revalidate every path cell (the route was
-/// computed on a mirror that may be stale), then claim them all and
-/// bump the routed counter. Returns whether the claim succeeded; on
-/// `false` nothing was written and the caller should re-route.
+/// Claim transaction body: revalidate every path cell, then claim them
+/// all and bump the routed counter. Returns whether the claim succeeded;
+/// on `false` nothing was written.
 ///
 /// Doom-safe: doomed reads show every cell free, so the body "claims"
 /// with dropped writes and returns `true` — which [`run_tx`] discards
@@ -165,73 +159,41 @@ fn try_claim<A: TxAccess>(
     true
 }
 
-/// Runs the workload sequentially on one handle; returns the verification
-/// outcome.
-pub fn run<A: TxAccess>(rt: &mut A, cfg: &LabyrinthCfg) -> Result<(), String> {
-    execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// Re-route attempts per request before a thread gives up (a failed
-/// claim means another thread's route crossed ours).
-const REROUTES: usize = 8;
-
-/// The one driver: requests are partitioned round-robin. Each thread
-/// routes (compute) on the shared occupancy mirror while holding its lock
-/// and claims transactionally with in-transaction revalidation; a failed
-/// claim re-routes, as STAMP does. On one handle the mirror is never
-/// stale, so a failed claim is an error.
+/// Runs the workload on one handle; returns the verification outcome.
+///
+/// Each request is routed (compute) on the volatile occupancy mirror and
+/// claimed transactionally.
 ///
 /// Verification: the persistent grid holds exactly the committed claims
 /// (each path's cells carry its unique id, all other cells zero) and the
-/// routed counter equals the number of successful claims. With one
-/// handle the claims are the sequential run's, so this is its exact check.
-pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &LabyrinthCfg) -> Committed {
-    let threads = fleet.threads();
+/// routed counter equals the number of successful claims.
+pub fn run<A: TxAccess>(rt: &mut A, cfg: &LabyrinthCfg) -> Result<(), String> {
     let grid_bytes = cfg.cells() * 8;
-    let base = setup_region(fleet.first(), grid_bytes + 8, 64);
+    let base = setup_region(rt, grid_bytes + 8, 64);
     let routed_count_a = base + grid_bytes;
     let requests = gen_requests(cfg);
-    // Volatile occupancy mirror, updated only after a committed claim, so
-    // it trails the persistent grid — a route that another thread's claim
-    // crosses is caught by the in-transaction revalidation.
-    let occ = Mutex::new(vec![0u64; cfg.cells()]);
-    let claims = Mutex::new(Vec::<(u64, Vec<usize>)>::new());
+    // Volatile occupancy mirror, updated after each committed claim.
+    let mut occ = vec![0u64; cfg.cells()];
+    let mut claims = Vec::<(u64, Vec<usize>)>::new();
 
-    let commits = fleet.each(|t, h| {
-        let mut n = 0u64;
-        for (path_id, &(src, dst)) in requests.iter().enumerate().skip(t).step_by(threads) {
-            let id = path_id as u64 + 1;
-            for _ in 0..REROUTES {
-                let routed = {
-                    let occ = occ.lock().unwrap();
-                    if occ[src] != 0 || occ[dst] != 0 {
-                        break;
-                    }
-                    route(cfg, &occ, src, dst)
-                };
-                let Some((path, visited)) = routed else {
-                    break;
-                };
-                h.compute(cfg.visit_compute_ns * visited as u64);
-                let claimed = run_tx(h, |tx| try_claim(tx, base, routed_count_a, &path, id));
-                n += 1;
-                if claimed {
-                    let mut occ = occ.lock().unwrap();
-                    for &c in &path {
-                        occ[c] = id;
-                    }
-                    claims.lock().unwrap().push((id, path));
-                    break;
-                }
-                if threads == 1 {
-                    return Err(format!("route {path_id}: sequential claim revalidation failed"));
-                }
-            }
+    for (path_id, &(src, dst)) in requests.iter().enumerate() {
+        let id = path_id as u64 + 1;
+        if occ[src] != 0 || occ[dst] != 0 {
+            continue;
         }
-        Ok(n)
-    })?;
+        let Some((path, visited)) = route(cfg, &occ, src, dst) else {
+            continue;
+        };
+        rt.compute(cfg.visit_compute_ns * visited as u64);
+        if !run_tx(rt, |tx| try_claim(tx, base, routed_count_a, &path, id)) {
+            return Err(format!("route {path_id}: sequential claim revalidation failed"));
+        }
+        for &c in &path {
+            occ[c] = id;
+        }
+        claims.push((id, path));
+    }
 
-    let claims = claims.into_inner().unwrap();
     let mut want = vec![0u64; cfg.cells()];
     for (id, path) in &claims {
         for &c in path {
@@ -241,7 +203,7 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &LabyrinthCfg) -> C
             want[c] = *id;
         }
     }
-    fleet.first().untimed(|rt| {
+    rt.untimed(|rt| {
         let got = rt.read_u64(routed_count_a);
         if got != claims.len() as u64 {
             return Err(format!("routed count {got} != {}", claims.len()));
@@ -252,7 +214,7 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &LabyrinthCfg) -> C
                 return Err(format!("cell {c}: {got} != {w}"));
             }
         }
-        Ok(commits)
+        Ok(())
     })
 }
 

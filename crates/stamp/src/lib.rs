@@ -6,10 +6,10 @@
 //! workloads — real algorithms with verifiable results, not synthetic write
 //! streams — with every transaction body and every driver written exactly
 //! once against [`specpmt_txn::TxAccess`] so it runs unmodified on every
-//! runtime in the workspace: on one handle of a deterministic
-//! single-threaded runtime (via [`run_app`]) or raced over real OS threads
-//! on per-thread handles under strict two-phase locking (via
-//! [`run_app_mt`]). The sequential run is the one-handle fleet:
+//! runtime in the workspace, on one handle (via [`run_app`]). The paper's
+//! STAMP figures are single-threaded; isolation between concurrent
+//! transactions is left to software locking (strict 2PL, see
+//! `specpmt_core::LockedTxHandle`), not to these drivers:
 //!
 //! | app | transactional kernel | per-tx profile it mirrors (Table 2) |
 //! |---|---|---|
@@ -28,9 +28,8 @@
 //! values for comparison against the paper.
 //!
 //! Every workload performs an untimed setup phase, a timed transactional
-//! phase, and a verification phase that checks the final persistent state:
-//! order-independent invariants at every fleet size and, on one handle,
-//! exact agreement with a volatile reference execution of the algorithm.
+//! phase, and a verification phase that checks the final persistent state
+//! against a volatile reference execution of the algorithm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,15 +38,10 @@ pub mod genome;
 pub mod intruder;
 pub mod kmeans;
 pub mod labyrinth;
-pub mod mt;
 pub mod ssca2;
 pub mod util;
 pub mod vacation;
 pub mod yada;
-
-pub use mt::{run_app_mt, MtAppRun, MtRunReport};
-
-use mt::{Committed, Fleet, Solo};
 
 use specpmt_txn::{RunReport, TxRuntime};
 
@@ -114,19 +108,6 @@ impl StampApp {
             StampApp::Yada => "yada",
         }
     }
-
-    /// The paper's write-intensity classification (Section 7.2): the five
-    /// applications with the largest numbers of transactional updates.
-    pub fn write_intensive(&self) -> bool {
-        matches!(
-            self,
-            StampApp::Intruder
-                | StampApp::KmeansLow
-                | StampApp::KmeansHigh
-                | StampApp::Ssca2
-                | StampApp::Yada
-        )
-    }
 }
 
 /// Result of one workload execution on one runtime.
@@ -148,7 +129,17 @@ pub fn run_app<R: TxRuntime>(app: StampApp, rt: &mut R, scale: Scale) -> AppRun 
     let pmem0 = rt.pool().device().stats().clone();
     let tx0 = rt.tx_stats();
 
-    let verified = execute(app, &mut Solo(rt), scale).map(drop);
+    let verified = match app {
+        StampApp::Genome => genome::run(rt, &genome::GenomeCfg::scaled(scale)),
+        StampApp::Intruder => intruder::run(rt, &intruder::IntruderCfg::scaled(scale)),
+        StampApp::KmeansLow => kmeans::run(rt, &kmeans::KmeansCfg::low(scale)),
+        StampApp::KmeansHigh => kmeans::run(rt, &kmeans::KmeansCfg::high(scale)),
+        StampApp::Labyrinth => labyrinth::run(rt, &labyrinth::LabyrinthCfg::scaled(scale)),
+        StampApp::Ssca2 => ssca2::run(rt, &ssca2::Ssca2Cfg::scaled(scale)),
+        StampApp::VacationLow => vacation::run(rt, &vacation::VacationCfg::low(scale)),
+        StampApp::VacationHigh => vacation::run(rt, &vacation::VacationCfg::high(scale)),
+        StampApp::Yada => yada::run(rt, &yada::YadaCfg::scaled(scale)),
+    };
 
     let tx1 = rt.tx_stats();
     let clock1 = rt.pool().device().now_ns();
@@ -176,22 +167,6 @@ pub fn run_app<R: TxRuntime>(app: StampApp, rt: &mut R, scale: Scale) -> AppRun 
     }
 }
 
-/// The one `match app` both entry points dispatch through: runs `app`'s
-/// driver at `scale` on `fleet` and returns the committed transactions.
-fn execute<F: Fleet + ?Sized>(app: StampApp, fleet: &mut F, scale: Scale) -> Committed {
-    match app {
-        StampApp::Genome => genome::execute(fleet, &genome::GenomeCfg::scaled(scale)),
-        StampApp::Intruder => intruder::execute(fleet, &intruder::IntruderCfg::scaled(scale)),
-        StampApp::KmeansLow => kmeans::execute(fleet, &kmeans::KmeansCfg::low(scale)),
-        StampApp::KmeansHigh => kmeans::execute(fleet, &kmeans::KmeansCfg::high(scale)),
-        StampApp::Labyrinth => labyrinth::execute(fleet, &labyrinth::LabyrinthCfg::scaled(scale)),
-        StampApp::Ssca2 => ssca2::execute(fleet, &ssca2::Ssca2Cfg::scaled(scale)),
-        StampApp::VacationLow => vacation::execute(fleet, &vacation::VacationCfg::low(scale)),
-        StampApp::VacationHigh => vacation::execute(fleet, &vacation::VacationCfg::high(scale)),
-        StampApp::Yada => yada::execute(fleet, &yada::YadaCfg::scaled(scale)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,15 +176,5 @@ mod tests {
         let names: std::collections::HashSet<_> =
             StampApp::all().iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), 9);
-    }
-
-    #[test]
-    fn write_intensity_matches_paper_classification() {
-        let intensive: Vec<_> =
-            StampApp::all().into_iter().filter(|a| a.write_intensive()).collect();
-        assert_eq!(intensive.len(), 5);
-        assert!(!StampApp::Labyrinth.write_intensive());
-        assert!(!StampApp::Genome.write_intensive());
-        assert!(StampApp::Ssca2.write_intensive());
     }
 }

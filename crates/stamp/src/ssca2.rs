@@ -4,16 +4,11 @@
 //! per-vertex adjacency arrays — four 4-byte updates (slot + degree for
 //! both endpoints) per transaction, the 16-byte profile of Table 2.
 //!
-//! The transaction body (`insert_edge`) and the one driver (`execute`)
-//! are written once against [`TxAccess`]: the sequential [`run`] is that
-//! driver on one handle, the real-thread [`crate::run_app_mt`] the same driver on a
-//! fleet. Under concurrency the adjacency slot order depends on the
-//! interleaving, so verification compares neighbor *multisets* per vertex
-//! and demands slot-exact contents only of one handle.
+//! The transaction body (`insert_edge`) and the driver ([`run`]) are
+//! written once against [`TxAccess`].
 
 use specpmt_txn::{run_tx, TxAccess};
 
-use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -101,59 +96,39 @@ fn reference(cfg: &Ssca2Cfg, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
     (want_deg, want_adj)
 }
 
-/// Runs the workload sequentially on one handle; returns the verification
-/// outcome.
-pub fn run<A: TxAccess>(rt: &mut A, cfg: &Ssca2Cfg) -> Result<(), String> {
-    execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// The one driver: edge inserts, partitioned round-robin, race over the
-/// shared adjacency arrays.
+/// Runs the workload on one handle; returns the verification outcome.
 ///
 /// Verification: each vertex's final degree equals its incident-edge
-/// count and its adjacency slice holds exactly the expected neighbor
-/// multiset; on one handle the slices must match the sequential
-/// reference slot for slot.
-pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &Ssca2Cfg) -> Committed {
-    let threads = fleet.threads();
+/// count and its adjacency slice matches the sequential reference slot
+/// for slot.
+pub fn run<A: TxAccess>(rt: &mut A, cfg: &Ssca2Cfg) -> Result<(), String> {
     let bytes = cfg.vertices * 4 + cfg.vertices * cfg.max_degree * 4;
-    let base = setup_region(fleet.first(), bytes, 64);
+    let base = setup_region(rt, bytes, 64);
     let lay = layout(cfg, base);
     let edges = gen_edges(cfg);
 
-    let commits = fleet.each(|t, h| {
-        let mine = edges.iter().skip(t).step_by(threads);
-        let n = mine.len() as u64;
-        for &(u, v) in mine {
-            h.compute(cfg.edge_compute_ns);
-            run_tx(h, |tx| insert_edge(tx, &lay, cfg.max_degree, u, v));
-        }
-        Ok(n)
-    })?;
+    for &(u, v) in &edges {
+        rt.compute(cfg.edge_compute_ns);
+        run_tx(rt, |tx| insert_edge(tx, &lay, cfg.max_degree, u, v));
+    }
 
     let (want_deg, want_adj) = reference(cfg, &edges);
-    let (mut got_nbrs, mut want_nbrs) = (Vec::new(), Vec::new());
-    fleet.first().untimed(|rt| {
+    rt.untimed(|rt| {
         for (vtx, &want) in want_deg.iter().enumerate() {
             let got = rt.read_u32(lay.degrees + vtx * 4);
             if got != want {
                 return Err(format!("vertex {vtx}: degree {got} != {want}"));
             }
             let slots = vtx * cfg.max_degree..vtx * cfg.max_degree + got as usize;
-            got_nbrs.clear();
-            got_nbrs.extend(slots.clone().map(|s| rt.read_u32(lay.adj + s * 4)));
-            want_nbrs.clear();
-            want_nbrs.extend_from_slice(&want_adj[slots]);
-            if threads == 1 && got_nbrs != want_nbrs {
+            if !slots
+                .clone()
+                .map(|s| rt.read_u32(lay.adj + s * 4))
+                .eq(want_adj[slots].iter().copied())
+            {
                 return Err(format!("vertex {vtx}: adjacency differs from the sequential order"));
             }
-            got_nbrs.sort_unstable();
-            want_nbrs.sort_unstable();
-            if got_nbrs != want_nbrs {
-                return Err(format!("vertex {vtx}: neighbor multiset mismatch"));
-            }
         }
-        Ok(commits)
+        Ok(())
     })
 }
 

@@ -6,18 +6,15 @@
 //! and appending a reservation record. The high-contention input reserves
 //! up to two items per transaction (larger write sets, ~68 B vs ~44 B).
 //!
-//! The session transaction body (`run_session`) and the one driver
-//! (`execute`) are written once against [`TxAccess`]: the sequential
-//! [`run`] is that driver on one handle, the real-thread [`crate::run_app_mt`] the
-//! same driver on a fleet. All RNG decisions (customer, tables, queried
-//! rows) are drawn up front into `Session` plans so the body is
-//! retry-safe; the reservation slot is claimed by a read-modify-write of
-//! the persistent record counter inside the transaction, which 2PL
-//! serializes.
+//! The session transaction body (`run_session`) and the driver ([`run`])
+//! are written once against [`TxAccess`]. All RNG decisions (customer,
+//! tables, queried rows) are drawn up front into `Session` plans so the
+//! body is retry-safe; the reservation slot is claimed by a
+//! read-modify-write of the persistent record counter inside the
+//! transaction.
 
 use specpmt_txn::{run_tx, TxAccess};
 
-use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -225,43 +222,32 @@ fn setup_tables<A: TxAccess>(rt: &mut A, lay: &Layout, initial_rows: &[(u32, u32
     });
 }
 
-/// Runs the workload sequentially on one handle; returns the verification
-/// outcome.
-pub fn run<A: TxAccess>(rt: &mut A, cfg: &VacationCfg) -> Result<(), String> {
-    execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// The one driver: client sessions, partitioned round-robin.
+/// Runs the workload on one handle; returns the verification outcome.
 ///
-/// The concurrent outcome depends on the interleaving (which session
-/// sees which capacities), so verification checks the database's
-/// accounting invariants at every fleet size: every reservation record
-/// is priced at its row's initial price, each row's capacity drop equals
-/// its record count, and each customer's spent/trips equal the sum/count
-/// of their records. One handle replays `simulate`'s decisions, so there
-/// every record, capacity and customer must also match it exactly.
-pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &VacationCfg) -> Committed {
-    let threads = fleet.threads();
-    let base = setup_region(fleet.first(), region_bytes(cfg), 64);
+/// Verification checks the database's accounting invariants — every
+/// reservation record is priced at its row's initial price, each row's
+/// capacity drop equals its record count, and each customer's
+/// spent/trips equal the sum/count of their records — and that every
+/// record, capacity and customer matches `simulate`'s replay exactly.
+pub fn run<A: TxAccess>(rt: &mut A, cfg: &VacationCfg) -> Result<(), String> {
+    let base = setup_region(rt, region_bytes(cfg), 64);
     let lay = layout(cfg, base);
     let initial_rows = gen_initial_rows(cfg);
     let sessions = gen_sessions(cfg);
-    setup_tables(fleet.first(), &lay, &initial_rows);
+    setup_tables(rt, &lay, &initial_rows);
 
-    let commits = fleet.each(|t, h| {
-        let mine = sessions.iter().skip(t).step_by(threads);
-        let n = mine.len() as u64;
-        for sess in mine {
-            run_tx(h, |tx| run_session(tx, &lay, cfg, sess));
-        }
-        Ok(n)
-    })?;
+    for sess in &sessions {
+        run_tx(rt, |tx| run_session(tx, &lay, cfg, sess));
+    }
 
-    let exact = (threads == 1).then(|| simulate(cfg, &initial_rows, &sessions));
-    fleet.first().untimed(|rt| {
+    let want = simulate(cfg, &initial_rows, &sessions);
+    rt.untimed(|rt| {
         let got_count = rt.read_u64(lay.resv_count) as usize;
         if got_count > cfg.sessions * cfg.max_items {
             return Err(format!("reservation count {got_count} out of range"));
+        }
+        if got_count != want.reservations.len() {
+            return Err(format!("reservation count {got_count} != {}", want.reservations.len()));
         }
         let mut row_resv = vec![0u32; TABLES * cfg.rows];
         let mut cust_spent = vec![0u64; cfg.customers];
@@ -277,10 +263,8 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &VacationCfg) -> Co
             if price != initial_rows[table * cfg.rows + row].1 {
                 return Err(format!("reservation {i}: price {price} mismatch"));
             }
-            if let Some(want) = exact.as_ref().and_then(|m| m.reservations.get(i)) {
-                if got != *want {
-                    return Err(format!("reservation {i}: {got:?} != {want:?}"));
-                }
+            if got != want.reservations[i] {
+                return Err(format!("reservation {i}: {got:?} != {:?}", want.reservations[i]));
             }
             row_resv[table * cfg.rows + row] += 1;
             cust_spent[cust] += price as u64;
@@ -300,27 +284,19 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &VacationCfg) -> Co
                 return Err(format!("customer {c}: accounting mismatch"));
             }
         }
-        if let Some(want) = &exact {
-            if got_count != want.reservations.len() {
-                return Err(format!(
-                    "reservation count {got_count} != {}",
-                    want.reservations.len()
-                ));
-            }
-            for (i, &(cap, _)) in want.rows.iter().enumerate() {
-                let got = rt.read_u32(lay.tables + i * ROW_BYTES);
-                if got != cap {
-                    return Err(format!("row {i}: capacity {got} != {cap}"));
-                }
-            }
-            for (c, &(spent, trips)) in want.customers.iter().enumerate() {
-                let ca = lay.customers + c * CUST_BYTES;
-                if rt.read_u32(ca) != spent || rt.read_u32(ca + 4) != trips {
-                    return Err(format!("customer {c} state mismatch"));
-                }
+        for (i, &(cap, _)) in want.rows.iter().enumerate() {
+            let got = rt.read_u32(lay.tables + i * ROW_BYTES);
+            if got != cap {
+                return Err(format!("row {i}: capacity {got} != {cap}"));
             }
         }
-        Ok(commits)
+        for (c, &(spent, trips)) in want.customers.iter().enumerate() {
+            let ca = lay.customers + c * CUST_BYTES;
+            if rt.read_u32(ca) != spent || rt.read_u32(ca + 4) != trips {
+                return Err(format!("customer {c} state mismatch"));
+            }
+        }
+        Ok(())
     })
 }
 

@@ -8,21 +8,16 @@
 //! transaction profile and a machine-checkable termination/quality
 //! invariant.
 //!
-//! The transaction bodies (`seed_tri`, `refine_tri`) and the one
-//! driver (`execute`) are written once against [`TxAccess`]: the
-//! sequential [`run`] is that driver on one handle, the real-thread
-//! [`crate::run_app_mt`] the same driver on a fleet. Child slots are allocated by a
-//! read-modify-write of the persistent triangle count *inside* the
-//! refinement transaction, so one handle reproduces the reference ids
-//! exactly while concurrent runs stay collision-free under 2PL.
+//! The transaction bodies (`seed_tri`, `refine_tri`) and the driver
+//! ([`run`]) are written once against [`TxAccess`]. Child slots are
+//! allocated by a read-modify-write of the persistent triangle count
+//! *inside* the refinement transaction, so the run reproduces the
+//! reference ids exactly.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use specpmt_txn::{run_tx, TxAccess};
 
-use crate::mt::{Committed, Fleet, Solo};
 use crate::util::{setup_region, SplitMix64};
 use crate::Scale;
 
@@ -142,9 +137,8 @@ fn write_tri<A: TxAccess>(tx: &mut A, at: usize, t: &Tri) {
     tx.write_u32(at + 28, t.n[1]);
 }
 
-/// Mesh-loading transaction body: store initial triangle `i` and bump the
-/// triangle count (read-modify-write, so concurrent seeding serializes on
-/// the counter while the slots — fixed per triangle — never collide).
+/// Mesh-loading transaction body: store initial triangle `i` (a fixed
+/// slot) and bump the triangle count by read-modify-write.
 fn seed_tri<A: TxAccess>(tx: &mut A, lay: &Layout, i: usize, t: &Tri) {
     write_tri(tx, lay.tris + i * TRI_BYTES, t);
     let count = tx.read_u32(lay.count);
@@ -154,8 +148,8 @@ fn seed_tri<A: TxAccess>(tx: &mut A, lay: &Layout, i: usize, t: &Tri) {
 /// Refinement transaction body: retire parent `t` (known quality/gen from
 /// the work-queue item), allocate `CHILDREN` slots by read-modify-write
 /// of the persistent count, and insert the children. Returns the first
-/// child id, or `None` if the parent was already retired (never happens
-/// sequentially; defensive under concurrency).
+/// child id, or `None` if the parent was already retired (the driver's
+/// "refined twice" error).
 ///
 /// Doom-safe: a doomed read shows the parent dead, so the body writes
 /// nothing; [`run_tx`] aborts and retries the attempt anyway.
@@ -197,89 +191,51 @@ fn refine_tri<A: TxAccess>(
     Some(base_id)
 }
 
-/// Runs the workload sequentially on one handle; returns the verification
-/// outcome.
-pub fn run<A: TxAccess>(rt: &mut A, cfg: &YadaCfg) -> Result<(), String> {
-    execute(&mut Solo(rt), cfg).map(drop)
-}
-
-/// The one driver: seeds (one transaction per initial triangle, like mesh
-/// loading) are partitioned round-robin, then all threads drain a shared
-/// FIFO work queue of `(id, quality, gen)` items for bad triangles; an
-/// `outstanding` counter detects quiescence. Each id is enqueued at most
-/// once.
+/// Runs the workload on one handle; returns the verification outcome.
 ///
-/// Child ids depend on the interleaving, so verification checks the
-/// refinement invariants at every fleet size: every live triangle meets
-/// the quality bar, and the final count equals
-/// `initial + CHILDREN × retired`. One handle replays the reference's
-/// slot allocations, so there every triangle must also match it exactly.
-pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &YadaCfg) -> Committed {
-    let threads = fleet.threads();
-    let base = setup_region(fleet.first(), cfg.capacity * TRI_BYTES + 4, 64);
+/// Seeds (one transaction per initial triangle, like mesh loading) are
+/// stored first, then a FIFO work queue of `(id, quality, gen)` items for
+/// bad triangles is drained; each id is enqueued at most once.
+///
+/// Verification: every live triangle meets the quality bar, the final
+/// count equals `initial + CHILDREN × retired`, and every triangle
+/// matches the reference's slot allocations exactly.
+pub fn run<A: TxAccess>(rt: &mut A, cfg: &YadaCfg) -> Result<(), String> {
+    let base = setup_region(rt, cfg.capacity * TRI_BYTES + 4, 64);
     let lay = layout(cfg, base);
     let seeds = initial_tris(cfg);
-    let barrier = Barrier::new(threads);
-    let queue = Mutex::new(VecDeque::<(usize, u32, u32)>::new());
-    // Work items enqueued but not yet fully processed (children enqueued).
-    let outstanding = AtomicUsize::new(0);
+    let mut queue = VecDeque::<(usize, u32, u32)>::new();
 
-    let commits = fleet.each(|t, h| {
-        let mut n = 0u64;
-        // Seed phase: fixed slots, counter serialized by 2PL.
-        for (i, tri) in seeds.iter().enumerate().skip(t).step_by(threads) {
-            run_tx(h, |tx| seed_tri(tx, &lay, i, tri));
-            n += 1;
-            if tri.quality < QUALITY_MIN {
-                outstanding.fetch_add(1, Ordering::SeqCst);
-                queue.lock().unwrap().push_back((i, tri.quality, tri.gen));
+    for (i, tri) in seeds.iter().enumerate() {
+        run_tx(rt, |tx| seed_tri(tx, &lay, i, tri));
+        if tri.quality < QUALITY_MIN {
+            queue.push_back((i, tri.quality, tri.gen));
+        }
+    }
+    while let Some((tri, q, gen)) = queue.pop_front() {
+        rt.compute(cfg.refine_compute_ns);
+        let Some(base_id) = run_tx(rt, |tx| refine_tri(tx, &lay, cfg.capacity, tri, q, gen)) else {
+            return Err(format!("triangle {tri}: refined twice"));
+        };
+        for c in 0..CHILDREN {
+            let cq = child_quality(q, tri, c);
+            if cq < QUALITY_MIN {
+                queue.push_back((base_id + c, cq, gen + 1));
             }
         }
-        barrier.wait();
-        // Refinement: drain the shared queue to quiescence.
-        loop {
-            let item = queue.lock().unwrap().pop_front();
-            let Some((tri, q, gen)) = item else {
-                if outstanding.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            };
-            h.compute(cfg.refine_compute_ns);
-            let first = run_tx(h, |tx| refine_tri(tx, &lay, cfg.capacity, tri, q, gen));
-            n += 1;
-            match first {
-                Some(base_id) => {
-                    for c in 0..CHILDREN {
-                        let cq = child_quality(q, tri, c);
-                        if cq < QUALITY_MIN {
-                            outstanding.fetch_add(1, Ordering::SeqCst);
-                            queue.lock().unwrap().push_back((base_id + c, cq, gen + 1));
-                        }
-                    }
-                }
-                None if threads == 1 => return Err(format!("triangle {tri}: refined twice")),
-                None => {}
-            }
-            outstanding.fetch_sub(1, Ordering::SeqCst);
-        }
-        Ok(n)
-    })?;
+    }
 
-    let exact = (threads == 1).then(|| reference(cfg));
-    fleet.first().untimed(|rt| {
+    let want = reference(cfg);
+    rt.untimed(|rt| {
         let got_count = rt.read_u32(lay.count) as usize;
         if got_count > cfg.capacity || got_count < cfg.initial {
             return Err(format!("triangle count {got_count} out of range"));
         }
-        if let Some(want) = &exact {
-            if got_count != want.len() {
-                return Err(format!("triangle count {got_count} != {}", want.len()));
-            }
+        if got_count != want.len() {
+            return Err(format!("triangle count {got_count} != {}", want.len()));
         }
         let mut retired = 0usize;
-        for i in 0..got_count {
+        for (i, w) in want.iter().enumerate() {
             let at = lay.tris + i * TRI_BYTES;
             let got = Tri {
                 quality: rt.read_u32(at),
@@ -288,10 +244,8 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &YadaCfg) -> Commit
                 gen: rt.read_u32(at + 20),
                 n: [0; 2], // neighbor links mutate on retirement
             };
-            if let Some(w) = exact.as_ref().map(|want| &want[i]) {
-                if got != (Tri { n: [0; 2], ..*w }) {
-                    return Err(format!("triangle {i}: {got:?} != {w:?}"));
-                }
+            if got != (Tri { n: [0; 2], ..*w }) {
+                return Err(format!("triangle {i}: {got:?} != {w:?}"));
             }
             if got.alive && got.quality < QUALITY_MIN {
                 return Err(format!("triangle {i} alive but below quality threshold"));
@@ -306,7 +260,7 @@ pub(crate) fn execute<F: Fleet + ?Sized>(fleet: &mut F, cfg: &YadaCfg) -> Commit
                 cfg.initial
             ));
         }
-        Ok(commits)
+        Ok(())
     })
 }
 

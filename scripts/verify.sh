@@ -456,16 +456,18 @@ for f in $(production_sources); do
     fi
 done
 
-# One SplitMix64 mixer, in crates/pmem/src/rng.rs: STAMP's generator and the
-# 2PL backoff jitter draw from it. Only kv's zipf scramble and admission
-# hash, whose streams are left as they are, may spell a mixer constant too.
-for f in $(production_sources); do
-    case "$f" in crates/pmem/src/rng.rs | crates/kv/src/zipf.rs | crates/kv/src/admission.rs) continue ;; esac
-    if grep -niE '0xBF58_?476[D]|0x94D0_?49B[B]' "$f"; then
-        echo "re-fork guard: $f copies the SplitMix64 mixer (use specpmt_pmem::SplitMix64)" >&2
-        exit 1
-    fi
-done
+# One SplitMix64 mixer, in crates/pmem/src/rng.rs: STAMP's generator, the
+# 2PL backoff jitter, kv's zipf scramble and the tests' streams draw from
+# it. Its finalizer constants, in any case and with or without `_`, appear
+# nowhere else under crates, src, tests or examples (benchmark/ is its own
+# package).
+spelled() { printf '0x%s' "$(echo "$1" | sed 's/./_*&/g')"; }
+mixer_constants="$(spelled BF58476D1CE4E5B9)|$(spelled 94D049BB133111EB)"
+if grep -rniE --include='*.rs' "$mixer_constants" crates src tests examples |
+    grep -v '^crates/pmem/src/rng\.rs:'; then
+    echo "re-fork guard: a copy of the SplitMix64 mixer (use specpmt_pmem::SplitMix64)" >&2
+    exit 1
+fi
 
 # The judged benchmark is a package of its own (own workspace and lock
 # file), so nothing above builds it: smoke-run every workload and check the
@@ -828,27 +830,20 @@ if grep -rnE 'sites::(lookup|index_of|name_of)\b|BB_KIND_(NAMES|COUNT)|PHASE_(NA
     exit 1
 fi
 
-# One driver per STAMP application: each app's `execute` runs over the fleet
-# seam in crates/stamp/src/mt.rs, the sequential `run` on one handle and
-# `run_app_mt` on a thread per handle. Only mt.rs starts threads, the public
-# `run` wrappers run no transaction themselves (a re-forked `run` calls
-# `run_tx`), and no app has a public `run_mt` of its own: `run_app_mt`
-# dispatches through `execute`.
-if grep -rnE 'thread::scope|\.spawn\(' crates/stamp/src | grep -v '^crates/stamp/src/mt\.rs:'; then
-    echo "a STAMP app starts its own threads (race a fleet through mt.rs's Fleet)" >&2
+# One driver per STAMP application: each app's public `run` on one handle.
+# The paper's STAMP figures are single-threaded and isolation is left to
+# software 2PL, so no STAMP source starts a thread, and the multi-threaded
+# fleet seam (`run_app_mt` over `Fleet` / `Solo`, each app's private
+# `execute`, the per-app `run_mt`s) stays gone.
+if grep -rnE 'thread::scope|\.spawn\(' crates/stamp/src; then
+    echo "a STAMP app starts threads (its one driver is run, on one handle)" >&2
     exit 1
 fi
-if grep -nE '^ *pub fn run_[m]t\b' crates/stamp/src/*.rs; then
-    echo "a per-app run_mt is back (run_app_mt dispatches through execute)" >&2
+if grep -rnE '\b(run_app_[m]t|Fleet|Solo|MtAppRun|MtRunReport)\b|fn e[x]ecute\b|pub fn run_[m]t\b' \
+    crates/stamp/src; then
+    echo "the STAMP fleet seam is back (each app's run is its one driver)" >&2
     exit 1
 fi
-for f in crates/stamp/src/*.rs; do
-    if nontest "$f" | awk '/^pub fn run[<(]/ { body = 1 }
-        body && /run_tx\(/ { print; hit = 1 } body && /^}/ { body = 0 } END { exit !hit }'; then
-        echo "$f: a public run drives transactions itself (call the app's execute)" >&2
-        exit 1
-    fi
-done
 
 # Panic ceiling: the non-test panic sites of the crates a crash image is
 # read through may not rise silently. Counted per line before a file's

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use specpmt::core::{ConcurrentConfig, LockedTxHandle, SpecSpmtShared};
 use specpmt::pmem::{
-    CrashPlan, CrashPolicy, CrashTrigger, PmemConfig, SharedPmemDevice, SharedPmemPool,
+    CrashPlan, CrashPolicy, CrashTrigger, PmemConfig, SharedPmemDevice, SharedPmemPool, SplitMix64,
 };
 use specpmt::txn::{run_tx, SharedLockTable, TxAccess};
 use specpmt_check::driver::{generate_stream, StreamSpec, TxOp};
@@ -159,14 +159,6 @@ const SLOT_BYTES: usize = 16;
 const SLOTS: usize = 32;
 const PAIR_MASK: u64 = 0xA5A5_5A5A_C3C3_3C3C;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Races `threads` writers over one striped region with a crash armed at
 /// `crash_after` and asserts (a) the lock table drains to zero stripes and
 /// (b) no recovered slot is torn. Returns whether the crash fired.
@@ -194,18 +186,18 @@ fn run_racing_writers(threads: usize, crash_after: u64, seed: u64) -> bool {
         for (t, h) in handles.iter_mut().enumerate() {
             let dev = dev.clone();
             s.spawn(move || {
-                let mut rng = seed.wrapping_mul(31).wrapping_add(t as u64 + 1);
+                let mut rng = SplitMix64::new(seed.wrapping_mul(31).wrapping_add(t as u64 + 1));
                 for i in 0..24u64 {
                     if dev.observe().1 {
                         break; // image frozen: later commits cannot be captured
                     }
-                    let slot = (splitmix(&mut rng) as usize) % SLOTS;
+                    let slot = (rng.next_u64() as usize) % SLOTS;
                     let tag = ((t as u64 + 1) << 32) | (i + 1);
                     // Between writers, a write-free transaction on a
                     // contended slot: it takes (and may be doomed on) the
                     // stripe, reserves no record, and commits or aborts
                     // for free — under a reader a pair is never torn.
-                    let peek = base + (splitmix(&mut rng) as usize % SLOTS) * SLOT_BYTES;
+                    let peek = base + (rng.next_u64() as usize % SLOTS) * SLOT_BYTES;
                     if i % 2 == 0 {
                         let (w0, w1) = run_tx(h, |tx| (tx.read_u64(peek), tx.read_u64(peek + 8)));
                         assert!(
@@ -257,6 +249,75 @@ fn racing_writers_survive_shutdown_image_when_crash_never_fires() {
     // adversarial post-shutdown AllLost image.
     let fired = run_racing_writers(4, u64::MAX / 2, 4242);
     assert!(!fired);
+}
+
+/// Racing two-account transfers over one [`LockedTxHandle`] fleet, past
+/// the old 8-chain cap: strict 2PL must isolate each multi-object
+/// transaction, and the lock table must drain after every run.
+///
+/// Accounts form pairs of a fixed sum. A transfer reads the account it
+/// debits and writes the pair-mate's balance without reading it (the
+/// pair's sum fixes it), so isolation rests on both the read and the
+/// write path taking their stripes; between transfers, an audit reads a
+/// pair as one snapshot. Opposite transfers within a pair form lock
+/// cycles that only doom-and-retry breaks.
+#[test]
+fn racing_transfers_conserve_balances_at_two_to_sixteen_threads() {
+    const PAIRS: usize = 8;
+    const PAIR_SUM: u64 = 2_000;
+    // One account per 64-byte stripe: a transfer always takes two stripes.
+    let account = |base: usize, a: usize| base + a * 64;
+    for threads in [2usize, 4, 8, 16] {
+        let dev = SharedPmemDevice::new(PmemConfig::new(1 << 23));
+        let shared = SpecSpmtShared::open_or_format(
+            SharedPmemPool::create(dev),
+            ConcurrentConfig::builder().threads(threads).build(),
+        );
+        let base = shared.pool().alloc_direct(2 * PAIRS * 64, 64).expect("accounts fit");
+        let locks = SharedLockTable::new(1 << 23, 64);
+        let mut handles = LockedTxHandle::fleet(&shared, &locks, threads);
+        run_tx(&mut handles[0], |tx| {
+            for a in 0..2 * PAIRS {
+                tx.write_u64(account(base, a), PAIR_SUM / 2);
+            }
+        });
+
+        std::thread::scope(|s| {
+            for (t, h) in handles.iter_mut().enumerate() {
+                s.spawn(move || {
+                    let mut rng = SplitMix64::new(threads as u64 * 1_000 + t as u64);
+                    for _ in 0..256 / threads {
+                        let debit = rng.below(2 * PAIRS as u64) as usize;
+                        let amount = 1 + rng.below(50);
+                        run_tx(h, |tx| {
+                            let from = tx.read_u64(account(base, debit));
+                            if from >= amount {
+                                tx.write_u64(account(base, debit), from - amount);
+                                // Let a racing transfer run between the writes.
+                                std::thread::yield_now();
+                                tx.write_u64(account(base, debit ^ 1), PAIR_SUM - from + amount);
+                            }
+                        });
+                        // Audit a pair, reading either account first.
+                        let first = rng.below(2 * PAIRS as u64) as usize;
+                        let sum = run_tx(h, |tx| {
+                            tx.read_u64(account(base, first))
+                                + tx.read_u64(account(base, first ^ 1))
+                        });
+                        assert_eq!(sum, PAIR_SUM, "{threads} threads: audit of account {first}");
+                    }
+                });
+            }
+        });
+        assert_eq!(locks.held_stripes(), 0, "{threads} threads: stripes leaked");
+
+        let h = &mut handles[0];
+        let balances: Vec<u64> = (0..2 * PAIRS).map(|a| h.read_u64(account(base, a))).collect();
+        for (p, pair) in balances.chunks(2).enumerate() {
+            assert_eq!(pair[0] + pair[1], PAIR_SUM, "{threads} threads: pair {p} {pair:?}");
+        }
+        assert_eq!(balances.iter().sum::<u64>(), PAIRS as u64 * PAIR_SUM, "{threads} threads");
+    }
 }
 
 #[test]
