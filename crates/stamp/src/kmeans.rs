@@ -7,9 +7,10 @@
 //! also means more distance computation between transactions (the effect
 //! the paper calls out for `kmeans-low` in Section 7.3).
 //!
-//! Coordinates are fixed-point `i32`, so the transactional run and the
-//! volatile reference are bit-identical: the per-point updates are integer
-//! adds and the centroids are recomputed between passes, as in STAMP.
+//! Coordinates are integers in `0..1024` (stored as `i16`), so the
+//! transactional run and the volatile reference are bit-identical: the
+//! per-point updates are integer adds and the centroids are recomputed
+//! between passes, as in STAMP. Distances are exact in `i32` lanes.
 //!
 //! The transaction bodies (`zero_cluster`, `assign_point`) and the
 //! driver ([`run`]) are written once against [`TxAccess`].
@@ -79,20 +80,38 @@ fn region_bytes(cfg: &KmeansCfg) -> usize {
     cfg.clusters * cfg.dims * 4 + cfg.clusters * 4 + cfg.points * 4
 }
 
-fn gen_points(cfg: &KmeansCfg) -> Vec<i32> {
+/// Coordinates are drawn from `0..COORD_BOUND`, and a centroid is a mean
+/// of them, so a squared distance over up to `MAX_DIMS` terms fits `i32`.
+const COORD_BOUND: i16 = 1024;
+const MAX_DIMS: usize = i32::MAX as usize / (COORD_BOUND as usize - 1).pow(2);
+
+fn gen_points(cfg: &KmeansCfg) -> Vec<i16> {
     let mut rng = SplitMix64::new(cfg.seed);
-    (0..cfg.points * cfg.dims).map(|_| rng.below(1024) as i32).collect()
+    (0..cfg.points * cfg.dims).map(|_| rng.below(COORD_BOUND as usize) as i16).collect()
 }
 
-fn nearest(point: &[i32], centroids: &[Vec<i32>]) -> usize {
-    let mut best = 0usize;
-    let mut best_d = i64::MAX;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let mut d = 0i64;
-        for (a, b) in point.iter().zip(centroid) {
-            let diff = (*a - *b) as i64;
-            d += diff * diff;
+/// Squared distance in eight `i32` lanes (and a tail), a shape the
+/// compiler turns into packed multiply-adds.
+fn distance(a: &[i16], b: &[i16]) -> i32 {
+    let sq = |x: &i16, y: &i16| i32::from(x - y) * i32::from(x - y);
+    let (xs, ys) = (a.chunks_exact(8), b.chunks_exact(8));
+    let tail: i32 = xs.remainder().iter().zip(ys.remainder()).map(|(x, y)| sq(x, y)).sum();
+    let mut lanes = [0i32; 8];
+    for (x, y) in xs.zip(ys) {
+        for ((lane, x), y) in lanes.iter_mut().zip(x).zip(y) {
+            *lane += sq(x, y);
         }
+    }
+    lanes.iter().sum::<i32>() + tail
+}
+
+/// The lowest-indexed centroid nearest to `point`, over the flat
+/// `clusters × dims` matrix.
+fn nearest(point: &[i16], centroids: &[i16]) -> usize {
+    let mut best = 0usize;
+    let mut best_d = i32::MAX;
+    for (c, centroid) in centroids.chunks_exact(point.len()).enumerate() {
+        let d = distance(point, centroid);
         if d < best_d {
             best_d = d;
             best = c;
@@ -101,8 +120,8 @@ fn nearest(point: &[i32], centroids: &[Vec<i32>]) -> usize {
     best
 }
 
-fn initial_centroids(cfg: &KmeansCfg, points: &[i32]) -> Vec<Vec<i32>> {
-    (0..cfg.clusters).map(|c| points[c * cfg.dims..(c + 1) * cfg.dims].to_vec()).collect()
+fn initial_centroids(cfg: &KmeansCfg, points: &[i16]) -> Vec<i16> {
+    points[..cfg.clusters * cfg.dims].to_vec()
 }
 
 /// Volatile reference result: final sums, counts, membership.
@@ -112,7 +131,7 @@ struct Reference {
     membership: Vec<u32>,
 }
 
-fn reference(cfg: &KmeansCfg, points: &[i32]) -> Reference {
+fn reference(cfg: &KmeansCfg, points: &[i16]) -> Reference {
     let mut centroids = initial_centroids(cfg, points);
     let mut sums = vec![0i64; cfg.clusters * cfg.dims];
     let mut counts = vec![0u32; cfg.clusters];
@@ -120,8 +139,7 @@ fn reference(cfg: &KmeansCfg, points: &[i32]) -> Reference {
     for _ in 0..cfg.iters {
         sums.iter_mut().for_each(|s| *s = 0);
         counts.iter_mut().for_each(|c| *c = 0);
-        for p in 0..cfg.points {
-            let pt = &points[p * cfg.dims..(p + 1) * cfg.dims];
+        for (p, pt) in points.chunks_exact(cfg.dims).enumerate() {
             let c = nearest(pt, &centroids);
             membership[p] = c as u32;
             for d in 0..cfg.dims {
@@ -132,7 +150,8 @@ fn reference(cfg: &KmeansCfg, points: &[i32]) -> Reference {
         for c in 0..cfg.clusters {
             if counts[c] > 0 {
                 for d in 0..cfg.dims {
-                    centroids[c][d] = (sums[c * cfg.dims + d] / counts[c] as i64) as i32;
+                    centroids[c * cfg.dims + d] =
+                        (sums[c * cfg.dims + d] / counts[c] as i64) as i16;
                 }
             }
         }
@@ -158,14 +177,14 @@ fn assign_point<A: TxAccess>(
     lay: &Layout,
     dims: usize,
     p: usize,
-    pt: &[i32],
+    pt: &[i16],
     c: usize,
 ) {
     tx.write_u32(lay.membership + p * 4, c as u32);
     for (d, x) in pt.iter().enumerate() {
         let a = lay.sums + (c * dims + d) * 4;
         let cur = tx.read_u32(a) as i32;
-        tx.write_u32(a, (cur + x) as u32);
+        tx.write_u32(a, (cur + i32::from(*x)) as u32);
     }
     let ca = lay.counts + c * 4;
     let cur = tx.read_u32(ca);
@@ -174,19 +193,14 @@ fn assign_point<A: TxAccess>(
 
 /// Recomputes centroids from the persistent accumulators (untimed, like
 /// STAMP's barrier phase between assignment passes).
-fn recompute_centroids<A: TxAccess>(
-    rt: &mut A,
-    lay: &Layout,
-    cfg: &KmeansCfg,
-    out: &mut [Vec<i32>],
-) {
+fn recompute_centroids<A: TxAccess>(rt: &mut A, lay: &Layout, cfg: &KmeansCfg, out: &mut [i16]) {
     rt.untimed(|rt| {
-        for (c, centroid) in out.iter_mut().enumerate().take(cfg.clusters) {
+        for (c, centroid) in out.chunks_exact_mut(cfg.dims).enumerate() {
             let count = rt.read_u32(lay.counts + c * 4);
             if count > 0 {
-                for (d, coord) in centroid.iter_mut().enumerate().take(cfg.dims) {
+                for (d, coord) in centroid.iter_mut().enumerate() {
                     let s = rt.read_u32(lay.sums + (c * cfg.dims + d) * 4);
-                    *coord = s as i32 / count as i32;
+                    *coord = (s as i32 / count as i32) as i16;
                 }
             }
         }
@@ -198,9 +212,11 @@ fn recompute_centroids<A: TxAccess>(
 ///
 /// # Panics
 ///
-/// Panics if the pool is too small (allocate ≥ a few MiB).
+/// Panics if the pool is too small (allocate ≥ a few MiB), or if `dims`
+/// is so large that a squared distance could overflow `i32`.
 pub fn run<A: TxAccess>(rt: &mut A, cfg: &KmeansCfg) -> Result<(), String> {
     assert!(cfg.points >= cfg.clusters, "need at least one point per cluster");
+    assert!(cfg.dims <= MAX_DIMS, "{} dims overflow an i32 distance", cfg.dims);
     let base = setup_region(rt, region_bytes(cfg), 64);
     let lay = layout(cfg, base);
     let points = gen_points(cfg);
@@ -213,8 +229,7 @@ pub fn run<A: TxAccess>(rt: &mut A, cfg: &KmeansCfg) -> Result<(), String> {
         }
         // Assignment pass: one transaction per point; the distance
         // computation happens outside the transaction.
-        for p in 0..cfg.points {
-            let pt = &points[p * cfg.dims..(p + 1) * cfg.dims];
+        for (p, pt) in points.chunks_exact(cfg.dims).enumerate() {
             rt.compute(cfg.flop_ns * (cfg.clusters * cfg.dims) as u64);
             let c = nearest(pt, &centroids);
             run_tx(rt, |tx| assign_point(tx, &lay, cfg.dims, p, pt, c));
@@ -252,21 +267,81 @@ pub fn run<A: TxAccess>(rt: &mut A, cfg: &KmeansCfg) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specpmt_baselines::NoLog;
     use specpmt_pmem::{PmemConfig, PmemDevice, PmemPool};
 
-    fn pool() -> PmemPool {
-        PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22)))
+    /// The distance loop this module used before the `i32` lanes: one
+    /// `Vec` per centroid, `i64` sums. Kept as the reference `nearest`
+    /// must match exactly.
+    fn reference_nearest(point: &[i16], centroids: &[i16]) -> usize {
+        let centroids: Vec<Vec<i16>> =
+            centroids.chunks_exact(point.len()).map(<[i16]>::to_vec).collect();
+        let mut best = 0usize;
+        let mut best_d = i64::MAX;
+        for (c, centroid) in centroids.iter().enumerate() {
+            let mut d = 0i64;
+            for (a, b) in point.iter().zip(centroid) {
+                let diff = i64::from(*a) - i64::from(*b);
+                d += diff * diff;
+            }
+            if d < best_d {
+                best_d = d;
+                best = c;
+            }
+        }
+        best
     }
 
     #[test]
     fn verifies_on_nolog_runtime() {
-        // Use a minimal runtime via the baselines crate is unavailable here
-        // (dev-dependency cycle); exercise through the reference itself.
-        let cfg = KmeansCfg::low(Scale::Tiny);
-        let points = gen_points(&cfg);
-        let r = reference(&cfg, &points);
-        assert_eq!(r.counts.iter().map(|&c| c as usize).sum::<usize>(), cfg.points);
-        let _ = pool();
+        for cfg in [KmeansCfg::low(Scale::Tiny), KmeansCfg::high(Scale::Tiny)] {
+            let mut rt = NoLog::new(PmemPool::create(PmemDevice::new(PmemConfig::new(1 << 22))));
+            assert_eq!(run(&mut rt, &cfg), Ok(()), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn nearest_matches_the_i64_loop() {
+        let mut rng = SplitMix64::new(5);
+        let coord = |rng: &mut SplitMix64| rng.below(COORD_BOUND as usize) as i16;
+        for _ in 0..2000 {
+            let dims = 1 + rng.below(32);
+            let clusters = 1 + rng.below(40);
+            let point: Vec<i16> = (0..dims).map(|_| coord(&mut rng)).collect();
+            let mut centroids: Vec<i16> = (0..clusters * dims).map(|_| coord(&mut rng)).collect();
+            // Plant exact ties: one centroid (half the time the point
+            // itself, so the tie is for nearest) copied to other indices.
+            let src = rng.below(clusters);
+            if rng.below(2) == 0 {
+                centroids[src * dims..(src + 1) * dims].copy_from_slice(&point);
+            }
+            for _ in 0..rng.below(3) {
+                let dst = rng.below(clusters);
+                centroids.copy_within(src * dims..(src + 1) * dims, dst * dims);
+            }
+            let got = nearest(&point, &centroids);
+            assert_eq!(got, reference_nearest(&point, &centroids));
+        }
+    }
+
+    #[test]
+    fn nearest_is_exact_at_the_coordinate_bound() {
+        let dims = 24;
+        let low = vec![0; dims];
+        let high = vec![COORD_BOUND - 1; dims];
+        // Equal, maximal distances: the lowest index wins.
+        let far = [high.clone(), high.clone()].concat();
+        assert_eq!(nearest(&low, &far), 0);
+        let mixed = [high.clone(), low.clone(), low.clone()].concat();
+        assert_eq!(nearest(&high, &mixed), reference_nearest(&high, &mixed));
+        assert_eq!(nearest(&low, &mixed), 1);
+        // The widest input whose distances still fit `i32`.
+        let dims = MAX_DIMS;
+        assert!((dims + 1) * (COORD_BOUND as usize - 1).pow(2) > i32::MAX as usize);
+        let (low, high) = (vec![0; dims], vec![COORD_BOUND - 1; dims]);
+        let centroids = [high.clone(), low.clone()].concat();
+        assert_eq!(nearest(&high, &centroids), 0);
+        assert_eq!(nearest(&low, &centroids), 1);
     }
 
     #[test]
@@ -288,7 +363,7 @@ mod tests {
     fn sums_fit_in_u32_range() {
         // Region stores sums as u32; the largest possible sum must fit.
         let cfg = KmeansCfg::low(Scale::Small);
-        let max_sum = cfg.points as i64 * 1024;
+        let max_sum = cfg.points as i64 * COORD_BOUND as i64;
         assert!(max_sum < i32::MAX as i64);
     }
 }

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | `genome` | segment dedup into a persistent hash set + chain linking | 7.2 B, ~2.9 upd |
 //! | `intruder` | packet-fragment reassembly maps | 20.5 B, ~4.6 upd |
-//! | `kmeans-low/high` | cluster-accumulator updates (f32 sums) | 101 B, ~27 upd |
+//! | `kmeans-low/high` | cluster-accumulator updates (i32 sums) | 101 B, ~27 upd |
 //! | `labyrinth` | path claiming on a 3-D grid | 1420 B, ~180 upd |
 //! | `ssca2` | graph adjacency construction | 16 B, 4 upd |
 //! | `vacation-low/high` | travel-reservation table updates | 44–68 B, 7–10 upd |
@@ -30,6 +30,15 @@
 //! Every workload performs an untimed setup phase, a timed transactional
 //! phase, and a verification phase that checks the final persistent state
 //! against a volatile reference execution of the algorithm.
+//!
+//! Volatile work between transactions is priced on the simulated clock by
+//! `TxAccess::compute`. Two apps also do it on the host, since its result
+//! picks the next write set: `labyrinth` routes by breadth-first search and
+//! `kmeans-low/high` measure point-to-centroid distances (again in their
+//! volatile reference). The other seven only charge `compute()`. A host
+//! rewrite of that work keeps every charge and the transaction stream
+//! (paths, visited counts, assignments) identical, so every simulated ns
+//! and PM byte stays bit-for-bit (`tests/stamp_golden.rs` pins them).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

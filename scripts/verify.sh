@@ -845,6 +845,14 @@ if grep -rnE '\b(run_app_[m]t|Fleet|Solo|MtAppRun|MtRunReport)\b|fn e[x]ecute\b|
     exit 1
 fi
 
+# Labyrinth routes through one reusable padded-grid Router per run: outside
+# #[cfg(test)] (where the reference router keeps both), no route queues in
+# a VecDeque or allocates a fresh `usize::MAX` predecessor map.
+if nontest crates/stamp/src/labyrinth.rs | grep -nE 'VecDeque|vec!\[usize::MAX'; then
+    echo "labyrinth routes with a per-route map or VecDeque again (use its Router)" >&2
+    exit 1
+fi
+
 # Panic ceiling: the non-test panic sites of the crates a crash image is
 # read through may not rise silently. Counted per line before a file's
 # first #[cfg(test)], `debug_assert*` included; a change that adds one
